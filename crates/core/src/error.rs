@@ -20,6 +20,15 @@ pub enum CoreError {
         /// The newly observed (smaller) timestamp.
         observed: f64,
     },
+    /// A client sent a timestamp that is not a number. NaN compares false
+    /// against everything, so it would pass the monotonicity check and then
+    /// disable it for every later timestamp of that client.
+    InvalidTimestamp {
+        /// The offending client.
+        client: ClientId,
+        /// The rejected timestamp.
+        observed: f64,
+    },
     /// An operation that needs at least one message was invoked on an empty
     /// input.
     EmptyInput,
@@ -48,6 +57,9 @@ impl std::fmt::Display for CoreError {
                 f,
                 "{client} sent a non-monotone timestamp: {observed} after {previous}"
             ),
+            CoreError::InvalidTimestamp { client, observed } => {
+                write!(f, "{client} sent an invalid timestamp: {observed}")
+            }
             CoreError::EmptyInput => write!(f, "operation requires at least one message"),
             CoreError::InvalidProbability { left, right } => {
                 write!(f, "comparison of {left} and {right} produced an invalid probability")
@@ -76,6 +88,12 @@ mod tests {
             observed: 9.0,
         };
         assert!(e.to_string().contains("non-monotone"));
+
+        let e = CoreError::InvalidTimestamp {
+            client: ClientId(1),
+            observed: f64::NAN,
+        };
+        assert!(e.to_string().contains("invalid timestamp"));
 
         assert!(CoreError::EmptyInput.to_string().contains("at least one"));
 

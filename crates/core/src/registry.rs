@@ -53,14 +53,38 @@ use crate::defense::{
 use crate::error::CoreError;
 use crate::message::{ClientId, Message};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tommy_stats::clamp_probability;
 use tommy_stats::convolution::{difference_distribution, ConvolutionMethod};
 use tommy_stats::discretized::DiscretizedPdf;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use tommy_stats::erf::std_normal_inv_cdf;
 use tommy_stats::gaussian::Gaussian;
+
+/// Dense index of a registered client: assigned at first registration, in
+/// registration order, never reused. The sequencer shell resolves it once
+/// per event and indexes every per-client table by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClientSlot(pub(crate) u32);
+
+impl ClientSlot {
+    pub(crate) fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One row of the client table.
+#[derive(Debug)]
+struct ClientEntry {
+    client: ClientId,
+    distribution: OffsetDistribution,
+    /// The first safe-emission margin asked for: `(p_safe bits,
+    /// Q_δ(1 − p_safe))`, the client-level constant of `T^F = T − Q(1 − p_safe)`.
+    safe_margin: OnceLock<(u64, f64)>,
+}
 
 /// A client pair's preceding-probability rule, resolved once into a
 /// self-contained, lock-free value.
@@ -168,15 +192,16 @@ impl PairKernel {
 /// Registry of per-client clock-offset distributions with derived caches.
 #[derive(Debug)]
 pub struct DistributionRegistry {
-    distributions: HashMap<ClientId, OffsetDistribution>,
+    /// The client table; `ClientId`-keyed methods resolve the slot and call
+    /// the `_at` form.
+    slots: HashMap<ClientId, ClientSlot>,
+    entries: Vec<ClientEntry>,
+    /// Registered clients whose distribution has no closed form.
+    non_gaussian: usize,
     grid_points: usize,
     convolution: ConvolutionMethod,
     discretized: RwLock<HashMap<ClientId, Arc<DiscretizedPdf>>>,
     differences: RwLock<HashMap<(ClientId, ClientId), Arc<DiscretizedPdf>>>,
-    /// Cached safe-emission margins `Q_{δ}(1 − p_safe)` per
-    /// `(client, p_safe)` — the client-level constant of the safe-emission
-    /// time `T^F = T − Q(1 − p_safe)`, keyed by the exact bits of `p_safe`.
-    safe_margins: RwLock<HashMap<(ClientId, u64), f64>>,
     /// Number of pairwise preceding-probability evaluations served so far —
     /// one per [`preceding_probability`](Self::preceding_probability) call
     /// plus every element of a kernel-based column fill (recorded in bulk
@@ -216,12 +241,13 @@ impl DistributionRegistry {
     pub fn with_numerics(grid_points: usize, convolution: ConvolutionMethod) -> Self {
         assert!(grid_points >= 16, "need at least 16 grid points");
         DistributionRegistry {
-            distributions: HashMap::new(),
+            slots: HashMap::new(),
+            entries: Vec::new(),
+            non_gaussian: 0,
             grid_points,
             convolution,
             discretized: RwLock::new(HashMap::new()),
             differences: RwLock::new(HashMap::new()),
-            safe_margins: RwLock::new(HashMap::new()),
             queries: AtomicU64::new(0),
             trust: HashMap::new(),
             collusion: CollusionTracker::new(),
@@ -236,37 +262,68 @@ impl DistributionRegistry {
     /// Register (or replace) a client's offset distribution, invalidating any
     /// cached quantities involving that client.
     pub fn register(&mut self, client: ClientId, distribution: OffsetDistribution) {
-        self.distributions.insert(client, distribution);
-        self.discretized.write().remove(&client);
-        self.differences
-            .write()
-            .retain(|(a, b), _| *a != client && *b != client);
-        self.safe_margins.write().retain(|(c, _), _| *c != client);
+        self.non_gaussian += usize::from(!distribution.is_gaussian());
+        let entry = ClientEntry {
+            client,
+            distribution,
+            safe_margin: OnceLock::new(),
+        };
+        match self.slots.entry(client) {
+            Entry::Vacant(slot) => {
+                slot.insert(ClientSlot(self.entries.len() as u32));
+                self.entries.push(entry);
+            }
+            // Only a re-registration can have anything cached to drop.
+            Entry::Occupied(slot) => {
+                let old = std::mem::replace(&mut self.entries[slot.get().idx()], entry);
+                self.non_gaussian -= usize::from(!old.distribution.is_gaussian());
+                self.discretized.get_mut().remove(&client);
+                self.differences
+                    .get_mut()
+                    .retain(|(a, b), _| *a != client && *b != client);
+            }
+        }
+    }
+
+    /// The slot of a registered client — also the shell's unknown-client check.
+    pub(crate) fn slot_of(&self, client: ClientId) -> Result<ClientSlot, CoreError> {
+        let slot = self.slots.get(&client).copied();
+        slot.ok_or(CoreError::UnknownClient(client))
+    }
+
+    /// The closed-form parameters of the client in `slot`, if Gaussian.
+    pub(crate) fn gaussian_at(&self, slot: ClientSlot) -> Option<&Gaussian> {
+        self.entries[slot.idx()].distribution.as_gaussian()
+    }
+
+    /// Whether every registered client is closed-form (the fast-path census).
+    pub(crate) fn all_closed_form(&self) -> bool {
+        self.non_gaussian == 0
     }
 
     /// The distribution registered for `client`, if any.
     pub fn get(&self, client: ClientId) -> Option<&OffsetDistribution> {
-        self.distributions.get(&client)
+        self.distribution_or_err(client).ok()
     }
 
     /// Whether `client` has a registered distribution.
     pub fn contains(&self, client: ClientId) -> bool {
-        self.distributions.contains_key(&client)
+        self.slots.contains_key(&client)
     }
 
     /// Number of registered clients.
     pub fn len(&self) -> usize {
-        self.distributions.len()
+        self.entries.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.distributions.is_empty()
+        self.entries.is_empty()
     }
 
     /// All registered clients, sorted.
     pub fn clients(&self) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self.distributions.keys().copied().collect();
+        let mut v: Vec<ClientId> = self.entries.iter().map(|e| e.client).collect();
         v.sort();
         v
     }
@@ -287,10 +344,7 @@ impl DistributionRegistry {
         residual: f64,
         cfg: &DefenseConfig,
     ) -> Result<TrustEvent, CoreError> {
-        let claimed = self
-            .distributions
-            .get(&client)
-            .ok_or(CoreError::UnknownClient(client))?;
+        let claimed = &self.entries[self.slot_of(client)?.idx()].distribution;
         let state = self.trust.entry(client).or_default();
         Ok(state.observe(residual, claimed, cfg))
     }
@@ -348,9 +402,7 @@ impl DistributionRegistry {
     }
 
     fn distribution_or_err(&self, client: ClientId) -> Result<&OffsetDistribution, CoreError> {
-        self.distributions
-            .get(&client)
-            .ok_or(CoreError::UnknownClient(client))
+        Ok(&self.entries[self.slot_of(client)?.idx()].distribution)
     }
 
     fn discretized_for(&self, client: ClientId) -> Result<Arc<DiscretizedPdf>, CoreError> {
@@ -381,6 +433,11 @@ impl DistributionRegistry {
         let diff = Arc::new(difference_distribution(&f_j, &f_i, self.convolution));
         self.differences.write().insert(key, Arc::clone(&diff));
         Ok(diff)
+    }
+
+    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<DiscretizedPdf> {
+        self.difference_for(self.entries[si.idx()].client, self.entries[sj.idx()].client)
+            .expect("slots name registered clients")
     }
 
     /// The preceding probability `P(T*_i < T*_j | T_i, T_j)` for two messages
@@ -469,13 +526,17 @@ impl DistributionRegistry {
         if client_i == client_j {
             return Ok(PairKernel::SameClient);
         }
-        let d_i = self.distribution_or_err(client_i)?;
-        let d_j = self.distribution_or_err(client_j)?;
-        match (d_i.as_gaussian(), d_j.as_gaussian()) {
-            (Some(gi), Some(gj)) => Ok(PairKernel::Gaussian { i: *gi, j: *gj }),
-            _ => Ok(PairKernel::Discretized(
-                self.difference_for(client_i, client_j)?,
-            )),
+        Ok(self.pair_kernel_at(self.slot_of(client_i)?, self.slot_of(client_j)?))
+    }
+
+    /// [`pair_kernel`](Self::pair_kernel) for already-resolved slots.
+    pub(crate) fn pair_kernel_at(&self, si: ClientSlot, sj: ClientSlot) -> PairKernel {
+        if si == sj {
+            return PairKernel::SameClient;
+        }
+        match (self.gaussian_at(si), self.gaussian_at(sj)) {
+            (Some(gi), Some(gj)) => PairKernel::Gaussian { i: *gi, j: *gj },
+            _ => PairKernel::Discretized(self.difference_at(si, sj)),
         }
     }
 
@@ -504,17 +565,25 @@ impl DistributionRegistry {
     /// Panics unless `0.5 < p_safe < 1.0`, matching
     /// [`safe_emission_time`](crate::sequencer::emission::safe_emission_time).
     pub fn safe_margin(&self, client: ClientId, p_safe: f64) -> Result<f64, CoreError> {
+        Ok(self.safe_margin_at(self.slot_of(client)?, p_safe))
+    }
+
+    /// [`safe_margin`](Self::safe_margin) for an already-resolved slot.
+    pub(crate) fn safe_margin_at(&self, slot: ClientSlot, p_safe: f64) -> f64 {
         assert!(
             p_safe > 0.5 && p_safe < 1.0,
             "p_safe must be in (0.5, 1.0), got {p_safe}"
         );
-        let key = (client, p_safe.to_bits());
-        if let Some(&margin) = self.safe_margins.read().get(&key) {
-            return Ok(margin);
+        // A sequencer asks with one `p_safe` for its whole life; any other
+        // value is answered uncached.
+        let entry = &self.entries[slot.idx()];
+        let margin = || entry.distribution.quantile(1.0 - p_safe);
+        let &(bits, cached) = entry.safe_margin.get_or_init(|| (p_safe.to_bits(), margin()));
+        if bits == p_safe.to_bits() {
+            cached
+        } else {
+            margin()
         }
-        let margin = self.distribution_or_err(client)?.quantile(1.0 - p_safe);
-        self.safe_margins.write().insert(key, margin);
-        Ok(margin)
     }
 
     /// Number of cached pairwise difference distributions (exposed for tests
@@ -556,28 +625,35 @@ impl DistributionRegistry {
             threshold > 0.5 && threshold < 1.0,
             "threshold must be in (0.5, 1.0), got {threshold}"
         );
-        if client_i == client_j {
+        let (si, sj) = (self.slot_of(client_i)?, self.slot_of(client_j)?);
+        Ok(self.violation_margin_at(si, sj, threshold, std_normal_inv_cdf(1.0 - threshold)))
+    }
+
+    /// [`violation_margin`](Self::violation_margin) for already-resolved
+    /// slots; the caller supplies `z_low = Φ⁻¹(1 − threshold)` (the online
+    /// shell computes it once per configuration).
+    pub(crate) fn violation_margin_at(
+        &self,
+        si: ClientSlot,
+        sj: ClientSlot,
+        threshold: f64,
+        z_low: f64,
+    ) -> f64 {
+        if si == sj {
             // Same-client comparisons are deterministic: p ∈ {0, 0.5, 1} and
             // p >= 1 − threshold (< 0.5) exactly when T_i <= T_j.
-            self.distribution_or_err(client_i)?;
-            return Ok(0.0);
+            return 0.0;
         }
-        let d_i = self.distribution_or_err(client_i)?;
-        let d_j = self.distribution_or_err(client_j)?;
-        match (d_i.as_gaussian(), d_j.as_gaussian()) {
+        match (self.gaussian_at(si), self.gaussian_at(sj)) {
             (Some(gi), Some(gj)) => {
                 // p(d) = Φ((−d + μ_i − μ_j)/s) >= 1 − θ
                 //   ⇔ d <= μ_i − μ_j − s·Φ⁻¹(1 − θ).
                 let spread = (gi.variance() + gj.variance()).sqrt();
-                Ok(gi.mean() - gj.mean()
-                    - spread * tommy_stats::erf::std_normal_inv_cdf(1.0 - threshold))
+                gi.mean() - gj.mean() - spread * z_low
             }
-            _ => {
-                // p(d) = tail_Δ(d) >= 1 − θ ⇔ cdf_Δ(d) <= θ ⇔ d <= Q_Δ(θ),
-                // where Δ = δ_i − δ_j.
-                let diff = self.difference_for(client_i, client_j)?;
-                Ok(diff.quantile(threshold))
-            }
+            // p(d) = tail_Δ(d) >= 1 − θ ⇔ cdf_Δ(d) <= θ ⇔ d <= Q_Δ(θ),
+            // where Δ = δ_i − δ_j.
+            _ => self.difference_at(si, sj).quantile(threshold),
         }
     }
 }

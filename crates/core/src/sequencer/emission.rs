@@ -58,11 +58,10 @@ pub fn safe_emission_time_bisect(
 /// The safe emission time for a whole batch: `T_b = max_k T^F_k`.
 ///
 /// Per member this is `T_k − Q_{δ_k}(1 − p_safe)`; the quantile depends
-/// only on the member's *client* (and `p_safe`), so the registry's cached
-/// per-client margin ([`DistributionRegistry::safe_margin`]) is fetched
-/// once per distinct client and the sweep itself costs one local lookup and
-/// subtraction per member. The result is bit-identical to folding
-/// [`safe_emission_time`] over the batch.
+/// only on the member's *client* (and `p_safe`), so the sweep costs one
+/// look-up of the registry's cached per-client margin
+/// ([`DistributionRegistry::safe_margin`]) and a subtraction per member. The
+/// result is bit-identical to folding [`safe_emission_time`] over the batch.
 ///
 /// # Panics
 ///
@@ -82,11 +81,6 @@ pub fn batch_emission_time(
 /// candidate recomputation never clones the batch's messages just to price
 /// it.
 ///
-/// The per-client margin cache is a linear-scanned vector rather than a
-/// hash map: the distinct-client count is small, and the online sequencer
-/// runs this sweep for every candidate-batch member on every pending-set
-/// change — per-member hashing was the last hash cost on that path.
-///
 /// # Panics
 ///
 /// Same contract as [`batch_emission_time`].
@@ -95,21 +89,13 @@ pub fn batch_emission_time_over(
     members: impl Iterator<Item = (ClientId, f64)>,
     p_safe: f64,
 ) -> f64 {
-    let mut margins: Vec<(ClientId, f64)> = Vec::new();
     let mut latest = f64::NEG_INFINITY;
     let mut any = false;
     for (client, timestamp) in members {
         any = true;
-        let margin = match margins.iter().find(|&&(c, _)| c == client) {
-            Some(&(_, m)) => m,
-            None => {
-                let m = registry
-                    .safe_margin(client, p_safe)
-                    .unwrap_or_else(|_| panic!("no distribution for {client}"));
-                margins.push((client, m));
-                m
-            }
-        };
+        let margin = registry
+            .safe_margin(client, p_safe)
+            .unwrap_or_else(|_| panic!("no distribution for {client}"));
         latest = latest.max(timestamp - margin);
     }
     assert!(any, "cannot compute emission time of an empty batch");

@@ -52,11 +52,14 @@
 //!   queries — it only compares `now` against the cached safe emission time
 //!   and re-checks watermark completeness.
 //! * The per-arrival fairness-violation check against the last emitted batch
-//!   uses cached per-client-pair margins
+//!   uses per-client-pair margins
 //!   ([`DistributionRegistry::violation_margin`]) instead of one probability
 //!   query per emitted message, and the candidate batch's safe emission time
 //!   uses cached per-client margins ([`DistributionRegistry::safe_margin`])
 //!   instead of one quantile inversion per batch member.
+//! * The shell's own cost does not grow with the client count: an event
+//!   resolves its client to a dense slot once and indexes every per-client
+//!   table by it, and the watermark is a winner tree ([`WatermarkTracker`]).
 //! * The Appendix C closure rule runs as a worklist: each candidate
 //!   recomputation compares outsiders only against batch members added since
 //!   they were last checked — O(n × batch) comparisons total, not
@@ -95,7 +98,7 @@ use crate::defense::{ExpectedDelay, TrustEvent, TrustLevel};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::precedence::PrecedenceMatrix;
-use crate::registry::DistributionRegistry;
+use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::core::SequencingCore;
 use crate::sequencer::emission::batch_emission_time_over;
 use crate::sequencer::sparse::SparseEngine;
@@ -104,9 +107,11 @@ use crate::session::SessionCounters;
 use crate::tournament::IncrementalTournament;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use tommy_clock::DelayEstimator;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use tommy_stats::erf::std_normal_inv_cdf;
 
 /// One batch emitted by the online sequencer, with emission metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,6 +178,7 @@ pub struct OnlineStats {
     pub sequences_skipped: u64,
     /// Clients suspended from the watermark after staying silent past the
     /// staleness deadline ([`LivenessConfig`](crate::config::LivenessConfig)).
+    /// A retired client is never an eviction candidate.
     pub evictions: usize,
     /// Suspended clients re-admitted to the watermark after being heard
     /// from again (crash/restart recovery).
@@ -332,38 +338,32 @@ pub struct OnlineSequencer {
     sparse: SparseEngine,
     /// Which engine owns the pending set (census-driven, see module docs).
     mode: EngineMode,
-    /// Registered clients whose distribution has no closed form — the
-    /// census: the sparse fast path requires this set to be empty.
-    non_gaussian: HashSet<ClientId>,
-    /// Arrival time per pending message (for emission-latency accounting).
-    arrivals: HashMap<MessageId, f64>,
+    /// Arrival time per pending message: duplicate detection and latency
+    /// accounting in one map (`emitted_order` remembers retained history).
+    pending: HashMap<MessageId, f64>,
     /// Cached candidate batch; `None` means the pending set changed since the
     /// last computation (or is empty).
     candidate: Option<Candidate>,
-    /// Cached fairness-violation margins per (arriving, emitted) client pair;
-    /// `None` records a pair whose margin could not be computed.
-    violation_margins: HashMap<(ClientId, ClientId), Option<f64>>,
-    seen_ids: HashSet<MessageId>,
+    /// `Φ⁻¹(1 − threshold)`: the constant of every Gaussian violation margin.
+    violation_z: f64,
     /// Output buffer: batches emitted and not yet drained via
     /// [`take_emitted`](Self::take_emitted).
     emitted: Vec<EmittedBatch>,
     emitted_order: FairOrder,
-    /// `(client, timestamp)` of each message in the most recently emitted
-    /// batch — all the margin-based violation check needs, so emission does
-    /// not clone the batch's message vector for it.
-    last_emitted: Vec<(ClientId, f64)>,
-    /// Sequencer-clock time each client was last heard from (message or
+    /// `(client slot, timestamp)` of each message in the most recently
+    /// emitted batch — all the margin-based violation check needs, so
+    /// emission does not clone the batch's message vector for it.
+    last_emitted: Vec<(ClientSlot, f64)>,
+    /// Sequencer-clock time each client slot was last heard from (message or
     /// heartbeat); `NEG_INFINITY` means "registered but never measured
     /// against the staleness deadline yet". Drives watermark eviction when
     /// [`LivenessConfig`](crate::config::LivenessConfig) is enabled.
-    last_heard: HashMap<ClientId, f64>,
-    /// Per-client online delay estimators over `arrival − timestamp` gaps
+    last_heard: Vec<f64>,
+    /// Per-slot online delay estimators over `arrival − timestamp` gaps
     /// ([`tommy_clock::DelayEstimator`]), fed by every accepted message —
     /// whether or not the defense is enabled, so undefended runs can still
-    /// report the estimate. A `BTreeMap` so pooled means sum in a
-    /// deterministic order (seed-stability tests compare whole stat structs
-    /// bit-for-bit).
-    delays: BTreeMap<ClientId, DelayEstimator>,
+    /// report the estimate.
+    delays: Vec<DelayEstimator>,
     stats: OnlineStats,
     rng: StdRng,
     now: f64,
@@ -383,16 +383,14 @@ impl OnlineSequencer {
             core: SequencingCore::new(config),
             sparse: SparseEngine::new(),
             mode,
-            non_gaussian: HashSet::new(),
-            arrivals: HashMap::new(),
+            pending: HashMap::new(),
             candidate: None,
-            violation_margins: HashMap::new(),
-            seen_ids: HashSet::new(),
+            violation_z: std_normal_inv_cdf(1.0 - config.threshold),
             emitted: Vec::new(),
             emitted_order: FairOrder::default(),
             last_emitted: Vec::new(),
-            last_heard: HashMap::new(),
-            delays: BTreeMap::new(),
+            last_heard: Vec::new(),
+            delays: Vec::new(),
             stats: OnlineStats::default(),
             rng: StdRng::seed_from_u64(0),
             now: f64::NEG_INFINITY,
@@ -409,7 +407,7 @@ impl OnlineSequencer {
     /// assumption of §3.5).
     ///
     /// Re-registering a client invalidates every cached quantity derived
-    /// from its old distribution: the violation margins, the candidate
+    /// from its old distribution: the safe-emission margin, the candidate
     /// batch, and — since pairwise probabilities involving the client may
     /// have changed — the pending precedence state is re-derived.
     ///
@@ -418,25 +416,21 @@ impl OnlineSequencer {
     /// clients is re-taken, and the pending set migrates between the sparse
     /// and dense engines when the census verdict changes.
     pub fn register_client(&mut self, client: ClientId, distribution: OffsetDistribution) {
-        match distribution.as_gaussian() {
-            Some(gaussian) => {
-                self.sparse.observe_sigma(gaussian.std_dev());
-                self.non_gaussian.remove(&client);
-            }
-            None => {
-                self.non_gaussian.insert(client);
-            }
+        if let Some(gaussian) = distribution.as_gaussian() {
+            self.sparse.observe_sigma(gaussian.std_dev());
         }
+        // Registry and tracker both number clients in first-registration
+        // order and are only fed from here, so their slots coincide.
         self.registry.register(client, distribution);
         self.watermarks.add_client(client);
-        self.last_heard.entry(client).or_insert(f64::NEG_INFINITY);
-        self.violation_margins
-            .retain(|(a, b), _| *a != client && *b != client);
+        let clients = self.registry.len();
+        self.last_heard.resize(clients, f64::NEG_INFINITY);
+        self.delays.resize_with(clients, DelayEstimator::default);
         self.candidate = None;
         self.sparse.invalidate_candidate();
 
         let want_sparse = self.core.config().fast_path == FastPathMode::Auto
-            && self.non_gaussian.is_empty();
+            && self.registry.all_closed_form();
         match (self.mode, want_sparse) {
             (EngineMode::Sparse, false) => self.switch_to_dense(),
             (EngineMode::Dense, true) => self.switch_to_sparse(),
@@ -573,7 +567,7 @@ impl OnlineSequencer {
     /// With [`SequencerConfig::retain_history`] unset this stays bounded by
     /// the pending set; with it set (the default) it grows with the stream.
     pub fn tracked_ids(&self) -> usize {
-        self.seen_ids.len()
+        self.pending.len() + self.emitted_order.num_messages()
     }
 
     /// The sequencer's distribution registry (read-only). Exposes the
@@ -654,11 +648,11 @@ impl OnlineSequencer {
     /// Record that a client was heard from (message or heartbeat) at the
     /// current clock, resuming it if it had been suspended by the liveness
     /// detector.
-    fn note_heard(&mut self, client: ClientId) {
-        let entry = self.last_heard.entry(client).or_insert(f64::NEG_INFINITY);
-        *entry = entry.max(self.now);
-        if self.watermarks.is_suspended(client) {
-            self.watermarks.resume(client);
+    fn note_heard(&mut self, slot: ClientSlot) {
+        let heard = &mut self.last_heard[slot.idx()];
+        *heard = heard.max(self.now);
+        if self.watermarks.is_suspended_at(slot) {
+            self.watermarks.set_suspended_at(slot, false);
             self.stats.rejoins += 1;
         }
     }
@@ -668,10 +662,11 @@ impl OnlineSequencer {
     /// [`LivenessConfig`](crate::config::LivenessConfig) is enabled).
     /// Returns whether any client was newly suspended.
     ///
-    /// Only blocking clients (watermark at or below the horizon, or never
-    /// heard from) are candidates: suspending a client whose watermark is
-    /// already past the batch would not unblock anything, and would only
-    /// degrade fairness for its future messages. A blocking client that has
+    /// Only blocking clients (active, with a watermark at or below the
+    /// horizon or never heard from) are candidates: suspending a client whose
+    /// watermark is already past the batch would not unblock anything, and
+    /// would only degrade fairness for its future messages. The winner tree
+    /// enumerates exactly those, O(log C) each. A blocking client that has
     /// never been measured before starts its staleness clock at the first
     /// blocked emission instead of being evicted immediately, so a
     /// quiet-but-alive client gets a full deadline's grace.
@@ -680,28 +675,18 @@ impl OnlineSequencer {
         if !liveness.enabled {
             return false;
         }
-        let now = self.now;
         let mut any = false;
-        for (&client, heard) in self.last_heard.iter_mut() {
-            if self.watermarks.is_suspended(client) {
-                continue;
-            }
-            let blocking = match self.watermarks.latest(client) {
-                None => true,
-                Some(t) => t <= horizon,
-            };
-            if !blocking {
-                continue;
-            }
+        let mut next = self.watermarks.next_blocking(horizon, 0);
+        while let Some(slot) = next {
+            let heard = &mut self.last_heard[slot.idx()];
             if !heard.is_finite() {
-                *heard = now;
-                continue;
-            }
-            if now - *heard > liveness.staleness_deadline {
-                self.watermarks.suspend(client);
+                *heard = self.now;
+            } else if self.now - *heard > liveness.staleness_deadline {
+                self.watermarks.set_suspended_at(slot, true);
                 self.stats.evictions += 1;
                 any = true;
             }
+            next = self.watermarks.next_blocking(horizon, slot.idx() + 1);
         }
         any
     }
@@ -719,40 +704,33 @@ impl OnlineSequencer {
         self.stats.sequences_skipped = counters.sequences_skipped;
     }
 
-    /// Cached fairness-violation margin for an (arriving, emitted) client
-    /// pair; computed once per pair.
-    fn violation_margin(&mut self, arriving: ClientId, emitted: ClientId) -> Option<f64> {
-        let key = (arriving, emitted);
-        if let Some(&cached) = self.violation_margins.get(&key) {
-            return cached;
-        }
-        let margin = self
-            .registry
-            .violation_margin(arriving, emitted, self.core.config().threshold)
-            .ok();
-        self.violation_margins.insert(key, margin);
-        margin
-    }
-
     /// Submit a message that arrived at sequencer-clock time `arrival_time`.
-    /// Returns any batches that became safe to emit as a result.
+    /// Returns any batches that became safe to emit as a result. Every check
+    /// runs before anything but the clock changes: a rejected message leaves
+    /// no trace, and a corrected retry of its id is accepted.
     pub fn submit(
         &mut self,
         message: Message,
         arrival_time: f64,
     ) -> Result<Vec<EmittedBatch>, CoreError> {
-        if !self.registry.contains(message.client) {
-            return Err(CoreError::UnknownClient(message.client));
+        let slot = self.registry.slot_of(message.client)?;
+        let emitted = self.emitted_order.rank_of(message.id).is_some();
+        let pending = match self.pending.entry(message.id) {
+            Entry::Vacant(pending) if !emitted => pending,
+            _ => return Err(CoreError::DuplicateMessage(message.id)),
+        };
+        // (`advance_clock`, spelled out because `pending` borrows the map.)
+        if arrival_time > self.now {
+            self.now = arrival_time;
         }
-        if !self.seen_ids.insert(message.id) {
-            return Err(CoreError::DuplicateMessage(message.id));
-        }
-        self.advance_clock(arrival_time);
-        self.watermarks.observe(message.client, message.timestamp)?;
-        self.note_heard(message.client);
+        // The last check (NaN, which is also the only way to a NaN sparse
+        // key, or backwards) and, only if it passes, the first mutation.
+        self.watermarks.observe_at(slot, message.timestamp)?;
+        pending.insert(arrival_time);
+        self.note_heard(slot);
 
         if self.core.config().defense.enabled {
-            self.observe_defense(message.client, message.timestamp, arrival_time);
+            self.observe_defense(slot, message.client, message.timestamp, arrival_time);
         }
         // Delay estimation *after* the defense check: the estimate used for
         // residual formation must exclude the current sample, or the first
@@ -760,36 +738,28 @@ impl OnlineSequencer {
         // windows would be variance-shrunk.
         let gap = arrival_time - message.timestamp;
         if gap.is_finite() {
-            self.delays.entry(message.client).or_default().record(gap);
+            self.delays[slot.idx()].record(gap);
         }
 
         // Fairness-violation detection: the message confidently precedes (or
         // cannot be separated from) something already emitted in the most
         // recent batch. The per-client-pair margin turns each check into a
         // timestamp comparison instead of a probability query.
-        if !self.last_emitted.is_empty() {
-            let mut violates = false;
-            for k in 0..self.last_emitted.len() {
-                let (emitted_client, emitted_ts) = self.last_emitted[k];
-                if let Some(margin) = self.violation_margin(message.client, emitted_client) {
-                    if message.timestamp - emitted_ts <= margin {
-                        violates = true;
-                        break;
-                    }
-                }
-            }
-            if violates {
-                self.stats.fairness_violations += 1;
-            }
+        let threshold = self.core.config().threshold;
+        if self.last_emitted.iter().any(|&(emitted, emitted_ts)| {
+            let margin =
+                self.registry
+                    .violation_margin_at(slot, emitted, threshold, self.violation_z);
+            message.timestamp - emitted_ts <= margin
+        }) {
+            self.stats.fairness_violations += 1;
         }
 
-        self.arrivals.insert(message.id, arrival_time);
         match self.mode {
             EngineMode::Sparse => {
-                let threshold = self.core.config().threshold;
                 let p_safe = self.core.config().p_safe;
                 self.sparse
-                    .insert(message, &self.registry, threshold, p_safe)?;
+                    .insert(message, slot, &self.registry, threshold, p_safe);
                 self.stats.dense_columns_avoided += 1;
             }
             EngineMode::Dense => {
@@ -830,18 +800,22 @@ impl OnlineSequencer {
     /// clients whose residuals persistently co-move past the correlation
     /// threshold are force-quarantined even though their marginals pass
     /// every per-client check.
-    fn observe_defense(&mut self, client: ClientId, timestamp: f64, arrival_time: f64) {
+    fn observe_defense(
+        &mut self,
+        slot: ClientSlot,
+        client: ClientId,
+        timestamp: f64,
+        arrival_time: f64,
+    ) {
         let cfg = self.core.config().defense;
         let expected_delay = match cfg.expected_delay {
             ExpectedDelay::Fixed(delay) => delay,
             ExpectedDelay::Online => {
-                let Some(est) = self.delays.get(&client) else {
+                let est = &self.delays[slot.idx()];
+                let warm = est.count() >= cfg.delay_warmup as u64;
+                let Some(raw) = est.mean().filter(|_| warm) else {
                     return;
                 };
-                if est.count() < cfg.delay_warmup as u64 {
-                    return;
-                }
-                let raw = est.mean().expect("count >= warmup >= 1");
                 let claimed_mean = self.registry.get(client).map(|d| d.mean()).unwrap_or(0.0);
                 raw + claimed_mean
             }
@@ -950,9 +924,13 @@ impl OnlineSequencer {
     /// (see [`tommy_clock::DelayEstimator`]). `None` before the client's
     /// first accepted message.
     pub fn delay_estimate(&self, client: ClientId) -> Option<f64> {
-        let raw = self.delays.get(&client)?.mean()?;
-        let claimed_mean = self.registry.get(client).map(|d| d.mean()).unwrap_or(0.0);
-        Some(raw + claimed_mean)
+        self.delay_of(client).map(|(corrected, _)| corrected)
+    }
+
+    /// One client's corrected delay estimate and its observation count.
+    fn delay_of(&self, client: ClientId) -> Option<(f64, u64)> {
+        let est = &self.delays[self.registry.slot_of(client).ok()?.idx()];
+        Some((est.mean()? + self.registry.get(client)?.mean(), est.count()))
     }
 
     /// The corrected delay estimate pooled over every client, weighted by
@@ -961,11 +939,13 @@ impl OnlineSequencer {
     pub fn mean_delay_estimate(&self) -> Option<f64> {
         let mut sum = 0.0;
         let mut count = 0u64;
-        for (&client, est) in &self.delays {
-            let Some(raw) = est.mean() else { continue };
-            let claimed_mean = self.registry.get(client).map(|d| d.mean()).unwrap_or(0.0);
-            sum += (raw + claimed_mean) * est.count() as f64;
-            count += est.count();
+        // Ascending `ClientId`, not slot, order: seed-stability suites
+        // compare the pooled sum bit for bit.
+        for client in self.registry.clients() {
+            if let Some((corrected, n)) = self.delay_of(client) {
+                sum += corrected * n as f64;
+                count += n;
+            }
         }
         (count > 0).then(|| sum / count as f64)
     }
@@ -979,12 +959,10 @@ impl OnlineSequencer {
         timestamp: f64,
         arrival_time: f64,
     ) -> Result<Vec<EmittedBatch>, CoreError> {
-        if !self.registry.contains(client) {
-            return Err(CoreError::UnknownClient(client));
-        }
+        let slot = self.registry.slot_of(client)?;
         self.advance_clock(arrival_time);
-        self.watermarks.observe(client, timestamp)?;
-        self.note_heard(client);
+        self.watermarks.observe_at(slot, timestamp)?;
+        self.note_heard(slot);
         Ok(self.try_emit())
     }
 
@@ -1063,22 +1041,30 @@ impl OnlineSequencer {
     /// Take the current candidate out of whichever engine's cache
     /// (recomputing it first if needed), returning its messages in arrival
     /// order together with its safe-emission time, and leaving the cache
-    /// dirty for the next pending-set state.
+    /// dirty for the next pending-set state. The batch's `(slot, timestamp)`
+    /// pairs become `last_emitted`: every caller emits what it takes.
     fn take_candidate_messages(&mut self) -> Option<(Vec<Message>, f64)> {
         match self.mode {
             EngineMode::Sparse => {
                 let threshold = self.core.config().threshold;
                 let p_safe = self.core.config().p_safe;
-                self.sparse.take_candidate(&self.registry, threshold, p_safe)
+                let taken = &mut self.last_emitted;
+                self.sparse
+                    .take_candidate(&self.registry, threshold, p_safe, taken)
             }
             EngineMode::Dense => {
                 self.ensure_candidate()?;
                 let candidate = self.candidate.take().expect("candidate just ensured");
-                let batch_msgs = candidate
+                let batch_msgs: Vec<Message> = candidate
                     .indices
                     .iter()
                     .map(|&i| self.matrix.message(i).clone())
                     .collect();
+                self.last_emitted.clear();
+                self.last_emitted.extend(batch_msgs.iter().map(|m| {
+                    let slot = self.registry.slot_of(m.client);
+                    (slot.expect("pending clients are registered"), m.timestamp)
+                }));
                 Some((batch_msgs, candidate.safe_after))
             }
         }
@@ -1088,7 +1074,7 @@ impl OnlineSequencer {
         let ids: Vec<MessageId> = batch_msgs.iter().map(|m| m.id).collect();
         // Account emission latency and drop from the pending set.
         for id in &ids {
-            if let Some(arrived_at) = self.arrivals.remove(id) {
+            if let Some(arrived_at) = self.pending.remove(id) {
                 self.stats.total_emission_latency += (self.now - arrived_at).max(0.0);
             }
         }
@@ -1107,21 +1093,15 @@ impl OnlineSequencer {
         }
 
         let rank = self.stats.batches_emitted;
+        // Bounded-memory mode stops tracking emitted ids here; duplicates of
+        // old messages are rejected by watermark monotonicity instead.
         if self.core.config().retain_history {
             self.emitted_order.push_batch(ids);
-        } else {
-            // Bounded-memory mode: stop tracking emitted ids; duplicates of
-            // old messages are rejected by watermark monotonicity instead.
-            for id in &ids {
-                self.seen_ids.remove(id);
-            }
         }
         self.stats.batches_emitted += 1;
         self.stats.messages_emitted += batch_msgs.len();
-        // The violation check only needs (client, timestamp) pairs; the one
-        // remaining clone of the message vector is the copy handed to the
-        // output buffer, whose original the caller receives.
-        self.last_emitted = batch_msgs.iter().map(|m| (m.client, m.timestamp)).collect();
+        // The one remaining clone of the message vector is the copy handed
+        // to the output buffer, whose original the caller receives.
         let emitted = EmittedBatch {
             rank,
             messages: batch_msgs,
@@ -1273,6 +1253,25 @@ mod tests {
         assert_eq!(seq.stats().evictions, 1, "no further evictions");
     }
 
+    /// A retired client constrains nothing, so it is never "evicted": with
+    /// clients 1 (crashed) and 2 (retired) both silent, only client 1 counts.
+    #[test]
+    fn retired_client_is_not_an_eviction_candidate() {
+        use crate::config::LivenessConfig;
+        let mut seq = OnlineSequencer::new(
+            SequencerConfig::default().with_liveness(LivenessConfig::enabled(50.0)),
+        );
+        for c in 0..3 {
+            seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 1.0));
+        }
+        seq.retire_client(ClientId(2));
+        seq.submit(msg(0, 0, 0.0), 0.5).unwrap();
+        // The first blocked emission starts client 1's staleness clock.
+        assert!(seq.heartbeat(ClientId(0), 100.0, 100.0).unwrap().is_empty());
+        assert_eq!(seq.tick(151.0).len(), 1);
+        assert_eq!(seq.stats().evictions, 1);
+    }
+
     #[test]
     fn liveness_disabled_never_evicts() {
         let mut seq = sequencer(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
@@ -1414,6 +1413,40 @@ mod tests {
         let mut seq = sequencer(&[(0, 1.0)]);
         seq.submit(msg(0, 0, 10.0), 10.0).unwrap();
         let err = seq.submit(msg(1, 0, 5.0), 11.0).unwrap_err();
+        assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
+    }
+
+    /// A rejected submit leaves no trace: rejected ids are not tracked (the
+    /// duplicate-detection set stays bounded under `retain_history(false)`)
+    /// and a corrected retry of a rejected id is accepted.
+    #[test]
+    fn rejected_submit_is_transactional() {
+        let mut seq = OnlineSequencer::new(SequencerConfig::default().with_retain_history(false));
+        seq.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
+        seq.submit(msg(0, 0, 10.0), 10.0).unwrap();
+        for id in 1..=1000 {
+            let err = seq.submit(msg(id, 0, 5.0), 11.0).unwrap_err();
+            assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
+        }
+        let mut nan = msg(1, 0, 12.0);
+        nan.timestamp = f64::NAN;
+        let err = seq.submit(nan, 11.0).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidTimestamp { .. }));
+        assert_eq!(seq.tracked_ids(), 1);
+        assert_eq!(seq.pending_len(), 1);
+        seq.submit(msg(1, 0, 12.0), 12.0).unwrap();
+        assert_eq!(seq.tracked_ids(), 2);
+    }
+
+    /// A NaN heartbeat is refused and does not disarm the client's
+    /// monotonicity check.
+    #[test]
+    fn nan_heartbeat_rejected_and_backwards_heartbeat_still_caught() {
+        let mut seq = sequencer(&[(0, 1.0)]);
+        seq.heartbeat(ClientId(0), 10.0, 10.0).unwrap();
+        let err = seq.heartbeat(ClientId(0), f64::NAN, 11.0).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidTimestamp { .. }));
+        let err = seq.heartbeat(ClientId(0), 9.0, 12.0).unwrap_err();
         assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
     }
 

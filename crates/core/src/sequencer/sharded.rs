@@ -137,6 +137,8 @@ struct Shard {
     routed: usize,
     /// Events the inner sequencer rejected (drained by the wrapper).
     rejections: Vec<CoreError>,
+    /// Ids of rejected messages, for the wrapper's duplicate set to forget.
+    rejected_ids: Vec<MessageId>,
 }
 
 impl Shard {
@@ -150,6 +152,7 @@ impl Shard {
             key_of: HashMap::new(),
             routed: 0,
             rejections: Vec::new(),
+            rejected_ids: Vec::new(),
         }
     }
 
@@ -211,7 +214,10 @@ impl Shard {
                             self.routed += 1;
                             self.stage_emissions();
                         }
-                        Err(e) => self.rejections.push(e),
+                        Err(e) => {
+                            self.rejected_ids.push(message.id);
+                            self.rejections.push(e);
+                        }
                     }
                 }
                 ShardEvent::Heartbeat(client, timestamp, arrival) => {
@@ -385,6 +391,17 @@ impl ShardedSequencer {
         shard.seq.register_client(client, distribution);
     }
 
+    /// Drop the ids of messages a shard rejected from the duplicate set (run
+    /// by every drive and flush): as on the single engine, a rejected submit
+    /// leaves no trace and a corrected retry is accepted.
+    fn forget_rejected_ids(&mut self) {
+        for shard in &mut self.shards {
+            for id in shard.rejected_ids.drain(..) {
+                self.seen_ids.remove(&id);
+            }
+        }
+    }
+
     /// Mark a client as failed: it stops constraining both its shard's
     /// watermark and the cross-shard frontier (the same liveness trade-off
     /// as [`OnlineSequencer::retire_client`]).
@@ -403,7 +420,8 @@ impl ShardedSequencer {
     /// Enqueue a message to its owner shard. Unknown clients and duplicate
     /// ids are rejected synchronously (mirroring the single engine); other
     /// rejections (e.g. a non-monotone timestamp) surface at
-    /// [`drive`](Self::drive) via [`take_rejections`](Self::take_rejections).
+    /// [`drive`](Self::drive) via [`take_rejections`](Self::take_rejections),
+    /// after which the rejected id may be submitted again.
     pub fn submit(&mut self, message: Message, arrival_time: f64) -> Result<(), CoreError> {
         let Some(&shard_idx) = self.assignment.get(&message.client) else {
             return Err(CoreError::UnknownClient(message.client));
@@ -496,6 +514,7 @@ impl ShardedSequencer {
     /// Post-processing shared by every drive variant: sample the global
     /// counters, run the merge, buffer and return what it released.
     fn finish_drive(&mut self) -> Vec<EmittedBatch> {
+        self.forget_rejected_ids();
         let pending: usize = self.shards.iter().map(|s| s.seq.pending_len()).sum();
         self.max_pending = self.max_pending.max(pending);
         if self.shards.len() > 1 {
@@ -660,6 +679,7 @@ impl ShardedSequencer {
             shard.seq.flush();
             shard.stage_emissions();
         }
+        self.forget_rejected_ids();
         let mut released = self.merge();
         while let Some(best) = self
             .shards
@@ -988,6 +1008,12 @@ mod tests {
             CoreError::NonMonotoneTimestamp { .. }
         ));
         assert_eq!(seq.pending_len(), 1);
+        // The rejected id is forgotten: a corrected retry is no duplicate.
+        seq.submit(Message::new(MessageId(1), ClientId(0), 150.0), 102.0)
+            .unwrap();
+        seq.drive(102.0);
+        assert!(seq.take_rejections().is_empty());
+        assert_eq!(seq.pending_len(), 2);
     }
 
     #[test]

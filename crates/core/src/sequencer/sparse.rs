@@ -55,9 +55,8 @@
 //! ("Sparse fast path").
 
 use crate::batching::FairOrderCounters;
-use crate::error::CoreError;
 use crate::message::{Message, MessageId};
-use crate::registry::DistributionRegistry;
+use crate::registry::{ClientSlot, DistributionRegistry};
 use tommy_stats::erf::std_normal_inv_cdf;
 
 /// Arena null index.
@@ -82,8 +81,13 @@ struct Node {
     right: u32,
     /// Subtree size (order statistics / O(1) length).
     size: u32,
-    /// Treap priority: `splitmix64(seq)`.
-    prio: u64,
+    /// Treap priority: the high half of `splitmix64(seq)`.
+    prio: u32,
+    /// The message's client, resolved once at insertion, so lazy
+    /// evaluations and margin look-ups index the registry instead of
+    /// hashing. (It fits where the low half of the priority was: a node
+    /// is as large as before.)
+    client: ClientSlot,
     /// Margin-adjusted timestamp `T − μ_client`, the sort key
     /// (`−0.0` normalized to `+0.0`; never NaN).
     key: f64,
@@ -271,9 +275,7 @@ impl SparseEngine {
             (v, u, true)
         };
         let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
-        let kernel = registry
-            .pair_kernel(na.message.client, nb.message.client)
-            .expect("pending messages come from registered clients");
+        let kernel = registry.pair_kernel_at(na.client, nb.client);
         let p = kernel.preceding(na.message.timestamp - nb.message.timestamp);
         debug_assert!(!p.is_nan(), "finite keys imply finite probabilities");
         registry.record_queries(1);
@@ -329,26 +331,12 @@ impl SparseEngine {
     pub(crate) fn insert(
         &mut self,
         message: Message,
+        client: ClientSlot,
         registry: &DistributionRegistry,
         threshold: f64,
         p_safe: f64,
-    ) -> Result<(), CoreError> {
-        let gaussian = registry
-            .get(message.client)
-            .and_then(|d| d.as_gaussian().copied())
-            .expect("sparse fast path requires closed-form (Gaussian) clients");
-        let raw_key = message.timestamp - gaussian.mean();
-        if raw_key.is_nan() {
-            return Err(CoreError::InvalidProbability {
-                left: message.id,
-                right: message.id,
-            });
-        }
-        // Normalize −0.0 so `total_cmp` and arithmetic agree on equality.
-        let key = if raw_key == 0.0 { 0.0 } else { raw_key };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = self.alloc(key, seq, message);
+    ) {
+        let slot = self.alloc(message, client, registry);
         self.root = self.insert_rec(self.root, slot);
 
         // Boundary bits: evaluate both adjacencies of the insertion point,
@@ -379,7 +367,6 @@ impl SparseEngine {
         }
 
         self.update_candidate_on_insert(slot, registry, threshold, p_safe);
-        Ok(())
     }
 
     /// Incremental candidate maintenance for an arrival (see module docs
@@ -451,12 +438,10 @@ impl SparseEngine {
         registry: &DistributionRegistry,
         p_safe: f64,
     ) {
-        let node = &self.nodes[slot as usize];
-        let (client, ts, key) = (node.message.client, node.message.timestamp, node.key);
-        let margin = registry
-            .safe_margin(client, p_safe)
-            .expect("pending messages come from registered clients");
-        self.nodes[slot as usize].in_candidate = true;
+        let node = &mut self.nodes[slot as usize];
+        let (ts, key) = (node.message.timestamp, node.key);
+        let margin = registry.safe_margin_at(node.client, p_safe);
+        node.in_candidate = true;
         cand.members.push(slot);
         cand.safe_after = cand.safe_after.max(ts - margin);
         cand.horizon = cand.horizon.max(ts);
@@ -574,11 +559,13 @@ impl SparseEngine {
     /// returns its messages in arrival order — identical to the dense
     /// ascending-matrix-slot emission order — plus its safe-emission time,
     /// and stages the member slots for [`commit_removal`](Self::commit_removal).
+    /// `taken` is overwritten with the members' `(client slot, timestamp)`.
     pub(crate) fn take_candidate(
         &mut self,
         registry: &DistributionRegistry,
         threshold: f64,
         p_safe: f64,
+        taken: &mut Vec<(ClientSlot, f64)>,
     ) -> Option<(Vec<Message>, f64)> {
         self.candidate_meta(registry, threshold, p_safe)?;
         let mut cand = self.candidate.take().expect("just ensured");
@@ -587,11 +574,10 @@ impl SparseEngine {
         // here, once, at emission.
         cand.members
             .sort_unstable_by_key(|&s| self.nodes[s as usize].seq);
-        let messages = cand
-            .members
-            .iter()
-            .map(|&s| self.nodes[s as usize].message.clone())
-            .collect();
+        let members = cand.members.iter().map(|&s| &self.nodes[s as usize]);
+        let messages = members.clone().map(|n| n.message.clone()).collect();
+        taken.clear();
+        taken.extend(members.map(|n| (n.client, n.message.timestamp)));
         let safe_after = cand.safe_after;
         debug_assert!(self.pending_removal.is_empty(), "removal in flight");
         self.pending_removal = cand.members;
@@ -670,16 +656,10 @@ impl SparseEngine {
         self.free.clear();
         self.root = NIL;
         for message in messages {
-            let gaussian = registry
-                .get(message.client)
-                .and_then(|d| d.as_gaussian().copied())
-                .expect("sparse fast path requires closed-form (Gaussian) clients");
-            let raw_key = message.timestamp - gaussian.mean();
-            debug_assert!(!raw_key.is_nan(), "pending keys are finite");
-            let key = if raw_key == 0.0 { 0.0 } else { raw_key };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = self.alloc(key, seq, message.clone());
+            let client = registry
+                .slot_of(message.client)
+                .expect("pending messages come from registered clients");
+            let slot = self.alloc(message.clone(), client, registry);
             self.root = self.insert_rec(self.root, slot);
         }
         if self.root == NIL {
@@ -702,14 +682,31 @@ impl SparseEngine {
     // Treap plumbing
     // ------------------------------------------------------------------
 
-    fn alloc(&mut self, key: f64, seq: u64, message: Message) -> u32 {
+    /// A detached node for `message` under the next arrival sequence
+    /// number, keyed by its margin-adjusted timestamp.
+    fn alloc(
+        &mut self,
+        message: Message,
+        client: ClientSlot,
+        registry: &DistributionRegistry,
+    ) -> u32 {
+        let gaussian = registry
+            .gaussian_at(client)
+            .expect("sparse fast path requires closed-form (Gaussian) clients");
+        let raw_key = message.timestamp - gaussian.mean();
+        // The shell rejects NaN timestamps and Gaussian means are finite.
+        debug_assert!(!raw_key.is_nan(), "pending keys are never NaN");
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let node = Node {
             left: NIL,
             right: NIL,
             size: 1,
-            prio: splitmix64(seq),
-            key,
+            prio: (splitmix64(seq) >> 32) as u32,
+            // Normalize −0.0 so `total_cmp` and arithmetic agree on equality.
+            key: if raw_key == 0.0 { 0.0 } else { raw_key },
             seq,
+            client,
             starts_batch: true,
             in_candidate: false,
             message,
@@ -904,6 +901,22 @@ mod tests {
         Message::new(MessageId(id), ClientId(client), ts)
     }
 
+    /// Insert at threshold 0.75 / `p_safe` 0.999, resolving the slot as the
+    /// shell does.
+    fn insert(engine: &mut SparseEngine, reg: &DistributionRegistry, m: Message) {
+        let slot = reg.slot_of(m.client).expect("registered");
+        engine.insert(m, slot, reg, 0.75, 0.999);
+    }
+
+    fn take(engine: &mut SparseEngine, reg: &DistributionRegistry) -> (Vec<Message>, f64) {
+        let mut taken = Vec::new();
+        let out = engine.take_candidate(reg, 0.75, 0.999, &mut taken).unwrap();
+        let expected: Vec<f64> = out.0.iter().map(|m| m.timestamp).collect();
+        let taken: Vec<f64> = taken.iter().map(|&(_, ts)| ts).collect();
+        assert_eq!(taken, expected);
+        out
+    }
+
     /// Deterministic pseudo-random stream driver (no external RNG needed).
     fn lcg(state: &mut u64) -> u64 {
         *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -919,11 +932,9 @@ mod tests {
         for id in 0..200u64 {
             let client = (lcg(&mut state) % 3) as u32;
             let ts = (lcg(&mut state) % 1000) as f64 * 0.25;
-            engine
-                .insert(msg(id, client, ts), &reg, 0.75, 0.999)
-                .unwrap();
+            insert(&mut engine, &reg, msg(id, client, ts));
             if id % 17 == 16 {
-                let (_msgs, _safe) = engine.take_candidate(&reg, 0.75, 0.999).unwrap();
+                let (_msgs, _safe) = take(&mut engine, &reg);
                 engine.commit_removal(&reg, 0.75);
             }
         }
@@ -944,13 +955,13 @@ mod tests {
         let reg = registry(&[(0, 0.0, 1.0), (1, 0.0, 1.0)]);
         let mut engine = SparseEngine::new();
         engine.observe_sigma(1.0);
-        engine.insert(msg(0, 0, 100.0), &reg, 0.75, 0.999).unwrap();
-        engine.insert(msg(1, 1, 100.5), &reg, 0.75, 0.999).unwrap();
+        insert(&mut engine, &reg, msg(0, 0, 100.0));
+        insert(&mut engine, &reg, msg(1, 1, 100.5));
         let meta = engine.candidate_meta(&reg, 0.75, 0.999).unwrap();
         let evals_before = engine.lazy_evals();
         // Far beyond the window: candidate untouched, zero closure evals
         // beyond the two boundary bits.
-        engine.insert(msg(2, 0, 500.0), &reg, 0.75, 0.999).unwrap();
+        insert(&mut engine, &reg, msg(2, 0, 500.0));
         assert_eq!(engine.candidate_meta(&reg, 0.75, 0.999).unwrap(), meta);
         assert_eq!(engine.lazy_evals(), evals_before + 1, "one bit eval only");
     }
@@ -960,11 +971,11 @@ mod tests {
         let reg = registry(&[(0, 0.0, 5.0), (1, 0.0, 5.0)]);
         let mut engine = SparseEngine::new();
         engine.observe_sigma(5.0);
-        engine.insert(msg(0, 0, 100.0), &reg, 0.75, 0.999).unwrap();
+        insert(&mut engine, &reg, msg(0, 0, 100.0));
         engine.candidate_meta(&reg, 0.75, 0.999).unwrap();
         // One σ apart with σ = 5: far inside the threshold window.
-        engine.insert(msg(1, 1, 101.0), &reg, 0.75, 0.999).unwrap();
-        let (msgs, _) = engine.take_candidate(&reg, 0.75, 0.999).unwrap();
+        insert(&mut engine, &reg, msg(1, 1, 101.0));
+        let (msgs, _) = take(&mut engine, &reg);
         assert_eq!(msgs.len(), 2, "inseparable arrival joins the candidate");
         engine.commit_removal(&reg, 0.75);
         assert_eq!(engine.len(), 0);
@@ -982,7 +993,7 @@ mod tests {
             let ts = (lcg(&mut state) % 500) as f64 * 0.5;
             let m = msg(id, client, ts);
             messages.push(m.clone());
-            incremental.insert(m, &reg, 0.75, 0.999).unwrap();
+            insert(&mut incremental, &reg, m);
         }
         let mut rebuilt = SparseEngine::new();
         rebuilt.observe_sigma(2.5);
@@ -1002,9 +1013,7 @@ mod tests {
         let reg2 = registry(&[(0, 0.0, 1.0), (1, 10.0, 1.0)]);
         for id in 0..10u64 {
             let client = (id % 2) as u32;
-            engine
-                .insert(msg(id, client, id as f64), &reg2, 0.75, 0.999)
-                .unwrap();
+            insert(&mut engine, &reg2, msg(id, client, id as f64));
         }
         let _ = reg;
         let replay = engine.messages_in_arrival_order();

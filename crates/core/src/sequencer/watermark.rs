@@ -18,37 +18,126 @@
 
 use crate::error::CoreError;
 use crate::message::ClientId;
+use crate::registry::ClientSlot;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::collections::HashSet;
 
 /// Tracks the largest timestamp observed from every known client.
+///
+/// Clients sit in dense slots (in the order added) under a winner (min)
+/// tree. A leaf holds its client's latest timestamp, `−∞` while the client
+/// is active but unheard and `+∞` once it is retired or suspended, so an
+/// observation refreshes one root path and every query is O(1).
 #[derive(Debug, Clone)]
 pub struct WatermarkTracker {
-    latest: HashMap<ClientId, Option<f64>>,
-    retired: HashMap<ClientId, bool>,
-    suspended: HashSet<ClientId>,
+    /// For the `ClientId`-keyed methods; the online shell calls the `_at`
+    /// forms with the registry's (identical) slots.
+    index: HashMap<ClientId, ClientSlot>,
+    clients: Vec<ClientId>,
+    latest: Vec<Option<f64>>,
+    retired: Vec<bool>,
+    suspended: Vec<bool>,
+    /// Root at 1, children of `i` at `2i` and `2i + 1`, leaves in the upper
+    /// half (`tree.len() / 2 + slot`).
+    tree: Vec<f64>,
+    /// Clients neither retired nor suspended, and the unheard among them.
+    active: usize,
+    unheard_active: usize,
 }
 
 impl WatermarkTracker {
     /// Create a tracker for a fixed, known set of clients.
     pub fn new(clients: &[ClientId]) -> Self {
-        WatermarkTracker {
-            latest: clients.iter().map(|&c| (c, None)).collect(),
-            retired: clients.iter().map(|&c| (c, false)).collect(),
-            suspended: HashSet::new(),
-        }
+        let mut tracker = WatermarkTracker {
+            index: HashMap::new(),
+            clients: Vec::new(),
+            latest: Vec::new(),
+            retired: Vec::new(),
+            suspended: Vec::new(),
+            tree: vec![f64::INFINITY; 2],
+            active: 0,
+            unheard_active: 0,
+        };
+        clients.iter().for_each(|&c| tracker.add_client(c));
+        tracker
     }
 
     /// Add a client after construction (e.g. late registration).
     pub fn add_client(&mut self, client: ClientId) {
-        self.latest.entry(client).or_insert(None);
-        self.retired.entry(client).or_insert(false);
+        let slot = self.clients.len();
+        let Entry::Vacant(vacant) = self.index.entry(client) else {
+            return;
+        };
+        vacant.insert(ClientSlot(slot as u32));
+        self.clients.push(client);
+        self.latest.push(None);
+        self.retired.push(false);
+        self.suspended.push(false);
+        self.active += 1;
+        self.unheard_active += 1;
+        let cap = self.tree.len() / 2;
+        if slot < cap {
+            return self.refresh(slot);
+        }
+        // Full: double the leaf row and rebuild once (amortised O(1)).
+        self.tree = vec![f64::INFINITY; 4 * cap];
+        for s in 0..=slot {
+            self.tree[2 * cap + s] = self.leaf(s);
+        }
+        for i in (1..2 * cap).rev() {
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+    }
+
+    fn slot_of(&self, client: ClientId) -> Option<ClientSlot> {
+        self.index.get(&client).copied()
+    }
+
+    fn is_active(&self, slot: usize) -> bool {
+        slot < self.clients.len() && !self.retired[slot] && !self.suspended[slot]
+    }
+
+    fn leaf(&self, slot: usize) -> f64 {
+        match self.is_active(slot) {
+            true => self.latest[slot].unwrap_or(f64::NEG_INFINITY),
+            false => f64::INFINITY,
+        }
+    }
+
+    /// Re-derive one leaf and the minima above it, up to the first ancestor
+    /// the change does not reach.
+    fn refresh(&mut self, slot: usize) {
+        let mut i = self.tree.len() / 2 + slot;
+        self.tree[i] = self.leaf(slot);
+        while i > 1 {
+            i /= 2;
+            let min = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            if self.tree[i] == min {
+                break;
+            }
+            self.tree[i] = min;
+        }
+    }
+
+    /// Change one slot's state, then restore the counters and its root path.
+    fn update(&mut self, slot: ClientSlot, change: impl FnOnce(&mut Self, usize)) {
+        let slot = slot.idx();
+        let count = |t: &Self| {
+            let active = usize::from(t.is_active(slot));
+            (active, active * usize::from(t.latest[slot].is_none()))
+        };
+        let before = count(self);
+        change(self, slot);
+        let after = count(self);
+        self.active = self.active + after.0 - before.0;
+        self.unheard_active = self.unheard_active + after.1 - before.1;
+        self.refresh(slot);
     }
 
     /// Mark a client as failed/left; it no longer constrains the watermark.
     pub fn retire(&mut self, client: ClientId) {
-        if let Some(flag) = self.retired.get_mut(&client) {
-            *flag = true;
+        if let Some(slot) = self.slot_of(client) {
+            self.update(slot, |t, s| t.retired[s] = true);
         }
     }
 
@@ -57,108 +146,360 @@ impl WatermarkTracker {
     /// [`retire`](Self::retire) this is reversible via
     /// [`resume`](Self::resume). No-op for unknown clients.
     pub fn suspend(&mut self, client: ClientId) {
-        if self.knows(client) {
-            self.suspended.insert(client);
+        if let Some(slot) = self.slot_of(client) {
+            self.set_suspended_at(slot, true);
         }
     }
 
     /// Re-admit a suspended client to the watermark (it has been heard from
     /// again). No-op if the client was not suspended.
     pub fn resume(&mut self, client: ClientId) {
-        self.suspended.remove(&client);
+        if let Some(slot) = self.slot_of(client) {
+            self.set_suspended_at(slot, false);
+        }
+    }
+
+    pub(crate) fn set_suspended_at(&mut self, slot: ClientSlot, suspended: bool) {
+        self.update(slot, |t, s| t.suspended[s] = suspended);
     }
 
     /// Whether the client is currently suspended.
     pub fn is_suspended(&self, client: ClientId) -> bool {
-        self.suspended.contains(&client)
+        self.slot_of(client)
+            .is_some_and(|s| self.is_suspended_at(s))
+    }
+
+    pub(crate) fn is_suspended_at(&self, slot: ClientSlot) -> bool {
+        self.suspended[slot.idx()]
     }
 
     /// Whether the client is known to the tracker.
     pub fn knows(&self, client: ClientId) -> bool {
-        self.latest.contains_key(&client)
+        self.index.contains_key(&client)
     }
 
     /// Number of known clients that still constrain the watermark (neither
     /// retired nor suspended).
     pub fn active_clients(&self) -> usize {
-        self.retired
-            .iter()
-            .filter(|(c, &r)| !r && !self.suspended.contains(c))
-            .count()
+        self.active
     }
 
     /// Observe a message or heartbeat timestamp from a client.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownClient`] for unknown clients and
-    /// [`CoreError::NonMonotoneTimestamp`] if the client's timestamps move
-    /// backwards (which would break the completeness argument — timestamps on
-    /// an ordered channel must be non-decreasing).
+    /// Returns [`CoreError::UnknownClient`] for unknown clients,
+    /// [`CoreError::InvalidTimestamp`] for NaN (accepting it would switch the
+    /// client's monotonicity check off: NaN compares false with everything)
+    /// and [`CoreError::NonMonotoneTimestamp`] if the client's timestamps
+    /// move backwards (which would break the completeness argument —
+    /// timestamps on an ordered channel must be non-decreasing). A rejected
+    /// observation changes nothing.
     pub fn observe(&mut self, client: ClientId, timestamp: f64) -> Result<(), CoreError> {
-        let entry = self
-            .latest
-            .get_mut(&client)
-            .ok_or(CoreError::UnknownClient(client))?;
-        if let Some(previous) = *entry {
-            if timestamp < previous {
-                return Err(CoreError::NonMonotoneTimestamp {
-                    client,
-                    previous,
-                    observed: timestamp,
-                });
-            }
+        let slot = self.slot_of(client);
+        self.observe_at(slot.ok_or(CoreError::UnknownClient(client))?, timestamp)
+    }
+
+    pub(crate) fn observe_at(&mut self, slot: ClientSlot, observed: f64) -> Result<(), CoreError> {
+        let client = self.clients[slot.idx()];
+        if observed.is_nan() {
+            return Err(CoreError::InvalidTimestamp { client, observed });
         }
-        *entry = Some(timestamp);
+        if let Some(previous) = self.latest[slot.idx()].filter(|&p| observed < p) {
+            return Err(CoreError::NonMonotoneTimestamp {
+                client,
+                previous,
+                observed,
+            });
+        }
+        self.update(slot, |t, s| t.latest[s] = Some(observed));
         Ok(())
     }
 
     /// The latest timestamp observed from a client, if any.
     pub fn latest(&self, client: ClientId) -> Option<f64> {
-        self.latest.get(&client).copied().flatten()
+        self.latest[self.slot_of(client)?.idx()]
     }
 
     /// The global watermark: the minimum of the per-client latest timestamps
     /// over all non-retired, non-suspended clients. `None` until every
     /// active client has been heard from at least once.
     pub fn watermark(&self) -> Option<f64> {
-        let mut min: Option<f64> = None;
-        for (client, latest) in &self.latest {
-            if self.retired.get(client).copied().unwrap_or(false)
-                || self.suspended.contains(client)
-            {
-                continue;
-            }
-            match latest {
-                None => return None,
-                Some(t) => {
-                    min = Some(match min {
-                        None => *t,
-                        Some(m) => m.min(*t),
-                    });
-                }
-            }
-        }
-        min
+        (self.active > 0 && self.unheard_active == 0).then(|| self.tree[1])
     }
 
     /// Whether the sequencer can be sure every message with timestamp `<= t`
     /// has arrived (Q2 of §3.5): true iff the watermark is strictly greater
     /// than `t`.
     pub fn is_complete_up_to(&self, t: f64) -> bool {
-        match self.watermark() {
-            Some(w) => w > t,
-            None => false,
+        self.watermark().is_some_and(|w| w > t)
+    }
+
+    /// The first slot at or after `from` whose client *blocks* `horizon`:
+    /// active, and unheard or at `<= horizon`. Resuming from `slot + 1`
+    /// enumerates the blockers in O(log C) each (only subtrees whose minimum
+    /// is `<= horizon` are entered), and the caller may suspend as it walks.
+    pub(crate) fn next_blocking(&self, horizon: f64, from: usize) -> Option<ClientSlot> {
+        let cap = self.tree.len() / 2;
+        let mut i = cap + from;
+        while from < cap && i > 0 {
+            if self.tree[i] <= horizon {
+                // Down to the leftmost leaf at or below the horizon.
+                while i < cap {
+                    i = 2 * i + usize::from(self.tree[2 * i] > horizon);
+                }
+                // (An inactive `+∞` leaf gets here under an infinite horizon.)
+                if self.is_active(i - cap) {
+                    return Some(ClientSlot((i - cap) as u32));
+                }
+            }
+            // On to the next subtree to the right: the sibling of the first
+            // left child on the way up (none once the root is passed).
+            while i % 2 == 1 {
+                i /= 2;
+            }
+            i += usize::from(i > 0);
         }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn clients(n: u32) -> Vec<ClientId> {
         (0..n).map(ClientId).collect()
+    }
+
+    /// The tracker this module had before the winner tree — three hash
+    /// containers and an O(C) scan per query — kept as the reference
+    /// implementation the differential test compares against.
+    #[derive(Default)]
+    struct ScanTracker {
+        latest: HashMap<ClientId, Option<f64>>,
+        retired: HashMap<ClientId, bool>,
+        suspended: HashSet<ClientId>,
+    }
+
+    impl ScanTracker {
+        fn add_client(&mut self, client: ClientId) {
+            self.latest.entry(client).or_insert(None);
+            self.retired.entry(client).or_insert(false);
+        }
+
+        fn retire(&mut self, client: ClientId) {
+            if let Some(flag) = self.retired.get_mut(&client) {
+                *flag = true;
+            }
+        }
+
+        fn suspend(&mut self, client: ClientId) {
+            if self.latest.contains_key(&client) {
+                self.suspended.insert(client);
+            }
+        }
+
+        fn resume(&mut self, client: ClientId) {
+            self.suspended.remove(&client);
+        }
+
+        fn is_active(&self, client: ClientId) -> bool {
+            !self.retired[&client] && !self.suspended.contains(&client)
+        }
+
+        fn active_clients(&self) -> usize {
+            self.latest.keys().filter(|&&c| self.is_active(c)).count()
+        }
+
+        fn observe(&mut self, client: ClientId, timestamp: f64) -> Result<(), CoreError> {
+            let entry = self
+                .latest
+                .get_mut(&client)
+                .ok_or(CoreError::UnknownClient(client))?;
+            if timestamp.is_nan() {
+                return Err(CoreError::InvalidTimestamp {
+                    client,
+                    observed: timestamp,
+                });
+            }
+            if let Some(previous) = entry.filter(|&p| timestamp < p) {
+                return Err(CoreError::NonMonotoneTimestamp {
+                    client,
+                    previous,
+                    observed: timestamp,
+                });
+            }
+            *entry = Some(timestamp);
+            Ok(())
+        }
+
+        fn latest(&self, client: ClientId) -> Option<f64> {
+            self.latest.get(&client).copied().flatten()
+        }
+
+        fn watermark(&self) -> Option<f64> {
+            let mut min: Option<f64> = None;
+            for (&client, latest) in &self.latest {
+                if !self.is_active(client) {
+                    continue;
+                }
+                let t = (*latest)?;
+                min = Some(min.map_or(t, |m| m.min(t)));
+            }
+            min
+        }
+
+        fn is_complete_up_to(&self, t: f64) -> bool {
+            self.watermark().is_some_and(|w| w > t)
+        }
+
+        /// Active clients that are unheard or at or below `horizon`, sorted.
+        fn blocking(&self, horizon: f64) -> Vec<ClientId> {
+            let mut out: Vec<ClientId> = self
+                .latest
+                .iter()
+                .filter(|&(&c, latest)| self.is_active(c) && latest.is_none_or(|t| t <= horizon))
+                .map(|(&c, _)| c)
+                .collect();
+            out.sort();
+            out
+        }
+    }
+
+    fn pick(known: &[ClientId], r: u64) -> Option<ClientId> {
+        known.get(r as usize % known.len().max(1)).copied()
+    }
+
+    fn blocking(w: &WatermarkTracker, horizon: f64) -> Vec<ClientId> {
+        let mut out = Vec::new();
+        let mut next = w.next_blocking(horizon, 0);
+        while let Some(slot) = next {
+            out.push(w.clients[slot.idx()]);
+            next = w.next_blocking(horizon, slot.idx() + 1);
+        }
+        out.sort();
+        out
+    }
+
+    /// Seeded random add / re-add / observe / retire / suspend / resume
+    /// sequences over up to 300 clients (eight doublings of the leaf row):
+    /// the tree and the scan agree on every query after every operation.
+    #[test]
+    fn winner_tree_agrees_with_the_scan_under_random_operations() {
+        for seed in 0..3u64 {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(seed + 1);
+            let mut rand = move |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let mut tree = WatermarkTracker::new(&[]);
+            let mut scan = ScanTracker::default();
+            let mut known: Vec<ClientId> = Vec::new();
+            let mut horizons = vec![f64::NEG_INFINITY, f64::INFINITY, 0.0];
+            for step in 0..3000 {
+                // Sparse, unordered ids: a slot is not its client id.
+                let fresh = ClientId((rand(300) * 7919 % 2003) as u32);
+                match (rand(10), pick(&known, rand(300))) {
+                    (0..=2, _) | (_, None) => {
+                        tree.add_client(fresh);
+                        scan.add_client(fresh);
+                        if !known.contains(&fresh) {
+                            known.push(fresh);
+                        }
+                    }
+                    (3, Some(c)) => {
+                        tree.retire(c);
+                        scan.retire(c);
+                    }
+                    (4, Some(c)) => {
+                        tree.suspend(c);
+                        scan.suspend(c);
+                    }
+                    (5, Some(c)) => {
+                        tree.resume(c);
+                        scan.resume(c);
+                    }
+                    (_, Some(c)) => {
+                        // Mostly forwards, sometimes backwards (rejected),
+                        // rarely infinite or NaN.
+                        let base = scan.latest(c).filter(|t| t.is_finite()).unwrap_or(0.0);
+                        let ts = match rand(40) {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            r => base + (r as f64 - 8.0) * 0.5,
+                        };
+                        let (a, b) = (tree.observe(c, ts), scan.observe(c, ts));
+                        assert_eq!(
+                            a.is_ok(),
+                            b.is_ok(),
+                            "seed {seed} step {step}: {a:?} vs {b:?}"
+                        );
+                        if a.is_ok() {
+                            horizons.push(ts);
+                        }
+                    }
+                }
+                assert_eq!(
+                    tree.watermark(),
+                    scan.watermark(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    tree.active_clients(),
+                    scan.active_clients(),
+                    "seed {seed} step {step}"
+                );
+                let horizon = horizons[rand(horizons.len() as u64) as usize];
+                assert_eq!(
+                    tree.is_complete_up_to(horizon),
+                    scan.is_complete_up_to(horizon),
+                    "seed {seed} step {step} horizon {horizon}"
+                );
+                assert_eq!(
+                    blocking(&tree, horizon),
+                    scan.blocking(horizon),
+                    "seed {seed} step {step} horizon {horizon}"
+                );
+                if let Some(c) = pick(&known, rand(300)) {
+                    assert_eq!(tree.latest(c), scan.latest(c));
+                    assert_eq!(tree.is_suspended(c), scan.suspended.contains(&c));
+                }
+            }
+            assert!(
+                known.len() > 256,
+                "seed {seed}: only {} clients",
+                known.len()
+            );
+        }
+    }
+
+    #[test]
+    fn nan_is_rejected_and_leaves_the_monotonicity_check_armed() {
+        let mut w = WatermarkTracker::new(&clients(1));
+        w.observe(ClientId(0), 10.0).unwrap();
+        let err = w.observe(ClientId(0), f64::NAN).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidTimestamp {
+                client: ClientId(0),
+                ..
+            }
+        ));
+        assert_eq!(w.latest(ClientId(0)), Some(10.0));
+        let err = w.observe(ClientId(0), 9.0).unwrap_err();
+        assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
+        // Infinite timestamps stay accepted.
+        w.observe(ClientId(0), f64::INFINITY).unwrap();
+        assert_eq!(w.watermark(), Some(f64::INFINITY));
+        let mut w = WatermarkTracker::new(&clients(1));
+        w.observe(ClientId(0), f64::NEG_INFINITY).unwrap();
+        assert_eq!(w.watermark(), Some(f64::NEG_INFINITY));
+        assert!(!w.is_complete_up_to(f64::NEG_INFINITY));
     }
 
     #[test]
