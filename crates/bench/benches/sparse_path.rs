@@ -1,6 +1,6 @@
-//! Sparse-fast-path bench: per-arrival cost of the order-statistics treap
-//! engine against the dense matrix engine it retires, on the identical
-//! all-Gaussian watermark-blocked stream.
+//! Sparse-fast-path bench: per-arrival cost of the threaded-treap engine
+//! (O(log k) placement, O(1) neighbour steps) against the dense matrix
+//! engine it retires, on the identical all-Gaussian watermark-blocked stream.
 //!
 //! Two measurements per pending-set size `n`:
 //!

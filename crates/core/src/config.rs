@@ -42,7 +42,7 @@ impl std::fmt::Display for FasFallbackReason {
 /// sort by margin-adjusted timestamp and the dense
 /// [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix) column an
 /// arrival would fill is never needed — the *sparse fast path* maintains
-/// the order in an order-statistics tree and evaluates probabilities
+/// the order in a balanced search tree and evaluates probabilities
 /// lazily, only for the boundary-adjacent pairs the batch threshold
 /// actually inspects (see `ARCHITECTURE.md`, "Sparse fast path").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -20,9 +20,11 @@ pub enum CoreError {
         /// The newly observed (smaller) timestamp.
         observed: f64,
     },
-    /// A client sent a timestamp that is not a number. NaN compares false
-    /// against everything, so it would pass the monotonicity check and then
-    /// disable it for every later timestamp of that client.
+    /// A client sent a timestamp that is not a number, or a *message*
+    /// timestamp that is not finite. NaN compares false against everything,
+    /// so it would pass the monotonicity check and then disable it for every
+    /// later timestamp of that client; two messages stamped `+∞` would hand
+    /// the pair kernels `∞ − ∞ = NaN`. (Heartbeats may carry `±∞`.)
     InvalidTimestamp {
         /// The offending client.
         client: ClientId,

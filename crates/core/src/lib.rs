@@ -44,7 +44,7 @@
 //!   one code path for both modes), the offline sequencer (§3.4) and the
 //!   online sequencer with safe emission and watermarks (§3.5), including
 //!   the sub-quadratic sparse fast path for all-closed-form streams
-//!   (order-statistics treap + lazy probability evaluation; see
+//!   (key-ordered treap + lazy probability evaluation; see
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 //! * [`baselines`] — FIFO, WaitsForOne and TrueTime-style sequencers used in
 //!   the paper's evaluation (§2, §4).

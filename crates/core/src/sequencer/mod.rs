@@ -19,9 +19,10 @@
 //!   heartbeats over ordered channels.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
 //!   registered client has a closed-form kernel, the online sequencer keeps
-//!   its order in an order-statistics treap keyed by margin-adjusted
-//!   timestamps and evaluates probabilities lazily, never materializing a
-//!   dense matrix column (see `ARCHITECTURE.md`, "Sparse fast path").
+//!   its order in a treap keyed by margin-adjusted timestamps (threaded
+//!   with in-order neighbour links) and evaluates probabilities lazily,
+//!   never materializing a dense matrix column (see `ARCHITECTURE.md`,
+//!   "Sparse fast path").
 
 pub mod core;
 pub mod emission;

@@ -75,9 +75,9 @@
 //! and [`SequencerConfig::fast_path`] is
 //! [`Auto`](crate::config::FastPathMode::Auto), the sequencer bypasses the
 //! dense engine entirely: arrivals go into the private sparse engine
-//! (`sequencer::sparse`), which keeps the tournament order in an
-//! order-statistics treap keyed by margin-adjusted timestamps — O(log n)
-//! insert/remove — and evaluates probabilities lazily, only for the
+//! (`sequencer::sparse`), which keeps the tournament order in a treap
+//! keyed by margin-adjusted timestamps — O(log n) insert/remove, O(1)
+//! neighbour steps — and evaluates probabilities lazily, only for the
 //! boundary-adjacent and closure-window pairs the batch threshold actually
 //! inspects. No dense matrix column is ever materialized
 //! (`dense_columns_avoided` counts the arrivals that skipped one). The mode
@@ -221,7 +221,7 @@ pub struct OnlineStats {
     /// Largest number of bytes the dense probability grid ever had reserved
     /// (O(n²) in the dense pending set; stays 0 on a pure fast-path run).
     pub peak_matrix_bytes: usize,
-    /// Largest number of bytes the sparse order-statistics arena ever had
+    /// Largest number of bytes the sparse treap arena ever had
     /// reserved (O(n) in the fast-path pending set).
     pub peak_index_bytes: usize,
     /// Per-shard candidate batches released through the cross-shard
@@ -286,7 +286,7 @@ pub struct CandidateStatus {
 /// docs, "Sparse fast path").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineMode {
-    /// Every registered client is closed-form: order-statistics treap,
+    /// Every registered client is closed-form: key-ordered treap,
     /// lazy probability evaluation, no dense matrix.
     Sparse,
     /// At least one registered client is non-closed-form (or the fast path
@@ -485,7 +485,7 @@ impl OnlineSequencer {
     }
 
     /// Migrate the pending set dense → sparse: re-key the pending messages
-    /// into the order-statistics treap (in arrival order, so sequence
+    /// into the sparse engine's treap (in arrival order, so sequence
     /// numbers keep matching dense slot order) and retire the dense state.
     fn switch_to_sparse(&mut self) {
         let pending = std::mem::replace(&mut self.matrix, PrecedenceMatrix::empty());
@@ -723,8 +723,17 @@ impl OnlineSequencer {
         if arrival_time > self.now {
             self.now = arrival_time;
         }
-        // The last check (NaN, which is also the only way to a NaN sparse
-        // key, or backwards) and, only if it passes, the first mutation.
+        // `Message`'s fields are public, so ±∞ can get here: two of them
+        // would make a kernel argument `∞ − ∞ = NaN` (heartbeats keep
+        // accepting ±∞; closing heartbeats rely on it).
+        if !message.timestamp.is_finite() {
+            return Err(CoreError::InvalidTimestamp {
+                client: message.client,
+                observed: message.timestamp,
+            });
+        }
+        // The last check (backwards) and, only if it passes, the first
+        // mutation.
         self.watermarks.observe_at(slot, message.timestamp)?;
         pending.insert(arrival_time);
         self.note_heard(slot);
@@ -1436,6 +1445,34 @@ mod tests {
         assert_eq!(seq.pending_len(), 1);
         seq.submit(msg(1, 0, 12.0), 12.0).unwrap();
         assert_eq!(seq.tracked_ids(), 2);
+    }
+
+    /// A message stamped ±∞ (the fields are public, so `Message::new`'s
+    /// assertion can be bypassed) is refused in both modes before it leaves
+    /// a trace: two of them would give the kernel `∞ − ∞ = NaN`, which the
+    /// dense engine used to report only after stranding the id.
+    #[test]
+    fn non_finite_message_timestamp_is_rejected_in_both_modes() {
+        let clients = [(0, 1.0), (1, 1.0)];
+        for mut seq in [sequencer(&clients), dense_sequencer(&clients)] {
+            let inf = f64::INFINITY;
+            for (id, client, ts) in [(0, 0, inf), (1, 1, inf), (2, 0, -inf)] {
+                let mut m = msg(id, client, 0.0);
+                m.timestamp = ts;
+                let err = seq.submit(m, 1.0).unwrap_err();
+                assert!(matches!(err, CoreError::InvalidTimestamp { .. }), "{err}");
+            }
+            assert_eq!((seq.tracked_ids(), seq.pending_len()), (0, 0));
+            // Corrected retries of the same ids are accepted, and a +∞
+            // heartbeat still closes the stream.
+            seq.submit(msg(0, 0, 10.0), 10.0).unwrap();
+            seq.submit(msg(1, 1, 10.0), 10.0).unwrap();
+            assert_eq!(seq.tracked_ids(), 2);
+            seq.heartbeat(ClientId(0), f64::INFINITY, 11.0).unwrap();
+            seq.heartbeat(ClientId(1), f64::INFINITY, 11.0).unwrap();
+            let emitted: usize = seq.tick(1e6).iter().map(|b| b.messages.len()).sum();
+            assert_eq!(emitted, 2);
+        }
     }
 
     /// A NaN heartbeat is refused and does not disarm the client's

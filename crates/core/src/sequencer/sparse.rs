@@ -9,9 +9,10 @@
 //! an arrival, and Gaussian tournaments are always transitive (Appendix A),
 //! so no FAS machinery is needed either.
 //!
-//! [`SparseEngine`] maintains that order in an order-statistics treap
-//! (arena-allocated, deterministic priorities, subtree sizes): O(log n)
-//! insert/remove at any pending-set size. Probabilities are evaluated
+//! [`SparseEngine`] maintains that order in a treap (arena-allocated,
+//! deterministic priorities) with the order also threaded through the
+//! arena as `prev` / `next` slot links: O(log n) insert/remove at any
+//! pending-set size, O(1) per neighbour step. Probabilities are evaluated
 //! *lazily*, only where the batch threshold actually inspects them:
 //!
 //! * **Boundary bits** — each arrival evaluates exactly its two in-order
@@ -40,14 +41,26 @@
 //! at `0.5 ± 2e-8`, far below the threshold), so batches agree for every
 //! realistic threshold.
 //!
-//! The candidate batch is cached *and maintained incrementally*: an arrival
-//! with `key > batch_max_key + w` provably cannot join (or alter) the
-//! cached candidate and leaves it untouched; an arrival inside the window
-//! is closure-checked against the in-window members and, if absorbed,
-//! expands the closure transitively from itself; only an arrival *below*
-//! the cached batch's key range invalidates the cache. Emission always
-//! invalidates. This keeps steady-state time-ordered arrivals at O(log n)
-//! plus O(window) lazy evaluations.
+//! The candidate batch is cached *and maintained under every arrival*.
+//! Call two pending messages *linked* when the threshold cannot separate
+//! them (`max(p, 1−p) ≤ θ`). The candidate both engines emit is the
+//! closure of the head run (the order's prefix up to the first boundary
+//! bit) under that relation; the head run is connected through its adjacent
+//! non-boundary pairs and contains the head `h` of the order, so the
+//! candidate is exactly *the connected component of `h`*. An arrival `x`
+//! adds one vertex and its edges and changes no existing edge. So unless
+//! `x` becomes the new head, the new candidate is the old one when `x` is
+//! linked to no member, and the old one plus the closure expanded from `x`
+//! otherwise — wherever `x`'s key falls, inside or below the candidate's
+//! key range included, and however the two rewritten boundary bits split
+//! or merge the head run. Every member linked to `x` sits in `x`'s window
+//! (an arrival with `key > batch_max_key + w` has none and is not even
+//! checked), and `safe_after`, `horizon` and `batch_max_key` are `max`
+//! folds, so absorbing in any order gives identical bits. Only an arrival
+//! that becomes the new head can change which component is the candidate:
+//! that case, like every emission, drops the cache. An arrival therefore
+//! costs O(log n) placement plus O(window) lazy evaluations in every
+//! regime, including chains that keep absorbing arrivals (σ ≫ gap).
 //!
 //! The engine is private to the [`OnlineSequencer`](super::online): mode
 //! selection, counters and the dense fallback are documented on
@@ -73,20 +86,22 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One pending message in the order-statistics treap. The arena index of a
-/// node is its stable *slot* for the lifetime of the message.
+/// One pending message in the treap. The arena index of a node is its
+/// stable *slot* for the lifetime of the message.
 #[derive(Debug, Clone)]
 struct Node {
     left: u32,
     right: u32,
-    /// Subtree size (order statistics / O(1) length).
-    size: u32,
-    /// Treap priority: the high half of `splitmix64(seq)`.
-    prio: u32,
+    /// In-order neighbours in the maintained order (`NIL` at the ends):
+    /// the order is threaded through the arena, so a neighbour step is a
+    /// field read. (The node size is pinned through
+    /// `OnlineStats::peak_index_bytes`, which is why the treap priority is
+    /// recomputed from `seq` rather than stored beside these.)
+    prev: u32,
+    next: u32,
     /// The message's client, resolved once at insertion, so lazy
     /// evaluations and margin look-ups index the registry instead of
-    /// hashing. (It fits where the low half of the priority was: a node
-    /// is as large as before.)
+    /// hashing.
     client: ClientSlot,
     /// Margin-adjusted timestamp `T − μ_client`, the sort key
     /// (`−0.0` normalized to `+0.0`; never NaN).
@@ -127,6 +142,8 @@ pub(crate) struct SparseEngine {
     nodes: Vec<Node>,
     free: Vec<u32>,
     root: u32,
+    /// First slot of the maintained order (`NIL` when nothing is pending).
+    head: u32,
     next_seq: u64,
     /// Conservative monotone maximum σ over every Gaussian registration the
     /// sequencer has ever seen (never decreased on re-registration, so the
@@ -148,6 +165,7 @@ impl SparseEngine {
             nodes: Vec::new(),
             free: Vec::new(),
             root: NIL,
+            head: NIL,
             next_seq: 0,
             max_sigma: 0.0,
             window: None,
@@ -158,15 +176,12 @@ impl SparseEngine {
         }
     }
 
+    /// Pending messages, counting slots staged for removal.
     pub(crate) fn len(&self) -> usize {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].size as usize
-        }
+        self.nodes.len() - self.free.len()
     }
 
-    /// Bytes currently reserved for the order-statistics arena — the
+    /// Bytes currently reserved for the treap arena — the
     /// sparse counterpart of [`PrecedenceMatrix::prob_bytes`]
     /// (O(n) per pending message instead of O(n²) total).
     ///
@@ -211,8 +226,10 @@ impl SparseEngine {
     /// slot order, used to replay the pending set into the dense engine on
     /// a sparse → dense mode switch.
     pub(crate) fn messages_in_arrival_order(&self) -> Vec<Message> {
-        let mut with_seq: Vec<(u64, Message)> = Vec::with_capacity(self.len());
-        self.for_each_in_order(|node| with_seq.push((node.seq, node.message.clone())));
+        let mut with_seq: Vec<(u64, Message)> = self
+            .in_order()
+            .map(|n| (n.seq, n.message.clone()))
+            .collect();
         with_seq.sort_unstable_by_key(|&(seq, _)| seq);
         with_seq.into_iter().map(|(_, m)| m).collect()
     }
@@ -220,31 +237,28 @@ impl SparseEngine {
     /// Whether any pending message belongs to `client` (drives the
     /// re-registration re-key decision, mirroring the dense scan).
     pub(crate) fn contains_client(&self, client: crate::message::ClientId) -> bool {
-        let mut stack: Vec<u32> = Vec::new();
-        if self.root != NIL {
-            stack.push(self.root);
-        }
-        while let Some(slot) = stack.pop() {
-            let node = &self.nodes[slot as usize];
-            if node.message.client == client {
-                return true;
-            }
-            if node.left != NIL {
-                stack.push(node.left);
-            }
-            if node.right != NIL {
-                stack.push(node.right);
-            }
-        }
-        false
+        self.in_order().any(|n| n.message.client == client)
     }
 
     /// `(message id, starts_batch)` in maintained (key) order — diagnostic
     /// surface for the bit-identity property tests.
     pub(crate) fn pending_order(&self) -> Vec<(MessageId, bool)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_in_order(|node| out.push((node.message.id, node.starts_batch)));
-        out
+        self.in_order()
+            .map(|n| (n.message.id, n.starts_batch))
+            .collect()
+    }
+
+    /// The pending nodes in maintained order: the `next` chain from the
+    /// head (full walks serve the mode-switch and diagnostic paths only).
+    fn in_order(&self) -> impl Iterator<Item = &Node> {
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            (cur != NIL).then(|| {
+                let node = &self.nodes[cur as usize];
+                cur = node.next;
+                node
+            })
+        })
     }
 
     /// Reset the pending set (counters, σ bound and sequence numbers are
@@ -254,6 +268,7 @@ impl SparseEngine {
         self.nodes.clear();
         self.free.clear();
         self.root = NIL;
+        self.head = NIL;
         self.candidate = None;
     }
 
@@ -324,7 +339,7 @@ impl SparseEngine {
     // Arrival
     // ------------------------------------------------------------------
 
-    /// Insert an arrival: O(log n) treap insert, exactly two adjacency
+    /// Insert an arrival: O(log n) placement, exactly two adjacency
     /// evaluations for the boundary bits (mirroring the dense
     /// `IncrementalFairOrder::insert_at` contract), and an incremental
     /// candidate update (see module docs).
@@ -337,7 +352,7 @@ impl SparseEngine {
         p_safe: f64,
     ) {
         let slot = self.alloc(message, client, registry);
-        self.root = self.insert_rec(self.root, slot);
+        self.place(slot);
 
         // Boundary bits: evaluate both adjacencies of the insertion point,
         // with the same split/merge accounting as the dense engine.
@@ -370,7 +385,7 @@ impl SparseEngine {
     }
 
     /// Incremental candidate maintenance for an arrival (see module docs
-    /// for the case analysis and its soundness argument).
+    /// for the connected-component argument).
     fn update_candidate_on_insert(
         &mut self,
         slot: u32,
@@ -384,46 +399,63 @@ impl SparseEngine {
         let key = self.nodes[slot as usize].key;
         let w = self.window(threshold);
         if key > cand.batch_max_key + w + Self::slack(key, cand.batch_max_key) {
-            // Beyond the window: provably separable from every member, and
-            // the bit rewrites sit strictly after the first boundary — the
-            // candidate is untouched.
+            // Beyond the window: provably separable from every member —
+            // the candidate is untouched.
             self.candidate = Some(cand);
             return;
         }
-        if key.total_cmp(&cand.batch_max_key) == std::cmp::Ordering::Less {
-            // Below the batch's key range: the prefix itself may have
-            // changed. Rare for time-ordered streams; recompute lazily.
+        if self.prev_in_order(slot) == NIL {
+            // The new head of the order: the candidate is now *its*
+            // component, which need not be the cached one. Recompute lazily.
             for &m in &cand.members {
                 self.nodes[m as usize].in_candidate = false;
             }
             return;
         }
-        // Inside the window at or above the batch's range: absorbed iff
-        // inseparable from some member (all of which sit at keys at or
-        // below this one — walk the in-order predecessors in the window).
-        let mut absorbed = false;
-        let mut cur = self.prev_in_order(slot);
+        // Anywhere else the arrival can only grow the candidate: it joins
+        // iff it is linked to a member, all of which sit in its window, at
+        // or below it in the order unless it fell inside the batch's range.
+        let below_max = key.total_cmp(&cand.batch_max_key) == std::cmp::Ordering::Less;
+        if self.linked_to_member(slot, false, registry, threshold)
+            || (below_max && self.linked_to_member(slot, true, registry, threshold))
+        {
+            let from = cand.members.len();
+            self.absorb(&mut cand, slot, registry, p_safe);
+            self.expand_closure(&mut cand, from, registry, threshold, p_safe);
+        }
+        self.candidate = Some(cand);
+    }
+
+    /// Whether the threshold cannot separate `slot` from some candidate
+    /// member among its in-window predecessors (successors if `forward`).
+    fn linked_to_member(
+        &mut self,
+        slot: u32,
+        forward: bool,
+        registry: &DistributionRegistry,
+        threshold: f64,
+    ) -> bool {
+        let w = self.window(threshold);
+        let key = self.nodes[slot as usize].key;
+        let step = if forward {
+            Self::next_in_order
+        } else {
+            Self::prev_in_order
+        };
+        let mut cur = step(self, slot);
         while cur != NIL {
             let ck = self.nodes[cur as usize].key;
-            if key - ck > w + Self::slack(key, ck) {
-                break;
+            if (key - ck).abs() > w + Self::slack(key, ck) {
+                return false;
             }
             if self.nodes[cur as usize].in_candidate
                 && self.pair_max(registry, cur, slot) <= threshold
             {
-                absorbed = true;
-                break;
+                return true;
             }
-            cur = self.prev_in_order(cur);
+            cur = step(self, cur);
         }
-        if !absorbed {
-            self.candidate = Some(cand);
-            return;
-        }
-        let from = cand.members.len();
-        self.absorb(&mut cand, slot, registry, p_safe);
-        self.expand_closure(&mut cand, from, registry, threshold, p_safe);
-        self.candidate = Some(cand);
+        false
     }
 
     /// Add one slot to the candidate: mark it, append it, and fold its
@@ -507,8 +539,8 @@ impl SparseEngine {
     /// current pending set; returns its `(size, safe_after, horizon)`.
     ///
     /// A full recompute walks the maintained order only as far as the first
-    /// boundary bit plus the closure windows — O((batch + window)·log n),
-    /// never O(n).
+    /// boundary bit plus the closure windows — O(batch + window) neighbour
+    /// steps, never O(n).
     pub(crate) fn candidate_meta(
         &mut self,
         registry: &DistributionRegistry,
@@ -541,7 +573,7 @@ impl SparseEngine {
         };
         // The first batch: the contiguous head of the maintained order up
         // to the first boundary bit.
-        let mut cur = self.first();
+        let mut cur = self.head;
         loop {
             self.absorb(&mut cand, cur, registry, p_safe);
             let next = self.next_in_order(cur);
@@ -630,6 +662,14 @@ impl SparseEngine {
         }
         for &slot in &removed {
             self.root = self.remove_rec(self.root, slot);
+            let (prev, next) = (self.prev_in_order(slot), self.next_in_order(slot));
+            match prev {
+                NIL => self.head = next,
+                p => self.nodes[p as usize].next = next,
+            }
+            if next != NIL {
+                self.nodes[next as usize].prev = prev;
+            }
             self.nodes[slot as usize].in_candidate = false;
             self.free.push(slot);
         }
@@ -655,17 +695,18 @@ impl SparseEngine {
         self.nodes.clear();
         self.free.clear();
         self.root = NIL;
+        self.head = NIL;
         for message in messages {
             let client = registry
                 .slot_of(message.client)
                 .expect("pending messages come from registered clients");
             let slot = self.alloc(message.clone(), client, registry);
-            self.root = self.insert_rec(self.root, slot);
+            self.place(slot);
         }
         if self.root == NIL {
             return;
         }
-        let mut prev = self.first();
+        let mut prev = self.head;
         self.nodes[prev as usize].starts_batch = true;
         let mut cur = self.next_in_order(prev);
         while cur != NIL {
@@ -701,8 +742,8 @@ impl SparseEngine {
         let node = Node {
             left: NIL,
             right: NIL,
-            size: 1,
-            prio: (splitmix64(seq) >> 32) as u32,
+            prev: NIL,
+            next: NIL,
             // Normalize −0.0 so `total_cmp` and arithmetic agree on equality.
             key: if raw_key == 0.0 { 0.0 } else { raw_key },
             seq,
@@ -734,37 +775,58 @@ impl SparseEngine {
         }
     }
 
-    fn pull(&mut self, slot: u32) {
-        let (l, r) = (self.nodes[slot as usize].left, self.nodes[slot as usize].right);
-        let mut size = 1;
-        if l != NIL {
-            size += self.nodes[l as usize].size;
+    /// Treap priority: the high half of `splitmix64(seq)`, recomputed
+    /// where two priorities are compared instead of being stored.
+    fn prio(&self, slot: u32) -> u32 {
+        (splitmix64(self.nodes[slot as usize].seq) >> 32) as u32
+    }
+
+    /// Place a detached slot: find its in-order predecessor with the one
+    /// `(key, seq)` descent an arrival pays, insert it into the treap and
+    /// thread it into the order between that predecessor and the
+    /// predecessor's old successor (the old head when there is none).
+    fn place(&mut self, slot: u32) {
+        let (mut cur, mut prev) = (self.root, NIL);
+        while cur != NIL {
+            if self.less(cur, slot) {
+                prev = cur;
+                cur = self.nodes[cur as usize].right;
+            } else {
+                cur = self.nodes[cur as usize].left;
+            }
         }
-        if r != NIL {
-            size += self.nodes[r as usize].size;
+        self.root = self.insert_rec(self.root, slot);
+        let next = match prev {
+            NIL => std::mem::replace(&mut self.head, slot),
+            p => std::mem::replace(&mut self.nodes[p as usize].next, slot),
+        };
+        debug_assert!(
+            next == NIL || self.less(slot, next),
+            "links follow the order"
+        );
+        if next != NIL {
+            self.nodes[next as usize].prev = slot;
         }
-        self.nodes[slot as usize].size = size;
+        let node = &mut self.nodes[slot as usize];
+        (node.prev, node.next) = (prev, next);
     }
 
     fn insert_rec(&mut self, root: u32, slot: u32) -> u32 {
         if root == NIL {
             return slot;
         }
-        if self.nodes[slot as usize].prio > self.nodes[root as usize].prio {
+        if self.prio(slot) > self.prio(root) {
             let (l, r) = self.split_rec(root, slot);
             self.nodes[slot as usize].left = l;
             self.nodes[slot as usize].right = r;
-            self.pull(slot);
             slot
         } else if self.less(slot, root) {
             let nl = self.insert_rec(self.nodes[root as usize].left, slot);
             self.nodes[root as usize].left = nl;
-            self.pull(root);
             root
         } else {
             let nr = self.insert_rec(self.nodes[root as usize].right, slot);
             self.nodes[root as usize].right = nr;
-            self.pull(root);
             root
         }
     }
@@ -778,12 +840,10 @@ impl SparseEngine {
         if self.less(root, pivot) {
             let (l, r) = self.split_rec(self.nodes[root as usize].right, pivot);
             self.nodes[root as usize].right = l;
-            self.pull(root);
             (root, r)
         } else {
             let (l, r) = self.split_rec(self.nodes[root as usize].left, pivot);
             self.nodes[root as usize].left = r;
-            self.pull(root);
             (l, root)
         }
     }
@@ -795,15 +855,13 @@ impl SparseEngine {
         if b == NIL {
             return a;
         }
-        if self.nodes[a as usize].prio > self.nodes[b as usize].prio {
+        if self.prio(a) > self.prio(b) {
             let m = self.merge(self.nodes[a as usize].right, b);
             self.nodes[a as usize].right = m;
-            self.pull(a);
             a
         } else {
             let m = self.merge(a, self.nodes[b as usize].left);
             self.nodes[b as usize].left = m;
-            self.pull(b);
             b
         }
     }
@@ -821,65 +879,17 @@ impl SparseEngine {
             let nr = self.remove_rec(self.nodes[root as usize].right, slot);
             self.nodes[root as usize].right = nr;
         }
-        self.pull(root);
         root
     }
 
-    fn first(&self) -> u32 {
-        debug_assert!(self.root != NIL);
-        let mut cur = self.root;
-        while self.nodes[cur as usize].left != NIL {
-            cur = self.nodes[cur as usize].left;
-        }
-        cur
-    }
-
-    /// In-order predecessor of a slot (descent by `(key, seq)`): O(log n).
+    /// In-order predecessor of a slot (`NIL` for the head): O(1).
     fn prev_in_order(&self, slot: u32) -> u32 {
-        let mut cur = self.root;
-        let mut best = NIL;
-        while cur != NIL {
-            if cur != slot && self.less(cur, slot) {
-                best = cur;
-                cur = self.nodes[cur as usize].right;
-            } else {
-                cur = self.nodes[cur as usize].left;
-            }
-        }
-        best
+        self.nodes[slot as usize].prev
     }
 
-    /// In-order successor of a slot: O(log n).
+    /// In-order successor of a slot (`NIL` for the tail): O(1).
     fn next_in_order(&self, slot: u32) -> u32 {
-        let mut cur = self.root;
-        let mut best = NIL;
-        while cur != NIL {
-            if cur != slot && self.less(slot, cur) {
-                best = cur;
-                cur = self.nodes[cur as usize].left;
-            } else {
-                cur = self.nodes[cur as usize].right;
-            }
-        }
-        best
-    }
-
-    /// In-order traversal with an explicit stack (full walks are only used
-    /// by the mode-switch and diagnostic paths, never per arrival).
-    fn for_each_in_order(&self, mut f: impl FnMut(&Node)) {
-        let mut stack: Vec<u32> = Vec::new();
-        let mut cur = self.root;
-        loop {
-            while cur != NIL {
-                stack.push(cur);
-                cur = self.nodes[cur as usize].left;
-            }
-            let Some(slot) = stack.pop() else {
-                break;
-            };
-            f(&self.nodes[slot as usize]);
-            cur = self.nodes[slot as usize].right;
-        }
+        self.nodes[slot as usize].next
     }
 }
 
@@ -923,6 +933,11 @@ mod tests {
         *state >> 11
     }
 
+    /// Uniform in `[0, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        (lcg(state) % 1_000_000) as f64 / 1e6
+    }
+
     #[test]
     fn maintains_key_order_under_random_insert_remove() {
         let reg = registry(&[(0, 0.0, 2.0), (1, 1.0, 3.0), (2, -2.0, 1.0)]);
@@ -942,12 +957,134 @@ mod tests {
         assert_eq!(order.len(), engine.len());
         assert!(engine.len() > 100);
         // Keys ascend along the maintained order.
-        let keys: Vec<f64> = {
-            let mut ks = Vec::new();
-            engine.for_each_in_order(|n| ks.push(n.key));
-            ks
-        };
+        let keys: Vec<f64> = engine.in_order().map(|n| n.key).collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// `peak_index_bytes` is `capacity × size_of::<Node>()` and part of
+    /// `OnlineStats`, which the golden tests hash.
+    #[test]
+    fn node_is_no_larger_than_before_the_links() {
+        assert!(std::mem::size_of::<Node>() <= 80);
+    }
+
+    /// The `next` chain from the head is the treap's in-order traversal,
+    /// and `prev` is its exact reverse.
+    fn assert_chain_is_the_tree_order(engine: &SparseEngine, ctx: &str) {
+        let mut tree = Vec::new();
+        let (mut stack, mut cur) = (Vec::new(), engine.root);
+        while cur != NIL || !stack.is_empty() {
+            while cur != NIL {
+                stack.push(cur);
+                cur = engine.nodes[cur as usize].left;
+            }
+            let slot = stack.pop().expect("non-empty");
+            tree.push(slot);
+            cur = engine.nodes[slot as usize].right;
+        }
+        let (mut chain, mut back) = (Vec::new(), Vec::new());
+        let (mut cur, mut tail) = (engine.head, NIL);
+        while cur != NIL {
+            chain.push(cur);
+            tail = cur;
+            cur = engine.next_in_order(cur);
+        }
+        while tail != NIL {
+            back.push(tail);
+            tail = engine.prev_in_order(tail);
+        }
+        back.reverse();
+        assert_eq!(chain, tree, "next chain ≠ tree order at {ctx}");
+        assert_eq!(back, tree, "prev chain ≠ reversed tree order at {ctx}");
+        assert_eq!(tree.len(), engine.len(), "length at {ctx}");
+    }
+
+    /// The candidate as `(member ids, safe_after bits, horizon bits)`.
+    fn candidate_view(
+        engine: &mut SparseEngine,
+        reg: &DistributionRegistry,
+    ) -> Option<(Vec<u64>, u64, u64)> {
+        let (_, safe_after, horizon) = engine.candidate_meta(reg, 0.75, 0.999)?;
+        let cand = engine.candidate.as_ref().expect("just ensured");
+        let mut ids: Vec<u64> = cand
+            .members
+            .iter()
+            .map(|&s| engine.nodes[s as usize].message.id.0)
+            .collect();
+        ids.sort_unstable();
+        Some((ids, safe_after.to_bits(), horizon.to_bits()))
+    }
+
+    /// Twin engines over seeded wide-regime streams: `kept` maintains its
+    /// candidate under every arrival, `fresh` recomputes it from scratch
+    /// before every query. They must never be told apart.
+    #[test]
+    fn maintained_candidate_matches_recomputed_twin() {
+        for seed in 0..12u64 {
+            let mut state = 0x5EED_0000 + seed;
+            let clients = 3 + (seed % 3) as u32;
+            let census: Vec<(u32, f64, f64)> = (0..clients)
+                .map(|c| {
+                    let mean = 6.0 * uniform(&mut state) - 3.0;
+                    (c, mean, 1.0 + 5.0 * uniform(&mut state))
+                })
+                .collect();
+            let reg = registry(&census);
+            let max_sigma = census.iter().map(|c| c.2).fold(0.0, f64::max);
+            // σ_max / gap sweeps 1..=6 across the seeds.
+            let gap = max_sigma / (1 + seed % 6) as f64;
+            let (mut kept, mut fresh) = (SparseEngine::new(), SparseEngine::new());
+            kept.observe_sigma(max_sigma);
+            fresh.observe_sigma(max_sigma);
+
+            let mut floor = vec![f64::NEG_INFINITY; clients as usize];
+            let mut t = 0.0;
+            for id in 0..500u64 {
+                let ctx = format!("seed {seed} message {id}");
+                t += gap * 2.0 * uniform(&mut state);
+                let (c, _, sigma) = census[(lcg(&mut state) % u64::from(clients)) as usize];
+                // Roughly normal noise; the per-client floor (an ordered
+                // channel) also yields same-client equal timestamps.
+                let noise: f64 = (0..4).map(|_| uniform(&mut state) - 0.5).sum();
+                let ts = (t + sigma * 1.7 * noise).max(floor[c as usize]);
+                floor[c as usize] = ts;
+                insert(&mut kept, &reg, msg(id, c, ts));
+                insert(&mut fresh, &reg, msg(id, c, ts));
+                check_twins(&mut kept, &mut fresh, &reg, &ctx);
+
+                if lcg(&mut state).is_multiple_of(16) {
+                    fresh.invalidate_candidate();
+                    let (a, b) = (take(&mut kept, &reg), take(&mut fresh, &reg));
+                    assert_eq!(a, b, "emission at {ctx}");
+                    kept.commit_removal(&reg, 0.75);
+                    fresh.commit_removal(&reg, 0.75);
+                    check_twins(&mut kept, &mut fresh, &reg, &ctx);
+                }
+                if id == 300 {
+                    let pending = kept.messages_in_arrival_order();
+                    assert_eq!(pending, fresh.messages_in_arrival_order());
+                    kept.rebuild_from(&pending, &reg, 0.75);
+                    fresh.rebuild_from(&pending, &reg, 0.75);
+                    check_twins(&mut kept, &mut fresh, &reg, &ctx);
+                }
+            }
+            assert!(kept.len() > 0 && kept.lazy_evals() < fresh.lazy_evals());
+        }
+    }
+
+    fn check_twins(
+        kept: &mut SparseEngine,
+        fresh: &mut SparseEngine,
+        reg: &DistributionRegistry,
+        ctx: &str,
+    ) {
+        fresh.invalidate_candidate();
+        let (a, b) = (candidate_view(kept, reg), candidate_view(fresh, reg));
+        assert_eq!(a, b, "candidate at {ctx}");
+        let (a, b) = (kept.pending_order(), fresh.pending_order());
+        assert_eq!(a, b, "order at {ctx}");
+        assert_chain_is_the_tree_order(kept, ctx);
+        assert_chain_is_the_tree_order(fresh, ctx);
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub struct OnlineStreamResult {
     /// bytes (`stats.peak_matrix_bytes`). Zero when the whole run rode the
     /// sparse fast path — the sub-quadratic-memory acceptance signal.
     pub peak_matrix_bytes: usize,
-    /// High-water mark of the sparse order-statistics index in bytes
+    /// High-water mark of the sparse engine's treap index in bytes
     /// (`stats.peak_index_bytes`): O(pending) node storage, zero on dense
     /// runs.
     pub peak_index_bytes: usize,
