@@ -2,8 +2,9 @@
 //!
 //! Criterion benchmark harness for the Tommy reproduction. Each bench target
 //! regenerates (a scaled-down version of) one figure/table of the paper or
-//! one DESIGN.md ablation; see `DESIGN.md` §2 for the mapping and
-//! `EXPERIMENTS.md` for the recorded results.
+//! isolates one engine layer; `ARCHITECTURE.md` describes the layers, and
+//! `perfbench/README.md` the repo benchmark whose numbers are the citable
+//! ones (`BENCHMARK.json`).
 //!
 //! The benches share a small helper for a fast Criterion configuration so
 //! that `cargo bench --workspace` completes in minutes rather than hours.
@@ -253,28 +254,6 @@ pub fn run_scratch_stream(messages: usize) -> usize {
     pending.len()
 }
 
-/// The seed implementation of an arrival's probability column: one
-/// [`DistributionRegistry::preceding_probability`] call per pending message,
-/// each paying the full per-query overhead (atomic counter bump, two
-/// distribution lookups, Gaussian-vs-discretized re-dispatch). This is the
-/// baseline the `column_build` bench compares the pair-kernel column fill
-/// against; the kernel fill produces bit-identical values (asserted in this
-/// crate's tests and in `tommy-core`'s).
-pub fn legacy_column(
-    pending: &[Message],
-    arrival: &Message,
-    registry: &DistributionRegistry,
-) -> Vec<f64> {
-    pending
-        .iter()
-        .map(|existing| {
-            registry
-                .preceding_probability(existing, arrival)
-                .expect("registered clients")
-        })
-        .collect()
-}
-
 /// Run the one-shot §3.4 pipeline tail (linear order → fair order +
 /// diagnostics) over a prebuilt matrix through the same [`SequencingCore`]
 /// both production sequencers use — the benchmark entry point for the
@@ -496,27 +475,6 @@ mod tests {
         assert_eq!(dense.lazy_evals, 0, "{dense:?}");
         assert!(dense.peak_matrix_bytes > 0, "{dense:?}");
         assert_eq!(dense.peak_index_bytes, 0, "{dense:?}");
-    }
-
-    #[test]
-    fn legacy_column_matches_kernel_insert_bitwise() {
-        let registry = stream_registry();
-        let pending: Vec<Message> = (0..40).map(stream_message).collect();
-        let arrival = stream_message(40);
-        let legacy = legacy_column(&pending, &arrival, &registry);
-
-        let mut matrix = PrecedenceMatrix::empty();
-        for m in &pending {
-            matrix.insert(m.clone(), &registry).unwrap();
-        }
-        let idx = matrix.insert(arrival.clone(), &registry).unwrap();
-        for (j, &p) in legacy.iter().enumerate() {
-            assert_eq!(
-                matrix.prob(j, idx).to_bits(),
-                p.to_bits(),
-                "column element {j}"
-            );
-        }
     }
 
     /// The FAS-stress harness really exercises both paths: on a cyclic

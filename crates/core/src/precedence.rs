@@ -360,25 +360,26 @@ impl PrecedenceMatrix {
                 });
                 results.into_iter().collect()
             };
-        let row_blocks = match blocks_result {
-            Ok(row_blocks) => row_blocks,
+        let probs = match blocks_result {
+            Ok(row_blocks) => {
+                let mut probs = vec![0.5; n * n];
+                for block_rows in row_blocks {
+                    for (i, row) in block_rows {
+                        for (offset, p) in row.into_iter().enumerate() {
+                            let j = i + 1 + offset;
+                            probs[i * n + j] = p;
+                            probs[j * n + i] = 1.0 - p;
+                        }
+                    }
+                }
+                registry.record_queries((n * (n - 1) / 2) as u64);
+                probs
+            }
             // Error path: re-run the per-call build, which reports exactly
             // the error (and error ordering) the pre-kernel implementation
             // did.
-            Err(_) => return Self::compute_parallel_percall(messages, registry, parallelism),
+            Err(_) => Self::percall_grid(messages, registry)?,
         };
-
-        let mut probs = vec![0.5; n * n];
-        for block_rows in row_blocks {
-            for (i, row) in block_rows {
-                for (offset, p) in row.into_iter().enumerate() {
-                    let j = i + 1 + offset;
-                    probs[i * n + j] = p;
-                    probs[j * n + i] = 1.0 - p;
-                }
-            }
-        }
-        registry.record_queries((n * (n - 1) / 2) as u64);
         Ok(PrecedenceMatrix {
             messages: messages.to_vec(),
             index,
@@ -444,85 +445,24 @@ impl PrecedenceMatrix {
         Ok(rows)
     }
 
-    /// The pre-kernel per-call build, kept as the error-path fallback: every
+    /// The pre-kernel per-call grid, kept as the error-path fallback: every
     /// pair goes through [`DistributionRegistry::preceding_probability`]
-    /// individually, so error values, error ordering, and per-call query
-    /// accounting are exactly the historical ones.
-    fn compute_parallel_percall(
+    /// individually, in row-major order, so error values, error ordering,
+    /// and per-call query accounting are exactly the historical ones.
+    fn percall_grid(
         messages: &[Message],
         registry: &DistributionRegistry,
-        parallelism: usize,
-    ) -> Result<Self, CoreError> {
+    ) -> Result<Vec<f64>, CoreError> {
         let n = messages.len();
-        let mut index = HashMap::with_capacity(n);
-        for (i, m) in messages.iter().enumerate() {
-            if index.insert(m.id, i).is_some() {
-                return Err(CoreError::DuplicateMessage(m.id));
-            }
-        }
-
-        let threads = crate::config::resolve_parallelism(parallelism).min(n);
         let mut probs = vec![0.5; n * n];
-        if threads <= 1 || n < PARALLEL_BUILD_MIN_MESSAGES {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let p = registry.preceding_probability(&messages[i], &messages[j])?;
-                    probs[i * n + j] = p;
-                    probs[j * n + i] = 1.0 - p;
-                }
-            }
-        } else {
-            let blocks = partition_rows(n, threads);
-            // Each worker owns a contiguous block of rows and produces, for
-            // every row i, the upper-triangle values p(i, j) for j > i. A
-            // worker stops at its first error, so the per-block error is its
-            // row-major-first one; scanning blocks in ascending row order
-            // below therefore surfaces the same error a serial scan would.
-            let results: Vec<RowBlockResult> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = blocks
-                        .iter()
-                        .map(|block| {
-                            let block = block.clone();
-                            scope.spawn(move || {
-                                let mut rows = Vec::with_capacity(block.len());
-                                for i in block {
-                                    let mut row = Vec::with_capacity(n - i - 1);
-                                    for j in (i + 1)..n {
-                                        row.push(
-                                            registry
-                                                .preceding_probability(&messages[i], &messages[j])?,
-                                        );
-                                    }
-                                    rows.push((i, row));
-                                }
-                                Ok(rows)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matrix build worker panicked"))
-                        .collect()
-                });
-            for block_rows in results {
-                for (i, row) in block_rows? {
-                    for (offset, p) in row.into_iter().enumerate() {
-                        let j = i + 1 + offset;
-                        probs[i * n + j] = p;
-                        probs[j * n + i] = 1.0 - p;
-                    }
-                }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let p = registry.preceding_probability(&messages[i], &messages[j])?;
+                probs[i * n + j] = p;
+                probs[j * n + i] = 1.0 - p;
             }
         }
-        let (groups, group_of) = build_groups(messages);
-        Ok(PrecedenceMatrix {
-            messages: messages.to_vec(),
-            index,
-            probs,
-            stride: n,
-            groups,
-            group_of,
-        })
+        Ok(probs)
     }
 
     /// Build a matrix directly from explicit pairwise probabilities — used by

@@ -81,6 +81,9 @@ impl ClientSlot {
 struct ClientEntry {
     client: ClientId,
     distribution: OffsetDistribution,
+    /// `distribution.mean()`, the adjustment of the client's margin-adjusted
+    /// keys `timestamp − μ` (O(samples) to compute for an empirical one).
+    mean: f64,
     /// The first safe-emission margin asked for: `(p_safe bits,
     /// Q_δ(1 − p_safe))`, the client-level constant of `T^F = T − Q(1 − p_safe)`.
     safe_margin: OnceLock<(u64, f64)>,
@@ -265,6 +268,7 @@ impl DistributionRegistry {
         self.non_gaussian += usize::from(!distribution.is_gaussian());
         let entry = ClientEntry {
             client,
+            mean: distribution.mean(),
             distribution,
             safe_margin: OnceLock::new(),
         };
@@ -294,6 +298,19 @@ impl DistributionRegistry {
     /// The closed-form parameters of the client in `slot`, if Gaussian.
     pub(crate) fn gaussian_at(&self, slot: ClientSlot) -> Option<&Gaussian> {
         self.entries[slot.idx()].distribution.as_gaussian()
+    }
+
+    /// The mean offset of the client in `slot`.
+    pub(crate) fn mean_at(&self, slot: ClientSlot) -> f64 {
+        self.entries[slot.idx()].mean
+    }
+
+    /// The margin-adjusted key `timestamp − μ_client` of a message from a
+    /// registered client, under the distribution registered *now*: what the
+    /// sparse engine sorts by and the cross-shard merge compares.
+    pub(crate) fn adjusted_key(&self, message: &Message) -> f64 {
+        let slot = self.slot_of(message.client);
+        message.timestamp - self.mean_at(slot.expect("held by a registered client"))
     }
 
     /// Whether every registered client is closed-form (the fast-path census).

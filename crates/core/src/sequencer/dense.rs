@@ -1,0 +1,311 @@
+//! The dense precedence engine: the matrix, the shared pipeline tail and the
+//! cached candidate batch, kept in lockstep behind one object.
+//!
+//! [`SequencingCore`] tracks an externally maintained [`PrecedenceMatrix`]
+//! and every matrix mutation has to be mirrored into it. [`DenseEngine`]
+//! owns both, so that protocol is written once, here: an arrival is
+//! `matrix.insert` → `core.insert_last`, an emission `matrix.remove_batch` →
+//! `core.remove_indices`, a wholesale re-derivation
+//! `PrecedenceMatrix::compute_parallel` → `core.load`, and each of them
+//! drops the cached candidate. Its surface is the sparse engine's
+//! (`sequencer::sparse`), method for method, which is what lets the
+//! [`OnlineSequencer`](super::online) shell pick an engine in one place.
+//!
+//! The engine does work proportional to *what changed*, not to the whole
+//! pending set:
+//!
+//! * The pairwise [`PrecedenceMatrix`] is maintained incrementally: each
+//!   arrival adds one row/column (O(n) new probability queries via
+//!   [`PrecedenceMatrix::insert`]) and each emission removes the batch's
+//!   rows/columns ([`PrecedenceMatrix::remove_batch`]) — never a from-scratch
+//!   O(n²) rebuild. The arrival column itself is filled through per-client
+//!   [`PairKernel`](crate::registry::PairKernel)s: the registry (locks,
+//!   hash lookups, dispatch) is consulted once per *distinct pending
+//!   client*, and each kernel then evaluates that client's contiguous
+//!   timestamp slice in one tight loop.
+//! * The tournament and its linear order are maintained *incrementally* too
+//!   ([`IncrementalTournament`]): an arrival orients its n new edges and one
+//!   scan over the maintained condensation blocks places it in the order;
+//!   an emission drops the batch's rows in place. Intransitivity cycles —
+//!   never produced by Gaussian offsets (Appendix A) — are absorbed by the
+//!   incremental FAS engine: only the one SCC the arrival strongly connects
+//!   is re-solved, so the whole arrival path is O(n) plus repairs bounded
+//!   by the touched component: n probability queries, n edge orientations,
+//!   zero `Tournament::from_matrix` rebuilds.
+//! * The §3.4 batch boundaries are maintained *incrementally* as well
+//!   ([`IncrementalFairOrder`](crate::batching::IncrementalFairOrder), via
+//!   the shared [`SequencingCore`]): an arrival re-evaluates only the two
+//!   adjacencies at its insertion point and an emission one seam per removed
+//!   run, so a candidate recomputation reads the lowest-rank batch straight
+//!   off the maintained boundary set — no per-arrival
+//!   `FairOrder::from_linear_order` walk and no rank-index hashing.
+//! * The lowest-rank candidate batch (maintained boundaries → Appendix C
+//!   closure rule) is cached and only recomputed when the pending set
+//!   actually changes. Heartbeats and pure clock ticks reuse the cache,
+//!   so a tick with an unchanged pending set performs **zero** probability
+//!   queries.
+//! * The candidate batch's safe emission time uses cached per-client
+//!   margins ([`DistributionRegistry::safe_margin`]) instead of one quantile
+//!   inversion per batch member.
+//! * The Appendix C closure rule runs as a worklist: each candidate
+//!   recomputation compares outsiders only against batch members added since
+//!   they were last checked — O(n × batch) comparisons total, not
+//!   O(rounds × n × batch).
+//!
+//! A late high-uncertainty message still merges into the open batch exactly
+//! as in the Appendix C worked example: its arrival invalidates the cache and
+//! the next recomputation sees the full pending set.
+
+use crate::batching::FairOrderCounters;
+use crate::config::SequencerConfig;
+use crate::error::CoreError;
+use crate::message::{ClientId, Message, MessageId};
+use crate::precedence::PrecedenceMatrix;
+use crate::registry::{ClientSlot, DistributionRegistry};
+use crate::sequencer::core::SequencingCore;
+use crate::sequencer::emission::batch_emission_time_over;
+use crate::tournament::IncrementalTournament;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashSet;
+
+/// The cached lowest-rank candidate batch of the current pending set.
+///
+/// Holds matrix indices, not cloned messages: the candidate is recomputed
+/// on every pending-set change but only *emitted* once, so the message
+/// clone is deferred to emission time.
+#[derive(Debug, Clone)]
+struct Candidate {
+    /// Matrix indices of the batch members, ascending.
+    indices: Vec<usize>,
+    safe_after: f64,
+    /// Largest timestamp in the batch: the watermark horizon.
+    horizon: f64,
+}
+
+/// Dense precedence engine over an arbitrary census (see the module docs).
+/// Owned by the online sequencer and active while some registered client is
+/// non-closed-form, or the fast path is disabled.
+#[derive(Debug)]
+pub(crate) struct DenseEngine {
+    /// Incrementally maintained precedence matrix over the pending set; its
+    /// message list *is* the pending set, in arrival order.
+    matrix: PrecedenceMatrix,
+    /// The shared pipeline tail — incrementally maintained tournament,
+    /// linear order, and batch boundaries over `matrix`.
+    core: SequencingCore,
+    /// Cached candidate batch; `None` means the pending set changed since the
+    /// last computation (or is empty).
+    candidate: Option<Candidate>,
+    /// Matrix indices handed out by [`take_candidate`](Self::take_candidate)
+    /// and not yet removed by [`commit_removal`](Self::commit_removal).
+    pending_removal: Vec<usize>,
+    /// Source of the stochastic cycle-breaking draws.
+    rng: StdRng,
+}
+
+/// The draw source a core call gets: `rng` under stochastic cycle breaking,
+/// nothing otherwise.
+fn cycle_rng<'a>(
+    config: &SequencerConfig,
+    rng: &'a mut StdRng,
+) -> Option<&'a mut dyn rand::RngCore> {
+    match config.stochastic_cycle_breaking {
+        true => Some(rng),
+        false => None,
+    }
+}
+
+impl DenseEngine {
+    pub(crate) fn new(config: SequencerConfig) -> Self {
+        DenseEngine {
+            matrix: PrecedenceMatrix::empty(),
+            core: SequencingCore::new(config),
+            candidate: None,
+            pending_removal: Vec::new(),
+            rng: StdRng::seed_from_u64(0),
+        }
+    }
+
+    /// Pending messages.
+    pub(crate) fn len(&self) -> usize {
+        self.matrix.len()
+    }
+
+    /// Bytes currently reserved for the dense probability grid.
+    pub(crate) fn prob_bytes(&self) -> usize {
+        self.matrix.prob_bytes()
+    }
+
+    /// Counters of the incremental batch-boundary engine.
+    pub(crate) fn counters(&self) -> FairOrderCounters {
+        self.core.fair().counters()
+    }
+
+    /// The incrementally maintained tournament (read-only).
+    pub(crate) fn tournament(&self) -> &IncrementalTournament {
+        self.core.tournament()
+    }
+
+    /// Drop the cached candidate (pending-set-external invalidation, e.g.
+    /// a client (re-)registration).
+    pub(crate) fn invalidate_candidate(&mut self) {
+        self.candidate = None;
+    }
+
+    /// The pending messages in arrival order (the matrix slot order).
+    pub(crate) fn messages_in_arrival_order(&self) -> Vec<Message> {
+        self.matrix.messages().to_vec()
+    }
+
+    /// Whether any pending message belongs to `client`: pairwise
+    /// probabilities only change on a re-registration if it does, and a
+    /// re-derivation over an unaffected pending set would be O(n²) queries
+    /// of pure waste.
+    pub(crate) fn contains_client(&self, client: ClientId) -> bool {
+        self.matrix.messages().iter().any(|m| m.client == client)
+    }
+
+    /// The smallest margin-adjusted key `timestamp − μ_client` among the
+    /// pending messages (`+∞` when nothing is pending): an O(n) scan, which
+    /// every dense arrival already pays.
+    pub(crate) fn min_key(&self, registry: &DistributionRegistry) -> f64 {
+        let keys = self.matrix.messages().iter().map(|m| registry.adjusted_key(m));
+        keys.fold(f64::INFINITY, f64::min)
+    }
+
+    /// `(message id, starts_batch)` in the maintained tournament order,
+    /// refreshing it first (a no-op on a clean incremental state). Position
+    /// 0 is normalized to `true`.
+    pub(crate) fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
+        if self.matrix.is_empty() {
+            return Vec::new();
+        }
+        let rng = cycle_rng(self.core.config(), &mut self.rng);
+        let order = self.core.linear_order(&self.matrix, rng);
+        let boundaries: HashSet<usize> =
+            self.core.fair().boundary_positions().into_iter().collect();
+        order
+            .iter()
+            .enumerate()
+            .map(|(pos, &idx)| {
+                let starts_batch = pos == 0 || boundaries.contains(&pos);
+                (self.matrix.message(idx).id, starts_batch)
+            })
+            .collect()
+    }
+
+    /// Insert an arrival: one matrix column (O(n) probability queries), then
+    /// the tournament and boundary maintenance of
+    /// [`SequencingCore::insert_last`]. The matrix resolves the client
+    /// itself; `_slot` keeps the signature the sparse engine's.
+    pub(crate) fn insert(
+        &mut self,
+        message: Message,
+        _slot: ClientSlot,
+        registry: &DistributionRegistry,
+    ) -> Result<(), CoreError> {
+        self.matrix.insert(message, registry)?;
+        self.core.insert_last(&self.matrix);
+        self.candidate = None;
+        Ok(())
+    }
+
+    /// Ensure the candidate cache holds the lowest-rank batch of the current
+    /// pending set; returns its `(size, safe_after, horizon)`.
+    ///
+    /// A recomputation reads the incrementally maintained [`SequencingCore`]
+    /// state: the batch of lowest rank (closed under the Appendix C rule)
+    /// comes straight off the maintained boundary set — no linear-order
+    /// clone, no `FairOrder` construction, no rank hashing, and no
+    /// probability queries at all (the safe-emission sweep reads cached
+    /// per-client margins). A full recompute happens only when the
+    /// incremental tournament hit an intransitivity cycle.
+    pub(crate) fn candidate_meta(
+        &mut self,
+        registry: &DistributionRegistry,
+    ) -> Option<(usize, f64, f64)> {
+        if self.candidate.is_none() {
+            let rng = cycle_rng(self.core.config(), &mut self.rng);
+            let indices = self.core.candidate_indices(&self.matrix, rng)?;
+            let members = indices.iter().map(|&i| self.matrix.message(i));
+            let safe_after = batch_emission_time_over(
+                registry,
+                members.clone().map(|m| (m.client, m.timestamp)),
+                self.core.config().p_safe,
+            );
+            let horizon = members
+                .map(|m| m.timestamp)
+                .fold(f64::NEG_INFINITY, f64::max);
+            self.candidate = Some(Candidate {
+                indices,
+                safe_after,
+                horizon,
+            });
+        }
+        self.candidate
+            .as_ref()
+            .map(|c| (c.indices.len(), c.safe_after, c.horizon))
+    }
+
+    /// Take the candidate out of the cache (computing it first if needed):
+    /// returns its messages in arrival order plus its safe-emission time,
+    /// and stages the member indices for
+    /// [`commit_removal`](Self::commit_removal). `taken` is overwritten
+    /// with the members' `(client slot, timestamp)`.
+    pub(crate) fn take_candidate(
+        &mut self,
+        registry: &DistributionRegistry,
+        taken: &mut Vec<(ClientSlot, f64)>,
+    ) -> Option<(Vec<Message>, f64)> {
+        self.candidate_meta(registry)?;
+        let candidate = self.candidate.take().expect("just ensured");
+        let members = candidate.indices.iter().map(|&i| self.matrix.message(i));
+        let messages: Vec<Message> = members.cloned().collect();
+        taken.clear();
+        taken.extend(messages.iter().map(|m| {
+            let slot = registry.slot_of(m.client);
+            (slot.expect("pending clients are registered"), m.timestamp)
+        }));
+        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
+        self.pending_removal = candidate.indices;
+        Some((messages, candidate.safe_after))
+    }
+
+    /// Remove the members staged by [`take_candidate`](Self::take_candidate)
+    /// from the matrix and, in lockstep, from the core (one boundary seam
+    /// per removed run).
+    pub(crate) fn commit_removal(&mut self, _registry: &DistributionRegistry) {
+        let removed = std::mem::take(&mut self.pending_removal);
+        let ids: Vec<MessageId> = removed.iter().map(|&i| self.matrix.message(i).id).collect();
+        self.matrix.remove_batch(&ids);
+        self.core.remove_indices(&removed, &self.matrix);
+        self.candidate = None;
+    }
+
+    /// Re-derive the pending state from scratch over `messages` (a mode
+    /// switch into this engine, or a re-registration that changed a pending
+    /// client's pairwise probabilities): the one O(n²) payment, through the
+    /// tiled build. Empty input clears.
+    pub(crate) fn rebuild_from(&mut self, messages: &[Message], registry: &DistributionRegistry) {
+        if messages.is_empty() {
+            return self.clear_pending();
+        }
+        let parallelism = self.core.config().parallelism;
+        self.matrix = PrecedenceMatrix::compute_parallel(messages, registry, parallelism)
+            .expect("pending messages come from registered clients");
+        self.core.load(&self.matrix);
+        self.candidate = None;
+    }
+
+    /// Reset the pending set (counters describe the whole run and are
+    /// kept). An already empty engine keeps its clean incremental state.
+    pub(crate) fn clear_pending(&mut self) {
+        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
+        if !self.matrix.is_empty() {
+            self.matrix = PrecedenceMatrix::empty();
+            self.core.load(&self.matrix);
+        }
+        self.candidate = None;
+    }
+}

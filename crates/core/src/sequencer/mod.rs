@@ -17,6 +17,9 @@
 //! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
 //! * [`watermark`] — per-client completeness tracking via messages and
 //!   heartbeats over ordered channels.
+//! * `dense` (private) — the dense engine: the pairwise matrix, a
+//!   [`SequencingCore`] and the cached candidate batch kept in lockstep
+//!   behind the surface the online shell dispatches over.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
 //!   registered client has a closed-form kernel, the online sequencer keeps
 //!   its order in a treap keyed by margin-adjusted timestamps (threaded
@@ -25,6 +28,7 @@
 //!   "Sparse fast path").
 
 pub mod core;
+mod dense;
 pub mod emission;
 pub mod offline;
 pub mod online;

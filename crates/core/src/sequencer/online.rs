@@ -15,100 +15,68 @@
 //!   every client has been heard from (message or heartbeat) with a
 //!   timestamp greater than `t`.
 //!
-//! ## Incremental precedence engine
+//! ## The shell and its two engines
 //!
-//! The sequencer does work proportional to *what changed*, not to the whole
-//! pending set:
+//! [`OnlineSequencer`] is a *shell*: it does admission (unknown client,
+//! duplicate id, non-finite or backwards timestamp), watermarks, emission
+//! timing, the defense hooks and liveness. The pending set itself — who
+//! precedes whom, where batches split, which batch is the candidate — lives
+//! in one of two private engines with one surface (`insert`,
+//! `candidate_meta`, `take_candidate`, `commit_removal`, `rebuild_from`):
 //!
-//! * The pairwise [`PrecedenceMatrix`] is maintained incrementally: each
-//!   arrival adds one row/column (O(n) new probability queries via
-//!   [`PrecedenceMatrix::insert`]) and each emission removes the batch's
-//!   rows/columns ([`PrecedenceMatrix::remove_batch`]) — never a from-scratch
-//!   O(n²) rebuild. The arrival column itself is filled through per-client
-//!   [`PairKernel`](crate::registry::PairKernel)s: the registry (locks,
-//!   hash lookups, dispatch) is consulted once per *distinct pending
-//!   client*, and each kernel then evaluates that client's contiguous
-//!   timestamp slice in one tight loop.
-//! * The tournament and its linear order are maintained *incrementally* too
-//!   ([`IncrementalTournament`]): an arrival orients its n new edges and one
-//!   scan over the maintained condensation blocks places it in the order;
-//!   an emission drops the batch's rows in place. Intransitivity cycles —
-//!   never produced by Gaussian offsets (Appendix A) — are absorbed by the
-//!   incremental FAS engine: only the one SCC the arrival strongly connects
-//!   is re-solved, so the whole arrival path is O(n) plus repairs bounded
-//!   by the touched component: n probability queries, n edge orientations,
-//!   zero `Tournament::from_matrix` rebuilds.
-//! * The §3.4 batch boundaries are maintained *incrementally* as well
-//!   ([`IncrementalFairOrder`](crate::batching::IncrementalFairOrder), via
-//!   the shared [`SequencingCore`]): an arrival re-evaluates only the two
-//!   adjacencies at its insertion point and an emission one seam per removed
-//!   run, so a candidate recomputation reads the lowest-rank batch straight
-//!   off the maintained boundary set — no per-arrival
-//!   `FairOrder::from_linear_order` walk and no rank-index hashing.
-//! * The lowest-rank candidate batch (maintained boundaries → Appendix C
-//!   closure rule) is cached and only recomputed when the pending set
-//!   actually changes. Heartbeats and pure clock ticks reuse the cache,
-//!   so `tick()` with an unchanged pending set performs **zero** probability
-//!   queries — it only compares `now` against the cached safe emission time
-//!   and re-checks watermark completeness.
-//! * The per-arrival fairness-violation check against the last emitted batch
-//!   uses per-client-pair margins
-//!   ([`DistributionRegistry::violation_margin`]) instead of one probability
-//!   query per emitted message, and the candidate batch's safe emission time
-//!   uses cached per-client margins ([`DistributionRegistry::safe_margin`])
-//!   instead of one quantile inversion per batch member.
+//! * the **dense** engine (`sequencer::dense`): the pairwise
+//!   [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix), the
+//!   incremental tournament / FAS / batch-boundary tail and the cached
+//!   candidate, for any census;
+//! * the **sparse** engine (`sequencer::sparse`): a treap keyed by
+//!   margin-adjusted timestamps with lazy probability evaluation — O(log n)
+//!   insert/remove, no matrix column ever materialized
+//!   (`dense_columns_avoided` counts the arrivals that skipped one) — for
+//!   all-Gaussian censuses.
+//!
+//! Which one holds the pending set is decided by a *census*, re-taken only
+//! at [`register_client`](OnlineSequencer::register_client) — the only
+//! event that can change it, since submission rejects unknown clients: the
+//! sparse engine while every registered client has a closed-form (Gaussian)
+//! distribution and [`SequencerConfig::fast_path`] is
+//! [`Auto`](crate::config::FastPathMode::Auto), the dense engine otherwise
+//! (cyclic pairs thus keep flowing through the FAS block machinery, which
+//! only dense mode can need: Gaussian tournaments are transitive by
+//! Appendix A). A census flip, or a re-registration of a client with
+//! pending messages, takes the pending messages out of the current engine
+//! in arrival order and rebuilds them in the wanted one. Emitted batches,
+//! boundary sets and counters are bit-identical between the two engines;
+//! see `ARCHITECTURE.md` ("Sparse fast path") for the decision rule and the
+//! lazy-evaluation invariant.
+//!
+//! Both engines cache the candidate batch, so heartbeats and pure clock
+//! ticks over an unchanged pending set perform **zero** probability queries:
+//! `tick()` only compares `now` against the cached safe emission time and
+//! re-checks watermark completeness.
+//!
+//! ## Shell cost model
+//!
 //! * The shell's own cost does not grow with the client count: an event
 //!   resolves its client to a dense slot once and indexes every per-client
 //!   table by it, and the watermark is a winner tree ([`WatermarkTracker`]).
-//! * The Appendix C closure rule runs as a worklist: each candidate
-//!   recomputation compares outsiders only against batch members added since
-//!   they were last checked — O(n × batch) comparisons total, not
-//!   O(rounds × n × batch).
-//!
-//! A late high-uncertainty message still merges into the open batch exactly
-//! as in the Appendix C worked example: its arrival invalidates the cache and
-//! the next recomputation sees the full pending set.
-//!
-//! ## Sparse fast path
-//!
-//! When every registered client has a closed-form (Gaussian) distribution
-//! and [`SequencerConfig::fast_path`] is
-//! [`Auto`](crate::config::FastPathMode::Auto), the sequencer bypasses the
-//! dense engine entirely: arrivals go into the private sparse engine
-//! (`sequencer::sparse`), which keeps the tournament order in a treap
-//! keyed by margin-adjusted timestamps — O(log n) insert/remove, O(1)
-//! neighbour steps — and evaluates probabilities lazily, only for the
-//! boundary-adjacent and closure-window pairs the batch threshold actually
-//! inspects. No dense matrix column is ever materialized
-//! (`dense_columns_avoided` counts the arrivals that skipped one). The mode
-//! is decided by a *census*: it is re-evaluated only at
-//! [`register_client`](OnlineSequencer::register_client) — the only event
-//! that can change the census, since submission rejects unknown clients —
-//! and any non-closed-form registration switches the pending set to the
-//! dense path (cyclic pairs thus keep flowing through the existing FAS
-//! block machinery, which only dense mode can need: Gaussian tournaments
-//! are transitive by Appendix A). Emitted batches, boundary sets and
-//! counters are bit-identical between the two modes; see `ARCHITECTURE.md`
-//! ("Sparse fast path") for the decision rule and the lazy-evaluation
-//! invariant.
+//! * The per-arrival fairness-violation check against the last emitted batch
+//!   uses per-client-pair margins
+//!   ([`DistributionRegistry::violation_margin`]) instead of one probability
+//!   query per emitted message.
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::defense::{ExpectedDelay, TrustEvent, TrustLevel};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
-use crate::precedence::PrecedenceMatrix;
 use crate::registry::{ClientSlot, DistributionRegistry};
-use crate::sequencer::core::SequencingCore;
-use crate::sequencer::emission::batch_emission_time_over;
+use crate::sequencer::dense::DenseEngine;
 use crate::sequencer::sparse::SparseEngine;
 use crate::sequencer::watermark::WatermarkTracker;
 use crate::session::SessionCounters;
 use crate::tournament::IncrementalTournament;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use tommy_clock::DelayEstimator;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 use tommy_stats::erf::std_normal_inv_cdf;
@@ -210,8 +178,9 @@ pub struct OnlineStats {
     /// column fills.)
     pub lazy_evals: u64,
     /// Arrivals handled by the sparse fast path, each of which skipped the
-    /// O(n) dense [`PrecedenceMatrix`] column fill (and its share of the
-    /// O(n²) probability grid). Zero on forced-dense runs.
+    /// O(n) dense [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix)
+    /// column fill (and its share of the O(n²) probability grid). Zero on
+    /// forced-dense runs.
     pub dense_columns_avoided: u64,
     /// Census-driven engine flips (sparse → dense or back), each triggered
     /// by a [`register_client`](OnlineSequencer::register_client) call that
@@ -254,20 +223,6 @@ impl OnlineStats {
     }
 }
 
-/// The cached lowest-rank candidate batch of the current pending set.
-///
-/// Holds matrix indices, not cloned messages: the candidate is recomputed
-/// on every pending-set change but only *emitted* once, so the message
-/// clone is deferred to emission time.
-#[derive(Debug, Clone)]
-struct Candidate {
-    /// Matrix indices of the batch members, ascending.
-    indices: Vec<usize>,
-    safe_after: f64,
-    /// Largest timestamp in the batch: the watermark horizon.
-    horizon: f64,
-}
-
 /// A zero-allocation snapshot of the current candidate batch — what a
 /// monitoring tick needs (is a batch forming, how large, when does it
 /// become emittable) without cloning a single message.
@@ -283,7 +238,7 @@ pub struct CandidateStatus {
 }
 
 /// Which precedence engine currently owns the pending set (see the module
-/// docs, "Sparse fast path").
+/// docs, "The shell and its two engines").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineMode {
     /// Every registered client is closed-form: key-ordered treap,
@@ -292,6 +247,19 @@ enum EngineMode {
     /// At least one registered client is non-closed-form (or the fast path
     /// is disabled): dense matrix + incremental tournament/FAS machinery.
     Dense,
+}
+
+/// The engine seam: `engine!(self.call(args))` makes the call on whichever
+/// engine owns the pending set. The two engines have the same surface, so
+/// this is static dispatch and the only place the shell looks at its mode
+/// outside the census decision.
+macro_rules! engine {
+    ($shell:ident.$($call:tt)+) => {
+        match $shell.mode {
+            EngineMode::Sparse => $shell.sparse.$($call)+,
+            EngineMode::Dense => $shell.dense.$($call)+,
+        }
+    };
 }
 
 /// The online Tommy sequencer.
@@ -324,26 +292,18 @@ enum EngineMode {
 /// ```
 #[derive(Debug)]
 pub struct OnlineSequencer {
+    config: SequencerConfig,
     registry: DistributionRegistry,
     watermarks: WatermarkTracker,
-    /// Incrementally maintained precedence matrix over the pending set; its
-    /// message list *is* the pending set, in arrival order.
-    matrix: PrecedenceMatrix,
-    /// The shared pipeline tail — incrementally maintained tournament,
-    /// linear order, and batch boundaries over `matrix` (updated in
-    /// lockstep with every matrix insert/removal).
-    core: SequencingCore,
-    /// The sub-quadratic closed-form engine; holds the pending set instead
-    /// of `matrix`/`core` while `mode` is [`EngineMode::Sparse`].
+    /// The two engines, both resident (their counters describe the whole
+    /// run); the one `mode` names holds the pending set, the other is empty.
+    dense: DenseEngine,
     sparse: SparseEngine,
     /// Which engine owns the pending set (census-driven, see module docs).
     mode: EngineMode,
     /// Arrival time per pending message: duplicate detection and latency
     /// accounting in one map (`emitted_order` remembers retained history).
     pending: HashMap<MessageId, f64>,
-    /// Cached candidate batch; `None` means the pending set changed since the
-    /// last computation (or is empty).
-    candidate: Option<Candidate>,
     /// `Φ⁻¹(1 − threshold)`: the constant of every Gaussian violation margin.
     violation_z: f64,
     /// Output buffer: batches emitted and not yet drained via
@@ -365,7 +325,6 @@ pub struct OnlineSequencer {
     /// report the estimate.
     delays: Vec<DelayEstimator>,
     stats: OnlineStats,
-    rng: StdRng,
     now: f64,
 }
 
@@ -377,14 +336,13 @@ impl OnlineSequencer {
             FastPathMode::ForceDense => EngineMode::Dense,
         };
         OnlineSequencer {
+            config,
             registry: DistributionRegistry::from_config(&config),
             watermarks: WatermarkTracker::new(&[]),
-            matrix: PrecedenceMatrix::empty(),
-            core: SequencingCore::new(config),
-            sparse: SparseEngine::new(),
+            dense: DenseEngine::new(config),
+            sparse: SparseEngine::new(config.threshold, config.p_safe),
             mode,
             pending: HashMap::new(),
-            candidate: None,
             violation_z: std_normal_inv_cdf(1.0 - config.threshold),
             emitted: Vec::new(),
             emitted_order: FairOrder::default(),
@@ -392,14 +350,13 @@ impl OnlineSequencer {
             last_heard: Vec::new(),
             delays: Vec::new(),
             stats: OnlineStats::default(),
-            rng: StdRng::seed_from_u64(0),
             now: f64::NEG_INFINITY,
         }
     }
 
-    /// The configuration in use (owned by the shared [`SequencingCore`]).
+    /// The configuration in use.
     pub fn config(&self) -> &SequencerConfig {
-        self.core.config()
+        &self.config
     }
 
     /// Register a client and its offset distribution. All participating
@@ -412,9 +369,9 @@ impl OnlineSequencer {
     /// have changed — the pending precedence state is re-derived.
     ///
     /// Registration is also the only point where the engine mode can flip
-    /// (see module docs, "Sparse fast path"): the census of closed-form
-    /// clients is re-taken, and the pending set migrates between the sparse
-    /// and dense engines when the census verdict changes.
+    /// (see module docs, "The shell and its two engines"): the census of
+    /// closed-form clients is re-taken, and the pending set migrates between
+    /// the sparse and dense engines when the census verdict changes.
     pub fn register_client(&mut self, client: ClientId, distribution: OffsetDistribution) {
         if let Some(gaussian) = distribution.as_gaussian() {
             self.sparse.observe_sigma(gaussian.std_dev());
@@ -426,82 +383,36 @@ impl OnlineSequencer {
         let clients = self.registry.len();
         self.last_heard.resize(clients, f64::NEG_INFINITY);
         self.delays.resize_with(clients, DelayEstimator::default);
-        self.candidate = None;
+        self.dense.invalidate_candidate();
         self.sparse.invalidate_candidate();
 
-        let want_sparse = self.core.config().fast_path == FastPathMode::Auto
-            && self.registry.all_closed_form();
-        match (self.mode, want_sparse) {
-            (EngineMode::Sparse, false) => self.switch_to_dense(),
-            (EngineMode::Dense, true) => self.switch_to_sparse(),
-            (EngineMode::Sparse, true) => {
-                // Same mode: the client's margins (hence keys and lazy
-                // probabilities) may have changed — re-key iff it has
-                // pending messages, exactly as the dense path re-derives.
-                if self.sparse.contains_client(client) {
-                    let pending = self.sparse.messages_in_arrival_order();
-                    let threshold = self.core.config().threshold;
-                    self.sparse.rebuild_from(&pending, &self.registry, threshold);
-                }
+        let want = match self.config.fast_path == FastPathMode::Auto
+            && self.registry.all_closed_form()
+        {
+            true => EngineMode::Sparse,
+            false => EngineMode::Dense,
+        };
+        // Same engine: the client's pairwise probabilities (and, sparse, its
+        // keys) only matter if it has pending messages; re-deriving an
+        // unaffected pending set would be pure waste.
+        if want != self.mode || engine!(self.contains_client(client)) {
+            let pending = engine!(self.messages_in_arrival_order());
+            if want != self.mode {
+                engine!(self.clear_pending());
+                self.mode = want;
+                self.stats.mode_switches += 1;
             }
-            (EngineMode::Dense, false) => {
-                // Pairwise probabilities only change if the client has
-                // pending messages; a re-derivation over an unaffected
-                // pending set would be O(n²) queries of pure waste.
-                if self.matrix.messages().iter().any(|m| m.client == client) {
-                    let pending = self.matrix.messages().to_vec();
-                    self.matrix = PrecedenceMatrix::compute_parallel(
-                        &pending,
-                        &self.registry,
-                        self.core.config().parallelism,
-                    )
-                    .expect("pending messages come from registered clients");
-                    self.core.load(&self.matrix);
-                }
-            }
+            // Arrival order, so sparse sequence numbers keep matching dense
+            // slot order; into the dense engine this is the one O(n²)
+            // payment a census change costs.
+            engine!(self.rebuild_from(&pending, &self.registry));
         }
         self.record_memory_peaks();
     }
 
-    /// Migrate the pending set sparse → dense: materialize the matrix the
-    /// fast path avoided (the one O(n²) payment a census change costs) and
-    /// load it into the shared core. With nothing pending the engines are
-    /// both empty and only the mode flips.
-    fn switch_to_dense(&mut self) {
-        debug_assert!(self.matrix.is_empty(), "dense state leaked into sparse mode");
-        let pending = self.sparse.messages_in_arrival_order();
-        self.sparse.clear_pending();
-        if !pending.is_empty() {
-            self.matrix = PrecedenceMatrix::compute_parallel(
-                &pending,
-                &self.registry,
-                self.core.config().parallelism,
-            )
-            .expect("pending messages come from registered clients");
-            self.core.load(&self.matrix);
-        }
-        self.mode = EngineMode::Dense;
-        self.stats.mode_switches += 1;
-    }
-
-    /// Migrate the pending set dense → sparse: re-key the pending messages
-    /// into the sparse engine's treap (in arrival order, so sequence
-    /// numbers keep matching dense slot order) and retire the dense state.
-    fn switch_to_sparse(&mut self) {
-        let pending = std::mem::replace(&mut self.matrix, PrecedenceMatrix::empty());
-        if !pending.is_empty() {
-            let threshold = self.core.config().threshold;
-            self.sparse
-                .rebuild_from(pending.messages(), &self.registry, threshold);
-            self.core.load(&self.matrix);
-        }
-        self.mode = EngineMode::Sparse;
-        self.stats.mode_switches += 1;
-    }
-
     /// Sample both engines' reserved bytes into the run's high-water marks.
     fn record_memory_peaks(&mut self) {
-        let matrix_bytes = self.matrix.prob_bytes();
+        let matrix_bytes = self.dense.prob_bytes();
         if matrix_bytes > self.stats.peak_matrix_bytes {
             self.stats.peak_matrix_bytes = matrix_bytes;
         }
@@ -518,6 +429,26 @@ impl OnlineSequencer {
         self.watermarks.retire(client);
     }
 
+    /// The least margin-adjusted key `timestamp − μ_client` that any message
+    /// this sequencer still holds, or can still accept, may carry — the
+    /// cross-shard restatement of §3.5's completeness rule, which
+    /// [`ShardedSequencer`](crate::sequencer::sharded::ShardedSequencer)
+    /// folds over its shards before releasing a batch.
+    ///
+    /// It is the minimum of (a) `latest − μ` over every client that still
+    /// constrains the watermark — per-client timestamps are monotone by
+    /// enforcement, so nothing a client sends later keys below that; `−∞`
+    /// while it is unheard, and a retired or suspended client is left out —
+    /// and (b) the smallest pending key (the sparse engine's head, O(1); a
+    /// scan in dense mode). `+∞` when there is neither. O(clients) per call.
+    pub fn key_frontier(&self) -> f64 {
+        let floors = self.watermarks.active_floors();
+        let clients = floors.map(|(slot, latest)| latest - self.registry.mean_at(slot));
+        // The engine that does not hold the pending set is empty (`+∞`).
+        let pending = self.sparse.min_key().min(self.dense.min_key(&self.registry));
+        clients.fold(pending, f64::min)
+    }
+
     /// The sequencer's current clock (the largest time passed to any
     /// submit/heartbeat/tick call so far).
     pub fn now(&self) -> f64 {
@@ -526,16 +457,14 @@ impl OnlineSequencer {
 
     /// Number of messages waiting to be emitted.
     pub fn pending_len(&self) -> usize {
-        match self.mode {
-            EngineMode::Sparse => self.sparse.len(),
-            EngineMode::Dense => self.matrix.len(),
-        }
+        engine!(self.len())
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> OnlineStats {
         let mut stats = self.stats;
         stats.lazy_evals = self.sparse.lazy_evals();
+        stats.dense_columns_avoided = self.sparse.arrivals();
         stats
     }
 
@@ -582,7 +511,7 @@ impl OnlineSequencer {
     /// that the arrival path stays O(n) and never rebuilds on acyclic
     /// (Gaussian) workloads.
     pub fn tournament(&self) -> &IncrementalTournament {
-        self.core.tournament()
+        self.dense.tournament()
     }
 
     /// The maintained tournament order of the pending set as
@@ -593,33 +522,7 @@ impl OnlineSequencer {
     /// Dense mode refreshes the maintained order first (a no-op on a clean
     /// incremental state); sparse mode reads the treap in key order.
     pub fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
-        match self.mode {
-            EngineMode::Sparse => self.sparse.pending_order(),
-            EngineMode::Dense => {
-                if self.matrix.is_empty() {
-                    return Vec::new();
-                }
-                let rng: Option<&mut dyn rand::RngCore> =
-                    if self.core.config().stochastic_cycle_breaking {
-                        Some(&mut self.rng)
-                    } else {
-                        None
-                    };
-                let order = self.core.linear_order(&self.matrix, rng);
-                let boundaries: HashSet<usize> =
-                    self.core.fair().boundary_positions().into_iter().collect();
-                order
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &idx)| {
-                        (
-                            self.matrix.message(idx).id,
-                            pos == 0 || boundaries.contains(&pos),
-                        )
-                    })
-                    .collect()
-            }
-        }
+        engine!(self.pending_order())
     }
 
     /// Counters of the incremental batch-boundary engine: adjacent-pair
@@ -629,7 +532,7 @@ impl OnlineSequencer {
     /// engines obey the same contract, so the sparse fast path's boundary
     /// work is summed in — the invariants hold across mode switches.
     pub fn fair_order_counters(&self) -> FairOrderCounters {
-        let dense = self.core.fair().counters();
+        let dense = self.dense.counters();
         let sparse = self.sparse.counters();
         FairOrderCounters {
             boundary_evals: dense.boundary_evals + sparse.boundary_evals,
@@ -671,7 +574,7 @@ impl OnlineSequencer {
     /// blocked emission instead of being evicted immediately, so a
     /// quiet-but-alive client gets a full deadline's grace.
     fn evict_stale_clients(&mut self, horizon: f64) -> bool {
-        let liveness = self.core.config().liveness;
+        let liveness = self.config.liveness;
         if !liveness.enabled {
             return false;
         }
@@ -738,7 +641,7 @@ impl OnlineSequencer {
         pending.insert(arrival_time);
         self.note_heard(slot);
 
-        if self.core.config().defense.enabled {
+        if self.config.defense.enabled {
             self.observe_defense(slot, message.client, message.timestamp, arrival_time);
         }
         // Delay estimation *after* the defense check: the estimate used for
@@ -754,7 +657,7 @@ impl OnlineSequencer {
         // cannot be separated from) something already emitted in the most
         // recent batch. The per-client-pair margin turns each check into a
         // timestamp comparison instead of a probability query.
-        let threshold = self.core.config().threshold;
+        let threshold = self.config.threshold;
         if self.last_emitted.iter().any(|&(emitted, emitted_ts)| {
             let margin =
                 self.registry
@@ -764,19 +667,7 @@ impl OnlineSequencer {
             self.stats.fairness_violations += 1;
         }
 
-        match self.mode {
-            EngineMode::Sparse => {
-                let p_safe = self.core.config().p_safe;
-                self.sparse
-                    .insert(message, slot, &self.registry, threshold, p_safe);
-                self.stats.dense_columns_avoided += 1;
-            }
-            EngineMode::Dense => {
-                self.matrix.insert(message, &self.registry)?;
-                self.core.insert_last(&self.matrix);
-                self.candidate = None;
-            }
-        }
+        engine!(self.insert(message, slot, &self.registry))?;
         self.stats.max_pending = self.stats.max_pending.max(self.pending_len());
         self.record_memory_peaks();
         Ok(self.try_emit())
@@ -816,7 +707,7 @@ impl OnlineSequencer {
         timestamp: f64,
         arrival_time: f64,
     ) {
-        let cfg = self.core.config().defense;
+        let cfg = self.config.defense;
         let expected_delay = match cfg.expected_delay {
             ExpectedDelay::Fixed(delay) => delay,
             ExpectedDelay::Online => {
@@ -846,21 +737,7 @@ impl OnlineSequencer {
         };
         match event {
             TrustEvent::Ok => {}
-            TrustEvent::Quarantined => {
-                let state = self.registry.trust_state(client).expect("just observed");
-                let (emp_mean, emp_sd) = (state.empirical_mean(), state.empirical_std_dev());
-                let claimed_sd = self
-                    .registry
-                    .get(client)
-                    .map(|d| d.std_dev())
-                    .unwrap_or(0.0);
-                let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * cfg.sigma_inflation;
-                self.register_client(
-                    client,
-                    OffsetDistribution::gaussian(emp_mean, fallback_sd),
-                );
-                self.stats.quarantines += 1;
-            }
+            TrustEvent::Quarantined => self.register_quarantine_fallback(client),
             TrustEvent::DriftSuspected => {
                 let residuals: Vec<f64> = self
                     .registry
@@ -897,9 +774,8 @@ impl OnlineSequencer {
         }
     }
 
-    /// Escalate one collusion-flagged client into the sticky quarantine,
-    /// re-registering it onto the same conservative fallback the marginal
-    /// quarantine path uses (empirical mean, inflated σ) so its co-moving
+    /// Escalate one collusion-flagged client into the sticky quarantine, onto
+    /// the same fallback the marginal quarantine path uses, so its co-moving
     /// timestamps stop steering the order with tight claimed margins.
     fn quarantine_collusive(&mut self, client: ClientId) {
         if self
@@ -909,8 +785,15 @@ impl OnlineSequencer {
         {
             return;
         }
-        let cfg = self.core.config().defense;
         self.registry.quarantine(client);
+        self.register_quarantine_fallback(client);
+        self.stats.collusion_quarantines += 1;
+    }
+
+    /// Re-register a quarantined client onto the conservative fallback —
+    /// its empirical residual mean, and the larger of its empirical and
+    /// claimed σ inflated by `sigma_inflation` — and count the quarantine.
+    fn register_quarantine_fallback(&mut self, client: ClientId) {
         let (emp_mean, emp_sd) = self
             .registry
             .trust_state(client)
@@ -921,10 +804,9 @@ impl OnlineSequencer {
             .get(client)
             .map(|d| d.std_dev())
             .unwrap_or(0.0);
-        let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * cfg.sigma_inflation;
+        let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * self.config.defense.sigma_inflation;
         self.register_client(client, OffsetDistribution::gaussian(emp_mean, fallback_sd));
         self.stats.quarantines += 1;
-        self.stats.collusion_quarantines += 1;
     }
 
     /// The corrected online delay estimate for one client — the learned
@@ -989,97 +871,31 @@ impl OnlineSequencer {
     /// of an experiment to flush messages whose watermarks will never advance
     /// because the workload has ended).
     pub fn flush(&mut self) -> Vec<EmittedBatch> {
-        let mut emitted = Vec::new();
-        while let Some((batch_msgs, safe_after)) = self.take_candidate_messages() {
-            emitted.push(self.emit_batch(batch_msgs, safe_after));
-        }
-        emitted
-    }
-
-    /// The candidate batch for the current pending set, recomputing it only
-    /// if an arrival or emission invalidated the cache (dense mode only —
-    /// the sparse engine caches its own candidate).
-    fn ensure_candidate(&mut self) -> Option<&Candidate> {
-        if self.matrix.is_empty() {
-            return None;
-        }
-        if self.candidate.is_none() {
-            let rng: Option<&mut dyn rand::RngCore> = if self.core.config().stochastic_cycle_breaking {
-                Some(&mut self.rng)
-            } else {
-                None
-            };
-            self.candidate =
-                compute_candidate(&self.matrix, &mut self.core, &self.registry, rng);
-        }
-        self.candidate.as_ref()
-    }
-
-    /// The current candidate batch's `(size, safe_after, horizon)` from
-    /// whichever engine owns the pending set, using (or filling) its cache.
-    fn candidate_gate(&mut self) -> Option<CandidateStatus> {
-        match self.mode {
-            EngineMode::Sparse => {
-                let threshold = self.core.config().threshold;
-                let p_safe = self.core.config().p_safe;
-                self.sparse
-                    .candidate_meta(&self.registry, threshold, p_safe)
-                    .map(|(size, safe_after, horizon)| CandidateStatus {
-                        size,
-                        safe_after,
-                        horizon,
-                    })
-            }
-            EngineMode::Dense => self.ensure_candidate().map(|c| CandidateStatus {
-                size: c.indices.len(),
-                safe_after: c.safe_after,
-                horizon: c.horizon,
-            }),
-        }
+        std::iter::from_fn(|| self.emit_candidate()).collect()
     }
 
     /// Inspect the candidate batch the sequencer is currently forming
     /// without cloning it: size, safe-emission time and watermark horizon,
-    /// straight off the (possibly recomputed) candidate cache. Exactly like
-    /// [`tick`](Self::tick), an unchanged pending set answers with **zero**
-    /// probability queries and zero allocations.
+    /// straight off the owning engine's (possibly recomputed) candidate
+    /// cache. Exactly like [`tick`](Self::tick), an unchanged pending set
+    /// answers with **zero** probability queries and zero allocations.
     pub fn candidate_status(&mut self) -> Option<CandidateStatus> {
-        self.candidate_gate()
+        let (size, safe_after, horizon) = engine!(self.candidate_meta(&self.registry))?;
+        Some(CandidateStatus {
+            size,
+            safe_after,
+            horizon,
+        })
     }
 
-    /// Take the current candidate out of whichever engine's cache
-    /// (recomputing it first if needed), returning its messages in arrival
-    /// order together with its safe-emission time, and leaving the cache
-    /// dirty for the next pending-set state. The batch's `(slot, timestamp)`
-    /// pairs become `last_emitted`: every caller emits what it takes.
-    fn take_candidate_messages(&mut self) -> Option<(Vec<Message>, f64)> {
-        match self.mode {
-            EngineMode::Sparse => {
-                let threshold = self.core.config().threshold;
-                let p_safe = self.core.config().p_safe;
-                let taken = &mut self.last_emitted;
-                self.sparse
-                    .take_candidate(&self.registry, threshold, p_safe, taken)
-            }
-            EngineMode::Dense => {
-                self.ensure_candidate()?;
-                let candidate = self.candidate.take().expect("candidate just ensured");
-                let batch_msgs: Vec<Message> = candidate
-                    .indices
-                    .iter()
-                    .map(|&i| self.matrix.message(i).clone())
-                    .collect();
-                self.last_emitted.clear();
-                self.last_emitted.extend(batch_msgs.iter().map(|m| {
-                    let slot = self.registry.slot_of(m.client);
-                    (slot.expect("pending clients are registered"), m.timestamp)
-                }));
-                Some((batch_msgs, candidate.safe_after))
-            }
-        }
-    }
-
-    fn emit_batch(&mut self, batch_msgs: Vec<Message>, safe_after: f64) -> EmittedBatch {
+    /// Emit the current candidate unconditionally: take it out of the owning
+    /// engine's cache (recomputing it first if needed; its messages come in
+    /// arrival order and its `(slot, timestamp)` pairs become
+    /// `last_emitted`), account it, and remove it from the engine. `None`
+    /// when nothing is pending.
+    fn emit_candidate(&mut self) -> Option<EmittedBatch> {
+        let (batch_msgs, safe_after) =
+            engine!(self.take_candidate(&self.registry, &mut self.last_emitted))?;
         let ids: Vec<MessageId> = batch_msgs.iter().map(|m| m.id).collect();
         // Account emission latency and drop from the pending set.
         for id in &ids {
@@ -1087,24 +903,12 @@ impl OnlineSequencer {
                 self.stats.total_emission_latency += (self.now - arrived_at).max(0.0);
             }
         }
-        match self.mode {
-            EngineMode::Sparse => {
-                let threshold = self.core.config().threshold;
-                self.sparse.commit_removal(&self.registry, threshold);
-            }
-            EngineMode::Dense => {
-                let removed_indices: Vec<usize> =
-                    ids.iter().filter_map(|id| self.matrix.index_of(*id)).collect();
-                self.matrix.remove_batch(&ids);
-                self.core.remove_indices(&removed_indices, &self.matrix);
-                self.candidate = None;
-            }
-        }
+        engine!(self.commit_removal(&self.registry));
 
         let rank = self.stats.batches_emitted;
         // Bounded-memory mode stops tracking emitted ids here; duplicates of
         // old messages are rejected by watermark monotonicity instead.
-        if self.core.config().retain_history {
+        if self.config.retain_history {
             self.emitted_order.push_batch(ids);
         }
         self.stats.batches_emitted += 1;
@@ -1118,16 +922,16 @@ impl OnlineSequencer {
             safe_after,
         };
         self.emitted.push(emitted.clone());
-        emitted
+        Some(emitted)
     }
 
     /// Emit every batch that currently satisfies both safety conditions.
     fn try_emit(&mut self) -> Vec<EmittedBatch> {
         let mut out = Vec::new();
-        while let Some(gate) = self.candidate_gate() {
-            let (safe_after, horizon) = (gate.safe_after, gate.horizon);
+        while let Some(gate) = self.candidate_status() {
+            let horizon = gate.horizon;
             // Condition (i): the sequencer clock reached T_b.
-            if self.now < safe_after {
+            if self.now < gate.safe_after {
                 break;
             }
             // Condition (ii): watermark completeness up to the batch horizon.
@@ -1149,48 +953,10 @@ impl OnlineSequencer {
                     break;
                 }
             }
-            let (batch_msgs, safe_after) = self
-                .take_candidate_messages()
-                .expect("candidate just ensured");
-            out.push(self.emit_batch(batch_msgs, safe_after));
+            out.push(self.emit_candidate().expect("candidate just ensured"));
         }
         out
     }
-}
-
-/// Compute the lowest-rank candidate batch of the pending set together with
-/// its safe emission time and watermark horizon.
-///
-/// This reads the incrementally maintained [`SequencingCore`] state: the
-/// batch of lowest rank (closed under the Appendix C rule) comes straight
-/// off the maintained boundary set — no linear-order clone, no `FairOrder`
-/// construction, no rank hashing, and no probability queries at all (the
-/// safe-emission sweep reads cached per-client margins). A full recompute
-/// happens only when the incremental tournament hit an intransitivity cycle.
-fn compute_candidate(
-    matrix: &PrecedenceMatrix,
-    core: &mut SequencingCore,
-    registry: &DistributionRegistry,
-    rng: Option<&mut dyn rand::RngCore>,
-) -> Option<Candidate> {
-    let indices = core.candidate_indices(matrix, rng)?;
-    let safe_after = batch_emission_time_over(
-        registry,
-        indices.iter().map(|&i| {
-            let m = matrix.message(i);
-            (m.client, m.timestamp)
-        }),
-        core.config().p_safe,
-    );
-    let horizon = indices
-        .iter()
-        .map(|&i| matrix.message(i).timestamp)
-        .fold(f64::NEG_INFINITY, f64::max);
-    Some(Candidate {
-        indices,
-        safe_after,
-        horizon,
-    })
 }
 
 #[cfg(test)]

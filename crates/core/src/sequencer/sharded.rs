@@ -20,15 +20,19 @@
 //! ## Merge watermark invariant
 //!
 //! Each message gets a *margin-adjusted key* `key(m) = timestamp −
-//! μ_client` — the same quantity the sparse engine's treap orders by. For
-//! each shard the combiner maintains a **frontier**: the minimum over (a)
-//! the keys of the shard's still-pending messages, (b) the keys of its
-//! staged (emitted-but-unreleased) batches, and (c) per client,
-//! `latest observed timestamp − μ` (`−∞` until the client is first heard
-//! from — the cross-shard restatement of §3.5's completeness rule). Since
-//! per-client timestamps are monotone *by enforcement* (non-monotone
-//! submissions are rejected), every future message a shard can still
-//! produce has a key at or above its frontier.
+//! μ_client` — the same quantity the sparse engine's treap orders by. Each
+//! shard has a **frontier**: the minimum over (a) its engine's own
+//! [`key_frontier`](OnlineSequencer::key_frontier) — the keys of its
+//! still-pending messages and, per client that still constrains its
+//! watermark, `latest observed timestamp − μ` (`−∞` until the client is
+//! first heard from — the cross-shard restatement of §3.5's completeness
+//! rule) — and (b) the keys of its staged (emitted-but-unreleased) batches.
+//! The combiner keeps no copy of client or key state: it *asks* the shell,
+//! so a client the shell retired, suspended (liveness eviction) or
+//! re-registered (defense quarantine, re-estimation) is seen as the shell
+//! sees it. Since per-client timestamps are monotone *by enforcement*
+//! (non-monotone submissions are rejected), every future message a shard
+//! can still produce has a key at or above its frontier.
 //!
 //! A staged batch is **released** only once every other shard's frontier
 //! has passed `max_key − w`, where `w = z_θ · √2 · σ_min` mirrors the
@@ -64,8 +68,8 @@ use crate::config::{resolve_shards, SequencerConfig};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use std::collections::{HashMap, HashSet, VecDeque};
+use tommy_stats::distribution::OffsetDistribution;
 use tommy_stats::erf::std_normal_inv_cdf;
 
 /// Spawn scoped worker threads only when at least this many events are
@@ -74,7 +78,7 @@ use tommy_stats::erf::std_normal_inv_cdf;
 const SPAWN_THRESHOLD: usize = 32;
 
 /// Map a finite `f64` to bits whose unsigned order matches
-/// [`f64::total_cmp`] — the deterministic key order the merge sorts by.
+/// [`f64::total_cmp`] — the deterministic key order a fused release sorts by.
 fn key_bits(x: f64) -> u64 {
     let b = x.to_bits();
     if b & (1 << 63) != 0 {
@@ -95,19 +99,6 @@ enum ShardEvent {
     Tick(f64),
 }
 
-/// What the wrapper knows about one registered client.
-#[derive(Debug, Clone, Copy)]
-struct ClientInfo {
-    /// Mean of the client's offset distribution (the key adjustment).
-    mean: f64,
-    /// Largest accepted timestamp (message or heartbeat); `−∞` until the
-    /// client is first heard from.
-    floor: f64,
-    /// Retired clients stop constraining the frontier, mirroring
-    /// [`OnlineSequencer::retire_client`].
-    retired: bool,
-}
-
 /// A batch a shard has emitted that the combiner has not yet released.
 #[derive(Debug, Clone)]
 struct StagedBatch {
@@ -119,20 +110,15 @@ struct StagedBatch {
     max_key: f64,
 }
 
-/// One shard: a full single-engine sequencer plus the bookkeeping the
-/// combiner's frontier needs. Queue processing touches only `&mut self`,
-/// so shards run on independent scoped threads.
+/// One shard: a full single-engine sequencer, its event queue and its
+/// staged output. Queue processing touches only `&mut self`, so shards run
+/// on independent scoped threads.
 #[derive(Debug)]
 struct Shard {
     seq: OnlineSequencer,
     queue: VecDeque<ShardEvent>,
     /// Emitted-but-unreleased batches, in shard emission (FIFO) order.
     out: VecDeque<StagedBatch>,
-    clients: HashMap<ClientId, ClientInfo>,
-    /// Multiset of pending-message keys: total-order bits → `(key, count)`.
-    pending_keys: BTreeMap<u64, (f64, usize)>,
-    /// Submit-time key per pending message (consumed at emission).
-    key_of: HashMap<MessageId, f64>,
     /// Cumulative accepted messages (the imbalance numerator).
     routed: usize,
     /// Events the inner sequencer rejected (drained by the wrapper).
@@ -147,43 +133,22 @@ impl Shard {
             seq: OnlineSequencer::new(config),
             queue: VecDeque::new(),
             out: VecDeque::new(),
-            clients: HashMap::new(),
-            pending_keys: BTreeMap::new(),
-            key_of: HashMap::new(),
             routed: 0,
             rejections: Vec::new(),
             rejected_ids: Vec::new(),
         }
     }
 
-    fn add_pending_key(&mut self, key: f64) {
-        let entry = self.pending_keys.entry(key_bits(key)).or_insert((key, 0));
-        entry.1 += 1;
-    }
-
-    fn remove_pending_key(&mut self, key: f64) {
-        let bits = key_bits(key);
-        if let Some(entry) = self.pending_keys.get_mut(&bits) {
-            entry.1 -= 1;
-            if entry.1 == 0 {
-                self.pending_keys.remove(&bits);
-            }
-        }
-    }
-
     /// Drain everything the inner sequencer emitted since the last drain
-    /// into the staged-output FIFO, consuming the members' pending keys.
+    /// into the staged-output FIFO, keying each member by its client's
+    /// *current* mean.
     fn stage_emissions(&mut self) {
         for batch in self.seq.take_emitted() {
             let mut keys = Vec::with_capacity(batch.messages.len());
             let mut min_key = f64::INFINITY;
             let mut max_key = f64::NEG_INFINITY;
             for m in &batch.messages {
-                let key = self.key_of.remove(&m.id).unwrap_or_else(|| {
-                    let mean = self.clients.get(&m.client).map_or(0.0, |c| c.mean);
-                    m.timestamp - mean
-                });
-                self.remove_pending_key(key);
+                let key = self.seq.registry().adjusted_key(m);
                 min_key = min_key.min(key);
                 max_key = max_key.max(key);
                 keys.push(key);
@@ -202,32 +167,21 @@ impl Shard {
         while let Some(event) = self.queue.pop_front() {
             match event {
                 ShardEvent::Submit(message, arrival) => {
-                    let key = message.timestamp
-                        - self.clients.get(&message.client).map_or(0.0, |c| c.mean);
-                    match self.seq.submit(message.clone(), arrival) {
+                    let id = message.id;
+                    match self.seq.submit(message, arrival) {
                         Ok(_) => {
-                            if let Some(info) = self.clients.get_mut(&message.client) {
-                                info.floor = info.floor.max(message.timestamp);
-                            }
-                            self.key_of.insert(message.id, key);
-                            self.add_pending_key(key);
                             self.routed += 1;
                             self.stage_emissions();
                         }
                         Err(e) => {
-                            self.rejected_ids.push(message.id);
+                            self.rejected_ids.push(id);
                             self.rejections.push(e);
                         }
                     }
                 }
                 ShardEvent::Heartbeat(client, timestamp, arrival) => {
                     match self.seq.heartbeat(client, timestamp, arrival) {
-                        Ok(_) => {
-                            if let Some(info) = self.clients.get_mut(&client) {
-                                info.floor = info.floor.max(timestamp);
-                            }
-                            self.stage_emissions();
-                        }
+                        Ok(_) => self.stage_emissions(),
                         Err(e) => self.rejections.push(e),
                     }
                 }
@@ -244,20 +198,8 @@ impl Shard {
     /// release under evaluation would take with it). `+∞` for a shard that
     /// can produce nothing, `−∞` while any active client is unheard.
     fn frontier(&self, skip_staged: usize) -> f64 {
-        let mut f = f64::INFINITY;
-        for info in self.clients.values() {
-            if info.retired {
-                continue;
-            }
-            f = f.min(info.floor - info.mean);
-        }
-        if let Some((_, &(key, _))) = self.pending_keys.iter().next() {
-            f = f.min(key);
-        }
-        for staged in self.out.iter().skip(skip_staged) {
-            f = f.min(staged.min_key);
-        }
-        f
+        let staged = self.out.iter().skip(skip_staged).map(|s| s.min_key);
+        staged.fold(self.seq.key_frontier(), f64::min)
     }
 }
 
@@ -298,7 +240,9 @@ pub struct ShardedSequencer {
     next_shard: usize,
     /// Global duplicate detection — shards only see their own ids, so the
     /// wrapper rejects cross-shard duplicates synchronously, exactly where
-    /// the single engine would.
+    /// the single engine would. Holds every id accepted and not yet
+    /// released, plus the released ones under
+    /// [`SequencerConfig::retain_history`].
     seen_ids: HashSet<MessageId>,
     /// Smallest Gaussian σ registered so far (the merge-window scale).
     min_sigma: Option<f64>,
@@ -378,16 +322,6 @@ impl ShardedSequencer {
         }
         let shard = &mut self.shards[shard_idx];
         shard.process();
-        let mean = distribution.mean();
-        shard
-            .clients
-            .entry(client)
-            .and_modify(|info| info.mean = mean)
-            .or_insert(ClientInfo {
-                mean,
-                floor: f64::NEG_INFINITY,
-                retired: false,
-            });
         shard.seq.register_client(client, distribution);
     }
 
@@ -411,9 +345,6 @@ impl ShardedSequencer {
         };
         let shard = &mut self.shards[shard_idx];
         shard.process();
-        if let Some(info) = shard.clients.get_mut(&client) {
-            info.retired = true;
-        }
         shard.seq.retire_client(client);
     }
 
@@ -533,6 +464,12 @@ impl ShardedSequencer {
             self.released_messages += batch.messages.len();
             if self.config.retain_history {
                 self.released_groups.push(batch.message_ids());
+            } else {
+                // Bounded-memory mode, as on the single engine: a duplicate
+                // of a released message is left to watermark monotonicity.
+                for message in &batch.messages {
+                    self.seen_ids.remove(&message.id);
+                }
             }
         }
         self.released.extend_from_slice(released);
@@ -709,6 +646,14 @@ impl ShardedSequencer {
     /// Total messages pending across every shard.
     pub fn pending_len(&self) -> usize {
         self.shards.iter().map(|s| s.seq.pending_len()).sum()
+    }
+
+    /// Number of message ids currently tracked for duplicate detection.
+    /// With [`SequencerConfig::retain_history`] unset this stays bounded by
+    /// the pending set plus the staged, not yet released batches; with it
+    /// set (the default) it grows with the stream.
+    pub fn tracked_ids(&self) -> usize {
+        self.seen_ids.len()
     }
 
     /// The wrapper's clock: the largest time passed to any drive/tick.

@@ -68,6 +68,7 @@
 //! ("Sparse fast path").
 
 use crate::batching::FairOrderCounters;
+use crate::error::CoreError;
 use crate::message::{Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry};
 use tommy_stats::erf::std_normal_inv_cdf;
@@ -145,11 +146,15 @@ pub(crate) struct SparseEngine {
     /// First slot of the maintained order (`NIL` when nothing is pending).
     head: u32,
     next_seq: u64,
+    /// The batching threshold and safe-emission confidence of the run
+    /// ([`SequencerConfig`](crate::config::SequencerConfig)).
+    threshold: f64,
+    p_safe: f64,
     /// Conservative monotone maximum σ over every Gaussian registration the
     /// sequencer has ever seen (never decreased on re-registration, so the
     /// pruning window stays sound).
     max_sigma: f64,
-    /// Cached pruning window for the current `(threshold, max_sigma)`.
+    /// Cached pruning window for the current `max_sigma`.
     window: Option<f64>,
     candidate: Option<SparseCandidate>,
     /// Slots handed out by [`take_candidate`](Self::take_candidate) and not
@@ -157,11 +162,16 @@ pub(crate) struct SparseEngine {
     pending_removal: Vec<u32>,
     counters: FairOrderCounters,
     lazy_evals: u64,
+    /// Arrivals this engine has placed (`OnlineStats::dense_columns_avoided`).
+    arrivals: u64,
 }
 
 impl SparseEngine {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(threshold: f64, p_safe: f64) -> Self {
         SparseEngine {
+            threshold,
+            p_safe,
+            arrivals: 0,
             nodes: Vec::new(),
             free: Vec::new(),
             root: NIL,
@@ -200,6 +210,20 @@ impl SparseEngine {
     /// Total lazy kernel evaluations (boundary bits + closure checks).
     pub(crate) fn lazy_evals(&self) -> u64 {
         self.lazy_evals
+    }
+
+    /// Arrivals handled so far, each of which skipped a dense matrix column.
+    pub(crate) fn arrivals(&self) -> u64 {
+        self.arrivals
+    }
+
+    /// The smallest pending key (`+∞` when nothing is pending): the head of
+    /// the maintained order, O(1).
+    pub(crate) fn min_key(&self) -> f64 {
+        match self.head {
+            NIL => f64::INFINITY,
+            head => self.nodes[head as usize].key,
+        }
     }
 
     /// Record a Gaussian registration's σ (monotone max; widening the
@@ -317,11 +341,11 @@ impl SparseEngine {
     /// guaranteed separable; everything closer is decided by exact kernel
     /// evaluation, so the window only ever *skips* work, never changes a
     /// decision.
-    fn window(&mut self, threshold: f64) -> f64 {
+    fn window(&mut self) -> f64 {
         if let Some(w) = self.window {
             return w;
         }
-        let q = (threshold + 1e-6).clamp(0.5 + 1e-12, 1.0 - 1e-12);
+        let q = (self.threshold + 1e-6).clamp(0.5 + 1e-12, 1.0 - 1e-12);
         let z = std_normal_inv_cdf(q).max(0.0) + 1e-6;
         let w = z * std::f64::consts::SQRT_2 * self.max_sigma;
         self.window = Some(w);
@@ -342,15 +366,15 @@ impl SparseEngine {
     /// Insert an arrival: O(log n) placement, exactly two adjacency
     /// evaluations for the boundary bits (mirroring the dense
     /// `IncrementalFairOrder::insert_at` contract), and an incremental
-    /// candidate update (see module docs).
+    /// candidate update (see module docs). Never fails: the `Result` is the
+    /// engine seam's signature (a dense column fill can).
     pub(crate) fn insert(
         &mut self,
         message: Message,
         client: ClientSlot,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
-    ) {
+    ) -> Result<(), CoreError> {
+        self.arrivals += 1;
         let slot = self.alloc(message, client, registry);
         self.place(slot);
 
@@ -362,14 +386,14 @@ impl SparseEngine {
             NIL => true,
             p => {
                 self.counters.boundary_evals += 1;
-                self.prob_oriented(registry, p, slot) > threshold
+                self.prob_oriented(registry, p, slot) > self.threshold
             }
         };
         self.nodes[slot as usize].starts_batch = left_start;
         let old_succ_bit = (succ != NIL).then(|| self.nodes[succ as usize].starts_batch);
         if succ != NIL {
             self.counters.boundary_evals += 1;
-            let bit = self.prob_oriented(registry, slot, succ) > threshold;
+            let bit = self.prob_oriented(registry, slot, succ) > self.threshold;
             self.nodes[succ as usize].starts_batch = bit;
         }
         let old_boundary = usize::from(pred != NIL && old_succ_bit == Some(true));
@@ -381,7 +405,8 @@ impl SparseEngine {
             self.counters.batch_merges += (old_boundary - new_boundaries) as u64;
         }
 
-        self.update_candidate_on_insert(slot, registry, threshold, p_safe);
+        self.update_candidate_on_insert(slot, registry);
+        Ok(())
     }
 
     /// Incremental candidate maintenance for an arrival (see module docs
@@ -390,14 +415,12 @@ impl SparseEngine {
         &mut self,
         slot: u32,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
     ) {
         let Some(mut cand) = self.candidate.take() else {
             return;
         };
         let key = self.nodes[slot as usize].key;
-        let w = self.window(threshold);
+        let w = self.window();
         if key > cand.batch_max_key + w + Self::slack(key, cand.batch_max_key) {
             // Beyond the window: provably separable from every member —
             // the candidate is untouched.
@@ -416,12 +439,12 @@ impl SparseEngine {
         // iff it is linked to a member, all of which sit in its window, at
         // or below it in the order unless it fell inside the batch's range.
         let below_max = key.total_cmp(&cand.batch_max_key) == std::cmp::Ordering::Less;
-        if self.linked_to_member(slot, false, registry, threshold)
-            || (below_max && self.linked_to_member(slot, true, registry, threshold))
+        if self.linked_to_member(slot, false, registry)
+            || (below_max && self.linked_to_member(slot, true, registry))
         {
             let from = cand.members.len();
-            self.absorb(&mut cand, slot, registry, p_safe);
-            self.expand_closure(&mut cand, from, registry, threshold, p_safe);
+            self.absorb(&mut cand, slot, registry);
+            self.expand_closure(&mut cand, from, registry);
         }
         self.candidate = Some(cand);
     }
@@ -433,9 +456,8 @@ impl SparseEngine {
         slot: u32,
         forward: bool,
         registry: &DistributionRegistry,
-        threshold: f64,
     ) -> bool {
-        let w = self.window(threshold);
+        let w = self.window();
         let key = self.nodes[slot as usize].key;
         let step = if forward {
             Self::next_in_order
@@ -449,7 +471,7 @@ impl SparseEngine {
                 return false;
             }
             if self.nodes[cur as usize].in_candidate
-                && self.pair_max(registry, cur, slot) <= threshold
+                && self.pair_max(registry, cur, slot) <= self.threshold
             {
                 return true;
             }
@@ -468,11 +490,10 @@ impl SparseEngine {
         cand: &mut SparseCandidate,
         slot: u32,
         registry: &DistributionRegistry,
-        p_safe: f64,
     ) {
         let node = &mut self.nodes[slot as usize];
         let (ts, key) = (node.message.timestamp, node.key);
-        let margin = registry.safe_margin_at(node.client, p_safe);
+        let margin = registry.safe_margin_at(node.client, self.p_safe);
         node.in_candidate = true;
         cand.members.push(slot);
         cand.safe_after = cand.safe_after.max(ts - margin);
@@ -492,10 +513,8 @@ impl SparseEngine {
         cand: &mut SparseCandidate,
         mut from: usize,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
     ) {
-        let w = self.window(threshold);
+        let w = self.window();
         while from < cand.members.len() {
             let f = cand.members[from];
             from += 1;
@@ -508,9 +527,9 @@ impl SparseEngine {
                     break;
                 }
                 if !self.nodes[cur as usize].in_candidate
-                    && self.pair_max(registry, cur, f) <= threshold
+                    && self.pair_max(registry, cur, f) <= self.threshold
                 {
-                    self.absorb(cand, cur, registry, p_safe);
+                    self.absorb(cand, cur, registry);
                 }
                 cur = self.prev_in_order(cur);
             }
@@ -522,9 +541,9 @@ impl SparseEngine {
                     break;
                 }
                 if !self.nodes[cur as usize].in_candidate
-                    && self.pair_max(registry, f, cur) <= threshold
+                    && self.pair_max(registry, f, cur) <= self.threshold
                 {
-                    self.absorb(cand, cur, registry, p_safe);
+                    self.absorb(cand, cur, registry);
                 }
                 cur = self.next_in_order(cur);
             }
@@ -544,14 +563,12 @@ impl SparseEngine {
     pub(crate) fn candidate_meta(
         &mut self,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
     ) -> Option<(usize, f64, f64)> {
         if self.root == NIL {
             return None;
         }
         if self.candidate.is_none() {
-            self.recompute_candidate(registry, threshold, p_safe);
+            self.recompute_candidate(registry);
         }
         self.candidate
             .as_ref()
@@ -561,8 +578,6 @@ impl SparseEngine {
     fn recompute_candidate(
         &mut self,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
     ) {
         debug_assert!(self.root != NIL);
         let mut cand = SparseCandidate {
@@ -575,7 +590,7 @@ impl SparseEngine {
         // to the first boundary bit.
         let mut cur = self.head;
         loop {
-            self.absorb(&mut cand, cur, registry, p_safe);
+            self.absorb(&mut cand, cur, registry);
             let next = self.next_in_order(cur);
             if next == NIL || self.nodes[next as usize].starts_batch {
                 break;
@@ -583,7 +598,7 @@ impl SparseEngine {
             cur = next;
         }
         // Appendix C closure over the whole prefix.
-        self.expand_closure(&mut cand, 0, registry, threshold, p_safe);
+        self.expand_closure(&mut cand, 0, registry);
         self.candidate = Some(cand);
     }
 
@@ -595,11 +610,9 @@ impl SparseEngine {
     pub(crate) fn take_candidate(
         &mut self,
         registry: &DistributionRegistry,
-        threshold: f64,
-        p_safe: f64,
         taken: &mut Vec<(ClientSlot, f64)>,
     ) -> Option<(Vec<Message>, f64)> {
-        self.candidate_meta(registry, threshold, p_safe)?;
+        self.candidate_meta(registry)?;
         let mut cand = self.candidate.take().expect("just ensured");
         // Arrival order = ascending sequence: the closure can absorb older
         // neighbours after a newer arrival, so the member list is sorted
@@ -620,7 +633,7 @@ impl SparseEngine {
     /// one seam evaluation per removed run (the dense
     /// `IncrementalFairOrder::remove_slots` contract), then O(log n) treap
     /// removals.
-    pub(crate) fn commit_removal(&mut self, registry: &DistributionRegistry, threshold: f64) {
+    pub(crate) fn commit_removal(&mut self, registry: &DistributionRegistry) {
         let mut removed = std::mem::take(&mut self.pending_removal);
         if removed.is_empty() {
             return;
@@ -653,7 +666,7 @@ impl SparseEngine {
                     NIL => true,
                     p => {
                         self.counters.boundary_evals += 1;
-                        self.prob_oriented(registry, p, succ) > threshold
+                        self.prob_oriented(registry, p, succ) > self.threshold
                     }
                 };
                 self.nodes[succ as usize].starts_batch = bit;
@@ -688,7 +701,6 @@ impl SparseEngine {
         &mut self,
         messages: &[Message],
         registry: &DistributionRegistry,
-        threshold: f64,
     ) {
         self.invalidate_candidate();
         debug_assert!(self.pending_removal.is_empty(), "removal in flight");
@@ -711,7 +723,7 @@ impl SparseEngine {
         let mut cur = self.next_in_order(prev);
         while cur != NIL {
             self.counters.boundary_evals += 1;
-            let bit = self.prob_oriented(registry, prev, cur) > threshold;
+            let bit = self.prob_oriented(registry, prev, cur) > self.threshold;
             self.nodes[cur as usize].starts_batch = bit;
             prev = cur;
             cur = self.next_in_order(cur);
@@ -911,16 +923,15 @@ mod tests {
         Message::new(MessageId(id), ClientId(client), ts)
     }
 
-    /// Insert at threshold 0.75 / `p_safe` 0.999, resolving the slot as the
-    /// shell does.
+    /// Insert, resolving the slot as the shell does.
     fn insert(engine: &mut SparseEngine, reg: &DistributionRegistry, m: Message) {
         let slot = reg.slot_of(m.client).expect("registered");
-        engine.insert(m, slot, reg, 0.75, 0.999);
+        engine.insert(m, slot, reg).unwrap();
     }
 
     fn take(engine: &mut SparseEngine, reg: &DistributionRegistry) -> (Vec<Message>, f64) {
         let mut taken = Vec::new();
-        let out = engine.take_candidate(reg, 0.75, 0.999, &mut taken).unwrap();
+        let out = engine.take_candidate(reg, &mut taken).unwrap();
         let expected: Vec<f64> = out.0.iter().map(|m| m.timestamp).collect();
         let taken: Vec<f64> = taken.iter().map(|&(_, ts)| ts).collect();
         assert_eq!(taken, expected);
@@ -941,7 +952,7 @@ mod tests {
     #[test]
     fn maintains_key_order_under_random_insert_remove() {
         let reg = registry(&[(0, 0.0, 2.0), (1, 1.0, 3.0), (2, -2.0, 1.0)]);
-        let mut engine = SparseEngine::new();
+        let mut engine = SparseEngine::new(0.75, 0.999);
         engine.observe_sigma(3.0);
         let mut state = 42u64;
         for id in 0..200u64 {
@@ -950,7 +961,7 @@ mod tests {
             insert(&mut engine, &reg, msg(id, client, ts));
             if id % 17 == 16 {
                 let (_msgs, _safe) = take(&mut engine, &reg);
-                engine.commit_removal(&reg, 0.75);
+                engine.commit_removal(&reg);
             }
         }
         let order = engine.pending_order();
@@ -1004,7 +1015,7 @@ mod tests {
         engine: &mut SparseEngine,
         reg: &DistributionRegistry,
     ) -> Option<(Vec<u64>, u64, u64)> {
-        let (_, safe_after, horizon) = engine.candidate_meta(reg, 0.75, 0.999)?;
+        let (_, safe_after, horizon) = engine.candidate_meta(reg)?;
         let cand = engine.candidate.as_ref().expect("just ensured");
         let mut ids: Vec<u64> = cand
             .members
@@ -1033,7 +1044,8 @@ mod tests {
             let max_sigma = census.iter().map(|c| c.2).fold(0.0, f64::max);
             // σ_max / gap sweeps 1..=6 across the seeds.
             let gap = max_sigma / (1 + seed % 6) as f64;
-            let (mut kept, mut fresh) = (SparseEngine::new(), SparseEngine::new());
+            let mut kept = SparseEngine::new(0.75, 0.999);
+            let mut fresh = SparseEngine::new(0.75, 0.999);
             kept.observe_sigma(max_sigma);
             fresh.observe_sigma(max_sigma);
 
@@ -1056,15 +1068,15 @@ mod tests {
                     fresh.invalidate_candidate();
                     let (a, b) = (take(&mut kept, &reg), take(&mut fresh, &reg));
                     assert_eq!(a, b, "emission at {ctx}");
-                    kept.commit_removal(&reg, 0.75);
-                    fresh.commit_removal(&reg, 0.75);
+                    kept.commit_removal(&reg);
+                    fresh.commit_removal(&reg);
                     check_twins(&mut kept, &mut fresh, &reg, &ctx);
                 }
                 if id == 300 {
                     let pending = kept.messages_in_arrival_order();
                     assert_eq!(pending, fresh.messages_in_arrival_order());
-                    kept.rebuild_from(&pending, &reg, 0.75);
-                    fresh.rebuild_from(&pending, &reg, 0.75);
+                    kept.rebuild_from(&pending, &reg);
+                    fresh.rebuild_from(&pending, &reg);
                     check_twins(&mut kept, &mut fresh, &reg, &ctx);
                 }
             }
@@ -1090,38 +1102,38 @@ mod tests {
     #[test]
     fn candidate_cache_survives_far_future_arrivals() {
         let reg = registry(&[(0, 0.0, 1.0), (1, 0.0, 1.0)]);
-        let mut engine = SparseEngine::new();
+        let mut engine = SparseEngine::new(0.75, 0.999);
         engine.observe_sigma(1.0);
         insert(&mut engine, &reg, msg(0, 0, 100.0));
         insert(&mut engine, &reg, msg(1, 1, 100.5));
-        let meta = engine.candidate_meta(&reg, 0.75, 0.999).unwrap();
+        let meta = engine.candidate_meta(&reg).unwrap();
         let evals_before = engine.lazy_evals();
         // Far beyond the window: candidate untouched, zero closure evals
         // beyond the two boundary bits.
         insert(&mut engine, &reg, msg(2, 0, 500.0));
-        assert_eq!(engine.candidate_meta(&reg, 0.75, 0.999).unwrap(), meta);
+        assert_eq!(engine.candidate_meta(&reg).unwrap(), meta);
         assert_eq!(engine.lazy_evals(), evals_before + 1, "one bit eval only");
     }
 
     #[test]
     fn near_arrival_is_absorbed_into_cached_candidate() {
         let reg = registry(&[(0, 0.0, 5.0), (1, 0.0, 5.0)]);
-        let mut engine = SparseEngine::new();
+        let mut engine = SparseEngine::new(0.75, 0.999);
         engine.observe_sigma(5.0);
         insert(&mut engine, &reg, msg(0, 0, 100.0));
-        engine.candidate_meta(&reg, 0.75, 0.999).unwrap();
+        engine.candidate_meta(&reg).unwrap();
         // One σ apart with σ = 5: far inside the threshold window.
         insert(&mut engine, &reg, msg(1, 1, 101.0));
         let (msgs, _) = take(&mut engine, &reg);
         assert_eq!(msgs.len(), 2, "inseparable arrival joins the candidate");
-        engine.commit_removal(&reg, 0.75);
+        engine.commit_removal(&reg);
         assert_eq!(engine.len(), 0);
     }
 
     #[test]
     fn rebuild_matches_incremental_bits() {
         let reg = registry(&[(0, 0.5, 2.0), (1, -0.5, 2.5)]);
-        let mut incremental = SparseEngine::new();
+        let mut incremental = SparseEngine::new(0.75, 0.999);
         incremental.observe_sigma(2.5);
         let mut state = 7u64;
         let mut messages = Vec::new();
@@ -1132,9 +1144,9 @@ mod tests {
             messages.push(m.clone());
             insert(&mut incremental, &reg, m);
         }
-        let mut rebuilt = SparseEngine::new();
+        let mut rebuilt = SparseEngine::new(0.75, 0.999);
         rebuilt.observe_sigma(2.5);
-        rebuilt.rebuild_from(&messages, &reg, 0.75);
+        rebuilt.rebuild_from(&messages, &reg);
         assert_eq!(incremental.pending_order(), rebuilt.pending_order());
         assert_eq!(rebuilt.counters().full_rebuilds, 1);
     }
@@ -1142,7 +1154,7 @@ mod tests {
     #[test]
     fn arrival_order_roundtrip_preserves_sequence() {
         let reg = registry(&[(0, 0.0, 1.0)]);
-        let mut engine = SparseEngine::new();
+        let mut engine = SparseEngine::new(0.75, 0.999);
         engine.observe_sigma(1.0);
         // Arrivals with descending timestamps from distinct clients would be
         // rejected upstream; same client must ascend, so interleave keys by

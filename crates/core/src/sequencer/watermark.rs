@@ -221,6 +221,18 @@ impl WatermarkTracker {
         self.latest[self.slot_of(client)?.idx()]
     }
 
+    /// `(slot, latest timestamp)` of every client that still constrains the
+    /// watermark (neither retired nor suspended), `−∞` while unheard: what a
+    /// cross-shard frontier folds over, since a per-client adjustment keeps
+    /// the winner tree's minimum from answering it.
+    pub(crate) fn active_floors(&self) -> impl Iterator<Item = (ClientSlot, f64)> + '_ {
+        let active = (0..self.clients.len()).filter(|&slot| self.is_active(slot));
+        active.map(|slot| {
+            let latest = self.latest[slot].unwrap_or(f64::NEG_INFINITY);
+            (ClientSlot(slot as u32), latest)
+        })
+    }
+
     /// The global watermark: the minimum of the per-client latest timestamps
     /// over all non-retired, non-suspended clients. `None` until every
     /// active client has been heard from at least once.

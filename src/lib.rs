@@ -52,8 +52,6 @@ pub use tommy_metrics as metrics;
 pub use tommy_netsim as netsim;
 pub use tommy_sim as sim;
 pub use tommy_stats as stats;
-#[cfg(feature = "transport")]
-pub use tommy_transport as transport;
 pub use tommy_wire as wire;
 pub use tommy_workload as workload;
 

@@ -19,13 +19,17 @@
 //!   (serial drive permutations, rotating per-step schedules, and the
 //!   threaded drive all produce the same output);
 //! * **liveness under load** — a register/submit/tick/retire stress run at
-//!   K = 4 keeps every counter invariant and drains completely.
+//!   K = 4 keeps every counter invariant and drains completely;
+//! * **the combiner sees what its shells see** — a *defended* family, whose
+//!   shells re-register a quarantined client behind the wrapper's back, a
+//!   crashed client evicted by its shard's liveness detector, and the
+//!   bounded duplicate set of `retain_history(false)`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use tommy_core::batching::FairOrder;
-use tommy_core::config::SequencerConfig;
+use tommy_core::config::{LivenessConfig, SequencerConfig};
 use tommy_core::error::CoreError;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
@@ -34,7 +38,9 @@ use tommy_metrics::rank_agreement_score;
 use tommy_sim::runner::{generate_messages, scenario_claimed_offsets};
 use tommy_sim::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
-use tommy_workload::testkit::assert_batches_bit_identical;
+use tommy_workload::testkit::{
+    assert_batches_bit_identical, defended_config, gaussian_census, register_all, StreamEngine,
+};
 use tommy_workload::{AttackFamily, AttackPlan};
 
 /// Shard counts every family is checked at.
@@ -74,6 +80,9 @@ struct Family {
     offsets: Vec<(ClientId, OffsetDistribution)>,
     stream: Vec<Message>,
     sigma_max: f64,
+    /// Run both engines with the untrusted-distribution defense on and
+    /// require it to reach a quarantine.
+    defended: bool,
 }
 
 impl Family {
@@ -84,6 +93,7 @@ impl Family {
             offsets: scenario_claimed_offsets(config),
             stream: generate_messages(config, &mut rng),
             sigma_max: config.clock_std_dev.max(1.0),
+            defended: false,
         }
     }
 }
@@ -123,6 +133,24 @@ fn adversarial_family() -> Family {
     )
 }
 
+/// The adversarial census over a stream long enough for the defense to reach
+/// a verdict: the misreporting clients are quarantined *inside* their shard's
+/// shell, which re-registers them onto the fallback distribution — the one
+/// path where the combiner's keys must follow a mean the wrapper never saw.
+fn defended_family() -> Family {
+    let mut family = Family::from_scenario(
+        "defended",
+        &ScenarioConfig::default()
+            .with_size(8, 400)
+            .with_clock_std_dev(3.0)
+            .with_gap(6.0)
+            .with_seed(17)
+            .with_adversarial(AttackPlan::new(AttackFamily::Misreport, 0.5).with_scale(3.0)),
+    );
+    family.defended = true;
+    family
+}
+
 /// A census mixing Gaussian and non-closed-form (Laplace) clients: the
 /// sharded combiner collapses its merge window to 0 and the per-shard
 /// engines ride the dense path.
@@ -154,6 +182,7 @@ fn mixed_census_family() -> Family {
         offsets,
         stream,
         sigma_max: 2.0,
+        defended: false,
     }
 }
 
@@ -177,6 +206,7 @@ fn all_families() -> Vec<(Family, Perturbation)> {
         (mixed_census_family(), Perturbation::default()),
         (cyclic_family(), Perturbation::default()),
         (adversarial_family(), Perturbation::default()),
+        (defended_family(), Perturbation::default()),
     ];
     families.push(faulty_family());
     families
@@ -203,9 +233,11 @@ fn lockstep_run(
     perturbation: Perturbation,
     mode: DriveMode,
 ) -> (RunOutput, RunOutput, Vec<Message>, Vec<usize>) {
-    let config = SequencerConfig::default()
-        .with_p_safe(0.99)
-        .with_retain_history(false);
+    let config = match family.defended {
+        true => defended_config(),
+        false => SequencerConfig::default().with_p_safe(0.99),
+    }
+    .with_retain_history(false);
     let mut single = OnlineSequencer::new(config);
     let mut sharded = ShardedSequencer::new(config.with_shards(shards));
     for (client, dist) in &family.offsets {
@@ -392,6 +424,9 @@ fn assert_equivalent(
     );
     assert!(sharded.stats.shard_merges > 0, "{ctx}: combiner idle");
     assert!(sharded.stats.cross_shard_evals > 0, "{ctx}");
+    if family.defended {
+        assert!(sharded.stats.quarantines >= 1, "{ctx}: defense idle");
+    }
 
     // Quantified fairness cost of the merge.
     let gap = ras_of(&single.batches, messages) - ras_of(&sharded.batches, messages);
@@ -401,7 +436,7 @@ fn assert_equivalent(
     );
 }
 
-/// The headline matrix: all five families × K ∈ {1, 2, 4}. K = 1 must be a
+/// The headline matrix: all six families × K ∈ {1, 2, 4}. K = 1 must be a
 /// bit-identical passthrough (batches *and* stats); K > 1 must preserve the
 /// emission set with a bounded fairness cost.
 #[test]
@@ -410,6 +445,9 @@ fn all_families_are_equivalent_across_shard_counts() {
         for shards in SHARD_COUNTS {
             let (single, sharded, messages, _) =
                 lockstep_run(&family, shards, perturbation, DriveMode::Parallel);
+            if family.defended {
+                assert!(single.stats.quarantines >= 1, "{}: defense idle", family.name);
+            }
             if shards == 1 {
                 assert_batches_bit_identical(
                     &single.batches,
@@ -600,4 +638,114 @@ fn stress_register_submit_tick_keeps_counter_invariants() {
         .map(|b| b.messages.len())
         .sum::<usize>();
     assert_eq!(post, 40, "the retired client no longer blocks the frontier");
+}
+
+/// A crashed client is evicted by its own shard's liveness detector, and the
+/// combiner must then stop waiting for it too: client 3 heartbeats once and
+/// goes silent, the other three keep a well-separated stream flowing, and
+/// nothing closes the stream — whatever comes out was released past the
+/// crashed client.
+fn crashed_client_run<E: StreamEngine>(engine: &mut E) -> Vec<EmittedBatch> {
+    register_all(engine, &gaussian_census(4, 1.0));
+    engine.heartbeat_at(ClientId(3), 0.0, 0.0).expect("heartbeat");
+    let mut out = Vec::new();
+    for i in 0..200u64 {
+        let t = 10.0 * (i + 1) as f64;
+        let speaker = (i % 3) as u32;
+        engine
+            .submit_at(Message::new(MessageId(i), ClientId(speaker), t), t)
+            .expect("valid submission");
+        for c in (0..3u32).filter(|&c| c != speaker) {
+            engine.heartbeat_at(ClientId(c), t, t).expect("heartbeat");
+        }
+        engine.pump(t);
+        out.extend(engine.drain());
+    }
+    out
+}
+
+#[test]
+fn evicted_client_stops_constraining_the_cross_shard_frontier() {
+    let config = SequencerConfig::default().with_liveness(LivenessConfig::enabled(50.0));
+    let mut single = OnlineSequencer::new(config);
+    let reference = crashed_client_run(&mut single);
+    assert_eq!(single.stats().evictions, 1);
+    let reference_len: usize = reference.iter().map(|b| b.messages.len()).sum();
+    assert!(reference_len >= 190, "single engine released {reference_len}");
+
+    for shards in [1usize, 2] {
+        let mut sharded = ShardedSequencer::new(config.with_shards(shards));
+        let released = crashed_client_run(&mut sharded);
+        assert!(sharded.take_rejections().is_empty());
+        assert_eq!(sharded.stats().evictions, 1, "K={shards}");
+        if shards == 1 {
+            assert_batches_bit_identical(&reference, &released, "crashed client, K=1");
+        } else {
+            let mut ids: Vec<MessageId> = released.iter().flat_map(|b| b.message_ids()).collect();
+            ids.sort();
+            ids.dedup();
+            assert!(
+                ids.len() >= 190,
+                "K={shards}: {} of 200 messages released before any flush",
+                ids.len()
+            );
+        }
+    }
+}
+
+/// With `retain_history(false)` the wrapper's duplicate set is bounded by
+/// what it still holds — pending and staged ids — like the single engine's,
+/// not by the length of the stream.
+#[test]
+fn duplicate_set_is_bounded_without_history() {
+    let clients = 4u32;
+    type Check<'a> = &'a mut dyn FnMut(&ShardedSequencer, usize);
+    let stream = |seq: &mut ShardedSequencer, messages: u64, check: Check| {
+        for c in 0..clients {
+            seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 2.0));
+        }
+        let mut released = 0usize;
+        for i in 0..messages {
+            let t = 5.0 * (i + 1) as f64;
+            let speaker = (i % u64::from(clients)) as u32;
+            seq.submit(Message::new(MessageId(i), ClientId(speaker), t), t)
+                .expect("valid submission");
+            for c in (0..clients).filter(|&c| c != speaker) {
+                seq.heartbeat(ClientId(c), t, t).expect("heartbeat");
+            }
+            seq.drive(t);
+            released += seq.take_emitted().iter().map(|b| b.messages.len()).sum::<usize>();
+            check(seq, i as usize + 1 - released);
+        }
+        assert!(seq.take_rejections().is_empty());
+    };
+
+    let bounded = SequencerConfig::default().with_shards(2).with_retain_history(false);
+    let mut seq = ShardedSequencer::new(bounded);
+    let mut peak = 0usize;
+    stream(&mut seq, 5_000, &mut |seq, unreleased| {
+        // Everything accepted and not yet released is pending or staged.
+        assert!(seq.pending_len() <= unreleased);
+        assert!(seq.tracked_ids() <= unreleased, "{} ids tracked", seq.tracked_ids());
+        peak = peak.max(seq.tracked_ids());
+    });
+    assert!(peak < 100, "duplicate set peaked at {peak} ids over 5000 messages");
+    // A rejected id can still be resubmitted (a backwards timestamp here).
+    seq.submit(Message::new(MessageId(9_000), ClientId(0), 1.0), 30_000.0)
+        .expect("queued");
+    seq.drive(30_000.0);
+    assert_eq!(seq.take_rejections().len(), 1);
+    seq.submit(Message::new(MessageId(9_000), ClientId(0), 30_000.0), 30_001.0)
+        .expect("a rejected id is forgotten");
+    seq.flush();
+    assert_eq!(seq.tracked_ids(), 0, "everything released, nothing tracked");
+
+    // With history retained, a duplicate of a released id is still caught.
+    let mut seq = ShardedSequencer::new(bounded.with_retain_history(true));
+    stream(&mut seq, 200, &mut |_, _| {});
+    assert!(seq.tracked_ids() >= 190);
+    assert!(matches!(
+        seq.submit(Message::new(MessageId(0), ClientId(0), 30_000.0), 30_000.0),
+        Err(CoreError::DuplicateMessage(MessageId(0)))
+    ));
 }
