@@ -2,10 +2,8 @@
 //! family through the online sequencer, defended and undefended, and prints
 //! the RAS/counter row for each — so `cargo bench` both times the defense
 //! path and sanity-checks that it engages (quarantines or re-estimations
-//! fire under attack, never on the honest control).
-//!
-//! The full sweep behind `BENCH_adversarial.json` lives in
-//! `src/bin/adversarial_baseline.rs`.
+//! fire under attack, never on the honest control). `tommy-bench`'s unit
+//! tests pin the detection table of the full sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -23,16 +21,16 @@ fn adversarial(c: &mut Criterion) {
     for family in AttackFamily::ALL {
         for defended in [false, true] {
             // Print the sweep row once, outside the timing loop.
-            let result = run_adversarial_stream(family, intensity, defended);
+            let (run, stats) = run_adversarial_stream(family, intensity, defended);
             println!(
                 "adversarial: family={:<10} defended={defended:<5} ras={:.4} violations={} \
                  quarantines={} reestimations={} margin_fallbacks={}",
                 family.name(),
-                result.ras.normalized(),
-                result.stats.fairness_violations,
-                result.quarantines,
-                result.reestimations,
-                result.margin_fallbacks
+                run.ras.normalized(),
+                stats.fairness_violations,
+                stats.quarantines,
+                stats.reestimations,
+                stats.margin_fallbacks
             );
             let id = BenchmarkId::new(
                 family.name(),

@@ -1068,6 +1068,7 @@ mod tests {
             reorders_buffered: 4,
             retransmit_requests: 5,
             sequences_skipped: 1,
+            window_overruns: 0,
         });
         let stats = seq.stats();
         assert_eq!(stats.gaps_detected, 3);

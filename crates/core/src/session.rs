@@ -96,6 +96,9 @@ pub struct SessionCounters {
     pub retransmit_requests: u64,
     /// Holes given up on and skipped (timeout expiry or retries exhausted).
     pub sequences_skipped: u64,
+    /// Frames dropped because their sequence ran more than
+    /// [`REORDER_WINDOW`] ahead of the release cursor.
+    pub window_overruns: u64,
 }
 
 impl SessionCounters {
@@ -106,8 +109,19 @@ impl SessionCounters {
         self.reorders_buffered += other.reorders_buffered;
         self.retransmit_requests += other.retransmit_requests;
         self.sequences_skipped += other.sequences_skipped;
+        self.window_overruns += other.window_overruns;
     }
 }
+
+/// How far ahead of the release cursor a frame's sequence number may run.
+///
+/// A frame opens one hole per sequence number it skips, and the number is
+/// read straight off the wire, so an unbounded jump is an unbounded
+/// allocation (and, under [`RecoveryPolicy::RequestRetransmit`], an unbounded
+/// burst of requests). A frame further ahead than this is dropped and
+/// counted; if it was genuine, the frames that follow detect it as a loss
+/// and the policy recovers it like any other.
+pub const REORDER_WINDOW: u64 = 1 << 16;
 
 /// A recovery action the session layer asks its host to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,12 +232,17 @@ impl<T> SequenceValidator<T> {
     }
 
     /// Accept a frame observed at time `now`; returns the payloads this
-    /// frame unblocks, in strict sequence order (empty on duplicates and on
-    /// out-of-order arrivals that still leave a hole open).
+    /// frame unblocks, in strict sequence order (empty on duplicates, on
+    /// out-of-order arrivals that still leave a hole open, and on frames
+    /// beyond the [`REORDER_WINDOW`], which are dropped).
     pub fn accept(&mut self, sequence: u64, payload: T, now: f64) -> Vec<T> {
         // Anything below the release cursor, or already parked, is a dup.
         if sequence < self.next_expected || self.buffer.contains_key(&sequence) {
             self.counters.dupes_dropped += 1;
+            return Vec::new();
+        }
+        if sequence - self.next_expected > REORDER_WINDOW {
+            self.counters.window_overruns += 1;
             return Vec::new();
         }
         let healed_hole = self.missing.remove(&sequence).is_some();
@@ -463,6 +482,31 @@ mod tests {
         assert!(v.is_quiescent());
     }
 
+    /// A hostile sequence number costs one comparison, not one hole per
+    /// skipped number: the frame is dropped and counted, nothing is released
+    /// or requested, and the stream carries on.
+    #[test]
+    fn sequence_beyond_the_reorder_window_is_dropped() {
+        for hostile in [1u64 << 40, u64::MAX] {
+            let mut v = SequenceValidator::new(retransmit());
+            assert!(v.accept(hostile, hostile, 0.0).is_empty());
+            assert!(v.missing().is_empty());
+            assert!(v.is_quiescent());
+            assert!(v.poll(0.0).actions.is_empty());
+            assert_eq!(v.counters().window_overruns, 1);
+            assert_eq!(v.counters().gaps_detected, 0);
+            for seq in 0..5u64 {
+                assert_eq!(v.accept(seq, seq, 1.0), vec![seq]);
+            }
+            assert_eq!(v.next_expected(), 5);
+        }
+        // The window edge itself is still an ordinary reorder.
+        let mut v = SequenceValidator::new(RecoveryPolicy::Halt);
+        assert!(v.accept(REORDER_WINDOW, 'z', 0.0).is_empty());
+        assert_eq!(v.counters().gaps_detected, REORDER_WINDOW);
+        assert_eq!(v.counters().window_overruns, 0);
+    }
+
     #[test]
     fn counters_absorb_sums_fields() {
         let mut a = SessionCounters {
@@ -471,10 +515,12 @@ mod tests {
             reorders_buffered: 3,
             retransmit_requests: 4,
             sequences_skipped: 5,
+            window_overruns: 6,
         };
         a.absorb(a);
         assert_eq!(a.gaps_detected, 2);
         assert_eq!(a.sequences_skipped, 10);
+        assert_eq!(a.window_overruns, 12);
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn rank_agreement_score(order: &FairOrder, messages: &[Message]) -> RasScore
 /// pairs are ordered by the combiner's watermark-driven merge, so this
 /// split is the direct measurement of what sharding costs: compare
 /// `cross.normalized()` against the same stream's K=1 anchor to get the
-/// recorded fairness gap (`BENCH_parallel.json`).
+/// fairness gap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PartitionedRas {
     /// Pairs whose clients share a shard.

@@ -7,19 +7,20 @@
 //! emission latency and the number of fairness violations (late messages
 //! that confidently belonged in an already-emitted batch).
 
+use crate::runner::Drive;
 use crate::scenario::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tommy_core::batching::FairOrder;
 use tommy_core::config::SequencerConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::OnlineSequencer;
-use tommy_metrics::ras::{rank_agreement_score, RasScore};
+use tommy_metrics::ras::RasScore;
 use tommy_netsim::channel::DeliveryChannel;
 use tommy_netsim::link::LinkModel;
 use tommy_netsim::time::SimTime;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::population::ClockPopulation;
+use tommy_workload::testkit::StreamEvent;
 use tommy_workload::uniform::UniformWorkload;
 
 /// One row of the `p_safe` sweep.
@@ -105,8 +106,9 @@ fn run_one(base: &ScenarioConfig, setup: &OnlineSetup, p_safe: f64) -> PsafeRow 
     let horizon = events.iter().map(|e| e.true_time).fold(0.0f64, f64::max)
         + 20.0 * setup.heartbeat_interval;
     let mut messages: Vec<Message> = Vec::with_capacity(events.len());
-    // (arrival_time, Some(message index) | None for heartbeat, client, timestamp)
-    let mut arrivals: Vec<(f64, Option<usize>, ClientId, f64)> = Vec::new();
+    // This schedule's channel decides each arrival itself, so the events
+    // carry the arrival time and are replayed with no further delay.
+    let mut arrivals: Vec<StreamEvent> = Vec::new();
     for c in 0..base.clients as u32 {
         let client = ClientId(c);
         let clock = &clocks[&client];
@@ -138,55 +140,42 @@ fn run_one(base: &ScenarioConfig, setup: &OnlineSetup, p_safe: f64) -> PsafeRow 
                 .as_f64();
             match event {
                 ClientEvent::Msg(event_idx) => {
-                    let idx = messages.len();
-                    messages.push(Message::with_true_time(
-                        MessageId(idx as u64),
+                    let message = Message::with_true_time(
+                        MessageId(messages.len() as u64),
                         client,
                         timestamp,
                         events[event_idx].true_time,
-                    ));
-                    arrivals.push((arrival, Some(idx), client, timestamp));
+                    );
+                    messages.push(message.clone());
+                    arrivals.push(StreamEvent::Submit {
+                        message,
+                        sent_at: arrival,
+                    });
                 }
-                ClientEvent::Heartbeat => {
-                    arrivals.push((arrival, None, client, timestamp));
-                }
+                ClientEvent::Heartbeat => arrivals.push(StreamEvent::Heartbeat {
+                    client,
+                    timestamp,
+                    sent_at: arrival,
+                }),
             }
         }
     }
-    arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    arrivals.sort_by(|a, b| a.sent_at().partial_cmp(&b.sent_at()).expect("finite times"));
 
-    let mut order = FairOrder::default();
-    let mut emitted_before_flush = 0usize;
-    for (arrival_time, msg_idx, client, timestamp) in arrivals {
-        match msg_idx {
-            Some(idx) => {
-                sequencer
-                    .submit(messages[idx].clone(), arrival_time)
-                    .expect("valid submission");
-            }
-            None => {
-                sequencer
-                    .heartbeat(client, timestamp, arrival_time)
-                    .expect("valid heartbeat");
-            }
-        }
-        for batch in sequencer.take_emitted() {
-            emitted_before_flush += batch.messages.len();
-            order.push_batch(batch.message_ids());
-        }
-    }
+    let mut drive = Drive::default();
+    drive.replay(&mut sequencer, &arrivals, 0.0);
+    // The trailing heartbeats release batches no submission drains.
+    drive.collect(sequencer.take_emitted());
+    let emitted_before_flush = drive.emitted();
     sequencer.flush();
-    for batch in sequencer.take_emitted() {
-        order.push_batch(batch.message_ids());
-    }
+    drive.collect(sequencer.take_emitted());
 
-    let ras = rank_agreement_score(&order, &messages);
     let stats = sequencer.stats();
     PsafeRow {
         p_safe,
         mean_emission_latency: stats.mean_emission_latency(),
         fairness_violations: stats.fairness_violations,
-        ras,
+        ras: drive.score(messages).ras,
         emitted_before_flush,
     }
 }

@@ -17,15 +17,12 @@
 //! produce bit-identical [`DeliveryTrace`]s and batch sequences (the
 //! fault-determinism contract the integration tests pin down).
 
-use crate::runner::{generate_messages, scenario_claimed_offsets};
+use crate::runner::{scenario_claimed_offsets, scenario_schedule, sequencer_config};
 use crate::scenario::ScenarioConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use tommy_core::batching::FairOrder;
-use tommy_core::config::{LivenessConfig, SequencerConfig};
-use tommy_core::defense::{DefenseConfig, ExpectedDelay};
+use tommy_core::config::LivenessConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_metrics::ras::{rank_agreement_score, RasScore};
@@ -33,10 +30,11 @@ use tommy_netsim::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 use tommy_netsim::{FaultAction, FaultInjector, FaultPlan, NodeId, SimTime};
 use tommy_wire::frame::{encode_frame, FrameDecoder};
 use tommy_wire::{RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
+use tommy_workload::testkit::{self, StreamEvent};
 
 /// Nominal one-way delivery delay of the simulated network (the fault-free
 /// schedule faults perturb).
-pub const NETWORK_DELAY: f64 = 1.0;
+pub const NETWORK_DELAY: f64 = testkit::DELIVERY_DELAY;
 
 /// Staleness deadline of the liveness detector in fault runs: a client whose
 /// stream is wedged (an unhealed hole under [`RecoveryPolicy::Halt`], a
@@ -337,53 +335,25 @@ pub fn run_fault_stream(
     policy: RecoveryPolicy,
     p_safe: f64,
 ) -> FaultStreamResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut deliveries = generate_messages(config, &mut rng);
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("finite true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-    let span_lo = deliveries
-        .first()
-        .and_then(|m| m.true_time)
-        .unwrap_or(0.0);
-    let span_hi = deliveries
-        .last()
-        .and_then(|m| m.true_time)
-        .unwrap_or(0.0);
+    let schedule = scenario_schedule(config);
+    let true_time = |m: &Message| m.true_time.expect("scheduled messages carry true times");
+    let span_lo = schedule.messages.first().map_or(0.0, true_time);
+    let span_hi = schedule.messages.last().map_or(0.0, true_time);
 
     let all_plans: Vec<FaultPlan> = config.fault.iter().copied().chain(plans.iter().copied()).collect();
     let injector = FaultInjector::new(&all_plans, span_lo, span_hi);
 
-    let mut seq_config = SequencerConfig::default()
-        .with_threshold(config.threshold)
-        .with_p_safe(p_safe)
-        .with_retain_history(false)
-        .with_liveness(LivenessConfig::enabled(FAULT_STALENESS_DEADLINE));
-    if config.defended {
-        // Same defense shape as `run_online_stream`, with the expected
-        // delay learned online — essential here, where
-        // `link_delay_spread` gives every client a distinct one-way delay
-        // the sequencer has no way to know a priori. A fixed expected
-        // delay would bias every residual by the per-link delta and
-        // mis-flag honest clients (see `tests/collusion_defense.rs`).
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
-    }
-    let mut sequencer = OnlineSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
-        .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
-        .collect();
+    // The defended profile learns the expected delay online — essential
+    // here, where `link_delay_spread` gives every client a distinct one-way
+    // delay the sequencer has no way to know a priori. A fixed expected
+    // delay would bias every residual by the per-link delta and mis-flag
+    // honest clients (see `tests/collusion_defense.rs`).
+    let mut sequencer = OnlineSequencer::new(
+        sequencer_config(config, p_safe)
+            .with_liveness(LivenessConfig::enabled(FAULT_STALENESS_DEADLINE)),
+    );
+    testkit::register_all(&mut sequencer, &scenario_claimed_offsets(config));
+    let client_ids = &schedule.clients;
 
     let mut run = FaultRun {
         injector,
@@ -397,10 +367,7 @@ pub fn run_fault_stream(
         decoder: FrameDecoder::new(),
         rx: StreamReceiver::new(policy),
         sequencer,
-        truths: deliveries
-            .iter()
-            .map(|m| (m.id, m.true_time.expect("true time")))
-            .collect(),
+        truths: schedule.messages.iter().map(|m| (m.id, true_time(m))).collect(),
         submitted: Vec::new(),
         order: FairOrder::default(),
         batches: Vec::new(),
@@ -413,40 +380,30 @@ pub fn run_fault_stream(
         retransmits_answered: 0,
     };
 
-    // Send phase: every frame of the run, in true-time order. Alongside each
-    // submission every *other* client heartbeats its (monotone) reading of
-    // the current true time; all frames — heartbeats included — ride the
-    // client's sequenced stream, so a lossy network wedges exactly what a
-    // real deployment would wedge.
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut max_send_ts = f64::NEG_INFINITY;
-    for delivery in &deliveries {
-        let t = delivery.true_time.expect("true time");
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
-            }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = t.max(floor);
-            last_ts.insert(client, ts);
-            run.send(client, WireMessage::Heartbeat { client, timestamp: ts }, t);
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        max_send_ts = max_send_ts.max(ts);
-        run.send(
-            delivery.client,
-            WireMessage::Submit {
-                id: delivery.id,
-                client: delivery.client,
-                timestamp: ts,
-            },
-            t,
-        );
+    // Send phase: every frame of the schedule, in true-time order. All
+    // frames — heartbeats included — ride the client's sequenced stream, so
+    // a lossy network wedges exactly what a real deployment would wedge.
+    for event in &schedule.events {
+        let (client, inner) = match event {
+            StreamEvent::Heartbeat {
+                client, timestamp, ..
+            } => (
+                *client,
+                WireMessage::Heartbeat {
+                    client: *client,
+                    timestamp: *timestamp,
+                },
+            ),
+            StreamEvent::Submit { message, .. } => (
+                message.client,
+                WireMessage::Submit {
+                    id: message.id,
+                    client: message.client,
+                    timestamp: message.timestamp,
+                },
+            ),
+        };
+        run.send(client, inner, event.sent_at());
     }
 
     // Delivery phase: process the whole schedule (retransmit round trips
@@ -461,14 +418,13 @@ pub fn run_fault_stream(
     // client look stale and trigger spurious evictions on a healthy run.
     // The close rides the faulty network too; loss can still eat it, and
     // recovery (or eviction) handles that like any other fault.
-    let horizon = max_send_ts.max(span_hi) + 1_000.0 * config.clock_std_dev.max(1.0);
     let close_send = run.clock.max(span_hi);
-    for &client in &client_ids {
+    for &client in client_ids {
         run.send(
             client,
             WireMessage::Heartbeat {
                 client,
-                timestamp: horizon,
+                timestamp: schedule.horizon,
             },
             close_send,
         );
@@ -513,7 +469,7 @@ pub fn run_fault_stream(
         stats: run.sequencer.stats(),
         batches: run.batches,
         trace: run.trace,
-        generated: deliveries.len(),
+        generated: schedule.messages.len(),
         submitted: run.submitted.len(),
         frames_sent: run.frames_sent,
         frames_delivered: run.frames_delivered,

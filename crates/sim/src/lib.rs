@@ -20,6 +20,9 @@
 //! rows (so integration tests and criterion benches can call it) and as a
 //! binary under `src/bin/` that prints the rows as a table/CSV.
 //!
+//! [`runner::run_stream`] is the one streaming driver: it replays a
+//! scenario's delivery schedule (`tommy_workload::testkit::Schedule`) into
+//! any online engine the caller builds and scores what comes out.
 //! [`faults`] adds the fault-injected streaming runner: the same scenarios
 //! driven through the full wire path (sequenced stream frames, framing and
 //! CRC, gap/duplicate/reorder recovery) over a deterministic lossy network,
@@ -36,7 +39,6 @@ pub mod scenario;
 
 pub use faults::{run_fault_stream, FaultStreamResult, FAULT_STALENESS_DEADLINE};
 pub use runner::{
-    run_offline_comparison, run_online_stream, run_parallel_stream, ComparisonResult,
-    OnlineStreamResult, ParallelStreamResult,
+    run_offline_comparison, run_stream, sequencer_config, ComparisonResult, StreamRun,
 };
 pub use scenario::ScenarioConfig;

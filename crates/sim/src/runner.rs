@@ -1,30 +1,31 @@
-//! End-to-end offline comparison runner (the §4 evaluation loop).
+//! End-to-end scenario runners (the §4 evaluation loop).
 //!
 //! One run follows the paper's evaluation exactly: seed every client with a
 //! Gaussian clock-offset distribution, generate ground-truth events with a
-//! controlled inter-message gap, tag each with `T = t + ε`, hand the full
-//! message set to each sequencer (Tommy, TrueTime, WFO), and score every
+//! controlled inter-message gap, tag each with `T = t + ε`, and score the
 //! output against the omniscient observer with the Rank Agreement Score.
+//! [`run_offline_comparison`] hands the full message set to each offline
+//! sequencer (Tommy, TrueTime, WFO); [`run_stream`] delivers it as a stream
+//! to any online engine: generate → resolve the delivery schedule
+//! (`tommy_workload::testkit::Schedule`) → drive → score.
 
 use crate::scenario::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use tommy_core::baselines::{TrueTimeSequencer, WfoSequencer};
 use tommy_core::batching::FairOrder;
-use tommy_core::config::{FasFallbackReason, SequencerConfig};
-use tommy_core::defense::{DefenseConfig, ExpectedDelay};
+use tommy_core::config::SequencerConfig;
 use tommy_core::message::{ClientId, Message};
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::offline::TommySequencer;
-use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
-use tommy_core::sequencer::sharded::ShardedSequencer;
+use tommy_core::sequencer::online::EmittedBatch;
 use tommy_metrics::batchstats::BatchStats;
-use tommy_metrics::ras::{partitioned_rank_agreement_score, rank_agreement_score, PartitionedRas, RasScore};
+use tommy_metrics::ras::{rank_agreement_score, RasScore};
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::intransitive::IntransitiveWorkload;
 use tommy_workload::population::ClockPopulation;
 use tommy_workload::tagging::tag_messages;
+use tommy_workload::testkit::{self, Schedule, StreamEngine, StreamEvent, DELIVERY_DELAY};
 use tommy_workload::uniform::UniformWorkload;
 
 /// The scored output of one scenario for all compared sequencers.
@@ -191,389 +192,162 @@ pub fn run_offline_comparison(config: &ScenarioConfig) -> ComparisonResult {
     }
 }
 
-/// The scored output of one *streaming* (online) run driven through the
-/// bounded-memory drain API.
-#[derive(Debug, Clone)]
-pub struct OnlineStreamResult {
-    /// RAS of the emitted order against ground truth.
-    pub ras: RasScore,
-    /// Online sequencer statistics.
-    pub stats: OnlineStats,
-    /// Number of batches emitted over the whole run.
-    pub batches: usize,
-    /// Largest number of undrained batches ever buffered inside the
-    /// sequencer. The runner drains after every event, so this stays O(1)
-    /// regardless of stream length.
-    pub max_undrained: usize,
-    /// Largest number of message ids the sequencer tracked at any point.
-    /// With history retention off this is bounded by the pending set, not by
-    /// the stream length.
-    pub max_tracked_ids: usize,
-    /// Total pairwise preceding-probability evaluations the run performed
-    /// (the registry's query counter). On the dense path this is exactly Σ
-    /// over arrivals of the pending-set size — heartbeats and clock ticks
-    /// evaluate nothing; on the sparse fast path (all-Gaussian census) it
-    /// collapses to the lazy boundary/candidate evaluations alone. Either
-    /// way the field tracks the engine's dominant cost across sweeps.
-    pub probability_queries: u64,
-    /// Lazy pairwise evaluations the sparse fast path performed
-    /// (`stats.lazy_evals`, surfaced for sweep rows). Zero on dense runs.
-    pub lazy_evals: u64,
-    /// Arrivals the sparse fast path absorbed without materializing a dense
-    /// probability column (`stats.dense_columns_avoided`). Zero on dense
-    /// runs; equals the message count on all-Gaussian streams.
-    pub dense_columns_avoided: u64,
-    /// Sparse ⇄ dense engine migrations over the run
-    /// (`stats.mode_switches`). A scenario whose census never changes
-    /// mid-stream reports at most one (the initial settle on registration).
-    pub mode_switches: u64,
-    /// High-water mark of the dense probability matrix's backing storage in
-    /// bytes (`stats.peak_matrix_bytes`). Zero when the whole run rode the
-    /// sparse fast path — the sub-quadratic-memory acceptance signal.
-    pub peak_matrix_bytes: usize,
-    /// High-water mark of the sparse engine's treap index in bytes
-    /// (`stats.peak_index_bytes`): O(pending) node storage, zero on dense
-    /// runs.
-    pub peak_index_bytes: usize,
-    /// Adjacent-pair boundary re-evaluations the incremental batch-boundary
-    /// engine performed: at most two per arrival and one per removed run on
-    /// emission, versus the `pending − 1` a from-scratch
-    /// `FairOrder::from_linear_order` would redo per arrival.
-    pub boundary_evals: u64,
-    /// Local boundary edits that split a batch in two (an arrival confidently
-    /// separated from both neighbours landing inside a batch).
-    pub batch_splits: u64,
-    /// Local boundary edits that merged two batches (a high-uncertainty
-    /// arrival bridging its neighbours, the Appendix C situation).
-    pub batch_merges: u64,
-    /// Full tournament/linear-order recomputations. Zero on Gaussian
-    /// workloads (Appendix A) — and, with the incremental FAS engine (the
-    /// default), on cyclic workloads too: cycle events become SCC-scoped
-    /// local repairs instead.
-    pub full_rebuilds: u64,
-    /// SCC-scoped local repairs the incremental FAS engine performed (one
-    /// per component merged by a cyclic arrival or re-solved after a partial
-    /// emission). Zero on Gaussian workloads.
-    pub fas_local_repairs: u64,
-    /// Exhaustive superlinear greedy passes (`graph::fas::exhaustive_passes`
-    /// delta over the run): the per-cyclic-component cost both FAS paths
-    /// share — the incremental engine pays it only for *touched* components,
-    /// the fallback for every cyclic component per intransitivity event.
-    /// Zero on Gaussian workloads.
-    pub fas_exhaustive_passes: u64,
-    /// Why the run fell back from the incremental FAS engine, if it did
-    /// (`None`: the engine was active). Echoed from
-    /// [`SequencerConfig::fas_fallback_reason`] so sweeps can no longer
-    /// silently compare an incremental run against a fallback run.
-    pub fas_fallback_reason: Option<FasFallbackReason>,
-    /// Clients quarantined by the defense layer (`stats.quarantines`,
-    /// surfaced for sweep rows). Zero when [`ScenarioConfig::defended`] is
-    /// off.
-    pub quarantines: usize,
-    /// Drift-triggered online re-estimations (`stats.reestimations`).
-    pub reestimations: usize,
-    /// Messages sequenced under quarantine fallback margins
-    /// (`stats.margin_fallbacks`).
-    pub margin_fallbacks: usize,
-    /// The network delay the runner actually simulated (the fault-free
-    /// schedule's constant), reported so the estimate below is auditable.
-    pub true_delay: f64,
-    /// The sequencer's pooled online delivery-delay estimate
-    /// ([`OnlineSequencer::mean_delay_estimate`]): per-client running means
-    /// of the `arrival − timestamp` gap, corrected by each client's claimed
-    /// mean offset and pooled by observation count. This is the same
-    /// estimate `ExpectedDelay::Online` feeds the defense layer's residual
-    /// formation, surfaced so sweeps can audit it against `true_delay`.
-    /// `NaN` when no message was delivered.
-    pub estimated_delay: f64,
-    /// Absolute error of the estimate, `|estimated_delay − true_delay|`
-    /// (grows with the clock σ and shrinks with per-client sample count).
-    pub delay_estimate_error: f64,
-}
-
-/// Run the online sequencer over a scenario's message stream, draining
-/// emitted batches with [`OnlineSequencer::take_emitted`] after every event
-/// so sequencer memory stays bounded by the pending set.
-///
-/// Messages are delivered in true-time order with a constant network delay;
-/// every client heartbeats alongside each delivery so watermarks advance.
-/// Per-client timestamps are clamped monotone (the paper's ordered-channel
-/// assumption).
-pub fn run_online_stream(config: &ScenarioConfig, p_safe: f64) -> OnlineStreamResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let raw = generate_messages(config, &mut rng);
-    let exhaustive_before = tommy_core::graph::fas::exhaustive_passes();
-
-    // Deliver in true-time order.
-    let mut deliveries: Vec<Message> = raw;
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-
-    let mut seq_config = SequencerConfig::default()
+/// The sequencer configuration a scenario's streaming runs use: its
+/// threshold, the given `p_safe`, bounded-memory history, and — when
+/// [`ScenarioConfig::defended`] is set — the defense profile of
+/// [`testkit::defended_config`]. Residuals there are measured against the
+/// sequencer's *online* per-client delay estimate, so no runner leaks the
+/// delay it simulates into the defense.
+pub fn sequencer_config(config: &ScenarioConfig, p_safe: f64) -> SequencerConfig {
+    let base = SequencerConfig::default()
         .with_threshold(config.threshold)
         .with_p_safe(p_safe)
         .with_retain_history(false);
     if config.defended {
-        // Small windows so the defense reaches a verdict within the short
-        // streams the sweeps use. Residuals are measured against the
-        // sequencer's *online* per-client delay estimate, not a configured
-        // constant — the runner no longer leaks the delay it simulates into
-        // the defense, so defended runs stay honest when links are
-        // heterogeneous (see `run_fault_stream`).
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
-    }
-    let mut sequencer = OnlineSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
-        .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
-        .collect();
-
-    const NETWORK_DELAY: f64 = 1.0;
-    let mut order = FairOrder::default();
-    let mut max_undrained = 0usize;
-    let mut max_tracked = 0usize;
-    let drain = |sequencer: &mut OnlineSequencer, order: &mut FairOrder| {
-        for batch in sequencer.take_emitted() {
-            order.push_batch(batch.message_ids());
-        }
-    };
-    // Per-client monotone local-clock floor: a client's merged stream of
-    // message timestamps and heartbeat readings never goes backwards (the
-    // paper's ordered-channel assumption). Messages clamped by an earlier
-    // heartbeat keep their clamped timestamp for scoring too.
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut messages: Vec<Message> = Vec::with_capacity(deliveries.len());
-    for delivery in &deliveries {
-        let true_time = delivery.true_time.expect("true time");
-        let arrival = true_time + NETWORK_DELAY;
-        // Every other client heartbeats at this instant with its (monotone)
-        // local reading of the current true time.
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
-            }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(client, ts);
-            sequencer
-                .heartbeat(client, ts, arrival)
-                .expect("registered client heartbeat");
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        let message = Message::with_true_time(delivery.id, delivery.client, ts, true_time);
-        messages.push(message.clone());
-        sequencer.submit(message, arrival).expect("valid submission");
-        max_undrained = max_undrained.max(sequencer.emitted().len());
-        max_tracked = max_tracked.max(sequencer.tracked_ids());
-        drain(&mut sequencer, &mut order);
-    }
-    // Close the stream: heartbeat far past every pending horizon, advance the
-    // clock past every safe-emission time, then force out stragglers.
-    let horizon = messages
-        .iter()
-        .map(|m| m.timestamp)
-        .fold(0.0f64, f64::max)
-        + 1_000.0 * config.clock_std_dev.max(1.0);
-    for &client in &client_ids {
-        sequencer
-            .heartbeat(client, horizon, horizon)
-            .expect("registered client heartbeat");
-    }
-    sequencer.tick(horizon);
-    sequencer.flush();
-    drain(&mut sequencer, &mut order);
-
-    let ras = rank_agreement_score(&order, &messages);
-    let fair_counters = sequencer.fair_order_counters();
-    let stats = sequencer.stats();
-    let estimated_delay = sequencer.mean_delay_estimate().unwrap_or(f64::NAN);
-    OnlineStreamResult {
-        ras,
-        stats,
-        batches: order.num_batches(),
-        max_undrained,
-        max_tracked_ids: max_tracked,
-        probability_queries: sequencer.registry().query_count(),
-        lazy_evals: stats.lazy_evals,
-        dense_columns_avoided: stats.dense_columns_avoided,
-        mode_switches: stats.mode_switches,
-        peak_matrix_bytes: stats.peak_matrix_bytes,
-        peak_index_bytes: stats.peak_index_bytes,
-        boundary_evals: fair_counters.boundary_evals,
-        batch_splits: fair_counters.batch_splits,
-        batch_merges: fair_counters.batch_merges,
-        full_rebuilds: sequencer.tournament().full_rebuilds(),
-        fas_local_repairs: sequencer.tournament().local_repairs(),
-        fas_exhaustive_passes: tommy_core::graph::fas::exhaustive_passes() - exhaustive_before,
-        fas_fallback_reason: sequencer.config().fas_fallback_reason(),
-        quarantines: stats.quarantines,
-        reestimations: stats.reestimations,
-        margin_fallbacks: stats.margin_fallbacks,
-        true_delay: NETWORK_DELAY,
-        estimated_delay,
-        delay_estimate_error: (estimated_delay - NETWORK_DELAY).abs(),
+        base.with_defense(testkit::defended_config().defense)
+    } else {
+        base
     }
 }
 
-/// The scored output of one *sharded* streaming run driven through
-/// [`ShardedSequencer`]: the same delivery schedule as
-/// [`run_online_stream`], with clients partitioned across `k` per-shard
-/// engines and the cross-shard combiner merging their batches.
-#[derive(Debug, Clone)]
-pub struct ParallelStreamResult {
-    /// RAS of the globally merged emission order against ground truth.
-    pub ras: RasScore,
-    /// The same score split into intra-shard pairs (decided by a single
-    /// engine, identical machinery to the unsharded run) and cross-shard
-    /// pairs (decided by the combiner's merge watermark) — the decomposition
-    /// that isolates what sharding costs.
-    pub partitioned: PartitionedRas,
-    /// Aggregated sequencer statistics (per-shard counters summed, combiner
-    /// counters from the wrapper; see `ShardedSequencer::stats`).
-    pub stats: OnlineStats,
-    /// Number of globally released batches over the whole run.
-    pub batches: usize,
-    /// The resolved shard count the run actually used (after `0` → auto).
-    pub shards_used: usize,
-    /// Largest number of undrained released batches ever buffered inside
-    /// the wrapper (the runner drains after every drive, so this stays O(1)).
-    pub max_undrained: usize,
-}
-
-/// Run the sharded online sequencer over a scenario's message stream — the
-/// same delivery schedule, heartbeat discipline, monotone timestamp clamp
-/// and stream close as [`run_online_stream`], driving a [`ShardedSequencer`]
-/// with `config.shards` shards and draining after every drive.
-///
-/// With `config.shards == 1` the wrapper is a bit-identical passthrough to
-/// the single engine, so this run reproduces [`run_online_stream`]'s emitted
-/// order exactly; with more shards the emission set is identical and the
-/// cross-shard score quantifies the combiner's fairness cost.
-pub fn run_parallel_stream(config: &ScenarioConfig, p_safe: f64) -> ParallelStreamResult {
+/// Generate a scenario's stream and resolve it into the §4 delivery
+/// schedule (closing `1000·σ` past the last message).
+pub fn scenario_schedule(config: &ScenarioConfig) -> Schedule {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let raw = generate_messages(config, &mut rng);
-
-    // Deliver in true-time order.
-    let mut deliveries: Vec<Message> = raw;
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-
-    let mut seq_config = SequencerConfig::default()
-        .with_threshold(config.threshold)
-        .with_p_safe(p_safe)
-        .with_retain_history(false)
-        .with_shards(config.shards);
-    if config.defended {
-        seq_config = seq_config.with_defense(
-            DefenseConfig::enabled()
-                .with_window(24)
-                .with_min_samples(12)
-                .with_check_interval(4)
-                .with_expected_delay(ExpectedDelay::Online),
-        );
-    }
-    let mut sequencer = ShardedSequencer::new(seq_config);
-    let client_ids: Vec<ClientId> = scenario_claimed_offsets(config)
+    let stream = generate_messages(config, &mut rng);
+    let clients: Vec<ClientId> = scenario_claimed_offsets(config)
         .into_iter()
-        .map(|(client, dist)| {
-            sequencer.register_client(client, dist);
-            client
-        })
+        .map(|(client, _)| client)
         .collect();
+    Schedule::resolve(&clients, stream, 1_000.0 * config.clock_std_dev.max(1.0))
+}
 
-    const NETWORK_DELAY: f64 = 1.0;
-    let mut order = FairOrder::default();
-    let mut max_undrained = 0usize;
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut messages: Vec<Message> = Vec::with_capacity(deliveries.len());
-    for delivery in &deliveries {
-        let true_time = delivery.true_time.expect("true time");
-        let arrival = true_time + NETWORK_DELAY;
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
+/// What one streaming run itself observed. Everything the engine counted
+/// (`stats()`, the tournament and registry counters, the delay estimate,
+/// the shard assignment) is read off the engine, which the caller keeps.
+#[derive(Debug, Clone)]
+pub struct StreamRun {
+    /// RAS of the emitted order against ground truth.
+    pub ras: RasScore,
+    /// The emitted order, accumulated from the drained batches.
+    pub order: FairOrder,
+    /// The delivered messages with the clamped timestamps the engine saw.
+    pub messages: Vec<Message>,
+    /// Largest number of undrained batches ever buffered inside the engine.
+    /// The drive drains after every submission, so this stays O(1)
+    /// regardless of stream length.
+    pub max_undrained: usize,
+    /// Largest number of message ids the engine tracked at any point. With
+    /// history retention off this is bounded by the pending set, not by the
+    /// stream length.
+    pub max_tracked_ids: usize,
+}
+
+/// The drive phase's accumulator: the order emitted so far and the
+/// bounded-memory high-water marks.
+#[derive(Default)]
+pub(crate) struct Drive {
+    order: FairOrder,
+    max_undrained: usize,
+    max_tracked_ids: usize,
+}
+
+impl Drive {
+    /// Deliver `events` in order, each arriving `delay` after it was sent;
+    /// after every submission pump the engine and drain what it released.
+    pub(crate) fn replay<E: StreamEngine>(&mut self, engine: &mut E, events: &[StreamEvent], delay: f64) {
+        for event in events {
+            event.apply(engine, delay).expect("monotone-clamped schedule");
+            if event.is_submit() {
+                engine.pump(event.sent_at() + delay);
+                self.max_undrained = self.max_undrained.max(engine.undrained());
+                self.max_tracked_ids = self.max_tracked_ids.max(engine.tracked_ids());
+                self.collect(engine.drain());
             }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(client, ts);
-            sequencer
-                .heartbeat(client, ts, arrival)
-                .expect("registered client heartbeat");
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        let message = Message::with_true_time(delivery.id, delivery.client, ts, true_time);
-        messages.push(message.clone());
-        sequencer.submit(message, arrival).expect("valid submission");
-        sequencer.drive(arrival);
-        max_undrained = max_undrained.max(sequencer.emitted().len());
-        for batch in sequencer.take_emitted() {
-            order.push_batch(batch.message_ids());
         }
     }
-    // Close the stream exactly as the single-engine runner does.
-    let horizon = messages
-        .iter()
-        .map(|m| m.timestamp)
-        .fold(0.0f64, f64::max)
-        + 1_000.0 * config.clock_std_dev.max(1.0);
-    for &client in &client_ids {
-        sequencer
-            .heartbeat(client, horizon, horizon)
-            .expect("registered client heartbeat");
-    }
-    sequencer.tick(horizon);
-    sequencer.flush();
-    for batch in sequencer.take_emitted() {
-        order.push_batch(batch.message_ids());
-    }
-    let rejections = sequencer.take_rejections();
-    assert!(
-        rejections.is_empty(),
-        "monotone-clamped schedule must not be rejected: {rejections:?}"
-    );
 
-    let ras = rank_agreement_score(&order, &messages);
-    let partitioned = partitioned_rank_agreement_score(&order, &messages, |client| {
-        sequencer.shard_of(client).expect("registered client")
-    });
-    ParallelStreamResult {
-        ras,
-        partitioned,
-        stats: sequencer.stats(),
-        batches: order.num_batches(),
-        shards_used: sequencer.shard_count(),
-        max_undrained,
+    /// Append drained batches to the emitted order.
+    pub(crate) fn collect(&mut self, batches: Vec<EmittedBatch>) {
+        for batch in batches {
+            self.order.push_batch(batch.message_ids());
+        }
     }
+
+    /// Messages emitted so far.
+    pub(crate) fn emitted(&self) -> usize {
+        self.order.num_messages()
+    }
+
+    /// Score the emitted order against the ground truth of `messages`.
+    pub(crate) fn score(self, messages: Vec<Message>) -> StreamRun {
+        StreamRun {
+            ras: rank_agreement_score(&self.order, &messages),
+            order: self.order,
+            messages,
+            max_undrained: self.max_undrained,
+            max_tracked_ids: self.max_tracked_ids,
+        }
+    }
+}
+
+/// Run one scenario's stream through `engine`: register the census,
+/// generate and resolve the schedule ([`scenario_schedule`]), deliver every
+/// event [`DELIVERY_DELAY`] after it was sent — draining after each
+/// submission so engine memory stays bounded by the pending set — close
+/// the stream ([`testkit::close_stream`]) and score the emitted order.
+///
+/// Build the engine from [`sequencer_config`]: an [`OnlineSequencer`], or a
+/// [`ShardedSequencer`] over `.with_shards(k)`. With one shard the wrapper
+/// is a bit-identical passthrough; with more the emission set is identical
+/// and `partitioned_rank_agreement_score` over the engine's `shard_of`
+/// quantifies the combiner's fairness cost.
+///
+/// [`OnlineSequencer`]: tommy_core::sequencer::online::OnlineSequencer
+/// [`ShardedSequencer`]: tommy_core::sequencer::sharded::ShardedSequencer
+pub fn run_stream<E: StreamEngine>(engine: &mut E, config: &ScenarioConfig) -> StreamRun {
+    testkit::register_all(engine, &scenario_claimed_offsets(config));
+    let schedule = scenario_schedule(config);
+    let mut drive = Drive::default();
+    drive.replay(engine, &schedule.events, DELIVERY_DELAY);
+    drive.collect(testkit::close_stream(engine, &schedule.clients, schedule.horizon));
+    drive.score(schedule.messages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tommy_core::graph::fas::exhaustive_passes;
+    use tommy_core::sequencer::online::OnlineSequencer;
+    use tommy_core::sequencer::sharded::ShardedSequencer;
+    use tommy_metrics::ras::partitioned_rank_agreement_score;
+
+    /// One single-engine run: the observed half and the engine it ran on.
+    fn online(cfg: &ScenarioConfig, p_safe: f64) -> (StreamRun, OnlineSequencer) {
+        let mut engine = OnlineSequencer::new(sequencer_config(cfg, p_safe));
+        let run = run_stream(&mut engine, cfg);
+        (run, engine)
+    }
+
+    /// The same run through the sharded wrapper at `shards` shards.
+    fn sharded(cfg: &ScenarioConfig, p_safe: f64, shards: usize) -> (StreamRun, ShardedSequencer) {
+        let mut engine = ShardedSequencer::new(sequencer_config(cfg, p_safe).with_shards(shards));
+        let run = run_stream(&mut engine, cfg);
+        let rejections = engine.take_rejections();
+        assert!(
+            rejections.is_empty(),
+            "monotone-clamped schedule must not be rejected: {rejections:?}"
+        );
+        (run, engine)
+    }
+
+    /// The run's score split into intra-shard and cross-shard pairs — the
+    /// decomposition that isolates what sharding costs.
+    fn partitioned(run: &StreamRun, engine: &ShardedSequencer) -> tommy_metrics::ras::PartitionedRas {
+        partitioned_rank_agreement_score(&run.order, &run.messages, |client| {
+            engine.shard_of(client).expect("registered client")
+        })
+    }
 
     fn small(sigma: f64, gap: f64) -> ScenarioConfig {
         ScenarioConfig::default()
@@ -656,28 +430,30 @@ mod tests {
     #[test]
     fn online_stream_sequences_every_message() {
         let cfg = small(3.0, 5.0);
-        let result = run_online_stream(&cfg, 0.99);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        let (result, engine) = online(&cfg, 0.99);
+        let stats = engine.stats();
+        assert_eq!(stats.messages_emitted, cfg.messages);
         assert_eq!(result.ras.pairs(), cfg.messages * (cfg.messages - 1) / 2);
-        assert!(result.batches >= 1);
+        assert!(result.order.num_batches() >= 1);
         // Arrivals pay O(pending) evaluations each and nothing else does, so
         // the run's total is bounded by max_pending per message.
-        assert!(result.probability_queries > 0);
+        let probability_queries = engine.registry().query_count();
+        assert!(probability_queries > 0);
         assert!(
-            result.probability_queries
-                <= (cfg.messages * result.stats.max_pending) as u64,
+            probability_queries <= (cfg.messages * stats.max_pending) as u64,
             "queries {} vs bound {}",
-            result.probability_queries,
-            cfg.messages * result.stats.max_pending
+            probability_queries,
+            cfg.messages * stats.max_pending
         );
         // The batch-boundary engine re-evaluates at most two adjacencies per
         // arrival plus one seam per removed run on emission (each removed
         // message opens at most one run).
-        assert!(result.boundary_evals > 0);
+        let boundary_evals = engine.fair_order_counters().boundary_evals;
+        assert!(boundary_evals > 0);
         assert!(
-            result.boundary_evals <= (3 * cfg.messages) as u64,
+            boundary_evals <= (3 * cfg.messages) as u64,
             "boundary evals {} vs bound {}",
-            result.boundary_evals,
+            boundary_evals,
             3 * cfg.messages
         );
     }
@@ -685,22 +461,23 @@ mod tests {
     #[test]
     fn online_stream_memory_stays_bounded_by_pending_set() {
         let cfg = small(2.0, 10.0);
-        let result = run_online_stream(&cfg, 0.9);
+        let (result, engine) = online(&cfg, 0.9);
+        let stats = engine.stats();
         // Draining after every event keeps the output buffer tiny and the
         // id-tracking proportional to max_pending, not to the stream length.
         assert!(
-            result.max_undrained <= result.stats.max_pending + 1,
+            result.max_undrained <= stats.max_pending + 1,
             "undrained {} vs max pending {}",
             result.max_undrained,
-            result.stats.max_pending
+            stats.max_pending
         );
         assert!(
-            result.max_tracked_ids <= result.stats.max_pending + 1,
+            result.max_tracked_ids <= stats.max_pending + 1,
             "tracked {} vs max pending {}",
             result.max_tracked_ids,
-            result.stats.max_pending
+            stats.max_pending
         );
-        assert!(result.stats.max_pending < cfg.messages);
+        assert!(stats.max_pending < cfg.messages);
     }
 
     /// The sparse fast path engages automatically on an all-Gaussian census
@@ -709,8 +486,8 @@ mod tests {
     /// fast-path counters pinned at zero.
     #[test]
     fn mode_split_matches_the_census() {
-        let gaussian = run_online_stream(&small(3.0, 5.0), 0.99);
-        assert_eq!(gaussian.stats.messages_emitted, 80);
+        let gaussian = online(&small(3.0, 5.0), 0.99).1.stats();
+        assert_eq!(gaussian.messages_emitted, 80);
         assert_eq!(gaussian.dense_columns_avoided, 80, "{gaussian:?}");
         assert!(gaussian.lazy_evals > 0, "{gaussian:?}");
         assert_eq!(
@@ -720,7 +497,7 @@ mod tests {
         assert!(gaussian.peak_index_bytes > 0, "{gaussian:?}");
         assert_eq!(gaussian.mode_switches, 0, "{gaussian:?}");
 
-        let cyclic = run_online_stream(&small(2.0, 1.0).with_cyclic_fraction(0.3), 0.99);
+        let cyclic = online(&small(2.0, 1.0).with_cyclic_fraction(0.3), 0.99).1.stats();
         assert_eq!(cyclic.lazy_evals, 0, "{cyclic:?}");
         assert_eq!(cyclic.dense_columns_avoided, 0, "{cyclic:?}");
         assert!(cyclic.peak_matrix_bytes > 0, "{cyclic:?}");
@@ -736,11 +513,12 @@ mod tests {
     /// rebuilds (Appendix A: Gaussian offsets are always transitive).
     #[test]
     fn gaussian_stream_performs_zero_fas_work() {
-        let result = run_online_stream(&small(20.0, 1.0), 0.99);
-        assert!(result.stats.messages_emitted > 0);
-        assert_eq!(result.fas_local_repairs, 0, "no SCC repairs on Gaussian streams");
-        assert_eq!(result.fas_exhaustive_passes, 0, "no exhaustive passes on Gaussian streams");
-        assert_eq!(result.full_rebuilds, 0, "no rebuilds on Gaussian streams");
+        let passes_before = exhaustive_passes();
+        let (_, engine) = online(&small(20.0, 1.0), 0.99);
+        assert!(engine.stats().messages_emitted > 0);
+        assert_eq!(engine.tournament().local_repairs(), 0, "no SCC repairs on Gaussian streams");
+        assert_eq!(exhaustive_passes() - passes_before, 0, "no exhaustive passes on Gaussian streams");
+        assert_eq!(engine.tournament().full_rebuilds(), 0, "no rebuilds on Gaussian streams");
     }
 
     /// The tentpole behaviour: Condorcet bursts force tournament cycles,
@@ -749,15 +527,18 @@ mod tests {
     #[test]
     fn cyclic_scenario_repairs_locally_without_full_rebuilds() {
         let cfg = small(2.0, 1.0).with_cyclic_fraction(0.3);
-        let result = run_online_stream(&cfg, 0.99);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        let passes_before = exhaustive_passes();
+        let (_, engine) = online(&cfg, 0.99);
+        assert_eq!(engine.stats().messages_emitted, cfg.messages);
         assert!(
-            result.fas_local_repairs > 0,
-            "bursts must trigger local repairs: {result:?}"
+            engine.tournament().local_repairs() > 0,
+            "bursts must trigger local repairs: {:?}",
+            engine.stats()
         );
-        assert!(result.fas_exhaustive_passes > 0);
+        assert!(exhaustive_passes() - passes_before > 0);
         assert_eq!(
-            result.full_rebuilds, 0,
+            engine.tournament().full_rebuilds(),
+            0,
             "a cyclic arrival must no longer be an automatic full rebuild"
         );
     }
@@ -798,10 +579,10 @@ mod tests {
                 generate_messages(&cfg, &mut rng_b),
                 "{family:?} stream must be seed-stable"
             );
-            let a = run_online_stream(&cfg, 0.99);
-            let b = run_online_stream(&cfg, 0.99);
+            let (a, engine_a) = online(&cfg, 0.99);
+            let (b, engine_b) = online(&cfg, 0.99);
             assert_eq!(a.ras.score(), b.ras.score(), "{family:?}");
-            assert_eq!(a.stats, b.stats, "{family:?}");
+            assert_eq!(engine_a.stats(), engine_b.stats(), "{family:?}");
         }
     }
 
@@ -827,11 +608,11 @@ mod tests {
     fn defended_stream_quarantines_misreporters() {
         use tommy_workload::AttackFamily;
         let cfg = adversarial(3.0, AttackFamily::Misreport, 0.6);
-        let undefended = run_online_stream(&cfg, 0.99);
+        let undefended = online(&cfg, 0.99).1.stats();
         assert_eq!(undefended.quarantines, 0, "defense off ⇒ no quarantines");
         assert_eq!(undefended.margin_fallbacks, 0);
 
-        let defended = run_online_stream(&cfg.with_defended(true), 0.99);
+        let defended = online(&cfg.with_defended(true), 0.99).1.stats();
         assert!(
             defended.quarantines >= 1,
             "the misreporter must be quarantined: {defended:?}"
@@ -840,7 +621,7 @@ mod tests {
             defended.margin_fallbacks > 0,
             "post-quarantine messages ride the fallback margins"
         );
-        assert_eq!(defended.stats.messages_emitted, cfg.messages);
+        assert_eq!(defended.messages_emitted, cfg.messages);
     }
 
     /// An honest defended stream raises no alarms (no false positives on
@@ -853,11 +634,11 @@ mod tests {
             .with_gap(8.0)
             .with_seed(21)
             .with_defended(true);
-        let result = run_online_stream(&cfg, 0.99);
+        let result = online(&cfg, 0.99).1.stats();
         assert_eq!(result.quarantines, 0, "{result:?}");
         assert_eq!(result.reestimations, 0, "{result:?}");
         assert_eq!(result.margin_fallbacks, 0);
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        assert_eq!(result.messages_emitted, cfg.messages);
     }
 
     /// Mid-stream clock drift on a previously validated client triggers
@@ -866,42 +647,47 @@ mod tests {
     fn defended_stream_reestimates_drifting_clients() {
         use tommy_workload::AttackFamily;
         let cfg = adversarial(3.0, AttackFamily::Drift, 0.8).with_defended(true);
-        let result = run_online_stream(&cfg, 0.99);
+        let result = online(&cfg, 0.99).1.stats();
         assert!(
             result.reestimations >= 1,
             "drift must trigger re-estimation: {result:?}"
         );
-        assert_eq!(result.stats.messages_emitted, cfg.messages);
+        assert_eq!(result.messages_emitted, cfg.messages);
     }
 
-    /// Satellite 1: the FAS fallback reason is echoed on the stream result
-    /// (`None` here — the default config keeps the incremental engine on).
+    /// Satellite 1: a stream run's engine says why it fell back from the
+    /// incremental FAS engine (`None` here — the scenario config keeps it on),
+    /// so sweeps cannot silently compare an incremental run against a
+    /// fallback run.
     #[test]
     fn online_result_echoes_fas_fallback_reason() {
-        let result = run_online_stream(&small(3.0, 5.0), 0.99);
-        assert_eq!(result.fas_fallback_reason, None);
+        let (_, engine) = online(&small(3.0, 5.0), 0.99);
+        assert_eq!(engine.config().fas_fallback_reason(), None);
     }
 
-    /// Satellite: the runner estimates the delivery delay from residuals
-    /// instead of blindly trusting the configured constant. With perfect
+    /// Satellite: the sequencer estimates the delivery delay from residuals
+    /// instead of blindly trusting a configured constant. With perfect
     /// clocks the estimate is exact; with noisy clocks it converges on the
     /// truth to within the offset noise.
     #[test]
     fn online_stream_estimates_the_delivery_delay() {
-        let exact = run_online_stream(&small(0.0, 5.0), 0.99);
-        assert_eq!(exact.true_delay, 1.0);
+        let estimate = |sigma| {
+            online(&small(sigma, 5.0), 0.99)
+                .1
+                .mean_delay_estimate()
+                .expect("messages were delivered")
+        };
+        assert_eq!(DELIVERY_DELAY, 1.0);
+        let exact = estimate(0.0);
         assert!(
-            exact.delay_estimate_error < 1e-9,
-            "perfect clocks ⇒ exact delay estimate, got {}",
-            exact.estimated_delay
+            (exact - DELIVERY_DELAY).abs() < 1e-9,
+            "perfect clocks ⇒ exact delay estimate, got {exact}"
         );
-        let noisy = run_online_stream(&small(2.0, 5.0), 0.99);
-        assert!(noisy.estimated_delay.is_finite());
+        let noisy = estimate(2.0);
+        assert!(noisy.is_finite());
         assert!(
-            noisy.delay_estimate_error < 2.0,
-            "estimate {} strays too far from the true delay {}",
-            noisy.estimated_delay,
-            noisy.true_delay
+            (noisy - DELIVERY_DELAY).abs() < 2.0,
+            "estimate {noisy} strays too far from the true delay {DELIVERY_DELAY}"
         );
     }
 
@@ -911,18 +697,20 @@ mod tests {
     #[test]
     fn parallel_stream_with_one_shard_matches_single_engine() {
         let cfg = small(3.0, 5.0);
-        let single = run_online_stream(&cfg, 0.99);
-        let parallel = run_parallel_stream(&cfg.with_shards(1), 0.99);
-        assert_eq!(parallel.shards_used, 1);
+        let (single, single_engine) = online(&cfg, 0.99);
+        let (parallel, engine) = sharded(&cfg, 0.99, 1);
+        let stats = engine.stats();
+        assert_eq!(engine.shard_count(), 1);
         assert_eq!(parallel.ras.score(), single.ras.score());
         assert_eq!(parallel.ras.pairs(), single.ras.pairs());
-        assert_eq!(parallel.batches, single.batches);
-        assert_eq!(parallel.stats.messages_emitted, single.stats.messages_emitted);
-        assert_eq!(parallel.stats.shard_merges, 0);
-        assert_eq!(parallel.stats.cross_shard_evals, 0);
+        assert_eq!(parallel.order.num_batches(), single.order.num_batches());
+        assert_eq!(stats.messages_emitted, single_engine.stats().messages_emitted);
+        assert_eq!(stats.shard_merges, 0);
+        assert_eq!(stats.cross_shard_evals, 0);
         // One shard ⇒ every pair is intra-shard.
-        assert_eq!(parallel.partitioned.cross.pairs(), 0);
-        assert_eq!(parallel.partitioned.intra.score(), parallel.ras.score());
+        let partitioned = partitioned(&parallel, &engine);
+        assert_eq!(partitioned.cross.pairs(), 0);
+        assert_eq!(partitioned.intra.score(), parallel.ras.score());
     }
 
     /// Multi-shard runs emit the complete message set through the combiner,
@@ -932,14 +720,16 @@ mod tests {
     fn parallel_stream_with_multiple_shards_emits_everything() {
         let cfg = small(3.0, 5.0);
         for shards in [2usize, 4] {
-            let result = run_parallel_stream(&cfg.with_shards(shards), 0.99);
-            assert_eq!(result.shards_used, shards);
-            assert_eq!(result.stats.messages_emitted, cfg.messages, "k={shards}");
-            assert!(result.stats.shard_merges > 0, "k={shards}: {result:?}");
-            assert!(result.stats.cross_shard_evals > 0, "k={shards}");
-            assert!(result.partitioned.cross.pairs() > 0, "k={shards}");
+            let (result, engine) = sharded(&cfg, 0.99, shards);
+            let stats = engine.stats();
+            assert_eq!(engine.shard_count(), shards);
+            assert_eq!(stats.messages_emitted, cfg.messages, "k={shards}");
+            assert!(stats.shard_merges > 0, "k={shards}: {stats:?}");
+            assert!(stats.cross_shard_evals > 0, "k={shards}");
+            let partitioned = partitioned(&result, &engine);
+            assert!(partitioned.cross.pairs() > 0, "k={shards}");
             assert_eq!(
-                result.partitioned.total().score(),
+                partitioned.total().score(),
                 result.ras.score(),
                 "k={shards}: intra + cross must sum to the total"
             );
@@ -950,19 +740,19 @@ mod tests {
     /// shards share no state, so the merged order is schedule-independent.
     #[test]
     fn parallel_stream_is_seed_stable() {
-        let cfg = small(3.0, 5.0).with_shards(4);
-        let a = run_parallel_stream(&cfg, 0.99);
-        let b = run_parallel_stream(&cfg, 0.99);
+        let cfg = small(3.0, 5.0);
+        let (a, engine_a) = sharded(&cfg, 0.99, 4);
+        let (b, engine_b) = sharded(&cfg, 0.99, 4);
         assert_eq!(a.ras.score(), b.ras.score());
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.batches, b.batches);
+        assert_eq!(engine_a.stats(), engine_b.stats());
+        assert_eq!(a.order.num_batches(), b.order.num_batches());
     }
 
     #[test]
     fn online_stream_with_wide_gaps_is_accurate() {
         // Gaps much larger than clock error: the emitted order should agree
         // with ground truth on nearly every pair.
-        let result = run_online_stream(&small(1.0, 50.0), 0.999);
+        let (result, _) = online(&small(1.0, 50.0), 0.999);
         assert!(
             result.ras.normalized() > 0.9,
             "ras = {:?}",

@@ -57,13 +57,6 @@ pub struct ScenarioConfig {
     /// non-zero spread models links the sequencer does not know a priori —
     /// the setting `ExpectedDelay::Online` exists for.
     pub link_delay_spread: f64,
-    /// Shard count for the parallel streaming runner
-    /// (`crate::runner::run_parallel_stream`): `1` (the default) drives the
-    /// single-engine path through the sharded wrapper unchanged, `0`
-    /// auto-detects from available parallelism, `k > 1` partitions clients
-    /// round-robin across `k` per-shard engines merged by the cross-shard
-    /// watermark combiner (see `tommy_core::sequencer::sharded`).
-    pub shards: usize,
 }
 
 impl Default for ScenarioConfig {
@@ -81,7 +74,6 @@ impl Default for ScenarioConfig {
             defended: false,
             fault: None,
             link_delay_spread: 0.0,
-            shards: 1,
         }
     }
 }
@@ -175,13 +167,6 @@ impl ScenarioConfig {
         self.link_delay_spread = spread;
         self
     }
-
-    /// Builder: set the parallel-runner shard count (see
-    /// [`ScenarioConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -241,14 +226,6 @@ mod tests {
         assert_eq!(cfg.link_delay_spread, 0.0);
         let cfg = cfg.with_link_delay_spread(2.5);
         assert_eq!(cfg.link_delay_spread, 2.5);
-    }
-
-    #[test]
-    fn shards_default_single_and_chain() {
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.with_shards(4).shards, 4);
-        assert_eq!(cfg.with_shards(0).shards, 0);
     }
 
     #[test]

@@ -337,6 +337,36 @@ mod tests {
         assert!(tx.frame(99).is_none());
     }
 
+    /// A decoded frame's sequence number is attacker-controlled: one far
+    /// past the reorder window is dropped, and the stream still delivers.
+    #[test]
+    fn hostile_sequence_number_is_dropped_not_materialized() {
+        for hostile in [1u64 << 40, u64::MAX] {
+            let mut tx = SequencedSender::new(ClientId(1), 0);
+            let mut rx = StreamReceiver::new(RecoveryPolicy::RequestRetransmit {
+                max_retries: 3,
+                base_backoff: 5.0,
+            });
+            let forged = WireMessage::Stream {
+                sender: ClientId(1),
+                stream_id: 0,
+                sequence: hostile,
+                fin: false,
+                inner: Some(Box::new(submit(99, 1, 0.0))),
+            };
+            assert!(rx.receive(forged, 0.0).is_empty());
+            assert_eq!(rx.blocked_streams(), 0);
+            let poll = rx.poll(0.0);
+            assert!(poll.retransmits.is_empty() && poll.released.is_empty());
+            assert_eq!(rx.counters().window_overruns, 1);
+            let released: Vec<_> = (0..5)
+                .flat_map(|i| rx.receive(tx.wrap(submit(i, 1, i as f64)), 1.0))
+                .collect();
+            assert_eq!(released.len(), 5);
+            assert_eq!(released[4], submit(4, 1, 4.0));
+        }
+    }
+
     #[test]
     fn independent_streams_do_not_interfere() {
         let mut tx_a = SequencedSender::new(ClientId(1), 0);

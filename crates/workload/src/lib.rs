@@ -32,7 +32,8 @@
 //! * [`testkit`] — shared test scaffolding for the integration suites:
 //!   census builders, paired differential engines, the [`testkit::StreamEngine`]
 //!   driving surface over both the single-engine and sharded sequencers,
-//!   lockstep drain/compare helpers and the common stream-close sequence.
+//!   the §4 delivery schedule as data ([`testkit::Schedule`]), lockstep
+//!   drain/compare helpers and the common stream-close sequence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

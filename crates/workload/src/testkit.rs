@@ -13,8 +13,14 @@
 //! implemented by both the single-engine [`OnlineSequencer`] and the
 //! sharded [`ShardedSequencer`], so a differential harness can run one of
 //! each through the same schedule with the same code.
+//!
+//! The §4 delivery schedule itself is data: [`Schedule::resolve`] turns a
+//! generated stream into a flat [`StreamEvent`] list once, and every driver
+//! (the sim runner, the fault runner's send phase, the lockstep suites)
+//! replays that list instead of re-deriving it.
 
 use rand::rngs::StdRng;
+use std::collections::HashMap;
 use tommy_core::checker::ModelSpec;
 use tommy_core::config::{FastPathMode, SequencerConfig};
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
@@ -51,6 +57,10 @@ pub trait StreamEngine {
     fn flush_all(&mut self);
     /// Drain the emitted-batch buffer.
     fn drain(&mut self) -> Vec<EmittedBatch>;
+    /// Emitted batches not yet drained.
+    fn undrained(&self) -> usize;
+    /// Message ids currently tracked for duplicate detection.
+    fn tracked_ids(&self) -> usize;
 }
 
 impl StreamEngine for OnlineSequencer {
@@ -77,6 +87,12 @@ impl StreamEngine for OnlineSequencer {
     }
     fn drain(&mut self) -> Vec<EmittedBatch> {
         self.take_emitted()
+    }
+    fn undrained(&self) -> usize {
+        self.emitted().len()
+    }
+    fn tracked_ids(&self) -> usize {
+        self.tracked_ids()
     }
 }
 
@@ -107,6 +123,12 @@ impl StreamEngine for ShardedSequencer {
     fn drain(&mut self) -> Vec<EmittedBatch> {
         self.take_emitted()
     }
+    fn undrained(&self) -> usize {
+        self.emitted().len()
+    }
+    fn tracked_ids(&self) -> usize {
+        self.tracked_ids()
+    }
 }
 
 /// A census of `clients` zero-mean Gaussian clients with a common σ.
@@ -136,9 +158,10 @@ pub fn paired_engines(
     (auto, dense)
 }
 
-/// The defended configuration the sim runners and the defense suite share:
-/// small windows so the defense reaches verdicts within short streams,
-/// online delay estimation so heterogeneous links don't shift residuals.
+/// The defended configuration the defense suite runs and whose `defense`
+/// block the sim runners reuse: small windows so the defense reaches
+/// verdicts within short streams, online delay estimation so heterogeneous
+/// links don't shift residuals.
 pub fn defended_config() -> SequencerConfig {
     SequencerConfig::new().with_p_safe(0.99).with_defense(
         DefenseConfig::enabled()
@@ -268,6 +291,128 @@ pub fn assert_boundaries_agree(a: &mut OnlineSequencer, b: &mut OnlineSequencer,
     );
 }
 
+/// The constant one-way delay of the §4 direct-delivery schedule.
+pub const DELIVERY_DELAY: f64 = 1.0;
+
+/// One input of a resolved delivery schedule, stamped with its *send*
+/// (true) time: a direct driver adds its delivery delay on
+/// [`apply`](Self::apply), a simulated network is handed the send time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamEvent {
+    /// `client` reports its local clock reading `timestamp`.
+    Heartbeat {
+        /// The reporting client.
+        client: ClientId,
+        /// Its (monotone-clamped) local clock reading.
+        timestamp: f64,
+        /// True time the heartbeat was sent.
+        sent_at: f64,
+    },
+    /// A client submits `message` (timestamp monotone-clamped).
+    Submit {
+        /// The clamped message.
+        message: Message,
+        /// True time the message was sent.
+        sent_at: f64,
+    },
+}
+
+impl StreamEvent {
+    /// True time the event was sent.
+    pub fn sent_at(&self) -> f64 {
+        match self {
+            StreamEvent::Heartbeat { sent_at, .. } | StreamEvent::Submit { sent_at, .. } => *sent_at,
+        }
+    }
+
+    /// Whether this is a message submission.
+    pub fn is_submit(&self) -> bool {
+        matches!(self, StreamEvent::Submit { .. })
+    }
+
+    /// Deliver the event to `engine`, arriving `delay` after it was sent.
+    pub fn apply<E: StreamEngine>(&self, engine: &mut E, delay: f64) -> Result<(), CoreError> {
+        match self {
+            StreamEvent::Heartbeat {
+                client,
+                timestamp,
+                sent_at,
+            } => engine.heartbeat_at(*client, *timestamp, sent_at + delay),
+            StreamEvent::Submit { message, sent_at } => {
+                engine.submit_at(message.clone(), sent_at + delay)
+            }
+        }
+    }
+}
+
+/// Sort a generated stream into send (true-time) order; ties keep their
+/// generation order.
+pub fn sort_by_true_time(stream: &mut [Message]) {
+    stream.sort_by(|a, b| {
+        let ta = a.true_time.expect("generated messages carry true times");
+        let tb = b.true_time.expect("generated messages carry true times");
+        ta.partial_cmp(&tb).expect("finite true times")
+    });
+}
+
+/// The §4 delivery schedule of one stream, resolved once: what every client
+/// sends and when, plus what the close and the scorer need.
+#[derive(Debug, Clone)]
+pub struct Schedule {
+    /// Every heartbeat and submission, in send order.
+    pub events: Vec<StreamEvent>,
+    /// The submitted messages in send order, with the clamped timestamps the
+    /// engines saw — the set RAS scores against.
+    pub messages: Vec<Message>,
+    /// The census, in registration order.
+    pub clients: Vec<ClientId>,
+    /// A timestamp past everything pending: the largest clamped message
+    /// timestamp plus the margin [`Schedule::resolve`] was given. Hand it to
+    /// [`close_stream`].
+    pub horizon: f64,
+}
+
+impl Schedule {
+    /// Resolve `stream` into the schedule every §4 run delivers: messages in
+    /// true-time order, and alongside each one every *other* client
+    /// heartbeats its reading of the current true time. Each client's merged
+    /// sequence of message timestamps and heartbeat readings is clamped
+    /// monotone (the paper's ordered-channel assumption, which is what makes
+    /// the watermark rule sound).
+    pub fn resolve(clients: &[ClientId], mut stream: Vec<Message>, horizon_margin: f64) -> Schedule {
+        sort_by_true_time(&mut stream);
+        let mut floors: HashMap<ClientId, f64> = HashMap::new();
+        let mut clamp = |client: ClientId, reading: f64| {
+            let floor = floors.entry(client).or_insert(f64::NEG_INFINITY);
+            *floor = reading.max(*floor);
+            *floor
+        };
+        let mut events = Vec::with_capacity(stream.len() * clients.len());
+        let mut messages = Vec::with_capacity(stream.len());
+        for delivery in stream {
+            let sent_at = delivery.true_time.expect("sorted by true time");
+            for &client in clients.iter().filter(|&&c| c != delivery.client) {
+                events.push(StreamEvent::Heartbeat {
+                    client,
+                    timestamp: clamp(client, sent_at),
+                    sent_at,
+                });
+            }
+            let timestamp = clamp(delivery.client, delivery.timestamp);
+            let message = Message::with_true_time(delivery.id, delivery.client, timestamp, sent_at);
+            messages.push(message.clone());
+            events.push(StreamEvent::Submit { message, sent_at });
+        }
+        let horizon = messages.iter().map(|m| m.timestamp).fold(0.0f64, f64::max) + horizon_margin;
+        Schedule {
+            events,
+            messages,
+            clients: clients.to_vec(),
+            horizon,
+        }
+    }
+}
+
 /// Close a stream the way every suite does: heartbeat each client far past
 /// the pending horizon, tick the clock there, flush the stragglers, and
 /// drain. Returns the batches released by the close.
@@ -333,6 +478,42 @@ mod tests {
         emitted += assert_batches_bit_identical(&a, &d, "close");
         assert_eq!(emitted, 20);
         assert_eq!(emitted_ids(&a).len(), a.iter().map(|b| b.messages.len()).sum::<usize>());
+    }
+
+    /// The schedule is the §4 policy: true-time order, C − 1 heartbeats per
+    /// delivery, one monotone clock per client, a horizon past every message.
+    #[test]
+    fn schedule_resolves_heartbeats_clamps_and_horizon() {
+        let clients: Vec<ClientId> = (0..3).map(ClientId).collect();
+        let msg = |id, client, ts, truth| Message::with_true_time(MessageId(id), ClientId(client), ts, truth);
+        // Generated out of send order; message 1's clock reads behind the
+        // heartbeat its client sent alongside message 0.
+        let stream = vec![msg(1, 1, 8.0, 20.0), msg(0, 0, 11.0, 10.0), msg(2, 0, 9.0, 30.0)];
+        let schedule = Schedule::resolve(&clients, stream, 100.0);
+
+        assert_eq!(schedule.events.len(), 3 * 3);
+        assert_eq!(schedule.events.iter().filter(|e| e.is_submit()).count(), 3);
+        let sent: Vec<f64> = schedule.events.iter().map(StreamEvent::sent_at).collect();
+        assert!(sent.windows(2).all(|w| w[0] <= w[1]), "send order: {sent:?}");
+        assert_eq!(
+            schedule.events[0],
+            StreamEvent::Heartbeat { client: ClientId(1), timestamp: 10.0, sent_at: 10.0 }
+        );
+        let stamps: Vec<f64> = schedule.messages.iter().map(|m| m.timestamp).collect();
+        assert_eq!(stamps, vec![11.0, 10.0, 20.0], "clamped to each client's floor");
+        assert_eq!(schedule.horizon, 20.0 + 100.0);
+        assert_eq!(schedule.clients, clients);
+
+        // Replaying the list is the whole drive: every message comes out.
+        let mut engine = OnlineSequencer::new(SequencerConfig::default());
+        register_all(&mut engine, &gaussian_census(3, 1.0));
+        for event in &schedule.events {
+            event.apply(&mut engine, DELIVERY_DELAY).expect("clamped schedule is valid");
+        }
+        let mut out = engine.drain();
+        out.extend(close_stream(&mut engine, &schedule.clients, schedule.horizon));
+        assert_eq!(emitted_ids(&out).len(), 3);
+        assert_eq!((engine.undrained(), engine.stats().messages_emitted), (0, 3));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use tommy::core::tournament::{IncrementalTournament, Tournament};
 use tommy::core::sequencer::online::EmittedBatch;
 use tommy::prelude::*;
 use tommy::workload::intransitive::IntransitiveWorkload;
+use tommy::workload::testkit::{close_stream, register_all, Schedule, DELIVERY_DELAY};
 
 /// Property 1: incremental FAS output equals the exhaustive pass's
 /// feedback-arc cost on random cyclic tournaments, across random
@@ -111,84 +112,39 @@ fn incremental_fas_matches_exhaustive_feedback_arc_cost() {
     }
 }
 
-/// One sequencer input, pre-resolved so both runs consume the identical
-/// event list.
-enum Event {
-    Heartbeat(ClientId, f64, f64),
-    Submit(Message, f64),
+/// Resolve a generated stream into the §4 delivery schedule once, so both
+/// runs consume the identical event list.
+fn schedule_of(workload: &IntransitiveWorkload, stream: &[Message]) -> Schedule {
+    let clients: Vec<ClientId> = workload.offsets().into_iter().map(|(c, _)| c).collect();
+    Schedule::resolve(&clients, stream.to_vec(), 1e6)
 }
 
-/// Resolve a generated stream into deliveries plus surrounding heartbeats,
-/// with per-client monotone clamping (the sim runner's scheme: a client's
-/// merged stream of message timestamps and heartbeat readings never goes
-/// backwards).
-fn build_events(workload: &IntransitiveWorkload, stream: &[Message]) -> Vec<Event> {
-    use std::collections::HashMap;
-    let offsets = workload.offsets();
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut events = Vec::new();
-    for delivery in stream {
-        let true_time = delivery.true_time.expect("generated streams carry true times");
-        let arrival = true_time + 1.0;
-        for (client, _) in &offsets {
-            if *client == delivery.client {
-                continue;
-            }
-            let floor = last_ts.get(client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(*client, ts);
-            events.push(Event::Heartbeat(*client, ts, arrival));
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        events.push(Event::Submit(
-            Message::with_true_time(delivery.id, delivery.client, ts, true_time),
-            arrival,
-        ));
-    }
-    let horizon = last_ts.values().copied().fold(0.0f64, f64::max) + 1e6;
-    for (client, _) in &offsets {
-        events.push(Event::Heartbeat(*client, horizon, horizon));
-    }
-    events
-}
-
-/// Drive one online sequencer over a pre-resolved event list, flushing at
-/// the end — returns every emitted batch plus the tournament counters.
+/// Drive one online sequencer over a resolved schedule, closing the stream
+/// at the end — returns every emitted batch plus the tournament counters
+/// (full rebuilds, local repairs) and the exhaustive greedy passes the run
+/// cost.
 fn run_sequencer(
     workload: &IntransitiveWorkload,
-    events: &[Event],
+    schedule: &Schedule,
     incremental: bool,
-) -> (Vec<EmittedBatch>, u64, u64) {
+) -> (Vec<EmittedBatch>, u64, u64, u64) {
+    let passes_before = fas::exhaustive_passes();
     let config = SequencerConfig::default().with_incremental_fas(incremental);
     let mut sequencer = OnlineSequencer::new(config);
-    for (client, dist) in workload.offsets() {
-        sequencer.register_client(client, dist);
-    }
+    register_all(&mut sequencer, &workload.offsets());
     let mut emitted = Vec::new();
-    for event in events {
-        match event {
-            Event::Heartbeat(client, ts, arrival) => emitted.extend(
-                sequencer
-                    .heartbeat(*client, *ts, *arrival)
-                    .expect("registered client"),
-            ),
-            Event::Submit(message, arrival) => emitted.extend(
-                sequencer
-                    .submit(message.clone(), *arrival)
-                    .expect("valid submission"),
-            ),
-        }
+    for event in &schedule.events {
+        event
+            .apply(&mut sequencer, DELIVERY_DELAY)
+            .expect("clamped schedule is valid");
+        emitted.extend(sequencer.take_emitted());
     }
-    emitted.extend(sequencer.flush());
+    emitted.extend(close_stream(&mut sequencer, &schedule.clients, schedule.horizon));
     (
         emitted,
         sequencer.tournament().full_rebuilds(),
         sequencer.tournament().local_repairs(),
+        fas::exhaustive_passes() - passes_before,
     )
 }
 
@@ -206,11 +162,12 @@ fn emitted_batches_bit_identical_to_fallback_on_cyclic_streams() {
             .with_spacing(2.0);
         let mut rng = StdRng::seed_from_u64(100 + seed);
         let stream = workload.generate(&mut rng);
-        let events = build_events(&workload, &stream);
+        let events = schedule_of(&workload, &stream);
 
-        let (incremental, inc_rebuilds, inc_repairs) =
+        let (incremental, inc_rebuilds, inc_repairs, inc_passes) =
             run_sequencer(&workload, &events, true);
-        let (fallback, fb_rebuilds, fb_repairs) = run_sequencer(&workload, &events, false);
+        let (fallback, fb_rebuilds, fb_repairs, fb_passes) =
+            run_sequencer(&workload, &events, false);
 
         assert_eq!(
             incremental.len(),
@@ -237,7 +194,12 @@ fn emitted_batches_bit_identical_to_fallback_on_cyclic_streams() {
                 fb_rebuilds > 0,
                 "seed {seed}: cycles must force fallback rebuilds"
             );
+            assert!(inc_passes > 0, "seed {seed}: a repair runs the exhaustive pass");
         }
+        assert!(
+            fb_passes >= inc_passes,
+            "seed {seed}: the fallback re-runs the exhaustive pass per event ({fb_passes} vs {inc_passes})"
+        );
     }
     assert!(saw_repairs, "the streams must exercise the repair path");
 }
@@ -249,19 +211,16 @@ fn gaussian_streams_perform_zero_fas_work() {
     let workload = IntransitiveWorkload::new(6, 80, 0.0).with_honest_std_dev(3.0);
     let mut rng = StdRng::seed_from_u64(7);
     let stream = workload.generate(&mut rng);
-    let events = build_events(&workload, &stream);
-    let passes_before = fas::exhaustive_passes();
+    let events = schedule_of(&workload, &stream);
     let repairs_before = fas::local_repairs();
-    let (emitted, rebuilds, repairs) = run_sequencer(&workload, &events, true);
-    let total: usize = emitted.iter().map(|b| b.messages.len()).sum();
-    assert_eq!(total, stream.len());
-    assert_eq!(rebuilds, 0);
-    assert_eq!(repairs, 0);
-    assert_eq!(
-        fas::exhaustive_passes(),
-        passes_before,
-        "Gaussian streams must never run the exhaustive pass"
-    );
+    for incremental in [true, false] {
+        let (emitted, rebuilds, repairs, passes) = run_sequencer(&workload, &events, incremental);
+        let total: usize = emitted.iter().map(|b| b.messages.len()).sum();
+        assert_eq!(total, stream.len());
+        assert_eq!(rebuilds, 0);
+        assert_eq!(repairs, 0);
+        assert_eq!(passes, 0, "Gaussian streams must never run the exhaustive pass");
+    }
     assert_eq!(
         fas::local_repairs(),
         repairs_before,

@@ -39,7 +39,8 @@ use tommy_sim::runner::{generate_messages, scenario_claimed_offsets};
 use tommy_sim::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::testkit::{
-    assert_batches_bit_identical, defended_config, gaussian_census, register_all, StreamEngine,
+    assert_batches_bit_identical, close_stream, defended_config, gaussian_census, register_all,
+    sort_by_true_time, Schedule, StreamEngine,
 };
 use tommy_workload::{AttackFamily, AttackPlan};
 
@@ -250,12 +251,16 @@ fn lockstep_run(
         .map(|c| sharded.shard_of(*c).expect("registered"))
         .collect();
 
+    // Drops are decided on the send-ordered stream, before it is resolved:
+    // a dropped delivery sends nothing, its heartbeats included.
     let mut deliveries = family.stream.clone();
-    deliveries.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
+    sort_by_true_time(&mut deliveries);
+    let (steps, kept): (Vec<usize>, Vec<Message>) = deliveries
+        .into_iter()
+        .enumerate()
+        .filter(|(step, _)| perturbation.drop_every == 0 || step % perturbation.drop_every != 3)
+        .unzip();
+    let schedule = Schedule::resolve(&client_ids, kept, 1_000.0 * family.sigma_max);
 
     let order: Vec<usize> = (0..sharded.shard_count()).collect();
     let drive = |sharded: &mut ShardedSequencer, now: f64, step: usize| match mode {
@@ -272,74 +277,37 @@ fn lockstep_run(
         }
     };
 
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut messages: Vec<Message> = Vec::new();
     let mut single_out: Vec<EmittedBatch> = Vec::new();
     let mut sharded_out: Vec<EmittedBatch> = Vec::new();
-    for (step, delivery) in deliveries.iter().enumerate() {
-        if perturbation.drop_every != 0 && step % perturbation.drop_every == 3 {
+    let mut steps = steps.into_iter();
+    for event in &schedule.events {
+        event.apply(&mut single, NETWORK_DELAY).expect("valid event");
+        event.apply(&mut sharded, NETWORK_DELAY).expect("valid event");
+        if !event.is_submit() {
             continue;
         }
-        let true_time = delivery.true_time.expect("true time");
-        let arrival = true_time + NETWORK_DELAY;
-        for &client in &client_ids {
-            if client == delivery.client {
-                continue;
-            }
-            let floor = last_ts.get(&client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = true_time.max(floor);
-            last_ts.insert(client, ts);
-            single.heartbeat(client, ts, arrival).expect("heartbeat");
-            sharded.heartbeat(client, ts, arrival).expect("heartbeat");
-        }
-        let floor = last_ts
-            .get(&delivery.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = delivery.timestamp.max(floor);
-        last_ts.insert(delivery.client, ts);
-        let message = Message::with_true_time(delivery.id, delivery.client, ts, true_time);
-        messages.push(message.clone());
-        single
-            .submit(message.clone(), arrival)
-            .expect("valid submission");
-        sharded
-            .submit(message.clone(), arrival)
-            .expect("valid submission");
+        let step = steps.next().expect("one step per submission");
         if perturbation.duplicate_every != 0 && step % perturbation.duplicate_every == 2 {
             // The duplicate offer must be rejected synchronously by BOTH
             // engines — the wrapper's global id set mirrors the single
             // engine's.
             assert!(matches!(
-                single.submit(message.clone(), arrival),
+                event.apply(&mut single, NETWORK_DELAY),
                 Err(CoreError::DuplicateMessage(_))
             ));
             assert!(matches!(
-                sharded.submit(message, arrival),
+                event.apply(&mut sharded, NETWORK_DELAY),
                 Err(CoreError::DuplicateMessage(_))
             ));
         }
-        drive(&mut sharded, arrival, step);
+        drive(&mut sharded, event.sent_at() + NETWORK_DELAY, step);
         single_out.extend(single.take_emitted());
         sharded_out.extend(sharded.take_emitted());
     }
 
     // Close both streams identically.
-    let horizon = messages
-        .iter()
-        .map(|m| m.timestamp)
-        .fold(0.0f64, f64::max)
-        + 1_000.0 * family.sigma_max;
-    for &client in &client_ids {
-        single.heartbeat(client, horizon, horizon).expect("heartbeat");
-        sharded.heartbeat(client, horizon, horizon).expect("heartbeat");
-    }
-    single.tick(horizon);
-    sharded.tick(horizon);
-    single.flush();
-    sharded.flush();
-    single_out.extend(single.take_emitted());
-    sharded_out.extend(sharded.take_emitted());
+    single_out.extend(close_stream(&mut single, &schedule.clients, schedule.horizon));
+    sharded_out.extend(close_stream(&mut sharded, &schedule.clients, schedule.horizon));
     assert!(
         sharded.take_rejections().is_empty(),
         "{}: the clamped schedule must not be rejected asynchronously",
@@ -356,7 +324,7 @@ fn lockstep_run(
             batches: sharded_out,
             stats: sharded.stats(),
         },
-        messages,
+        schedule.messages,
         shard_of,
     )
 }
