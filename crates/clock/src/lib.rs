@@ -10,8 +10,6 @@
 //!
 //! * [`offset`] — the ground-truth clock model a simulated client actually
 //!   follows (offset distribution, optional deterministic drift);
-//! * [`sim_clock`] — a client's readable local clock built on that model:
-//!   reading it at true time `t` yields the noisy timestamp `T = t + θ`;
 //! * [`probe`] — NTP-style two-way synchronization probes and the offset /
 //!   RTT estimates derived from them;
 //! * [`sync`] — a simulated probe exchange between a client and the sequencer
@@ -33,7 +31,6 @@ pub mod learning;
 pub mod offset;
 pub mod probe;
 pub mod shared;
-pub mod sim_clock;
 pub mod sync;
 
 pub use delay::DelayEstimator;
@@ -41,5 +38,4 @@ pub use learning::{DistributionLearner, LearnedModel};
 pub use offset::ClockModel;
 pub use probe::{OffsetSample, ProbeExchange};
 pub use shared::SharedDistribution;
-pub use sim_clock::SimClock;
 pub use sync::{PathModel, SyncSession};

@@ -53,6 +53,34 @@
 //!   identical inputs) — replay elides it instead of making the call.
 //!   Elisions are counted in [`CheckReport::heartbeats_elided`].
 //!
+//! ## One replay
+//!
+//! Every entry point is a configuration of the same three pieces, each
+//! written once:
+//!
+//! * the **stepper** (`Channels`) is §3.5's ordered-channel assumption: it
+//!   owns the arrival clock, each client's timestamp floor and the true
+//!   times each client still has outstanding, and is the only place that
+//!   clamps a timestamp, decides whether a client may heartbeat (and whether
+//!   that heartbeat advances its floor — elision is a filter on that bit)
+//!   or computes the close horizon;
+//! * the **replay** (`Replay::replay`) drives any
+//!   [`StreamEngine`] through a schedule —
+//!   per delivery, *submit, then the others' heartbeats* (the sim driver's
+//!   `Schedule::resolve` sends the heartbeats first; both orders are pinned,
+//!   on purpose) — and reads emitted batches through `drain()` after every
+//!   call;
+//! * the **judge** (`ModelSpec::judge`) enumerates, replays every schedule
+//!   under every fault pattern and tags each violation with its case.
+//!
+//! | entry point | engine | hooks on the shared loop |
+//! |---|---|---|
+//! | [`check`](ModelSpec::check) | [`OnlineSequencer`] | boundary check on every drained batch; heartbeat elision |
+//! | [`check_collusive`](ModelSpec::check_collusive) | same | the same, plus the quarantine predicate per trace |
+//! | [`check_sharded`](ModelSpec::check_sharded) | [`ShardedSequencer`], driven after every event | reductions off; the margin scan over the released order |
+//! | [`check_faulty`](ModelSpec::check_faulty) | [`OnlineSequencer`], liveness on | a `FaultLayer` of per-client [`SequenceValidator`]s between network and engine — a message leaves its channel when its stream *releases* it; liveness ending |
+//! | [`check_crash_liveness`](ModelSpec::check_crash_liveness) | [`OnlineSequencer`], liveness optional | the FIFO schedule minus the crashed client's unsent tail (left outstanding, which silences it); liveness ending |
+//!
 //! On top of the base invariants, [`ModelSpec::check_collusive`] checks a
 //! *collusive* model end to end: every schedule must leave every listed
 //! colluder quarantined by the cross-client correlation defense and every
@@ -64,7 +92,7 @@
 //! threshold (see [`crate::sequencer::sharded`], "Merge watermark
 //! invariant").
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
@@ -76,7 +104,7 @@ use crate::precedence::PrecedenceMatrix;
 use crate::registry::DistributionRegistry;
 use crate::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
 use crate::sequencer::sharded::ShardedSequencer;
-use crate::sequencer::SequencingCore;
+use crate::sequencer::{register_all, SequencingCore, StreamEngine};
 use crate::session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
 
 /// A small model: a fixed client population, a fixed message set, and the
@@ -338,30 +366,24 @@ impl ShardedCheckReport {
 pub fn check_trace(trace: &RunTrace, max_violation_rate: f64) -> Vec<InvariantViolation> {
     let mut found = Vec::new();
 
-    // Invariant 1: per-client monotone emission.
+    // Invariant 1: per-client monotone emission (and, for invariant 2,
+    // how often each id was emitted).
     let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    for batch in &trace.emitted {
-        for m in &batch.messages {
-            if let Some(&prev) = last_ts.get(&m.client) {
-                if m.timestamp < prev {
-                    found.push(InvariantViolation::NonMonotoneEmission {
-                        client: m.client,
-                        earlier: prev,
-                        later: m.timestamp,
-                    });
-                }
+    let mut emitted_count: HashMap<MessageId, usize> = HashMap::new();
+    for m in trace.emitted.iter().flat_map(|batch| &batch.messages) {
+        if let Some(earlier) = last_ts.insert(m.client, m.timestamp) {
+            if m.timestamp < earlier {
+                found.push(InvariantViolation::NonMonotoneEmission {
+                    client: m.client,
+                    earlier,
+                    later: m.timestamp,
+                });
             }
-            last_ts.insert(m.client, m.timestamp);
         }
+        *emitted_count.entry(m.id).or_insert(0) += 1;
     }
 
     // Invariant 2: emitted multiset == submitted multiset.
-    let mut emitted_count: HashMap<MessageId, usize> = HashMap::new();
-    for batch in &trace.emitted {
-        for m in &batch.messages {
-            *emitted_count.entry(m.id).or_insert(0) += 1;
-        }
-    }
     for m in &trace.submitted {
         match emitted_count.get_mut(&m.id) {
             Some(n) if *n > 0 => *n -= 1,
@@ -403,12 +425,13 @@ struct Enumeration {
     symmetry_pruned: u64,
 }
 
-/// What one sharded replay produced (see `ModelSpec::replay_sharded`).
-struct ShardedReplay {
-    trace: RunTrace,
-    violations: Vec<InvariantViolation>,
-    cross_pairs: u64,
-    max_cross_probability: f64,
+/// The violations of a fault-free check, whose fault patterns are empty.
+fn untagged(violations: Vec<FaultViolation>) -> Vec<ScheduleViolation> {
+    let untag = |v: FaultViolation| ScheduleViolation {
+        schedule: v.schedule,
+        violation: v.violation,
+    };
+    violations.into_iter().map(untag).collect()
 }
 
 impl ModelSpec {
@@ -484,30 +507,7 @@ impl ModelSpec {
     /// Errors propagate from replay (unknown client, duplicate id, …) —
     /// they indicate a malformed model, not an invariant violation.
     pub fn check(&self) -> Result<CheckReport, CoreError> {
-        assert!(
-            !self.config.stochastic_cycle_breaking,
-            "the boundary-consistency invariant requires a deterministic config"
-        );
-        let enumeration = self.enumerate();
-        let mut report = CheckReport {
-            schedules: enumeration.schedules.len(),
-            truncated: enumeration.truncated,
-            symmetry_pruned: enumeration.symmetry_pruned,
-            heartbeats_elided: 0,
-            violations: Vec::new(),
-        };
-        for schedule in &enumeration.schedules {
-            let (trace, mut violations, elided) = self.replay_full(schedule)?;
-            report.heartbeats_elided += elided;
-            violations.extend(check_trace(&trace, self.max_violation_rate));
-            for violation in violations {
-                report.violations.push(ScheduleViolation {
-                    schedule: schedule.clone(),
-                    violation,
-                });
-            }
-        }
-        Ok(report)
+        self.check_single(None)
     }
 
     /// Exhaustively check a *collusive* model: on top of the pure trace
@@ -528,47 +528,49 @@ impl ModelSpec {
             self.config.defense.enabled,
             "a collusive check requires the defense enabled"
         );
-        assert!(
-            !self.config.stochastic_cycle_breaking,
-            "the boundary-consistency invariant requires a deterministic config"
-        );
-        let enumeration = self.enumerate();
-        let mut report = CheckReport {
-            schedules: enumeration.schedules.len(),
-            truncated: enumeration.truncated,
-            symmetry_pruned: enumeration.symmetry_pruned,
-            heartbeats_elided: 0,
-            violations: Vec::new(),
-        };
-        for schedule in &enumeration.schedules {
-            let (trace, mut violations, elided) = self.replay_full(schedule)?;
-            report.heartbeats_elided += elided;
+        self.check_single(Some(colluders))
+    }
+
+    /// [`check`](Self::check), plus [`check_collusive`](Self::check_collusive)'s
+    /// per-trace predicate when `colluders` are named.
+    fn check_single(&self, colluders: Option<&[ClientId]>) -> Result<CheckReport, CoreError> {
+        let mut heartbeats_elided = 0;
+        let (judged, symmetry_pruned) = self.judge((0, 0), |schedule, _, _| {
+            let run = self.replay_single(schedule)?;
+            heartbeats_elided += run.heartbeats_elided;
+            let (trace, mut violations) = run.into_single_trace();
             violations.extend(check_trace(&trace, self.max_violation_rate));
-            for (client, _) in &self.offsets {
-                let quarantined = trace.quarantined.contains(client);
-                if colluders.contains(client) {
-                    if !quarantined {
-                        violations.push(InvariantViolation::ColluderMissed { client: *client });
+            if let Some(colluders) = colluders {
+                for &(client, _) in &self.offsets {
+                    let quarantined = trace.quarantined.contains(&client);
+                    match (colluders.contains(&client), quarantined) {
+                        (true, false) => {
+                            violations.push(InvariantViolation::ColluderMissed { client })
+                        }
+                        (false, true) => {
+                            violations.push(InvariantViolation::HonestQuarantined { client })
+                        }
+                        _ => {}
                     }
-                } else if quarantined {
-                    violations.push(InvariantViolation::HonestQuarantined { client: *client });
                 }
             }
-            for violation in violations {
-                report.violations.push(ScheduleViolation {
-                    schedule: schedule.clone(),
-                    violation,
-                });
-            }
-        }
-        Ok(report)
+            Ok(violations)
+        })?;
+        Ok(CheckReport {
+            schedules: judged.schedules,
+            truncated: judged.truncated,
+            symmetry_pruned,
+            heartbeats_elided,
+            violations: untagged(judged.violations),
+        })
     }
 
     /// Exhaustively check the **sharded** sequencer: enumerate every
     /// admissible delivery schedule (reductions disabled — shard assignment
     /// follows registration order, so clients on different shards are not
     /// exchangeable and orbit canonicalization would be unsound), replay
-    /// each through a [`ShardedSequencer`] with `shards` shards, and assert:
+    /// each through a [`ShardedSequencer`] with `shards` shards (`0` is
+    /// clamped to 1 so replays stay machine-independent), and assert:
     ///
     /// 1. the pure trace invariants (per-client monotone emission, no loss,
     ///    no duplication, bounded violation rate);
@@ -590,169 +592,89 @@ impl ModelSpec {
     /// rejected event) — they indicate a malformed model, not an invariant
     /// violation.
     pub fn check_sharded(&self, shards: usize) -> Result<ShardedCheckReport, CoreError> {
+        let unreduced = self.clone().with_reductions(false);
+        let config = self.config.with_shards(shards.max(1));
+        let mut registry = DistributionRegistry::new();
+        for (client, dist) in &self.offsets {
+            registry.register(*client, dist.clone());
+        }
+        let mut cross_pairs_checked = 0;
+        let mut max_cross_probability = 0.0_f64;
+        let (judged, _) = unreduced.judge((0, 0), |schedule, _, _| {
+            let run = Replay::new(&unreduced, ShardedSequencer::new(config), None, false);
+            let mut run = run.replay(schedule, None, Ending::Flush)?;
+            if let Some(rejection) = run.engine.take_rejections().into_iter().next() {
+                // Replay clamps timestamps monotone, so any queued rejection
+                // is a malformed model, mirroring the eager engine's error
+                // path.
+                return Err(rejection);
+            }
+            let (pairs, max_p) = run.cross_shard_margins(&registry)?;
+            cross_pairs_checked += pairs;
+            max_cross_probability = max_cross_probability.max(max_p);
+            run.trace.stats = run.engine.stats();
+            let found = check_trace(&run.trace, self.max_violation_rate);
+            run.violations.extend(found);
+            Ok(run.violations)
+        })?;
+        Ok(ShardedCheckReport {
+            schedules: judged.schedules,
+            truncated: judged.truncated,
+            cross_pairs_checked,
+            max_cross_probability,
+            violations: untagged(judged.violations),
+        })
+    }
+
+    /// The one enumerate → replay → judge loop every `check_*` entry point
+    /// runs: enumerate the schedule space, hand `replay` every schedule
+    /// crossed with every drop/duplicate pattern within the given bounds
+    /// (`(0, 0)`: the single empty pattern), and tag each violation it
+    /// returns with the case that produced it. Also returns the
+    /// enumeration's symmetry-pruned branch count.
+    fn judge(
+        &self,
+        (max_dropped, max_duplicated): (usize, usize),
+        mut replay: impl FnMut(
+            &[usize],
+            &[usize],
+            &[usize],
+        ) -> Result<Vec<InvariantViolation>, CoreError>,
+    ) -> Result<(FaultCheckReport, u64), CoreError> {
         assert!(
             !self.config.stochastic_cycle_breaking,
-            "sharded checks require a deterministic config"
+            "the boundary-consistency invariant requires a deterministic config"
         );
-        let enumeration = {
-            let mut unreduced = self.clone();
-            unreduced.reductions = false;
-            unreduced.enumerate()
-        };
-        let mut report = ShardedCheckReport {
+        let enumeration = self.enumerate();
+        // Every schedule delivers every message once, so the fault patterns
+        // (sets of schedule positions) are the same for all of them. There is
+        // no copy of a dropped delivery to duplicate.
+        let drop_sets = subsets_up_to(self.messages.len(), max_dropped);
+        let dup_sets = subsets_up_to(self.messages.len(), max_duplicated);
+        let patterns: Vec<(&Vec<usize>, &Vec<usize>)> = drop_sets
+            .iter()
+            .flat_map(|dropped| dup_sets.iter().map(move |duplicated| (dropped, duplicated)))
+            .filter(|(dropped, duplicated)| !duplicated.iter().any(|p| dropped.contains(p)))
+            .collect();
+        let mut judged = FaultCheckReport {
             schedules: enumeration.schedules.len(),
+            cases: enumeration.schedules.len() * patterns.len(),
             truncated: enumeration.truncated,
-            cross_pairs_checked: 0,
-            max_cross_probability: 0.0,
             violations: Vec::new(),
         };
         for schedule in &enumeration.schedules {
-            let outcome = self.replay_sharded(schedule, shards)?;
-            report.cross_pairs_checked += outcome.cross_pairs;
-            report.max_cross_probability =
-                report.max_cross_probability.max(outcome.max_cross_probability);
-            let mut violations = outcome.violations;
-            violations.extend(check_trace(&outcome.trace, self.max_violation_rate));
-            for violation in violations {
-                report.violations.push(ScheduleViolation {
-                    schedule: schedule.clone(),
-                    violation,
-                });
-            }
-        }
-        Ok(report)
-    }
-
-    /// Replay one delivery schedule through a [`ShardedSequencer`] with
-    /// `shards` shards (`0` is clamped to 1 so replays stay machine-
-    /// independent), mirroring [`replay`](Self::replay)'s semantics —
-    /// clamped monotone per-client timestamps, ordered-channel heartbeats,
-    /// the same stream close — with the wrapper driven after every event.
-    /// Checks the cross-shard margin invariant over the released order.
-    fn replay_sharded(
-        &self,
-        schedule: &[usize],
-        shards: usize,
-    ) -> Result<ShardedReplay, CoreError> {
-        let config = self.config.with_shards(shards.max(1));
-        let mut seq = ShardedSequencer::new(config);
-        let mut registry = DistributionRegistry::new();
-        for (client, dist) in &self.offsets {
-            seq.register_client(*client, dist.clone());
-            registry.register(*client, dist.clone());
-        }
-        let mut undelivered: HashMap<ClientId, Vec<f64>> = HashMap::new();
-        for m in &self.messages {
-            undelivered.entry(m.client).or_default().push(truth_of(m));
-        }
-
-        let mut clock = 0.0_f64;
-        let mut floors: HashMap<ClientId, f64> = HashMap::new();
-        let mut submitted: Vec<Message> = Vec::new();
-        for &idx in schedule {
-            let m = &self.messages[idx];
-            let t = truth_of(m);
-            clock = clock.max(t + self.network_delay);
-
-            let floor = floors.get(&m.client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = m.timestamp.max(floor);
-            floors.insert(m.client, ts);
-            let msg = Message {
-                id: m.id,
-                client: m.client,
-                timestamp: ts,
-                true_time: m.true_time,
-            };
-            if let Some(v) = undelivered.get_mut(&m.client) {
-                if let Some(pos) = v.iter().position(|&u| u == t) {
-                    v.remove(pos);
-                }
-            }
-            submitted.push(msg.clone());
-            seq.submit(msg, clock)?;
-            seq.drive(clock);
-
-            for (client, _) in &self.offsets {
-                if *client == m.client {
-                    continue;
-                }
-                let blocked = undelivered
-                    .get(client)
-                    .is_some_and(|v| v.iter().any(|&u| u <= t));
-                if blocked {
-                    continue;
-                }
-                let floor = floors.get(client).copied().unwrap_or(f64::NEG_INFINITY);
-                let hb = t.max(floor);
-                floors.insert(*client, hb);
-                seq.heartbeat(*client, hb, clock)?;
-                seq.drive(clock);
-            }
-        }
-
-        // Close the stream exactly like the single-engine replay.
-        let max_ts = floors.values().fold(0.0_f64, |a, &b| a.max(b));
-        let max_sd = self
-            .offsets
-            .iter()
-            .map(|(_, d)| d.std_dev())
-            .fold(0.0_f64, f64::max);
-        let horizon = max_ts + 1000.0 * max_sd.max(1.0);
-        for (client, _) in &self.offsets {
-            seq.heartbeat(*client, horizon, clock)?;
-        }
-        seq.tick(horizon + self.network_delay);
-        // Batches released up to here were approved by the merge watermark
-        // and owe the margin bound; the flush force-drains the remainder.
-        let watermark_batches = seq.emitted().len();
-        seq.flush();
-        if let Some(rejection) = seq.take_rejections().into_iter().next() {
-            // Replay clamps timestamps monotone, so any queued rejection is
-            // a malformed model, mirroring the eager engine's error path.
-            return Err(rejection);
-        }
-
-        let stats = seq.stats();
-        let emitted = seq.take_emitted();
-        let mut violations = Vec::new();
-        let mut cross_pairs = 0u64;
-        let mut max_cross_probability = 0.0f64;
-        for (bi, earlier) in emitted.iter().enumerate() {
-            for later in emitted.iter().skip(bi + 1) {
-                for i in &earlier.messages {
-                    for j in &later.messages {
-                        if seq.shard_of(i.client) == seq.shard_of(j.client) {
-                            continue;
-                        }
-                        cross_pairs += 1;
-                        let p = registry.preceding_probability(j, i)?;
-                        if bi < watermark_batches {
-                            max_cross_probability = max_cross_probability.max(p);
-                            if p > self.config.threshold + 1e-9 {
-                                violations.push(InvariantViolation::CrossShardMarginExceeded {
-                                    earlier: i.id,
-                                    later: j.id,
-                                    probability: p,
-                                    threshold: self.config.threshold,
-                                });
-                            }
-                        }
-                    }
+            for &(dropped, duplicated) in &patterns {
+                for violation in replay(schedule, dropped, duplicated)? {
+                    judged.violations.push(FaultViolation {
+                        schedule: schedule.clone(),
+                        dropped: dropped.clone(),
+                        duplicated: duplicated.clone(),
+                        violation,
+                    });
                 }
             }
         }
-
-        Ok(ShardedReplay {
-            trace: RunTrace {
-                submitted,
-                emitted,
-                stats,
-                quarantined: Vec::new(),
-            },
-            violations,
-            cross_pairs,
-            max_cross_probability,
-        })
+        Ok((judged, enumeration.symmetry_pruned))
     }
 
     /// Enumerate every admissible delivery schedule (up to
@@ -797,14 +719,20 @@ impl ModelSpec {
         members
     }
 
-    /// Enumerate the schedule space with reduction accounting.
-    fn enumerate(&self) -> Enumeration {
+    /// Message indices in send (true-time) order; ties keep model order.
+    fn by_truth(&self) -> Vec<usize> {
         let mut by_truth: Vec<usize> = (0..self.messages.len()).collect();
         by_truth.sort_by(|&a, &b| {
             truth_of(&self.messages[a])
                 .partial_cmp(&truth_of(&self.messages[b]))
                 .expect("finite true times")
         });
+        by_truth
+    }
+
+    /// Enumerate the schedule space with reduction accounting.
+    fn enumerate(&self) -> Enumeration {
+        let by_truth = self.by_truth();
         let orbits = self.orbit_members();
         let mut enumeration = Enumeration {
             schedules: Vec::new(),
@@ -910,171 +838,359 @@ impl ModelSpec {
         &self,
         schedule: &[usize],
     ) -> Result<(RunTrace, Vec<InvariantViolation>), CoreError> {
-        let (trace, violations, _) = self.replay_full(schedule)?;
-        Ok((trace, violations))
+        Ok(self.replay_single(schedule)?.into_single_trace())
     }
 
-    /// [`replay`](Self::replay) plus the heartbeat-elision count (the third
-    /// element), which [`check`](Self::check) accumulates onto
-    /// [`CheckReport::heartbeats_elided`].
-    fn replay_full(
-        &self,
-        schedule: &[usize],
-    ) -> Result<(RunTrace, Vec<InvariantViolation>, u64), CoreError> {
-        let mut seq = OnlineSequencer::new(self.config);
-        for (client, dist) in &self.offsets {
-            seq.register_client(*client, dist.clone());
-        }
-        let mut undelivered: HashMap<ClientId, Vec<f64>> = HashMap::new();
-        for m in &self.messages {
-            undelivered.entry(m.client).or_default().push(truth_of(m));
-        }
-
-        let mut clock = 0.0_f64;
-        let mut floors: HashMap<ClientId, f64> = HashMap::new();
-        let mut submitted: Vec<Message> = Vec::new();
-        let mut pending: Vec<Message> = Vec::new();
-        let mut violations: Vec<InvariantViolation> = Vec::new();
-        let mut heartbeats_elided = 0u64;
-        // Whether the most recent sequencer call emitted anything — the
-        // elision guard: after a non-emitting call, `try_emit` has already
-        // run to fixpoint, so a heartbeat changing neither the clock, the
-        // watermark frontier nor the pending set cannot emit either.
-        // (Assigned by the submit that starts every delivery round before
-        // any heartbeat reads it.)
-        let mut last_call_emitted;
+    /// [`replay`](Self::replay) before its trace is read out, so
+    /// [`check`](Self::check) can accumulate the heartbeat-elision count.
+    fn replay_single(&self, schedule: &[usize]) -> Result<Replay<'_, OnlineSequencer>, CoreError> {
+        // Eliding is sound only while a silent client is never evicted.
         let elide = self.reductions && !self.config.liveness.enabled;
-
-        for &idx in schedule {
-            let m = &self.messages[idx];
-            let t = truth_of(m);
-            clock = clock.max(t + self.network_delay);
-
-            let floor = floors.get(&m.client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = m.timestamp.max(floor);
-            floors.insert(m.client, ts);
-            let msg = Message {
-                id: m.id,
-                client: m.client,
-                timestamp: ts,
-                true_time: m.true_time,
-            };
-            if let Some(v) = undelivered.get_mut(&m.client) {
-                if let Some(pos) = v.iter().position(|&u| u == t) {
-                    v.remove(pos);
-                }
-            }
-            submitted.push(msg.clone());
-            pending.push(msg.clone());
-            let batches = seq.submit(msg, clock)?;
-            last_call_emitted = !batches.is_empty();
-            self.account(&seq, &batches, &mut pending, &mut violations)?;
-
-            // Ordered channels: a client may heartbeat at this round's true
-            // time only if none of its own undelivered messages would be
-            // overtaken.
-            for (client, _) in &self.offsets {
-                if *client == m.client {
-                    continue;
-                }
-                let blocked = undelivered
-                    .get(client)
-                    .is_some_and(|v| v.iter().any(|&u| u <= t));
-                if blocked {
-                    continue;
-                }
-                let floor = floors.get(client).copied().unwrap_or(f64::NEG_INFINITY);
-                let hb = t.max(floor);
-                // Partial-order reduction: with liveness off, a heartbeat
-                // whose reading does not advance the client's floor,
-                // arriving at the unchanged current clock right after a
-                // non-emitting call, is a pure no-op — skip the call.
-                if elide && hb <= floor && !last_call_emitted {
-                    heartbeats_elided += 1;
-                    continue;
-                }
-                floors.insert(*client, hb);
-                let batches = seq.heartbeat(*client, hb, clock)?;
-                last_call_emitted = !batches.is_empty();
-                self.account(&seq, &batches, &mut pending, &mut violations)?;
-            }
-        }
-
-        // Close the stream: every client heartbeats past every horizon, the
-        // clock passes every safe-emission time, and a flush drains any
-        // leftovers — the sim runner's shutdown sequence.
-        let max_ts = floors.values().fold(0.0_f64, |a, &b| a.max(b));
-        let max_sd = self
-            .offsets
-            .iter()
-            .map(|(_, d)| d.std_dev())
-            .fold(0.0_f64, f64::max);
-        let horizon = max_ts + 1000.0 * max_sd.max(1.0);
-        for (client, _) in &self.offsets {
-            let batches = seq.heartbeat(*client, horizon, clock)?;
-            self.account(&seq, &batches, &mut pending, &mut violations)?;
-        }
-        let batches = seq.tick(horizon + self.network_delay);
-        self.account(&seq, &batches, &mut pending, &mut violations)?;
-        let batches = seq.flush();
-        self.account(&seq, &batches, &mut pending, &mut violations)?;
-
-        let stats = seq.stats();
-        let mut quarantined: Vec<ClientId> = self
-            .offsets
-            .iter()
-            .map(|(c, _)| *c)
-            .filter(|c| {
-                seq.registry()
-                    .trust_state(*c)
-                    .is_some_and(|s| s.level() == TrustLevel::Quarantined)
-            })
-            .collect();
-        quarantined.sort();
-        Ok((
-            RunTrace {
-                submitted,
-                emitted: seq.take_emitted(),
-                stats,
-                quarantined,
-            },
-            violations,
-            heartbeats_elided,
-        ))
+        let check_boundaries = Some(OnlineSequencer::registry as _);
+        let run = Replay::new(self, self.single_engine(None), check_boundaries, elide);
+        run.replay(schedule, None, Ending::Flush)
     }
 
-    /// Check invariant 3 for each batch just emitted: the batch must equal
-    /// the candidate a from-scratch sequencing of the pre-emission pending
-    /// set produces. Consumes the batches from the shadow pending list.
-    fn account(
-        &self,
-        seq: &OnlineSequencer,
-        batches: &[EmittedBatch],
-        pending: &mut Vec<Message>,
-        violations: &mut Vec<InvariantViolation>,
-    ) -> Result<(), CoreError> {
-        for batch in batches {
-            let matrix = PrecedenceMatrix::compute_parallel(pending, seq.registry(), 1)?;
-            let mut core = SequencingCore::new(self.config);
-            core.load(&matrix);
-            let mut expected: Vec<MessageId> = core
-                .candidate_indices(&matrix, None)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|i| pending[i].id)
-                .collect();
-            expected.sort();
-            let mut got = batch.message_ids();
-            got.sort();
-            if expected != got {
-                violations.push(InvariantViolation::BoundaryMismatch {
-                    expected,
-                    emitted: got.clone(),
-                });
+    /// A fresh [`OnlineSequencer`] under the model's config, with the
+    /// staleness detector on when a `liveness` deadline is given.
+    fn single_engine(&self, liveness: Option<f64>) -> OnlineSequencer {
+        OnlineSequencer::new(match liveness {
+            Some(deadline) => self.config.with_liveness(LivenessConfig::enabled(deadline)),
+            None => self.config,
+        })
+    }
+}
+
+/// The ordered per-client channels of one replay — §3.5's delivery
+/// assumption, stated once. Owns the sequencer-side arrival clock, each
+/// client's timestamp floor (a channel's readings never go backwards) and
+/// the true times of the messages each client still has outstanding (a
+/// heartbeat must not overtake one of them).
+struct Channels<'a> {
+    spec: &'a ModelSpec,
+    clock: f64,
+    floors: HashMap<ClientId, f64>,
+    outstanding: HashMap<ClientId, Vec<f64>>,
+}
+
+impl<'a> Channels<'a> {
+    fn new(spec: &'a ModelSpec) -> Self {
+        let mut outstanding: HashMap<ClientId, Vec<f64>> = HashMap::new();
+        for m in &spec.messages {
+            outstanding.entry(m.client).or_default().push(truth_of(m));
+        }
+        Channels {
+            spec,
+            clock: 0.0,
+            floors: HashMap::new(),
+            outstanding,
+        }
+    }
+
+    /// Something sent at true time `t` reaches the sequencer; its clock
+    /// never runs backwards.
+    fn arrive(&mut self, t: f64) {
+        self.clock = self.clock.max(t + self.spec.network_delay);
+    }
+
+    /// Clamp `reading` to `client`'s floor. Returns what the channel
+    /// carries and whether it advanced the floor.
+    fn clamp(&mut self, client: ClientId, reading: f64) -> (f64, bool) {
+        let floor = self.floors.entry(client).or_insert(f64::NEG_INFINITY);
+        let advances = reading > *floor;
+        if advances {
+            *floor = reading;
+        }
+        (*floor, advances)
+    }
+
+    /// Message `idx` leaves its client's channel for the sequencer: no
+    /// longer outstanding, its timestamp clamped.
+    fn release(&mut self, idx: usize) -> Message {
+        let m = &self.spec.messages[idx];
+        let t = truth_of(m);
+        let theirs = self.outstanding.entry(m.client).or_default();
+        if let Some(pos) = theirs.iter().position(|&u| u == t) {
+            theirs.remove(pos);
+        }
+        Message {
+            id: m.id,
+            client: m.client,
+            timestamp: self.clamp(m.client, m.timestamp).0,
+            true_time: m.true_time,
+        }
+    }
+
+    /// `client`'s heartbeat at true time `t`, unless it would overtake one
+    /// of the client's own outstanding messages: the clamped reading and
+    /// whether it advances the client's floor.
+    fn heartbeat(&mut self, client: ClientId, t: f64) -> Option<(f64, bool)> {
+        let outstanding = self.outstanding.get(&client);
+        let blocked = outstanding.is_some_and(|v| v.iter().any(|&u| u <= t));
+        (!blocked).then(|| self.clamp(client, t))
+    }
+
+    /// A timestamp past every horizon: the largest floor plus a thousand of
+    /// the widest registered σ.
+    fn horizon(&self) -> f64 {
+        let max_ts = self.floors.values().fold(0.0_f64, |a, &b| a.max(b));
+        let offsets = self.spec.offsets.iter();
+        let max_sd = offsets.map(|(_, d)| d.std_dev()).fold(0.0_f64, f64::max);
+        max_ts + 1000.0 * max_sd.max(1.0)
+    }
+}
+
+/// How a replay ends, once every delivery round has run.
+enum Ending {
+    /// The sim runner's shutdown: everyone heartbeats past the horizon, the
+    /// clock follows, and a flush drains the leftovers.
+    Flush,
+    /// Liveness is under test: the clock reaches the horizon first (skip
+    /// timeouts and retransmit give-ups fire, each stream's fin lands), a
+    /// `crashed` client or one whose stream is still blocked on a hole stays
+    /// silent, and instead of a flush the clock ticks once more past the
+    /// staleness `deadline` — progress has to come from eviction.
+    Liveness {
+        deadline: f64,
+        crashed: Option<ClientId>,
+    },
+}
+
+/// One schedule's replay: the engine under test, the channels feeding it and
+/// the trace so far. Every batch is read through [`StreamEngine::drain`]
+/// right after the call that emitted it, so what observes emissions (the
+/// boundary check here, the margin scan afterwards) sees one loop.
+struct Replay<'a, E> {
+    engine: E,
+    channels: Channels<'a>,
+    /// Where invariant 3's from-scratch solve finds the registry the engine
+    /// just emitted under. `None` skips the check: the sharded wrapper has
+    /// no single pending set to re-solve.
+    registry_of: Option<fn(&E) -> &DistributionRegistry>,
+    /// Whether provably no-op heartbeats are skipped (module docs).
+    elide: bool,
+    heartbeats_elided: u64,
+    /// Whether the most recent engine call emitted anything — the elision
+    /// guard: after a non-emitting call `try_emit` has already run to
+    /// fixpoint, so a heartbeat changing neither the clock, the watermark
+    /// frontier nor the pending set cannot emit either.
+    last_call_emitted: bool,
+    /// The trace so far; its counters and quarantine list are read off the
+    /// engine once the replay is over.
+    trace: RunTrace,
+    /// Shadow of the engine's pending set, for the boundary check.
+    pending: Vec<Message>,
+    /// `trace.emitted[..watermark_batches]` were released by the watermark
+    /// rule; a closing flush forced out the rest.
+    watermark_batches: usize,
+    violations: Vec<InvariantViolation>,
+}
+
+impl<'a, E: StreamEngine> Replay<'a, E> {
+    fn new(
+        spec: &'a ModelSpec,
+        mut engine: E,
+        registry_of: Option<fn(&E) -> &DistributionRegistry>,
+        elide: bool,
+    ) -> Self {
+        register_all(&mut engine, &spec.offsets);
+        Replay {
+            engine,
+            channels: Channels::new(spec),
+            registry_of,
+            elide,
+            heartbeats_elided: 0,
+            last_call_emitted: false,
+            trace: RunTrace {
+                submitted: Vec::new(),
+                emitted: Vec::new(),
+                stats: OnlineStats::default(),
+                quarantined: Vec::new(),
+            },
+            pending: Vec::new(),
+            watermark_batches: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// The one replay: every delivery of `schedule` as a round — the frame
+    /// reaches the sequencer (through the `faults` session layer when there
+    /// is one), then every other client heartbeats at the round's true time
+    /// if its channel allows — and then the `ending`.
+    fn replay(
+        mut self,
+        schedule: &[usize],
+        mut faults: Option<&mut FaultLayer<'_>>,
+        ending: Ending,
+    ) -> Result<Self, CoreError> {
+        let spec = self.channels.spec;
+        for (p, &idx) in schedule.iter().enumerate() {
+            let (sender, t) = (spec.messages[idx].client, truth_of(&spec.messages[idx]));
+            self.channels.arrive(t);
+            let clock = self.channels.clock;
+            match faults.as_deref_mut() {
+                Some(layer) => layer.deliver(&mut self, p, idx)?,
+                None => self.submit(idx)?,
             }
-            pending.retain(|m| !got.contains(&m.id));
+            for (client, _) in spec.offsets.iter().filter(|(c, _)| *c != sender) {
+                let Some((reading, advances)) = self.channels.heartbeat(*client, t) else {
+                    continue;
+                };
+                // Partial-order reduction: a reading that does not advance
+                // the floor, at the unchanged clock, right after a
+                // non-emitting call, is a pure no-op — skip the call.
+                if self.elide && !advances && !self.last_call_emitted {
+                    self.heartbeats_elided += 1;
+                    continue;
+                }
+                self.engine.heartbeat_at(*client, reading, clock)?;
+                self.settle()?;
+            }
+        }
+
+        let horizon = self.channels.horizon();
+        if let Ending::Liveness { .. } = ending {
+            self.channels.arrive(horizon);
+            if let Some(layer) = faults.as_deref_mut() {
+                layer.land_fins(&mut self)?;
+            }
+        }
+        // The closing heartbeats are not driven one by one: the tick that
+        // follows drives them together.
+        let clock = self.channels.clock;
+        for (client, _) in &spec.offsets {
+            let crashed =
+                matches!(ending, Ending::Liveness { crashed: Some(c), .. } if c == *client);
+            if crashed || faults.as_deref().is_some_and(|l| l.blocked(*client)) {
+                continue;
+            }
+            self.engine.heartbeat_at(*client, horizon, clock)?;
+            self.collect()?;
+        }
+        self.channels.arrive(horizon);
+        self.engine.tick_at(self.channels.clock);
+        self.collect()?;
+        self.watermark_batches = self.trace.emitted.len();
+        match ending {
+            Ending::Liveness { deadline, .. } => {
+                self.engine.tick_at(self.channels.clock + deadline + 1.0)
+            }
+            Ending::Flush => self.engine.flush_all(),
+        }
+        self.collect()?;
+        Ok(self)
+    }
+
+    /// Message `idx` reaches the sequencer.
+    fn submit(&mut self, idx: usize) -> Result<(), CoreError> {
+        let message = self.channels.release(idx);
+        self.trace.submitted.push(message.clone());
+        if self.registry_of.is_some() {
+            self.pending.push(message.clone());
+        }
+        self.engine.submit_at(message, self.channels.clock)?;
+        self.settle()
+    }
+
+    /// After an engine call of a delivery round: apply what the call queued
+    /// (the sharded wrapper; a no-op on the eager engine), then read what
+    /// it emitted.
+    fn settle(&mut self) -> Result<(), CoreError> {
+        self.engine.pump(self.channels.clock);
+        self.collect()
+    }
+
+    /// Read the batches the last engine call emitted, checking invariant 3
+    /// on each: the batch must equal the candidate a from-scratch
+    /// sequencing of the pre-emission pending set produces.
+    fn collect(&mut self) -> Result<(), CoreError> {
+        let batches = self.engine.drain();
+        self.last_call_emitted = !batches.is_empty();
+        for batch in batches {
+            if let Some(registry_of) = self.registry_of {
+                let registry = registry_of(&self.engine);
+                let matrix = PrecedenceMatrix::compute_parallel(&self.pending, registry, 1)?;
+                let mut core = SequencingCore::new(self.channels.spec.config);
+                core.load(&matrix);
+                let mut expected: Vec<MessageId> = core
+                    .candidate_indices(&matrix, None)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|i| self.pending[i].id)
+                    .collect();
+                expected.sort();
+                let mut emitted = batch.message_ids();
+                emitted.sort();
+                self.pending.retain(|m| !emitted.contains(&m.id));
+                if expected != emitted {
+                    self.violations
+                        .push(InvariantViolation::BoundaryMismatch { expected, emitted });
+                }
+            }
+            self.trace.emitted.push(batch);
         }
         Ok(())
+    }
+}
+
+impl Replay<'_, OnlineSequencer> {
+    /// Finish into the trace the pure invariants are judged on — with the
+    /// engine's counters and the clients its defense had quarantined by the
+    /// end — plus the violations found during replay.
+    fn into_single_trace(mut self) -> (RunTrace, Vec<InvariantViolation>) {
+        let registry = self.engine.registry();
+        let quarantined = |c: &ClientId| {
+            let trust = registry.trust_state(*c);
+            trust.is_some_and(|s| s.level() == TrustLevel::Quarantined)
+        };
+        let clients = self.channels.spec.offsets.iter().map(|(c, _)| *c);
+        self.trace.quarantined = clients.filter(quarantined).collect();
+        self.trace.quarantined.sort();
+        self.trace.stats = self.engine.stats();
+        (self.trace, self.violations)
+    }
+}
+
+impl Replay<'_, ShardedSequencer> {
+    /// The sharded observer: the cross-shard margin invariant over the
+    /// released order (see [`ModelSpec::check_sharded`]), under the claimed
+    /// distributions in `registry`. Returns the cross-shard ordered pairs
+    /// evaluated and the largest `p(later ≺ earlier)` among the watermark-
+    /// approved ones.
+    fn cross_shard_margins(
+        &mut self,
+        registry: &DistributionRegistry,
+    ) -> Result<(u64, f64), CoreError> {
+        let threshold = self.channels.spec.config.threshold;
+        let mut cross_pairs = 0u64;
+        let mut max_cross_probability = 0.0f64;
+        for (bi, earlier) in self.trace.emitted.iter().enumerate() {
+            for later in self.trace.emitted.iter().skip(bi + 1) {
+                for i in &earlier.messages {
+                    for j in &later.messages {
+                        if self.engine.shard_of(i.client) == self.engine.shard_of(j.client) {
+                            continue;
+                        }
+                        cross_pairs += 1;
+                        let probability = registry.preceding_probability(j, i)?;
+                        // A flush-forced release owes no margin.
+                        if bi < self.watermark_batches {
+                            max_cross_probability = max_cross_probability.max(probability);
+                            if probability > threshold + 1e-9 {
+                                let exceeded = InvariantViolation::CrossShardMarginExceeded {
+                                    earlier: i.id,
+                                    later: j.id,
+                                    probability,
+                                    threshold,
+                                };
+                                self.violations.push(exceeded);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok((cross_pairs, max_cross_probability))
     }
 }
 
@@ -1193,39 +1309,161 @@ pub struct CrashLivenessReport {
 /// first), in a deterministic order.
 fn subsets_up_to(n: usize, k: usize) -> Vec<Vec<usize>> {
     let mut out: Vec<Vec<usize>> = vec![Vec::new()];
-    let mut current: Vec<Vec<usize>> = vec![Vec::new()];
+    // Each round extends the previous round's subsets, `out[grown..]`.
+    let mut grown = 0;
     for _ in 0..k {
-        let mut next: Vec<Vec<usize>> = Vec::new();
-        for prefix in &current {
-            let start = prefix.last().map_or(0, |&p| p + 1);
-            for i in start..n {
-                let mut s = prefix.clone();
+        let end = out.len();
+        for prefix in grown..end {
+            for i in out[prefix].last().map_or(0, |&p| p + 1)..n {
+                let mut s = out[prefix].clone();
                 s.push(i);
-                next.push(s);
+                out.push(s);
             }
         }
-        out.extend(next.iter().cloned());
-        current = next;
+        grown = end;
     }
     out
 }
 
-/// Mutable state threaded through one faulty replay.
-struct FaultReplay {
-    seq: OnlineSequencer,
-    validators: BTreeMap<ClientId, SequenceValidator<Option<usize>>>,
-    /// Per-client send history: sequence number → message index (`None` is
-    /// the closing fin). Retransmissions are answered from here.
-    frames: BTreeMap<ClientId, Vec<Option<usize>>>,
-    clock: f64,
-    floors: HashMap<ClientId, f64>,
-    /// Truths of each client's not-yet-released messages — heartbeats ride
-    /// the same ordered stream, so a client may only heartbeat past what it
-    /// has actually gotten through.
-    unreleased: HashMap<ClientId, Vec<f64>>,
-    submitted: Vec<Message>,
-    pending: Vec<Message>,
-    violations: Vec<InvariantViolation>,
+/// One client's sequenced stream: the receiver-side validator and the
+/// sender's history, sequence number → message index (`None` is the closing
+/// fin). Retransmissions are answered from the history.
+struct ClientStream {
+    validator: SequenceValidator<Option<usize>>,
+    sent: Vec<Option<usize>>,
+}
+
+impl ClientStream {
+    /// The fin's sequence number: one past the last data frame.
+    fn fin(&self) -> u64 {
+        (self.sent.len() - 1) as u64
+    }
+}
+
+/// The session layer a faulty replay delivers through: one
+/// [`SequenceValidator`] per client stream between the network and the
+/// sequencer. A message leaves its channel when its stream *releases* it,
+/// not when the network delivers it — heartbeats ride the same ordered
+/// stream, so a client heartbeats only past what it has gotten through.
+struct FaultLayer<'a> {
+    /// Schedule positions whose delivery the network drops / duplicates.
+    dropped: &'a [usize],
+    duplicated: &'a [usize],
+    streams: BTreeMap<ClientId, ClientStream>,
+}
+
+impl<'a> FaultLayer<'a> {
+    /// Per-client send order (truth order) assigns dense sequence numbers;
+    /// each stream closes with a fin.
+    fn new(
+        spec: &ModelSpec,
+        policy: RecoveryPolicy,
+        dropped: &'a [usize],
+        duplicated: &'a [usize],
+    ) -> Self {
+        let fresh = || ClientStream {
+            validator: SequenceValidator::new(policy),
+            sent: Vec::new(),
+        };
+        let mut streams: BTreeMap<ClientId, ClientStream> =
+            spec.offsets.iter().map(|(c, _)| (*c, fresh())).collect();
+        for idx in spec.by_truth() {
+            let stream = streams.get_mut(&spec.messages[idx].client);
+            stream.expect("registered sender").sent.push(Some(idx));
+        }
+        for stream in streams.values_mut() {
+            stream.sent.push(None);
+        }
+        FaultLayer {
+            dropped,
+            duplicated,
+            streams,
+        }
+    }
+
+    /// Whether `client`'s stream is still blocked on a hole: its closing
+    /// heartbeat is sequenced behind the hole, so its owner stays silent.
+    fn blocked(&self, client: ClientId) -> bool {
+        let stream = &self.streams[&client];
+        stream.validator.next_expected() <= stream.fin()
+    }
+
+    /// `client`'s frame carrying `payload` reaches its validator; whatever
+    /// that releases reaches the sequencer.
+    fn accept<E: StreamEngine>(
+        &mut self,
+        run: &mut Replay<'_, E>,
+        client: ClientId,
+        payload: Option<usize>,
+    ) -> Result<(), CoreError> {
+        let stream = self.streams.get_mut(&client).expect("stream per client");
+        let sequence = stream.sent.iter().position(|sent| *sent == payload);
+        let sequence = sequence.expect("a frame the client sent") as u64;
+        let clock = run.channels.clock;
+        let released = stream.validator.accept(sequence, payload, clock);
+        for idx in released.into_iter().flatten() {
+            run.submit(idx)?;
+        }
+        Ok(())
+    }
+
+    /// The network's part of a delivery round: schedule position `p`'s
+    /// frame arrives zero, one or two times, then recovery runs.
+    fn deliver<E: StreamEngine>(
+        &mut self,
+        run: &mut Replay<'_, E>,
+        p: usize,
+        idx: usize,
+    ) -> Result<(), CoreError> {
+        if !self.dropped.contains(&p) {
+            let client = run.channels.spec.messages[idx].client;
+            for _ in 0..1 + usize::from(self.duplicated.contains(&p)) {
+                self.accept(run, client, Some(idx))?;
+            }
+        }
+        self.pump_recovery(run)
+    }
+
+    /// With the clock well past every horizon, let pending skip timeouts
+    /// and retransmit give-ups fire, then land each stream's fin.
+    fn land_fins<E: StreamEngine>(&mut self, run: &mut Replay<'_, E>) -> Result<(), CoreError> {
+        self.pump_recovery(run)?;
+        for (client, _) in &run.channels.spec.offsets {
+            self.accept(run, *client, None)?;
+        }
+        self.pump_recovery(run)
+    }
+
+    /// Run every stream's recovery policy to quiescence at the current
+    /// clock: skip timeouts release buffered frames, retransmit requests
+    /// are answered immediately from the sender's history.
+    fn pump_recovery<E: StreamEngine>(&mut self, run: &mut Replay<'_, E>) -> Result<(), CoreError> {
+        let clock = run.channels.clock;
+        loop {
+            let mut released_payloads: Vec<usize> = Vec::new();
+            let mut progressed = false;
+            for ClientStream { validator, sent } in self.streams.values_mut() {
+                let polled = validator.poll(clock);
+                let mut released = polled.released;
+                for action in polled.actions {
+                    let SessionAction::RequestRetransmit { sequence } = action;
+                    progressed = true;
+                    // Retransmission modeled as an immediate, successful
+                    // redelivery answered from the sender's history.
+                    let resent = sent.get(usize::try_from(sequence).expect("small model"));
+                    released.extend(validator.accept(sequence, resent.copied().flatten(), clock));
+                }
+                released_payloads.extend(released.into_iter().flatten());
+            }
+            progressed |= !released_payloads.is_empty();
+            for idx in released_payloads {
+                run.submit(idx)?;
+            }
+            if !progressed {
+                return Ok(());
+            }
+        }
+    }
 }
 
 impl ModelSpec {
@@ -1254,40 +1492,12 @@ impl ModelSpec {
     /// Errors propagate from replay (unknown client, duplicate id, …) —
     /// they indicate a malformed model, not an invariant violation.
     pub fn check_faulty(&self, spec: &FaultSpec) -> Result<FaultCheckReport, CoreError> {
-        assert!(
-            !self.config.stochastic_cycle_breaking,
-            "the boundary-consistency invariant requires a deterministic config"
-        );
-        let (schedules, truncated) = self.enumerate_schedules();
-        let mut report = FaultCheckReport {
-            schedules: schedules.len(),
-            cases: 0,
-            truncated,
-            violations: Vec::new(),
-        };
-        for schedule in &schedules {
-            let drop_sets = subsets_up_to(schedule.len(), spec.max_dropped);
-            let dup_sets = subsets_up_to(schedule.len(), spec.max_duplicated);
-            for dropped in &drop_sets {
-                for duplicated in &dup_sets {
-                    if duplicated.iter().any(|p| dropped.contains(p)) {
-                        continue;
-                    }
-                    report.cases += 1;
-                    let (_, violations) =
-                        self.replay_faulty(schedule, dropped, duplicated, spec)?;
-                    for violation in violations {
-                        report.violations.push(FaultViolation {
-                            schedule: schedule.clone(),
-                            dropped: dropped.clone(),
-                            duplicated: duplicated.clone(),
-                            violation,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(report)
+        let bounds = (spec.max_dropped, spec.max_duplicated);
+        let judged = self.judge(bounds, |schedule, dropped, duplicated| {
+            let (_, violations) = self.replay_faulty(schedule, dropped, duplicated, spec)?;
+            Ok(violations)
+        })?;
+        Ok(judged.0)
     }
 
     /// Replay one schedule under one fault pattern (see
@@ -1307,295 +1517,58 @@ impl ModelSpec {
         duplicated: &[usize],
         spec: &FaultSpec,
     ) -> Result<(RunTrace, Vec<InvariantViolation>), CoreError> {
-        let config = self
-            .config
-            .with_liveness(LivenessConfig::enabled(spec.staleness_deadline));
-        let mut seq = OnlineSequencer::new(config);
-        for (client, dist) in &self.offsets {
-            seq.register_client(*client, dist.clone());
-        }
-
-        // Per-client send order (truth order) assigns dense sequence
-        // numbers; each stream closes with a fin one past its last data
-        // frame.
-        let mut by_truth: Vec<usize> = (0..self.messages.len()).collect();
-        by_truth.sort_by(|&a, &b| {
-            truth_of(&self.messages[a])
-                .partial_cmp(&truth_of(&self.messages[b]))
-                .expect("finite true times")
-        });
-        let mut frames: BTreeMap<ClientId, Vec<Option<usize>>> =
-            self.offsets.iter().map(|(c, _)| (*c, Vec::new())).collect();
-        let mut seq_no: Vec<u64> = vec![0; self.messages.len()];
-        for &idx in &by_truth {
-            let history = frames
-                .get_mut(&self.messages[idx].client)
-                .expect("message from unregistered client");
-            seq_no[idx] = history.len() as u64;
-            history.push(Some(idx));
-        }
-        for history in frames.values_mut() {
-            history.push(None); // fin
-        }
-
-        let mut unreleased: HashMap<ClientId, Vec<f64>> = HashMap::new();
-        for m in &self.messages {
-            unreleased.entry(m.client).or_default().push(truth_of(m));
-        }
-        let mut st = FaultReplay {
-            seq,
-            validators: self
-                .offsets
-                .iter()
-                .map(|(c, _)| (*c, SequenceValidator::new(spec.policy)))
-                .collect(),
-            frames,
-            clock: 0.0,
-            floors: HashMap::new(),
-            unreleased,
-            submitted: Vec::new(),
-            pending: Vec::new(),
-            violations: Vec::new(),
+        let mut layer = FaultLayer::new(self, spec.policy, dropped, duplicated);
+        let ending = Ending::Liveness {
+            deadline: spec.staleness_deadline,
+            crashed: None,
         };
-
-        for (p, &idx) in schedule.iter().enumerate() {
-            let client = self.messages[idx].client;
-            let t = truth_of(&self.messages[idx]);
-            st.clock = st.clock.max(t + self.network_delay);
-            if !dropped.contains(&p) {
-                let copies = if duplicated.contains(&p) { 2 } else { 1 };
-                for _ in 0..copies {
-                    let released = st
-                        .validators
-                        .get_mut(&client)
-                        .expect("validator per client")
-                        .accept(seq_no[idx], Some(idx), st.clock);
-                    for ridx in released.into_iter().flatten() {
-                        self.deliver_released(&mut st, ridx)?;
-                    }
-                }
-            }
-            self.pump_recovery(&mut st)?;
-
-            // Ordered channels: a client may heartbeat at this round's true
-            // time only once everything it sent up to t has been released.
-            for (hb_client, _) in &self.offsets {
-                if *hb_client == client {
-                    continue;
-                }
-                let blocked = st
-                    .unreleased
-                    .get(hb_client)
-                    .is_some_and(|v| v.iter().any(|&u| u <= t));
-                if blocked {
-                    continue;
-                }
-                let floor = st
-                    .floors
-                    .get(hb_client)
-                    .copied()
-                    .unwrap_or(f64::NEG_INFINITY);
-                let hb = t.max(floor);
-                st.floors.insert(*hb_client, hb);
-                let batches = st.seq.heartbeat(*hb_client, hb, st.clock)?;
-                self.account(&st.seq, &batches, &mut st.pending, &mut st.violations)?;
-            }
-        }
-
-        // Close: advance well past every horizon so pending skip timeouts
-        // and retransmit give-ups fire, then land each stream's fin.
-        let max_ts = st.floors.values().fold(0.0_f64, |a, &b| a.max(b));
-        let max_sd = self
-            .offsets
-            .iter()
-            .map(|(_, d)| d.std_dev())
-            .fold(0.0_f64, f64::max);
-        let horizon = max_ts + 1000.0 * max_sd.max(1.0);
-        st.clock = st.clock.max(horizon + self.network_delay);
-        self.pump_recovery(&mut st)?;
-        for (client, _) in &self.offsets {
-            let fin_seq = (self.fin_sequence(&st, *client)) as u64;
-            let released = st
-                .validators
-                .get_mut(client)
-                .expect("validator per client")
-                .accept(fin_seq, None, st.clock);
-            for ridx in released.into_iter().flatten() {
-                self.deliver_released(&mut st, ridx)?;
-            }
-        }
-        self.pump_recovery(&mut st)?;
-
-        // A client whose stream fully released closes with a horizon
-        // heartbeat; a stream still blocked on a hole keeps its owner
-        // silent — its heartbeat is sequenced behind the hole.
-        for (client, _) in &self.offsets {
-            let fin_seq = self.fin_sequence(&st, *client) as u64;
-            if st.validators[client].next_expected() > fin_seq {
-                let batches = st.seq.heartbeat(*client, horizon, st.clock)?;
-                self.account(&st.seq, &batches, &mut st.pending, &mut st.violations)?;
-            }
-        }
-        let batches = st.seq.tick(st.clock);
-        self.account(&st.seq, &batches, &mut st.pending, &mut st.violations)?;
-        // The liveness horizon: one more tick past the staleness deadline
-        // must evict silent clients and let the watermark advance. No flush
-        // — liveness has to come from eviction, not a forced drain.
-        let final_clock = st.clock + spec.staleness_deadline + 1.0;
-        let batches = st.seq.tick(final_clock);
-        self.account(&st.seq, &batches, &mut st.pending, &mut st.violations)?;
+        let engine = self.single_engine(Some(spec.staleness_deadline));
+        let run = Replay::new(self, engine, Some(OnlineSequencer::registry as _), false);
+        let mut run = run.replay(schedule, Some(&mut layer), ending)?;
 
         let mut session_total = SessionCounters::default();
-        for v in st.validators.values() {
-            session_total.absorb(v.counters());
+        for stream in layer.streams.values() {
+            session_total.absorb(stream.validator.counters());
         }
-        st.seq.record_session_counters(session_total);
+        run.engine.record_session_counters(session_total);
+        let (trace, mut violations) = run.into_single_trace();
 
         // Fault invariants: every hole detected, policy guarantees met.
-        let mut drops_per_client: HashMap<ClientId, u64> = HashMap::new();
-        let mut dropped_ids: Vec<MessageId> = Vec::new();
-        for &p in dropped {
-            let idx = schedule[p];
-            *drops_per_client
-                .entry(self.messages[idx].client)
-                .or_insert(0) += 1;
-            dropped_ids.push(self.messages[idx].id);
-        }
-        let mut violations = std::mem::take(&mut st.violations);
-        for (client, v) in &st.validators {
-            let holes = drops_per_client.get(client).copied().unwrap_or(0);
-            if v.counters().gaps_detected < holes {
+        let sent_at = |p: &usize| &self.messages[schedule[*p]];
+        let dropped: Vec<&Message> = dropped.iter().map(sent_at).collect();
+        for (client, stream) in &layer.streams {
+            let holes = dropped.iter().filter(|m| m.client == *client).count();
+            if stream.validator.counters().gaps_detected < holes as u64 {
                 violations.push(InvariantViolation::UndetectedGap { client: *client });
             }
         }
-        let submitted_ids: HashSet<MessageId> = st.submitted.iter().map(|m| m.id).collect();
-        match spec.policy {
-            RecoveryPolicy::RequestRetransmit { .. } => {
-                // Retransmission must recover every drop: zero loss.
-                for m in &self.messages {
-                    if !submitted_ids.contains(&m.id) {
-                        violations.push(InvariantViolation::MessageLost { id: m.id });
-                    }
-                }
-            }
-            RecoveryPolicy::SkipAfterTimeout { .. } => {
-                // Skips sacrifice the dropped frames only.
-                for m in &self.messages {
-                    if !dropped_ids.contains(&m.id) && !submitted_ids.contains(&m.id) {
-                        violations.push(InvariantViolation::MessageLost { id: m.id });
-                    }
-                }
-            }
-            RecoveryPolicy::Halt => {
-                // No recovery path exists, so nothing dropped may surface.
-                // (Released prefixes are covered by the base invariants.)
+        // Retransmission must recover every drop (zero loss); skips
+        // sacrifice the dropped frames only; under `Halt` no recovery path
+        // exists, so nothing dropped may surface (released prefixes are
+        // covered by the base invariants).
+        let may_lose = |id: MessageId| match spec.policy {
+            RecoveryPolicy::RequestRetransmit { .. } => false,
+            RecoveryPolicy::SkipAfterTimeout { .. } => dropped.iter().any(|m| m.id == id),
+            RecoveryPolicy::Halt => true,
+        };
+        for m in &self.messages {
+            if !trace.submitted.iter().any(|s| s.id == m.id) && !may_lose(m.id) {
+                violations.push(InvariantViolation::MessageLost { id: m.id });
             }
         }
 
-        let stats = st.seq.stats();
-        let mut quarantined: Vec<ClientId> = self
-            .offsets
-            .iter()
-            .map(|(c, _)| *c)
-            .filter(|c| {
-                st.seq
-                    .registry()
-                    .trust_state(*c)
-                    .is_some_and(|s| s.level() == TrustLevel::Quarantined)
-            })
-            .collect();
-        quarantined.sort();
-        let trace = RunTrace {
-            submitted: st.submitted,
-            emitted: st.seq.take_emitted(),
-            stats,
-            quarantined,
-        };
         // Base invariants; an accepted-but-never-emitted message here means
         // the watermark stalled (there was no flush), which is the liveness
         // failure — report it as such rather than as N losses.
         let mut found = check_trace(&trace, self.max_violation_rate);
-        let stalled = found
-            .iter()
-            .filter(|v| matches!(v, InvariantViolation::MessageLost { .. }))
-            .count();
+        let lost = |v: &InvariantViolation| matches!(v, InvariantViolation::MessageLost { .. });
+        let stalled = found.iter().filter(|v| lost(v)).count();
         if stalled > 0 {
-            found.retain(|v| !matches!(v, InvariantViolation::MessageLost { .. }));
+            found.retain(|v| !lost(v));
             found.push(InvariantViolation::WatermarkStalled { pending: stalled });
         }
         violations.extend(found);
         Ok((trace, violations))
-    }
-
-    /// The fin sequence number of a client's stream (one past its last data
-    /// frame).
-    fn fin_sequence(&self, st: &FaultReplay, client: ClientId) -> usize {
-        st.frames[&client].len() - 1
-    }
-
-    /// Release one session-layer payload into the sequencer: clamp the
-    /// timestamp to the client's floor, record it as submitted, and check
-    /// boundary consistency on anything emitted.
-    fn deliver_released(&self, st: &mut FaultReplay, idx: usize) -> Result<(), CoreError> {
-        let m = &self.messages[idx];
-        let t = truth_of(m);
-        let floor = st
-            .floors
-            .get(&m.client)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        let ts = m.timestamp.max(floor);
-        st.floors.insert(m.client, ts);
-        if let Some(v) = st.unreleased.get_mut(&m.client) {
-            if let Some(pos) = v.iter().position(|&u| u == t) {
-                v.remove(pos);
-            }
-        }
-        let msg = Message {
-            id: m.id,
-            client: m.client,
-            timestamp: ts,
-            true_time: m.true_time,
-        };
-        st.submitted.push(msg.clone());
-        st.pending.push(msg.clone());
-        let batches = st.seq.submit(msg, st.clock)?;
-        self.account(&st.seq, &batches, &mut st.pending, &mut st.violations)
-    }
-
-    /// Run every stream's recovery policy to quiescence at the current
-    /// clock: skip timeouts release buffered frames, retransmit requests
-    /// are answered immediately from the sender's history.
-    fn pump_recovery(&self, st: &mut FaultReplay) -> Result<(), CoreError> {
-        loop {
-            let clock = st.clock;
-            let mut released_payloads: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for (client, v) in st.validators.iter_mut() {
-                let polled = v.poll(clock);
-                let mut released = polled.released;
-                for action in polled.actions {
-                    let SessionAction::RequestRetransmit { sequence } = action;
-                    progressed = true;
-                    // Retransmission modeled as an immediate, successful
-                    // redelivery answered from the sender's history.
-                    let payload = st.frames[client]
-                        .get(usize::try_from(sequence).expect("small model"))
-                        .copied()
-                        .flatten();
-                    released.extend(v.accept(sequence, payload, clock));
-                }
-                released_payloads.extend(released.into_iter().flatten());
-            }
-            progressed |= !released_payloads.is_empty();
-            for idx in released_payloads {
-                self.deliver_released(st, idx)?;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        Ok(())
     }
 
     /// Replay a FIFO schedule in which `crashed` falls permanently silent
@@ -1615,103 +1588,26 @@ impl ModelSpec {
         crash_after: usize,
         liveness: Option<f64>,
     ) -> Result<CrashLivenessReport, CoreError> {
-        let config = match liveness {
-            Some(deadline) => self.config.with_liveness(LivenessConfig::enabled(deadline)),
-            None => self.config,
-        };
-        let mut seq = OnlineSequencer::new(config);
-        for (client, dist) in &self.offsets {
-            seq.register_client(*client, dist.clone());
-        }
-        let mut by_truth: Vec<usize> = (0..self.messages.len()).collect();
-        by_truth.sort_by(|&a, &b| {
-            truth_of(&self.messages[a])
-                .partial_cmp(&truth_of(&self.messages[b]))
-                .expect("finite true times")
+        // The crashed client's unsent tail is never scheduled, so it stays
+        // outstanding on its channel forever — which is what silences its
+        // heartbeats from the crash point on, the failure mode under test.
+        let mut sent_by_crashed = 0;
+        let mut schedule = self.by_truth();
+        schedule.retain(|&idx| {
+            let theirs = self.messages[idx].client == crashed;
+            sent_by_crashed += usize::from(theirs);
+            !theirs || sent_by_crashed <= crash_after
         });
+        let ending = Ending::Liveness {
+            deadline: liveness.unwrap_or(0.0),
+            crashed: Some(crashed),
+        };
+        let run = Replay::new(self, self.single_engine(liveness), None, false);
+        let run = run.replay(&schedule, None, ending)?;
 
-        let mut undelivered: HashMap<ClientId, Vec<f64>> = HashMap::new();
-        for m in &self.messages {
-            undelivered.entry(m.client).or_default().push(truth_of(m));
-        }
-        let mut clock = 0.0_f64;
-        let mut floors: HashMap<ClientId, f64> = HashMap::new();
-        let mut submitted = 0usize;
-        let mut sent_by_crashed = 0usize;
-
-        for &idx in &by_truth {
-            let m = &self.messages[idx];
-            let t = truth_of(m);
-            if m.client == crashed {
-                if sent_by_crashed >= crash_after {
-                    continue; // crashed: this message is never sent
-                }
-                sent_by_crashed += 1;
-            }
-            clock = clock.max(t + self.network_delay);
-            let floor = floors.get(&m.client).copied().unwrap_or(f64::NEG_INFINITY);
-            let ts = m.timestamp.max(floor);
-            floors.insert(m.client, ts);
-            if let Some(v) = undelivered.get_mut(&m.client) {
-                if let Some(pos) = v.iter().position(|&u| u == t) {
-                    v.remove(pos);
-                }
-            }
-            submitted += 1;
-            seq.submit(
-                Message {
-                    id: m.id,
-                    client: m.client,
-                    timestamp: ts,
-                    true_time: m.true_time,
-                },
-                clock,
-            )?;
-            for (hb_client, _) in &self.offsets {
-                if *hb_client == m.client {
-                    continue;
-                }
-                // The crashed client's unsent messages stay "undelivered"
-                // forever, which silences its heartbeats from the crash
-                // point on — exactly the failure mode under test.
-                let blocked = undelivered
-                    .get(hb_client)
-                    .is_some_and(|v| v.iter().any(|&u| u <= t));
-                if blocked {
-                    continue;
-                }
-                let floor = floors.get(hb_client).copied().unwrap_or(f64::NEG_INFINITY);
-                let hb = t.max(floor);
-                floors.insert(*hb_client, hb);
-                seq.heartbeat(*hb_client, hb, clock)?;
-            }
-        }
-
-        // Close without the crashed client and without a flush.
-        let max_ts = floors.values().fold(0.0_f64, |a, &b| a.max(b));
-        let max_sd = self
-            .offsets
-            .iter()
-            .map(|(_, d)| d.std_dev())
-            .fold(0.0_f64, f64::max);
-        let horizon = max_ts + 1000.0 * max_sd.max(1.0);
-        clock = clock.max(horizon + self.network_delay);
-        for (client, _) in &self.offsets {
-            if *client == crashed {
-                continue;
-            }
-            seq.heartbeat(*client, horizon, clock)?;
-        }
-        seq.tick(clock);
-        let deadline = liveness.unwrap_or(0.0);
-        seq.tick(clock + deadline + 1.0);
-
-        let stats = seq.stats();
-        let emitted: usize = seq
-            .take_emitted()
-            .iter()
-            .map(|b| b.messages.len())
-            .sum();
+        let stats = run.engine.stats();
+        let submitted = run.trace.submitted.len();
+        let emitted: usize = run.trace.emitted.iter().map(|b| b.messages.len()).sum();
         Ok(CrashLivenessReport {
             submitted,
             emitted,

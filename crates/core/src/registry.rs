@@ -201,6 +201,9 @@ pub struct DistributionRegistry {
     entries: Vec<ClientEntry>,
     /// Registered clients whose distribution has no closed form.
     non_gaussian: usize,
+    /// Smallest σ among the *currently* registered Gaussian clients (`+∞`
+    /// when there is none).
+    min_gaussian_sigma: f64,
     grid_points: usize,
     convolution: ConvolutionMethod,
     discretized: RwLock<HashMap<ClientId, Arc<DiscretizedPdf>>>,
@@ -247,6 +250,7 @@ impl DistributionRegistry {
             slots: HashMap::new(),
             entries: Vec::new(),
             non_gaussian: 0,
+            min_gaussian_sigma: f64::INFINITY,
             grid_points,
             convolution,
             discretized: RwLock::new(HashMap::new()),
@@ -266,6 +270,8 @@ impl DistributionRegistry {
     /// cached quantities involving that client.
     pub fn register(&mut self, client: ClientId, distribution: OffsetDistribution) {
         self.non_gaussian += usize::from(!distribution.is_gaussian());
+        let sigma = distribution.as_gaussian().map_or(f64::INFINITY, |g| g.std_dev());
+        self.min_gaussian_sigma = self.min_gaussian_sigma.min(sigma);
         let entry = ClientEntry {
             client,
             mean: distribution.mean(),
@@ -281,6 +287,10 @@ impl DistributionRegistry {
             Entry::Occupied(slot) => {
                 let old = std::mem::replace(&mut self.entries[slot.get().idx()], entry);
                 self.non_gaussian -= usize::from(!old.distribution.is_gaussian());
+                // The replaced claim may have been the minimum: re-take it
+                // over the census (O(C), re-registrations only).
+                let gaussians = self.entries.iter().filter_map(|e| e.distribution.as_gaussian());
+                self.min_gaussian_sigma = gaussians.map(|g| g.std_dev()).fold(f64::INFINITY, f64::min);
                 self.discretized.get_mut().remove(&client);
                 self.differences
                     .get_mut()
@@ -316,6 +326,12 @@ impl DistributionRegistry {
     /// Whether every registered client is closed-form (the fast-path census).
     pub(crate) fn all_closed_form(&self) -> bool {
         self.non_gaussian == 0
+    }
+
+    /// The smallest σ among the currently registered Gaussian clients, `+∞`
+    /// when there is none — the scale of the cross-shard merge window.
+    pub(crate) fn min_gaussian_sigma(&self) -> f64 {
+        self.min_gaussian_sigma
     }
 
     /// The distribution registered for `client`, if any.

@@ -14,6 +14,10 @@
 //!   and a batch is emitted only once its safe-emission time has passed and
 //!   per-client watermarks prove that no message that belongs in (or before)
 //!   the batch can still be in flight.
+//! * [`sharded`] — `K` online sequencers behind a watermark-driven merge.
+//! * [`stream`] — [`StreamEngine`], the driving surface `online` and
+//!   `sharded` share, so one driver (the sim runner, the lockstep suites,
+//!   the model checker's replay) serves both.
 //! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
 //! * [`watermark`] — per-client completeness tracking via messages and
 //!   heartbeats over ordered channels.
@@ -34,6 +38,7 @@ pub mod offline;
 pub mod online;
 pub mod sharded;
 mod sparse;
+pub mod stream;
 pub mod watermark;
 
 pub use self::core::{SequencingCore, SequencingOutcome};
@@ -41,4 +46,5 @@ pub use emission::{batch_emission_time, batch_emission_time_over, safe_emission_
 pub use offline::TommySequencer;
 pub use online::{CandidateStatus, EmittedBatch, OnlineSequencer, OnlineStats};
 pub use sharded::ShardedSequencer;
+pub use stream::{register_all, StreamEngine};
 pub use watermark::WatermarkTracker;

@@ -36,11 +36,12 @@
 //!
 //! A staged batch is **released** only once every other shard's frontier
 //! has passed `max_key − w`, where `w = z_θ · √2 · σ_min` mirrors the
-//! sparse engine's pruning window with the *smallest* registered standard
-//! deviation (and collapses to `0` the moment any non-closed-form client
-//! registers). For Gaussian censuses this makes cross-shard confident
-//! inversions impossible by construction: any message released later from
-//! another shard has `key_j ≥ key_i − w`, and
+//! sparse engine's pruning window with the *smallest* standard deviation
+//! currently registered on any shard (and is `0` while any non-closed-form
+//! client is registered). Like the frontier it is read off the shells'
+//! registries at every merge, never mirrored. For Gaussian censuses this
+//! makes cross-shard confident inversions impossible by construction: any
+//! message released later from another shard has `key_j ≥ key_i − w`, and
 //! `w ≤ z_θ·√(σ_i² + σ_j²)` for every pair, so
 //! `p(j ≺ i) = Φ((key_i − key_j)/√(σ_i² + σ_j²)) ≤ Φ(z_θ) = θ` — never
 //! out of margin. For mixed censuses the bound is conservative (`w = 0`)
@@ -244,10 +245,6 @@ pub struct ShardedSequencer {
     /// released, plus the released ones under
     /// [`SequencerConfig::retain_history`].
     seen_ids: HashSet<MessageId>,
-    /// Smallest Gaussian σ registered so far (the merge-window scale).
-    min_sigma: Option<f64>,
-    /// Any non-closed-form registration collapses the merge window to 0.
-    has_non_gaussian: bool,
     /// Released batches not yet drained via [`take_emitted`](Self::take_emitted).
     released: Vec<EmittedBatch>,
     /// Released batch groups (for [`emitted_order`](Self::emitted_order));
@@ -273,8 +270,6 @@ impl ShardedSequencer {
             assignment: HashMap::new(),
             next_shard: 0,
             seen_ids: HashSet::new(),
-            min_sigma: None,
-            has_non_gaussian: false,
             released: Vec::new(),
             released_groups: Vec::new(),
             global_rank: 0,
@@ -313,13 +308,6 @@ impl ShardedSequencer {
             self.next_shard = (self.next_shard + 1) % k;
             i
         });
-        match distribution.as_gaussian() {
-            Some(g) => {
-                let sigma = g.std_dev();
-                self.min_sigma = Some(self.min_sigma.map_or(sigma, |s| s.min(sigma)));
-            }
-            None => self.has_non_gaussian = true,
-        }
         let shard = &mut self.shards[shard_idx];
         shard.process();
         shard.seq.register_client(client, distribution);
@@ -476,14 +464,18 @@ impl ShardedSequencer {
     }
 
     /// The cross-shard release margin `w = z_θ · √2 · σ_min` (0 for mixed
-    /// censuses) — see the module docs, "Merge watermark invariant".
+    /// and empty censuses) — see the module docs, "Merge watermark
+    /// invariant". The census is the shells' *current* one: a client the
+    /// defense re-registered inside its shard counts with the σ it has now.
+    /// O(K).
     fn merge_window(&self) -> f64 {
-        if self.has_non_gaussian {
+        let registries = || self.shards.iter().map(|s| s.seq.registry());
+        let sigma = registries()
+            .map(|r| r.min_gaussian_sigma())
+            .fold(f64::INFINITY, f64::min);
+        if sigma.is_infinite() || !registries().all(|r| r.all_closed_form()) {
             return 0.0;
         }
-        let Some(sigma) = self.min_sigma else {
-            return 0.0;
-        };
         std_normal_inv_cdf(self.config.threshold) * std::f64::consts::SQRT_2 * sigma
     }
 
@@ -998,11 +990,59 @@ mod tests {
         let mut seq = ShardedSequencer::new(SequencerConfig::default().with_shards(2));
         seq.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 4.0));
         seq.register_client(ClientId(1), OffsetDistribution::gaussian(0.0, 2.0));
-        let w = seq.merge_window();
         let z = std_normal_inv_cdf(seq.config().threshold);
-        assert!((w - z * std::f64::consts::SQRT_2 * 2.0).abs() < 1e-12);
-        // A non-closed-form registration collapses the window.
+        let formula = |sigma: f64| z * std::f64::consts::SQRT_2 * sigma;
+        assert!((seq.merge_window() - formula(2.0)).abs() < 1e-12);
+        // A non-closed-form registration collapses the window ...
         seq.register_client(ClientId(2), OffsetDistribution::uniform(-1.0, 1.0));
         assert_eq!(seq.merge_window(), 0.0);
+        // ... only for as long as it stands: the census is the current one.
+        seq.register_client(ClientId(2), OffsetDistribution::gaussian(0.0, 3.0));
+        assert!((seq.merge_window() - formula(2.0)).abs() < 1e-12);
+        // Likewise σ_min is a minimum over the current claims, not history.
+        seq.register_client(ClientId(1), OffsetDistribution::gaussian(0.0, 6.0));
+        assert!((seq.merge_window() - formula(3.0)).abs() < 1e-12);
+    }
+
+    /// A drift re-estimation happens inside a shard's shell, where the
+    /// wrapper's `register_client` never sees it — and it can *lower* σ,
+    /// the direction in which a stale window would be too wide to be sound.
+    #[test]
+    fn merge_window_follows_a_defense_reestimation_inside_a_shard() {
+        use crate::defense::{DefenseConfig, ExpectedDelay};
+        use tommy_stats::distribution::Distribution;
+        let defense = DefenseConfig::enabled()
+            .with_window(8)
+            .with_min_samples(4)
+            .with_check_interval(4)
+            .with_ks_threshold(0.99)
+            .with_drift_zscore(3.0)
+            .with_expected_delay(ExpectedDelay::Fixed(1.0));
+        let config = SequencerConfig::default().with_shards(2).with_defense(defense);
+        let mut seq = ShardedSequencer::new(config);
+        seq.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 4.0));
+        seq.register_client(ClientId(1), OffsetDistribution::gaussian(0.0, 2.0));
+        // Client 1's residuals (`timestamp − arrival + 1`) validate its
+        // claim over the first window, then settle tightly around +3.
+        let honest = [-0.5, 0.5, -0.5, 0.5];
+        let drifted = [2.9, 3.1].repeat(4);
+        for (i, residual) in honest.iter().chain(&drifted).enumerate() {
+            let arrival = 10.0 * (i + 1) as f64;
+            let message = Message::new(MessageId(i as u64), ClientId(1), arrival - 1.0 + residual);
+            seq.submit(message, arrival).unwrap();
+            seq.drive(arrival);
+        }
+        assert!(seq.take_rejections().is_empty());
+        assert!(seq.shard_stats(1).reestimations >= 1, "{:?}", seq.shard_stats(1));
+
+        let sigma_of = |c: u32| {
+            let shell = &seq.shards[seq.shard_of(ClientId(c)).unwrap()].seq;
+            shell.registry().get(ClientId(c)).unwrap().std_dev()
+        };
+        assert_eq!(sigma_of(0), 4.0);
+        assert!(sigma_of(1) < 2.0, "re-learned σ = {}", sigma_of(1));
+        let z = std_normal_inv_cdf(seq.config().threshold);
+        let formula = z * std::f64::consts::SQRT_2 * sigma_of(0).min(sigma_of(1));
+        assert!((seq.merge_window() - formula).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! # tommy-netsim
 //!
-//! A small deterministic discrete-event network simulator.
+//! A small deterministic network-simulation toolkit.
 //!
 //! The paper's online sequencing design (§3.5, Appendix C) hinges on network
 //! asynchrony: "messages do not necessarily arrive in timestamp order" and
@@ -9,7 +9,6 @@
 //! substrate for those simulations:
 //!
 //! * [`time`] — a totally ordered simulated-time type;
-//! * [`event`]/[`queue`] — a seeded, deterministic discrete-event loop;
 //! * [`link`] — point-to-point links with configurable base delay, jitter
 //!   (any [`tommy_stats`] distribution), and loss;
 //! * [`channel`] — FIFO ("TCP-like") ordered channels versus unordered
@@ -28,20 +27,16 @@
 
 pub mod channel;
 pub mod delay;
-pub mod event;
 pub mod fault;
 pub mod link;
-pub mod queue;
 pub mod time;
 pub mod topology;
 pub mod trace;
 
 pub use channel::{ChannelKind, DeliveryChannel};
 pub use delay::link_delay;
-pub use event::ScheduledEvent;
 pub use fault::{FaultAction, FaultFamily, FaultInjector, FaultPlan, FaultWindow};
 pub use link::LinkModel;
-pub use queue::EventQueue;
 pub use time::SimTime;
 pub use topology::{Region, RegionTopology};
 pub use trace::{DeliveryRecord, DeliveryTrace, DropRecord};

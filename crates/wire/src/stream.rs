@@ -211,15 +211,15 @@ impl StreamReceiver {
                 validator: SequenceValidator::new(self.policy),
                 fin_sequence: None,
             });
-        if fin {
+        let overruns = state.validator.counters().window_overruns;
+        let released = state.validator.accept(sequence, inner.map(|b| *b), now);
+        // A fin the validator dropped as a window overrun is a forgery: its
+        // marker would sit past anything the stream can reach and wedge
+        // `stream_complete` for good.
+        if fin && state.validator.counters().window_overruns == overruns {
             state.fin_sequence = Some(sequence);
         }
-        state
-            .validator
-            .accept(sequence, inner.map(|b| *b), now)
-            .into_iter()
-            .flatten()
-            .collect()
+        released.into_iter().flatten().collect()
     }
 
     /// Run every stream's recovery policy at time `now`: collect messages
@@ -364,6 +364,37 @@ mod tests {
                 .collect();
             assert_eq!(released.len(), 5);
             assert_eq!(released[4], submit(4, 1, 4.0));
+        }
+    }
+
+    /// A forged fin far past the reorder window is dropped like any other
+    /// overrun and leaves no marker behind, whether it lands before the
+    /// real fin or after it: the stream completes and stays complete.
+    #[test]
+    fn forged_fin_does_not_wedge_stream_completion() {
+        for hostile in [1u64 << 40, u64::MAX] {
+            let mut tx = SequencedSender::new(ClientId(1), 0);
+            let mut rx = StreamReceiver::new(RecoveryPolicy::Halt);
+            let forged = WireMessage::Stream {
+                sender: ClientId(1),
+                stream_id: 0,
+                sequence: hostile,
+                fin: true,
+                inner: None,
+            };
+            assert!(rx.receive(forged.clone(), 0.0).is_empty());
+            assert!(!rx.stream_complete(ClientId(1), 0));
+            let released: Vec<_> = (0..5)
+                .flat_map(|i| rx.receive(tx.wrap(submit(i, 1, i as f64)), 1.0))
+                .collect();
+            assert_eq!(released.len(), 5);
+            rx.receive(tx.fin(), 2.0);
+            assert!(rx.stream_complete(ClientId(1), 0));
+            assert_eq!(rx.counters().window_overruns, 1);
+            // A late forgery must not displace the real fin's marker.
+            assert!(rx.receive(forged, 3.0).is_empty());
+            assert!(rx.stream_complete(ClientId(1), 0));
+            assert_eq!(rx.counters().window_overruns, 2);
         }
     }
 

@@ -11,8 +11,10 @@
 //!
 //! The [`StreamEngine`] trait is the common surface the helpers drive:
 //! implemented by both the single-engine [`OnlineSequencer`] and the
-//! sharded [`ShardedSequencer`], so a differential harness can run one of
-//! each through the same schedule with the same code.
+//! sharded `ShardedSequencer`, so a differential harness can run one of
+//! each through the same schedule with the same code. It lives in
+//! `tommy_core::sequencer` (the model checker drives it too) and is
+//! re-exported here.
 //!
 //! The §4 delivery schedule itself is data: [`Schedule::resolve`] turns a
 //! generated stream into a flat [`StreamEvent`] list once, and every driver
@@ -27,122 +29,14 @@ use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::error::CoreError;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer};
-use tommy_core::sequencer::sharded::ShardedSequencer;
+pub use tommy_core::sequencer::{register_all, StreamEngine};
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
-
-/// The common driving surface of the online engines: submit/heartbeat with
-/// an arrival clock, advance time, close out, and drain emitted batches.
-///
-/// [`OnlineSequencer`] applies every event eagerly, so [`pump`](Self::pump)
-/// is a no-op; [`ShardedSequencer`] queues events per shard, so `pump`
-/// drives the queues through the cross-shard merge. Differential harnesses
-/// call `pump` after every event and get the right behavior from both.
-pub trait StreamEngine {
-    /// Register (or re-register) a client's claimed offset distribution.
-    fn register(&mut self, client: ClientId, dist: OffsetDistribution);
-    /// Submit a message observed at `arrival` on the sequencer's clock.
-    fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError>;
-    /// Record a client heartbeat observed at `arrival`.
-    fn heartbeat_at(
-        &mut self,
-        client: ClientId,
-        timestamp: f64,
-        arrival: f64,
-    ) -> Result<(), CoreError>;
-    /// Apply any queued work up to `now` (no-op for eager engines).
-    fn pump(&mut self, now: f64);
-    /// Advance the sequencer clock to `now`, releasing what became safe.
-    fn tick_at(&mut self, now: f64);
-    /// Force out everything still pending, watermarks notwithstanding.
-    fn flush_all(&mut self);
-    /// Drain the emitted-batch buffer.
-    fn drain(&mut self) -> Vec<EmittedBatch>;
-    /// Emitted batches not yet drained.
-    fn undrained(&self) -> usize;
-    /// Message ids currently tracked for duplicate detection.
-    fn tracked_ids(&self) -> usize;
-}
-
-impl StreamEngine for OnlineSequencer {
-    fn register(&mut self, client: ClientId, dist: OffsetDistribution) {
-        self.register_client(client, dist);
-    }
-    fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError> {
-        self.submit(message, arrival).map(|_| ())
-    }
-    fn heartbeat_at(
-        &mut self,
-        client: ClientId,
-        timestamp: f64,
-        arrival: f64,
-    ) -> Result<(), CoreError> {
-        self.heartbeat(client, timestamp, arrival).map(|_| ())
-    }
-    fn pump(&mut self, _now: f64) {}
-    fn tick_at(&mut self, now: f64) {
-        self.tick(now);
-    }
-    fn flush_all(&mut self) {
-        self.flush();
-    }
-    fn drain(&mut self) -> Vec<EmittedBatch> {
-        self.take_emitted()
-    }
-    fn undrained(&self) -> usize {
-        self.emitted().len()
-    }
-    fn tracked_ids(&self) -> usize {
-        self.tracked_ids()
-    }
-}
-
-impl StreamEngine for ShardedSequencer {
-    fn register(&mut self, client: ClientId, dist: OffsetDistribution) {
-        self.register_client(client, dist);
-    }
-    fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError> {
-        self.submit(message, arrival)
-    }
-    fn heartbeat_at(
-        &mut self,
-        client: ClientId,
-        timestamp: f64,
-        arrival: f64,
-    ) -> Result<(), CoreError> {
-        self.heartbeat(client, timestamp, arrival)
-    }
-    fn pump(&mut self, now: f64) {
-        self.drive(now);
-    }
-    fn tick_at(&mut self, now: f64) {
-        self.tick(now);
-    }
-    fn flush_all(&mut self) {
-        self.flush();
-    }
-    fn drain(&mut self) -> Vec<EmittedBatch> {
-        self.take_emitted()
-    }
-    fn undrained(&self) -> usize {
-        self.emitted().len()
-    }
-    fn tracked_ids(&self) -> usize {
-        self.tracked_ids()
-    }
-}
 
 /// A census of `clients` zero-mean Gaussian clients with a common σ.
 pub fn gaussian_census(clients: usize, sigma: f64) -> Vec<(ClientId, OffsetDistribution)> {
     (0..clients as u32)
         .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, sigma)))
         .collect()
-}
-
-/// Register every `(client, distribution)` pair into an engine.
-pub fn register_all<E: StreamEngine>(engine: &mut E, offsets: &[(ClientId, OffsetDistribution)]) {
-    for (client, dist) in offsets {
-        engine.register(*client, dist.clone());
-    }
 }
 
 /// An `Auto` sequencer and its `ForceDense` twin over the same census — the
@@ -440,6 +334,7 @@ pub fn emitted_ids(batches: &[EmittedBatch]) -> Vec<MessageId> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use tommy_core::sequencer::sharded::ShardedSequencer;
 
     #[test]
     fn census_and_model_builders_are_stable() {

@@ -76,6 +76,12 @@ fn scaled_honest_model_is_enumerable_with_reductions() {
         report.heartbeats_elided > 0,
         "no-op heartbeats must be elided: {report:?}"
     );
+    // The exact figures ARCHITECTURE.md records: a change to the replay or
+    // the enumerator that moves any of them is a behavioural change.
+    assert_eq!(
+        (report.schedules, report.symmetry_pruned, report.heartbeats_elided),
+        (2_590, 7, 41_440)
+    );
 }
 
 /// Colluders 0 and 1 share bit-identical message sequences whose residuals
@@ -159,6 +165,10 @@ fn scaled_collusive_model_quarantines_colluders_in_every_schedule() {
     assert!(
         report.heartbeats_elided > 0,
         "no-op heartbeats must be elided: {report:?}"
+    );
+    assert_eq!(
+        (report.schedules, report.symmetry_pruned, report.heartbeats_elided),
+        (72_522, 24_175, 2_807_830)
     );
 }
 

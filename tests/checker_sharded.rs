@@ -36,6 +36,16 @@ fn sharded_model_holds_the_cross_shard_margin() {
         report.max_cross_probability,
         spec.config.threshold
     );
+    // Pinned: the schedule space and the margin scan are an identity under
+    // any refactor of the replay.
+    assert_eq!(
+        (
+            report.schedules,
+            report.cross_pairs_checked,
+            report.max_cross_probability.to_bits()
+        ),
+        (24, 192, 0x3ec9_461c_ad2b_98a7)
+    );
 }
 
 /// One shard per client (K = 3): every ordered pair is cross-shard, so the
@@ -88,6 +98,14 @@ fn tight_model_stays_within_margin_under_fusion_pressure() {
         "a sub-σ-spaced model must observe real cross-shard uncertainty"
     );
     assert!(report.max_cross_probability <= spec.config.threshold + 1e-9);
+    assert_eq!(
+        (
+            report.schedules,
+            report.cross_pairs_checked,
+            report.max_cross_probability.to_bits()
+        ),
+        (24, 192, 0x3fe1_cca5_ed91_4fdc)
+    );
 }
 
 /// The sharded check agrees with the single-engine checker on the same

@@ -41,6 +41,7 @@ fn retransmit_recovers_every_bounded_fault_case() {
         .expect("well-formed model");
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert!(report.cases > report.schedules, "drop/dup subsets multiply cases");
+    assert_eq!((report.schedules, report.cases), (24, 1_032));
 }
 
 /// Under `SkipAfterTimeout`, only the genuinely dropped messages may go
@@ -53,6 +54,7 @@ fn skip_loses_only_what_the_network_dropped() {
         }))
         .expect("well-formed model");
     assert!(report.ok(), "violations: {:?}", report.violations);
+    assert_eq!((report.schedules, report.cases), (24, 1_032));
 }
 
 /// Under `Halt`, a true loss is never passed silently: the gap is detected,
@@ -64,6 +66,7 @@ fn halt_never_passes_an_undetected_gap() {
         .check_faulty(&FaultSpec::new(RecoveryPolicy::Halt).with_max_duplicated(0))
         .expect("well-formed model");
     assert!(report.ok(), "violations: {:?}", report.violations);
+    assert_eq!((report.schedules, report.cases), (24, 168), "no duplicates: 7 drop sets");
 }
 
 /// A crashed client is evicted after the staleness deadline and the run

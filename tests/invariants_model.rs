@@ -64,6 +64,7 @@ fn honest_baseline_passes_all_invariants() {
         .check()
         .expect("well-formed model");
     assert!(report.schedules > 1, "reordering must yield several schedules");
+    assert_eq!(report.schedules, 24, "pinned: the replay refactor is an identity");
     assert!(!report.truncated);
     assert!(report.ok(), "honest baseline violated: {:?}", report.violations);
 }
@@ -74,6 +75,7 @@ fn misreport_family_passes_all_invariants() {
         let plan = AttackPlan::new(AttackFamily::Misreport, intensity).with_scale(2.0);
         let report = check_plan(&plan, 0.5);
         assert!(report.schedules > 1);
+        assert_eq!(report.schedules, 24);
         assert!(
             report.ok(),
             "misreport@{intensity} violated: {:?}",
@@ -88,6 +90,7 @@ fn drift_family_passes_all_invariants() {
         let plan = AttackPlan::new(AttackFamily::Drift, intensity).with_scale(2.0);
         let report = check_plan(&plan, 0.5);
         assert!(report.schedules > 1);
+        assert_eq!(report.schedules, 24);
         assert!(
             report.ok(),
             "drift@{intensity} violated: {:?}",
@@ -104,6 +107,7 @@ fn collusion_family_passes_all_invariants() {
             .with_attackers(2);
         let report = check_plan(&plan, 0.5);
         assert!(report.schedules > 1);
+        assert_eq!(report.schedules, 24);
         assert!(
             report.ok(),
             "collusion@{intensity} violated: {:?}",
@@ -126,6 +130,7 @@ fn correlated_collusion_family_passes_all_invariants() {
             .with_onset_fraction(0.0);
         let report = check_plan(&plan, 0.5);
         assert!(report.schedules > 1);
+        assert_eq!(report.schedules, 24);
         assert!(
             report.ok(),
             "correlated_collusion@{intensity} violated: {:?}",
@@ -184,5 +189,8 @@ fn replay_exposes_a_checkable_trace() {
     assert_eq!(trace.submitted.len(), 6);
     let emitted: usize = trace.emitted.iter().map(|b| b.messages.len()).sum();
     assert_eq!(emitted, 6);
+    let batches: Vec<Vec<MessageId>> = trace.emitted.iter().map(|b| b.message_ids()).collect();
+    let singletons: Vec<Vec<MessageId>> = (0..6).map(|i| vec![MessageId(i)]).collect();
+    assert_eq!(batches, singletons, "well-separated FIFO: one batch per message");
     assert!(check_trace(&trace, 0.0).is_empty());
 }
