@@ -2,10 +2,11 @@
 //!
 //! [`FairOrder::from_linear_order`] is the one-shot §3.4 constructor — walk
 //! the linear order, split wherever the adjacent-pair probability exceeds the
-//! threshold. The offline sequencer materializes its output through it; the
-//! online sequencer maintains the same boundary set incrementally
-//! ([`crate::batching::incremental::IncrementalFairOrder`]) and only builds a
-//! `FairOrder` for emitted history.
+//! threshold. Only reference tests call it: both sequencers keep the same
+//! boundary set in an engine
+//! ([`crate::batching::incremental::IncrementalFairOrder`], or the sparse
+//! engine's `starts_batch` bits) and materialize a `FairOrder` from that
+//! through [`FairOrder::from_groups`].
 
 use crate::message::MessageId;
 use crate::precedence::PrecedenceMatrix;

@@ -35,7 +35,10 @@ impl std::fmt::Display for FasFallbackReason {
     }
 }
 
-/// Which precedence engine the online sequencer runs over its pending set.
+/// Which precedence engine a sequencer runs: the online shell over its
+/// pending set, and by the same census rule the offline
+/// [`TommySequencer`](crate::sequencer::offline::TommySequencer) over each
+/// window.
 ///
 /// For closed-form (Gaussian) kernels, `p(i ≺ j) ≥ ½` reduces to a
 /// per-client timestamp-margin comparison, so the tournament order is a
@@ -56,7 +59,8 @@ pub enum FastPathMode {
     #[default]
     Auto,
     /// Never use the sparse path: every arrival fills a dense matrix
-    /// column, exactly the historical engine. Exists for baseline
+    /// column, every offline window builds its O(n²) matrix, exactly the
+    /// historical engines. Exists for baseline
     /// measurement (`sparse_path` bench), for the exact-query-count
     /// regression tests, and as a correctness anchor — the fast-path
     /// counters (`lazy_evals`, `dense_columns_avoided`, `mode_switches`)
@@ -211,7 +215,7 @@ pub struct SequencerConfig {
     /// past the staleness deadline while blocking the watermark, and resumes
     /// them when they speak again. Disabled by default.
     pub liveness: LivenessConfig,
-    /// Online precedence-engine selection (see [`FastPathMode`]):
+    /// Precedence-engine selection, online and offline (see [`FastPathMode`]):
     /// [`FastPathMode::Auto`] (the default) runs the sub-quadratic sparse
     /// fast path on all-closed-form client populations and the dense matrix
     /// otherwise; [`FastPathMode::ForceDense`] pins the historical dense

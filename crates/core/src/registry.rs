@@ -46,7 +46,7 @@
 //! ([`record_queries`](DistributionRegistry::record_queries)) so its
 //! semantics — one count per pairwise probability evaluated — are unchanged.
 
-use crate::config::SequencerConfig;
+use crate::config::{FastPathMode, SequencerConfig};
 use crate::defense::{
     CollusionReport, CollusionTracker, DefenseConfig, TrustEvent, TrustLevel, TrustState,
 };
@@ -326,6 +326,12 @@ impl DistributionRegistry {
     /// Whether every registered client is closed-form (the fast-path census).
     pub(crate) fn all_closed_form(&self) -> bool {
         self.non_gaussian == 0
+    }
+
+    /// The census rule of both sequencers: the sparse engine sequences this
+    /// census iff `mode` allows it and every registered client is closed-form.
+    pub(crate) fn rides_sparse_engine(&self, mode: FastPathMode) -> bool {
+        mode == FastPathMode::Auto && self.all_closed_form()
     }
 
     /// The smallest σ among the currently registered Gaussian clients, `+∞`

@@ -10,6 +10,9 @@
 //!   so both produce their fair order through one code path.
 //! * [`offline`] — the batch-mode sequencer of §3.4: all messages are present
 //!   before sequencing begins (this is the mode the paper evaluates in §4).
+//!   Two engines behind the online shell's census rule
+//!   ([`FastPathMode`](crate::config::FastPathMode)): a closed-form census
+//!   is the `sparse` engine run to completion, anything else the matrix.
 //! * [`online`] — the streaming sequencer of §3.5: messages arrive over time,
 //!   and a batch is emitted only once its safe-emission time has passed and
 //!   per-client watermarks prove that no message that belongs in (or before)
@@ -25,11 +28,11 @@
 //!   [`SequencingCore`] and the cached candidate batch kept in lockstep
 //!   behind the surface the online shell dispatches over.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
-//!   registered client has a closed-form kernel, the online sequencer keeps
-//!   its order in a treap keyed by margin-adjusted timestamps (threaded
-//!   with in-order neighbour links) and evaluates probabilities lazily,
-//!   never materializing a dense matrix column (see `ARCHITECTURE.md`,
-//!   "Sparse fast path").
+//!   registered client has a closed-form kernel, a sequencer keeps its
+//!   order in a treap keyed by margin-adjusted timestamps (threaded with
+//!   in-order neighbour links) and evaluates probabilities lazily, never
+//!   materializing a dense matrix column (see its `Φ(0)` caveat and
+//!   `ARCHITECTURE.md`, "Sparse fast path").
 
 pub mod core;
 mod dense;

@@ -2,29 +2,33 @@
 //!
 //! §3 of the paper, assuming "all messages are present at the sequencer
 //! before it starts sequencing" (the assumption §3.5 later lifts — see
-//! [`crate::sequencer::online`]). The pipeline is:
+//! [`crate::sequencer::online`]). Two engines behind the census rule the
+//! online shell applies ([`FastPathMode`](crate::config::FastPathMode)),
+//! taken here per call:
 //!
-//! 1. compute the pairwise preceding probabilities ([`PrecedenceMatrix`]) —
-//!    filled through per-client-pair
-//!    [`PairKernel`](crate::registry::PairKernel)s, so the registry's
-//!    lookups and locks are amortized over whole rows (O(C²) touches per
-//!    build tile, C = distinct clients, instead of O(pairs)) and the
-//!    per-pair arithmetic runs as tight loops over contiguous timestamps,
-//! 2. build the tournament, extract a linear order, and batch adjacent
-//!    messages whose ordering confidence is below the threshold — the
-//!    pipeline tail shared with the online sequencer through
-//!    [`SequencingCore`] (the offline path drives it one-shot via
-//!    [`SequencingCore::load`]).
+//! * **Closed-form census**: offline is the sparse engine run to completion.
+//!   The window is rebuilt into the online sequencer's `SparseEngine` (a
+//!   sort by `T − μ`, one kernel evaluation per adjacency) and the order's
+//!   boundary bits are the §3.4 batches: no matrix, and no tournament since
+//!   Gaussian ones are transitive (Appendix A). The outcome is the matrix
+//!   path's, under the `Φ(0)` placement caveat of `sequencer::sparse`'s docs.
+//! * **Anything else** (a mixed or cyclic census, `ForceDense`, a window the
+//!   fast path cannot prove valid): the pairwise [`PrecedenceMatrix`], filled
+//!   through per-client-pair [`PairKernel`](crate::registry::PairKernel)s,
+//!   then tournament, linear order and threshold batching — the pipeline
+//!   tail shared with the online dense engine through [`SequencingCore`].
 
 use crate::batching::FairOrder;
 use crate::config::SequencerConfig;
 use crate::error::CoreError;
-use crate::message::{ClientId, Message};
+use crate::message::{ClientId, Message, MessageId};
 use crate::precedence::PrecedenceMatrix;
 use crate::registry::DistributionRegistry;
 use crate::sequencer::core::SequencingCore;
+use crate::sequencer::sparse::SparseEngine;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use std::collections::HashSet;
 use tommy_stats::distribution::OffsetDistribution;
 
 pub use crate::sequencer::core::SequencingOutcome;
@@ -33,6 +37,8 @@ pub use crate::sequencer::core::SequencingOutcome;
 #[derive(Debug)]
 pub struct TommySequencer {
     core: SequencingCore,
+    /// Holds the window while the census is closed-form (see module docs).
+    sparse: SparseEngine,
     registry: DistributionRegistry,
     rng: StdRng,
 }
@@ -49,6 +55,7 @@ impl TommySequencer {
     pub fn with_seed(config: SequencerConfig, seed: u64) -> Self {
         TommySequencer {
             registry: DistributionRegistry::from_config(&config),
+            sparse: SparseEngine::new(config.threshold, config.p_safe),
             core: SequencingCore::new(config),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -61,6 +68,9 @@ impl TommySequencer {
 
     /// Register a client's (learned or seeded) offset distribution.
     pub fn register_client(&mut self, client: ClientId, distribution: OffsetDistribution) {
+        if let Some(gaussian) = distribution.as_gaussian() {
+            self.sparse.observe_sigma(gaussian.std_dev());
+        }
         self.registry.register(client, distribution);
     }
 
@@ -74,14 +84,22 @@ impl TommySequencer {
         self.registry.len()
     }
 
-    /// Sequence a set of messages into a fair partial order.
+    /// Sequence a set of messages into a fair partial order: the order of
+    /// [`sequence_detailed`](Self::sequence_detailed) without paying for
+    /// its diagnostics.
     pub fn sequence(&mut self, messages: &[Message]) -> Result<FairOrder, CoreError> {
-        Ok(self.sequence_detailed(messages)?.order)
+        Ok(match self.load_window(messages)? {
+            None => self.sparse_order(),
+            Some(matrix) => {
+                let (core, rng) = self.load_matrix(&matrix);
+                core.fair_order(&matrix, rng)
+            }
+        })
     }
 
     /// Sequence a set of messages, returning diagnostics alongside the order.
     ///
-    /// The pairwise matrix is built with
+    /// On the matrix path the pairwise matrix is built with
     /// [`PrecedenceMatrix::compute_parallel`] using
     /// [`SequencerConfig::parallelism`] worker threads — bit-identical to the
     /// serial build, so the configured parallelism changes wall-clock time
@@ -90,11 +108,18 @@ impl TommySequencer {
         &mut self,
         messages: &[Message],
     ) -> Result<SequencingOutcome, CoreError> {
-        let matrix = PrecedenceMatrix::compute_parallel(
-            messages,
-            &self.registry,
-            self.core.config().parallelism,
-        )?;
+        let Some(matrix) = self.load_window(messages)? else {
+            // The matrix scan's integer ratio: a pair is confident or linked.
+            let total = messages.len() * (messages.len() - 1) / 2;
+            let confident = total - self.sparse.linked_pairs(&self.registry);
+            return Ok(SequencingOutcome {
+                order: self.sparse_order(),
+                transitive: true,
+                cyclic_components: 0,
+                confident_pair_fraction: if total == 0 { 1.0 } else { confident as f64 / total as f64 },
+                fas_fallback_reason: self.config().fas_fallback_reason(),
+            });
+        };
         Ok(self.sequence_matrix(&matrix))
     }
 
@@ -104,21 +129,57 @@ impl TommySequencer {
     /// one-shot outcome through the same pipeline tail the online sequencer
     /// maintains incrementally.
     pub fn sequence_matrix(&mut self, matrix: &PrecedenceMatrix) -> SequencingOutcome {
-        self.core.load(matrix);
-        let rng: Option<&mut dyn rand::RngCore> = if self.core.config().stochastic_cycle_breaking
-        {
-            Some(&mut self.rng)
-        } else {
-            None
+        let (core, rng) = self.load_matrix(matrix);
+        core.outcome(matrix, rng)
+    }
+
+    /// The census decision: `None` once the sparse engine holds the window,
+    /// else its matrix. The fast path takes only what the matrix build would
+    /// accept (non-empty, no repeated id, every client registered, every
+    /// timestamp finite), so any other input still reports that build's error.
+    fn load_window(&mut self, messages: &[Message]) -> Result<Option<PrecedenceMatrix>, CoreError> {
+        let config = self.core.config();
+        let rides = self.registry.rides_sparse_engine(config.fast_path) && !messages.is_empty();
+        let mut ids = HashSet::with_capacity(if rides { messages.len() } else { 0 });
+        let valid = |m: &Message| {
+            m.timestamp.is_finite() && self.registry.contains(m.client) && ids.insert(m.id)
         };
-        self.core.outcome(matrix, rng)
+        if rides && messages.iter().all(valid) {
+            self.sparse.rebuild_from(messages, &self.registry);
+            return Ok(None);
+        }
+        PrecedenceMatrix::compute_parallel(messages, &self.registry, config.parallelism).map(Some)
+    }
+
+    /// The sparse engine's order cut at its boundary bits.
+    fn sparse_order(&self) -> FairOrder {
+        let mut groups: Vec<Vec<MessageId>> = Vec::new();
+        for (id, starts_batch) in self.sparse.pending_order() {
+            if starts_batch {
+                groups.push(Vec::new());
+            }
+            groups.last_mut().expect("the head starts a batch").push(id);
+        }
+        FairOrder::from_groups(groups)
+    }
+
+    /// Track `matrix` in the core; returns it with the cycle breaker's
+    /// sampling stream, when the configuration asks for one.
+    fn load_matrix(
+        &mut self,
+        matrix: &PrecedenceMatrix,
+    ) -> (&mut SequencingCore, Option<&mut dyn RngCore>) {
+        self.core.load(matrix);
+        let stochastic = self.core.config().stochastic_cycle_breaking;
+        let rng = stochastic.then_some(&mut self.rng as &mut dyn RngCore);
+        (&mut self.core, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MessageId;
+    use crate::config::FastPathMode;
 
     fn msg(id: u64, client: u32, ts: f64) -> Message {
         Message::new(MessageId(id), ClientId(client), ts)
@@ -229,21 +290,22 @@ mod tests {
 
     /// The parallel matrix build behind `SequencerConfig::parallelism` is
     /// bit-identical to the serial one: identical batches, ranks and
-    /// diagnostics for any thread count.
+    /// diagnostics for any thread count (the matrix path pinned, since a
+    /// Gaussian census would otherwise never build a matrix).
     #[test]
     fn parallel_sequencing_is_bit_identical_to_serial() {
         let msgs: Vec<Message> = (0..120)
             .map(|i| msg(i, (i % 6) as u32, (i % 17) as f64 * 2.5))
             .collect();
-        let mut serial = TommySequencer::new(SequencerConfig::default().with_parallelism(1));
+        let dense = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        let mut serial = TommySequencer::new(dense.with_parallelism(1));
         for c in 0..6u32 {
             serial.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 10.0));
         }
         let serial_outcome = serial.sequence_detailed(&msgs).unwrap();
 
         for threads in [0usize, 2, 4, 7] {
-            let mut parallel =
-                TommySequencer::new(SequencerConfig::default().with_parallelism(threads));
+            let mut parallel = TommySequencer::new(dense.with_parallelism(threads));
             for c in 0..6u32 {
                 parallel.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 10.0));
             }

@@ -386,9 +386,7 @@ impl OnlineSequencer {
         self.dense.invalidate_candidate();
         self.sparse.invalidate_candidate();
 
-        let want = match self.config.fast_path == FastPathMode::Auto
-            && self.registry.all_closed_form()
-        {
+        let want = match self.registry.rides_sparse_engine(self.config.fast_path) {
             true => EngineMode::Sparse,
             false => EngineMode::Dense,
         };

@@ -62,7 +62,8 @@
 //! costs O(log n) placement plus O(window) lazy evaluations in every
 //! regime, including chains that keep absorbing arrivals (σ ≫ gap).
 //!
-//! The engine is private to the [`OnlineSequencer`](super::online): mode
+//! The engine is private to the two sequencers ([`super::online`] maintains
+//! it per event, [`super::offline`] runs it to completion): mode
 //! selection, counters and the dense fallback are documented on
 //! [`FastPathMode`](crate::config::FastPathMode) and in `ARCHITECTURE.md`
 //! ("Sparse fast path").
@@ -134,7 +135,7 @@ struct SparseCandidate {
 }
 
 /// Sparse precedence engine over an all-closed-form pending set (see the
-/// module docs). Owned by the online sequencer and active only while every
+/// module docs). Owned by a sequencer and active only while every
 /// registered client is Gaussian under [`FastPathMode::Auto`].
 ///
 /// [`FastPathMode::Auto`]: crate::config::FastPathMode::Auto
@@ -264,8 +265,9 @@ impl SparseEngine {
         self.in_order().any(|n| n.message.client == client)
     }
 
-    /// `(message id, starts_batch)` in maintained (key) order — diagnostic
-    /// surface for the bit-identity property tests.
+    /// `(message id, starts_batch)` in maintained (key) order: the §3.4
+    /// adjacency cut the offline sequencer returns, and the diagnostic
+    /// surface of the bit-identity property tests.
     pub(crate) fn pending_order(&self) -> Vec<(MessageId, bool)> {
         self.in_order()
             .map(|n| (n.message.id, n.starts_batch))
@@ -692,7 +694,7 @@ impl SparseEngine {
     // Wholesale rebuild (mode switches, re-registration)
     // ------------------------------------------------------------------
 
-    /// Rebuild the pending set from scratch (dense → sparse mode switch, or
+    /// Rebuild the pending set from scratch (an offline window, a mode switch, or
     /// a re-registration that changed a pending client's μ and hence its
     /// keys): fresh sequence numbers in the given (arrival) order, then all
     /// `n − 1` boundary bits derived in one in-order sweep — the sparse
@@ -729,6 +731,30 @@ impl SparseEngine {
             cur = self.next_in_order(cur);
         }
         self.counters.full_rebuilds += 1;
+    }
+
+    /// How many unordered pending pairs are *linked* (`max(p, 1−p) ≤ θ`):
+    /// each message is checked against its in-window successors only, every
+    /// pair further apart being separable by construction. The complement
+    /// over all pairs is the dense matrix's confident-pair count.
+    pub(crate) fn linked_pairs(&mut self, registry: &DistributionRegistry) -> usize {
+        let w = self.window();
+        let mut linked = 0;
+        let mut u = self.head;
+        while u != NIL {
+            let uk = self.nodes[u as usize].key;
+            let mut v = self.next_in_order(u);
+            while v != NIL {
+                let vk = self.nodes[v as usize].key;
+                if vk - uk > w + Self::slack(uk, vk) {
+                    break;
+                }
+                linked += usize::from(self.pair_max(registry, u, v) <= self.threshold);
+                v = self.next_in_order(v);
+            }
+            u = self.next_in_order(u);
+        }
+        linked
     }
 
     // ------------------------------------------------------------------

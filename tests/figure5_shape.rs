@@ -39,3 +39,25 @@ fn shrinking_the_gap_hurts_both_but_tommy_keeps_the_lead() {
     assert!(wide.tommy_normalized >= tight.tommy_normalized);
     assert!(tight.tommy_ras >= tight.truetime_ras);
 }
+
+/// The paper's own population (§4, Fig. 5: 500 clients), affordable since
+/// the offline sequencer stopped building the O(n²) matrix for Gaussian
+/// censuses. Same shape assertions as the moderate case.
+#[test]
+fn figure5_shape_holds_at_the_papers_population() {
+    let base = ScenarioConfig::default().with_size(500, 3_000).with_seed(4242);
+    let sigmas = [0.0, 20.0, 60.0, 120.0];
+    let rows = fig5::run(&base, &sigmas, &[1.0]);
+
+    let low = &rows[0];
+    assert!(low.tommy_normalized > 0.95);
+    assert!(low.truetime_normalized > 0.95);
+
+    assert!(rows[..3].iter().all(|r| r.tommy_ras >= r.truetime_ras));
+    assert!(rows[..3].iter().any(|r| r.tommy_ras > r.truetime_ras));
+
+    let high = &rows[3];
+    assert!(high.truetime_normalized >= 0.0);
+    assert!(high.truetime_normalized < 0.3);
+    assert!(high.tommy_normalized > -0.5);
+}
