@@ -236,14 +236,35 @@ impl<T> SequenceValidator<T> {
     /// out-of-order arrivals that still leave a hole open, and on frames
     /// beyond the [`REORDER_WINDOW`], which are dropped).
     pub fn accept(&mut self, sequence: u64, payload: T, now: f64) -> Vec<T> {
+        let mut released = Vec::new();
+        self.accept_with(sequence, payload, now, |payload| released.push(payload));
+        released
+    }
+
+    /// [`accept`](Self::accept), handing each released payload to `release`
+    /// instead of collecting them: the host decides where they land.
+    ///
+    /// The next expected frame of a stream with nothing buffered and nothing
+    /// missing advances the cursor and goes straight to `release`, touching
+    /// neither map.
+    pub fn accept_with(&mut self, sequence: u64, payload: T, now: f64, mut release: impl FnMut(T)) {
+        if sequence == self.next_expected && self.is_quiescent() {
+            // Nothing buffered or missing puts everything seen so far below
+            // the cursor, so this frame is the new frontier.
+            debug_assert!(self.highest_seen.is_none_or(|h| h < sequence));
+            self.highest_seen = Some(sequence);
+            self.next_expected += 1;
+            release(payload);
+            return;
+        }
         // Anything below the release cursor, or already parked, is a dup.
         if sequence < self.next_expected || self.buffer.contains_key(&sequence) {
             self.counters.dupes_dropped += 1;
-            return Vec::new();
+            return;
         }
         if sequence - self.next_expected > REORDER_WINDOW {
             self.counters.window_overruns += 1;
-            return Vec::new();
+            return;
         }
         let healed_hole = self.missing.remove(&sequence).is_some();
         let frontier = self
@@ -267,10 +288,9 @@ impl<T> SequenceValidator<T> {
         }
 
         if sequence == self.next_expected {
-            let mut released = vec![payload];
+            release(payload);
             self.next_expected += 1;
-            self.drain_buffer(&mut released);
-            released
+            self.drain_buffer(&mut release);
         } else {
             // Invariant: between next_expected and highest_seen every
             // sequence is released (none), buffered, or missing — so a
@@ -281,7 +301,30 @@ impl<T> SequenceValidator<T> {
                 self.counters.reorders_buffered += 1;
             }
             self.buffer.insert(sequence, payload);
-            Vec::new()
+        }
+    }
+
+    /// The earliest `now` at which [`poll`](Self::poll) does anything, given
+    /// the state as it stands (`f64::INFINITY` when no clock value can make
+    /// it act): a `poll` at any earlier time, in any order of calls, returns
+    /// nothing and changes nothing. A host running many validators keeps the
+    /// minimum and skips the walk below it.
+    pub fn next_action_at(&self) -> f64 {
+        match self.policy {
+            RecoveryPolicy::Halt => f64::INFINITY,
+            // Only the head-of-line hole can time out; a later one waits
+            // until it is the head.
+            RecoveryPolicy::SkipAfterTimeout { timeout } => self
+                .missing
+                .first_key_value()
+                .map_or(f64::INFINITY, |(_, state)| state.detected_at + timeout),
+            // A hole out of retries acts (is skipped) only as the head.
+            RecoveryPolicy::RequestRetransmit { max_retries, .. } => self
+                .missing
+                .iter()
+                .filter(|(&seq, state)| state.retries < max_retries || seq == self.next_expected)
+                .map(|(_, state)| state.next_action_at)
+                .fold(f64::INFINITY, f64::min),
         }
     }
 
@@ -296,7 +339,7 @@ impl<T> SequenceValidator<T> {
                     Some((&seq, state))
                         if seq == self.next_expected && now >= state.detected_at + timeout =>
                     {
-                        self.skip_head(seq, &mut out.released);
+                        self.skip_head(seq, &mut |payload| out.released.push(payload));
                     }
                     _ => break,
                 }
@@ -314,7 +357,7 @@ impl<T> SequenceValidator<T> {
                                 && state.retries >= max_retries
                                 && now >= state.next_action_at =>
                         {
-                            self.skip_head(seq, &mut out.released);
+                            self.skip_head(seq, &mut |payload| out.released.push(payload));
                         }
                         _ => break,
                     }
@@ -335,18 +378,18 @@ impl<T> SequenceValidator<T> {
 
     /// Give up on the head-of-line hole `sequence` and release the run it
     /// was blocking.
-    fn skip_head(&mut self, sequence: u64, released: &mut Vec<T>) {
+    fn skip_head(&mut self, sequence: u64, release: &mut impl FnMut(T)) {
         debug_assert_eq!(sequence, self.next_expected);
         self.missing.remove(&sequence);
         self.counters.sequences_skipped += 1;
         self.next_expected = sequence + 1;
-        self.drain_buffer(released);
+        self.drain_buffer(release);
     }
 
     /// Release the contiguous buffered run starting at `next_expected`.
-    fn drain_buffer(&mut self, released: &mut Vec<T>) {
+    fn drain_buffer(&mut self, release: &mut impl FnMut(T)) {
         while let Some(payload) = self.buffer.remove(&self.next_expected) {
-            released.push(payload);
+            release(payload);
             self.next_expected += 1;
         }
     }
@@ -355,6 +398,8 @@ impl<T> SequenceValidator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn retransmit() -> RecoveryPolicy {
         RecoveryPolicy::RequestRetransmit {
@@ -505,6 +550,173 @@ mod tests {
         assert!(v.accept(REORDER_WINDOW, 'z', 0.0).is_empty());
         assert_eq!(v.counters().gaps_detected, REORDER_WINDOW);
         assert_eq!(v.counters().window_overruns, 0);
+    }
+
+    /// The body `accept` had before the in-order fast path and the sink
+    /// form, kept as the reference the differential test compares against.
+    impl<T> SequenceValidator<T> {
+        fn accept_reference(&mut self, sequence: u64, payload: T, now: f64) -> Vec<T> {
+            if sequence < self.next_expected || self.buffer.contains_key(&sequence) {
+                self.counters.dupes_dropped += 1;
+                return Vec::new();
+            }
+            if sequence - self.next_expected > REORDER_WINDOW {
+                self.counters.window_overruns += 1;
+                return Vec::new();
+            }
+            let healed_hole = self.missing.remove(&sequence).is_some();
+            let frontier = self
+                .highest_seen
+                .map_or(self.next_expected, |h| (h + 1).max(self.next_expected));
+            if sequence >= frontier {
+                for hole in frontier..sequence {
+                    self.missing.insert(
+                        hole,
+                        MissingState {
+                            detected_at: now,
+                            retries: 0,
+                            next_action_at: now,
+                        },
+                    );
+                    self.counters.gaps_detected += 1;
+                }
+                self.highest_seen = Some(sequence);
+            }
+            if sequence == self.next_expected {
+                let mut released = vec![payload];
+                self.next_expected += 1;
+                while let Some(payload) = self.buffer.remove(&self.next_expected) {
+                    released.push(payload);
+                    self.next_expected += 1;
+                }
+                released
+            } else {
+                if !healed_hole {
+                    self.counters.reorders_buffered += 1;
+                }
+                self.buffer.insert(sequence, payload);
+                Vec::new()
+            }
+        }
+    }
+
+    /// Every field of a validator, comparable.
+    type State = (
+        u64,
+        Option<u64>,
+        Vec<(u64, u64)>,
+        Vec<(u64, f64, u32, f64)>,
+        SessionCounters,
+    );
+
+    fn state(v: &SequenceValidator<u64>) -> State {
+        (
+            v.next_expected,
+            v.highest_seen,
+            v.buffer.iter().map(|(&seq, &p)| (seq, p)).collect(),
+            v.missing
+                .iter()
+                .map(|(&seq, m)| (seq, m.detected_at, m.retries, m.next_action_at))
+                .collect(),
+            v.counters,
+        )
+    }
+
+    const POLICIES: [RecoveryPolicy; 3] = [
+        RecoveryPolicy::Halt,
+        RecoveryPolicy::SkipAfterTimeout { timeout: 3.0 },
+        RecoveryPolicy::RequestRetransmit {
+            max_retries: 4,
+            base_backoff: 2.0,
+        },
+    ];
+
+    /// `0..n` displaced by up to `spread` places, some numbers lost, some
+    /// repeated later, and now and then one forged far past the window.
+    fn arrivals(rng: &mut StdRng, n: u64, spread: u64) -> Vec<u64> {
+        let mut keyed: Vec<(u64, u64)> = Vec::new();
+        for seq in 0..n {
+            if rng.random_bool(0.1) {
+                continue;
+            }
+            keyed.push((seq + rng.random_range(0..=spread), seq));
+            if rng.random_bool(0.15) {
+                keyed.push((seq + rng.random_range(0..=2 * spread + 3), seq));
+            }
+            if rng.random_bool(0.02) {
+                keyed.push((seq, seq + REORDER_WINDOW + 1 + rng.random_range(0..1000u64)));
+            }
+        }
+        keyed.sort();
+        keyed.into_iter().map(|(_, seq)| seq).collect()
+    }
+
+    /// The fast-path `accept` and the body it replaced, in lockstep over
+    /// permuted, lossy, duplicating arrivals with polls in between: same
+    /// releases, same actions, same state after every call.
+    #[test]
+    fn accept_matches_the_reference_body() {
+        for policy in POLICIES {
+            for seed in 0..60u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let spread = [0, 2, 8, 64][seed as usize % 4];
+                let mut fast = SequenceValidator::new(policy);
+                let mut reference = SequenceValidator::new(policy);
+                let mut now = 0.0;
+                for sequence in arrivals(&mut rng, 64, spread) {
+                    now += rng.random_range(0.0..1.5);
+                    assert_eq!(
+                        fast.accept(sequence, sequence, now),
+                        reference.accept_reference(sequence, sequence, now),
+                        "{policy:?} seed {seed} sequence {sequence}"
+                    );
+                    assert_eq!(state(&fast), state(&reference));
+                    if rng.random_bool(0.5) {
+                        let (a, b) = (fast.poll(now), reference.poll(now));
+                        assert_eq!((a.released, a.actions), (b.released, b.actions));
+                        assert_eq!(state(&fast), state(&reference));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `next_action_at` is exact: a poll anywhere below it (in any order of
+    /// times) returns nothing and changes nothing, and a poll at it acts.
+    #[test]
+    fn next_action_at_is_the_earliest_time_poll_acts() {
+        for policy in POLICIES {
+            for seed in 0..60u64 {
+                let mut rng = StdRng::seed_from_u64(0xD0E ^ seed);
+                let mut v = SequenceValidator::new(policy);
+                let mut now = 0.0;
+                for sequence in arrivals(&mut rng, 64, 8) {
+                    now += rng.random_range(0.0..1.5);
+                    v.accept(sequence, sequence, now);
+                    for _ in 0..3 {
+                        let due = v.next_action_at();
+                        assert_eq!(
+                            due.is_finite(),
+                            v.blocked() && policy != RecoveryPolicy::Halt
+                        );
+                        let before = state(&v);
+                        let early = if due.is_finite() {
+                            due - rng.random_range(1e-9..20.0)
+                        } else {
+                            rng.random_range(-1e6..1e6)
+                        };
+                        let idle = v.poll(early);
+                        assert!(idle.released.is_empty() && idle.actions.is_empty());
+                        assert_eq!(state(&v), before, "{policy:?} seed {seed}");
+                        if due.is_finite() && rng.random_bool(0.5) {
+                            let acted = v.poll(due);
+                            let skipped = v.counters.sequences_skipped > before.4.sequences_skipped;
+                            assert!(!acted.actions.is_empty() || skipped);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,14 @@ pub enum WireError {
         /// Which field was invalid.
         field: &'static str,
     },
+    /// The payload held more bytes than its message kind's layout accounts
+    /// for: a frame is exactly one message.
+    TrailingBytes {
+        /// Kind byte of the message that was followed by extra bytes.
+        kind: u8,
+        /// How many bytes were left over.
+        extra: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -43,6 +51,9 @@ impl std::fmt::Display for WireError {
                 "checksum mismatch: frame carries 0x{expected:08x}, payload hashes to 0x{actual:08x}"
             ),
             WireError::InvalidField { field } => write!(f, "invalid value for field {field}"),
+            WireError::TrailingBytes { kind, extra } => {
+                write!(f, "{extra} trailing bytes after a kind 0x{kind:02x} payload")
+            }
         }
     }
 }
@@ -69,5 +80,11 @@ mod tests {
         assert!(WireError::InvalidField { field: "std_dev" }
             .to_string()
             .contains("std_dev"));
+        let trailing = WireError::TrailingBytes {
+            kind: 0x0a,
+            extra: 3,
+        }
+        .to_string();
+        assert!(trailing.contains("0x0a") && trailing.contains('3'));
     }
 }

@@ -25,15 +25,17 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Encode a message into a complete frame ready to write to a socket.
 pub fn encode_frame(message: &WireMessage) -> Bytes {
-    let mut covered = BytesMut::new();
-    covered.put_u8(message.kind());
-    message.encode_payload(&mut covered);
-    let crc = crc32(&covered);
-    let body_len = covered.len() + 4;
-    let mut frame = BytesMut::with_capacity(4 + body_len);
-    frame.put_u32_le(body_len as u32);
-    frame.extend_from_slice(&covered);
+    // One buffer: the length is reserved up front and patched once the body
+    // behind it is known. 64 bytes hold every fixed-size kind, stream-wrapped
+    // or not, without a regrow.
+    let mut frame = BytesMut::with_capacity(64);
+    frame.put_u32_le(0);
+    frame.put_u8(message.kind());
+    message.encode_payload(&mut frame);
+    let crc = crc32(&frame[4..]);
     frame.put_u32_le(crc);
+    let body_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
     frame.freeze()
 }
 
@@ -90,20 +92,18 @@ impl FrameDecoder {
             return Ok(None);
         }
 
-        // We have a complete frame: consume it.
-        self.buffer.advance(4);
-        let kind = self.buffer[0];
-        let payload_len = body_len - 5;
-        let payload = self.buffer[1..1 + payload_len].to_vec();
-        let expected =
-            u32::from_le_bytes(self.buffer[1 + payload_len..5 + payload_len].try_into().unwrap());
-        let actual = crc32(&self.buffer[..1 + payload_len]);
-        self.buffer.advance(body_len);
-
-        if actual != expected {
-            return Err(WireError::ChecksumMismatch { expected, actual });
-        }
-        WireMessage::decode_payload(kind, &payload).map(Some)
+        // We have a complete frame: parse it where it lies, then consume it
+        // whole, whatever the outcome.
+        let (covered, crc) = self.buffer[4..4 + body_len].split_at(body_len - 4);
+        let expected = u32::from_le_bytes(crc.try_into().expect("split 4 bytes from the end"));
+        let actual = crc32(covered);
+        let decoded = if actual == expected {
+            WireMessage::decode_payload(covered[0], &covered[1..]).map(Some)
+        } else {
+            Err(WireError::ChecksumMismatch { expected, actual })
+        };
+        self.buffer.advance(4 + body_len);
+        decoded
     }
 
     /// Decode every complete message currently buffered.
@@ -119,6 +119,8 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use tommy_core::message::{ClientId, MessageId};
 
     fn sample_messages() -> Vec<WireMessage> {
@@ -137,6 +139,60 @@ mod tests {
                 message_ids: vec![MessageId(1)],
             },
         ]
+    }
+
+    /// The encoder before it wrote one buffer (fill, checksum, copy behind a
+    /// length), kept as the byte-for-byte reference.
+    fn encode_frame_two_buffers(message: &WireMessage) -> Bytes {
+        let mut covered = BytesMut::new();
+        covered.put_u8(message.kind());
+        message.encode_payload(&mut covered);
+        let crc = crc32(&covered);
+        let body_len = covered.len() + 4;
+        let mut frame = BytesMut::with_capacity(4 + body_len);
+        frame.put_u32_le(body_len as u32);
+        frame.extend_from_slice(&covered);
+        frame.put_u32_le(crc);
+        frame.freeze()
+    }
+
+    #[test]
+    fn one_buffer_encoder_is_byte_identical() {
+        let mut rng = StdRng::seed_from_u64(0xE2C0DE);
+        let seeded = (0..1000).map(|_| {
+            let client = ClientId(rng.next_u32());
+            let inner = match rng.random_range(0..3u32) {
+                0 => None,
+                1 => Some(WireMessage::Heartbeat {
+                    client,
+                    timestamp: rng.random_range(-1.0e6..1.0e6),
+                }),
+                _ => Some(WireMessage::Submit {
+                    id: MessageId(rng.next_u64()),
+                    client,
+                    timestamp: rng.random_range(-1.0e6..1.0e6),
+                }),
+            };
+            WireMessage::Stream {
+                sender: client,
+                stream_id: rng.next_u64(),
+                sequence: rng.next_u64(),
+                fin: rng.random_bool(0.2),
+                inner: inner.map(Box::new),
+            }
+        });
+        // The histogram share among the variants outgrows the encoder's
+        // initial capacity.
+        for msg in crate::messages::tests::all_variants()
+            .into_iter()
+            .chain(seeded)
+        {
+            assert_eq!(
+                encode_frame(&msg),
+                encode_frame_two_buffers(&msg),
+                "{msg:?}"
+            );
+        }
     }
 
     #[test]

@@ -218,7 +218,8 @@ impl WireMessage {
         }
     }
 
-    /// Decode a payload of the given kind.
+    /// Decode a payload of the given kind. The payload must be exactly the
+    /// message: bytes left over after the last field are an error.
     pub fn decode_payload(kind_byte: u8, mut payload: &[u8]) -> Result<Self, WireError> {
         fn need(buf: &[u8], n: usize, context: &'static str) -> Result<(), WireError> {
             if buf.remaining() < n {
@@ -340,7 +341,10 @@ impl WireMessage {
                     if inner_kind == kind::STREAM {
                         return Err(WireError::InvalidField { field: "inner" });
                     }
-                    Some(Box::new(WireMessage::decode_payload(inner_kind, buf)?))
+                    // The inner message owns the rest of the payload, and
+                    // answers for any bytes it leaves over.
+                    let rest = std::mem::take(buf);
+                    Some(Box::new(WireMessage::decode_payload(inner_kind, rest)?))
                 } else {
                     None
                 };
@@ -354,12 +358,18 @@ impl WireMessage {
             }
             other => return Err(WireError::UnknownKind(other)),
         };
+        if buf.has_remaining() {
+            return Err(WireError::TrailingBytes {
+                kind: kind_byte,
+                extra: buf.remaining(),
+            });
+        }
         Ok(msg)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip(msg: &WireMessage) -> WireMessage {
@@ -368,7 +378,7 @@ mod tests {
         WireMessage::decode_payload(msg.kind(), &buf).expect("roundtrip decode")
     }
 
-    fn all_variants() -> Vec<WireMessage> {
+    pub(crate) fn all_variants() -> Vec<WireMessage> {
         vec![
             WireMessage::Submit {
                 id: MessageId(42),
@@ -470,6 +480,31 @@ mod tests {
         WireMessage::Ack { id: MessageId(1) }.encode_payload(&mut buf);
         let err = WireMessage::decode_payload(0x07, &buf[..4]).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
+    }
+
+    /// One byte past the last field is rejected for every kind, a stream
+    /// frame's inner message included (which reports its own kind).
+    #[test]
+    fn trailing_bytes_rejected_for_every_kind() {
+        for msg in all_variants() {
+            let mut buf = BytesMut::new();
+            msg.encode_payload(&mut buf);
+            buf.put_u8(0);
+            let innermost = match &msg {
+                WireMessage::Stream {
+                    inner: Some(inner), ..
+                } => inner.kind(),
+                other => other.kind(),
+            };
+            assert_eq!(
+                WireMessage::decode_payload(msg.kind(), &buf),
+                Err(WireError::TrailingBytes {
+                    kind: innermost,
+                    extra: 1
+                }),
+                "{msg:?}"
+            );
+        }
     }
 
     #[test]

@@ -136,6 +136,12 @@ struct StreamState {
 pub struct StreamReceiver {
     policy: RecoveryPolicy,
     streams: BTreeMap<(ClientId, u64), StreamState>,
+    /// A lower bound on the earliest `now` at which any stream's policy can
+    /// act: [`poll`](Self::poll) below it returns without touching a stream.
+    /// Invariant: `next_action_at <=` the minimum of every validator's
+    /// [`SequenceValidator::next_action_at`]. Too low costs one walk; too
+    /// high would swallow a due request or skip.
+    next_action_at: f64,
 }
 
 impl StreamReceiver {
@@ -145,6 +151,7 @@ impl StreamReceiver {
         StreamReceiver {
             policy,
             streams: BTreeMap::new(),
+            next_action_at: f64::INFINITY,
         }
     }
 
@@ -212,23 +219,41 @@ impl StreamReceiver {
                 fin_sequence: None,
             });
         let overruns = state.validator.counters().window_overruns;
-        let released = state.validator.accept(sequence, inner.map(|b| *b), now);
+        let mut released = Vec::new();
+        state
+            .validator
+            .accept_with(sequence, inner.map(|b| *b), now, |payload| {
+                released.extend(payload)
+            });
         // A fin the validator dropped as a window overrun is a forgery: its
         // marker would sit past anything the stream can reach and wedge
         // `stream_complete` for good.
         if fin && state.validator.counters().window_overruns == overruns {
             state.fin_sequence = Some(sequence);
         }
-        released.into_iter().flatten().collect()
+        // Only a blocked stream has anything for `poll` to do, and only this
+        // frame can have moved its deadline earlier.
+        if state.validator.blocked() {
+            self.next_action_at = self.next_action_at.min(state.validator.next_action_at());
+        }
+        released
     }
 
     /// Run every stream's recovery policy at time `now`: collect messages
     /// released by timeout/give-up skips and retransmit requests that have
-    /// come due.
+    /// come due, in `(sender, stream_id, sequence)` order.
+    ///
+    /// Costs one comparison while no stream has anything due; `now` need not
+    /// be monotone across calls.
     pub fn poll(&mut self, now: f64) -> StreamPoll {
         let mut out = StreamPoll::default();
+        if now < self.next_action_at {
+            return out;
+        }
+        let mut next_action_at = f64::INFINITY;
         for (&(sender, stream_id), state) in &mut self.streams {
             let polled = state.validator.poll(now);
+            next_action_at = next_action_at.min(state.validator.next_action_at());
             out.released.extend(polled.released.into_iter().flatten());
             for action in polled.actions {
                 let SessionAction::RequestRetransmit { sequence } = action;
@@ -239,6 +264,7 @@ impl StreamReceiver {
                 });
             }
         }
+        self.next_action_at = next_action_at;
         out
     }
 }
@@ -246,6 +272,8 @@ impl StreamReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tommy_core::message::MessageId;
 
     fn submit(id: u64, client: u32, ts: f64) -> WireMessage {
@@ -438,6 +466,212 @@ mod tests {
         assert_eq!(released.len(), 2, "frames 1 and 2 flush after the skip");
         assert_eq!(rx.counters().sequences_skipped, 1);
         assert_eq!(rx.counters().gaps_detected, 1);
+    }
+
+    /// The receiver as it was before the deadline gate, over the same state:
+    /// `receive` collects through `accept`'s `Vec` and never looks at the
+    /// bound, `poll` walks every stream on every call. Kept as the reference
+    /// the differential test compares against.
+    struct UngatedReceiver(StreamReceiver);
+
+    impl UngatedReceiver {
+        fn receive(&mut self, message: WireMessage, now: f64) -> Vec<WireMessage> {
+            let WireMessage::Stream {
+                sender,
+                stream_id,
+                sequence,
+                fin,
+                inner,
+            } = message
+            else {
+                return vec![message];
+            };
+            let state = self
+                .0
+                .streams
+                .entry((sender, stream_id))
+                .or_insert_with(|| StreamState {
+                    validator: SequenceValidator::new(self.0.policy),
+                    fin_sequence: None,
+                });
+            let overruns = state.validator.counters().window_overruns;
+            let released = state.validator.accept(sequence, inner.map(|b| *b), now);
+            if fin && state.validator.counters().window_overruns == overruns {
+                state.fin_sequence = Some(sequence);
+            }
+            released.into_iter().flatten().collect()
+        }
+
+        fn poll(&mut self, now: f64) -> StreamPoll {
+            let mut out = StreamPoll::default();
+            for (&(sender, stream_id), state) in &mut self.0.streams {
+                let polled = state.validator.poll(now);
+                out.released.extend(polled.released.into_iter().flatten());
+                for action in polled.actions {
+                    let SessionAction::RequestRetransmit { sequence } = action;
+                    out.retransmits.push(RetransmitRequest {
+                        sender,
+                        stream_id,
+                        sequence,
+                    });
+                }
+            }
+            out
+        }
+    }
+
+    /// Gated and ungated receivers in lockstep, compared after every call.
+    struct Lockstep {
+        gated: StreamReceiver,
+        ungated: UngatedReceiver,
+        streams: Vec<(ClientId, u64)>,
+    }
+
+    impl Lockstep {
+        fn receive(&mut self, frame: &WireMessage, now: f64) {
+            assert_eq!(
+                self.gated.receive(frame.clone(), now),
+                self.ungated.receive(frame.clone(), now),
+                "receive at {now}"
+            );
+            self.compare_state(now);
+        }
+
+        fn poll(&mut self, now: f64) -> Vec<RetransmitRequest> {
+            let (gated, ungated) = (self.gated.poll(now), self.ungated.poll(now));
+            assert_eq!(gated.released, ungated.released, "poll at {now}");
+            assert_eq!(gated.retransmits, ungated.retransmits, "poll at {now}");
+            self.compare_state(now);
+            gated.retransmits
+        }
+
+        fn compare_state(&self, now: f64) {
+            let reference = &self.ungated.0;
+            assert_eq!(self.gated.counters(), reference.counters(), "at {now}");
+            assert_eq!(self.gated.blocked_streams(), reference.blocked_streams());
+            for &(sender, stream_id) in &self.streams {
+                assert_eq!(
+                    self.gated.stream_complete(sender, stream_id),
+                    reference.stream_complete(sender, stream_id)
+                );
+            }
+        }
+    }
+
+    /// 16 streams over loss, duplication, reorder, forged out-of-window
+    /// sequences and lossy retransmit answers: `poll` after every frame, at a
+    /// time strictly between every two deliveries, and on past the last
+    /// give-up. `jitter > 0` perturbs every `now` both ways, so neither
+    /// receiver sees a monotone clock.
+    fn drive_lockstep(policy: RecoveryPolicy, seed: u64, jitter: f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let streams: Vec<(ClientId, u64)> = (0..8)
+            .flat_map(|client| [(ClientId(client), 0), (ClientId(client), 7)])
+            .collect();
+        let mut senders: Vec<SequencedSender> = streams
+            .iter()
+            .map(|&(client, stream)| SequencedSender::new(client, stream))
+            .collect();
+        // (arrival time, frame), kept sorted by time, latest first.
+        let mut deliveries: Vec<(f64, WireMessage)> = Vec::new();
+        for (index, tx) in senders.iter_mut().enumerate() {
+            let (client, stream_id) = streams[index];
+            for i in 0..40u64 {
+                let sent = i as f64 + index as f64 / 16.0;
+                let frame = if i < 39 {
+                    tx.wrap(submit(i, client.0, sent))
+                } else {
+                    tx.fin()
+                };
+                if rng.random_bool(0.1) {
+                    continue;
+                }
+                deliveries.push((sent + rng.random_range(0.0..4.0), frame.clone()));
+                if rng.random_bool(0.1) {
+                    deliveries.push((sent + rng.random_range(0.0..8.0), frame));
+                }
+                if rng.random_bool(0.03) {
+                    let forged = WireMessage::Stream {
+                        sender: client,
+                        stream_id,
+                        sequence: i + (1 << 20),
+                        fin: rng.random_bool(0.5),
+                        inner: None,
+                    };
+                    deliveries.push((sent, forged));
+                }
+            }
+        }
+        deliveries.sort_by(|a, b| b.0.total_cmp(&a.0));
+
+        let mut pair = Lockstep {
+            gated: StreamReceiver::new(policy),
+            ungated: UngatedReceiver(StreamReceiver::new(policy)),
+            streams,
+        };
+        let mut skew = |at: f64| {
+            if jitter > 0.0 {
+                at + rng.random_range(-jitter..jitter)
+            } else {
+                at
+            }
+        };
+        let mut answers = StdRng::seed_from_u64(!seed);
+        let mut last = 0.0;
+        while let Some((at, frame)) = deliveries.pop() {
+            last = at;
+            let now = skew(at);
+            pair.receive(&frame, now);
+            let mut asks = pair.poll(now);
+            if let Some(&(next, _)) = deliveries.last() {
+                asks.extend(pair.poll(skew(at + (next - at) / 2.0)));
+            }
+            // Answered from history one round trip later, when not lost.
+            for ask in asks {
+                if answers.random_bool(0.3) {
+                    continue;
+                }
+                let tx = &senders[ask.sender.0 as usize * 2 + usize::from(ask.stream_id == 7)];
+                let resend = tx.frame(ask.sequence).expect("asked for a sent frame");
+                let due = at + 1.5;
+                let slot = deliveries.partition_point(|(t, _)| *t > due);
+                deliveries.insert(slot, (due, resend.clone()));
+            }
+        }
+        // Past every backoff the policy can still be waiting out.
+        for step in 1..200 {
+            pair.poll(skew(last + step as f64 * 0.7));
+        }
+    }
+
+    const LOCKSTEP_POLICIES: [RecoveryPolicy; 3] = [
+        RecoveryPolicy::Halt,
+        RecoveryPolicy::SkipAfterTimeout { timeout: 3.0 },
+        RecoveryPolicy::RequestRetransmit {
+            max_retries: 4,
+            base_backoff: 2.0,
+        },
+    ];
+
+    /// The deadline gate changes what `poll` costs and nothing it returns.
+    #[test]
+    fn gated_poll_matches_the_ungated_walk() {
+        for policy in LOCKSTEP_POLICIES {
+            for seed in 0..8 {
+                drive_lockstep(policy, seed, 0.0);
+            }
+        }
+    }
+
+    /// The same under a clock that runs backwards as often as forwards: the
+    /// bound holds for any `now` sequence.
+    #[test]
+    fn gated_poll_matches_the_ungated_walk_under_a_non_monotone_clock() {
+        for policy in LOCKSTEP_POLICIES {
+            for seed in 100..104 {
+                drive_lockstep(policy, seed, 2.5);
+            }
+        }
     }
 
     #[test]
