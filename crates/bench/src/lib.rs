@@ -1,10 +1,10 @@
 //! # tommy-bench
 //!
 //! Criterion benchmark harness for the Tommy reproduction. Each bench target
-//! regenerates (a scaled-down version of) one figure/table of the paper or
-//! isolates one engine layer; `ARCHITECTURE.md` describes the layers, and
+//! isolates one engine layer (or, for `adversarial`, prints the
+//! attacked-stream rows); `ARCHITECTURE.md` describes the layers, and
 //! `perfbench/README.md` the repo benchmark whose numbers are the citable
-//! ones (`BENCHMARK.json`).
+//! ones (`BENCHMARK.json`). The paper's figures are the `tommy-sim` binaries.
 //!
 //! The benches share a small helper for a fast Criterion configuration so
 //! that `cargo bench --workspace` completes in minutes rather than hours.
@@ -12,29 +12,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tommy_core::batching::FairOrder;
 use tommy_core::config::SequencerConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
-use tommy_core::sequencer::emission::batch_emission_time;
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::{SequencingCore, SequencingOutcome};
-use tommy_core::tournament::Tournament;
 use tommy_sim::runner::{run_stream, sequencer_config, StreamRun};
 use tommy_sim::scenario::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::{AttackFamily, AttackPlan};
-
-/// A scenario sized for benchmarking: large enough to be representative,
-/// small enough that a criterion iteration completes in milliseconds.
-pub fn bench_scenario() -> ScenarioConfig {
-    ScenarioConfig::default()
-        .with_size(100, 200)
-        .with_clock_std_dev(20.0)
-        .with_gap(1.0)
-        .with_seed(42)
-}
 
 /// Safe-emission quantile used by the adversarial sweep (the sim runner
 /// convention).
@@ -146,69 +133,12 @@ pub fn run_pipeline(matrix: &PrecedenceMatrix, config: &SequencerConfig) -> Sequ
     core.outcome(matrix, None)
 }
 
-/// The seed implementation of the online sequencer's candidate-batch
-/// computation: from-scratch matrix + tournament + linear order + threshold
-/// batching + Appendix C closure rule. Kept verbatim (not routed through
-/// [`SequencingCore`]) as an independent reference the incremental engine's
-/// first batch is compared against.
-pub fn scratch_candidate_batch(
-    pending: &[Message],
-    registry: &DistributionRegistry,
-    config: &SequencerConfig,
-) -> (Vec<Message>, f64) {
-    let matrix = PrecedenceMatrix::compute(pending, registry).expect("registered clients");
-    let tournament = Tournament::from_matrix(&matrix);
-    let linear = tournament.linear_order(&matrix, config, None);
-    let order = FairOrder::from_linear_order(&matrix, &linear, config.threshold);
-    let first = order.batches().first().expect("non-empty pending set");
-    let mut in_batch: Vec<usize> = first
-        .messages
-        .iter()
-        .map(|id| matrix.index_of(*id).expect("id from matrix"))
-        .collect();
-    let mut member = vec![false; matrix.len()];
-    for &i in &in_batch {
-        member[i] = true;
-    }
-    loop {
-        let mut grew = false;
-        // Index-based: the loop both reads `member` and (via `in_batch`)
-        // extends the membership it is iterating against.
-        #[allow(clippy::needless_range_loop)]
-        for cand in 0..matrix.len() {
-            if member[cand] {
-                continue;
-            }
-            let inseparable = in_batch.iter().any(|&b| {
-                let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
-                p <= config.threshold
-            });
-            if inseparable {
-                member[cand] = true;
-                in_batch.push(cand);
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    in_batch.sort_unstable();
-    let batch: Vec<Message> = in_batch.iter().map(|&i| matrix.message(i).clone()).collect();
-    let safe_after = batch_emission_time(registry, &batch, config.p_safe);
-    (batch, safe_after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_scenario_is_small_but_nontrivial() {
-        let s = bench_scenario();
-        assert!(s.clients >= 50);
-        assert!(s.messages >= 100);
-    }
+    use tommy_core::batching::FairOrder;
+    use tommy_core::sequencer::emission::batch_emission_time;
+    use tommy_core::tournament::Tournament;
 
     /// The detection table of the adversarial sweep (seed 21, `p_safe`
     /// 0.99): which defended cells raise which alarm, and that nothing else
@@ -318,6 +248,59 @@ mod tests {
             via_core.confident_pair_fraction,
             via_sequencer.confident_pair_fraction
         );
+    }
+
+    /// The seed implementation of the online sequencer's candidate-batch
+    /// computation: from-scratch matrix + tournament + linear order + threshold
+    /// batching + Appendix C closure rule. Kept verbatim (not routed through
+    /// [`SequencingCore`]) as an independent reference the incremental engine's
+    /// first batch is compared against.
+    fn scratch_candidate_batch(
+        pending: &[Message],
+        registry: &DistributionRegistry,
+        config: &SequencerConfig,
+    ) -> (Vec<Message>, f64) {
+        let matrix = PrecedenceMatrix::compute(pending, registry).expect("registered clients");
+        let tournament = Tournament::from_matrix(&matrix);
+        let linear = tournament.linear_order(&matrix, config, None);
+        let order = FairOrder::from_linear_order(&matrix, &linear, config.threshold);
+        let first = order.batches().first().expect("non-empty pending set");
+        let mut in_batch: Vec<usize> = first
+            .messages
+            .iter()
+            .map(|id| matrix.index_of(*id).expect("id from matrix"))
+            .collect();
+        let mut member = vec![false; matrix.len()];
+        for &i in &in_batch {
+            member[i] = true;
+        }
+        loop {
+            let mut grew = false;
+            // Index-based: the loop both reads `member` and (via `in_batch`)
+            // extends the membership it is iterating against.
+            #[allow(clippy::needless_range_loop)]
+            for cand in 0..matrix.len() {
+                if member[cand] {
+                    continue;
+                }
+                let inseparable = in_batch.iter().any(|&b| {
+                    let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
+                    p <= config.threshold
+                });
+                if inseparable {
+                    member[cand] = true;
+                    in_batch.push(cand);
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        in_batch.sort_unstable();
+        let batch: Vec<Message> = in_batch.iter().map(|&i| matrix.message(i).clone()).collect();
+        let safe_after = batch_emission_time(registry, &batch, config.p_safe);
+        (batch, safe_after)
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! both an unbounded accumulation mode and a sliding-window mode that forgets
 //! old probes.
 
-use crate::probe::OffsetSample;
 use std::collections::VecDeque;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_stats::gaussian::Gaussian;
@@ -98,11 +97,6 @@ impl DistributionLearner {
         // The streaming moments are only exact in unbounded mode; in window
         // mode they are recomputed on demand.
         self.moments.push(offset);
-    }
-
-    /// Record an [`OffsetSample`] produced by a probe exchange.
-    pub fn record_sample(&mut self, sample: &OffsetSample) {
-        self.record(sample.offset);
     }
 
     /// Record a batch of raw offset estimates.
@@ -278,7 +272,7 @@ mod tests {
 
         let mut learner = DistributionLearner::new(LearnedModel::GaussianFit);
         for s in session.samples() {
-            learner.record_sample(s);
+            learner.record(s.offset);
         }
         let learned = learner.learned().unwrap();
         assert!((learned.mean() - 30.0).abs() < 0.5, "mean {}", learned.mean());
@@ -326,36 +320,5 @@ mod tests {
         let learned = learner.learned().unwrap();
         assert!((learned.mean() - 8.0).abs() < 1.0, "mean {}", learned.mean());
         assert!((learned.std_dev() - 2.0).abs() < 1.0, "sd {}", learned.std_dev());
-    }
-
-    /// `record_sample` (probe path) and `record_all` (residual-batch path,
-    /// used by the sequencer-side defense) feed the identical pipeline: the
-    /// same offsets produce bit-identical fits through either entry point.
-    #[test]
-    fn record_sample_and_record_all_agree_bitwise() {
-        let offsets: Vec<f64> = (0..40).map(|i| (i as f64 * 0.73).sin() * 5.0 + 1.5).collect();
-        let samples: Vec<OffsetSample> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, &offset)| OffsetSample {
-                offset,
-                rtt: 10.0 + i as f64,
-                completed_at: i as f64,
-            })
-            .collect();
-
-        let mut via_samples = DistributionLearner::with_window(LearnedModel::GaussianFit, 32);
-        for s in &samples {
-            via_samples.record_sample(s);
-        }
-        let mut via_batch = DistributionLearner::with_window(LearnedModel::GaussianFit, 32);
-        via_batch.record_all(&offsets);
-
-        assert_eq!(via_samples.len(), via_batch.len());
-        assert_eq!(via_samples.mean().to_bits(), via_batch.mean().to_bits());
-        assert_eq!(via_samples.std_dev().to_bits(), via_batch.std_dev().to_bits());
-        let (a, b) = (via_samples.learned().unwrap(), via_batch.learned().unwrap());
-        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-        assert_eq!(a.std_dev().to_bits(), b.std_dev().to_bits());
     }
 }

@@ -2,10 +2,7 @@
 //!
 //! A [`ClockModel`] describes how a simulated client's clock actually deviates
 //! from the sequencer's clock: a stochastic offset component drawn from an
-//! [`OffsetDistribution`] (the `θ` of §3.1) plus an optional deterministic
-//! drift term (the paper's §5 notes that accounting for drift on top of
-//! offsets is an open direction — the model supports it so experiments can
-//! quantify its effect).
+//! [`OffsetDistribution`] (the `θ` of §3.1), drawn i.i.d. at every read.
 
 use rand::RngCore;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
@@ -14,18 +11,13 @@ use tommy_stats::distribution::{Distribution, OffsetDistribution};
 #[derive(Debug, Clone)]
 pub struct ClockModel {
     distribution: OffsetDistribution,
-    drift_ppm: f64,
 }
 
 impl ClockModel {
-    /// A clock whose offset is drawn i.i.d. from `distribution` at every read
-    /// and that has no deterministic drift. This is exactly the model used by
-    /// the paper's evaluation (§4).
+    /// A clock whose offset is drawn i.i.d. from `distribution` at every
+    /// read. This is exactly the model used by the paper's evaluation (§4).
     pub fn from_distribution(distribution: OffsetDistribution) -> Self {
-        ClockModel {
-            distribution,
-            drift_ppm: 0.0,
-        }
+        ClockModel { distribution }
     }
 
     /// A Gaussian clock `N(mean, std_dev²)` — the common case of §3.2/§4.
@@ -33,19 +25,10 @@ impl ClockModel {
         ClockModel::from_distribution(OffsetDistribution::gaussian(mean, std_dev))
     }
 
-    /// A perfectly synchronized clock (zero offset, zero drift); useful as a
+    /// A perfectly synchronized clock (zero offset); useful as a
     /// control in experiments and for the idealized WFO setting of Figure 2.
     pub fn perfect() -> Self {
         ClockModel::gaussian(0.0, 0.0)
-    }
-
-    /// Add a deterministic linear drift in parts-per-million of elapsed true
-    /// time: at true time `t` the clock has drifted by `t * drift_ppm * 1e-6`
-    /// on top of the stochastic offset.
-    pub fn with_drift_ppm(mut self, drift_ppm: f64) -> Self {
-        assert!(drift_ppm.is_finite(), "drift must be finite");
-        self.drift_ppm = drift_ppm;
-        self
     }
 
     /// The stochastic offset distribution.
@@ -53,25 +36,9 @@ impl ClockModel {
         &self.distribution
     }
 
-    /// The deterministic drift in parts per million.
-    pub fn drift_ppm(&self) -> f64 {
-        self.drift_ppm
-    }
-
-    /// Sample the instantaneous clock offset at true time `t`.
-    pub fn sample_offset(&self, true_time: f64, rng: &mut dyn RngCore) -> f64 {
-        self.distribution.sample(rng) + self.drift_component(true_time)
-    }
-
-    /// The deterministic part of the offset at true time `t`.
-    pub fn drift_component(&self, true_time: f64) -> f64 {
-        true_time * self.drift_ppm * 1e-6
-    }
-
-    /// Mean instantaneous offset at true time `t` (distribution mean plus
-    /// drift).
-    pub fn expected_offset(&self, true_time: f64) -> f64 {
-        self.distribution.mean() + self.drift_component(true_time)
+    /// Sample the instantaneous clock offset.
+    pub fn sample_offset(&self, rng: &mut dyn RngCore) -> f64 {
+        self.distribution.sample(rng)
     }
 
     /// Standard deviation of the stochastic offset component.
@@ -90,8 +57,8 @@ mod tests {
     fn perfect_clock_has_zero_offset() {
         let m = ClockModel::perfect();
         let mut rng = StdRng::seed_from_u64(1);
-        for t in [0.0, 10.0, 1e6] {
-            assert_eq!(m.sample_offset(t, &mut rng), 0.0);
+        for _ in 0..3 {
+            assert_eq!(m.sample_offset(&mut rng), 0.0);
         }
     }
 
@@ -100,25 +67,11 @@ mod tests {
         let m = ClockModel::gaussian(5.0, 2.0);
         let mut rng = StdRng::seed_from_u64(2);
         let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| m.sample_offset(0.0, &mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| m.sample_offset(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.05);
         assert!((var - 4.0).abs() < 0.15);
-    }
-
-    #[test]
-    fn drift_grows_linearly_with_time() {
-        let m = ClockModel::perfect().with_drift_ppm(100.0); // 100 ppm
-        assert_eq!(m.drift_component(0.0), 0.0);
-        assert!((m.drift_component(1_000_000.0) - 100.0).abs() < 1e-9);
-        assert!((m.expected_offset(2_000_000.0) - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expected_offset_includes_distribution_mean() {
-        let m = ClockModel::gaussian(-3.0, 1.0).with_drift_ppm(10.0);
-        assert!((m.expected_offset(1_000_000.0) - 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -93,16 +93,6 @@ impl SharedDistribution {
             }
         }
     }
-
-    /// Approximate payload size in bytes when serialized by `tommy-wire`
-    /// (used to reason about the communication trade-off of §3.3).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            SharedDistribution::Gaussian { .. } => 16,
-            SharedDistribution::Histogram { counts, .. } => 16 + 8 * counts.len(),
-            SharedDistribution::Samples(samples) => 8 * samples.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,22 +140,6 @@ mod tests {
         let shared = SharedDistribution::Samples(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         let d = shared.to_distribution();
         assert!((d.mean() - 3.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn payload_sizes_reflect_representation() {
-        let g = SharedDistribution::Gaussian {
-            mean: 0.0,
-            std_dev: 1.0,
-        };
-        let h = SharedDistribution::Histogram {
-            lo: 0.0,
-            hi: 1.0,
-            counts: vec![0; 64],
-        };
-        let s = SharedDistribution::Samples(vec![0.0; 1000]);
-        assert!(g.payload_bytes() < h.payload_bytes());
-        assert!(h.payload_bytes() < s.payload_bytes());
     }
 
     #[test]

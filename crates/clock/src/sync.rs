@@ -19,8 +19,6 @@ pub struct PathModel {
     pub forward: OffsetDistribution,
     /// One-way delay distribution sequencer → client.
     pub reverse: OffsetDistribution,
-    /// Fixed processing time at the sequencer between receive and reply.
-    pub processing: f64,
 }
 
 impl PathModel {
@@ -36,7 +34,6 @@ impl PathModel {
         PathModel {
             forward: d.clone(),
             reverse: d,
-            processing: 0.0,
         }
     }
 
@@ -46,15 +43,7 @@ impl PathModel {
         PathModel {
             forward,
             reverse,
-            processing: 0.0,
         }
-    }
-
-    /// Set the sequencer processing time.
-    pub fn with_processing(mut self, processing: f64) -> Self {
-        assert!(processing >= 0.0, "processing time must be non-negative");
-        self.processing = processing;
-        self
     }
 
     fn sample_forward(&self, rng: &mut dyn RngCore) -> f64 {
@@ -101,17 +90,17 @@ impl SyncSession {
         // The realized client offset is sampled once per probe: both client
         // timestamps of one exchange see the same instantaneous offset, which
         // is what lets a symmetric path recover it exactly.
-        let offset = self.clock.sample_offset(send_time, rng);
+        let offset = self.clock.sample_offset(rng);
         let fwd = self.path.sample_forward(rng);
         let rev = self.path.sample_reverse(rng);
 
         let t0 = send_time + offset;
+        // The sequencer replies the instant it receives: t2 = t1.
         let t1 = send_time + fwd;
-        let t2 = t1 + self.path.processing;
-        let recv_true = send_time + fwd + self.path.processing + rev;
+        let recv_true = send_time + fwd + rev;
         let t3 = recv_true + offset;
 
-        let exchange = ProbeExchange { t0, t1, t2, t3 };
+        let exchange = ProbeExchange { t0, t1, t2: t1, t3 };
         self.samples.push(OffsetSample {
             offset: exchange.offset_estimate(),
             rtt: exchange.round_trip_time(),
@@ -199,7 +188,7 @@ mod tests {
     #[test]
     fn rtt_reflects_both_directions_and_jitter_is_nonnegative() {
         let clock = ClockModel::gaussian(3.0, 1.0);
-        let path = PathModel::symmetric(2.0, 1.0).with_processing(0.5);
+        let path = PathModel::symmetric(2.0, 1.0);
         let mut session = SyncSession::new(clock, path, 1.0, 0.0);
         let mut rng = StdRng::seed_from_u64(5);
         session.run_until(500.0, &mut rng);

@@ -13,11 +13,13 @@ use crate::message::Message;
 use crate::registry::DistributionRegistry;
 use tommy_stats::distribution::Distribution;
 
+/// Interval half-width in standard deviations: `±3σ`, the paper's choice.
+const INTERVAL_SIGMAS: f64 = 3.0;
+
 /// The TrueTime-style interval sequencer.
 #[derive(Debug)]
 pub struct TrueTimeSequencer<'a> {
     registry: &'a DistributionRegistry,
-    interval_sigmas: f64,
 }
 
 /// A message's uncertainty interval.
@@ -39,21 +41,7 @@ impl UncertaintyInterval {
 impl<'a> TrueTimeSequencer<'a> {
     /// Create a TrueTime baseline using `±3σ` intervals (the paper's choice).
     pub fn new(registry: &'a DistributionRegistry) -> Self {
-        TrueTimeSequencer {
-            registry,
-            interval_sigmas: 3.0,
-        }
-    }
-
-    /// Use a different interval half-width multiplier (`±kσ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not positive.
-    pub fn with_interval_sigmas(mut self, k: f64) -> Self {
-        assert!(k > 0.0 && k.is_finite(), "interval width must be positive");
-        self.interval_sigmas = k;
-        self
+        TrueTimeSequencer { registry }
     }
 
     /// The uncertainty interval assigned to one message.
@@ -71,7 +59,7 @@ impl<'a> TrueTimeSequencer<'a> {
         // offset does not skew the interval (TrueTime's epsilon is symmetric
         // around the corrected time).
         let center = message.timestamp - dist.mean();
-        let half_width = self.interval_sigmas * dist.std_dev();
+        let half_width = INTERVAL_SIGMAS * dist.std_dev();
         Ok(UncertaintyInterval {
             lo: center - half_width,
             hi: center + half_width,
@@ -174,16 +162,6 @@ mod tests {
         let iv = tt.interval(&msg(0, 0, 100.0)).unwrap();
         assert!((iv.lo - 47.0).abs() < 1e-9);
         assert!((iv.hi - 53.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn narrower_intervals_order_more_pairs() {
-        let reg = registry(10.0, 2);
-        let msgs = vec![msg(0, 0, 0.0), msg(1, 1, 20.0)];
-        let tt3 = TrueTimeSequencer::new(&reg);
-        let tt05 = TrueTimeSequencer::new(&reg).with_interval_sigmas(0.5);
-        assert_eq!(tt3.sequence(&msgs).unwrap().num_batches(), 1);
-        assert_eq!(tt05.sequence(&msgs).unwrap().num_batches(), 2);
     }
 
     #[test]

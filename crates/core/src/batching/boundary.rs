@@ -3,16 +3,9 @@
 //! Position `p` of the tracked linear order *starts a batch* when the
 //! adjacent-pair probability `p(order[p-1] → order[p])` exceeds the
 //! threshold (position 0 always starts one). [`BoundarySet`] stores exactly
-//! those bits, keeps the batch count eagerly, and derives per-position ranks
-//! from a lazily rebuilt prefix count over the bits: a Fenwick tree would
-//! give `O(log n)` point updates but cannot absorb the position *shifts* an
-//! insertion causes, while the lazy prefix array costs nothing on the
-//! arrival path (the online sequencer never queries ranks there — only the
-//! equivalence tests and the offline materialization do) and answers every
-//! rank query in `O(1)` once rebuilt.
+//! those bits and keeps the batch count eagerly.
 
-/// The batch-start bits of a linear order, with an eager batch count and a
-/// lazily rebuilt prefix-rank array.
+/// The batch-start bits of a linear order, with an eager batch count.
 #[derive(Debug, Clone, Default)]
 pub struct BoundarySet {
     /// `starts[p]` — position `p` begins a batch. `starts[0]` is always set
@@ -20,10 +13,6 @@ pub struct BoundarySet {
     starts: Vec<bool>,
     /// Number of set bits (equals the number of batches).
     set_bits: usize,
-    /// `prefix[p]` = rank of the batch containing position `p`; rebuilt on
-    /// demand after structural edits.
-    prefix: Vec<usize>,
-    prefix_valid: bool,
 }
 
 impl BoundarySet {
@@ -40,8 +29,6 @@ impl BoundarySet {
         BoundarySet {
             starts: bits,
             set_bits,
-            prefix: Vec::new(),
-            prefix_valid: false,
         }
     }
 
@@ -69,7 +56,6 @@ impl BoundarySet {
     pub fn insert(&mut self, p: usize, start: bool) {
         self.starts.insert(p, start);
         self.set_bits += usize::from(start);
-        self.prefix_valid = false;
     }
 
     /// Overwrite the bit at `p`.
@@ -77,7 +63,6 @@ impl BoundarySet {
         let old = self.starts[p];
         self.starts[p] = start;
         self.set_bits = self.set_bits + usize::from(start) - usize::from(old);
-        self.prefix_valid = false;
     }
 
     /// The first boundary position (`p >= 1` with the bit set), i.e. the
@@ -97,25 +82,6 @@ impl BoundarySet {
             .skip(1)
             .filter_map(|(p, &b)| b.then_some(p))
             .collect()
-    }
-
-    /// Rank of the batch containing position `p` (0-based), from the prefix
-    /// count over the start bits. Rebuilds the prefix array if a structural
-    /// edit invalidated it; `O(1)` afterwards.
-    pub fn rank_of_position(&mut self, p: usize) -> usize {
-        if !self.prefix_valid {
-            self.prefix.clear();
-            self.prefix.reserve(self.starts.len());
-            let mut rank = 0usize;
-            for (q, &start) in self.starts.iter().enumerate() {
-                if start && q > 0 {
-                    rank += 1;
-                }
-                self.prefix.push(rank);
-            }
-            self.prefix_valid = true;
-        }
-        self.prefix[p]
     }
 }
 
@@ -144,18 +110,5 @@ mod tests {
         b.set(1, false); // merge back
         assert_eq!(b.num_batches(), 1);
         assert_eq!(b.first_boundary(), None);
-    }
-
-    #[test]
-    fn ranks_follow_prefix_counts_across_edits() {
-        let mut b = BoundarySet::from_bits(vec![true, false, true, false]);
-        assert_eq!(b.rank_of_position(0), 0);
-        assert_eq!(b.rank_of_position(1), 0);
-        assert_eq!(b.rank_of_position(3), 1);
-        // Edit invalidates the cached prefix; the next query rebuilds it.
-        b.insert(2, true);
-        assert_eq!(b.rank_of_position(2), 1);
-        assert_eq!(b.rank_of_position(4), 2);
-        assert_eq!(b.num_batches(), 3);
     }
 }

@@ -11,9 +11,10 @@
 //!   locally;
 //! * an emitted batch's removal keeps every surviving adjacency's bit and
 //!   re-evaluates only the one seam per removed run;
-//! * ranks are derived lazily from a prefix count over the boundary bits
-//!   ([`BoundarySet`]) and a dense position index keyed by matrix slot —
-//!   no `HashMap<MessageId, usize>` is ever rebuilt on the arrival path.
+//! * ranks are never stored: a batch's rank is the number of set boundary
+//!   bits ([`BoundarySet`]) before it, read off when the order is
+//!   materialized — no `HashMap<MessageId, usize>` is ever rebuilt on the
+//!   arrival path.
 //!
 //! When the tournament's maintained order is invalidated (an intransitivity
 //! cycle — never for Gaussian offsets), the engine is marked dirty and
@@ -33,7 +34,7 @@ use crate::precedence::PrecedenceMatrix;
 pub struct FairOrderCounters {
     /// Adjacent-pair probability re-evaluations (each a single matrix read).
     /// An arrival costs at most two; a removal costs one per removed run; a
-    /// rebuild or threshold change costs `n − 1`.
+    /// rebuild costs `n − 1`.
     pub boundary_evals: u64,
     /// Local edits that increased the boundary count (an arrival separating
     /// what was one batch).
@@ -58,10 +59,6 @@ pub struct IncrementalFairOrder {
     order: Vec<usize>,
     /// Batch-start bits aligned with `order`.
     boundary: BoundarySet,
-    /// Dense slot → position map, rebuilt lazily (only rank queries need it;
-    /// the arrival path never does).
-    pos_of_slot: Vec<usize>,
-    pos_valid: bool,
     /// Set when the maintained order was invalidated wholesale; cleared by
     /// [`rebuild_from`](Self::rebuild_from).
     dirty: bool,
@@ -80,8 +77,6 @@ impl IncrementalFairOrder {
             threshold,
             order: Vec::new(),
             boundary: BoundarySet::new(),
-            pos_of_slot: Vec::new(),
-            pos_valid: false,
             dirty: false,
             counters: FairOrderCounters::default(),
         }
@@ -146,25 +141,6 @@ impl IncrementalFairOrder {
         &self.order[..end]
     }
 
-    /// Rank of the batch containing matrix slot `slot`, derived from the
-    /// lazily rebuilt dense position index and the boundary prefix count —
-    /// no per-arrival hashing anywhere. `None` when out of range.
-    pub fn rank_of_slot(&mut self, slot: usize) -> Option<usize> {
-        debug_assert!(!self.dirty, "ranks read while dirty");
-        if slot >= self.order.len() {
-            return None;
-        }
-        if !self.pos_valid {
-            self.pos_of_slot.clear();
-            self.pos_of_slot.resize(self.order.len(), usize::MAX);
-            for (p, &s) in self.order.iter().enumerate() {
-                self.pos_of_slot[s] = p;
-            }
-            self.pos_valid = true;
-        }
-        Some(self.boundary.rank_of_position(self.pos_of_slot[slot]))
-    }
-
     /// Rebuild one-shot from a recomputed linear order (the cycle / wholesale
     /// fallback): every adjacent pair is re-evaluated, exactly as
     /// [`FairOrder::from_linear_order`] would. Clears the dirty flag and
@@ -180,26 +156,7 @@ impl IncrementalFairOrder {
         self.counters.boundary_evals += order.len().saturating_sub(1) as u64;
         self.counters.full_rebuilds += 1;
         self.boundary = BoundarySet::from_bits(bits);
-        self.pos_valid = false;
         self.dirty = false;
-    }
-
-    /// Change the batching threshold, re-evaluating every boundary bit
-    /// (`n − 1` matrix reads; the maintained order is untouched).
-    pub fn set_threshold(&mut self, threshold: f64, matrix: &PrecedenceMatrix) {
-        assert!(
-            (0.5..1.0).contains(&threshold),
-            "threshold must be in [0.5, 1.0), got {threshold}"
-        );
-        self.threshold = threshold;
-        if self.dirty {
-            return; // the pending rebuild re-evaluates everything anyway
-        }
-        for p in 1..self.order.len() {
-            let start = matrix.prob(self.order[p - 1], self.order[p]) > threshold;
-            self.boundary.set(p, start);
-        }
-        self.counters.boundary_evals += self.order.len().saturating_sub(1) as u64;
     }
 
     /// Incorporate the message `matrix` just gained (its last slot), inserted
@@ -237,7 +194,6 @@ impl IncrementalFairOrder {
         if let Some(start) = right_start {
             self.boundary.set(pos + 1, start);
         }
-        self.pos_valid = false;
 
         let new_boundaries =
             usize::from(pos > 0 && left_start) + usize::from(right_start == Some(true));
@@ -302,7 +258,6 @@ impl IncrementalFairOrder {
         }
         self.order = new_order;
         self.boundary = BoundarySet::from_bits(bits);
-        self.pos_valid = false;
     }
 
     /// Materialize the maintained state as a [`FairOrder`] (used by the
@@ -350,7 +305,7 @@ mod tests {
 
     /// The maintained state must equal the one-shot constructor over the
     /// maintained order: batches, ranks, and boundary positions.
-    fn assert_matches_one_shot(inc: &mut IncrementalFairOrder, matrix: &PrecedenceMatrix) {
+    fn assert_matches_one_shot(inc: &IncrementalFairOrder, matrix: &PrecedenceMatrix) {
         let order = inc.order().to_vec();
         let reference = FairOrder::from_linear_order(matrix, &order, inc.threshold());
         let materialized = inc.to_fair_order(matrix);
@@ -361,10 +316,6 @@ mod tests {
             "boundaries diverged"
         );
         assert_eq!(inc.num_batches(), reference.num_batches());
-        for &slot in &order {
-            let id = matrix.message(slot).id;
-            assert_eq!(inc.rank_of_slot(slot), reference.rank_of(id), "rank of {id}");
-        }
         // First batch = batch 0 of the reference.
         let first_ids: Vec<MessageId> = inc
             .first_batch()
@@ -390,7 +341,7 @@ mod tests {
                 .collect();
             let matrix = PrecedenceMatrix::from_probabilities(&reference[..k], &prefix);
             inc.insert_at(k - 1, &matrix);
-            assert_matches_one_shot(&mut inc, &matrix);
+            assert_matches_one_shot(&inc, &matrix);
         }
         assert_eq!(inc.num_batches(), 3);
         assert_eq!(inc.first_batch(), &[0]);
@@ -401,7 +352,7 @@ mod tests {
 
     /// Random insert positions and thresholds: after every edit the engine
     /// equals the one-shot constructor over its own order. Exercises splits,
-    /// merges, interior inserts, and threshold changes.
+    /// merges and interior inserts.
     #[test]
     #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
     fn random_insert_positions_match_one_shot() {
@@ -426,12 +377,7 @@ mod tests {
                 let matrix = PrecedenceMatrix::from_probabilities(&pool_msgs[..k], &prefix);
                 let pos = rng.random_range(0..k); // any position is legal here
                 inc.insert_at(pos, &matrix);
-                assert_matches_one_shot(&mut inc, &matrix);
-                if k == POOL / 2 {
-                    let new_threshold = rng.random_range(0.55..0.95f64);
-                    inc.set_threshold(new_threshold, &matrix);
-                    assert_matches_one_shot(&mut inc, &matrix);
-                }
+                assert_matches_one_shot(&inc, &matrix);
             }
         }
     }
@@ -460,7 +406,7 @@ mod tests {
         let before = inc.counters().boundary_evals;
         inc.remove_slots(&[1], &compacted);
         assert_eq!(inc.counters().boundary_evals, before + 1, "one seam");
-        assert_matches_one_shot(&mut inc, &compacted);
+        assert_matches_one_shot(&inc, &compacted);
         assert_eq!(inc.num_batches(), 2);
         assert_eq!(inc.first_batch(), &[0, 1]);
     }
@@ -492,7 +438,7 @@ mod tests {
         assert_eq!(inc.num_batches(), 3);
         assert_eq!(inc.counters().batch_splits, 2);
         assert_eq!(inc.counters().batch_merges, 0);
-        assert_matches_one_shot(&mut inc, &m3);
+        assert_matches_one_shot(&inc, &m3);
     }
 
     #[test]
@@ -504,7 +450,7 @@ mod tests {
         assert!(inc.is_dirty());
         inc.rebuild_from(&[3, 2, 1, 0], &matrix); // any recomputed order
         assert!(!inc.is_dirty());
-        assert_matches_one_shot(&mut inc, &matrix);
+        assert_matches_one_shot(&inc, &matrix);
         assert_eq!(inc.counters().full_rebuilds, 2);
     }
 

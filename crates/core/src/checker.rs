@@ -107,6 +107,20 @@ use crate::sequencer::sharded::ShardedSequencer;
 use crate::sequencer::{register_all, SequencingCore, StreamEngine};
 use crate::session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
 
+/// Fixed network delay added to a message's true time to form its earliest
+/// arrival; the sequencer clock never runs backwards, so a reordered
+/// delivery arrives at `max(clock so far, truth + NETWORK_DELAY)`.
+const NETWORK_DELAY: f64 = 1.0;
+
+/// Deliveries the fault adversary may drop per schedule (every subset up to
+/// this size is checked).
+const FAULT_MAX_DROPPED: usize = 1;
+
+/// Heartbeat staleness deadline of the liveness detector in faulty replays
+/// (always enabled there: a blocked stream must be evicted, not waited on
+/// forever).
+const FAULT_STALENESS_DEADLINE: f64 = 50.0;
+
 /// A small model: a fixed client population, a fixed message set, and the
 /// network/bound parameters defining the schedule space.
 #[derive(Debug, Clone)]
@@ -125,10 +139,6 @@ pub struct ModelSpec {
     /// from-scratch solve, which under stochastic repairs would
     /// legitimately differ.
     pub config: SequencerConfig,
-    /// Fixed network delay added to a message's true time to form its
-    /// earliest arrival; the sequencer clock never runs backwards, so a
-    /// reordered delivery arrives at `max(clock so far, truth + delay)`.
-    pub network_delay: f64,
     /// Reordering bound: at each step, any of the oldest `max_in_flight`
     /// undelivered messages may be delivered next. `1` is FIFO delivery;
     /// the schedule count grows combinatorially with the bound.
@@ -443,7 +453,6 @@ impl ModelSpec {
             offsets,
             messages,
             config: SequencerConfig::default(),
-            network_delay: 1.0,
             max_in_flight: 3,
             max_violation_rate: 1.0,
             max_schedules: 20_000,
@@ -471,16 +480,6 @@ impl ModelSpec {
             "rate bound must be in [0, 1]"
         );
         self.max_violation_rate = max_violation_rate;
-        self
-    }
-
-    /// Set the fixed network delay.
-    pub fn with_network_delay(mut self, network_delay: f64) -> Self {
-        assert!(
-            network_delay >= 0.0 && network_delay.is_finite(),
-            "delay must be finite and non-negative"
-        );
-        self.network_delay = network_delay;
         self
     }
 
@@ -823,7 +822,7 @@ impl ModelSpec {
     /// violations found.
     ///
     /// Replay mirrors the sim runner's semantics: arrivals happen at
-    /// `max(clock so far, truth + network_delay)`; per-client timestamps are
+    /// `max(clock so far, truth + NETWORK_DELAY)`; per-client timestamps are
     /// clamped to the client's floor (an earlier heartbeat may have advanced
     /// past a reordered timestamp); after each delivery, every client whose
     /// undelivered messages all lie in the future heartbeats at the round's
@@ -890,7 +889,7 @@ impl<'a> Channels<'a> {
     /// Something sent at true time `t` reaches the sequencer; its clock
     /// never runs backwards.
     fn arrive(&mut self, t: f64) {
-        self.clock = self.clock.max(t + self.spec.network_delay);
+        self.clock = self.clock.max(t + NETWORK_DELAY);
     }
 
     /// Clamp `reading` to `client`'s floor. Returns what the channel
@@ -1109,7 +1108,7 @@ impl<'a, E: StreamEngine> Replay<'a, E> {
         for batch in batches {
             if let Some(registry_of) = self.registry_of {
                 let registry = registry_of(&self.engine);
-                let matrix = PrecedenceMatrix::compute_parallel(&self.pending, registry, 1)?;
+                let matrix = PrecedenceMatrix::compute(&self.pending, registry)?;
                 let mut core = SequencingCore::new(self.channels.spec.config);
                 core.load(&matrix);
                 let mut expected: Vec<MessageId> = core
@@ -1202,55 +1201,22 @@ impl Replay<'_, ShardedSequencer> {
 pub struct FaultSpec {
     /// The recovery policy every client stream runs under.
     pub policy: RecoveryPolicy,
-    /// Maximum deliveries dropped per schedule (every subset up to this
-    /// size is checked).
-    pub max_dropped: usize,
     /// Maximum deliveries duplicated per schedule (every subset up to this
     /// size is checked; duplicating a dropped delivery is skipped — there
     /// is no copy to duplicate).
     pub max_duplicated: usize,
-    /// Heartbeat staleness deadline for the sequencer's liveness detector
-    /// (always enabled in faulty replays: a blocked stream must be evicted,
-    /// not waited on forever).
-    pub staleness_deadline: f64,
 }
 
 impl FaultSpec {
-    /// A spec for `policy` checking one drop and one duplicate per
-    /// schedule, with a staleness deadline of 50 time units.
+    /// A spec for `policy` checking one drop and one duplicate per schedule.
     pub fn new(policy: RecoveryPolicy) -> Self {
         policy.validate();
-        FaultSpec {
-            policy,
-            max_dropped: 1,
-            max_duplicated: 1,
-            staleness_deadline: 50.0,
-        }
-    }
-
-    /// Set the per-schedule drop bound.
-    pub fn with_max_dropped(mut self, max_dropped: usize) -> Self {
-        self.max_dropped = max_dropped;
-        self
+        FaultSpec { policy, max_duplicated: 1 }
     }
 
     /// Set the per-schedule duplication bound.
     pub fn with_max_duplicated(mut self, max_duplicated: usize) -> Self {
         self.max_duplicated = max_duplicated;
-        self
-    }
-
-    /// Set the liveness staleness deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the deadline is positive and finite.
-    pub fn with_staleness_deadline(mut self, deadline: f64) -> Self {
-        assert!(
-            deadline.is_finite() && deadline > 0.0,
-            "staleness deadline must be positive and finite, got {deadline}"
-        );
-        self.staleness_deadline = deadline;
         self
     }
 }
@@ -1492,7 +1458,7 @@ impl ModelSpec {
     /// Errors propagate from replay (unknown client, duplicate id, …) —
     /// they indicate a malformed model, not an invariant violation.
     pub fn check_faulty(&self, spec: &FaultSpec) -> Result<FaultCheckReport, CoreError> {
-        let bounds = (spec.max_dropped, spec.max_duplicated);
+        let bounds = (FAULT_MAX_DROPPED, spec.max_duplicated);
         let judged = self.judge(bounds, |schedule, dropped, duplicated| {
             let (_, violations) = self.replay_faulty(schedule, dropped, duplicated, spec)?;
             Ok(violations)
@@ -1519,10 +1485,10 @@ impl ModelSpec {
     ) -> Result<(RunTrace, Vec<InvariantViolation>), CoreError> {
         let mut layer = FaultLayer::new(self, spec.policy, dropped, duplicated);
         let ending = Ending::Liveness {
-            deadline: spec.staleness_deadline,
+            deadline: FAULT_STALENESS_DEADLINE,
             crashed: None,
         };
-        let engine = self.single_engine(Some(spec.staleness_deadline));
+        let engine = self.single_engine(Some(FAULT_STALENESS_DEADLINE));
         let run = Replay::new(self, engine, Some(OnlineSequencer::registry as _), false);
         let mut run = run.replay(schedule, Some(&mut layer), ending)?;
 

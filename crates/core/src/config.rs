@@ -1,7 +1,5 @@
 //! Sequencer configuration.
 
-use tommy_stats::convolution::ConvolutionMethod;
-
 use crate::defense::DefenseConfig;
 
 /// Why the incremental FAS engine is not in effect for a configuration,
@@ -134,9 +132,6 @@ pub struct SequencerConfig {
     /// is only emitted once, for every member `i`, the sequencer's clock has
     /// passed a time `T^F_i` with `P(T*_i < T^F_i) > p_safe`.
     pub p_safe: f64,
-    /// Convolution implementation used when building difference distributions
-    /// for non-Gaussian offset pairs.
-    pub convolution: ConvolutionMethod,
     /// Number of grid points used when discretizing non-Gaussian offset
     /// distributions.
     pub grid_points: usize,
@@ -178,31 +173,6 @@ pub struct SequencerConfig {
     /// accept that trade-off, or deduplicate upstream, before disabling
     /// history.
     pub retain_history: bool,
-    /// Worker-thread count for the offline (batch-mode) pairwise
-    /// [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix) build.
-    ///
-    /// * `1` (the default) — fully serial, exactly the historical behaviour.
-    /// * `0` — auto-detect via `std::thread::available_parallelism()`.
-    /// * any other value — that many worker threads.
-    ///
-    /// The tiled build partitions the upper triangle of the query grid into
-    /// row blocks balanced by pair count and is **bit-identical** to the
-    /// serial build: every pair is evaluated in the same orientation through
-    /// the same [`PairKernel`](crate::registry::PairKernel) formulas, so the
-    /// resulting matrix (and therefore every downstream tournament, linear
-    /// order, and batch boundary) is exactly the one the serial build
-    /// produces. Only wall-clock time changes. Each worker resolves its own
-    /// kernel cache — O(C²) registry lock touches per tile (C = distinct
-    /// clients) instead of O(pairs) — and then runs lock-free, so worker
-    /// scaling is not capped by shared-lock traffic.
-    ///
-    /// The registry's query counter keeps its per-evaluation semantics under
-    /// both builds: kernel-based fills record their evaluations in bulk
-    /// (one atomic add per column/build rather than per query), so on
-    /// success the count equals what per-call querying would have produced.
-    /// The online sequencer's incremental arrival path never builds
-    /// a full matrix and is unaffected by this knob.
-    pub parallelism: usize,
     /// The untrusted-distribution defense ([`crate::defense`]): when
     /// enabled, the online sequencer cross-checks each client's observed
     /// residuals against its claimed distribution, quarantines misreporters
@@ -231,7 +201,7 @@ pub struct SequencerConfig {
     ///   and the emitted batches are bit-identical to a plain
     ///   [`OnlineSequencer`](crate::sequencer::online::OnlineSequencer) fed
     ///   the same calls, by construction.
-    /// * `0` — auto-detect via `std::thread::available_parallelism()`.
+    /// * `0` — auto-detect: one shard per hardware thread ([`resolve_shards`]).
     /// * any other value — that many shards.
     ///
     /// The plain `OnlineSequencer` ignores this knob; it only selects how
@@ -244,12 +214,10 @@ impl Default for SequencerConfig {
         SequencerConfig {
             threshold: 0.75,
             p_safe: 0.999,
-            convolution: ConvolutionMethod::Auto,
             grid_points: 1024,
             stochastic_cycle_breaking: false,
             incremental_fas: true,
             retain_history: true,
-            parallelism: 1,
             defense: DefenseConfig::disabled(),
             liveness: LivenessConfig::disabled(),
             fast_path: FastPathMode::Auto,
@@ -258,24 +226,17 @@ impl Default for SequencerConfig {
     }
 }
 
-/// Resolve a [`SequencerConfig::parallelism`] knob value to a concrete
-/// worker-thread count: `0` auto-detects the hardware parallelism (falling
-/// back to 1 when detection fails), anything else is used as-is.
-pub fn resolve_parallelism(parallelism: usize) -> usize {
-    if parallelism == 0 {
+/// Resolve a [`SequencerConfig::shards`] knob value to a concrete shard
+/// count: `0` auto-detects the hardware thread count (falling back to 1 when
+/// detection fails), anything else is used as-is.
+pub fn resolve_shards(shards: usize) -> usize {
+    if shards == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
     } else {
-        parallelism
+        shards
     }
-}
-
-/// Resolve a [`SequencerConfig::shards`] knob value to a concrete shard
-/// count: `0` auto-detects the hardware parallelism (falling back to 1 when
-/// detection fails), anything else is used as-is.
-pub fn resolve_shards(shards: usize) -> usize {
-    resolve_parallelism(shards)
 }
 
 impl SequencerConfig {
@@ -314,12 +275,6 @@ impl SequencerConfig {
         self
     }
 
-    /// Select the convolution implementation.
-    pub fn with_convolution(mut self, method: ConvolutionMethod) -> Self {
-        self.convolution = method;
-        self
-    }
-
     /// Set the discretization grid resolution.
     ///
     /// # Panics
@@ -352,19 +307,6 @@ impl SequencerConfig {
         self
     }
 
-    /// Set the offline matrix-build worker count (see
-    /// [`SequencerConfig::parallelism`]): `1` serial, `0` auto-detect.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The concrete worker-thread count this configuration resolves to
-    /// (auto-detecting when [`parallelism`](Self::parallelism) is `0`).
-    pub fn resolved_parallelism(&self) -> usize {
-        resolve_parallelism(self.parallelism)
-    }
-
     /// Set the untrusted-distribution defense configuration (see
     /// [`SequencerConfig::defense`]).
     pub fn with_defense(mut self, defense: DefenseConfig) -> Self {
@@ -391,12 +333,6 @@ impl SequencerConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
-    }
-
-    /// The concrete shard count this configuration resolves to
-    /// (auto-detecting when [`shards`](Self::shards) is `0`).
-    pub fn resolved_shards(&self) -> usize {
-        resolve_shards(self.shards)
     }
 
     /// Why the incremental FAS engine will *not* run for this
@@ -428,7 +364,6 @@ mod tests {
         assert!(!c.stochastic_cycle_breaking);
         assert!(c.incremental_fas);
         assert!(c.retain_history);
-        assert_eq!(c.parallelism, 1);
         assert_eq!(c.fast_path, FastPathMode::Auto);
     }
 
@@ -440,23 +375,13 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_builder_and_resolution() {
-        let c = SequencerConfig::new().with_parallelism(4);
-        assert_eq!(c.parallelism, 4);
-        assert_eq!(c.resolved_parallelism(), 4);
-        let auto = SequencerConfig::new().with_parallelism(0);
-        assert!(auto.resolved_parallelism() >= 1);
-        assert_eq!(resolve_parallelism(3), 3);
-    }
-
-    #[test]
     fn shards_builder_and_resolution() {
         assert_eq!(SequencerConfig::default().shards, 1);
         let c = SequencerConfig::new().with_shards(4);
         assert_eq!(c.shards, 4);
-        assert_eq!(c.resolved_shards(), 4);
+        assert_eq!(resolve_shards(c.shards), 4);
         let auto = SequencerConfig::new().with_shards(0);
-        assert!(auto.resolved_shards() >= 1);
+        assert!(resolve_shards(auto.shards) >= 1);
         assert_eq!(resolve_shards(3), 3);
     }
 
@@ -524,13 +449,11 @@ mod tests {
             .with_threshold(0.9)
             .with_p_safe(0.99)
             .with_grid_points(256)
-            .with_convolution(ConvolutionMethod::Fft)
             .with_stochastic_cycle_breaking(true)
             .with_incremental_fas(false);
         assert_eq!(c.threshold, 0.9);
         assert_eq!(c.p_safe, 0.99);
         assert_eq!(c.grid_points, 256);
-        assert_eq!(c.convolution, ConvolutionMethod::Fft);
         assert!(c.stochastic_cycle_breaking);
         assert!(!c.incremental_fas);
     }

@@ -64,7 +64,7 @@ pub enum ExpectedDelay {
     /// Use this known, fixed one-way delay for every client.
     Fixed(f64),
     /// Learn each client's delay online from its own arrival gaps; the
-    /// first [`DefenseConfig::delay_warmup`] observations per client only
+    /// first 8 (`DELAY_WARMUP`) observations per client only
     /// feed the estimator (no residual is formed from them).
     Online,
 }
@@ -74,6 +74,16 @@ impl Default for ExpectedDelay {
         ExpectedDelay::Fixed(0.0)
     }
 }
+
+/// Fallback σ multiplier applied when quarantining: the client is
+/// re-registered with `max(claimed σ, empirical σ) × SIGMA_INFLATION`,
+/// buying conservative (wide) margins instead of the lied-about ones.
+pub(crate) const SIGMA_INFLATION: f64 = 3.0;
+
+/// In [`ExpectedDelay::Online`] mode, how many arrival gaps per client feed
+/// the delay estimator before residuals start flowing into the trust window
+/// (early estimates are too noisy to test against).
+pub(crate) const DELAY_WARMUP: u64 = 8;
 
 /// Tuning knobs for the residual cross-check.
 ///
@@ -99,17 +109,9 @@ pub struct DefenseConfig {
     /// errors from the claimed mean (catches pure mean shifts that a small
     /// window's KS may miss).
     pub drift_zscore: f64,
-    /// Fallback σ multiplier applied when quarantining: the client is
-    /// re-registered with `max(claimed σ, empirical σ) × sigma_inflation`,
-    /// buying conservative (wide) margins instead of the lied-about ones.
-    pub sigma_inflation: f64,
     /// Where the expected network delay used when forming residuals comes
     /// from: a known fixed value, or learned online per client.
     pub expected_delay: ExpectedDelay,
-    /// In [`ExpectedDelay::Online`] mode, how many arrival gaps per client
-    /// feed the delay estimator before residuals start flowing into the
-    /// trust window (early estimates are too noisy to test against).
-    pub delay_warmup: usize,
     /// Pairwise residual correlation above which a client pair counts as
     /// co-moving. The effective limit is `max(collusion_threshold,
     /// 2.8/√n)` over `n` paired samples — under independence `r·√n` is
@@ -141,9 +143,7 @@ impl DefenseConfig {
             check_interval: 8,
             ks_threshold: 0.3,
             drift_zscore: 5.0,
-            sigma_inflation: 3.0,
             expected_delay: ExpectedDelay::default(),
-            delay_warmup: 8,
             collusion_threshold: 0.7,
             collusion_min_pairs: 12,
             collusion_confirmations: 2,
@@ -196,13 +196,6 @@ impl DefenseConfig {
         self
     }
 
-    /// Set the quarantine σ inflation factor.
-    pub fn with_sigma_inflation(mut self, sigma_inflation: f64) -> Self {
-        assert!(sigma_inflation >= 1.0, "σ inflation must be ≥ 1");
-        self.sigma_inflation = sigma_inflation;
-        self
-    }
-
     /// Set the expected-delay source used when forming residuals.
     ///
     /// # Panics
@@ -213,13 +206,6 @@ impl DefenseConfig {
             assert!(d.is_finite(), "expected delay must be finite");
         }
         self.expected_delay = expected_delay;
-        self
-    }
-
-    /// Set the per-client delay-estimator warm-up (online mode only).
-    pub fn with_delay_warmup(mut self, delay_warmup: usize) -> Self {
-        assert!(delay_warmup >= 1, "delay warm-up must be positive");
-        self.delay_warmup = delay_warmup;
         self
     }
 
@@ -593,11 +579,6 @@ impl CollusionTracker {
         CollusionTracker::default()
     }
 
-    /// Number of clients currently tracked.
-    pub fn tracked_clients(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Feed one residual from `client`; runs the pairwise correlation check
     /// when the client's cadence comes due.
     pub fn observe(
@@ -798,9 +779,7 @@ mod tests {
             .with_check_interval(4)
             .with_ks_threshold(0.2)
             .with_drift_zscore(4.0)
-            .with_sigma_inflation(2.0)
             .with_expected_delay(ExpectedDelay::Fixed(1.0))
-            .with_delay_warmup(4)
             .with_collusion_threshold(0.5)
             .with_collusion_min_pairs(8)
             .with_collusion_confirmations(3);
@@ -810,7 +789,6 @@ mod tests {
         assert_eq!(cfg.check_interval, 4);
         assert!((cfg.ks_threshold - 0.2).abs() < 1e-12);
         assert_eq!(cfg.expected_delay, ExpectedDelay::Fixed(1.0));
-        assert_eq!(cfg.delay_warmup, 4);
         assert!((cfg.collusion_threshold - 0.5).abs() < 1e-12);
         assert_eq!(cfg.collusion_min_pairs, 8);
         assert_eq!(cfg.collusion_confirmations, 3);
@@ -936,14 +914,14 @@ mod tests {
             tracker.observe(a, v, &cfg);
             tracker.observe(b, v, &cfg);
         }
-        assert_eq!(tracker.tracked_clients(), 2);
+        assert_eq!(tracker.clients.len(), 2);
         tracker.reset_client(a);
         // Pairs restart: the next observation cannot be scored against the
         // dropped evidence.
         let report = tracker.observe(a, 6.0, &cfg);
         assert!(report.flagged.is_empty());
         tracker.remove(b);
-        assert_eq!(tracker.tracked_clients(), 1);
+        assert_eq!(tracker.clients.len(), 1);
     }
 
     #[test]

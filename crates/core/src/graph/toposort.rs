@@ -21,13 +21,6 @@ impl TopoResult {
             TopoResult::Cyclic => None,
         }
     }
-
-    /// Whether the order is unique — for a tournament this is equivalent to
-    /// the graph being a transitive tournament with its unique Hamiltonian
-    /// path (§3.4 of the paper).
-    pub fn is_unique(&self) -> bool {
-        matches!(self, TopoResult::Unique(_))
-    }
 }
 
 /// Topologically sort a graph given as adjacency lists (`adj[v]` = vertices
@@ -82,7 +75,6 @@ mod tests {
         let adj = vec![vec![1], vec![2], vec![3], vec![]];
         let result = topological_sort(&adj);
         assert_eq!(result, TopoResult::Unique(vec![0, 1, 2, 3]));
-        assert!(result.is_unique());
     }
 
     #[test]
@@ -90,7 +82,7 @@ mod tests {
         // 0 -> {1, 2} -> 3
         let adj = vec![vec![1, 2], vec![3], vec![3], vec![]];
         let result = topological_sort(&adj);
-        assert!(!result.is_unique());
+        assert!(matches!(result, TopoResult::Multiple(_)));
         let order = result.order().unwrap();
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], 0);
@@ -123,7 +115,7 @@ mod tests {
     fn isolated_vertices_are_multiple() {
         let adj = vec![vec![], vec![], vec![]];
         let result = topological_sort(&adj);
-        assert!(!result.is_unique());
+        assert!(matches!(result, TopoResult::Multiple(_)));
         assert_eq!(result.order().unwrap().len(), 3);
     }
 

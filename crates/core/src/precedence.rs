@@ -10,12 +10,12 @@
 //! Every probability the matrix stores depends on its pair of messages only
 //! through the client pair and the timestamp delta (see
 //! [`PairKernel`]), so both the incremental [`insert`](PrecedenceMatrix::insert)
-//! and the one-shot [`compute_parallel`](PrecedenceMatrix::compute_parallel)
+//! and the one-shot [`compute`](PrecedenceMatrix::compute)
 //! group the messages by client — ascending row indices plus a contiguous
 //! timestamp array per client — resolve one kernel per client pair, and fill
 //! whole columns/rows with tight per-kernel loops over contiguous `f64`s.
 //! An arrival touches the registry ≤ C times (C = distinct pending clients)
-//! for its n queries; an offline build tile touches it O(C²) times instead
+//! for its n queries; an offline build touches it O(C²) times instead
 //! of O(pairs). The stored floats are bit-identical to the per-call path by
 //! construction (same formulas, same clamping — see [`PairKernel`]); the
 //! rare error cases (unknown client, NaN probability) fall back to the
@@ -26,39 +26,6 @@ use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::registry::{DistributionRegistry, PairKernel};
 use std::collections::{HashMap, HashSet};
-
-/// Below this message count the parallel build falls back to the serial
-/// loop: thread spawn/join overhead would dominate the pairwise queries.
-const PARALLEL_BUILD_MIN_MESSAGES: usize = 64;
-
-/// One worker's rows: for each owned row `i`, the upper-triangle
-/// probabilities `p(i, j)` for `j > i`.
-type RowBlock = Vec<(usize, Vec<f64>)>;
-
-/// One worker's output: its [`RowBlock`] — or the row-major-first error the
-/// worker hit.
-type RowBlockResult = Result<RowBlock, CoreError>;
-
-/// Partition the rows `0..n` of the upper-triangle query grid into at most
-/// `threads` contiguous blocks with approximately equal *pair* counts (row
-/// `i` owns `n - 1 - i` pairs, so equal row counts would badly skew work
-/// toward the first block).
-fn partition_rows(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let total_pairs = n * (n.saturating_sub(1)) / 2;
-    let target = total_pairs.div_ceil(threads.max(1)).max(1);
-    let mut blocks = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for i in 0..n {
-        acc += n - 1 - i;
-        if acc >= target || i + 1 == n {
-            blocks.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    blocks
-}
 
 /// One client's rows: ascending row indices plus, in lockstep, their
 /// timestamps as a contiguous array — the slice the pair-kernel loops
@@ -275,49 +242,24 @@ impl PrecedenceMatrix {
     }
 
     /// Compute the full matrix for `messages` using the distributions in
-    /// `registry`, serially. Equivalent to
-    /// [`compute_parallel`](Self::compute_parallel) with a parallelism of 1.
+    /// `registry`: one pass over the upper triangle of the query grid, row
+    /// by row through per-client-pair [`PairKernel`]s, each cell's
+    /// complement mirrored as it is written. Every pair `(i, j)` with
+    /// `i < j` is evaluated in that orientation, so the stored floats (and,
+    /// on success, the registry query count) are exactly the ones a
+    /// per-call build produces.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyInput`] for an empty slice,
     /// [`CoreError::DuplicateMessage`] if a message id repeats, and
     /// [`CoreError::UnknownClient`] if any message's client has no registered
-    /// distribution.
+    /// distribution. When several pairs fail, the error for the
+    /// row-major-first failing pair is returned (the error path re-runs the
+    /// per-call build to guarantee this).
     pub fn compute(
         messages: &[Message],
         registry: &DistributionRegistry,
-    ) -> Result<Self, CoreError> {
-        PrecedenceMatrix::compute_parallel(messages, registry, 1)
-    }
-
-    /// Compute the full matrix for `messages` with a tiled, multi-threaded
-    /// build of the pairwise query grid.
-    ///
-    /// `parallelism` follows the
-    /// [`SequencerConfig::parallelism`](crate::config::SequencerConfig::parallelism)
-    /// convention: `1` is fully serial, `0` auto-detects the available
-    /// hardware parallelism, any other value is the worker-thread count. The
-    /// upper triangle of the query grid is partitioned into contiguous row
-    /// blocks balanced by pair count; each worker fills its rows
-    /// independently and a serial assembly pass mirrors the complements.
-    ///
-    /// The result is **bit-identical** to the serial build: every pair
-    /// `(i, j)` with `i < j` is evaluated in exactly the same orientation
-    /// through the same formulas (see [`PairKernel`]), so the stored
-    /// floats — and, on success, the registry query count — are exactly the
-    /// ones the serial per-call build produces.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`compute`](Self::compute); when several pairs fail,
-    /// the error for the row-major-first failing pair is returned, exactly as
-    /// the serial scan would (the error path re-runs the per-call build to
-    /// guarantee this).
-    pub fn compute_parallel(
-        messages: &[Message],
-        registry: &DistributionRegistry,
-        parallelism: usize,
     ) -> Result<Self, CoreError> {
         if messages.is_empty() {
             return Err(CoreError::EmptyInput);
@@ -331,47 +273,8 @@ impl PrecedenceMatrix {
         }
 
         let (groups, group_of) = build_groups(messages);
-        let threads = crate::config::resolve_parallelism(parallelism).min(n);
-        let blocks_result: Result<Vec<RowBlock>, CoreError> =
-            if threads <= 1 || n < PARALLEL_BUILD_MIN_MESSAGES {
-                Self::kernel_rows(messages, &groups, registry, 0..n).map(|rows| vec![rows])
-            } else {
-                let blocks = partition_rows(n, threads);
-                // Workers share the read-only group structure; each resolves
-                // its own kernel cache (≤ C² registry touches per worker) and
-                // then runs lock-free. A worker stops at its first row-major
-                // error; collecting in ascending block order surfaces the
-                // earliest one.
-                let results: Vec<RowBlockResult> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = blocks
-                        .iter()
-                        .map(|block| {
-                            let block = block.clone();
-                            let groups = &groups;
-                            scope.spawn(move || {
-                                Self::kernel_rows(messages, groups, registry, block)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matrix build worker panicked"))
-                        .collect()
-                });
-                results.into_iter().collect()
-            };
-        let probs = match blocks_result {
-            Ok(row_blocks) => {
-                let mut probs = vec![0.5; n * n];
-                for block_rows in row_blocks {
-                    for (i, row) in block_rows {
-                        for (offset, p) in row.into_iter().enumerate() {
-                            let j = i + 1 + offset;
-                            probs[i * n + j] = p;
-                            probs[j * n + i] = 1.0 - p;
-                        }
-                    }
-                }
+        let probs = match Self::kernel_grid(messages, &groups, registry) {
+            Ok(probs) => {
                 registry.record_queries((n * (n - 1) / 2) as u64);
                 probs
             }
@@ -390,24 +293,20 @@ impl PrecedenceMatrix {
         })
     }
 
-    /// Fill the upper-triangle rows `block` of the query grid through pair
-    /// kernels: for each row `i`, every client group's columns `> i` are
-    /// evaluated with one kernel in one contiguous pass. Returns `(i, row)`
-    /// pairs where `row[k] = p(i, i + 1 + k)`.
-    fn kernel_rows(
+    /// Fill the query grid through pair kernels: for each row `i`, every
+    /// client group's columns `> i` are evaluated with one kernel in one
+    /// contiguous pass, then mirrored into column `i`.
+    fn kernel_grid(
         messages: &[Message],
         groups: &[ClientRows],
         registry: &DistributionRegistry,
-        block: std::ops::Range<usize>,
-    ) -> RowBlockResult {
+    ) -> Result<Vec<f64>, CoreError> {
         let n = messages.len();
+        let mut grid = vec![0.5; n * n];
         let mut kernels: HashMap<(ClientId, ClientId), PairKernel> = HashMap::new();
-        let mut rows = Vec::with_capacity(block.len());
         let mut dts: Vec<f64> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
-        for i in block {
-            let mi = &messages[i];
-            let mut row = vec![0.0; n - i - 1];
+        for (i, mi) in messages.iter().enumerate() {
             for group in groups {
                 // This client's columns strictly beyond the diagonal.
                 let start = group.rows.partition_point(|&r| r <= i);
@@ -427,22 +326,23 @@ impl PrecedenceMatrix {
                 probs.resize(dts.len(), 0.0);
                 kernel.preceding_many(&dts, &mut probs);
                 for (k, &j) in group.rows[start..].iter().enumerate() {
-                    row[j - i - 1] = probs[k];
+                    grid[i * n + j] = probs[k];
                 }
             }
             // NaN marks the per-call path's InvalidProbability case; scan in
             // column order so the reported pair is the row-major-first one.
-            for (k, &p) in row.iter().enumerate() {
+            for j in (i + 1)..n {
+                let p = grid[i * n + j];
                 if p.is_nan() {
                     return Err(CoreError::InvalidProbability {
                         left: mi.id,
-                        right: messages[i + 1 + k].id,
+                        right: messages[j].id,
                     });
                 }
+                grid[j * n + i] = 1.0 - p;
             }
-            rows.push((i, row));
         }
-        Ok(rows)
+        Ok(grid)
     }
 
     /// The pre-kernel per-call grid, kept as the error-path fallback: every
@@ -550,17 +450,6 @@ impl PrecedenceMatrix {
         self.probs[i * self.stride + j]
     }
 
-    /// `P(a precedes b)` by message id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is not in the matrix.
-    pub fn prob_by_id(&self, a: MessageId, b: MessageId) -> f64 {
-        let i = self.index_of(a).unwrap_or_else(|| panic!("{a} not in matrix"));
-        let j = self.index_of(b).unwrap_or_else(|| panic!("{b} not in matrix"));
-        self.prob(i, j)
-    }
-
     /// The fraction of unordered pairs whose higher-direction probability
     /// exceeds `threshold` — i.e. the fraction of pairs the sequencer can
     /// confidently order. A direct measure of how much fairness resolution a
@@ -660,7 +549,6 @@ mod tests {
         let m = PrecedenceMatrix::compute(&msgs, &reg).unwrap();
         assert_eq!(m.index_of(MessageId(9)), Some(1));
         assert_eq!(m.index_of(MessageId(8)), None);
-        assert!(m.prob_by_id(MessageId(7), MessageId(9)) > 0.99);
     }
 
     fn assert_matrices_identical(a: &PrecedenceMatrix, b: &PrecedenceMatrix) {
@@ -849,66 +737,22 @@ mod tests {
         }
     }
 
-    /// The tiled multi-threaded build must be bit-identical to the serial
-    /// one — same floats in every cell, for any thread count, across both
-    /// the Gaussian closed form and the numeric (discretized) path.
+    /// On failure the build surfaces the error the per-call row-major scan
+    /// hits first, not the first one a kernel lookup happens to meet.
     #[test]
-    fn parallel_compute_is_bit_identical_to_serial() {
-        let mut reg = DistributionRegistry::new();
-        for c in 0..5u32 {
-            let dist = if c % 2 == 0 {
-                OffsetDistribution::gaussian(0.0, 1.0 + c as f64)
-            } else {
-                OffsetDistribution::laplace(0.5, 1.0 + c as f64)
-            };
-            reg.register(ClientId(c), dist);
-        }
-        let msgs: Vec<Message> = (0..150)
-            .map(|i| msg(i, (i % 5) as u32, (i % 23) as f64 * 1.5))
-            .collect();
-        let serial = PrecedenceMatrix::compute(&msgs, &reg).unwrap();
-        for threads in [0usize, 2, 3, 8, 150] {
-            let parallel = PrecedenceMatrix::compute_parallel(&msgs, &reg, threads).unwrap();
-            assert_matrices_identical(&parallel, &serial);
-        }
-    }
-
-    /// On failure the parallel build surfaces the error the serial row-major
-    /// scan would have hit first.
-    #[test]
-    fn parallel_compute_reports_first_error_in_row_order() {
+    fn compute_reports_first_error_in_row_order() {
         let reg = registry(1.0, 3);
         let mut msgs: Vec<Message> = (0..100)
             .map(|i| msg(i, (i % 3) as u32, i as f64))
             .collect();
         // Two unregistered clients; the one at the smaller row index is the
-        // error a serial scan reports first.
+        // error a row-major scan reports first.
         msgs[10] = msg(10, 7, 10.0);
         msgs[80] = msg(80, 9, 80.0);
-        let serial_err = PrecedenceMatrix::compute(&msgs, &reg).unwrap_err();
-        assert_eq!(serial_err, CoreError::UnknownClient(ClientId(7)));
-        for threads in [2usize, 4, 16] {
-            assert_eq!(
-                PrecedenceMatrix::compute_parallel(&msgs, &reg, threads).unwrap_err(),
-                serial_err,
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_rows_covers_every_row_exactly_once() {
-        for (n, threads) in [(5usize, 2usize), (64, 4), (101, 8), (200, 3), (16, 32)] {
-            let blocks = super::partition_rows(n, threads);
-            let mut next = 0usize;
-            for block in &blocks {
-                assert_eq!(block.start, next, "blocks must be contiguous");
-                assert!(block.end > block.start, "blocks must be non-empty");
-                next = block.end;
-            }
-            assert_eq!(next, n, "blocks must cover all rows");
-            assert!(blocks.len() <= threads.max(1) + 1);
-        }
+        assert_eq!(
+            PrecedenceMatrix::compute(&msgs, &reg).unwrap_err(),
+            CoreError::UnknownClient(ClientId(7))
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The sequencer needs, for every pair of clients, the distribution of the
 //! difference of their clock offsets (§3.3). Building those difference
 //! distributions involves discretization and convolution, so the registry
-//! caches both the per-client discretized PDFs and the per-pair difference
-//! PDFs. For Gaussian pairs no grid is ever built — the closed form of §3.2
-//! is used directly.
+//! caches both the discretized PDFs and the pairwise difference PDFs, one
+//! per *distinct distribution* (pair), shared by every client that
+//! registered an equal one. For Gaussian pairs no grid is ever built — the
+//! closed form of §3.2 is used directly.
 //!
 //! ## Sign convention
 //!
@@ -41,7 +42,7 @@
 //! kernel-based column fill pays all of that once per *distinct client* and
 //! then runs a tight per-kernel loop over a contiguous `f64` slice: an
 //! online arrival resolves ≤ C kernels (C = distinct pending clients) for
-//! its n queries, and an offline build tile touches the registry's locks
+//! its n queries, and an offline build touches the registry's locks
 //! O(C²) times instead of O(pairs). The query counter is maintained in bulk
 //! ([`record_queries`](DistributionRegistry::record_queries)) so its
 //! semantics — one count per pairwise probability evaluated — are unchanged.
@@ -87,6 +88,10 @@ struct ClientEntry {
     /// The first safe-emission margin asked for: `(p_safe bits,
     /// Q_δ(1 − p_safe))`, the client-level constant of `T^F = T − Q(1 − p_safe)`.
     safe_margin: OnceLock<(u64, f64)>,
+    /// This distribution's index in the numeric caches, resolved on first
+    /// numeric use (see [`DistributionRegistry::class_at`]); an all-Gaussian
+    /// census never resolves one.
+    class: OnceLock<u32>,
 }
 
 /// A client pair's preceding-probability rule, resolved once into a
@@ -205,9 +210,13 @@ pub struct DistributionRegistry {
     /// when there is none).
     min_gaussian_sigma: f64,
     grid_points: usize,
-    convolution: ConvolutionMethod,
-    discretized: RwLock<HashMap<ClientId, Arc<DiscretizedPdf>>>,
-    differences: RwLock<HashMap<(ClientId, ClientId), Arc<DiscretizedPdf>>>,
+    /// The numeric caches are keyed by *distinct distribution*, not by
+    /// client: one grid per distribution some client holds (`None` = a free
+    /// index), one difference grid per ordered pair of them. Clients that
+    /// registered equal distributions share both, so memory and build time
+    /// follow the number of distinct claims, not the number of client pairs.
+    discretized: RwLock<Vec<Option<Arc<DiscretizedPdf>>>>,
+    differences: RwLock<HashMap<(u32, u32), Arc<DiscretizedPdf>>>,
     /// Number of pairwise preceding-probability evaluations served so far —
     /// one per [`preceding_probability`](Self::preceding_probability) call
     /// plus every element of a kernel-based column fill (recorded in bulk
@@ -236,15 +245,14 @@ impl Default for DistributionRegistry {
 }
 
 impl DistributionRegistry {
-    /// An empty registry with default grid resolution and automatic
-    /// convolution selection.
+    /// An empty registry with default grid resolution.
     pub fn new() -> Self {
-        let cfg = SequencerConfig::default();
-        DistributionRegistry::with_numerics(cfg.grid_points, cfg.convolution)
+        DistributionRegistry::with_numerics(SequencerConfig::default().grid_points)
     }
 
-    /// An empty registry with explicit numeric parameters.
-    pub fn with_numerics(grid_points: usize, convolution: ConvolutionMethod) -> Self {
+    /// An empty registry discretizing non-Gaussian distributions on
+    /// `grid_points` points.
+    pub fn with_numerics(grid_points: usize) -> Self {
         assert!(grid_points >= 16, "need at least 16 grid points");
         DistributionRegistry {
             slots: HashMap::new(),
@@ -252,8 +260,7 @@ impl DistributionRegistry {
             non_gaussian: 0,
             min_gaussian_sigma: f64::INFINITY,
             grid_points,
-            convolution,
-            discretized: RwLock::new(HashMap::new()),
+            discretized: RwLock::new(Vec::new()),
             differences: RwLock::new(HashMap::new()),
             queries: AtomicU64::new(0),
             trust: HashMap::new(),
@@ -263,7 +270,7 @@ impl DistributionRegistry {
 
     /// Build a registry matching a sequencer configuration.
     pub fn from_config(config: &SequencerConfig) -> Self {
-        DistributionRegistry::with_numerics(config.grid_points, config.convolution)
+        DistributionRegistry::with_numerics(config.grid_points)
     }
 
     /// Register (or replace) a client's offset distribution, invalidating any
@@ -277,6 +284,7 @@ impl DistributionRegistry {
             mean: distribution.mean(),
             distribution,
             safe_margin: OnceLock::new(),
+            class: OnceLock::new(),
         };
         match self.slots.entry(client) {
             Entry::Vacant(slot) => {
@@ -291,10 +299,16 @@ impl DistributionRegistry {
                 // over the census (O(C), re-registrations only).
                 let gaussians = self.entries.iter().filter_map(|e| e.distribution.as_gaussian());
                 self.min_gaussian_sigma = gaussians.map(|g| g.std_dev()).fold(f64::INFINITY, f64::min);
-                self.discretized.get_mut().remove(&client);
-                self.differences
-                    .get_mut()
-                    .retain(|(a, b), _| *a != client && *b != client);
+                // Drop the replaced claim's grids unless another client
+                // still holds the same distribution.
+                if let Some(class) = old.class.get().copied() {
+                    if !self.entries.iter().any(|e| e.class.get() == Some(&class)) {
+                        self.discretized.get_mut()[class as usize] = None;
+                        self.differences
+                            .get_mut()
+                            .retain(|(a, b), _| *a != class && *b != class);
+                    }
+                }
             }
         }
     }
@@ -342,7 +356,8 @@ impl DistributionRegistry {
 
     /// The distribution registered for `client`, if any.
     pub fn get(&self, client: ClientId) -> Option<&OffsetDistribution> {
-        self.distribution_or_err(client).ok()
+        let slot = self.slot_of(client).ok()?;
+        Some(&self.entries[slot.idx()].distribution)
     }
 
     /// Whether `client` has a registered distribution.
@@ -440,43 +455,47 @@ impl DistributionRegistry {
         self.collusion.remove(client);
     }
 
-    fn distribution_or_err(&self, client: ClientId) -> Result<&OffsetDistribution, CoreError> {
-        Ok(&self.entries[self.slot_of(client)?.idx()].distribution)
-    }
-
-    fn discretized_for(&self, client: ClientId) -> Result<Arc<DiscretizedPdf>, CoreError> {
-        if let Some(pdf) = self.discretized.read().get(&client) {
-            return Ok(Arc::clone(pdf));
-        }
-        let dist = self.distribution_or_err(client)?;
-        let pdf = Arc::new(DiscretizedPdf::from_distribution(dist, self.grid_points));
-        self.discretized.write().insert(client, Arc::clone(&pdf));
-        Ok(pdf)
+    /// The numeric-cache index of the distribution held by the client in
+    /// `slot`: the index of a client that already resolved an equal
+    /// distribution, else a free one with this distribution's grid built
+    /// into it.
+    fn class_at(&self, slot: ClientSlot) -> u32 {
+        let entry = &self.entries[slot.idx()];
+        *entry.class.get_or_init(|| {
+            let shared = self.entries.iter().find_map(|e| {
+                let class = e.class.get()?;
+                (e.distribution == entry.distribution).then_some(*class)
+            });
+            shared.unwrap_or_else(|| {
+                let grid = DiscretizedPdf::from_distribution(&entry.distribution, self.grid_points);
+                let mut table = self.discretized.write();
+                let free = table.iter().position(Option::is_none).unwrap_or_else(|| {
+                    table.push(None);
+                    table.len() - 1
+                });
+                table[free] = Some(Arc::new(grid));
+                free as u32
+            })
+        })
     }
 
     /// The cached distribution of `δ_i − δ_j` for a pair of clients (built on
     /// demand).
-    pub fn difference_for(
-        &self,
-        client_i: ClientId,
-        client_j: ClientId,
-    ) -> Result<Arc<DiscretizedPdf>, CoreError> {
-        let key = (client_i, client_j);
+    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<DiscretizedPdf> {
+        let key = (self.class_at(si), self.class_at(sj));
         if let Some(diff) = self.differences.read().get(&key) {
-            return Ok(Arc::clone(diff));
+            return Arc::clone(diff);
         }
-        let f_i = self.discretized_for(client_i)?;
-        let f_j = self.discretized_for(client_j)?;
+        let grid = |class: u32| {
+            let held = self.discretized.read()[class as usize].clone();
+            held.expect("a class some client holds has a grid")
+        };
         // difference_distribution(a, b) returns the PDF of (b − a); we want
         // δ_i − δ_j, so pass (f_j, f_i).
-        let diff = Arc::new(difference_distribution(&f_j, &f_i, self.convolution));
+        let (f_i, f_j) = (grid(key.0), grid(key.1));
+        let diff = Arc::new(difference_distribution(&f_j, &f_i, ConvolutionMethod::Auto));
         self.differences.write().insert(key, Arc::clone(&diff));
-        Ok(diff)
-    }
-
-    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<DiscretizedPdf> {
-        self.difference_for(self.entries[si.idx()].client, self.entries[sj.idx()].client)
-            .expect("slots name registered clients")
+        diff
     }
 
     /// The preceding probability `P(T*_i < T*_j | T_i, T_j)` for two messages
@@ -497,15 +516,10 @@ impl DistributionRegistry {
             });
         }
 
-        let d_i = self.distribution_or_err(i.client)?;
-        let d_j = self.distribution_or_err(j.client)?;
-
-        let p = match (d_i.as_gaussian(), d_j.as_gaussian()) {
+        let (si, sj) = (self.slot_of(i.client)?, self.slot_of(j.client)?);
+        let p = match (self.gaussian_at(si), self.gaussian_at(sj)) {
             (Some(gi), Some(gj)) => gi.preceding_probability(i.timestamp, gj, j.timestamp),
-            _ => {
-                let diff = self.difference_for(i.client, j.client)?;
-                diff.tail(i.timestamp - j.timestamp)
-            }
+            _ => self.difference_at(si, sj).tail(i.timestamp - j.timestamp),
         };
 
         if p.is_nan() {
@@ -625,12 +639,6 @@ impl DistributionRegistry {
         }
     }
 
-    /// Number of cached pairwise difference distributions (exposed for tests
-    /// and benchmarks of the caching behaviour).
-    pub fn cached_differences(&self) -> usize {
-        self.differences.read().len()
-    }
-
     /// Total number of [`preceding_probability`](Self::preceding_probability)
     /// queries served so far. Exposed so callers (and tests) can verify that
     /// hot paths — e.g. a pure clock tick of the online sequencer — perform
@@ -707,6 +715,10 @@ mod tests {
         Message::new(MessageId(id), ClientId(client), ts)
     }
 
+    fn cached_differences(reg: &DistributionRegistry) -> usize {
+        reg.differences.read().len()
+    }
+
     #[test]
     fn gaussian_pair_matches_closed_form() {
         let mut reg = DistributionRegistry::new();
@@ -718,7 +730,7 @@ mod tests {
         let expected = Gaussian::new(0.0, 5.0).preceding_probability(100.0, &Gaussian::new(2.0, 3.0), 110.0);
         assert!((p - expected).abs() < 1e-12);
         // No grids should have been built for the Gaussian fast path.
-        assert_eq!(reg.cached_differences(), 0);
+        assert_eq!(cached_differences(&reg), 0);
     }
 
     #[test]
@@ -739,7 +751,7 @@ mod tests {
             (numeric - closed).abs() < tommy_stats::PROBABILITY_TOLERANCE,
             "numeric {numeric} vs closed {closed}"
         );
-        assert_eq!(reg.cached_differences(), 1);
+        assert_eq!(cached_differences(&reg), 1);
     }
 
     #[test]
@@ -791,15 +803,47 @@ mod tests {
         // its event actually happened ~5 units earlier: a precedes b is
         // unlikely.
         let p_before = reg.preceding_probability(&a, &b).unwrap();
-        assert_eq!(reg.cached_differences(), 1);
+        assert_eq!(cached_differences(&reg), 1);
 
         // Flip client 1 to run 5 units behind: the cached difference must not
         // be reused and the probability must flip.
         reg.register(ClientId(1), OffsetDistribution::laplace(-5.0, 1.0));
-        assert_eq!(reg.cached_differences(), 0);
+        assert_eq!(cached_differences(&reg), 0);
         let p_after = reg.preceding_probability(&a, &b).unwrap();
         assert!(p_before < 0.1, "p_before = {p_before}");
         assert!(p_after > 0.9, "p_after = {p_after}");
+    }
+
+    /// The numeric caches follow distinct distributions, not clients: equal
+    /// claims share one grid, and a grid lives as long as any client holds
+    /// its distribution.
+    #[test]
+    fn equal_distributions_share_one_difference_grid() {
+        let mut reg = DistributionRegistry::new();
+        for c in 0..3u32 {
+            reg.register(ClientId(c), OffsetDistribution::laplace(0.0, 1.0));
+        }
+        reg.register(ClientId(3), OffsetDistribution::gaussian(1.0, 2.0));
+        let p = |reg: &DistributionRegistry, a: u32, b: u32| {
+            reg.preceding_probability(&msg(0, a, 0.0), &msg(1, b, 0.5)).unwrap()
+        };
+        // Three Laplace clients against one Gaussian: one grid, same floats.
+        let first = p(&reg, 0, 3);
+        assert_eq!(p(&reg, 1, 3).to_bits(), first.to_bits());
+        assert_eq!(p(&reg, 2, 3).to_bits(), first.to_bits());
+        assert_eq!(cached_differences(&reg), 1);
+        p(&reg, 0, 1);
+        p(&reg, 1, 2);
+        assert_eq!(cached_differences(&reg), 2, "Laplace − Laplace is one more");
+
+        // Two holders leave: the third still holds the Laplace grids.
+        reg.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
+        reg.register(ClientId(1), OffsetDistribution::gaussian(0.0, 1.0));
+        assert_eq!(cached_differences(&reg), 2);
+        assert_eq!(p(&reg, 2, 3).to_bits(), first.to_bits());
+        // The last one leaves: every grid involving the claim goes.
+        reg.register(ClientId(2), OffsetDistribution::gaussian(0.0, 1.0));
+        assert_eq!(cached_differences(&reg), 0);
     }
 
     #[test]

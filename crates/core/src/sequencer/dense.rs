@@ -6,7 +6,7 @@
 //! owns both, so that protocol is written once, here: an arrival is
 //! `matrix.insert` → `core.insert_last`, an emission `matrix.remove_batch` →
 //! `core.remove_indices`, a wholesale re-derivation
-//! `PrecedenceMatrix::compute_parallel` → `core.load`, and each of them
+//! `PrecedenceMatrix::compute` → `core.load`, and each of them
 //! drops the cached candidate. Its surface is the sparse engine's
 //! (`sequencer::sparse`), method for method, which is what lets the
 //! [`OnlineSequencer`](super::online) shell pick an engine in one place.
@@ -285,14 +285,13 @@ impl DenseEngine {
 
     /// Re-derive the pending state from scratch over `messages` (a mode
     /// switch into this engine, or a re-registration that changed a pending
-    /// client's pairwise probabilities): the one O(n²) payment, through the
-    /// tiled build. Empty input clears.
+    /// client's pairwise probabilities): the one O(n²) payment. Empty input
+    /// clears.
     pub(crate) fn rebuild_from(&mut self, messages: &[Message], registry: &DistributionRegistry) {
         if messages.is_empty() {
             return self.clear_pending();
         }
-        let parallelism = self.core.config().parallelism;
-        self.matrix = PrecedenceMatrix::compute_parallel(messages, registry, parallelism)
+        self.matrix = PrecedenceMatrix::compute(messages, registry)
             .expect("pending messages come from registered clients");
         self.core.load(&self.matrix);
         self.candidate = None;

@@ -79,11 +79,6 @@ impl TommySequencer {
         &self.registry
     }
 
-    /// Number of registered clients.
-    pub fn client_count(&self) -> usize {
-        self.registry.len()
-    }
-
     /// Sequence a set of messages into a fair partial order: the order of
     /// [`sequence_detailed`](Self::sequence_detailed) without paying for
     /// its diagnostics.
@@ -98,12 +93,6 @@ impl TommySequencer {
     }
 
     /// Sequence a set of messages, returning diagnostics alongside the order.
-    ///
-    /// On the matrix path the pairwise matrix is built with
-    /// [`PrecedenceMatrix::compute_parallel`] using
-    /// [`SequencerConfig::parallelism`] worker threads — bit-identical to the
-    /// serial build, so the configured parallelism changes wall-clock time
-    /// only, never the output.
     pub fn sequence_detailed(
         &mut self,
         messages: &[Message],
@@ -148,7 +137,7 @@ impl TommySequencer {
             self.sparse.rebuild_from(messages, &self.registry);
             return Ok(None);
         }
-        PrecedenceMatrix::compute_parallel(messages, &self.registry, config.parallelism).map(Some)
+        PrecedenceMatrix::compute(messages, &self.registry).map(Some)
     }
 
     /// The sparse engine's order cut at its boundary bits.
@@ -179,7 +168,6 @@ impl TommySequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FastPathMode;
 
     fn msg(id: u64, client: u32, ts: f64) -> Message {
         Message::new(MessageId(id), ClientId(client), ts)
@@ -286,50 +274,6 @@ mod tests {
         assert_eq!(batches[0].messages, vec![MessageId(0)]);
         assert_eq!(batches[1].messages, vec![MessageId(1), MessageId(2)]);
         assert_eq!(batches[2].messages, vec![MessageId(3)]);
-    }
-
-    /// The parallel matrix build behind `SequencerConfig::parallelism` is
-    /// bit-identical to the serial one: identical batches, ranks and
-    /// diagnostics for any thread count (the matrix path pinned, since a
-    /// Gaussian census would otherwise never build a matrix).
-    #[test]
-    fn parallel_sequencing_is_bit_identical_to_serial() {
-        let msgs: Vec<Message> = (0..120)
-            .map(|i| msg(i, (i % 6) as u32, (i % 17) as f64 * 2.5))
-            .collect();
-        let dense = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
-        let mut serial = TommySequencer::new(dense.with_parallelism(1));
-        for c in 0..6u32 {
-            serial.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 10.0));
-        }
-        let serial_outcome = serial.sequence_detailed(&msgs).unwrap();
-
-        for threads in [0usize, 2, 4, 7] {
-            let mut parallel = TommySequencer::new(dense.with_parallelism(threads));
-            for c in 0..6u32 {
-                parallel.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 10.0));
-            }
-            let outcome = parallel.sequence_detailed(&msgs).unwrap();
-            assert_eq!(outcome.transitive, serial_outcome.transitive);
-            assert_eq!(outcome.cyclic_components, serial_outcome.cyclic_components);
-            assert_eq!(
-                outcome.confident_pair_fraction,
-                serial_outcome.confident_pair_fraction,
-                "threads {threads}"
-            );
-            assert_eq!(
-                outcome.order.batches().len(),
-                serial_outcome.order.batches().len()
-            );
-            for (a, b) in outcome
-                .order
-                .batches()
-                .iter()
-                .zip(serial_outcome.order.batches())
-            {
-                assert_eq!(a.messages, b.messages, "threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::{FastPathMode, SequencerConfig};
-use crate::defense::{ExpectedDelay, TrustEvent, TrustLevel};
+use crate::defense::{ExpectedDelay, TrustEvent, TrustLevel, DELAY_WARMUP, SIGMA_INFLATION};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry};
@@ -682,7 +682,7 @@ impl OnlineSequencer {
     /// [`ExpectedDelay::Online`] the delay term is the client's learned
     /// `mean(arrival − timestamp) + claimed mean offset` (see
     /// [`tommy_clock::DelayEstimator`]); no residual is formed until the
-    /// estimator has seen `delay_warmup` gaps, so early variance-shrunk
+    /// estimator has seen `DELAY_WARMUP` gaps, so early variance-shrunk
     /// windows never reach the KS check.
     ///
     /// On [`TrustEvent::Quarantined`] the client is re-registered onto a
@@ -710,7 +710,7 @@ impl OnlineSequencer {
             ExpectedDelay::Fixed(delay) => delay,
             ExpectedDelay::Online => {
                 let est = &self.delays[slot.idx()];
-                let warm = est.count() >= cfg.delay_warmup as u64;
+                let warm = est.count() >= DELAY_WARMUP;
                 let Some(raw) = est.mean().filter(|_| warm) else {
                     return;
                 };
@@ -790,7 +790,7 @@ impl OnlineSequencer {
 
     /// Re-register a quarantined client onto the conservative fallback —
     /// its empirical residual mean, and the larger of its empirical and
-    /// claimed σ inflated by `sigma_inflation` — and count the quarantine.
+    /// claimed σ inflated by `SIGMA_INFLATION` — and count the quarantine.
     fn register_quarantine_fallback(&mut self, client: ClientId) {
         let (emp_mean, emp_sd) = self
             .registry
@@ -802,7 +802,7 @@ impl OnlineSequencer {
             .get(client)
             .map(|d| d.std_dev())
             .unwrap_or(0.0);
-        let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * self.config.defense.sigma_inflation;
+        let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * SIGMA_INFLATION;
         self.register_client(client, OffsetDistribution::gaussian(emp_mean, fallback_sd));
         self.stats.quarantines += 1;
     }

@@ -1,21 +1,23 @@
-//! Sharded, multi-core online sequencing.
+//! Sharded online sequencing.
 //!
-//! The single-engine [`OnlineSequencer`] is one core's worth of throughput.
 //! This module partitions registered clients round-robin across `K`
 //! per-shard engines (each a full [`OnlineSequencer`] — the shared
 //! [`SequencingCore`](crate::sequencer::SequencingCore) tail plus the
-//! sparse fast path), runs their event queues on a scoped thread pool, and
-//! merges their locally-fair candidate batches into one global emission
-//! order through a **watermark-driven k-way merge** on margin-adjusted
-//! keys.
+//! sparse fast path), applies their event queues in shard order on the
+//! caller's thread, and merges their locally-fair candidate batches into
+//! one global emission order through a **watermark-driven k-way merge** on
+//! margin-adjusted keys. Shards are independent state machines, so they
+//! *could* run on separate cores; a thread spawned per `drive` did not pay
+//! for itself (see `ARCHITECTURE.md`, "Sharded sequencing").
 //!
 //! ## Partition rule
 //!
 //! Clients are assigned to shards round-robin in registration order —
 //! deterministic and balanced for a uniform census. Every event (submit,
 //! heartbeat) routes to its client's owner shard; shards never share
-//! pending state, so queue processing is embarrassingly parallel and the
-//! emitted output is bit-identical regardless of thread interleaving.
+//! pending state, so the emitted output is bit-identical regardless of the
+//! order shards are applied in
+//! ([`drive_with_shard_order`](ShardedSequencer::drive_with_shard_order)).
 //!
 //! ## Merge watermark invariant
 //!
@@ -73,11 +75,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_stats::erf::std_normal_inv_cdf;
 
-/// Spawn scoped worker threads only when at least this many events are
-/// queued across shards — below it, per-drive thread setup costs more than
-/// the work it parallelizes. Output is bit-identical either way.
-const SPAWN_THRESHOLD: usize = 32;
-
 /// Map a finite `f64` to bits whose unsigned order matches
 /// [`f64::total_cmp`] — the deterministic key order a fused release sorts by.
 fn key_bits(x: f64) -> u64 {
@@ -112,8 +109,8 @@ struct StagedBatch {
 }
 
 /// One shard: a full single-engine sequencer, its event queue and its
-/// staged output. Queue processing touches only `&mut self`, so shards run
-/// on independent scoped threads.
+/// staged output. Queue processing touches only `&mut self`: shards share
+/// no state.
 #[derive(Debug)]
 struct Shard {
     seq: OnlineSequencer,
@@ -211,11 +208,10 @@ impl Shard {
 /// Events are *enqueued* by [`submit`](Self::submit) /
 /// [`heartbeat`](Self::heartbeat) and *applied* by
 /// [`drive`](Self::drive) (or [`tick`](Self::tick)), which processes every
-/// shard's queue — on scoped worker threads when there is enough queued
-/// work — and then runs the single-threaded merge. Because shards share no
+/// shard's queue and then runs the merge. Because shards share no
 /// state, the released output is a pure function of the event sequence and
-/// the drive cadence, independent of thread scheduling (the
-/// seed-stability property `tests/sharded_equivalence.rs` pins).
+/// the drive cadence, independent of the order shards are applied in (the
+/// shard-permutation property `tests/sharded_equivalence.rs` pins).
 ///
 /// # Example
 ///
@@ -378,27 +374,15 @@ impl ShardedSequencer {
         self.drive(now)
     }
 
-    /// Apply every queued event — on scoped worker threads when more than
-    /// one shard has enough queued work — then merge, returning the newly
-    /// released batches (also buffered for [`take_emitted`](Self::take_emitted)).
+    /// Apply every queued event, shard by shard in index order, then merge,
+    /// returning the newly released batches (also buffered for
+    /// [`take_emitted`](Self::take_emitted)).
     pub fn drive(&mut self, now: f64) -> Vec<EmittedBatch> {
         if now > self.now {
             self.now = now;
         }
-        let busy = self.shards.iter().filter(|s| !s.queue.is_empty()).count();
-        let queued: usize = self.shards.iter().map(|s| s.queue.len()).sum();
-        if busy > 1 && queued >= SPAWN_THRESHOLD {
-            std::thread::scope(|scope| {
-                for shard in self.shards.iter_mut() {
-                    if !shard.queue.is_empty() {
-                        scope.spawn(move || shard.process());
-                    }
-                }
-            });
-        } else {
-            for shard in &mut self.shards {
-                shard.process();
-            }
+        for shard in &mut self.shards {
+            shard.process();
         }
         self.finish_drive()
     }
@@ -680,12 +664,6 @@ impl ShardedSequencer {
             all.append(&mut shard.rejections);
         }
         all
-    }
-
-    /// One shard's own counters (shard-local view; the combiner fields are
-    /// zero here — they live on the aggregate).
-    pub fn shard_stats(&self, shard: usize) -> OnlineStats {
-        self.shards[shard].seq.stats()
     }
 
     /// Aggregated counters. With one shard this is exactly the inner
@@ -1033,7 +1011,8 @@ mod tests {
             seq.drive(arrival);
         }
         assert!(seq.take_rejections().is_empty());
-        assert!(seq.shard_stats(1).reestimations >= 1, "{:?}", seq.shard_stats(1));
+        let shard_stats = seq.shards[1].seq.stats();
+        assert!(shard_stats.reestimations >= 1, "{shard_stats:?}");
 
         let sigma_of = |c: u32| {
             let shell = &seq.shards[seq.shard_of(ClientId(c)).unwrap()].seq;

@@ -163,12 +163,6 @@ impl WatermarkTracker {
         self.update(slot, |t, s| t.suspended[s] = suspended);
     }
 
-    /// Whether the client is currently suspended.
-    pub fn is_suspended(&self, client: ClientId) -> bool {
-        self.slot_of(client)
-            .is_some_and(|s| self.is_suspended_at(s))
-    }
-
     pub(crate) fn is_suspended_at(&self, slot: ClientSlot) -> bool {
         self.suspended[slot.idx()]
     }
@@ -283,6 +277,10 @@ mod tests {
 
     fn clients(n: u32) -> Vec<ClientId> {
         (0..n).map(ClientId).collect()
+    }
+
+    fn is_suspended(w: &WatermarkTracker, client: ClientId) -> bool {
+        w.slot_of(client).is_some_and(|s| w.is_suspended_at(s))
     }
 
     /// The tracker this module had before the winner tree — three hash
@@ -479,7 +477,7 @@ mod tests {
                 );
                 if let Some(c) = pick(&known, rand(300)) {
                     assert_eq!(tree.latest(c), scan.latest(c));
-                    assert_eq!(tree.is_suspended(c), scan.suspended.contains(&c));
+                    assert_eq!(is_suspended(&tree, c), scan.suspended.contains(&c));
                 }
             }
             assert!(
@@ -585,19 +583,19 @@ mod tests {
         assert_eq!(w.watermark(), None);
         // Suspension unblocks the watermark like retirement…
         w.suspend(ClientId(2));
-        assert!(w.is_suspended(ClientId(2)));
+        assert!(is_suspended(&w, ClientId(2)));
         assert_eq!(w.watermark(), Some(100.0));
         assert_eq!(w.active_clients(), 2);
         // …but the client can come back.
         w.resume(ClientId(2));
-        assert!(!w.is_suspended(ClientId(2)));
+        assert!(!is_suspended(&w, ClientId(2)));
         assert_eq!(w.watermark(), None);
         w.observe(ClientId(2), 50.0).unwrap();
         assert_eq!(w.watermark(), Some(50.0));
         assert_eq!(w.active_clients(), 3);
         // Suspending an unknown client is a no-op.
         w.suspend(ClientId(99));
-        assert!(!w.is_suspended(ClientId(99)));
+        assert!(!is_suspended(&w, ClientId(99)));
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! of a batch would violate fairness as some clients may always be preferred
 //! over others. A random mechanism for breaking ties might be of interest as
 //! it would lead to stochastic fairness over a sufficiently long duration."
-//! This module implements that random tie-breaking plus the bookkeeping
-//! needed to *verify* the stochastic-fairness claim across many rounds.
+//! This module implements that random tie-breaking.
 
 use crate::batching::FairOrder;
-use crate::message::{ClientId, MessageId};
+use crate::message::MessageId;
 use rand::Rng;
 use rand::RngCore;
-use std::collections::HashMap;
 
 /// Produce a total order from a fair partial order by shuffling messages
 /// uniformly at random within each batch.
@@ -28,91 +26,6 @@ pub fn break_ties_randomly(order: &FairOrder, rng: &mut dyn RngCore) -> Vec<Mess
         total.extend(members);
     }
     total
-}
-
-/// Produce a total order by breaking ties deterministically on message id —
-/// the *unfair* strawman the paper warns about, kept for comparison.
-pub fn break_ties_by_id(order: &FairOrder) -> Vec<MessageId> {
-    let mut total = Vec::with_capacity(order.num_messages());
-    for batch in order.batches() {
-        let mut members = batch.messages.clone();
-        members.sort();
-        total.extend(members);
-    }
-    total
-}
-
-/// Tracks, across many sequencing rounds, how favourably each client's
-/// messages are placed *within* their batches. A mean relative position of
-/// 0.5 for every client means no client is systematically advantaged by the
-/// tie-breaking scheme — the stochastic-fairness property.
-#[derive(Debug, Clone, Default)]
-pub struct AdvantageTracker {
-    position_sum: HashMap<ClientId, f64>,
-    count: HashMap<ClientId, u64>,
-}
-
-impl AdvantageTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        AdvantageTracker::default()
-    }
-
-    /// Record one round: `total_order` is the tie-broken order, `order` the
-    /// batched partial order it came from, and `client_of` maps messages to
-    /// their clients.
-    pub fn record_round(
-        &mut self,
-        order: &FairOrder,
-        total_order: &[MessageId],
-        client_of: &HashMap<MessageId, ClientId>,
-    ) {
-        // Position of every message within the flattened total order.
-        let pos: HashMap<MessageId, usize> = total_order
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        for batch in order.batches() {
-            let n = batch.len();
-            if n < 2 {
-                continue; // singleton batches carry no tie-breaking signal
-            }
-            // Rank the batch members by their position in the total order.
-            let mut members: Vec<MessageId> = batch.messages.clone();
-            members.sort_by_key(|id| pos.get(id).copied().unwrap_or(usize::MAX));
-            for (rank_in_batch, id) in members.iter().enumerate() {
-                let client = match client_of.get(id) {
-                    Some(c) => *c,
-                    None => continue,
-                };
-                let relative = rank_in_batch as f64 / (n - 1) as f64;
-                *self.position_sum.entry(client).or_insert(0.0) += relative;
-                *self.count.entry(client).or_insert(0) += 1;
-            }
-        }
-    }
-
-    /// The mean relative position (0 = always first in its batch, 1 = always
-    /// last) of a client's messages, if any were observed in multi-message
-    /// batches.
-    pub fn mean_position(&self, client: ClientId) -> Option<f64> {
-        let count = *self.count.get(&client)?;
-        if count == 0 {
-            return None;
-        }
-        Some(self.position_sum[&client] / count as f64)
-    }
-
-    /// The largest deviation from 0.5 across all observed clients (0 when no
-    /// data). Small values mean the tie-breaking is fair in the long run.
-    pub fn max_bias(&self) -> f64 {
-        self.count
-            .keys()
-            .filter_map(|&c| self.mean_position(c))
-            .map(|p| (p - 0.5).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -143,60 +56,22 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_tie_breaking_is_stable() {
-        let order = two_batch_order();
-        let a = break_ties_by_id(&order);
-        let b = break_ties_by_id(&order);
-        assert_eq!(a, b);
-        assert_eq!(a, vec![MessageId(0), MessageId(1), MessageId(2), MessageId(3)]);
-    }
-
-    #[test]
     fn random_tie_breaking_is_unbiased_over_many_rounds() {
         let order = two_batch_order();
-        let client_of: HashMap<MessageId, ClientId> = [
-            (MessageId(0), ClientId(0)),
-            (MessageId(1), ClientId(1)),
-            (MessageId(2), ClientId(2)),
-            (MessageId(3), ClientId(3)),
-        ]
-        .into_iter()
-        .collect();
-        let mut tracker = AdvantageTracker::new();
         let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..3000 {
-            let total = break_ties_randomly(&order, &mut rng);
-            tracker.record_round(&order, &total, &client_of);
+        let rounds = 3000;
+        let mut position_sum = [0usize; 4];
+        for _ in 0..rounds {
+            for (position, id) in break_ties_randomly(&order, &mut rng).iter().enumerate() {
+                position_sum[id.0 as usize] += position;
+            }
         }
-        // Every client in the 3-message batch should average close to 0.5.
-        for c in [1u32, 2, 3] {
-            let p = tracker.mean_position(ClientId(c)).unwrap();
-            assert!((p - 0.5).abs() < 0.05, "client {c} mean position {p}");
+        // The three members of the second batch share positions 1..=3: each
+        // should average close to the middle one.
+        for (id, &sum) in position_sum.iter().enumerate().skip(1) {
+            let mean = sum as f64 / rounds as f64;
+            assert!((mean - 2.0).abs() < 0.1, "message {id} mean position {mean}");
         }
-        assert!(tracker.max_bias() < 0.05);
-        // The singleton-batch client contributes no signal.
-        assert_eq!(tracker.mean_position(ClientId(0)), None);
-    }
-
-    #[test]
-    fn deterministic_tie_breaking_is_systematically_biased() {
-        let order = two_batch_order();
-        let client_of: HashMap<MessageId, ClientId> = [
-            (MessageId(1), ClientId(1)),
-            (MessageId(2), ClientId(2)),
-            (MessageId(3), ClientId(3)),
-        ]
-        .into_iter()
-        .collect();
-        let mut tracker = AdvantageTracker::new();
-        for _ in 0..100 {
-            let total = break_ties_by_id(&order);
-            tracker.record_round(&order, &total, &client_of);
-        }
-        // Client 1's messages always come first within the batch: maximal bias.
-        assert_eq!(tracker.mean_position(ClientId(1)), Some(0.0));
-        assert_eq!(tracker.mean_position(ClientId(3)), Some(1.0));
-        assert!(tracker.max_bias() > 0.49);
     }
 
     #[test]
@@ -204,6 +79,5 @@ mod tests {
         let order = FairOrder::default();
         let mut rng = StdRng::seed_from_u64(1);
         assert!(break_ties_randomly(&order, &mut rng).is_empty());
-        assert!(break_ties_by_id(&order).is_empty());
     }
 }

@@ -39,16 +39,6 @@ impl PairwiseReport {
     pub fn coverage(&self) -> f64 {
         self.ras.coverage()
     }
-
-    /// The fairness "yield": accuracy × coverage — the fraction of all pairs
-    /// that were both ordered and ordered correctly.
-    pub fn yield_fraction(&self) -> f64 {
-        if self.ras.pairs() == 0 {
-            0.0
-        } else {
-            self.ras.correct as f64 / self.ras.pairs() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +57,6 @@ mod tests {
         let report = PairwiseReport::evaluate(&order, &messages);
         assert_eq!(report.accuracy(), 1.0);
         assert_eq!(report.coverage(), 1.0);
-        assert_eq!(report.yield_fraction(), 1.0);
     }
 
     #[test]
@@ -77,7 +66,6 @@ mod tests {
         let report = PairwiseReport::evaluate(&order, &messages);
         assert_eq!(report.accuracy(), 1.0);
         assert_eq!(report.coverage(), 0.0);
-        assert_eq!(report.yield_fraction(), 0.0);
     }
 
     #[test]
@@ -94,7 +82,6 @@ mod tests {
         let report = PairwiseReport::evaluate(&order, &messages);
         assert_eq!(report.coverage(), 1.0);
         assert!((report.accuracy() - 4.0 / 6.0).abs() < 1e-12);
-        assert!((report.yield_fraction() - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -102,6 +89,5 @@ mod tests {
         let report = PairwiseReport::evaluate(&FairOrder::default(), &[]);
         assert_eq!(report.accuracy(), 1.0);
         assert_eq!(report.coverage(), 0.0);
-        assert_eq!(report.yield_fraction(), 0.0);
     }
 }

@@ -7,8 +7,6 @@
 //! sequencing in the first place.
 
 use crate::time::SimTime;
-use crate::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
-use crate::NodeId;
 use rand::RngCore;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
@@ -71,13 +69,6 @@ impl LinkModel {
         self
     }
 
-    /// Set a hard lower bound on sampled delays.
-    pub fn with_min_delay(mut self, min_delay: f64) -> Self {
-        assert!(min_delay >= 0.0, "min delay must be non-negative");
-        self.min_delay = min_delay;
-        self
-    }
-
     /// The configured loss probability.
     pub fn loss_probability(&self) -> f64 {
         self.loss_probability
@@ -103,42 +94,6 @@ impl LinkModel {
     /// Mean one-way delay of the model.
     pub fn mean_delay(&self) -> f64 {
         self.delay.mean().max(self.min_delay)
-    }
-
-    /// Like [`deliver`](Self::deliver), but auditable: the outcome — a
-    /// [`DeliveryRecord`] or a [`DropRecord`] — is always appended to
-    /// `trace`, so a lossy link can no longer discard a message without
-    /// leaving evidence.
-    pub fn deliver_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        message_id: u64,
-        sent_at: SimTime,
-        rng: &mut dyn RngCore,
-        trace: &mut DeliveryTrace,
-    ) -> Option<SimTime> {
-        match self.deliver(sent_at, rng) {
-            Some(delivered_at) => {
-                trace.record(DeliveryRecord {
-                    from,
-                    to,
-                    message_id,
-                    sent_at,
-                    delivered_at,
-                });
-                Some(delivered_at)
-            }
-            None => {
-                trace.record_drop(DropRecord {
-                    from,
-                    to,
-                    message_id,
-                    sent_at,
-                });
-                None
-            }
-        }
     }
 }
 
@@ -166,15 +121,6 @@ mod tests {
         let mean: f64 = (0..n).map(|_| link.sample_delay(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 14.0).abs() < 0.2, "mean = {mean}");
         assert!((link.mean_delay() - 14.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delays_never_below_floor() {
-        let link = LinkModel::new(OffsetDistribution::gaussian(1.0, 10.0)).with_min_delay(0.5);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10_000 {
-            assert!(link.sample_delay(&mut rng) >= 0.5);
-        }
     }
 
     #[test]
@@ -219,30 +165,5 @@ mod tests {
     #[should_panic(expected = "loss probability")]
     fn invalid_loss_rejected() {
         LinkModel::constant(1.0).with_loss(1.0);
-    }
-
-    #[test]
-    fn traced_delivery_accounts_for_every_send() {
-        let link = LinkModel::constant(1.0).with_loss(0.3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut trace = crate::trace::DeliveryTrace::new();
-        let n = 1_000u64;
-        for id in 0..n {
-            link.deliver_traced(
-                NodeId(1),
-                NodeId(2),
-                id,
-                SimTime::new(id as f64),
-                &mut rng,
-                &mut trace,
-            );
-        }
-        // No silent outcomes: every send is either a delivery or a drop.
-        assert_eq!(trace.len() + trace.drop_count(), n as usize);
-        assert!(trace.drop_count() > 0, "a 30%-loss link must drop some");
-        assert_eq!(
-            trace.drops_per_link()[&(NodeId(1), NodeId(2))],
-            trace.drop_count()
-        );
     }
 }

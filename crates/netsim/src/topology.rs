@@ -54,23 +54,10 @@ impl RegionTopology {
         RegionTopology::default()
     }
 
-    /// A single-region topology — the "all client VMs and the sequencer
-    /// reside within a single data center" setting of §1.
-    pub fn single_region(intra_latency: f64, intra_jitter: f64) -> Self {
-        let mut t = RegionTopology::new();
-        t.add_region(Region::new("local", intra_latency, intra_jitter));
-        t
-    }
-
     /// Add a region and return its index.
     pub fn add_region(&mut self, region: Region) -> usize {
         self.regions.push(region);
         self.regions.len() - 1
-    }
-
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// Region metadata by index.
@@ -194,9 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn single_region_helper() {
-        let mut t = RegionTopology::single_region(2.0, 0.0);
-        assert_eq!(t.region_count(), 1);
+    fn single_region_placement() {
+        let mut t = RegionTopology::new();
+        t.add_region(Region::new("local", 2.0, 0.0));
         t.place(NodeId(5), 0);
         t.place(NodeId(6), 0);
         assert_eq!(t.region_of(NodeId(5)), Some(0));

@@ -1,8 +1,7 @@
 //! Delivery traces.
 //!
-//! Experiments record every (sender, send time, delivery time) triple so the
-//! metrics crate can compare arrival order, generation order and sequencer
-//! output order — the three orders Figures 2–4 of the paper contrast.
+//! The fault-injected runner records every (sender, send time, delivery
+//! time) triple, so two runs of one seeded plan can be compared bit for bit.
 //!
 //! Drops are first-class records too: a lossy link that silently discards a
 //! message would otherwise leave no evidence in the trace, making fault runs
@@ -11,7 +10,6 @@
 
 use crate::time::SimTime;
 use crate::NodeId;
-use std::collections::HashMap;
 
 /// One delivered message.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,13 +24,6 @@ pub struct DeliveryRecord {
     pub sent_at: SimTime,
     /// True time at which the message was delivered.
     pub delivered_at: SimTime,
-}
-
-impl DeliveryRecord {
-    /// One-way latency experienced by this message.
-    pub fn latency(&self) -> f64 {
-        self.delivered_at - self.sent_at
-    }
 }
 
 /// One dropped (lost, never delivered) message.
@@ -86,15 +77,6 @@ impl DeliveryTrace {
         self.drops.len()
     }
 
-    /// Dropped-message counts per `(from, to)` link.
-    pub fn drops_per_link(&self) -> HashMap<(NodeId, NodeId), usize> {
-        let mut per_link = HashMap::new();
-        for d in &self.drops {
-            *per_link.entry((d.from, d.to)).or_insert(0) += 1;
-        }
-        per_link
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -103,41 +85,6 @@ impl DeliveryTrace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Message ids sorted by delivery time (the FIFO arrival order a plain
-    /// sequencer would use).
-    pub fn arrival_order(&self) -> Vec<u64> {
-        let mut sorted: Vec<&DeliveryRecord> = self.records.iter().collect();
-        sorted.sort_by_key(|a| a.delivered_at);
-        sorted.iter().map(|r| r.message_id).collect()
-    }
-
-    /// Message ids sorted by true send time (the omniscient-observer order of
-    /// Definition 1 in the paper).
-    pub fn generation_order(&self) -> Vec<u64> {
-        let mut sorted: Vec<&DeliveryRecord> = self.records.iter().collect();
-        sorted.sort_by_key(|a| a.sent_at);
-        sorted.iter().map(|r| r.message_id).collect()
-    }
-
-    /// Mean one-way latency over all records (0 if empty).
-    pub fn mean_latency(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().map(|r| r.latency()).sum::<f64>() / self.records.len() as f64
-    }
-
-    /// Number of adjacent pairs (in arrival order) whose generation order is
-    /// inverted — a direct measure of how much the network reorders traffic.
-    pub fn reorder_count(&self) -> usize {
-        let mut sorted: Vec<&DeliveryRecord> = self.records.iter().collect();
-        sorted.sort_by_key(|a| a.delivered_at);
-        sorted
-            .windows(2)
-            .filter(|w| w[1].sent_at < w[0].sent_at)
-            .count()
     }
 }
 
@@ -156,39 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_per_record() {
-        assert!((rec(1, 2.0, 5.5).latency() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn orders_differ_when_network_reorders() {
-        let mut trace = DeliveryTrace::new();
-        trace.record(rec(1, 0.0, 10.0)); // sent first, arrives last
-        trace.record(rec(2, 1.0, 2.0));
-        trace.record(rec(3, 2.0, 3.0));
-        assert_eq!(trace.generation_order(), vec![1, 2, 3]);
-        assert_eq!(trace.arrival_order(), vec![2, 3, 1]);
-        assert_eq!(trace.reorder_count(), 1);
-    }
-
-    #[test]
-    fn mean_latency() {
-        let mut trace = DeliveryTrace::new();
-        trace.record(rec(1, 0.0, 1.0));
-        trace.record(rec(2, 0.0, 3.0));
-        assert!((trace.mean_latency() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_trace_defaults() {
         let trace = DeliveryTrace::new();
         assert!(trace.is_empty());
         assert_eq!(trace.len(), 0);
-        assert_eq!(trace.mean_latency(), 0.0);
-        assert_eq!(trace.reorder_count(), 0);
-        assert!(trace.arrival_order().is_empty());
         assert_eq!(trace.drop_count(), 0);
-        assert!(trace.drops_per_link().is_empty());
     }
 
     #[test]
@@ -206,9 +125,8 @@ mod tests {
         trace.record_drop(drop(4, 8, 0.7));
         assert_eq!(trace.drop_count(), 3);
         assert_eq!(trace.len(), 1, "drops are not deliveries");
-        let per_link = trace.drops_per_link();
-        assert_eq!(per_link[&(NodeId(7), NodeId(999))], 2);
-        assert_eq!(per_link[&(NodeId(8), NodeId(999))], 1);
+        let from_7 = trace.drops().iter().filter(|d| d.from == NodeId(7)).count();
+        assert_eq!(from_7, 2);
         assert_eq!(trace.drops()[0].message_id, 2);
     }
 

@@ -131,7 +131,7 @@ fn run_one(base: &ScenarioConfig, setup: &OnlineSetup, p_safe: f64) -> PsafeRow 
         let mut last_ts = f64::NEG_INFINITY;
         for (send_time, event) in sends {
             // Monotone local clock reading at send time.
-            let reading = send_time + clock.sample_offset(send_time, &mut rng);
+            let reading = send_time + clock.sample_offset(&mut rng);
             let timestamp = reading.max(last_ts);
             last_ts = timestamp;
             let arrival = channel

@@ -158,9 +158,7 @@ pub fn run_offline_comparison(config: &ScenarioConfig) -> ComparisonResult {
     let messages = generate_messages(config, &mut rng);
 
     // Tommy.
-    let seq_config = SequencerConfig::default()
-        .with_threshold(config.threshold)
-        .with_parallelism(config.parallelism);
+    let seq_config = SequencerConfig::default().with_threshold(config.threshold);
     let mut tommy = TommySequencer::new(seq_config);
     let offsets = scenario_claimed_offsets(config);
     for (client, dist) in &offsets {
@@ -405,18 +403,6 @@ mod tests {
         assert_eq!(a.tommy.score(), b.tommy.score());
         assert_eq!(a.truetime.score(), b.truetime.score());
         assert_eq!(a.wfo.score(), b.wfo.score());
-    }
-
-    /// The parallel matrix build is bit-identical, so scenario scores do not
-    /// depend on the parallelism knob.
-    #[test]
-    fn parallelism_does_not_change_scores() {
-        let serial = run_offline_comparison(&small(25.0, 1.0));
-        for threads in [0usize, 2, 4] {
-            let parallel = run_offline_comparison(&small(25.0, 1.0).with_parallelism(threads));
-            assert_eq!(serial.tommy.score(), parallel.tommy.score(), "threads {threads}");
-            assert_eq!(serial.tommy_batches.batches, parallel.tommy_batches.batches);
-        }
     }
 
     #[test]

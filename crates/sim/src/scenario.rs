@@ -22,11 +22,6 @@ pub struct ScenarioConfig {
     pub threshold: f64,
     /// RNG seed; every scenario is fully deterministic given its seed.
     pub seed: u64,
-    /// Worker threads for the offline pairwise-matrix build (`1` serial,
-    /// `0` auto-detect; see `SequencerConfig::parallelism` in `tommy-core`).
-    /// Bit-identical output for every value — only wall-clock time changes,
-    /// so scenario results stay fully determined by the seed.
-    pub parallelism: usize,
     /// Fraction of the stream emitted as Condorcet (intransitive-dice)
     /// collusion bursts — `0.0` (the default) is the paper's all-Gaussian,
     /// always-transitive setting; anything larger adds three colluding
@@ -68,7 +63,6 @@ impl Default for ScenarioConfig {
             inter_message_gap: 1.0,
             threshold: 0.75,
             seed: 42,
-            parallelism: 1,
             cyclic_fraction: 0.0,
             adversarial: None,
             defended: false,
@@ -79,11 +73,6 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// The paper's evaluation population size with everything else default.
-    pub fn paper_default() -> Self {
-        ScenarioConfig::default()
-    }
-
     /// Builder: set the clock standard deviation.
     pub fn with_clock_std_dev(mut self, sigma: f64) -> Self {
         assert!(sigma >= 0.0 && sigma.is_finite());
@@ -116,13 +105,6 @@ impl ScenarioConfig {
     /// Builder: set the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: set the offline matrix-build worker count (`1` serial, `0`
-    /// auto-detect).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -175,7 +157,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let cfg = ScenarioConfig::paper_default();
+        let cfg = ScenarioConfig::default();
         assert_eq!(cfg.clients, 500);
         assert_eq!(cfg.threshold, 0.75);
     }

@@ -41,15 +41,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Magnitude (absolute value).
     #[inline]
     pub fn abs(self) -> f64 {
@@ -171,12 +162,6 @@ mod tests {
             let z = Complex::from_polar_unit(theta);
             assert!((z.abs() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn conjugate_negates_imaginary() {
-        let z = Complex::new(2.0, -3.0).conj();
-        assert!(close(z.re, 2.0) && close(z.im, 3.0));
     }
 
     #[test]

@@ -34,9 +34,6 @@ pub struct DiscretizedPdf {
 }
 
 impl DiscretizedPdf {
-    /// Default number of grid points used when discretizing a distribution.
-    pub const DEFAULT_POINTS: usize = 1024;
-
     /// Create a discretized PDF from raw grid values.
     ///
     /// Values are clamped to be non-negative and normalized to unit mass.
@@ -70,11 +67,6 @@ impl DiscretizedPdf {
             .map(|i| dist.pdf(lo + i as f64 * step))
             .collect();
         DiscretizedPdf::from_raw(lo, step, densities)
-    }
-
-    /// Discretize with the default grid resolution.
-    pub fn from_distribution_default(dist: &dyn Distribution) -> Self {
-        DiscretizedPdf::from_distribution(dist, Self::DEFAULT_POINTS)
     }
 
     fn normalize(&mut self) {
@@ -311,7 +303,7 @@ mod tests {
     #[test]
     fn tail_plus_cdf_is_one() {
         let d = OffsetDistribution::laplace(0.0, 1.0);
-        let pdf = DiscretizedPdf::from_distribution_default(&d);
+        let pdf = DiscretizedPdf::from_distribution(&d, 1024);
         for x in [-3.0, -1.0, 0.0, 0.5, 2.0] {
             assert!((pdf.cdf(x) + pdf.tail(x) - 1.0).abs() < 1e-9);
         }
@@ -320,7 +312,7 @@ mod tests {
     #[test]
     fn negate_reflects_distribution() {
         let d = OffsetDistribution::shifted_exponential(1.0, 0.5);
-        let pdf = DiscretizedPdf::from_distribution_default(&d);
+        let pdf = DiscretizedPdf::from_distribution(&d, 1024);
         let neg = pdf.negate();
         assert!((neg.mean() + pdf.mean()).abs() < 1e-6);
         assert!((neg.cdf(-2.0) - pdf.tail(2.0)).abs() < 1e-2);

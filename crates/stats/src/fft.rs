@@ -88,32 +88,24 @@ pub fn fft_in_place(data: &mut [Complex], invert: bool) {
     }
 }
 
-/// Forward FFT of a real signal, zero-padded to `target_len` (which must be a
-/// power of two at least as large as `signal.len()`).
-pub fn fft_real(signal: &[f64], target_len: usize) -> Vec<Complex> {
-    assert!(is_pow2(target_len), "target length must be a power of two");
-    assert!(
-        target_len >= signal.len(),
-        "target length {} shorter than signal {}",
-        target_len,
-        signal.len()
-    );
-    let mut buf: Vec<Complex> = Vec::with_capacity(target_len);
-    buf.extend(signal.iter().copied().map(Complex::from_real));
-    buf.resize(target_len, Complex::ZERO);
-    fft_in_place(&mut buf, false);
-    buf
-}
-
-/// Inverse FFT returning only real parts (imaginary residue is discarded).
-pub fn ifft_real(spectrum: &mut [Complex]) -> Vec<f64> {
-    fft_in_place(spectrum, true);
-    spectrum.iter().map(|c| c.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forward FFT of a real signal, zero-padded to the power of two
+    /// `target_len`.
+    fn fft_real(signal: &[f64], target_len: usize) -> Vec<Complex> {
+        let mut buf: Vec<Complex> = signal.iter().copied().map(Complex::from_real).collect();
+        buf.resize(target_len, Complex::ZERO);
+        fft_in_place(&mut buf, false);
+        buf
+    }
+
+    /// Inverse FFT returning only real parts (imaginary residue is discarded).
+    fn ifft_real(spectrum: &mut [Complex]) -> Vec<f64> {
+        fft_in_place(spectrum, true);
+        spectrum.iter().map(|c| c.re).collect()
+    }
 
     fn roundtrip(signal: &[f64]) -> Vec<f64> {
         let n = next_pow2(signal.len());

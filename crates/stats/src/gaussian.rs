@@ -13,12 +13,6 @@ pub struct Gaussian {
 }
 
 impl Gaussian {
-    /// The standard normal `N(0, 1)`.
-    pub const STANDARD: Gaussian = Gaussian {
-        mean: 0.0,
-        std_dev: 1.0,
-    };
-
     /// Create a Gaussian with the given mean and standard deviation.
     ///
     /// # Panics

@@ -96,12 +96,6 @@ impl Histogram {
         self.hi
     }
 
-    /// Number of bins.
-    #[inline]
-    pub fn bin_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Width of each bin.
     #[inline]
     pub fn bin_width(&self) -> f64 {

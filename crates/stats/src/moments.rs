@@ -3,9 +3,9 @@
 //! Clients learning their clock-offset distribution from synchronization
 //! probes (§5 of the paper) accumulate probes one at a time; this module
 //! provides numerically stable single-pass estimates of mean, variance,
-//! skewness and kurtosis without storing the probe history.
+//! and skewness without storing the probe history.
 
-/// Single-pass accumulator for the first four central moments.
+/// Single-pass accumulator for the first three central moments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Moments {
@@ -13,7 +13,6 @@ pub struct Moments {
     mean: f64,
     m2: f64,
     m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -26,7 +25,6 @@ impl Moments {
             mean: 0.0,
             m2: 0.0,
             m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -48,11 +46,8 @@ impl Moments {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
@@ -79,17 +74,11 @@ impl Moments {
             + other.m3
             + delta.powi(3) * na * nb * (na - nb) / (n * n)
             + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta.powi(4) * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta * delta * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
 
         self.n += other.n;
         self.mean = mean;
         self.m2 = m2;
         self.m3 = m3;
-        self.m4 = m4;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -115,16 +104,6 @@ impl Moments {
         }
     }
 
-    /// Unbiased sample variance (divides by `n − 1`). Returns `0.0` when fewer
-    /// than two observations have been seen.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     #[inline]
     pub fn std_dev(&self) -> f64 {
@@ -138,15 +117,6 @@ impl Moments {
         }
         let n = self.n as f64;
         (n.sqrt() * self.m3) / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis (0 for fewer than 4 samples or zero variance).
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.n < 4 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -173,7 +143,6 @@ mod tests {
         assert!((m.mean() - 5.0).abs() < 1e-12);
         assert!((m.variance() - 4.0).abs() < 1e-12);
         assert!((m.std_dev() - 2.0).abs() < 1e-12);
-        assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -190,7 +159,6 @@ mod tests {
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.variance(), 0.0);
         assert_eq!(m.skewness(), 0.0);
-        assert_eq!(m.excess_kurtosis(), 0.0);
     }
 
     #[test]
@@ -218,7 +186,6 @@ mod tests {
         assert!((merged.mean() - single.mean()).abs() < 1e-9);
         assert!((merged.variance() - single.variance()).abs() < 1e-9);
         assert!((merged.skewness() - single.skewness()).abs() < 1e-6);
-        assert!((merged.excess_kurtosis() - single.excess_kurtosis()).abs() < 1e-6);
     }
 
     #[test]
@@ -231,24 +198,5 @@ mod tests {
         let mut empty = Moments::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn normal_like_data_has_small_excess_kurtosis() {
-        // Deterministic pseudo-normal via sum of uniforms (Irwin–Hall, k=12).
-        let mut vals = Vec::new();
-        let mut state = 123456789u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for _ in 0..20000 {
-            let s: f64 = (0..12).map(|_| next()).sum::<f64>() - 6.0;
-            vals.push(s);
-        }
-        let m = Moments::from_samples(&vals);
-        assert!(m.mean().abs() < 0.05);
-        assert!((m.variance() - 1.0).abs() < 0.05);
-        assert!(m.excess_kurtosis().abs() < 0.2);
     }
 }

@@ -160,30 +160,12 @@ impl StreamReceiver {
         self.policy
     }
 
-    /// Number of streams ever seen (completed streams keep their state so
-    /// late duplicates are still recognized).
-    pub fn open_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Number of streams currently blocked on a detected hole.
-    pub fn blocked_streams(&self) -> usize {
-        self.streams
-            .values()
-            .filter(|s| s.validator.blocked())
-            .count()
-    }
-
     /// Whether stream `(sender, stream_id)` has released its fin frame (all
     /// frames before it were released or skipped).
     pub fn stream_complete(&self, sender: ClientId, stream_id: u64) -> bool {
-        self.streams
-            .get(&(sender, stream_id))
-            .and_then(|s| s.fin_sequence)
-            .is_some_and(|fin| {
-                let state = &self.streams[&(sender, stream_id)];
-                state.validator.next_expected() > fin
-            })
+        self.streams.get(&(sender, stream_id)).is_some_and(|state| {
+            state.fin_sequence.is_some_and(|fin| state.validator.next_expected() > fin)
+        })
     }
 
     /// Aggregate session counters across every stream.
@@ -276,6 +258,17 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tommy_core::message::MessageId;
 
+    /// Streams ever seen (completed streams keep their state so late
+    /// duplicates are still recognized).
+    fn open_streams(rx: &StreamReceiver) -> usize {
+        rx.streams.len()
+    }
+
+    /// Streams currently blocked on a detected hole.
+    fn blocked_streams(rx: &StreamReceiver) -> usize {
+        rx.streams.values().filter(|s| s.validator.blocked()).count()
+    }
+
     fn submit(id: u64, client: u32, ts: f64) -> WireMessage {
         WireMessage::Submit {
             id: MessageId(id),
@@ -297,7 +290,7 @@ mod tests {
         assert_eq!(released.len(), 5);
         assert_eq!(released[0], submit(0, 1, 0.0));
         assert!(rx.stream_complete(ClientId(1), 0));
-        assert_eq!(rx.blocked_streams(), 0);
+        assert_eq!(blocked_streams(&rx), 0);
         assert!(tx.finished());
     }
 
@@ -347,7 +340,7 @@ mod tests {
         });
         rx.receive(frames[0].clone(), 0.0);
         rx.receive(frames[2].clone(), 1.0); // hole at sequence 1
-        assert_eq!(rx.blocked_streams(), 1);
+        assert_eq!(blocked_streams(&rx), 1);
         let poll = rx.poll(1.0);
         assert_eq!(
             poll.retransmits,
@@ -361,7 +354,7 @@ mod tests {
         let resend = tx.frame(1).expect("history holds frame 1").clone();
         let released = rx.receive(resend, 2.0);
         assert_eq!(released.len(), 2, "hole heals: frames 1 and 2 release");
-        assert_eq!(rx.blocked_streams(), 0);
+        assert_eq!(blocked_streams(&rx), 0);
         assert!(tx.frame(99).is_none());
     }
 
@@ -383,7 +376,7 @@ mod tests {
                 inner: Some(Box::new(submit(99, 1, 0.0))),
             };
             assert!(rx.receive(forged, 0.0).is_empty());
-            assert_eq!(rx.blocked_streams(), 0);
+            assert_eq!(blocked_streams(&rx), 0);
             let poll = rx.poll(0.0);
             assert!(poll.retransmits.is_empty() && poll.released.is_empty());
             assert_eq!(rx.counters().window_overruns, 1);
@@ -437,10 +430,10 @@ mod tests {
         let a2 = tx_a.wrap(submit(2, 1, 2.0));
         rx.receive(a0, 0.0);
         rx.receive(a2, 1.0);
-        assert_eq!(rx.blocked_streams(), 1);
+        assert_eq!(blocked_streams(&rx), 1);
         let b0 = tx_b.wrap(submit(10, 2, 0.0));
         assert_eq!(rx.receive(b0, 2.0).len(), 1);
-        assert_eq!(rx.open_streams(), 2);
+        assert_eq!(open_streams(&rx), 2);
     }
 
     #[test]
@@ -451,7 +444,7 @@ mod tests {
             timestamp: 9.0,
         };
         assert_eq!(rx.receive(hb.clone(), 0.0), vec![hb]);
-        assert_eq!(rx.open_streams(), 0);
+        assert_eq!(open_streams(&rx), 0);
     }
 
     #[test]
@@ -548,7 +541,7 @@ mod tests {
         fn compare_state(&self, now: f64) {
             let reference = &self.ungated.0;
             assert_eq!(self.gated.counters(), reference.counters(), "at {now}");
-            assert_eq!(self.gated.blocked_streams(), reference.blocked_streams());
+            assert_eq!(blocked_streams(&self.gated), blocked_streams(reference));
             for &(sender, stream_id) in &self.streams {
                 assert_eq!(
                     self.gated.stream_complete(sender, stream_id),

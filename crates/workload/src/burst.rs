@@ -2,98 +2,46 @@
 //!
 //! §1 of the paper: "in financial exchanges some event leading to market
 //! volatility may be broadcast to all the clients simultaneously, eliciting a
-//! large volume of responses by the clients". A burst workload models one or
-//! more such trigger events: after each trigger every client responds once
-//! (or several times) with a small random reaction delay.
+//! large volume of responses by the clients". A burst workload models one
+//! such trigger event: after the trigger every client responds once with a
+//! small random reaction delay.
 
 use crate::events::GenerationEvent;
 use rand::RngCore;
 use tommy_core::message::ClientId;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
-/// A burst workload: `rounds` trigger events spaced `round_interval` apart;
-/// after each trigger every client responds `responses_per_client` times with
-/// reaction delays drawn from `reaction_delay`.
+/// A burst workload: one trigger at time 0, after which every client
+/// responds once with a reaction delay drawn from `reaction_delay`.
 #[derive(Debug, Clone)]
 pub struct BurstWorkload {
-    /// Number of clients responding to each trigger.
+    /// Number of clients responding to the trigger.
     pub clients: usize,
-    /// Number of trigger events.
-    pub rounds: usize,
-    /// Time between consecutive triggers.
-    pub round_interval: f64,
-    /// Messages each client sends per trigger.
-    pub responses_per_client: usize,
     /// Distribution of a client's reaction delay after the trigger.
     pub reaction_delay: OffsetDistribution,
-    /// Gap between consecutive responses of the same client within a round.
-    pub intra_client_gap: f64,
-    /// Time of the first trigger.
-    pub start: f64,
 }
 
 impl BurstWorkload {
-    /// A single-round burst with exponential reaction delays of the given
-    /// mean — the canonical market-volatility scenario.
+    /// A burst with exponential reaction delays of the given mean — the
+    /// canonical market-volatility scenario.
     pub fn market_event(clients: usize, mean_reaction: f64) -> Self {
         assert!(clients > 0, "need at least one client");
         assert!(mean_reaction > 0.0, "reaction delay must be positive");
         BurstWorkload {
             clients,
-            rounds: 1,
-            round_interval: 0.0,
-            responses_per_client: 1,
             reaction_delay: OffsetDistribution::shifted_exponential(0.0, 1.0 / mean_reaction),
-            intra_client_gap: mean_reaction,
-            start: 0.0,
         }
-    }
-
-    /// Set the number of trigger rounds and their spacing.
-    pub fn with_rounds(mut self, rounds: usize, round_interval: f64) -> Self {
-        assert!(rounds > 0, "need at least one round");
-        assert!(round_interval >= 0.0);
-        self.rounds = rounds;
-        self.round_interval = round_interval;
-        self
-    }
-
-    /// Set how many responses each client sends per trigger.
-    pub fn with_responses_per_client(mut self, responses: usize, intra_client_gap: f64) -> Self {
-        assert!(responses > 0, "need at least one response per client");
-        assert!(intra_client_gap >= 0.0);
-        self.responses_per_client = responses;
-        self.intra_client_gap = intra_client_gap;
-        self
-    }
-
-    /// Set the time of the first trigger.
-    pub fn with_start(mut self, start: f64) -> Self {
-        assert!(start.is_finite());
-        self.start = start;
-        self
-    }
-
-    /// Total number of events this workload generates.
-    pub fn total_messages(&self) -> usize {
-        self.clients * self.rounds * self.responses_per_client
     }
 
     /// Generate the ground-truth events (unsorted; callers that need the
     /// omniscient order should sort by true time).
     pub fn generate(&self, rng: &mut dyn RngCore) -> Vec<GenerationEvent> {
-        let mut events = Vec::with_capacity(self.total_messages());
-        for round in 0..self.rounds {
-            let trigger = self.start + round as f64 * self.round_interval;
-            for client in 0..self.clients {
+        (0..self.clients)
+            .map(|client| {
                 let reaction = self.reaction_delay.sample(rng).max(0.0);
-                for r in 0..self.responses_per_client {
-                    let t = trigger + reaction + r as f64 * self.intra_client_gap;
-                    events.push(GenerationEvent::new(ClientId(client as u32), t));
-                }
-            }
-        }
-        events
+                GenerationEvent::new(ClientId(client as u32), reaction)
+            })
+            .collect()
     }
 }
 
@@ -109,49 +57,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let events = wl.generate(&mut rng);
         assert_eq!(events.len(), 50);
-        assert_eq!(wl.total_messages(), 50);
         // All responses happen after the trigger at t = 0.
         assert!(events.iter().all(|e| e.true_time >= 0.0));
         // Mean reaction is roughly the configured mean.
         let mean: f64 = events.iter().map(|e| e.true_time).sum::<f64>() / events.len() as f64;
         assert!((mean - 2.0).abs() < 1.0, "mean reaction = {mean}");
-    }
-
-    #[test]
-    fn burst_is_dense_compared_to_round_interval() {
-        let wl = BurstWorkload::market_event(100, 1.0).with_rounds(3, 1000.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let events = wl.generate(&mut rng);
-        assert_eq!(events.len(), 300);
-        // Events cluster tightly after each trigger: every event is within
-        // a small window of its round's trigger.
-        for e in &events {
-            let round_offset = e.true_time % 1000.0;
-            assert!(round_offset < 50.0, "event at {} too far from trigger", e.true_time);
-        }
-    }
-
-    #[test]
-    fn multiple_responses_per_client_are_spaced() {
-        let wl = BurstWorkload::market_event(1, 1.0).with_responses_per_client(3, 5.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let events = wl.generate(&mut rng);
-        assert_eq!(events.len(), 3);
-        assert!((events[1].true_time - events[0].true_time - 5.0).abs() < 1e-9);
-        assert!((events[2].true_time - events[1].true_time - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn every_client_appears_in_every_round() {
-        let wl = BurstWorkload::market_event(10, 1.0).with_rounds(2, 100.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let events = wl.generate(&mut rng);
-        let first_round: std::collections::HashSet<u32> = events
-            .iter()
-            .filter(|e| e.true_time < 100.0)
-            .map(|e| e.client.0)
-            .collect();
-        assert_eq!(first_round.len(), 10);
     }
 
     #[test]

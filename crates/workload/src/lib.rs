@@ -14,7 +14,6 @@
 //!   trigger (market-volatility broadcast, ad-auction request, drop);
 //! * [`uniform`] — evenly spaced generation with a configurable inter-message
 //!   gap (the second axis of Figure 5);
-//! * [`poisson`] — Poisson arrivals per client, for steady-state experiments;
 //! * [`population`] — per-client clock-error populations (homogeneous,
 //!   heterogeneous, multi-region);
 //! * [`tagging`] — the §4 tagging step: turn generation events into
@@ -42,7 +41,6 @@ pub mod adversarial;
 pub mod burst;
 pub mod events;
 pub mod intransitive;
-pub mod poisson;
 pub mod population;
 pub mod tagging;
 pub mod testkit;
@@ -52,7 +50,6 @@ pub use adversarial::{AttackFamily, AttackPlan};
 pub use burst::BurstWorkload;
 pub use events::GenerationEvent;
 pub use intransitive::{condorcet_offsets, IntransitiveWorkload};
-pub use poisson::PoissonWorkload;
 pub use population::ClockPopulation;
 pub use tagging::tag_messages;
 pub use uniform::UniformWorkload;

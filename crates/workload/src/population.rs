@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use tommy_clock::offset::ClockModel;
 use tommy_core::message::ClientId;
 use tommy_stats::distribution::OffsetDistribution;
-use tommy_stats::gaussian::Gaussian;
 
 /// A recipe for assigning clock models to a set of clients.
 #[derive(Debug, Clone)]
@@ -97,30 +96,6 @@ impl ClockPopulation {
             .map(|c| (ClientId(c), self.model_for(ClientId(c), rng)))
             .collect()
     }
-
-    /// The distribution each client would *share with the sequencer* under
-    /// the oracle assumption of §4 (the sequencer is seeded with the true
-    /// distribution rather than a learned estimate).
-    pub fn oracle_distributions(
-        &self,
-        clients: usize,
-        rng: &mut dyn RngCore,
-    ) -> HashMap<ClientId, OffsetDistribution> {
-        self.build(clients, rng)
-            .into_iter()
-            .map(|(c, model)| (c, model.distribution().clone()))
-            .collect()
-    }
-
-    /// A convenient default heterogeneous population spanning the clock error
-    /// range the paper cites for multi-region deployments.
-    pub fn wide_area() -> Self {
-        ClockPopulation::MultiRegion(vec![
-            OffsetDistribution::Gaussian(Gaussian::new(0.0, 1.0)), // same-DC, well synced
-            OffsetDistribution::Gaussian(Gaussian::new(5.0, 20.0)), // cross-region
-            OffsetDistribution::shifted_log_normal(-10.0, 3.0, 0.5), // skewed long tail
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -170,32 +145,5 @@ mod tests {
         assert_eq!(models[&ClientId(1)].offset_std_dev(), 100.0);
         assert_eq!(models[&ClientId(2)].offset_std_dev(), 1.0);
         assert_eq!(models[&ClientId(3)].offset_std_dev(), 100.0);
-    }
-
-    #[test]
-    fn oracle_distributions_match_models() {
-        let pop = ClockPopulation::gaussian(7.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let dists = pop.oracle_distributions(5, &mut rng);
-        assert_eq!(dists.len(), 5);
-        for d in dists.values() {
-            assert!((d.std_dev() - 7.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn wide_area_population_has_three_regions() {
-        let pop = ClockPopulation::wide_area();
-        let mut rng = StdRng::seed_from_u64(5);
-        let models = pop.build(6, &mut rng);
-        // Clients 0 and 3 share a region; 0 and 1 do not.
-        assert_eq!(
-            models[&ClientId(0)].offset_std_dev(),
-            models[&ClientId(3)].offset_std_dev()
-        );
-        assert_ne!(
-            models[&ClientId(0)].offset_std_dev(),
-            models[&ClientId(1)].offset_std_dev()
-        );
     }
 }

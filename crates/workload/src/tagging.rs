@@ -29,7 +29,7 @@ pub fn tag_messages(
         let Some(clock) = clocks.get(&event.client) else {
             continue;
         };
-        let offset = clock.sample_offset(event.true_time, rng);
+        let offset = clock.sample_offset(rng);
         let timestamp = event.true_time + offset;
         messages.push(Message::with_true_time(
             MessageId(next_id),
@@ -63,7 +63,7 @@ pub fn tag_messages_monotone(
         let Some(clock) = clocks.get(&event.client) else {
             continue;
         };
-        let offset = clock.sample_offset(event.true_time, rng);
+        let offset = clock.sample_offset(rng);
         let mut timestamp = event.true_time + offset;
         if let Some(prev) = last.get(&event.client) {
             if timestamp < *prev {

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use tommy::core::LikelyHappenedBefore;
 use tommy::prelude::*;
 
 fn main() {
@@ -33,13 +34,13 @@ fn main() {
         println!("  rank {} -> [{}]", batch.rank, members.join(", "));
     }
 
-    // Pairwise relations can also be inspected directly.
-    let registry = sequencer.registry();
-    let p = registry
-        .preceding_probability(&messages[0], &messages[2])
-        .unwrap();
+    // Pairwise relations can also be inspected directly: the paper's
+    // likely-happened-before edge, oriented from the likelier-earlier message.
+    let edge = LikelyHappenedBefore::between(sequencer.registry(), &messages[0], &messages[2])
+        .expect("clients registered");
+    let threshold = sequencer.config().threshold;
     println!(
-        "\nP({} happened before {}) = {:.3}  (likely-happened-before weight)",
-        messages[0].id, messages[2].id, p
+        "\nlikely-happened-before: {edge}  (confident at threshold {threshold}: {})",
+        edge.is_confident(threshold)
     );
 }
