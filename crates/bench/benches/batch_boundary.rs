@@ -19,7 +19,7 @@ use std::time::Duration;
 use tommy_bench::{run_pipeline, stream_message, stream_registry};
 use tommy_core::batching::{FairOrder, IncrementalFairOrder};
 use tommy_core::config::SequencerConfig;
-use tommy_core::precedence::PrecedenceMatrix;
+use tommy_core::precedence::{PrecedenceMatrix, Removal};
 use tommy_core::tournament::IncrementalTournament;
 
 const SIZES: [usize; 2] = [500, 2000];
@@ -65,11 +65,12 @@ fn batch_boundary(c: &mut Criterion) {
         // The engine's maintained order over the n pending messages — the
         // input each from-scratch recomputation would walk.
         let order = engine.order().to_vec();
+        let arrival_removed = Removal::of(n + 1, &[n]);
 
         group.bench_with_input(BenchmarkId::new("incremental_arrival", n), &n, |b, _| {
             b.iter(|| {
                 engine.insert_at(arrival_pos, &matrix_with_arrival);
-                engine.remove_slots(&[n], &matrix_pending);
+                engine.remove_slots(&arrival_removed, &matrix_pending);
             })
         });
         group.bench_with_input(BenchmarkId::new("from_scratch", n), &n, |b, _| {

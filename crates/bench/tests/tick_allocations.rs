@@ -11,11 +11,17 @@
 //!   heartbeat through `feed` + `next_message` + `receive` allocates the
 //!   `Box` of its inner message and the one returned `Vec`, and a `poll`
 //!   with nothing due allocates nothing.
+//! * The dense engine pays for what changed: a `ForceDense` `submit` into a
+//!   warm pending set that emits nothing, and the `heartbeat` that releases
+//!   one batch from it, each allocate a pinned count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tommy_bench::prefilled_sequencer;
-use tommy_core::message::ClientId;
+use tommy_core::config::{FastPathMode, SequencerConfig};
+use tommy_core::message::{ClientId, Message, MessageId};
+use tommy_core::sequencer::online::OnlineSequencer;
+use tommy_stats::distribution::OffsetDistribution;
 use tommy_wire::frame::encode_frame;
 use tommy_wire::{FrameDecoder, RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
 
@@ -107,4 +113,52 @@ fn in_order_frame_allocates_its_box_and_its_vec() {
         "an in-order frame allocates the Box of its inner message and the returned Vec, \
          and an idle poll nothing"
     );
+}
+
+/// Clients 0 (Gaussian) and 1 (Laplace, so half the column is numeric)
+/// alternate messages 10 apart — each its own batch at σ = 1 — and client 2
+/// only heartbeats, `LAG` messages behind: a submit finds `LAG` pending and
+/// emits nothing, the heartbeat that follows releases exactly the oldest one.
+#[test]
+fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
+    const LAG: u64 = 12;
+    const WARM_UP: u64 = 400;
+    const MEASURED: u64 = 100;
+    let config = SequencerConfig::default()
+        .with_fast_path(FastPathMode::ForceDense)
+        .with_retain_history(false);
+    let mut sequencer = OnlineSequencer::new(config);
+    sequencer.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
+    sequencer.register_client(ClientId(1), OffsetDistribution::laplace(0.0, 1.0));
+    sequencer.register_client(ClientId(2), OffsetDistribution::gaussian(0.0, 1.0));
+    let (mut submit_allocations, mut heartbeat_allocations) = (Vec::new(), Vec::new());
+    for k in 0..WARM_UP + MEASURED {
+        let now = 10.0 * k as f64;
+        let message = Message::new(MessageId(k), ClientId((k % 2) as u32), now);
+        let before = ALLOCATIONS.with(Cell::get);
+        let emitted = sequencer.submit(message, now).expect("valid submission");
+        let after_submit = ALLOCATIONS.with(Cell::get);
+        assert!(emitted.is_empty(), "the gate client holds every batch back");
+        drop(emitted);
+        let Some(release) = k.checked_sub(LAG) else { continue };
+        assert_eq!(sequencer.pending_len() as u64, LAG + 1);
+        let before_heartbeat = ALLOCATIONS.with(Cell::get);
+        let emitted = sequencer
+            .heartbeat(ClientId(2), 10.0 * release as f64 + 5.0, now)
+            .expect("registered client");
+        let after_heartbeat = ALLOCATIONS.with(Cell::get);
+        assert_eq!(emitted.len(), 1);
+        assert_eq!(emitted[0].messages[0].id, MessageId(release));
+        drop(emitted);
+        sequencer.take_emitted();
+        if k >= WARM_UP {
+            submit_allocations.push(after_submit - before);
+            heartbeat_allocations.push(after_heartbeat - before_heartbeat);
+        }
+    }
+    // The engine itself allocates nothing; the heartbeat's five are the
+    // shell's: the batch's messages, their ids, the copy kept for
+    // `take_emitted`, and the two vectors that hold a batch.
+    assert_eq!(submit_allocations, vec![0; MEASURED as usize], "submit");
+    assert_eq!(heartbeat_allocations, vec![5; MEASURED as usize], "heartbeat");
 }

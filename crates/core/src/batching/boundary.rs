@@ -65,6 +65,12 @@ impl BoundarySet {
         self.set_bits = self.set_bits + usize::from(start) - usize::from(old);
     }
 
+    /// Keep the first `len` positions.
+    pub fn truncate(&mut self, len: usize) {
+        self.set_bits -= self.starts.iter().skip(len).filter(|&&b| b).count();
+        self.starts.truncate(len);
+    }
+
     /// The first boundary position (`p >= 1` with the bit set), i.e. the
     /// position one past the end of batch 0. `None` when everything shares
     /// one batch.

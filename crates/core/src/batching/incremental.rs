@@ -27,7 +27,7 @@
 use crate::batching::boundary::BoundarySet;
 use crate::batching::fair_order::FairOrder;
 use crate::message::MessageId;
-use crate::precedence::PrecedenceMatrix;
+use crate::precedence::{PrecedenceMatrix, Removal};
 
 /// Counters describing the work an [`IncrementalFairOrder`] performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -205,41 +205,24 @@ impl IncrementalFairOrder {
         }
     }
 
-    /// Drop the messages at (pre-removal) matrix slots `removed`, compacting
-    /// the survivors exactly like [`PrecedenceMatrix::remove_batch`] and
-    /// `IncrementalTournament::remove_indices` do. `matrix` is the
-    /// *post-removal* matrix. Surviving adjacencies keep their bits; only
-    /// the one seam per removed run is re-evaluated.
-    pub fn remove_slots(&mut self, removed: &[usize], matrix: &PrecedenceMatrix) {
+    /// Drop the messages `removal` removes (by matrix slot), compacting the
+    /// survivors exactly like [`PrecedenceMatrix::remove_indices`] and
+    /// `IncrementalTournament::remove_indices` do under the same remap.
+    /// `matrix` is the *post-removal* matrix. Surviving adjacencies keep
+    /// their bits; only the one seam per removed run is re-evaluated.
+    pub fn remove_slots(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) {
         debug_assert!(!self.dirty, "removal from a dirty engine");
-        if removed.is_empty() {
-            return;
-        }
-        let n = self.order.len();
-        let mut keep = vec![true; n];
-        for &s in removed {
-            assert!(s < n, "removed slot {s} out of range for {n} messages");
-            keep[s] = false;
-        }
-        let mut new_slot = vec![usize::MAX; n];
-        let mut next = 0usize;
-        for (s, &k) in keep.iter().enumerate() {
-            if k {
-                new_slot[s] = next;
-                next += 1;
-            }
-        }
-        // A non-empty `removed` always clears at least one slot.
-        debug_assert!(next < n, "non-empty removal must shrink the order");
+        assert_eq!(removal.len(), self.order.len(), "remap of another index space");
+        let next = removal.kept().len();
         debug_assert_eq!(matrix.len(), next, "matrix must already be compacted");
 
-        let mut new_order = Vec::with_capacity(next);
-        let mut bits = Vec::with_capacity(next);
+        // In place: position `p` is read before the write cursor reaches it.
+        let mut kept = 0usize;
         let mut prev_pos: Option<usize> = None;
-        for (p, &slot) in self.order.iter().enumerate() {
-            if !keep[slot] {
+        for p in 0..self.order.len() {
+            let Some(slot) = removal.new_index(self.order[p]) else {
                 continue;
-            }
+            };
             let start = match prev_pos {
                 None => true,
                 // Adjacent survivors: the pair (and its probability) is
@@ -248,16 +231,16 @@ impl IncrementalFairOrder {
                 // A removed run sat between them: one seam re-evaluation.
                 Some(_) => {
                     self.counters.boundary_evals += 1;
-                    let left = *new_order.last().expect("seam implies a predecessor");
-                    matrix.prob(left, new_slot[slot]) > self.threshold
+                    matrix.prob(self.order[kept - 1], slot) > self.threshold
                 }
             };
-            bits.push(start);
-            new_order.push(new_slot[slot]);
+            self.order[kept] = slot;
+            self.boundary.set(kept, start);
+            kept += 1;
             prev_pos = Some(p);
         }
-        self.order = new_order;
-        self.boundary = BoundarySet::from_bits(bits);
+        self.order.truncate(next);
+        self.boundary.truncate(next);
     }
 
     /// Materialize the maintained state as a [`FairOrder`] (used by the
@@ -404,7 +387,7 @@ mod tests {
             ],
         );
         let before = inc.counters().boundary_evals;
-        inc.remove_slots(&[1], &compacted);
+        inc.remove_slots(&Removal::of(4, &[1]), &compacted);
         assert_eq!(inc.counters().boundary_evals, before + 1, "one seam");
         assert_matches_one_shot(&inc, &compacted);
         assert_eq!(inc.num_batches(), 2);

@@ -1114,8 +1114,8 @@ impl<'a, E: StreamEngine> Replay<'a, E> {
                 let mut expected: Vec<MessageId> = core
                     .candidate_indices(&matrix, None)
                     .unwrap_or_default()
-                    .into_iter()
-                    .map(|i| self.pending[i].id)
+                    .iter()
+                    .map(|&i| self.pending[i].id)
                     .collect();
                 expected.sort();
                 let mut emitted = batch.message_ids();

@@ -51,6 +51,67 @@ pub(crate) fn compact_square<T: Copy>(buf: &mut [T], stride: usize, kept: &[usiz
     }
 }
 
+/// The index remap of one removal from a dense `0..n` index space: which
+/// pre-removal indices survive and where each lands. The matrix, the
+/// tournament and the batch-boundary engine compact in lockstep, so an
+/// emission computes this once (the engine keeps one value and recomputes
+/// it in place) and hands it to all three.
+#[derive(Debug, Clone, Default)]
+pub struct Removal {
+    /// Surviving pre-removal indices, ascending.
+    kept: Vec<usize>,
+    /// Pre-removal index → post-removal index (`None`: removed).
+    new_index: Vec<Option<usize>>,
+}
+
+impl Removal {
+    /// The remap of dropping `removed` (any order, repeats allowed) from
+    /// `0..n`. Panics if an index is out of range.
+    pub fn of(n: usize, removed: &[usize]) -> Self {
+        let mut removal = Removal::default();
+        removal.set(n, removed);
+        removal
+    }
+
+    /// [`of`](Self::of), recomputed in place.
+    pub(crate) fn set(&mut self, n: usize, removed: &[usize]) {
+        self.new_index.clear();
+        self.new_index.resize(n, Some(0));
+        for &i in removed {
+            assert!(i < n, "removed index {i} out of range for {n} entries");
+            self.new_index[i] = None;
+        }
+        self.kept.clear();
+        for (i, slot) in self.new_index.iter_mut().enumerate() {
+            if slot.is_some() {
+                *slot = Some(self.kept.len());
+                self.kept.push(i);
+            }
+        }
+    }
+
+    /// Surviving pre-removal indices, ascending.
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Size of the pre-removal index space.
+    pub(crate) fn len(&self) -> usize {
+        self.new_index.len()
+    }
+
+    /// Where pre-removal index `i` lands (`None`: removed).
+    pub(crate) fn new_index(&self, i: usize) -> Option<usize> {
+        self.new_index[i]
+    }
+
+    /// Drop the removed entries of a per-index side table, in place.
+    pub(crate) fn retain<T>(&self, entries: &mut Vec<T>) {
+        let mut survives = self.new_index.iter();
+        entries.retain(|_| survives.next().is_some_and(Option::is_some));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +139,19 @@ mod tests {
         grow_square(&mut buf, &mut stride, 3, 8, 255);
         assert_eq!(stride, 8);
         assert_eq!(buf, before);
+    }
+
+    #[test]
+    fn removal_maps_survivors_in_order() {
+        let mut removal = Removal::of(5, &[3, 1, 3]);
+        assert_eq!(removal.kept(), &[0, 2, 4]);
+        assert_eq!(removal.new_index(1), None);
+        assert_eq!(removal.new_index(4), Some(2));
+        let mut side = vec!['a', 'b', 'c', 'd', 'e'];
+        removal.retain(&mut side);
+        assert_eq!(side, vec!['a', 'c', 'e']);
+        removal.set(2, &[]);
+        assert_eq!(removal.kept(), &[0, 1]);
     }
 
     #[test]

@@ -5,56 +5,58 @@
 //! representation of those probabilities for one set of messages, built from
 //! the per-client distributions in a [`DistributionRegistry`].
 //!
-//! ## Kernel-based builds
+//! ## Two builds, one set of floats
 //!
 //! Every probability the matrix stores depends on its pair of messages only
-//! through the client pair and the timestamp delta (see
-//! [`PairKernel`]), so both the incremental [`insert`](PrecedenceMatrix::insert)
-//! and the one-shot [`compute`](PrecedenceMatrix::compute)
-//! group the messages by client — ascending row indices plus a contiguous
-//! timestamp array per client — resolve one kernel per client pair, and fill
-//! whole columns/rows with tight per-kernel loops over contiguous `f64`s.
-//! An arrival touches the registry ≤ C times (C = distinct pending clients)
-//! for its n queries; an offline build touches it O(C²) times instead
-//! of O(pairs). The stored floats are bit-identical to the per-call path by
-//! construction (same formulas, same clamping — see [`PairKernel`]); the
-//! rare error cases (unknown client, NaN probability) fall back to the
-//! per-call loop so error values, ordering, and query accounting match the
-//! pre-kernel implementation exactly.
+//! through the client pair and the timestamp delta (see [`PairKernel`]).
+//! The one-shot [`compute`](PrecedenceMatrix::compute) groups the messages
+//! by client (row indices plus a contiguous timestamp array each), resolves
+//! one kernel per client pair and fills whole rows per kernel: O(C²)
+//! registry touches instead of O(pairs), which pays at n in the thousands.
+//! The incremental [`insert`](PrecedenceMatrix::insert) does no grouping (at
+//! n ≈ 15 over 13 clients it was pure overhead): each message's registry
+//! slot is kept beside it and the arrival's column is one flat loop
+//! `column[j] = kernel(slot_j, slot_new).preceding(t_j − t_new)` into a
+//! reused buffer, each kernel an indexed read.
+//!
+//! The stored floats are bit-identical to the per-call path by construction
+//! (same formulas, same clamping — see [`PairKernel`]); the rare error cases
+//! (unknown client, NaN probability) fall back to the per-call loop so error
+//! values, ordering, and query accounting match the pre-kernel
+//! implementation exactly.
 
 use crate::error::CoreError;
+pub use crate::grid::Removal;
 use crate::message::{ClientId, Message, MessageId};
-use crate::registry::{DistributionRegistry, PairKernel};
+use crate::registry::{ClientSlot, DistributionRegistry, PairKernel};
 use std::collections::{HashMap, HashSet};
 
-/// One client's rows: ascending row indices plus, in lockstep, their
-/// timestamps as a contiguous array — the slice the pair-kernel loops
-/// stream over.
-#[derive(Debug, Clone)]
-struct ClientRows {
-    client: ClientId,
-    rows: Vec<usize>,
-    timestamps: Vec<f64>,
-}
+/// One client's rows for [`PrecedenceMatrix::compute`]: the client, its
+/// ascending row indices and, in lockstep, their timestamps as a contiguous
+/// array — the slice the pair-kernel loops stream over.
+type ClientGroup = (ClientId, Vec<usize>, Vec<f64>);
 
 /// Group `messages` by client, preserving row order within each client and
 /// first-appearance order across clients.
-fn build_groups(messages: &[Message]) -> (Vec<ClientRows>, HashMap<ClientId, usize>) {
-    let mut groups: Vec<ClientRows> = Vec::new();
-    let mut group_of: HashMap<ClientId, usize> = HashMap::new();
+fn build_groups(messages: &[Message]) -> Vec<ClientGroup> {
+    let mut groups: Vec<ClientGroup> = Vec::new();
+    let mut group_index: HashMap<ClientId, usize> = HashMap::new();
     for (row, m) in messages.iter().enumerate() {
-        let gi = *group_of.entry(m.client).or_insert_with(|| {
-            groups.push(ClientRows {
-                client: m.client,
-                rows: Vec::new(),
-                timestamps: Vec::new(),
-            });
+        let gi = *group_index.entry(m.client).or_insert_with(|| {
+            groups.push((m.client, Vec::new(), Vec::new()));
             groups.len() - 1
         });
-        groups[gi].rows.push(row);
-        groups[gi].timestamps.push(m.timestamp);
+        let (_, rows, timestamps) = &mut groups[gi];
+        rows.push(row);
+        timestamps.push(m.timestamp);
     }
-    (groups, group_of)
+    groups
+}
+
+/// The first message id that repeats in `messages`, if any.
+fn repeated_id(messages: &[Message]) -> Option<MessageId> {
+    let mut seen = HashSet::with_capacity(messages.len());
+    messages.iter().map(|m| m.id).find(|&id| !seen.insert(id))
 }
 
 /// Dense matrix of preceding probabilities for a fixed set of messages.
@@ -65,17 +67,19 @@ fn build_groups(messages: &[Message]) -> (Vec<ClientRows>, HashMap<ClientId, usi
 #[derive(Debug, Clone)]
 pub struct PrecedenceMatrix {
     messages: Vec<Message>,
-    index: HashMap<MessageId, usize>,
+    /// Each message's registry slot, resolved as it entered (slots are never
+    /// reassigned, so it stays valid for the registry that issued it).
+    /// `None`: the client was unregistered then, or the matrix came from
+    /// explicit probabilities; such a message sends arrivals down the
+    /// per-call path.
+    slots: Vec<Option<ClientSlot>>,
     probs: Vec<f64>,
     /// Row stride of `probs`. At least `messages.len()`; kept larger than the
     /// live dimension (geometric growth) so incremental inserts amortize to
     /// O(n) instead of re-laying-out the whole O(n²) buffer per arrival.
     stride: usize,
-    /// Per-client row grouping (see [`ClientRows`]), maintained alongside
-    /// the dense storage so kernel column fills stream over contiguous
-    /// timestamps.
-    groups: Vec<ClientRows>,
-    group_of: HashMap<ClientId, usize>,
+    /// The arrival column's buffer, reused across inserts.
+    column: Vec<f64>,
 }
 
 impl PrecedenceMatrix {
@@ -88,11 +92,10 @@ impl PrecedenceMatrix {
     pub fn empty() -> Self {
         PrecedenceMatrix {
             messages: Vec::new(),
-            index: HashMap::new(),
+            slots: Vec::new(),
             probs: Vec::new(),
             stride: 0,
-            groups: Vec::new(),
-            group_of: HashMap::new(),
+            column: Vec::new(),
         }
     }
 
@@ -102,58 +105,16 @@ impl PrecedenceMatrix {
         crate::grid::grow_square(&mut self.probs, &mut self.stride, self.messages.len(), cap, 0.5);
     }
 
-    /// The new-arrival column, filled per client group through
-    /// [`PairKernel`]s: ≤ C kernel resolutions (C = distinct pending
-    /// clients), then one tight loop per kernel over that client's
-    /// contiguous timestamps. `column[j] = P(m_j precedes new)` —
-    /// bit-identical to querying each pair through
-    /// [`DistributionRegistry::preceding_probability`].
-    fn kernel_column(
-        &self,
-        message: &Message,
-        registry: &DistributionRegistry,
-    ) -> Result<Vec<f64>, CoreError> {
-        let n = self.messages.len();
-        let mut column = vec![0.0; n];
-        let mut dts: Vec<f64> = Vec::new();
-        let mut probs: Vec<f64> = Vec::new();
-        for group in &self.groups {
-            let kernel = registry.pair_kernel(group.client, message.client)?;
-            dts.clear();
-            dts.extend(group.timestamps.iter().map(|&t| t - message.timestamp));
-            probs.clear();
-            probs.resize(dts.len(), 0.0);
-            kernel.preceding_many(&dts, &mut probs);
-            for (k, &row) in group.rows.iter().enumerate() {
-                column[row] = probs[k];
-            }
-        }
-        // NaN marks the per-call path's InvalidProbability case; scan in
-        // column order so the reported pair is the one the per-call loop
-        // would have failed on first.
-        for (j, &p) in column.iter().enumerate() {
-            if p.is_nan() {
-                return Err(CoreError::InvalidProbability {
-                    left: self.messages[j].id,
-                    right: message.id,
-                });
-            }
-        }
-        registry.record_queries(n as u64);
-        Ok(column)
-    }
-
     /// Insert one message, growing the matrix by one row and one column.
     ///
     /// Only the `n` probabilities against the existing messages are computed
     /// (each existing message `m_j` in the `(m_j, new)` orientation, exactly
     /// as [`compute`](Self::compute) would with the new message appended) —
     /// O(n) probability queries instead of the O(n²) a from-scratch rebuild
-    /// costs, and the column is filled through per-client-pair
-    /// [`PairKernel`]s, so the registry is consulted once per distinct
-    /// pending client rather than once per query. The dense storage keeps
-    /// spare capacity (geometric stride growth), so the per-insert copy cost
-    /// is amortized O(n) too: an arrival has no O(n²) component at all.
+    /// costs, with one client hash for the arrival and none per pending
+    /// message. The dense storage keeps spare capacity (geometric stride
+    /// growth), so the per-insert copy cost is amortized O(n) too: an arrival
+    /// has no O(n²) component at all.
     ///
     /// Returns the new message's index.
     ///
@@ -167,23 +128,27 @@ impl PrecedenceMatrix {
         message: Message,
         registry: &DistributionRegistry,
     ) -> Result<usize, CoreError> {
-        if self.index.contains_key(&message.id) {
+        if self.index_of(message.id).is_some() {
             return Err(CoreError::DuplicateMessage(message.id));
         }
         let n = self.messages.len();
-        let column = match self.kernel_column(&message, registry) {
-            Ok(column) => column,
-            Err(_) => {
-                // Error path: re-run the per-call loop so the reported error
-                // (value, pair ordering) and the query accounting match the
-                // pre-kernel implementation exactly.
-                let mut column = Vec::with_capacity(n);
-                for existing in &self.messages {
-                    column.push(registry.preceding_probability(existing, &message)?);
-                }
-                column
+        let slot = registry.slot_of(message.client).ok();
+        // `column[j] = P(m_j precedes new)`; an early return only costs the
+        // next insert a fresh buffer.
+        let mut column = std::mem::take(&mut self.column);
+        column.clear();
+        let pending = self.messages.iter().zip(&self.slots).map(|(m, &s)| (s, m.timestamp));
+        if !registry.preceding_column(pending, slot, message.timestamp, &mut column) {
+            // An unresolved client or a NaN cell: the per-call loop reports
+            // the error (value, pair ordering, query accounting) the
+            // pre-kernel implementation did — and still fills the one column
+            // that needs no registration, an unregistered client's against
+            // only its own messages.
+            column.clear();
+            for existing in &self.messages {
+                column.push(registry.preceding_probability(existing, &message)?);
             }
-        };
+        }
 
         self.grow_to(n + 1);
         let s = self.stride;
@@ -193,52 +158,27 @@ impl PrecedenceMatrix {
         }
         // The new diagonal cell may hold a stale value from a removed row.
         self.probs[n * s + n] = 0.5;
-        self.index.insert(message.id, n);
-        let gi = *self.group_of.entry(message.client).or_insert_with(|| {
-            self.groups.push(ClientRows {
-                client: message.client,
-                rows: Vec::new(),
-                timestamps: Vec::new(),
-            });
-            self.groups.len() - 1
-        });
-        self.groups[gi].rows.push(n);
-        self.groups[gi].timestamps.push(message.timestamp);
+        self.slots.push(slot);
         self.messages.push(message);
+        self.column = column;
         Ok(n)
     }
 
-    /// Remove a set of messages (typically an emitted batch), shrinking the
-    /// matrix while preserving the relative order — and the already-computed
-    /// probabilities — of the survivors. Ids not present are ignored.
+    /// Remove a set of messages (typically an emitted batch) by index,
+    /// shrinking the matrix while preserving the relative order — and the
+    /// already-computed probabilities — of the survivors. `removal` must be
+    /// a remap of this matrix's `0..len()`; whatever else tracks the matrix
+    /// (tournament, boundary engine) follows the same value.
     ///
     /// No probability queries are performed: surviving pairs keep the values
     /// (and query orientation) they had at insertion time, so the result is
     /// element-wise identical to a from-scratch [`compute`](Self::compute)
     /// over the surviving messages.
-    pub fn remove_batch(&mut self, ids: &[MessageId]) {
-        let remove: HashSet<MessageId> = ids.iter().copied().collect();
-        let n = self.messages.len();
-        let kept: Vec<usize> = (0..n)
-            .filter(|&i| !remove.contains(&self.messages[i].id))
-            .collect();
-        if kept.len() == n {
-            return;
-        }
-        let m = kept.len();
-        crate::grid::compact_square(&mut self.probs, self.stride, &kept);
-        let mut messages = Vec::with_capacity(m);
-        let mut index = HashMap::with_capacity(m);
-        for (a, &i) in kept.iter().enumerate() {
-            let message = self.messages[i].clone();
-            index.insert(message.id, a);
-            messages.push(message);
-        }
-        self.messages = messages;
-        self.index = index;
-        let (groups, group_of) = build_groups(&self.messages);
-        self.groups = groups;
-        self.group_of = group_of;
+    pub fn remove_indices(&mut self, removal: &Removal) {
+        assert_eq!(removal.len(), self.messages.len(), "remap of another index space");
+        crate::grid::compact_square(&mut self.probs, self.stride, removal.kept());
+        removal.retain(&mut self.messages);
+        removal.retain(&mut self.slots);
     }
 
     /// Compute the full matrix for `messages` using the distributions in
@@ -265,15 +205,11 @@ impl PrecedenceMatrix {
             return Err(CoreError::EmptyInput);
         }
         let n = messages.len();
-        let mut index = HashMap::with_capacity(n);
-        for (i, m) in messages.iter().enumerate() {
-            if index.insert(m.id, i).is_some() {
-                return Err(CoreError::DuplicateMessage(m.id));
-            }
+        if let Some(id) = repeated_id(messages) {
+            return Err(CoreError::DuplicateMessage(id));
         }
 
-        let (groups, group_of) = build_groups(messages);
-        let probs = match Self::kernel_grid(messages, &groups, registry) {
+        let probs = match Self::kernel_grid(messages, registry) {
             Ok(probs) => {
                 registry.record_queries((n * (n - 1) / 2) as u64);
                 probs
@@ -285,11 +221,10 @@ impl PrecedenceMatrix {
         };
         Ok(PrecedenceMatrix {
             messages: messages.to_vec(),
-            index,
+            slots: messages.iter().map(|m| registry.slot_of(m.client).ok()).collect(),
             probs,
             stride: n,
-            groups,
-            group_of,
+            column: Vec::new(),
         })
     }
 
@@ -298,34 +233,34 @@ impl PrecedenceMatrix {
     /// contiguous pass, then mirrored into column `i`.
     fn kernel_grid(
         messages: &[Message],
-        groups: &[ClientRows],
         registry: &DistributionRegistry,
     ) -> Result<Vec<f64>, CoreError> {
         let n = messages.len();
+        let groups = build_groups(messages);
         let mut grid = vec![0.5; n * n];
         let mut kernels: HashMap<(ClientId, ClientId), PairKernel> = HashMap::new();
         let mut dts: Vec<f64> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
         for (i, mi) in messages.iter().enumerate() {
-            for group in groups {
+            for (client, rows, timestamps) in &groups {
                 // This client's columns strictly beyond the diagonal.
-                let start = group.rows.partition_point(|&r| r <= i);
-                if start == group.rows.len() {
+                let start = rows.partition_point(|&r| r <= i);
+                if start == rows.len() {
                     continue;
                 }
-                let kernel = match kernels.entry((mi.client, group.client)) {
+                let kernel = match kernels.entry((mi.client, *client)) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(registry.pair_kernel(mi.client, group.client)?)
+                        v.insert(registry.pair_kernel(mi.client, *client)?)
                     }
                 };
-                let ts = &group.timestamps[start..];
+                let ts = &timestamps[start..];
                 dts.clear();
                 dts.extend(ts.iter().map(|&t| mi.timestamp - t));
                 probs.clear();
                 probs.resize(dts.len(), 0.0);
                 kernel.preceding_many(&dts, &mut probs);
-                for (k, &j) in group.rows[start..].iter().enumerate() {
+                for (k, &j) in rows[start..].iter().enumerate() {
                     grid[i * n + j] = probs[k];
                 }
             }
@@ -379,13 +314,8 @@ impl PrecedenceMatrix {
         let n = messages.len();
         assert!(n > 0, "need at least one message");
         assert_eq!(pairwise.len(), n, "matrix row count mismatch");
-        let mut index = HashMap::with_capacity(n);
-        for (i, m) in messages.iter().enumerate() {
-            assert!(
-                index.insert(m.id, i).is_none(),
-                "duplicate message id {}",
-                m.id
-            );
+        if let Some(id) = repeated_id(messages) {
+            panic!("duplicate message id {id}");
         }
         let mut probs = vec![0.5; n * n];
         for i in 0..n {
@@ -399,14 +329,12 @@ impl PrecedenceMatrix {
                 probs[i * n + j] = p;
             }
         }
-        let (groups, group_of) = build_groups(messages);
         PrecedenceMatrix {
             messages: messages.to_vec(),
-            index,
+            slots: vec![None; n],
             probs,
             stride: n,
-            groups,
-            group_of,
+            column: Vec::new(),
         }
     }
 
@@ -439,9 +367,14 @@ impl PrecedenceMatrix {
         &self.messages[i]
     }
 
-    /// Index of a message id, if present.
+    /// The registry slot stored beside the message at index `i`.
+    pub(crate) fn slot(&self, i: usize) -> Option<ClientSlot> {
+        self.slots[i]
+    }
+
+    /// Index of a message id, if present (an O(n) scan).
     pub fn index_of(&self, id: MessageId) -> Option<usize> {
-        self.index.get(&id).copied()
+        self.messages.iter().position(|m| m.id == id)
     }
 
     /// `P(message at index i precedes message at index j)`.
@@ -604,7 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_batch_matches_compute_over_survivors() {
+    fn remove_indices_matches_compute_over_survivors() {
         let reg = registry(8.0, 3);
         let msgs = vec![
             msg(0, 0, 1.0),
@@ -617,14 +550,14 @@ mod tests {
         for m in &msgs {
             inc.insert(m.clone(), &reg).unwrap();
         }
-        inc.remove_batch(&[MessageId(1), MessageId(3), MessageId(99)]);
+        inc.remove_indices(&Removal::of(5, &[1, 3, 3]));
         let survivors = vec![msgs[0].clone(), msgs[2].clone(), msgs[4].clone()];
         let scratch = PrecedenceMatrix::compute(&survivors, &reg).unwrap();
         assert_matrices_identical(&inc, &scratch);
         assert_eq!(inc.index_of(MessageId(1)), None);
 
         // Removing everything leaves a usable empty matrix.
-        inc.remove_batch(&[MessageId(0), MessageId(2), MessageId(4)]);
+        inc.remove_indices(&Removal::of(3, &[0, 1, 2]));
         assert!(inc.is_empty());
         inc.insert(msg(7, 0, 9.0), &reg).unwrap();
         assert_eq!(inc.len(), 1);
@@ -663,12 +596,12 @@ mod tests {
                     // Emit a random prefix-like batch: between 1 and all
                     // pending messages, chosen at random.
                     let count = rng.random_range(1usize..=pending.len());
-                    let mut ids: Vec<MessageId> = Vec::with_capacity(count);
+                    let mut indices: Vec<usize> = Vec::with_capacity(count);
                     for _ in 0..count {
                         let k = rng.random_range(0usize..pending.len());
-                        ids.push(pending.remove(k).id);
+                        indices.push(inc.index_of(pending.remove(k).id).unwrap());
                     }
-                    inc.remove_batch(&ids);
+                    inc.remove_indices(&Removal::of(inc.len(), &indices));
                 } else {
                     let m = msg(
                         next_id,

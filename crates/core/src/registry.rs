@@ -22,30 +22,27 @@
 //! which for Gaussian offsets reduces to the paper's closed form
 //! `Φ((T_j − T_i + μ_i − μ_j)/√(σ_i² + σ_j²))`.
 //!
-//! ## Pair kernels: dt-only dependence and lock amortization
+//! ## Pair kernels: dt-only dependence
 //!
 //! Both formulas above depend on the two *timestamps* only through their
 //! difference `dt = T_i − T_j`; everything else — the means, the combined
-//! spread, the difference grid — is a property of the client *pair*. A
-//! [`PairKernel`] is that pair-level residue, resolved once by
-//! [`DistributionRegistry::pair_kernel`]: a self-contained, lock-free value
-//! (same-client rule, Gaussian closed-form constants, or an `Arc` to the
-//! shared difference grid) whose [`preceding`](PairKernel::preceding) /
-//! [`preceding_many`](PairKernel::preceding_many) evaluations touch no
-//! registry state at all.
+//! spread, the difference grid — is a property of the client *pair*, and a
+//! [`PairKernel`] is that pair-level residue as a self-contained value.
 //!
 //! The payoff is on the O(n)-query hot paths. A per-call
 //! [`preceding_probability`](DistributionRegistry::preceding_probability)
-//! pays an atomic counter bump, two distribution `HashMap` lookups, a
+//! pays an atomic counter bump, two `ClientId` hash lookups, a
 //! Gaussian-vs-discretized re-dispatch and — for non-Gaussian pairs — an
-//! `RwLock` read plus `Arc` clone on the difference cache, *per query*. A
-//! kernel-based column fill pays all of that once per *distinct client* and
-//! then runs a tight per-kernel loop over a contiguous `f64` slice: an
-//! online arrival resolves ≤ C kernels (C = distinct pending clients) for
-//! its n queries, and an offline build touches the registry's locks
-//! O(C²) times instead of O(pairs). The query counter is maintained in bulk
-//! ([`record_queries`](DistributionRegistry::record_queries)) so its
-//! semantics — one count per pairwise probability evaluated — are unchanged.
+//! `RwLock` read plus `Arc` clone on the difference table, *per query*. An
+//! offline build resolves one kernel per client pair and runs it over each
+//! client's contiguous timestamps: O(C²) registry touches, not O(pairs). An
+//! online arrival's column (`preceding_column`) is handed the `ClientSlot`
+//! stored beside every pending message, so each probability is an indexed
+//! read of the client table and, for a non-Gaussian pair, of the class-pair
+//! difference table under one lock acquisition per column: no hash, lock or
+//! `Arc` refcount per pending message. Both count their evaluations in bulk
+//! ([`record_queries`](DistributionRegistry::record_queries)): one count
+//! per pairwise probability evaluated, as on the per-call path.
 
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::defense::{
@@ -97,13 +94,11 @@ struct ClientEntry {
 /// A client pair's preceding-probability rule, resolved once into a
 /// self-contained, lock-free value.
 ///
-/// The preceding probability `P(T*_i < T*_j | T_i, T_j)` depends on the two
-/// timestamps only through `dt = T_i − T_j` (§3.2–§3.3 of the paper); the
-/// kernel captures everything else — the pair's distribution parameters or
-/// shared difference grid — so [`preceding`](Self::preceding) and
+/// It captures everything but `dt = T_i − T_j` (see the module docs) — the
+/// pair's distribution parameters or shared difference grid — so
+/// [`preceding`](Self::preceding) and
 /// [`preceding_many`](Self::preceding_many) are pure functions of `dt` that
-/// touch no registry state. See the module docs for the lock-amortization
-/// argument.
+/// touch no registry state.
 ///
 /// Evaluation is **bit-identical** to
 /// [`DistributionRegistry::preceding_probability`] by construction: each
@@ -135,6 +130,19 @@ pub enum PairKernel {
     Discretized(Arc<DiscretizedPdf>),
 }
 
+/// The same-client rule: one client's offset cancels, so the comparison is
+/// deterministic in the sign of `dt = T_i − T_j`.
+#[inline]
+fn same_client(dt: f64) -> f64 {
+    if dt < 0.0 {
+        1.0
+    } else if dt > 0.0 {
+        0.0
+    } else {
+        0.5
+    }
+}
+
 impl PairKernel {
     /// The preceding probability at timestamp delta `dt = T_i − T_j`.
     ///
@@ -144,15 +152,7 @@ impl PairKernel {
     #[inline]
     pub fn preceding(&self, dt: f64) -> f64 {
         let p = match self {
-            PairKernel::SameClient => {
-                if dt < 0.0 {
-                    1.0
-                } else if dt > 0.0 {
-                    0.0
-                } else {
-                    0.5
-                }
-            }
+            PairKernel::SameClient => same_client(dt),
             PairKernel::Gaussian { i, j } => i.preceding_probability_dt(j, dt),
             PairKernel::Discretized(diff) => diff.tail(dt),
         };
@@ -178,13 +178,7 @@ impl PairKernel {
         match self {
             PairKernel::SameClient => {
                 for (o, &dt) in out.iter_mut().zip(dts) {
-                    *o = if dt < 0.0 {
-                        1.0
-                    } else if dt > 0.0 {
-                        0.0
-                    } else {
-                        0.5
-                    };
+                    *o = same_client(dt);
                 }
                 return;
             }
@@ -195,6 +189,13 @@ impl PairKernel {
             *o = o.clamp(0.0, 1.0);
         }
     }
+}
+
+/// Difference grids by ordered class pair: `table[class_i][class_j]`.
+type DifferenceTable = Vec<Vec<Option<Arc<DiscretizedPdf>>>>;
+
+fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Arc<DiscretizedPdf>> {
+    table.get(key.0 as usize)?.get(key.1 as usize)?.as_ref()
 }
 
 /// Registry of per-client clock-offset distributions with derived caches.
@@ -210,13 +211,14 @@ pub struct DistributionRegistry {
     /// when there is none).
     min_gaussian_sigma: f64,
     grid_points: usize,
-    /// The numeric caches are keyed by *distinct distribution*, not by
-    /// client: one grid per distribution some client holds (`None` = a free
-    /// index), one difference grid per ordered pair of them. Clients that
-    /// registered equal distributions share both, so memory and build time
-    /// follow the number of distinct claims, not the number of client pairs.
+    /// The numeric caches are keyed by *distinct distribution* (its class),
+    /// not by client: one grid per distribution some client holds (`None` =
+    /// a free index), one difference grid per ordered pair of them (rows
+    /// grow to the pairs asked for). Clients that registered equal
+    /// distributions share both, so memory and build time follow the
+    /// distinct claims in numeric use, not the number of client pairs.
     discretized: RwLock<Vec<Option<Arc<DiscretizedPdf>>>>,
-    differences: RwLock<HashMap<(u32, u32), Arc<DiscretizedPdf>>>,
+    differences: RwLock<DifferenceTable>,
     /// Number of pairwise preceding-probability evaluations served so far —
     /// one per [`preceding_probability`](Self::preceding_probability) call
     /// plus every element of a kernel-based column fill (recorded in bulk
@@ -261,7 +263,7 @@ impl DistributionRegistry {
             min_gaussian_sigma: f64::INFINITY,
             grid_points,
             discretized: RwLock::new(Vec::new()),
-            differences: RwLock::new(HashMap::new()),
+            differences: RwLock::new(Vec::new()),
             queries: AtomicU64::new(0),
             trust: HashMap::new(),
             collusion: CollusionTracker::new(),
@@ -303,10 +305,15 @@ impl DistributionRegistry {
                 // still holds the same distribution.
                 if let Some(class) = old.class.get().copied() {
                     if !self.entries.iter().any(|e| e.class.get() == Some(&class)) {
-                        self.discretized.get_mut()[class as usize] = None;
-                        self.differences
-                            .get_mut()
-                            .retain(|(a, b), _| *a != class && *b != class);
+                        let class = class as usize;
+                        self.discretized.get_mut()[class] = None;
+                        for (a, row) in self.differences.get_mut().iter_mut().enumerate() {
+                            if a == class {
+                                row.clear();
+                            } else if let Some(cell) = row.get_mut(class) {
+                                *cell = None;
+                            }
+                        }
                     }
                 }
             }
@@ -483,7 +490,7 @@ impl DistributionRegistry {
     /// demand).
     fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<DiscretizedPdf> {
         let key = (self.class_at(si), self.class_at(sj));
-        if let Some(diff) = self.differences.read().get(&key) {
+        if let Some(diff) = difference_cell(&self.differences.read(), key) {
             return Arc::clone(diff);
         }
         let grid = |class: u32| {
@@ -494,7 +501,15 @@ impl DistributionRegistry {
         // δ_i − δ_j, so pass (f_j, f_i).
         let (f_i, f_j) = (grid(key.0), grid(key.1));
         let diff = Arc::new(difference_distribution(&f_j, &f_i, ConvolutionMethod::Auto));
-        self.differences.write().insert(key, Arc::clone(&diff));
+        let (a, b) = (key.0 as usize, key.1 as usize);
+        let mut table = self.differences.write();
+        if table.len() <= a {
+            table.resize_with(a + 1, Vec::new);
+        }
+        if table[a].len() <= b {
+            table[a].resize(b + 1, None);
+        }
+        table[a][b] = Some(Arc::clone(&diff));
         diff
     }
 
@@ -507,13 +522,7 @@ impl DistributionRegistry {
     pub fn preceding_probability(&self, i: &Message, j: &Message) -> Result<f64, CoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if i.client == j.client {
-            return Ok(if i.timestamp < j.timestamp {
-                1.0
-            } else if i.timestamp > j.timestamp {
-                0.0
-            } else {
-                0.5
-            });
+            return Ok(same_client(i.timestamp - j.timestamp));
         }
 
         let (si, sj) = (self.slot_of(i.client)?, self.slot_of(j.client)?);
@@ -591,6 +600,48 @@ impl DistributionRegistry {
             (Some(gi), Some(gj)) => PairKernel::Gaussian { i: *gi, j: *gj },
             _ => PairKernel::Discretized(self.difference_at(si, sj)),
         }
+    }
+
+    /// One arrival's matrix column: for each pending `(slot, timestamp)`,
+    /// push `pair_kernel_at(slot, arrival).preceding(timestamp − t_arrival)`
+    /// (to the bit) onto `out`, as indexed reads, and count them; the
+    /// difference table's read lock is held across the column and released
+    /// only to build a grid on its first use. Returns `false`, counting
+    /// nothing, on the per-call path's error cases: an unresolved client or
+    /// a NaN cell.
+    pub(crate) fn preceding_column(
+        &self,
+        pending: impl Iterator<Item = (Option<ClientSlot>, f64)>,
+        arrival: Option<ClientSlot>,
+        t_arrival: f64,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let Some(arrival) = arrival else { return false };
+        let arrival_gaussian = self.gaussian_at(arrival);
+        let mut table = self.differences.read();
+        for (slot, timestamp) in pending {
+            let Some(slot) = slot else { return false };
+            let dt = timestamp - t_arrival;
+            let p = match (self.gaussian_at(slot), arrival_gaussian) {
+                _ if slot == arrival => same_client(dt),
+                (Some(gi), Some(gj)) => gi.preceding_probability_dt(gj, dt),
+                _ => {
+                    let key = (self.class_at(slot), self.class_at(arrival));
+                    if difference_cell(&table, key).is_none() {
+                        drop(table);
+                        self.difference_at(slot, arrival);
+                        table = self.differences.read();
+                    }
+                    difference_cell(&table, key).expect("just built").tail(dt)
+                }
+            };
+            if p.is_nan() {
+                return false;
+            }
+            out.push(p.clamp(0.0, 1.0));
+        }
+        self.record_queries(out.len() as u64);
+        true
     }
 
     /// Account `n` pairwise probability evaluations performed through
@@ -716,7 +767,7 @@ mod tests {
     }
 
     fn cached_differences(reg: &DistributionRegistry) -> usize {
-        reg.differences.read().len()
+        reg.differences.read().iter().flatten().flatten().count()
     }
 
     #[test]

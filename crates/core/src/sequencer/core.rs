@@ -28,7 +28,7 @@
 
 use crate::batching::{FairOrder, IncrementalFairOrder};
 use crate::config::{FasFallbackReason, SequencerConfig};
-use crate::precedence::PrecedenceMatrix;
+use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::tournament::IncrementalTournament;
 use rand::RngCore;
 
@@ -58,7 +58,7 @@ pub struct SequencingOutcome {
 /// The core tracks an externally maintained [`PrecedenceMatrix`]: every
 /// matrix mutation must be mirrored here in lockstep ([`insert_last`]
 /// after `PrecedenceMatrix::insert`, [`remove_indices`] after
-/// `PrecedenceMatrix::remove_batch`, [`load`] after a wholesale recompute).
+/// `PrecedenceMatrix::remove_indices`, [`load`] after a wholesale recompute).
 ///
 /// [`insert_last`]: SequencingCore::insert_last
 /// [`remove_indices`]: SequencingCore::remove_indices
@@ -68,6 +68,11 @@ pub struct SequencingCore {
     config: SequencerConfig,
     tournament: IncrementalTournament,
     fair: IncrementalFairOrder,
+    /// The candidate closure's working sets, reused across recomputations:
+    /// the batch so far (what [`candidate_indices`](Self::candidate_indices)
+    /// returns) and the messages still outside it.
+    closure: Vec<usize>,
+    outside: Vec<usize>,
 }
 
 impl SequencingCore {
@@ -84,6 +89,8 @@ impl SequencingCore {
             tournament,
             fair: IncrementalFairOrder::new(config.threshold),
             config,
+            closure: Vec::new(),
+            outside: Vec::new(),
         }
     }
 
@@ -119,13 +126,13 @@ impl SequencingCore {
         }
     }
 
-    /// Drop the messages at (pre-removal) indices `removed`. `matrix` is the
-    /// *post-removal* matrix — call `PrecedenceMatrix::remove_batch` first.
-    /// Surviving batch boundaries keep their bits; only one seam per removed
-    /// run is re-evaluated.
-    pub fn remove_indices(&mut self, removed: &[usize], matrix: &PrecedenceMatrix) {
-        if self.tournament.remove_indices(removed, matrix) && !self.fair.is_dirty() {
-            self.fair.remove_slots(removed, matrix);
+    /// Drop the messages `removal` removes. `matrix` is the *post-removal*
+    /// matrix — hand the same remap to `PrecedenceMatrix::remove_indices`
+    /// first. Surviving batch boundaries keep their bits; only one seam per
+    /// removed run is re-evaluated.
+    pub fn remove_indices(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) {
+        if self.tournament.remove_indices(removal, matrix) && !self.fair.is_dirty() {
+            self.fair.remove_slots(removal, matrix);
         } else {
             self.fair.mark_dirty();
         }
@@ -190,43 +197,40 @@ impl SequencingCore {
     /// The worklist form is identical to re-scanning every round: a message
     /// already checked against a batch member never needs re-checking, so
     /// each round compares the remaining outsiders only against the members
-    /// added last round.
+    /// added last round (`batch[frontier..]`). The returned slice is the
+    /// core's own reused buffer.
     pub fn candidate_indices(
         &mut self,
         matrix: &PrecedenceMatrix,
         rng: Option<&mut dyn RngCore>,
-    ) -> Option<Vec<usize>> {
+    ) -> Option<&[usize]> {
         if matrix.is_empty() {
             return None;
         }
         self.refresh(matrix, rng);
-        let mut in_batch: Vec<usize> = self.fair.first_batch().to_vec();
-        let mut outside: Vec<usize> = {
-            let mut member = vec![false; matrix.len()];
-            for &i in &in_batch {
-                member[i] = true;
-            }
-            (0..matrix.len()).filter(|&i| !member[i]).collect()
-        };
+        let (batch, outside) = (&mut self.closure, &mut self.outside);
+        batch.clear();
+        batch.extend_from_slice(self.fair.first_batch());
+        outside.clear();
+        outside.extend((0..matrix.len()).filter(|i| !batch.contains(i)));
         let threshold = self.config.threshold;
-        let mut frontier: Vec<usize> = in_batch.clone();
-        while !frontier.is_empty() && !outside.is_empty() {
-            let mut absorbed: Vec<usize> = Vec::new();
+        let mut frontier = 0;
+        while frontier < batch.len() && !outside.is_empty() {
+            let round_end = batch.len();
             outside.retain(|&cand| {
-                let inseparable = frontier.iter().any(|&b| {
+                let inseparable = batch[frontier..round_end].iter().any(|&b| {
                     let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
                     p <= threshold
                 });
                 if inseparable {
-                    absorbed.push(cand);
+                    batch.push(cand);
                 }
                 !inseparable
             });
-            in_batch.extend_from_slice(&absorbed);
-            frontier = absorbed;
+            frontier = round_end;
         }
-        in_batch.sort_unstable();
-        Some(in_batch)
+        batch.sort_unstable();
+        Some(batch)
     }
 
     /// The one-shot sequencing outcome (fair order + diagnostics) over the
@@ -329,10 +333,9 @@ mod tests {
                         let k = rng.random_range(0usize..indices.len());
                         indices.remove(k);
                     }
-                    let ids: Vec<MessageId> =
-                        indices.iter().map(|&i| matrix.message(i).id).collect();
-                    matrix.remove_batch(&ids);
-                    core.remove_indices(&indices, &matrix);
+                    let removal = Removal::of(matrix.len(), &indices);
+                    matrix.remove_indices(&removal);
+                    core.remove_indices(&removal, &matrix);
                 } else {
                     let m = Message::new(
                         MessageId(next_id),
@@ -406,15 +409,16 @@ mod tests {
                         let k = rng.random_range(0usize..positions.len());
                         positions.remove(k);
                     }
+                    let removal = Removal::of(pending.len(), &positions);
                     for &p in positions.iter().rev() {
                         pending.remove(p);
                     }
                     if pending.is_empty() {
                         // The core still tracks the removal; compare against
                         // an empty state below.
-                        core.remove_indices(&positions, &PrecedenceMatrix::empty());
+                        core.remove_indices(&removal, &PrecedenceMatrix::empty());
                     } else {
-                        core.remove_indices(&positions, &rebuild_matrix(&pending));
+                        core.remove_indices(&removal, &rebuild_matrix(&pending));
                     }
                 } else if next < POOL {
                     pending.push(next);

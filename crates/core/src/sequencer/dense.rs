@@ -4,8 +4,8 @@
 //! [`SequencingCore`] tracks an externally maintained [`PrecedenceMatrix`]
 //! and every matrix mutation has to be mirrored into it. [`DenseEngine`]
 //! owns both, so that protocol is written once, here: an arrival is
-//! `matrix.insert` → `core.insert_last`, an emission `matrix.remove_batch` →
-//! `core.remove_indices`, a wholesale re-derivation
+//! `matrix.insert` → `core.insert_last`, an emission one [`Removal`] remap →
+//! `matrix.remove_indices` → `core.remove_indices`, a wholesale re-derivation
 //! `PrecedenceMatrix::compute` → `core.load`, and each of them
 //! drops the cached candidate. Its surface is the sparse engine's
 //! (`sequencer::sparse`), method for method, which is what lets the
@@ -14,43 +14,39 @@
 //! The engine does work proportional to *what changed*, not to the whole
 //! pending set:
 //!
-//! * The pairwise [`PrecedenceMatrix`] is maintained incrementally: each
-//!   arrival adds one row/column (O(n) new probability queries via
-//!   [`PrecedenceMatrix::insert`]) and each emission removes the batch's
-//!   rows/columns ([`PrecedenceMatrix::remove_batch`]) — never a from-scratch
-//!   O(n²) rebuild. The arrival column itself is filled through per-client
-//!   [`PairKernel`](crate::registry::PairKernel)s: the registry (locks,
-//!   hash lookups, dispatch) is consulted once per *distinct pending
-//!   client*, and each kernel then evaluates that client's contiguous
-//!   timestamp slice in one tight loop.
-//! * The tournament and its linear order are maintained *incrementally* too
-//!   ([`IncrementalTournament`]): an arrival orients its n new edges and one
-//!   scan over the maintained condensation blocks places it in the order;
-//!   an emission drops the batch's rows in place. Intransitivity cycles —
-//!   never produced by Gaussian offsets (Appendix A) — are absorbed by the
-//!   incremental FAS engine: only the one SCC the arrival strongly connects
-//!   is re-solved, so the whole arrival path is O(n) plus repairs bounded
-//!   by the touched component: n probability queries, n edge orientations,
-//!   zero `Tournament::from_matrix` rebuilds.
-//! * The §3.4 batch boundaries are maintained *incrementally* as well
+//! * The [`PrecedenceMatrix`] is maintained incrementally — one row/column
+//!   per arrival ([`PrecedenceMatrix::insert`], O(n) probability queries),
+//!   the batch's rows/columns out per emission
+//!   ([`PrecedenceMatrix::remove_indices`]), never an O(n²) rebuild. The
+//!   arrival column is one flat loop over the pending messages: the matrix
+//!   keeps each one's registry slot beside it, so a probability is an
+//!   indexed read of the client table (and, for a non-Gaussian pair, of the
+//!   class-pair difference table) plus its arithmetic — no hash, lock or
+//!   `Arc` refcount per pending message. The same slots price the candidate
+//!   (`mean_at`, and the cached `safe_margin_at` in place of a quantile
+//!   inversion per batch member).
+//! * An emission's index remap (which slots survive, where each lands) is
+//!   computed once, into engine-owned scratch, and followed by the matrix,
+//!   the tournament and the boundary engine alike.
+//! * The tournament and its linear order ([`IncrementalTournament`]): an
+//!   arrival orients its n new edges and one scan over the maintained
+//!   condensation blocks places it; an emission drops the batch's rows in
+//!   place. Intransitivity cycles — never produced by Gaussian offsets
+//!   (Appendix A) — are absorbed by the incremental FAS engine, which
+//!   re-solves only the one SCC the arrival strongly connects: zero
+//!   `Tournament::from_matrix` rebuilds.
+//! * The §3.4 batch boundaries
 //!   ([`IncrementalFairOrder`](crate::batching::IncrementalFairOrder), via
 //!   the shared [`SequencingCore`]): an arrival re-evaluates only the two
 //!   adjacencies at its insertion point and an emission one seam per removed
 //!   run, so a candidate recomputation reads the lowest-rank batch straight
-//!   off the maintained boundary set — no per-arrival
-//!   `FairOrder::from_linear_order` walk and no rank-index hashing.
-//! * The lowest-rank candidate batch (maintained boundaries → Appendix C
-//!   closure rule) is cached and only recomputed when the pending set
-//!   actually changes. Heartbeats and pure clock ticks reuse the cache,
-//!   so a tick with an unchanged pending set performs **zero** probability
+//!   off the maintained boundary set.
+//! * The candidate batch (that lowest-rank batch closed under the Appendix C
+//!   rule, a worklist: outsiders are compared only against members added
+//!   since they were last checked, O(n × batch) reads over reused scratch)
+//!   is cached and recomputed only when the pending set changes, so a
+//!   heartbeat or tick over an unchanged set performs **zero** probability
 //!   queries.
-//! * The candidate batch's safe emission time uses cached per-client
-//!   margins ([`DistributionRegistry::safe_margin`]) instead of one quantile
-//!   inversion per batch member.
-//! * The Appendix C closure rule runs as a worklist: each candidate
-//!   recomputation compares outsiders only against batch members added since
-//!   they were last checked — O(n × batch) comparisons total, not
-//!   O(rounds × n × batch).
 //!
 //! A late high-uncertainty message still merges into the open batch exactly
 //! as in the Appendix C worked example: its arrival invalidates the cache and
@@ -60,24 +56,18 @@ use crate::batching::FairOrderCounters;
 use crate::config::SequencerConfig;
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
-use crate::precedence::PrecedenceMatrix;
+use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::core::SequencingCore;
-use crate::sequencer::emission::batch_emission_time_over;
 use crate::tournament::IncrementalTournament;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 
-/// The cached lowest-rank candidate batch of the current pending set.
-///
-/// Holds matrix indices, not cloned messages: the candidate is recomputed
-/// on every pending-set change but only *emitted* once, so the message
-/// clone is deferred to emission time.
-#[derive(Debug, Clone)]
+/// The cached lowest-rank candidate batch of the current pending set; its
+/// members are `DenseEngine::members`.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
-    /// Matrix indices of the batch members, ascending.
-    indices: Vec<usize>,
     safe_after: f64,
     /// Largest timestamp in the batch: the watermark horizon.
     horizon: f64,
@@ -97,9 +87,16 @@ pub(crate) struct DenseEngine {
     /// Cached candidate batch; `None` means the pending set changed since the
     /// last computation (or is empty).
     candidate: Option<Candidate>,
+    /// Matrix indices of the cached candidate's members, ascending (valid
+    /// while `candidate` is `Some`). Indices, not cloned messages: the
+    /// candidate is recomputed on every pending-set change but *emitted*
+    /// once, so the message clone is deferred to emission time.
+    members: Vec<usize>,
     /// Matrix indices handed out by [`take_candidate`](Self::take_candidate)
     /// and not yet removed by [`commit_removal`](Self::commit_removal).
     pending_removal: Vec<usize>,
+    /// The index remap of the emission being committed (reused buffers).
+    removal: Removal,
     /// Source of the stochastic cycle-breaking draws.
     rng: StdRng,
 }
@@ -122,7 +119,9 @@ impl DenseEngine {
             matrix: PrecedenceMatrix::empty(),
             core: SequencingCore::new(config),
             candidate: None,
+            members: Vec::new(),
             pending_removal: Vec::new(),
+            removal: Removal::default(),
             rng: StdRng::seed_from_u64(0),
         }
     }
@@ -170,8 +169,17 @@ impl DenseEngine {
     /// pending messages (`+∞` when nothing is pending): an O(n) scan, which
     /// every dense arrival already pays.
     pub(crate) fn min_key(&self, registry: &DistributionRegistry) -> f64 {
-        let keys = self.matrix.messages().iter().map(|m| registry.adjusted_key(m));
+        let keys = (0..self.matrix.len()).map(|i| {
+            let (slot, timestamp) = self.keyed(i);
+            timestamp - registry.mean_at(slot)
+        });
         keys.fold(f64::INFINITY, f64::min)
+    }
+
+    /// The `(client slot, timestamp)` of the pending message at index `i`.
+    fn keyed(&self, i: usize) -> (ClientSlot, f64) {
+        let slot = self.matrix.slot(i).expect("pending clients are registered");
+        (slot, self.matrix.message(i).timestamp)
     }
 
     /// `(message id, starts_batch)` in the maintained tournament order,
@@ -228,24 +236,20 @@ impl DenseEngine {
         if self.candidate.is_none() {
             let rng = cycle_rng(self.core.config(), &mut self.rng);
             let indices = self.core.candidate_indices(&self.matrix, rng)?;
-            let members = indices.iter().map(|&i| self.matrix.message(i));
-            let safe_after = batch_emission_time_over(
-                registry,
-                members.clone().map(|m| (m.client, m.timestamp)),
-                self.core.config().p_safe,
-            );
-            let horizon = members
-                .map(|m| m.timestamp)
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.candidate = Some(Candidate {
-                indices,
-                safe_after,
-                horizon,
-            });
+            self.members.clear();
+            self.members.extend_from_slice(indices);
+            // T_b = max_k (T_k − Q_k(1 − p_safe)), as `batch_emission_time`.
+            let p_safe = self.core.config().p_safe;
+            let (mut safe_after, mut horizon) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for &i in &self.members {
+                let (slot, timestamp) = self.keyed(i);
+                safe_after = safe_after.max(timestamp - registry.safe_margin_at(slot, p_safe));
+                horizon = horizon.max(timestamp);
+            }
+            self.candidate = Some(Candidate { safe_after, horizon });
         }
-        self.candidate
-            .as_ref()
-            .map(|c| (c.indices.len(), c.safe_after, c.horizon))
+        let candidate = self.candidate?;
+        Some((self.members.len(), candidate.safe_after, candidate.horizon))
     }
 
     /// Take the candidate out of the cache (computing it first if needed):
@@ -260,26 +264,23 @@ impl DenseEngine {
     ) -> Option<(Vec<Message>, f64)> {
         self.candidate_meta(registry)?;
         let candidate = self.candidate.take().expect("just ensured");
-        let members = candidate.indices.iter().map(|&i| self.matrix.message(i));
+        let members = self.members.iter().map(|&i| self.matrix.message(i));
         let messages: Vec<Message> = members.cloned().collect();
         taken.clear();
-        taken.extend(messages.iter().map(|m| {
-            let slot = registry.slot_of(m.client);
-            (slot.expect("pending clients are registered"), m.timestamp)
-        }));
+        taken.extend(self.members.iter().map(|&i| self.keyed(i)));
         debug_assert!(self.pending_removal.is_empty(), "removal in flight");
-        self.pending_removal = candidate.indices;
+        std::mem::swap(&mut self.pending_removal, &mut self.members);
         Some((messages, candidate.safe_after))
     }
 
     /// Remove the members staged by [`take_candidate`](Self::take_candidate)
     /// from the matrix and, in lockstep, from the core (one boundary seam
-    /// per removed run).
+    /// per removed run): the one place an emission's remap is computed.
     pub(crate) fn commit_removal(&mut self, _registry: &DistributionRegistry) {
-        let removed = std::mem::take(&mut self.pending_removal);
-        let ids: Vec<MessageId> = removed.iter().map(|&i| self.matrix.message(i).id).collect();
-        self.matrix.remove_batch(&ids);
-        self.core.remove_indices(&removed, &self.matrix);
+        self.removal.set(self.matrix.len(), &self.pending_removal);
+        self.pending_removal.clear();
+        self.matrix.remove_indices(&self.removal);
+        self.core.remove_indices(&self.removal, &self.matrix);
         self.candidate = None;
     }
 

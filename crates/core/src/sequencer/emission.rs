@@ -19,7 +19,7 @@
 //! [`safe_emission_time_bisect`] implements that formulation and the tests
 //! check the two agree.
 
-use crate::message::{ClientId, Message};
+use crate::message::Message;
 use crate::registry::DistributionRegistry;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 use tommy_stats::quantile::bisect_increasing;
@@ -73,33 +73,11 @@ pub fn batch_emission_time(
     p_safe: f64,
 ) -> f64 {
     assert!(!batch.is_empty(), "cannot compute emission time of an empty batch");
-    batch_emission_time_over(registry, batch.iter().map(|m| (m.client, m.timestamp)), p_safe)
-}
-
-/// [`batch_emission_time`] over `(client, timestamp)` pairs — the form the
-/// online sequencer feeds straight from its precedence matrix, so a
-/// candidate recomputation never clones the batch's messages just to price
-/// it.
-///
-/// # Panics
-///
-/// Same contract as [`batch_emission_time`].
-pub fn batch_emission_time_over(
-    registry: &DistributionRegistry,
-    members: impl Iterator<Item = (ClientId, f64)>,
-    p_safe: f64,
-) -> f64 {
-    let mut latest = f64::NEG_INFINITY;
-    let mut any = false;
-    for (client, timestamp) in members {
-        any = true;
-        let margin = registry
-            .safe_margin(client, p_safe)
-            .unwrap_or_else(|_| panic!("no distribution for {client}"));
-        latest = latest.max(timestamp - margin);
-    }
-    assert!(any, "cannot compute emission time of an empty batch");
-    latest
+    let time_safe = batch.iter().map(|m| {
+        let margin = registry.safe_margin(m.client, p_safe);
+        m.timestamp - margin.unwrap_or_else(|_| panic!("no distribution for {}", m.client))
+    });
+    time_safe.fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]

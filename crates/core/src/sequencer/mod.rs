@@ -45,7 +45,7 @@ pub mod stream;
 pub mod watermark;
 
 pub use self::core::{SequencingCore, SequencingOutcome};
-pub use emission::{batch_emission_time, batch_emission_time_over, safe_emission_time};
+pub use emission::{batch_emission_time, safe_emission_time};
 pub use offline::TommySequencer;
 pub use online::{CandidateStatus, EmittedBatch, OnlineSequencer, OnlineStats};
 pub use sharded::ShardedSequencer;

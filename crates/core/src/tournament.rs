@@ -15,7 +15,7 @@
 //!   (the offline §3 pipeline).
 //! * [`IncrementalTournament`] — maintained edge-by-edge alongside an
 //!   incrementally updated matrix ([`PrecedenceMatrix::insert`] /
-//!   [`PrecedenceMatrix::remove_batch`]), with the linear order repaired in
+//!   [`PrecedenceMatrix::remove_indices`]), with the linear order repaired in
 //!   place: a new arrival is slotted into the maintained condensation (one
 //!   scan over its per-SCC blocks), and an intransitivity cycle — never
 //!   produced by Gaussian offsets (Appendix A) — re-solves only the one
@@ -26,7 +26,7 @@ use crate::config::SequencerConfig;
 use crate::graph::fas::{greedy_order, stochastic_order};
 use crate::graph::tarjan::strongly_connected_components;
 use crate::graph::toposort::{topological_sort, TopoResult};
-use crate::precedence::PrecedenceMatrix;
+use crate::precedence::{PrecedenceMatrix, Removal};
 use rand::RngCore;
 
 /// A tournament over the messages of a [`PrecedenceMatrix`].
@@ -466,12 +466,11 @@ impl IncrementalTournament {
         self.local_repairs += 1;
     }
 
-    /// Drop the nodes at (pre-removal) indices `removed`, compacting the
-    /// survivors exactly like [`PrecedenceMatrix::remove_batch`] does (the
-    /// relative order of survivors is preserved, so edge orientations carry
-    /// over unchanged). Call with the indices the matrix reported *before*
-    /// its own removal; `matrix` is the *post-removal* matrix (only read
-    /// when a partially-removed cyclic component must be re-solved).
+    /// Drop the nodes `removal` removes, compacting the survivors exactly
+    /// like [`PrecedenceMatrix::remove_indices`] does under the same remap
+    /// (the relative order of survivors is preserved, so edge orientations
+    /// carry over unchanged). `matrix` is the *post-removal* matrix (only
+    /// read when a partially-removed cyclic component must be re-solved).
     ///
     /// Removal can only *split* SCCs, never merge them, and each surviving
     /// component stays in its condensation slot — so untouched blocks keep
@@ -484,26 +483,13 @@ impl IncrementalTournament {
     /// as a pure subsequence restriction (no block needed re-solving) and
     /// `false` when it was reordered or invalidated — the signal the
     /// incremental batch-boundary engine follows in lockstep.
-    pub fn remove_indices(&mut self, removed: &[usize], matrix: &PrecedenceMatrix) -> bool {
-        if removed.is_empty() {
+    pub fn remove_indices(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) -> bool {
+        assert_eq!(removal.len(), self.n, "remap of another index space");
+        if removal.kept().len() == self.n {
             return !self.order_dirty;
         }
-        let n = self.n;
-        let mut keep = vec![true; n];
-        for &i in removed {
-            assert!(i < n, "removed index {i} out of range for {n} nodes");
-            keep[i] = false;
-        }
-        let kept: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
-        if kept.len() == n {
-            return !self.order_dirty;
-        }
-        let mut new_index = vec![usize::MAX; n];
-        for (a, &i) in kept.iter().enumerate() {
-            new_index[i] = a;
-        }
-        crate::grid::compact_square(&mut self.forward, self.stride, &kept);
-        self.n = kept.len();
+        crate::grid::compact_square(&mut self.forward, self.stride, removal.kept());
+        self.n = removal.kept().len();
         if self.order_dirty {
             return false;
         }
@@ -511,11 +497,9 @@ impl IncrementalTournament {
             // The induced sub-tournament of a transitive tournament is
             // transitive and its unique Hamiltonian path is the surviving
             // subsequence.
-            self.order.retain(|&v| keep[v]);
-            for v in &mut self.order {
-                *v = new_index[*v];
-            }
-            self.blocks = vec![1; self.n];
+            self.order.retain_mut(|v| removal.new_index(*v).map(|a| *v = a).is_some());
+            // All-singleton blocks, one per survivor.
+            self.blocks.truncate(self.n);
             return true;
         }
         if !self.incremental_fas {
@@ -535,26 +519,25 @@ impl IncrementalTournament {
         for &len in &old_blocks {
             let members = &old_order[pos..pos + len];
             pos += len;
-            let surviving: Vec<usize> = members.iter().copied().filter(|&m| keep[m]).collect();
-            if surviving.is_empty() {
-                continue;
-            }
-            if surviving.len() == len || surviving.len() == 1 {
-                // Untouched component (cached order carries over), or a lone
-                // survivor (trivially its own SCC): a pure restriction.
-                if surviving.len() > 1 {
-                    cyclic += 1;
+            // Survivors, by post-removal index, straight onto the new order.
+            let start = new_order.len();
+            new_order.extend(members.iter().filter_map(|&m| removal.new_index(m)));
+            let surviving = new_order.len() - start;
+            if surviving == len || surviving <= 1 {
+                // Untouched component (cached order carries over), a lone
+                // survivor (trivially its own SCC) or none: a pure restriction.
+                if surviving > 0 {
+                    cyclic += usize::from(surviving > 1);
+                    new_blocks.push(surviving);
                 }
-                new_blocks.push(surviving.len());
-                new_order.extend(surviving.iter().map(|&m| new_index[m]));
                 continue;
             }
             // A cyclic component lost some members: its survivors may have
             // split into several SCCs. Re-derive the sub-condensation and
             // repair each cyclic sub-component locally.
             restriction = false;
-            let local: Vec<usize> = surviving.iter().map(|&m| new_index[m]).collect();
-            for mut component in self.sub_components(&local) {
+            let surviving = new_order.split_off(start);
+            for mut component in self.sub_components(&surviving) {
                 if component.len() > 1 {
                     component.sort_unstable();
                     let prob = |a: usize, b: usize| matrix.prob(a, b);
@@ -987,8 +970,9 @@ mod tests {
             .iter()
             .map(|id| matrix.index_of(*id).unwrap())
             .collect();
-        matrix.remove_batch(&removed_ids);
-        inc.remove_indices(&removed_indices, &matrix);
+        let removal = Removal::of(matrix.len(), &removed_indices);
+        matrix.remove_indices(&removal);
+        inc.remove_indices(&removal, &matrix);
         assert_tournaments_identical(&mut inc, &matrix);
         assert_eq!(inc.full_rebuilds(), 0);
     }
@@ -1026,10 +1010,9 @@ mod tests {
                         let k = rng.random_range(0usize..indices.len());
                         indices.remove(k);
                     }
-                    let ids: Vec<MessageId> =
-                        indices.iter().map(|&i| matrix.message(i).id).collect();
-                    matrix.remove_batch(&ids);
-                    inc.remove_indices(&indices, &matrix);
+                    let removal = Removal::of(matrix.len(), &indices);
+                    matrix.remove_indices(&removal);
+                    inc.remove_indices(&removal, &matrix);
                 } else {
                     let m = Message::new(
                         MessageId(next_id),
@@ -1095,13 +1078,14 @@ mod tests {
                         let k = rng.random_range(0usize..positions.len());
                         positions.remove(k);
                     }
+                    let removal = Removal::of(pending.len(), &positions);
                     for &p in positions.iter().rev() {
                         pending.remove(p);
                     }
                     if pending.is_empty() {
-                        inc.remove_indices(&positions, &PrecedenceMatrix::empty());
+                        inc.remove_indices(&removal, &PrecedenceMatrix::empty());
                     } else {
-                        inc.remove_indices(&positions, &rebuild_matrix(&pending));
+                        inc.remove_indices(&removal, &rebuild_matrix(&pending));
                     }
                 } else if next < POOL {
                     pending.push(next);

@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::core::graph::fas;
-use tommy::core::precedence::PrecedenceMatrix;
+use tommy::core::precedence::{PrecedenceMatrix, Removal};
 use tommy::core::tournament::{IncrementalTournament, Tournament};
 use tommy::core::sequencer::online::EmittedBatch;
 use tommy::prelude::*;
@@ -71,13 +71,14 @@ fn incremental_fas_matches_exhaustive_feedback_arc_cost() {
                     let k = rng.random_range(0usize..positions.len());
                     positions.remove(k);
                 }
+                let removal = Removal::of(pending.len(), &positions);
                 for &p in positions.iter().rev() {
                     pending.remove(p);
                 }
                 if pending.is_empty() {
-                    inc.remove_indices(&positions, &PrecedenceMatrix::empty());
+                    inc.remove_indices(&removal, &PrecedenceMatrix::empty());
                 } else {
-                    inc.remove_indices(&positions, &rebuild_matrix(&pending));
+                    inc.remove_indices(&removal, &rebuild_matrix(&pending));
                 }
             } else if next < POOL {
                 pending.push(next);

@@ -19,7 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::core::batching::FairOrder;
-use tommy::core::precedence::PrecedenceMatrix;
+use tommy::core::precedence::{PrecedenceMatrix, Removal};
+use tommy::core::CoreError;
 use tommy::core::sequencer::emission::safe_emission_time;
 use tommy::core::tournament::Tournament;
 use tommy::prelude::*;
@@ -254,4 +255,211 @@ fn online_sequencer_emits_identical_batch_sequence_to_legacy_reference() {
         }
         assert!(pending.is_empty(), "seed {seed}: flush must drain everything");
     }
+}
+
+/// `maintained` equals `PrecedenceMatrix::compute` over `pending`, to the
+/// bit, both through `registry` and through a registry registered afresh
+/// with the same distributions — whose caches cannot be stale.
+fn assert_same_matrix(
+    maintained: &PrecedenceMatrix,
+    pending: &[Message],
+    registry: &DistributionRegistry,
+    at: &str,
+) {
+    assert_eq!(maintained.len(), pending.len(), "{at}: size");
+    if pending.is_empty() {
+        return;
+    }
+    let mut fresh = DistributionRegistry::with_numerics(GRID_POINTS);
+    for client in registry.clients() {
+        fresh.register(client, registry.get(client).unwrap().clone());
+    }
+    for (which, reference) in [("live", registry), ("fresh", &fresh)] {
+        let computed = PrecedenceMatrix::compute(pending, reference).unwrap();
+        for i in 0..pending.len() {
+            assert_eq!(maintained.message(i).id, pending[i].id, "{at}: slot {i}");
+            for j in 0..pending.len() {
+                assert_eq!(
+                    maintained.prob(i, j).to_bits(),
+                    computed.prob(i, j).to_bits(),
+                    "{at}: cell ({i},{j}) against the {which} registry"
+                );
+            }
+        }
+    }
+}
+
+/// Coarse grids: the staleness test rebuilds every one of them per step.
+const GRID_POINTS: usize = 128;
+
+/// The one thing the flat column can get wrong that the per-group fill
+/// could not: a kernel read from a table that outlived the registration it
+/// was built for. A seeded interleaving of inserts, `remove_indices` and
+/// re-registrations — of clients with and without pending messages, across
+/// Gaussian ↔ Laplace ↔ uniform ↔ empirical, with two clients sharing one
+/// distribution and a freed class index taken by a new distribution — after
+/// every step of which the maintained matrix equals a from-scratch `compute`
+/// to the bit, and every insert counts exactly `n` queries.
+#[test]
+fn maintained_matrix_survives_reregistration_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(4242);
+    let empirical = {
+        let g = Gaussian::new(-0.5, 2.0);
+        let samples: Vec<f64> = (0..200).map(|_| g.sample(&mut rng)).collect();
+        OffsetDistribution::empirical(&samples)
+    };
+    let shared = OffsetDistribution::laplace(0.0, 2.0);
+    let mut registry = DistributionRegistry::with_numerics(GRID_POINTS);
+    for c in 0..CLIENTS {
+        registry.register(ClientId(c), OffsetDistribution::gaussian(0.1 * c as f64, 1.0 + c as f64));
+    }
+    // (client, new distribution, drop its pending messages first?)
+    let script = [
+        (1, shared.clone(), false),                              // Gaussian -> Laplace, pending
+        (2, shared.clone(), true),                               // a second holder of that class
+        (0, OffsetDistribution::laplace(1.0, 3.0), false),       // a second class
+        (0, empirical, false),                                   // Laplace -> empirical
+        (3, OffsetDistribution::uniform(-4.0, 2.0), true),       // a class with one holder ...
+        (3, OffsetDistribution::gaussian(0.0, 2.5), true),       // ... freed ...
+        (4, OffsetDistribution::laplace(-1.0, 1.5), true),       // ... and its index taken
+        (1, OffsetDistribution::gaussian(0.3, 1.2), false),      // one sharer leaves, 2 holds on
+        (2, OffsetDistribution::gaussian(0.0, 4.0), true),       // the class's last holder leaves
+        (0, OffsetDistribution::gaussian(0.0, 1.0), false),      // a Gaussian census again
+        (4, shared, false),                                      // and back to numeric
+    ];
+
+    let mut matrix = PrecedenceMatrix::empty();
+    let mut pending: Vec<Message> = Vec::new();
+    let mut floor = vec![0.0f64; CLIENTS as usize];
+    let mut next_id = 0u64;
+    let (mut flipped_pending, mut flipped_idle) = (0, 0);
+    for (step, (client, distribution, idle)) in script.into_iter().enumerate() {
+        for op in 0..10 {
+            let at = format!("step {step} op {op}");
+            if pending.len() > 3 && rng.random_range(0u32..4) == 0 {
+                let count = rng.random_range(1..pending.len());
+                let mut removed: Vec<usize> = (0..pending.len()).collect();
+                for _ in 0..pending.len() - count {
+                    removed.remove(rng.random_range(0..removed.len()));
+                }
+                matrix.remove_indices(&Removal::of(matrix.len(), &removed));
+                for &i in removed.iter().rev() {
+                    pending.remove(i);
+                }
+            } else {
+                let c = rng.random_range(0..CLIENTS);
+                floor[c as usize] += rng.random_range(0.0..6.0);
+                let message = Message::new(MessageId(next_id), ClientId(c), floor[c as usize]);
+                next_id += 1;
+                let before = registry.query_count();
+                assert_eq!(matrix.insert(message.clone(), &registry).unwrap(), pending.len(), "{at}");
+                assert_eq!(registry.query_count() - before, pending.len() as u64, "{at}: queries");
+                pending.push(message);
+            }
+            assert_same_matrix(&matrix, &pending, &registry, &at);
+        }
+
+        let at = format!("step {step} re-registration of client {client}");
+        let held: Vec<usize> =
+            (0..pending.len()).filter(|&i| pending[i].client == ClientId(client)).collect();
+        if idle {
+            matrix.remove_indices(&Removal::of(matrix.len(), &held));
+            pending.retain(|m| m.client != ClientId(client));
+        }
+        registry.register(ClientId(client), distribution);
+        if !idle && !held.is_empty() {
+            // The stored cells of a pending client are stale by definition:
+            // the engine re-derives them (`DenseEngine::rebuild_from`), and
+            // later arrivals land on the slots `compute` resolved.
+            matrix = PrecedenceMatrix::compute(&pending, &registry).unwrap();
+            flipped_pending += 1;
+        } else {
+            flipped_idle += 1;
+        }
+        assert_same_matrix(&matrix, &pending, &registry, &at);
+    }
+    assert!(flipped_pending >= 3 && flipped_idle >= 3, "{flipped_pending} / {flipped_idle}");
+}
+
+/// Errors are the per-call loop's, for the pair it fails on first, with its
+/// query accounting, and they leave the matrix as it was — including the
+/// historical successes: an unregistered client into an empty matrix, or
+/// into one holding only its own messages.
+#[test]
+fn insert_errors_match_the_per_call_loop_and_change_nothing() {
+    let mut registry = DistributionRegistry::new();
+    registry.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
+    registry.register(ClientId(1), OffsetDistribution::laplace(0.0, 2.0));
+    registry.register(ClientId(2), OffsetDistribution::gaussian(1.0, 2.0));
+    let stranger = ClientId(9);
+    let raw = |id: u64, client: ClientId, timestamp: f64| Message {
+        id: MessageId(id),
+        client,
+        timestamp,
+        true_time: None,
+    };
+    // What the id check plus the per-call loop return for `new` against
+    // `matrix`, and the queries they count getting there.
+    let per_call = |matrix: &PrecedenceMatrix, new: &Message| {
+        if matrix.index_of(new.id).is_some() {
+            return (Err(CoreError::DuplicateMessage(new.id)), 0);
+        }
+        let before = registry.query_count();
+        let result = matrix
+            .messages()
+            .iter()
+            .try_for_each(|m| registry.preceding_probability(m, new).map(|_| ()));
+        (result, registry.query_count() - before)
+    };
+    let check = |matrix: &mut PrecedenceMatrix, new: Message, what: &str| {
+        let snapshot = matrix.clone();
+        let (expected, expected_queries) = per_call(matrix, &new);
+        let before = registry.query_count();
+        let got = matrix.insert(new, &registry);
+        assert_eq!(got.clone().map(|_| ()), expected, "{what}");
+        assert_eq!(registry.query_count() - before, expected_queries, "{what}: queries");
+        if got.is_err() {
+            assert_eq!(matrix.len(), snapshot.len(), "{what}: size");
+            for i in 0..snapshot.len() {
+                assert_eq!(matrix.message(i), snapshot.message(i), "{what}: slot {i}");
+                for j in 0..snapshot.len() {
+                    assert_eq!(matrix.prob(i, j).to_bits(), snapshot.prob(i, j).to_bits(), "{what}");
+                }
+            }
+        }
+        got
+    };
+
+    // An unregistered client: into an empty matrix and onto its own messages
+    // it needs no distribution; a registered client then fails against it.
+    let mut own = PrecedenceMatrix::empty();
+    assert_eq!(check(&mut own, raw(0, stranger, 5.0), "stranger, empty"), Ok(0));
+    assert_eq!(check(&mut own, raw(1, stranger, 3.0), "stranger, own"), Ok(1));
+    assert_eq!((own.prob(0, 1), own.prob(1, 0)), (0.0, 1.0));
+    assert_eq!(
+        check(&mut own, raw(2, ClientId(0), 4.0), "registered onto stranger"),
+        Err(CoreError::UnknownClient(stranger))
+    );
+
+    let mut matrix = PrecedenceMatrix::empty();
+    for (id, client, ts) in [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0), (3, 0, 4.0)] {
+        check(&mut matrix, raw(id, ClientId(client), ts), "fill").unwrap();
+    }
+    // The id check comes first, whoever sends it.
+    assert_eq!(
+        check(&mut matrix, raw(2, stranger, 9.0), "duplicate id"),
+        Err(CoreError::DuplicateMessage(MessageId(2)))
+    );
+    assert_eq!(
+        check(&mut matrix, raw(4, stranger, 9.0), "stranger onto registered"),
+        Err(CoreError::UnknownClient(stranger))
+    );
+    // A NaN timestamp: its own client's cell is ½ (the same-client rule) and
+    // a difference grid's tail is a number, so the first NaN cell is the
+    // first one against another Gaussian client.
+    assert_eq!(
+        check(&mut matrix, raw(4, ClientId(0), f64::NAN), "NaN timestamp"),
+        Err(CoreError::InvalidProbability { left: MessageId(2), right: MessageId(4) })
+    );
+    assert_eq!(check(&mut matrix, raw(4, ClientId(1), 5.0), "and on it goes"), Ok(4));
 }
