@@ -6,7 +6,9 @@ file under crates/*/src (the lines before its first `#[cfg(test)]`) must be
 named somewhere else: in another file, or again in the non-test part of its
 own. A file whose top-level `pub` items are all unnamed elsewhere is reported
 as a caller-less module. `use` statements are not callers (a re-export keeps
-nothing alive). Run from the repository root; exits 1 with the findings.
+nothing alive) and neither is anything after `//` on a line: prose and doc
+examples mention a name without running it. Run from the repository root;
+exits 1 with the findings.
 """
 import glob, re, sys
 from collections import Counter
@@ -16,10 +18,11 @@ ALLOW = {}
 
 DECL = re.compile(r"^( *)pub (?:const |unsafe )*(?:fn|struct|enum|trait|const|type) (\w+)", re.M)
 USE = re.compile(r"\b(?:pub )?use [^;]*;")
+COMMENT = re.compile(r"//.*")
 CALLERS = ("crates/*/src/**/*.rs", "crates/*/tests/*.rs", "crates/*/benches/*.rs",
            "src/**/*.rs", "tests/*.rs", "examples/*.rs", "perfbench/src/**/*.rs")
 
-words = lambda text: Counter(re.findall(r"\w+", USE.sub("", text)))
+words = lambda text: Counter(re.findall(r"\w+", USE.sub("", COMMENT.sub("", text))))
 named_in = {p: words(open(p).read()) for pat in CALLERS for p in glob.glob(pat, recursive=True)}
 dead = []
 for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):

@@ -1,10 +1,10 @@
-//! Ablation A3 bench: FFT versus direct convolution when building the
-//! difference distribution f_Δθ (§3.3's log-linear optimization), plus the
-//! single preceding-probability costs (Gaussian closed form vs numeric).
+//! Ablation A3 bench: FFT versus direct convolution of the two density
+//! arrays a difference distribution f_Δθ is built from (§3.3's log-linear
+//! optimization), plus the Gaussian closed-form preceding probability.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use tommy_stats::convolution::{difference_distribution, ConvolutionMethod};
+use tommy_stats::convolution::{convolve_direct, convolve_fft};
 use tommy_stats::discretized::DiscretizedPdf;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_stats::gaussian::Gaussian;
@@ -22,12 +22,13 @@ fn convolution_bench(c: &mut Criterion) {
             points,
         );
         let b = DiscretizedPdf::from_distribution(&OffsetDistribution::laplace(0.0, 10.0), points);
+        let (a, b) = (a.densities(), b.densities());
         group.bench_with_input(BenchmarkId::new("fft", points), &points, |bencher, _| {
-            bencher.iter(|| difference_distribution(&a, &b, ConvolutionMethod::Fft))
+            bencher.iter(|| convolve_fft(a, b))
         });
         if points <= 1024 {
             group.bench_with_input(BenchmarkId::new("direct", points), &points, |bencher, _| {
-                bencher.iter(|| difference_distribution(&a, &b, ConvolutionMethod::Direct))
+                bencher.iter(|| convolve_direct(a, b))
             });
         }
     }

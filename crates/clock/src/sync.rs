@@ -37,15 +37,6 @@ impl PathModel {
         }
     }
 
-    /// An asymmetric path (different forward and reverse delay models); path
-    /// asymmetry is the dominant source of offset-estimation error.
-    pub fn asymmetric(forward: OffsetDistribution, reverse: OffsetDistribution) -> Self {
-        PathModel {
-            forward,
-            reverse,
-        }
-    }
-
     fn sample_forward(&self, rng: &mut dyn RngCore) -> f64 {
         self.forward.sample(rng).max(0.0)
     }
@@ -159,10 +150,10 @@ mod tests {
         // Forward path is 10 units slower on average than reverse; the
         // client-offset estimate is biased by about half of that.
         let clock = ClockModel::gaussian(0.0, 0.0);
-        let path = PathModel::asymmetric(
-            OffsetDistribution::uniform(14.9, 15.1),
-            OffsetDistribution::uniform(4.9, 5.1),
-        );
+        let path = PathModel {
+            forward: OffsetDistribution::uniform(14.9, 15.1),
+            reverse: OffsetDistribution::uniform(4.9, 5.1),
+        };
         let mut session = SyncSession::new(clock, path, 1.0, 0.0);
         let mut rng = StdRng::seed_from_u64(9);
         session.run_until(1_000.0, &mut rng);

@@ -31,13 +31,6 @@ pub struct UncertaintyInterval {
     pub hi: f64,
 }
 
-impl UncertaintyInterval {
-    /// Whether two intervals overlap (closed-interval semantics).
-    pub fn overlaps(&self, other: &UncertaintyInterval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-}
-
 impl<'a> TrueTimeSequencer<'a> {
     /// Create a TrueTime baseline using `±3σ` intervals (the paper's choice).
     pub fn new(registry: &'a DistributionRegistry) -> Self {
@@ -173,15 +166,5 @@ mod tests {
             tt.sequence(&[msg(0, 5, 0.0)]),
             Err(CoreError::UnknownClient(ClientId(5)))
         );
-    }
-
-    #[test]
-    fn interval_overlap_helper() {
-        let a = UncertaintyInterval { lo: 0.0, hi: 10.0 };
-        let b = UncertaintyInterval { lo: 10.0, hi: 20.0 };
-        let c = UncertaintyInterval { lo: 10.1, hi: 20.0 };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 }

@@ -105,7 +105,7 @@ use crate::registry::DistributionRegistry;
 use crate::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
 use crate::sequencer::sharded::ShardedSequencer;
 use crate::sequencer::{register_all, SequencingCore, StreamEngine};
-use crate::session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
+use crate::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 
 /// Fixed network delay added to a message's true time to form its earliest
 /// arrival; the sequencer clock never runs backwards, so a reordered
@@ -676,15 +676,6 @@ impl ModelSpec {
         Ok((judged, enumeration.symmetry_pruned))
     }
 
-    /// Enumerate every admissible delivery schedule (up to
-    /// [`ModelSpec::max_schedules`]). Returns the schedules (as indices into
-    /// [`ModelSpec::messages`], in delivery order) and whether the cap was
-    /// hit.
-    pub fn enumerate_schedules(&self) -> (Vec<Vec<usize>>, bool) {
-        let enumeration = self.enumerate();
-        (enumeration.schedules, enumeration.truncated)
-    }
-
     /// Group clients into exchangeability orbits: two clients share an
     /// orbit when they are fully interchangeable — identical claimed
     /// distribution *and* bit-identical `(timestamp, true-time)` message
@@ -729,7 +720,9 @@ impl ModelSpec {
         by_truth
     }
 
-    /// Enumerate the schedule space with reduction accounting.
+    /// Enumerate every admissible delivery schedule (as indices into
+    /// [`ModelSpec::messages`], in delivery order, up to
+    /// [`ModelSpec::max_schedules`]) with reduction accounting.
     fn enumerate(&self) -> Enumeration {
         let by_truth = self.by_truth();
         let orbits = self.orbit_members();
@@ -752,8 +745,7 @@ impl ModelSpec {
         enumeration
     }
 
-    /// DFS over the schedule space (see
-    /// [`enumerate_schedules`](Self::enumerate_schedules)).
+    /// DFS over the schedule space (see [`enumerate`](Self::enumerate)).
     #[allow(clippy::too_many_arguments)]
     fn explore(
         &self,
@@ -1300,9 +1292,14 @@ struct ClientStream {
 }
 
 impl ClientStream {
-    /// The fin's sequence number: one past the last data frame.
-    fn fin(&self) -> u64 {
-        (self.sent.len() - 1) as u64
+    /// The sent frame with this sequence number reaches the validator (a
+    /// delivery, its duplicate, or a retransmission); the message indices
+    /// that releases are appended to `released`.
+    fn take(&mut self, sequence: usize, clock: f64, released: &mut Vec<usize>) {
+        let payload = self.sent[sequence];
+        let fin = payload.is_none();
+        self.validator
+            .accept(sequence as u64, payload, fin, clock, |payload| released.extend(payload));
     }
 }
 
@@ -1350,8 +1347,7 @@ impl<'a> FaultLayer<'a> {
     /// Whether `client`'s stream is still blocked on a hole: its closing
     /// heartbeat is sequenced behind the hole, so its owner stays silent.
     fn blocked(&self, client: ClientId) -> bool {
-        let stream = &self.streams[&client];
-        stream.validator.next_expected() <= stream.fin()
+        !self.streams[&client].validator.complete()
     }
 
     /// `client`'s frame carrying `payload` reaches its validator; whatever
@@ -1364,13 +1360,9 @@ impl<'a> FaultLayer<'a> {
     ) -> Result<(), CoreError> {
         let stream = self.streams.get_mut(&client).expect("stream per client");
         let sequence = stream.sent.iter().position(|sent| *sent == payload);
-        let sequence = sequence.expect("a frame the client sent") as u64;
-        let clock = run.channels.clock;
-        let released = stream.validator.accept(sequence, payload, clock);
-        for idx in released.into_iter().flatten() {
-            run.submit(idx)?;
-        }
-        Ok(())
+        let mut released = Vec::new();
+        stream.take(sequence.expect("a frame the client sent"), run.channels.clock, &mut released);
+        released.into_iter().try_for_each(|idx| run.submit(idx))
     }
 
     /// The network's part of a delivery round: schedule position `p`'s
@@ -1406,25 +1398,21 @@ impl<'a> FaultLayer<'a> {
     fn pump_recovery<E: StreamEngine>(&mut self, run: &mut Replay<'_, E>) -> Result<(), CoreError> {
         let clock = run.channels.clock;
         loop {
-            let mut released_payloads: Vec<usize> = Vec::new();
+            let mut released: Vec<usize> = Vec::new();
             let mut progressed = false;
-            for ClientStream { validator, sent } in self.streams.values_mut() {
-                let polled = validator.poll(clock);
-                let mut released = polled.released;
-                for action in polled.actions {
-                    let SessionAction::RequestRetransmit { sequence } = action;
-                    progressed = true;
-                    // Retransmission modeled as an immediate, successful
-                    // redelivery answered from the sender's history.
-                    let resent = sent.get(usize::try_from(sequence).expect("small model"));
-                    released.extend(validator.accept(sequence, resent.copied().flatten(), clock));
+            for stream in self.streams.values_mut() {
+                let mut due = Vec::new();
+                let validator = &mut stream.validator;
+                validator.poll(clock, |payload| released.extend(payload), |sequence| due.push(sequence));
+                progressed |= !due.is_empty();
+                // Retransmission modeled as an immediate, successful
+                // redelivery answered from the sender's history.
+                for sequence in due {
+                    stream.take(sequence as usize, clock, &mut released);
                 }
-                released_payloads.extend(released.into_iter().flatten());
             }
-            progressed |= !released_payloads.is_empty();
-            for idx in released_payloads {
-                run.submit(idx)?;
-            }
+            progressed |= !released.is_empty();
+            released.into_iter().try_for_each(|idx| run.submit(idx))?;
             if !progressed {
                 return Ok(());
             }

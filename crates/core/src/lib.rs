@@ -110,7 +110,7 @@ pub use relation::LikelyHappenedBefore;
 pub use sequencer::offline::TommySequencer;
 pub use sequencer::online::{CandidateStatus, OnlineSequencer, OnlineStats};
 pub use sequencer::{SequencingCore, SequencingOutcome};
-pub use session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
+pub use session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 pub use tournament::{IncrementalTournament, Tournament};
 
 /// Commonly used items, re-exported for convenience.

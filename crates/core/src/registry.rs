@@ -56,10 +56,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tommy_stats::clamp_probability;
-use tommy_stats::convolution::{difference_distribution, ConvolutionMethod};
+use tommy_stats::convolution::difference_distribution;
 use tommy_stats::discretized::DiscretizedPdf;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
-use tommy_stats::erf::std_normal_inv_cdf;
 use tommy_stats::gaussian::Gaussian;
 
 /// Dense index of a registered client: assigned at first registration, in
@@ -500,7 +499,7 @@ impl DistributionRegistry {
         // difference_distribution(a, b) returns the PDF of (b − a); we want
         // δ_i − δ_j, so pass (f_j, f_i).
         let (f_i, f_j) = (grid(key.0), grid(key.1));
-        let diff = Arc::new(difference_distribution(&f_j, &f_i, ConvolutionMethod::Auto));
+        let diff = Arc::new(difference_distribution(&f_j, &f_i));
         let (a, b) = (key.0 as usize, key.1 as usize);
         let mut table = self.differences.write();
         if table.len() <= a {
@@ -699,37 +698,18 @@ impl DistributionRegistry {
     }
 
     /// The largest timestamp difference `d = T_i − T_j` at which a message
-    /// from `client_i` still *violates fairness* against an already-emitted
-    /// message from `client_j`, i.e. the largest `d` with
-    /// `P(i precedes j | T_i − T_j = d) >= 1 − threshold`.
+    /// from the client in slot `si` still *violates fairness* against an
+    /// already-emitted message from the one in `sj`, i.e. the largest `d`
+    /// with `P(i precedes j | T_i − T_j = d) >= 1 − threshold`.
     ///
     /// Because the preceding probability is monotone decreasing in
     /// `T_i − T_j`, a per-client-pair margin converts the per-arrival
     /// violation check from a probability query into a plain timestamp
     /// comparison: `violates ⇔ T_i − T_j <= margin`. The margin depends only
     /// on the two clients' distributions and the threshold, so the online
-    /// sequencer caches it per pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownClient`] if either client is unregistered.
-    pub fn violation_margin(
-        &self,
-        client_i: ClientId,
-        client_j: ClientId,
-        threshold: f64,
-    ) -> Result<f64, CoreError> {
-        assert!(
-            threshold > 0.5 && threshold < 1.0,
-            "threshold must be in (0.5, 1.0), got {threshold}"
-        );
-        let (si, sj) = (self.slot_of(client_i)?, self.slot_of(client_j)?);
-        Ok(self.violation_margin_at(si, sj, threshold, std_normal_inv_cdf(1.0 - threshold)))
-    }
-
-    /// [`violation_margin`](Self::violation_margin) for already-resolved
-    /// slots; the caller supplies `z_low = Φ⁻¹(1 − threshold)` (the online
-    /// shell computes it once per configuration).
+    /// sequencer caches it per pair. The caller supplies
+    /// `z_low = Φ⁻¹(1 − threshold)` (the shell computes it once per
+    /// configuration).
     pub(crate) fn violation_margin_at(
         &self,
         si: ClientSlot,
@@ -760,6 +740,7 @@ impl DistributionRegistry {
 mod tests {
     use super::*;
     use crate::message::MessageId;
+    use tommy_stats::erf::std_normal_inv_cdf;
     use tommy_stats::gaussian::Gaussian;
 
     fn msg(id: u64, client: u32, ts: f64) -> Message {
@@ -768,6 +749,14 @@ mod tests {
 
     fn cached_differences(reg: &DistributionRegistry) -> usize {
         reg.differences.read().iter().flatten().flatten().count()
+    }
+
+    impl DistributionRegistry {
+        /// `violation_margin_at` by client id, as the shell calls it.
+        fn violation_margin(&self, i: ClientId, j: ClientId, threshold: f64) -> Result<f64, CoreError> {
+            let (si, sj) = (self.slot_of(i)?, self.slot_of(j)?);
+            Ok(self.violation_margin_at(si, sj, threshold, std_normal_inv_cdf(1.0 - threshold)))
+        }
     }
 
     #[test]

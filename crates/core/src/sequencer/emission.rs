@@ -15,14 +15,13 @@
 //!
 //! so the smallest safe time is `T_i − Q_{δ_i}(1 − p_safe)`, where `Q` is the
 //! quantile function of the client's offset distribution. The paper suggests
-//! finding `T^F_i` "by a binary search on the future timestamps";
-//! [`safe_emission_time_bisect`] implements that formulation and the tests
-//! check the two agree.
+//! finding `T^F_i` "by a binary search on the future timestamps"; the test
+//! module implements that formulation (`safe_emission_time_bisect`) and
+//! checks the two agree.
 
 use crate::message::Message;
 use crate::registry::DistributionRegistry;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
-use tommy_stats::quantile::bisect_increasing;
 
 /// The smallest sequencer-clock time `T^F` such that
 /// `P(T* < T^F) >= p_safe` for a message with local timestamp `timestamp`
@@ -33,26 +32,6 @@ pub fn safe_emission_time(dist: &OffsetDistribution, timestamp: f64, p_safe: f64
         "p_safe must be in (0.5, 1.0), got {p_safe}"
     );
     timestamp - dist.quantile(1.0 - p_safe)
-}
-
-/// The same quantity computed by the paper's binary-search formulation:
-/// search for the smallest `T^F` in `[timestamp + lo_margin, timestamp +
-/// hi_margin]` with `P(T* < T^F) >= p_safe`.
-pub fn safe_emission_time_bisect(
-    dist: &OffsetDistribution,
-    timestamp: f64,
-    p_safe: f64,
-) -> f64 {
-    assert!(
-        p_safe > 0.5 && p_safe < 1.0,
-        "p_safe must be in (0.5, 1.0), got {p_safe}"
-    );
-    let (support_lo, support_hi) = dist.support();
-    // T* = T − δ ranges over [T − support_hi, T − support_lo].
-    let lo = timestamp - support_hi;
-    let hi = timestamp - support_lo;
-    let prob = |tf: f64| 1.0 - dist.cdf(timestamp - tf);
-    bisect_increasing(prob, lo, hi, p_safe, (hi - lo).max(1e-9) * 1e-9).unwrap_or(hi)
 }
 
 /// The safe emission time for a whole batch: `T_b = max_k T^F_k`.
@@ -85,6 +64,19 @@ mod tests {
     use super::*;
     use crate::message::{ClientId, MessageId};
     use tommy_stats::erf::std_normal_inv_cdf;
+    use tommy_stats::quantile::bisect_increasing;
+
+    /// `safe_emission_time` by the paper's binary-search formulation: the
+    /// smallest `T^F` over the support of `T* = T − δ` with
+    /// `P(T* < T^F) >= p_safe`.
+    fn safe_emission_time_bisect(dist: &OffsetDistribution, timestamp: f64, p_safe: f64) -> f64 {
+        let (support_lo, support_hi) = dist.support();
+        // T* = T − δ ranges over [T − support_hi, T − support_lo].
+        let lo = timestamp - support_hi;
+        let hi = timestamp - support_lo;
+        let prob = |tf: f64| 1.0 - dist.cdf(timestamp - tf);
+        bisect_increasing(prob, lo, hi, p_safe, (hi - lo).max(1e-9) * 1e-9).unwrap_or(hi)
+    }
 
     #[test]
     fn gaussian_safe_time_matches_analytic_form() {

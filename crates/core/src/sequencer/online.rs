@@ -61,7 +61,7 @@
 //!   table by it, and the watermark is a winner tree ([`WatermarkTracker`]).
 //! * The per-arrival fairness-violation check against the last emitted batch
 //!   uses per-client-pair margins
-//!   ([`DistributionRegistry::violation_margin`]) instead of one probability
+//!   (`DistributionRegistry::violation_margin_at`) instead of one probability
 //!   query per emitted message.
 
 use crate::batching::{FairOrder, FairOrderCounters};

@@ -142,34 +142,15 @@ impl WatermarkTracker {
     }
 
     /// Temporarily exclude a client from the watermark (failure suspected:
-    /// it has been silent past the staleness deadline). Unlike
-    /// [`retire`](Self::retire) this is reversible via
-    /// [`resume`](Self::resume). No-op for unknown clients.
-    pub fn suspend(&mut self, client: ClientId) {
-        if let Some(slot) = self.slot_of(client) {
-            self.set_suspended_at(slot, true);
-        }
-    }
-
-    /// Re-admit a suspended client to the watermark (it has been heard from
-    /// again). No-op if the client was not suspended.
-    pub fn resume(&mut self, client: ClientId) {
-        if let Some(slot) = self.slot_of(client) {
-            self.set_suspended_at(slot, false);
-        }
-    }
-
+    /// it has been silent past the staleness deadline), or re-admit it (it
+    /// has been heard from again). Unlike [`retire`](Self::retire) this is
+    /// reversible.
     pub(crate) fn set_suspended_at(&mut self, slot: ClientSlot, suspended: bool) {
         self.update(slot, |t, s| t.suspended[s] = suspended);
     }
 
     pub(crate) fn is_suspended_at(&self, slot: ClientSlot) -> bool {
         self.suspended[slot.idx()]
-    }
-
-    /// Whether the client is known to the tracker.
-    pub fn knows(&self, client: ClientId) -> bool {
-        self.index.contains_key(&client)
     }
 
     /// Number of known clients that still constrain the watermark (neither
@@ -281,6 +262,26 @@ mod tests {
 
     fn is_suspended(w: &WatermarkTracker, client: ClientId) -> bool {
         w.slot_of(client).is_some_and(|s| w.is_suspended_at(s))
+    }
+
+    /// The slot calls the shell makes, by client id; unknown clients are a
+    /// no-op.
+    impl WatermarkTracker {
+        fn suspend(&mut self, client: ClientId) {
+            if let Some(slot) = self.slot_of(client) {
+                self.set_suspended_at(slot, true);
+            }
+        }
+
+        fn resume(&mut self, client: ClientId) {
+            if let Some(slot) = self.slot_of(client) {
+                self.set_suspended_at(slot, false);
+            }
+        }
+
+        fn knows(&self, client: ClientId) -> bool {
+            self.index.contains_key(&client)
+        }
     }
 
     /// The tracker this module had before the winner tree — three hash

@@ -66,11 +66,6 @@ impl Tournament {
         self.n == 0
     }
 
-    /// Out-neighbours of node `i`.
-    pub fn successors(&self, i: usize) -> &[usize] {
-        &self.adj[i]
-    }
-
     /// Whether the kept edge between `i` and `j` points `i -> j`.
     pub fn has_edge(&self, i: usize, j: usize) -> bool {
         self.adj[i].contains(&j)
@@ -818,7 +813,7 @@ mod tests {
         let t = Tournament::from_matrix(&m);
         let mut edge_count = 0;
         for i in 0..3 {
-            edge_count += t.successors(i).len();
+            edge_count += t.adj[i].len();
         }
         assert_eq!(edge_count, 3); // C(3,2) edges
     }

@@ -50,11 +50,6 @@ impl DeliveryChannel {
         DeliveryChannel::new(link, ChannelKind::Ordered)
     }
 
-    /// An unordered (UDP-like) channel.
-    pub fn unordered(link: LinkModel) -> Self {
-        DeliveryChannel::new(link, ChannelKind::Unordered)
-    }
-
     /// The channel kind.
     pub fn kind(&self) -> ChannelKind {
         self.kind
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn unordered_channel_reorders_under_jitter() {
-        let mut ch = DeliveryChannel::unordered(LinkModel::jittered(1.0, 10.0));
+        let mut ch = DeliveryChannel::new(LinkModel::jittered(1.0, 10.0), ChannelKind::Unordered);
         let mut rng = StdRng::seed_from_u64(2);
         let mut deliveries = Vec::new();
         for i in 0..2_000 {
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn unordered_channel_counts_drops() {
-        let mut ch = DeliveryChannel::unordered(LinkModel::constant(1.0).with_loss(0.5));
+        let mut ch = DeliveryChannel::new(LinkModel::constant(1.0).with_loss(0.5), ChannelKind::Unordered);
         let mut rng = StdRng::seed_from_u64(4);
         for i in 0..2_000 {
             ch.send(SimTime::new(i as f64), &mut rng);

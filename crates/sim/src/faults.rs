@@ -158,21 +158,17 @@ impl FaultRun {
         }));
     }
 
-    /// Wrap `inner` in `client`'s sequenced stream and hand the frame to the
-    /// fault injector (drop, delay, or duplicate).
-    fn send(&mut self, client: ClientId, inner: WireMessage, sent_at: f64) {
+    /// Wrap `inner` in `client`'s sequenced stream — `None` closes the stream
+    /// with a fin frame — and hand the frame to the fault injector (drop,
+    /// delay, or duplicate). The fin is dispatched like any other frame: the
+    /// orderly-shutdown marker rides the same faulty network as data.
+    fn send(&mut self, client: ClientId, inner: Option<WireMessage>, sent_at: f64) {
         let tx = self.senders.get_mut(&client).expect("registered sender");
         let sequence = tx.next_sequence();
-        let frame = tx.wrap(inner);
-        self.dispatch(client, sequence, &frame, sent_at, true);
-    }
-
-    /// Close `client`'s stream with a fin frame (always dispatched — the
-    /// orderly-shutdown marker rides the same faulty network as data).
-    fn send_fin(&mut self, client: ClientId, sent_at: f64) {
-        let tx = self.senders.get_mut(&client).expect("registered sender");
-        let sequence = tx.next_sequence();
-        let frame = tx.fin();
+        let frame = match inner {
+            Some(inner) => tx.wrap(inner),
+            None => tx.fin(),
+        };
         self.dispatch(client, sequence, &frame, sent_at, true);
     }
 
@@ -403,7 +399,7 @@ pub fn run_fault_stream(
                 },
             ),
         };
-        run.send(client, inner, event.sent_at());
+        run.send(client, Some(inner), event.sent_at());
     }
 
     // Delivery phase: process the whole schedule (retransmit round trips
@@ -420,15 +416,9 @@ pub fn run_fault_stream(
     // recovery (or eviction) handles that like any other fault.
     let close_send = run.clock.max(span_hi);
     for &client in client_ids {
-        run.send(
-            client,
-            WireMessage::Heartbeat {
-                client,
-                timestamp: schedule.horizon,
-            },
-            close_send,
-        );
-        run.send_fin(client, close_send);
+        let timestamp = schedule.horizon;
+        run.send(client, Some(WireMessage::Heartbeat { client, timestamp }), close_send);
+        run.send(client, None, close_send);
     }
 
     // Recovery rounds: drain deliveries and poll the session layer until

@@ -70,31 +70,14 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     }
 }
 
-/// Which convolution implementation to use when building difference
-/// distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvolutionMethod {
-    /// Choose automatically based on input size (default).
-    #[default]
-    Auto,
-    /// Always use the quadratic-time direct sum.
-    Direct,
-    /// Always use the FFT.
-    Fft,
-}
-
 /// Compute the distribution of the difference `Δθ = θ_j − θ_i` from the
 /// discretized PDFs of `θ_i` and `θ_j`.
 ///
 /// The result is the convolution of `f_{θ_j}` with the reflection of
 /// `f_{θ_i}`; its grid starts at `f_j.lo − f_i.hi`. If the two inputs have
 /// different grid spacings, the coarser one is resampled onto the finer
-/// spacing first.
-pub fn difference_distribution(
-    f_i: &DiscretizedPdf,
-    f_j: &DiscretizedPdf,
-    method: ConvolutionMethod,
-) -> DiscretizedPdf {
+/// spacing first. [`convolve`] picks the direct sum or the FFT by size.
+pub fn difference_distribution(f_i: &DiscretizedPdf, f_j: &DiscretizedPdf) -> DiscretizedPdf {
     // Align grid spacings.
     let step = f_i.step().min(f_j.step());
     let fi_aligned;
@@ -113,11 +96,7 @@ pub fn difference_distribution(
     };
 
     let neg_i = f_i.negate();
-    let raw = match method {
-        ConvolutionMethod::Auto => convolve(f_j.densities(), neg_i.densities()),
-        ConvolutionMethod::Direct => convolve_direct(f_j.densities(), neg_i.densities()),
-        ConvolutionMethod::Fft => convolve_fft(f_j.densities(), neg_i.densities()),
-    };
+    let raw = convolve(f_j.densities(), neg_i.densities());
     // Values are densities; the convolution sum approximates the integral up
     // to a factor of `step`, and `from_raw` re-normalizes anyway.
     DiscretizedPdf::from_raw(f_j.lo() + neg_i.lo(), step, raw)
@@ -187,7 +166,7 @@ mod tests {
         let gj = Gaussian::new(4.0, 3.0);
         let fi = DiscretizedPdf::from_distribution(&gi, 1024);
         let fj = DiscretizedPdf::from_distribution(&gj, 1024);
-        let diff = difference_distribution(&fi, &fj, ConvolutionMethod::Auto);
+        let diff = difference_distribution(&fi, &fj);
 
         let expected = gi.difference(&gj);
         assert!((diff.mean() - expected.mean()).abs() < 0.05);
@@ -208,8 +187,11 @@ mod tests {
         let dj = OffsetDistribution::shifted_exponential(-1.0, 0.25);
         let fi = DiscretizedPdf::from_distribution(&di, 400);
         let fj = DiscretizedPdf::from_distribution(&dj, 400);
-        let a = difference_distribution(&fi, &fj, ConvolutionMethod::Direct);
-        let b = difference_distribution(&fi, &fj, ConvolutionMethod::Fft);
+        let step = fi.step().min(fj.step());
+        let (neg_i, fj) = (fi.resample(step).negate(), fj.resample(step));
+        let build = |raw| DiscretizedPdf::from_raw(fj.lo() + neg_i.lo(), step, raw);
+        let a = build(convolve_direct(fj.densities(), neg_i.densities()));
+        let b = build(convolve_fft(fj.densities(), neg_i.densities()));
         assert!((a.mean() - b.mean()).abs() < 1e-6);
         for x in [-10.0, -2.0, 0.0, 5.0, 20.0] {
             assert!((a.cdf(x) - b.cdf(x)).abs() < 1e-6);
@@ -222,7 +204,7 @@ mod tests {
         let gj = Gaussian::new(0.0, 10.0);
         let fi = DiscretizedPdf::from_distribution(&gi, 256);
         let fj = DiscretizedPdf::from_distribution(&gj, 2048);
-        let diff = difference_distribution(&fi, &fj, ConvolutionMethod::Auto);
+        let diff = difference_distribution(&fi, &fj);
         let expected = gi.difference(&gj);
         assert!((diff.mean() - expected.mean()).abs() < 0.1);
         assert!(
@@ -240,7 +222,7 @@ mod tests {
         let dj = OffsetDistribution::uniform(-3.0, 9.0);
         let fi = DiscretizedPdf::from_distribution(&di, 800);
         let fj = DiscretizedPdf::from_distribution(&dj, 800);
-        let diff = difference_distribution(&fi, &fj, ConvolutionMethod::Auto);
+        let diff = difference_distribution(&fi, &fj);
         let expected_mean = dj.mean() - di.mean();
         assert!(
             (diff.mean() - expected_mean).abs() < 0.1,

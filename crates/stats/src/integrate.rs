@@ -10,18 +10,6 @@ pub fn trapezoid_uniform(values: &[f64], step: f64) -> f64 {
     step * (0.5 * (values[0] + values[values.len() - 1]) + interior)
 }
 
-/// Trapezoid rule for a function `f` over `[a, b]` with `n` intervals.
-pub fn trapezoid<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
-    assert!(n > 0, "need at least one interval");
-    assert!(b >= a, "invalid interval [{a}, {b}]");
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    sum * h
-}
-
 /// Composite Simpson's rule for a function `f` over `[a, b]` with `n`
 /// intervals (`n` is rounded up to the next even number).
 pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
@@ -40,13 +28,6 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trapezoid_integrates_linear_exactly() {
-        // ∫_0^2 (3x + 1) dx = 8
-        let v = trapezoid(|x| 3.0 * x + 1.0, 0.0, 2.0, 4);
-        assert!((v - 8.0).abs() < 1e-12);
-    }
 
     #[test]
     fn simpson_integrates_cubic_exactly() {

@@ -2,17 +2,16 @@
 //!
 //! Clients learning their clock-offset distribution from synchronization
 //! probes (§5 of the paper) accumulate probes one at a time; this module
-//! provides numerically stable single-pass estimates of mean, variance,
-//! and skewness without storing the probe history.
+//! provides numerically stable single-pass estimates of mean and variance
+//! without storing the probe history.
 
-/// Single-pass accumulator for the first three central moments.
+/// Single-pass accumulator for the first two central moments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Moments {
     n: u64,
     mean: f64,
     m2: f64,
-    m3: f64,
     min: f64,
     max: f64,
 }
@@ -24,7 +23,6 @@ impl Moments {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            m3: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -48,7 +46,6 @@ impl Moments {
         let delta_n = delta / n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
@@ -70,15 +67,10 @@ impl Moments {
 
         let mean = self.mean + delta * nb / n;
         let m2 = self.m2 + other.m2 + delta * delta * na * nb / n;
-        let m3 = self.m3
-            + other.m3
-            + delta.powi(3) * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
 
         self.n += other.n;
         self.mean = mean;
         self.m2 = m2;
-        self.m3 = m3;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -108,15 +100,6 @@ impl Moments {
     #[inline]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Sample skewness (0 for fewer than 3 samples or zero variance).
-    pub fn skewness(&self) -> f64 {
-        if self.n < 3 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        (n.sqrt() * self.m3) / self.m2.powf(1.5)
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -158,20 +141,6 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.skewness(), 0.0);
-    }
-
-    #[test]
-    fn skewness_sign_for_skewed_data() {
-        // Right-skewed data: long tail to the right.
-        let right: Vec<f64> = (0..1000)
-            .map(|i| {
-                let u = (i as f64 + 0.5) / 1000.0;
-                -(1.0 - u).ln() // exponential quantiles
-            })
-            .collect();
-        let m = Moments::from_samples(&right);
-        assert!(m.skewness() > 1.0, "skewness = {}", m.skewness());
     }
 
     #[test]
@@ -185,7 +154,6 @@ mod tests {
         assert_eq!(merged.count(), single.count());
         assert!((merged.mean() - single.mean()).abs() < 1e-9);
         assert!((merged.variance() - single.variance()).abs() < 1e-9);
-        assert!((merged.skewness() - single.skewness()).abs() < 1e-6);
     }
 
     #[test]

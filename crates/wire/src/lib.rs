@@ -36,4 +36,4 @@ pub use frame::{FrameDecoder, MAX_FRAME_LEN};
 pub use messages::WireMessage;
 pub use stream::{RetransmitRequest, SequencedSender, StreamPoll, StreamReceiver};
 // Session-layer building blocks re-exported from tommy-core for convenience.
-pub use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
+pub use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};

@@ -4,13 +4,18 @@
 //! client. This module supplies that guarantee at the session layer instead
 //! of assuming it from the transport: a [`SequencedSender`] wraps every
 //! outgoing message in a [`WireMessage::Stream`] frame carrying a dense
-//! per-`(sender, stream)` sequence number, and a [`StreamReceiver`] runs one
-//! [`SequenceValidator`] per stream to detect gaps, drop duplicates, buffer
-//! reordered frames, and — under
-//! [`RecoveryPolicy::RequestRetransmit`] — ask the sender to resend what was
-//! lost. Frames are released to the application strictly in send order, so
-//! downstream consumers (the watermark tracker above all) keep their
-//! monotonicity assumptions even over a lossy, reordering network.
+//! per-`(sender, stream)` sequence number, and a [`StreamReceiver`] keeps one
+//! [`SequenceValidator`] — one reassembly window, its cursor and its fin
+//! marker — per stream to detect gaps, drop duplicates, hold reordered
+//! frames, and — under [`RecoveryPolicy::RequestRetransmit`] — ask the sender
+//! to resend what was lost. Frames are released to the application strictly
+//! in send order, so downstream consumers (the watermark tracker above all)
+//! keep their monotonicity assumptions even over a lossy, reordering network.
+//!
+//! The receiver itself owns two things only: the map from `(sender, stream)`
+//! to window, and the deadline gate that lets [`StreamReceiver::poll`] skip
+//! the walk over that map while no window has anything due. Everything about
+//! one stream, its fin included, is the validator's.
 //!
 //! The sender retains every wrapped frame so retransmit requests can be
 //! answered from history; [`SequencedSender::frame`] looks one up by
@@ -19,7 +24,7 @@
 use crate::messages::WireMessage;
 use std::collections::BTreeMap;
 use tommy_core::message::ClientId;
-use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionAction, SessionCounters};
+use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 
 /// Wraps outgoing messages of one stream in sequence-numbered
 /// [`WireMessage::Stream`] frames and retains them for retransmission.
@@ -28,6 +33,7 @@ pub struct SequencedSender {
     sender: ClientId,
     stream_id: u64,
     history: Vec<WireMessage>,
+    /// Whether the fin frame has been sent.
     finished: bool,
 }
 
@@ -47,11 +53,6 @@ impl SequencedSender {
         self.history.len() as u64
     }
 
-    /// Whether [`fin`](Self::fin) has been sent.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
     /// Wrap `inner` in the next stream frame.
     ///
     /// # Panics
@@ -63,16 +64,7 @@ impl SequencedSender {
             !matches!(inner, WireMessage::Stream { .. }),
             "stream frames must not nest"
         );
-        assert!(!self.finished, "stream is finished");
-        let frame = WireMessage::Stream {
-            sender: self.sender,
-            stream_id: self.stream_id,
-            sequence: self.next_sequence(),
-            fin: false,
-            inner: Some(Box::new(inner)),
-        };
-        self.history.push(frame.clone());
-        frame
+        self.push(false, Some(Box::new(inner)))
     }
 
     /// Close the stream with a bare fin frame.
@@ -81,16 +73,21 @@ impl SequencedSender {
     ///
     /// Panics if the stream is already finished.
     pub fn fin(&mut self) -> WireMessage {
+        self.push(true, None)
+    }
+
+    /// Number, retain and return the stream's next frame.
+    fn push(&mut self, fin: bool, inner: Option<Box<WireMessage>>) -> WireMessage {
         assert!(!self.finished, "stream is finished");
+        self.finished = fin;
         let frame = WireMessage::Stream {
             sender: self.sender,
             stream_id: self.stream_id,
             sequence: self.next_sequence(),
-            fin: true,
-            inner: None,
+            fin,
+            inner,
         };
         self.history.push(frame.clone());
-        self.finished = true;
         frame
     }
 
@@ -121,21 +118,14 @@ pub struct StreamPoll {
     pub retransmits: Vec<RetransmitRequest>,
 }
 
-/// Per-stream receiver state.
-#[derive(Debug)]
-struct StreamState {
-    validator: SequenceValidator<Option<WireMessage>>,
-    /// Sequence number of the fin frame, once seen.
-    fin_sequence: Option<u64>,
-}
-
 /// Demultiplexes [`WireMessage::Stream`] frames into per-stream
 /// [`SequenceValidator`]s and releases inner messages strictly in send
 /// order. Non-stream messages pass through untouched.
 #[derive(Debug)]
 pub struct StreamReceiver {
     policy: RecoveryPolicy,
-    streams: BTreeMap<(ClientId, u64), StreamState>,
+    /// A bare fin frame carries no inner message, hence the `Option`.
+    streams: BTreeMap<(ClientId, u64), SequenceValidator<Option<WireMessage>>>,
     /// A lower bound on the earliest `now` at which any stream's policy can
     /// act: [`poll`](Self::poll) below it returns without touching a stream.
     /// Invariant: `next_action_at <=` the minimum of every validator's
@@ -155,24 +145,11 @@ impl StreamReceiver {
         }
     }
 
-    /// The recovery policy applied to every stream.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Whether stream `(sender, stream_id)` has released its fin frame (all
-    /// frames before it were released or skipped).
-    pub fn stream_complete(&self, sender: ClientId, stream_id: u64) -> bool {
-        self.streams.get(&(sender, stream_id)).is_some_and(|state| {
-            state.fin_sequence.is_some_and(|fin| state.validator.next_expected() > fin)
-        })
-    }
-
     /// Aggregate session counters across every stream.
     pub fn counters(&self) -> SessionCounters {
         let mut total = SessionCounters::default();
-        for state in self.streams.values() {
-            total.absorb(state.validator.counters());
+        for validator in self.streams.values() {
+            total.absorb(validator.counters());
         }
         total
     }
@@ -193,30 +170,16 @@ impl StreamReceiver {
         else {
             return vec![message];
         };
-        let state = self
+        let validator = self
             .streams
             .entry((sender, stream_id))
-            .or_insert_with(|| StreamState {
-                validator: SequenceValidator::new(self.policy),
-                fin_sequence: None,
-            });
-        let overruns = state.validator.counters().window_overruns;
+            .or_insert_with(|| SequenceValidator::new(self.policy));
         let mut released = Vec::new();
-        state
-            .validator
-            .accept_with(sequence, inner.map(|b| *b), now, |payload| {
-                released.extend(payload)
-            });
-        // A fin the validator dropped as a window overrun is a forgery: its
-        // marker would sit past anything the stream can reach and wedge
-        // `stream_complete` for good.
-        if fin && state.validator.counters().window_overruns == overruns {
-            state.fin_sequence = Some(sequence);
-        }
+        validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| released.extend(payload));
         // Only a blocked stream has anything for `poll` to do, and only this
         // frame can have moved its deadline earlier.
-        if state.validator.blocked() {
-            self.next_action_at = self.next_action_at.min(state.validator.next_action_at());
+        if validator.blocked() {
+            self.next_action_at = self.next_action_at.min(validator.next_action_at());
         }
         released
     }
@@ -232,21 +195,16 @@ impl StreamReceiver {
         if now < self.next_action_at {
             return out;
         }
-        let mut next_action_at = f64::INFINITY;
-        for (&(sender, stream_id), state) in &mut self.streams {
-            let polled = state.validator.poll(now);
-            next_action_at = next_action_at.min(state.validator.next_action_at());
-            out.released.extend(polled.released.into_iter().flatten());
-            for action in polled.actions {
-                let SessionAction::RequestRetransmit { sequence } = action;
-                out.retransmits.push(RetransmitRequest {
-                    sender,
-                    stream_id,
-                    sequence,
-                });
-            }
+        self.next_action_at = f64::INFINITY;
+        for (&(sender, stream_id), validator) in &mut self.streams {
+            let request = |sequence| RetransmitRequest { sender, stream_id, sequence };
+            validator.poll(
+                now,
+                |payload| out.released.extend(payload),
+                |sequence| out.retransmits.push(request(sequence)),
+            );
+            self.next_action_at = self.next_action_at.min(validator.next_action_at());
         }
-        self.next_action_at = next_action_at;
         out
     }
 }
@@ -266,7 +224,12 @@ mod tests {
 
     /// Streams currently blocked on a detected hole.
     fn blocked_streams(rx: &StreamReceiver) -> usize {
-        rx.streams.values().filter(|s| s.validator.blocked()).count()
+        rx.streams.values().filter(|v| v.blocked()).count()
+    }
+
+    /// Whether stream `(sender, stream_id)` has released its fin frame.
+    fn stream_complete(rx: &StreamReceiver, sender: ClientId, stream_id: u64) -> bool {
+        rx.streams.get(&(sender, stream_id)).is_some_and(|v| v.complete())
     }
 
     fn submit(id: u64, client: u32, ts: f64) -> WireMessage {
@@ -289,9 +252,9 @@ mod tests {
         released.extend(rx.receive(tx.fin(), 5.0));
         assert_eq!(released.len(), 5);
         assert_eq!(released[0], submit(0, 1, 0.0));
-        assert!(rx.stream_complete(ClientId(1), 0));
+        assert!(stream_complete(&rx, ClientId(1), 0));
         assert_eq!(blocked_streams(&rx), 0);
-        assert!(tx.finished());
+        assert!(tx.finished);
     }
 
     #[test]
@@ -324,7 +287,7 @@ mod tests {
         let mut rx = StreamReceiver::new(RecoveryPolicy::Halt);
         assert_eq!(rx.receive(frame.clone(), 0.0).len(), 1);
         rx.receive(fin, 1.0);
-        assert!(rx.stream_complete(ClientId(1), 0));
+        assert!(stream_complete(&rx, ClientId(1), 0));
         // A late duplicate of an already-released frame yields nothing.
         assert!(rx.receive(frame, 2.0).is_empty());
         assert_eq!(rx.counters().dupes_dropped, 1);
@@ -404,19 +367,68 @@ mod tests {
                 inner: None,
             };
             assert!(rx.receive(forged.clone(), 0.0).is_empty());
-            assert!(!rx.stream_complete(ClientId(1), 0));
+            assert!(!stream_complete(&rx, ClientId(1), 0));
             let released: Vec<_> = (0..5)
                 .flat_map(|i| rx.receive(tx.wrap(submit(i, 1, i as f64)), 1.0))
                 .collect();
             assert_eq!(released.len(), 5);
             rx.receive(tx.fin(), 2.0);
-            assert!(rx.stream_complete(ClientId(1), 0));
+            assert!(stream_complete(&rx, ClientId(1), 0));
             assert_eq!(rx.counters().window_overruns, 1);
             // A late forgery must not displace the real fin's marker.
             assert!(rx.receive(forged, 3.0).is_empty());
-            assert!(rx.stream_complete(ClientId(1), 0));
+            assert!(stream_complete(&rx, ClientId(1), 0));
             assert_eq!(rx.counters().window_overruns, 2);
         }
+    }
+
+    fn bare_fin(sequence: u64) -> WireMessage {
+        WireMessage::Stream {
+            sender: ClientId(1),
+            stream_id: 0,
+            sequence,
+            fin: true,
+            inner: None,
+        }
+    }
+
+    /// A fin-flagged frame the stream drops as a duplicate leaves no marker:
+    /// a replay below the cursor must not complete the stream before its
+    /// real fin does.
+    #[test]
+    fn duplicate_frame_flagged_fin_does_not_complete_the_stream() {
+        let mut tx = SequencedSender::new(ClientId(1), 0);
+        let mut rx = StreamReceiver::new(RecoveryPolicy::Halt);
+        for i in 0..5 {
+            rx.receive(tx.wrap(submit(i, 1, i as f64)), 0.0);
+        }
+        assert!(rx.receive(bare_fin(2), 1.0).is_empty());
+        assert_eq!(rx.counters().dupes_dropped, 1);
+        assert!(!stream_complete(&rx, ClientId(1), 0), "5 of 7 frames in");
+        rx.receive(tx.wrap(submit(5, 1, 5.0)), 2.0);
+        assert!(!stream_complete(&rx, ClientId(1), 0));
+        rx.receive(tx.fin(), 3.0);
+        assert!(stream_complete(&rx, ClientId(1), 0));
+    }
+
+    /// The first fin a stream takes is its fin: a second one inside the
+    /// window, before or after completion, neither moves the marker nor
+    /// un-completes the stream.
+    #[test]
+    fn second_fin_does_not_move_the_marker() {
+        let mut tx = SequencedSender::new(ClientId(1), 0);
+        let mut rx = StreamReceiver::new(RecoveryPolicy::Halt);
+        let frames: Vec<_> = (0..3).map(|i| tx.wrap(submit(i, 1, i as f64))).collect();
+        let fin = tx.fin(); // sequence 3
+        rx.receive(frames[0].clone(), 0.0);
+        rx.receive(fin, 1.0); // held behind holes 1 and 2
+        rx.receive(bare_fin(9), 1.5); // in window, taken, not the fin
+        rx.receive(frames[1].clone(), 2.0);
+        assert!(!stream_complete(&rx, ClientId(1), 0));
+        rx.receive(frames[2].clone(), 3.0);
+        assert!(stream_complete(&rx, ClientId(1), 0), "cursor passed the real fin");
+        rx.receive(bare_fin(20), 4.0);
+        assert!(stream_complete(&rx, ClientId(1), 0), "a later fin un-completed it");
     }
 
     #[test]
@@ -461,10 +473,9 @@ mod tests {
         assert_eq!(rx.counters().gaps_detected, 1);
     }
 
-    /// The receiver as it was before the deadline gate, over the same state:
-    /// `receive` collects through `accept`'s `Vec` and never looks at the
-    /// bound, `poll` walks every stream on every call. Kept as the reference
-    /// the differential test compares against.
+    /// The receiver without the deadline gate, over the same state:
+    /// `receive` never looks at the bound, `poll` walks every stream on every
+    /// call. Kept as the reference the differential test compares against.
     struct UngatedReceiver(StreamReceiver);
 
     impl UngatedReceiver {
@@ -479,35 +490,30 @@ mod tests {
             else {
                 return vec![message];
             };
-            let state = self
+            let validator = self
                 .0
                 .streams
                 .entry((sender, stream_id))
-                .or_insert_with(|| StreamState {
-                    validator: SequenceValidator::new(self.0.policy),
-                    fin_sequence: None,
-                });
-            let overruns = state.validator.counters().window_overruns;
-            let released = state.validator.accept(sequence, inner.map(|b| *b), now);
-            if fin && state.validator.counters().window_overruns == overruns {
-                state.fin_sequence = Some(sequence);
-            }
-            released.into_iter().flatten().collect()
+                .or_insert_with(|| SequenceValidator::new(self.0.policy));
+            let mut released = Vec::new();
+            validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| released.extend(payload));
+            released
         }
 
         fn poll(&mut self, now: f64) -> StreamPoll {
             let mut out = StreamPoll::default();
-            for (&(sender, stream_id), state) in &mut self.0.streams {
-                let polled = state.validator.poll(now);
-                out.released.extend(polled.released.into_iter().flatten());
-                for action in polled.actions {
-                    let SessionAction::RequestRetransmit { sequence } = action;
-                    out.retransmits.push(RetransmitRequest {
-                        sender,
-                        stream_id,
-                        sequence,
-                    });
-                }
+            for (&(sender, stream_id), validator) in &mut self.0.streams {
+                validator.poll(
+                    now,
+                    |payload| out.released.extend(payload),
+                    |sequence| {
+                        out.retransmits.push(RetransmitRequest {
+                            sender,
+                            stream_id,
+                            sequence,
+                        })
+                    },
+                );
             }
             out
         }
@@ -544,8 +550,8 @@ mod tests {
             assert_eq!(blocked_streams(&self.gated), blocked_streams(reference));
             for &(sender, stream_id) in &self.streams {
                 assert_eq!(
-                    self.gated.stream_complete(sender, stream_id),
-                    reference.stream_complete(sender, stream_id)
+                    stream_complete(&self.gated, sender, stream_id),
+                    stream_complete(reference, sender, stream_id)
                 );
             }
         }

@@ -14,9 +14,7 @@
 //!   so three messages with (near-)equal timestamps — one per die — are
 //!   *guaranteed* to close a 3-cycle, whatever the threshold.
 //! * [`IntransitiveWorkload`] — a message stream interleaving honest
-//!   traffic (Gaussian, or heavy-tailed log-normal clients via
-//!   [`with_heavy_tails`](IntransitiveWorkload::with_heavy_tails)) with
-//!   Condorcet *bursts*: the three dice clients submit with near-tied
+//!   traffic (Gaussian clients) with Condorcet *bursts*: the three dice clients submit with near-tied
 //!   timestamps (the collusion attack of
 //!   [`adversarial::apply_collusion`](crate::adversarial::apply_collusion)
 //!   — §5's Byzantine clients have every incentive to force ties the
@@ -77,7 +75,6 @@ pub struct IntransitiveWorkload {
     scale: f64,
     honest_std_dev: f64,
     spacing: f64,
-    heavy_tailed: bool,
 }
 
 impl IntransitiveWorkload {
@@ -105,7 +102,6 @@ impl IntransitiveWorkload {
             scale: 10.0,
             honest_std_dev: 2.0,
             spacing: 1.0,
-            heavy_tailed: false,
         }
     }
 
@@ -130,16 +126,6 @@ impl IntransitiveWorkload {
         self
     }
 
-    /// Builder: give the honest clients heavy-tailed (shifted log-normal)
-    /// offsets instead of Gaussian ones — the "Gaussian-like but with a long
-    /// tail and skewed behaviour" shape §3.3 cites. Heavy-tailed honest
-    /// traffic exercises the discretized probability path for *every* pair,
-    /// not just pairs touching a Condorcet client.
-    pub fn with_heavy_tails(mut self, enabled: bool) -> Self {
-        self.heavy_tailed = enabled;
-        self
-    }
-
     /// Total number of clients (honest plus the three Condorcet dice).
     pub fn total_clients(&self) -> usize {
         self.honest_clients + CONDORCET_CLIENTS as usize
@@ -159,17 +145,7 @@ impl IntransitiveWorkload {
             out.push((ClientId(c as u32), die));
         }
         for h in 0..self.honest_clients as u32 {
-            let dist = if self.heavy_tailed {
-                // Median ≈ shift + e^mu: centred near zero with a right tail
-                // a few σ-equivalents long.
-                OffsetDistribution::shifted_log_normal(
-                    -self.honest_std_dev,
-                    self.honest_std_dev.ln().max(0.0),
-                    0.6,
-                )
-            } else {
-                OffsetDistribution::gaussian(0.0, self.honest_std_dev)
-            };
+            let dist = OffsetDistribution::gaussian(0.0, self.honest_std_dev);
             out.push((ClientId(CONDORCET_CLIENTS + h), dist));
         }
         out
@@ -328,7 +304,7 @@ mod tests {
 
     #[test]
     fn stream_is_monotone_per_client_and_true_time_sorted() {
-        let workload = IntransitiveWorkload::new(4, 120, 0.3).with_heavy_tails(true);
+        let workload = IntransitiveWorkload::new(4, 120, 0.3);
         let mut rng = StdRng::seed_from_u64(3);
         let messages = workload.generate(&mut rng);
         assert_eq!(messages.len(), 120);
@@ -366,13 +342,10 @@ mod tests {
 
     #[test]
     fn offsets_cover_every_client() {
-        let workload = IntransitiveWorkload::new(4, 10, 0.5).with_heavy_tails(true);
+        let workload = IntransitiveWorkload::new(4, 10, 0.5);
         let offsets = workload.offsets();
         assert_eq!(offsets.len(), workload.total_clients());
         assert!(offsets[..3].iter().all(|(_, d)| !d.is_gaussian()));
-        // Heavy-tailed honest clients are log-normal, not Gaussian.
-        assert!(offsets[3..].iter().all(|(_, d)| !d.is_gaussian()));
-        let gaussian_honest = IntransitiveWorkload::new(4, 10, 0.5);
-        assert!(gaussian_honest.offsets()[3..].iter().all(|(_, d)| d.is_gaussian()));
+        assert!(offsets[3..].iter().all(|(_, d)| d.is_gaussian()));
     }
 }

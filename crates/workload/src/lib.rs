@@ -25,9 +25,9 @@
 //!   (shared-signal) collusion, unified behind
 //!   [`adversarial::AttackPlan`] for intensity sweeps;
 //! * [`intransitive`] — cycle-forcing workloads: Condorcet (intransitive
-//!   dice) offset mixes and heavy-tailed populations whose preceding
-//!   probabilities are *not* transitive, exercising the feedback-arc-set
-//!   machinery that Gaussian workloads (Appendix A) never reach;
+//!   dice) offset mixes whose preceding probabilities are *not*
+//!   transitive, exercising the feedback-arc-set machinery that Gaussian
+//!   workloads (Appendix A) never reach;
 //! * [`testkit`] — shared test scaffolding for the integration suites:
 //!   census builders, paired differential engines, the [`testkit::StreamEngine`]
 //!   driving surface over both the single-engine and sharded sequencers,
