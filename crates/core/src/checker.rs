@@ -1129,11 +1129,8 @@ impl Replay<'_, OnlineSequencer> {
     /// engine's counters and the clients its defense had quarantined by the
     /// end — plus the violations found during replay.
     fn into_single_trace(mut self) -> (RunTrace, Vec<InvariantViolation>) {
-        let registry = self.engine.registry();
-        let quarantined = |c: &ClientId| {
-            let trust = registry.trust_state(*c);
-            trust.is_some_and(|s| s.level() == TrustLevel::Quarantined)
-        };
+        let engine = &self.engine;
+        let quarantined = |c: &ClientId| engine.trust_level(*c) == Some(TrustLevel::Quarantined);
         let clients = self.channels.spec.offsets.iter().map(|(c, _)| *c);
         self.trace.quarantined = clients.filter(quarantined).collect();
         self.trace.quarantined.sort();

@@ -1,48 +1,63 @@
-//! Untrusted-distribution hardening: trust tracking, quarantine, and
-//! drift-aware re-estimation triggers.
+//! Untrusted-distribution hardening, and the one observer that watches every
+//! arrival without ordering it.
 //!
 //! §3.3 of the paper has every client *self-report* its offset distribution
 //! — an honesty assumption the §5 threat model breaks first. This module is
-//! the sequencer-side cross-check: for each client the registry keeps a
-//! [`TrustState`] that accumulates observed timestamp residuals (what the
-//! client's clock error *looks like* from the sequencer's chair) and
-//! periodically compares their empirical distribution against the claimed
-//! one with a Kolmogorov–Smirnov discrepancy plus a mean z-score.
+//! the sequencer-side cross-check: for each client a trust window
+//! accumulates observed timestamp residuals (what the client's clock error
+//! *looks like* from the sequencer's chair) and periodically compares their
+//! empirical distribution against the claimed one with a Kolmogorov–Smirnov
+//! discrepancy plus a mean z-score.
 //!
 //! Two failure modes are distinguished by *when* the check first fails:
 //!
 //! * a client whose **first** full-window check already disagrees with its
 //!   claim most likely misreported — it is quarantined
-//!   ([`TrustLevel::Quarantined`]), and the caller re-registers it on a
-//!   conservative fallback distribution (empirical mean, inflated σ) so the
-//!   sequencer stops trusting the lie without ejecting the client;
+//!   ([`TrustLevel::Quarantined`]) and re-registered on a conservative
+//!   fallback distribution (empirical mean, inflated σ) so the sequencer
+//!   stops trusting the lie without ejecting the client;
 //! * a client that **passed** the check before and fails later was honest at
 //!   registration time but its clock has since moved (drift, NTP step) —
-//!   the caller re-estimates its distribution online through
-//!   [`tommy_clock::DistributionLearner`] and resets the window.
+//!   its distribution is re-estimated online through
+//!   [`tommy_clock::DistributionLearner`] and the window reset.
 //!
 //! Marginal checks are blind to **collusion** by construction: a coalition
 //! forging offsets that stay inside each member's claimed distribution
 //! produces residual windows that are individually unremarkable. What the
 //! coalition cannot hide is *co-movement* — forging toward shared values
 //! makes colluders' residual sequences correlate, while honest clocks drift
-//! independently. The [`CollusionTracker`] maintains pairwise co-moment
-//! sums over the same per-client residual windows (aligned by per-client
-//! residual index, incrementally updated, O(active clients) per residual)
-//! and escalates a persistently correlated pair through the same sticky
+//! independently. The collusion tracker maintains pairwise co-moment sums
+//! over the same per-client residual windows (aligned by per-client residual
+//! index, incrementally updated, O(active clients) per residual) and
+//! escalates a persistently correlated pair through the same sticky
 //! quarantine path as the marginal checks.
+//!
+//! ## The observer
+//!
+//! Everything that watches an arrival but does not order it lives in one
+//! `ArrivalObserver`, owned by the online shell: per client slot the trust
+//! window, the online delay estimator and the liveness clock (when the
+//! client was last heard from), plus the collusion tracker. The shell
+//! resolves the slot once and makes one call per event — `arrival` for a
+//! message, `heard` for a heartbeat — and gets back the re-registrations the
+//! verdicts ask for, which it applies before the violation check and the
+//! engine insert. Registration never touches the observer, so a quarantine
+//! stays sticky through the fallback re-registration it causes and through
+//! any later one. With the defense off an arrival costs one `max` and one
+//! delay-estimator update.
 //!
 //! The degradation counters (`quarantines`, `reestimations`,
 //! `margin_fallbacks`, `collusion_checks`, `collusion_quarantines`) surface
-//! through [`OnlineStats`](crate::sequencer::online::OnlineStats) next to
-//! the existing rebuild/repair counters; the defenses themselves are wired
-//! in [`OnlineSequencer::submit`](crate::sequencer::online::OnlineSequencer::submit).
-//! See `ARCHITECTURE.md`, "Threat model & degradation", for the full
+//! through [`OnlineStats`] next to the rebuild/repair counters. See
+//! `ARCHITECTURE.md`, "Threat model & degradation", for the full
 //! attack-families × defenses matrix.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::message::ClientId;
+use crate::message::{ClientId, Message};
+use crate::registry::{ClientSlot, DistributionRegistry};
+use crate::sequencer::online::OnlineStats;
+use tommy_clock::{DelayEstimator, DistributionLearner, LearnedModel};
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
 /// Where the expected network delay used to form residuals comes from.
@@ -78,12 +93,12 @@ impl Default for ExpectedDelay {
 /// Fallback σ multiplier applied when quarantining: the client is
 /// re-registered with `max(claimed σ, empirical σ) × SIGMA_INFLATION`,
 /// buying conservative (wide) margins instead of the lied-about ones.
-pub(crate) const SIGMA_INFLATION: f64 = 3.0;
+const SIGMA_INFLATION: f64 = 3.0;
 
 /// In [`ExpectedDelay::Online`] mode, how many arrival gaps per client feed
 /// the delay estimator before residuals start flowing into the trust window
 /// (early estimates are too noisy to test against).
-pub(crate) const DELAY_WARMUP: u64 = 8;
+const DELAY_WARMUP: u64 = 8;
 
 /// Tuning knobs for the residual cross-check.
 ///
@@ -242,9 +257,10 @@ impl Default for DefenseConfig {
 }
 
 /// How much the sequencer currently trusts a client's claimed distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrustLevel {
     /// Residuals are (so far) consistent with the claim.
+    #[default]
     Trusted,
     /// The claim was rejected on its first full check: the client is treated
     /// as a misreporter and pinned to conservative fallback margins.
@@ -253,15 +269,14 @@ pub enum TrustLevel {
     Quarantined,
 }
 
-/// Outcome of feeding one residual into [`TrustState::observe`].
+/// Outcome of feeding one residual into `TrustState::observe`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrustEvent {
+enum TrustEvent {
     /// Nothing to act on (check not due, or check passed).
     Ok,
     /// The client passed earlier checks but now disagrees with its claim:
-    /// its clock has likely drifted. The caller should re-estimate from
-    /// [`TrustState::residuals`] and call
-    /// [`TrustState::acknowledge_reestimate`].
+    /// its clock has likely drifted. Its distribution is re-learned from
+    /// the residual window, which then restarts (`acknowledge_reestimate`).
     DriftSuspected,
     /// The client's first full check already disagrees with its claim: it is
     /// now [`TrustLevel::Quarantined`] and should be pinned to a fallback
@@ -270,72 +285,20 @@ pub enum TrustEvent {
 }
 
 /// Per-client residual window and verdict state.
-#[derive(Debug, Clone)]
-pub struct TrustState {
+#[derive(Debug, Clone, Default)]
+struct TrustState {
     residuals: VecDeque<f64>,
     level: TrustLevel,
     /// Whether the claim has ever passed a full check — the discriminator
     /// between "misreported from the start" and "honest then drifted".
     validated: bool,
     since_check: usize,
-    checks: u64,
-    last_discrepancy: f64,
-    last_drift_score: f64,
-}
-
-impl Default for TrustState {
-    fn default() -> Self {
-        TrustState::new()
-    }
 }
 
 impl TrustState {
-    /// A fresh, trusting state with an empty window.
-    pub fn new() -> Self {
-        TrustState {
-            residuals: VecDeque::new(),
-            level: TrustLevel::Trusted,
-            validated: false,
-            since_check: 0,
-            checks: 0,
-            last_discrepancy: 0.0,
-            last_drift_score: 0.0,
-        }
-    }
-
-    /// Current trust level.
-    pub fn level(&self) -> TrustLevel {
-        self.level
-    }
-
-    /// Whether the claim has passed at least one full check.
-    pub fn validated(&self) -> bool {
-        self.validated
-    }
-
-    /// Number of cross-checks run so far.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// KS discrepancy from the most recent check.
-    pub fn last_discrepancy(&self) -> f64 {
-        self.last_discrepancy
-    }
-
-    /// Mean z-score from the most recent check.
-    pub fn last_drift_score(&self) -> f64 {
-        self.last_drift_score
-    }
-
-    /// The retained residual window, oldest first.
-    pub fn residuals(&self) -> impl Iterator<Item = f64> + '_ {
-        self.residuals.iter().copied()
-    }
-
     /// Feed one observed residual; runs the cross-check against `claimed`
     /// when due and returns what (if anything) the caller must do.
-    pub fn observe(
+    fn observe(
         &mut self,
         residual: f64,
         claimed: &OffsetDistribution,
@@ -354,10 +317,7 @@ impl TrustState {
             return TrustEvent::Ok;
         }
         self.since_check = 0;
-        self.checks += 1;
         let (ks, z) = self.discrepancy(claimed);
-        self.last_discrepancy = ks;
-        self.last_drift_score = z;
         // Small windows produce noisy D even under H0: floor the limit at
         // the classical α=0.01 critical value 1.63/√n.
         let ks_limit = cfg
@@ -375,24 +335,25 @@ impl TrustState {
         }
     }
 
-    /// Escalate straight to [`TrustLevel::Quarantined`] on evidence from
-    /// outside the marginal check — the collusion detector's path. Sticky,
-    /// exactly like a first-check quarantine.
-    pub(crate) fn force_quarantine(&mut self) {
-        self.level = TrustLevel::Quarantined;
-    }
-
-    /// The caller re-estimated this client's distribution: clear the window
-    /// (old residuals described the *previous* regime) and require the new
-    /// claim to validate from scratch.
-    pub fn acknowledge_reestimate(&mut self) {
+    /// The client's distribution was re-estimated: clear the window (old
+    /// residuals described the *previous* regime) and require the new claim
+    /// to validate from scratch.
+    fn acknowledge_reestimate(&mut self) {
         self.residuals.clear();
         self.validated = false;
         self.since_check = 0;
     }
 
+    /// The conservative distribution a quarantined client is pinned to: the
+    /// window's empirical mean, and the larger of its empirical and the
+    /// `claimed` σ inflated by `SIGMA_INFLATION`.
+    fn fallback(&self, claimed: &OffsetDistribution) -> OffsetDistribution {
+        let sigma = self.empirical_std_dev().max(claimed.std_dev()).max(1e-9);
+        OffsetDistribution::gaussian(self.empirical_mean(), sigma * SIGMA_INFLATION)
+    }
+
     /// Empirical mean of the retained window (0 when empty).
-    pub fn empirical_mean(&self) -> f64 {
+    fn empirical_mean(&self) -> f64 {
         if self.residuals.is_empty() {
             return 0.0;
         }
@@ -401,7 +362,7 @@ impl TrustState {
 
     /// Empirical standard deviation of the retained window (0 with < 2
     /// samples).
-    pub fn empirical_std_dev(&self) -> f64 {
+    fn empirical_std_dev(&self) -> f64 {
         let n = self.residuals.len();
         if n < 2 {
             return 0.0;
@@ -442,20 +403,20 @@ impl TrustState {
     }
 }
 
-/// Outcome of feeding one residual into [`CollusionTracker::observe`].
+/// Outcome of feeding one residual into `CollusionTracker::observe`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CollusionReport {
+struct CollusionReport {
     /// Whether a correlation check ran on this observation (the client's
     /// check cadence came due).
-    pub checked: bool,
+    checked: bool,
     /// Highest pairwise correlation scored during this check (0 when no
     /// pair was scorable). Only positive co-movement counts: colluders
     /// forging toward shared values correlate positively.
-    pub peak_score: f64,
+    peak_score: f64,
     /// Clients whose pair crossed the confirmation bar this check — both
     /// members of a confirmed pair, sorted, deduplicated. The caller
     /// quarantines them and removes them from the tracker.
-    pub flagged: Vec<ClientId>,
+    flagged: Vec<ClientId>,
 }
 
 /// One client's aligned residual history inside the tracker.
@@ -568,25 +529,15 @@ fn pair_key(a: ClientId, b: ClientId) -> (ClientId, ClientId) {
 /// co-movement does not. Confirmed pairs are reported for the same sticky
 /// quarantine treatment as the marginal KS/z-score checks.
 #[derive(Debug, Clone, Default)]
-pub struct CollusionTracker {
+struct CollusionTracker {
     clients: BTreeMap<ClientId, ClientWindow>,
     pairs: BTreeMap<(ClientId, ClientId), PairStats>,
 }
 
 impl CollusionTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        CollusionTracker::default()
-    }
-
     /// Feed one residual from `client`; runs the pairwise correlation check
     /// when the client's cadence comes due.
-    pub fn observe(
-        &mut self,
-        client: ClientId,
-        residual: f64,
-        cfg: &DefenseConfig,
-    ) -> CollusionReport {
+    fn observe(&mut self, client: ClientId, residual: f64, cfg: &DefenseConfig) -> CollusionReport {
         assert!(residual.is_finite(), "residuals must be finite");
         let entry = self.clients.entry(client).or_default();
         let k = entry.total;
@@ -655,7 +606,7 @@ impl CollusionTracker {
 
     /// Drop a client (quarantined: its evidence is settled) along with
     /// every pair it participates in.
-    pub fn remove(&mut self, client: ClientId) {
+    fn remove(&mut self, client: ClientId) {
         self.clients.remove(&client);
         self.pairs.retain(|&(a, b), _| a != client && b != client);
     }
@@ -663,7 +614,7 @@ impl CollusionTracker {
     /// Reset a client's window after a drift re-estimation (old residuals
     /// described the previous regime) without losing index alignment, and
     /// restart its pairs from scratch.
-    pub fn reset_client(&mut self, client: ClientId) {
+    fn reset_client(&mut self, client: ClientId) {
         if let Some(entry) = self.clients.get_mut(&client) {
             entry.window.clear();
             entry.since_check = 0;
@@ -672,11 +623,236 @@ impl CollusionTracker {
     }
 }
 
+/// What the observer keeps per client slot.
+#[derive(Debug)]
+struct SlotWatch {
+    trust: TrustState,
+    /// Running mean of the client's `arrival − timestamp` gaps, fed by every
+    /// accepted message whether or not the defense is on, so an undefended
+    /// run can still report the estimate.
+    delay: DelayEstimator,
+    /// Sequencer-clock time the client was last heard from (message or
+    /// heartbeat); `−∞` while it has been neither heard from nor measured
+    /// against the staleness deadline.
+    last_heard: f64,
+}
+
+/// The observers stage of the online shell (see the module docs): one
+/// `SlotWatch` per client slot, plus the collusion tracker.
+#[derive(Debug, Default)]
+pub(crate) struct ArrivalObserver {
+    defense: DefenseConfig,
+    slots: Vec<SlotWatch>,
+    collusion: CollusionTracker,
+}
+
+impl ArrivalObserver {
+    pub(crate) fn new(defense: DefenseConfig) -> Self {
+        ArrivalObserver {
+            defense,
+            ..ArrivalObserver::default()
+        }
+    }
+
+    /// Give every registered client a record; an existing one, and with it
+    /// a quarantine, is kept.
+    pub(crate) fn cover(&mut self, clients: usize) {
+        self.slots.resize_with(clients, || SlotWatch {
+            trust: TrustState::default(),
+            delay: DelayEstimator::default(),
+            last_heard: f64::NEG_INFINITY,
+        });
+    }
+
+    /// The client in `slot` was heard from (message or heartbeat) at `now`.
+    pub(crate) fn heard(&mut self, slot: ClientSlot, now: f64) {
+        let heard = &mut self.slots[slot.idx()].last_heard;
+        *heard = heard.max(now);
+    }
+
+    /// One accepted message from the client in `slot`, arrived at `arrival`
+    /// with the shell's clock at `now`: the liveness clock, then (defense
+    /// on) the residual checks, then the delay estimator. Returns the
+    /// re-registrations the verdicts ask for, in the order to apply them.
+    pub(crate) fn arrival(
+        &mut self,
+        slot: ClientSlot,
+        message: &Message,
+        arrival: f64,
+        now: f64,
+        registry: &DistributionRegistry,
+        stats: &mut OnlineStats,
+    ) -> Vec<(ClientId, OffsetDistribution)> {
+        self.heard(slot, now);
+        let reregister = match self.defense.enabled {
+            true => self.defend(slot, message, arrival, registry, stats),
+            false => Vec::new(),
+        };
+        // Delay estimation *after* the defense check: the estimate used for
+        // residual formation must exclude the current sample, or the first
+        // residual of every client would be identically zero and early
+        // windows would be variance-shrunk.
+        let gap = arrival - message.timestamp;
+        if gap.is_finite() {
+            self.slots[slot.idx()].delay.record(gap);
+        }
+        reregister
+    }
+
+    /// Feed the message's residual to the client's trust window and to the
+    /// collusion tracker, and turn their verdicts into re-registrations: a
+    /// first-check failure or a confirmed co-moving pair quarantines onto
+    /// the fallback, a validated client's failure re-learns its distribution
+    /// from the window through [`DistributionLearner`] (the §3.3
+    /// re-estimation loop, run sequencer-side).
+    ///
+    /// The residual `timestamp − arrival + expected_delay` is the client's
+    /// clock offset δ as seen from the sequencer's chair, the observable the
+    /// claimed distribution describes; only *messages* form one (heartbeats
+    /// carry coordination timestamps, not clock-noise samples). Under
+    /// [`ExpectedDelay::Online`] the delay is the client's learned
+    /// `mean(arrival − timestamp)` plus its claimed mean offset, and nothing
+    /// is formed before `DELAY_WARMUP` gaps, so early variance-shrunk
+    /// windows never reach the KS check.
+    fn defend(
+        &mut self,
+        slot: ClientSlot,
+        message: &Message,
+        arrival: f64,
+        registry: &DistributionRegistry,
+        stats: &mut OnlineStats,
+    ) -> Vec<(ClientId, OffsetDistribution)> {
+        let (cfg, client) = (self.defense, message.client);
+        let watch = &mut self.slots[slot.idx()];
+        let expected_delay = match cfg.expected_delay {
+            ExpectedDelay::Fixed(delay) => delay,
+            ExpectedDelay::Online => {
+                let warm = watch.delay.count() >= DELAY_WARMUP;
+                let Some(gap) = watch.delay.mean().filter(|_| warm) else {
+                    return Vec::new();
+                };
+                gap + registry.mean_at(slot)
+            }
+        };
+        let residual = message.timestamp - arrival + expected_delay;
+        if !residual.is_finite() {
+            return Vec::new();
+        }
+        let mut reregister = Vec::new();
+        let claimed = registry.distribution_at(slot);
+        let trust = &mut watch.trust;
+        if trust.level == TrustLevel::Quarantined {
+            stats.margin_fallbacks += 1;
+        }
+        match trust.observe(residual, claimed, &cfg) {
+            TrustEvent::Ok => {}
+            TrustEvent::Quarantined => {
+                reregister.push((client, trust.fallback(claimed)));
+                stats.quarantines += 1;
+            }
+            TrustEvent::DriftSuspected => {
+                let model = LearnedModel::GaussianFit;
+                let mut learner = DistributionLearner::with_window(model, cfg.window.max(2));
+                trust.residuals.iter().for_each(|&r| learner.record(r));
+                if let Some(learned) = learner.learned() {
+                    reregister.push((client, learned));
+                    trust.acknowledge_reestimate();
+                    // Pair evidence from before would mix two regimes.
+                    self.collusion.reset_client(client);
+                    stats.reestimations += 1;
+                }
+            }
+        }
+        // The marginal checks are blind to colluders who forge
+        // *in-distribution* timestamps toward shared values, so the same
+        // residual also updates the pairwise co-moment windows. A quarantined
+        // client stays out: its residuals no longer reflect a live claim, and
+        // keeping it would only inflate the O(pairs) check cost.
+        if trust.level == TrustLevel::Quarantined {
+            return reregister;
+        }
+        let report = self.collusion.observe(client, residual, &cfg);
+        if report.checked {
+            stats.collusion_checks += 1;
+            stats.peak_collusion_score = stats.peak_collusion_score.max(report.peak_score);
+        }
+        // A confirmed pair goes onto the marginal path's fallback, so its
+        // co-moving timestamps stop steering the order with tight margins.
+        for flagged in report.flagged {
+            let at = registry
+                .slot_of(flagged)
+                .expect("only registered clients are tracked");
+            let trust = &mut self.slots[at.idx()].trust;
+            if trust.level == TrustLevel::Quarantined {
+                continue;
+            }
+            trust.level = TrustLevel::Quarantined;
+            self.collusion.remove(flagged);
+            reregister.push((flagged, trust.fallback(registry.distribution_at(at))));
+            stats.quarantines += 1;
+            stats.collusion_quarantines += 1;
+        }
+        reregister
+    }
+
+    /// The liveness rule for a client in `slot` that blocks emission at
+    /// `now`: stale once silent for longer than `deadline`. A client never
+    /// measured before starts its staleness clock here instead, so a
+    /// quiet-but-alive client gets a full deadline's grace.
+    pub(crate) fn stale(&mut self, slot: ClientSlot, now: f64, deadline: f64) -> bool {
+        let heard = &mut self.slots[slot.idx()].last_heard;
+        if !heard.is_finite() {
+            *heard = now;
+            return false;
+        }
+        now - *heard > deadline
+    }
+
+    /// How far the defense trusts the claim of the client in `slot`.
+    pub(crate) fn trust_level(&self, slot: ClientSlot) -> TrustLevel {
+        self.slots[slot.idx()].trust.level
+    }
+
+    /// The corrected delay estimate of the client in `slot` — its learned
+    /// mean `arrival − timestamp` gap plus its `claimed_mean` offset, which
+    /// converges to the true one-way delay for an honest claim — and its
+    /// observation count; `None` before its first accepted message.
+    pub(crate) fn delay_at(&self, slot: ClientSlot, claimed_mean: f64) -> Option<(f64, u64)> {
+        let delay = &self.slots[slot.idx()].delay;
+        Some((delay.mean()? + claimed_mean, delay.count()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Read-outs only the tests need (the observer reads the fields).
+    impl TrustState {
+        fn new() -> Self {
+            TrustState::default()
+        }
+
+        fn level(&self) -> TrustLevel {
+            self.level
+        }
+
+        fn validated(&self) -> bool {
+            self.validated
+        }
+
+        fn residuals(&self) -> impl Iterator<Item = f64> + '_ {
+            self.residuals.iter().copied()
+        }
+    }
+
+    impl CollusionTracker {
+        fn new() -> Self {
+            CollusionTracker::default()
+        }
+    }
 
     fn feed(
         state: &mut TrustState,
@@ -701,7 +877,6 @@ mod tests {
         assert!(events.iter().all(|e| *e == TrustEvent::Ok));
         assert_eq!(state.level(), TrustLevel::Trusted);
         assert!(state.validated());
-        assert!(state.checks() > 10);
     }
 
     #[test]
@@ -734,7 +909,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let events = feed(&mut state, &truth, &claimed, &cfg, 64, &mut rng);
         assert!(events.contains(&TrustEvent::Quarantined));
-        assert!(state.last_drift_score() > cfg.drift_zscore);
+        assert!(state.discrepancy(&claimed).1 > cfg.drift_zscore);
     }
 
     #[test]
@@ -814,7 +989,7 @@ mod tests {
                 .max((i + 1) as f64 / 4.0 - f)
                 .max(f - i as f64 / 4.0);
         }
-        assert!((state.last_discrepancy() - expected).abs() < 1e-12);
+        assert!((state.discrepancy(&claimed).0 - expected).abs() < 1e-12);
     }
 
     #[test]

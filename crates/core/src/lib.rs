@@ -51,9 +51,11 @@
 //! * [`tiebreak`] — randomized tie-breaking to extend the fair partial order
 //!   to a fair total order (§5 "Extension to Fair Total Order").
 //! * [`defense`] — untrusted-distribution hardening (§5 "Byzantine
-//!   Clients"): per-client [`defense::TrustState`] cross-checking observed
-//!   residuals against the claimed distribution, quarantine onto fallback
-//!   margins, and drift-triggered re-estimation.
+//!   Clients"): per-client trust windows cross-checking observed residuals
+//!   against the claimed distribution, quarantine onto fallback margins,
+//!   drift-triggered re-estimation and collusion correlation — kept, with
+//!   the delay estimators and liveness clocks, in the one observer the
+//!   online shell calls per arrival.
 //! * [`session`] — sequenced-session recovery: the payload-generic
 //!   [`SequenceValidator`] reassembling per-`(client, stream)` frames in
 //!   order, detecting gaps/duplicates/reorders and recovering per a
@@ -98,10 +100,7 @@ pub use checker::{
     RunTrace, ShardedCheckReport,
 };
 pub use config::{FasFallbackReason, FastPathMode, LivenessConfig, SequencerConfig};
-pub use defense::{
-    CollusionReport, CollusionTracker, DefenseConfig, ExpectedDelay, TrustEvent, TrustLevel,
-    TrustState,
-};
+pub use defense::{DefenseConfig, ExpectedDelay, TrustLevel};
 pub use error::CoreError;
 pub use message::{ClientId, Message, MessageId};
 pub use precedence::PrecedenceMatrix;

@@ -8,6 +8,12 @@
 //! registered an equal one. For Gaussian pairs no grid is ever built — the
 //! closed form of §3.2 is used directly.
 //!
+//! The registry holds what clients *claim* — distributions, the caches
+//! derived from them and the query counter — and nothing about how they
+//! behave: what the sequencer observes of each client lives in the online
+//! shell's observer ([`crate::defense`]), indexed by the same slots, so
+//! [`register`](DistributionRegistry::register) has no state to spare.
+//!
 //! ## Sign convention
 //!
 //! A client's offset distribution describes `δ = local_clock − sequencer_clock`
@@ -45,9 +51,6 @@
 //! per pairwise probability evaluated, as on the per-call path.
 
 use crate::config::{FastPathMode, SequencerConfig};
-use crate::defense::{
-    CollusionReport, CollusionTracker, DefenseConfig, TrustEvent, TrustLevel, TrustState,
-};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message};
 use parking_lot::RwLock;
@@ -225,18 +228,6 @@ pub struct DistributionRegistry {
     /// O(1)-tick and O(n)-arrival guarantees are asserted against this
     /// counter.
     queries: AtomicU64,
-    /// Per-client trust tracking for the untrusted-distribution defense
-    /// ([`crate::defense`]): residual windows, quarantine flags, and check
-    /// statistics. Empty until [`observe_residual`](Self::observe_residual)
-    /// is called; deliberately **not** cleared by [`register`](Self::register)
-    /// so a quarantine stays sticky through the defense's own fallback
-    /// re-registration.
-    trust: HashMap<ClientId, TrustState>,
-    /// Cross-client correlation detector over the same residual stream
-    /// ([`crate::defense::CollusionTracker`]): pairwise co-moment windows,
-    /// checked on the marginal cadence, escalating persistently co-moving
-    /// pairs through [`quarantine`](Self::quarantine).
-    collusion: CollusionTracker,
 }
 
 impl Default for DistributionRegistry {
@@ -264,8 +255,6 @@ impl DistributionRegistry {
             discretized: RwLock::new(Vec::new()),
             differences: RwLock::new(Vec::new()),
             queries: AtomicU64::new(0),
-            trust: HashMap::new(),
-            collusion: CollusionTracker::new(),
         }
     }
 
@@ -325,9 +314,14 @@ impl DistributionRegistry {
         slot.ok_or(CoreError::UnknownClient(client))
     }
 
+    /// The distribution the client in `slot` has registered now.
+    pub(crate) fn distribution_at(&self, slot: ClientSlot) -> &OffsetDistribution {
+        &self.entries[slot.idx()].distribution
+    }
+
     /// The closed-form parameters of the client in `slot`, if Gaussian.
     pub(crate) fn gaussian_at(&self, slot: ClientSlot) -> Option<&Gaussian> {
-        self.entries[slot.idx()].distribution.as_gaussian()
+        self.distribution_at(slot).as_gaussian()
     }
 
     /// The mean offset of the client in `slot`.
@@ -362,8 +356,7 @@ impl DistributionRegistry {
 
     /// The distribution registered for `client`, if any.
     pub fn get(&self, client: ClientId) -> Option<&OffsetDistribution> {
-        let slot = self.slot_of(client).ok()?;
-        Some(&self.entries[slot.idx()].distribution)
+        Some(self.distribution_at(self.slot_of(client).ok()?))
     }
 
     /// Whether `client` has a registered distribution.
@@ -386,79 +379,6 @@ impl DistributionRegistry {
         let mut v: Vec<ClientId> = self.entries.iter().map(|e| e.client).collect();
         v.sort();
         v
-    }
-
-    /// Feed one observed residual (the client's apparent clock offset as
-    /// seen from the sequencer) into the defense's per-client
-    /// [`TrustState`], cross-checking it against whatever distribution is
-    /// *currently registered* for the client — the claim under test.
-    ///
-    /// Returns the resulting [`TrustEvent`]; the caller (the online
-    /// sequencer) acts on it — fallback re-registration on
-    /// [`TrustEvent::Quarantined`], online re-estimation on
-    /// [`TrustEvent::DriftSuspected`]. Errors if the client was never
-    /// registered.
-    pub fn observe_residual(
-        &mut self,
-        client: ClientId,
-        residual: f64,
-        cfg: &DefenseConfig,
-    ) -> Result<TrustEvent, CoreError> {
-        let claimed = &self.entries[self.slot_of(client)?.idx()].distribution;
-        let state = self.trust.entry(client).or_default();
-        Ok(state.observe(residual, claimed, cfg))
-    }
-
-    /// The defense's trust state for `client`, if any residual has been
-    /// observed for it.
-    pub fn trust_state(&self, client: ClientId) -> Option<&TrustState> {
-        self.trust.get(&client)
-    }
-
-    /// Clear `client`'s residual window after a re-estimation (see
-    /// [`TrustState::acknowledge_reestimate`]); a no-op for untracked
-    /// clients. Also resets the client's collusion window: the re-learned
-    /// distribution changes the residual baseline, so stale pair evidence
-    /// would mix two regimes.
-    pub fn acknowledge_reestimate(&mut self, client: ClientId) {
-        if let Some(state) = self.trust.get_mut(&client) {
-            state.acknowledge_reestimate();
-        }
-        self.collusion.reset_client(client);
-    }
-
-    /// Feed one residual into the cross-client correlation detector (see
-    /// [`crate::defense::CollusionTracker`]). Quarantined clients are
-    /// excluded: their residuals no longer reflect a live claim, and keeping
-    /// them in the pair set would only inflate the O(pairs) check cost.
-    ///
-    /// Returns the detector's report for this observation; the caller acts
-    /// on `report.flagged` by escalating each member through
-    /// [`quarantine`](Self::quarantine).
-    pub fn observe_collusion(
-        &mut self,
-        client: ClientId,
-        residual: f64,
-        cfg: &DefenseConfig,
-    ) -> CollusionReport {
-        let quarantined = self
-            .trust
-            .get(&client)
-            .is_some_and(|s| s.level() == TrustLevel::Quarantined);
-        if quarantined {
-            return CollusionReport::default();
-        }
-        self.collusion.observe(client, residual, cfg)
-    }
-
-    /// Force `client` into the sticky [`TrustLevel::Quarantined`] state —
-    /// the collusion detector's escalation path, which bypasses the
-    /// per-client marginal checks (a colluder's marginal can be perfectly
-    /// in-distribution). Drops the client's collusion windows so remaining
-    /// pairs stop paying for it.
-    pub fn quarantine(&mut self, client: ClientId) {
-        self.trust.entry(client).or_default().force_quarantine();
-        self.collusion.remove(client);
     }
 
     /// The numeric-cache index of the distribution held by the client in

@@ -17,12 +17,17 @@
 //!
 //! ## The shell and its two engines
 //!
-//! [`OnlineSequencer`] is a *shell*: it does admission (unknown client,
-//! duplicate id, non-finite or backwards timestamp), watermarks, emission
-//! timing, the defense hooks and liveness. The pending set itself — who
-//! precedes whom, where batches split, which batch is the candidate — lives
-//! in one of two private engines with one surface (`insert`,
-//! `candidate_meta`, `take_candidate`, `commit_removal`, `rebuild_from`):
+//! [`OnlineSequencer`] is a *shell* of three stages. `submit` runs
+//! **admission** (unknown client, duplicate id, non-finite or backwards
+//! timestamp), then the **observers** — one call into the observer of
+//! [`crate::defense`], which owns the trust windows, the collusion tracker,
+//! the delay estimators and the liveness clocks and returns the
+//! re-registrations its verdicts ask for — then **release**: the violation
+//! check, the engine insert, watermarks and emission timing. The pending set
+//! itself — who precedes whom, where batches split, which batch is the
+//! candidate — lives in one of two private engines with one surface
+//! (`insert`, `candidate_meta`, `take_candidate`, `commit_removal`,
+//! `rebuild_from`):
 //!
 //! * the **dense** engine (`sequencer::dense`): the pairwise
 //!   [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix), the
@@ -59,6 +64,8 @@
 //! * The shell's own cost does not grow with the client count: an event
 //!   resolves its client to a dense slot once and indexes every per-client
 //!   table by it, and the watermark is a winner tree ([`WatermarkTracker`]).
+//! * The observers read and write one per-slot record; with the defense off
+//!   an arrival costs them one `max` and one running-mean update.
 //! * The per-arrival fairness-violation check against the last emitted batch
 //!   uses per-client-pair margins
 //!   (`DistributionRegistry::violation_margin_at`) instead of one probability
@@ -66,7 +73,7 @@
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::{FastPathMode, SequencerConfig};
-use crate::defense::{ExpectedDelay, TrustEvent, TrustLevel, DELAY_WARMUP, SIGMA_INFLATION};
+use crate::defense::{ArrivalObserver, TrustLevel};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry};
@@ -77,8 +84,7 @@ use crate::session::SessionCounters;
 use crate::tournament::IncrementalTournament;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use tommy_clock::DelayEstimator;
-use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use tommy_stats::distribution::OffsetDistribution;
 use tommy_stats::erf::std_normal_inv_cdf;
 
 /// One batch emitted by the online sequencer, with emission metadata.
@@ -156,7 +162,7 @@ pub struct OnlineStats {
     /// a count of blocked checks, not of distinct stalls.
     pub watermark_stall_ticks: u64,
     /// Pairwise correlation evaluations performed by the cross-client
-    /// collusion detector ([`crate::defense::CollusionTracker`]) — one per
+    /// collusion detector ([`crate::defense`]) — one per
     /// observation that actually scored at least one pair (i.e. a check was
     /// due and enough aligned residual pairs existed). Zero when the defense
     /// is disabled.
@@ -314,16 +320,9 @@ pub struct OnlineSequencer {
     /// emitted batch — all the margin-based violation check needs, so
     /// emission does not clone the batch's message vector for it.
     last_emitted: Vec<(ClientSlot, f64)>,
-    /// Sequencer-clock time each client slot was last heard from (message or
-    /// heartbeat); `NEG_INFINITY` means "registered but never measured
-    /// against the staleness deadline yet". Drives watermark eviction when
-    /// [`LivenessConfig`](crate::config::LivenessConfig) is enabled.
-    last_heard: Vec<f64>,
-    /// Per-slot online delay estimators over `arrival − timestamp` gaps
-    /// ([`tommy_clock::DelayEstimator`]), fed by every accepted message —
-    /// whether or not the defense is enabled, so undefended runs can still
-    /// report the estimate.
-    delays: Vec<DelayEstimator>,
+    /// What watches an arrival without ordering it: per-slot trust windows,
+    /// delay estimators and liveness clocks, and the collusion tracker.
+    observer: ArrivalObserver,
     stats: OnlineStats,
     now: f64,
 }
@@ -347,8 +346,7 @@ impl OnlineSequencer {
             emitted: Vec::new(),
             emitted_order: FairOrder::default(),
             last_emitted: Vec::new(),
-            last_heard: Vec::new(),
-            delays: Vec::new(),
+            observer: ArrivalObserver::new(config.defense),
             stats: OnlineStats::default(),
             now: f64::NEG_INFINITY,
         }
@@ -376,13 +374,12 @@ impl OnlineSequencer {
         if let Some(gaussian) = distribution.as_gaussian() {
             self.sparse.observe_sigma(gaussian.std_dev());
         }
-        // Registry and tracker both number clients in first-registration
-        // order and are only fed from here, so their slots coincide.
+        // Registry, tracker and observer all number clients in
+        // first-registration order and are only fed from here, so their
+        // slots coincide.
         self.registry.register(client, distribution);
         self.watermarks.add_client(client);
-        let clients = self.registry.len();
-        self.last_heard.resize(clients, f64::NEG_INFINITY);
-        self.delays.resize_with(clients, DelayEstimator::default);
+        self.observer.cover(self.registry.len());
         self.dense.invalidate_candidate();
         self.sparse.invalidate_candidate();
 
@@ -546,12 +543,9 @@ impl OnlineSequencer {
         }
     }
 
-    /// Record that a client was heard from (message or heartbeat) at the
-    /// current clock, resuming it if it had been suspended by the liveness
-    /// detector.
-    fn note_heard(&mut self, slot: ClientSlot) {
-        let heard = &mut self.last_heard[slot.idx()];
-        *heard = heard.max(self.now);
+    /// Re-admit a client the liveness rule suspended, now that it was heard
+    /// from again (a rejoin).
+    fn rejoin(&mut self, slot: ClientSlot) {
         if self.watermarks.is_suspended_at(slot) {
             self.watermarks.set_suspended_at(slot, false);
             self.stats.rejoins += 1;
@@ -567,29 +561,46 @@ impl OnlineSequencer {
     /// horizon or never heard from) are candidates: suspending a client whose
     /// watermark is already past the batch would not unblock anything, and
     /// would only degrade fairness for its future messages. The winner tree
-    /// enumerates exactly those, O(log C) each. A blocking client that has
-    /// never been measured before starts its staleness clock at the first
-    /// blocked emission instead of being evicted immediately, so a
-    /// quiet-but-alive client gets a full deadline's grace.
+    /// enumerates exactly those, O(log C) each.
     fn evict_stale_clients(&mut self, horizon: f64) -> bool {
-        let liveness = self.config.liveness;
-        if !liveness.enabled {
+        if !self.config.liveness.enabled {
             return false;
         }
         let mut any = false;
         let mut next = self.watermarks.next_blocking(horizon, 0);
         while let Some(slot) = next {
-            let heard = &mut self.last_heard[slot.idx()];
-            if !heard.is_finite() {
-                *heard = self.now;
-            } else if self.now - *heard > liveness.staleness_deadline {
-                self.watermarks.set_suspended_at(slot, true);
-                self.stats.evictions += 1;
-                any = true;
-            }
+            any |= self.evict_if_stale(slot);
             next = self.watermarks.next_blocking(horizon, slot.idx() + 1);
         }
         any
+    }
+
+    /// The same rule for the cross-shard frontier, which
+    /// [`ShardedSequencer`](crate::sequencer::sharded::ShardedSequencer)
+    /// runs when this shell holds a release back: suspend every client whose
+    /// floor `latest − μ` (see [`key_frontier`](Self::key_frontier)) is below
+    /// `key` and that has been silent past the deadline. Nothing pending
+    /// here means no gate of this shell's own ever asks. Liveness must be on.
+    pub(crate) fn evict_stale_below_key(&mut self, key: f64) {
+        let floors = self.watermarks.active_floors();
+        let blocking: Vec<ClientSlot> = floors
+            .filter(|&(slot, latest)| latest - self.registry.mean_at(slot) < key)
+            .map(|(slot, _)| slot)
+            .collect();
+        for slot in blocking {
+            self.evict_if_stale(slot);
+        }
+    }
+
+    /// Suspend the blocking client in `slot` if the observer finds it stale.
+    fn evict_if_stale(&mut self, slot: ClientSlot) -> bool {
+        let deadline = self.config.liveness.staleness_deadline;
+        let stale = self.observer.stale(slot, self.now, deadline);
+        if stale {
+            self.watermarks.set_suspended_at(slot, true);
+            self.stats.evictions += 1;
+        }
+        stale
     }
 
     /// Record delivery-layer session counters (gap/duplicate/reorder
@@ -637,18 +648,19 @@ impl OnlineSequencer {
         // mutation.
         self.watermarks.observe_at(slot, message.timestamp)?;
         pending.insert(arrival_time);
-        self.note_heard(slot);
 
-        if self.config.defense.enabled {
-            self.observe_defense(slot, message.client, message.timestamp, arrival_time);
-        }
-        // Delay estimation *after* the defense check: the estimate used for
-        // residual formation must exclude the current sample, or the first
-        // residual of every client would be identically zero and early
-        // windows would be variance-shrunk.
-        let gap = arrival_time - message.timestamp;
-        if gap.is_finite() {
-            self.delays[slot.idx()].record(gap);
+        // Observers: what watches the arrival without ordering it. A
+        // quarantine or re-estimation comes back as a re-registration, which
+        // goes through `register_client` (every cached quantity derived from
+        // the stale claim is dropped) before the arrival is ordered.
+        let (registry, stats) = (&self.registry, &mut self.stats);
+        let now = self.now;
+        let reregister = self
+            .observer
+            .arrival(slot, &message, arrival_time, now, registry, stats);
+        self.rejoin(slot);
+        for (client, distribution) in reregister {
+            self.register_client(client, distribution);
         }
 
         // Fairness-violation detection: the message confidently precedes (or
@@ -671,140 +683,12 @@ impl OnlineSequencer {
         Ok(self.try_emit())
     }
 
-    /// Feed one message's residual into the untrusted-distribution defense
-    /// and act on the verdict (see [`crate::defense`]).
-    ///
-    /// The residual `timestamp − arrival + expected_delay` estimates the
-    /// client's clock offset δ from the sequencer's chair, the observable
-    /// the claimed distribution describes. Only *messages* feed the defense
-    /// — heartbeats carry coordination timestamps, not clock-noise samples,
-    /// and would poison the window with degenerate residuals. Under
-    /// [`ExpectedDelay::Online`] the delay term is the client's learned
-    /// `mean(arrival − timestamp) + claimed mean offset` (see
-    /// [`tommy_clock::DelayEstimator`]); no residual is formed until the
-    /// estimator has seen `DELAY_WARMUP` gaps, so early variance-shrunk
-    /// windows never reach the KS check.
-    ///
-    /// On [`TrustEvent::Quarantined`] the client is re-registered onto a
-    /// conservative fallback (empirical mean, inflated σ) so the sequencer
-    /// stops believing the lie; on [`TrustEvent::DriftSuspected`] its
-    /// distribution is re-learned from the residual window through
-    /// [`tommy_clock::DistributionLearner`] — the §3.3 re-estimation loop,
-    /// run sequencer-side. Both paths go through
-    /// [`register_client`](Self::register_client), so every cached quantity
-    /// derived from the stale distribution is invalidated.
-    ///
-    /// The same residual then feeds the cross-client collusion detector:
-    /// clients whose residuals persistently co-move past the correlation
-    /// threshold are force-quarantined even though their marginals pass
-    /// every per-client check.
-    fn observe_defense(
-        &mut self,
-        slot: ClientSlot,
-        client: ClientId,
-        timestamp: f64,
-        arrival_time: f64,
-    ) {
-        let cfg = self.config.defense;
-        let expected_delay = match cfg.expected_delay {
-            ExpectedDelay::Fixed(delay) => delay,
-            ExpectedDelay::Online => {
-                let est = &self.delays[slot.idx()];
-                let warm = est.count() >= DELAY_WARMUP;
-                let Some(raw) = est.mean().filter(|_| warm) else {
-                    return;
-                };
-                let claimed_mean = self.registry.get(client).map(|d| d.mean()).unwrap_or(0.0);
-                raw + claimed_mean
-            }
-        };
-        let residual = timestamp - arrival_time + expected_delay;
-        if !residual.is_finite() {
-            return;
-        }
-        if self
-            .registry
-            .trust_state(client)
-            .is_some_and(|s| s.level() == TrustLevel::Quarantined)
-        {
-            self.stats.margin_fallbacks += 1;
-        }
-        let event = match self.registry.observe_residual(client, residual, &cfg) {
-            Ok(event) => event,
-            Err(_) => return,
-        };
-        match event {
-            TrustEvent::Ok => {}
-            TrustEvent::Quarantined => self.register_quarantine_fallback(client),
-            TrustEvent::DriftSuspected => {
-                let residuals: Vec<f64> = self
-                    .registry
-                    .trust_state(client)
-                    .expect("just observed")
-                    .residuals()
-                    .collect();
-                let mut learner = tommy_clock::DistributionLearner::with_window(
-                    tommy_clock::LearnedModel::GaussianFit,
-                    cfg.window.max(2),
-                );
-                learner.record_all(&residuals);
-                if let Some(learned) = learner.learned() {
-                    self.register_client(client, learned);
-                    self.registry.acknowledge_reestimate(client);
-                    self.stats.reestimations += 1;
-                }
-            }
-        }
-
-        // Cross-client correlation: the marginal checks above are blind to
-        // colluders who forge *in-distribution* timestamps toward shared
-        // values, so the same residual also updates the pairwise co-moment
-        // windows. Quarantined clients are excluded inside the registry.
-        let report = self.registry.observe_collusion(client, residual, &cfg);
-        if report.checked {
-            self.stats.collusion_checks += 1;
-            if report.peak_score > self.stats.peak_collusion_score {
-                self.stats.peak_collusion_score = report.peak_score;
-            }
-        }
-        for flagged in report.flagged {
-            self.quarantine_collusive(flagged);
-        }
-    }
-
-    /// Escalate one collusion-flagged client into the sticky quarantine, onto
-    /// the same fallback the marginal quarantine path uses, so its co-moving
-    /// timestamps stop steering the order with tight claimed margins.
-    fn quarantine_collusive(&mut self, client: ClientId) {
-        if self
-            .registry
-            .trust_state(client)
-            .is_some_and(|s| s.level() == TrustLevel::Quarantined)
-        {
-            return;
-        }
-        self.registry.quarantine(client);
-        self.register_quarantine_fallback(client);
-        self.stats.collusion_quarantines += 1;
-    }
-
-    /// Re-register a quarantined client onto the conservative fallback —
-    /// its empirical residual mean, and the larger of its empirical and
-    /// claimed σ inflated by `SIGMA_INFLATION` — and count the quarantine.
-    fn register_quarantine_fallback(&mut self, client: ClientId) {
-        let (emp_mean, emp_sd) = self
-            .registry
-            .trust_state(client)
-            .map(|s| (s.empirical_mean(), s.empirical_std_dev()))
-            .unwrap_or((0.0, 0.0));
-        let claimed_sd = self
-            .registry
-            .get(client)
-            .map(|d| d.std_dev())
-            .unwrap_or(0.0);
-        let fallback_sd = emp_sd.max(claimed_sd).max(1e-9) * SIGMA_INFLATION;
-        self.register_client(client, OffsetDistribution::gaussian(emp_mean, fallback_sd));
-        self.stats.quarantines += 1;
+    /// How far the untrusted-distribution defense trusts `client`'s claim
+    /// (`None` for an unregistered client). A quarantine is sticky:
+    /// re-registering the client does not lift it.
+    pub fn trust_level(&self, client: ClientId) -> Option<TrustLevel> {
+        let slot = self.registry.slot_of(client).ok()?;
+        Some(self.observer.trust_level(slot))
     }
 
     /// The corrected online delay estimate for one client — the learned
@@ -818,8 +702,8 @@ impl OnlineSequencer {
 
     /// One client's corrected delay estimate and its observation count.
     fn delay_of(&self, client: ClientId) -> Option<(f64, u64)> {
-        let est = &self.delays[self.registry.slot_of(client).ok()?.idx()];
-        Some((est.mean()? + self.registry.get(client)?.mean(), est.count()))
+        let slot = self.registry.slot_of(client).ok()?;
+        self.observer.delay_at(slot, self.registry.mean_at(slot))
     }
 
     /// The corrected delay estimate pooled over every client, weighted by
@@ -851,7 +735,8 @@ impl OnlineSequencer {
         let slot = self.registry.slot_of(client)?;
         self.advance_clock(arrival_time);
         self.watermarks.observe_at(slot, timestamp)?;
-        self.note_heard(slot);
+        self.observer.heard(slot, self.now);
+        self.rejoin(slot);
         Ok(self.try_emit())
     }
 
@@ -1043,6 +928,43 @@ mod tests {
         assert!(seq.heartbeat(ClientId(0), 100.0, 100.0).unwrap().is_empty());
         assert_eq!(seq.tick(151.0).len(), 1);
         assert_eq!(seq.stats().evictions, 1);
+    }
+
+    /// Quarantine is sticky: the observer keeps its verdict through any
+    /// re-registration, so a fresh claim does not launder a misreporter and
+    /// its next message is still sequenced as a margin fallback.
+    #[test]
+    fn quarantine_survives_a_fresh_registration() {
+        use crate::defense::DefenseConfig;
+        let config = SequencerConfig::default().with_defense(DefenseConfig::enabled());
+        let mut seq = OnlineSequencer::new(config);
+        let client = ClientId(0);
+        seq.register_client(client, OffsetDistribution::gaussian(0.0, 1.0));
+        // Residuals `timestamp − arrival` of ±12 against a claimed σ of 1:
+        // the first full check (16 residuals) rejects the claim.
+        let mut id = 0;
+        let mut send = |seq: &mut OnlineSequencer| {
+            let arrival = 100.0 * (id + 1) as f64;
+            let residual = if id % 2 == 0 { 12.0 } else { -12.0 };
+            seq.submit(msg(id, 0, arrival + residual), arrival).unwrap();
+            id += 1;
+        };
+        for _ in 0..16 {
+            send(&mut seq);
+        }
+        assert_eq!(seq.stats().quarantines, 1);
+        assert_eq!(seq.trust_level(client), Some(TrustLevel::Quarantined));
+        let fallbacks = seq.stats().margin_fallbacks;
+        seq.register_client(client, OffsetDistribution::gaussian(0.0, 1.0));
+        assert_eq!(seq.trust_level(client), Some(TrustLevel::Quarantined));
+        send(&mut seq);
+        assert_eq!(seq.stats().margin_fallbacks, fallbacks + 1);
+        assert_eq!(
+            seq.stats().quarantines,
+            1,
+            "a sticky verdict is not re-counted"
+        );
+        assert_eq!(seq.trust_level(ClientId(9)), None);
     }
 
     #[test]

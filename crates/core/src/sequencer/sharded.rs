@@ -32,7 +32,10 @@
 //! The combiner keeps no copy of client or key state: it *asks* the shell,
 //! so a client the shell retired, suspended (liveness eviction) or
 //! re-registered (defense quarantine, re-estimation) is seen as the shell
-//! sees it. Since per-client timestamps are monotone *by enforcement*
+//! sees it. A shell's own gate runs only on its shard's events, so with
+//! liveness on a shard that holds a release back runs its liveness rule on
+//! the combiner's clock (otherwise a crashed client alone in its shard would
+//! never be evicted). Since per-client timestamps are monotone *by enforcement*
 //! (non-monotone submissions are rejected), every future message a shard
 //! can still produce has a key at or above its frontier.
 //!
@@ -189,6 +192,18 @@ impl Shard {
                 }
             }
         }
+    }
+
+    /// The liveness rule for a shard whose frontier holds a release back
+    /// below `bound`, run on the combiner's clock `now`: its own events
+    /// never run it once the shard has gone quiet, as when its only client
+    /// crashed. Ticked to `now`, its gate suspends a silent client that
+    /// blocks a pending batch and emits what that frees; a silent client
+    /// with nothing pending is then suspended by its floor.
+    fn run_liveness(&mut self, bound: f64, now: f64) {
+        self.seq.tick(now);
+        self.stage_emissions();
+        self.seq.evict_stale_below_key(bound);
     }
 
     /// The least key any future (or still-held) message of this shard can
@@ -520,10 +535,16 @@ impl ShardedSequencer {
             }
             // Release condition: every shard's *remaining* frontier (after
             // the group leaves) must have passed the group horizon.
+            let (bound, now) = (group_max - w, self.now);
+            let liveness = self.config.liveness.enabled;
             let mut ok = true;
-            for (i, shard) in self.shards.iter().enumerate() {
+            for (i, shard) in self.shards.iter_mut().enumerate() {
                 self.cross_shard_evals += 1;
-                if shard.frontier(take[i]) < group_max - w {
+                let blocks = |shard: &Shard| shard.frontier(take[i]) < bound;
+                if liveness && blocks(shard) {
+                    shard.run_liveness(bound, now);
+                }
+                if blocks(shard) {
                     ok = false;
                     break;
                 }

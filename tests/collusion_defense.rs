@@ -141,14 +141,14 @@ fn correlated_colluders_are_quarantined_within_two_check_intervals() {
     assert!(stats.peak_collusion_score > 0.8, "{stats:?}");
     for client in colluders {
         assert_eq!(
-            seq.registry().trust_state(client).map(|t| t.level()),
+            seq.trust_level(client),
             Some(TrustLevel::Quarantined),
             "{client:?} must be quarantined"
         );
     }
     for client in [ClientId(2), ClientId(3)] {
         assert_eq!(
-            seq.registry().trust_state(client).map(|t| t.level()),
+            seq.trust_level(client),
             Some(TrustLevel::Trusted),
             "honest {client:?} must stay trusted"
         );

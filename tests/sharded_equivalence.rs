@@ -661,6 +661,45 @@ fn evicted_client_stops_constraining_the_cross_shard_frontier() {
     }
 }
 
+/// A crashed client *alone* in its shard: that shard holds nothing pending,
+/// so its own emission gate never stalls and never runs the eviction rule,
+/// while the silent client's floor holds every other shard's batches back.
+/// The combiner runs the blocking shard's rule on its own clock, so K = 4
+/// releases before any flush what K = 1 does, with the same one eviction.
+#[test]
+fn crashed_client_alone_in_its_shard_is_evicted() {
+    let config = SequencerConfig::default().with_liveness(LivenessConfig::enabled(20.0));
+    let run = |shards: usize| {
+        let mut seq = ShardedSequencer::new(config.with_shards(shards));
+        register_all(&mut seq, &gaussian_census(4, 1.0));
+        let mut released = 0;
+        for i in 0..200u64 {
+            // Round robin over the four clients until client 3 goes silent
+            // after t = 50, over the other three from then on.
+            let t = (i + 1) as f64;
+            let live = if t <= 50.0 { 4 } else { 3 };
+            let speaker = (i % live) as u32;
+            let message = Message::new(MessageId(i), ClientId(speaker), t);
+            seq.submit(message, t).expect("valid submission");
+            for c in (0..live as u32).filter(|&c| c != speaker) {
+                seq.heartbeat(ClientId(c), t, t).expect("heartbeat");
+            }
+            released += seq.drive(t).iter().map(|b| b.messages.len()).sum::<usize>();
+        }
+        assert!(seq.take_rejections().is_empty());
+        (released, seq.stats().evictions)
+    };
+    let (single, evictions) = run(1);
+    assert_eq!(evictions, 1);
+    assert!(single >= 190, "K=1 released {single} of 200");
+    let (sharded, evictions) = run(4);
+    assert_eq!(evictions, 1, "K=4 never evicted the crashed client");
+    assert!(
+        sharded >= single,
+        "K=4 released {sharded} of 200 before any flush, K=1 {single}"
+    );
+}
+
 /// With `retain_history(false)` the wrapper's duplicate set is bounded by
 /// what it still holds — pending and staged ids — like the single engine's,
 /// not by the length of the stream.
