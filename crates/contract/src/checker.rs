@@ -84,28 +84,28 @@
 //! On top of the base invariants, [`ModelSpec::check_collusive`] checks a
 //! *collusive* model end to end: every schedule must leave every listed
 //! colluder quarantined by the cross-client correlation defense and every
-//! honest client untouched (see [`crate::defense`]). And
+//! honest client untouched (see [`tommy_core::defense`]). And
 //! [`ModelSpec::check_sharded`] replays every schedule through the
 //! [`ShardedSequencer`] instead, asserting the cross-shard margin
 //! invariant — no watermark-approved release ever precedes a cross-shard
 //! message whose probability of having happened first exceeds the
-//! threshold (see [`crate::sequencer::sharded`], "Merge watermark
+//! threshold (see [`tommy_core::sequencer::sharded`], "Merge watermark
 //! invariant").
 
 use std::collections::{BTreeMap, HashMap};
 
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
-use crate::config::{LivenessConfig, SequencerConfig};
-use crate::defense::TrustLevel;
-use crate::error::CoreError;
-use crate::message::{ClientId, Message, MessageId};
-use crate::precedence::PrecedenceMatrix;
-use crate::registry::DistributionRegistry;
-use crate::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
-use crate::sequencer::sharded::ShardedSequencer;
-use crate::sequencer::{register_all, SequencingCore, StreamEngine};
-use crate::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
+use tommy_core::config::{LivenessConfig, SequencerConfig};
+use tommy_core::defense::TrustLevel;
+use tommy_core::error::CoreError;
+use tommy_core::message::{ClientId, Message, MessageId};
+use tommy_core::precedence::PrecedenceMatrix;
+use tommy_core::registry::DistributionRegistry;
+use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
+use tommy_core::sequencer::sharded::ShardedSequencer;
+use tommy_core::sequencer::{register_all, SequencingCore, StreamEngine};
+use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 
 /// Fixed network delay added to a message's true time to form its earliest
 /// arrival; the sequencer clock never runs backwards, so a reordered
@@ -1572,7 +1572,7 @@ impl ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::{DefenseConfig, ExpectedDelay};
+    use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 
     fn tiny_offsets() -> Vec<(ClientId, OffsetDistribution)> {
         (0..3)

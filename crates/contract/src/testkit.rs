@@ -1,36 +1,23 @@
-//! Test-support helpers shared by the integration suites.
+//! The lockstep kit the integration suites share.
 //!
 //! The equivalence, defense and fault suites under `tests/` all need the
 //! same scaffolding: build a census, register it into one or more engines,
-//! drive identical event streams through them in lockstep, close the stream
-//! (far-future heartbeats → tick → flush), and compare emitted batches
-//! bitwise. This module is that scaffolding, factored out once so
-//! `tests/sparse_dense_equivalence.rs`, `tests/collusion_defense.rs`,
+//! drive identical event streams through them in lockstep and compare
+//! emitted batches bitwise. This module is that scaffolding, written once
+//! so `tests/sparse_dense_equivalence.rs`, `tests/collusion_defense.rs`,
 //! `tests/fault_invariants.rs` and `tests/sharded_equivalence.rs` stop
-//! copy-pasting it.
-//!
-//! The [`StreamEngine`] trait is the common surface the helpers drive:
-//! implemented by both the single-engine [`OnlineSequencer`] and the
-//! sharded `ShardedSequencer`, so a differential harness can run one of
-//! each through the same schedule with the same code. It lives in
-//! `tommy_core::sequencer` (the model checker drives it too) and is
-//! re-exported here.
-//!
-//! The §4 delivery schedule itself is data: [`Schedule::resolve`] turns a
-//! generated stream into a flat [`StreamEvent`] list once, and every driver
-//! (the sim runner, the fault runner's send phase, the lockstep suites)
-//! replays that list instead of re-deriving it.
+//! copy-pasting it. The engines are driven through [`StreamEngine`], and
+//! streams are closed with `tommy_workload::schedule::close_stream`, the
+//! close the sim runner uses.
 
 use rand::rngs::StdRng;
-use std::collections::HashMap;
-use tommy_core::checker::ModelSpec;
 use tommy_core::config::{FastPathMode, SequencerConfig};
-use tommy_core::defense::{DefenseConfig, ExpectedDelay};
-use tommy_core::error::CoreError;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer};
-pub use tommy_core::sequencer::{register_all, StreamEngine};
+use tommy_core::sequencer::{register_all, StreamEngine};
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
+
+use crate::checker::ModelSpec;
 
 /// A census of `clients` zero-mean Gaussian clients with a common σ.
 pub fn gaussian_census(clients: usize, sigma: f64) -> Vec<(ClientId, OffsetDistribution)> {
@@ -50,20 +37,6 @@ pub fn paired_engines(
     register_all(&mut auto, offsets);
     register_all(&mut dense, offsets);
     (auto, dense)
-}
-
-/// The defended configuration the defense suite runs and whose `defense`
-/// block the sim runners reuse: small windows so the defense reaches
-/// verdicts within short streams, online delay estimation so heterogeneous
-/// links don't shift residuals.
-pub fn defended_config() -> SequencerConfig {
-    SequencerConfig::new().with_p_safe(0.99).with_defense(
-        DefenseConfig::enabled()
-            .with_window(24)
-            .with_min_samples(12)
-            .with_check_interval(4)
-            .with_expected_delay(ExpectedDelay::Online),
-    )
 }
 
 /// One honest message: client's clock error drawn from its own claimed
@@ -185,151 +158,13 @@ pub fn assert_boundaries_agree(a: &mut OnlineSequencer, b: &mut OnlineSequencer,
     );
 }
 
-/// The constant one-way delay of the §4 direct-delivery schedule.
-pub const DELIVERY_DELAY: f64 = 1.0;
-
-/// One input of a resolved delivery schedule, stamped with its *send*
-/// (true) time: a direct driver adds its delivery delay on
-/// [`apply`](Self::apply), a simulated network is handed the send time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// `client` reports its local clock reading `timestamp`.
-    Heartbeat {
-        /// The reporting client.
-        client: ClientId,
-        /// Its (monotone-clamped) local clock reading.
-        timestamp: f64,
-        /// True time the heartbeat was sent.
-        sent_at: f64,
-    },
-    /// A client submits `message` (timestamp monotone-clamped).
-    Submit {
-        /// The clamped message.
-        message: Message,
-        /// True time the message was sent.
-        sent_at: f64,
-    },
-}
-
-impl StreamEvent {
-    /// True time the event was sent.
-    pub fn sent_at(&self) -> f64 {
-        match self {
-            StreamEvent::Heartbeat { sent_at, .. } | StreamEvent::Submit { sent_at, .. } => *sent_at,
-        }
-    }
-
-    /// Whether this is a message submission.
-    pub fn is_submit(&self) -> bool {
-        matches!(self, StreamEvent::Submit { .. })
-    }
-
-    /// Deliver the event to `engine`, arriving `delay` after it was sent.
-    pub fn apply<E: StreamEngine>(&self, engine: &mut E, delay: f64) -> Result<(), CoreError> {
-        match self {
-            StreamEvent::Heartbeat {
-                client,
-                timestamp,
-                sent_at,
-            } => engine.heartbeat_at(*client, *timestamp, sent_at + delay),
-            StreamEvent::Submit { message, sent_at } => {
-                engine.submit_at(message.clone(), sent_at + delay)
-            }
-        }
-    }
-}
-
-/// Sort a generated stream into send (true-time) order; ties keep their
-/// generation order.
-pub fn sort_by_true_time(stream: &mut [Message]) {
-    stream.sort_by(|a, b| {
-        let ta = a.true_time.expect("generated messages carry true times");
-        let tb = b.true_time.expect("generated messages carry true times");
-        ta.partial_cmp(&tb).expect("finite true times")
-    });
-}
-
-/// The §4 delivery schedule of one stream, resolved once: what every client
-/// sends and when, plus what the close and the scorer need.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    /// Every heartbeat and submission, in send order.
-    pub events: Vec<StreamEvent>,
-    /// The submitted messages in send order, with the clamped timestamps the
-    /// engines saw — the set RAS scores against.
-    pub messages: Vec<Message>,
-    /// The census, in registration order.
-    pub clients: Vec<ClientId>,
-    /// A timestamp past everything pending: the largest clamped message
-    /// timestamp plus the margin [`Schedule::resolve`] was given. Hand it to
-    /// [`close_stream`].
-    pub horizon: f64,
-}
-
-impl Schedule {
-    /// Resolve `stream` into the schedule every §4 run delivers: messages in
-    /// true-time order, and alongside each one every *other* client
-    /// heartbeats its reading of the current true time. Each client's merged
-    /// sequence of message timestamps and heartbeat readings is clamped
-    /// monotone (the paper's ordered-channel assumption, which is what makes
-    /// the watermark rule sound).
-    pub fn resolve(clients: &[ClientId], mut stream: Vec<Message>, horizon_margin: f64) -> Schedule {
-        sort_by_true_time(&mut stream);
-        let mut floors: HashMap<ClientId, f64> = HashMap::new();
-        let mut clamp = |client: ClientId, reading: f64| {
-            let floor = floors.entry(client).or_insert(f64::NEG_INFINITY);
-            *floor = reading.max(*floor);
-            *floor
-        };
-        let mut events = Vec::with_capacity(stream.len() * clients.len());
-        let mut messages = Vec::with_capacity(stream.len());
-        for delivery in stream {
-            let sent_at = delivery.true_time.expect("sorted by true time");
-            for &client in clients.iter().filter(|&&c| c != delivery.client) {
-                events.push(StreamEvent::Heartbeat {
-                    client,
-                    timestamp: clamp(client, sent_at),
-                    sent_at,
-                });
-            }
-            let timestamp = clamp(delivery.client, delivery.timestamp);
-            let message = Message::with_true_time(delivery.id, delivery.client, timestamp, sent_at);
-            messages.push(message.clone());
-            events.push(StreamEvent::Submit { message, sent_at });
-        }
-        let horizon = messages.iter().map(|m| m.timestamp).fold(0.0f64, f64::max) + horizon_margin;
-        Schedule {
-            events,
-            messages,
-            clients: clients.to_vec(),
-            horizon,
-        }
-    }
-}
-
-/// Close a stream the way every suite does: heartbeat each client far past
-/// the pending horizon, tick the clock there, flush the stragglers, and
-/// drain. Returns the batches released by the close.
-pub fn close_stream<E: StreamEngine>(
-    engine: &mut E,
-    clients: &[ClientId],
-    horizon: f64,
-) -> Vec<EmittedBatch> {
-    for &client in clients {
-        engine
-            .heartbeat_at(client, horizon, horizon)
-            .expect("registered client heartbeat");
-    }
-    engine.tick_at(horizon);
-    engine.flush_all();
-    engine.drain()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use tommy_core::sequencer::sharded::ShardedSequencer;
+    use tommy_sim::runner::defended_config;
+    use tommy_workload::schedule::{close_stream, Schedule, StreamEvent, DELIVERY_DELAY};
 
     #[test]
     fn census_and_model_builders_are_stable() {

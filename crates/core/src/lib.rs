@@ -61,25 +61,18 @@
 //!   order, detecting gaps/duplicates/reorders and recovering per a
 //!   [`RecoveryPolicy`] (halt, skip-after-timeout, or bounded retransmit
 //!   requests with exponential backoff).
-//! * [`checker`] — a small-model exhaustive checker that replays every
-//!   delivery schedule of a tiny workload through the online sequencer and
-//!   asserts TLA-style ordering invariants — including lossy, duplicating
-//!   and crash-faulted delivery schedules replayed through the session
-//!   layer (see `ARCHITECTURE.md`, "Threat model & degradation" and
-//!   "Failure model & recovery").
 //!
 //! The repository-level `ARCHITECTURE.md` documents how these pieces
 //! compose into the full arrival → emission pipeline (PairKernel column
 //! fill → incremental tournament → incremental batch boundaries →
 //! sequencing core), the incremental-vs-rebuild invariants each counter
-//! guards, and the ten-crate workspace map.
+//! guards, and the workspace crate map.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
 pub mod batching;
-pub mod checker;
 pub mod config;
 pub mod defense;
 pub mod error;
@@ -95,10 +88,6 @@ pub mod tiebreak;
 pub mod tournament;
 
 pub use batching::{Batch, FairOrder, FairOrderCounters, IncrementalFairOrder};
-pub use checker::{
-    CheckReport, CrashLivenessReport, FaultCheckReport, FaultSpec, InvariantViolation, ModelSpec,
-    RunTrace, ShardedCheckReport,
-};
 pub use config::{FasFallbackReason, FastPathMode, LivenessConfig, SequencerConfig};
 pub use defense::{DefenseConfig, ExpectedDelay, TrustLevel};
 pub use error::CoreError;

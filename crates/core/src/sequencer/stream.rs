@@ -3,8 +3,8 @@
 //! [`StreamEngine`] is what a driver needs of a sequencer and nothing more:
 //! implemented by the single-engine [`OnlineSequencer`] and the sharded
 //! [`ShardedSequencer`], so one piece of code — the sim runner, the lockstep
-//! suites (through `tommy_workload::testkit`, which re-exports it), the
-//! small-model [`checker`](crate::checker) — drives either.
+//! suites, the small-model checker (`tommy_contract::checker`) — drives
+//! either.
 
 use crate::error::CoreError;
 use crate::message::{ClientId, Message};

@@ -32,8 +32,8 @@
 //!
 //! The validator is payload-generic so the same state machine backs both the
 //! wire layer (`tommy-wire`'s `StreamReceiver`, payload = a decoded frame)
-//! and the exhaustive model checker (`crate::checker`, payload = a message
-//! index), letting the checker verify exactly the code that runs in
+//! and the exhaustive model checker (`tommy_contract::checker`, payload = a
+//! message index), letting the checker verify exactly the code that runs in
 //! production.
 //!
 //! Invariant, shared by every policy: payloads are **released in strict

@@ -20,7 +20,7 @@ use tommy_netsim::link::LinkModel;
 use tommy_netsim::time::SimTime;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::population::ClockPopulation;
-use tommy_workload::testkit::StreamEvent;
+use tommy_workload::schedule::StreamEvent;
 use tommy_workload::uniform::UniformWorkload;
 
 /// One row of the `p_safe` sweep.

@@ -25,16 +25,17 @@ use tommy_core::batching::FairOrder;
 use tommy_core::config::LivenessConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
+use tommy_core::sequencer::register_all;
 use tommy_metrics::ras::{rank_agreement_score, RasScore};
 use tommy_netsim::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 use tommy_netsim::{FaultAction, FaultInjector, FaultPlan, NodeId, SimTime};
 use tommy_wire::frame::{encode_frame, FrameDecoder};
 use tommy_wire::{RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
-use tommy_workload::testkit::{self, StreamEvent};
+use tommy_workload::schedule::{StreamEvent, DELIVERY_DELAY};
 
 /// Nominal one-way delivery delay of the simulated network (the fault-free
 /// schedule faults perturb).
-pub const NETWORK_DELAY: f64 = testkit::DELIVERY_DELAY;
+pub const NETWORK_DELAY: f64 = DELIVERY_DELAY;
 
 /// Staleness deadline of the liveness detector in fault runs: a client whose
 /// stream is wedged (an unhealed hole under [`RecoveryPolicy::Halt`], a
@@ -348,7 +349,7 @@ pub fn run_fault_stream(
         sequencer_config(config, p_safe)
             .with_liveness(LivenessConfig::enabled(FAULT_STALENESS_DEADLINE)),
     );
-    testkit::register_all(&mut sequencer, &scenario_claimed_offsets(config));
+    register_all(&mut sequencer, &scenario_claimed_offsets(config));
     let client_ids = &schedule.clients;
 
     let mut run = FaultRun {

@@ -21,7 +21,7 @@
 //! binary under `src/bin/` that prints the rows as a table/CSV.
 //!
 //! [`runner::run_stream`] is the one streaming driver: it replays a
-//! scenario's delivery schedule (`tommy_workload::testkit::Schedule`) into
+//! scenario's delivery schedule (`tommy_workload::schedule::Schedule`) into
 //! any online engine the caller builds and scores what comes out.
 //! [`faults`] adds the fault-injected streaming runner: the same scenarios
 //! driven through the full wire path (sequenced stream frames, framing and

@@ -7,7 +7,7 @@
 //! [`run_offline_comparison`] hands the full message set to each offline
 //! sequencer (Tommy, TrueTime, WFO); [`run_stream`] delivers it as a stream
 //! to any online engine: generate → resolve the delivery schedule
-//! (`tommy_workload::testkit::Schedule`) → drive → score.
+//! (`tommy_workload::schedule::Schedule`) → drive → score.
 
 use crate::scenario::ScenarioConfig;
 use rand::rngs::StdRng;
@@ -15,17 +15,19 @@ use rand::SeedableRng;
 use tommy_core::baselines::{TrueTimeSequencer, WfoSequencer};
 use tommy_core::batching::FairOrder;
 use tommy_core::config::SequencerConfig;
+use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::message::{ClientId, Message};
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::offline::TommySequencer;
 use tommy_core::sequencer::online::EmittedBatch;
+use tommy_core::sequencer::{register_all, StreamEngine};
 use tommy_metrics::batchstats::BatchStats;
 use tommy_metrics::ras::{rank_agreement_score, RasScore};
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::intransitive::IntransitiveWorkload;
 use tommy_workload::population::ClockPopulation;
 use tommy_workload::tagging::tag_messages;
-use tommy_workload::testkit::{self, Schedule, StreamEngine, StreamEvent, DELIVERY_DELAY};
+use tommy_workload::schedule::{close_stream, Schedule, StreamEvent, DELIVERY_DELAY};
 use tommy_workload::uniform::UniformWorkload;
 
 /// The scored output of one scenario for all compared sequencers.
@@ -190,10 +192,24 @@ pub fn run_offline_comparison(config: &ScenarioConfig) -> ComparisonResult {
     }
 }
 
+/// The defended configuration the defense suites run and whose `defense`
+/// block [`sequencer_config`] reuses: small windows so the defense reaches
+/// verdicts within short streams, online delay estimation so heterogeneous
+/// links don't shift residuals.
+pub fn defended_config() -> SequencerConfig {
+    SequencerConfig::new().with_p_safe(0.99).with_defense(
+        DefenseConfig::enabled()
+            .with_window(24)
+            .with_min_samples(12)
+            .with_check_interval(4)
+            .with_expected_delay(ExpectedDelay::Online),
+    )
+}
+
 /// The sequencer configuration a scenario's streaming runs use: its
 /// threshold, the given `p_safe`, bounded-memory history, and — when
 /// [`ScenarioConfig::defended`] is set — the defense profile of
-/// [`testkit::defended_config`]. Residuals there are measured against the
+/// [`defended_config`]. Residuals there are measured against the
 /// sequencer's *online* per-client delay estimate, so no runner leaks the
 /// delay it simulates into the defense.
 pub fn sequencer_config(config: &ScenarioConfig, p_safe: f64) -> SequencerConfig {
@@ -202,7 +218,7 @@ pub fn sequencer_config(config: &ScenarioConfig, p_safe: f64) -> SequencerConfig
         .with_p_safe(p_safe)
         .with_retain_history(false);
     if config.defended {
-        base.with_defense(testkit::defended_config().defense)
+        base.with_defense(defended_config().defense)
     } else {
         base
     }
@@ -293,7 +309,7 @@ impl Drive {
 /// generate and resolve the schedule ([`scenario_schedule`]), deliver every
 /// event [`DELIVERY_DELAY`] after it was sent — draining after each
 /// submission so engine memory stays bounded by the pending set — close
-/// the stream ([`testkit::close_stream`]) and score the emitted order.
+/// the stream ([`close_stream`]) and score the emitted order.
 ///
 /// Build the engine from [`sequencer_config`]: an [`OnlineSequencer`], or a
 /// [`ShardedSequencer`] over `.with_shards(k)`. With one shard the wrapper
@@ -304,11 +320,11 @@ impl Drive {
 /// [`OnlineSequencer`]: tommy_core::sequencer::online::OnlineSequencer
 /// [`ShardedSequencer`]: tommy_core::sequencer::sharded::ShardedSequencer
 pub fn run_stream<E: StreamEngine>(engine: &mut E, config: &ScenarioConfig) -> StreamRun {
-    testkit::register_all(engine, &scenario_claimed_offsets(config));
+    register_all(engine, &scenario_claimed_offsets(config));
     let schedule = scenario_schedule(config);
     let mut drive = Drive::default();
     drive.replay(engine, &schedule.events, DELIVERY_DELAY);
-    drive.collect(testkit::close_stream(engine, &schedule.clients, schedule.horizon));
+    drive.collect(close_stream(engine, &schedule.clients, schedule.horizon));
     drive.score(schedule.messages)
 }
 

@@ -1,7 +1,7 @@
 //! The schedule → drive → score driver reproduces the drivers it replaced.
 //!
 //! Every value below was recorded at `d7098fa`, the commit *before* the
-//! delivery schedule moved into `testkit::Schedule`, through the drivers
+//! delivery schedule moved into `schedule::Schedule`, through the drivers
 //! that commit had: `run_online_stream`, `run_parallel_stream` (K = 2) and
 //! `run_fault_stream` with its inline send loop, all at `p_safe = 0.99`. The
 //! hashes are FNV-1a of `format!("{stats:?}")` / `format!("{batches:?}")`,

@@ -28,11 +28,9 @@
 //!   dice) offset mixes whose preceding probabilities are *not*
 //!   transitive, exercising the feedback-arc-set machinery that Gaussian
 //!   workloads (Appendix A) never reach;
-//! * [`testkit`] — shared test scaffolding for the integration suites:
-//!   census builders, paired differential engines, the [`testkit::StreamEngine`]
-//!   driving surface over both the single-engine and sharded sequencers,
-//!   the §4 delivery schedule as data ([`testkit::Schedule`]), lockstep
-//!   drain/compare helpers and the common stream-close sequence.
+//! * [`schedule`] — the §4 delivery schedule as data
+//!   ([`schedule::Schedule`]), replayed into any online engine, and the
+//!   common stream-close sequence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +40,8 @@ pub mod burst;
 pub mod events;
 pub mod intransitive;
 pub mod population;
+pub mod schedule;
 pub mod tagging;
-pub mod testkit;
 pub mod uniform;
 
 pub use adversarial::{AttackFamily, AttackPlan};

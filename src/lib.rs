@@ -8,9 +8,11 @@
 //! before` relation, tournament ordering, threshold batching, offline and
 //! online sequencing), every substrate it needs (statistics/FFT, clock and
 //! clock-synchronization models, a discrete-event network simulator, a wire
-//! protocol, an async TCP deployment), the baselines it compares against
-//! (FIFO, WaitsForOne, TrueTime), and the experiment/benchmark harness that
-//! regenerates the paper's evaluation.
+//! protocol with sequenced-session recovery), the baselines it compares
+//! against (FIFO, WaitsForOne, TrueTime), and the experiment/benchmark
+//! harness that regenerates the paper's evaluation. The test rig (the
+//! small-model checker and the lockstep kit) lives in the dev-only
+//! `tommy-contract` crate and is not re-exported here.
 //!
 //! ## Quickstart
 //!

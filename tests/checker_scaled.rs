@@ -1,7 +1,7 @@
 //! Scaled model-checking suite: 4-client models at `max_in_flight = 3`,
 //! enumerable only because of the checker's state-space reductions
 //! (client-orbit symmetry canonicalization and no-op heartbeat elision —
-//! see `tommy_core::checker`, "State-space reductions").
+//! see `tommy_contract::checker`, "State-space reductions").
 //!
 //! Two models are pinned down, mirroring the in-crate reduction unit tests
 //! at a size where the reductions are load-bearing rather than decorative:
@@ -18,7 +18,7 @@
 //! CI runs this suite in release mode alongside `invariants_model` /
 //! `fault_invariants` (see `.github/workflows/ci.yml`).
 
-use tommy_core::checker::ModelSpec;
+use tommy_contract::checker::ModelSpec;
 use tommy_core::config::SequencerConfig;
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::{ClientId, Message, MessageId};

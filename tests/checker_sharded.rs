@@ -11,9 +11,9 @@
 //! Run in release mode in CI: the unreduced schedule space is the largest
 //! model the checker suite enumerates.
 
-use tommy_core::checker::ModelSpec;
+use tommy_contract::checker::ModelSpec;
+use tommy_contract::testkit::{model_messages, model_offsets, model_spec};
 use tommy_core::{ClientId, Message, MessageId};
-use tommy_workload::testkit::{model_messages, model_offsets, model_spec};
 
 /// The well-separated base model across 2 shards (round-robin: clients 0
 /// and 2 on shard 0, client 1 on shard 1): every schedule passes every

@@ -21,12 +21,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tommy_contract::testkit::{honest_message, run_honest};
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::sequencer::online::OnlineSequencer;
 use tommy_core::{ClientId, TrustLevel};
+use tommy_sim::runner::defended_config;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::adversarial::apply_correlated_collusion;
-use tommy_workload::testkit::{defended_config, honest_message, run_honest};
 
 /// FP property: across 16 seeds of honest Gaussian *and* heavy-tailed
 /// streams over heterogeneous links, the correlation detector runs on every

@@ -23,9 +23,10 @@ use tommy::core::graph::fas;
 use tommy::core::precedence::{PrecedenceMatrix, Removal};
 use tommy::core::tournament::{IncrementalTournament, Tournament};
 use tommy::core::sequencer::online::EmittedBatch;
+use tommy::core::sequencer::register_all;
 use tommy::prelude::*;
 use tommy::workload::intransitive::IntransitiveWorkload;
-use tommy::workload::testkit::{close_stream, register_all, Schedule, DELIVERY_DELAY};
+use tommy::workload::schedule::{close_stream, Schedule, DELIVERY_DELAY};
 
 /// Property 1: incremental FAS output equals the exhaustive pass's
 /// feedback-arc cost on random cyclic tournaments, across random

@@ -18,13 +18,13 @@
 //!    `RequestRetransmit`: zero lost and zero duplicated emissions, and the
 //!    stream still fully sequenced.
 
-use tommy_core::checker::FaultSpec;
+use tommy_contract::checker::FaultSpec;
+use tommy_contract::testkit::model_spec as spec;
 use tommy_core::{ClientId, MessageId};
 use tommy_netsim::{FaultFamily, FaultPlan};
 use tommy_sim::faults::run_fault_stream;
 use tommy_sim::ScenarioConfig;
 use tommy_wire::RecoveryPolicy;
-use tommy_workload::testkit::model_spec as spec;
 
 const RETRANSMIT: RecoveryPolicy = RecoveryPolicy::RequestRetransmit {
     max_retries: 4,

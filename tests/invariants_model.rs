@@ -13,7 +13,7 @@
 //! misreport-plus-backdating scenario where a violation *does* slip through,
 //! proving the checker can fail (the invariants are not vacuously true).
 
-use tommy_core::checker::{check_trace, CheckReport, InvariantViolation, ModelSpec};
+use tommy_contract::checker::{check_trace, CheckReport, InvariantViolation, ModelSpec};
 use tommy_core::{ClientId, Message, MessageId};
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::{AttackFamily, AttackPlan};

@@ -28,20 +28,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use tommy_contract::testkit::{assert_batches_bit_identical, gaussian_census};
 use tommy_core::batching::FairOrder;
 use tommy_core::config::{LivenessConfig, SequencerConfig};
 use tommy_core::error::CoreError;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::sharded::ShardedSequencer;
+use tommy_core::sequencer::{register_all, StreamEngine};
 use tommy_metrics::rank_agreement_score;
-use tommy_sim::runner::{generate_messages, scenario_claimed_offsets};
+use tommy_sim::runner::{defended_config, generate_messages, scenario_claimed_offsets};
 use tommy_sim::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
-use tommy_workload::testkit::{
-    assert_batches_bit_identical, close_stream, defended_config, gaussian_census, register_all,
-    sort_by_true_time, Schedule, StreamEngine,
-};
+use tommy_workload::schedule::{close_stream, sort_by_true_time, Schedule};
 use tommy_workload::{AttackFamily, AttackPlan};
 
 /// Shard counts every family is checked at.

@@ -25,9 +25,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use tommy::prelude::*;
 use tommy::workload::intransitive::IntransitiveWorkload;
-use tommy::workload::testkit::{
-    assert_batches_bit_identical, assert_boundaries_agree, close_stream, drain_lockstep,
-    paired_engines as paired,
+use tommy::workload::schedule::close_stream;
+use tommy_contract::testkit::{
+    assert_batches_bit_identical, assert_boundaries_agree, drain_lockstep, paired_engines as paired,
 };
 
 /// Property 1: random all-Gaussian streams are bit-identical across the two

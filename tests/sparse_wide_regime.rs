@@ -6,9 +6,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::prelude::*;
-use tommy::workload::testkit::{
-    assert_batches_bit_identical, close_stream, drain_lockstep, paired_engines,
-};
+use tommy::workload::schedule::close_stream;
+use tommy_contract::testkit::{assert_batches_bit_identical, drain_lockstep, paired_engines};
 
 /// C = 16, σ = 8, gap = 2 (σ/gap = 4), one heartbeat per message: about
 /// half of all arrivals land below the cached candidate's largest key. An
