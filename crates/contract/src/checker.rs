@@ -27,11 +27,13 @@
 //! heartbeat whenever doing so cannot overtake one of their own undelivered
 //! messages, mirroring the ordered-channel semantics of the sim runner.
 //!
-//! Invariants 1, 2 and 4 are pure trace predicates, exposed through
-//! [`check_trace`] so tests can also prove the checker *can* fail (corrupt
-//! a trace, watch it fire); invariant 3 is checked during replay, where the
-//! pre-emission pending set is still known. See `ARCHITECTURE.md`, "Threat
-//! model & degradation", for the row-per-invariant table.
+//! Each invariant is one function of [`crate::properties`], shared with the
+//! differential oracle. Invariants 1, 2 and 4 are the pure trace predicate
+//! [`check_trace`], so tests can also prove the checker *can* fail (corrupt
+//! a trace, watch it fire); invariant 3, [`boundary_consistent`], is checked
+//! during replay, where the pre-emission pending set is still known. See
+//! `ARCHITECTURE.md`, "Threat model & degradation", for the
+//! row-per-invariant table.
 //!
 //! ## State-space reductions
 //!
@@ -100,12 +102,13 @@ use tommy_core::config::{LivenessConfig, SequencerConfig};
 use tommy_core::defense::TrustLevel;
 use tommy_core::error::CoreError;
 use tommy_core::message::{ClientId, Message, MessageId};
-use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
-use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer, OnlineStats};
+use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::sharded::ShardedSequencer;
-use tommy_core::sequencer::{register_all, SequencingCore, StreamEngine};
+use tommy_core::sequencer::{register_all, StreamEngine};
 use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
+
+use crate::properties::{boundary_consistent, check_trace, InvariantViolation, RunTrace};
 
 /// Fixed network delay added to a message's true time to form its earliest
 /// arrival; the sequencer clock never runs backwards, so a reordered
@@ -153,160 +156,6 @@ pub struct ModelSpec {
     /// are applied. On by default; disable to cross-validate the reductions
     /// against the full space on small models.
     pub reductions: bool,
-}
-
-/// One invariant failure on one trace.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InvariantViolation {
-    /// Invariant 1: a client's emitted timestamps went backwards.
-    NonMonotoneEmission {
-        /// The offending client.
-        client: ClientId,
-        /// The timestamp emitted earlier.
-        earlier: f64,
-        /// The smaller timestamp emitted later.
-        later: f64,
-    },
-    /// Invariant 2: a submitted message never surfaced in any batch.
-    MessageLost {
-        /// The lost message.
-        id: MessageId,
-    },
-    /// Invariant 2: a message appeared in more emitted slots than it was
-    /// submitted.
-    MessageDuplicated {
-        /// The duplicated message.
-        id: MessageId,
-    },
-    /// Invariant 3: an emitted batch differs from the from-scratch
-    /// candidate over the same pending set.
-    BoundaryMismatch {
-        /// The batch the from-scratch solve produces (sorted ids).
-        expected: Vec<MessageId>,
-        /// The batch actually emitted (sorted ids).
-        emitted: Vec<MessageId>,
-    },
-    /// Invariant 4: the trace's fairness-violation rate exceeds the bound.
-    ViolationRateExceeded {
-        /// Fairness violations counted by the sequencer.
-        violations: usize,
-        /// Messages submitted in the trace.
-        messages: usize,
-        /// The configured bound on `violations / messages`.
-        bound: f64,
-    },
-    /// Fault invariant: a delivery fault (dropped frame) left no trace in
-    /// the session layer — the stream advanced past the hole without
-    /// counting a gap, so the loss would go unnoticed.
-    UndetectedGap {
-        /// The client whose stream silently skipped a hole.
-        client: ClientId,
-    },
-    /// Fault invariant: messages the sequencer accepted were still pending
-    /// after the liveness horizon (final tick past the staleness deadline)
-    /// — the watermark stalled instead of evicting the failed client.
-    WatermarkStalled {
-        /// How many accepted messages never emitted.
-        pending: usize,
-    },
-    /// Collusion invariant ([`ModelSpec::check_collusive`]): a listed
-    /// colluder finished the replay unquarantined — the correlation
-    /// defense missed it on this schedule.
-    ColluderMissed {
-        /// The undetected colluder.
-        client: ClientId,
-    },
-    /// Collusion invariant: an honest client finished the replay
-    /// quarantined — the defense false-positived under collusive load.
-    HonestQuarantined {
-        /// The wrongly quarantined client.
-        client: ClientId,
-    },
-    /// Sharded invariant ([`ModelSpec::check_sharded`]): a message released
-    /// through the cross-shard merge watermark preceded a cross-shard
-    /// message whose probability of having happened first exceeds the
-    /// batching threshold — the combiner emitted out of margin.
-    CrossShardMarginExceeded {
-        /// The message released earlier.
-        earlier: MessageId,
-        /// The cross-shard message released later.
-        later: MessageId,
-        /// `p(later ≺ earlier)` under the claimed distributions.
-        probability: f64,
-        /// The threshold the merge watermark must bound that probability by.
-        threshold: f64,
-    },
-}
-
-impl std::fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InvariantViolation::NonMonotoneEmission {
-                client,
-                earlier,
-                later,
-            } => write!(
-                f,
-                "{client} emitted {later} after {earlier} (non-monotone emission)"
-            ),
-            InvariantViolation::MessageLost { id } => write!(f, "{id} was never emitted"),
-            InvariantViolation::MessageDuplicated { id } => {
-                write!(f, "{id} was emitted more than once")
-            }
-            InvariantViolation::BoundaryMismatch { expected, emitted } => write!(
-                f,
-                "emitted batch {emitted:?} differs from the from-scratch candidate {expected:?}"
-            ),
-            InvariantViolation::ViolationRateExceeded {
-                violations,
-                messages,
-                bound,
-            } => write!(
-                f,
-                "{violations}/{messages} fairness violations exceeds the {bound} rate bound"
-            ),
-            InvariantViolation::UndetectedGap { client } => {
-                write!(f, "{client}'s stream passed a dropped frame without detecting a gap")
-            }
-            InvariantViolation::WatermarkStalled { pending } => write!(
-                f,
-                "{pending} accepted messages still pending after the liveness horizon"
-            ),
-            InvariantViolation::ColluderMissed { client } => {
-                write!(f, "colluder {client} was never quarantined")
-            }
-            InvariantViolation::HonestQuarantined { client } => {
-                write!(f, "honest {client} was quarantined under collusive load")
-            }
-            InvariantViolation::CrossShardMarginExceeded {
-                earlier,
-                later,
-                probability,
-                threshold,
-            } => write!(
-                f,
-                "{earlier} released before cross-shard {later} with p(later first) = \
-                 {probability} > threshold {threshold}"
-            ),
-        }
-    }
-}
-
-/// What one replayed schedule produced — the trace the pure invariants are
-/// evaluated on. Exposed (with [`check_trace`]) so tests can corrupt a
-/// trace and prove the invariants actually fire.
-#[derive(Debug, Clone)]
-pub struct RunTrace {
-    /// The messages as submitted (after per-client floor clamping), in
-    /// delivery order.
-    pub submitted: Vec<Message>,
-    /// Every batch emitted, in emission order.
-    pub emitted: Vec<EmittedBatch>,
-    /// The sequencer's final counters.
-    pub stats: OnlineStats,
-    /// Clients the defense had quarantined by the end of the replay
-    /// (sorted; empty when the defense is disabled).
-    pub quarantined: Vec<ClientId>,
 }
 
 /// An invariant failure tagged with the schedule that produced it.
@@ -369,59 +218,6 @@ impl ShardedCheckReport {
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
-}
-
-/// Evaluate the pure trace invariants (1, 2 and 4 — monotonicity, no
-/// loss/duplication, bounded violation rate) on a finished trace.
-pub fn check_trace(trace: &RunTrace, max_violation_rate: f64) -> Vec<InvariantViolation> {
-    let mut found = Vec::new();
-
-    // Invariant 1: per-client monotone emission (and, for invariant 2,
-    // how often each id was emitted).
-    let mut last_ts: HashMap<ClientId, f64> = HashMap::new();
-    let mut emitted_count: HashMap<MessageId, usize> = HashMap::new();
-    for m in trace.emitted.iter().flat_map(|batch| &batch.messages) {
-        if let Some(earlier) = last_ts.insert(m.client, m.timestamp) {
-            if m.timestamp < earlier {
-                found.push(InvariantViolation::NonMonotoneEmission {
-                    client: m.client,
-                    earlier,
-                    later: m.timestamp,
-                });
-            }
-        }
-        *emitted_count.entry(m.id).or_insert(0) += 1;
-    }
-
-    // Invariant 2: emitted multiset == submitted multiset.
-    for m in &trace.submitted {
-        match emitted_count.get_mut(&m.id) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => found.push(InvariantViolation::MessageLost { id: m.id }),
-        }
-    }
-    let mut extras: Vec<(MessageId, usize)> =
-        emitted_count.into_iter().filter(|&(_, n)| n > 0).collect();
-    extras.sort();
-    for (id, n) in extras {
-        for _ in 0..n {
-            found.push(InvariantViolation::MessageDuplicated { id });
-        }
-    }
-
-    // Invariant 4: bounded fairness-violation rate.
-    if !trace.submitted.is_empty() {
-        let rate = trace.stats.fairness_violations as f64 / trace.submitted.len() as f64;
-        if rate > max_violation_rate {
-            found.push(InvariantViolation::ViolationRateExceeded {
-                violations: trace.stats.fairness_violations,
-                messages: trace.submitted.len(),
-                bound: max_violation_rate,
-            });
-        }
-    }
-
-    found
 }
 
 fn truth_of(m: &Message) -> f64 {
@@ -1099,24 +895,9 @@ impl<'a, E: StreamEngine> Replay<'a, E> {
         self.last_call_emitted = !batches.is_empty();
         for batch in batches {
             if let Some(registry_of) = self.registry_of {
-                let registry = registry_of(&self.engine);
-                let matrix = PrecedenceMatrix::compute(&self.pending, registry)?;
-                let mut core = SequencingCore::new(self.channels.spec.config);
-                core.load(&matrix);
-                let mut expected: Vec<MessageId> = core
-                    .candidate_indices(&matrix, None)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|&i| self.pending[i].id)
-                    .collect();
-                expected.sort();
-                let mut emitted = batch.message_ids();
-                emitted.sort();
-                self.pending.retain(|m| !emitted.contains(&m.id));
-                if expected != emitted {
-                    self.violations
-                        .push(InvariantViolation::BoundaryMismatch { expected, emitted });
-                }
+                let (registry, config) = (registry_of(&self.engine), self.channels.spec.config);
+                let found = boundary_consistent(&mut self.pending, &batch, registry, config)?;
+                self.violations.extend(found);
             }
             self.trace.emitted.push(batch);
         }
@@ -1572,13 +1353,8 @@ impl ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{gaussian_census, model_offsets as tiny_offsets};
     use tommy_core::defense::{DefenseConfig, ExpectedDelay};
-
-    fn tiny_offsets() -> Vec<(ClientId, OffsetDistribution)> {
-        (0..3)
-            .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-            .collect()
-    }
 
     fn tiny_messages() -> Vec<Message> {
         // Two messages per client, spread enough to emit in several batches.
@@ -1752,14 +1528,6 @@ mod tests {
         assert!(s.contains(&vec![0, 2]));
     }
 
-    /// Claimed distributions for the collusive model: every client claims
-    /// the same honest Gaussian.
-    fn collusive_offsets() -> Vec<(ClientId, OffsetDistribution)> {
-        (0..4)
-            .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-            .collect()
-    }
-
     /// Clients 0 and 1 collude: a shared monotone ramp pushes their
     /// timestamps ever further ahead of true time, in lockstep (their
     /// residuals are bit-identical round by round, so the pair correlation
@@ -1801,7 +1569,8 @@ mod tests {
 
     fn collusive_spec(rounds: u32) -> ModelSpec {
         let config = SequencerConfig::new().with_defense(collusive_defense());
-        ModelSpec::new(collusive_offsets(), collusive_messages(rounds))
+        // Every client claims the same honest Gaussian.
+        ModelSpec::new(gaussian_census(4, 2.0), collusive_messages(rounds))
             .with_config(config)
             .with_max_in_flight(1)
             .with_max_violation_rate(1.0)

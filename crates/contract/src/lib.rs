@@ -9,12 +9,20 @@
 //!   asserts TLA-style ordering invariants — including lossy, duplicating
 //!   and crash-faulted delivery schedules replayed through the session
 //!   layer (see `ARCHITECTURE.md`, "The model-checked invariant suite").
-//! * [`testkit`] — the lockstep kit the integration suites share: census
-//!   builders, paired differential engines, honest-stream drivers, the
-//!   small-model spec, and the bit-identity assertions.
+//! * [`oracle`] — the differential oracle: a seeded op-sequence fuzzer that
+//!   drives every engine (sparse, dense, incremental-FAS fallback, sharded
+//!   at K ∈ {1, 2, 4}) in lockstep, checks every contract after every op,
+//!   and shrinks a failure to a replayable op-log (`tests/regressions/`).
+//! * [`properties`] — the contracts themselves, each one function: the
+//!   trace invariants, boundary consistency, bit-identity, the sharded
+//!   release, bounded duplicate tracking, liveness, offline identity.
+//! * [`testkit`] — the scaffolding the integration suites share: census
+//!   builders, honest-stream drivers and the small-model spec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;
+pub mod oracle;
+pub mod properties;
 pub mod testkit;

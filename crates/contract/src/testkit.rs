@@ -1,20 +1,13 @@
-//! The lockstep kit the integration suites share.
-//!
-//! The equivalence, defense and fault suites under `tests/` all need the
-//! same scaffolding: build a census, register it into one or more engines,
-//! drive identical event streams through them in lockstep and compare
-//! emitted batches bitwise. This module is that scaffolding, written once
-//! so `tests/sparse_dense_equivalence.rs`, `tests/collusion_defense.rs`,
-//! `tests/fault_invariants.rs` and `tests/sharded_equivalence.rs` stop
-//! copy-pasting it. The engines are driven through [`StreamEngine`], and
-//! streams are closed with `tommy_workload::schedule::close_stream`, the
-//! close the sim runner uses.
+//! The scaffolding the integration suites share: census builders, the
+//! honest-stream drivers `tests/collusion_defense.rs` feeds the defense
+//! with, and the small-model spec the checker suites start from.
+//! Differential runs across engines are the oracle's ([`crate::oracle`]).
 
 use rand::rngs::StdRng;
-use tommy_core::config::{FastPathMode, SequencerConfig};
+use tommy_core::config::SequencerConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
-use tommy_core::sequencer::online::{EmittedBatch, OnlineSequencer};
-use tommy_core::sequencer::{register_all, StreamEngine};
+use tommy_core::sequencer::online::OnlineSequencer;
+use tommy_core::sequencer::register_all;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
 use crate::checker::ModelSpec;
@@ -24,19 +17,6 @@ pub fn gaussian_census(clients: usize, sigma: f64) -> Vec<(ClientId, OffsetDistr
     (0..clients as u32)
         .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, sigma)))
         .collect()
-}
-
-/// An `Auto` sequencer and its `ForceDense` twin over the same census — the
-/// sparse ≡ dense differential pair.
-pub fn paired_engines(
-    offsets: &[(ClientId, OffsetDistribution)],
-) -> (OnlineSequencer, OnlineSequencer) {
-    let mut auto = OnlineSequencer::new(SequencerConfig::default());
-    let mut dense =
-        OnlineSequencer::new(SequencerConfig::default().with_fast_path(FastPathMode::ForceDense));
-    register_all(&mut auto, offsets);
-    register_all(&mut dense, offsets);
-    (auto, dense)
 }
 
 /// One honest message: client's clock error drawn from its own claimed
@@ -116,53 +96,12 @@ pub fn model_spec() -> ModelSpec {
     ModelSpec::new(model_offsets(), model_messages()).with_max_in_flight(2)
 }
 
-/// Assert two freshly drained batch sequences are bit-identical — ids,
-/// ranks, safe-emission times, emission clocks. Returns how many messages
-/// the sequences carried (counted once).
-pub fn assert_batches_bit_identical(a: &[EmittedBatch], b: &[EmittedBatch], ctx: &str) -> usize {
-    assert_eq!(a.len(), b.len(), "batch count diverged at {ctx}");
-    let mut messages = 0;
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.rank, y.rank, "rank diverged at {ctx}");
-        assert_eq!(x.message_ids(), y.message_ids(), "batch diverged at {ctx}");
-        assert_eq!(
-            x.safe_after.to_bits(),
-            y.safe_after.to_bits(),
-            "safe-emission time diverged at {ctx}"
-        );
-        assert_eq!(
-            x.emitted_at.to_bits(),
-            y.emitted_at.to_bits(),
-            "emission clock diverged at {ctx}"
-        );
-        messages += x.messages.len();
-    }
-    messages
-}
-
-/// Drain two engines and assert the freshly emitted batches are
-/// bit-identical. Returns how many messages were emitted this step.
-pub fn drain_lockstep<A: StreamEngine, B: StreamEngine>(a: &mut A, b: &mut B, ctx: &str) -> usize {
-    let x = a.drain();
-    let y = b.drain();
-    assert_batches_bit_identical(&x, &y, ctx)
-}
-
-/// Assert two single-engine twins agree on the maintained order *and* on
-/// every batch boundary over the current pending set.
-pub fn assert_boundaries_agree(a: &mut OnlineSequencer, b: &mut OnlineSequencer, ctx: &str) {
-    assert_eq!(
-        a.pending_order(),
-        b.pending_order(),
-        "pending order / boundary set diverged at {ctx}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use tommy_core::sequencer::sharded::ShardedSequencer;
+    use tommy_core::sequencer::StreamEngine;
     use tommy_sim::runner::defended_config;
     use tommy_workload::schedule::{close_stream, Schedule, StreamEvent, DELIVERY_DELAY};
 
@@ -178,30 +117,6 @@ mod tests {
         }
         let report = model_spec().check().expect("well-formed model");
         assert!(report.ok(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn lockstep_helpers_accept_identical_twins() {
-        let offsets = gaussian_census(3, 1.0);
-        let (mut auto, mut dense) = paired_engines(&offsets);
-        let mut emitted = 0;
-        for i in 0..20u64 {
-            let t = i as f64 * 5.0;
-            let m = Message::new(MessageId(i), ClientId((i % 3) as u32), t);
-            auto.submit_at(m.clone(), t + 1.0).expect("valid");
-            dense.submit_at(m, t + 1.0).expect("valid");
-            for (client, _) in &offsets {
-                auto.heartbeat_at(*client, t, t + 1.0).expect("heartbeat");
-                dense.heartbeat_at(*client, t, t + 1.0).expect("heartbeat");
-            }
-            emitted += drain_lockstep(&mut auto, &mut dense, "step");
-            assert_boundaries_agree(&mut auto, &mut dense, "step");
-        }
-        let clients: Vec<ClientId> = offsets.iter().map(|(c, _)| *c).collect();
-        let a = close_stream(&mut auto, &clients, 10_000.0);
-        let d = close_stream(&mut dense, &clients, 10_000.0);
-        emitted += assert_batches_bit_identical(&a, &d, "close");
-        assert_eq!(emitted, 20);
     }
 
     /// The schedule is the §4 policy: true-time order, C − 1 heartbeats per

@@ -19,8 +19,8 @@
 //!   the batch can still be in flight.
 //! * [`sharded`] — `K` online sequencers behind a watermark-driven merge.
 //! * [`stream`] — [`StreamEngine`], the driving surface `online` and
-//!   `sharded` share, so one driver (the sim runner, the lockstep suites,
-//!   the model checker's replay in `tommy_contract::checker`) serves both.
+//!   `sharded` share, so one driver (the sim runner, the differential
+//!   oracle, the model checker's replay in `tommy_contract`) serves both.
 //! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
 //! * [`watermark`] — per-client completeness tracking via messages and
 //!   heartbeats over ordered channels.

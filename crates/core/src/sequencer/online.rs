@@ -827,12 +827,9 @@ impl OnlineSequencer {
                 if !self.evict_stale_clients(horizon) {
                     break;
                 }
-                // Emission proceeds if the watermark is now complete — or if
-                // no active client is left at all (everyone presumed failed:
-                // there is no one whose messages could still be in flight).
-                if !self.watermarks.is_complete_up_to(horizon)
-                    && self.watermarks.active_clients() > 0
-                {
+                // Emission proceeds if the watermark is now complete — as it
+                // is once no active client is left at all.
+                if !self.watermarks.is_complete_up_to(horizon) {
                     break;
                 }
             }

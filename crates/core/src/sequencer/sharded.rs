@@ -104,9 +104,7 @@ enum ShardEvent {
 #[derive(Debug, Clone)]
 struct StagedBatch {
     batch: EmittedBatch,
-    /// Margin-adjusted key of each batch member (parallel to
-    /// `batch.messages`).
-    keys: Vec<f64>,
+    /// The least and largest margin-adjusted key of the members, at staging.
     min_key: f64,
     max_key: f64,
 }
@@ -141,22 +139,19 @@ impl Shard {
     }
 
     /// Drain everything the inner sequencer emitted since the last drain
-    /// into the staged-output FIFO, keying each member by its client's
-    /// *current* mean.
+    /// into the staged-output FIFO, with its key range under its clients'
+    /// *current* means.
     fn stage_emissions(&mut self) {
         for batch in self.seq.take_emitted() {
-            let mut keys = Vec::with_capacity(batch.messages.len());
             let mut min_key = f64::INFINITY;
             let mut max_key = f64::NEG_INFINITY;
             for m in &batch.messages {
                 let key = self.seq.registry().adjusted_key(m);
                 min_key = min_key.min(key);
                 max_key = max_key.max(key);
-                keys.push(key);
             }
             self.out.push_back(StagedBatch {
                 batch,
-                keys,
                 min_key,
                 max_key,
             });
@@ -226,7 +221,7 @@ impl Shard {
 /// shard's queue and then runs the merge. Because shards share no
 /// state, the released output is a pure function of the event sequence and
 /// the drive cadence, independent of the order shards are applied in (the
-/// shard-permutation property `tests/sharded_equivalence.rs` pins).
+/// shard-permutation property the differential oracle pins).
 ///
 /// # Example
 ///
@@ -403,9 +398,9 @@ impl ShardedSequencer {
     }
 
     /// [`drive`](Self::drive) with the shards applied *serially* in the
-    /// given order — the schedule-permutation surface
-    /// `tests/sharded_equivalence.rs` uses to pin that the combiner's
-    /// watermark handoff is insensitive to shard scheduling.
+    /// given order — the schedule-permutation surface the differential
+    /// oracle uses to pin that the combiner's watermark handoff is
+    /// insensitive to shard scheduling.
     ///
     /// # Panics
     ///
@@ -559,8 +554,10 @@ impl ShardedSequencer {
 
     /// Pop the group's staged batches and fuse them into one released
     /// batch: a single-member group keeps its shard batch verbatim (rank
-    /// aside); a fused group concatenates members ordered by
-    /// `(key, shard, position)` with the latest emission metadata.
+    /// aside); a fused group concatenates members ordered by `(key, shard,
+    /// position)`, keyed by each client's mean *now* — a client re-registered
+    /// since staging keeps its messages in timestamp order — with the latest
+    /// emission metadata.
     fn release_group(&mut self, take: &[usize]) -> EmittedBatch {
         let mut parts: Vec<(usize, StagedBatch)> = Vec::new();
         for (i, &count) in take.iter().enumerate() {
@@ -584,14 +581,9 @@ impl ShardedSequencer {
         for (shard, staged) in parts {
             emitted_at = emitted_at.max(staged.batch.emitted_at);
             safe_after = safe_after.max(staged.batch.safe_after);
-            for (pos, (message, &key)) in staged
-                .batch
-                .messages
-                .into_iter()
-                .zip(staged.keys.iter())
-                .enumerate()
-            {
-                members.push((key_bits(key), shard, pos, message));
+            let registry = self.shards[shard].seq.registry();
+            for (pos, message) in staged.batch.messages.into_iter().enumerate() {
+                members.push((key_bits(registry.adjusted_key(&message)), shard, pos, message));
             }
         }
         members.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));

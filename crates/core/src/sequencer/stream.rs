@@ -2,9 +2,9 @@
 //!
 //! [`StreamEngine`] is what a driver needs of a sequencer and nothing more:
 //! implemented by the single-engine [`OnlineSequencer`] and the sharded
-//! [`ShardedSequencer`], so one piece of code — the sim runner, the lockstep
-//! suites, the small-model checker (`tommy_contract::checker`) — drives
-//! either.
+//! [`ShardedSequencer`], so one piece of code — the sim runner, the
+//! differential oracle (`tommy_contract::oracle`), the small-model checker
+//! (`tommy_contract::checker`) — drives either.
 
 use crate::error::CoreError;
 use crate::message::{ClientId, Message};
@@ -22,6 +22,8 @@ use tommy_stats::distribution::OffsetDistribution;
 pub trait StreamEngine {
     /// Register (or re-register) a client's claimed offset distribution.
     fn register(&mut self, client: ClientId, dist: OffsetDistribution);
+    /// Mark a client as failed: it stops constraining the watermark.
+    fn retire(&mut self, client: ClientId);
     /// Submit a message observed at `arrival` on the sequencer's clock.
     fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError>;
     /// Record a client heartbeat observed at `arrival`.
@@ -48,6 +50,9 @@ pub trait StreamEngine {
 impl StreamEngine for OnlineSequencer {
     fn register(&mut self, client: ClientId, dist: OffsetDistribution) {
         self.register_client(client, dist);
+    }
+    fn retire(&mut self, client: ClientId) {
+        self.retire_client(client);
     }
     fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError> {
         self.submit(message, arrival).map(|_| ())
@@ -81,6 +86,9 @@ impl StreamEngine for OnlineSequencer {
 impl StreamEngine for ShardedSequencer {
     fn register(&mut self, client: ClientId, dist: OffsetDistribution) {
         self.register_client(client, dist);
+    }
+    fn retire(&mut self, client: ClientId) {
+        self.retire_client(client);
     }
     fn submit_at(&mut self, message: Message, arrival: f64) -> Result<(), CoreError> {
         self.submit(message, arrival)

@@ -153,12 +153,6 @@ impl WatermarkTracker {
         self.suspended[slot.idx()]
     }
 
-    /// Number of known clients that still constrain the watermark (neither
-    /// retired nor suspended).
-    pub fn active_clients(&self) -> usize {
-        self.active
-    }
-
     /// Observe a message or heartbeat timestamp from a client.
     ///
     /// # Errors
@@ -210,9 +204,10 @@ impl WatermarkTracker {
 
     /// The global watermark: the minimum of the per-client latest timestamps
     /// over all non-retired, non-suspended clients. `None` until every
-    /// active client has been heard from at least once.
+    /// active client has been heard from at least once; `+∞` once none is
+    /// active, since no one's messages can still be in flight.
     pub fn watermark(&self) -> Option<f64> {
-        (self.active > 0 && self.unheard_active == 0).then(|| self.tree[1])
+        (self.unheard_active == 0).then(|| self.tree[1])
     }
 
     /// Whether the sequencer can be sure every message with timestamp `<= t`
@@ -359,7 +354,7 @@ mod tests {
                 let t = (*latest)?;
                 min = Some(min.map_or(t, |m| m.min(t)));
             }
-            min
+            min.or(Some(f64::INFINITY))
         }
 
         fn is_complete_up_to(&self, t: f64) -> bool {
@@ -461,7 +456,7 @@ mod tests {
                     "seed {seed} step {step}"
                 );
                 assert_eq!(
-                    tree.active_clients(),
+                    tree.active,
                     scan.active_clients(),
                     "seed {seed} step {step}"
                 );
@@ -573,7 +568,7 @@ mod tests {
         assert_eq!(w.watermark(), None);
         w.retire(ClientId(2));
         assert_eq!(w.watermark(), Some(100.0));
-        assert_eq!(w.active_clients(), 2);
+        assert_eq!(w.active, 2);
     }
 
     #[test]
@@ -586,14 +581,14 @@ mod tests {
         w.suspend(ClientId(2));
         assert!(is_suspended(&w, ClientId(2)));
         assert_eq!(w.watermark(), Some(100.0));
-        assert_eq!(w.active_clients(), 2);
+        assert_eq!(w.active, 2);
         // …but the client can come back.
         w.resume(ClientId(2));
         assert!(!is_suspended(&w, ClientId(2)));
         assert_eq!(w.watermark(), None);
         w.observe(ClientId(2), 50.0).unwrap();
         assert_eq!(w.watermark(), Some(50.0));
-        assert_eq!(w.active_clients(), 3);
+        assert_eq!(w.active, 3);
         // Suspending an unknown client is a no-op.
         w.suspend(ClientId(99));
         assert!(!is_suspended(&w, ClientId(99)));

@@ -2,7 +2,7 @@
 //!
 //! [`Schedule::resolve`] turns a generated stream into a flat
 //! [`StreamEvent`] list once, and every driver (the sim runner, the fault
-//! runner's send phase, the lockstep suites) replays that list instead of
+//! runner's send phase, the test rig's suites) replays that list instead of
 //! re-deriving it. Events are delivered to anything that implements
 //! [`StreamEngine`], the driving surface the single-engine and sharded
 //! sequencers share, and [`close_stream`] is the one way a run ends.

@@ -11,7 +11,7 @@
 //! protocol with sequenced-session recovery), the baselines it compares
 //! against (FIFO, WaitsForOne, TrueTime), and the experiment/benchmark
 //! harness that regenerates the paper's evaluation. The test rig (the
-//! small-model checker and the lockstep kit) lives in the dev-only
+//! small-model checker and the differential oracle) lives in the dev-only
 //! `tommy-contract` crate and is not re-exported here.
 //!
 //! ## Quickstart

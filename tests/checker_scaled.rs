@@ -19,18 +19,10 @@
 //! `fault_invariants` (see `.github/workflows/ci.yml`).
 
 use tommy_contract::checker::ModelSpec;
+use tommy_contract::testkit::gaussian_census;
 use tommy_core::config::SequencerConfig;
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::{ClientId, Message, MessageId};
-use tommy_stats::distribution::OffsetDistribution;
-
-/// Four clients with identical claimed distributions — one symmetry orbit
-/// when their message value sequences are also identical.
-fn symmetric_offsets() -> Vec<(ClientId, OffsetDistribution)> {
-    (0..4)
-        .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-        .collect()
-}
 
 /// Every client sends the same `(timestamp, true-time)` sequence: three
 /// well-separated honest rounds. All four clients are exchangeable.
@@ -52,7 +44,9 @@ fn symmetric_messages() -> Vec<Message> {
 /// space is far beyond the enumeration budget, and only the symmetry
 /// reduction brings it back inside.
 fn honest_spec() -> ModelSpec {
-    ModelSpec::new(symmetric_offsets(), symmetric_messages())
+    // Identical claims: one symmetry orbit, the message values being
+    // identical too.
+    ModelSpec::new(gaussian_census(4, 2.0), symmetric_messages())
         .with_max_in_flight(3)
         .with_max_violation_rate(1.0)
         .with_max_schedules(200_000)
@@ -135,12 +129,7 @@ fn collusive_defense() -> DefenseConfig {
 }
 
 fn collusive_spec() -> ModelSpec {
-    ModelSpec::new(
-        (0..4)
-            .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-            .collect(),
-        collusive_messages(9),
-    )
+    ModelSpec::new(gaussian_census(4, 2.0), collusive_messages(9))
     .with_config(SequencerConfig::new().with_defense(collusive_defense()))
     .with_max_in_flight(3)
     .with_max_violation_rate(1.0)

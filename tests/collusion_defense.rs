@@ -21,7 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tommy_contract::testkit::{honest_message, run_honest};
+use tommy_contract::testkit::{gaussian_census, honest_message, run_honest};
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};
 use tommy_core::sequencer::online::OnlineSequencer;
 use tommy_core::{ClientId, TrustLevel};
@@ -161,9 +161,7 @@ fn correlated_colluders_are_quarantined_within_two_check_intervals() {
 /// per-client delays and raises no alarms while converging on them.
 #[test]
 fn online_delay_estimation_prevents_fixed_delay_false_alarms() {
-    let dists: Vec<(ClientId, OffsetDistribution)> = (0..4)
-        .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-        .collect();
+    let dists = gaussian_census(4, 2.0);
     let delays = [1.0, 3.5, 6.0, 8.5];
 
     // The fixed-delay defense assumes every link is the first client's: the

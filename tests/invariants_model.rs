@@ -13,35 +13,12 @@
 //! misreport-plus-backdating scenario where a violation *does* slip through,
 //! proving the checker can fail (the invariants are not vacuously true).
 
-use tommy_contract::checker::{check_trace, CheckReport, InvariantViolation, ModelSpec};
+use tommy_contract::checker::{CheckReport, ModelSpec};
+use tommy_contract::properties::{check_trace, InvariantViolation};
+use tommy_contract::testkit::{model_messages as honest_messages, model_offsets as truth_offsets};
 use tommy_core::{ClientId, Message, MessageId};
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_workload::{AttackFamily, AttackPlan};
-
-/// Three clients with moderate clocks (σ = 2).
-fn truth_offsets() -> Vec<(ClientId, OffsetDistribution)> {
-    (0..3)
-        .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 2.0)))
-        .collect()
-}
-
-/// A tiny honest workload: two messages per client, well separated, with
-/// small fixed clock offsets (deterministic stand-ins for Gaussian noise).
-fn honest_messages() -> Vec<Message> {
-    let offsets = [0.4, -0.7, 1.1, -0.2, 0.9, -1.3];
-    let mut messages = Vec::new();
-    for (i, off) in offsets.iter().enumerate() {
-        let client = (i % 3) as u32;
-        let truth = 10.0 + 15.0 * i as f64;
-        messages.push(Message::with_true_time(
-            MessageId(i as u64),
-            ClientId(client),
-            truth + off,
-            truth,
-        ));
-    }
-    messages
-}
 
 /// Run the checker over the given plan's distorted workload and claims.
 fn check_plan(plan: &AttackPlan, max_violation_rate: f64) -> CheckReport {

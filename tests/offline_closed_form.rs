@@ -1,15 +1,13 @@
-//! Offline closed-form ≡ offline matrix: the differential test of the
-//! offline census rule.
+//! Offline closed-form ≡ offline matrix: the pins of the offline census
+//! rule.
 //!
 //! On a closed-form (all-Gaussian) census `TommySequencer` runs the sparse
 //! engine to completion and never builds the O(n²) matrix; the
 //! `FastPathMode::ForceDense` twin over the same registry and window is the
-//! reference. Three angles:
+//! reference. Outcome identity over every admitted set is a contract of the
+//! differential oracle (`tommy_contract::properties::offline_identical`,
+//! which these pins call too); what stays here:
 //!
-//! (a) **Outcome identity** over seeded windows: equal `FairOrder`
-//!     (batches, ranks, within-batch listing), `transitive`,
-//!     `cyclic_components`, `fas_fallback_reason` and
-//!     `confident_pair_fraction` bits.
 //! (b) **Query pins**: the closed-form twin records at most `n` registry
 //!     queries per `sequence()`, the matrix twin `n(n−1)/2`, and one
 //!     Laplace client in the census puts `Auto` back on the matrix.
@@ -20,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::core::config::FastPathMode;
 use tommy::prelude::*;
+use tommy_contract::properties::offline_identical;
 
 /// An `Auto` sequencer and its `ForceDense` twin over the same census.
 fn twins(
@@ -34,98 +33,6 @@ fn twins(
         dense.register_client(*client, distribution.clone());
     }
     (auto, dense)
-}
-
-/// A heterogeneous Gaussian census. Means sit on a 0.25 grid and timestamps
-/// (below) on the integers, so margin-adjusted keys tie *exactly* across
-/// clients or differ by ≥ 0.25 — never inside the erf polynomial's `Φ(0)`
-/// band, the one documented placement caveat.
-fn gaussian_census(rng: &mut StdRng, clients: usize) -> Vec<(ClientId, OffsetDistribution)> {
-    (0..clients as u32)
-        .map(|c| {
-            let mean = (f64::from(rng.random_range(0..=24u32)) - 12.0) * 0.25;
-            let sigma = rng.random_range(0.5..8.0f64);
-            (ClientId(c), OffsetDistribution::gaussian(mean, sigma))
-        })
-        .collect()
-}
-
-/// `n` messages with integer timestamps drawn from a range about as wide as
-/// `n`, from `senders` of the census: cross-client and same-client
-/// timestamp ties are common.
-fn window(rng: &mut StdRng, n: usize, senders: usize) -> Vec<Message> {
-    (0..n as u64)
-        .map(|id| {
-            let client = ClientId(rng.random_range(0..senders) as u32);
-            let ts = f64::from(rng.random_range(0..=n as u32));
-            Message::new(MessageId(id), client, ts)
-        })
-        .collect()
-}
-
-fn assert_outcomes_identical(
-    auto: &mut TommySequencer,
-    dense: &mut TommySequencer,
-    messages: &[Message],
-    ctx: &str,
-) {
-    let got = auto.sequence_detailed(messages).expect("valid window");
-    let want = dense.sequence_detailed(messages).expect("valid window");
-    assert_eq!(got.order, want.order, "fair order at {ctx}");
-    assert_eq!(got.transitive, want.transitive, "transitive at {ctx}");
-    assert_eq!(got.cyclic_components, want.cyclic_components, "cycles at {ctx}");
-    assert_eq!(got.fas_fallback_reason, want.fas_fallback_reason, "fas at {ctx}");
-    assert_eq!(
-        got.confident_pair_fraction.to_bits(),
-        want.confident_pair_fraction.to_bits(),
-        "confident pairs at {ctx}: {} vs {}",
-        got.confident_pair_fraction,
-        want.confident_pair_fraction
-    );
-    // The order-only entry point returns the same order on both paths.
-    assert_eq!(auto.sequence(messages).expect("valid"), want.order, "sequence() at {ctx}");
-    assert_eq!(dense.sequence(messages).expect("valid"), want.order, "dense sequence() at {ctx}");
-}
-
-/// (a) 240 seeded windows: C 2–32, heterogeneous μ/σ, θ ∈ [0.55, 0.95],
-/// exact timestamp ties, plus the two degenerate shapes (a single message, a
-/// window sent by one client of many).
-#[test]
-fn closed_form_outcome_is_identical_to_the_matrix_path() {
-    let mut tie_windows = 0usize;
-    for seed in 0..240u64 {
-        let mut rng = StdRng::seed_from_u64(0x0FF1_0000 + seed);
-        let clients = rng.random_range(2..=32usize);
-        let census = gaussian_census(&mut rng, clients);
-        let threshold = rng.random_range(0.55..0.95f64);
-        let (n, senders) = match seed % 12 {
-            0 => (1, clients),
-            1 => (rng.random_range(2..=40usize), 1),
-            _ => (rng.random_range(2..=90usize), clients),
-        };
-        let messages = window(&mut rng, n, senders);
-        tie_windows += usize::from(messages.iter().enumerate().any(|(i, a)| {
-            messages[..i].iter().any(|b| b.timestamp == a.timestamp)
-        }));
-
-        let (mut auto, mut dense) = twins(&census, threshold);
-        let ctx = format!("seed {seed} (C {clients}, n {n}, θ {threshold:.3})");
-        assert_outcomes_identical(&mut auto, &mut dense, &messages, &ctx);
-        // The twins took different paths: the matrix twin paid for every
-        // pair on each of its two calls, the closed-form twin for the
-        // adjacencies plus the in-window pairs its diagnostic inspected.
-        let pairs = (n * (n - 1) / 2) as u64;
-        assert_eq!(dense.registry().query_count(), 2 * pairs, "dense queries at {ctx}");
-        assert!(
-            auto.registry().query_count() <= 2 * (n as u64 - 1) + pairs,
-            "closed-form queries at {ctx}"
-        );
-
-        // The same sequencer takes the next window from a clean slate.
-        let again = window(&mut rng, n, senders);
-        assert_outcomes_identical(&mut auto, &mut dense, &again, &format!("{ctx}, second window"));
-    }
-    assert!(tie_windows > 200, "the generator must produce exact ties ({tie_windows})");
 }
 
 /// A stream-shaped window (keys roughly ascending, σ ≫ gap) like the
@@ -147,8 +54,7 @@ fn gaussian_stream(n: usize, clients: u32) -> (Vec<(ClientId, OffsetDistribution
 
 /// (b) at size `n`: `sequence()` costs the closed-form twin `n − 1`
 /// boundary evaluations and the matrix twin every pair; a single Laplace
-/// registration flips the census and `Auto` pays for every pair again —
-/// with identical outcomes throughout.
+/// registration flips the census and `Auto` pays for every pair again.
 fn query_pins(n: usize) {
     let (census, messages) = gaussian_stream(n, 100);
     let pairs = (n * (n - 1) / 2) as u64;
@@ -159,7 +65,13 @@ fn query_pins(n: usize) {
     assert_eq!(dense.sequence(&messages).expect("valid window"), order);
     assert_eq!(dense.registry().query_count(), pairs);
     assert!(order.num_batches() > 1 && order.num_batches() < n, "a non-trivial cut");
-    assert_outcomes_identical(&mut auto, &mut dense, &messages, &format!("n {n}"));
+    let config = SequencerConfig::default().with_threshold(0.75);
+    let window = std::slice::from_ref(&messages);
+    offline_identical(&census, config, window).unwrap_or_else(|v| panic!("{v}"));
+    // The diagnostics add at most the in-window pairs they inspect.
+    let before = auto.registry().query_count();
+    auto.sequence_detailed(&messages).expect("valid window");
+    assert!(auto.registry().query_count() - before <= n as u64 - 1 + pairs);
 
     // One Laplace client in the census (it sends nothing): the matrix again.
     let laplace = (ClientId(100), OffsetDistribution::laplace(0.0, 5.0));
@@ -186,20 +98,6 @@ fn closed_form_sequence_costs_one_query_per_adjacency() {
 #[ignore = "3,000-message matrix windows; run in release with --include-ignored"]
 fn closed_form_sequence_costs_one_query_per_adjacency_at_3000() {
     query_pins(3_000);
-}
-
-/// (a) at the benchmark's window size, heterogeneous census.
-#[test]
-#[ignore = "3,000-message matrix windows; run in release with --include-ignored"]
-fn closed_form_outcome_is_identical_at_3000() {
-    for seed in 0..3u64 {
-        let mut rng = StdRng::seed_from_u64(0x3000 + seed);
-        let census = gaussian_census(&mut rng, 100);
-        let threshold = rng.random_range(0.55..0.95f64);
-        let messages = window(&mut rng, 3_000, 100);
-        let (mut auto, mut dense) = twins(&census, threshold);
-        assert_outcomes_identical(&mut auto, &mut dense, &messages, &format!("seed {seed}"));
-    }
 }
 
 /// (c) every input the fast path must not take reports exactly what the
@@ -229,15 +127,12 @@ fn invalid_windows_report_what_the_matrix_path_reports() {
         ("two +inf timestamps", vec![raw(0, 0, f64::INFINITY), raw(1, 1, f64::INFINITY)]),
         ("duplicate id and unregistered", vec![ok(0, 9, 1.0), ok(0, 0, 2.0)]),
     ];
+    // Each row reports alike on both paths, and leaves the pair usable.
+    let valid = vec![ok(10, 0, 1.0), ok(11, 1, 1.5), ok(12, 2, 40.0)];
+    let config = SequencerConfig::default().with_threshold(0.75);
     for (name, messages) in &table {
-        let (mut auto, mut dense) = twins(&census, 0.75);
-        let want = dense.sequence(messages);
-        assert_eq!(auto.sequence(messages), want, "sequence(): {name}");
-        let got = auto.sequence_detailed(messages).map(|o| o.order);
-        assert_eq!(got, want, "sequence_detailed(): {name}");
-        // A rejected window leaves the sequencer usable.
-        let valid = vec![ok(10, 0, 1.0), ok(11, 1, 1.5), ok(12, 2, 40.0)];
-        assert_outcomes_identical(&mut auto, &mut dense, &valid, &format!("after {name}"));
+        let windows = [messages.clone(), valid.clone()];
+        offline_identical(&census, config, &windows).unwrap_or_else(|v| panic!("{name}: {v}"));
     }
     // The pins the table rests on: which rows are errors at all.
     let (mut auto, _) = twins(&census, 0.75);

@@ -5,9 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tommy::core::config::FastPathMode;
+use tommy::core::sequencer::register_all;
 use tommy::prelude::*;
 use tommy::workload::schedule::close_stream;
-use tommy_contract::testkit::{assert_batches_bit_identical, drain_lockstep, paired_engines};
+use tommy_contract::properties::bit_identical;
 
 /// C = 16, σ = 8, gap = 2 (σ/gap = 4), one heartbeat per message: about
 /// half of all arrivals land below the cached candidate's largest key. An
@@ -20,13 +22,16 @@ fn wide_regime_maintains_the_candidate_and_matches_dense() {
     const CLIENTS: u32 = 16;
     let dist = OffsetDistribution::gaussian(0.0, 8.0);
     let census: Vec<_> = (0..CLIENTS).map(|c| (ClientId(c), dist.clone())).collect();
-    let (mut auto, mut dense) = paired_engines(&census);
+    let mut auto = OnlineSequencer::new(SequencerConfig::default());
+    let mut dense =
+        OnlineSequencer::new(SequencerConfig::default().with_fast_path(FastPathMode::ForceDense));
+    register_all(&mut auto, &census);
+    register_all(&mut dense, &census);
 
     let mut rng = StdRng::seed_from_u64(14);
     // Ordered channels: a client's timestamps never move backwards.
     let mut floor = [f64::NEG_INFINITY; CLIENTS as usize];
     let mut t = 0.0f64;
-    let mut emitted = 0;
     for id in 0..MESSAGES {
         t += -2.0 * (1.0 - rng.random::<f64>()).ln();
         let client = rng.random_range(0..CLIENTS);
@@ -42,15 +47,17 @@ fn wide_regime_maintains_the_candidate_and_matches_dense() {
         let beater = ClientId(beater as u32);
         auto.heartbeat(beater, hb, t).expect("heartbeat");
         dense.heartbeat(beater, hb, t).expect("heartbeat");
-        emitted += drain_lockstep(&mut auto, &mut dense, &format!("message {id}"));
     }
     let clients: Vec<ClientId> = census.iter().map(|&(c, _)| c).collect();
     let (a, d) = (
         close_stream(&mut auto, &clients, t + 1e6),
         close_stream(&mut dense, &clients, t + 1e6),
     );
-    emitted += assert_batches_bit_identical(&a, &d, "close");
-    assert_eq!(emitted as u64, MESSAGES);
+    bit_identical(&a, &d).unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(
+        a.iter().map(|b| b.messages.len()).sum::<usize>() as u64,
+        MESSAGES
+    );
 
     let stats = auto.stats();
     assert!(
