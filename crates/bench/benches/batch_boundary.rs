@@ -1,7 +1,7 @@
 //! Batch-boundary maintenance bench: the incremental engine versus the
 //! from-scratch fair-order constructor, at online-realistic pending sizes.
 //!
-//! Three measurements per pending-set size `n`:
+//! Two measurements per pending-set size `n`:
 //!
 //! * `incremental_arrival/n` — one arrival's boundary maintenance on an
 //!   [`IncrementalFairOrder`] tracking `n` messages: insert at the
@@ -11,14 +11,11 @@
 //! * `from_scratch/n` — what each arrival used to cost instead:
 //!   `FairOrder::from_linear_order` over the full maintained order (`n − 1`
 //!   adjacent-pair probes plus the rank-index hashing of every message).
-//! * `pipeline_one_shot/n` — the whole shared pipeline tail
-//!   ([`tommy_bench::run_pipeline`]) for scale context.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use tommy_bench::{run_pipeline, stream_message, stream_registry};
+use tommy_bench::{stream_message, stream_registry};
 use tommy_core::batching::{FairOrder, IncrementalFairOrder};
-use tommy_core::config::SequencerConfig;
 use tommy_core::precedence::{PrecedenceMatrix, Removal};
 use tommy_core::tournament::IncrementalTournament;
 
@@ -33,7 +30,6 @@ fn batch_boundary(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(800));
 
     let registry = stream_registry();
-    let config = SequencerConfig::default();
 
     for n in SIZES {
         // `n` pending messages, plus the (n+1)-th arrival whose maintenance
@@ -75,9 +71,6 @@ fn batch_boundary(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("from_scratch", n), &n, |b, _| {
             b.iter(|| FairOrder::from_linear_order(&matrix_pending, &order, THRESHOLD))
-        });
-        group.bench_with_input(BenchmarkId::new("pipeline_one_shot", n), &n, |b, _| {
-            b.iter(|| run_pipeline(&matrix_pending, &config))
         });
     }
     group.finish();

@@ -14,10 +14,8 @@
 
 use tommy_core::config::SequencerConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
-use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
-use tommy_core::sequencer::{SequencingCore, SequencingOutcome};
 use tommy_sim::runner::{run_stream, sequencer_config, StreamRun};
 use tommy_sim::scenario::ScenarioConfig;
 use tommy_stats::distribution::OffsetDistribution;
@@ -122,23 +120,9 @@ pub fn prefilled_sequencer(pending: usize) -> OnlineSequencer {
     sequencer
 }
 
-/// Run the one-shot §3.4 pipeline tail (linear order → fair order +
-/// diagnostics) over a prebuilt matrix through the same [`SequencingCore`]
-/// both production sequencers use — the benchmark entry point for the
-/// shared pipeline, and the reference the `batch_boundary` bench contrasts
-/// the incremental engine against.
-pub fn run_pipeline(matrix: &PrecedenceMatrix, config: &SequencerConfig) -> SequencingOutcome {
-    let mut core = SequencingCore::new(*config);
-    core.load(matrix);
-    core.outcome(matrix, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tommy_core::batching::FairOrder;
-    use tommy_core::sequencer::emission::batch_emission_time;
-    use tommy_core::tournament::Tournament;
 
     /// The detection table of the adversarial sweep (seed 21, `p_safe`
     /// 0.99): which defended cells raise which alarm, and that nothing else
@@ -225,100 +209,5 @@ mod tests {
         // colluder evades (the table above pins that silence).
         let (_, strong) = run_adversarial_stream(AttackFamily::CorrelatedCollusion, 0.6, true);
         assert!(strong.peak_collusion_score > 0.6, "{strong:?}");
-    }
-
-    #[test]
-    fn run_pipeline_matches_offline_sequencer() {
-        use tommy_core::sequencer::offline::TommySequencer;
-        let registry = stream_registry();
-        let pending: Vec<Message> = (0..30).map(stream_message).collect();
-        let config = SequencerConfig::default();
-        let matrix = PrecedenceMatrix::compute(&pending, &registry).unwrap();
-        let via_core = run_pipeline(&matrix, &config);
-
-        let mut offline = TommySequencer::new(config);
-        for c in 0..STREAM_CLIENTS {
-            offline.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 5.0));
-        }
-        let via_sequencer = offline.sequence_detailed(&pending).unwrap();
-        assert_eq!(via_core.order, via_sequencer.order);
-        assert_eq!(via_core.transitive, via_sequencer.transitive);
-        assert_eq!(via_core.cyclic_components, via_sequencer.cyclic_components);
-        assert_eq!(
-            via_core.confident_pair_fraction,
-            via_sequencer.confident_pair_fraction
-        );
-    }
-
-    /// The seed implementation of the online sequencer's candidate-batch
-    /// computation: from-scratch matrix + tournament + linear order + threshold
-    /// batching + Appendix C closure rule. Kept verbatim (not routed through
-    /// [`SequencingCore`]) as an independent reference the incremental engine's
-    /// first batch is compared against.
-    fn scratch_candidate_batch(
-        pending: &[Message],
-        registry: &DistributionRegistry,
-        config: &SequencerConfig,
-    ) -> (Vec<Message>, f64) {
-        let matrix = PrecedenceMatrix::compute(pending, registry).expect("registered clients");
-        let tournament = Tournament::from_matrix(&matrix);
-        let linear = tournament.linear_order(&matrix, config, None);
-        let order = FairOrder::from_linear_order(&matrix, &linear, config.threshold);
-        let first = order.batches().first().expect("non-empty pending set");
-        let mut in_batch: Vec<usize> = first
-            .messages
-            .iter()
-            .map(|id| matrix.index_of(*id).expect("id from matrix"))
-            .collect();
-        let mut member = vec![false; matrix.len()];
-        for &i in &in_batch {
-            member[i] = true;
-        }
-        loop {
-            let mut grew = false;
-            // Index-based: the loop both reads `member` and (via `in_batch`)
-            // extends the membership it is iterating against.
-            #[allow(clippy::needless_range_loop)]
-            for cand in 0..matrix.len() {
-                if member[cand] {
-                    continue;
-                }
-                let inseparable = in_batch.iter().any(|&b| {
-                    let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
-                    p <= config.threshold
-                });
-                if inseparable {
-                    member[cand] = true;
-                    in_batch.push(cand);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        in_batch.sort_unstable();
-        let batch: Vec<Message> = in_batch.iter().map(|&i| matrix.message(i).clone()).collect();
-        let safe_after = batch_emission_time(registry, &batch, config.p_safe);
-        (batch, safe_after)
-    }
-
-    #[test]
-    fn scratch_candidate_matches_incremental_engine() {
-        // Same pending set → the baseline's candidate batch must be exactly
-        // the batch the incremental engine emits first, so the bench really
-        // compares two implementations of one algorithm.
-        let registry = stream_registry();
-        let config = SequencerConfig::default();
-        let pending: Vec<Message> = (0..12).map(stream_message).collect();
-        let (batch, safe_after) = scratch_candidate_batch(&pending, &registry, &config);
-        assert!(!batch.is_empty());
-        assert!(safe_after.is_finite());
-
-        let mut sequencer = prefilled_sequencer(12);
-        let first = &sequencer.flush()[0];
-        let scratch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
-        assert_eq!(first.message_ids(), scratch_ids);
-        assert_eq!(first.safe_after, safe_after);
     }
 }

@@ -10,8 +10,8 @@
 //!   and crash-faulted delivery schedules replayed through the session
 //!   layer (see `ARCHITECTURE.md`, "The model-checked invariant suite").
 //! * [`oracle`] — the differential oracle: a seeded op-sequence fuzzer that
-//!   drives every engine (sparse, dense, incremental-FAS fallback, sharded
-//!   at K ∈ {1, 2, 4}) in lockstep, checks every contract after every op,
+//!   drives every engine (sparse, dense, sharded at K ∈ {1, 2, 4}) in
+//!   lockstep, checks every contract after every op,
 //!   and shrinks a failure to a replayable op-log (`tests/regressions/`).
 //! * [`properties`] — the contracts themselves, each one function: the
 //!   trace invariants, boundary consistency, bit-identity, the sharded

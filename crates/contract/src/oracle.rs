@@ -11,7 +11,7 @@
 //! | engine | held to |
 //! |---|---|
 //! | `auto` (the reference) | invariant 3 on every batch; offline `Auto` ≡ `ForceDense` over what it admitted |
-//! | `dense` (`ForceDense`), `fallback` (`incremental_fas(false)`) | bit-identical to `auto`: batches, undrained counts, pending order (and `dense` its FAS counters while `auto` never rode the sparse engine); the FAS cost split, none on a Gaussian census |
+//! | `dense` (`ForceDense`) | bit-identical to `auto`: batches, undrained counts, pending order (and its FAS counters while `auto` never rode the sparse engine); the FAS work bound, none on a Gaussian census |
 //! | `k1` (one shard) | bit-identical to `auto`, counters included |
 //! | `k2`, `k4` | the admitted set released with dense ranks and a bounded RAS gap; with liveness on, releasing no less than `k1` |
 //! | `k4 rotating` (shards applied in a per-step rotating order) | all of `k4`'s, and bit-identical to `k4`, counters included |
@@ -386,7 +386,7 @@ pub fn generate(seed: u64, messages: usize) -> (Setup, Vec<Op>) {
 }
 
 /// How a roster member is driven.
-#[allow(clippy::large_enum_variant)] // seven of them, built once per run
+#[allow(clippy::large_enum_variant)] // six of them, built once per run
 enum Engine {
     Single(OnlineSequencer),
     /// A sharded wrapper; `true`: its shards are applied serially in a
@@ -449,20 +449,18 @@ impl Member {
 
 const AUTO: usize = 0;
 const DENSE: usize = 1;
-const FALLBACK: usize = 2;
-const K1: usize = 3;
-const K4: usize = 5;
+const K1: usize = 2;
+const K4: usize = 4;
 
 /// The bit-identity contracts: `(label, engine, twin, counters too)`.
-const TWINS: [(&str, usize, usize, bool); 4] = [
+const TWINS: [(&str, usize, usize, bool); 3] = [
     ("dense ≡ auto", DENSE, AUTO, false),
-    ("fallback ≡ auto", FALLBACK, AUTO, false),
     ("k1 ≡ auto", K1, AUTO, true),
-    ("k4 rotating ≡ k4", 6, K4, true),
+    ("k4 rotating ≡ k4", 5, K4, true),
 ];
 
 /// The K > 1 members.
-const MERGED: [usize; 3] = [4, K4, 6];
+const MERGED: [usize; 3] = [3, K4, 5];
 
 fn roster(config: SequencerConfig) -> Vec<Member> {
     let single = |config| Engine::Single(OnlineSequencer::new(config));
@@ -470,7 +468,6 @@ fn roster(config: SequencerConfig) -> Vec<Member> {
     let engines = [
         ("auto", single(config)),
         ("dense", single(config.with_fast_path(FastPathMode::ForceDense))),
-        ("fallback", single(config.with_incremental_fas(false))),
         ("k1", sharded(1, false)),
         ("k2", sharded(2, false)),
         ("k4", sharded(4, false)),
@@ -493,7 +490,7 @@ impl Coverage {
     pub const PATHS: [&'static str; 7] = [
         "census-driven engine flips (auto)",
         "SCC-scoped FAS repairs (dense)",
-        "full tournament rebuilds (fallback)",
+        "full tournament recomputes (dense)",
         "defense quarantines (auto)",
         "liveness evictions (auto)",
         "duplicate submissions rejected",
@@ -609,12 +606,11 @@ impl Run {
                 return Err(fail(label, diverged(format!("{x} batches undrained against {y}"))));
             }
         }
-        for (label, a, b, _) in TWINS.into_iter().take(2) {
-            let x = self.members[a].single().pending_order();
-            let y = self.members[b].single().pending_order();
-            if x != y {
-                return Err(fail(label, diverged(format!("pending order {x:?} against {y:?}"))));
-            }
+        let x = self.members[DENSE].single().pending_order();
+        let y = self.members[AUTO].single().pending_order();
+        if x != y {
+            let what = format!("pending order {x:?} against {y:?}");
+            return Err(fail("dense ≡ auto", diverged(what)));
         }
         self.check_tracked(step)?;
         match op {
@@ -706,28 +702,27 @@ impl Run {
                 liveness_kept(before[K1], before[i]).map_err(|v| fail(m.name, v))?;
             }
         }
-        let [auto, incremental, fallback] = [AUTO, DENSE, FALLBACK].map(|i| {
+        let [auto, dense] = [AUTO, DENSE].map(|i| {
             let tournament = self.members[i].single().tournament();
             (tournament.local_repairs(), tournament.full_rebuilds())
         });
         // An `auto` that never placed a sparse arrival ran the dense engine
         // throughout: the same FAS work as `dense`.
-        if stats[AUTO].dense_columns_avoided == 0 && auto != incremental {
-            let what = format!("FAS (repairs, rebuilds) {incremental:?} against {auto:?}");
+        if stats[AUTO].dense_columns_avoided == 0 && auto != dense {
+            let what = format!("FAS (repairs, rebuilds) {dense:?} against {auto:?}");
             return Err(fail("dense ≡ auto", diverged(what)));
         }
         let defended = (stats[DENSE].quarantines + stats[DENSE].reestimations) as u64;
         let reregistrations = (self.means.len() - self.census.len()) as u64 + defended;
         let gaussian = stats[AUTO].peak_matrix_bytes == 0;
         let passes = gaussian.then(|| fas::exhaustive_passes() - passes_before);
-        let work = fas_work(incremental, fallback, reregistrations, passes);
-        work.map_err(|v| fail("dense", v))?;
+        fas_work(dense, reregistrations, passes).map_err(|v| fail("dense", v))?;
         let windows = windows(&self.accepted);
         offline_identical(&self.census, self.config, &windows).map_err(|v| fail("offline", v))?;
         let reached = [
             stats[AUTO].mode_switches,
-            incremental.0,
-            fallback.1,
+            dense.0,
+            dense.1,
             stats[AUTO].quarantines as u64,
             stats[AUTO].evictions as u64,
             self.duplicates,

@@ -16,7 +16,8 @@ use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::online::{EmittedBatch, OnlineStats};
-use tommy_core::sequencer::{SequencingCore, TommySequencer};
+use tommy_core::sequencer::TommySequencer;
+use tommy_core::tournament::Tournament;
 use tommy_metrics::rank_agreement_score;
 use tommy_stats::distribution::OffsetDistribution;
 
@@ -248,11 +249,11 @@ pub fn check_trace(trace: &RunTrace, max_violation_rate: f64) -> Vec<InvariantVi
 }
 
 /// Invariant 3: `batch`, emitted while `pending` (in arrival order) was the
-/// engine's pending set, equals the candidate a from-scratch
-/// [`PrecedenceMatrix::compute`] + [`SequencingCore`] solve of that set
-/// produces under `registry` — the incrementally maintained state never
-/// diverges from the one-shot Appendix C closure. The batch leaves
-/// `pending`, which is then the set the next batch was emitted from.
+/// engine's pending set, equals the [`scratch_candidate`] of a from-scratch
+/// [`PrecedenceMatrix::compute`] over that set under `registry` — the
+/// incrementally maintained state never diverges from the one-shot
+/// Appendix C closure. The batch leaves `pending`, which is then the set
+/// the next batch was emitted from.
 ///
 /// # Errors
 ///
@@ -265,19 +266,41 @@ pub fn boundary_consistent(
     config: SequencerConfig,
 ) -> Result<Option<InvariantViolation>, CoreError> {
     let matrix = PrecedenceMatrix::compute(pending, registry)?;
-    let mut core = SequencingCore::new(config);
-    core.load(&matrix);
-    let mut expected: Vec<MessageId> = core
-        .candidate_indices(&matrix, None)
-        .unwrap_or_default()
-        .iter()
-        .map(|&i| pending[i].id)
-        .collect();
+    let candidate = scratch_candidate(&matrix, &config);
+    let mut expected: Vec<MessageId> = candidate.iter().map(|&i| pending[i].id).collect();
     expected.sort();
     let mut emitted = batch.message_ids();
     emitted.sort();
     pending.retain(|m| !emitted.contains(&m.id));
     Ok((expected != emitted).then_some(InvariantViolation::BoundaryMismatch { expected, emitted }))
+}
+
+/// The candidate batch of a non-empty `matrix`, solved from scratch by the
+/// one-shot references instead of an engine's maintained state:
+/// [`Tournament::from_matrix`] → its linear order →
+/// [`FairOrder::from_linear_order`] → the first batch, closed under the
+/// Appendix C rule (a message joins while some member cannot be confidently
+/// separated from it, re-scanning until nothing joins). Ascending matrix
+/// indices.
+pub fn scratch_candidate(matrix: &PrecedenceMatrix, config: &SequencerConfig) -> Vec<usize> {
+    let linear = Tournament::from_matrix(matrix).linear_order(matrix, config, None);
+    let order = FairOrder::from_linear_order(matrix, &linear, config.threshold);
+    let first = &order.batches().first().expect("a non-empty matrix").messages;
+    let mut batch: Vec<usize> = first.iter().filter_map(|id| matrix.index_of(*id)).collect();
+    let inseparable = |a, b| matrix.prob(a, b).max(matrix.prob(b, a)) <= config.threshold;
+    loop {
+        let size = batch.len();
+        for cand in 0..matrix.len() {
+            if !batch.contains(&cand) && batch.iter().any(|&b| inseparable(b, cand)) {
+                batch.push(cand);
+            }
+        }
+        if batch.len() == size {
+            break;
+        }
+    }
+    batch.sort_unstable();
+    batch
 }
 
 /// `Err` of the [`InvariantViolation::Diverged`] `contract`, unless `holds`.
@@ -361,33 +384,31 @@ pub fn liveness_kept(
     })
 }
 
-/// The FAS engines' cost split, each engine's figures `(local repairs, full
-/// rebuilds)`. The incremental tournament repairs cycles locally, so it
-/// recomputes its order wholesale at most once per re-registration; the
-/// fallback never repairs locally; and over a census that stayed Gaussian
-/// (transitive, Appendix A) — `gaussian_passes` then holds the run's
-/// exhaustive FAS passes — no repair or exhaustive pass runs at all.
+/// The incremental FAS engine's work, `(local repairs, full rebuilds)` of
+/// its tournament. It repairs cycles locally, so it recomputes its order
+/// wholesale at most once per re-registration; and over a census that
+/// stayed Gaussian (transitive, Appendix A) — `gaussian_passes` then holds
+/// the run's exhaustive FAS passes — no repair or exhaustive pass runs at
+/// all.
 pub fn fas_work(
     incremental: (u64, u64),
-    fallback: (u64, u64),
     reregistrations: u64,
     gaussian_passes: Option<u64>,
 ) -> Result<(), InvariantViolation> {
     let transitive = gaussian_passes.is_none_or(|passes| passes == 0 && incremental.0 == 0);
-    let split = incremental.1 <= reregistrations && fallback.0 == 0 && transitive;
-    holds(split, "FAS work", || {
+    holds(incremental.1 <= reregistrations && transitive, "FAS work", || {
         format!(
-            "incremental {incremental:?}, fallback {fallback:?} after {reregistrations} \
-             re-registrations, {gaussian_passes:?} exhaustive passes on a Gaussian census"
+            "{incremental:?} after {reregistrations} re-registrations, \
+             {gaussian_passes:?} exhaustive passes on a Gaussian census"
         )
     })
 }
 
 /// The offline census rule: `TommySequencer` on `Auto` and on `ForceDense`,
 /// one pair taking every window in turn, agree on each window's fair order,
-/// transitivity, cyclic components, FAS fallback reason and
-/// confident-pair-fraction bits, and `sequence()` returns that order — or
-/// both reject the window with the same error.
+/// transitivity, cyclic components and confident-pair-fraction bits, and
+/// `sequence()` returns that order — or both reject the window with the same
+/// error.
 pub fn offline_identical(
     census: &[(ClientId, OffsetDistribution)],
     config: SequencerConfig,
@@ -404,7 +425,7 @@ pub fn offline_identical(
         let outcome = |twin: &mut TommySequencer| {
             let detailed = twin.sequence_detailed(window).map(|o| {
                 let fraction = o.confident_pair_fraction.to_bits();
-                (o.order, o.transitive, o.cyclic_components, o.fas_fallback_reason, fraction)
+                (o.order, o.transitive, o.cyclic_components, fraction)
             });
             (twin.sequence(window), detailed)
         };

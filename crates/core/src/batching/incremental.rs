@@ -22,7 +22,8 @@
 //! [`IncrementalTournament`](crate::tournament::IncrementalTournament)'s
 //! `full_rebuilds` fallback. The maintained state is pinned equal to the
 //! one-shot constructor — batches, ranks, and boundary set — by the property
-//! tests below and in [`crate::sequencer::core`].
+//! tests below and in the dense engine's (`sequencer::dense`), which keeps
+//! one beside the tournament.
 
 use crate::batching::boundary::BoundarySet;
 use crate::batching::fair_order::FairOrder;
@@ -54,8 +55,8 @@ pub struct FairOrderCounters {
 pub struct IncrementalFairOrder {
     threshold: f64,
     /// The maintained linear order: position → matrix slot. Kept in lockstep
-    /// with `IncrementalTournament`'s maintained order by
-    /// [`SequencingCore`](crate::sequencer::core::SequencingCore).
+    /// with `IncrementalTournament`'s maintained order by the dense engine
+    /// (`sequencer::dense`).
     order: Vec<usize>,
     /// Batch-start bits aligned with `order`.
     boundary: BoundarySet,

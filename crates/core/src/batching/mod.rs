@@ -21,12 +21,12 @@
 //! * [`boundary`] — [`BoundarySet`], the batch-start bitset aligned with a
 //!   linear order, with an eagerly maintained batch count and lazily rebuilt
 //!   prefix ranks.
-//! * [`incremental`] — [`IncrementalFairOrder`], the engine the online
-//!   sequencer maintains across arrivals and removals instead of
-//!   recomputing `FairOrder::from_linear_order` per arrival. Its state is
-//!   pinned equal to the one-shot constructor (batches, ranks, boundary set)
-//!   by randomized property tests here and in
-//!   [`crate::sequencer::core`].
+//! * [`incremental`] — [`IncrementalFairOrder`], which the dense engine
+//!   (`sequencer::dense`) keeps beside its tournament across arrivals and
+//!   removals instead of recomputing `FairOrder::from_linear_order` per
+//!   arrival. Its state is pinned equal to the one-shot constructor
+//!   (batches, ranks, boundary set) by randomized property tests here and in
+//!   the dense engine.
 
 pub mod boundary;
 pub mod fair_order;

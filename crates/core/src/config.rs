@@ -2,37 +2,6 @@
 
 use crate::defense::DefenseConfig;
 
-/// Why the incremental FAS engine is not in effect for a configuration,
-/// even though outputs are unchanged either way (the incremental and
-/// full-recompute paths are property-tested bit-identical).
-///
-/// Historically [`SequencerConfig::incremental_fas`] was silently treated
-/// as `false` under stochastic cycle breaking; the reason is now explicit
-/// so results can report *why* a run took the full-recompute path. Query it
-/// with [`SequencerConfig::fas_fallback_reason`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FasFallbackReason {
-    /// The caller set [`SequencerConfig::incremental_fas`] to `false`
-    /// (baseline measurement, correctness anchoring).
-    DisabledByConfig,
-    /// [`SequencerConfig::stochastic_cycle_breaking`] is on: stochastic
-    /// repairs resample edge removals per solve, so per-component results
-    /// cannot be cached and the incremental engine would change the
-    /// sampling stream. The engine is therefore bypassed.
-    StochasticCycleBreaking,
-}
-
-impl std::fmt::Display for FasFallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FasFallbackReason::DisabledByConfig => write!(f, "disabled by config"),
-            FasFallbackReason::StochasticCycleBreaking => {
-                write!(f, "stochastic cycle breaking is incompatible")
-            }
-        }
-    }
-}
-
 /// Which precedence engine a sequencer runs: the online shell over its
 /// pending set, and by the same census rule the offline
 /// [`TommySequencer`](crate::sequencer::offline::TommySequencer) over each
@@ -58,11 +27,11 @@ pub enum FastPathMode {
     Auto,
     /// Never use the sparse path: every arrival fills a dense matrix
     /// column, every offline window builds its O(n²) matrix, exactly the
-    /// historical engines. Exists for baseline
-    /// measurement (`sparse_path` bench), for the exact-query-count
-    /// regression tests, and as a correctness anchor — the fast-path
-    /// counters (`lazy_evals`, `dense_columns_avoided`, `mode_switches`)
-    /// stay zero under it.
+    /// historical engines. Exists as the differential oracle's `dense`
+    /// twin (the reference the sparse path is held bit-identical to), for
+    /// the exact-query-count regression tests, and as a measured baseline —
+    /// the fast-path counters (`lazy_evals`, `dense_columns_avoided`,
+    /// `mode_switches`) stay zero under it.
     ForceDense,
 }
 
@@ -139,26 +108,11 @@ pub struct SequencerConfig {
     /// *stochastic* feedback-arc-set heuristic (random, probability-weighted
     /// edge removals) instead of the deterministic greedy one, trading
     /// per-decision determinism for long-run stochastic fairness (§3.4).
+    /// A randomized per-component order cannot be cached, so the tournament
+    /// then recomputes its order after every cycle event instead of
+    /// repairing the one component in place; the draws come from the
+    /// sequencer's own seeded generator.
     pub stochastic_cycle_breaking: bool,
-    /// When `true` (the default), intransitivity cycles are handled by the
-    /// *incremental FAS engine*: the maintained linear order tracks the
-    /// tournament's condensation as a sequence of per-SCC blocks, a cyclic
-    /// arrival re-solves only the one component it strongly connects
-    /// (`graph::fas::repair_component`), and an emission re-solves only the
-    /// components it partially removed — so a cyclic arrival is no longer an
-    /// automatic full rebuild. Set to `false` to force the historical
-    /// fallback (every intransitivity event invalidates the whole maintained
-    /// order, recomputed one-shot on the next read): the two paths produce
-    /// bit-identical orders and emitted batches (property-tested), so the
-    /// flag exists for baseline measurement (`fas_stress` bench) and as a
-    /// correctness anchor, not because outputs differ. Ignored (treated as
-    /// `false`) when [`stochastic_cycle_breaking`](Self::stochastic_cycle_breaking)
-    /// is set, since stochastic repairs are not cacheable per component —
-    /// that override is surfaced (not silent) as
-    /// [`FasFallbackReason::StochasticCycleBreaking`] by
-    /// [`fas_fallback_reason`](Self::fas_fallback_reason) and echoed on
-    /// [`SequencingOutcome`](crate::sequencer::SequencingOutcome).
-    pub incremental_fas: bool,
     /// When `true` (the default), the online sequencer keeps its full
     /// emission history: the cumulative
     /// [`FairOrder`](crate::batching::FairOrder) and the set of every message
@@ -216,7 +170,6 @@ impl Default for SequencerConfig {
             p_safe: 0.999,
             grid_points: 1024,
             stochastic_cycle_breaking: false,
-            incremental_fas: true,
             retain_history: true,
             defense: DefenseConfig::disabled(),
             liveness: LivenessConfig::disabled(),
@@ -292,14 +245,6 @@ impl SequencerConfig {
         self
     }
 
-    /// Enable or disable the incremental FAS engine (see
-    /// [`SequencerConfig::incremental_fas`]); disabling forces the
-    /// historical full-recompute fallback on every intransitivity event.
-    pub fn with_incremental_fas(mut self, enabled: bool) -> Self {
-        self.incremental_fas = enabled;
-        self
-    }
-
     /// Enable or disable unbounded emission-history retention (see
     /// [`SequencerConfig::retain_history`]).
     pub fn with_retain_history(mut self, enabled: bool) -> Self {
@@ -334,21 +279,6 @@ impl SequencerConfig {
         self.shards = shards;
         self
     }
-
-    /// Why the incremental FAS engine will *not* run for this
-    /// configuration, or `None` when it will. This is the single source of
-    /// truth consulted by [`SequencingCore`](crate::sequencer::SequencingCore)
-    /// — the historical silent `incremental_fas && !stochastic` flag flip,
-    /// made explicit.
-    pub fn fas_fallback_reason(&self) -> Option<FasFallbackReason> {
-        if !self.incremental_fas {
-            Some(FasFallbackReason::DisabledByConfig)
-        } else if self.stochastic_cycle_breaking {
-            Some(FasFallbackReason::StochasticCycleBreaking)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +292,6 @@ mod tests {
         assert_eq!(c.p_safe, 0.999);
         assert_eq!(c.grid_points, 1024);
         assert!(!c.stochastic_cycle_breaking);
-        assert!(c.incremental_fas);
         assert!(c.retain_history);
         assert_eq!(c.fast_path, FastPathMode::Auto);
     }
@@ -389,35 +318,6 @@ mod tests {
     fn retain_history_builder() {
         let c = SequencerConfig::new().with_retain_history(false);
         assert!(!c.retain_history);
-    }
-
-    #[test]
-    fn fas_fallback_reason_is_explicit() {
-        assert_eq!(SequencerConfig::new().fas_fallback_reason(), None);
-        assert_eq!(
-            SequencerConfig::new()
-                .with_incremental_fas(false)
-                .fas_fallback_reason(),
-            Some(FasFallbackReason::DisabledByConfig)
-        );
-        assert_eq!(
-            SequencerConfig::new()
-                .with_stochastic_cycle_breaking(true)
-                .fas_fallback_reason(),
-            Some(FasFallbackReason::StochasticCycleBreaking)
-        );
-        // Explicit disable wins over the stochastic override in the report.
-        assert_eq!(
-            SequencerConfig::new()
-                .with_incremental_fas(false)
-                .with_stochastic_cycle_breaking(true)
-                .fas_fallback_reason(),
-            Some(FasFallbackReason::DisabledByConfig)
-        );
-        assert_eq!(
-            FasFallbackReason::StochasticCycleBreaking.to_string(),
-            "stochastic cycle breaking is incompatible"
-        );
     }
 
     #[test]
@@ -449,13 +349,11 @@ mod tests {
             .with_threshold(0.9)
             .with_p_safe(0.99)
             .with_grid_points(256)
-            .with_stochastic_cycle_breaking(true)
-            .with_incremental_fas(false);
+            .with_stochastic_cycle_breaking(true);
         assert_eq!(c.threshold, 0.9);
         assert_eq!(c.p_safe, 0.99);
         assert_eq!(c.grid_points, 256);
         assert!(c.stochastic_cycle_breaking);
-        assert!(!c.incremental_fas);
     }
 
     #[test]

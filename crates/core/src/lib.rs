@@ -40,10 +40,11 @@
 //! * [`batching`] — threshold batching of a linear order into ranked
 //!   batches: the static [`FairOrder`] types plus the incremental
 //!   batch-boundary engine the online sequencer maintains across arrivals.
-//! * [`sequencer`] — the shared sequencing core (linear order → fair order,
-//!   one code path for both modes), the offline sequencer (§3.4) and the
-//!   online sequencer with safe emission and watermarks (§3.5), including
-//!   the sub-quadratic sparse fast path for all-closed-form streams
+//! * [`sequencer`] — the offline sequencer (§3.4) and the online sequencer
+//!   with safe emission and watermarks (§3.5), over the same two engines
+//!   (linear order → fair order, one code path for both modes): the dense
+//!   matrix engine and the sub-quadratic sparse fast path for all-closed-form
+//!   streams
 //!   (key-ordered treap + lazy probability evaluation; see
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 //! * [`baselines`] — FIFO, WaitsForOne and TrueTime-style sequencers used in
@@ -64,8 +65,8 @@
 //!
 //! The repository-level `ARCHITECTURE.md` documents how these pieces
 //! compose into the full arrival → emission pipeline (PairKernel column
-//! fill → incremental tournament → incremental batch boundaries →
-//! sequencing core), the incremental-vs-rebuild invariants each counter
+//! fill → incremental tournament → incremental batch boundaries → candidate
+//! batch), the incremental-vs-rebuild invariants each counter
 //! guards, and the workspace crate map.
 
 #![forbid(unsafe_code)]
@@ -88,7 +89,7 @@ pub mod tiebreak;
 pub mod tournament;
 
 pub use batching::{Batch, FairOrder, FairOrderCounters, IncrementalFairOrder};
-pub use config::{FasFallbackReason, FastPathMode, LivenessConfig, SequencerConfig};
+pub use config::{FastPathMode, LivenessConfig, SequencerConfig};
 pub use defense::{DefenseConfig, ExpectedDelay, TrustLevel};
 pub use error::CoreError;
 pub use message::{ClientId, Message, MessageId};
@@ -97,7 +98,7 @@ pub use registry::{DistributionRegistry, PairKernel};
 pub use relation::LikelyHappenedBefore;
 pub use sequencer::offline::TommySequencer;
 pub use sequencer::online::{CandidateStatus, OnlineSequencer, OnlineStats};
-pub use sequencer::{SequencingCore, SequencingOutcome};
+pub use sequencer::SequencingOutcome;
 pub use session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 pub use tournament::{IncrementalTournament, Tournament};
 

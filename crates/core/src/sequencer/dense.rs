@@ -1,15 +1,19 @@
-//! The dense precedence engine: the matrix, the shared pipeline tail and the
-//! cached candidate batch, kept in lockstep behind one object.
+//! The dense precedence engine: the matrix and the §3.4 pipeline tail over
+//! it (tournament → linear order → threshold batching), owned by one object.
 //!
-//! [`SequencingCore`] tracks an externally maintained [`PrecedenceMatrix`]
-//! and every matrix mutation has to be mirrored into it. [`DenseEngine`]
-//! owns both, so that protocol is written once, here: an arrival is
-//! `matrix.insert` → `core.insert_last`, an emission one [`Removal`] remap →
-//! `matrix.remove_indices` → `core.remove_indices`, a wholesale re-derivation
-//! `PrecedenceMatrix::compute` → `core.load`, and each of them
-//! drops the cached candidate. Its surface is the sparse engine's
+//! [`DenseEngine`] owns the [`PrecedenceMatrix`] and everything derived from
+//! it, so the lockstep protocol is written once, here, as one method per
+//! change: an arrival is [`insert`](DenseEngine::insert) (one matrix column,
+//! then the tournament and the boundary engine place it), an emission
+//! [`commit_removal`](DenseEngine::commit_removal) (one [`Removal`] remap
+//! followed by the matrix, the tournament and the boundary engine alike) and
+//! a wholesale re-derivation [`load`](DenseEngine::load). Each of them drops
+//! the cached candidate. Its streaming surface is the sparse engine's
 //! (`sequencer::sparse`), method for method, which is what lets the
-//! [`OnlineSequencer`](super::online) shell pick an engine in one place.
+//! [`OnlineSequencer`](super::online) shell pick an engine in one place; the
+//! offline [`TommySequencer`](super::offline::TommySequencer) loads each
+//! window into the same engine and reads [`fair_order`](DenseEngine::fair_order)
+//! or [`outcome`](DenseEngine::outcome) off it.
 //!
 //! The engine does work proportional to *what changed*, not to the whole
 //! pending set:
@@ -25,22 +29,20 @@
 //!   `Arc` refcount per pending message. The same slots price the candidate
 //!   (`mean_at`, and the cached `safe_margin_at` in place of a quantile
 //!   inversion per batch member).
-//! * An emission's index remap (which slots survive, where each lands) is
-//!   computed once, into engine-owned scratch, and followed by the matrix,
-//!   the tournament and the boundary engine alike.
 //! * The tournament and its linear order ([`IncrementalTournament`]): an
 //!   arrival orients its n new edges and one scan over the maintained
 //!   condensation blocks places it; an emission drops the batch's rows in
 //!   place. Intransitivity cycles — never produced by Gaussian offsets
 //!   (Appendix A) — are absorbed by the incremental FAS engine, which
 //!   re-solves only the one SCC the arrival strongly connects: zero
-//!   `Tournament::from_matrix` rebuilds.
-//! * The §3.4 batch boundaries
-//!   ([`IncrementalFairOrder`](crate::batching::IncrementalFairOrder), via
-//!   the shared [`SequencingCore`]): an arrival re-evaluates only the two
-//!   adjacencies at its insertion point and an emission one seam per removed
-//!   run, so a candidate recomputation reads the lowest-rank batch straight
-//!   off the maintained boundary set.
+//!   `Tournament::from_matrix` rebuilds. Under stochastic cycle breaking the
+//!   engine is off (a randomized per-component order cannot be cached): a
+//!   cycle event invalidates the order, which the next read recomputes with
+//!   draws from the engine's own seeded generator.
+//! * The §3.4 batch boundaries ([`IncrementalFairOrder`]): an arrival
+//!   re-evaluates only the two adjacencies at its insertion point and an
+//!   emission one seam per removed run, so a candidate recomputation reads
+//!   the lowest-rank batch straight off the maintained boundary set.
 //! * The candidate batch (that lowest-rank batch closed under the Appendix C
 //!   rule, a worklist: outsiders are compared only against members added
 //!   since they were last checked, O(n × batch) reads over reused scratch)
@@ -52,17 +54,16 @@
 //! as in the Appendix C worked example: its arrival invalidates the cache and
 //! the next recomputation sees the full pending set.
 
-use crate::batching::FairOrderCounters;
+use crate::batching::{FairOrder, FairOrderCounters, IncrementalFairOrder};
 use crate::config::SequencerConfig;
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::registry::{ClientSlot, DistributionRegistry};
-use crate::sequencer::core::SequencingCore;
+use crate::sequencer::offline::SequencingOutcome;
 use crate::tournament::IncrementalTournament;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashSet;
+use rand::{RngCore, SeedableRng};
 
 /// The cached lowest-rank candidate batch of the current pending set; its
 /// members are `DenseEngine::members`.
@@ -74,56 +75,60 @@ struct Candidate {
 }
 
 /// Dense precedence engine over an arbitrary census (see the module docs).
-/// Owned by the online sequencer and active while some registered client is
-/// non-closed-form, or the fast path is disabled.
+/// Owned by the online sequencer, which runs it while some registered client
+/// is non-closed-form or the fast path is disabled, and by the offline
+/// sequencer for the windows such a census produces.
 #[derive(Debug)]
 pub(crate) struct DenseEngine {
+    config: SequencerConfig,
     /// Incrementally maintained precedence matrix over the pending set; its
     /// message list *is* the pending set, in arrival order.
     matrix: PrecedenceMatrix,
-    /// The shared pipeline tail — incrementally maintained tournament,
-    /// linear order, and batch boundaries over `matrix`.
-    core: SequencingCore,
+    /// The tournament over `matrix` and its maintained linear order.
+    tournament: IncrementalTournament,
+    /// The batch boundaries over that order.
+    fair: IncrementalFairOrder,
+    /// Source of the stochastic cycle-breaking draws.
+    rng: StdRng,
     /// Cached candidate batch; `None` means the pending set changed since the
     /// last computation (or is empty).
     candidate: Option<Candidate>,
-    /// Matrix indices of the cached candidate's members, ascending (valid
-    /// while `candidate` is `Some`). Indices, not cloned messages: the
-    /// candidate is recomputed on every pending-set change but *emitted*
-    /// once, so the message clone is deferred to emission time.
+    /// Matrix indices of the candidate's members, ascending (valid while
+    /// `candidate` is `Some`). Indices, not cloned messages: the candidate is
+    /// recomputed on every pending-set change but *emitted* once, so the
+    /// message clone is deferred to emission time.
     members: Vec<usize>,
+    /// The closure's other working set: the messages still outside it.
+    outside: Vec<usize>,
     /// Matrix indices handed out by [`take_candidate`](Self::take_candidate)
     /// and not yet removed by [`commit_removal`](Self::commit_removal).
     pending_removal: Vec<usize>,
     /// The index remap of the emission being committed (reused buffers).
     removal: Removal,
-    /// Source of the stochastic cycle-breaking draws.
-    rng: StdRng,
-}
-
-/// The draw source a core call gets: `rng` under stochastic cycle breaking,
-/// nothing otherwise.
-fn cycle_rng<'a>(
-    config: &SequencerConfig,
-    rng: &'a mut StdRng,
-) -> Option<&'a mut dyn rand::RngCore> {
-    match config.stochastic_cycle_breaking {
-        true => Some(rng),
-        false => None,
-    }
 }
 
 impl DenseEngine {
-    pub(crate) fn new(config: SequencerConfig) -> Self {
+    /// An empty engine; `seed` seeds the stochastic cycle breaker's draws.
+    pub(crate) fn new(config: SequencerConfig, seed: u64) -> Self {
+        let mut tournament = IncrementalTournament::new();
+        tournament.set_incremental_fas(!config.stochastic_cycle_breaking);
         DenseEngine {
+            config,
             matrix: PrecedenceMatrix::empty(),
-            core: SequencingCore::new(config),
+            tournament,
+            fair: IncrementalFairOrder::new(config.threshold),
+            rng: StdRng::seed_from_u64(seed),
             candidate: None,
             members: Vec::new(),
+            outside: Vec::new(),
             pending_removal: Vec::new(),
             removal: Removal::default(),
-            rng: StdRng::seed_from_u64(0),
         }
+    }
+
+    /// The configuration in use.
+    pub(crate) fn config(&self) -> &SequencerConfig {
+        &self.config
     }
 
     /// Pending messages.
@@ -138,12 +143,12 @@ impl DenseEngine {
 
     /// Counters of the incremental batch-boundary engine.
     pub(crate) fn counters(&self) -> FairOrderCounters {
-        self.core.fair().counters()
+        self.fair.counters()
     }
 
     /// The incrementally maintained tournament (read-only).
     pub(crate) fn tournament(&self) -> &IncrementalTournament {
-        self.core.tournament()
+        &self.tournament
     }
 
     /// Drop the cached candidate (pending-set-external invalidation, e.g.
@@ -182,31 +187,40 @@ impl DenseEngine {
         (slot, self.matrix.message(i).timestamp)
     }
 
+    /// Make the maintained order and boundary set valid: a no-op (zero
+    /// comparisons, zero boundary evaluations) on a clean incremental state;
+    /// a recompute after a [`load`](Self::load) or a cycle event the
+    /// tournament did not repair in place.
+    fn refresh(&mut self) {
+        let stochastic = self.config.stochastic_cycle_breaking;
+        let rng = stochastic.then_some(&mut self.rng as &mut dyn RngCore);
+        self.tournament.ensure_order(&self.matrix, &self.config, rng);
+        if self.fair.is_dirty() {
+            self.fair.rebuild_from(self.tournament.order(), &self.matrix);
+        }
+        debug_assert_eq!(
+            self.fair.order(),
+            self.tournament.order(),
+            "fair order out of lockstep with the tournament"
+        );
+    }
+
     /// `(message id, starts_batch)` in the maintained tournament order,
-    /// refreshing it first (a no-op on a clean incremental state). Position
-    /// 0 is normalized to `true`.
+    /// refreshing it first. Position 0 is normalized to `true`.
     pub(crate) fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
         if self.matrix.is_empty() {
             return Vec::new();
         }
-        let rng = cycle_rng(self.core.config(), &mut self.rng);
-        let order = self.core.linear_order(&self.matrix, rng);
-        let boundaries: HashSet<usize> =
-            self.core.fair().boundary_positions().into_iter().collect();
-        order
-            .iter()
-            .enumerate()
-            .map(|(pos, &idx)| {
-                let starts_batch = pos == 0 || boundaries.contains(&pos);
-                (self.matrix.message(idx).id, starts_batch)
-            })
-            .collect()
+        self.refresh();
+        let boundaries = self.fair.boundary_positions();
+        let order = self.tournament.order().iter().enumerate();
+        let starts = |pos| pos == 0 || boundaries.binary_search(&pos).is_ok();
+        order.map(|(pos, &idx)| (self.matrix.message(idx).id, starts(pos))).collect()
     }
 
     /// Insert an arrival: one matrix column (O(n) probability queries), then
-    /// the tournament and boundary maintenance of
-    /// [`SequencingCore::insert_last`]. The matrix resolves the client
-    /// itself; `_slot` keeps the signature the sparse engine's.
+    /// its place in the tournament and the boundary set. The matrix resolves
+    /// the client itself; `_slot` keeps the signature the sparse engine's.
     pub(crate) fn insert(
         &mut self,
         message: Message,
@@ -214,32 +228,44 @@ impl DenseEngine {
         registry: &DistributionRegistry,
     ) -> Result<(), CoreError> {
         self.matrix.insert(message, registry)?;
-        self.core.insert_last(&self.matrix);
-        self.candidate = None;
+        self.place_last();
         Ok(())
+    }
+
+    /// Place the message the matrix just gained (its last index): the
+    /// tournament orients its edges and slots it into the maintained order
+    /// (a singleton insertion, or an SCC-scoped local repair when it closes a
+    /// cycle). A clean insertion re-evaluates only the two new adjacencies at
+    /// the insertion point; a repair (or an invalidating cycle event) leaves
+    /// the boundary set to be rebuilt from the new order at the next read.
+    fn place_last(&mut self) {
+        match self.tournament.insert_last(&self.matrix) {
+            Some(position) if !self.fair.is_dirty() => self.fair.insert_at(position, &self.matrix),
+            _ => self.fair.mark_dirty(),
+        }
+        self.candidate = None;
     }
 
     /// Ensure the candidate cache holds the lowest-rank batch of the current
     /// pending set; returns its `(size, safe_after, horizon)`.
     ///
-    /// A recomputation reads the incrementally maintained [`SequencingCore`]
-    /// state: the batch of lowest rank (closed under the Appendix C rule)
-    /// comes straight off the maintained boundary set — no linear-order
-    /// clone, no `FairOrder` construction, no rank hashing, and no
-    /// probability queries at all (the safe-emission sweep reads cached
-    /// per-client margins). A full recompute happens only when the
-    /// incremental tournament hit an intransitivity cycle.
+    /// A recomputation reads the incrementally maintained state: the batch
+    /// of lowest rank (closed under the Appendix C rule) comes straight off
+    /// the maintained boundary set — no linear-order clone, no `FairOrder`
+    /// construction, no rank hashing, and no probability queries at all (the
+    /// safe-emission sweep reads cached per-client margins). A full recompute
+    /// happens only when the tournament's order was invalidated.
     pub(crate) fn candidate_meta(
         &mut self,
         registry: &DistributionRegistry,
     ) -> Option<(usize, f64, f64)> {
         if self.candidate.is_none() {
-            let rng = cycle_rng(self.core.config(), &mut self.rng);
-            let indices = self.core.candidate_indices(&self.matrix, rng)?;
-            self.members.clear();
-            self.members.extend_from_slice(indices);
+            if self.matrix.is_empty() {
+                return None;
+            }
+            self.close_candidate();
             // T_b = max_k (T_k − Q_k(1 − p_safe)), as `batch_emission_time`.
-            let p_safe = self.core.config().p_safe;
+            let p_safe = self.config.p_safe;
             let (mut safe_after, mut horizon) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
             for &i in &self.members {
                 let (slot, timestamp) = self.keyed(i);
@@ -250,6 +276,42 @@ impl DenseEngine {
         }
         let candidate = self.candidate?;
         Some((self.members.len(), candidate.safe_after, candidate.horizon))
+    }
+
+    /// Fill `members` with the matrix indices of the candidate batch: the
+    /// lowest-rank batch of the maintained fair order, closed under the
+    /// Appendix C rule (the batch absorbs every pending message that cannot
+    /// be confidently separated from some member, transitively), sorted
+    /// ascending.
+    ///
+    /// The worklist form is identical to re-scanning every round: a message
+    /// already checked against a batch member never needs re-checking, so
+    /// each round compares the remaining outsiders only against the members
+    /// added last round (`batch[frontier..]`).
+    fn close_candidate(&mut self) {
+        self.refresh();
+        let (batch, outside, matrix) = (&mut self.members, &mut self.outside, &self.matrix);
+        batch.clear();
+        batch.extend_from_slice(self.fair.first_batch());
+        outside.clear();
+        outside.extend((0..matrix.len()).filter(|i| !batch.contains(i)));
+        let threshold = self.config.threshold;
+        let mut frontier = 0;
+        while frontier < batch.len() && !outside.is_empty() {
+            let round_end = batch.len();
+            outside.retain(|&cand| {
+                let inseparable = batch[frontier..round_end].iter().any(|&b| {
+                    let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
+                    p <= threshold
+                });
+                if inseparable {
+                    batch.push(cand);
+                }
+                !inseparable
+            });
+            frontier = round_end;
+        }
+        batch.sort_unstable();
     }
 
     /// Take the candidate out of the cache (computing it first if needed):
@@ -273,14 +335,29 @@ impl DenseEngine {
         Some((messages, candidate.safe_after))
     }
 
-    /// Remove the members staged by [`take_candidate`](Self::take_candidate)
-    /// from the matrix and, in lockstep, from the core (one boundary seam
-    /// per removed run): the one place an emission's remap is computed.
+    /// Remove the members staged by [`take_candidate`](Self::take_candidate):
+    /// the one place an emission's remap is computed, followed by the matrix,
+    /// the tournament and the boundary engine (surviving boundaries keep
+    /// their bits; one seam per removed run is re-evaluated).
     pub(crate) fn commit_removal(&mut self, _registry: &DistributionRegistry) {
         self.removal.set(self.matrix.len(), &self.pending_removal);
         self.pending_removal.clear();
         self.matrix.remove_indices(&self.removal);
-        self.core.remove_indices(&self.removal, &self.matrix);
+        if self.tournament.remove_indices(&self.removal, &self.matrix) && !self.fair.is_dirty() {
+            self.fair.remove_slots(&self.removal, &self.matrix);
+        } else {
+            self.fair.mark_dirty();
+        }
+        self.candidate = None;
+    }
+
+    /// Track `matrix` wholesale: every tournament edge is re-derived, and the
+    /// order and boundary set are recomputed one-shot at the next read.
+    pub(crate) fn load(&mut self, matrix: PrecedenceMatrix) {
+        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
+        self.matrix = matrix;
+        self.tournament.rebuild(&self.matrix);
+        self.fair.mark_dirty();
         self.candidate = None;
     }
 
@@ -292,20 +369,247 @@ impl DenseEngine {
         if messages.is_empty() {
             return self.clear_pending();
         }
-        self.matrix = PrecedenceMatrix::compute(messages, registry)
-            .expect("pending messages come from registered clients");
-        self.core.load(&self.matrix);
-        self.candidate = None;
+        let matrix = PrecedenceMatrix::compute(messages, registry);
+        self.load(matrix.expect("pending messages come from registered clients"));
     }
 
     /// Reset the pending set (counters describe the whole run and are
     /// kept). An already empty engine keeps its clean incremental state.
     pub(crate) fn clear_pending(&mut self) {
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
         if !self.matrix.is_empty() {
-            self.matrix = PrecedenceMatrix::empty();
-            self.core.load(&self.matrix);
+            self.load(PrecedenceMatrix::empty());
         }
         self.candidate = None;
+    }
+
+    /// The fair partial order over the tracked messages (§3.4).
+    pub(crate) fn fair_order(&mut self) -> FairOrder {
+        self.refresh();
+        self.fair.to_fair_order(&self.matrix)
+    }
+
+    /// The fair order with the §3 diagnostics: the one-shot outcome the
+    /// offline sequencer returns for a loaded window.
+    pub(crate) fn outcome(&mut self) -> SequencingOutcome {
+        SequencingOutcome {
+            order: self.fair_order(),
+            transitive: self.tournament.is_transitive(),
+            cyclic_components: self.tournament.cyclic_component_count(),
+            confident_pair_fraction: self.matrix.confident_pair_fraction(self.config.threshold),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tournament::Tournament;
+    use rand::Rng;
+    use tommy_stats::distribution::OffsetDistribution;
+
+    /// The arrival and removal paths over matrices the tests build
+    /// themselves (explicit probabilities have no registry behind them).
+    impl DenseEngine {
+        /// Adopt `matrix`, the tracked one plus one last message.
+        fn insert_matrix(&mut self, matrix: PrecedenceMatrix) {
+            assert_eq!(matrix.len(), self.matrix.len() + 1, "one arrival at a time");
+            self.matrix = matrix;
+            self.place_last();
+        }
+
+        /// Remove the messages at `indices` (ascending).
+        fn remove(&mut self, indices: &[usize]) {
+            self.pending_removal.extend_from_slice(indices);
+            self.commit_removal(&DistributionRegistry::new());
+        }
+    }
+
+    fn msgs(n: usize) -> Vec<Message> {
+        (0..n)
+            .map(|i| Message::new(MessageId(i as u64), ClientId(i as u32), 0.0))
+            .collect()
+    }
+
+    /// The indices of a random non-empty subset of `0..n`, ascending.
+    fn random_subset(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let count = rng.random_range(1usize..=n);
+        let mut indices: Vec<usize> = (0..n).collect();
+        for _ in 0..(n - count) {
+            indices.remove(rng.random_range(0usize..indices.len()));
+        }
+        indices
+    }
+
+    /// The maintained engine must be bit-identical to the one-shot pipeline:
+    /// same linear order, and a fair order equal in batches, ranks, and
+    /// boundary set to `FairOrder::from_linear_order` over it.
+    fn assert_engine_matches_one_shot(engine: &mut DenseEngine) {
+        let (config, matrix) = (engine.config, engine.matrix.clone());
+        let scratch_order = Tournament::from_matrix(&matrix).linear_order(&matrix, &config, None);
+        let reference = FairOrder::from_linear_order(&matrix, &scratch_order, config.threshold);
+        assert_eq!(engine.fair_order(), reference, "fair order diverged");
+        assert_eq!(engine.tournament.order(), scratch_order, "linear order diverged");
+        assert_eq!(
+            engine.fair.boundary_positions(),
+            reference.boundary_positions(),
+            "boundary set diverged"
+        );
+        // The candidate batch equals the closure over the reference's batch 0.
+        engine.close_candidate();
+        assert!(!engine.members.is_empty());
+        for id in &reference.batches()[0].messages {
+            let slot = matrix.index_of(*id).unwrap();
+            assert!(engine.members.contains(&slot), "candidate lost a batch-0 member");
+        }
+    }
+
+    /// Mirror of the tournament's randomized insert/remove property test,
+    /// extended to the batch-boundary engine: Gaussian + Laplace clients
+    /// (always transitive ⇒ zero rebuilds), random thresholds per seed.
+    #[test]
+    fn random_insert_remove_sequences_match_one_shot() {
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reg = DistributionRegistry::new();
+            for c in 0..4u32 {
+                let dist = if c % 2 == 0 {
+                    OffsetDistribution::gaussian(0.0, 1.0 + c as f64)
+                } else {
+                    OffsetDistribution::laplace(0.0, 1.0 + c as f64)
+                };
+                reg.register(ClientId(c), dist);
+            }
+            let threshold = rng.random_range(0.55..0.95f64);
+            let config = SequencerConfig::default().with_threshold(threshold);
+            let mut engine = DenseEngine::new(config, 0);
+            let mut next_id = 0u64;
+            for _ in 0..30 {
+                if engine.len() > 0 && rng.random_range(0u32..4) == 0 {
+                    let indices = random_subset(&mut rng, engine.len());
+                    engine.remove(&indices);
+                } else {
+                    let m = Message::new(
+                        MessageId(next_id),
+                        ClientId(rng.random_range(0u32..4)),
+                        rng.random_range(-100.0..100.0f64),
+                    );
+                    next_id += 1;
+                    let slot = reg.slot_of(m.client).unwrap();
+                    engine.insert(m, slot, &reg).unwrap();
+                }
+                if engine.len() == 0 {
+                    assert!(engine.fair.is_empty());
+                } else {
+                    assert_engine_matches_one_shot(&mut engine);
+                }
+            }
+            assert_eq!(
+                engine.tournament.full_rebuilds(),
+                0,
+                "seed {seed}: transitive workload must never rebuild"
+            );
+            assert_eq!(
+                engine.counters().full_rebuilds,
+                0,
+                "seed {seed}: transitive workload must never rebuild the boundaries"
+            );
+        }
+    }
+
+    /// Same property over explicit random probability matrices, which —
+    /// unlike Gaussian offsets — produce intransitive triples, exercising
+    /// the cycle-induced rebuild fallbacks of both the tournament and the
+    /// batch-boundary engine.
+    #[test]
+    #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
+    fn random_probability_matrices_match_one_shot_including_cycles() {
+        const POOL: usize = 20;
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(5_000 + seed);
+            let mut pairwise = vec![vec![0.5; POOL]; POOL];
+            for i in 0..POOL {
+                for j in (i + 1)..POOL {
+                    let p = rng.random_range(0.05..0.95f64);
+                    pairwise[i][j] = p;
+                    pairwise[j][i] = 1.0 - p;
+                }
+            }
+            let pool_msgs = msgs(POOL);
+            let matrix_over = |pending: &[usize]| -> PrecedenceMatrix {
+                let messages: Vec<Message> =
+                    pending.iter().map(|&g| pool_msgs[g].clone()).collect();
+                let probs: Vec<Vec<f64>> = pending
+                    .iter()
+                    .map(|&gi| pending.iter().map(|&gj| pairwise[gi][gj]).collect())
+                    .collect();
+                PrecedenceMatrix::from_probabilities(&messages, &probs)
+            };
+
+            let threshold = rng.random_range(0.55..0.95f64);
+            let config = SequencerConfig::default().with_threshold(threshold);
+            let mut pending: Vec<usize> = Vec::new();
+            let mut engine = DenseEngine::new(config, 0);
+            let mut next = 0usize;
+            let mut saw_cycle = false;
+            for _ in 0..40 {
+                if !pending.is_empty() && rng.random_range(0u32..3) == 0 {
+                    let positions = random_subset(&mut rng, pending.len());
+                    for &p in positions.iter().rev() {
+                        pending.remove(p);
+                    }
+                    engine.remove(&positions);
+                } else if next < POOL {
+                    pending.push(next);
+                    next += 1;
+                    engine.insert_matrix(matrix_over(&pending));
+                } else {
+                    continue;
+                }
+                if pending.is_empty() {
+                    assert!(engine.tournament.is_empty());
+                } else {
+                    assert_engine_matches_one_shot(&mut engine);
+                    saw_cycle |= !engine.tournament.is_transitive();
+                }
+            }
+            assert!(saw_cycle, "seed {seed}: random relation never cycled");
+        }
+    }
+
+    /// `load` + `outcome` is the offline pipeline: diagnostics and order
+    /// must match the historical `Tournament::from_matrix` path exactly.
+    #[test]
+    fn loaded_outcome_matches_one_shot_pipeline() {
+        let matrix = PrecedenceMatrix::from_probabilities(
+            &msgs(4),
+            &[
+                vec![0.5, 0.85, 0.65, 0.92],
+                vec![0.15, 0.5, 0.72, 0.68],
+                vec![0.35, 0.28, 0.5, 0.80],
+                vec![0.08, 0.32, 0.20, 0.5],
+            ],
+        );
+        let mut engine = DenseEngine::new(SequencerConfig::default(), 0);
+        engine.load(matrix);
+        let outcome = engine.outcome();
+        assert!(outcome.transitive);
+        assert_eq!(outcome.cyclic_components, 0);
+        assert_eq!(outcome.order.num_batches(), 3);
+        assert_eq!(outcome.order.batches()[1].messages, vec![MessageId(1), MessageId(2)]);
+
+        // A cyclic matrix reports its component count like the one-shot path.
+        let cyclic = PrecedenceMatrix::from_probabilities(
+            &msgs(3),
+            &[
+                vec![0.5, 0.8, 0.3],
+                vec![0.2, 0.5, 0.8],
+                vec![0.7, 0.2, 0.5],
+            ],
+        );
+        engine.load(cyclic);
+        let outcome = engine.outcome();
+        assert!(!outcome.transitive);
+        assert_eq!(outcome.cyclic_components, 1);
+        assert_eq!(outcome.order.num_messages(), 3);
     }
 }

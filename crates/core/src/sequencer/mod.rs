@@ -1,18 +1,14 @@
 //! The Tommy sequencers.
 //!
-//! * [`core`] — [`SequencingCore`], the pipeline tail both sequencers share:
-//!   linear order ([`crate::tournament::IncrementalTournament`]) → fair
-//!   order (threshold batching, maintained incrementally by
-//!   [`crate::batching::IncrementalFairOrder`]) → the candidate/outcome
-//!   accessors the emission schedule is derived from. The online sequencer
-//!   maintains one core incrementally across arrivals and emissions; the
-//!   offline sequencer loads a prebuilt matrix into the same core one-shot,
-//!   so both produce their fair order through one code path.
+//! Both sequencers run the same two engines, picked by one census rule
+//! ([`FastPathMode`](crate::config::FastPathMode)): `dense` over any census,
+//! `sparse` over a closed-form one. The online sequencer maintains its
+//! engine across arrivals and emissions; the offline sequencer loads each
+//! window into an engine and reads its order off once, so both produce their
+//! fair order through one code path.
+//!
 //! * [`offline`] — the batch-mode sequencer of §3.4: all messages are present
 //!   before sequencing begins (this is the mode the paper evaluates in §4).
-//!   Two engines behind the online shell's census rule
-//!   ([`FastPathMode`](crate::config::FastPathMode)): a closed-form census
-//!   is the `sparse` engine run to completion, anything else the matrix.
 //! * [`online`] — the streaming sequencer of §3.5: messages arrive over time,
 //!   and a batch is emitted only once its safe-emission time has passed and
 //!   per-client watermarks prove that no message that belongs in (or before)
@@ -24,9 +20,12 @@
 //! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
 //! * [`watermark`] — per-client completeness tracking via messages and
 //!   heartbeats over ordered channels.
-//! * `dense` (private) — the dense engine: the pairwise matrix, a
-//!   [`SequencingCore`] and the cached candidate batch kept in lockstep
-//!   behind the surface the online shell dispatches over.
+//! * `dense` (private) — the dense engine: the pairwise matrix and the §3.4
+//!   pipeline tail over it — linear order
+//!   ([`crate::tournament::IncrementalTournament`]) → fair order (threshold
+//!   batching, maintained incrementally by
+//!   [`crate::batching::IncrementalFairOrder`]) → the cached candidate batch
+//!   — owned by one object, one method per change.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
 //!   registered client has a closed-form kernel, a sequencer keeps its
 //!   order in a treap keyed by margin-adjusted timestamps (threaded with
@@ -34,7 +33,6 @@
 //!   materializing a dense matrix column (see its `Φ(0)` caveat and
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 
-pub mod core;
 mod dense;
 pub mod emission;
 pub mod offline;
@@ -44,9 +42,8 @@ mod sparse;
 pub mod stream;
 pub mod watermark;
 
-pub use self::core::{SequencingCore, SequencingOutcome};
 pub use emission::{batch_emission_time, safe_emission_time};
-pub use offline::TommySequencer;
+pub use offline::{SequencingOutcome, TommySequencer};
 pub use online::{CandidateStatus, EmittedBatch, OnlineSequencer, OnlineStats};
 pub use sharded::ShardedSequencer;
 pub use stream::{register_all, StreamEngine};

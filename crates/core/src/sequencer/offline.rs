@@ -2,21 +2,20 @@
 //!
 //! §3 of the paper, assuming "all messages are present at the sequencer
 //! before it starts sequencing" (the assumption §3.5 later lifts — see
-//! [`crate::sequencer::online`]). Two engines behind the census rule the
-//! online shell applies ([`FastPathMode`](crate::config::FastPathMode)),
-//! taken here per call:
+//! [`crate::sequencer::online`]). An offline window is one of the online
+//! shell's two engines run to completion, chosen per call by the census rule
+//! the shell applies ([`FastPathMode`](crate::config::FastPathMode)):
 //!
-//! * **Closed-form census**: offline is the sparse engine run to completion.
-//!   The window is rebuilt into the online sequencer's `SparseEngine` (a
-//!   sort by `T − μ`, one kernel evaluation per adjacency) and the order's
+//! * **Closed-form census**: the window is rebuilt into the sparse engine
+//!   (a sort by `T − μ`, one kernel evaluation per adjacency) and the order's
 //!   boundary bits are the §3.4 batches: no matrix, and no tournament since
 //!   Gaussian ones are transitive (Appendix A). The outcome is the matrix
 //!   path's, under the `Φ(0)` placement caveat of `sequencer::sparse`'s docs.
 //! * **Anything else** (a mixed or cyclic census, `ForceDense`, a window the
 //!   fast path cannot prove valid): the pairwise [`PrecedenceMatrix`], filled
 //!   through per-client-pair [`PairKernel`](crate::registry::PairKernel)s,
-//!   then tournament, linear order and threshold batching — the pipeline
-//!   tail shared with the online dense engine through [`SequencingCore`].
+//!   is loaded into the dense engine, which runs the tournament, linear
+//!   order and threshold batching over it.
 
 use crate::batching::FairOrder;
 use crate::config::SequencerConfig;
@@ -24,23 +23,36 @@ use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::precedence::PrecedenceMatrix;
 use crate::registry::DistributionRegistry;
-use crate::sequencer::core::SequencingCore;
+use crate::sequencer::dense::DenseEngine;
 use crate::sequencer::sparse::SparseEngine;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 use std::collections::HashSet;
 use tommy_stats::distribution::OffsetDistribution;
 
-pub use crate::sequencer::core::SequencingOutcome;
+/// Detailed output of one sequencing run.
+#[derive(Debug, Clone)]
+pub struct SequencingOutcome {
+    /// The fair partial order (totally ordered batches).
+    pub order: FairOrder,
+    /// Whether the tournament was transitive (always true for Gaussian
+    /// offsets, Appendix A of the paper).
+    pub transitive: bool,
+    /// Number of strongly connected components with more than one message —
+    /// i.e. the number of intransitivity cycles that had to be broken.
+    pub cyclic_components: usize,
+    /// Fraction of message pairs the sequencer could order with confidence
+    /// above the threshold.
+    pub confident_pair_fraction: f64,
+}
 
 /// The offline Tommy sequencer.
 #[derive(Debug)]
 pub struct TommySequencer {
-    core: SequencingCore,
-    /// Holds the window while the census is closed-form (see module docs).
+    /// Holds the window while the census is not closed-form (see module
+    /// docs), and the stochastic cycle breaker's seeded draws.
+    dense: DenseEngine,
+    /// Holds the window while the census is closed-form.
     sparse: SparseEngine,
     registry: DistributionRegistry,
-    rng: StdRng,
 }
 
 impl TommySequencer {
@@ -56,14 +68,13 @@ impl TommySequencer {
         TommySequencer {
             registry: DistributionRegistry::from_config(&config),
             sparse: SparseEngine::new(config.threshold, config.p_safe),
-            core: SequencingCore::new(config),
-            rng: StdRng::seed_from_u64(seed),
+            dense: DenseEngine::new(config, seed),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SequencerConfig {
-        self.core.config()
+        self.dense.config()
     }
 
     /// Register a client's (learned or seeded) offset distribution.
@@ -84,11 +95,8 @@ impl TommySequencer {
     /// its diagnostics.
     pub fn sequence(&mut self, messages: &[Message]) -> Result<FairOrder, CoreError> {
         Ok(match self.load_window(messages)? {
-            None => self.sparse_order(),
-            Some(matrix) => {
-                let (core, rng) = self.load_matrix(&matrix);
-                core.fair_order(&matrix, rng)
-            }
+            true => self.sparse_order(),
+            false => self.dense.fair_order(),
         })
     }
 
@@ -97,37 +105,35 @@ impl TommySequencer {
         &mut self,
         messages: &[Message],
     ) -> Result<SequencingOutcome, CoreError> {
-        let Some(matrix) = self.load_window(messages)? else {
-            // The matrix scan's integer ratio: a pair is confident or linked.
-            let total = messages.len() * (messages.len() - 1) / 2;
-            let confident = total - self.sparse.linked_pairs(&self.registry);
-            return Ok(SequencingOutcome {
-                order: self.sparse_order(),
-                transitive: true,
-                cyclic_components: 0,
-                confident_pair_fraction: if total == 0 { 1.0 } else { confident as f64 / total as f64 },
-                fas_fallback_reason: self.config().fas_fallback_reason(),
-            });
-        };
-        Ok(self.sequence_matrix(&matrix))
+        if !self.load_window(messages)? {
+            return Ok(self.dense.outcome());
+        }
+        // The matrix scan's integer ratio: a pair is confident or linked.
+        let total = messages.len() * (messages.len() - 1) / 2;
+        let confident = total - self.sparse.linked_pairs(&self.registry);
+        Ok(SequencingOutcome {
+            order: self.sparse_order(),
+            transitive: true,
+            cyclic_components: 0,
+            confident_pair_fraction: if total == 0 { 1.0 } else { confident as f64 / total as f64 },
+        })
     }
 
     /// Sequence an already-computed precedence matrix (used by the Appendix B
-    /// worked example, where the paper supplies the matrix directly). Loads
-    /// the matrix into the shared [`SequencingCore`] and materializes the
-    /// one-shot outcome through the same pipeline tail the online sequencer
-    /// maintains incrementally.
+    /// worked example, where the paper supplies the matrix directly): the
+    /// matrix is loaded into the dense engine like any window's.
     pub fn sequence_matrix(&mut self, matrix: &PrecedenceMatrix) -> SequencingOutcome {
-        let (core, rng) = self.load_matrix(matrix);
-        core.outcome(matrix, rng)
+        self.dense.load(matrix.clone());
+        self.dense.outcome()
     }
 
-    /// The census decision: `None` once the sparse engine holds the window,
-    /// else its matrix. The fast path takes only what the matrix build would
-    /// accept (non-empty, no repeated id, every client registered, every
-    /// timestamp finite), so any other input still reports that build's error.
-    fn load_window(&mut self, messages: &[Message]) -> Result<Option<PrecedenceMatrix>, CoreError> {
-        let config = self.core.config();
+    /// Load the window into the engine the census picks; `true` when that is
+    /// the sparse engine. The fast path takes only what the matrix build
+    /// would accept (non-empty, no repeated id, every client registered,
+    /// every timestamp finite), so any other input still reports that
+    /// build's error.
+    fn load_window(&mut self, messages: &[Message]) -> Result<bool, CoreError> {
+        let config = self.dense.config();
         let rides = self.registry.rides_sparse_engine(config.fast_path) && !messages.is_empty();
         let mut ids = HashSet::with_capacity(if rides { messages.len() } else { 0 });
         let valid = |m: &Message| {
@@ -135,9 +141,12 @@ impl TommySequencer {
         };
         if rides && messages.iter().all(valid) {
             self.sparse.rebuild_from(messages, &self.registry);
-            return Ok(None);
+            return Ok(true);
         }
-        PrecedenceMatrix::compute(messages, &self.registry).map(Some)
+        // The last window's matrix goes before this one is built.
+        self.dense.clear_pending();
+        self.dense.load(PrecedenceMatrix::compute(messages, &self.registry)?);
+        Ok(false)
     }
 
     /// The sparse engine's order cut at its boundary bits.
@@ -150,18 +159,6 @@ impl TommySequencer {
             groups.last_mut().expect("the head starts a batch").push(id);
         }
         FairOrder::from_groups(groups)
-    }
-
-    /// Track `matrix` in the core; returns it with the cycle breaker's
-    /// sampling stream, when the configuration asks for one.
-    fn load_matrix(
-        &mut self,
-        matrix: &PrecedenceMatrix,
-    ) -> (&mut SequencingCore, Option<&mut dyn RngCore>) {
-        self.core.load(matrix);
-        let stochastic = self.core.config().stochastic_cycle_breaking;
-        let rng = stochastic.then_some(&mut self.rng as &mut dyn RngCore);
-        (&mut self.core, rng)
     }
 }
 

@@ -338,7 +338,7 @@ impl OnlineSequencer {
             config,
             registry: DistributionRegistry::from_config(&config),
             watermarks: WatermarkTracker::new(&[]),
-            dense: DenseEngine::new(config),
+            dense: DenseEngine::new(config, 0),
             sparse: SparseEngine::new(config.threshold, config.p_safe),
             mode,
             pending: HashMap::new(),

@@ -1,9 +1,8 @@
 //! Sharded online sequencing.
 //!
 //! This module partitions registered clients round-robin across `K`
-//! per-shard engines (each a full [`OnlineSequencer`] — the shared
-//! [`SequencingCore`](crate::sequencer::SequencingCore) tail plus the
-//! sparse fast path), applies their event queues in shard order on the
+//! per-shard engines (each a full [`OnlineSequencer`] — the dense engine
+//! plus the sparse fast path), applies their event queues in shard order on the
 //! caller's thread, and merges their locally-fair candidate batches into
 //! one global emission order through a **watermark-driven k-way merge** on
 //! margin-adjusted keys. Shards are independent state machines, so they

@@ -11,8 +11,9 @@
 //!
 //! Two representations are provided:
 //!
-//! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]
-//!   (the offline §3 pipeline).
+//! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]:
+//!   the one-shot reference the maintained state is tested against, and the
+//!   adjacency a wholesale recompute orders.
 //! * [`IncrementalTournament`] — maintained edge-by-edge alongside an
 //!   incrementally updated matrix ([`PrecedenceMatrix::insert`] /
 //!   [`PrecedenceMatrix::remove_indices`]), with the linear order repaired in
@@ -20,7 +21,8 @@
 //!   scan over its per-SCC blocks), and an intransitivity cycle — never
 //!   produced by Gaussian offsets (Appendix A) — re-solves only the one
 //!   component the arrival strongly connects (the incremental FAS engine).
-//!   This is what makes the online arrival path O(n) instead of O(n²).
+//!   This is what makes the online arrival path O(n) instead of O(n²); the
+//!   dense engine runs an offline window through it too, loaded whole.
 
 use crate::config::SequencerConfig;
 use crate::graph::fas::{greedy_order, stochastic_order};
@@ -188,18 +190,17 @@ impl Tournament {
 ///   therefore no longer an automatic full rebuild;
 /// * falls back to a full recompute (counted by
 ///   [`full_rebuilds`](Self::full_rebuilds)) only on wholesale invalidation
-///   ([`rebuild`](Self::rebuild), e.g. a client re-registration) or when
-///   the incremental FAS engine is disabled
-///   ([`set_incremental_fas`](Self::set_incremental_fas), the measured
-///   baseline of the `fas_stress` bench).
+///   ([`rebuild`](Self::rebuild), e.g. a client re-registration) or, under
+///   stochastic cycle breaking, on every cycle event (the incremental FAS
+///   engine is then off: a randomized per-component order cannot be cached).
 ///
 /// The maintained state is always element-wise identical to what
 /// `Tournament::from_matrix(matrix)` would build over the same matrix, and
 /// [`linear_order`](Self::linear_order) returns exactly the order the
 /// one-shot pipeline would: both paths order each SCC's canonically-sorted
 /// member set with the same deterministic heuristic, so cached per-component
-/// orders and recomputed ones are bit-identical (property-tested below and
-/// in `crate::sequencer::core`).
+/// orders and recomputed ones are bit-identical (property-tested below, with
+/// the engine on and off, and in `sequencer::dense`).
 #[derive(Debug, Clone)]
 pub struct IncrementalTournament {
     n: usize,
@@ -226,7 +227,8 @@ pub struct IncrementalTournament {
     /// recompute.
     order_dirty: bool,
     /// Whether cycle events are handled by SCC-scoped local repairs (the
-    /// default) or by invalidating the whole order (the fallback baseline).
+    /// default) or by invalidating the whole order (under stochastic cycle
+    /// breaking).
     incremental_fas: bool,
     comparisons: u64,
     full_rebuilds: u64,
@@ -262,14 +264,12 @@ impl IncrementalTournament {
     /// Enable or disable the incremental FAS engine. When disabled, every
     /// cycle event (a cyclic arrival, or any mutation while the maintained
     /// order is cyclic) invalidates the whole order, recomputed one-shot by
-    /// the next [`linear_order`](Self::linear_order) — the historical
-    /// behaviour, kept as the correctness fallback and measured baseline.
+    /// the next [`linear_order`](Self::linear_order).
     ///
-    /// Callers using [`SequencerConfig::stochastic_cycle_breaking`] must
-    /// disable the engine (stochastic per-component orders are not
-    /// cacheable); [`SequencingCore`](crate::sequencer::core::SequencingCore)
-    /// does this automatically.
-    pub fn set_incremental_fas(&mut self, enabled: bool) {
+    /// The dense engine disables it exactly under
+    /// [`SequencerConfig::stochastic_cycle_breaking`]: stochastic
+    /// per-component orders are not cacheable.
+    pub(crate) fn set_incremental_fas(&mut self, enabled: bool) {
         self.incremental_fas = enabled;
     }
 
@@ -310,7 +310,7 @@ impl IncrementalTournament {
     /// Number of SCC-scoped local repairs the incremental FAS engine
     /// performed: one per component merged by a cyclic arrival, one per
     /// cyclic component re-solved after a partial removal. Stays **zero** on
-    /// acyclic (Gaussian) workloads and on the fallback path.
+    /// acyclic (Gaussian) workloads and with the engine off.
     pub fn local_repairs(&self) -> u64 {
         self.local_repairs
     }
@@ -383,8 +383,8 @@ impl IncrementalTournament {
             return None; // already awaiting a recompute
         }
         if !self.transitive && !self.incremental_fas {
-            // Fallback baseline: a maintained cyclic order cannot absorb an
-            // arrival in place (the FAS heuristics are not prefix-stable).
+            // Engine off: a maintained cyclic order cannot absorb an arrival
+            // in place (the FAS heuristics are not prefix-stable).
             self.order_dirty = true;
             return None;
         }
@@ -498,8 +498,8 @@ impl IncrementalTournament {
             return true;
         }
         if !self.incremental_fas {
-            // Fallback baseline: a FAS-repaired order is not
-            // restriction-stable; recompute wholesale.
+            // Engine off: a FAS-repaired order is not restriction-stable;
+            // recompute wholesale.
             self.order_dirty = true;
             return false;
         }
@@ -624,7 +624,7 @@ impl IncrementalTournament {
     }
 
     /// Make the maintained linear order valid, recomputing it only if a
-    /// wholesale [`rebuild`](Self::rebuild) (or, on the fallback path, a
+    /// wholesale [`rebuild`](Self::rebuild) (or, with the engine off, a
     /// cycle event) invalidated it. The recompute — tournament adjacency +
     /// SCC condensation + FAS heuristics, counted by
     /// [`full_rebuilds`](Self::full_rebuilds) — never happens on acyclic
@@ -656,9 +656,8 @@ impl IncrementalTournament {
     }
 
     /// The maintained linear order, by reference (no clone). Only valid
-    /// after [`ensure_order`](Self::ensure_order) — callers on the hot path
-    /// ([`SequencingCore`](crate::sequencer::core::SequencingCore)) read it
-    /// this way so a candidate recomputation copies nothing.
+    /// after [`ensure_order`](Self::ensure_order) — the dense engine's hot
+    /// path reads it this way so a candidate recomputation copies nothing.
     pub fn order(&self) -> &[usize] {
         debug_assert!(!self.order_dirty, "order read while awaiting a recompute");
         &self.order
@@ -912,8 +911,8 @@ mod tests {
         assert_eq!(inc.local_repairs(), 1);
     }
 
-    /// The fallback baseline (incremental FAS disabled) keeps the historical
-    /// behaviour: every mutation in (or into) a cyclic state invalidates the
+    /// With the incremental FAS engine off (as under stochastic cycle
+    /// breaking), every mutation in (or into) a cyclic state invalidates the
     /// whole order — while producing exactly the same orders.
     #[test]
     fn fallback_mode_rebuilds_on_cycles_with_identical_output() {
@@ -972,17 +971,17 @@ mod tests {
         assert_eq!(inc.full_rebuilds(), 0);
     }
 
-    /// Satellite: seeded randomized property test — after *any* insert/remove
-    /// sequence the incremental tournament equals `Tournament::from_matrix`
-    /// on the same matrix (element-wise edges + identical `linear_order`),
-    /// mirroring the `PrecedenceMatrix` equality test. Gaussian + Laplace
-    /// clients exercise both the closed-form and numeric probability paths.
+    /// Seeded randomized property test — after *any* insert/remove sequence
+    /// the incremental tournament equals `Tournament::from_matrix` on the
+    /// same matrix (element-wise edges + identical `linear_order`), with the
+    /// incremental FAS engine on and off, mirroring the `PrecedenceMatrix`
+    /// equality test. Gaussian + Laplace clients exercise both the
+    /// closed-form and numeric probability paths.
     #[test]
     fn random_insert_remove_sequences_match_from_matrix() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::Rng;
 
-        for seed in 0..10u64 {
+        for (seed, incremental_fas) in (0..10u64).flat_map(|s| [(s, true), (s, false)]) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut reg = DistributionRegistry::new();
             for c in 0..4u32 {
@@ -995,6 +994,7 @@ mod tests {
             }
             let mut matrix = PrecedenceMatrix::empty();
             let mut inc = IncrementalTournament::new();
+            inc.set_incremental_fas(incremental_fas);
             let mut next_id = 0u64;
             for _ in 0..30 {
                 let remove = !matrix.is_empty() && rng.random_range(0u32..4) == 0;
@@ -1029,15 +1029,15 @@ mod tests {
 
     /// Same property over *explicit* random probability matrices, which —
     /// unlike Gaussian offsets — produce intransitive triples, exercising
-    /// the cyclic fallback and removal-from-cyclic-state paths.
+    /// the local repairs, the invalidate-on-cycle branches of the engine
+    /// switched off, and removal from a cyclic state.
     #[test]
     #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
     fn random_probability_matrices_match_from_matrix_including_cycles() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::Rng;
 
         const POOL: usize = 24;
-        for seed in 0..10u64 {
+        for (seed, incremental_fas) in (0..10u64).flat_map(|s| [(s, true), (s, false)]) {
             let mut rng = StdRng::seed_from_u64(1_000 + seed);
             // A fixed random probability relation over a pool of messages.
             let mut pairwise = vec![vec![0.5; POOL]; POOL];
@@ -1062,6 +1062,7 @@ mod tests {
 
             let mut pending: Vec<usize> = Vec::new();
             let mut inc = IncrementalTournament::new();
+            inc.set_incremental_fas(incremental_fas);
             let mut next = 0usize;
             let mut saw_cycle = false;
             for _ in 0..40 {
@@ -1098,6 +1099,9 @@ mod tests {
                 }
             }
             assert!(saw_cycle, "seed {seed}: random relation never cycled");
+            // Off, every cycle event recomputes the order; on, none does.
+            assert_eq!(inc.full_rebuilds() > 0, !incremental_fas, "seed {seed}");
+            assert_eq!(inc.local_repairs() > 0, incremental_fas, "seed {seed}");
         }
     }
 

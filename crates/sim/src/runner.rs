@@ -657,16 +657,6 @@ mod tests {
         assert_eq!(result.messages_emitted, cfg.messages);
     }
 
-    /// Satellite 1: a stream run's engine says why it fell back from the
-    /// incremental FAS engine (`None` here — the scenario config keeps it on),
-    /// so sweeps cannot silently compare an incremental run against a
-    /// fallback run.
-    #[test]
-    fn online_result_echoes_fas_fallback_reason() {
-        let (_, engine) = online(&small(3.0, 5.0), 0.99);
-        assert_eq!(engine.config().fas_fallback_reason(), None);
-    }
-
     /// Satellite: the sequencer estimates the delivery delay from residuals
     /// instead of blindly trusting a configured constant. With perfect
     /// clocks the estimate is exact; with noisy clocks it converges on the

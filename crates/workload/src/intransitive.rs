@@ -18,9 +18,10 @@
 //!   timestamps (the collusion attack of
 //!   [`adversarial::apply_collusion`](crate::adversarial::apply_collusion)
 //!   — §5's Byzantine clients have every incentive to force ties the
-//!   sequencer must arbitrate). The `cyclic_fraction` knob sweeps how much
-//!   of the stream is cycle-forcing, which is exactly the axis the
-//!   `fas_stress` bench measures the incremental FAS engine along.
+//!   sequencer must arbitrate). The `cyclic_fraction` knob sets how much of
+//!   the stream is cycle-forcing: perfbench's `cyclic_dense` workload (a
+//!   fifth) measures the incremental FAS engine under it, and the
+//!   differential oracle's dice census (three tenths) checks it.
 //!
 //! Bursts are spaced far apart relative to the dice scale, so each burst
 //! forms its own strongly connected component instead of one stream-wide

@@ -1,21 +1,29 @@
-//! Incremental-FAS equivalence at the tournament level.
+//! The two ways a cycle is broken.
 //!
 //! The incremental FAS engine (SCC-scoped local repairs over a maintained
 //! block condensation) must be indistinguishable — output-wise — from the
-//! exhaustive full-recompute fallback it replaces. Over random cyclic
-//! tournaments driven through arbitrary insert/remove sequences, the
-//! maintained order's backward (discarded-evidence) weight equals the
-//! exhaustive one-shot pass's — in fact the orders themselves are
-//! identical. The same contract over whole online runs (bit-identical
-//! batches, no FAS work on Gaussian censuses) is the differential oracle's
-//! (`tommy_contract::oracle`).
+//! exhaustive one-shot pass. Over random cyclic tournaments driven through
+//! arbitrary insert/remove sequences, the maintained order's backward
+//! (discarded-evidence) weight equals the exhaustive one-shot pass's — in
+//! fact the orders themselves are identical. The same contract over whole
+//! online runs (bit-identical batches, no FAS work on Gaussian censuses) is
+//! the differential oracle's (`tommy_contract::oracle`).
+//!
+//! Stochastic cycle breaking (§3.4) draws its edge removals from one seeded
+//! source per sequencer: the pins below hold an offline run and an online
+//! run over Condorcet bursts to a pure function of that seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tommy::core::config::FastPathMode;
 use tommy::core::graph::fas;
 use tommy::core::precedence::{PrecedenceMatrix, Removal};
+use tommy::core::sequencer::StreamEngine;
 use tommy::core::tournament::{IncrementalTournament, Tournament};
 use tommy::prelude::*;
+use tommy::workload::intransitive::IntransitiveWorkload;
+use tommy::workload::schedule::{close_stream, Schedule, DELIVERY_DELAY};
+use tommy_contract::properties::{bit_identical, check_trace, RunTrace};
 
 /// Incremental FAS output equals the exhaustive pass's
 /// feedback-arc cost on random cyclic tournaments, across random
@@ -101,4 +109,89 @@ fn incremental_fas_matches_exhaustive_feedback_arc_cost() {
             "seed {seed}: the incremental engine must never rebuild wholesale"
         );
     }
+}
+
+/// Messages in the Condorcet stream, and in each offline window of it.
+const STREAM: usize = 240;
+const WINDOW: usize = 60;
+
+/// FNV-1a of the seed-7 offline orders' batches, recorded while the offline
+/// sequencer kept its generator beside its pipeline instead of inside its
+/// dense engine: moving it kept every draw.
+const RECORDED_OFFLINE_ORDERS: u64 = 15395920574661689113;
+
+/// Condorcet bursts among honest Gaussian traffic, and the workload's census.
+fn condorcet_stream() -> (IntransitiveWorkload, Vec<Message>) {
+    let workload = IntransitiveWorkload::new(3, STREAM, 0.4);
+    let stream = workload.generate(&mut StdRng::seed_from_u64(0x00c0_4d0c));
+    (workload, stream)
+}
+
+/// FNV-1a over `text`.
+fn fnv(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every window's order from one sequencer seeded `seed`, with stochastic
+/// cycle breaking: its draws carry over from window to window.
+fn stochastic_offline_orders(seed: u64) -> Vec<FairOrder> {
+    let (workload, stream) = condorcet_stream();
+    let config = SequencerConfig::default().with_stochastic_cycle_breaking(true);
+    let mut sequencer = TommySequencer::with_seed(config, seed);
+    for (client, claim) in workload.offsets() {
+        sequencer.register_client(client, claim);
+    }
+    let window = |w: &[Message]| sequencer.sequence(w).expect("a registered census");
+    stream.chunks(WINDOW).map(window).collect()
+}
+
+/// Offline: the same seed gives the same orders in two sequencers, and the
+/// recorded ones; another seed draws other orders.
+#[test]
+fn stochastic_offline_orders_are_a_function_of_the_seed() {
+    let orders = stochastic_offline_orders(7);
+    assert_eq!(orders, stochastic_offline_orders(7));
+    let batches: Vec<&[Batch]> = orders.iter().map(FairOrder::batches).collect();
+    assert_eq!(fnv(&format!("{batches:?}")), RECORDED_OFFLINE_ORDERS);
+    assert_ne!(orders, stochastic_offline_orders(8), "the draws must reach the orders");
+}
+
+/// The stream online on the dense engine with stochastic cycle breaking,
+/// delivered on the §4 schedule and closed: its trace, and how often the
+/// tournament recomputed its order.
+fn stochastic_online_run() -> (RunTrace, u64) {
+    let (workload, stream) = condorcet_stream();
+    let config = SequencerConfig::default()
+        .with_p_safe(0.99)
+        .with_fast_path(FastPathMode::ForceDense)
+        .with_stochastic_cycle_breaking(true);
+    let mut engine = OnlineSequencer::new(config);
+    let offsets = workload.offsets();
+    for (client, claim) in &offsets {
+        engine.register_client(*client, claim.clone());
+    }
+    let clients: Vec<ClientId> = offsets.iter().map(|(c, _)| *c).collect();
+    let schedule = Schedule::resolve(&clients, stream, 1e4);
+    for event in &schedule.events {
+        event.apply(&mut engine, DELIVERY_DELAY).expect("a valid schedule");
+    }
+    let mut emitted = engine.drain();
+    emitted.extend(close_stream(&mut engine, &schedule.clients, schedule.horizon));
+    let (submitted, stats) = (schedule.messages, engine.stats());
+    let trace = RunTrace { submitted, emitted, stats, quarantined: Vec::new() };
+    (trace, engine.tournament().full_rebuilds())
+}
+
+/// Online: the stochastic run releases every message once, in per-client
+/// order, and two runs are bit-identical.
+#[test]
+fn stochastic_online_run_holds_the_trace_invariants_and_repeats() {
+    let (trace, recomputes) = stochastic_online_run();
+    assert!(recomputes > 0, "the bursts must reach the cycle breaker");
+    let violations = check_trace(&trace, 0.05);
+    assert!(violations.is_empty(), "{violations:?}");
+    let (again, _) = stochastic_online_run();
+    bit_identical(&trace.emitted, &again.emitted).unwrap_or_else(|v| panic!("{v}"));
+    assert_eq!(trace.stats, again.stats);
 }

@@ -11,19 +11,20 @@
 //!    incremental insert path) is element-wise identical to a legacy build
 //!    that queries every pair individually;
 //! 3. the online sequencer's emitted batch sequence on a randomized
-//!    workload equals a from-scratch reference pipeline driven purely by
-//!    per-call legacy queries (the seed implementation of the candidate
-//!    loop, including the pre-worklist Appendix C closure and the
-//!    per-member safe-emission fold).
+//!    workload, over the mixed census (the dense engine) and an all-Gaussian
+//!    one (the sparse engine), equals a from-scratch reference pipeline
+//!    driven purely by per-call legacy queries (invariant 3's one-shot
+//!    candidate, with its re-scanning Appendix C closure, over the legacy
+//!    matrix, and the per-member safe-emission fold, which
+//!    `batch_emission_time` must also reproduce).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tommy::core::batching::FairOrder;
 use tommy::core::precedence::{PrecedenceMatrix, Removal};
 use tommy::core::CoreError;
-use tommy::core::sequencer::emission::safe_emission_time;
-use tommy::core::tournament::Tournament;
+use tommy::core::sequencer::emission::{batch_emission_time, safe_emission_time};
 use tommy::prelude::*;
+use tommy_contract::properties::scratch_candidate;
 
 const CLIENTS: u32 = 5;
 
@@ -44,6 +45,16 @@ fn mixed_registry(rng: &mut StdRng) -> DistributionRegistry {
                 OffsetDistribution::empirical(&samples)
             }
         };
+        registry.register(ClientId(c), dist);
+    }
+    registry
+}
+
+/// A registry of Gaussian clients only: a census the sparse engine takes.
+fn gaussian_registry(rng: &mut StdRng) -> DistributionRegistry {
+    let mut registry = DistributionRegistry::new();
+    for c in 0..CLIENTS {
+        let dist = OffsetDistribution::gaussian(rng.random_range(-2.0..2.0), 1.0 + c as f64);
         registry.register(ClientId(c), dist);
     }
     registry
@@ -152,9 +163,9 @@ fn kernel_matrix_is_element_wise_identical_to_legacy_build() {
     }
 }
 
-/// The seed implementation of the online candidate loop: from-scratch
-/// legacy matrix, from-scratch tournament + linear order, threshold
-/// batching, the pre-worklist Appendix C closure (full re-scan per round),
+/// The seed implementation of the online candidate loop: invariant 3's
+/// one-shot candidate (from-scratch tournament + linear order, threshold
+/// batching, the re-scanning Appendix C closure) over the legacy matrix,
 /// and the per-member safe-emission fold.
 fn legacy_candidate(
     pending: &[Message],
@@ -162,44 +173,7 @@ fn legacy_candidate(
     config: &SequencerConfig,
 ) -> (Vec<MessageId>, f64) {
     let matrix = legacy_matrix(pending, registry);
-    let tournament = Tournament::from_matrix(&matrix);
-    let linear = tournament.linear_order(&matrix, config, None);
-    let order = FairOrder::from_linear_order(&matrix, &linear, config.threshold);
-    let first = order.batches().first().expect("non-empty pending set");
-    let mut in_batch: Vec<usize> = first
-        .messages
-        .iter()
-        .map(|id| matrix.index_of(*id).expect("id from matrix"))
-        .collect();
-    let mut member = vec![false; matrix.len()];
-    for &i in &in_batch {
-        member[i] = true;
-    }
-    loop {
-        let mut grew = false;
-        // Index-based on purpose: this replicates the seed closure loop,
-        // which both reads `member` and (via `in_batch`) extends the
-        // membership it is iterating against.
-        #[allow(clippy::needless_range_loop)]
-        for cand in 0..matrix.len() {
-            if member[cand] {
-                continue;
-            }
-            let inseparable = in_batch.iter().any(|&b| {
-                let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
-                p <= config.threshold
-            });
-            if inseparable {
-                member[cand] = true;
-                in_batch.push(cand);
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    in_batch.sort_unstable();
+    let in_batch = scratch_candidate(&matrix, config);
     let safe_after = in_batch
         .iter()
         .map(|&i| {
@@ -213,9 +187,11 @@ fn legacy_candidate(
 
 #[test]
 fn online_sequencer_emits_identical_batch_sequence_to_legacy_reference() {
-    for seed in 0..6u64 {
+    let censuses: [fn(&mut StdRng) -> DistributionRegistry; 2] =
+        [mixed_registry, gaussian_registry];
+    for (seed, census) in (0..6u64).flat_map(|seed| censuses.map(|c| (seed, c))) {
         let mut rng = StdRng::seed_from_u64(200 + seed);
-        let registry = mixed_registry(&mut rng);
+        let registry = census(&mut rng);
         let config = SequencerConfig::default();
 
         let mut sequencer = OnlineSequencer::new(config);
@@ -251,6 +227,8 @@ fn online_sequencer_emits_identical_batch_sequence_to_legacy_reference() {
                 expect_safe.to_bits(),
                 "seed {seed}: safe emission time diverged"
             );
+            let formula = batch_emission_time(&registry, &batch.messages, config.p_safe);
+            assert_eq!(formula.to_bits(), expect_safe.to_bits(), "seed {seed}: T_b formula");
             pending.retain(|m| !expect_ids.contains(&m.id));
         }
         assert!(pending.is_empty(), "seed {seed}: flush must drain everything");
