@@ -11,9 +11,10 @@
 //!   heartbeat through `feed` + `next_message` + `receive` allocates the
 //!   `Box` of its inner message and the one returned `Vec`, and a `poll`
 //!   with nothing due allocates nothing.
-//! * The dense engine pays for what changed: a `ForceDense` `submit` into a
-//!   warm pending set that emits nothing, and the `heartbeat` that releases
-//!   one batch from it, each allocate a pinned count.
+//! * Each engine pays for what changed: a `submit` into a warm pending set
+//!   that emits nothing, and the `heartbeat` that releases one batch from
+//!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
+//!   one Laplace client) and on the sparse one (all-Gaussian, `Auto`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,22 +116,24 @@ fn in_order_frame_allocates_its_box_and_its_vec() {
     );
 }
 
-/// Clients 0 (Gaussian) and 1 (Laplace, so half the column is numeric)
-/// alternate messages 10 apart — each its own batch at σ = 1 — and client 2
-/// only heartbeats, `LAG` messages behind: a submit finds `LAG` pending and
-/// emits nothing, the heartbeat that follows releases exactly the oldest one.
-#[test]
-fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
+/// Clients 0 and 1 alternate messages 10 apart — each its own batch at
+/// σ = 1 — and client 2 only heartbeats, `LAG` messages behind: a submit
+/// finds `LAG` pending and emits nothing, the heartbeat that follows releases
+/// exactly the oldest one. Every measured submit must allocate `submit_pin`
+/// times and every measured heartbeat `heartbeat_pin` times.
+fn assert_pinned_allocations(
+    config: SequencerConfig,
+    census: [OffsetDistribution; 3],
+    submit_pin: u64,
+    heartbeat_pin: u64,
+) {
     const LAG: u64 = 12;
     const WARM_UP: u64 = 400;
     const MEASURED: u64 = 100;
-    let config = SequencerConfig::default()
-        .with_fast_path(FastPathMode::ForceDense)
-        .with_retain_history(false);
-    let mut sequencer = OnlineSequencer::new(config);
-    sequencer.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
-    sequencer.register_client(ClientId(1), OffsetDistribution::laplace(0.0, 1.0));
-    sequencer.register_client(ClientId(2), OffsetDistribution::gaussian(0.0, 1.0));
+    let mut sequencer = OnlineSequencer::new(config.with_retain_history(false));
+    for (client, distribution) in (0..).zip(census) {
+        sequencer.register_client(ClientId(client), distribution);
+    }
     let (mut submit_allocations, mut heartbeat_allocations) = (Vec::new(), Vec::new());
     for k in 0..WARM_UP + MEASURED {
         let now = 10.0 * k as f64;
@@ -156,9 +159,30 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
             heartbeat_allocations.push(after_heartbeat - before_heartbeat);
         }
     }
-    // The engine itself allocates nothing; the heartbeat's five are the
-    // shell's: the batch's messages, their ids, the copy kept for
-    // `take_emitted`, and the two vectors that hold a batch.
-    assert_eq!(submit_allocations, vec![0; MEASURED as usize], "submit");
-    assert_eq!(heartbeat_allocations, vec![5; MEASURED as usize], "heartbeat");
+    assert_eq!(submit_allocations, vec![submit_pin; MEASURED as usize], "submit");
+    assert_eq!(heartbeat_allocations, vec![heartbeat_pin; MEASURED as usize], "heartbeat");
+}
+
+/// Client 1 is Laplace, so half of every column is numeric. The engine
+/// itself allocates nothing; the heartbeat's five are the shell's: the
+/// batch's messages, their ids, the copy kept for `take_emitted`, and the
+/// two vectors that hold a batch.
+#[test]
+fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
+    let census = [
+        OffsetDistribution::gaussian(0.0, 1.0),
+        OffsetDistribution::laplace(0.0, 1.0),
+        OffsetDistribution::gaussian(0.0, 1.0),
+    ];
+    let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+    assert_pinned_allocations(config, census, 0, 5);
+}
+
+/// The all-Gaussian twin on the sparse engine: a submit walks in from the
+/// tail and allocates nothing; the heartbeat pays the shell's five plus the
+/// engine's candidate member list.
+#[test]
+fn sparse_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
+    let census = std::array::from_fn(|_| OffsetDistribution::gaussian(0.0, 1.0));
+    assert_pinned_allocations(SequencerConfig::default(), census, 0, 6);
 }

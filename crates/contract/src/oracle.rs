@@ -3,7 +3,7 @@
 //! contracts of [`crate::properties`].
 //!
 //! The likely-happened-before relation is intransitive, so three engines
-//! must agree on every admitted set: the sparse key-order treap (closed-form
+//! must agree on every admitted set: the sparse key-sorted list (closed-form
 //! censuses), the dense matrix + FAS tournament (any census) and the sharded
 //! merge. [`replay`] feeds one op list to the roster and checks, after every
 //! op and at the close:

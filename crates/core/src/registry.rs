@@ -627,8 +627,11 @@ impl DistributionRegistry {
     /// violation check from a probability query into a plain timestamp
     /// comparison: `violates ⇔ T_i − T_j <= margin`. The margin depends only
     /// on the two clients' distributions and the threshold, so the online
-    /// sequencer caches it per pair. The caller supplies
-    /// `z_low = Φ⁻¹(1 − threshold)` (the shell computes it once per
+    /// sequencer keeps one `(client, largest timestamp)` entry per client of
+    /// the last emitted batch and calls this once per entry on each submit;
+    /// it caches no margin (a Gaussian pair costs one square root, a
+    /// numeric pair one quantile of the cached difference grid). The caller
+    /// supplies `z_low = Φ⁻¹(1 − threshold)` (the shell computes it once per
     /// configuration).
     pub(crate) fn violation_margin_at(
         &self,

@@ -28,8 +28,9 @@
 //!   — owned by one object, one method per change.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
 //!   registered client has a closed-form kernel, a sequencer keeps its
-//!   order in a treap keyed by margin-adjusted timestamps (threaded with
-//!   in-order neighbour links) and evaluates probabilities lazily, never
+//!   order as one list sorted by margin-adjusted timestamps (threaded
+//!   through an arena by neighbour links; an arrival walks in from the
+//!   tail) and evaluates probabilities lazily, never
 //!   materializing a dense matrix column (see its `Φ(0)` caveat and
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 

@@ -33,11 +33,11 @@
 //!   [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix), the
 //!   incremental tournament / FAS / batch-boundary tail and the cached
 //!   candidate, for any census;
-//! * the **sparse** engine (`sequencer::sparse`): a treap keyed by
-//!   margin-adjusted timestamps with lazy probability evaluation — O(log n)
-//!   insert/remove, no matrix column ever materialized
-//!   (`dense_columns_avoided` counts the arrivals that skipped one) — for
-//!   all-Gaussian censuses.
+//! * the **sparse** engine (`sequencer::sparse`): one list sorted by
+//!   margin-adjusted timestamps with lazy probability evaluation — an
+//!   arrival walks in from the tail, a removal is an O(1) unlink, no matrix
+//!   column is ever materialized (`dense_columns_avoided` counts the
+//!   arrivals that skipped one) — for all-Gaussian censuses.
 //!
 //! Which one holds the pending set is decided by a *census*, re-taken only
 //! at [`register_client`](OnlineSequencer::register_client) — the only
@@ -69,7 +69,8 @@
 //! * The per-arrival fairness-violation check against the last emitted batch
 //!   uses per-client-pair margins
 //!   (`DistributionRegistry::violation_margin_at`) instead of one probability
-//!   query per emitted message.
+//!   query per emitted message, and reads one entry per distinct client of
+//!   that batch, not one per message.
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::{FastPathMode, SequencerConfig};
@@ -196,7 +197,7 @@ pub struct OnlineStats {
     /// Largest number of bytes the dense probability grid ever had reserved
     /// (O(n²) in the dense pending set; stays 0 on a pure fast-path run).
     pub peak_matrix_bytes: usize,
-    /// Largest number of bytes the sparse treap arena ever had
+    /// Largest number of bytes the sparse engine's node arena ever had
     /// reserved (O(n) in the fast-path pending set).
     pub peak_index_bytes: usize,
     /// Per-shard candidate batches released through the cross-shard
@@ -247,7 +248,7 @@ pub struct CandidateStatus {
 /// docs, "The shell and its two engines").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineMode {
-    /// Every registered client is closed-form: key-ordered treap,
+    /// Every registered client is closed-form: one key-sorted list,
     /// lazy probability evaluation, no dense matrix.
     Sparse,
     /// At least one registered client is non-closed-form (or the fast path
@@ -316,8 +317,9 @@ pub struct OnlineSequencer {
     /// [`take_emitted`](Self::take_emitted).
     emitted: Vec<EmittedBatch>,
     emitted_order: FairOrder,
-    /// `(client slot, timestamp)` of each message in the most recently
-    /// emitted batch — all the margin-based violation check needs, so
+    /// One `(client slot, largest timestamp)` entry per distinct client of
+    /// the most recently emitted batch — all the margin-based violation
+    /// check needs (see [`emit_candidate`](Self::emit_candidate)), so
     /// emission does not clone the batch's message vector for it.
     last_emitted: Vec<(ClientSlot, f64)>,
     /// What watches an arrival without ordering it: per-slot trust windows,
@@ -515,7 +517,7 @@ impl OnlineSequencer {
     /// normalized to `true` (the head of the order always starts a batch).
     ///
     /// Dense mode refreshes the maintained order first (a no-op on a clean
-    /// incremental state); sparse mode reads the treap in key order.
+    /// incremental state); sparse mode reads its list in key order.
     pub fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
         engine!(self.pending_order())
     }
@@ -666,7 +668,8 @@ impl OnlineSequencer {
         // Fairness-violation detection: the message confidently precedes (or
         // cannot be separated from) something already emitted in the most
         // recent batch. The per-client-pair margin turns each check into a
-        // timestamp comparison instead of a probability query.
+        // timestamp comparison instead of a probability query, one per
+        // distinct client of that batch.
         let threshold = self.config.threshold;
         if self.last_emitted.iter().any(|&(emitted, emitted_ts)| {
             let margin =
@@ -776,9 +779,22 @@ impl OnlineSequencer {
     /// arrival order and its `(slot, timestamp)` pairs become
     /// `last_emitted`), account it, and remove it from the engine. `None`
     /// when nothing is pending.
+    ///
+    /// `last_emitted` keeps only each client's largest timestamp. That is
+    /// exact: the violation margin depends only on the client pair, and
+    /// `fl(a − b)` is monotone in `b`, so if any of a client's emitted
+    /// timestamps `b` meets `a − b ≤ margin`, its largest one does.
     fn emit_candidate(&mut self) -> Option<EmittedBatch> {
         let (batch_msgs, safe_after) =
             engine!(self.take_candidate(&self.registry, &mut self.last_emitted))?;
+        self.last_emitted.sort_unstable_by_key(|&(slot, _)| slot.0);
+        self.last_emitted.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(later.1);
+            }
+            same
+        });
         let ids: Vec<MessageId> = batch_msgs.iter().map(|m| m.id).collect();
         // Account emission latency and drop from the pending set.
         for id in &ids {
@@ -1458,7 +1474,7 @@ mod tests {
         assert_eq!(seq.stats().dense_columns_avoided, 2, "dense mode fills columns");
 
         // Re-registered as Gaussian, the census passes again and the
-        // pending set migrates back into the treap.
+        // pending set migrates back into the sparse engine.
         seq.register_client(ClientId(1), OffsetDistribution::gaussian(0.0, 1.0));
         assert_eq!(seq.stats().mode_switches, 2);
         assert_eq!(seq.pending_len(), 3);

@@ -21,7 +21,7 @@
 //! ## Merge watermark invariant
 //!
 //! Each message gets a *margin-adjusted key* `key(m) = timestamp −
-//! μ_client` — the same quantity the sparse engine's treap orders by. Each
+//! μ_client` — the same quantity the sparse engine's list is sorted by. Each
 //! shard has a **frontier**: the minimum over (a) its engine's own
 //! [`key_frontier`](OnlineSequencer::key_frontier) — the keys of its
 //! still-pending messages and, per client that still constrains its

@@ -9,11 +9,15 @@
 //! an arrival, and Gaussian tournaments are always transitive (Appendix A),
 //! so no FAS machinery is needed either.
 //!
-//! [`SparseEngine`] maintains that order in a treap (arena-allocated,
-//! deterministic priorities) with the order also threaded through the
-//! arena as `prev` / `next` slot links: O(log n) insert/remove at any
-//! pending-set size, O(1) per neighbour step. Probabilities are evaluated
-//! *lazily*, only where the batch threshold actually inspects them:
+//! [`SparseEngine`] keeps that order as one list threaded through an arena
+//! by `prev` / `next` slot links, with a head and a tail. In the §3.5
+//! streaming setting arrivals land within a few places of the tail and
+//! batches leave from the head, so an arrival walks in from the tail (a
+//! mean of 0.4–1.9 steps on the benchmark workloads), a removal is an O(1)
+//! unlink and a neighbour step is a field read. The walk is O(d) for an
+//! arrival keyed below `d` pending messages, O(n) for a client lagging the
+//! whole pending set. Probabilities are evaluated *lazily*, only where the
+//! batch threshold actually inspects them:
 //!
 //! * **Boundary bits** — each arrival evaluates exactly its two in-order
 //!   adjacencies (mirroring
@@ -59,8 +63,8 @@
 //! folds, so absorbing in any order gives identical bits. Only an arrival
 //! that becomes the new head can change which component is the candidate:
 //! that case, like every emission, drops the cache. An arrival therefore
-//! costs O(log n) placement plus O(window) lazy evaluations in every
-//! regime, including chains that keep absorbing arrivals (σ ≫ gap).
+//! costs its tail walk plus O(window) lazy evaluations in every regime,
+//! including chains that keep absorbing arrivals (σ ≫ gap).
 //!
 //! The engine is private to the two sequencers ([`super::online`] maintains
 //! it per event, [`super::offline`] runs it to completion): mode
@@ -77,28 +81,14 @@ use tommy_stats::erf::std_normal_inv_cdf;
 /// Arena null index.
 const NIL: u32 = u32::MAX;
 
-/// Deterministic treap priority from the arrival sequence number
-/// (splitmix64: consecutive sequences map to well-scattered priorities, so
-/// the treap stays balanced without any run-time randomness — sparse runs
-/// are exactly reproducible).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One pending message in the treap. The arena index of a node is its
+/// One pending message in the arena. The arena index of a node is its
 /// stable *slot* for the lifetime of the message.
 #[derive(Debug, Clone)]
 struct Node {
-    left: u32,
-    right: u32,
-    /// In-order neighbours in the maintained order (`NIL` at the ends):
-    /// the order is threaded through the arena, so a neighbour step is a
+    /// Neighbours in the maintained order (`NIL` at the ends): the order
+    /// *is* this list, threaded through the arena, so a neighbour step is a
     /// field read. (The node size is pinned through
-    /// `OnlineStats::peak_index_bytes`, which is why the treap priority is
-    /// recomputed from `seq` rather than stored beside these.)
+    /// `OnlineStats::peak_index_bytes`.)
     prev: u32,
     next: u32,
     /// The message's client, resolved once at insertion, so lazy
@@ -143,9 +133,10 @@ struct SparseCandidate {
 pub(crate) struct SparseEngine {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    root: u32,
-    /// First slot of the maintained order (`NIL` when nothing is pending).
+    /// First and last slots of the maintained order (`NIL` when nothing is
+    /// pending).
     head: u32,
+    tail: u32,
     next_seq: u64,
     /// The batching threshold and safe-emission confidence of the run
     /// ([`SequencerConfig`](crate::config::SequencerConfig)).
@@ -175,8 +166,8 @@ impl SparseEngine {
             arrivals: 0,
             nodes: Vec::new(),
             free: Vec::new(),
-            root: NIL,
             head: NIL,
+            tail: NIL,
             next_seq: 0,
             max_sigma: 0.0,
             window: None,
@@ -192,7 +183,7 @@ impl SparseEngine {
         self.nodes.len() - self.free.len()
     }
 
-    /// Bytes currently reserved for the treap arena — the
+    /// Bytes currently reserved for the node arena — the
     /// sparse counterpart of [`PrecedenceMatrix::prob_bytes`]
     /// (O(n) per pending message instead of O(n²) total).
     ///
@@ -293,8 +284,8 @@ impl SparseEngine {
         debug_assert!(self.pending_removal.is_empty(), "removal in flight");
         self.nodes.clear();
         self.free.clear();
-        self.root = NIL;
         self.head = NIL;
+        self.tail = NIL;
         self.candidate = None;
     }
 
@@ -365,8 +356,8 @@ impl SparseEngine {
     // Arrival
     // ------------------------------------------------------------------
 
-    /// Insert an arrival: O(log n) placement, exactly two adjacency
-    /// evaluations for the boundary bits (mirroring the dense
+    /// Insert an arrival: a walk in from the tail to its place, exactly two
+    /// adjacency evaluations for the boundary bits (mirroring the dense
     /// `IncrementalFairOrder::insert_at` contract), and an incremental
     /// candidate update (see module docs). Never fails: the `Result` is the
     /// engine seam's signature (a dense column fill can).
@@ -566,7 +557,7 @@ impl SparseEngine {
         &mut self,
         registry: &DistributionRegistry,
     ) -> Option<(usize, f64, f64)> {
-        if self.root == NIL {
+        if self.head == NIL {
             return None;
         }
         if self.candidate.is_none() {
@@ -581,7 +572,7 @@ impl SparseEngine {
         &mut self,
         registry: &DistributionRegistry,
     ) {
-        debug_assert!(self.root != NIL);
+        debug_assert!(self.head != NIL);
         let mut cand = SparseCandidate {
             members: Vec::new(),
             batch_max_key: f64::NEG_INFINITY,
@@ -633,15 +624,15 @@ impl SparseEngine {
 
     /// Remove the slots staged by [`take_candidate`](Self::take_candidate):
     /// one seam evaluation per removed run (the dense
-    /// `IncrementalFairOrder::remove_slots` contract), then O(log n) treap
-    /// removals.
+    /// `IncrementalFairOrder::remove_slots` contract), then one O(1) unlink
+    /// per slot.
     pub(crate) fn commit_removal(&mut self, registry: &DistributionRegistry) {
         let mut removed = std::mem::take(&mut self.pending_removal);
         if removed.is_empty() {
             return;
         }
-        // Tree order: runs of in-order-adjacent removed slots are
-        // contiguous in this sorted view.
+        // Maintained order: runs of adjacent removed slots are contiguous in
+        // this sorted view.
         removed.sort_unstable_by(|&a, &b| {
             let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
             na.key
@@ -650,7 +641,7 @@ impl SparseEngine {
         });
         let mut i = 0;
         while i < removed.len() {
-            // Extend the run while the next removed slot is tree-adjacent.
+            // Extend the run while the next removed slot is its neighbour.
             let mut j = i;
             while j + 1 < removed.len() && self.next_in_order(removed[j]) == removed[j + 1] {
                 j += 1;
@@ -676,14 +667,14 @@ impl SparseEngine {
             i = j + 1;
         }
         for &slot in &removed {
-            self.root = self.remove_rec(self.root, slot);
             let (prev, next) = (self.prev_in_order(slot), self.next_in_order(slot));
             match prev {
                 NIL => self.head = next,
                 p => self.nodes[p as usize].next = next,
             }
-            if next != NIL {
-                self.nodes[next as usize].prev = prev;
+            match next {
+                NIL => self.tail = prev,
+                n => self.nodes[n as usize].prev = prev,
             }
             self.nodes[slot as usize].in_candidate = false;
             self.free.push(slot);
@@ -696,39 +687,41 @@ impl SparseEngine {
 
     /// Rebuild the pending set from scratch (an offline window, a mode switch, or
     /// a re-registration that changed a pending client's μ and hence its
-    /// keys): fresh sequence numbers in the given (arrival) order, then all
-    /// `n − 1` boundary bits derived in one in-order sweep — the sparse
-    /// mirror of the dense `rebuild_from`, counted the same way.
+    /// keys): fresh sequence numbers in the given (arrival) order, one sort
+    /// of the arena by `(key, seq)` — O(n log n) in whatever order the
+    /// window comes — threaded into the order, then all `n − 1` boundary
+    /// bits derived in one sweep: the sparse mirror of the dense
+    /// `rebuild_from`, counted the same way.
     pub(crate) fn rebuild_from(
         &mut self,
         messages: &[Message],
         registry: &DistributionRegistry,
     ) {
-        self.invalidate_candidate();
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
-        self.head = NIL;
+        self.clear_pending();
         for message in messages {
             let client = registry
                 .slot_of(message.client)
                 .expect("pending messages come from registered clients");
-            let slot = self.alloc(message.clone(), client, registry);
-            self.place(slot);
+            self.alloc(message.clone(), client, registry);
         }
-        if self.root == NIL {
+        if self.nodes.is_empty() {
             return;
         }
-        let mut prev = self.head;
-        self.nodes[prev as usize].starts_batch = true;
-        let mut cur = self.next_in_order(prev);
-        while cur != NIL {
+        // Nothing refers to a slot yet, so the arena itself is sorted and
+        // slot `i` is position `i` of the order.
+        self.nodes
+            .sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then(a.seq.cmp(&b.seq)));
+        let last = (self.nodes.len() - 1) as u32;
+        for (slot, node) in (0..).zip(self.nodes.iter_mut()) {
+            node.prev = if slot == 0 { NIL } else { slot - 1 };
+            node.next = if slot == last { NIL } else { slot + 1 };
+        }
+        (self.head, self.tail) = (0, last);
+        self.nodes[0].starts_batch = true;
+        for cur in 1..=last {
             self.counters.boundary_evals += 1;
-            let bit = self.prob_oriented(registry, prev, cur) > self.threshold;
+            let bit = self.prob_oriented(registry, cur - 1, cur) > self.threshold;
             self.nodes[cur as usize].starts_batch = bit;
-            prev = cur;
-            cur = self.next_in_order(cur);
         }
         self.counters.full_rebuilds += 1;
     }
@@ -758,7 +751,7 @@ impl SparseEngine {
     }
 
     // ------------------------------------------------------------------
-    // Treap plumbing
+    // The order list
     // ------------------------------------------------------------------
 
     /// A detached node for `message` under the next arrival sequence
@@ -778,8 +771,6 @@ impl SparseEngine {
         let seq = self.next_seq;
         self.next_seq += 1;
         let node = Node {
-            left: NIL,
-            right: NIL,
             prev: NIL,
             next: NIL,
             // Normalize −0.0 so `total_cmp` and arithmetic agree on equality.
@@ -813,27 +804,16 @@ impl SparseEngine {
         }
     }
 
-    /// Treap priority: the high half of `splitmix64(seq)`, recomputed
-    /// where two priorities are compared instead of being stored.
-    fn prio(&self, slot: u32) -> u32 {
-        (splitmix64(self.nodes[slot as usize].seq) >> 32) as u32
-    }
-
-    /// Place a detached slot: find its in-order predecessor with the one
-    /// `(key, seq)` descent an arrival pays, insert it into the treap and
-    /// thread it into the order between that predecessor and the
-    /// predecessor's old successor (the old head when there is none).
+    /// Place a detached slot: walk back from the tail to the first node
+    /// that precedes it by `(key, seq)` and thread it in after that node
+    /// (at the head when there is none). Arrivals land near the tail, so
+    /// the walk is a step or two; one keyed `d` places below the tail walks
+    /// `d` steps (see `ARCHITECTURE.md`, "Sparse fast path").
     fn place(&mut self, slot: u32) {
-        let (mut cur, mut prev) = (self.root, NIL);
-        while cur != NIL {
-            if self.less(cur, slot) {
-                prev = cur;
-                cur = self.nodes[cur as usize].right;
-            } else {
-                cur = self.nodes[cur as usize].left;
-            }
+        let mut prev = self.tail;
+        while prev != NIL && !self.less(prev, slot) {
+            prev = self.prev_in_order(prev);
         }
-        self.root = self.insert_rec(self.root, slot);
         let next = match prev {
             NIL => std::mem::replace(&mut self.head, slot),
             p => std::mem::replace(&mut self.nodes[p as usize].next, slot),
@@ -842,82 +822,12 @@ impl SparseEngine {
             next == NIL || self.less(slot, next),
             "links follow the order"
         );
-        if next != NIL {
-            self.nodes[next as usize].prev = slot;
+        match next {
+            NIL => self.tail = slot,
+            n => self.nodes[n as usize].prev = slot,
         }
         let node = &mut self.nodes[slot as usize];
         (node.prev, node.next) = (prev, next);
-    }
-
-    fn insert_rec(&mut self, root: u32, slot: u32) -> u32 {
-        if root == NIL {
-            return slot;
-        }
-        if self.prio(slot) > self.prio(root) {
-            let (l, r) = self.split_rec(root, slot);
-            self.nodes[slot as usize].left = l;
-            self.nodes[slot as usize].right = r;
-            slot
-        } else if self.less(slot, root) {
-            let nl = self.insert_rec(self.nodes[root as usize].left, slot);
-            self.nodes[root as usize].left = nl;
-            root
-        } else {
-            let nr = self.insert_rec(self.nodes[root as usize].right, slot);
-            self.nodes[root as usize].right = nr;
-            root
-        }
-    }
-
-    /// Split `root` into `(< pivot, > pivot)`; `pivot` itself is not in the
-    /// tree being split.
-    fn split_rec(&mut self, root: u32, pivot: u32) -> (u32, u32) {
-        if root == NIL {
-            return (NIL, NIL);
-        }
-        if self.less(root, pivot) {
-            let (l, r) = self.split_rec(self.nodes[root as usize].right, pivot);
-            self.nodes[root as usize].right = l;
-            (root, r)
-        } else {
-            let (l, r) = self.split_rec(self.nodes[root as usize].left, pivot);
-            self.nodes[root as usize].left = r;
-            (l, root)
-        }
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.prio(a) > self.prio(b) {
-            let m = self.merge(self.nodes[a as usize].right, b);
-            self.nodes[a as usize].right = m;
-            a
-        } else {
-            let m = self.merge(a, self.nodes[b as usize].left);
-            self.nodes[b as usize].left = m;
-            b
-        }
-    }
-
-    fn remove_rec(&mut self, root: u32, slot: u32) -> u32 {
-        debug_assert!(root != NIL, "slot not in tree");
-        if root == slot {
-            let (l, r) = (self.nodes[root as usize].left, self.nodes[root as usize].right);
-            return self.merge(l, r);
-        }
-        if self.less(slot, root) {
-            let nl = self.remove_rec(self.nodes[root as usize].left, slot);
-            self.nodes[root as usize].left = nl;
-        } else {
-            let nr = self.remove_rec(self.nodes[root as usize].right, slot);
-            self.nodes[root as usize].right = nr;
-        }
-        root
     }
 
     /// In-order predecessor of a slot (`NIL` for the head): O(1).
@@ -977,63 +887,68 @@ mod tests {
 
     #[test]
     fn maintains_key_order_under_random_insert_remove() {
-        let reg = registry(&[(0, 0.0, 2.0), (1, 1.0, 3.0), (2, -2.0, 1.0)]);
-        let mut engine = SparseEngine::new(0.75, 0.999);
-        engine.observe_sigma(3.0);
-        let mut state = 42u64;
-        for id in 0..200u64 {
-            let client = (lcg(&mut state) % 3) as u32;
-            let ts = (lcg(&mut state) % 1000) as f64 * 0.25;
-            insert(&mut engine, &reg, msg(id, client, ts));
-            if id % 17 == 16 {
-                let (_msgs, _safe) = take(&mut engine, &reg);
-                engine.commit_removal(&reg);
+        let steady = [(0, 0.0, 2.0), (1, 1.0, 3.0), (2, -2.0, 1.0)];
+        // Client 3's μ lags every other client's by more than the whole
+        // timestamp range, so each of its arrivals lands below every other
+        // pending key: at or near the head, the longest walk from the tail.
+        let lagging = [(0, 0.0, 2.0), (1, 1.0, 3.0), (2, -2.0, 1.0), (3, 300.0, 2.0)];
+        for census in [&steady[..], &lagging[..]] {
+            let reg = registry(census);
+            let mut engine = SparseEngine::new(0.75, 0.999);
+            engine.observe_sigma(3.0);
+            let mut state = 42u64;
+            for id in 0..200u64 {
+                let client = (lcg(&mut state) % census.len() as u64) as u32;
+                let ts = (lcg(&mut state) % 1000) as f64 * 0.25;
+                insert(&mut engine, &reg, msg(id, client, ts));
+                if id % 17 == 16 {
+                    let (_msgs, _safe) = take(&mut engine, &reg);
+                    engine.commit_removal(&reg);
+                }
+                assert_chain_is_the_key_order(&engine, &format!("message {id}"));
             }
+            let order = engine.pending_order();
+            assert_eq!(order.len(), engine.len());
+            assert!(engine.len() > 100);
+            // Keys ascend along the maintained order.
+            let keys: Vec<f64> = engine.in_order().map(|n| n.key).collect();
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         }
-        let order = engine.pending_order();
-        assert_eq!(order.len(), engine.len());
-        assert!(engine.len() > 100);
-        // Keys ascend along the maintained order.
-        let keys: Vec<f64> = engine.in_order().map(|n| n.key).collect();
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     /// `peak_index_bytes` is `capacity × size_of::<Node>()` and part of
     /// `OnlineStats`, which the golden tests hash.
     #[test]
     fn node_is_no_larger_than_before_the_links() {
-        assert!(std::mem::size_of::<Node>() <= 80);
+        assert!(std::mem::size_of::<Node>() <= 72);
     }
 
-    /// The `next` chain from the head is the treap's in-order traversal,
-    /// and `prev` is its exact reverse.
-    fn assert_chain_is_the_tree_order(engine: &SparseEngine, ctx: &str) {
-        let mut tree = Vec::new();
-        let (mut stack, mut cur) = (Vec::new(), engine.root);
-        while cur != NIL || !stack.is_empty() {
-            while cur != NIL {
-                stack.push(cur);
-                cur = engine.nodes[cur as usize].left;
-            }
-            let slot = stack.pop().expect("non-empty");
-            tree.push(slot);
-            cur = engine.nodes[slot as usize].right;
-        }
-        let (mut chain, mut back) = (Vec::new(), Vec::new());
-        let (mut cur, mut tail) = (engine.head, NIL);
+    /// The `next` chain from the head is every live slot sorted by
+    /// `(key, seq)`, `prev` is its exact reverse, and `tail` ends it.
+    fn assert_chain_is_the_key_order(engine: &SparseEngine, ctx: &str) {
+        let mut sorted: Vec<u32> = (0..engine.nodes.len() as u32)
+            .filter(|slot| !engine.free.contains(slot))
+            .collect();
+        sorted.sort_unstable_by(|&a, &b| {
+            let (na, nb) = (&engine.nodes[a as usize], &engine.nodes[b as usize]);
+            na.key.total_cmp(&nb.key).then(na.seq.cmp(&nb.seq))
+        });
+        let mut chain = Vec::new();
+        let mut cur = engine.head;
         while cur != NIL {
             chain.push(cur);
-            tail = cur;
             cur = engine.next_in_order(cur);
         }
-        while tail != NIL {
-            back.push(tail);
-            tail = engine.prev_in_order(tail);
+        let mut back = Vec::new();
+        let mut cur = engine.tail;
+        while cur != NIL {
+            back.push(cur);
+            cur = engine.prev_in_order(cur);
         }
         back.reverse();
-        assert_eq!(chain, tree, "next chain ≠ tree order at {ctx}");
-        assert_eq!(back, tree, "prev chain ≠ reversed tree order at {ctx}");
-        assert_eq!(tree.len(), engine.len(), "length at {ctx}");
+        assert_eq!(chain, sorted, "next chain ≠ key order at {ctx}");
+        assert_eq!(back, sorted, "prev chain ≠ reversed key order at {ctx}");
+        assert_eq!(sorted.len(), engine.len(), "length at {ctx}");
     }
 
     /// The candidate as `(member ids, safe_after bits, horizon bits)`.
@@ -1121,8 +1036,8 @@ mod tests {
         assert_eq!(a, b, "candidate at {ctx}");
         let (a, b) = (kept.pending_order(), fresh.pending_order());
         assert_eq!(a, b, "order at {ctx}");
-        assert_chain_is_the_tree_order(kept, ctx);
-        assert_chain_is_the_tree_order(fresh, ctx);
+        assert_chain_is_the_key_order(kept, ctx);
+        assert_chain_is_the_key_order(fresh, ctx);
     }
 
     #[test]

@@ -10,17 +10,8 @@
 //! link delay so those experiments are reproducible without threading an
 //! RNG through scenario construction.
 
+use crate::fault::mix64;
 use crate::NodeId;
-
-/// splitmix64's finalizer: the same cheap 64-bit mix the fault planner
-/// uses, applied to the node id so each node lands on a stable point in
-/// `[0, 1)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The deterministic one-way delay of `node`'s link: `base` plus a
 /// node-keyed offset uniform in `[0, spread)`. `spread = 0` collapses to
@@ -35,7 +26,9 @@ pub fn link_delay(base: f64, spread: f64, node: NodeId) -> f64 {
     if spread == 0.0 {
         return base;
     }
-    let u = (splitmix64(node.0 as u64) >> 11) as f64 / (1u64 << 53) as f64;
+    // The fault planner's hash step, applied to the node id so each node
+    // lands on a stable point in `[0, 1)`.
+    let u = (mix64(node.0 as u64) >> 11) as f64 / (1u64 << 53) as f64;
     base + u * spread
 }
 

@@ -271,15 +271,15 @@ impl FaultPlan {
     /// A uniform variate in `[0, 1)`, pure in `(seed, sender, sequence,
     /// salt)`.
     fn unit(&self, sender: u32, sequence: u64, salt: u64) -> f64 {
-        let mut h = splitmix64(self.seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-        h = splitmix64(h ^ u64::from(sender).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-        h = splitmix64(h ^ sequence);
+        let mut h = mix64(self.seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
+        h = mix64(h ^ u64::from(sender).wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        h = mix64(h ^ sequence);
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
-/// The splitmix64 finalizer: a well-mixed 64-bit hash step.
-fn splitmix64(x: u64) -> u64 {
+/// The SplitMix64 finalizer: a well-mixed 64-bit hash step.
+pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -728,8 +728,9 @@ mod tests {
         }
     }
 
-    /// Sharded runs are deterministic per seed despite the worker threads —
-    /// shards share no state, so the merged order is schedule-independent.
+    /// Sharded runs are deterministic per seed: every shard runs on the
+    /// caller in a fixed order and shards share no state, so two runs of one
+    /// stream merge to the same order and the same stats.
     #[test]
     fn parallel_stream_is_seed_stable() {
         let cfg = small(3.0, 5.0);

@@ -5,7 +5,11 @@
 //! that commit had: `run_online_stream`, `run_parallel_stream` (K = 2) and
 //! `run_fault_stream` with its inline send loop, all at `p_safe = 0.99`. The
 //! hashes are FNV-1a of `format!("{stats:?}")` / `format!("{batches:?}")`,
-//! identical in debug and release builds.
+//! identical in debug and release builds. The four stats hashes of runs
+//! that ride the sparse engine were re-recorded when its node shrank from 80
+//! to 72 bytes: `peak_index_bytes` is the one field that moved (672 → 608,
+//! 1,008 → 912, 1,344 → 1,216); scores, batch counts and the batch hash did
+//! not.
 
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::sharded::ShardedSequencer;
@@ -43,7 +47,7 @@ fn online(config: &ScenarioConfig) -> Pin {
 
 #[test]
 fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
-    assert_eq!(online(&small(3.0, 5.0)), (3098, 45, 0xaf86_8fa3_960b_9396), "gaussian");
+    assert_eq!(online(&small(3.0, 5.0)), (3098, 45, 0xf400_dd37_3287_a795), "gaussian");
     assert_eq!(
         online(&small(2.0, 1.0).with_cyclic_fraction(0.3)),
         (3036, 24, 0xd651_c2c9_ddce_21e4),
@@ -56,7 +60,7 @@ fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
         .with_seed(21)
         .with_adversarial(AttackPlan::new(AttackFamily::Misreport, 0.6).with_scale(3.0))
         .with_defended(true);
-    assert_eq!(online(&misreport), (28543, 173, 0xa274_ec45_b281_83aa), "defended misreport");
+    assert_eq!(online(&misreport), (28543, 173, 0xb508_9fe8_a2e7_55e1), "defended misreport");
 
     let config = small(3.0, 5.0);
     let mut sharded = ShardedSequencer::new(sequencer_config(&config, 0.99).with_shards(2));
@@ -64,7 +68,7 @@ fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
     assert!(sharded.take_rejections().is_empty());
     assert_eq!(
         pin(run.ras.score(), run.order.num_batches(), sharded.stats()),
-        (3112, 59, 0x1c26_5053_5296_98aa),
+        (3112, 59, 0xf376_12b5_b0a6_fd7d),
         "K = 2"
     );
 
@@ -86,7 +90,7 @@ fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
     let result = run_fault_stream(&faulty, &plans, retransmit, 0.99);
     assert_eq!(
         pin(result.ras.score(), result.batches.len(), result.stats),
-        (7023, 65, 0x863c_637e_0a97_2fb4),
+        (7023, 65, 0x97ab_6596_3ae3_675c),
         "fault run"
     );
     assert_eq!(result.trace.len(), 1043);

@@ -131,9 +131,9 @@ pub fn apply_collusion(messages: &[Message], colluders: &[ClientId], window: f64
     out
 }
 
-/// splitmix64's finalizer: a cheap, well-mixed 64-bit hash used to derive
+/// The SplitMix64 finalizer: a cheap, well-mixed 64-bit hash used to derive
 /// the colluders' shared pad deterministically from a message ordinal.
-fn splitmix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -146,7 +146,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// wall-clock — needs no real-time communication between colluders and
 /// survives arbitrary interleaving differences between their streams.
 fn shared_pad(k: u64) -> f64 {
-    let h = splitmix64(k);
+    let h = mix64(k);
     // 53 high bits → uniform in [0, 1), then to ±√3 (zero mean, unit variance).
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
     (2.0 * u - 1.0) * 3.0_f64.sqrt()

@@ -10,7 +10,8 @@
 //!
 //! (b) **Query pins**: the closed-form twin records at most `n` registry
 //!     queries per `sequence()`, the matrix twin `n(n−1)/2`, and one
-//!     Laplace client in the census puts `Auto` back on the matrix.
+//!     Laplace client in the census puts `Auto` back on the matrix. Each
+//!     window also runs in descending key order, bit-identical on both.
 //! (c) **Error parity**: every input the fast path cannot prove valid
 //!     reports what the matrix path reports.
 
@@ -65,9 +66,18 @@ fn query_pins(n: usize) {
     assert_eq!(dense.sequence(&messages).expect("valid window"), order);
     assert_eq!(dense.registry().query_count(), pairs);
     assert!(order.num_batches() > 1 && order.num_batches() < n, "a non-trivial cut");
+    // The same window handed over in descending key order (every μ is 0,
+    // so by timestamp): the order an engine that placed one arrival at a
+    // time would walk furthest for. Same cut, same query count.
+    let mut descending = messages.clone();
+    descending.sort_by(|a, b| b.timestamp.total_cmp(&a.timestamp));
+    let before = auto.registry().query_count();
+    let reversed = auto.sequence(&descending).expect("valid window");
+    assert_eq!(auto.registry().query_count() - before, n as u64 - 1);
+    assert_eq!(dense.sequence(&descending).expect("valid window"), reversed);
     let config = SequencerConfig::default().with_threshold(0.75);
-    let window = std::slice::from_ref(&messages);
-    offline_identical(&census, config, window).unwrap_or_else(|v| panic!("{v}"));
+    let windows = [messages.clone(), descending];
+    offline_identical(&census, config, &windows).unwrap_or_else(|v| panic!("{v}"));
     // The diagnostics add at most the in-window pairs they inspect.
     let before = auto.registry().query_count();
     auto.sequence_detailed(&messages).expect("valid window");
