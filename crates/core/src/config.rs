@@ -11,10 +11,12 @@ use crate::defense::DefenseConfig;
 /// per-client timestamp-margin comparison, so the tournament order is a
 /// sort by margin-adjusted timestamp and the dense
 /// [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix) column an
-/// arrival would fill is never needed — the *sparse fast path* maintains
-/// the order in a balanced search tree and evaluates probabilities
-/// lazily, only for the boundary-adjacent pairs the batch threshold
-/// actually inspects (see `ARCHITECTURE.md`, "Sparse fast path").
+/// arrival would fill is never needed — the *sparse fast path* keeps the
+/// order as one sorted list and decides pairs lazily, only the
+/// boundary-adjacent pairs the batch threshold actually inspects, each by
+/// comparing its kernel argument against a band around `Φ⁻¹(threshold)`
+/// and evaluating the kernel only inside it (see `ARCHITECTURE.md`,
+/// "Sparse fast path").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastPathMode {
     /// Decide automatically (the default): the sparse path runs whenever

@@ -45,7 +45,8 @@
 //!   (linear order → fair order, one code path for both modes): the dense
 //!   matrix engine and the sub-quadratic sparse fast path for all-closed-form
 //!   streams
-//!   (one key-sorted list + lazy probability evaluation; see
+//!   (one key-sorted list + lazy pairwise decisions, settled by comparing
+//!   kernel arguments and evaluated only near the threshold; see
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 //! * [`baselines`] — FIFO, WaitsForOne and TrueTime-style sequencers used in
 //!   the paper's evaluation (§2, §4).

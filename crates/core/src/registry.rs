@@ -48,7 +48,9 @@
 //! difference table under one lock acquisition per column: no hash, lock or
 //! `Arc` refcount per pending message. Both count their evaluations in bulk
 //! ([`record_queries`](DistributionRegistry::record_queries)): one count
-//! per pairwise probability evaluated, as on the per-call path.
+//! per pairwise probability evaluated, as on the per-call path. The sparse
+//! engine counts one per pairwise decision, most of which it settles from
+//! the Gaussian kernel argument without evaluating the polynomial.
 
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::error::CoreError;
@@ -221,10 +223,13 @@ pub struct DistributionRegistry {
     /// distinct claims in numeric use, not the number of client pairs.
     discretized: RwLock<Vec<Option<Arc<DiscretizedPdf>>>>,
     differences: RwLock<DifferenceTable>,
-    /// Number of pairwise preceding-probability evaluations served so far —
-    /// one per [`preceding_probability`](Self::preceding_probability) call
-    /// plus every element of a kernel-based column fill (recorded in bulk
-    /// via [`record_queries`](Self::record_queries)). The online sequencer's
+    /// Number of pairwise queries served so far — one per
+    /// [`preceding_probability`](Self::preceding_probability) call, plus
+    /// every element of a kernel-based column fill and every pairwise
+    /// decision of the sparse engine (recorded in bulk via
+    /// [`record_queries`](Self::record_queries)). A query is a pair some
+    /// engine asked about, however it was answered: from the kernel
+    /// argument or by evaluating the polynomial. The online sequencer's
     /// O(1)-tick and O(n)-arrival guarantees are asserted against this
     /// counter.
     queries: AtomicU64,
@@ -563,11 +568,14 @@ impl DistributionRegistry {
         true
     }
 
-    /// Account `n` pairwise probability evaluations performed through
-    /// [`PairKernel`]s. Kernel-based column fills call this once per column
-    /// (one atomic add) instead of once per element, keeping the counter's
-    /// meaning — total pairwise evaluations — identical to the per-call
-    /// path at a fraction of its bookkeeping cost.
+    /// Account `n` pairwise queries answered outside
+    /// [`preceding_probability`](Self::preceding_probability): kernel-based
+    /// column fills call this once per column (one atomic add) instead of
+    /// once per element, and the sparse engine once per pairwise decision,
+    /// whether the pair's kernel argument settled it or the polynomial was
+    /// evaluated. The counter's meaning — total pairs asked about — stays
+    /// identical to the per-call path at a fraction of its bookkeeping
+    /// cost.
     pub fn record_queries(&self, n: u64) {
         self.queries.fetch_add(n, Ordering::Relaxed);
     }
@@ -609,10 +617,13 @@ impl DistributionRegistry {
         }
     }
 
-    /// Total number of [`preceding_probability`](Self::preceding_probability)
-    /// queries served so far. Exposed so callers (and tests) can verify that
-    /// hot paths — e.g. a pure clock tick of the online sequencer — perform
-    /// zero probability queries.
+    /// Total number of pairwise queries served so far: every
+    /// [`preceding_probability`](Self::preceding_probability) call and
+    /// everything [`record_queries`](Self::record_queries) accounted — a
+    /// pairwise decision, answered from the kernel argument or the
+    /// polynomial. Exposed so callers (and tests) can verify that hot paths
+    /// — e.g. a pure clock tick of the online sequencer — perform zero
+    /// probability queries.
     pub fn query_count(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
@@ -628,9 +639,10 @@ impl DistributionRegistry {
     /// comparison: `violates ⇔ T_i − T_j <= margin`. The margin depends only
     /// on the two clients' distributions and the threshold, so the online
     /// sequencer keeps one `(client, largest timestamp)` entry per client of
-    /// the last emitted batch and calls this once per entry on each submit;
-    /// it caches no margin (a Gaussian pair costs one square root, a
-    /// numeric pair one quantile of the cached difference grid). The caller
+    /// the last emitted batch and calls this once per entry on each submit
+    /// that its Gaussian bound does not clear; it caches no margin (a
+    /// Gaussian pair costs one square root, a numeric pair one quantile of
+    /// the cached difference grid). The caller
     /// supplies `z_low = Φ⁻¹(1 − threshold)` (the shell computes it once per
     /// configuration).
     pub(crate) fn violation_margin_at(

@@ -30,8 +30,9 @@
 //!   registered client has a closed-form kernel, a sequencer keeps its
 //!   order as one list sorted by margin-adjusted timestamps (threaded
 //!   through an arena by neighbour links; an arrival walks in from the
-//!   tail) and evaluates probabilities lazily, never
-//!   materializing a dense matrix column (see its `Φ(0)` caveat and
+//!   tail) and decides pairs lazily — by comparing a pair's kernel argument
+//!   against a band around `Φ⁻¹(θ)`, evaluating the kernel only inside it —
+//!   never materializing a dense matrix column (see its `Φ(0)` caveat and
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 
 mod dense;

@@ -34,10 +34,12 @@
 //!   incremental tournament / FAS / batch-boundary tail and the cached
 //!   candidate, for any census;
 //! * the **sparse** engine (`sequencer::sparse`): one list sorted by
-//!   margin-adjusted timestamps with lazy probability evaluation — an
-//!   arrival walks in from the tail, a removal is an O(1) unlink, no matrix
-//!   column is ever materialized (`dense_columns_avoided` counts the
-//!   arrivals that skipped one) — for all-Gaussian censuses.
+//!   margin-adjusted timestamps with lazy pairwise decisions, each settled
+//!   by comparing the pair's kernel argument against a band around
+//!   `Φ⁻¹(θ)` and evaluated only inside it — an arrival walks in from the
+//!   tail, a removal is an O(1) unlink, no matrix column is ever
+//!   materialized (`dense_columns_avoided` counts the arrivals that skipped
+//!   one) — for all-Gaussian censuses.
 //!
 //! Which one holds the pending set is decided by a *census*, re-taken only
 //! at [`register_client`](OnlineSequencer::register_client) — the only
@@ -51,8 +53,8 @@
 //! pending messages, takes the pending messages out of the current engine
 //! in arrival order and rebuilds them in the wanted one. Emitted batches,
 //! boundary sets and counters are bit-identical between the two engines;
-//! see `ARCHITECTURE.md` ("Sparse fast path") for the decision rule and the
-//! lazy-evaluation invariant.
+//! see `ARCHITECTURE.md` ("Sparse fast path") for the mode decision and
+//! why a pairwise decision is a comparison, not an evaluation.
 //!
 //! Both engines cache the candidate batch, so heartbeats and pure clock
 //! ticks over an unchanged pending set perform **zero** probability queries:
@@ -67,10 +69,12 @@
 //! * The observers read and write one per-slot record; with the defense off
 //!   an arrival costs them one `max` and one running-mean update.
 //! * The per-arrival fairness-violation check against the last emitted batch
-//!   uses per-client-pair margins
-//!   (`DistributionRegistry::violation_margin_at`) instead of one probability
-//!   query per emitted message, and reads one entry per distinct client of
-//!   that batch, not one per message.
+//!   is, for a Gaussian arrival, one comparison against a bound folded once
+//!   per emission: `T − μ − |z_low|·σ` above every batch client's
+//!   `T_j − μ_j + |z_low|·σ_j` cannot violate. Any other arrival scans
+//!   per-client-pair margins (`DistributionRegistry::violation_margin_at`)
+//!   instead of one probability query per emitted message, one entry per
+//!   distinct client of that batch, not one per message.
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::{FastPathMode, SequencerConfig};
@@ -178,11 +182,12 @@ pub struct OnlineStats {
     /// observed across the run (0 when no pair was ever scored). A run-level
     /// "how close did honest traffic get to the threshold" diagnostic.
     pub peak_collusion_score: f64,
-    /// Probability evaluations performed lazily by the sparse fast path —
-    /// boundary bits plus closure-window checks, the only pairs the batch
-    /// threshold actually inspects. Zero on forced-dense runs. (These are
-    /// also counted in the registry's query counter, exactly like dense
-    /// column fills.)
+    /// Pairwise decisions made lazily by the sparse fast path — boundary
+    /// bits plus closure-window checks, the only pairs the batch threshold
+    /// actually inspects — whether the pair's kernel argument settled the
+    /// decision or the kernel was evaluated. Zero on forced-dense runs.
+    /// (These are also counted in the registry's query counter, exactly
+    /// like dense column fills.)
     pub lazy_evals: u64,
     /// Arrivals handled by the sparse fast path, each of which skipped the
     /// O(n) dense [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix)
@@ -322,6 +327,11 @@ pub struct OnlineSequencer {
     /// check needs (see [`emit_candidate`](Self::emit_candidate)), so
     /// emission does not clone the batch's message vector for it.
     last_emitted: Vec<(ClientSlot, f64)>,
+    /// `max_j (T_j − μ_j + |z_low|·σ_j)` over `last_emitted`, plus rounding
+    /// slack; `+∞` if any of its clients is not Gaussian. A Gaussian arrival
+    /// keyed above it by its own `|z_low|·σ` cannot violate (see
+    /// [`refresh_violation_bound`](Self::refresh_violation_bound)).
+    violation_bound: f64,
     /// What watches an arrival without ordering it: per-slot trust windows,
     /// delay estimators and liveness clocks, and the collusion tracker.
     observer: ArrivalObserver,
@@ -348,6 +358,7 @@ impl OnlineSequencer {
             emitted: Vec::new(),
             emitted_order: FairOrder::default(),
             last_emitted: Vec::new(),
+            violation_bound: f64::NEG_INFINITY,
             observer: ArrivalObserver::new(config.defense),
             stats: OnlineStats::default(),
             now: f64::NEG_INFINITY,
@@ -382,6 +393,9 @@ impl OnlineSequencer {
         self.registry.register(client, distribution);
         self.watermarks.add_client(client);
         self.observer.cover(self.registry.len());
+        // The margins the scan reads are live, so the bound must follow
+        // a re-registered client of the last batch.
+        self.refresh_violation_bound();
         self.dense.invalidate_candidate();
         self.sparse.invalidate_candidate();
 
@@ -667,16 +681,16 @@ impl OnlineSequencer {
 
         // Fairness-violation detection: the message confidently precedes (or
         // cannot be separated from) something already emitted in the most
-        // recent batch. The per-client-pair margin turns each check into a
-        // timestamp comparison instead of a probability query, one per
-        // distinct client of that batch.
-        let threshold = self.config.threshold;
-        if self.last_emitted.iter().any(|&(emitted, emitted_ts)| {
-            let margin =
-                self.registry
-                    .violation_margin_at(slot, emitted, threshold, self.violation_z);
-            message.timestamp - emitted_ts <= margin
-        }) {
+        // recent batch. A Gaussian arrival clear of the batch's bound cannot;
+        // any other one scans the batch's clients.
+        let clear = self
+            .violation_reach(slot, message.timestamp, -1.0)
+            .is_some_and(|floor| floor > self.violation_bound);
+        debug_assert!(
+            !clear || !self.violates(slot, message.timestamp),
+            "an arrival clear of the violation bound violates"
+        );
+        if !clear && self.violates(slot, message.timestamp) {
             self.stats.fairness_violations += 1;
         }
 
@@ -684,6 +698,51 @@ impl OnlineSequencer {
         self.stats.max_pending = self.stats.max_pending.max(self.pending_len());
         self.record_memory_peaks();
         Ok(self.try_emit())
+    }
+
+    /// Whether a message from `slot` stamped `timestamp` violates fairness
+    /// against the last emitted batch: one per-client-pair margin
+    /// (`DistributionRegistry::violation_margin_at`) per distinct client of
+    /// that batch, each turning the check into a timestamp comparison
+    /// instead of a probability query.
+    fn violates(&self, slot: ClientSlot, timestamp: f64) -> bool {
+        let threshold = self.config.threshold;
+        self.last_emitted.iter().any(|&(emitted, emitted_ts)| {
+            let margin =
+                self.registry
+                    .violation_margin_at(slot, emitted, threshold, self.violation_z);
+            timestamp - emitted_ts <= margin
+        })
+    }
+
+    /// `T − μ + outward·(|z_low|·σ + slack)` for a Gaussian client's
+    /// timestamp: an emitted entry's reach (`outward = 1`) or an arrival's
+    /// floor (`−1`). The slack is 1e-9 of the operands' magnitude, far above
+    /// the few ulps by which the margin scan's rounding can differ. `None`
+    /// for a non-Gaussian client, a non-finite result, or a variance past
+    /// `f64::MAX / 2`, where the scan's `√(σ_i² + σ_j²)` can overflow and
+    /// make every margin `+∞`.
+    fn violation_reach(&self, slot: ClientSlot, timestamp: f64, outward: f64) -> Option<f64> {
+        let gaussian = self.registry.gaussian_at(slot)?;
+        let spread = -self.violation_z * gaussian.std_dev();
+        let slack = 1e-9 * (1.0 + timestamp.abs() + gaussian.mean().abs() + spread);
+        let reach = timestamp - gaussian.mean() + outward * (spread + slack);
+        let bounded = (2.0 * gaussian.variance()).is_finite();
+        (bounded && reach.is_finite()).then_some(reach)
+    }
+
+    /// Re-fold [`violation_bound`](Self::violation_bound) over
+    /// `last_emitted`. Sound because the Gaussian margin's spread
+    /// `√(σ_i² + σ_j²)` is at most `σ_i + σ_j`: an arrival whose floor
+    /// `T_i − μ_i − |z_low|·σ_i` exceeds every entry's reach
+    /// `T_j − μ_j + |z_low|·σ_j` lies beyond every margin, same-client
+    /// entries included (their margin is 0 and the floor puts `T_i > T_j`).
+    fn refresh_violation_bound(&mut self) {
+        self.violation_bound = self
+            .last_emitted
+            .iter()
+            .map(|&(slot, ts)| self.violation_reach(slot, ts, 1.0).unwrap_or(f64::INFINITY))
+            .fold(f64::NEG_INFINITY, f64::max);
     }
 
     /// How far the untrusted-distribution defense trusts `client`'s claim
@@ -795,6 +854,7 @@ impl OnlineSequencer {
             }
             same
         });
+        self.refresh_violation_bound();
         let ids: Vec<MessageId> = batch_msgs.iter().map(|m| m.id).collect();
         // Account emission latency and drop from the pending set.
         for id in &ids {
@@ -1230,6 +1290,24 @@ mod tests {
         let before = seq.stats().fairness_violations;
         seq.submit(msg(1, 2, 99.0), 201.0).unwrap();
         assert_eq!(seq.stats().fairness_violations, before + 1);
+    }
+
+    /// The violation bound follows a re-registration that widens a client
+    /// of the last batch: 1.0 after the emitted message is clear of
+    /// `σ = 0.1` margins (≈ 0.1) but inside the `σ = 10` one (≈ 6.7).
+    #[test]
+    fn widened_last_batch_client_moves_the_violation_bound() {
+        for widen in [false, true] {
+            let mut seq = sequencer(&[(0, 0.1), (1, 0.1)]);
+            seq.submit(msg(0, 0, 100.0), 100.0).unwrap();
+            assert_eq!(seq.flush().len(), 1);
+            if widen {
+                seq.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 10.0));
+            }
+            seq.submit(msg(1, 1, 101.0), 101.0).unwrap();
+            let violations = usize::from(widen);
+            assert_eq!(seq.stats().fairness_violations, violations, "widen {widen}");
+        }
     }
 
     #[test]

@@ -16,31 +16,42 @@
 //! mean of 0.4–1.9 steps on the benchmark workloads), a removal is an O(1)
 //! unlink and a neighbour step is a field read. The walk is O(d) for an
 //! arrival keyed below `d` pending messages, O(n) for a client lagging the
-//! whole pending set. Probabilities are evaluated *lazily*, only where the
-//! batch threshold actually inspects them:
+//! whole pending set. Pairs are *decided* lazily, only where the batch
+//! threshold actually inspects them:
 //!
-//! * **Boundary bits** — each arrival evaluates exactly its two in-order
+//! * **Boundary bits** — each arrival decides exactly its two in-order
 //!   adjacencies (mirroring
 //!   [`IncrementalFairOrder::insert_at`](crate::batching::IncrementalFairOrder)),
 //!   each emission one seam per removed run.
 //! * **Closure checks** — the Appendix C candidate closure only ever needs
 //!   pairs inside a *pruning window*: a pair is inseparable
 //!   (`max(p, 1−p) ≤ θ`) only if its kernel argument satisfies
-//!   `|Δkey| ≤ z(θ)·√(σ_i²+σ_j²)`, so any pair whose adjusted keys differ
-//!   by more than `w = z(θ)·√2·σ_max` (plus a floating-point slack that
-//!   dominates every rounding term, with `z` inflated past the erf/quantile
-//!   approximation error) is *guaranteed separable* and never evaluated.
+//!   `|Δkey| ≤ z_hi·√(σ_i²+σ_j²)`, so any pair whose adjusted keys differ
+//!   by more than `w = z_hi·√2·σ_max` (plus a floating-point slack that
+//!   dominates every rounding term) is *guaranteed separable* and never
+//!   asked about.
 //!
-//! Every probability the engine does evaluate goes through the exact same
-//! [`PairKernel`](crate::registry::PairKernel) the dense column fill uses,
-//! oriented by arrival sequence exactly as the matrix stores it (direct
-//! value for the older message, `1.0 − p` for the newer), so boundary bits,
-//! closure decisions, safe-emission folds and emitted batches are
-//! bit-identical to the dense path. The one caveat: the erf polynomial's
+//! **Decisions, not evaluations.** For Gaussian clocks a decision is a
+//! z-test: `P(u ≺ v) = Φ(x)` for the pair's kernel argument
+//! `x = (−dt + μ_a − μ_b)/√(σ_a² + σ_b²)`, oriented by arrival sequence. A
+//! boundary bit (`p > θ`) is `true` above `z_hi` and `false` below `z_lo`;
+//! a link is `false` for `|x| > z_hi` and `true` for `|x| < z_lo`. Only
+//! inside the band `[z_lo, z_hi]` — at most a few decisions in 100,000 on
+//! the benchmark streams — and for same-client or zero-spread pairs, whose
+//! kernels are step functions, is the kernel evaluated: through the exact
+//! same [`PairKernel`](crate::registry::PairKernel) the dense column fill
+//! uses, oriented exactly as the matrix stores it (direct value for the
+//! older message, `1.0 − p` for the newer). The band's margins make every
+//! settled decision the one that evaluation gives (see `decision_band`),
+//! so boundary bits, closure decisions, safe-emission folds and emitted
+//! batches are bit-identical to the dense path, and every decision still
+//! counts one lazy evaluation and one registry query. Debug builds
+//! re-derive every settled decision exactly and assert agreement. The one
+//! caveat: the erf polynomial's
 //! `Φ(0) ≈ 0.5 + 1.5e-8` leaves a ≈4e-8-wide kernel-argument band where the
 //! dense orientation rule (`p ≥ ½`) and the key-sort orientation can
 //! disagree on *placement* of two nearly-coincident messages; boundary and
-//! closure evaluations are kernel-exact in either placement, and any
+//! closure decisions are kernel-exact in either placement, and any
 //! `θ > 0.5 + 3.2e-8` decides such pairs identically (both directions sit
 //! at `0.5 ± 2e-8`, far below the threshold), so batches agree for every
 //! realistic threshold.
@@ -63,7 +74,7 @@
 //! folds, so absorbing in any order gives identical bits. Only an arrival
 //! that becomes the new head can change which component is the candidate:
 //! that case, like every emission, drops the cache. An arrival therefore
-//! costs its tail walk plus O(window) lazy evaluations in every regime,
+//! costs its tail walk plus O(window) decisions in every regime,
 //! including chains that keep absorbing arrivals (σ ≫ gap).
 //!
 //! The engine is private to the two sequencers ([`super::online`] maintains
@@ -80,6 +91,38 @@ use tommy_stats::erf::std_normal_inv_cdf;
 
 /// Arena null index.
 const NIL: u32 = u32::MAX;
+
+/// A kernel argument at which the implemented `Φ` rounds to exactly 1.0,
+/// as it does at every larger one, and `1.0 − Φ(−x)` does too: any
+/// threshold below 1 is decided there, however close to 1 it is.
+const Z_SATURATED: f64 = 9.0;
+
+/// The decision band `[z_lo, z_hi]` of a threshold `θ`. A kernel argument
+/// above `z_hi` has `Φ > θ` and one below `z_lo` has `Φ < θ`, whatever the
+/// erf polynomial's error: `θ` is moved 1e-6 outward (≫ the polynomial's
+/// 1.2e-7) before inversion, and the inverse's own error (it is
+/// Halley-refined against the implemented `Φ`) is absorbed by a further
+/// 1e-6 in `z`. Where `θ + 1e-6` reaches 1, `z_hi` is [`Z_SATURATED`]. The
+/// same `z_hi` sizes the pruning window, so a pair outside the window has
+/// `|x| > z_hi` and is separable.
+fn decision_band(threshold: f64) -> (f64, f64) {
+    let hi = threshold + 1e-6;
+    let z_hi = match hi < 1.0 {
+        true => std_normal_inv_cdf(hi) + 1e-6,
+        false => Z_SATURATED,
+    };
+    (std_normal_inv_cdf(threshold - 1e-6) - 1e-6, z_hi)
+}
+
+/// What a pairwise decision asks of `p = P(u ≺ v)`.
+#[derive(Debug, Clone, Copy)]
+enum Ask {
+    /// A boundary bit: whether `p > θ`, so `v` starts a new batch.
+    Boundary,
+    /// A closure link: whether the threshold cannot separate the pair,
+    /// `max(p, 1 − p) ≤ θ`.
+    Link,
+}
 
 /// One pending message in the arena. The arena index of a node is its
 /// stable *slot* for the lifetime of the message.
@@ -142,12 +185,15 @@ pub(crate) struct SparseEngine {
     /// ([`SequencerConfig`](crate::config::SequencerConfig)).
     threshold: f64,
     p_safe: f64,
+    /// The decision band of `threshold` (see [`decision_band`]).
+    z_lo: f64,
+    z_hi: f64,
     /// Conservative monotone maximum σ over every Gaussian registration the
     /// sequencer has ever seen (never decreased on re-registration, so the
     /// pruning window stays sound).
     max_sigma: f64,
-    /// Cached pruning window for the current `max_sigma`.
-    window: Option<f64>,
+    /// The pruning window `z_hi·√2·σ_max`.
+    window: f64,
     candidate: Option<SparseCandidate>,
     /// Slots handed out by [`take_candidate`](Self::take_candidate) and not
     /// yet removed by [`commit_removal`](Self::commit_removal).
@@ -160,8 +206,11 @@ pub(crate) struct SparseEngine {
 
 impl SparseEngine {
     pub(crate) fn new(threshold: f64, p_safe: f64) -> Self {
+        let (z_lo, z_hi) = decision_band(threshold);
         SparseEngine {
             threshold,
+            z_lo,
+            z_hi,
             p_safe,
             arrivals: 0,
             nodes: Vec::new(),
@@ -170,7 +219,7 @@ impl SparseEngine {
             tail: NIL,
             next_seq: 0,
             max_sigma: 0.0,
-            window: None,
+            window: 0.0,
             candidate: None,
             pending_removal: Vec::new(),
             counters: FairOrderCounters::default(),
@@ -193,13 +242,14 @@ impl SparseEngine {
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Boundary-engine-shaped counters of the lazy evaluations (summed with
+    /// Boundary-engine-shaped counters of the lazy decisions (summed with
     /// the dense engine's counters by the sequencer).
     pub(crate) fn counters(&self) -> FairOrderCounters {
         self.counters
     }
 
-    /// Total lazy kernel evaluations (boundary bits + closure checks).
+    /// Total pairwise decisions (boundary bits + closure checks), however
+    /// each was answered.
     pub(crate) fn lazy_evals(&self) -> u64 {
         self.lazy_evals
     }
@@ -219,12 +269,12 @@ impl SparseEngine {
     }
 
     /// Record a Gaussian registration's σ (monotone max; widening the
-    /// pruning window invalidates its cache, never the candidate — the
-    /// window only *prunes*, membership is decided by exact evaluations).
+    /// pruning window never invalidates the candidate — the window only
+    /// *prunes*, membership is decided pair by pair).
     pub(crate) fn observe_sigma(&mut self, sigma: f64) {
         if sigma > self.max_sigma {
             self.max_sigma = sigma;
-            self.window = None;
+            self.window = self.z_hi * std::f64::consts::SQRT_2 * sigma;
         }
     }
 
@@ -290,28 +340,73 @@ impl SparseEngine {
     }
 
     // ------------------------------------------------------------------
-    // Lazy probability evaluation
+    // Pairwise decisions
     // ------------------------------------------------------------------
+
+    /// One pairwise threshold decision about `(u, v)`: settled by comparing
+    /// the pair's kernel argument against the band `[z_lo, z_hi]` when it
+    /// falls outside, decided by exact kernel evaluation inside it (and for
+    /// the step-function kernels of same-client and zero-spread pairs).
+    /// Either way it counts one lazy evaluation and one registry query — a
+    /// query is a decision the engine asked for, however it was answered —
+    /// so every counter matches the dense engine's. Debug builds re-derive
+    /// every settled decision exactly and assert that the two agree.
+    fn decide(&mut self, registry: &DistributionRegistry, u: u32, v: u32, ask: Ask) -> bool {
+        registry.record_queries(1);
+        self.lazy_evals += 1;
+        let settled = self
+            .kernel_arg(registry, u, v)
+            .and_then(|x| self.settle(x, ask));
+        debug_assert!(
+            settled.is_none_or(|s| s == self.evaluate(registry, u, v, ask)),
+            "{ask:?} settled at x = {:?} disagrees with evaluation",
+            self.kernel_arg(registry, u, v)
+        );
+        settled.unwrap_or_else(|| self.evaluate(registry, u, v, ask))
+    }
+
+    /// The decision a kernel argument `x` (oriented so `P(u ≺ v) ≈ Φ(x)`)
+    /// settles, `None` inside the band. Sound because `Φ(z_hi) ≥ θ + 1e-6`
+    /// and `Φ(z_lo) ≤ θ − 1e-6`, margins far beyond the implemented `Φ`'s
+    /// 1.2e-7 error, and `z_hi` saturates where that `Φ` is exactly 1.0
+    /// (see [`decision_band`]). NaN settles nothing.
+    fn settle(&self, x: f64, ask: Ask) -> Option<bool> {
+        let (x, above, below) = match ask {
+            // `P(u ≺ v) > θ`.
+            Ask::Boundary => (x, true, false),
+            // `max(p, 1 − p) ≤ θ`: symmetric in the orientation.
+            Ask::Link => (x.abs(), false, true),
+        };
+        if x > self.z_hi {
+            Some(above)
+        } else if x < self.z_lo {
+            Some(below)
+        } else {
+            None
+        }
+    }
+
+    /// The decision by exact kernel evaluation, with the dense matrix's
+    /// rounding.
+    fn evaluate(&self, registry: &DistributionRegistry, u: u32, v: u32, ask: Ask) -> bool {
+        let p = self.exact_oriented(registry, u, v);
+        match ask {
+            Ask::Boundary => p > self.threshold,
+            Ask::Link => p.max(1.0 - p) <= self.threshold,
+        }
+    }
 
     /// `P(u precedes v)` exactly as the dense matrix would store it: the
     /// kernel is evaluated *directly* for the pair oriented by arrival
     /// sequence (older message first — the direction
     /// [`PrecedenceMatrix::insert`](crate::precedence::PrecedenceMatrix)
     /// evaluates) and the opposite direction is the same single rounding
-    /// `1.0 − p` the matrix stores. One kernel evaluation, recorded on the
-    /// registry query counter like every dense evaluation.
-    fn prob_oriented(&mut self, registry: &DistributionRegistry, u: u32, v: u32) -> f64 {
-        let (a, b, flip) = if self.nodes[u as usize].seq < self.nodes[v as usize].seq {
-            (u, v, false)
-        } else {
-            (v, u, true)
-        };
-        let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
-        let kernel = registry.pair_kernel_at(na.client, nb.client);
-        let p = kernel.preceding(na.message.timestamp - nb.message.timestamp);
+    /// `1.0 − p` the matrix stores. Side-effect free: the caller counts.
+    fn exact_oriented(&self, registry: &DistributionRegistry, u: u32, v: u32) -> f64 {
+        let (a, b, flip) = self.by_arrival(u, v);
+        let kernel = registry.pair_kernel_at(a.client, b.client);
+        let p = kernel.preceding(a.message.timestamp - b.message.timestamp);
         debug_assert!(!p.is_nan(), "finite keys imply finite probabilities");
-        registry.record_queries(1);
-        self.lazy_evals += 1;
         if flip {
             1.0 - p
         } else {
@@ -319,30 +414,35 @@ impl SparseEngine {
         }
     }
 
-    /// `max(P(u ≺ v), P(v ≺ u))` with dense rounding (direct value and its
-    /// `1.0 − p`) — the Appendix C separability statistic.
-    fn pair_max(&mut self, registry: &DistributionRegistry, u: u32, v: u32) -> f64 {
-        let p = self.prob_oriented(registry, u, v);
-        p.max(1.0 - p)
+    /// The kernel argument `x` of `(u, v)` with `P(u ≺ v) ≈ Φ(x)`: the
+    /// `(−dt + μ_a − μ_b)/√(σ_a² + σ_b²)` that
+    /// [`Gaussian::preceding_probability_dt`](tommy_stats::gaussian::Gaussian::preceding_probability_dt)
+    /// hands `Φ` for the older message `a` first — the same arithmetic, so
+    /// the same bits — negated when `u` is the newer one. `None` for a
+    /// same-client or zero-spread pair, whose kernel is a step function.
+    fn kernel_arg(&self, registry: &DistributionRegistry, u: u32, v: u32) -> Option<f64> {
+        let (a, b, flip) = self.by_arrival(u, v);
+        if a.client == b.client {
+            return None;
+        }
+        let ga = registry.gaussian_at(a.client)?;
+        let gb = registry.gaussian_at(b.client)?;
+        let denom = (ga.variance() + gb.variance()).sqrt();
+        if denom == 0.0 {
+            return None;
+        }
+        let x = (-(a.message.timestamp - b.message.timestamp) + ga.mean() - gb.mean()) / denom;
+        Some(if flip { -x } else { x })
     }
 
-    /// The pruning window `w = z·√2·σ_max` for the current threshold, with
-    /// `z` inflated past both approximation errors: `θ` is widened by 1e-6
-    /// (≫ the 1.2e-7 erf forward error) before inversion and the inverse's
-    /// own ~1e-9 error is absorbed by a further +1e-6. Pairs whose keys
-    /// differ by more than `w` plus the caller's magnitude slack are
-    /// guaranteed separable; everything closer is decided by exact kernel
-    /// evaluation, so the window only ever *skips* work, never changes a
-    /// decision.
-    fn window(&mut self) -> f64 {
-        if let Some(w) = self.window {
-            return w;
+    /// The nodes of `u` and `v`, older first, and whether that swapped them.
+    fn by_arrival(&self, u: u32, v: u32) -> (&Node, &Node, bool) {
+        let (nu, nv) = (&self.nodes[u as usize], &self.nodes[v as usize]);
+        if nu.seq < nv.seq {
+            (nu, nv, false)
+        } else {
+            (nv, nu, true)
         }
-        let q = (self.threshold + 1e-6).clamp(0.5 + 1e-12, 1.0 - 1e-12);
-        let z = std_normal_inv_cdf(q).max(0.0) + 1e-6;
-        let w = z * std::f64::consts::SQRT_2 * self.max_sigma;
-        self.window = Some(w);
-        w
     }
 
     /// Absolute floating-point slack added to every window comparison —
@@ -357,7 +457,7 @@ impl SparseEngine {
     // ------------------------------------------------------------------
 
     /// Insert an arrival: a walk in from the tail to its place, exactly two
-    /// adjacency evaluations for the boundary bits (mirroring the dense
+    /// adjacency decisions for the boundary bits (mirroring the dense
     /// `IncrementalFairOrder::insert_at` contract), and an incremental
     /// candidate update (see module docs). Never fails: the `Result` is the
     /// engine seam's signature (a dense column fill can).
@@ -371,7 +471,7 @@ impl SparseEngine {
         let slot = self.alloc(message, client, registry);
         self.place(slot);
 
-        // Boundary bits: evaluate both adjacencies of the insertion point,
+        // Boundary bits: decide both adjacencies of the insertion point,
         // with the same split/merge accounting as the dense engine.
         let pred = self.prev_in_order(slot);
         let succ = self.next_in_order(slot);
@@ -379,14 +479,14 @@ impl SparseEngine {
             NIL => true,
             p => {
                 self.counters.boundary_evals += 1;
-                self.prob_oriented(registry, p, slot) > self.threshold
+                self.decide(registry, p, slot, Ask::Boundary)
             }
         };
         self.nodes[slot as usize].starts_batch = left_start;
         let old_succ_bit = (succ != NIL).then(|| self.nodes[succ as usize].starts_batch);
         if succ != NIL {
             self.counters.boundary_evals += 1;
-            let bit = self.prob_oriented(registry, slot, succ) > self.threshold;
+            let bit = self.decide(registry, slot, succ, Ask::Boundary);
             self.nodes[succ as usize].starts_batch = bit;
         }
         let old_boundary = usize::from(pred != NIL && old_succ_bit == Some(true));
@@ -413,7 +513,7 @@ impl SparseEngine {
             return;
         };
         let key = self.nodes[slot as usize].key;
-        let w = self.window();
+        let w = self.window;
         if key > cand.batch_max_key + w + Self::slack(key, cand.batch_max_key) {
             // Beyond the window: provably separable from every member —
             // the candidate is untouched.
@@ -450,7 +550,7 @@ impl SparseEngine {
         forward: bool,
         registry: &DistributionRegistry,
     ) -> bool {
-        let w = self.window();
+        let w = self.window;
         let key = self.nodes[slot as usize].key;
         let step = if forward {
             Self::next_in_order
@@ -464,7 +564,7 @@ impl SparseEngine {
                 return false;
             }
             if self.nodes[cur as usize].in_candidate
-                && self.pair_max(registry, cur, slot) <= self.threshold
+                && self.decide(registry, cur, slot, Ask::Link)
             {
                 return true;
             }
@@ -500,14 +600,14 @@ impl SparseEngine {
     /// in-order window around every frontier member and absorb each
     /// non-member the threshold cannot separate from it, until a fixpoint.
     /// Pairs outside the window are separable by construction and never
-    /// evaluated — the lazy-evaluation invariant.
+    /// asked about.
     fn expand_closure(
         &mut self,
         cand: &mut SparseCandidate,
         mut from: usize,
         registry: &DistributionRegistry,
     ) {
-        let w = self.window();
+        let w = self.window;
         while from < cand.members.len() {
             let f = cand.members[from];
             from += 1;
@@ -520,7 +620,7 @@ impl SparseEngine {
                     break;
                 }
                 if !self.nodes[cur as usize].in_candidate
-                    && self.pair_max(registry, cur, f) <= self.threshold
+                    && self.decide(registry, cur, f, Ask::Link)
                 {
                     self.absorb(cand, cur, registry);
                 }
@@ -534,7 +634,7 @@ impl SparseEngine {
                     break;
                 }
                 if !self.nodes[cur as usize].in_candidate
-                    && self.pair_max(registry, f, cur) <= self.threshold
+                    && self.decide(registry, f, cur, Ask::Link)
                 {
                     self.absorb(cand, cur, registry);
                 }
@@ -623,7 +723,7 @@ impl SparseEngine {
     }
 
     /// Remove the slots staged by [`take_candidate`](Self::take_candidate):
-    /// one seam evaluation per removed run (the dense
+    /// one seam decision per removed run (the dense
     /// `IncrementalFairOrder::remove_slots` contract), then one O(1) unlink
     /// per slot.
     pub(crate) fn commit_removal(&mut self, registry: &DistributionRegistry) {
@@ -655,11 +755,11 @@ impl SparseEngine {
             if succ != NIL {
                 let bit = match pred {
                     // The run was the head of the order: the survivor now
-                    // heads it, no evaluation needed.
+                    // heads it, no decision needed.
                     NIL => true,
                     p => {
                         self.counters.boundary_evals += 1;
-                        self.prob_oriented(registry, p, succ) > self.threshold
+                        self.decide(registry, p, succ, Ask::Boundary)
                     }
                 };
                 self.nodes[succ as usize].starts_batch = bit;
@@ -690,7 +790,7 @@ impl SparseEngine {
     /// keys): fresh sequence numbers in the given (arrival) order, one sort
     /// of the arena by `(key, seq)` — O(n log n) in whatever order the
     /// window comes — threaded into the order, then all `n − 1` boundary
-    /// bits derived in one sweep: the sparse mirror of the dense
+    /// bits decided in one sweep: the sparse mirror of the dense
     /// `rebuild_from`, counted the same way.
     pub(crate) fn rebuild_from(
         &mut self,
@@ -720,7 +820,7 @@ impl SparseEngine {
         self.nodes[0].starts_batch = true;
         for cur in 1..=last {
             self.counters.boundary_evals += 1;
-            let bit = self.prob_oriented(registry, cur - 1, cur) > self.threshold;
+            let bit = self.decide(registry, cur - 1, cur, Ask::Boundary);
             self.nodes[cur as usize].starts_batch = bit;
         }
         self.counters.full_rebuilds += 1;
@@ -731,7 +831,7 @@ impl SparseEngine {
     /// pair further apart being separable by construction. The complement
     /// over all pairs is the dense matrix's confident-pair count.
     pub(crate) fn linked_pairs(&mut self, registry: &DistributionRegistry) -> usize {
-        let w = self.window();
+        let w = self.window;
         let mut linked = 0;
         let mut u = self.head;
         while u != NIL {
@@ -742,7 +842,7 @@ impl SparseEngine {
                 if vk - uk > w + Self::slack(uk, vk) {
                     break;
                 }
-                linked += usize::from(self.pair_max(registry, u, v) <= self.threshold);
+                linked += usize::from(self.decide(registry, u, v, Ask::Link));
                 v = self.next_in_order(v);
             }
             u = self.next_in_order(u);
@@ -846,6 +946,7 @@ mod tests {
     use super::*;
     use crate::message::ClientId;
     use tommy_stats::distribution::OffsetDistribution;
+    use tommy_stats::erf::std_normal_cdf;
 
     fn registry(clients: &[(u32, f64, f64)]) -> DistributionRegistry {
         let mut reg = DistributionRegistry::new();
@@ -1038,6 +1139,131 @@ mod tests {
         assert_eq!(a, b, "order at {ctx}");
         assert_chain_is_the_key_order(kept, ctx);
         assert_chain_is_the_key_order(fresh, ctx);
+    }
+
+    /// `z_hi` saturates where the implemented `Φ` is exactly 1.0 in both
+    /// orientations, so a decision above it is right at any `θ < 1`.
+    #[test]
+    fn z_hi_saturates_where_phi_rounds_to_one() {
+        for k in 0..=1000 {
+            let x = Z_SATURATED + f64::from(k) * 0.05;
+            assert_eq!(std_normal_cdf(x), 1.0, "Φ({x})");
+            assert_eq!(1.0 - std_normal_cdf(-x), 1.0, "1 − Φ(−{x})");
+        }
+        assert_eq!(std_normal_cdf(f64::INFINITY), 1.0);
+        for threshold in [1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - f64::EPSILON] {
+            assert_eq!(decision_band(threshold).1, Z_SATURATED, "θ = {threshold}");
+        }
+        for threshold in [0.5 + 1e-7, 0.75, 0.999, 1.0 - 5e-7 - 1e-6] {
+            let (z_lo, z_hi) = decision_band(threshold);
+            assert!(z_lo < z_hi && z_hi < Z_SATURATED, "θ = {threshold}");
+        }
+    }
+
+    /// Every decision the band settles agrees with exact evaluation, at and
+    /// one ulp either side of both band edges, inside the band, at
+    /// `±Φ⁻¹(θ)` and at `±0`, in both arrival orders and both directions —
+    /// and for spreads that are zero (the exact step kernel), zero on one
+    /// side, or overflow to `∞` (`x = 0`).
+    #[test]
+    fn settled_decisions_agree_with_evaluation() {
+        let thresholds = [0.5 + 1e-7, 0.75, 0.999, 1.0 - 5e-7, 1.0 - 1e-15];
+        let sigmas = [
+            (1.0, 1.0),
+            (0.05, 20.0),
+            (0.0, 3.0),
+            (0.0, 0.0),
+            (1e200, 1.0),
+        ];
+        let (mut settled, mut evaluated) = (0, 0);
+        for threshold in thresholds {
+            let (z_lo, z_hi) = decision_band(threshold);
+            let z = std_normal_inv_cdf(threshold);
+            let targets = [
+                z_lo,
+                z_lo.next_down(),
+                z_lo.next_up(),
+                z_hi,
+                z_hi.next_down(),
+                z_hi.next_up(),
+                0.5 * (z_lo + z_hi),
+                z,
+                -z,
+                0.0,
+                -0.0,
+            ];
+            for (sa, sb) in sigmas {
+                let reg = registry(&[(0, 0.0, sa), (1, 0.0, sb)]);
+                let denom = (sa * sa + sb * sb).sqrt();
+                for target in targets {
+                    for c0_first in [true, false] {
+                        let ctx = format!("θ {threshold} σ ({sa}, {sb}) x {target} {c0_first}");
+                        let (mut engine, u, v) = pair_at(threshold, &reg, target, c0_first);
+                        let x = engine.kernel_arg(&reg, u, v);
+                        assert_eq!(x.map(|x| -x), engine.kernel_arg(&reg, v, u), "{ctx}");
+                        if denom > 0.0 && denom.is_finite() {
+                            let off = (x.unwrap() - target).abs();
+                            assert!(off <= 1e-12 * (1.0 + target.abs()), "{ctx}");
+                        }
+                        for ask in [Ask::Boundary, Ask::Link] {
+                            for (a, b) in [(u, v), (v, u)] {
+                                let exact = engine.evaluate(&reg, a, b, ask);
+                                let x = engine.kernel_arg(&reg, a, b);
+                                match x.and_then(|x| engine.settle(x, ask)) {
+                                    Some(bit) => {
+                                        assert_eq!(bit, exact, "{ask:?} ({a}, {b}) at {ctx}");
+                                        settled += 1;
+                                    }
+                                    None => evaluated += 1,
+                                }
+                                assert_eq!(engine.decide(&reg, a, b, ask), exact, "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            settled > 0 && evaluated > 0,
+            "{settled} settled, {evaluated} in band"
+        );
+    }
+
+    /// A two-message engine at `threshold` whose pair `(u, v)`, client 0's
+    /// message then client 1's, has kernel argument `x(u ≺ v)` as close to
+    /// `target` as timestamps allow: client 0 stamps 0 and client 1 stamps
+    /// `t`, nudged by ulps until `t / spread` is the target (`t = target`
+    /// when the spread is 0 or `∞`). `c0_first`: client 0 arrives first.
+    fn pair_at(
+        threshold: f64,
+        reg: &DistributionRegistry,
+        target: f64,
+        c0_first: bool,
+    ) -> (SparseEngine, u32, u32) {
+        let slot_of = |c| reg.slot_of(ClientId(c)).expect("registered");
+        let (c0, c1) = (slot_of(0), slot_of(1));
+        let (g0, g1) = (reg.gaussian_at(c0).unwrap(), reg.gaussian_at(c1).unwrap());
+        let denom = (g0.variance() + g1.variance()).sqrt();
+        let mut t = target;
+        if denom > 0.0 && denom.is_finite() {
+            t *= denom;
+            while t / denom < target {
+                t = t.next_up();
+            }
+            while t / denom > target {
+                t = t.next_down();
+            }
+        }
+        let mut engine = SparseEngine::new(threshold, 0.999);
+        let mut arrivals = [(msg(0, 0, 0.0), c0), (msg(1, 1, t), c1)];
+        if !c0_first {
+            arrivals.reverse();
+        }
+        for (message, slot) in arrivals {
+            engine.alloc(message, slot, reg);
+        }
+        let u = u32::from(!c0_first);
+        (engine, u, 1 - u)
     }
 
     #[test]
