@@ -164,9 +164,9 @@ fn assert_pinned_allocations(
 }
 
 /// Client 1 is Laplace, so half of every column is numeric. The engine
-/// itself allocates nothing; the heartbeat's five are the shell's: the
-/// batch's messages, their ids, the copy kept for `take_emitted`, and the
-/// two vectors that hold a batch.
+/// itself allocates nothing; the heartbeat's four are the shell's: the
+/// batch's messages, the copy kept for `take_emitted`, and the two vectors
+/// that hold a batch.
 #[test]
 fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
     let census = [
@@ -175,14 +175,14 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
         OffsetDistribution::gaussian(0.0, 1.0),
     ];
     let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
-    assert_pinned_allocations(config, census, 0, 5);
+    assert_pinned_allocations(config, census, 0, 4);
 }
 
 /// The all-Gaussian twin on the sparse engine: a submit walks in from the
-/// tail and allocates nothing; the heartbeat pays the shell's five plus the
+/// tail and allocates nothing; the heartbeat pays the shell's four plus the
 /// engine's candidate member list.
 #[test]
 fn sparse_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
     let census = std::array::from_fn(|_| OffsetDistribution::gaussian(0.0, 1.0));
-    assert_pinned_allocations(SequencerConfig::default(), census, 0, 6);
+    assert_pinned_allocations(SequencerConfig::default(), census, 0, 5);
 }

@@ -31,13 +31,6 @@ pub enum LearnedModel {
     Kde,
 }
 
-impl LearnedModel {
-    /// A histogram model with a reasonable default bin count.
-    pub fn histogram() -> Self {
-        LearnedModel::Histogram { bins: 64 }
-    }
-}
-
 /// Accumulates offset samples and produces a learned [`OffsetDistribution`].
 #[derive(Debug, Clone)]
 pub struct DistributionLearner {
@@ -68,11 +61,6 @@ impl DistributionLearner {
             samples: VecDeque::with_capacity(window),
             moments: Moments::new(),
         }
-    }
-
-    /// The summarization model in use.
-    pub fn model(&self) -> LearnedModel {
-        self.model
     }
 
     /// Number of samples currently retained.
@@ -247,7 +235,7 @@ mod tests {
 
     #[test]
     fn histogram_model_produces_valid_distribution() {
-        let mut learner = DistributionLearner::new(LearnedModel::histogram());
+        let mut learner = DistributionLearner::new(LearnedModel::Histogram { bins: 64 });
         let g = Gaussian::new(-5.0, 2.0);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..5000 {

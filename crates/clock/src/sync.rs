@@ -70,11 +70,6 @@ impl SyncSession {
         }
     }
 
-    /// True time at which the next probe will be sent.
-    pub fn next_probe_at(&self) -> f64 {
-        self.next_probe_at
-    }
-
     /// Execute a single probe exchange at true time `send_time`, returning
     /// the raw exchange and recording the derived offset sample.
     pub fn run_probe(&mut self, send_time: f64, rng: &mut dyn RngCore) -> ProbeExchange {
@@ -171,7 +166,7 @@ mod tests {
         let count = session.run_until(99.0, &mut rng);
         assert_eq!(count, 10); // probes at t = 0, 10, ..., 90
         assert_eq!(session.samples().len(), 10);
-        assert_eq!(session.next_probe_at(), 100.0);
+        assert_eq!(session.next_probe_at, 100.0);
         // Running again up to the same point does nothing.
         assert_eq!(session.run_until(99.0, &mut rng), 0);
     }

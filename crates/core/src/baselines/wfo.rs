@@ -50,11 +50,6 @@ impl WfoSequencer {
         }
     }
 
-    /// Number of messages currently queued across all clients.
-    pub fn queued(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
-    }
-
     /// Release messages while every unfinished client has at least one queued
     /// message: repeatedly emit the head with the smallest timestamp. Returns
     /// the released messages as a total order (one batch each).
@@ -113,6 +108,13 @@ impl WfoSequencer {
 mod tests {
     use super::*;
     use crate::message::MessageId;
+
+    impl WfoSequencer {
+        /// Number of messages currently queued across all clients.
+        fn queued(&self) -> usize {
+            self.queues.values().map(|q| q.len()).sum()
+        }
+    }
 
     fn msg(id: u64, client: u32, ts: f64) -> Message {
         Message::new(MessageId(id), ClientId(client), ts)

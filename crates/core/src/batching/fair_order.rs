@@ -163,14 +163,6 @@ impl FairOrder {
         self.batches.iter().map(|b| b.len()).max().unwrap_or(0)
     }
 
-    /// Mean batch size (0 if empty).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches.is_empty() {
-            return 0.0;
-        }
-        self.num_messages() as f64 / self.num_batches() as f64
-    }
-
     /// All message ids flattened in batch-rank order (within a batch the
     /// internal order is preserved but meaningless).
     pub fn flatten(&self) -> Vec<MessageId> {
@@ -201,6 +193,16 @@ impl FairOrder {
 mod tests {
     use super::*;
     use crate::message::{ClientId, Message};
+
+    impl FairOrder {
+        /// Mean batch size (0 if empty).
+        fn mean_batch_size(&self) -> f64 {
+            if self.batches.is_empty() {
+                return 0.0;
+            }
+            self.num_messages() as f64 / self.num_batches() as f64
+        }
+    }
 
     fn mk_msgs(n: usize) -> Vec<Message> {
         (0..n)

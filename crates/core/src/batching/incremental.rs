@@ -93,11 +93,6 @@ impl IncrementalFairOrder {
         self.order.is_empty()
     }
 
-    /// The batching threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Work counters so far.
     pub fn counters(&self) -> FairOrderCounters {
         self.counters
@@ -291,7 +286,7 @@ mod tests {
     /// maintained order: batches, ranks, and boundary positions.
     fn assert_matches_one_shot(inc: &IncrementalFairOrder, matrix: &PrecedenceMatrix) {
         let order = inc.order().to_vec();
-        let reference = FairOrder::from_linear_order(matrix, &order, inc.threshold());
+        let reference = FairOrder::from_linear_order(matrix, &order, inc.threshold);
         let materialized = inc.to_fair_order(matrix);
         assert_eq!(materialized, reference, "batches diverged");
         assert_eq!(

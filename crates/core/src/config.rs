@@ -115,19 +115,18 @@ pub struct SequencerConfig {
     /// repairing the one component in place; the draws come from the
     /// sequencer's own seeded generator.
     pub stochastic_cycle_breaking: bool,
-    /// When `true` (the default), the online sequencer keeps its full
-    /// emission history: the cumulative
-    /// [`FairOrder`](crate::batching::FairOrder) and the set of every message
-    /// id ever seen. Set to `false` for long-running streams so sequencer
-    /// memory stays proportional to the *pending* set: callers then drain
-    /// batches with `OnlineSequencer::take_emitted`, and duplicate detection
-    /// only covers messages not yet emitted. A duplicate of an *emitted*
-    /// message is usually still rejected by the per-client watermark
-    /// monotonicity rule, but an exact retransmission (same timestamp) can
-    /// slip back in when the batch was emitted without the client's own
-    /// watermark passing it (a retired client, or a final `flush()`) —
-    /// accept that trade-off, or deduplicate upstream, before disabling
-    /// history.
+    /// When `true` (the default), the online sequencer keeps every message
+    /// id it ever accepted, so a duplicate of an emitted message is refused
+    /// like one of a pending message. Set to `false` for long-running
+    /// streams so sequencer memory stays proportional to the *pending* set:
+    /// callers then drain batches with `OnlineSequencer::take_emitted`, and
+    /// duplicate detection only covers messages not yet emitted. A
+    /// duplicate of an *emitted* message is usually still rejected by the
+    /// per-client watermark monotonicity rule, but an exact retransmission
+    /// (same timestamp) can slip back in when the batch was emitted without
+    /// the client's own watermark passing it (a retired client, or a final
+    /// `flush()`) — accept that trade-off, or deduplicate upstream, before
+    /// disabling history.
     pub retain_history: bool,
     /// The untrusted-distribution defense ([`crate::defense`]): when
     /// enabled, the online sequencer cross-checks each client's observed

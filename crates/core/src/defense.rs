@@ -37,13 +37,15 @@
 //! Everything that watches an arrival but does not order it lives in one
 //! `ArrivalObserver`, owned by the online shell: per client slot the trust
 //! window, the online delay estimator and the liveness clock (when the
-//! client was last heard from), plus the collusion tracker. The shell
-//! resolves the slot once and makes one call per event — `arrival` for a
-//! message, `heard` for a heartbeat — and gets back the re-registrations the
-//! verdicts ask for, which it applies before the violation check and the
-//! engine insert. Registration never touches the observer, so a quarantine
-//! stays sticky through the fallback re-registration it causes and through
-//! any later one. With the defense off an arrival costs one `max` and one
+//! client was last heard from), plus the collusion tracker, whose windows
+//! and pairs are keyed by the same slots; a `ClientId` is read back from the
+//! registry only to name a re-registration. The shell resolves the slot
+//! once and makes one call per event — `arrival` for a message, `heard` for
+//! a heartbeat — and gets back the re-registrations the verdicts ask for,
+//! which it applies before the violation check and the engine insert.
+//! Registration never touches the observer, so a quarantine stays sticky
+//! through the fallback re-registration it causes and through any later
+//! one. With the defense off an arrival costs one `max` and one
 //! delay-estimator update.
 //!
 //! The degradation counters (`quarantines`, `reestimations`,
@@ -413,10 +415,10 @@ struct CollusionReport {
     /// pair was scorable). Only positive co-movement counts: colluders
     /// forging toward shared values correlate positively.
     peak_score: f64,
-    /// Clients whose pair crossed the confirmation bar this check — both
+    /// Slots whose pair crossed the confirmation bar this check — both
     /// members of a confirmed pair, sorted, deduplicated. The caller
     /// quarantines them and removes them from the tracker.
-    flagged: Vec<ClientId>,
+    flagged: Vec<ClientSlot>,
 }
 
 /// One client's aligned residual history inside the tracker.
@@ -502,14 +504,6 @@ impl PairStats {
     }
 }
 
-fn pair_key(a: ClientId, b: ClientId) -> (ClientId, ClientId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 /// Cross-client correlation detector over the per-client residual windows.
 ///
 /// Each residual a client produces is paired, **by per-client residual
@@ -530,16 +524,29 @@ fn pair_key(a: ClientId, b: ClientId) -> (ClientId, ClientId) {
 /// quarantine treatment as the marginal KS/z-score checks.
 #[derive(Debug, Clone, Default)]
 struct CollusionTracker {
-    clients: BTreeMap<ClientId, ClientWindow>,
-    pairs: BTreeMap<(ClientId, ClientId), PairStats>,
+    /// Indexed by client slot; `None` until the client's first residual and
+    /// again once it is removed.
+    windows: Vec<Option<ClientWindow>>,
+    /// Keyed by the ordered slot pair (smaller slot first).
+    pairs: BTreeMap<(ClientSlot, ClientSlot), PairStats>,
+}
+
+/// The key of the pair of `a` and `b`.
+fn pair_key(a: ClientSlot, b: ClientSlot) -> (ClientSlot, ClientSlot) {
+    (a.min(b), a.max(b))
 }
 
 impl CollusionTracker {
-    /// Feed one residual from `client`; runs the pairwise correlation check
-    /// when the client's cadence comes due.
-    fn observe(&mut self, client: ClientId, residual: f64, cfg: &DefenseConfig) -> CollusionReport {
+    /// Feed one residual from the client in `slot`; runs the pairwise
+    /// correlation check when the client's cadence comes due. Pair updates
+    /// are independent of each other and the peak score is a `max`, so the
+    /// order partners are visited in does not matter.
+    fn observe(&mut self, slot: ClientSlot, residual: f64, cfg: &DefenseConfig) -> CollusionReport {
         assert!(residual.is_finite(), "residuals must be finite");
-        let entry = self.clients.entry(client).or_default();
+        if self.windows.len() <= slot.idx() {
+            self.windows.resize(slot.idx() + 1, None);
+        }
+        let entry = self.windows[slot.idx()].get_or_insert_with(ClientWindow::default);
         let k = entry.total;
         entry.push(residual, cfg.window);
         entry.since_check += 1;
@@ -548,17 +555,13 @@ impl CollusionTracker {
             entry.since_check = 0;
         }
         // Pair this residual with every partner's residual of the same
-        // index (BTreeMap: deterministic order).
-        let partners: Vec<ClientId> = self
-            .clients
-            .keys()
-            .copied()
-            .filter(|c| *c != client)
-            .collect();
-        for &d in &partners {
-            if let Some(y) = self.clients[&d].value_at(k) {
+        // index.
+        for (d, window) in self.windows.iter().enumerate() {
+            let d = ClientSlot(d as u32);
+            let partner = window.as_ref().filter(|_| d != slot);
+            if let Some(y) = partner.and_then(|w| w.value_at(k)) {
                 self.pairs
-                    .entry(pair_key(client, d))
+                    .entry(pair_key(slot, d))
                     .or_default()
                     .push(residual, y, cfg.window);
             }
@@ -570,8 +573,9 @@ impl CollusionTracker {
             checked: true,
             ..CollusionReport::default()
         };
-        for &d in &partners {
-            let Some(pair) = self.pairs.get_mut(&pair_key(client, d)) else {
+        for d in 0..self.windows.len() {
+            let d = ClientSlot(d as u32);
+            let Some(pair) = self.pairs.get_mut(&pair_key(slot, d)) else {
                 continue;
             };
             if pair.samples.len() < cfg.collusion_min_pairs {
@@ -595,8 +599,7 @@ impl CollusionTracker {
                 pair.streak = 0;
             }
             if pair.streak >= cfg.collusion_confirmations {
-                report.flagged.push(client.min(d));
-                report.flagged.push(client.max(d));
+                report.flagged.extend([slot, d]);
             }
         }
         report.flagged.sort();
@@ -604,22 +607,22 @@ impl CollusionTracker {
         report
     }
 
-    /// Drop a client (quarantined: its evidence is settled) along with
-    /// every pair it participates in.
-    fn remove(&mut self, client: ClientId) {
-        self.clients.remove(&client);
-        self.pairs.retain(|&(a, b), _| a != client && b != client);
+    /// Drop the client in `slot` (quarantined: its evidence is settled)
+    /// along with every pair it participates in.
+    fn remove(&mut self, slot: ClientSlot) {
+        self.windows[slot.idx()] = None;
+        self.pairs.retain(|&(a, b), _| a != slot && b != slot);
     }
 
-    /// Reset a client's window after a drift re-estimation (old residuals
-    /// described the previous regime) without losing index alignment, and
-    /// restart its pairs from scratch.
-    fn reset_client(&mut self, client: ClientId) {
-        if let Some(entry) = self.clients.get_mut(&client) {
+    /// Reset the window of the client in `slot` after a drift re-estimation
+    /// (old residuals described the previous regime) without losing index
+    /// alignment, and restart its pairs from scratch.
+    fn reset_client(&mut self, slot: ClientSlot) {
+        if let Some(Some(entry)) = self.windows.get_mut(slot.idx()) {
             entry.window.clear();
             entry.since_check = 0;
         }
-        self.pairs.retain(|&(a, b), _| a != client && b != client);
+        self.pairs.retain(|&(a, b), _| a != slot && b != slot);
     }
 }
 
@@ -758,7 +761,7 @@ impl ArrivalObserver {
                     reregister.push((client, learned));
                     trust.acknowledge_reestimate();
                     // Pair evidence from before would mix two regimes.
-                    self.collusion.reset_client(client);
+                    self.collusion.reset_client(slot);
                     stats.reestimations += 1;
                 }
             }
@@ -771,24 +774,26 @@ impl ArrivalObserver {
         if trust.level == TrustLevel::Quarantined {
             return reregister;
         }
-        let report = self.collusion.observe(client, residual, &cfg);
+        let mut report = self.collusion.observe(slot, residual, &cfg);
         if report.checked {
             stats.collusion_checks += 1;
             stats.peak_collusion_score = stats.peak_collusion_score.max(report.peak_score);
         }
         // A confirmed pair goes onto the marginal path's fallback, so its
         // co-moving timestamps stop steering the order with tight margins.
-        for flagged in report.flagged {
-            let at = registry
-                .slot_of(flagged)
-                .expect("only registered clients are tracked");
+        // The re-registrations go in ascending `ClientId` order.
+        report
+            .flagged
+            .sort_unstable_by_key(|&at| registry.client_at(at));
+        for at in report.flagged {
             let trust = &mut self.slots[at.idx()].trust;
             if trust.level == TrustLevel::Quarantined {
                 continue;
             }
             trust.level = TrustLevel::Quarantined;
-            self.collusion.remove(flagged);
-            reregister.push((flagged, trust.fallback(registry.distribution_at(at))));
+            self.collusion.remove(at);
+            let fallback = trust.fallback(registry.distribution_at(at));
+            reregister.push((registry.client_at(at), fallback));
             stats.quarantines += 1;
             stats.collusion_quarantines += 1;
         }
@@ -1022,7 +1027,7 @@ mod tests {
         let shared = OffsetDistribution::gaussian(0.0, 3.0);
         let own = OffsetDistribution::gaussian(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(31);
-        let (a, b) = (ClientId(0), ClientId(1));
+        let (a, b) = (ClientSlot(0), ClientSlot(1));
         let mut first_scorable = None;
         let mut flagged_at = None;
         let mut checks = 0u64;
@@ -1068,8 +1073,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..150 {
                 for c in 0..4 {
-                    let report =
-                        tracker.observe(ClientId(c), gaussian.sample(&mut rng), &cfg);
+                    let report = tracker.observe(ClientSlot(c), gaussian.sample(&mut rng), &cfg);
                     assert!(
                         report.flagged.is_empty(),
                         "honest flag at seed {seed}: {report:?}"
@@ -1083,20 +1087,57 @@ mod tests {
     fn removal_and_reset_drop_pair_evidence() {
         let cfg = collusion_cfg().with_check_interval(1).with_collusion_min_pairs(4);
         let mut tracker = CollusionTracker::new();
-        let (a, b) = (ClientId(0), ClientId(1));
+        let (a, b) = (ClientSlot(0), ClientSlot(1));
         for i in 0..6 {
             let v = i as f64;
             tracker.observe(a, v, &cfg);
             tracker.observe(b, v, &cfg);
         }
-        assert_eq!(tracker.clients.len(), 2);
+        assert_eq!(tracker.windows.iter().flatten().count(), 2);
         tracker.reset_client(a);
         // Pairs restart: the next observation cannot be scored against the
         // dropped evidence.
         let report = tracker.observe(a, 6.0, &cfg);
         assert!(report.flagged.is_empty());
         tracker.remove(b);
-        assert_eq!(tracker.clients.len(), 1);
+        assert_eq!(tracker.windows.iter().flatten().count(), 1);
+    }
+
+    /// Two perfectly co-moving clients registered in descending id order
+    /// (client 5 holds slot 0, client 2 slot 1): the arrival that confirms
+    /// the pair asks for both re-registrations in ascending `ClientId`
+    /// order, whatever the slot order.
+    #[test]
+    fn confirmed_pair_reregisters_in_ascending_client_id_order() {
+        let mut registry = DistributionRegistry::new();
+        let claim = OffsetDistribution::gaussian(0.0, 1.0);
+        let (high, low) = (ClientId(5), ClientId(2));
+        registry.register(high, claim.clone());
+        registry.register(low, claim.clone());
+        let mut observer = ArrivalObserver::new(DefenseConfig::enabled());
+        observer.cover(registry.len());
+        let mut stats = OnlineStats::default();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut id = 0;
+        for k in 0..200 {
+            // Both clients forge the same in-distribution offset each round.
+            let offset = claim.sample(&mut rng);
+            for client in [high, low] {
+                let slot = registry.slot_of(client).unwrap();
+                let arrival = 10.0 * k as f64;
+                let message = Message::new(crate::message::MessageId(id), client, arrival + offset);
+                id += 1;
+                let reregister =
+                    observer.arrival(slot, &message, arrival, arrival, &registry, &mut stats);
+                if stats.collusion_quarantines > 0 {
+                    let ids: Vec<ClientId> = reregister.iter().map(|&(c, _)| c).collect();
+                    assert_eq!(ids, vec![low, high]);
+                    assert_eq!(stats.collusion_quarantines, 2);
+                    return;
+                }
+            }
+        }
+        panic!("the co-moving pair was never confirmed");
     }
 
     #[test]
@@ -1105,8 +1146,8 @@ mod tests {
         let mut tracker = CollusionTracker::new();
         let mut last = CollusionReport::default();
         for _ in 0..10 {
-            tracker.observe(ClientId(0), 1.0, &cfg);
-            last = tracker.observe(ClientId(1), 1.0, &cfg);
+            tracker.observe(ClientSlot(0), 1.0, &cfg);
+            last = tracker.observe(ClientSlot(1), 1.0, &cfg);
         }
         assert!(last.checked);
         assert_eq!(last.peak_score, 0.0);

@@ -12,7 +12,10 @@
 //! derived from them and the query counter — and nothing about how they
 //! behave: what the sequencer observes of each client lives in the online
 //! shell's observer ([`crate::defense`]), indexed by the same slots, so
-//! [`register`](DistributionRegistry::register) has no state to spare.
+//! [`register`](DistributionRegistry::register) has no state to spare. Its
+//! client table is the only `ClientId → slot` table: the watermark tracker,
+//! the observer and the engines take the slots it hands out and size
+//! themselves to it.
 //!
 //! ## Sign convention
 //!
@@ -69,7 +72,7 @@ use tommy_stats::gaussian::Gaussian;
 /// Dense index of a registered client: assigned at first registration, in
 /// registration order, never reused. The sequencer shell resolves it once
 /// per event and indexes every per-client table by it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct ClientSlot(pub(crate) u32);
 
 impl ClientSlot {
@@ -317,6 +320,11 @@ impl DistributionRegistry {
     pub(crate) fn slot_of(&self, client: ClientId) -> Result<ClientSlot, CoreError> {
         let slot = self.slots.get(&client).copied();
         slot.ok_or(CoreError::UnknownClient(client))
+    }
+
+    /// The client that holds `slot`.
+    pub(crate) fn client_at(&self, slot: ClientSlot) -> ClientId {
+        self.entries[slot.idx()].client
     }
 
     /// The distribution the client in `slot` has registered now.

@@ -57,7 +57,7 @@
 use crate::batching::{FairOrder, FairOrderCounters, IncrementalFairOrder};
 use crate::config::SequencerConfig;
 use crate::error::CoreError;
-use crate::message::{ClientId, Message, MessageId};
+use crate::message::{Message, MessageId};
 use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::offline::SequencingOutcome;
@@ -162,12 +162,12 @@ impl DenseEngine {
         self.matrix.messages().to_vec()
     }
 
-    /// Whether any pending message belongs to `client`: pairwise
-    /// probabilities only change on a re-registration if it does, and a
-    /// re-derivation over an unaffected pending set would be O(n²) queries
-    /// of pure waste.
-    pub(crate) fn contains_client(&self, client: ClientId) -> bool {
-        self.matrix.messages().iter().any(|m| m.client == client)
+    /// Whether any pending message belongs to the client in `slot`:
+    /// pairwise probabilities only change on a re-registration if it does,
+    /// and a re-derivation over an unaffected pending set would be O(n²)
+    /// queries of pure waste.
+    pub(crate) fn contains_slot(&self, slot: ClientSlot) -> bool {
+        (0..self.matrix.len()).any(|i| self.matrix.slot(i) == Some(slot))
     }
 
     /// The smallest margin-adjusted key `timestamp − μ_client` among the
@@ -403,6 +403,7 @@ impl DenseEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::ClientId;
     use crate::tournament::Tournament;
     use rand::Rng;
     use tommy_stats::distribution::OffsetDistribution;

@@ -18,8 +18,8 @@
 //!   `sharded` share, so one driver (the sim runner, the differential
 //!   oracle, the model checker's replay in `tommy_contract`) serves both.
 //! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
-//! * [`watermark`] — per-client completeness tracking via messages and
-//!   heartbeats over ordered channels.
+//! * `watermark` (private) — per-client completeness tracking via messages
+//!   and heartbeats over ordered channels, indexed by registry slot.
 //! * `dense` (private) — the dense engine: the pairwise matrix and the §3.4
 //!   pipeline tail over it — linear order
 //!   ([`crate::tournament::IncrementalTournament`]) → fair order (threshold
@@ -42,11 +42,10 @@ pub mod online;
 pub mod sharded;
 mod sparse;
 pub mod stream;
-pub mod watermark;
+mod watermark;
 
 pub use emission::{batch_emission_time, safe_emission_time};
 pub use offline::{SequencingOutcome, TommySequencer};
 pub use online::{CandidateStatus, EmittedBatch, OnlineSequencer, OnlineStats};
 pub use sharded::ShardedSequencer;
 pub use stream::{register_all, StreamEngine};
-pub use watermark::WatermarkTracker;

@@ -64,8 +64,12 @@
 //! ## Shell cost model
 //!
 //! * The shell's own cost does not grow with the client count: an event
-//!   resolves its client to a dense slot once and indexes every per-client
-//!   table by it, and the watermark is a winner tree ([`WatermarkTracker`]).
+//!   resolves its client to a dense slot once, through the registry (the
+//!   only `ClientId` table), and indexes every per-client table by it; the
+//!   watermark is a winner tree over those slots (`sequencer::watermark`).
+//! * Message ids have one table too, the shell's `ids` map: a duplicate
+//!   check is one `entry()` on it, and emission drops the id unless
+//!   [`SequencerConfig::retain_history`] keeps it for the same check.
 //! * The observers read and write one per-slot record; with the defense off
 //!   an arrival costs them one `max` and one running-mean update.
 //! * The per-arrival fairness-violation check against the last emitted batch
@@ -76,7 +80,7 @@
 //!   instead of one probability query per emitted message, one entry per
 //!   distinct client of that batch, not one per message.
 
-use crate::batching::{FairOrder, FairOrderCounters};
+use crate::batching::FairOrderCounters;
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::defense::{ArrivalObserver, TrustLevel};
 use crate::error::CoreError;
@@ -313,15 +317,15 @@ pub struct OnlineSequencer {
     sparse: SparseEngine,
     /// Which engine owns the pending set (census-driven, see module docs).
     mode: EngineMode,
-    /// Arrival time per pending message: duplicate detection and latency
-    /// accounting in one map (`emitted_order` remembers retained history).
-    pending: HashMap<MessageId, f64>,
+    /// Arrival time per accepted message id: the one duplicate check, and
+    /// the latency accounting at emission, which drops the id unless
+    /// [`SequencerConfig::retain_history`] keeps it.
+    ids: HashMap<MessageId, f64>,
     /// `Φ⁻¹(1 − threshold)`: the constant of every Gaussian violation margin.
     violation_z: f64,
     /// Output buffer: batches emitted and not yet drained via
     /// [`take_emitted`](Self::take_emitted).
     emitted: Vec<EmittedBatch>,
-    emitted_order: FairOrder,
     /// One `(client slot, largest timestamp)` entry per distinct client of
     /// the most recently emitted batch — all the margin-based violation
     /// check needs (see [`emit_candidate`](Self::emit_candidate)), so
@@ -349,14 +353,13 @@ impl OnlineSequencer {
         OnlineSequencer {
             config,
             registry: DistributionRegistry::from_config(&config),
-            watermarks: WatermarkTracker::new(&[]),
+            watermarks: WatermarkTracker::default(),
             dense: DenseEngine::new(config, 0),
             sparse: SparseEngine::new(config.threshold, config.p_safe),
             mode,
-            pending: HashMap::new(),
+            ids: HashMap::new(),
             violation_z: std_normal_inv_cdf(1.0 - config.threshold),
             emitted: Vec::new(),
-            emitted_order: FairOrder::default(),
             last_emitted: Vec::new(),
             violation_bound: f64::NEG_INFINITY,
             observer: ArrivalObserver::new(config.defense),
@@ -387,11 +390,11 @@ impl OnlineSequencer {
         if let Some(gaussian) = distribution.as_gaussian() {
             self.sparse.observe_sigma(gaussian.std_dev());
         }
-        // Registry, tracker and observer all number clients in
-        // first-registration order and are only fed from here, so their
-        // slots coincide.
+        // Only the registry numbers clients; the tracker and the observer
+        // size themselves to it and are indexed by its slots.
         self.registry.register(client, distribution);
-        self.watermarks.add_client(client);
+        let slot = self.registry.slot_of(client).expect("just registered");
+        self.watermarks.cover(self.registry.len());
         self.observer.cover(self.registry.len());
         // The margins the scan reads are live, so the bound must follow
         // a re-registered client of the last batch.
@@ -406,7 +409,7 @@ impl OnlineSequencer {
         // Same engine: the client's pairwise probabilities (and, sparse, its
         // keys) only matter if it has pending messages; re-deriving an
         // unaffected pending set would be pure waste.
-        if want != self.mode || engine!(self.contains_client(client)) {
+        if want != self.mode || engine!(self.contains_slot(slot)) {
             let pending = engine!(self.messages_in_arrival_order());
             if want != self.mode {
                 engine!(self.clear_pending());
@@ -435,9 +438,12 @@ impl OnlineSequencer {
 
     /// Mark a client as failed: it stops constraining watermarks so the
     /// sequencer stays live (the trade-off §3.5 discusses). The candidate
-    /// batch is unaffected — only the emission condition changes.
+    /// batch is unaffected — only the emission condition changes. An
+    /// unknown client is ignored.
     pub fn retire_client(&mut self, client: ClientId) {
-        self.watermarks.retire(client);
+        if let Ok(slot) = self.registry.slot_of(client) {
+            self.watermarks.retire_at(slot);
+        }
     }
 
     /// The least margin-adjusted key `timestamp − μ_client` that any message
@@ -496,18 +502,12 @@ impl OnlineSequencer {
         std::mem::take(&mut self.emitted)
     }
 
-    /// The emitted batches as a [`FairOrder`] (for metric computation).
-    /// Empty when the sequencer was configured with
-    /// [`SequencerConfig::with_retain_history`]`(false)`.
-    pub fn emitted_order(&self) -> &FairOrder {
-        &self.emitted_order
-    }
-
     /// Number of message ids currently tracked for duplicate detection.
-    /// With [`SequencerConfig::retain_history`] unset this stays bounded by
-    /// the pending set; with it set (the default) it grows with the stream.
+    /// With [`SequencerConfig::retain_history`] unset this is the pending
+    /// set; with it set (the default) emitted ids stay and it grows with the
+    /// stream.
     pub fn tracked_ids(&self) -> usize {
-        self.pending.len() + self.emitted_order.num_messages()
+        self.ids.len()
     }
 
     /// The sequencer's distribution registry (read-only). Exposes the
@@ -642,12 +642,10 @@ impl OnlineSequencer {
         arrival_time: f64,
     ) -> Result<Vec<EmittedBatch>, CoreError> {
         let slot = self.registry.slot_of(message.client)?;
-        let emitted = self.emitted_order.rank_of(message.id).is_some();
-        let pending = match self.pending.entry(message.id) {
-            Entry::Vacant(pending) if !emitted => pending,
-            _ => return Err(CoreError::DuplicateMessage(message.id)),
+        let Entry::Vacant(fresh) = self.ids.entry(message.id) else {
+            return Err(CoreError::DuplicateMessage(message.id));
         };
-        // (`advance_clock`, spelled out because `pending` borrows the map.)
+        // (`advance_clock`, spelled out because `fresh` borrows the map.)
         if arrival_time > self.now {
             self.now = arrival_time;
         }
@@ -662,8 +660,8 @@ impl OnlineSequencer {
         }
         // The last check (backwards) and, only if it passes, the first
         // mutation.
-        self.watermarks.observe_at(slot, message.timestamp)?;
-        pending.insert(arrival_time);
+        self.watermarks.observe_at(slot, message.client, message.timestamp)?;
+        fresh.insert(arrival_time);
 
         // Observers: what watches the arrival without ordering it. A
         // quarantine or re-estimation comes back as a re-registration, which
@@ -694,7 +692,14 @@ impl OnlineSequencer {
             self.stats.fairness_violations += 1;
         }
 
-        engine!(self.insert(message, slot, &self.registry))?;
+        let id = message.id;
+        if let Err(err) = engine!(self.insert(message, slot, &self.registry)) {
+            // A refused insert takes its id back out, so a retry is judged
+            // on its own; the arrival's watermark and observer effects stay
+            // (an open row of ROADMAP item D's hostile-input table).
+            self.ids.remove(&id);
+            return Err(err);
+        }
         self.stats.max_pending = self.stats.max_pending.max(self.pending_len());
         self.record_memory_peaks();
         Ok(self.try_emit())
@@ -796,7 +801,7 @@ impl OnlineSequencer {
     ) -> Result<Vec<EmittedBatch>, CoreError> {
         let slot = self.registry.slot_of(client)?;
         self.advance_clock(arrival_time);
-        self.watermarks.observe_at(slot, timestamp)?;
+        self.watermarks.observe_at(slot, client, timestamp)?;
         self.observer.heard(slot, self.now);
         self.rejoin(slot);
         Ok(self.try_emit())
@@ -855,21 +860,21 @@ impl OnlineSequencer {
             same
         });
         self.refresh_violation_bound();
-        let ids: Vec<MessageId> = batch_msgs.iter().map(|m| m.id).collect();
-        // Account emission latency and drop from the pending set.
-        for id in &ids {
-            if let Some(arrived_at) = self.pending.remove(id) {
+        // Account emission latency. Bounded-memory mode stops tracking
+        // emitted ids here; duplicates of old messages are rejected by
+        // watermark monotonicity instead.
+        for message in &batch_msgs {
+            let arrived_at = match self.config.retain_history {
+                true => self.ids.get(&message.id).copied(),
+                false => self.ids.remove(&message.id),
+            };
+            if let Some(arrived_at) = arrived_at {
                 self.stats.total_emission_latency += (self.now - arrived_at).max(0.0);
             }
         }
         engine!(self.commit_removal(&self.registry));
 
         let rank = self.stats.batches_emitted;
-        // Bounded-memory mode stops tracking emitted ids here; duplicates of
-        // old messages are rejected by watermark monotonicity instead.
-        if self.config.retain_history {
-            self.emitted_order.push_batch(ids);
-        }
         self.stats.batches_emitted += 1;
         self.stats.messages_emitted += batch_msgs.len();
         // The one remaining clone of the message vector is the copy handed
@@ -918,6 +923,7 @@ impl OnlineSequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batching::FairOrder;
 
     fn msg(id: u64, client: u32, ts: f64) -> Message {
         Message::new(MessageId(id), ClientId(client), ts)
@@ -929,6 +935,12 @@ mod tests {
             seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, sigma));
         }
         seq
+    }
+
+    /// The run's emitted batches (all of them while none was drained) as a
+    /// [`FairOrder`].
+    fn order_of(seq: &OnlineSequencer) -> FairOrder {
+        FairOrder::from_groups(seq.emitted().iter().map(EmittedBatch::message_ids).collect())
     }
 
     fn dense_sequencer(clients: &[(u32, f64)]) -> OnlineSequencer {
@@ -1124,7 +1136,7 @@ mod tests {
         all_emitted.extend(seq.heartbeat(ClientId(0), 20_000.0, 20_000.0).unwrap());
         all_emitted.extend(seq.heartbeat(ClientId(1), 20_000.0, 20_000.0).unwrap());
 
-        let order = seq.emitted_order();
+        let order = order_of(&seq);
         assert_eq!(order.num_messages(), 10);
         // Ranks must follow generation order for well separated messages.
         for i in 0..9u64 {
@@ -1160,7 +1172,7 @@ mod tests {
         let total: usize = emitted.iter().map(|b| b.messages.len()).sum();
         assert_eq!(total, 3);
         assert_eq!(emitted.len(), 1, "expected one merged batch");
-        assert_eq!(seq.emitted_order().num_batches(), 1);
+        assert_eq!(order_of(&seq).num_batches(), 1);
     }
 
     #[test]
@@ -1235,6 +1247,74 @@ mod tests {
         }
     }
 
+    /// A dense insert that fails (here σ = 1e200 and timestamps ±1e308: `dt`
+    /// overflows to ∞, and so does the combined spread, so the kernel
+    /// argument is ∞/∞ = NaN) leaves its id untracked: a retry of the same
+    /// message is refused for the NaN again, not as a duplicate.
+    #[test]
+    fn rejected_engine_insert_leaves_no_id_behind() {
+        let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        let mut seq = OnlineSequencer::new(config);
+        for c in 0..2 {
+            seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 1e200));
+        }
+        seq.submit(msg(0, 0, -1e308), 0.0).unwrap();
+        let nan = CoreError::InvalidProbability {
+            left: MessageId(0),
+            right: MessageId(1),
+        };
+        assert_eq!(seq.submit(msg(1, 1, 1e308), 1.0), Err(nan.clone()));
+        assert_eq!(seq.tracked_ids(), seq.pending_len());
+        assert_eq!(seq.submit(msg(1, 1, 1e308), 2.0), Err(nan));
+        assert_eq!((seq.tracked_ids(), seq.pending_len()), (1, 1));
+    }
+
+    /// Clients registered out of id order (7 gets the first slot, 3 the
+    /// second): a rejected timestamp names the client that sent it, in both
+    /// modes.
+    #[test]
+    fn timestamp_errors_name_their_client_when_slots_differ_from_ids() {
+        let clients = [(7, 1.0), (3, 1.0)];
+        for mut seq in [sequencer(&clients), dense_sequencer(&clients)] {
+            let err = seq.heartbeat(ClientId(3), f64::NAN, 1.0).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidTimestamp {
+                        client: ClientId(3),
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            seq.submit(msg(0, 7, 10.0), 10.0).unwrap();
+            let err = seq.submit(msg(1, 7, 5.0), 11.0).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::NonMonotoneTimestamp {
+                        client: ClientId(7),
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
+    }
+
+    /// Retiring an unknown client changes nothing; retiring a known one
+    /// stops it blocking the watermark (slots again out of id order).
+    #[test]
+    fn retire_client_ignores_unknown_clients_and_unblocks_known_ones() {
+        let mut seq = sequencer(&[(7, 1.0), (3, 1.0)]);
+        seq.submit(msg(0, 7, 100.0), 100.0).unwrap();
+        seq.heartbeat(ClientId(7), 500.0, 500.0).unwrap();
+        seq.retire_client(ClientId(9));
+        assert!(seq.tick(1_000.0).is_empty(), "client 3 still blocks");
+        seq.retire_client(ClientId(3));
+        assert_eq!(seq.tick(1_001.0).len(), 1);
+    }
+
     /// A NaN heartbeat is refused and does not disarm the client's
     /// monotonicity check.
     #[test]
@@ -1270,7 +1350,7 @@ mod tests {
         let emitted = seq.flush();
         assert!(!emitted.is_empty());
         assert_eq!(seq.pending_len(), 0);
-        assert_eq!(seq.emitted_order().num_messages(), 6);
+        assert_eq!(order_of(&seq).num_messages(), 6);
     }
 
     #[test]
@@ -1420,9 +1500,9 @@ mod tests {
         let drained = seq.take_emitted();
         assert_eq!(drained.len(), 1);
         assert!(seq.emitted().is_empty());
-        // Stats and order are unaffected by draining.
+        // Stats and the retained ids are unaffected by draining.
         assert_eq!(seq.stats().batches_emitted, 1);
-        assert_eq!(seq.emitted_order().num_messages(), 1);
+        assert_eq!(seq.tracked_ids(), 1);
 
         // Ranks keep increasing across drains.
         seq.submit(msg(1, 0, 300.0), 300.0).unwrap();
@@ -1448,10 +1528,9 @@ mod tests {
             seq.tick(ts + 99.0);
             seq.take_emitted();
             // Everything emitted so far was dropped from every internal
-            // container: ids, order, output buffer.
-            assert!(seq.tracked_ids() <= seq.pending_len() + 1);
+            // container: ids, output buffer.
+            assert_eq!(seq.tracked_ids(), seq.pending_len());
             assert!(seq.emitted().is_empty());
-            assert_eq!(seq.emitted_order().num_messages(), 0);
         }
         assert_eq!(seq.stats().messages_emitted, 20);
     }

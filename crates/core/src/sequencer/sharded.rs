@@ -28,7 +28,9 @@
 //! watermark, `latest observed timestamp − μ` (`−∞` until the client is
 //! first heard from — the cross-shard restatement of §3.5's completeness
 //! rule) — and (b) the keys of its staged (emitted-but-unreleased) batches.
-//! The combiner keeps no copy of client or key state: it *asks* the shell,
+//! The combiner keeps no copy of client or key state beyond its routing
+//! table (`ClientId → shard`) and its cross-shard duplicate set, and no
+//! released-order history: it *asks* the shell,
 //! so a client the shell retired, suspended (liveness eviction) or
 //! re-registered (defense quarantine, re-estimation) is seen as the shell
 //! sees it. A shell's own gate runs only on its shard's events, so with
@@ -68,7 +70,6 @@
 //! `shard_imbalance` (peak spread between the most- and least-loaded
 //! shards' routed message counts).
 
-use crate::batching::FairOrder;
 use crate::config::{resolve_shards, SequencerConfig};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
@@ -252,9 +253,6 @@ pub struct ShardedSequencer {
     seen_ids: HashSet<MessageId>,
     /// Released batches not yet drained via [`take_emitted`](Self::take_emitted).
     released: Vec<EmittedBatch>,
-    /// Released batch groups (for [`emitted_order`](Self::emitted_order));
-    /// only kept under [`SequencerConfig::retain_history`].
-    released_groups: Vec<Vec<MessageId>>,
     global_rank: usize,
     released_messages: usize,
     max_pending: usize,
@@ -276,7 +274,6 @@ impl ShardedSequencer {
             next_shard: 0,
             seen_ids: HashSet::new(),
             released: Vec::new(),
-            released_groups: Vec::new(),
             global_rank: 0,
             released_messages: 0,
             max_pending: 0,
@@ -443,9 +440,7 @@ impl ShardedSequencer {
     fn record_released(&mut self, released: &[EmittedBatch]) {
         for batch in released {
             self.released_messages += batch.messages.len();
-            if self.config.retain_history {
-                self.released_groups.push(batch.message_ids());
-            } else {
+            if !self.config.retain_history {
                 // Bounded-memory mode, as on the single engine: a duplicate
                 // of a released message is left to watermark monotonicity.
                 for message in &batch.messages {
@@ -657,14 +652,6 @@ impl ShardedSequencer {
     /// Drain the released-batch buffer.
     pub fn take_emitted(&mut self) -> Vec<EmittedBatch> {
         std::mem::take(&mut self.released)
-    }
-
-    /// The global released order as a [`FairOrder`] (for RAS computation).
-    /// Empty under [`SequencerConfig::with_retain_history`]`(false)`.
-    /// Unlike [`OnlineSequencer::emitted_order`] this is built on demand —
-    /// the combiner does not maintain a rank index on the hot path.
-    pub fn emitted_order(&self) -> FairOrder {
-        FairOrder::from_groups(self.released_groups.clone())
     }
 
     /// Inner-sequencer rejections surfaced by queue processing (unknown

@@ -300,10 +300,10 @@ impl SparseEngine {
         with_seq.into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Whether any pending message belongs to `client` (drives the
-    /// re-registration re-key decision, mirroring the dense scan).
-    pub(crate) fn contains_client(&self, client: crate::message::ClientId) -> bool {
-        self.in_order().any(|n| n.message.client == client)
+    /// Whether any pending message belongs to the client in `slot` (drives
+    /// the re-registration re-key decision, mirroring the dense scan).
+    pub(crate) fn contains_slot(&self, slot: ClientSlot) -> bool {
+        self.in_order().any(|n| n.client == slot)
     }
 
     /// `(message id, starts_batch)` in maintained (key) order: the §3.4

@@ -7,6 +7,11 @@
 //! every client. [`WatermarkTracker`] maintains the per-client high-water
 //! marks and exposes the global watermark (the minimum across clients).
 //!
+//! The client set is the registry's: the tracker is indexed by the
+//! `ClientSlot` the registry resolves and grows with it
+//! ([`cover`](WatermarkTracker::cover)); it never sees a `ClientId` except
+//! to name one in an error.
+//!
 //! The paper also notes the liveness cost of this design: "a failed client
 //! may halt the sequencer from emitting any messages". The tracker therefore
 //! supports explicitly retiring a client, which is how a deployment would
@@ -19,21 +24,15 @@
 use crate::error::CoreError;
 use crate::message::ClientId;
 use crate::registry::ClientSlot;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
-/// Tracks the largest timestamp observed from every known client.
+/// Tracks the largest timestamp observed from every registered client.
 ///
-/// Clients sit in dense slots (in the order added) under a winner (min)
-/// tree. A leaf holds its client's latest timestamp, `−∞` while the client
-/// is active but unheard and `+∞` once it is retired or suspended, so an
-/// observation refreshes one root path and every query is O(1).
-#[derive(Debug, Clone)]
-pub struct WatermarkTracker {
-    /// For the `ClientId`-keyed methods; the online shell calls the `_at`
-    /// forms with the registry's (identical) slots.
-    index: HashMap<ClientId, ClientSlot>,
-    clients: Vec<ClientId>,
+/// Clients sit in their registry slots under a winner (min) tree. A leaf
+/// holds its client's latest timestamp, `−∞` while the client is active but
+/// unheard and `+∞` once it is retired or suspended, so an observation
+/// refreshes one root path and every query is O(1).
+#[derive(Debug)]
+pub(crate) struct WatermarkTracker {
     latest: Vec<Option<f64>>,
     retired: Vec<bool>,
     suspended: Vec<bool>,
@@ -45,56 +44,47 @@ pub struct WatermarkTracker {
     unheard_active: usize,
 }
 
-impl WatermarkTracker {
-    /// Create a tracker for a fixed, known set of clients.
-    pub fn new(clients: &[ClientId]) -> Self {
-        let mut tracker = WatermarkTracker {
-            index: HashMap::new(),
-            clients: Vec::new(),
+impl Default for WatermarkTracker {
+    fn default() -> Self {
+        WatermarkTracker {
             latest: Vec::new(),
             retired: Vec::new(),
             suspended: Vec::new(),
             tree: vec![f64::INFINITY; 2],
             active: 0,
             unheard_active: 0,
-        };
-        clients.iter().for_each(|&c| tracker.add_client(c));
-        tracker
-    }
-
-    /// Add a client after construction (e.g. late registration).
-    pub fn add_client(&mut self, client: ClientId) {
-        let slot = self.clients.len();
-        let Entry::Vacant(vacant) = self.index.entry(client) else {
-            return;
-        };
-        vacant.insert(ClientSlot(slot as u32));
-        self.clients.push(client);
-        self.latest.push(None);
-        self.retired.push(false);
-        self.suspended.push(false);
-        self.active += 1;
-        self.unheard_active += 1;
-        let cap = self.tree.len() / 2;
-        if slot < cap {
-            return self.refresh(slot);
-        }
-        // Full: double the leaf row and rebuild once (amortised O(1)).
-        self.tree = vec![f64::INFINITY; 4 * cap];
-        for s in 0..=slot {
-            self.tree[2 * cap + s] = self.leaf(s);
-        }
-        for i in (1..2 * cap).rev() {
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
         }
     }
+}
 
-    fn slot_of(&self, client: ClientId) -> Option<ClientSlot> {
-        self.index.get(&client).copied()
+impl WatermarkTracker {
+    /// Give every slot below `clients` a leaf; a new one starts active and
+    /// unheard, an existing one is kept.
+    pub(crate) fn cover(&mut self, clients: usize) {
+        for slot in self.latest.len()..clients {
+            self.latest.push(None);
+            self.retired.push(false);
+            self.suspended.push(false);
+            self.active += 1;
+            self.unheard_active += 1;
+            let cap = self.tree.len() / 2;
+            if slot < cap {
+                self.refresh(slot);
+                continue;
+            }
+            // Full: double the leaf row and rebuild once (amortised O(1)).
+            self.tree = vec![f64::INFINITY; 4 * cap];
+            for s in 0..=slot {
+                self.tree[2 * cap + s] = self.leaf(s);
+            }
+            for i in (1..2 * cap).rev() {
+                self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            }
+        }
     }
 
     fn is_active(&self, slot: usize) -> bool {
-        slot < self.clients.len() && !self.retired[slot] && !self.suspended[slot]
+        slot < self.latest.len() && !self.retired[slot] && !self.suspended[slot]
     }
 
     fn leaf(&self, slot: usize) -> f64 {
@@ -134,17 +124,16 @@ impl WatermarkTracker {
         self.refresh(slot);
     }
 
-    /// Mark a client as failed/left; it no longer constrains the watermark.
-    pub fn retire(&mut self, client: ClientId) {
-        if let Some(slot) = self.slot_of(client) {
-            self.update(slot, |t, s| t.retired[s] = true);
-        }
+    /// Mark the client in `slot` as failed/left; it no longer constrains
+    /// the watermark.
+    pub(crate) fn retire_at(&mut self, slot: ClientSlot) {
+        self.update(slot, |t, s| t.retired[s] = true);
     }
 
     /// Temporarily exclude a client from the watermark (failure suspected:
     /// it has been silent past the staleness deadline), or re-admit it (it
-    /// has been heard from again). Unlike [`retire`](Self::retire) this is
-    /// reversible.
+    /// has been heard from again). Unlike [`retire_at`](Self::retire_at)
+    /// this is reversible.
     pub(crate) fn set_suspended_at(&mut self, slot: ClientSlot, suspended: bool) {
         self.update(slot, |t, s| t.suspended[s] = suspended);
     }
@@ -153,24 +142,23 @@ impl WatermarkTracker {
         self.suspended[slot.idx()]
     }
 
-    /// Observe a message or heartbeat timestamp from a client.
+    /// Observe a message or heartbeat timestamp from `client`, the holder of
+    /// `slot` (named only in the error).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownClient`] for unknown clients,
-    /// [`CoreError::InvalidTimestamp`] for NaN (accepting it would switch the
-    /// client's monotonicity check off: NaN compares false with everything)
-    /// and [`CoreError::NonMonotoneTimestamp`] if the client's timestamps
-    /// move backwards (which would break the completeness argument —
-    /// timestamps on an ordered channel must be non-decreasing). A rejected
-    /// observation changes nothing.
-    pub fn observe(&mut self, client: ClientId, timestamp: f64) -> Result<(), CoreError> {
-        let slot = self.slot_of(client);
-        self.observe_at(slot.ok_or(CoreError::UnknownClient(client))?, timestamp)
-    }
-
-    pub(crate) fn observe_at(&mut self, slot: ClientSlot, observed: f64) -> Result<(), CoreError> {
-        let client = self.clients[slot.idx()];
+    /// Returns [`CoreError::InvalidTimestamp`] for NaN (accepting it would
+    /// switch the client's monotonicity check off: NaN compares false with
+    /// everything) and [`CoreError::NonMonotoneTimestamp`] if the client's
+    /// timestamps move backwards (which would break the completeness
+    /// argument — timestamps on an ordered channel must be non-decreasing).
+    /// A rejected observation changes nothing.
+    pub(crate) fn observe_at(
+        &mut self,
+        slot: ClientSlot,
+        client: ClientId,
+        observed: f64,
+    ) -> Result<(), CoreError> {
         if observed.is_nan() {
             return Err(CoreError::InvalidTimestamp { client, observed });
         }
@@ -185,17 +173,12 @@ impl WatermarkTracker {
         Ok(())
     }
 
-    /// The latest timestamp observed from a client, if any.
-    pub fn latest(&self, client: ClientId) -> Option<f64> {
-        self.latest[self.slot_of(client)?.idx()]
-    }
-
     /// `(slot, latest timestamp)` of every client that still constrains the
     /// watermark (neither retired nor suspended), `−∞` while unheard: what a
     /// cross-shard frontier folds over, since a per-client adjustment keeps
     /// the winner tree's minimum from answering it.
     pub(crate) fn active_floors(&self) -> impl Iterator<Item = (ClientSlot, f64)> + '_ {
-        let active = (0..self.clients.len()).filter(|&slot| self.is_active(slot));
+        let active = (0..self.latest.len()).filter(|&slot| self.is_active(slot));
         active.map(|slot| {
             let latest = self.latest[slot].unwrap_or(f64::NEG_INFINITY);
             (ClientSlot(slot as u32), latest)
@@ -206,14 +189,14 @@ impl WatermarkTracker {
     /// over all non-retired, non-suspended clients. `None` until every
     /// active client has been heard from at least once; `+∞` once none is
     /// active, since no one's messages can still be in flight.
-    pub fn watermark(&self) -> Option<f64> {
+    pub(crate) fn watermark(&self) -> Option<f64> {
         (self.unheard_active == 0).then(|| self.tree[1])
     }
 
     /// Whether the sequencer can be sure every message with timestamp `<= t`
     /// has arrived (Q2 of §3.5): true iff the watermark is strictly greater
     /// than `t`.
-    pub fn is_complete_up_to(&self, t: f64) -> bool {
+    pub(crate) fn is_complete_up_to(&self, t: f64) -> bool {
         self.watermark().is_some_and(|w| w > t)
     }
 
@@ -249,33 +232,26 @@ impl WatermarkTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::registry::DistributionRegistry;
+    use std::collections::{HashMap, HashSet};
+    use tommy_stats::distribution::OffsetDistribution;
 
-    fn clients(n: u32) -> Vec<ClientId> {
-        (0..n).map(ClientId).collect()
+    /// A tracker over clients `0..n`, client `i` in slot `i`.
+    fn tracker(n: usize) -> WatermarkTracker {
+        let mut w = WatermarkTracker::default();
+        w.cover(n);
+        w
     }
 
-    fn is_suspended(w: &WatermarkTracker, client: ClientId) -> bool {
-        w.slot_of(client).is_some_and(|s| w.is_suspended_at(s))
-    }
-
-    /// The slot calls the shell makes, by client id; unknown clients are a
-    /// no-op.
+    /// The slot calls the shell makes, for trackers whose client `i` holds
+    /// slot `i`.
     impl WatermarkTracker {
-        fn suspend(&mut self, client: ClientId) {
-            if let Some(slot) = self.slot_of(client) {
-                self.set_suspended_at(slot, true);
-            }
+        fn observe(&mut self, client: u32, timestamp: f64) -> Result<(), CoreError> {
+            self.observe_at(ClientSlot(client), ClientId(client), timestamp)
         }
 
-        fn resume(&mut self, client: ClientId) {
-            if let Some(slot) = self.slot_of(client) {
-                self.set_suspended_at(slot, false);
-            }
-        }
-
-        fn knows(&self, client: ClientId) -> bool {
-            self.index.contains_key(&client)
+        fn latest_at(&self, slot: ClientSlot) -> Option<f64> {
+            self.latest[slot.idx()]
         }
     }
 
@@ -378,11 +354,11 @@ mod tests {
         known.get(r as usize % known.len().max(1)).copied()
     }
 
-    fn blocking(w: &WatermarkTracker, horizon: f64) -> Vec<ClientId> {
+    fn blocking(w: &WatermarkTracker, registry: &DistributionRegistry, horizon: f64) -> Vec<ClientId> {
         let mut out = Vec::new();
         let mut next = w.next_blocking(horizon, 0);
         while let Some(slot) = next {
-            out.push(w.clients[slot.idx()]);
+            out.push(registry.client_at(slot));
             next = w.next_blocking(horizon, slot.idx() + 1);
         }
         out.sort();
@@ -402,7 +378,10 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 (state >> 33) % n
             };
-            let mut tree = WatermarkTracker::new(&[]);
+            let mut tree = WatermarkTracker::default();
+            // The shell's arrangement: the registry resolves slots, the
+            // tracker covers them.
+            let mut registry = DistributionRegistry::new();
             let mut scan = ScanTracker::default();
             let mut known: Vec<ClientId> = Vec::new();
             let mut horizons = vec![f64::NEG_INFINITY, f64::INFINITY, 0.0];
@@ -411,22 +390,23 @@ mod tests {
                 let fresh = ClientId((rand(300) * 7919 % 2003) as u32);
                 match (rand(10), pick(&known, rand(300))) {
                     (0..=2, _) | (_, None) => {
-                        tree.add_client(fresh);
+                        registry.register(fresh, OffsetDistribution::gaussian(0.0, 1.0));
+                        tree.cover(registry.len());
                         scan.add_client(fresh);
                         if !known.contains(&fresh) {
                             known.push(fresh);
                         }
                     }
                     (3, Some(c)) => {
-                        tree.retire(c);
+                        tree.retire_at(registry.slot_of(c).unwrap());
                         scan.retire(c);
                     }
                     (4, Some(c)) => {
-                        tree.suspend(c);
+                        tree.set_suspended_at(registry.slot_of(c).unwrap(), true);
                         scan.suspend(c);
                     }
                     (5, Some(c)) => {
-                        tree.resume(c);
+                        tree.set_suspended_at(registry.slot_of(c).unwrap(), false);
                         scan.resume(c);
                     }
                     (_, Some(c)) => {
@@ -439,7 +419,8 @@ mod tests {
                             2 => f64::NEG_INFINITY,
                             r => base + (r as f64 - 8.0) * 0.5,
                         };
-                        let (a, b) = (tree.observe(c, ts), scan.observe(c, ts));
+                        let slot = registry.slot_of(c).unwrap();
+                        let (a, b) = (tree.observe_at(slot, c, ts), scan.observe(c, ts));
                         assert_eq!(
                             a.is_ok(),
                             b.is_ok(),
@@ -467,13 +448,14 @@ mod tests {
                     "seed {seed} step {step} horizon {horizon}"
                 );
                 assert_eq!(
-                    blocking(&tree, horizon),
+                    blocking(&tree, &registry, horizon),
                     scan.blocking(horizon),
                     "seed {seed} step {step} horizon {horizon}"
                 );
                 if let Some(c) = pick(&known, rand(300)) {
-                    assert_eq!(tree.latest(c), scan.latest(c));
-                    assert_eq!(is_suspended(&tree, c), scan.suspended.contains(&c));
+                    let slot = registry.slot_of(c).unwrap();
+                    assert_eq!(tree.latest_at(slot), scan.latest(c));
+                    assert_eq!(tree.is_suspended_at(slot), scan.suspended.contains(&c));
                 }
             }
             assert!(
@@ -486,9 +468,9 @@ mod tests {
 
     #[test]
     fn nan_is_rejected_and_leaves_the_monotonicity_check_armed() {
-        let mut w = WatermarkTracker::new(&clients(1));
-        w.observe(ClientId(0), 10.0).unwrap();
-        let err = w.observe(ClientId(0), f64::NAN).unwrap_err();
+        let mut w = tracker(1);
+        w.observe(0, 10.0).unwrap();
+        let err = w.observe(0, f64::NAN).unwrap_err();
         assert!(matches!(
             err,
             CoreError::InvalidTimestamp {
@@ -496,43 +478,70 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(w.latest(ClientId(0)), Some(10.0));
-        let err = w.observe(ClientId(0), 9.0).unwrap_err();
+        assert_eq!(w.latest_at(ClientSlot(0)), Some(10.0));
+        let err = w.observe(0, 9.0).unwrap_err();
         assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
         // Infinite timestamps stay accepted.
-        w.observe(ClientId(0), f64::INFINITY).unwrap();
+        w.observe(0, f64::INFINITY).unwrap();
         assert_eq!(w.watermark(), Some(f64::INFINITY));
-        let mut w = WatermarkTracker::new(&clients(1));
-        w.observe(ClientId(0), f64::NEG_INFINITY).unwrap();
+        let mut w = tracker(1);
+        w.observe(0, f64::NEG_INFINITY).unwrap();
         assert_eq!(w.watermark(), Some(f64::NEG_INFINITY));
         assert!(!w.is_complete_up_to(f64::NEG_INFINITY));
     }
 
+    /// Slots in registration order, ids out of it: client 7 holds slot 0 and
+    /// client 3 slot 1, and each rejection names the client it came from.
+    #[test]
+    fn rejections_name_the_client_when_slots_differ_from_ids() {
+        let mut w = tracker(2);
+        let (seven, three) = (ClientSlot(0), ClientSlot(1));
+        let err = w.observe_at(three, ClientId(3), f64::NAN).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidTimestamp {
+                client: ClientId(3),
+                ..
+            }
+        ));
+        w.observe_at(seven, ClientId(7), 10.0).unwrap();
+        let err = w.observe_at(seven, ClientId(7), 9.0).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::NonMonotoneTimestamp {
+                client: ClientId(7),
+                ..
+            }
+        ));
+        assert_eq!(w.latest_at(seven), Some(10.0));
+        assert_eq!(w.latest_at(three), None);
+    }
+
     #[test]
     fn watermark_requires_all_clients() {
-        let mut w = WatermarkTracker::new(&clients(3));
+        let mut w = tracker(3);
         assert_eq!(w.watermark(), None);
-        w.observe(ClientId(0), 10.0).unwrap();
-        w.observe(ClientId(1), 20.0).unwrap();
+        w.observe(0, 10.0).unwrap();
+        w.observe(1, 20.0).unwrap();
         assert_eq!(w.watermark(), None);
-        w.observe(ClientId(2), 5.0).unwrap();
+        w.observe(2, 5.0).unwrap();
         assert_eq!(w.watermark(), Some(5.0));
     }
 
     #[test]
     fn watermark_is_minimum_of_latest() {
-        let mut w = WatermarkTracker::new(&clients(2));
-        w.observe(ClientId(0), 10.0).unwrap();
-        w.observe(ClientId(1), 3.0).unwrap();
+        let mut w = tracker(2);
+        w.observe(0, 10.0).unwrap();
+        w.observe(1, 3.0).unwrap();
         assert_eq!(w.watermark(), Some(3.0));
-        w.observe(ClientId(1), 30.0).unwrap();
+        w.observe(1, 30.0).unwrap();
         assert_eq!(w.watermark(), Some(10.0));
     }
 
     #[test]
     fn completeness_is_strict() {
-        let mut w = WatermarkTracker::new(&clients(1));
-        w.observe(ClientId(0), 10.0).unwrap();
+        let mut w = tracker(1);
+        w.observe(0, 10.0).unwrap();
         assert!(w.is_complete_up_to(9.999));
         assert!(!w.is_complete_up_to(10.0));
         assert!(!w.is_complete_up_to(11.0));
@@ -540,69 +549,75 @@ mod tests {
 
     #[test]
     fn non_monotone_timestamps_rejected() {
-        let mut w = WatermarkTracker::new(&clients(1));
-        w.observe(ClientId(0), 10.0).unwrap();
-        let err = w.observe(ClientId(0), 9.0).unwrap_err();
+        let mut w = tracker(1);
+        w.observe(0, 10.0).unwrap();
+        let err = w.observe(0, 9.0).unwrap_err();
         assert!(matches!(err, CoreError::NonMonotoneTimestamp { .. }));
         // Equal timestamps are allowed (heartbeat repeats).
-        w.observe(ClientId(0), 10.0).unwrap();
+        w.observe(0, 10.0).unwrap();
     }
 
+    /// An unknown client never reaches the tracker: the registry, which
+    /// the tracker is sized to, refuses to resolve it.
     #[test]
     fn unknown_client_rejected() {
-        let mut w = WatermarkTracker::new(&clients(1));
+        let mut registry = DistributionRegistry::new();
+        registry.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
+        let mut w = tracker(registry.len());
         assert_eq!(
-            w.observe(ClientId(9), 1.0),
+            registry.slot_of(ClientId(9)),
             Err(CoreError::UnknownClient(ClientId(9)))
         );
-        assert!(!w.knows(ClientId(9)));
+        w.observe(0, 1.0).unwrap();
+        assert_eq!(w.watermark(), Some(1.0));
     }
 
     #[test]
     fn retiring_a_silent_client_restores_liveness() {
-        let mut w = WatermarkTracker::new(&clients(3));
-        w.observe(ClientId(0), 100.0).unwrap();
-        w.observe(ClientId(1), 200.0).unwrap();
+        let mut w = tracker(3);
+        w.observe(0, 100.0).unwrap();
+        w.observe(1, 200.0).unwrap();
         // Client 2 never speaks: watermark blocked — the liveness hazard the
         // paper describes.
         assert_eq!(w.watermark(), None);
-        w.retire(ClientId(2));
+        w.retire_at(ClientSlot(2));
         assert_eq!(w.watermark(), Some(100.0));
         assert_eq!(w.active, 2);
     }
 
     #[test]
     fn suspension_is_reversible_retirement() {
-        let mut w = WatermarkTracker::new(&clients(3));
-        w.observe(ClientId(0), 100.0).unwrap();
-        w.observe(ClientId(1), 200.0).unwrap();
+        let mut w = tracker(3);
+        w.observe(0, 100.0).unwrap();
+        w.observe(1, 200.0).unwrap();
         assert_eq!(w.watermark(), None);
         // Suspension unblocks the watermark like retirement…
-        w.suspend(ClientId(2));
-        assert!(is_suspended(&w, ClientId(2)));
+        w.set_suspended_at(ClientSlot(2), true);
+        assert!(w.is_suspended_at(ClientSlot(2)));
         assert_eq!(w.watermark(), Some(100.0));
         assert_eq!(w.active, 2);
         // …but the client can come back.
-        w.resume(ClientId(2));
-        assert!(!is_suspended(&w, ClientId(2)));
+        w.set_suspended_at(ClientSlot(2), false);
+        assert!(!w.is_suspended_at(ClientSlot(2)));
         assert_eq!(w.watermark(), None);
-        w.observe(ClientId(2), 50.0).unwrap();
+        w.observe(2, 50.0).unwrap();
         assert_eq!(w.watermark(), Some(50.0));
         assert_eq!(w.active, 3);
-        // Suspending an unknown client is a no-op.
-        w.suspend(ClientId(99));
-        assert!(!is_suspended(&w, ClientId(99)));
     }
 
     #[test]
     fn late_client_addition() {
-        let mut w = WatermarkTracker::new(&clients(1));
-        w.observe(ClientId(0), 50.0).unwrap();
+        let mut w = tracker(1);
+        w.observe(0, 50.0).unwrap();
         assert_eq!(w.watermark(), Some(50.0));
-        w.add_client(ClientId(1));
+        w.cover(2);
         assert_eq!(w.watermark(), None);
-        w.observe(ClientId(1), 60.0).unwrap();
+        w.observe(1, 60.0).unwrap();
         assert_eq!(w.watermark(), Some(50.0));
-        assert_eq!(w.latest(ClientId(1)), Some(60.0));
+        assert_eq!(w.latest_at(ClientSlot(1)), Some(60.0));
+        // Covering what is covered (a re-registration) keeps every leaf.
+        w.cover(2);
+        assert_eq!(w.watermark(), Some(50.0));
+        assert_eq!(w.active, 2);
     }
 }

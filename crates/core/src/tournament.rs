@@ -68,11 +68,6 @@ impl Tournament {
         self.n == 0
     }
 
-    /// Whether the kept edge between `i` and `j` points `i -> j`.
-    pub fn has_edge(&self, i: usize, j: usize) -> bool {
-        self.adj[i].contains(&j)
-    }
-
     /// Whether the tournament is transitive (equivalently: acyclic).
     ///
     /// Uses the score-sequence characterization: a tournament on `n` nodes is
@@ -281,12 +276,6 @@ impl IncrementalTournament {
     /// Whether the tournament has no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Whether the kept edge between `i` and `j` points `i -> j`.
-    pub fn has_edge(&self, i: usize, j: usize) -> bool {
-        debug_assert!(i != j && i < self.n && j < self.n);
-        self.forward[i * self.stride + j]
     }
 
     /// Total pairwise probability comparisons performed so far (edge
@@ -704,6 +693,21 @@ mod tests {
     use crate::message::{ClientId, Message, MessageId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Whether the kept edge between `i` and `j` points `i -> j`, in both
+    /// tournaments.
+    impl Tournament {
+        fn has_edge(&self, i: usize, j: usize) -> bool {
+            self.adj[i].contains(&j)
+        }
+    }
+
+    impl IncrementalTournament {
+        fn has_edge(&self, i: usize, j: usize) -> bool {
+            debug_assert!(i != j && i < self.n && j < self.n);
+            self.forward[i * self.stride + j]
+        }
+    }
 
     fn msgs(n: usize) -> Vec<Message> {
         (0..n)

@@ -310,11 +310,6 @@ impl FaultInjector {
         self.resolved.is_empty()
     }
 
-    /// The plans and their resolved windows.
-    pub fn plans(&self) -> &[(FaultPlan, FaultWindow)] {
-        &self.resolved
-    }
-
     /// Whether `sender` is crashed at time `t` under any plan.
     pub fn crashed(&self, sender: u32, t: f64) -> bool {
         self.resolved

@@ -69,11 +69,6 @@ impl LinkModel {
         self
     }
 
-    /// The configured loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss_probability
-    }
-
     /// Sample a one-way delay.
     pub fn sample_delay(&self, rng: &mut dyn RngCore) -> f64 {
         self.delay.sample(rng).max(self.min_delay).max(0.0)

@@ -60,11 +60,6 @@ impl RegionTopology {
         self.regions.len() - 1
     }
 
-    /// Region metadata by index.
-    pub fn region(&self, idx: usize) -> &Region {
-        &self.regions[idx]
-    }
-
     /// Set the symmetric one-way latency/jitter between two regions.
     ///
     /// # Panics
@@ -90,13 +85,6 @@ impl RegionTopology {
     /// The region a node is placed in, if any.
     pub fn region_of(&self, node: NodeId) -> Option<usize> {
         self.placement.get(&node).copied()
-    }
-
-    /// All nodes placed in the topology.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.placement.keys().copied().collect();
-        v.sort();
-        v
     }
 
     /// Latency/jitter between two region indices (intra-region values if they
@@ -140,6 +128,15 @@ impl RegionTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RegionTopology {
+        /// All nodes placed in the topology.
+        fn nodes(&self) -> Vec<NodeId> {
+            let mut v: Vec<NodeId> = self.placement.keys().copied().collect();
+            v.sort();
+            v
+        }
+    }
 
     fn two_region_topology() -> RegionTopology {
         let mut t = RegionTopology::new();

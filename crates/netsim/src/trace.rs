@@ -62,16 +62,6 @@ impl DeliveryTrace {
         self.drops.push(drop);
     }
 
-    /// All records in insertion order.
-    pub fn records(&self) -> &[DeliveryRecord] {
-        &self.records
-    }
-
-    /// All drop records in insertion order.
-    pub fn drops(&self) -> &[DropRecord] {
-        &self.drops
-    }
-
     /// Total number of dropped messages.
     pub fn drop_count(&self) -> usize {
         self.drops.len()
@@ -91,6 +81,13 @@ impl DeliveryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeliveryTrace {
+        /// All drop records in insertion order.
+        fn drops(&self) -> &[DropRecord] {
+            &self.drops
+        }
+    }
 
     fn rec(id: u64, sent: f64, delivered: f64) -> DeliveryRecord {
         DeliveryRecord {
