@@ -12,8 +12,14 @@ examples mention a name without running it.
 A `pub fn` must also have a call or path site — `name(`, `.name(`, `name::<`
 or `::name` — other than a `fn name` declaration and outside its own file's
 test module: a field or a plain word of the same name does not keep it
-alive. Both rules match by name, so a finding is checked by hand. Run from
-the repository root; exits 1 with the findings.
+alive. Both rules match by name, so a finding is checked by hand.
+
+Hasher policy: a `HashMap` or `HashSet` anywhere under crates/ whose type
+names a hasher (a third `HashMap` or second `HashSet` type argument), and any
+`with_hasher` / `with_capacity_and_hasher` call, must be on HASHERS. A fixed
+hasher is safe only for keys no client chooses: the registry's client table
+is filled by registration alone, while ids arrive from clients and keep
+SipHash. Run from the repository root; exits 1 with the findings.
 """
 import glob, re, sys
 from collections import Counter
@@ -51,5 +57,44 @@ for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
     dead += [f"{path}: {name}" for name in unnamed]
     dead += [f"{path}: {name} (no call or path site)" for name in FN_DECL.findall(shipped)
              if name not in unnamed and name not in ALLOW and not called(name)]
+
+# (path, the field or binding the map is declared as) -> why a fixed hasher is safe.
+HASHERS = {("crates/core/src/registry.rs", "slots"):
+           "DistributionRegistry::slots: only registration inserts, so no submitter picks its keys"}
+
+TYPED = re.compile(r"(\w+)?\s*:?\s*\b(HashMap|HashSet)\s*(?:::)?\s*<")
+BUILT = re.compile(r"(?:(\w+)\s*(?::[^=]*)?=\s*)?\b(?:HashMap|HashSet)::(?:with_hasher|with_capacity_and_hasher)\b")
+
+def type_args(text, start):
+    """The top-level type arguments of the generic list opening at text[start - 1]."""
+    depth, args = 1, [""]
+    for i in range(start, len(text)):
+        c = text[i]
+        if c in "<([":
+            depth += 1
+        elif c in ">)]" and text[i - 1] != "-":  # `->` closes nothing
+            depth -= 1
+        if depth == 0:
+            break
+        if c == "," and depth == 1:
+            args.append("")
+        else:
+            args[-1] += c
+    return [a for a in args if a.strip()]
+
+hashers = []
+for path in sorted(glob.glob("crates/**/*.rs", recursive=True)):
+    text = COMMENT.sub("", open(path).read())
+    for m in TYPED.finditer(text):
+        keys_and_values = 2 if m.group(2) == "HashMap" else 1
+        args = type_args(text, m.end())
+        if len(args) > keys_and_values and (path, m.group(1)) not in HASHERS:
+            line = text.count("\n", 0, m.start()) + 1
+            hashers.append(f"{path}:{line}: {m.group(2)} with a non-default hasher ({m.group(1) or 'unnamed'})")
+    for m in BUILT.finditer(text):
+        if (path, m.group(1)) not in HASHERS:
+            line = text.count("\n", 0, m.start()) + 1
+            hashers.append(f"{path}:{line}: map built with a hasher ({m.group(1) or 'unnamed'})")
 print("\n".join(dead) or "reachability census: every pub item has a caller")
-sys.exit(1 if dead else 0)
+print("\n".join(hashers) or "hasher policy: only the allowlisted map has a fixed hasher")
+sys.exit(1 if dead or hashers else 0)

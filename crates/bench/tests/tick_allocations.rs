@@ -15,12 +15,17 @@
 //!   that emits nothing, and the `heartbeat` that releases one batch from
 //!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
 //!   one Laplace client) and on the sparse one (all-Gaussian, `Auto`).
+//! * An offline window pays for its output: a 3,000-message closed-form
+//!   window through `TommySequencer::sequence` allocates a pinned count.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tommy_bench::prefilled_sequencer;
 use tommy_core::config::{FastPathMode, SequencerConfig};
 use tommy_core::message::{ClientId, Message, MessageId};
+use tommy_core::sequencer::offline::TommySequencer;
 use tommy_core::sequencer::online::OnlineSequencer;
 use tommy_stats::distribution::OffsetDistribution;
 use tommy_wire::frame::encode_frame;
@@ -185,4 +190,36 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
 fn sparse_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
     let census = std::array::from_fn(|_| OffsetDistribution::gaussian(0.0, 1.0));
     assert_pinned_allocations(SequencerConfig::default(), census, 0, 5);
+}
+
+/// A closed-form window shaped like the benchmark's `offline_batch` (100
+/// clients, σ = 20, one message per unit of time), sequenced once to warm
+/// the engine's reused buffers, then counted on its second call. What is
+/// left is the returned `FairOrder`: the window's one id map (the duplicate
+/// check, then the rank index), the batch vector, and the growth of the
+/// group vectors its 36 batches are cut into.
+#[test]
+fn offline_window_allocates_a_pinned_count() {
+    const N: u64 = 3_000;
+    let mut rng = StdRng::seed_from_u64(0x0FF1);
+    let mut sequencer = TommySequencer::new(SequencerConfig::default());
+    for client in 0..100 {
+        sequencer.register_client(ClientId(client), OffsetDistribution::gaussian(0.0, 20.0));
+    }
+    let window: Vec<Message> = (0..N)
+        .map(|id| {
+            let client = ClientId(rng.random_range(0..100));
+            let noise: f64 = (0..4).map(|_| rng.random_range(-17.0..17.0f64)).sum();
+            Message::new(MessageId(id), client, id as f64 + noise)
+        })
+        .collect();
+    let warm = sequencer.sequence(&window).expect("valid window");
+    let before = ALLOCATIONS.with(Cell::get);
+    let order = sequencer.sequence(&window).expect("valid window");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(order, warm);
+    assert_eq!(order.num_messages() as u64, N);
+    let batches = order.num_batches() as u64;
+    assert_eq!(batches, 36, "batches");
+    assert_eq!(allocations, 187, "allocations");
 }

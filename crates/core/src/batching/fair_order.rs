@@ -6,7 +6,8 @@
 //! boundary set in an engine
 //! ([`crate::batching::incremental::IncrementalFairOrder`], or the sparse
 //! engine's `starts_batch` bits) and materialize a `FairOrder` from that
-//! through [`FairOrder::from_groups`].
+//! through [`FairOrder::from_groups`], or, on the offline sparse path,
+//! through `from_parts` with the window's id map as the rank index.
 
 use crate::message::MessageId;
 use crate::precedence::PrecedenceMatrix;
@@ -70,7 +71,8 @@ impl FairOrder {
     }
 
     /// Build a fair order from explicit groups of message ids (each group is
-    /// one batch, in the given order).
+    /// one batch, in the given order): the rank index is built here, then
+    /// the order is assembled by the one constructor path, `from_parts`.
     ///
     /// Every id must appear in at most one group; the duplicate check
     /// re-hashes each message and is only performed in debug builds (the
@@ -78,21 +80,32 @@ impl FairOrder {
     /// duplicates).
     pub fn from_groups(groups: Vec<Vec<MessageId>>) -> Self {
         let total: usize = groups.iter().map(Vec::len).sum();
-        let mut batches = Vec::with_capacity(groups.len());
         let mut rank_index = HashMap::with_capacity(total);
-        for (rank, messages) in groups.into_iter().enumerate() {
-            assert!(!messages.is_empty(), "batches must be non-empty");
-            for &id in &messages {
-                #[cfg(debug_assertions)]
-                {
-                    let previous = rank_index.insert(id, rank);
-                    assert!(previous.is_none(), "message {id} appears in two batches");
-                }
-                #[cfg(not(debug_assertions))]
-                rank_index.insert(id, rank);
+        for (rank, messages) in groups.iter().enumerate() {
+            for &id in messages {
+                let previous = rank_index.insert(id, rank);
+                debug_assert!(previous.is_none(), "message {id} appears in two batches");
             }
-            batches.push(Batch { rank, messages });
         }
+        FairOrder::from_parts(groups, rank_index)
+    }
+
+    /// Assemble a fair order from its groups and a rank index the caller
+    /// already holds, hashing nothing: the offline sparse path turns the
+    /// window's duplicate-check map into this index in place. The index
+    /// must map exactly the grouped ids to their group's position.
+    pub(crate) fn from_parts(
+        groups: Vec<Vec<MessageId>>,
+        rank_index: HashMap<MessageId, usize>,
+    ) -> Self {
+        debug_assert_eq!(rank_index.len(), groups.iter().map(Vec::len).sum::<usize>());
+        let batches = (0..)
+            .zip(groups)
+            .map(|(rank, messages)| {
+                assert!(!messages.is_empty(), "batches must be non-empty");
+                Batch { rank, messages }
+            })
+            .collect();
         FairOrder {
             batches,
             rank_index,

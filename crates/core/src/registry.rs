@@ -61,6 +61,7 @@ use crate::message::{ClientId, Message};
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tommy_stats::clamp_probability;
@@ -79,6 +80,40 @@ impl ClientSlot {
     pub(crate) fn idx(self) -> usize {
         self.0 as usize
     }
+}
+
+/// The fixed multiplicative hasher (FxHash's rotate-xor-multiply step) of
+/// the client table. Only [`DistributionRegistry::register`] inserts into
+/// that table, so no submitter can choose its keys and plant collisions;
+/// maps keyed by what clients send (every `MessageId` map) keep SipHash.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SlotHasher(u64);
+
+impl SlotHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Whether a distribution rides the closed form: a Gaussian whose `2σ²` is
+/// finite. Past that the kernel argument of two far-apart messages can be
+/// `∞/∞`, which only the matrix path reports as an error.
+fn closed_form(distribution: &OffsetDistribution) -> bool {
+    distribution.as_gaussian().is_some_and(|g| (2.0 * g.variance()).is_finite())
 }
 
 /// One row of the client table.
@@ -209,11 +244,12 @@ fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Arc<Disc
 #[derive(Debug)]
 pub struct DistributionRegistry {
     /// The client table; `ClientId`-keyed methods resolve the slot and call
-    /// the `_at` form.
-    slots: HashMap<ClientId, ClientSlot>,
+    /// the `_at` form. Nothing iterates it, so no order depends on its hash.
+    slots: HashMap<ClientId, ClientSlot, BuildHasherDefault<SlotHasher>>,
     entries: Vec<ClientEntry>,
-    /// Registered clients whose distribution has no closed form.
-    non_gaussian: usize,
+    /// Registered clients whose distribution has no closed form (see
+    /// [`closed_form`]).
+    non_closed_form: usize,
     /// Smallest σ among the *currently* registered Gaussian clients (`+∞`
     /// when there is none).
     min_gaussian_sigma: f64,
@@ -255,9 +291,9 @@ impl DistributionRegistry {
     pub fn with_numerics(grid_points: usize) -> Self {
         assert!(grid_points >= 16, "need at least 16 grid points");
         DistributionRegistry {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             entries: Vec::new(),
-            non_gaussian: 0,
+            non_closed_form: 0,
             min_gaussian_sigma: f64::INFINITY,
             grid_points,
             discretized: RwLock::new(Vec::new()),
@@ -274,7 +310,7 @@ impl DistributionRegistry {
     /// Register (or replace) a client's offset distribution, invalidating any
     /// cached quantities involving that client.
     pub fn register(&mut self, client: ClientId, distribution: OffsetDistribution) {
-        self.non_gaussian += usize::from(!distribution.is_gaussian());
+        self.non_closed_form += usize::from(!closed_form(&distribution));
         let sigma = distribution.as_gaussian().map_or(f64::INFINITY, |g| g.std_dev());
         self.min_gaussian_sigma = self.min_gaussian_sigma.min(sigma);
         let entry = ClientEntry {
@@ -292,7 +328,7 @@ impl DistributionRegistry {
             // Only a re-registration can have anything cached to drop.
             Entry::Occupied(slot) => {
                 let old = std::mem::replace(&mut self.entries[slot.get().idx()], entry);
-                self.non_gaussian -= usize::from(!old.distribution.is_gaussian());
+                self.non_closed_form -= usize::from(!closed_form(&old.distribution));
                 // The replaced claim may have been the minimum: re-take it
                 // over the census (O(C), re-registrations only).
                 let gaussians = self.entries.iter().filter_map(|e| e.distribution.as_gaussian());
@@ -352,7 +388,7 @@ impl DistributionRegistry {
 
     /// Whether every registered client is closed-form (the fast-path census).
     pub(crate) fn all_closed_form(&self) -> bool {
-        self.non_gaussian == 0
+        self.non_closed_form == 0
     }
 
     /// The census rule of both sequencers: the sparse engine sequences this
@@ -370,11 +406,6 @@ impl DistributionRegistry {
     /// The distribution registered for `client`, if any.
     pub fn get(&self, client: ClientId) -> Option<&OffsetDistribution> {
         Some(self.distribution_at(self.slot_of(client).ok()?))
-    }
-
-    /// Whether `client` has a registered distribution.
-    pub fn contains(&self, client: ClientId) -> bool {
-        self.slots.contains_key(&client)
     }
 
     /// Number of registered clients.
@@ -998,7 +1029,7 @@ mod tests {
         assert_eq!(reg.clients(), vec![ClientId(1), ClientId(3), ClientId(5)]);
         assert_eq!(reg.len(), 3);
         assert!(!reg.is_empty());
-        assert!(reg.contains(ClientId(3)));
-        assert!(!reg.contains(ClientId(2)));
+        assert!(reg.get(ClientId(3)).is_some());
+        assert!(reg.get(ClientId(2)).is_none());
     }
 }

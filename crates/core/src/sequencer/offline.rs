@@ -22,10 +22,10 @@ use crate::config::SequencerConfig;
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
 use crate::precedence::PrecedenceMatrix;
-use crate::registry::DistributionRegistry;
+use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::dense::DenseEngine;
 use crate::sequencer::sparse::SparseEngine;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use tommy_stats::distribution::OffsetDistribution;
 
 /// Detailed output of one sequencing run.
@@ -53,6 +53,11 @@ pub struct TommySequencer {
     /// Holds the window while the census is closed-form.
     sparse: SparseEngine,
     registry: DistributionRegistry,
+    /// Buffers reused across closed-form windows: each message's client
+    /// slot, resolved once by `load_window`, and each arena slot's rank,
+    /// recorded by `sparse_order`.
+    slots: Vec<ClientSlot>,
+    ranks: Vec<usize>,
 }
 
 impl TommySequencer {
@@ -69,6 +74,8 @@ impl TommySequencer {
             registry: DistributionRegistry::from_config(&config),
             sparse: SparseEngine::new(config.threshold, config.p_safe),
             dense: DenseEngine::new(config, seed),
+            slots: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
@@ -95,8 +102,8 @@ impl TommySequencer {
     /// its diagnostics.
     pub fn sequence(&mut self, messages: &[Message]) -> Result<FairOrder, CoreError> {
         Ok(match self.load_window(messages)? {
-            true => self.sparse_order(),
-            false => self.dense.fair_order(),
+            Some(ids) => self.sparse_order(ids),
+            None => self.dense.fair_order(),
         })
     }
 
@@ -105,14 +112,14 @@ impl TommySequencer {
         &mut self,
         messages: &[Message],
     ) -> Result<SequencingOutcome, CoreError> {
-        if !self.load_window(messages)? {
+        let Some(ids) = self.load_window(messages)? else {
             return Ok(self.dense.outcome());
-        }
+        };
         // The matrix scan's integer ratio: a pair is confident or linked.
         let total = messages.len() * (messages.len() - 1) / 2;
         let confident = total - self.sparse.linked_pairs(&self.registry);
         Ok(SequencingOutcome {
-            order: self.sparse_order(),
+            order: self.sparse_order(ids),
             transitive: true,
             cyclic_components: 0,
             confident_pair_fraction: if total == 0 { 1.0 } else { confident as f64 / total as f64 },
@@ -127,38 +134,59 @@ impl TommySequencer {
         self.dense.outcome()
     }
 
-    /// Load the window into the engine the census picks; `true` when that is
-    /// the sparse engine. The fast path takes only what the matrix build
-    /// would accept (non-empty, no repeated id, every client registered,
-    /// every timestamp finite), so any other input still reports that
-    /// build's error.
-    fn load_window(&mut self, messages: &[Message]) -> Result<bool, CoreError> {
+    /// Load the window into the engine the census picks. On a closed-form
+    /// census the fast path takes only what the matrix build would accept
+    /// (non-empty, every client registered, every timestamp finite, no
+    /// repeated id), so any other input still reports that build's error.
+    /// Its validation hashes each id and resolves each client once: the
+    /// slots go to the rebuild, and the id map, valued by window position,
+    /// is both the duplicate check and, returned as `Some`, the order's
+    /// rank index to be. `None`: the window went to the dense engine.
+    fn load_window(
+        &mut self,
+        messages: &[Message],
+    ) -> Result<Option<HashMap<MessageId, usize>>, CoreError> {
         let config = self.dense.config();
-        let rides = self.registry.rides_sparse_engine(config.fast_path) && !messages.is_empty();
-        let mut ids = HashSet::with_capacity(if rides { messages.len() } else { 0 });
-        let valid = |m: &Message| {
-            m.timestamp.is_finite() && self.registry.contains(m.client) && ids.insert(m.id)
-        };
-        if rides && messages.iter().all(valid) {
-            self.sparse.rebuild_from(messages, &self.registry);
-            return Ok(true);
+        if self.registry.rides_sparse_engine(config.fast_path) && !messages.is_empty() {
+            let mut ids = HashMap::with_capacity(messages.len());
+            self.slots.clear();
+            let valid = messages.iter().enumerate().all(|(position, m)| {
+                m.timestamp.is_finite()
+                    && self.registry.slot_of(m.client).map(|s| self.slots.push(s)).is_ok()
+                    && ids.insert(m.id, position).is_none()
+            });
+            if valid {
+                self.sparse.rebuild_from(messages, &self.slots, &self.registry);
+                return Ok(Some(ids));
+            }
         }
         // The last window's matrix goes before this one is built.
         self.dense.clear_pending();
         self.dense.load(PrecedenceMatrix::compute(messages, &self.registry)?);
-        Ok(false)
+        Ok(None)
     }
 
-    /// The sparse engine's order cut at its boundary bits.
-    fn sparse_order(&self) -> FairOrder {
+    /// The sparse engine's order cut at its boundary bits. The rebuild
+    /// filled a fresh arena in window order, so a message's slot is its
+    /// window position, the value `ids` holds for it: one walk records each
+    /// slot's rank, and the map's values are rewritten to ranks in place,
+    /// with no hashing.
+    fn sparse_order(&mut self, mut ids: HashMap<MessageId, usize>) -> FairOrder {
+        self.ranks.clear();
+        self.ranks.resize(ids.len(), 0);
         let mut groups: Vec<Vec<MessageId>> = Vec::new();
-        for (id, starts_batch) in self.sparse.pending_order() {
+        for (slot, id, starts_batch) in self.sparse.cut() {
+            debug_assert_eq!(ids[&id], slot as usize, "slot {slot} is not window position");
             if starts_batch {
                 groups.push(Vec::new());
             }
+            self.ranks[slot as usize] = groups.len() - 1;
             groups.last_mut().expect("the head starts a batch").push(id);
         }
-        FairOrder::from_groups(groups)
+        for rank in ids.values_mut() {
+            *rank = self.ranks[*rank];
+        }
+        FairOrder::from_parts(groups, ids)
     }
 }
 

@@ -419,7 +419,15 @@ impl OnlineSequencer {
             // Arrival order, so sparse sequence numbers keep matching dense
             // slot order; into the dense engine this is the one O(n²)
             // payment a census change costs.
-            engine!(self.rebuild_from(&pending, &self.registry));
+            match self.mode {
+                EngineMode::Sparse => {
+                    let slot_of = |m: &Message| self.registry.slot_of(m.client);
+                    let slots: Result<Vec<ClientSlot>, _> = pending.iter().map(slot_of).collect();
+                    let slots = slots.expect("pending messages come from registered clients");
+                    self.sparse.rebuild_from(&pending, &slots, &self.registry);
+                }
+                EngineMode::Dense => self.dense.rebuild_from(&pending, &self.registry),
+            }
         }
         self.record_memory_peaks();
     }
@@ -1254,6 +1262,18 @@ mod tests {
     #[test]
     fn rejected_engine_insert_leaves_no_id_behind() {
         let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        assert_overflowing_spread_is_refused_and_untracked(config);
+    }
+
+    /// The `Auto` twin: a Gaussian whose `2σ²` overflows is not closed-form,
+    /// so the census keeps the shell on the dense engine and the same typed
+    /// error comes back.
+    #[test]
+    fn rejected_engine_insert_leaves_no_id_behind_in_auto() {
+        assert_overflowing_spread_is_refused_and_untracked(SequencerConfig::default());
+    }
+
+    fn assert_overflowing_spread_is_refused_and_untracked(config: SequencerConfig) {
         let mut seq = OnlineSequencer::new(config);
         for c in 0..2 {
             seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 1e200));

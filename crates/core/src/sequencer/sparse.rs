@@ -114,6 +114,17 @@ fn decision_band(threshold: f64) -> (f64, f64) {
     (std_normal_inv_cdf(threshold - 1e-6) - 1e-6, z_hi)
 }
 
+/// The bits of `key` mapped so that unsigned integer order is
+/// [`f64::total_cmp`] order: a negative key has every bit flipped, any
+/// other key only its sign bit.
+fn ordered(key: f64) -> u64 {
+    let bits = key.to_bits();
+    match bits >> 63 {
+        1 => !bits,
+        _ => bits | 1 << 63,
+    }
+}
+
 /// What a pairwise decision asks of `p = P(u ≺ v)`.
 #[derive(Debug, Clone, Copy)]
 enum Ask {
@@ -198,6 +209,9 @@ pub(crate) struct SparseEngine {
     /// Slots handed out by [`take_candidate`](Self::take_candidate) and not
     /// yet removed by [`commit_removal`](Self::commit_removal).
     pending_removal: Vec<u32>,
+    /// The `(ordered(key), slot)` column [`rebuild_from`](Self::rebuild_from)
+    /// sorts, kept so that each offline window reuses its buffer.
+    sort_column: Vec<(u64, u32)>,
     counters: FairOrderCounters,
     lazy_evals: u64,
     /// Arrivals this engine has placed (`OnlineStats::dense_columns_avoided`).
@@ -222,6 +236,7 @@ impl SparseEngine {
             window: 0.0,
             candidate: None,
             pending_removal: Vec::new(),
+            sort_column: Vec::new(),
             counters: FairOrderCounters::default(),
             lazy_evals: 0,
         }
@@ -306,24 +321,35 @@ impl SparseEngine {
         self.in_order().any(|n| n.client == slot)
     }
 
-    /// `(message id, starts_batch)` in maintained (key) order: the §3.4
-    /// adjacency cut the offline sequencer returns, and the diagnostic
-    /// surface of the bit-identity property tests.
-    pub(crate) fn pending_order(&self) -> Vec<(MessageId, bool)> {
-        self.in_order()
-            .map(|n| (n.message.id, n.starts_batch))
-            .collect()
+    /// `(slot, message id, starts_batch)` in maintained (key) order: the
+    /// §3.4 adjacency cut the offline sequencer returns.
+    pub(crate) fn cut(&self) -> impl Iterator<Item = (u32, MessageId, bool)> + '_ {
+        self.walk()
+            .map(|(slot, n)| (slot, n.message.id, n.starts_batch))
     }
 
-    /// The pending nodes in maintained order: the `next` chain from the
-    /// head (full walks serve the mode-switch and diagnostic paths only).
+    /// [`cut`](Self::cut) without the slots: the diagnostic surface of the
+    /// bit-identity property tests.
+    pub(crate) fn pending_order(&self) -> Vec<(MessageId, bool)> {
+        self.cut().map(|(_, id, starts_batch)| (id, starts_batch)).collect()
+    }
+
+    /// The pending nodes in maintained order.
     fn in_order(&self) -> impl Iterator<Item = &Node> {
+        self.walk().map(|(_, node)| node)
+    }
+
+    /// The pending slots and their nodes in maintained order: the `next`
+    /// chain from the head (full walks serve the offline cut and the
+    /// mode-switch and diagnostic paths only).
+    fn walk(&self) -> impl Iterator<Item = (u32, &Node)> {
         let mut cur = self.head;
         std::iter::from_fn(move || {
             (cur != NIL).then(|| {
-                let node = &self.nodes[cur as usize];
+                let slot = cur;
+                let node = &self.nodes[slot as usize];
                 cur = node.next;
-                node
+                (slot, node)
             })
         })
     }
@@ -354,6 +380,12 @@ impl SparseEngine {
     fn decide(&mut self, registry: &DistributionRegistry, u: u32, v: u32, ask: Ask) -> bool {
         registry.record_queries(1);
         self.lazy_evals += 1;
+        self.judge(registry, u, v, ask)
+    }
+
+    /// The decision [`decide`](Self::decide) counts, side-effect free: a
+    /// caller that judges many pairs counts them in bulk.
+    fn judge(&self, registry: &DistributionRegistry, u: u32, v: u32, ask: Ask) -> bool {
         let settled = self
             .kernel_arg(registry, u, v)
             .and_then(|x| self.settle(x, ask));
@@ -785,44 +817,54 @@ impl SparseEngine {
     // Wholesale rebuild (mode switches, re-registration)
     // ------------------------------------------------------------------
 
-    /// Rebuild the pending set from scratch (an offline window, a mode switch, or
-    /// a re-registration that changed a pending client's μ and hence its
-    /// keys): fresh sequence numbers in the given (arrival) order, one sort
-    /// of the arena by `(key, seq)` — O(n log n) in whatever order the
-    /// window comes — threaded into the order, then all `n − 1` boundary
-    /// bits decided in one sweep: the sparse mirror of the dense
-    /// `rebuild_from`, counted the same way.
+    /// Rebuild the pending set from scratch (an offline window, a mode
+    /// switch, or a re-registration that changed a pending client's μ and
+    /// hence its keys) over `messages` in arrival order, each from the
+    /// client in the same position of `slots`, resolved by the caller.
+    ///
+    /// The nodes are allocated in arrival order under fresh sequence
+    /// numbers and never move: in a fresh arena a node's slot *is* its
+    /// sequence tie-break, so one sort of a compact `(ordered(key), slot)`
+    /// column — O(n log n) in whatever order the window comes — is the
+    /// `(key, seq)` order, and threading it gives `prev` / `next`, head and
+    /// tail. All `n − 1` boundary bits are then judged in one sweep and
+    /// counted once, in bulk: the sparse mirror of the dense `rebuild_from`,
+    /// with the same counts.
     pub(crate) fn rebuild_from(
         &mut self,
         messages: &[Message],
+        slots: &[ClientSlot],
         registry: &DistributionRegistry,
     ) {
+        debug_assert_eq!(messages.len(), slots.len());
         self.clear_pending();
-        for message in messages {
-            let client = registry
-                .slot_of(message.client)
-                .expect("pending messages come from registered clients");
+        for (message, &client) in messages.iter().zip(slots) {
             self.alloc(message.clone(), client, registry);
         }
         if self.nodes.is_empty() {
             return;
         }
-        // Nothing refers to a slot yet, so the arena itself is sorted and
-        // slot `i` is position `i` of the order.
-        self.nodes
-            .sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let last = (self.nodes.len() - 1) as u32;
-        for (slot, node) in (0..).zip(self.nodes.iter_mut()) {
-            node.prev = if slot == 0 { NIL } else { slot - 1 };
-            node.next = if slot == last { NIL } else { slot + 1 };
+        let mut column = std::mem::take(&mut self.sort_column);
+        column.clear();
+        column.extend((0..).zip(&self.nodes).map(|(slot, n)| (ordered(n.key), slot)));
+        column.sort_unstable();
+        (self.head, self.tail) = (column[0].1, column[column.len() - 1].1);
+        let mut prev = NIL;
+        for &(_, slot) in &column {
+            self.nodes[slot as usize].prev = prev;
+            if prev != NIL {
+                self.nodes[prev as usize].next = slot;
+                let bit = self.judge(registry, prev, slot, Ask::Boundary);
+                self.nodes[slot as usize].starts_batch = bit;
+            }
+            prev = slot;
         }
-        (self.head, self.tail) = (0, last);
-        self.nodes[0].starts_batch = true;
-        for cur in 1..=last {
-            self.counters.boundary_evals += 1;
-            let bit = self.decide(registry, cur - 1, cur, Ask::Boundary);
-            self.nodes[cur as usize].starts_batch = bit;
-        }
+        self.nodes[self.head as usize].starts_batch = true;
+        self.sort_column = column;
+        let decisions = self.nodes.len() as u64 - 1;
+        self.counters.boundary_evals += decisions;
+        self.lazy_evals += decisions;
+        registry.record_queries(decisions);
         self.counters.full_rebuilds += 1;
     }
 
@@ -964,6 +1006,12 @@ mod tests {
     fn insert(engine: &mut SparseEngine, reg: &DistributionRegistry, m: Message) {
         let slot = reg.slot_of(m.client).expect("registered");
         engine.insert(m, slot, reg).unwrap();
+    }
+
+    /// Each message's client slot, resolved as a sequencer does before a
+    /// rebuild.
+    fn slots_of(reg: &DistributionRegistry, messages: &[Message]) -> Vec<ClientSlot> {
+        messages.iter().map(|m| reg.slot_of(m.client).expect("registered")).collect()
     }
 
     fn take(engine: &mut SparseEngine, reg: &DistributionRegistry) -> (Vec<Message>, f64) {
@@ -1117,8 +1165,9 @@ mod tests {
                 if id == 300 {
                     let pending = kept.messages_in_arrival_order();
                     assert_eq!(pending, fresh.messages_in_arrival_order());
-                    kept.rebuild_from(&pending, &reg);
-                    fresh.rebuild_from(&pending, &reg);
+                    let slots = slots_of(&reg, &pending);
+                    kept.rebuild_from(&pending, &slots, &reg);
+                    fresh.rebuild_from(&pending, &slots, &reg);
                     check_twins(&mut kept, &mut fresh, &reg, &ctx);
                 }
             }
@@ -1313,9 +1362,74 @@ mod tests {
         }
         let mut rebuilt = SparseEngine::new(0.75, 0.999);
         rebuilt.observe_sigma(2.5);
-        rebuilt.rebuild_from(&messages, &reg);
+        rebuilt.rebuild_from(&messages, &slots_of(&reg, &messages), &reg);
         assert_eq!(incremental.pending_order(), rebuilt.pending_order());
         assert_eq!(rebuilt.counters().full_rebuilds, 1);
+    }
+
+    /// The rebuild's order is the `(key, seq)` order under `total_cmp`
+    /// whatever the keys: equal keys across clients (client 1's μ is 0.5,
+    /// so it ties client 0 half a unit later) fall back to arrival, `−0.0`
+    /// and `+0.0` are one key, and negative, subnormal and ±1e300 keys sort
+    /// where `total_cmp` puts them. Each window is handed over ascending,
+    /// descending and shuffled, and must give the bits of one-at-a-time
+    /// insertion.
+    #[test]
+    fn rebuild_sorts_in_total_cmp_order() {
+        let reg = registry(&[(0, 0.0, 1.0), (1, 0.5, 1.0), (2, 0.0, 3.0)]);
+        let tiny = f64::from_bits(1);
+        let stamps: [(u32, f64); 16] = [
+            (0, 1.5),
+            (1, 2.0),
+            (2, 1.5),
+            (0, -0.0),
+            (1, 0.5),
+            (2, 0.0),
+            (0, tiny),
+            (2, -tiny),
+            (2, f64::MIN_POSITIVE / 4.0),
+            (0, -3.25),
+            (1, -2.75),
+            (2, 1e300),
+            (0, -1e300),
+            (1, 1e300),
+            (2, -7.0),
+            (0, 8.0),
+        ];
+        let ascending: Vec<Message> = {
+            let mut by_key: Vec<(f64, u32, f64)> = stamps
+                .iter()
+                .map(|&(c, ts)| (ts - [0.0, 0.5, 0.0][c as usize], c, ts))
+                .collect();
+            by_key.sort_by(|a, b| a.0.total_cmp(&b.0));
+            (0..).zip(by_key).map(|(id, (_, c, ts))| msg(id, c, ts)).collect()
+        };
+        let descending: Vec<Message> = ascending.iter().rev().cloned().collect();
+        let mut shuffled = ascending.clone();
+        let mut state = 11u64;
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (lcg(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let windows = [("ascending", ascending), ("descending", descending), ("shuffled", shuffled)];
+        for (name, window) in windows {
+            let mut incremental = SparseEngine::new(0.75, 0.999);
+            incremental.observe_sigma(3.0);
+            for m in &window {
+                insert(&mut incremental, &reg, m.clone());
+            }
+            let mut rebuilt = SparseEngine::new(0.75, 0.999);
+            rebuilt.observe_sigma(3.0);
+            rebuilt.rebuild_from(&window, &slots_of(&reg, &window), &reg);
+            assert_chain_is_the_key_order(&rebuilt, name);
+            assert_chain_is_the_key_order(&incremental, name);
+            assert_eq!(rebuilt.pending_order(), incremental.pending_order(), "{name}");
+            assert_eq!(rebuilt.lazy_evals(), window.len() as u64 - 1, "{name}");
+            assert_eq!(rebuilt.counters().boundary_evals, window.len() as u64 - 1, "{name}");
+            // The ties are there to break: three keys of 1.5, three of 0,
+            // two of −3.25 and two of 1e300.
+            let keys: Vec<f64> = rebuilt.in_order().map(|n| n.key).collect();
+            assert_eq!(keys.windows(2).filter(|w| w[0] == w[1]).count(), 6, "{name}");
+        }
     }
 
     #[test]

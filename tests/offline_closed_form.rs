@@ -13,7 +13,8 @@
 //!     Laplace client in the census puts `Auto` back on the matrix. Each
 //!     window also runs in descending key order, bit-identical on both.
 //! (c) **Error parity**: every input the fast path cannot prove valid
-//!     reports what the matrix path reports.
+//!     reports what the matrix path reports, and a Gaussian whose `2σ²`
+//!     overflows keeps `Auto` on the matrix path.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,4 +157,22 @@ fn invalid_windows_report_what_the_matrix_path_reports() {
         Err(tommy::core::CoreError::UnknownClient(ClientId(9)))
     );
     assert!(auto.sequence(&table[3].1).is_ok(), "same-client pairs never consult the registry");
+
+    // A row with its own census: σ = 1e200 overflows `2σ²`, so the kernel
+    // argument of two messages at ±1e308 is ∞/∞. Such a Gaussian is not
+    // closed-form, so `Auto` takes the matrix path and its typed error.
+    let overflowing: Vec<_> = (0..2u32)
+        .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 1e200)))
+        .collect();
+    let extremes = vec![ok(0, 0, -1e308), ok(1, 1, 1e308)];
+    let windows = [extremes.clone(), vec![ok(10, 0, 1.0), ok(11, 1, 1.5)]];
+    offline_identical(&overflowing, config, &windows).unwrap_or_else(|v| panic!("σ = 1e200: {v}"));
+    let (mut auto, _) = twins(&overflowing, 0.75);
+    assert_eq!(
+        auto.sequence(&extremes),
+        Err(tommy::core::CoreError::InvalidProbability {
+            left: MessageId(0),
+            right: MessageId(1),
+        })
+    );
 }
