@@ -19,7 +19,13 @@ names a hasher (a third `HashMap` or second `HashSet` type argument), and any
 `with_hasher` / `with_capacity_and_hasher` call, must be on HASHERS. A fixed
 hasher is safe only for keys no client chooses: the registry's client table
 is filled by registration alone, while ids arrive from clients and keep
-SipHash. Run from the repository root; exits 1 with the findings.
+SipHash.
+
+Infallible engines: the non-test part of the dense and sparse engines
+(INFALLIBLE) must not name `CoreError` outside comments. Admission refuses
+every input an engine could fail on, so an error path that comes back into
+an engine goes through review here. Run from the repository root; exits 1
+with the findings.
 """
 import glob, re, sys
 from collections import Counter
@@ -95,6 +101,10 @@ for path in sorted(glob.glob("crates/**/*.rs", recursive=True)):
         if (path, m.group(1)) not in HASHERS:
             line = text.count("\n", 0, m.start()) + 1
             hashers.append(f"{path}:{line}: map built with a hasher ({m.group(1) or 'unnamed'})")
+INFALLIBLE = ("crates/core/src/sequencer/dense.rs", "crates/core/src/sequencer/sparse.rs")
+fallible = [f"{path}: names CoreError" for path in INFALLIBLE
+            if re.search(r"\bCoreError\b", COMMENT.sub("", texts[path].split("#[cfg(test)]")[0]))]
 print("\n".join(dead) or "reachability census: every pub item has a caller")
 print("\n".join(hashers) or "hasher policy: only the allowlisted map has a fixed hasher")
-sys.exit(1 if dead or hashers else 0)
+print("\n".join(fallible) or "infallible engines: neither engine names CoreError")
+sys.exit(1 if dead or hashers or fallible else 0)

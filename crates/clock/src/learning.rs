@@ -125,8 +125,9 @@ impl DistributionLearner {
                 let m = self.window_moments();
                 // Guard against a degenerate zero-variance fit: a tiny floor
                 // keeps downstream preceding probabilities well defined.
+                // Samples near `±f64::MAX` overflow the fit: it saturates.
                 let sd = m.std_dev().max(1e-9);
-                OffsetDistribution::Gaussian(Gaussian::new(m.mean(), sd))
+                OffsetDistribution::Gaussian(Gaussian::saturating(m.mean(), sd))
             }
             LearnedModel::Histogram { bins } => {
                 let hist = Histogram::from_samples(&samples, bins);
@@ -152,7 +153,8 @@ fn histogram_to_distribution(hist: &Histogram) -> OffsetDistribution {
     }
     if expanded.len() < 2 {
         // Degenerate histogram: fall back to a narrow Gaussian at the mean.
-        return OffsetDistribution::gaussian(hist.mean(), hist.variance().sqrt().max(1e-9));
+        let sd = hist.variance().sqrt().max(1e-9);
+        return OffsetDistribution::Gaussian(Gaussian::saturating(hist.mean(), sd));
     }
     OffsetDistribution::empirical(&expanded)
 }

@@ -24,7 +24,8 @@
 //! (Gaussian; Gaussian + Laplace; intransitive dice; clients misreporting
 //! σ), a client registered late, re-registrations that flip the census,
 //! duplicate and dropped deliveries, ticks, drains and the odd flush, a
-//! retired client, the threshold, and
+//! retired client, the odd client at the widest clock admission allows, the
+//! threshold, and
 //! whether the defense, liveness (with a client that only heartbeats, then
 //! falls silent) and `retain_history` are on. Ops are clamped as they are
 //! drawn — per-client readings monotone, a duplicate right behind its
@@ -48,6 +49,7 @@ use tommy_core::sequencer::sharded::ShardedSequencer;
 use tommy_core::sequencer::StreamEngine;
 use tommy_sim::runner::defended_config;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use tommy_stats::gaussian::Gaussian;
 use tommy_workload::adversarial::Misreport;
 use tommy_workload::intransitive::IntransitiveWorkload;
 use tommy_workload::schedule::{close_stream, StreamEvent, DELIVERY_DELAY};
@@ -305,7 +307,8 @@ pub fn generate(seed: u64, messages: usize) -> (Setup, Vec<Op>) {
     };
     // Liveness runs draw one clock mean: only then do the single engine's
     // watermark and the merge read one order, as `liveness_kept` needs.
-    let (census, stream) = census_and_stream(&mut rng, family, messages, setup.liveness.is_some());
+    let liveness = setup.liveness.is_some();
+    let (mut census, stream) = census_and_stream(&mut rng, family, messages, liveness);
     let clients: Vec<ClientId> = census.iter().map(|(c, _)| *c).collect();
     let pick = |rng: &mut StdRng| clients[rng.random_range(0..clients.len())];
     // With liveness on, one client only heartbeats, and falls silent 40 %
@@ -318,6 +321,25 @@ pub fn generate(seed: u64, messages: usize) -> (Setup, Vec<Op>) {
     let flips = rng.random_bool(0.5).then(|| pick(&mut rng));
     // Without liveness, half the runs thin the heartbeats out.
     let heartbeat_rate = if setup.liveness.is_some() || rng.random_bool(0.5) { 1.0 } else { 0.5 };
+    // Half the Gaussian runs without a census flip, about one run in seven
+    // (their own draw, so the other runs' ops stay as they were), give one
+    // client the widest clock admission lets through: σ at
+    // `Gaussian::MAX_STD_DEV`, a claimed mean of ±1e308 and readings of
+    // ±1.5e308, so a kernel against it overflows to Φ(±∞) or sits at a huge
+    // argument. (A flip would make that clock a Laplace grid beside
+    // ordinary ones: see ROADMAP K.)
+    let mut side = StdRng::seed_from_u64(seed ^ 0xE7_7E3E);
+    let extreme = (matches!(family, 0 | 3) && flips.is_none() && side.random_bool(0.5)).then(|| {
+        let (client, sign) = (clients[side.random_range(0..clients.len())], side.random_bool(0.5));
+        let sign = if sign { 1.0 } else { -1.0 };
+        let at = census.iter().position(|(c, _)| *c == client).expect("in the census");
+        census[at].1 = OffsetDistribution::gaussian(sign * 1e308, Gaussian::MAX_STD_DEV);
+        (client, sign * 1.5e308)
+    });
+    let reading = |client: ClientId, usual: f64, t: f64| match extreme {
+        Some((wide, offset)) if wide == client => t + offset,
+        _ => usual,
+    };
     // A quarter of the runs register their last client a quarter into the
     // stream; until then its events are rejected as from an unknown client.
     let late = rng.random_bool(0.25).then(|| census[census.len() - 1].clone());
@@ -357,12 +379,13 @@ pub fn generate(seed: u64, messages: usize) -> (Setup, Vec<Op>) {
         }
         for &client in &clients {
             if client != m.client && !gone.contains(&client) && rng.random_bool(heartbeat_rate) {
-                let timestamp = clamp(client, t);
+                let timestamp = clamp(client, reading(client, t, t));
                 ops.push(Op::Event(StreamEvent::Heartbeat { client, timestamp, sent_at: t }));
             }
         }
         if !gone.contains(&m.client) && Some(m.client) != silent {
-            let message = Message::with_true_time(m.id, m.client, clamp(m.client, m.timestamp), t);
+            let timestamp = clamp(m.client, reading(m.client, m.timestamp, t));
+            let message = Message::with_true_time(m.id, m.client, timestamp, t);
             let submit = Op::Event(StreamEvent::Submit { message, sent_at: t });
             // A dropped delivery sends nothing; a duplicated one arrives
             // twice in a row.
@@ -831,6 +854,21 @@ pub fn fuzz(seeds: Range<u64>, messages: usize) -> Result<Coverage, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default budget holds runs with a client at the widest clock
+    /// admission lets through, readings at ±1.5e308.
+    #[test]
+    fn the_default_budget_draws_extreme_clocks() {
+        let extreme = |seed| {
+            let (_, ops) = generate(seed, MESSAGES);
+            ops.iter().any(|op| match op {
+                Op::Register(_, claim) => claim.std_dev() == Gaussian::MAX_STD_DEV,
+                _ => false,
+            })
+        };
+        let seeds: Vec<u64> = (0..SEEDS).filter(|&seed| extreme(seed)).collect();
+        assert!(!seeds.is_empty() && seeds.len() <= 4, "{seeds:?}");
+    }
 
     #[test]
     fn op_logs_read_back_bit_for_bit() {

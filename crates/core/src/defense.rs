@@ -61,6 +61,7 @@ use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::online::OnlineStats;
 use tommy_clock::{DelayEstimator, DistributionLearner, LearnedModel};
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
+use tommy_stats::gaussian::Gaussian;
 
 /// Where the expected network delay used to form residuals comes from.
 ///
@@ -348,10 +349,12 @@ impl TrustState {
 
     /// The conservative distribution a quarantined client is pinned to: the
     /// window's empirical mean, and the larger of its empirical and the
-    /// `claimed` σ inflated by `SIGMA_INFLATION`.
+    /// `claimed` σ inflated by `SIGMA_INFLATION`, both saturated
+    /// ([`Gaussian::saturating`]): a window near `±f64::MAX` overflows both.
     fn fallback(&self, claimed: &OffsetDistribution) -> OffsetDistribution {
         let sigma = self.empirical_std_dev().max(claimed.std_dev()).max(1e-9);
-        OffsetDistribution::gaussian(self.empirical_mean(), sigma * SIGMA_INFLATION)
+        let fallback = Gaussian::saturating(self.empirical_mean(), sigma * SIGMA_INFLATION);
+        OffsetDistribution::Gaussian(fallback)
     }
 
     /// Empirical mean of the retained window (0 when empty).
@@ -1152,5 +1155,49 @@ mod tests {
         assert!(last.checked);
         assert_eq!(last.peak_score, 0.0);
         assert!(last.flagged.is_empty());
+    }
+
+    /// Quarantine client 0 of a defended sequencer through `submit`: 16
+    /// messages stamped `timestamp(k)`, arriving at `100·(k + 1)`. Returns the
+    /// fallback it was pinned to.
+    fn quarantine_through_submit(
+        claim: OffsetDistribution,
+        timestamp: impl Fn(u64) -> f64,
+    ) -> Gaussian {
+        use crate::config::SequencerConfig;
+        use crate::message::MessageId;
+        use crate::sequencer::online::OnlineSequencer;
+        let config = SequencerConfig::default().with_defense(DefenseConfig::enabled());
+        let mut seq = OnlineSequencer::new(config);
+        let client = ClientId(0);
+        seq.register_client(client, claim);
+        for k in 0..16 {
+            let arrival = 100.0 * (k + 1) as f64;
+            seq.submit(Message::new(MessageId(k), client, timestamp(k)), arrival).unwrap();
+        }
+        assert_eq!(seq.trust_level(client), Some(TrustLevel::Quarantined));
+        *seq.registry().get(client).unwrap().as_gaussian().expect("a Gaussian fallback")
+    }
+
+    /// A claim at the widest σ a Gaussian admits, refuted by its residuals
+    /// (±12 against σ ≈ 9.5e153): the fallback's `3σ` would overflow the
+    /// bound, so it saturates there instead of panicking inside `submit`.
+    #[test]
+    fn refuted_claim_at_the_bound_falls_back_to_the_bound() {
+        let claim = OffsetDistribution::gaussian(0.0, Gaussian::MAX_STD_DEV);
+        let residual = |k: u64| if k.is_multiple_of(2) { 12.0 } else { -12.0 };
+        let fallback = quarantine_through_submit(claim, |k| 100.0 * (k + 1) as f64 + residual(k));
+        assert_eq!(fallback.std_dev(), Gaussian::MAX_STD_DEV);
+    }
+
+    /// An honest σ = 1 clock whose finite timestamps sit near `1e308`: the
+    /// window's empirical mean and σ overflow, and the fallback saturates
+    /// both instead of panicking inside `submit`.
+    #[test]
+    fn residuals_near_the_float_limit_fall_back_to_a_finite_claim() {
+        let claim = OffsetDistribution::gaussian(0.0, 1.0);
+        let fallback = quarantine_through_submit(claim, |k| 1e308 + k as f64 * 1e293);
+        assert!(fallback.mean().is_finite());
+        assert_eq!(fallback.std_dev(), Gaussian::MAX_STD_DEV);
     }
 }

@@ -34,14 +34,6 @@ pub enum CoreError {
     /// An operation that needs at least one message was invoked on an empty
     /// input.
     EmptyInput,
-    /// A computed probability was not a number (typically a degenerate
-    /// distribution interacting with an empty grid).
-    InvalidProbability {
-        /// The message whose comparison produced the invalid value.
-        left: MessageId,
-        /// The other message in the comparison.
-        right: MessageId,
-    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -63,9 +55,6 @@ impl std::fmt::Display for CoreError {
                 write!(f, "{client} sent an invalid timestamp: {observed}")
             }
             CoreError::EmptyInput => write!(f, "operation requires at least one message"),
-            CoreError::InvalidProbability { left, right } => {
-                write!(f, "comparison of {left} and {right} produced an invalid probability")
-            }
         }
     }
 }
@@ -98,12 +87,6 @@ mod tests {
         assert!(e.to_string().contains("invalid timestamp"));
 
         assert!(CoreError::EmptyInput.to_string().contains("at least one"));
-
-        let e = CoreError::InvalidProbability {
-            left: MessageId(1),
-            right: MessageId(2),
-        };
-        assert!(e.to_string().contains("invalid probability"));
     }
 
     #[test]

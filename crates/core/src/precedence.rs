@@ -20,30 +20,29 @@
 //! reused buffer, each kernel an indexed read.
 //!
 //! The stored floats are bit-identical to the per-call path by construction
-//! (same formulas, same clamping — see [`PairKernel`]); the rare error cases
-//! (unknown client, NaN probability) fall back to the per-call loop so error
-//! values, ordering, and query accounting match the pre-kernel
-//! implementation exactly.
+//! (same formulas, same clamping — see [`PairKernel`]). Both builds run the
+//! registry's admission rule first (finite timestamps, registered clients,
+//! fresh ids), after which no cell can fail: no kernel returns NaN.
 
 use crate::error::CoreError;
 pub use crate::grid::Removal;
-use crate::message::{ClientId, Message, MessageId};
+use crate::message::{Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry, PairKernel};
 use std::collections::{HashMap, HashSet};
 
-/// One client's rows for [`PrecedenceMatrix::compute`]: the client, its
-/// ascending row indices and, in lockstep, their timestamps as a contiguous
-/// array — the slice the pair-kernel loops stream over.
-type ClientGroup = (ClientId, Vec<usize>, Vec<f64>);
+/// One client's rows for [`PrecedenceMatrix::compute`]: the client's slot,
+/// its ascending row indices and, in lockstep, their timestamps as a
+/// contiguous array — the slice the pair-kernel loops stream over.
+type ClientGroup = (ClientSlot, Vec<usize>, Vec<f64>);
 
-/// Group `messages` by client, preserving row order within each client and
-/// first-appearance order across clients.
-fn build_groups(messages: &[Message]) -> Vec<ClientGroup> {
+/// Group `messages` by client slot, preserving row order within each client
+/// and first-appearance order across clients.
+fn build_groups(messages: &[Message], slots: &[ClientSlot]) -> Vec<ClientGroup> {
     let mut groups: Vec<ClientGroup> = Vec::new();
-    let mut group_index: HashMap<ClientId, usize> = HashMap::new();
-    for (row, m) in messages.iter().enumerate() {
-        let gi = *group_index.entry(m.client).or_insert_with(|| {
-            groups.push((m.client, Vec::new(), Vec::new()));
+    let mut group_index: HashMap<u32, usize> = HashMap::new();
+    for (row, (m, &slot)) in messages.iter().zip(slots).enumerate() {
+        let gi = *group_index.entry(slot.0).or_insert_with(|| {
+            groups.push((slot, Vec::new(), Vec::new()));
             groups.len() - 1
         });
         let (_, rows, timestamps) = &mut groups[gi];
@@ -51,12 +50,6 @@ fn build_groups(messages: &[Message]) -> Vec<ClientGroup> {
         timestamps.push(m.timestamp);
     }
     groups
-}
-
-/// The first message id that repeats in `messages`, if any.
-fn repeated_id(messages: &[Message]) -> Option<MessageId> {
-    let mut seen = HashSet::with_capacity(messages.len());
-    messages.iter().map(|m| m.id).find(|&id| !seen.insert(id))
 }
 
 /// Dense matrix of preceding probabilities for a fixed set of messages.
@@ -67,12 +60,11 @@ fn repeated_id(messages: &[Message]) -> Option<MessageId> {
 #[derive(Debug, Clone)]
 pub struct PrecedenceMatrix {
     messages: Vec<Message>,
-    /// Each message's registry slot, resolved as it entered (slots are never
-    /// reassigned, so it stays valid for the registry that issued it).
-    /// `None`: the client was unregistered then, or the matrix came from
-    /// explicit probabilities; such a message sends arrivals down the
-    /// per-call path.
-    slots: Vec<Option<ClientSlot>>,
+    /// Each message's registry slot, resolved as it was admitted (slots are
+    /// never reassigned, so it stays valid for the registry that issued
+    /// it). Empty for a matrix of explicit probabilities, which has no
+    /// registry behind it and takes no arrivals.
+    slots: Vec<ClientSlot>,
     probs: Vec<f64>,
     /// Row stride of `probs`. At least `messages.len()`; kept larger than the
     /// live dimension (geometric growth) so incremental inserts amortize to
@@ -120,35 +112,44 @@ impl PrecedenceMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DuplicateMessage`] if the id is already present
-    /// and [`CoreError::UnknownClient`] if the message's client has no
-    /// registered distribution; the matrix is unchanged on error.
+    /// The admission rule, in order: [`CoreError::InvalidTimestamp`] for a
+    /// non-finite timestamp, [`CoreError::UnknownClient`] for an
+    /// unregistered client, [`CoreError::DuplicateMessage`] if the id is
+    /// already present (an O(n) scan). The matrix is unchanged on error, and
+    /// no query is counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a matrix of explicit probabilities
+    /// ([`from_probabilities`](Self::from_probabilities)).
     pub fn insert(
         &mut self,
         message: Message,
         registry: &DistributionRegistry,
     ) -> Result<usize, CoreError> {
+        let slot = registry.admit(&message)?;
         if self.index_of(message.id).is_some() {
             return Err(CoreError::DuplicateMessage(message.id));
         }
+        Ok(self.insert_admitted(message, slot, registry))
+    }
+
+    /// [`insert`](Self::insert) for a message already admitted, from the
+    /// client in `slot`, under an id the caller knows to be fresh: the
+    /// dense engine's arrival, whose shell holds the one id set.
+    pub(crate) fn insert_admitted(
+        &mut self,
+        message: Message,
+        slot: ClientSlot,
+        registry: &DistributionRegistry,
+    ) -> usize {
         let n = self.messages.len();
-        let slot = registry.slot_of(message.client).ok();
-        // `column[j] = P(m_j precedes new)`; an early return only costs the
-        // next insert a fresh buffer.
+        assert_eq!(self.slots.len(), n, "a matrix of explicit probabilities takes no arrivals");
+        // `column[j] = P(m_j precedes new)`.
         let mut column = std::mem::take(&mut self.column);
         column.clear();
         let pending = self.messages.iter().zip(&self.slots).map(|(m, &s)| (s, m.timestamp));
-        if !registry.preceding_column(pending, slot, message.timestamp, &mut column) {
-            // An unresolved client or a NaN cell: the per-call loop reports
-            // the error (value, pair ordering, query accounting) the
-            // pre-kernel implementation did — and still fills the one column
-            // that needs no registration, an unregistered client's against
-            // only its own messages.
-            column.clear();
-            for existing in &self.messages {
-                column.push(registry.preceding_probability(existing, &message)?);
-            }
-        }
+        registry.preceding_column(pending, slot, message.timestamp, &mut column);
 
         self.grow_to(n + 1);
         let s = self.stride;
@@ -161,7 +162,7 @@ impl PrecedenceMatrix {
         self.slots.push(slot);
         self.messages.push(message);
         self.column = column;
-        Ok(n)
+        n
     }
 
     /// Remove a set of messages (typically an emitted batch) by index,
@@ -185,47 +186,43 @@ impl PrecedenceMatrix {
     /// `registry`: one pass over the upper triangle of the query grid, row
     /// by row through per-client-pair [`PairKernel`]s, each cell's
     /// complement mirrored as it is written. Every pair `(i, j)` with
-    /// `i < j` is evaluated in that orientation, so the stored floats (and,
-    /// on success, the registry query count) are exactly the ones a
-    /// per-call build produces.
+    /// `i < j` is evaluated in that orientation, so the stored floats (and
+    /// the registry query count) are exactly the ones a per-call build
+    /// produces.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EmptyInput`] for an empty slice,
-    /// [`CoreError::DuplicateMessage`] if a message id repeats, and
-    /// [`CoreError::UnknownClient`] if any message's client has no registered
-    /// distribution. When several pairs fail, the error for the
-    /// row-major-first failing pair is returned (the error path re-runs the
-    /// per-call build to guarantee this).
+    /// Returns [`CoreError::EmptyInput`] for an empty slice; otherwise the
+    /// admission rule's error for the first message, in slice order, that
+    /// fails it: [`CoreError::InvalidTimestamp`],
+    /// [`CoreError::UnknownClient`] or [`CoreError::DuplicateMessage`]. No
+    /// query is counted on error.
     pub fn compute(
         messages: &[Message],
         registry: &DistributionRegistry,
     ) -> Result<Self, CoreError> {
-        if messages.is_empty() {
-            return Err(CoreError::EmptyInput);
-        }
-        let n = messages.len();
-        if let Some(id) = repeated_id(messages) {
-            return Err(CoreError::DuplicateMessage(id));
-        }
+        let mut slots = Vec::with_capacity(messages.len());
+        registry.admit_window(messages, &mut slots)?;
+        Ok(Self::compute_admitted(messages, slots, registry))
+    }
 
-        let probs = match Self::kernel_grid(messages, registry) {
-            Ok(probs) => {
-                registry.record_queries((n * (n - 1) / 2) as u64);
-                probs
-            }
-            // Error path: re-run the per-call build, which reports exactly
-            // the error (and error ordering) the pre-kernel implementation
-            // did.
-            Err(_) => Self::percall_grid(messages, registry)?,
-        };
-        Ok(PrecedenceMatrix {
+    /// [`compute`](Self::compute) for a window already admitted, each
+    /// message from the client in the same position of `slots`.
+    pub(crate) fn compute_admitted(
+        messages: &[Message],
+        slots: Vec<ClientSlot>,
+        registry: &DistributionRegistry,
+    ) -> Self {
+        let n = messages.len();
+        let probs = Self::kernel_grid(messages, &slots, registry);
+        registry.record_queries((n * n.saturating_sub(1) / 2) as u64);
+        PrecedenceMatrix {
             messages: messages.to_vec(),
-            slots: messages.iter().map(|m| registry.slot_of(m.client).ok()).collect(),
+            slots,
             probs,
             stride: n,
             column: Vec::new(),
-        })
+        }
     }
 
     /// Fill the query grid through pair kernels: for each row `i`, every
@@ -233,27 +230,24 @@ impl PrecedenceMatrix {
     /// contiguous pass, then mirrored into column `i`.
     fn kernel_grid(
         messages: &[Message],
+        slots: &[ClientSlot],
         registry: &DistributionRegistry,
-    ) -> Result<Vec<f64>, CoreError> {
+    ) -> Vec<f64> {
         let n = messages.len();
-        let groups = build_groups(messages);
+        let groups = build_groups(messages, slots);
         let mut grid = vec![0.5; n * n];
-        let mut kernels: HashMap<(ClientId, ClientId), PairKernel> = HashMap::new();
+        let mut kernels: HashMap<(u32, u32), PairKernel> = HashMap::new();
         let mut dts: Vec<f64> = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
-        for (i, mi) in messages.iter().enumerate() {
-            for (client, rows, timestamps) in &groups {
+        for (i, (mi, &si)) in messages.iter().zip(slots).enumerate() {
+            for &(sj, ref rows, ref timestamps) in &groups {
                 // This client's columns strictly beyond the diagonal.
                 let start = rows.partition_point(|&r| r <= i);
                 if start == rows.len() {
                     continue;
                 }
-                let kernel = match kernels.entry((mi.client, *client)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(registry.pair_kernel(mi.client, *client)?)
-                    }
-                };
+                let kernel =
+                    kernels.entry((si.0, sj.0)).or_insert_with(|| registry.pair_kernel_at(si, sj));
                 let ts = &timestamps[start..];
                 dts.clear();
                 dts.extend(ts.iter().map(|&t| mi.timestamp - t));
@@ -262,42 +256,11 @@ impl PrecedenceMatrix {
                 kernel.preceding_many(&dts, &mut probs);
                 for (k, &j) in rows[start..].iter().enumerate() {
                     grid[i * n + j] = probs[k];
+                    grid[j * n + i] = 1.0 - probs[k];
                 }
             }
-            // NaN marks the per-call path's InvalidProbability case; scan in
-            // column order so the reported pair is the row-major-first one.
-            for j in (i + 1)..n {
-                let p = grid[i * n + j];
-                if p.is_nan() {
-                    return Err(CoreError::InvalidProbability {
-                        left: mi.id,
-                        right: messages[j].id,
-                    });
-                }
-                grid[j * n + i] = 1.0 - p;
-            }
         }
-        Ok(grid)
-    }
-
-    /// The pre-kernel per-call grid, kept as the error-path fallback: every
-    /// pair goes through [`DistributionRegistry::preceding_probability`]
-    /// individually, in row-major order, so error values, error ordering,
-    /// and per-call query accounting are exactly the historical ones.
-    fn percall_grid(
-        messages: &[Message],
-        registry: &DistributionRegistry,
-    ) -> Result<Vec<f64>, CoreError> {
-        let n = messages.len();
-        let mut probs = vec![0.5; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let p = registry.preceding_probability(&messages[i], &messages[j])?;
-                probs[i * n + j] = p;
-                probs[j * n + i] = 1.0 - p;
-            }
-        }
-        Ok(probs)
+        grid
     }
 
     /// Build a matrix directly from explicit pairwise probabilities — used by
@@ -314,8 +277,9 @@ impl PrecedenceMatrix {
         let n = messages.len();
         assert!(n > 0, "need at least one message");
         assert_eq!(pairwise.len(), n, "matrix row count mismatch");
-        if let Some(id) = repeated_id(messages) {
-            panic!("duplicate message id {id}");
+        let mut ids = HashSet::with_capacity(n);
+        for m in messages {
+            assert!(ids.insert(m.id), "duplicate message id {}", m.id);
         }
         let mut probs = vec![0.5; n * n];
         for i in 0..n {
@@ -331,7 +295,7 @@ impl PrecedenceMatrix {
         }
         PrecedenceMatrix {
             messages: messages.to_vec(),
-            slots: vec![None; n],
+            slots: Vec::new(),
             probs,
             stride: n,
             column: Vec::new(),
@@ -368,7 +332,7 @@ impl PrecedenceMatrix {
     }
 
     /// The registry slot stored beside the message at index `i`.
-    pub(crate) fn slot(&self, i: usize) -> Option<ClientSlot> {
+    pub(crate) fn slot(&self, i: usize) -> ClientSlot {
         self.slots[i]
     }
 
@@ -670,8 +634,8 @@ mod tests {
         }
     }
 
-    /// On failure the build surfaces the error the per-call row-major scan
-    /// hits first, not the first one a kernel lookup happens to meet.
+    /// On failure the build surfaces the admission error of the first
+    /// failing message in slice order.
     #[test]
     fn compute_reports_first_error_in_row_order() {
         let reg = registry(1.0, 3);
@@ -679,7 +643,7 @@ mod tests {
             .map(|i| msg(i, (i % 3) as u32, i as f64))
             .collect();
         // Two unregistered clients; the one at the smaller row index is the
-        // error a row-major scan reports first.
+        // error admission reports first.
         msgs[10] = msg(10, 7, 10.0);
         msgs[80] = msg(80, 9, 80.0);
         assert_eq!(

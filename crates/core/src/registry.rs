@@ -57,7 +57,7 @@
 
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::error::CoreError;
-use crate::message::{ClientId, Message};
+use crate::message::{ClientId, Message, MessageId};
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -109,13 +109,6 @@ impl Hasher for SlotHasher {
     }
 }
 
-/// Whether a distribution rides the closed form: a Gaussian whose `2σ²` is
-/// finite. Past that the kernel argument of two far-apart messages can be
-/// `∞/∞`, which only the matrix path reports as an error.
-fn closed_form(distribution: &OffsetDistribution) -> bool {
-    distribution.as_gaussian().is_some_and(|g| (2.0 * g.variance()).is_finite())
-}
-
 /// One row of the client table.
 #[derive(Debug)]
 struct ClientEntry {
@@ -145,10 +138,11 @@ struct ClientEntry {
 /// Evaluation is **bit-identical** to
 /// [`DistributionRegistry::preceding_probability`] by construction: each
 /// variant runs the same formula, in the same operation order, with the
-/// same clamping, as the corresponding per-call branch. The only difference
-/// is error signalling — a NaN result (the per-call path's
-/// `InvalidProbability` case) is returned as NaN for the caller to check,
-/// since a kernel has no message ids to put in an error.
+/// same clamping, as the corresponding per-call branch. No kernel of two
+/// registered clients returns NaN at a `dt` of finite timestamps (a
+/// Gaussian pair's spread is finite, so an overflowing numerator gives
+/// `Φ(±∞) ∈ {0, 1}`; a grid's tail is clamped), which is why no caller
+/// checks for one (see `ARCHITECTURE.md`, "Threat model & degradation").
 #[derive(Debug, Clone)]
 pub enum PairKernel {
     /// Both messages come from the same client: the comparison is
@@ -186,11 +180,9 @@ fn same_client(dt: f64) -> f64 {
 }
 
 impl PairKernel {
-    /// The preceding probability at timestamp delta `dt = T_i − T_j`.
-    ///
-    /// Returns the same value `preceding_probability` would for messages
-    /// with these clients and timestamps; NaN (never produced for finite
-    /// inputs) marks the per-call path's `InvalidProbability` error case.
+    /// The preceding probability at timestamp delta `dt = T_i − T_j`: the
+    /// value `preceding_probability` returns for messages with these
+    /// clients and timestamps.
     #[inline]
     pub fn preceding(&self, dt: f64) -> f64 {
         let p = match self {
@@ -198,9 +190,7 @@ impl PairKernel {
             PairKernel::Gaussian { i, j } => i.preceding_probability_dt(j, dt),
             PairKernel::Discretized(diff) => diff.tail(dt),
         };
-        // NaN-preserving clamp: equals `clamp_probability` for every non-NaN
-        // input (the values the per-call path can return), but keeps NaN
-        // visible so callers can surface `InvalidProbability`.
+        debug_assert!(!p.is_nan(), "admitted inputs give no NaN kernel");
         p.clamp(0.0, 1.0)
     }
 
@@ -247,8 +237,8 @@ pub struct DistributionRegistry {
     /// the `_at` form. Nothing iterates it, so no order depends on its hash.
     slots: HashMap<ClientId, ClientSlot, BuildHasherDefault<SlotHasher>>,
     entries: Vec<ClientEntry>,
-    /// Registered clients whose distribution has no closed form (see
-    /// [`closed_form`]).
+    /// Registered clients whose distribution has no closed form (is not
+    /// Gaussian).
     non_closed_form: usize,
     /// Smallest σ among the *currently* registered Gaussian clients (`+∞`
     /// when there is none).
@@ -310,7 +300,7 @@ impl DistributionRegistry {
     /// Register (or replace) a client's offset distribution, invalidating any
     /// cached quantities involving that client.
     pub fn register(&mut self, client: ClientId, distribution: OffsetDistribution) {
-        self.non_closed_form += usize::from(!closed_form(&distribution));
+        self.non_closed_form += usize::from(!distribution.is_gaussian());
         let sigma = distribution.as_gaussian().map_or(f64::INFINITY, |g| g.std_dev());
         self.min_gaussian_sigma = self.min_gaussian_sigma.min(sigma);
         let entry = ClientEntry {
@@ -328,7 +318,7 @@ impl DistributionRegistry {
             // Only a re-registration can have anything cached to drop.
             Entry::Occupied(slot) => {
                 let old = std::mem::replace(&mut self.entries[slot.get().idx()], entry);
-                self.non_closed_form -= usize::from(!closed_form(&old.distribution));
+                self.non_closed_form -= usize::from(!old.distribution.is_gaussian());
                 // The replaced claim may have been the minimum: re-take it
                 // over the census (O(C), re-registrations only).
                 let gaussians = self.entries.iter().filter_map(|e| e.distribution.as_gaussian());
@@ -476,30 +466,64 @@ impl DistributionRegistry {
         diff
     }
 
+    /// The admission rule for one message, at every entry point that takes
+    /// a raw timestamp: a finite timestamp, then a registered client, whose
+    /// slot is returned. (A heartbeat may carry `±∞`; a message may not:
+    /// two of them would hand a kernel `∞ − ∞`.)
+    pub(crate) fn admit(&self, message: &Message) -> Result<ClientSlot, CoreError> {
+        if !message.timestamp.is_finite() {
+            return Err(CoreError::InvalidTimestamp {
+                client: message.client,
+                observed: message.timestamp,
+            });
+        }
+        self.slot_of(message.client)
+    }
+
+    /// The admission rule over a window, message by message in window order
+    /// (the first failing message's error wins): non-empty, then each
+    /// message [`admit`](Self::admit)ted and its id fresh. `slots` is
+    /// overwritten with the messages' slots; the returned id map, valued by
+    /// window position, is the duplicate check.
+    pub(crate) fn admit_window(
+        &self,
+        messages: &[Message],
+        slots: &mut Vec<ClientSlot>,
+    ) -> Result<HashMap<MessageId, usize>, CoreError> {
+        if messages.is_empty() {
+            return Err(CoreError::EmptyInput);
+        }
+        let mut ids = HashMap::with_capacity(messages.len());
+        slots.clear();
+        for (position, m) in messages.iter().enumerate() {
+            slots.push(self.admit(m)?);
+            if ids.insert(m.id, position).is_some() {
+                return Err(CoreError::DuplicateMessage(m.id));
+            }
+        }
+        Ok(ids)
+    }
+
     /// The preceding probability `P(T*_i < T*_j | T_i, T_j)` for two messages
     /// (§3.2/§3.3 of the paper).
     ///
     /// Messages from the *same* client are compared deterministically by
     /// their local timestamps (one client's offsets cancel out under the
     /// paper's per-message offset model with a shared clock); ties yield 0.5.
+    ///
+    /// # Errors
+    ///
+    /// Each message must pass the admission rule, `i` first:
+    /// [`CoreError::InvalidTimestamp`] for a non-finite timestamp,
+    /// [`CoreError::UnknownClient`] for an unregistered client.
     pub fn preceding_probability(&self, i: &Message, j: &Message) -> Result<f64, CoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if i.client == j.client {
-            return Ok(same_client(i.timestamp - j.timestamp));
-        }
-
-        let (si, sj) = (self.slot_of(i.client)?, self.slot_of(j.client)?);
+        let (si, sj) = (self.admit(i)?, self.admit(j)?);
         let p = match (self.gaussian_at(si), self.gaussian_at(sj)) {
+            _ if si == sj => same_client(i.timestamp - j.timestamp),
             (Some(gi), Some(gj)) => gi.preceding_probability(i.timestamp, gj, j.timestamp),
             _ => self.difference_at(si, sj).tail(i.timestamp - j.timestamp),
         };
-
-        if p.is_nan() {
-            return Err(CoreError::InvalidProbability {
-                left: i.id,
-                right: j.id,
-            });
-        }
         Ok(clamp_probability(p))
     }
 
@@ -518,10 +542,8 @@ impl DistributionRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownClient`] if either client of a
-    /// *distinct* pair is unregistered. Same-client pairs resolve without a
-    /// registration check, exactly as the per-call path short-circuits
-    /// before looking up distributions.
+    /// Returns [`CoreError::UnknownClient`] if either client is
+    /// unregistered, `client_i` first.
     ///
     /// # Example
     ///
@@ -548,9 +570,6 @@ impl DistributionRegistry {
         client_i: ClientId,
         client_j: ClientId,
     ) -> Result<PairKernel, CoreError> {
-        if client_i == client_j {
-            return Ok(PairKernel::SameClient);
-        }
         Ok(self.pair_kernel_at(self.slot_of(client_i)?, self.slot_of(client_j)?))
     }
 
@@ -569,21 +588,17 @@ impl DistributionRegistry {
     /// push `pair_kernel_at(slot, arrival).preceding(timestamp − t_arrival)`
     /// (to the bit) onto `out`, as indexed reads, and count them; the
     /// difference table's read lock is held across the column and released
-    /// only to build a grid on its first use. Returns `false`, counting
-    /// nothing, on the per-call path's error cases: an unresolved client or
-    /// a NaN cell.
+    /// only to build a grid on its first use.
     pub(crate) fn preceding_column(
         &self,
-        pending: impl Iterator<Item = (Option<ClientSlot>, f64)>,
-        arrival: Option<ClientSlot>,
+        pending: impl Iterator<Item = (ClientSlot, f64)>,
+        arrival: ClientSlot,
         t_arrival: f64,
         out: &mut Vec<f64>,
-    ) -> bool {
-        let Some(arrival) = arrival else { return false };
+    ) {
         let arrival_gaussian = self.gaussian_at(arrival);
         let mut table = self.differences.read();
         for (slot, timestamp) in pending {
-            let Some(slot) = slot else { return false };
             let dt = timestamp - t_arrival;
             let p = match (self.gaussian_at(slot), arrival_gaussian) {
                 _ if slot == arrival => same_client(dt),
@@ -598,13 +613,9 @@ impl DistributionRegistry {
                     difference_cell(&table, key).expect("just built").tail(dt)
                 }
             };
-            if p.is_nan() {
-                return false;
-            }
             out.push(p.clamp(0.0, 1.0));
         }
         self.record_queries(out.len() as u64);
-        true
     }
 
     /// Account `n` pairwise queries answered outside
@@ -975,9 +986,15 @@ mod tests {
             reg.pair_kernel(ClientId(9), ClientId(0)).unwrap_err(),
             CoreError::UnknownClient(ClientId(9))
         );
-        // Same-client pairs resolve without a registration check, exactly as
-        // preceding_probability short-circuits before any lookup.
-        let kernel = reg.pair_kernel(ClientId(9), ClientId(9)).unwrap();
+        // A same-client pair needs its client registered too, exactly as
+        // preceding_probability admits both messages before any lookup.
+        assert_eq!(
+            reg.pair_kernel(ClientId(9), ClientId(9)).unwrap_err(),
+            CoreError::UnknownClient(ClientId(9))
+        );
+        let (a, b) = (msg(0, 9, 1.0), msg(1, 9, 2.0));
+        assert_eq!(reg.preceding_probability(&a, &b), Err(CoreError::UnknownClient(ClientId(9))));
+        let kernel = reg.pair_kernel(ClientId(0), ClientId(0)).unwrap();
         assert!(matches!(kernel, PairKernel::SameClient));
         assert_eq!(kernel.preceding(-1.0), 1.0);
         assert_eq!(kernel.preceding(1.0), 0.0);

@@ -56,7 +56,6 @@
 
 use crate::batching::{FairOrder, FairOrderCounters, IncrementalFairOrder};
 use crate::config::SequencerConfig;
-use crate::error::CoreError;
 use crate::message::{Message, MessageId};
 use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::registry::{ClientSlot, DistributionRegistry};
@@ -167,7 +166,7 @@ impl DenseEngine {
     /// and a re-derivation over an unaffected pending set would be O(n²)
     /// queries of pure waste.
     pub(crate) fn contains_slot(&self, slot: ClientSlot) -> bool {
-        (0..self.matrix.len()).any(|i| self.matrix.slot(i) == Some(slot))
+        (0..self.matrix.len()).any(|i| self.matrix.slot(i) == slot)
     }
 
     /// The smallest margin-adjusted key `timestamp − μ_client` among the
@@ -183,8 +182,7 @@ impl DenseEngine {
 
     /// The `(client slot, timestamp)` of the pending message at index `i`.
     fn keyed(&self, i: usize) -> (ClientSlot, f64) {
-        let slot = self.matrix.slot(i).expect("pending clients are registered");
-        (slot, self.matrix.message(i).timestamp)
+        (self.matrix.slot(i), self.matrix.message(i).timestamp)
     }
 
     /// Make the maintained order and boundary set valid: a no-op (zero
@@ -218,18 +216,18 @@ impl DenseEngine {
         order.map(|(pos, &idx)| (self.matrix.message(idx).id, starts(pos))).collect()
     }
 
-    /// Insert an arrival: one matrix column (O(n) probability queries), then
-    /// its place in the tournament and the boundary set. The matrix resolves
-    /// the client itself; `_slot` keeps the signature the sparse engine's.
+    /// Insert an admitted arrival from the client in `slot`: one matrix
+    /// column (O(n) probability queries), then its place in the tournament
+    /// and the boundary set. Cannot fail: the shell admitted the message
+    /// and holds the one id set.
     pub(crate) fn insert(
         &mut self,
         message: Message,
-        _slot: ClientSlot,
+        slot: ClientSlot,
         registry: &DistributionRegistry,
-    ) -> Result<(), CoreError> {
-        self.matrix.insert(message, registry)?;
+    ) {
+        self.matrix.insert_admitted(message, slot, registry);
         self.place_last();
-        Ok(())
     }
 
     /// Place the message the matrix just gained (its last index): the
@@ -361,16 +359,21 @@ impl DenseEngine {
         self.candidate = None;
     }
 
-    /// Re-derive the pending state from scratch over `messages` (a mode
+    /// Re-derive the pending state from scratch over `messages` in arrival
+    /// order, each from the client in the same position of `slots` (a mode
     /// switch into this engine, or a re-registration that changed a pending
     /// client's pairwise probabilities): the one O(n²) payment. Empty input
     /// clears.
-    pub(crate) fn rebuild_from(&mut self, messages: &[Message], registry: &DistributionRegistry) {
+    pub(crate) fn rebuild_from(
+        &mut self,
+        messages: &[Message],
+        slots: &[ClientSlot],
+        registry: &DistributionRegistry,
+    ) {
         if messages.is_empty() {
             return self.clear_pending();
         }
-        let matrix = PrecedenceMatrix::compute(messages, registry);
-        self.load(matrix.expect("pending messages come from registered clients"));
+        self.load(PrecedenceMatrix::compute_admitted(messages, slots.to_vec(), registry));
     }
 
     /// Reset the pending set (counters describe the whole run and are
@@ -496,7 +499,7 @@ mod tests {
                     );
                     next_id += 1;
                     let slot = reg.slot_of(m.client).unwrap();
-                    engine.insert(m, slot, &reg).unwrap();
+                    engine.insert(m, slot, &reg);
                 }
                 if engine.len() == 0 {
                     assert!(engine.fair.is_empty());

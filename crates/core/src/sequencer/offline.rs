@@ -11,11 +11,16 @@
 //!   boundary bits are the §3.4 batches: no matrix, and no tournament since
 //!   Gaussian ones are transitive (Appendix A). The outcome is the matrix
 //!   path's, under the `Φ(0)` placement caveat of `sequencer::sparse`'s docs.
-//! * **Anything else** (a mixed or cyclic census, `ForceDense`, a window the
-//!   fast path cannot prove valid): the pairwise [`PrecedenceMatrix`], filled
-//!   through per-client-pair [`PairKernel`](crate::registry::PairKernel)s,
-//!   is loaded into the dense engine, which runs the tournament, linear
-//!   order and threshold batching over it.
+//! * **Anything else** (a mixed or cyclic census, `ForceDense`): the
+//!   pairwise [`PrecedenceMatrix`], filled through per-client-pair
+//!   [`PairKernel`](crate::registry::PairKernel)s, is loaded into the dense
+//!   engine, which runs the tournament, linear order and threshold batching
+//!   over it.
+//!
+//! Either way the window is first admitted by the one rule every entry
+//! point applies (finite timestamps, registered clients, fresh ids, message
+//! by message in window order), so both engines refuse the same windows
+//! with the same error, and neither can fail once loading starts.
 
 use crate::batching::FairOrder;
 use crate::config::SequencerConfig;
@@ -53,9 +58,9 @@ pub struct TommySequencer {
     /// Holds the window while the census is closed-form.
     sparse: SparseEngine,
     registry: DistributionRegistry,
-    /// Buffers reused across closed-form windows: each message's client
-    /// slot, resolved once by `load_window`, and each arena slot's rank,
-    /// recorded by `sparse_order`.
+    /// Buffers reused across windows: each message's client slot, resolved
+    /// once by `load_window` (a dense window's matrix keeps it), and each
+    /// arena slot's rank, recorded by `sparse_order`.
     slots: Vec<ClientSlot>,
     ranks: Vec<usize>,
 }
@@ -134,35 +139,26 @@ impl TommySequencer {
         self.dense.outcome()
     }
 
-    /// Load the window into the engine the census picks. On a closed-form
-    /// census the fast path takes only what the matrix build would accept
-    /// (non-empty, every client registered, every timestamp finite, no
-    /// repeated id), so any other input still reports that build's error.
-    /// Its validation hashes each id and resolves each client once: the
-    /// slots go to the rebuild, and the id map, valued by window position,
-    /// is both the duplicate check and, returned as `Some`, the order's
-    /// rank index to be. `None`: the window went to the dense engine.
+    /// Admit the window (the registry's rule, message by message in window
+    /// order: every timestamp finite, every client registered, no repeated
+    /// id) and load it into the engine the census picks. Admission hashes
+    /// each id and resolves each client once: the slots go to the build,
+    /// and the id map, valued by window position, is returned as `Some`,
+    /// the sparse order's rank index to be. `None`: the window went to the
+    /// dense engine.
     fn load_window(
         &mut self,
         messages: &[Message],
     ) -> Result<Option<HashMap<MessageId, usize>>, CoreError> {
-        let config = self.dense.config();
-        if self.registry.rides_sparse_engine(config.fast_path) && !messages.is_empty() {
-            let mut ids = HashMap::with_capacity(messages.len());
-            self.slots.clear();
-            let valid = messages.iter().enumerate().all(|(position, m)| {
-                m.timestamp.is_finite()
-                    && self.registry.slot_of(m.client).map(|s| self.slots.push(s)).is_ok()
-                    && ids.insert(m.id, position).is_none()
-            });
-            if valid {
-                self.sparse.rebuild_from(messages, &self.slots, &self.registry);
-                return Ok(Some(ids));
-            }
+        let ids = self.registry.admit_window(messages, &mut self.slots)?;
+        if self.registry.rides_sparse_engine(self.dense.config().fast_path) {
+            self.sparse.rebuild_from(messages, &self.slots, &self.registry);
+            return Ok(Some(ids));
         }
         // The last window's matrix goes before this one is built.
         self.dense.clear_pending();
-        self.dense.load(PrecedenceMatrix::compute(messages, &self.registry)?);
+        let slots = std::mem::take(&mut self.slots);
+        self.dense.load(PrecedenceMatrix::compute_admitted(messages, slots, &self.registry));
         Ok(None)
     }
 

@@ -18,14 +18,18 @@
 //! ## The shell and its two engines
 //!
 //! [`OnlineSequencer`] is a *shell* of three stages. `submit` runs
-//! **admission** (unknown client, duplicate id, non-finite or backwards
-//! timestamp), then the **observers** — one call into the observer of
-//! [`crate::defense`], which owns the trust windows, the collusion tracker,
-//! the delay estimators and the liveness clocks and returns the
-//! re-registrations its verdicts ask for — then **release**: the violation
-//! check, the engine insert, watermarks and emission timing. The pending set
-//! itself — who precedes whom, where batches split, which batch is the
-//! candidate — lives in one of two private engines with one surface
+//! **admission** (a non-finite timestamp, an unknown client, a duplicate
+//! id, a backwards timestamp), then the **observers** — one call into the
+//! observer of [`crate::defense`], which owns the trust windows, the
+//! collusion tracker, the delay estimators and the liveness clocks and
+//! returns the re-registrations its verdicts ask for — then **release**:
+//! the violation check, the engine insert, watermarks and emission timing.
+//! `submit` is all-or-nothing: admission changes nothing but the clock, and
+//! nothing after it can fail, since the admission rule refuses every input
+//! a probability could go NaN on (see `ARCHITECTURE.md`, "Threat model &
+//! degradation"), so neither engine's `insert` returns an error. The
+//! pending set itself — who precedes whom, where batches split, which batch
+//! is the candidate — lives in one of two private engines with one surface
 //! (`insert`, `candidate_meta`, `take_candidate`, `commit_removal`,
 //! `rebuild_from`):
 //!
@@ -419,15 +423,10 @@ impl OnlineSequencer {
             // Arrival order, so sparse sequence numbers keep matching dense
             // slot order; into the dense engine this is the one O(n²)
             // payment a census change costs.
-            match self.mode {
-                EngineMode::Sparse => {
-                    let slot_of = |m: &Message| self.registry.slot_of(m.client);
-                    let slots: Result<Vec<ClientSlot>, _> = pending.iter().map(slot_of).collect();
-                    let slots = slots.expect("pending messages come from registered clients");
-                    self.sparse.rebuild_from(&pending, &slots, &self.registry);
-                }
-                EngineMode::Dense => self.dense.rebuild_from(&pending, &self.registry),
-            }
+            let slots: Result<Vec<ClientSlot>, _> =
+                pending.iter().map(|m| self.registry.slot_of(m.client)).collect();
+            let slots = slots.expect("pending clients are registered");
+            engine!(self.rebuild_from(&pending, &slots, &self.registry));
         }
         self.record_memory_peaks();
     }
@@ -641,30 +640,25 @@ impl OnlineSequencer {
     }
 
     /// Submit a message that arrived at sequencer-clock time `arrival_time`.
-    /// Returns any batches that became safe to emit as a result. Every check
-    /// runs before anything but the clock changes: a rejected message leaves
-    /// no trace, and a corrected retry of its id is accepted.
+    /// Returns any batches that became safe to emit as a result.
+    ///
+    /// All-or-nothing: admission runs every check (the registry's rule — a
+    /// finite timestamp from a registered client — then a fresh id, then a
+    /// timestamp not behind the client's last) before anything but the
+    /// clock changes, and the commit after it cannot fail. A rejected
+    /// message leaves no trace, and a corrected retry of its id is accepted.
     pub fn submit(
         &mut self,
         message: Message,
         arrival_time: f64,
     ) -> Result<Vec<EmittedBatch>, CoreError> {
-        let slot = self.registry.slot_of(message.client)?;
+        let slot = self.registry.admit(&message)?;
         let Entry::Vacant(fresh) = self.ids.entry(message.id) else {
             return Err(CoreError::DuplicateMessage(message.id));
         };
         // (`advance_clock`, spelled out because `fresh` borrows the map.)
         if arrival_time > self.now {
             self.now = arrival_time;
-        }
-        // `Message`'s fields are public, so ±∞ can get here: two of them
-        // would make a kernel argument `∞ − ∞ = NaN` (heartbeats keep
-        // accepting ±∞; closing heartbeats rely on it).
-        if !message.timestamp.is_finite() {
-            return Err(CoreError::InvalidTimestamp {
-                client: message.client,
-                observed: message.timestamp,
-            });
         }
         // The last check (backwards) and, only if it passes, the first
         // mutation.
@@ -700,14 +694,7 @@ impl OnlineSequencer {
             self.stats.fairness_violations += 1;
         }
 
-        let id = message.id;
-        if let Err(err) = engine!(self.insert(message, slot, &self.registry)) {
-            // A refused insert takes its id back out, so a retry is judged
-            // on its own; the arrival's watermark and observer effects stay
-            // (an open row of ROADMAP item D's hostile-input table).
-            self.ids.remove(&id);
-            return Err(err);
-        }
+        engine!(self.insert(message, slot, &self.registry));
         self.stats.max_pending = self.stats.max_pending.max(self.pending_len());
         self.record_memory_peaks();
         Ok(self.try_emit())
@@ -732,16 +719,13 @@ impl OnlineSequencer {
     /// timestamp: an emitted entry's reach (`outward = 1`) or an arrival's
     /// floor (`−1`). The slack is 1e-9 of the operands' magnitude, far above
     /// the few ulps by which the margin scan's rounding can differ. `None`
-    /// for a non-Gaussian client, a non-finite result, or a variance past
-    /// `f64::MAX / 2`, where the scan's `√(σ_i² + σ_j²)` can overflow and
-    /// make every margin `+∞`.
+    /// for a non-Gaussian client or a non-finite result.
     fn violation_reach(&self, slot: ClientSlot, timestamp: f64, outward: f64) -> Option<f64> {
         let gaussian = self.registry.gaussian_at(slot)?;
         let spread = -self.violation_z * gaussian.std_dev();
         let slack = 1e-9 * (1.0 + timestamp.abs() + gaussian.mean().abs() + spread);
         let reach = timestamp - gaussian.mean() + outward * (spread + slack);
-        let bounded = (2.0 * gaussian.variance()).is_finite();
-        (bounded && reach.is_finite()).then_some(reach)
+        reach.is_finite().then_some(reach)
     }
 
     /// Re-fold [`violation_bound`](Self::violation_bound) over
@@ -1255,38 +1239,38 @@ mod tests {
         }
     }
 
-    /// A dense insert that fails (here σ = 1e200 and timestamps ±1e308: `dt`
-    /// overflows to ∞, and so does the combined spread, so the kernel
-    /// argument is ∞/∞ = NaN) leaves its id untracked: a retry of the same
-    /// message is refused for the NaN again, not as a duplicate.
+    /// The widest inputs admission lets through — one clock at
+    /// `Gaussian::MAX_STD_DEV`, one at mean 1e308, timestamps at ±1e308, so
+    /// `dt` and the kernel argument overflow to ±∞ — give `Φ(±∞) ∈ {0, 1}`,
+    /// never NaN: the census rides the sparse engine under `Auto`, every
+    /// message is accepted, and the run is bit-identical to `ForceDense`.
     #[test]
-    fn rejected_engine_insert_leaves_no_id_behind() {
-        let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
-        assert_overflowing_spread_is_refused_and_untracked(config);
-    }
-
-    /// The `Auto` twin: a Gaussian whose `2σ²` overflows is not closed-form,
-    /// so the census keeps the shell on the dense engine and the same typed
-    /// error comes back.
-    #[test]
-    fn rejected_engine_insert_leaves_no_id_behind_in_auto() {
-        assert_overflowing_spread_is_refused_and_untracked(SequencerConfig::default());
-    }
-
-    fn assert_overflowing_spread_is_refused_and_untracked(config: SequencerConfig) {
-        let mut seq = OnlineSequencer::new(config);
-        for c in 0..2 {
-            seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, 1e200));
-        }
-        seq.submit(msg(0, 0, -1e308), 0.0).unwrap();
-        let nan = CoreError::InvalidProbability {
-            left: MessageId(0),
-            right: MessageId(1),
+    fn extreme_valid_inputs_ride_the_sparse_engine_like_force_dense() {
+        use tommy_stats::gaussian::Gaussian;
+        let run = |config: SequencerConfig| {
+            let mut seq = OnlineSequencer::new(config);
+            let wide = OffsetDistribution::gaussian(0.0, Gaussian::MAX_STD_DEV);
+            seq.register_client(ClientId(0), wide);
+            seq.register_client(ClientId(1), OffsetDistribution::gaussian(1e308, 1.0));
+            seq.register_client(ClientId(2), OffsetDistribution::gaussian(0.0, 1.0));
+            // Arrivals after an emission run the violation check at ±1e308.
+            let arrivals = [(0, -1e308), (1, -1e308), (2, 1e308), (0, 1e308), (1, 1e308)];
+            let mut batches = Vec::new();
+            let late = [(2, 1e308), (0, 1e308)];
+            for (id, &(client, ts)) in arrivals.iter().chain(&late).enumerate() {
+                batches.extend(seq.submit(msg(id as u64, client, ts), id as f64).unwrap());
+            }
+            batches.extend(seq.flush());
+            (batches, seq.stats())
         };
-        assert_eq!(seq.submit(msg(1, 1, 1e308), 1.0), Err(nan.clone()));
-        assert_eq!(seq.tracked_ids(), seq.pending_len());
-        assert_eq!(seq.submit(msg(1, 1, 1e308), 2.0), Err(nan));
-        assert_eq!((seq.tracked_ids(), seq.pending_len()), (1, 1));
+        let (auto, auto_stats) = run(SequencerConfig::default());
+        let dense = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        let (forced, forced_stats) = run(dense);
+        assert_eq!(auto_stats.dense_columns_avoided, 7, "Auto rides the sparse engine");
+        assert_eq!(forced_stats.dense_columns_avoided, 0);
+        assert_eq!(auto, forced);
+        assert_eq!(auto.iter().map(|b| b.messages.len()).sum::<usize>(), 7);
+        assert_eq!(auto_stats.fairness_violations, forced_stats.fairness_violations);
     }
 
     /// Clients registered out of id order (7 gets the first slot, 3 the

@@ -84,7 +84,6 @@
 //! ("Sparse fast path").
 
 use crate::batching::FairOrderCounters;
-use crate::error::CoreError;
 use crate::message::{Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry};
 use tommy_stats::erf::std_normal_inv_cdf;
@@ -491,14 +490,13 @@ impl SparseEngine {
     /// Insert an arrival: a walk in from the tail to its place, exactly two
     /// adjacency decisions for the boundary bits (mirroring the dense
     /// `IncrementalFairOrder::insert_at` contract), and an incremental
-    /// candidate update (see module docs). Never fails: the `Result` is the
-    /// engine seam's signature (a dense column fill can).
+    /// candidate update (see module docs).
     pub(crate) fn insert(
         &mut self,
         message: Message,
         client: ClientSlot,
         registry: &DistributionRegistry,
-    ) -> Result<(), CoreError> {
+    ) {
         self.arrivals += 1;
         let slot = self.alloc(message, client, registry);
         self.place(slot);
@@ -531,7 +529,6 @@ impl SparseEngine {
         }
 
         self.update_candidate_on_insert(slot, registry);
-        Ok(())
     }
 
     /// Incremental candidate maintenance for an arrival (see module docs
@@ -989,6 +986,7 @@ mod tests {
     use crate::message::ClientId;
     use tommy_stats::distribution::OffsetDistribution;
     use tommy_stats::erf::std_normal_cdf;
+    use tommy_stats::gaussian::Gaussian;
 
     fn registry(clients: &[(u32, f64, f64)]) -> DistributionRegistry {
         let mut reg = DistributionRegistry::new();
@@ -1005,7 +1003,7 @@ mod tests {
     /// Insert, resolving the slot as the shell does.
     fn insert(engine: &mut SparseEngine, reg: &DistributionRegistry, m: Message) {
         let slot = reg.slot_of(m.client).expect("registered");
-        engine.insert(m, slot, reg).unwrap();
+        engine.insert(m, slot, reg);
     }
 
     /// Each message's client slot, resolved as a sequencer does before a
@@ -1213,7 +1211,8 @@ mod tests {
     /// one ulp either side of both band edges, inside the band, at
     /// `±Φ⁻¹(θ)` and at `±0`, in both arrival orders and both directions —
     /// and for spreads that are zero (the exact step kernel), zero on one
-    /// side, or overflow to `∞` (`x = 0`).
+    /// side, or the widest a Gaussian admits; there, timestamps at ±1e308
+    /// overflow `dt` and `x = ±∞`.
     #[test]
     fn settled_decisions_agree_with_evaluation() {
         let thresholds = [0.5 + 1e-7, 0.75, 0.999, 1.0 - 5e-7, 1.0 - 1e-15];
@@ -1222,7 +1221,7 @@ mod tests {
             (0.05, 20.0),
             (0.0, 3.0),
             (0.0, 0.0),
-            (1e200, 1.0),
+            (Gaussian::MAX_STD_DEV, Gaussian::MAX_STD_DEV),
         ];
         let (mut settled, mut evaluated) = (0, 0);
         for threshold in thresholds {
@@ -1276,6 +1275,22 @@ mod tests {
             settled > 0 && evaluated > 0,
             "{settled} settled, {evaluated} in band"
         );
+        let wide = Gaussian::MAX_STD_DEV;
+        let reg = registry(&[(0, 0.0, wide), (1, 0.0, wide)]);
+        let slot_of = |c| reg.slot_of(ClientId(c)).expect("registered");
+        for (t0, t1) in [(-1e308, 1e308), (1e308, -1e308)] {
+            let mut engine = SparseEngine::new(0.75, 0.999);
+            engine.alloc(msg(0, 0, t0), slot_of(0), &reg);
+            engine.alloc(msg(1, 1, t1), slot_of(1), &reg);
+            assert!(engine.kernel_arg(&reg, 0, 1).unwrap().is_infinite());
+            for ask in [Ask::Boundary, Ask::Link] {
+                for (a, b) in [(0, 1), (1, 0)] {
+                    let exact = engine.evaluate(&reg, a, b, ask);
+                    let decided = engine.decide(&reg, a, b, ask);
+                    assert_eq!(decided, exact, "{ask:?} ({a}, {b}) at ±1e308");
+                }
+            }
+        }
     }
 
     /// A two-message engine at `threshold` whose pair `(u, v)`, client 0's

@@ -13,20 +13,36 @@ pub struct Gaussian {
 }
 
 impl Gaussian {
+    /// The largest standard deviation a Gaussian may have, `√(f64::MAX / 2)`
+    /// rounded down: `2σ²` stays finite, so a pair's spread
+    /// `√(σ_i² + σ_j²)` is finite and the closed form's argument is never
+    /// `∞/∞`.
+    pub const MAX_STD_DEV: f64 = 9.480_751_908_109_176e153;
+
     /// Create a Gaussian with the given mean and standard deviation.
     ///
     /// # Panics
     ///
-    /// Panics if `std_dev` is negative, NaN, or infinite. A standard deviation
-    /// of exactly zero is allowed and models a perfectly synchronized clock
-    /// (a degenerate point mass).
+    /// Panics if `std_dev` is negative, NaN or above
+    /// [`MAX_STD_DEV`](Self::MAX_STD_DEV), or `mean` is not finite. A standard
+    /// deviation of exactly zero is allowed and models a perfectly
+    /// synchronized clock (a degenerate point mass).
     pub fn new(mean: f64, std_dev: f64) -> Self {
         assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "standard deviation must be finite and non-negative, got {std_dev}"
+            (0.0..=Self::MAX_STD_DEV).contains(&std_dev),
+            "standard deviation must be finite with finite 2σ², and non-negative, got {std_dev}"
         );
         assert!(mean.is_finite(), "mean must be finite, got {mean}");
         Gaussian { mean, std_dev }
+    }
+
+    /// The nearest Gaussian [`new`](Self::new) admits, for parameters fitted
+    /// from data that may overflow: `mean` saturated into the finite range
+    /// (a NaN, the sum of overflows of both signs, taken as 0) and
+    /// `std_dev` at [`MAX_STD_DEV`](Self::MAX_STD_DEV) (a NaN too).
+    pub fn saturating(mean: f64, std_dev: f64) -> Self {
+        let mean = if mean.is_nan() { 0.0 } else { mean.clamp(-f64::MAX, f64::MAX) };
+        Gaussian::new(mean, std_dev.min(Self::MAX_STD_DEV))
     }
 
     /// Create a Gaussian from mean and variance.
@@ -294,5 +310,36 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_std_dev_rejected() {
         Gaussian::new(0.0, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite 2σ²")]
+    fn std_dev_past_the_bound_rejected() {
+        Gaussian::new(0.0, Gaussian::MAX_STD_DEV.next_up());
+    }
+
+    /// At the bound `2σ²` is finite, so the closed form is never `∞/∞`: an
+    /// overflowing numerator gives `Φ(±∞) ∈ {0, 1}`, never NaN.
+    #[test]
+    fn closed_form_at_the_bound_is_a_number() {
+        let wide = Gaussian::new(0.0, Gaussian::MAX_STD_DEV);
+        assert!((2.0 * wide.variance()).is_finite());
+        assert_eq!(wide.preceding_probability_dt(&wide, f64::INFINITY), 0.0);
+        assert_eq!(wide.preceding_probability_dt(&wide, f64::NEG_INFINITY), 1.0);
+        assert_eq!(wide.preceding_probability(-1e308, &wide, 1e308), 1.0);
+        let (high, low) = (Gaussian::new(1e308, 1.0), Gaussian::new(-1e308, 1.0));
+        assert_eq!(high.preceding_probability(0.0, &low, 0.0), 1.0);
+        assert_eq!(low.preceding_probability(0.0, &high, 0.0), 0.0);
+    }
+
+    #[test]
+    fn saturating_clamps_only_what_overflowed() {
+        let g = Gaussian::saturating(2.0, 3.0);
+        assert_eq!((g.mean(), g.std_dev()), (2.0, 3.0));
+        let g = Gaussian::saturating(f64::INFINITY, f64::INFINITY);
+        assert_eq!((g.mean(), g.std_dev()), (f64::MAX, Gaussian::MAX_STD_DEV));
+        assert_eq!(Gaussian::saturating(f64::NEG_INFINITY, 1.0).mean(), -f64::MAX);
+        let g = Gaussian::saturating(f64::NAN, f64::NAN);
+        assert_eq!((g.mean(), g.std_dev()), (0.0, Gaussian::MAX_STD_DEV));
     }
 }

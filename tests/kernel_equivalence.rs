@@ -359,12 +359,13 @@ fn maintained_matrix_survives_reregistration_bit_for_bit() {
     assert!(flipped_pending >= 3 && flipped_idle >= 3, "{flipped_pending} / {flipped_idle}");
 }
 
-/// Errors are the per-call loop's, for the pair it fails on first, with its
-/// query accounting, and they leave the matrix as it was — including the
-/// historical successes: an unregistered client into an empty matrix, or
-/// into one holding only its own messages.
+/// An insert the admission rule refuses — checked in its order: a finite
+/// timestamp, a registered client, a fresh id — returns that rule's error,
+/// counts no query and leaves the matrix as it was, bit for bit; an
+/// unregistered client is refused even into an empty matrix, where no pair
+/// would consult the registry.
 #[test]
-fn insert_errors_match_the_per_call_loop_and_change_nothing() {
+fn insert_errors_are_admission_errors_and_change_nothing() {
     let mut registry = DistributionRegistry::new();
     registry.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
     registry.register(ClientId(1), OffsetDistribution::laplace(0.0, 2.0));
@@ -376,68 +377,45 @@ fn insert_errors_match_the_per_call_loop_and_change_nothing() {
         timestamp,
         true_time: None,
     };
-    // What the id check plus the per-call loop return for `new` against
-    // `matrix`, and the queries they count getting there.
-    let per_call = |matrix: &PrecedenceMatrix, new: &Message| {
-        if matrix.index_of(new.id).is_some() {
-            return (Err(CoreError::DuplicateMessage(new.id)), 0);
-        }
-        let before = registry.query_count();
-        let result = matrix
-            .messages()
-            .iter()
-            .try_for_each(|m| registry.preceding_probability(m, new).map(|_| ()));
-        (result, registry.query_count() - before)
-    };
-    let check = |matrix: &mut PrecedenceMatrix, new: Message, what: &str| {
+    let refused = |matrix: &mut PrecedenceMatrix, new: Message, expected: CoreError| {
         let snapshot = matrix.clone();
-        let (expected, expected_queries) = per_call(matrix, &new);
         let before = registry.query_count();
-        let got = matrix.insert(new, &registry);
-        assert_eq!(got.clone().map(|_| ()), expected, "{what}");
-        assert_eq!(registry.query_count() - before, expected_queries, "{what}: queries");
-        if got.is_err() {
-            assert_eq!(matrix.len(), snapshot.len(), "{what}: size");
-            for i in 0..snapshot.len() {
-                assert_eq!(matrix.message(i), snapshot.message(i), "{what}: slot {i}");
-                for j in 0..snapshot.len() {
-                    assert_eq!(matrix.prob(i, j).to_bits(), snapshot.prob(i, j).to_bits(), "{what}");
-                }
+        assert_eq!(matrix.insert(new, &registry), Err(expected.clone()), "{expected}");
+        assert_eq!(registry.query_count(), before, "{expected}: queries");
+        assert_eq!(matrix.len(), snapshot.len(), "{expected}: size");
+        for i in 0..snapshot.len() {
+            assert_eq!(matrix.message(i), snapshot.message(i), "{expected}: slot {i}");
+            for j in 0..snapshot.len() {
+                let (got, was) = (matrix.prob(i, j), snapshot.prob(i, j));
+                assert_eq!(got.to_bits(), was.to_bits(), "{expected}");
             }
         }
-        got
     };
-
-    // An unregistered client: into an empty matrix and onto its own messages
-    // it needs no distribution; a registered client then fails against it.
-    let mut own = PrecedenceMatrix::empty();
-    assert_eq!(check(&mut own, raw(0, stranger, 5.0), "stranger, empty"), Ok(0));
-    assert_eq!(check(&mut own, raw(1, stranger, 3.0), "stranger, own"), Ok(1));
-    assert_eq!((own.prob(0, 1), own.prob(1, 0)), (0.0, 1.0));
-    assert_eq!(
-        check(&mut own, raw(2, ClientId(0), 4.0), "registered onto stranger"),
-        Err(CoreError::UnknownClient(stranger))
-    );
+    let invalid =
+        |client: ClientId, observed: f64| CoreError::InvalidTimestamp { client, observed };
 
     let mut matrix = PrecedenceMatrix::empty();
+    refused(&mut matrix, raw(0, stranger, 5.0), CoreError::UnknownClient(stranger));
     for (id, client, ts) in [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0), (3, 0, 4.0)] {
-        check(&mut matrix, raw(id, ClientId(client), ts), "fill").unwrap();
+        let before = registry.query_count();
+        assert_eq!(matrix.insert(raw(id, ClientId(client), ts), &registry), Ok(id as usize));
+        assert_eq!(registry.query_count() - before, id, "fill: one query per pending message");
     }
-    // The id check comes first, whoever sends it.
-    assert_eq!(
-        check(&mut matrix, raw(2, stranger, 9.0), "duplicate id"),
-        Err(CoreError::DuplicateMessage(MessageId(2)))
-    );
-    assert_eq!(
-        check(&mut matrix, raw(4, stranger, 9.0), "stranger onto registered"),
-        Err(CoreError::UnknownClient(stranger))
-    );
-    // A NaN timestamp: its own client's cell is ½ (the same-client rule) and
-    // a difference grid's tail is a number, so the first NaN cell is the
-    // first one against another Gaussian client.
-    assert_eq!(
-        check(&mut matrix, raw(4, ClientId(0), f64::NAN), "NaN timestamp"),
-        Err(CoreError::InvalidProbability { left: MessageId(2), right: MessageId(4) })
-    );
-    assert_eq!(check(&mut matrix, raw(4, ClientId(1), 5.0), "and on it goes"), Ok(4));
+    // The timestamp first, then the client, then the id.
+    refused(&mut matrix, raw(2, stranger, f64::INFINITY), invalid(stranger, f64::INFINITY));
+    refused(&mut matrix, raw(2, stranger, 9.0), CoreError::UnknownClient(stranger));
+    refused(&mut matrix, raw(2, ClientId(1), 9.0), CoreError::DuplicateMessage(MessageId(2)));
+    refused(&mut matrix, raw(4, stranger, 9.0), CoreError::UnknownClient(stranger));
+    for bad in [f64::NEG_INFINITY, f64::INFINITY] {
+        refused(&mut matrix, raw(4, ClientId(0), bad), invalid(ClientId(0), bad));
+    }
+    // NaN never equals itself, so its error is matched by shape.
+    let snapshot_len = matrix.len();
+    let before = registry.query_count();
+    let nan = matrix.insert(raw(4, ClientId(0), f64::NAN), &registry);
+    let refused = matches!(nan, Err(CoreError::InvalidTimestamp { client: ClientId(0), observed })
+        if observed.is_nan());
+    assert!(refused, "{nan:?}");
+    assert_eq!((matrix.len(), registry.query_count()), (snapshot_len, before));
+    assert_eq!(matrix.insert(raw(4, ClientId(1), 5.0), &registry), Ok(4));
 }

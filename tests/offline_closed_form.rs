@@ -12,13 +12,17 @@
 //!     queries per `sequence()`, the matrix twin `n(n−1)/2`, and one
 //!     Laplace client in the census puts `Auto` back on the matrix. Each
 //!     window also runs in descending key order, bit-identical on both.
-//! (c) **Error parity**: every input the fast path cannot prove valid
-//!     reports what the matrix path reports, and a Gaussian whose `2σ²`
-//!     overflows keeps `Auto` on the matrix path.
+//! (c) **Error parity**: both twins admit a window by one rule (finite
+//!     timestamps, registered clients, fresh ids, message by message), so
+//!     every refused window reports the same typed error on both, under a
+//!     Gaussian and a Laplace census; and the widest valid inputs (σ at
+//!     `Gaussian::MAX_STD_DEV`, means and timestamps at ±1e308) ride the
+//!     closed form, identical to the matrix.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::core::config::FastPathMode;
+use tommy::core::CoreError;
 use tommy::prelude::*;
 use tommy_contract::properties::offline_identical;
 
@@ -111,14 +115,17 @@ fn closed_form_sequence_costs_one_query_per_adjacency_at_3000() {
     query_pins(3_000);
 }
 
-/// (c) every input the fast path must not take reports exactly what the
-/// matrix path reports — an error, or (a window entirely from one
-/// unregistered client never consults the registry) its historical success.
+/// `result`'s error is `expected`. A NaN never equals itself, so errors
+/// compare by their text.
+fn assert_refused<T>(result: Result<T, CoreError>, expected: &CoreError, at: &str) {
+    let got = result.map(|_| ()).map_err(|e| format!("{e:?}"));
+    assert_eq!(got, Err(format!("{expected:?}")), "{at}");
+}
+
+/// (c) every refused window, pinned to its typed error on both twins,
+/// under a closed-form and a Laplace census.
 #[test]
 fn invalid_windows_report_what_the_matrix_path_reports() {
-    let census: Vec<_> = (0..3u32)
-        .map(|c| (ClientId(c), OffsetDistribution::gaussian(f64::from(c), 2.0)))
-        .collect();
     let ok = |id: u64, client: u32, ts: f64| Message::new(MessageId(id), ClientId(client), ts);
     // Non-finite timestamps cannot come out of `Message::new`.
     let raw = |id: u64, client: u32, timestamp: f64| Message {
@@ -127,52 +134,96 @@ fn invalid_windows_report_what_the_matrix_path_reports() {
         timestamp,
         true_time: None,
     };
-    let table: Vec<(&str, Vec<Message>)> = vec![
-        ("empty slice", vec![]),
-        ("duplicate id", vec![ok(0, 0, 1.0), ok(1, 1, 2.0), ok(0, 2, 3.0)]),
-        ("unregistered among registered", vec![ok(0, 0, 1.0), ok(1, 9, 2.0), ok(2, 1, 3.0)]),
-        ("all from one unregistered client", vec![ok(0, 9, 1.0), ok(1, 9, 1.0), ok(2, 9, 0.5)]),
-        ("NaN timestamp", vec![ok(0, 0, 1.0), raw(1, 1, f64::NAN), ok(2, 2, 3.0)]),
-        ("+inf timestamp", vec![ok(0, 0, 1.0), raw(1, 1, f64::INFINITY), ok(2, 2, 3.0)]),
-        ("-inf timestamp", vec![raw(0, 0, f64::NEG_INFINITY), ok(1, 1, 2.0)]),
-        ("two +inf timestamps", vec![raw(0, 0, f64::INFINITY), raw(1, 1, f64::INFINITY)]),
-        ("duplicate id and unregistered", vec![ok(0, 9, 1.0), ok(0, 0, 2.0)]),
+    let invalid = |client: u32, observed: f64| CoreError::InvalidTimestamp {
+        client: ClientId(client),
+        observed,
+    };
+    let unknown = CoreError::UnknownClient(ClientId(9));
+    let table: Vec<(&str, Vec<Message>, CoreError)> = vec![
+        ("empty slice", vec![], CoreError::EmptyInput),
+        (
+            "duplicate id",
+            vec![ok(0, 0, 1.0), ok(1, 1, 2.0), ok(0, 2, 3.0)],
+            CoreError::DuplicateMessage(MessageId(0)),
+        ),
+        (
+            "unregistered among registered",
+            vec![ok(0, 0, 1.0), ok(1, 9, 2.0), ok(2, 1, 3.0)],
+            unknown.clone(),
+        ),
+        (
+            "all from one unregistered client",
+            vec![ok(0, 9, 1.0), ok(1, 9, 1.0), ok(2, 9, 0.5)],
+            unknown.clone(),
+        ),
+        (
+            "NaN timestamp",
+            vec![ok(0, 0, 1.0), raw(1, 1, f64::NAN), ok(2, 2, 3.0)],
+            invalid(1, f64::NAN),
+        ),
+        (
+            "+inf timestamp",
+            vec![ok(0, 0, 1.0), raw(1, 1, f64::INFINITY), ok(2, 2, 3.0)],
+            invalid(1, f64::INFINITY),
+        ),
+        (
+            "-inf timestamp",
+            vec![raw(0, 0, f64::NEG_INFINITY), ok(1, 1, 2.0)],
+            invalid(0, f64::NEG_INFINITY),
+        ),
+        (
+            "two +inf timestamps",
+            vec![raw(0, 0, f64::INFINITY), raw(1, 1, f64::INFINITY)],
+            invalid(0, f64::INFINITY),
+        ),
+        ("duplicate id and unregistered", vec![ok(0, 9, 1.0), ok(0, 0, 2.0)], unknown.clone()),
+        ("NaN behind an unregistered client", vec![ok(0, 9, 1.0), raw(1, 0, f64::NAN)], unknown),
+        ("an unregistered client's NaN", vec![raw(0, 9, f64::NAN)], invalid(9, f64::NAN)),
     ];
-    // Each row reports alike on both paths, and leaves the pair usable.
     let valid = vec![ok(10, 0, 1.0), ok(11, 1, 1.5), ok(12, 2, 40.0)];
     let config = SequencerConfig::default().with_threshold(0.75);
-    for (name, messages) in &table {
-        let windows = [messages.clone(), valid.clone()];
-        offline_identical(&census, config, &windows).unwrap_or_else(|v| panic!("{name}: {v}"));
+    let gaussian = |c: u32| OffsetDistribution::gaussian(f64::from(c), 2.0);
+    let laplace = |c: u32| OffsetDistribution::laplace(f64::from(c), 2.0);
+    for (family, claim) in [("Gaussian", &gaussian as &dyn Fn(u32) -> _), ("Laplace", &laplace)] {
+        let census: Vec<_> = (0..3u32).map(|c| (ClientId(c), claim(c))).collect();
+        // Each row refused alike on both twins, which stay usable after it.
+        let (mut auto, mut dense) = twins(&census, 0.75);
+        for (name, messages, expected) in &table {
+            let at = format!("{family} census, {name}");
+            for twin in [&mut auto, &mut dense] {
+                assert_refused(twin.sequence(messages), expected, &at);
+                assert_refused(twin.sequence_detailed(messages), expected, &at);
+            }
+            let windows = [messages.clone(), valid.clone()];
+            offline_identical(&census, config, &windows).unwrap_or_else(|v| panic!("{at}: {v}"));
+        }
     }
-    // The pins the table rests on: which rows are errors at all.
-    let (mut auto, _) = twins(&census, 0.75);
-    assert_eq!(auto.sequence(&table[0].1), Err(tommy::core::CoreError::EmptyInput));
-    assert_eq!(
-        auto.sequence(&table[1].1),
-        Err(tommy::core::CoreError::DuplicateMessage(MessageId(0)))
-    );
-    assert_eq!(
-        auto.sequence(&table[2].1),
-        Err(tommy::core::CoreError::UnknownClient(ClientId(9)))
-    );
-    assert!(auto.sequence(&table[3].1).is_ok(), "same-client pairs never consult the registry");
 
-    // A row with its own census: σ = 1e200 overflows `2σ²`, so the kernel
-    // argument of two messages at ±1e308 is ∞/∞. Such a Gaussian is not
-    // closed-form, so `Auto` takes the matrix path and its typed error.
-    let overflowing: Vec<_> = (0..2u32)
-        .map(|c| (ClientId(c), OffsetDistribution::gaussian(0.0, 1e200)))
-        .collect();
-    let extremes = vec![ok(0, 0, -1e308), ok(1, 1, 1e308)];
-    let windows = [extremes.clone(), vec![ok(10, 0, 1.0), ok(11, 1, 1.5)]];
-    offline_identical(&overflowing, config, &windows).unwrap_or_else(|v| panic!("σ = 1e200: {v}"));
-    let (mut auto, _) = twins(&overflowing, 0.75);
-    assert_eq!(
-        auto.sequence(&extremes),
-        Err(tommy::core::CoreError::InvalidProbability {
-            left: MessageId(0),
-            right: MessageId(1),
-        })
-    );
+    // The widest valid inputs: one clock at the largest σ a Gaussian
+    // admits, one at mean 1e308, timestamps at ±1e308 (so `dt` and some
+    // keys overflow to ±∞). `Φ(±∞)` is 0 or 1, never NaN: `Auto` keeps the
+    // closed form (≤ n − 1 queries) and matches the matrix.
+    let extreme = vec![
+        (ClientId(0), OffsetDistribution::gaussian(0.0, Gaussian::MAX_STD_DEV)),
+        (ClientId(1), OffsetDistribution::gaussian(1e308, 1.0)),
+        (ClientId(2), OffsetDistribution::gaussian(0.0, 1.0)),
+    ];
+    let extremes = vec![
+        ok(0, 0, -1e308),
+        ok(1, 1, 1e308),
+        ok(2, 2, -1e308),
+        ok(3, 0, 1e308),
+        ok(4, 2, 1e308),
+        ok(5, 1, -1e308),
+        ok(6, 2, 0.0),
+    ];
+    // (A key within ~1e146 of the wide clock's would sit in the `Φ(0)`
+    // band, where the two placements may differ: these keys are level or
+    // far apart.)
+    let windows = [extremes.clone(), vec![ok(10, 2, 1.0), ok(11, 1, 1.5), ok(12, 0, 1.0)]];
+    offline_identical(&extreme, config, &windows).unwrap_or_else(|v| panic!("extreme census: {v}"));
+    let (mut auto, mut dense) = twins(&extreme, 0.75);
+    let order = auto.sequence(&extremes).expect("valid window");
+    assert!(auto.registry().query_count() < extremes.len() as u64, "the closed form");
+    assert_eq!(dense.sequence(&extremes).expect("valid window"), order);
 }
