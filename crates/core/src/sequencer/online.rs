@@ -1273,6 +1273,50 @@ mod tests {
         assert_eq!(auto_stats.fairness_violations, forced_stats.fairness_violations);
     }
 
+    /// At the widest admitted inputs (σ = `Gaussian::MAX_STD_DEV`, ids 0/1
+    /// at ∓1e308) the engine insert cannot be refused any more; the only
+    /// refusals left are admission's, and they leave the id untracked: a
+    /// corrected retry is accepted, not refused as a duplicate.
+    #[test]
+    fn rejected_engine_insert_leaves_no_id_behind() {
+        let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        assert_refused_insert_is_untracked_and_retry_accepted(config);
+    }
+
+    /// The `Auto` twin: a Gaussian at `MAX_STD_DEV` is closed-form, so the
+    /// shell rides the sparse engine and the same contract holds.
+    #[test]
+    fn rejected_engine_insert_leaves_no_id_behind_in_auto() {
+        assert_refused_insert_is_untracked_and_retry_accepted(SequencerConfig::default());
+    }
+
+    fn assert_refused_insert_is_untracked_and_retry_accepted(config: SequencerConfig) {
+        use tommy_stats::gaussian::Gaussian;
+        let mut seq = OnlineSequencer::new(config);
+        for c in 0..2 {
+            let wide = OffsetDistribution::gaussian(0.0, Gaussian::MAX_STD_DEV);
+            seq.register_client(ClientId(c), wide);
+        }
+        seq.submit(msg(0, 0, -1e308), 0.0).unwrap();
+        assert_eq!(
+            seq.submit(msg(1, 9, 1e308), 1.0),
+            Err(CoreError::UnknownClient(ClientId(9)))
+        );
+        let mut nan = msg(1, 1, 1e308);
+        nan.timestamp = f64::NAN;
+        let err = seq.submit(nan, 2.0).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidTimestamp { .. }), "{err}");
+        assert_eq!((seq.tracked_ids(), seq.pending_len()), (1, 1));
+        seq.submit(msg(1, 1, 1e308), 3.0).unwrap();
+        assert_eq!((seq.tracked_ids(), seq.pending_len()), (2, 2));
+        assert_eq!(
+            seq.submit(msg(1, 1, 1e308), 4.0),
+            Err(CoreError::DuplicateMessage(MessageId(1)))
+        );
+        let emitted: usize = seq.flush().iter().map(|b| b.messages.len()).sum();
+        assert_eq!(emitted, 2);
+    }
+
     /// Clients registered out of id order (7 gets the first slot, 3 the
     /// second): a rejected timestamp names the client that sent it, in both
     /// modes.
