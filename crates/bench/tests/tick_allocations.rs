@@ -16,13 +16,15 @@
 //!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
 //!   one Laplace client) and on the sparse one (all-Gaussian, `Auto`).
 //! * An offline window pays for its output: a 3,000-message closed-form
-//!   window through `TommySequencer::sequence` allocates a pinned count.
+//!   window through `TommySequencer::sequence` allocates a pinned count, and
+//!   a mixed-census window on the dense engine another.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tommy_bench::prefilled_sequencer;
+use tommy_core::batching::FairOrder;
 use tommy_core::config::{FastPathMode, SequencerConfig};
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::offline::TommySequencer;
@@ -192,34 +194,69 @@ fn sparse_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
     assert_pinned_allocations(SequencerConfig::default(), census, 0, 5);
 }
 
-/// A closed-form window shaped like the benchmark's `offline_batch` (100
-/// clients, σ = 20, one message per unit of time), sequenced once to warm
-/// the engine's reused buffers, then counted on its second call. What is
-/// left is the returned `FairOrder`: the window's one id map (the duplicate
-/// check, then the rank index), the batch vector, and the growth of the
-/// group vectors its 36 batches are cut into.
-#[test]
-fn offline_window_allocates_a_pinned_count() {
-    const N: u64 = 3_000;
-    let mut rng = StdRng::seed_from_u64(0x0FF1);
+/// Sequences `window` once to warm the engine's reused buffers, then again
+/// under the counter: the second call's order (equal to the first) and its
+/// allocation count.
+fn warm_window_allocations(
+    census: impl Fn(u32) -> OffsetDistribution,
+    clients: u32,
+    window: &[Message],
+) -> (FairOrder, u64) {
     let mut sequencer = TommySequencer::new(SequencerConfig::default());
-    for client in 0..100 {
-        sequencer.register_client(ClientId(client), OffsetDistribution::gaussian(0.0, 20.0));
+    for client in 0..clients {
+        sequencer.register_client(ClientId(client), census(client));
     }
-    let window: Vec<Message> = (0..N)
-        .map(|id| {
-            let client = ClientId(rng.random_range(0..100));
-            let noise: f64 = (0..4).map(|_| rng.random_range(-17.0..17.0f64)).sum();
-            Message::new(MessageId(id), client, id as f64 + noise)
-        })
-        .collect();
-    let warm = sequencer.sequence(&window).expect("valid window");
+    let warm = sequencer.sequence(window).expect("valid window");
     let before = ALLOCATIONS.with(Cell::get);
-    let order = sequencer.sequence(&window).expect("valid window");
+    let order = sequencer.sequence(window).expect("valid window");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(order, warm);
-    assert_eq!(order.num_messages() as u64, N);
-    let batches = order.num_batches() as u64;
-    assert_eq!(batches, 36, "batches");
+    assert_eq!(order.num_messages(), window.len());
+    (order, allocations)
+}
+
+/// `n` messages, one per unit of time, from `clients` clients chosen at
+/// random, each stamped with noise of spread `noise`.
+fn offline_window(rng: &mut StdRng, n: u64, clients: u32, noise: f64) -> Vec<Message> {
+    (0..n)
+        .map(|id| {
+            let client = ClientId(rng.random_range(0..clients));
+            let noise: f64 = (0..4).map(|_| rng.random_range(-noise..noise)).sum();
+            Message::new(MessageId(id), client, id as f64 + noise)
+        })
+        .collect()
+}
+
+/// A closed-form window shaped like the benchmark's `offline_batch` (100
+/// clients, σ = 20, one message per unit of time) on the sparse engine.
+/// What is left is the returned `FairOrder`: the window's one id map (the
+/// duplicate check, then the rank index), the batch vector, and the growth
+/// of the group vectors its 36 batches are cut into.
+#[test]
+fn offline_window_allocates_a_pinned_count() {
+    let window = offline_window(&mut StdRng::seed_from_u64(0x0FF1), 3_000, 100, 17.0);
+    let census = |_| OffsetDistribution::gaussian(0.0, 20.0);
+    let (order, allocations) = warm_window_allocations(census, 100, &window);
+    assert_eq!(order.num_batches(), 36, "batches");
     assert_eq!(allocations, 187, "allocations");
+}
+
+/// The dense twin: one client in four is Laplace, so the window is built
+/// into a `PrecedenceMatrix` (one arrival column per message, into a grid
+/// sized to the window) and run through the tournament and batching. The
+/// build itself allocates five times: the admission map, the grid, and the
+/// matrix's message, slot and column vectors. Nearly all the rest is the
+/// order's recomputation after the tournament's rebuild, which materializes
+/// a one-shot `Tournament` (an adjacency vector per message, each grown by
+/// doubling) and collects its components (one vector each).
+#[test]
+fn dense_offline_window_allocates_a_pinned_count() {
+    let window = offline_window(&mut StdRng::seed_from_u64(0x0FF2), 300, 20, 2.0);
+    let census = |client: u32| match client % 4 {
+        0 => OffsetDistribution::laplace(0.0, 2.0),
+        _ => OffsetDistribution::gaussian(0.0, 2.0),
+    };
+    let (order, allocations) = warm_window_allocations(census, 20, &window);
+    assert_eq!(order.num_batches(), 49, "batches");
+    assert_eq!(allocations, 2291, "allocations");
 }

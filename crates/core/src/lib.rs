@@ -24,9 +24,9 @@
 //! * [`message`] — message, client and timestamp types.
 //! * [`config`] — sequencer configuration (threshold, `p_safe`, …).
 //! * [`registry`] — per-client offset distributions with cached
-//!   discretizations, pairwise difference distributions, and the
-//!   [`PairKernel`] probability engine (a client pair
-//!   resolved once into a lock-free, `dt`-only evaluator).
+//!   discretizations and pairwise difference distributions, the per-call
+//!   preceding probability, and the one per-pair body both engines evaluate
+//!   it through (a matrix column, or one decision of the sparse engine).
 //! * [`relation`] — the preceding probability and the
 //!   [`LikelyHappenedBefore`] relation.
 //! * [`precedence`] — the pairwise probability matrix for a set of messages.
@@ -65,7 +65,7 @@
 //!   requests with exponential backoff).
 //!
 //! The repository-level `ARCHITECTURE.md` documents how these pieces
-//! compose into the full arrival → emission pipeline (PairKernel column
+//! compose into the full arrival → emission pipeline (matrix column
 //! fill → incremental tournament → incremental batch boundaries → candidate
 //! batch), the incremental-vs-rebuild invariants each counter
 //! guards, and the workspace crate map.
@@ -95,7 +95,7 @@ pub use defense::{DefenseConfig, ExpectedDelay, TrustLevel};
 pub use error::CoreError;
 pub use message::{ClientId, Message, MessageId};
 pub use precedence::PrecedenceMatrix;
-pub use registry::{DistributionRegistry, PairKernel};
+pub use registry::DistributionRegistry;
 pub use relation::LikelyHappenedBefore;
 pub use sequencer::offline::TommySequencer;
 pub use sequencer::online::{CandidateStatus, OnlineSequencer, OnlineStats};

@@ -5,52 +5,27 @@
 //! representation of those probabilities for one set of messages, built from
 //! the per-client distributions in a [`DistributionRegistry`].
 //!
-//! ## Two builds, one set of floats
+//! ## One build
 //!
-//! Every probability the matrix stores depends on its pair of messages only
-//! through the client pair and the timestamp delta (see [`PairKernel`]).
-//! The one-shot [`compute`](PrecedenceMatrix::compute) groups the messages
-//! by client (row indices plus a contiguous timestamp array each), resolves
-//! one kernel per client pair and fills whole rows per kernel: O(C²)
-//! registry touches instead of O(pairs), which pays at n in the thousands.
-//! The incremental [`insert`](PrecedenceMatrix::insert) does no grouping (at
-//! n ≈ 15 over 13 clients it was pure overhead): each message's registry
-//! slot is kept beside it and the arrival's column is one flat loop
-//! `column[j] = kernel(slot_j, slot_new).preceding(t_j − t_new)` into a
-//! reused buffer, each kernel an indexed read.
-//!
-//! The stored floats are bit-identical to the per-call path by construction
-//! (same formulas, same clamping — see [`PairKernel`]). Both builds run the
-//! registry's admission rule first (finite timestamps, registered clients,
-//! fresh ids), after which no cell can fail: no kernel returns NaN.
+//! Every probability the matrix stores comes from the arrival column of
+//! [`insert`](PrecedenceMatrix::insert): each message's registry slot is
+//! kept beside it, and the arrival's column is one flat loop
+//! `column[j] = p(m_j ≺ new)` at `dt = t_j − t_new` into a reused buffer,
+//! each probability an indexed read through the registry's per-pair body.
+//! The one-shot [`compute`](PrecedenceMatrix::compute) is a loop of those
+//! inserts into a grid sized exactly `n × n`, so each cell `i < j` is
+//! evaluated in the `(m_i, m_j)` orientation by either build, and the
+//! stored floats are bit-identical to the per-call
+//! [`preceding_probability`](DistributionRegistry::preceding_probability)
+//! (same formulas, same clamping). Both builds run the registry's admission
+//! rule first (finite timestamps, registered clients, fresh ids), after
+//! which no cell can fail: no kernel returns NaN.
 
 use crate::error::CoreError;
 pub use crate::grid::Removal;
 use crate::message::{Message, MessageId};
-use crate::registry::{ClientSlot, DistributionRegistry, PairKernel};
-use std::collections::{HashMap, HashSet};
-
-/// One client's rows for [`PrecedenceMatrix::compute`]: the client's slot,
-/// its ascending row indices and, in lockstep, their timestamps as a
-/// contiguous array — the slice the pair-kernel loops stream over.
-type ClientGroup = (ClientSlot, Vec<usize>, Vec<f64>);
-
-/// Group `messages` by client slot, preserving row order within each client
-/// and first-appearance order across clients.
-fn build_groups(messages: &[Message], slots: &[ClientSlot]) -> Vec<ClientGroup> {
-    let mut groups: Vec<ClientGroup> = Vec::new();
-    let mut group_index: HashMap<u32, usize> = HashMap::new();
-    for (row, (m, &slot)) in messages.iter().zip(slots).enumerate() {
-        let gi = *group_index.entry(slot.0).or_insert_with(|| {
-            groups.push((slot, Vec::new(), Vec::new()));
-            groups.len() - 1
-        });
-        let (_, rows, timestamps) = &mut groups[gi];
-        rows.push(row);
-        timestamps.push(m.timestamp);
-    }
-    groups
-}
+use crate::registry::{ClientSlot, DistributionRegistry};
+use std::collections::HashSet;
 
 /// Dense matrix of preceding probabilities for a fixed set of messages.
 ///
@@ -136,7 +111,8 @@ impl PrecedenceMatrix {
 
     /// [`insert`](Self::insert) for a message already admitted, from the
     /// client in `slot`, under an id the caller knows to be fresh: the
-    /// dense engine's arrival, whose shell holds the one id set.
+    /// dense engine's arrival, whose shell holds the one id set, and each
+    /// step of [`compute`](Self::compute)'s loop.
     pub(crate) fn insert_admitted(
         &mut self,
         message: Message,
@@ -183,9 +159,8 @@ impl PrecedenceMatrix {
     }
 
     /// Compute the full matrix for `messages` using the distributions in
-    /// `registry`: one pass over the upper triangle of the query grid, row
-    /// by row through per-client-pair [`PairKernel`]s, each cell's
-    /// complement mirrored as it is written. Every pair `(i, j)` with
+    /// `registry`: one [`insert`](Self::insert) per message, in slice order,
+    /// into a grid reserved at exactly `n × n`. Every pair `(i, j)` with
     /// `i < j` is evaluated in that orientation, so the stored floats (and
     /// the registry query count) are exactly the ones a per-call build
     /// produces.
@@ -203,64 +178,29 @@ impl PrecedenceMatrix {
     ) -> Result<Self, CoreError> {
         let mut slots = Vec::with_capacity(messages.len());
         registry.admit_window(messages, &mut slots)?;
-        Ok(Self::compute_admitted(messages, slots, registry))
+        Ok(Self::compute_admitted(messages, &slots, registry))
     }
 
     /// [`compute`](Self::compute) for a window already admitted, each
     /// message from the client in the same position of `slots`.
     pub(crate) fn compute_admitted(
         messages: &[Message],
-        slots: Vec<ClientSlot>,
+        slots: &[ClientSlot],
         registry: &DistributionRegistry,
     ) -> Self {
         let n = messages.len();
-        let probs = Self::kernel_grid(messages, &slots, registry);
-        registry.record_queries((n * n.saturating_sub(1) / 2) as u64);
-        PrecedenceMatrix {
-            messages: messages.to_vec(),
-            slots,
-            probs,
+        // Sized to the window, so no insert grows the stride.
+        let mut matrix = PrecedenceMatrix {
+            messages: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
+            probs: vec![0.5; n * n],
             stride: n,
-            column: Vec::new(),
+            column: Vec::with_capacity(n),
+        };
+        for (message, &slot) in messages.iter().zip(slots) {
+            matrix.insert_admitted(message.clone(), slot, registry);
         }
-    }
-
-    /// Fill the query grid through pair kernels: for each row `i`, every
-    /// client group's columns `> i` are evaluated with one kernel in one
-    /// contiguous pass, then mirrored into column `i`.
-    fn kernel_grid(
-        messages: &[Message],
-        slots: &[ClientSlot],
-        registry: &DistributionRegistry,
-    ) -> Vec<f64> {
-        let n = messages.len();
-        let groups = build_groups(messages, slots);
-        let mut grid = vec![0.5; n * n];
-        let mut kernels: HashMap<(u32, u32), PairKernel> = HashMap::new();
-        let mut dts: Vec<f64> = Vec::new();
-        let mut probs: Vec<f64> = Vec::new();
-        for (i, (mi, &si)) in messages.iter().zip(slots).enumerate() {
-            for &(sj, ref rows, ref timestamps) in &groups {
-                // This client's columns strictly beyond the diagonal.
-                let start = rows.partition_point(|&r| r <= i);
-                if start == rows.len() {
-                    continue;
-                }
-                let kernel =
-                    kernels.entry((si.0, sj.0)).or_insert_with(|| registry.pair_kernel_at(si, sj));
-                let ts = &timestamps[start..];
-                dts.clear();
-                dts.extend(ts.iter().map(|&t| mi.timestamp - t));
-                probs.clear();
-                probs.resize(dts.len(), 0.0);
-                kernel.preceding_many(&dts, &mut probs);
-                for (k, &j) in rows[start..].iter().enumerate() {
-                    grid[i * n + j] = probs[k];
-                    grid[j * n + i] = 1.0 - probs[k];
-                }
-            }
-        }
-        grid
+        matrix
     }
 
     /// Build a matrix directly from explicit pairwise probabilities — used by
@@ -586,10 +526,11 @@ mod tests {
         }
     }
 
-    /// Both kernel-based builds — the incremental insert and the one-shot
-    /// compute — must be bit-identical to a per-call reference that queries
-    /// every pair individually through `preceding_probability`, across the
-    /// Gaussian closed form and the numeric (discretized) path.
+    /// Both builds — the incremental insert and the one-shot compute, a
+    /// loop of the same column fills — must be bit-identical to a per-call
+    /// reference that queries every pair individually through
+    /// `preceding_probability`, across the Gaussian closed form and the
+    /// numeric (discretized) path.
     #[test]
     fn kernel_builds_match_per_call_reference_bitwise() {
         let mut reg = DistributionRegistry::new();
@@ -631,6 +572,24 @@ mod tests {
                     "insert ({i},{j})"
                 );
             }
+        }
+    }
+
+    /// A one-shot matrix reserves exactly `n × n` cells: its column inserts
+    /// must not inherit the incremental path's power-of-two stride (at
+    /// n = 3000 that is 4096², 134 MB instead of 72 MB, sampled into
+    /// `peak_matrix_bytes` on every dense re-derivation). The first arrival
+    /// after it grows the stride as any insert does.
+    #[test]
+    fn compute_reserves_exactly_n_by_n_cells() {
+        let reg = registry(2.0, 3);
+        for n in [1usize, 2, 3, 5, 17, 100] {
+            let msgs: Vec<Message> =
+                (0..n).map(|i| msg(i as u64, (i % 3) as u32, i as f64)).collect();
+            let mut m = PrecedenceMatrix::compute(&msgs, &reg).unwrap();
+            assert_eq!(m.prob_bytes(), n * n * 8, "n = {n}");
+            m.insert(msg(n as u64, 0, n as f64), &reg).unwrap();
+            assert!(m.prob_bytes() > n * n * 8, "n = {n}: the arrival grows it");
         }
     }
 

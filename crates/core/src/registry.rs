@@ -31,27 +31,27 @@
 //! which for Gaussian offsets reduces to the paper's closed form
 //! `Φ((T_j − T_i + μ_i − μ_j)/√(σ_i² + σ_j²))`.
 //!
-//! ## Pair kernels: dt-only dependence
+//! ## One probability path, one reference
 //!
 //! Both formulas above depend on the two *timestamps* only through their
 //! difference `dt = T_i − T_j`; everything else — the means, the combined
-//! spread, the difference grid — is a property of the client *pair*, and a
-//! [`PairKernel`] is that pair-level residue as a self-contained value.
+//! spread, the difference grid — is a property of the client *pair*.
 //!
-//! The payoff is on the O(n)-query hot paths. A per-call
+//! The per-call
 //! [`preceding_probability`](DistributionRegistry::preceding_probability)
-//! pays an atomic counter bump, two `ClientId` hash lookups, a
-//! Gaussian-vs-discretized re-dispatch and — for non-Gaussian pairs — an
-//! `RwLock` read plus `Arc` clone on the difference table, *per query*. An
-//! offline build resolves one kernel per client pair and runs it over each
-//! client's contiguous timestamps: O(C²) registry touches, not O(pairs). An
-//! online arrival's column (`preceding_column`) is handed the `ClientSlot`
-//! stored beside every pending message, so each probability is an indexed
-//! read of the client table and, for a non-Gaussian pair, of the class-pair
-//! difference table under one lock acquisition per column: no hash, lock or
-//! `Arc` refcount per pending message. Both count their evaluations in bulk
-//! ([`record_queries`](DistributionRegistry::record_queries)): one count
-//! per pairwise probability evaluated, as on the per-call path. The sparse
+//! is the independent reference: it admits both messages, resolves both
+//! clients by hash and counts one query per call. The engines share one
+//! per-pair body (the pair kernel) over already-resolved slots, in two
+//! forms. The dense engine's arrival column (`preceding_column`) is handed
+//! the `ClientSlot` stored beside every pending message, so each
+//! probability is an indexed read of the client table and, for a
+//! non-Gaussian pair, of the class-pair difference table under one lock
+//! acquisition per column: no hash, lock or `Arc` refcount per pending
+//! message. A one-shot matrix is a loop of those columns. The sparse
+//! engine's exact evaluation (`preceding_at`) is the scalar form. The
+//! column counts its evaluations in bulk
+//! ([`record_queries`](DistributionRegistry::record_queries)): one count per
+//! pairwise probability evaluated, as on the per-call path. The sparse
 //! engine counts one per pairwise decision, most of which it settles from
 //! the Gaussian kernel argument without evaluating the polynomial.
 
@@ -126,46 +126,6 @@ struct ClientEntry {
     class: OnceLock<u32>,
 }
 
-/// A client pair's preceding-probability rule, resolved once into a
-/// self-contained, lock-free value.
-///
-/// It captures everything but `dt = T_i − T_j` (see the module docs) — the
-/// pair's distribution parameters or shared difference grid — so
-/// [`preceding`](Self::preceding) and
-/// [`preceding_many`](Self::preceding_many) are pure functions of `dt` that
-/// touch no registry state.
-///
-/// Evaluation is **bit-identical** to
-/// [`DistributionRegistry::preceding_probability`] by construction: each
-/// variant runs the same formula, in the same operation order, with the
-/// same clamping, as the corresponding per-call branch. No kernel of two
-/// registered clients returns NaN at a `dt` of finite timestamps (a
-/// Gaussian pair's spread is finite, so an overflowing numerator gives
-/// `Φ(±∞) ∈ {0, 1}`; a grid's tail is clamped), which is why no caller
-/// checks for one (see `ARCHITECTURE.md`, "Threat model & degradation").
-#[derive(Debug, Clone)]
-pub enum PairKernel {
-    /// Both messages come from the same client: the comparison is
-    /// deterministic in the timestamps (the shared offset cancels), yielding
-    /// 1, 0, or ½ by the sign of `dt`.
-    SameClient,
-    /// Both offsets are Gaussian: the closed form of §3.2,
-    /// `Φ(((−dt) + μ_i − μ_j)/√(σ_i² + σ_j²))`. The Gaussians are stored
-    /// (rather than pre-divided constants) so each evaluation performs
-    /// exactly the scalar arithmetic of
-    /// [`Gaussian::preceding_probability`] — bit-identity would not survive
-    /// a reciprocal-multiply rewrite.
-    Gaussian {
-        /// Offset distribution of the client that produced `T_i`.
-        i: Gaussian,
-        /// Offset distribution of the client that produced `T_j`.
-        j: Gaussian,
-    },
-    /// At least one non-Gaussian offset: the shared, cached difference grid
-    /// of `δ_i − δ_j` (§3.3), whose tail at `dt` is the probability.
-    Discretized(Arc<DiscretizedPdf>),
-}
-
 /// The same-client rule: one client's offset cancels, so the comparison is
 /// deterministic in the sign of `dt = T_i − T_j`.
 #[inline]
@@ -176,50 +136,6 @@ fn same_client(dt: f64) -> f64 {
         0.0
     } else {
         0.5
-    }
-}
-
-impl PairKernel {
-    /// The preceding probability at timestamp delta `dt = T_i − T_j`: the
-    /// value `preceding_probability` returns for messages with these
-    /// clients and timestamps.
-    #[inline]
-    pub fn preceding(&self, dt: f64) -> f64 {
-        let p = match self {
-            PairKernel::SameClient => same_client(dt),
-            PairKernel::Gaussian { i, j } => i.preceding_probability_dt(j, dt),
-            PairKernel::Discretized(diff) => diff.tail(dt),
-        };
-        debug_assert!(!p.is_nan(), "admitted inputs give no NaN kernel");
-        p.clamp(0.0, 1.0)
-    }
-
-    /// Batched [`preceding`](Self::preceding): `out[k] = preceding(dts[k])`.
-    ///
-    /// One dispatch for the whole slice; the Gaussian and discretized arms
-    /// run the slice kernels in `tommy-stats`
-    /// ([`Gaussian::preceding_probability_dt_many`],
-    /// [`DiscretizedPdf::tail_many`]) over contiguous memory. Bit-identical
-    /// per element to the scalar form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn preceding_many(&self, dts: &[f64], out: &mut [f64]) {
-        assert_eq!(dts.len(), out.len(), "input/output length mismatch");
-        match self {
-            PairKernel::SameClient => {
-                for (o, &dt) in out.iter_mut().zip(dts) {
-                    *o = same_client(dt);
-                }
-                return;
-            }
-            PairKernel::Gaussian { i, j } => i.preceding_probability_dt_many(j, dts, out),
-            PairKernel::Discretized(diff) => diff.tail_many(dts, out),
-        }
-        for o in out.iter_mut() {
-            *o = o.clamp(0.0, 1.0);
-        }
     }
 }
 
@@ -254,7 +170,7 @@ pub struct DistributionRegistry {
     differences: RwLock<DifferenceTable>,
     /// Number of pairwise queries served so far — one per
     /// [`preceding_probability`](Self::preceding_probability) call, plus
-    /// every element of a kernel-based column fill and every pairwise
+    /// every element of a matrix column and every pairwise
     /// decision of the sparse engine (recorded in bulk via
     /// [`record_queries`](Self::record_queries)). A query is a pair some
     /// engine asked about, however it was answered: from the kernel
@@ -527,68 +443,42 @@ impl DistributionRegistry {
         Ok(clamp_probability(p))
     }
 
-    /// Resolve the client pair `(client_i, client_j)` into a self-contained
-    /// [`PairKernel`] — the one-time counterpart of
-    /// [`preceding_probability`](Self::preceding_probability): all registry
-    /// lookups, dispatch and (for non-Gaussian pairs) difference-cache lock
-    /// traffic happen here, once, after which the kernel evaluates any
-    /// number of timestamp deltas lock-free.
-    ///
-    /// `kernel.preceding(i.timestamp - j.timestamp)` equals
-    /// `preceding_probability(i, j)` bit-for-bit for messages `i`, `j` from
-    /// these clients (see [`PairKernel`]); kernel resolution itself does
-    /// not advance the query counter — callers account their evaluations
-    /// with [`record_queries`](Self::record_queries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownClient`] if either client is
-    /// unregistered, `client_i` first.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use tommy_core::prelude::*;
-    ///
-    /// let mut registry = DistributionRegistry::new();
-    /// registry.register(ClientId(0), OffsetDistribution::gaussian(0.0, 5.0));
-    /// registry.register(ClientId(1), OffsetDistribution::gaussian(0.0, 5.0));
-    ///
-    /// let kernel = registry.pair_kernel(ClientId(0), ClientId(1)).unwrap();
-    /// // Equal timestamps between symmetric clients: a coin flip (up to
-    /// // the erf approximation's ~1e-8 accuracy).
-    /// assert!((kernel.preceding(0.0) - 0.5).abs() < 1e-6);
-    /// // A much earlier timestamp almost surely precedes.
-    /// assert!(kernel.preceding(-50.0) > 0.999);
-    /// // The batched form is bit-identical to the scalar one.
-    /// let mut out = [0.0; 3];
-    /// kernel.preceding_many(&[-50.0, 0.0, 50.0], &mut out);
-    /// assert_eq!(out[1].to_bits(), kernel.preceding(0.0).to_bits());
-    /// ```
-    pub fn pair_kernel(
+    /// The engines' one per-pair body, the pair kernel: `p(i ≺ j)` for
+    /// messages from the clients in `si` and `sj` whose timestamps differ
+    /// by `dt = T_i − T_j`, with the formulas, operation order and clamping
+    /// of [`preceding_probability`](Self::preceding_probability), so the
+    /// same bits. `grid_tail` answers a pair with no closed form, given its
+    /// class-pair key in the difference table. Counts nothing.
+    #[inline]
+    fn pair_preceding(
         &self,
-        client_i: ClientId,
-        client_j: ClientId,
-    ) -> Result<PairKernel, CoreError> {
-        Ok(self.pair_kernel_at(self.slot_of(client_i)?, self.slot_of(client_j)?))
+        si: ClientSlot,
+        sj: ClientSlot,
+        dt: f64,
+        grid_tail: impl FnOnce((u32, u32)) -> f64,
+    ) -> f64 {
+        let p = match (self.gaussian_at(si), self.gaussian_at(sj)) {
+            _ if si == sj => same_client(dt),
+            (Some(gi), Some(gj)) => gi.preceding_probability_dt(gj, dt),
+            _ => grid_tail((self.class_at(si), self.class_at(sj))),
+        };
+        debug_assert!(!p.is_nan(), "admitted inputs give no NaN kernel");
+        p.clamp(0.0, 1.0)
     }
 
-    /// [`pair_kernel`](Self::pair_kernel) for already-resolved slots.
-    pub(crate) fn pair_kernel_at(&self, si: ClientSlot, sj: ClientSlot) -> PairKernel {
-        if si == sj {
-            return PairKernel::SameClient;
-        }
-        match (self.gaussian_at(si), self.gaussian_at(sj)) {
-            (Some(gi), Some(gj)) => PairKernel::Gaussian { i: *gi, j: *gj },
-            _ => PairKernel::Discretized(self.difference_at(si, sj)),
-        }
+    /// The per-pair body for one pair: the sparse engine's exact
+    /// evaluation. Counts nothing; the caller counts its decisions.
+    pub(crate) fn preceding_at(&self, si: ClientSlot, sj: ClientSlot, dt: f64) -> f64 {
+        self.pair_preceding(si, sj, dt, |_| self.difference_at(si, sj).tail(dt))
     }
 
-    /// One arrival's matrix column: for each pending `(slot, timestamp)`,
-    /// push `pair_kernel_at(slot, arrival).preceding(timestamp − t_arrival)`
-    /// (to the bit) onto `out`, as indexed reads, and count them; the
-    /// difference table's read lock is held across the column and released
-    /// only to build a grid on its first use.
+    /// The per-pair body over one arrival's matrix column: for each pending
+    /// `(slot, timestamp)`, push `p(pending ≺ arrival)` at
+    /// `dt = timestamp − t_arrival` onto `out`, as indexed reads, and count
+    /// them. The difference table's read lock is taken at the column's
+    /// first pair without a closed form and held across the column,
+    /// released only to build a grid on its first use: no `Arc` refcount
+    /// per pending message.
     pub(crate) fn preceding_column(
         &self,
         pending: impl Iterator<Item = (ClientSlot, f64)>,
@@ -596,30 +486,24 @@ impl DistributionRegistry {
         t_arrival: f64,
         out: &mut Vec<f64>,
     ) {
-        let arrival_gaussian = self.gaussian_at(arrival);
-        let mut table = self.differences.read();
+        let mut table = None;
         for (slot, timestamp) in pending {
             let dt = timestamp - t_arrival;
-            let p = match (self.gaussian_at(slot), arrival_gaussian) {
-                _ if slot == arrival => same_client(dt),
-                (Some(gi), Some(gj)) => gi.preceding_probability_dt(gj, dt),
-                _ => {
-                    let key = (self.class_at(slot), self.class_at(arrival));
-                    if difference_cell(&table, key).is_none() {
-                        drop(table);
-                        self.difference_at(slot, arrival);
-                        table = self.differences.read();
-                    }
-                    difference_cell(&table, key).expect("just built").tail(dt)
+            out.push(self.pair_preceding(slot, arrival, dt, |key| {
+                let read = || self.differences.read();
+                if difference_cell(table.get_or_insert_with(read), key).is_none() {
+                    // Building the grid takes the write lock.
+                    table = None;
+                    self.difference_at(slot, arrival);
                 }
-            };
-            out.push(p.clamp(0.0, 1.0));
+                difference_cell(table.get_or_insert_with(read), key).expect("built above").tail(dt)
+            }));
         }
         self.record_queries(out.len() as u64);
     }
 
     /// Account `n` pairwise queries answered outside
-    /// [`preceding_probability`](Self::preceding_probability): kernel-based
+    /// [`preceding_probability`](Self::preceding_probability): matrix
     /// column fills call this once per column (one atomic add) instead of
     /// once per element, and the sparse engine once per pairwise decision,
     /// whether the pair's kernel argument settled it or the polynomial was
@@ -632,10 +516,10 @@ impl DistributionRegistry {
 
     /// The cached safe-emission margin `Q_{δ}(1 − p_safe)` for a client: the
     /// client-level constant in the safe-emission time of §3.5,
-    /// `T^F = T − Q_{δ}(1 − p_safe)`. Like the pair kernels, the margin
-    /// depends only on `(client, p_safe)`, so the online sequencer's
-    /// per-candidate `T_b = max_k T^F_k` sweep reduces to one subtraction
-    /// per member instead of a quantile inversion per member.
+    /// `T^F = T − Q_{δ}(1 − p_safe)`. The margin depends only on
+    /// `(client, p_safe)`, so the online sequencer's per-candidate
+    /// `T_b = max_k T^F_k` sweep reduces to one subtraction per member
+    /// instead of a quantile inversion per member.
     ///
     /// # Errors
     ///
@@ -947,72 +831,70 @@ mod tests {
         );
     }
 
+    /// The pair kernel's scalar and column forms are bit-identical to the
+    /// per-call reference over closed-form, numeric and same-client pairs.
+    /// The column interleaves clients into a fresh registry, so its
+    /// difference grids are built mid-column, under the lock it releases.
     #[test]
     fn pair_kernel_is_bit_identical_to_per_call_path() {
         let mut reg = DistributionRegistry::new();
         reg.register(ClientId(0), OffsetDistribution::gaussian(1.0, 3.0));
         reg.register(ClientId(1), OffsetDistribution::gaussian(-2.0, 5.0));
         reg.register(ClientId(2), OffsetDistribution::laplace(0.5, 2.0));
-
-        for (a, b) in [(0u32, 1u32), (1, 0), (0, 2), (2, 1), (1, 1)] {
-            let kernel = reg.pair_kernel(ClientId(a), ClientId(b)).unwrap();
-            let t_j = 100.0;
-            let pairs: Vec<(Message, Message)> = (-40..=40)
-                .map(|k| (msg(0, a, t_j + k as f64 * 0.37), msg(1, b, t_j)))
+        let slot = |c: u32| reg.slot_of(ClientId(c)).unwrap();
+        let t_j = 100.0;
+        for b in 0..3u32 {
+            let pending: Vec<Message> = (-40..=40)
+                .map(|k| msg(0, (k + 40) as u32 % 3, t_j + k as f64 * 0.37))
                 .collect();
-            // The deltas as a column fill would compute them, from the
-            // messages' actual timestamps.
-            let dts: Vec<f64> = pairs.iter().map(|(i, j)| i.timestamp - j.timestamp).collect();
-            let mut batch = vec![0.0; dts.len()];
-            kernel.preceding_many(&dts, &mut batch);
-            for (k, (i, j)) in pairs.iter().enumerate() {
-                let per_call = reg.preceding_probability(i, j).unwrap();
-                let scalar = kernel.preceding(dts[k]);
-                assert_eq!(scalar.to_bits(), per_call.to_bits(), "({a},{b}) k={k}");
-                assert_eq!(batch[k].to_bits(), per_call.to_bits(), "({a},{b}) k={k} batched");
+            let mut column = Vec::new();
+            let keyed = pending.iter().map(|m| (slot(m.client.0), m.timestamp));
+            reg.preceding_column(keyed, slot(b), t_j, &mut column);
+            for (i, p) in pending.iter().zip(column) {
+                let j = msg(1, b, t_j);
+                let per_call = reg.preceding_probability(i, &j).unwrap();
+                let scalar = reg.preceding_at(slot(i.client.0), slot(b), i.timestamp - j.timestamp);
+                assert_eq!(scalar.to_bits(), per_call.to_bits(), "({}, {b}) at {}", i.client, i.timestamp);
+                assert_eq!(p.to_bits(), per_call.to_bits(), "({}, {b}) at {} (column)", i.client, i.timestamp);
             }
         }
+        assert_eq!(cached_differences(&reg), 4, "Laplace against each Gaussian, both ways");
     }
 
+    /// An unregistered client never reaches the pair kernel: the per-call
+    /// reference refuses it, same-client pairs included, and the engines
+    /// hold only slots the registry handed out. A same-client pair is the
+    /// step function of `dt`.
     #[test]
     fn pair_kernel_unknown_client_and_same_client_semantics() {
         let mut reg = DistributionRegistry::new();
         reg.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
-        assert_eq!(
-            reg.pair_kernel(ClientId(0), ClientId(9)).unwrap_err(),
-            CoreError::UnknownClient(ClientId(9))
-        );
-        assert_eq!(
-            reg.pair_kernel(ClientId(9), ClientId(0)).unwrap_err(),
-            CoreError::UnknownClient(ClientId(9))
-        );
-        // A same-client pair needs its client registered too, exactly as
-        // preceding_probability admits both messages before any lookup.
-        assert_eq!(
-            reg.pair_kernel(ClientId(9), ClientId(9)).unwrap_err(),
-            CoreError::UnknownClient(ClientId(9))
-        );
         let (a, b) = (msg(0, 9, 1.0), msg(1, 9, 2.0));
         assert_eq!(reg.preceding_probability(&a, &b), Err(CoreError::UnknownClient(ClientId(9))));
-        let kernel = reg.pair_kernel(ClientId(0), ClientId(0)).unwrap();
-        assert!(matches!(kernel, PairKernel::SameClient));
-        assert_eq!(kernel.preceding(-1.0), 1.0);
-        assert_eq!(kernel.preceding(1.0), 0.0);
-        assert_eq!(kernel.preceding(0.0), 0.5);
+        assert_eq!(reg.slot_of(ClientId(9)), Err(CoreError::UnknownClient(ClientId(9))));
+        let s = reg.slot_of(ClientId(0)).unwrap();
+        assert_eq!(reg.preceding_at(s, s, -1.0), 1.0);
+        assert_eq!(reg.preceding_at(s, s, 1.0), 0.0);
+        assert_eq!(reg.preceding_at(s, s, 0.0), 0.5);
     }
 
+    /// The scalar form counts nothing (the sparse engine counts its
+    /// decisions); the column form counts each element, in bulk.
     #[test]
     fn pair_kernel_resolution_counts_no_queries() {
         let mut reg = DistributionRegistry::new();
         reg.register(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));
         reg.register(ClientId(1), OffsetDistribution::laplace(0.0, 2.0));
-        let kernel = reg.pair_kernel(ClientId(0), ClientId(1)).unwrap();
-        let mut out = [0.0; 4];
-        kernel.preceding_many(&[0.0, 1.0, 2.0, 3.0], &mut out);
+        let (s0, s1) = (reg.slot_of(ClientId(0)).unwrap(), reg.slot_of(ClientId(1)).unwrap());
+        reg.preceding_at(s0, s1, 1.0);
+        reg.preceding_at(s1, s1, 1.0);
         assert_eq!(reg.query_count(), 0);
-        // Kernel callers account their evaluations in bulk.
+        let mut column = Vec::new();
+        let pending = [(s0, 0.0), (s1, 1.0), (s0, 2.0), (s1, 3.0)];
+        reg.preceding_column(pending.into_iter(), s1, 5.0, &mut column);
+        assert_eq!((column.len(), reg.query_count()), (4, 4));
         reg.record_queries(4);
-        assert_eq!(reg.query_count(), 4);
+        assert_eq!(reg.query_count(), 8);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! it, so the lockstep protocol is written once, here, as one method per
 //! change: an arrival is [`insert`](DenseEngine::insert) (one matrix column,
 //! then the tournament and the boundary engine place it), an emission
-//! [`commit_removal`](DenseEngine::commit_removal) (one [`Removal`] remap
-//! followed by the matrix, the tournament and the boundary engine alike) and
-//! a wholesale re-derivation [`load`](DenseEngine::load). Each of them drops
-//! the cached candidate. Its streaming surface is the sparse engine's
-//! (`sequencer::sparse`), method for method, which is what lets the
+//! [`take_candidate`](DenseEngine::take_candidate) (the candidate's
+//! messages out, then one [`Removal`] remap followed by the matrix, the
+//! tournament and the boundary engine alike) and a wholesale re-derivation
+//! [`load`](DenseEngine::load). Each of them drops the cached candidate.
+//! Its streaming surface is the sparse engine's (`sequencer::sparse`),
+//! method for method, which is what lets the
 //! [`OnlineSequencer`](super::online) shell pick an engine in one place; the
 //! offline [`TommySequencer`](super::offline::TommySequencer) loads each
 //! window into the same engine and reads [`fair_order`](DenseEngine::fair_order)
@@ -99,9 +100,6 @@ pub(crate) struct DenseEngine {
     members: Vec<usize>,
     /// The closure's other working set: the messages still outside it.
     outside: Vec<usize>,
-    /// Matrix indices handed out by [`take_candidate`](Self::take_candidate)
-    /// and not yet removed by [`commit_removal`](Self::commit_removal).
-    pending_removal: Vec<usize>,
     /// The index remap of the emission being committed (reused buffers).
     removal: Removal,
 }
@@ -120,7 +118,6 @@ impl DenseEngine {
             candidate: None,
             members: Vec::new(),
             outside: Vec::new(),
-            pending_removal: Vec::new(),
             removal: Removal::default(),
         }
     }
@@ -312,11 +309,10 @@ impl DenseEngine {
         batch.sort_unstable();
     }
 
-    /// Take the candidate out of the cache (computing it first if needed):
-    /// returns its messages in arrival order plus its safe-emission time,
-    /// and stages the member indices for
-    /// [`commit_removal`](Self::commit_removal). `taken` is overwritten
-    /// with the members' `(client slot, timestamp)`.
+    /// Take the candidate out of the engine (computing it first if needed)
+    /// and remove its members: returns its messages in arrival order plus
+    /// its safe-emission time. `taken` is overwritten with the members'
+    /// `(client slot, timestamp)`.
     pub(crate) fn take_candidate(
         &mut self,
         registry: &DistributionRegistry,
@@ -328,18 +324,16 @@ impl DenseEngine {
         let messages: Vec<Message> = members.cloned().collect();
         taken.clear();
         taken.extend(self.members.iter().map(|&i| self.keyed(i)));
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
-        std::mem::swap(&mut self.pending_removal, &mut self.members);
+        self.remove_members();
         Some((messages, candidate.safe_after))
     }
 
-    /// Remove the members staged by [`take_candidate`](Self::take_candidate):
-    /// the one place an emission's remap is computed, followed by the matrix,
-    /// the tournament and the boundary engine (surviving boundaries keep
-    /// their bits; one seam per removed run is re-evaluated).
-    pub(crate) fn commit_removal(&mut self, _registry: &DistributionRegistry) {
-        self.removal.set(self.matrix.len(), &self.pending_removal);
-        self.pending_removal.clear();
+    /// Remove the matrix indices in `members`: the one place an emission's
+    /// remap is computed, followed by the matrix, the tournament and the
+    /// boundary engine (surviving boundaries keep their bits; one seam per
+    /// removed run is re-evaluated).
+    fn remove_members(&mut self) {
+        self.removal.set(self.matrix.len(), &self.members);
         self.matrix.remove_indices(&self.removal);
         if self.tournament.remove_indices(&self.removal, &self.matrix) && !self.fair.is_dirty() {
             self.fair.remove_slots(&self.removal, &self.matrix);
@@ -352,7 +346,6 @@ impl DenseEngine {
     /// Track `matrix` wholesale: every tournament edge is re-derived, and the
     /// order and boundary set are recomputed one-shot at the next read.
     pub(crate) fn load(&mut self, matrix: PrecedenceMatrix) {
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
         self.matrix = matrix;
         self.tournament.rebuild(&self.matrix);
         self.fair.mark_dirty();
@@ -373,7 +366,7 @@ impl DenseEngine {
         if messages.is_empty() {
             return self.clear_pending();
         }
-        self.load(PrecedenceMatrix::compute_admitted(messages, slots.to_vec(), registry));
+        self.load(PrecedenceMatrix::compute_admitted(messages, slots, registry));
     }
 
     /// Reset the pending set (counters describe the whole run and are
@@ -423,8 +416,9 @@ mod tests {
 
         /// Remove the messages at `indices` (ascending).
         fn remove(&mut self, indices: &[usize]) {
-            self.pending_removal.extend_from_slice(indices);
-            self.commit_removal(&DistributionRegistry::new());
+            self.members.clear();
+            self.members.extend_from_slice(indices);
+            self.remove_members();
         }
     }
 

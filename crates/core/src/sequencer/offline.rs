@@ -12,10 +12,10 @@
 //!   Gaussian ones are transitive (Appendix A). The outcome is the matrix
 //!   path's, under the `Φ(0)` placement caveat of `sequencer::sparse`'s docs.
 //! * **Anything else** (a mixed or cyclic census, `ForceDense`): the
-//!   pairwise [`PrecedenceMatrix`], filled through per-client-pair
-//!   [`PairKernel`](crate::registry::PairKernel)s, is loaded into the dense
-//!   engine, which runs the tournament, linear order and threshold batching
-//!   over it.
+//!   pairwise [`PrecedenceMatrix`], built one arrival column at a time as
+//!   the online dense engine builds it, is loaded into the dense engine,
+//!   which runs the tournament, linear order and threshold batching over
+//!   it.
 //!
 //! Either way the window is first admitted by the one rule every entry
 //! point applies (finite timestamps, registered clients, fresh ids, message
@@ -59,7 +59,7 @@ pub struct TommySequencer {
     sparse: SparseEngine,
     registry: DistributionRegistry,
     /// Buffers reused across windows: each message's client slot, resolved
-    /// once by `load_window` (a dense window's matrix keeps it), and each
+    /// once by `load_window` (a dense window's matrix copies it), and each
     /// arena slot's rank, recorded by `sparse_order`.
     slots: Vec<ClientSlot>,
     ranks: Vec<usize>,
@@ -157,8 +157,7 @@ impl TommySequencer {
         }
         // The last window's matrix goes before this one is built.
         self.dense.clear_pending();
-        let slots = std::mem::take(&mut self.slots);
-        self.dense.load(PrecedenceMatrix::compute_admitted(messages, slots, &self.registry));
+        self.dense.load(PrecedenceMatrix::compute_admitted(messages, &self.slots, &self.registry));
         Ok(None)
     }
 

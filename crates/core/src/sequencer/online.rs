@@ -30,8 +30,7 @@
 //! degradation"), so neither engine's `insert` returns an error. The
 //! pending set itself — who precedes whom, where batches split, which batch
 //! is the candidate — lives in one of two private engines with one surface
-//! (`insert`, `candidate_meta`, `take_candidate`, `commit_removal`,
-//! `rebuild_from`):
+//! (`insert`, `candidate_meta`, `take_candidate`, `rebuild_from`):
 //!
 //! * the **dense** engine (`sequencer::dense`): the pairwise
 //!   [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix), the
@@ -831,10 +830,10 @@ impl OnlineSequencer {
     }
 
     /// Emit the current candidate unconditionally: take it out of the owning
-    /// engine's cache (recomputing it first if needed; its messages come in
-    /// arrival order and its `(slot, timestamp)` pairs become
-    /// `last_emitted`), account it, and remove it from the engine. `None`
-    /// when nothing is pending.
+    /// engine, which removes it (recomputing it first if needed; its
+    /// messages come in arrival order and its `(slot, timestamp)` pairs
+    /// become `last_emitted`), and account it. `None` when nothing is
+    /// pending.
     ///
     /// `last_emitted` keeps only each client's largest timestamp. That is
     /// exact: the violation margin depends only on the client pair, and
@@ -864,8 +863,6 @@ impl OnlineSequencer {
                 self.stats.total_emission_latency += (self.now - arrived_at).max(0.0);
             }
         }
-        engine!(self.commit_removal(&self.registry));
-
         let rank = self.stats.batches_emitted;
         self.stats.batches_emitted += 1;
         self.stats.messages_emitted += batch_msgs.len();

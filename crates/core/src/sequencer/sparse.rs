@@ -38,9 +38,9 @@
 //! a link is `false` for `|x| > z_hi` and `true` for `|x| < z_lo`. Only
 //! inside the band `[z_lo, z_hi]` — at most a few decisions in 100,000 on
 //! the benchmark streams — and for same-client or zero-spread pairs, whose
-//! kernels are step functions, is the kernel evaluated: through the exact
-//! same [`PairKernel`](crate::registry::PairKernel) the dense column fill
-//! uses, oriented exactly as the matrix stores it (direct value for the
+//! kernels are step functions, is the kernel evaluated: through the
+//! registry's per-pair body that the dense column fill runs too, oriented
+//! exactly as the matrix stores it (direct value for the
 //! older message, `1.0 − p` for the newer). The band's margins make every
 //! settled decision the one that evaluation gives (see `decision_band`),
 //! so boundary bits, closure decisions, safe-emission folds and emitted
@@ -205,9 +205,6 @@ pub(crate) struct SparseEngine {
     /// The pruning window `z_hi·√2·σ_max`.
     window: f64,
     candidate: Option<SparseCandidate>,
-    /// Slots handed out by [`take_candidate`](Self::take_candidate) and not
-    /// yet removed by [`commit_removal`](Self::commit_removal).
-    pending_removal: Vec<u32>,
     /// The `(ordered(key), slot)` column [`rebuild_from`](Self::rebuild_from)
     /// sorts, kept so that each offline window reuses its buffer.
     sort_column: Vec<(u64, u32)>,
@@ -234,14 +231,13 @@ impl SparseEngine {
             max_sigma: 0.0,
             window: 0.0,
             candidate: None,
-            pending_removal: Vec::new(),
             sort_column: Vec::new(),
             counters: FairOrderCounters::default(),
             lazy_evals: 0,
         }
     }
 
-    /// Pending messages, counting slots staged for removal.
+    /// Pending messages.
     pub(crate) fn len(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
@@ -356,7 +352,6 @@ impl SparseEngine {
     /// Reset the pending set (counters, σ bound and sequence numbers are
     /// kept — they describe the whole run).
     pub(crate) fn clear_pending(&mut self) {
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
@@ -435,9 +430,7 @@ impl SparseEngine {
     /// `1.0 − p` the matrix stores. Side-effect free: the caller counts.
     fn exact_oriented(&self, registry: &DistributionRegistry, u: u32, v: u32) -> f64 {
         let (a, b, flip) = self.by_arrival(u, v);
-        let kernel = registry.pair_kernel_at(a.client, b.client);
-        let p = kernel.preceding(a.message.timestamp - b.message.timestamp);
-        debug_assert!(!p.is_nan(), "finite keys imply finite probabilities");
+        let p = registry.preceding_at(a.client, b.client, a.message.timestamp - b.message.timestamp);
         if flip {
             1.0 - p
         } else {
@@ -724,11 +717,11 @@ impl SparseEngine {
         self.candidate = Some(cand);
     }
 
-    /// Take the candidate out of the cache (computing it first if needed):
-    /// returns its messages in arrival order — identical to the dense
-    /// ascending-matrix-slot emission order — plus its safe-emission time,
-    /// and stages the member slots for [`commit_removal`](Self::commit_removal).
-    /// `taken` is overwritten with the members' `(client slot, timestamp)`.
+    /// Take the candidate out of the engine (computing it first if needed)
+    /// and remove its members: returns its messages in arrival order —
+    /// identical to the dense ascending-matrix-slot emission order — plus
+    /// its safe-emission time. `taken` is overwritten with the members'
+    /// `(client slot, timestamp)`.
     pub(crate) fn take_candidate(
         &mut self,
         registry: &DistributionRegistry,
@@ -745,21 +738,14 @@ impl SparseEngine {
         let messages = members.clone().map(|n| n.message.clone()).collect();
         taken.clear();
         taken.extend(members.map(|n| (n.client, n.message.timestamp)));
-        let safe_after = cand.safe_after;
-        debug_assert!(self.pending_removal.is_empty(), "removal in flight");
-        self.pending_removal = cand.members;
-        Some((messages, safe_after))
+        self.remove(cand.members, registry);
+        Some((messages, cand.safe_after))
     }
 
-    /// Remove the slots staged by [`take_candidate`](Self::take_candidate):
-    /// one seam decision per removed run (the dense
-    /// `IncrementalFairOrder::remove_slots` contract), then one O(1) unlink
-    /// per slot.
-    pub(crate) fn commit_removal(&mut self, registry: &DistributionRegistry) {
-        let mut removed = std::mem::take(&mut self.pending_removal);
-        if removed.is_empty() {
-            return;
-        }
+    /// Remove the slots `removed`: one seam decision per removed run (the
+    /// dense `IncrementalFairOrder::remove_slots` contract), then one O(1)
+    /// unlink per slot.
+    fn remove(&mut self, mut removed: Vec<u32>, registry: &DistributionRegistry) {
         // Maintained order: runs of adjacent removed slots are contiguous in
         // this sorted view.
         removed.sort_unstable_by(|&a, &b| {
@@ -1050,7 +1036,6 @@ mod tests {
                 insert(&mut engine, &reg, msg(id, client, ts));
                 if id % 17 == 16 {
                     let (_msgs, _safe) = take(&mut engine, &reg);
-                    engine.commit_removal(&reg);
                 }
                 assert_chain_is_the_key_order(&engine, &format!("message {id}"));
             }
@@ -1156,8 +1141,6 @@ mod tests {
                     fresh.invalidate_candidate();
                     let (a, b) = (take(&mut kept, &reg), take(&mut fresh, &reg));
                     assert_eq!(a, b, "emission at {ctx}");
-                    kept.commit_removal(&reg);
-                    fresh.commit_removal(&reg);
                     check_twins(&mut kept, &mut fresh, &reg, &ctx);
                 }
                 if id == 300 {
@@ -1357,7 +1340,6 @@ mod tests {
         insert(&mut engine, &reg, msg(1, 1, 101.0));
         let (msgs, _) = take(&mut engine, &reg);
         assert_eq!(msgs.len(), 2, "inseparable arrival joins the candidate");
-        engine.commit_removal(&reg);
         assert_eq!(engine.len(), 0);
     }
 

@@ -185,26 +185,6 @@ impl DiscretizedPdf {
         crate::clamp_probability(1.0 - self.cdf(x))
     }
 
-    /// Batched [`tail`](Self::tail): `out[k] = P(X > xs[k])`.
-    ///
-    /// Bit-identical per element to the scalar form (same prefix-array
-    /// lookup, same partial-cell correction, same clamping). The batched
-    /// form exists for the pair-kernel engine in `tommy-core`: a
-    /// non-Gaussian client pair resolves to one shared difference grid, and
-    /// a whole column of timestamp deltas is then evaluated against that
-    /// grid in one pass over contiguous memory — no per-query cache lookups
-    /// or lock traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn tail_many(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = self.tail(x);
-        }
-    }
-
     /// Mean of the discretized distribution.
     pub fn mean(&self) -> f64 {
         let weighted: Vec<f64> = self

@@ -47,22 +47,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
-/// Slice-based [`std_normal_cdf`]: `xs[k] = Φ(xs[k])`, in place.
-///
-/// Per element this performs *exactly* the arithmetic of the scalar
-/// function (same rational polynomial, same operation order), so results
-/// are bit-identical to calling [`std_normal_cdf`] in a loop — the slice
-/// form exists so hot column fills (the pair-kernel engine in `tommy-core`)
-/// stage their z-scores in a scratch buffer and evaluate the whole
-/// contiguous slice without per-call dispatch or a second buffer, with the
-/// branch-free polynomial portion laid out for the compiler's loop
-/// vectorizer (the `exp` call is the one remaining scalar step).
-pub fn std_normal_cdf_in_place(xs: &mut [f64]) {
-    for x in xs.iter_mut() {
-        *x = std_normal_cdf(*x);
-    }
-}
-
 /// Standard normal probability density function `φ(x)`.
 #[inline]
 pub fn std_normal_pdf(x: f64) -> f64 {

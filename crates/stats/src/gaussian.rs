@@ -141,9 +141,9 @@ impl Gaussian {
     /// `((−dt) + μ_i) − μ_j`, and IEEE 754 negation of a rounded difference
     /// is exact (`−fl(a − b) = fl(b − a)`), so every intermediate matches.
     ///
-    /// This is the scalar form of the pair-kernel evaluation: a client
-    /// *pair* fixes `(μ_i, μ_j, √(σ_i² + σ_j²))` once, after which each
-    /// query depends only on `dt`.
+    /// This is the form the sequencing engines evaluate: a client *pair*
+    /// fixes `(μ_i, μ_j, √(σ_i² + σ_j²))`, after which each query depends
+    /// only on `dt`.
     pub fn preceding_probability_dt(&self, other: &Gaussian, dt: f64) -> f64 {
         let denom = (self.variance() + other.variance()).sqrt();
         let numer = -dt + self.mean - other.mean;
@@ -157,42 +157,6 @@ impl Gaussian {
             };
         }
         std_normal_cdf(numer / denom)
-    }
-
-    /// Batched [`preceding_probability_dt`](Self::preceding_probability_dt):
-    /// `out[k] = P(T*_i < T*_j | T_i − T_j = dts[k])`.
-    ///
-    /// The pair constants (`μ_i`, `μ_j`, the combined spread) are hoisted out
-    /// of the loop — they are per-*pair*, not per-query — leaving a tight
-    /// sub/add/divide pass plus one [`crate::erf::std_normal_cdf_in_place`]
-    /// sweep over contiguous memory. Per element the arithmetic (and hence
-    /// the bits) matches the scalar form exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn preceding_probability_dt_many(&self, other: &Gaussian, dts: &[f64], out: &mut [f64]) {
-        assert_eq!(dts.len(), out.len(), "input/output length mismatch");
-        let denom = (self.variance() + other.variance()).sqrt();
-        let mu_i = self.mean;
-        let mu_j = other.mean;
-        if denom == 0.0 {
-            for (o, &dt) in out.iter_mut().zip(dts) {
-                let numer = -dt + mu_i - mu_j;
-                *o = if numer > 0.0 {
-                    1.0
-                } else if numer < 0.0 {
-                    0.0
-                } else {
-                    0.5
-                };
-            }
-            return;
-        }
-        for (o, &dt) in out.iter_mut().zip(dts) {
-            *o = (-dt + mu_i - mu_j) / denom;
-        }
-        crate::erf::std_normal_cdf_in_place(out);
     }
 }
 

@@ -1,22 +1,26 @@
-//! Kernel/legacy equivalence properties.
+//! Engine/per-call equivalence properties.
 //!
-//! The pair-kernel probability engine (PR 3) must be *bit-identical* to the
-//! per-call path it replaced: same formulas, same operation order, same
-//! clamping. These seeded property tests pin that across Gaussian, uniform,
-//! Laplace, and empirical (KDE) distribution mixes:
+//! The engines evaluate the preceding probability through one per-pair body
+//! in the registry: the dense engine's arrival column, of which a one-shot
+//! `PrecedenceMatrix::compute` is a loop, and the sparse engine's exact
+//! evaluation. They must be *bit-identical* to the per-call reference
+//! `DistributionRegistry::preceding_probability`: same formulas, same
+//! operation order, same clamping. These seeded property tests pin that
+//! across Gaussian, uniform, Laplace, and empirical (KDE) distribution
+//! mixes:
 //!
-//! 1. `pair_kernel(a, b).preceding(dt)` and `preceding_many` equal
-//!    `preceding_probability` to the bit for random pairs and deltas;
-//! 2. the kernel-built `PrecedenceMatrix` (both the one-shot compute and the
-//!    incremental insert path) is element-wise identical to a legacy build
-//!    that queries every pair individually;
-//! 3. the online sequencer's emitted batch sequence on a randomized
+//! 1. the `PrecedenceMatrix` (both the one-shot compute and the incremental
+//!    insert path) is element-wise identical to a legacy build that queries
+//!    every pair individually;
+//! 2. the online sequencer's emitted batch sequence on a randomized
 //!    workload, over the mixed census (the dense engine) and an all-Gaussian
 //!    one (the sparse engine), equals a from-scratch reference pipeline
 //!    driven purely by per-call legacy queries (invariant 3's one-shot
 //!    candidate, with its re-scanning Appendix C closure, over the legacy
 //!    matrix, and the per-member safe-emission fold, which
-//!    `batch_emission_time` must also reproduce).
+//!    `batch_emission_time` must also reproduce);
+//! 3. a maintained matrix survives re-registration bit for bit, and a
+//!    refused insert changes nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,7 +32,7 @@ use tommy_contract::properties::scratch_candidate;
 
 const CLIENTS: u32 = 5;
 
-/// A registry mixing every distribution family the satellite names: two
+/// A registry mixing every distribution family the engines take: two
 /// Gaussians, a uniform, a Laplace, and an empirical KDE learned from
 /// Gaussian samples.
 fn mixed_registry(rng: &mut StdRng) -> DistributionRegistry {
@@ -73,50 +77,9 @@ fn monotone_messages(rng: &mut StdRng, n: usize) -> Vec<Message> {
         .collect()
 }
 
-#[test]
-fn pair_kernel_preceding_is_bit_identical_across_families() {
-    for seed in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let registry = mixed_registry(&mut rng);
-        for _ in 0..40 {
-            let a = ClientId(rng.random_range(0..CLIENTS));
-            let b = ClientId(rng.random_range(0..CLIENTS));
-            let kernel = registry.pair_kernel(a, b).unwrap();
-            let t_j: f64 = rng.random_range(-500.0..500.0);
-            let pairs: Vec<(Message, Message)> = (0..16)
-                .map(|k| {
-                    let t_i = t_j + rng.random_range(-30.0..30.0);
-                    (
-                        Message::new(MessageId(2 * k), a, t_i),
-                        Message::new(MessageId(2 * k + 1), b, t_j),
-                    )
-                })
-                .collect();
-            let dts: Vec<f64> = pairs.iter().map(|(i, j)| i.timestamp - j.timestamp).collect();
-            let mut batch = vec![0.0; dts.len()];
-            kernel.preceding_many(&dts, &mut batch);
-            for (k, (i, j)) in pairs.iter().enumerate() {
-                let per_call = registry.preceding_probability(i, j).unwrap();
-                assert_eq!(
-                    kernel.preceding(dts[k]).to_bits(),
-                    per_call.to_bits(),
-                    "seed {seed} pair ({a}, {b}) dt {}",
-                    dts[k]
-                );
-                assert_eq!(
-                    batch[k].to_bits(),
-                    per_call.to_bits(),
-                    "seed {seed} pair ({a}, {b}) dt {} (batched)",
-                    dts[k]
-                );
-            }
-        }
-    }
-}
-
 /// Legacy reference matrix: every cell from an individual
-/// `preceding_probability` call, mirrored exactly as the pre-kernel build
-/// mirrored it.
+/// `preceding_probability` call, mirrored exactly as both matrix builds
+/// mirror it.
 fn legacy_matrix(messages: &[Message], registry: &DistributionRegistry) -> PrecedenceMatrix {
     let n = messages.len();
     let mut pairwise = vec![vec![0.5; n]; n];
@@ -212,7 +175,7 @@ fn online_sequencer_emits_identical_batch_sequence_to_legacy_reference() {
         }
 
         // Reference: repeatedly take the legacy candidate off the pending
-        // set — exactly what flush() does with the kernel engine.
+        // set — exactly what flush() does with its engine.
         let mut pending = messages.clone();
         for batch in sequencer.flush() {
             let (expect_ids, expect_safe) = legacy_candidate(&pending, &registry, &config);
@@ -270,9 +233,9 @@ fn assert_same_matrix(
 /// Coarse grids: the staleness test rebuilds every one of them per step.
 const GRID_POINTS: usize = 128;
 
-/// The one thing the flat column can get wrong that the per-group fill
-/// could not: a kernel read from a table that outlived the registration it
-/// was built for. A seeded interleaving of inserts, `remove_indices` and
+/// The one thing a maintained column can get wrong that a fresh build
+/// cannot: a probability read from a table that outlived the registration
+/// it was built for. A seeded interleaving of inserts, `remove_indices` and
 /// re-registrations — of clients with and without pending messages, across
 /// Gaussian ↔ Laplace ↔ uniform ↔ empirical, with two clients sharing one
 /// distribution and a freed class index taken by a new distribution — after
