@@ -1,21 +1,22 @@
-//! Batch-boundary maintenance bench: the incremental engine versus the
-//! from-scratch fair-order constructor, at online-realistic pending sizes.
+//! Batch-boundary maintenance bench: the tournament's maintained batches
+//! versus the from-scratch fair-order constructor, at online-realistic
+//! pending sizes.
 //!
 //! Two measurements per pending-set size `n`:
 //!
-//! * `incremental_arrival/n` — one arrival's boundary maintenance on an
-//!   [`IncrementalFairOrder`] tracking `n` messages: insert at the
-//!   tournament-chosen position (two adjacent-pair re-evaluations) plus the
-//!   removal that restores the state (one seam re-evaluation) — the
-//!   steady-state per-arrival cost.
-//! * `from_scratch/n` — what each arrival used to cost instead:
+//! * `incremental_arrival/n` — one arrival into an [`IncrementalTournament`]
+//!   tracking `n` messages: `insert_last` (its `n` edge orientations, the
+//!   block scan and two adjacent-pair evaluations) plus the `remove_indices`
+//!   that undoes it (one seam evaluation) — the steady-state per-arrival
+//!   cost of the maintained order and its batches.
+//! * `from_scratch/n` — what each arrival's batching used to cost instead:
 //!   `FairOrder::from_linear_order` over the full maintained order (`n − 1`
 //!   adjacent-pair probes plus the rank-index hashing of every message).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tommy_bench::{stream_message, stream_registry};
-use tommy_core::batching::{FairOrder, IncrementalFairOrder};
+use tommy_core::batching::FairOrder;
 use tommy_core::precedence::{PrecedenceMatrix, Removal};
 use tommy_core::tournament::IncrementalTournament;
 
@@ -34,39 +35,27 @@ fn batch_boundary(c: &mut Criterion) {
     for n in SIZES {
         // `n` pending messages, plus the (n+1)-th arrival whose maintenance
         // cost is being measured.
-        let mut matrix_with_arrival = PrecedenceMatrix::empty();
-        let mut tournament = IncrementalTournament::new();
-        let mut engine = IncrementalFairOrder::new(THRESHOLD);
-        let mut arrival_pos = 0usize;
-        for i in 0..=n {
-            matrix_with_arrival
+        let mut matrix_pending = PrecedenceMatrix::empty();
+        let mut tournament = IncrementalTournament::new(THRESHOLD);
+        for i in 0..n {
+            matrix_pending
                 .insert(stream_message(i), &registry)
                 .expect("registered clients");
-            let pos = tournament
-                .insert_last(&matrix_with_arrival)
-                .expect("Gaussian stream stays transitive");
-            if i < n {
-                engine.insert_at(pos, &matrix_with_arrival);
-            } else {
-                arrival_pos = pos;
-            }
+            tournament.insert_last(&matrix_pending);
         }
-        let matrix_pending = {
-            let mut m = PrecedenceMatrix::empty();
-            for i in 0..n {
-                m.insert(stream_message(i), &registry).expect("registered clients");
-            }
-            m
-        };
-        // The engine's maintained order over the n pending messages — the
-        // input each from-scratch recomputation would walk.
-        let order = engine.order().to_vec();
+        let mut matrix_with_arrival = matrix_pending.clone();
+        matrix_with_arrival
+            .insert(stream_message(n), &registry)
+            .expect("registered clients");
+        // The maintained order over the n pending messages — the input each
+        // from-scratch recomputation would walk.
+        let order = tournament.order().to_vec();
         let arrival_removed = Removal::of(n + 1, &[n]);
 
         group.bench_with_input(BenchmarkId::new("incremental_arrival", n), &n, |b, _| {
             b.iter(|| {
-                engine.insert_at(arrival_pos, &matrix_with_arrival);
-                engine.remove_slots(&arrival_removed, &matrix_pending);
+                tournament.insert_last(&matrix_with_arrival);
+                tournament.remove_indices(&arrival_removed, &matrix_pending);
             })
         });
         group.bench_with_input(BenchmarkId::new("from_scratch", n), &n, |b, _| {

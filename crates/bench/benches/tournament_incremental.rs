@@ -27,7 +27,7 @@ fn arrival_bench(c: &mut Criterion) {
         // Matrix over n+1 messages; tournament maintained over the first n,
         // so each iteration replays exactly one arrival.
         let mut matrix = PrecedenceMatrix::empty();
-        let mut tournament = IncrementalTournament::new();
+        let mut tournament = IncrementalTournament::new(0.75);
         for i in 0..n {
             matrix.insert(stream_message(i), &registry).unwrap();
             tournament.insert_last(&matrix);

@@ -2,11 +2,11 @@
 //!
 //! [`FairOrder::from_linear_order`] is the one-shot §3.4 constructor — walk
 //! the linear order, split wherever the adjacent-pair probability exceeds the
-//! threshold. Only reference tests call it: both sequencers keep the same
-//! boundary set in an engine
-//! ([`crate::batching::incremental::IncrementalFairOrder`], or the sparse
-//! engine's `starts_batch` bits) and materialize a `FairOrder` from that
-//! through [`FairOrder::from_groups`], or, on the offline sparse path,
+//! threshold. Only reference tests call it: both engines keep the same
+//! boundary bits beside the order they maintain
+//! ([`crate::tournament::IncrementalTournament`], or the sparse engine's
+//! `starts_batch` bits) and materialize a `FairOrder` from them through
+//! [`FairOrder::from_groups`], or, on the offline sparse path,
 //! through `from_parts` with the window's id map as the rank index.
 
 use crate::message::MessageId;
@@ -157,7 +157,7 @@ impl FairOrder {
     /// The batch-boundary positions in flattened order: the cumulative batch
     /// lengths, excluding the total (a boundary sits *before* each batch of
     /// rank ≥ 1). Matches
-    /// [`IncrementalFairOrder::boundary_positions`](crate::batching::IncrementalFairOrder::boundary_positions)
+    /// [`IncrementalTournament::boundary_positions`](crate::tournament::IncrementalTournament::boundary_positions)
     /// when both describe the same order.
     pub fn boundary_positions(&self) -> Vec<usize> {
         let mut positions = Vec::with_capacity(self.batches.len().saturating_sub(1));

@@ -8,30 +8,38 @@
 //! ordered. "Ideally, each batch should be of size 1."
 //!
 //! A batch boundary is a purely *local* property — whether one sits between
-//! two adjacent messages depends only on that pair's probability — so the
-//! boundary set admits incremental maintenance: an arrival that lands at
-//! position `k` of the linear order only changes the two adjacencies at
-//! `k−1/k` and `k/k+1` (and removes the old `k−1/k+1` one), and an emission
-//! only creates one new adjacency per removed run. The module is organized
-//! around that observation:
-//!
-//! * [`fair_order`] — the static output types: [`Batch`] and [`FairOrder`]
-//!   (one-shot construction via [`FairOrder::from_linear_order`], explicit
-//!   groups, total orders).
-//! * [`boundary`] — [`BoundarySet`], the batch-start bitset aligned with a
-//!   linear order, with an eagerly maintained batch count and lazily rebuilt
-//!   prefix ranks.
-//! * [`incremental`] — [`IncrementalFairOrder`], which the dense engine
-//!   (`sequencer::dense`) keeps beside its tournament across arrivals and
-//!   removals instead of recomputing `FairOrder::from_linear_order` per
-//!   arrival. Its state is pinned equal to the one-shot constructor
-//!   (batches, ranks, boundary set) by randomized property tests here and in
-//!   the dense engine.
+//! two adjacent messages depends only on that pair's probability — so each
+//! engine keeps one batch-start bit per position of the order it maintains,
+//! beside that order: an arrival that lands at position `k` only changes the
+//! two adjacencies at `k−1/k` and `k/k+1` (and removes the old `k−1/k+1`
+//! one), and an emission only creates one new adjacency per removed run. The
+//! dense engine's bits live in
+//! [`IncrementalTournament`](crate::tournament::IncrementalTournament), the
+//! sparse engine's on its list nodes (`sequencer::sparse`); both count their
+//! work in [`FairOrderCounters`]. This module holds what they share: those
+//! counters, and in [`fair_order`] the static output types [`Batch`] and
+//! [`FairOrder`] (one-shot construction via [`FairOrder::from_linear_order`],
+//! the reference both engines' bits are pinned equal to by property tests).
 
-pub mod boundary;
 pub mod fair_order;
-pub mod incremental;
 
-pub use boundary::BoundarySet;
 pub use fair_order::{Batch, FairOrder};
-pub use incremental::{FairOrderCounters, IncrementalFairOrder};
+
+/// Counters describing the batch-boundary work an engine performed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FairOrderCounters {
+    /// Adjacent-pair probability re-evaluations (each a single matrix read).
+    /// An arrival costs at most two; a removal costs one per removed run; a
+    /// rebuild costs `n − 1`.
+    pub boundary_evals: u64,
+    /// Local edits that increased the boundary count (an arrival separating
+    /// what was one batch).
+    pub batch_splits: u64,
+    /// Local edits that decreased the boundary count (an arrival bridging
+    /// two batches into one).
+    pub batch_merges: u64,
+    /// Wholesale derivations of every bit from a reordered or recomputed
+    /// linear order (cycle repairs and fallbacks, wholesale
+    /// re-registrations). Stays **zero** on acyclic (Gaussian) workloads.
+    pub full_rebuilds: u64,
+}

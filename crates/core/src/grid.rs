@@ -52,10 +52,10 @@ pub(crate) fn compact_square<T: Copy>(buf: &mut [T], stride: usize, kept: &[usiz
 }
 
 /// The index remap of one removal from a dense `0..n` index space: which
-/// pre-removal indices survive and where each lands. The matrix, the
-/// tournament and the batch-boundary engine compact in lockstep, so an
+/// pre-removal indices survive and where each lands. The matrix and the
+/// tournament (with its order's batch bits) compact in lockstep, so an
 /// emission computes this once (the engine keeps one value and recomputes
-/// it in place) and hands it to all three.
+/// it in place) and hands it to both.
 #[derive(Debug, Clone, Default)]
 pub struct Removal {
     /// Surviving pre-removal indices, ascending.

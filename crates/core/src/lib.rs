@@ -38,8 +38,9 @@
 //!   (the exhaustive greedy pass plus the SCC-scoped local-repair entry
 //!   point, both counter-instrumented).
 //! * [`batching`] — threshold batching of a linear order into ranked
-//!   batches: the static [`FairOrder`] types plus the incremental
-//!   batch-boundary engine the online sequencer maintains across arrivals.
+//!   batches: the static [`FairOrder`] types and the counters of the
+//!   incremental boundary maintenance both engines perform beside the
+//!   order they keep.
 //! * [`sequencer`] — the offline sequencer (§3.4) and the online sequencer
 //!   with safe emission and watermarks (§3.5), over the same two engines
 //!   (linear order → fair order, one code path for both modes): the dense
@@ -89,7 +90,7 @@ pub mod session;
 pub mod tiebreak;
 pub mod tournament;
 
-pub use batching::{Batch, FairOrder, FairOrderCounters, IncrementalFairOrder};
+pub use batching::{Batch, FairOrder, FairOrderCounters};
 pub use config::{FastPathMode, LivenessConfig, SequencerConfig};
 pub use defense::{DefenseConfig, ExpectedDelay, TrustLevel};
 pub use error::CoreError;

@@ -145,7 +145,7 @@ impl PrecedenceMatrix {
     /// shrinking the matrix while preserving the relative order — and the
     /// already-computed probabilities — of the survivors. `removal` must be
     /// a remap of this matrix's `0..len()`; whatever else tracks the matrix
-    /// (tournament, boundary engine) follows the same value.
+    /// (the tournament, with its order's batch bits) follows the same value.
     ///
     /// No probability queries are performed: surviving pairs keep the values
     /// (and query orientation) they had at insertion time, so the result is

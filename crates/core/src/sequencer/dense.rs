@@ -4,10 +4,10 @@
 //! [`DenseEngine`] owns the [`PrecedenceMatrix`] and everything derived from
 //! it, so the lockstep protocol is written once, here, as one method per
 //! change: an arrival is [`insert`](DenseEngine::insert) (one matrix column,
-//! then the tournament and the boundary engine place it), an emission
+//! then the tournament places it and its batch bits), an emission
 //! [`take_candidate`](DenseEngine::take_candidate) (the candidate's
-//! messages out, then one [`Removal`] remap followed by the matrix, the
-//! tournament and the boundary engine alike) and a wholesale re-derivation
+//! messages out, then one [`Removal`] remap followed by the matrix and the
+//! tournament alike) and a wholesale re-derivation
 //! [`load`](DenseEngine::load). Each of them drops the cached candidate.
 //! Its streaming surface is the sparse engine's (`sequencer::sparse`),
 //! method for method, which is what lets the
@@ -30,20 +30,20 @@
 //!   `Arc` refcount per pending message. The same slots price the candidate
 //!   (`mean_at`, and the cached `safe_margin_at` in place of a quantile
 //!   inversion per batch member).
-//! * The tournament and its linear order ([`IncrementalTournament`]): an
-//!   arrival orients its n new edges and one scan over the maintained
-//!   condensation blocks places it; an emission drops the batch's rows in
-//!   place. Intransitivity cycles — never produced by Gaussian offsets
+//! * The tournament, its linear order and the order's §3.4 batch
+//!   boundaries ([`IncrementalTournament`], which stores the order once):
+//!   an arrival orients its n new edges, one scan over the maintained
+//!   condensation blocks places it, and only the two adjacencies at its
+//!   insertion point are evaluated; an emission drops the batch's rows in
+//!   place and evaluates one seam per removed run, so a candidate
+//!   recomputation reads the lowest-rank batch straight off the maintained
+//!   bits. Intransitivity cycles — never produced by Gaussian offsets
 //!   (Appendix A) — are absorbed by the incremental FAS engine, which
 //!   re-solves only the one SCC the arrival strongly connects: zero
 //!   `Tournament::from_matrix` rebuilds. Under stochastic cycle breaking the
 //!   engine is off (a randomized per-component order cannot be cached): a
 //!   cycle event invalidates the order, which the next read recomputes with
 //!   draws from the engine's own seeded generator.
-//! * The §3.4 batch boundaries ([`IncrementalFairOrder`]): an arrival
-//!   re-evaluates only the two adjacencies at its insertion point and an
-//!   emission one seam per removed run, so a candidate recomputation reads
-//!   the lowest-rank batch straight off the maintained boundary set.
 //! * The candidate batch (that lowest-rank batch closed under the Appendix C
 //!   rule, a worklist: outsiders are compared only against members added
 //!   since they were last checked, O(n × batch) reads over reused scratch)
@@ -55,7 +55,7 @@
 //! as in the Appendix C worked example: its arrival invalidates the cache and
 //! the next recomputation sees the full pending set.
 
-use crate::batching::{FairOrder, FairOrderCounters, IncrementalFairOrder};
+use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::SequencerConfig;
 use crate::message::{Message, MessageId};
 use crate::precedence::{PrecedenceMatrix, Removal};
@@ -84,10 +84,9 @@ pub(crate) struct DenseEngine {
     /// Incrementally maintained precedence matrix over the pending set; its
     /// message list *is* the pending set, in arrival order.
     matrix: PrecedenceMatrix,
-    /// The tournament over `matrix` and its maintained linear order.
+    /// The tournament over `matrix`, its maintained linear order and that
+    /// order's batch boundaries.
     tournament: IncrementalTournament,
-    /// The batch boundaries over that order.
-    fair: IncrementalFairOrder,
     /// Source of the stochastic cycle-breaking draws.
     rng: StdRng,
     /// Cached candidate batch; `None` means the pending set changed since the
@@ -107,13 +106,12 @@ pub(crate) struct DenseEngine {
 impl DenseEngine {
     /// An empty engine; `seed` seeds the stochastic cycle breaker's draws.
     pub(crate) fn new(config: SequencerConfig, seed: u64) -> Self {
-        let mut tournament = IncrementalTournament::new();
+        let mut tournament = IncrementalTournament::new(config.threshold);
         tournament.set_incremental_fas(!config.stochastic_cycle_breaking);
         DenseEngine {
             config,
             matrix: PrecedenceMatrix::empty(),
             tournament,
-            fair: IncrementalFairOrder::new(config.threshold),
             rng: StdRng::seed_from_u64(seed),
             candidate: None,
             members: Vec::new(),
@@ -137,9 +135,9 @@ impl DenseEngine {
         self.matrix.prob_bytes()
     }
 
-    /// Counters of the incremental batch-boundary engine.
+    /// Counters of the batch-boundary maintenance.
     pub(crate) fn counters(&self) -> FairOrderCounters {
-        self.fair.counters()
+        self.tournament.fair_order_counters()
     }
 
     /// The incrementally maintained tournament (read-only).
@@ -182,7 +180,7 @@ impl DenseEngine {
         (self.matrix.slot(i), self.matrix.message(i).timestamp)
     }
 
-    /// Make the maintained order and boundary set valid: a no-op (zero
+    /// Make the maintained order and its batches valid: a no-op (zero
     /// comparisons, zero boundary evaluations) on a clean incremental state;
     /// a recompute after a [`load`](Self::load) or a cycle event the
     /// tournament did not repair in place.
@@ -190,14 +188,6 @@ impl DenseEngine {
         let stochastic = self.config.stochastic_cycle_breaking;
         let rng = stochastic.then_some(&mut self.rng as &mut dyn RngCore);
         self.tournament.ensure_order(&self.matrix, &self.config, rng);
-        if self.fair.is_dirty() {
-            self.fair.rebuild_from(self.tournament.order(), &self.matrix);
-        }
-        debug_assert_eq!(
-            self.fair.order(),
-            self.tournament.order(),
-            "fair order out of lockstep with the tournament"
-        );
     }
 
     /// `(message id, starts_batch)` in the maintained tournament order,
@@ -207,7 +197,7 @@ impl DenseEngine {
             return Vec::new();
         }
         self.refresh();
-        let boundaries = self.fair.boundary_positions();
+        let boundaries = self.tournament.boundary_positions();
         let order = self.tournament.order().iter().enumerate();
         let starts = |pos| pos == 0 || boundaries.binary_search(&pos).is_ok();
         order.map(|(pos, &idx)| (self.matrix.message(idx).id, starts(pos))).collect()
@@ -215,7 +205,7 @@ impl DenseEngine {
 
     /// Insert an admitted arrival from the client in `slot`: one matrix
     /// column (O(n) probability queries), then its place in the tournament
-    /// and the boundary set. Cannot fail: the shell admitted the message
+    /// and its batches. Cannot fail: the shell admitted the message
     /// and holds the one id set.
     pub(crate) fn insert(
         &mut self,
@@ -229,15 +219,10 @@ impl DenseEngine {
 
     /// Place the message the matrix just gained (its last index): the
     /// tournament orients its edges and slots it into the maintained order
-    /// (a singleton insertion, or an SCC-scoped local repair when it closes a
-    /// cycle). A clean insertion re-evaluates only the two new adjacencies at
-    /// the insertion point; a repair (or an invalidating cycle event) leaves
-    /// the boundary set to be rebuilt from the new order at the next read.
+    /// and its batches (a singleton insertion, or an SCC-scoped local repair
+    /// when it closes a cycle).
     fn place_last(&mut self) {
-        match self.tournament.insert_last(&self.matrix) {
-            Some(position) if !self.fair.is_dirty() => self.fair.insert_at(position, &self.matrix),
-            _ => self.fair.mark_dirty(),
-        }
+        self.tournament.insert_last(&self.matrix);
         self.candidate = None;
     }
 
@@ -246,7 +231,7 @@ impl DenseEngine {
     ///
     /// A recomputation reads the incrementally maintained state: the batch
     /// of lowest rank (closed under the Appendix C rule) comes straight off
-    /// the maintained boundary set — no linear-order clone, no `FairOrder`
+    /// the maintained batch bits — no linear-order clone, no `FairOrder`
     /// construction, no rank hashing, and no probability queries at all (the
     /// safe-emission sweep reads cached per-client margins). A full recompute
     /// happens only when the tournament's order was invalidated.
@@ -287,7 +272,7 @@ impl DenseEngine {
         self.refresh();
         let (batch, outside, matrix) = (&mut self.members, &mut self.outside, &self.matrix);
         batch.clear();
-        batch.extend_from_slice(self.fair.first_batch());
+        batch.extend_from_slice(self.tournament.first_batch());
         outside.clear();
         outside.extend((0..matrix.len()).filter(|i| !batch.contains(i)));
         let threshold = self.config.threshold;
@@ -329,26 +314,21 @@ impl DenseEngine {
     }
 
     /// Remove the matrix indices in `members`: the one place an emission's
-    /// remap is computed, followed by the matrix, the tournament and the
-    /// boundary engine (surviving boundaries keep their bits; one seam per
-    /// removed run is re-evaluated).
+    /// remap is computed, followed by the matrix and the tournament
+    /// (surviving boundaries keep their bits; one seam per removed run is
+    /// re-evaluated).
     fn remove_members(&mut self) {
         self.removal.set(self.matrix.len(), &self.members);
         self.matrix.remove_indices(&self.removal);
-        if self.tournament.remove_indices(&self.removal, &self.matrix) && !self.fair.is_dirty() {
-            self.fair.remove_slots(&self.removal, &self.matrix);
-        } else {
-            self.fair.mark_dirty();
-        }
+        self.tournament.remove_indices(&self.removal, &self.matrix);
         self.candidate = None;
     }
 
     /// Track `matrix` wholesale: every tournament edge is re-derived, and the
-    /// order and boundary set are recomputed one-shot at the next read.
+    /// order and its batches are recomputed one-shot at the next read.
     pub(crate) fn load(&mut self, matrix: PrecedenceMatrix) {
         self.matrix = matrix;
         self.tournament.rebuild(&self.matrix);
-        self.fair.mark_dirty();
         self.candidate = None;
     }
 
@@ -381,7 +361,7 @@ impl DenseEngine {
     /// The fair partial order over the tracked messages (§3.4).
     pub(crate) fn fair_order(&mut self) -> FairOrder {
         self.refresh();
-        self.fair.to_fair_order(&self.matrix)
+        self.tournament.to_fair_order(&self.matrix)
     }
 
     /// The fair order with the §3 diagnostics: the one-shot outcome the
@@ -448,7 +428,7 @@ mod tests {
         assert_eq!(engine.fair_order(), reference, "fair order diverged");
         assert_eq!(engine.tournament.order(), scratch_order, "linear order diverged");
         assert_eq!(
-            engine.fair.boundary_positions(),
+            engine.tournament.boundary_positions(),
             reference.boundary_positions(),
             "boundary set diverged"
         );
@@ -462,7 +442,7 @@ mod tests {
     }
 
     /// Mirror of the tournament's randomized insert/remove property test,
-    /// extended to the batch-boundary engine: Gaussian + Laplace clients
+    /// extended to the candidate batch: Gaussian + Laplace clients
     /// (always transitive ⇒ zero rebuilds), random thresholds per seed.
     #[test]
     fn random_insert_remove_sequences_match_one_shot() {
@@ -496,7 +476,7 @@ mod tests {
                     engine.insert(m, slot, &reg);
                 }
                 if engine.len() == 0 {
-                    assert!(engine.fair.is_empty());
+                    assert!(engine.tournament.is_empty());
                 } else {
                     assert_engine_matches_one_shot(&mut engine);
                 }
@@ -516,8 +496,8 @@ mod tests {
 
     /// Same property over explicit random probability matrices, which —
     /// unlike Gaussian offsets — produce intransitive triples, exercising
-    /// the cycle-induced rebuild fallbacks of both the tournament and the
-    /// batch-boundary engine.
+    /// the repaired spans and re-solved splits after which the tournament
+    /// derives every batch bit again.
     #[test]
     #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
     fn random_probability_matrices_match_one_shot_including_cycles() {

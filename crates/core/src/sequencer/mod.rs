@@ -21,11 +21,10 @@
 //! * `watermark` (private) — per-client completeness tracking via messages
 //!   and heartbeats over ordered channels, indexed by registry slot.
 //! * `dense` (private) — the dense engine: the pairwise matrix and the §3.4
-//!   pipeline tail over it — linear order
-//!   ([`crate::tournament::IncrementalTournament`]) → fair order (threshold
-//!   batching, maintained incrementally by
-//!   [`crate::batching::IncrementalFairOrder`]) → the cached candidate batch
-//!   — owned by one object, one method per change.
+//!   pipeline tail over it — linear order and fair order (threshold
+//!   batching), both maintained incrementally by
+//!   [`crate::tournament::IncrementalTournament`] → the cached candidate
+//!   batch — owned by one object, one method per change.
 //! * `sparse` (private) — the sub-quadratic Gaussian fast path: when every
 //!   registered client has a closed-form kernel, a sequencer keeps its
 //!   order as one list sorted by margin-adjusted timestamps (threaded

@@ -542,7 +542,7 @@ impl OnlineSequencer {
         engine!(self.pending_order())
     }
 
-    /// Counters of the incremental batch-boundary engine: adjacent-pair
+    /// Counters of the incremental batch-boundary maintenance: adjacent-pair
     /// re-evaluations (at most two per arrival, one per removed run on
     /// emission), the local batch splits/merges they caused, and the
     /// cycle-induced full rebuilds (zero on Gaussian workloads). Both

@@ -20,8 +20,8 @@
 //! threshold actually inspects them:
 //!
 //! * **Boundary bits** — each arrival decides exactly its two in-order
-//!   adjacencies (mirroring
-//!   [`IncrementalFairOrder::insert_at`](crate::batching::IncrementalFairOrder)),
+//!   adjacencies (mirroring the dense engine's clean insertion into
+//!   [`IncrementalTournament`](crate::tournament::IncrementalTournament)),
 //!   each emission one seam per removed run.
 //! * **Closure checks** — the Appendix C candidate closure only ever needs
 //!   pairs inside a *pruning window*: a pair is inseparable
@@ -482,7 +482,7 @@ impl SparseEngine {
 
     /// Insert an arrival: a walk in from the tail to its place, exactly two
     /// adjacency decisions for the boundary bits (mirroring the dense
-    /// `IncrementalFairOrder::insert_at` contract), and an incremental
+    /// `IncrementalTournament::insert_last` contract), and an incremental
     /// candidate update (see module docs).
     pub(crate) fn insert(
         &mut self,
@@ -743,7 +743,8 @@ impl SparseEngine {
     }
 
     /// Remove the slots `removed`: one seam decision per removed run (the
-    /// dense `IncrementalFairOrder::remove_slots` contract), then one O(1)
+    /// dense `IncrementalTournament::remove_indices` contract for a removal
+    /// that restricts the order), then one O(1)
     /// unlink per slot.
     fn remove(&mut self, mut removed: Vec<u32>, registry: &DistributionRegistry) {
         // Maintained order: runs of adjacent removed slots are contiguous in

@@ -11,9 +11,9 @@
 //!
 //! Two representations are provided:
 //!
-//! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]:
-//!   the one-shot reference the maintained state is tested against, and the
-//!   adjacency a wholesale recompute orders.
+//! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]
+//!   as adjacency lists, ordered through Tarjan's SCCs: the one-shot
+//!   reference the maintained state is tested against.
 //! * [`IncrementalTournament`] — maintained edge-by-edge alongside an
 //!   incrementally updated matrix ([`PrecedenceMatrix::insert`] /
 //!   [`PrecedenceMatrix::remove_indices`]), with the linear order repaired in
@@ -21,13 +21,19 @@
 //!   scan over its per-SCC blocks), and an intransitivity cycle — never
 //!   produced by Gaussian offsets (Appendix A) — re-solves only the one
 //!   component the arrival strongly connects (the incremental FAS engine).
-//!   This is what makes the online arrival path O(n) instead of O(n²); the
-//!   dense engine runs an offline window through it too, loaded whole.
+//!   The order's §3.4 batch boundaries are kept beside it, one bit per
+//!   position, so the order is stored once. This is what makes the online
+//!   arrival path O(n) instead of O(n²); the dense engine runs an offline
+//!   window through it too, loaded whole, and condenses that window off its
+//!   edge grid by out-degree (Landau's criterion) instead of building
+//!   adjacency lists.
 
+use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::SequencerConfig;
 use crate::graph::fas::{greedy_order, stochastic_order};
 use crate::graph::tarjan::strongly_connected_components;
 use crate::graph::toposort::{topological_sort, TopoResult};
+use crate::message::MessageId;
 use crate::precedence::{PrecedenceMatrix, Removal};
 use rand::RngCore;
 
@@ -162,11 +168,13 @@ impl Tournament {
     }
 }
 
-/// A tournament (and its linear order) maintained *incrementally* alongside
-/// an incrementally updated [`PrecedenceMatrix`].
+/// A tournament, its linear order and that order's §3.4 batch boundaries,
+/// maintained *incrementally* alongside an incrementally updated
+/// [`PrecedenceMatrix`].
 ///
-/// Instead of rebuilding [`Tournament::from_matrix`] + `linear_order` on
-/// every change — O(n²) comparisons per arrival — this structure:
+/// Instead of rebuilding [`Tournament::from_matrix`] + `linear_order` +
+/// [`FairOrder::from_linear_order`] on every change — O(n²) comparisons per
+/// arrival — this structure:
 ///
 /// * orients only the `n` new edges when a message is inserted
 ///   ([`insert_last`](Self::insert_last)), locating the arrival's place in
@@ -187,15 +195,22 @@ impl Tournament {
 ///   [`full_rebuilds`](Self::full_rebuilds)) only on wholesale invalidation
 ///   ([`rebuild`](Self::rebuild), e.g. a client re-registration) or, under
 ///   stochastic cycle breaking, on every cycle event (the incremental FAS
-///   engine is then off: a randomized per-component order cannot be cached).
+///   engine is then off: a randomized per-component order cannot be cached);
+/// * keeps one batch-start bit per position of the order, where the order
+///   changes: a clean insertion evaluates its two new adjacencies, a
+///   removal that restricts the order keeps the surviving bits and
+///   evaluates one seam per removed run, and anything that reorders (a
+///   repaired span, a re-solved split, a recompute) derives every bit again,
+///   counted as one [`FairOrderCounters::full_rebuilds`].
 ///
 /// The maintained state is always element-wise identical to what
-/// `Tournament::from_matrix(matrix)` would build over the same matrix, and
+/// `Tournament::from_matrix(matrix)` would build over the same matrix,
 /// [`linear_order`](Self::linear_order) returns exactly the order the
-/// one-shot pipeline would: both paths order each SCC's canonically-sorted
-/// member set with the same deterministic heuristic, so cached per-component
-/// orders and recomputed ones are bit-identical (property-tested below, with
-/// the engine on and off, and in `sequencer::dense`).
+/// one-shot pipeline would (both paths order each SCC's canonically-sorted
+/// member set with the same deterministic heuristic, so cached
+/// per-component orders and recomputed ones are bit-identical), and the
+/// batches are `FairOrder::from_linear_order` over it (property-tested
+/// below, with the engine on and off, and in `sequencer::dense`).
 #[derive(Debug, Clone)]
 pub struct IncrementalTournament {
     n: usize,
@@ -206,6 +221,11 @@ pub struct IncrementalTournament {
     forward: Vec<bool>,
     /// The maintained linear order (valid when `!order_dirty`).
     order: Vec<usize>,
+    /// `starts[p]`: position `p` of `order` begins a batch, i.e. `p == 0` or
+    /// `p(order[p − 1] → order[p]) > threshold` (valid when `!order_dirty`).
+    starts: Vec<bool>,
+    /// The §3.4 batching threshold.
+    threshold: f64,
     /// Lengths of the consecutive condensation blocks of `order` (valid when
     /// `!order_dirty`): `order` is the concatenation of per-SCC orders,
     /// earliest component first, and `blocks` records where each SCC starts
@@ -218,8 +238,7 @@ pub struct IncrementalTournament {
     transitive: bool,
     /// Set when the order can no longer be repaired incrementally (a
     /// wholesale rebuild, or a cycle event with the incremental FAS engine
-    /// disabled); cleared by the next [`linear_order`](Self::linear_order)
-    /// recompute.
+    /// disabled); cleared by the next [`ensure_order`](Self::ensure_order).
     order_dirty: bool,
     /// Whether cycle events are handled by SCC-scoped local repairs (the
     /// default) or by invalidating the whole order (under stochastic cycle
@@ -228,23 +247,30 @@ pub struct IncrementalTournament {
     comparisons: u64,
     full_rebuilds: u64,
     local_repairs: u64,
-}
-
-impl Default for IncrementalTournament {
-    fn default() -> Self {
-        IncrementalTournament::new()
-    }
+    batching: FairOrderCounters,
 }
 
 impl IncrementalTournament {
-    /// An empty tournament, ready to track an empty matrix, with the
-    /// incremental FAS engine enabled.
-    pub fn new() -> Self {
+    /// An empty tournament, ready to track an empty matrix and to batch its
+    /// order at `threshold` (the domain of
+    /// [`FairOrder::from_linear_order`]), with the incremental FAS engine
+    /// enabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is outside `[0.5, 1.0)`.
+    pub fn new(threshold: f64) -> Self {
+        assert!(
+            (0.5..1.0).contains(&threshold),
+            "threshold must be in [0.5, 1.0), got {threshold}"
+        );
         IncrementalTournament {
             n: 0,
             stride: 0,
             forward: Vec::new(),
             order: Vec::new(),
+            starts: Vec::new(),
+            threshold,
             blocks: Vec::new(),
             cyclic_blocks: 0,
             transitive: true,
@@ -253,13 +279,14 @@ impl IncrementalTournament {
             comparisons: 0,
             full_rebuilds: 0,
             local_repairs: 0,
+            batching: FairOrderCounters::default(),
         }
     }
 
     /// Enable or disable the incremental FAS engine. When disabled, every
     /// cycle event (a cyclic arrival, or any mutation while the maintained
     /// order is cyclic) invalidates the whole order, recomputed one-shot by
-    /// the next [`linear_order`](Self::linear_order).
+    /// the next [`ensure_order`](Self::ensure_order).
     ///
     /// The dense engine disables it exactly under
     /// [`SequencerConfig::stochastic_cycle_breaking`]: stochastic
@@ -304,10 +331,16 @@ impl IncrementalTournament {
         self.local_repairs
     }
 
+    /// The batch-boundary work so far: adjacent-pair evaluations, the
+    /// splits and merges local edits caused, and the wholesale derivations.
+    pub fn fair_order_counters(&self) -> FairOrderCounters {
+        self.batching
+    }
+
     /// Whether the tournament is currently known to be transitive. Exact
     /// while maintenance stays incremental (the block structure tracks every
     /// merge and split); after a wholesale invalidation it reflects the last
-    /// recompute (call [`linear_order`](Self::linear_order) to refresh).
+    /// recompute (call [`ensure_order`](Self::ensure_order) to refresh).
     pub fn is_transitive(&self) -> bool {
         self.transitive
     }
@@ -321,6 +354,13 @@ impl IncrementalTournament {
         self.forward[j * self.stride + i] = !towards_j;
     }
 
+    /// Whether a batch boundary separates `a` from its successor `b` in the
+    /// order: one adjacent-pair evaluation.
+    fn separates(&mut self, matrix: &PrecedenceMatrix, a: usize, b: usize) -> bool {
+        self.batching.boundary_evals += 1;
+        matrix.prob(a, b) > self.threshold
+    }
+
     /// Incorporate the message that `matrix` just gained via
     /// [`PrecedenceMatrix::insert`] (it is the matrix's last index).
     ///
@@ -331,27 +371,24 @@ impl IncrementalTournament {
     ///
     /// * If the arrival slots cleanly *between* two blocks (its predecessors
     ///   are a prefix of the block sequence), it becomes a new singleton
-    ///   block and the insertion position is returned — the hook the
-    ///   incremental batch-boundary engine
-    ///   ([`IncrementalFairOrder`](crate::batching::IncrementalFairOrder))
-    ///   uses to stay aligned with the maintained order. This is the only
-    ///   path a transitive (Gaussian) stream ever takes, and in a cyclic
-    ///   state it is also how arrivals that don't touch a cycle are
-    ///   absorbed — without any FAS work.
+    ///   block and exactly its two new adjacencies are evaluated (the old
+    ///   one between its neighbours is replaced). This is the only path a
+    ///   transitive (Gaussian) stream ever takes, and in a cyclic state it
+    ///   is also how arrivals that don't touch a cycle are absorbed —
+    ///   without any FAS work.
     /// * Otherwise the arrival strongly connects a contiguous span of blocks
     ///   (exact for tournaments: everything between the first block it
     ///   beats into and the last block that beats it joins one SCC). With
     ///   the incremental FAS engine enabled that merged component alone is
-    ///   re-solved in place and `None` is returned (the order changed beyond
-    ///   a point insertion); with it disabled the whole order is invalidated
-    ///   and recomputed lazily by the next
-    ///   [`linear_order`](Self::linear_order) call.
+    ///   re-solved in place and every batch bit derived again; with it
+    ///   disabled the whole order is invalidated and recomputed by the next
+    ///   [`ensure_order`](Self::ensure_order) call.
     ///
     /// # Panics
     ///
     /// Panics if `matrix.len() != self.len() + 1` — the tournament must be
     /// updated in lockstep with the matrix.
-    pub fn insert_last(&mut self, matrix: &PrecedenceMatrix) -> Option<usize> {
+    pub fn insert_last(&mut self, matrix: &PrecedenceMatrix) {
         let k = self.n;
         assert_eq!(
             matrix.len(),
@@ -369,13 +406,13 @@ impl IncrementalTournament {
         self.comparisons += k as u64;
 
         if self.order_dirty {
-            return None; // already awaiting a recompute
+            return; // already awaiting a recompute
         }
         if !self.transitive && !self.incremental_fas {
             // Engine off: a maintained cyclic order cannot absorb an arrival
             // in place (the FAS heuristics are not prefix-stable).
             self.order_dirty = true;
-            return None;
+            return;
         }
         // One scan over the blocks: `first` is the first block containing a
         // member the arrival beats (everything before it beats the arrival),
@@ -406,18 +443,40 @@ impl IncrementalTournament {
                 if !self.incremental_fas {
                     self.transitive = false;
                     self.order_dirty = true;
-                    return None;
+                    return;
                 }
                 self.merge_span(first_block, lb, first_pos, last_end, matrix);
-                None
             }
             _ => {
                 // Clean insertion: the arrival is its own singleton SCC
                 // between blocks. No FAS work, cyclic state or not.
                 self.blocks.insert(first_block, 1);
-                self.order.insert(first_pos, k);
-                Some(first_pos)
+                self.insert_at(first_pos, matrix);
             }
+        }
+    }
+
+    /// Insert the arrival (the matrix's last index) at position `pos` of the
+    /// order, evaluating its two new adjacencies: the bit of the old
+    /// `pos − 1 / pos` adjacency is replaced by the new `pos − 1 / pos` and
+    /// `pos / pos + 1` ones.
+    fn insert_at(&mut self, pos: usize, matrix: &PrecedenceMatrix) {
+        let (n, slot) = (self.order.len(), matrix.len() - 1);
+        let old_boundary = pos > 0 && pos < n && self.starts[pos];
+        let left_start = pos == 0 || self.separates(matrix, self.order[pos - 1], slot);
+        let right_start = (pos < n).then(|| self.separates(matrix, slot, self.order[pos]));
+        self.order.insert(pos, slot);
+        self.starts.insert(pos, left_start);
+        if let Some(start) = right_start {
+            self.starts[pos + 1] = start;
+        }
+        let new_boundaries =
+            usize::from(pos > 0 && left_start) + usize::from(right_start == Some(true));
+        let old_boundaries = usize::from(old_boundary);
+        if new_boundaries > old_boundaries {
+            self.batching.batch_splits += (new_boundaries - old_boundaries) as u64;
+        } else {
+            self.batching.batch_merges += (old_boundaries - new_boundaries) as u64;
         }
     }
 
@@ -448,57 +507,49 @@ impl IncrementalTournament {
         self.cyclic_blocks = self.cyclic_blocks - merged_cyclic + 1;
         self.transitive = false;
         self.local_repairs += 1;
+        self.derive_starts(matrix);
     }
 
     /// Drop the nodes `removal` removes, compacting the survivors exactly
     /// like [`PrecedenceMatrix::remove_indices`] does under the same remap
     /// (the relative order of survivors is preserved, so edge orientations
-    /// carry over unchanged). `matrix` is the *post-removal* matrix (only
-    /// read when a partially-removed cyclic component must be re-solved).
+    /// carry over unchanged). `matrix` is the *post-removal* matrix, read
+    /// for the batch seams and for a partially-removed cyclic component's
+    /// re-solve.
     ///
     /// Removal can only *split* SCCs, never merge them, and each surviving
     /// component stays in its condensation slot — so untouched blocks keep
-    /// their cached order, fully-removed blocks vanish, and only a cyclic
-    /// block that lost some (but not all) members is re-solved: its
-    /// survivors' sub-condensation is recomputed locally and each cyclic
-    /// sub-component repaired in place.
-    ///
-    /// Returns `true` when the maintained linear order survived the removal
-    /// as a pure subsequence restriction (no block needed re-solving) and
-    /// `false` when it was reordered or invalidated — the signal the
-    /// incremental batch-boundary engine follows in lockstep.
-    pub fn remove_indices(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) -> bool {
+    /// their cached order, fully-removed blocks vanish, and the order is a
+    /// restriction of the old one (surviving batch bits carry over, one seam
+    /// per removed run is evaluated) unless a cyclic block lost some but not
+    /// all of its members. Such a block's survivors are condensed again and
+    /// each cyclic sub-component repaired in place, after which every batch
+    /// bit is derived again.
+    pub fn remove_indices(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) {
         assert_eq!(removal.len(), self.n, "remap of another index space");
         if removal.kept().len() == self.n {
-            return !self.order_dirty;
+            return;
         }
         crate::grid::compact_square(&mut self.forward, self.stride, removal.kept());
         self.n = removal.kept().len();
         if self.order_dirty {
-            return false;
+            return;
         }
-        if self.transitive {
-            // The induced sub-tournament of a transitive tournament is
-            // transitive and its unique Hamiltonian path is the surviving
-            // subsequence.
-            self.order.retain_mut(|v| removal.new_index(*v).map(|a| *v = a).is_some());
-            // All-singleton blocks, one per survivor.
-            self.blocks.truncate(self.n);
-            return true;
-        }
-        if !self.incremental_fas {
+        if !self.transitive && !self.incremental_fas {
             // Engine off: a FAS-repaired order is not restriction-stable;
             // recompute wholesale.
             self.order_dirty = true;
-            return false;
+            return;
         }
         debug_assert_eq!(matrix.len(), self.n, "matrix must already be compacted");
+        if self.transitive || self.splits_no_component(removal) {
+            return self.restrict(removal, matrix);
+        }
         let old_order = std::mem::take(&mut self.order);
         let old_blocks = std::mem::take(&mut self.blocks);
         let mut new_order = Vec::with_capacity(self.n);
         let mut new_blocks = Vec::with_capacity(old_blocks.len());
-        let mut cyclic = 0usize;
-        let mut restriction = true;
+        let prob = |a: usize, b: usize| matrix.prob(a, b);
         let mut pos = 0usize;
         for &len in &old_blocks {
             let members = &old_order[pos..pos + len];
@@ -509,9 +560,8 @@ impl IncrementalTournament {
             let surviving = new_order.len() - start;
             if surviving == len || surviving <= 1 {
                 // Untouched component (cached order carries over), a lone
-                // survivor (trivially its own SCC) or none: a pure restriction.
+                // survivor (trivially its own SCC) or none.
                 if surviving > 0 {
-                    cyclic += usize::from(surviving > 1);
                     new_blocks.push(surviving);
                 }
                 continue;
@@ -519,55 +569,125 @@ impl IncrementalTournament {
             // A cyclic component lost some members: its survivors may have
             // split into several SCCs. Re-derive the sub-condensation and
             // repair each cyclic sub-component locally.
-            restriction = false;
-            let surviving = new_order.split_off(start);
-            for mut component in self.sub_components(&surviving) {
-                if component.len() > 1 {
-                    component.sort_unstable();
-                    let prob = |a: usize, b: usize| matrix.prob(a, b);
-                    component = crate::graph::fas::repair_component(&component, &prob);
+            let first_new = new_blocks.len();
+            self.condense(&mut new_order[start..], &mut new_blocks);
+            let mut at = start;
+            for &component_len in &new_blocks[first_new..] {
+                let component = &mut new_order[at..at + component_len];
+                at += component_len;
+                if component_len > 1 {
+                    let repaired = crate::graph::fas::repair_component(component, &prob);
+                    component.copy_from_slice(&repaired);
                     self.local_repairs += 1;
-                    cyclic += 1;
                 }
-                new_blocks.push(component.len());
-                new_order.extend(component);
             }
         }
         self.order = new_order;
         self.blocks = new_blocks;
-        self.cyclic_blocks = cyclic;
-        self.transitive = cyclic == 0;
-        restriction
+        self.cyclic_blocks = self.blocks.iter().filter(|&&len| len > 1).count();
+        self.transitive = self.cyclic_blocks == 0;
+        self.derive_starts(matrix);
     }
 
-    /// The strongly connected components of the sub-tournament induced on
-    /// `members` (current node indices), in topological order of its
-    /// condensation — the local counterpart of
-    /// [`Tournament::components_in_order`].
-    fn sub_components(&self, members: &[usize]) -> Vec<Vec<usize>> {
-        let s = members.len();
-        let mut adj = vec![Vec::new(); s];
-        for a in 0..s {
-            for b in (a + 1)..s {
-                if self.forward[members[a] * self.stride + members[b]] {
-                    adj[a].push(b);
-                } else {
-                    adj[b].push(a);
-                }
+    /// Whether `removal` leaves every block whole, empty or with one
+    /// survivor: the removals that restrict the order.
+    fn splits_no_component(&self, removal: &Removal) -> bool {
+        let mut pos = 0usize;
+        self.blocks.iter().all(|&len| {
+            let members = &self.order[pos..pos + len];
+            pos += len;
+            let surviving = members.iter().filter(|&&m| removal.new_index(m).is_some()).count();
+            surviving == len || surviving <= 1
+        })
+    }
+
+    /// Restrict the order, its batch bits and its blocks to the survivors of
+    /// `removal`, in place (position `p` is read before the write cursor
+    /// reaches it). Adjacent survivors keep their bit — the pair and its
+    /// probability are unchanged — and each removed run between two
+    /// survivors costs one seam evaluation.
+    fn restrict(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) {
+        let (mut kept, mut kept_blocks, mut pos) = (0usize, 0usize, 0usize);
+        let mut previous: Option<usize> = None;
+        for b in 0..self.blocks.len() {
+            let block_start = kept;
+            for p in pos..pos + self.blocks[b] {
+                let Some(slot) = removal.new_index(self.order[p]) else {
+                    continue;
+                };
+                let start = match previous {
+                    None => true,
+                    Some(q) if q + 1 == p => self.starts[p],
+                    Some(_) => self.separates(matrix, self.order[kept - 1], slot),
+                };
+                self.order[kept] = slot;
+                self.starts[kept] = start;
+                kept += 1;
+                previous = Some(p);
+            }
+            pos += self.blocks[b];
+            if kept > block_start {
+                self.blocks[kept_blocks] = kept - block_start;
+                kept_blocks += 1;
             }
         }
-        let mut comps = strongly_connected_components(&adj);
-        comps.reverse(); // Tarjan returns reverse topological order.
-        comps
-            .into_iter()
-            .map(|c| c.into_iter().map(|p| members[p]).collect())
-            .collect()
+        self.order.truncate(kept);
+        self.starts.truncate(kept);
+        self.blocks.truncate(kept_blocks);
+        self.cyclic_blocks = self.blocks.iter().filter(|&&len| len > 1).count();
+        self.transitive = self.cyclic_blocks == 0;
+    }
+
+    /// Sort `members` (current node indices) into the condensation order of
+    /// the sub-tournament they induce, each multi-member component
+    /// ascending, and push each component's length onto `blocks`.
+    ///
+    /// Landau's criterion, read off the edge grid: members sorted by
+    /// out-degree within the set, highest first, end a component after
+    /// position `t` of `k` exactly when the first `t` out-degrees sum to
+    /// `t(t−1)/2 + t(k−t)` — the first `t` members beat all `k − t` others.
+    /// A member of an earlier component has a strictly higher out-degree
+    /// than one of a later component, so the components are runs of the
+    /// sorted order. SCCs and their condensation order are unique, so this
+    /// is [`Tournament::components_in_order`] without the adjacency lists.
+    fn condense(&self, members: &mut [usize], blocks: &mut Vec<usize>) {
+        let k = members.len();
+        let mut by_wins: Vec<(usize, usize)> = members
+            .iter()
+            .map(|&a| {
+                let row = &self.forward[a * self.stride..];
+                (members.iter().filter(|&&b| b != a && row[b]).count(), a)
+            })
+            .collect();
+        by_wins.sort_unstable_by(|x, y| y.cmp(x));
+        let (mut start, mut wins) = (0usize, 0usize);
+        for (t, &(out_degree, member)) in (1..).zip(&by_wins) {
+            members[t - 1] = member;
+            wins += out_degree;
+            if wins == t * (t - 1) / 2 + t * (k - t) {
+                members[start..t].sort_unstable();
+                blocks.push(t - start);
+                start = t;
+            }
+        }
+    }
+
+    /// Derive every batch bit of the maintained order again: one evaluation
+    /// per adjacency, counted as one wholesale rebuild.
+    fn derive_starts(&mut self, matrix: &PrecedenceMatrix) {
+        let (order, threshold) = (&self.order, self.threshold);
+        self.starts.clear();
+        self.starts.extend(
+            (0..order.len()).map(|p| p == 0 || matrix.prob(order[p - 1], order[p]) > threshold),
+        );
+        self.batching.boundary_evals += order.len().saturating_sub(1) as u64;
+        self.batching.full_rebuilds += 1;
     }
 
     /// Re-derive every edge from `matrix` (used when a client
     /// re-registration changes pairwise probabilities wholesale). The linear
-    /// order is recomputed lazily by the next
-    /// [`linear_order`](Self::linear_order) call.
+    /// order and its batches are recomputed by the next
+    /// [`ensure_order`](Self::ensure_order) call.
     pub fn rebuild(&mut self, matrix: &PrecedenceMatrix) {
         let n = matrix.len();
         // Grow before adopting the new dimension: grow_square relocates the
@@ -584,64 +704,64 @@ impl IncrementalTournament {
         }
         self.comparisons += (n * n.saturating_sub(1) / 2) as u64;
         self.order.clear();
+        self.starts.clear();
         self.blocks.clear();
         self.cyclic_blocks = 0;
         self.order_dirty = n > 0;
         if n == 0 {
             self.transitive = true;
-            self.order_dirty = false;
         }
     }
 
-    /// Materialize the one-shot [`Tournament`] this incremental state
-    /// represents, with the exact adjacency-list construction order of
-    /// [`Tournament::from_matrix`] (so Tarjan component enumeration — and
-    /// therefore the cyclic linear order — is bit-identical).
-    fn as_tournament(&self) -> Tournament {
-        let n = self.n;
-        let mut adj = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.forward[i * self.stride + j] {
-                    adj[i].push(j);
-                } else {
-                    adj[j].push(i);
-                }
-            }
-        }
-        Tournament { n, adj }
-    }
-
-    /// Make the maintained linear order valid, recomputing it only if a
-    /// wholesale [`rebuild`](Self::rebuild) (or, with the engine off, a
-    /// cycle event) invalidated it. The recompute — tournament adjacency +
-    /// SCC condensation + FAS heuristics, counted by
-    /// [`full_rebuilds`](Self::full_rebuilds) — never happens on acyclic
-    /// (Gaussian) workloads, and with the incremental FAS engine enabled
-    /// never happens on cyclic arrivals or emissions either.
+    /// Make the maintained linear order and its batches valid, recomputing
+    /// them only if a wholesale [`rebuild`](Self::rebuild) (or, with the
+    /// engine off, a cycle event) invalidated them. The recompute — SCC
+    /// condensation off the edge grid, FAS heuristics per cyclic component,
+    /// every batch bit — is counted by [`full_rebuilds`](Self::full_rebuilds);
+    /// it never happens on acyclic (Gaussian) workloads, and with the
+    /// incremental FAS engine enabled never on cyclic arrivals or emissions
+    /// either.
     pub fn ensure_order(
         &mut self,
         matrix: &PrecedenceMatrix,
         config: &SequencerConfig,
-        rng: Option<&mut dyn RngCore>,
+        mut rng: Option<&mut dyn RngCore>,
     ) {
         debug_assert_eq!(matrix.len(), self.n, "tournament out of sync with matrix");
-        if self.order_dirty {
-            let tournament = self.as_tournament();
-            self.transitive = tournament.is_transitive();
-            self.order.clear();
-            self.blocks.clear();
-            self.cyclic_blocks = 0;
-            for component in tournament.ordered_components(matrix, config, rng) {
-                if component.len() > 1 {
-                    self.cyclic_blocks += 1;
-                }
-                self.blocks.push(component.len());
-                self.order.extend(component);
-            }
-            self.order_dirty = false;
-            self.full_rebuilds += 1;
+        if !self.order_dirty {
+            return;
         }
+        let mut order = std::mem::take(&mut self.order);
+        let mut blocks = std::mem::take(&mut self.blocks);
+        order.clear();
+        blocks.clear();
+        order.extend(0..self.n);
+        self.condense(&mut order, &mut blocks);
+        let prob = |a: usize, b: usize| matrix.prob(a, b);
+        let mut pos = 0usize;
+        for &len in &blocks {
+            let component = &mut order[pos..pos + len];
+            pos += len;
+            if len == 1 {
+                continue;
+            }
+            let ordered = if config.stochastic_cycle_breaking {
+                let rng = rng
+                    .as_deref_mut()
+                    .expect("stochastic cycle breaking requires an RNG");
+                stochastic_order(component, &prob, rng)
+            } else {
+                greedy_order(component, &prob)
+            };
+            component.copy_from_slice(&ordered);
+        }
+        self.order = order;
+        self.cyclic_blocks = blocks.iter().filter(|&&len| len > 1).count();
+        self.blocks = blocks;
+        self.transitive = self.cyclic_blocks == 0;
+        self.order_dirty = false;
+        self.full_rebuilds += 1;
+        self.derive_starts(matrix);
     }
 
     /// The maintained linear order, by reference (no clone). Only valid
@@ -670,20 +790,52 @@ impl IncrementalTournament {
         self.order.clone()
     }
 
+    /// The matrix indices of the lowest-rank batch: positions `0..` up to
+    /// the first batch start after the head. `O(batch size)`; valid after
+    /// [`ensure_order`](Self::ensure_order).
+    pub fn first_batch(&self) -> &[usize] {
+        let order = self.order();
+        let end = (1..order.len()).find(|&p| self.starts[p]).unwrap_or(order.len());
+        &order[..end]
+    }
+
+    /// The positions `p ≥ 1` of the order that start a batch, ascending —
+    /// [`FairOrder::boundary_positions`] of the maintained batches. Valid
+    /// after [`ensure_order`](Self::ensure_order).
+    pub fn boundary_positions(&self) -> Vec<usize> {
+        debug_assert!(!self.order_dirty, "boundaries read while awaiting a recompute");
+        (1..self.starts.len()).filter(|&p| self.starts[p]).collect()
+    }
+
+    /// The maintained batches as a [`FairOrder`] over `matrix`'s message
+    /// ids. Valid after [`ensure_order`](Self::ensure_order).
+    pub fn to_fair_order(&self, matrix: &PrecedenceMatrix) -> FairOrder {
+        let mut groups: Vec<Vec<MessageId>> = Vec::new();
+        for (&slot, &start) in self.order().iter().zip(&self.starts) {
+            if start {
+                groups.push(Vec::new());
+            }
+            groups
+                .last_mut()
+                .expect("position 0 opens a group")
+                .push(matrix.message(slot).id);
+        }
+        FairOrder::from_groups(groups)
+    }
+
     /// Number of strongly connected components with more than one node —
     /// the intransitivity cycles the §3 diagnostics report. Read off the
     /// maintained block structure in O(1) while the order is valid; only a
-    /// dirty state (awaiting a recompute) materializes the one-shot
-    /// adjacency (`O(n²)`).
+    /// dirty state (awaiting a recompute) condenses the edge grid
+    /// (`O(n²)`).
     pub fn cyclic_component_count(&self) -> usize {
         if !self.order_dirty {
             return self.cyclic_blocks;
         }
-        self.as_tournament()
-            .components_in_order()
-            .iter()
-            .filter(|c| c.len() > 1)
-            .count()
+        let mut members: Vec<usize> = (0..self.n).collect();
+        let mut blocks = Vec::new();
+        self.condense(&mut members, &mut blocks);
+        blocks.iter().filter(|&&len| len > 1).count()
     }
 }
 
@@ -845,7 +997,7 @@ mod tests {
     use tommy_stats::distribution::OffsetDistribution;
 
     /// The incremental state must equal the one-shot pipeline: element-wise
-    /// edges and the identical linear order.
+    /// edges, the identical linear order and its batches.
     fn assert_tournaments_identical(inc: &mut IncrementalTournament, matrix: &PrecedenceMatrix) {
         let scratch = Tournament::from_matrix(matrix);
         assert_eq!(inc.len(), scratch.len());
@@ -867,6 +1019,128 @@ mod tests {
             scratch.linear_order(matrix, &config, None),
             "linear order diverged"
         );
+        assert_batches_match_one_shot(inc, matrix);
+    }
+
+    /// The maintained batches equal the one-shot constructor over the
+    /// maintained order: batches, boundary positions and the first batch.
+    fn assert_batches_match_one_shot(inc: &IncrementalTournament, matrix: &PrecedenceMatrix) {
+        let reference = FairOrder::from_linear_order(matrix, inc.order(), inc.threshold);
+        assert_eq!(inc.to_fair_order(matrix), reference, "batches diverged");
+        assert_eq!(inc.boundary_positions(), reference.boundary_positions());
+        let first: Vec<MessageId> =
+            inc.first_batch().iter().map(|&s| matrix.message(s).id).collect();
+        assert_eq!(first, reference.batches()[0].messages);
+    }
+
+    /// The tournament over the first `k` messages of `full`, one prefix
+    /// matrix per arrival.
+    fn prefix(full: &PrecedenceMatrix, k: usize) -> PrecedenceMatrix {
+        let probs: Vec<Vec<f64>> =
+            (0..k).map(|i| (0..k).map(|j| full.prob(i, j)).collect()).collect();
+        PrecedenceMatrix::from_probabilities(&full.messages()[..k], &probs)
+    }
+
+    /// Appendix B appended message by message reproduces the paper's
+    /// {A} ≺ {B, C} ≺ {D} at threshold 0.75, each append evaluating the one
+    /// adjacency it gains.
+    #[test]
+    fn appendix_b_built_by_appends_matches_one_shot() {
+        let full = appendix_b_matrix();
+        let mut inc = IncrementalTournament::new(0.75);
+        for k in 1..=4 {
+            let matrix = prefix(&full, k);
+            inc.insert_last(&matrix);
+            assert_batches_match_one_shot(&inc, &matrix);
+        }
+        assert_eq!(inc.to_fair_order(&full).num_batches(), 3);
+        assert_eq!(inc.first_batch(), &[0]);
+        let counters = inc.fair_order_counters();
+        assert_eq!(counters.boundary_evals, 3);
+        assert_eq!(counters.full_rebuilds, 0);
+    }
+
+    /// Removing B from Appendix B's order makes A and C adjacent: one seam
+    /// evaluation (p(A→C) = 0.65 ≤ 0.75 joins them), every other bit kept.
+    #[test]
+    fn removal_keeps_surviving_bits_and_reevaluates_seams() {
+        let full = appendix_b_matrix();
+        let mut inc = IncrementalTournament::new(0.75);
+        for k in 1..=4 {
+            inc.insert_last(&prefix(&full, k));
+        }
+        let mut matrix = full.clone();
+        let removal = Removal::of(4, &[1]);
+        matrix.remove_indices(&removal);
+        let before = inc.fair_order_counters().boundary_evals;
+        inc.remove_indices(&removal, &matrix);
+        assert_eq!(inc.fair_order_counters().boundary_evals, before + 1, "one seam");
+        assert_batches_match_one_shot(&inc, &matrix);
+        assert_eq!(inc.to_fair_order(&matrix).num_batches(), 2);
+        assert_eq!(inc.first_batch(), &[0, 1]);
+    }
+
+    /// An arrival landing between two messages counts the boundaries it
+    /// adds as splits and those it removes as merges.
+    #[test]
+    fn split_and_merge_counters_track_local_edits() {
+        // Two inseparable messages (p = 0.6 ≤ 0.75): one batch. A third
+        // lands *between* them (0 beats it, it beats 1) and separates both
+        // sides: one old (absent) boundary replaced by two — 2 splits.
+        let mut inc = IncrementalTournament::new(0.75);
+        inc.insert_last(&matrix_from(vec![vec![0.5]]));
+        inc.insert_last(&matrix_from(vec![vec![0.5, 0.6], vec![0.4, 0.5]]));
+        assert_eq!(inc.fair_order_counters().batch_splits, 0);
+        let split = matrix_from(vec![
+            vec![0.5, 0.6, 0.9],
+            vec![0.4, 0.5, 0.05],
+            vec![0.1, 0.95, 0.5],
+        ]);
+        inc.insert_last(&split);
+        assert_eq!(inc.order(), &[0, 2, 1]);
+        assert_eq!(inc.to_fair_order(&split).num_batches(), 3);
+        let counters = inc.fair_order_counters();
+        assert_eq!((counters.batch_splits, counters.batch_merges), (2, 0));
+        assert_batches_match_one_shot(&inc, &split);
+
+        // Two separated messages (p = 0.9): two batches. A third bridges
+        // them at p = 0.6 on both sides — 1 merge.
+        let mut inc = IncrementalTournament::new(0.75);
+        inc.insert_last(&matrix_from(vec![vec![0.5]]));
+        inc.insert_last(&matrix_from(vec![vec![0.5, 0.9], vec![0.1, 0.5]]));
+        assert_eq!(inc.fair_order_counters().batch_splits, 1);
+        let bridged = matrix_from(vec![
+            vec![0.5, 0.9, 0.6],
+            vec![0.1, 0.5, 0.4],
+            vec![0.4, 0.6, 0.5],
+        ]);
+        inc.insert_last(&bridged);
+        assert_eq!(inc.order(), &[0, 2, 1]);
+        assert_eq!(inc.to_fair_order(&bridged).num_batches(), 1);
+        let counters = inc.fair_order_counters();
+        assert_eq!((counters.batch_splits, counters.batch_merges), (1, 1));
+    }
+
+    /// A wholesale rebuild recomputes the order at the next read and derives
+    /// each of its bits once, counted as one rebuild.
+    #[test]
+    fn rebuild_derives_every_bit_once() {
+        let matrix = appendix_b_matrix();
+        let mut inc = IncrementalTournament::new(0.75);
+        for _ in 0..2 {
+            inc.rebuild(&matrix);
+            inc.ensure_order(&matrix, &SequencerConfig::default(), None);
+            assert_batches_match_one_shot(&inc, &matrix);
+        }
+        let counters = inc.fair_order_counters();
+        assert_eq!((counters.boundary_evals, counters.full_rebuilds), (6, 2));
+        assert_eq!(inc.full_rebuilds(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be in")]
+    fn out_of_range_threshold_rejected() {
+        IncrementalTournament::new(1.0);
     }
 
     #[test]
@@ -876,7 +1150,7 @@ mod tests {
         let pairwise: Vec<Vec<f64>> = (0..4)
             .map(|i| (0..4).map(|j| full.prob(i, j)).collect())
             .collect();
-        let mut inc = IncrementalTournament::new();
+        let mut inc = IncrementalTournament::new(0.75);
         for k in 1..=4usize {
             let prefix: Vec<Vec<f64>> = (0..k)
                 .map(|i| (0..k).map(|j| pairwise[i][j]).collect())
@@ -897,7 +1171,7 @@ mod tests {
         let pairwise: Vec<Vec<f64>> = (0..4)
             .map(|i| (0..4).map(|j| full.prob(i, j)).collect())
             .collect();
-        let mut inc = IncrementalTournament::new();
+        let mut inc = IncrementalTournament::new(0.75);
         for k in 1..=4usize {
             let prefix: Vec<Vec<f64>> = (0..k)
                 .map(|i| (0..k).map(|j| pairwise[i][j]).collect())
@@ -925,7 +1199,7 @@ mod tests {
         let pairwise: Vec<Vec<f64>> = (0..4)
             .map(|i| (0..4).map(|j| full.prob(i, j)).collect())
             .collect();
-        let mut inc = IncrementalTournament::new();
+        let mut inc = IncrementalTournament::new(0.75);
         inc.set_incremental_fas(false);
         for k in 1..=4usize {
             let prefix: Vec<Vec<f64>> = (0..k)
@@ -952,7 +1226,7 @@ mod tests {
             reg
         };
         let mut matrix = PrecedenceMatrix::empty();
-        let mut inc = IncrementalTournament::new();
+        let mut inc = IncrementalTournament::new(0.75);
         for i in 0..8u64 {
             matrix
                 .insert(
@@ -997,7 +1271,7 @@ mod tests {
                 reg.register(ClientId(c), dist);
             }
             let mut matrix = PrecedenceMatrix::empty();
-            let mut inc = IncrementalTournament::new();
+            let mut inc = IncrementalTournament::new(0.75);
             inc.set_incremental_fas(incremental_fas);
             let mut next_id = 0u64;
             for _ in 0..30 {
@@ -1065,7 +1339,7 @@ mod tests {
             };
 
             let mut pending: Vec<usize> = Vec::new();
-            let mut inc = IncrementalTournament::new();
+            let mut inc = IncrementalTournament::new(0.75);
             inc.set_incremental_fas(incremental_fas);
             let mut next = 0usize;
             let mut saw_cycle = false;
@@ -1117,7 +1391,7 @@ mod tests {
             reg
         };
         let mut matrix = PrecedenceMatrix::empty();
-        let mut inc = IncrementalTournament::new();
+        let mut inc = IncrementalTournament::new(0.75);
         let mut previous = 0u64;
         for i in 0..20u64 {
             matrix

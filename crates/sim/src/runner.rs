@@ -447,7 +447,7 @@ mod tests {
             probability_queries,
             cfg.messages * stats.max_pending
         );
-        // The batch-boundary engine re-evaluates at most two adjacencies per
+        // Batch-boundary maintenance re-evaluates at most two adjacencies per
         // arrival plus one seam per removed run on emission (each removed
         // message opens at most one run).
         let boundary_evals = engine.fair_order_counters().boundary_evals;

@@ -147,11 +147,10 @@ fn higher_threshold_never_creates_more_batches() {
 /// can only remove boundaries — every boundary set at a higher threshold is
 /// contained in (and each lower threshold's set is a superset of) the sets
 /// below it. Pinned for both the one-shot constructor and the incremental
-/// engine across the sweep 0.5 / 0.75 / 0.9, with the two engines
-/// bit-identical at every threshold.
+/// tournament's maintained batches across the sweep 0.5 / 0.75 / 0.9, the
+/// two bit-identical at every threshold.
 #[test]
 fn batch_boundaries_are_monotone_in_threshold() {
-    use tommy::core::batching::IncrementalFairOrder;
     use tommy::core::precedence::PrecedenceMatrix;
     use tommy::core::tournament::IncrementalTournament;
 
@@ -166,31 +165,28 @@ fn batch_boundaries_are_monotone_in_threshold() {
         }
         let messages = to_messages(&raw);
 
-        // Drive one shared matrix + tournament and one incremental engine
-        // per threshold, message by message (Gaussian offsets are always
-        // transitive, so every arrival binary-inserts).
+        // Drive one shared matrix and one incremental tournament per
+        // threshold, message by message (Gaussian offsets are always
+        // transitive, so every arrival is a clean insertion).
         let mut matrix = PrecedenceMatrix::empty();
-        let mut tournament = IncrementalTournament::new();
-        let mut engines: Vec<IncrementalFairOrder> =
-            THRESHOLDS.iter().map(|&t| IncrementalFairOrder::new(t)).collect();
+        let mut tournaments: Vec<IncrementalTournament> =
+            THRESHOLDS.iter().map(|&t| IncrementalTournament::new(t)).collect();
         for m in &messages {
             matrix.insert(m.clone(), &registry).unwrap();
-            let pos = tournament
-                .insert_last(&matrix)
-                .expect("Gaussian offsets stay transitive");
-            for engine in &mut engines {
-                engine.insert_at(pos, &matrix);
+            for tournament in &mut tournaments {
+                tournament.insert_last(&matrix);
             }
         }
-        let order = tournament.linear_order(&matrix, &SequencerConfig::default(), None);
+        let order = tournaments[0].linear_order(&matrix, &SequencerConfig::default(), None);
 
         let mut boundary_sets: Vec<Vec<usize>> = Vec::new();
-        for (engine, &threshold) in engines.iter().zip(&THRESHOLDS) {
-            // One-shot and incremental agree on the boundary set.
+        for (tournament, &threshold) in tournaments.iter().zip(&THRESHOLDS) {
+            // One-shot and incremental agree on the order and its boundaries.
+            assert_eq!(tournament.order(), order, "seed {seed}: orders diverged");
             let one_shot = FairOrder::from_linear_order(&matrix, &order, threshold);
             let one_shot_bounds = one_shot.boundary_positions();
             assert_eq!(
-                engine.boundary_positions(),
+                tournament.boundary_positions(),
                 one_shot_bounds,
                 "seed {seed}: engines diverged at threshold {threshold}"
             );
