@@ -12,7 +12,9 @@ examples mention a name without running it.
 A `pub fn` must also have a call or path site — `name(`, `.name(`, `name::<`
 or `::name` — other than a `fn name` declaration and outside its own file's
 test module: a field or a plain word of the same name does not keep it
-alive. Both rules match by name, so a finding is checked by hand.
+alive. A top-level `pub fn` needs a site that is not a method call: `.name(`
+keeps only methods alive, so a free function cannot live off a method that
+shares its name. Both rules match by name, so a finding is checked by hand.
 
 Hasher policy: a `HashMap` or `HashSet` anywhere under crates/ whose type
 names a hasher (a third `HashMap` or second `HashSet` type argument), and any
@@ -39,20 +41,24 @@ COMMENT = re.compile(r"//.*")
 CALLERS = ("crates/*/src/**/*.rs", "crates/*/tests/*.rs", "crates/*/benches/*.rs",
            "src/**/*.rs", "tests/*.rs", "examples/*.rs", "perfbench/src/**/*.rs")
 
-FN_DECL = re.compile(r"^ *pub (?:const |unsafe )*fn (\w+)", re.M)
+FN_DECL = re.compile(r"^( *)pub (?:const |unsafe )*fn (\w+)", re.M)
 SITE = re.compile(r"\b(\w+)\s*(?:\(|::<)|::(\w+)\b")
+FREE_SITE = re.compile(r"(?<!\.)\b(\w+)\s*(?:\(|::<)|::(\w+)\b")  # SITE minus `.name(`
 code = lambda text: USE.sub("", COMMENT.sub("", text))
 words = lambda text: Counter(re.findall(r"\w+", code(text)))
-sites = lambda text: Counter(a or b for a, b in SITE.findall(re.sub(r"\bfn\s+\w+", "fn", code(text))))
+sites = lambda text, site=SITE: Counter(
+    a or b for a, b in site.findall(re.sub(r"\bfn\s+\w+", "fn", code(text))))
 texts = {p: open(p).read() for pat in CALLERS for p in glob.glob(pat, recursive=True)}
 named_in = {p: words(t) for p, t in texts.items()}
 called_in = {p: sites(t) for p, t in texts.items()}
+free_in = {p: sites(t, FREE_SITE) for p, t in texts.items()}
 dead = []
 for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
     shipped = texts[path].split("#[cfg(test)]")[0]
-    own, own_sites = words(shipped), sites(shipped)
+    own, own_sites, own_free = words(shipped), sites(shipped), sites(shipped, FREE_SITE)
     elsewhere = lambda name: any(name in w for p, w in named_in.items() if p != path)
-    called = lambda name: own_sites[name] or any(name in c for p, c in called_in.items() if p != path)
+    called = lambda name, top: (own_free if top else own_sites)[name] or any(
+        name in c for p, c in (free_in if top else called_in).items() if p != path)
     decls = DECL.findall(shipped)
     top = [name for indent, name in decls if not indent]
     if top and not any(map(elsewhere, top)):
@@ -61,8 +67,8 @@ for path in sorted(glob.glob("crates/*/src/**/*.rs", recursive=True)):
     unnamed = [name for _, name in decls
                if own[name] <= 1 and not elsewhere(name) and name not in ALLOW]
     dead += [f"{path}: {name}" for name in unnamed]
-    dead += [f"{path}: {name} (no call or path site)" for name in FN_DECL.findall(shipped)
-             if name not in unnamed and name not in ALLOW and not called(name)]
+    dead += [f"{path}: {name} (no call or path site)" for indent, name in FN_DECL.findall(shipped)
+             if name not in unnamed and name not in ALLOW and not called(name, not indent)]
 
 # (path, the field or binding the map is declared as) -> why a fixed hasher is safe.
 HASHERS = {("crates/core/src/registry.rs", "slots"):

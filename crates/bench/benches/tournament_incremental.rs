@@ -1,15 +1,15 @@
 //! Incremental tournament maintenance vs from-scratch rebuild.
 //!
 //! One online *arrival* at pending-set size `n` must pay O(n): orient the
-//! `n` new edges and binary-insert into the maintained Hamiltonian path.
-//! The seed path instead rebuilt `Tournament::from_matrix` + `linear_order`
-//! — O(n²) comparisons — per arrival. This bench times exactly that pair of
-//! strategies on the same matrix state.
+//! `n` new edges and slot the arrival into the maintained order, read back
+//! with `order()`. The one-shot reference instead rebuilds
+//! `Tournament::from_matrix` + `linear_order` — O(n²) comparisons — per
+//! arrival. This bench times exactly that pair of strategies on the same
+//! matrix state.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::time::Duration;
 use tommy_bench::{stream_message, stream_registry};
-use tommy_core::config::SequencerConfig;
 use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::tournament::{IncrementalTournament, Tournament};
 
@@ -21,7 +21,6 @@ fn arrival_bench(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(800));
 
     let registry = stream_registry();
-    let config = SequencerConfig::default();
 
     for n in [50usize, 200, 500] {
         // Matrix over n+1 messages; tournament maintained over the first n,
@@ -32,7 +31,6 @@ fn arrival_bench(c: &mut Criterion) {
             matrix.insert(stream_message(i), &registry).unwrap();
             tournament.insert_last(&matrix);
         }
-        tournament.linear_order(&matrix, &config, None);
         matrix.insert(stream_message(n), &registry).unwrap();
 
         group.bench_with_input(BenchmarkId::new("incremental_arrival", n), &n, |b, _| {
@@ -40,7 +38,7 @@ fn arrival_bench(c: &mut Criterion) {
                 || tournament.clone(),
                 |mut t| {
                     t.insert_last(&matrix);
-                    std::hint::black_box(t.linear_order(&matrix, &config, None))
+                    std::hint::black_box(t.order().len())
                 },
                 BatchSize::SmallInput,
             )
@@ -48,7 +46,7 @@ fn arrival_bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scratch_rebuild", n), &n, |b, _| {
             b.iter(|| {
                 let t = Tournament::from_matrix(&matrix);
-                std::hint::black_box(t.linear_order(&matrix, &config, None))
+                std::hint::black_box(t.linear_order(&matrix))
             })
         });
     }

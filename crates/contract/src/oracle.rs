@@ -11,7 +11,7 @@
 //! | engine | held to |
 //! |---|---|
 //! | `auto` (the reference) | invariant 3 on every batch; offline `Auto` ≡ `ForceDense` over what it admitted |
-//! | `dense` (`ForceDense`) | bit-identical to `auto`: batches, undrained counts, pending order (and its FAS counters while `auto` never rode the sparse engine); the FAS work bound, none on a Gaussian census |
+//! | `dense` (`ForceDense`) | bit-identical to `auto`: batches, undrained counts, pending order (and its FAS counters while `auto` never rode the sparse engine); after every op, a pending order equal to the one-shot references' over the shadow pending set; the FAS work bound, none on a Gaussian census |
 //! | `k1` (one shard) | bit-identical to `auto`, counters included |
 //! | `k2`, `k4` | the admitted set released with dense ranks and a bounded RAS gap; with liveness on, releasing no less than `k1` |
 //! | `k4 rotating` (shards applied in a per-step rotating order) | all of `k4`'s, and bit-identical to `k4`, counters included |
@@ -56,7 +56,7 @@ use tommy_workload::schedule::{close_stream, StreamEvent, DELIVERY_DELAY};
 
 use crate::properties::{
     bit_identical, boundary_consistent, check_trace, fas_work, liveness_kept, merged_release,
-    offline_identical, tracked_ids_bounded, InvariantViolation, RunTrace,
+    offline_identical, scratch_pending_order, tracked_ids_bounded, InvariantViolation, RunTrace,
 };
 
 /// Seeds of the default budget.
@@ -575,6 +575,9 @@ struct Run {
     /// The largest reading any event carried.
     latest: f64,
     duplicates: u64,
+    /// The one-shot pending order last solved, and what it was solved over:
+    /// the shadow's ids and the registrations so far.
+    solved: (Vec<MessageId>, usize, Vec<(MessageId, bool)>),
 }
 
 /// `what` broke the bit-identity of a twin pair.
@@ -634,6 +637,28 @@ impl Run {
         if x != y {
             let what = format!("pending order {x:?} against {y:?}");
             return Err(fail("dense ≡ auto", diverged(what)));
+        }
+        if !self.pending.is_empty() {
+            // On a non-Gaussian census `auto` runs the dense engine too, so
+            // the twins cannot tell a stale maintained order: hold it to the
+            // one-shot references over the shadow, solved again only when
+            // the shadow or a claim (any registration, the defense's too)
+            // changed.
+            let dense = self.members[DENSE].single();
+            let stats = dense.stats();
+            let ids: Vec<MessageId> = self.pending.iter().map(|m| m.id).collect();
+            let registrations = self.means.len() + stats.quarantines + stats.reestimations;
+            if (&ids, registrations) != (&self.solved.0, self.solved.1) {
+                let (registry, threshold) = (dense.registry(), self.config.threshold);
+                let found = scratch_pending_order(&self.pending, registry, threshold);
+                let scratch = found.expect("the shadow holds what the engine accepted");
+                self.solved = (ids, registrations, scratch);
+            }
+            if x != self.solved.2 {
+                let what = format!("pending order {x:?} against one-shot {:?}", self.solved.2);
+                let violation = InvariantViolation::Diverged { contract: "one-shot order", what };
+                return Err(fail("dense", violation));
+            }
         }
         self.check_tracked(step)?;
         match op {
@@ -797,6 +822,7 @@ pub fn replay(setup: &Setup, ops: &[Op]) -> Result<Coverage, Failure> {
         clock: f64::NEG_INFINITY,
         latest: f64::NEG_INFINITY,
         duplicates: 0,
+        solved: Default::default(),
     };
     for (step, op) in ops.iter().enumerate() {
         run.step(step, op)?;

@@ -275,6 +275,28 @@ pub fn boundary_consistent(
     Ok((expected != emitted).then_some(InvariantViolation::BoundaryMismatch { expected, emitted }))
 }
 
+/// The pending order a dense engine must hold over `pending` (in arrival
+/// order), solved from scratch by the one-shot references: a
+/// [`PrecedenceMatrix::compute`] under `registry` → [`Tournament::from_matrix`]
+/// → its linear order → [`FairOrder::from_linear_order`] at `threshold`, as
+/// `(message id, starts_batch)` pairs.
+///
+/// # Errors
+///
+/// Propagates the solve's rejection of `pending`, as
+/// [`boundary_consistent`] does.
+pub fn scratch_pending_order(
+    pending: &[Message],
+    registry: &DistributionRegistry,
+    threshold: f64,
+) -> Result<Vec<(MessageId, bool)>, CoreError> {
+    let matrix = PrecedenceMatrix::compute(pending, registry)?;
+    let linear = Tournament::from_matrix(&matrix).linear_order(&matrix);
+    let order = FairOrder::from_linear_order(&matrix, &linear, threshold);
+    let batches = order.batches().iter().map(|batch| &batch.messages);
+    Ok(batches.flat_map(|ids| ids.iter().enumerate().map(|(i, &id)| (id, i == 0))).collect())
+}
+
 /// The candidate batch of a non-empty `matrix`, solved from scratch by the
 /// one-shot references instead of an engine's maintained state:
 /// [`Tournament::from_matrix`] → its linear order →
@@ -283,7 +305,7 @@ pub fn boundary_consistent(
 /// separated from it, re-scanning until nothing joins). Ascending matrix
 /// indices.
 pub fn scratch_candidate(matrix: &PrecedenceMatrix, config: &SequencerConfig) -> Vec<usize> {
-    let linear = Tournament::from_matrix(matrix).linear_order(matrix, config, None);
+    let linear = Tournament::from_matrix(matrix).linear_order(matrix);
     let order = FairOrder::from_linear_order(matrix, &linear, config.threshold);
     let first = &order.batches().first().expect("a non-empty matrix").messages;
     let mut batch: Vec<usize> = first.iter().filter_map(|id| matrix.index_of(*id)).collect();

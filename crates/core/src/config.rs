@@ -110,10 +110,10 @@ pub struct SequencerConfig {
     /// *stochastic* feedback-arc-set heuristic (random, probability-weighted
     /// edge removals) instead of the deterministic greedy one, trading
     /// per-decision determinism for long-run stochastic fairness (§3.4).
-    /// A randomized per-component order cannot be cached, so the tournament
-    /// then recomputes its order after every cycle event instead of
-    /// repairing the one component in place; the draws come from the
-    /// sequencer's own seeded generator.
+    /// The incremental FAS engine still repairs only the component a cycle
+    /// event touches, and keeps a component's drawn order until the
+    /// component changes; the draws come from a generator the dense
+    /// engine's tournament owns, seeded by the sequencer.
     pub stochastic_cycle_breaking: bool,
     /// When `true` (the default), the online sequencer keeps every message
     /// id it ever accepted, so a duplicate of an emitted message is refused

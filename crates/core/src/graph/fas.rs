@@ -17,27 +17,24 @@
 //! ## The incremental FAS engine
 //!
 //! The heuristics above are superlinear per cyclic component, so running
-//! them over *every* cyclic component on every intransitivity event (the
-//! pre-incremental behaviour: each cyclic arrival invalidated the whole
-//! maintained order) does not scale. The incremental engine in
+//! them over *every* cyclic component on every intransitivity event does not
+//! scale. The incremental engine in
 //! [`IncrementalTournament`](crate::tournament::IncrementalTournament)
 //! instead maintains the condensation of the tournament as a sequence of
-//! per-SCC *blocks* and calls [`repair_component`] — a bounded local-repair
-//! pass — only on the one SCC a new arrival actually touches, leaving every
-//! other block's cached order untouched. The repair itself still runs the
-//! exhaustive greedy pass (kept as the correctness anchor: its output is
-//! what the one-shot pipeline produces for the same member set), but its
-//! input is the touched component, not the whole pending set.
+//! per-SCC *blocks* and re-solves only the one SCC an arrival or an emission
+//! actually changes (a *local repair*), leaving every other block's cached
+//! order untouched. The tournament picks its heuristic once, when it is
+//! built: [`greedy_order`] by default, [`stochastic_order`] under
+//! [`stochastic_cycle_breaking`](crate::config::SequencerConfig::stochastic_cycle_breaking).
+//! A greedy repair's output is what the one-shot pipeline produces for the
+//! same member set, but its input is the touched component, not the whole
+//! pending set.
 //!
-//! Two thread-local counters measure the split:
-//!
-//! * [`exhaustive_passes`] — how many times the superlinear greedy loop ran
-//!   (once per cyclic component ordered, on either path);
-//! * [`local_repairs`] — how many of those runs were SCC-scoped repairs
-//!   issued by the incremental engine rather than full-order recomputes.
-//!
-//! Both stay **zero** on Gaussian workloads (Appendix A: no cycles), which
-//! the regression tests pin.
+//! [`exhaustive_passes`] counts how many times the superlinear greedy loop
+//! ran (once per cyclic component ordered greedily, by the incremental
+//! engine or the one-shot reference); the tournament counts its own local
+//! repairs. Both stay **zero** on Gaussian workloads (Appendix A: no
+//! cycles), which the regression tests pin.
 
 use rand::Rng;
 use rand::RngCore;
@@ -47,8 +44,6 @@ thread_local! {
     /// Exhaustive greedy passes run on this thread (see
     /// [`exhaustive_passes`]).
     static EXHAUSTIVE_PASSES: Cell<u64> = const { Cell::new(0) };
-    /// SCC-scoped local repairs run on this thread (see [`local_repairs`]).
-    static LOCAL_REPAIRS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Number of times [`greedy_order`] fell through to its exhaustive
@@ -57,35 +52,12 @@ thread_local! {
 /// early-exit). Thread-local so concurrent tests cannot race each other's
 /// deltas; mirrors the `full_rebuilds` counter pattern of
 /// [`IncrementalTournament`](crate::tournament::IncrementalTournament). This
-/// is the baseline the incremental FAS engine is measured against: the
-/// fallback (full-recompute) path pays one pass per cyclic component per
-/// intransitivity event, the incremental path one per *touched* component.
+/// is what the incremental FAS engine saves: a one-shot recompute pays one
+/// pass per cyclic component, the incremental engine one per component an
+/// arrival or an emission *touches*. Stochastic breaking runs no greedy
+/// loop, so it counts nothing here.
 pub fn exhaustive_passes() -> u64 {
     EXHAUSTIVE_PASSES.with(Cell::get)
-}
-
-/// Number of [`repair_component`] calls on the current thread: SCC-scoped
-/// local repairs issued by the incremental FAS engine (a merge caused by an
-/// arrival, or a component split caused by an emission). Stays **zero** on
-/// acyclic (Gaussian) workloads and on the fallback full-recompute path.
-pub fn local_repairs() -> u64 {
-    LOCAL_REPAIRS.with(Cell::get)
-}
-
-/// Order the members of a single strongly connected component that the
-/// incremental FAS engine has isolated — the *bounded local-repair pass*.
-///
-/// `members` must be sorted ascending (the canonical member order both the
-/// incremental engine and the one-shot pipeline agree on), and `prob` must
-/// describe the same pairwise probabilities the one-shot pipeline would
-/// read, so the output is exactly what [`greedy_order`] produces for the
-/// component inside a full recompute — this is what keeps the maintained
-/// order bit-identical to the fallback path while only ever touching the
-/// one SCC that changed.
-pub fn repair_component(members: &[usize], prob: &dyn Fn(usize, usize) -> f64) -> Vec<usize> {
-    debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members not sorted");
-    LOCAL_REPAIRS.with(|c| c.set(c.get() + 1));
-    greedy_order(members, prob)
 }
 
 /// If the sub-tournament induced on `members` is already transitive

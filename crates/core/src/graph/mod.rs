@@ -12,6 +12,6 @@ pub mod fas;
 pub mod tarjan;
 pub mod toposort;
 
-pub use fas::{greedy_order, repair_component, stochastic_order};
+pub use fas::{greedy_order, stochastic_order};
 pub use tarjan::strongly_connected_components;
 pub use toposort::{topological_sort, TopoResult};

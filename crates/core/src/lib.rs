@@ -35,8 +35,7 @@
 //!   linear order across arrivals as per-SCC condensation blocks (a cyclic
 //!   arrival re-solves only the component it touches).
 //! * [`graph`] — topological sort, Tarjan SCC, feedback-arc-set heuristics
-//!   (the exhaustive greedy pass plus the SCC-scoped local-repair entry
-//!   point, both counter-instrumented).
+//!   (the greedy pass, counter-instrumented, and the stochastic draw).
 //! * [`batching`] — threshold batching of a linear order into ranked
 //!   batches: the static [`FairOrder`] types and the counters of the
 //!   incremental boundary maintenance both engines perform beside the

@@ -40,10 +40,10 @@
 //!   bits. Intransitivity cycles — never produced by Gaussian offsets
 //!   (Appendix A) — are absorbed by the incremental FAS engine, which
 //!   re-solves only the one SCC the arrival strongly connects: zero
-//!   `Tournament::from_matrix` rebuilds. Under stochastic cycle breaking the
-//!   engine is off (a randomized per-component order cannot be cached): a
-//!   cycle event invalidates the order, which the next read recomputes with
-//!   draws from the engine's own seeded generator.
+//!   `Tournament::from_matrix` rebuilds. Under stochastic cycle breaking
+//!   that re-solve draws from a generator the tournament owns, seeded when
+//!   the engine is built; the maintained order is valid after every change,
+//!   so no read recomputes anything.
 //! * The candidate batch (that lowest-rank batch closed under the Appendix C
 //!   rule, a worklist: outsiders are compared only against members added
 //!   since they were last checked, O(n × batch) reads over reused scratch)
@@ -62,8 +62,6 @@ use crate::precedence::{PrecedenceMatrix, Removal};
 use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::offline::SequencingOutcome;
 use crate::tournament::IncrementalTournament;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
 /// The cached lowest-rank candidate batch of the current pending set; its
 /// members are `DenseEngine::members`.
@@ -87,8 +85,6 @@ pub(crate) struct DenseEngine {
     /// The tournament over `matrix`, its maintained linear order and that
     /// order's batch boundaries.
     tournament: IncrementalTournament,
-    /// Source of the stochastic cycle-breaking draws.
-    rng: StdRng,
     /// Cached candidate batch; `None` means the pending set changed since the
     /// last computation (or is empty).
     candidate: Option<Candidate>,
@@ -107,12 +103,13 @@ impl DenseEngine {
     /// An empty engine; `seed` seeds the stochastic cycle breaker's draws.
     pub(crate) fn new(config: SequencerConfig, seed: u64) -> Self {
         let mut tournament = IncrementalTournament::new(config.threshold);
-        tournament.set_incremental_fas(!config.stochastic_cycle_breaking);
+        if config.stochastic_cycle_breaking {
+            tournament = tournament.with_stochastic_breaker(seed);
+        }
         DenseEngine {
             config,
             matrix: PrecedenceMatrix::empty(),
             tournament,
-            rng: StdRng::seed_from_u64(seed),
             candidate: None,
             members: Vec::new(),
             outside: Vec::new(),
@@ -180,23 +177,9 @@ impl DenseEngine {
         (self.matrix.slot(i), self.matrix.message(i).timestamp)
     }
 
-    /// Make the maintained order and its batches valid: a no-op (zero
-    /// comparisons, zero boundary evaluations) on a clean incremental state;
-    /// a recompute after a [`load`](Self::load) or a cycle event the
-    /// tournament did not repair in place.
-    fn refresh(&mut self) {
-        let stochastic = self.config.stochastic_cycle_breaking;
-        let rng = stochastic.then_some(&mut self.rng as &mut dyn RngCore);
-        self.tournament.ensure_order(&self.matrix, &self.config, rng);
-    }
-
-    /// `(message id, starts_batch)` in the maintained tournament order,
-    /// refreshing it first. Position 0 is normalized to `true`.
-    pub(crate) fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
-        if self.matrix.is_empty() {
-            return Vec::new();
-        }
-        self.refresh();
+    /// `(message id, starts_batch)` in the maintained tournament order.
+    /// Position 0 is normalized to `true`.
+    pub(crate) fn pending_order(&self) -> Vec<(MessageId, bool)> {
         let boundaries = self.tournament.boundary_positions();
         let order = self.tournament.order().iter().enumerate();
         let starts = |pos| pos == 0 || boundaries.binary_search(&pos).is_ok();
@@ -233,8 +216,7 @@ impl DenseEngine {
     /// of lowest rank (closed under the Appendix C rule) comes straight off
     /// the maintained batch bits — no linear-order clone, no `FairOrder`
     /// construction, no rank hashing, and no probability queries at all (the
-    /// safe-emission sweep reads cached per-client margins). A full recompute
-    /// happens only when the tournament's order was invalidated.
+    /// safe-emission sweep reads cached per-client margins).
     pub(crate) fn candidate_meta(
         &mut self,
         registry: &DistributionRegistry,
@@ -269,7 +251,6 @@ impl DenseEngine {
     /// each round compares the remaining outsiders only against the members
     /// added last round (`batch[frontier..]`).
     fn close_candidate(&mut self) {
-        self.refresh();
         let (batch, outside, matrix) = (&mut self.members, &mut self.outside, &self.matrix);
         batch.clear();
         batch.extend_from_slice(self.tournament.first_batch());
@@ -325,7 +306,7 @@ impl DenseEngine {
     }
 
     /// Track `matrix` wholesale: every tournament edge is re-derived, and the
-    /// order and its batches are recomputed one-shot at the next read.
+    /// order and its batches are recomputed one-shot.
     pub(crate) fn load(&mut self, matrix: PrecedenceMatrix) {
         self.matrix = matrix;
         self.tournament.rebuild(&self.matrix);
@@ -359,14 +340,13 @@ impl DenseEngine {
     }
 
     /// The fair partial order over the tracked messages (§3.4).
-    pub(crate) fn fair_order(&mut self) -> FairOrder {
-        self.refresh();
+    pub(crate) fn fair_order(&self) -> FairOrder {
         self.tournament.to_fair_order(&self.matrix)
     }
 
     /// The fair order with the §3 diagnostics: the one-shot outcome the
     /// offline sequencer returns for a loaded window.
-    pub(crate) fn outcome(&mut self) -> SequencingOutcome {
+    pub(crate) fn outcome(&self) -> SequencingOutcome {
         SequencingOutcome {
             order: self.fair_order(),
             transitive: self.tournament.is_transitive(),
@@ -381,7 +361,8 @@ mod tests {
     use super::*;
     use crate::message::ClientId;
     use crate::tournament::Tournament;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tommy_stats::distribution::OffsetDistribution;
 
     /// The arrival and removal paths over matrices the tests build
@@ -423,7 +404,7 @@ mod tests {
     /// boundary set to `FairOrder::from_linear_order` over it.
     fn assert_engine_matches_one_shot(engine: &mut DenseEngine) {
         let (config, matrix) = (engine.config, engine.matrix.clone());
-        let scratch_order = Tournament::from_matrix(&matrix).linear_order(&matrix, &config, None);
+        let scratch_order = Tournament::from_matrix(&matrix).linear_order(&matrix);
         let reference = FairOrder::from_linear_order(&matrix, &scratch_order, config.threshold);
         assert_eq!(engine.fair_order(), reference, "fair order diverged");
         assert_eq!(engine.tournament.order(), scratch_order, "linear order diverged");

@@ -53,7 +53,8 @@ pub struct SequencingOutcome {
 #[derive(Debug)]
 pub struct TommySequencer {
     /// Holds the window while the census is not closed-form (see module
-    /// docs), and the stochastic cycle breaker's seeded draws.
+    /// docs), and, in its tournament, the stochastic cycle breaker's seeded
+    /// draws.
     dense: DenseEngine,
     /// Holds the window while the census is closed-form.
     sparse: SparseEngine,

@@ -536,9 +536,9 @@ impl OnlineSequencer {
     /// sparse/dense equivalence property tests compare. Position 0 is
     /// normalized to `true` (the head of the order always starts a batch).
     ///
-    /// Dense mode refreshes the maintained order first (a no-op on a clean
-    /// incremental state); sparse mode reads its list in key order.
-    pub fn pending_order(&mut self) -> Vec<(MessageId, bool)> {
+    /// Dense mode reads the tournament's maintained order; sparse mode reads
+    /// its list in key order.
+    pub fn pending_order(&self) -> Vec<(MessageId, bool)> {
         engine!(self.pending_order())
     }
 

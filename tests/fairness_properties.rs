@@ -177,7 +177,7 @@ fn batch_boundaries_are_monotone_in_threshold() {
                 tournament.insert_last(&matrix);
             }
         }
-        let order = tournaments[0].linear_order(&matrix, &SequencerConfig::default(), None);
+        let order = tournaments[0].order().to_vec();
 
         let mut boundary_sets: Vec<Vec<usize>> = Vec::new();
         for (tournament, &threshold) in tournaments.iter().zip(&THRESHOLDS) {
