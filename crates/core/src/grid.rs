@@ -1,13 +1,14 @@
-//! Shared helpers for dense square buffers with geometric stride growth.
+//! The dense square buffer of the
+//! [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix), and the index
+//! remap of a removal.
 //!
-//! Both the [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix) (f64
-//! probabilities) and the
+//! The matrix stores its `n × n` grid of probabilities inside a larger
+//! `stride × stride` buffer, grown geometrically so incremental inserts
+//! amortize to O(n), and compacts survivors in place on batch removal. It is
+//! the only grid: the
 //! [`IncrementalTournament`](crate::tournament::IncrementalTournament)
-//! (edge-orientation bools) store an `n × n` grid inside a larger
-//! `stride × stride` buffer so incremental inserts amortize to O(n), and
-//! both compact survivors in place on batch removal. The two structures must
-//! grow and compact identically to keep their indices in lockstep, so the
-//! logic lives here once.
+//! reads its edges off the matrix's cells and follows a removal through the
+//! same [`Removal`] remap, renumbering its order.
 
 /// Grow `buf`/`stride` so the square grid can hold at least `cap` rows,
 /// doubling the stride (geometric growth: the O(n²) relocation amortizes to
@@ -52,10 +53,10 @@ pub(crate) fn compact_square<T: Copy>(buf: &mut [T], stride: usize, kept: &[usiz
 }
 
 /// The index remap of one removal from a dense `0..n` index space: which
-/// pre-removal indices survive and where each lands. The matrix and the
-/// tournament (with its order's batch bits) compact in lockstep, so an
-/// emission computes this once (the engine keeps one value and recomputes
-/// it in place) and hands it to both.
+/// pre-removal indices survive and where each lands. The matrix compacts
+/// and the tournament (with its order's batch bits) renumbers in lockstep,
+/// so an emission computes this once (the engine keeps one value and
+/// recomputes it in place) and hands it to both.
 #[derive(Debug, Clone, Default)]
 pub struct Removal {
     /// Surviving pre-removal indices, ascending.

@@ -3,9 +3,10 @@
 //! The sequencer needs, for every pair of clients, the distribution of the
 //! difference of their clock offsets (§3.3). Building those difference
 //! distributions involves discretization and convolution, so the registry
-//! caches both the discretized PDFs and the pairwise difference PDFs, one
-//! per *distinct distribution* (pair), shared by every client that
-//! registered an equal one. For Gaussian pairs no grid is ever built — the
+//! caches both the discretized PDFs and the pairwise difference PDFs (each
+//! with the fairness-violation margin read off it), one per *distinct
+//! distribution* (pair), shared by every client that registered an equal
+//! one. For Gaussian pairs no grid is ever built — the
 //! closed form of §3.2 is used directly.
 //!
 //! The registry holds what clients *claim* — distributions, the caches
@@ -139,11 +140,27 @@ fn same_client(dt: f64) -> f64 {
     }
 }
 
-/// Difference grids by ordered class pair: `table[class_i][class_j]`.
-type DifferenceTable = Vec<Vec<Option<Arc<DiscretizedPdf>>>>;
+/// One ordered class pair's cached difference distribution.
+#[derive(Debug)]
+struct Difference {
+    /// The discretized PDF of `δ_i − δ_j`.
+    grid: DiscretizedPdf,
+    /// The first violation margin asked for: `(threshold bits, Q_Δ(θ))`.
+    violation_margin: OnceLock<(u64, f64)>,
+}
 
-fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Arc<DiscretizedPdf>> {
+/// Difference distributions by ordered class pair: `table[class_i][class_j]`.
+type DifferenceTable = Vec<Vec<Option<Arc<Difference>>>>;
+
+fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Arc<Difference>> {
     table.get(key.0 as usize)?.get(key.1 as usize)?.as_ref()
+}
+
+/// `cell`'s value for the first `key` asked (a `p_safe`, a threshold: one
+/// per sequencer life); any other key is answered by `compute`, uncached.
+fn cached_for(cell: &OnceLock<(u64, f64)>, key: f64, compute: impl Fn() -> f64) -> f64 {
+    let &(bits, cached) = cell.get_or_init(|| (key.to_bits(), compute()));
+    if bits == key.to_bits() { cached } else { compute() }
 }
 
 /// Registry of per-client clock-offset distributions with derived caches.
@@ -357,7 +374,7 @@ impl DistributionRegistry {
 
     /// The cached distribution of `δ_i − δ_j` for a pair of clients (built on
     /// demand).
-    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<DiscretizedPdf> {
+    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<Difference> {
         let key = (self.class_at(si), self.class_at(sj));
         if let Some(diff) = difference_cell(&self.differences.read(), key) {
             return Arc::clone(diff);
@@ -369,7 +386,10 @@ impl DistributionRegistry {
         // difference_distribution(a, b) returns the PDF of (b − a); we want
         // δ_i − δ_j, so pass (f_j, f_i).
         let (f_i, f_j) = (grid(key.0), grid(key.1));
-        let diff = Arc::new(difference_distribution(&f_j, &f_i));
+        let diff = Arc::new(Difference {
+            grid: difference_distribution(&f_j, &f_i),
+            violation_margin: OnceLock::new(),
+        });
         let (a, b) = (key.0 as usize, key.1 as usize);
         let mut table = self.differences.write();
         if table.len() <= a {
@@ -438,7 +458,7 @@ impl DistributionRegistry {
         let p = match (self.gaussian_at(si), self.gaussian_at(sj)) {
             _ if si == sj => same_client(i.timestamp - j.timestamp),
             (Some(gi), Some(gj)) => gi.preceding_probability(i.timestamp, gj, j.timestamp),
-            _ => self.difference_at(si, sj).tail(i.timestamp - j.timestamp),
+            _ => self.difference_at(si, sj).grid.tail(i.timestamp - j.timestamp),
         };
         Ok(clamp_probability(p))
     }
@@ -469,7 +489,7 @@ impl DistributionRegistry {
     /// The per-pair body for one pair: the sparse engine's exact
     /// evaluation. Counts nothing; the caller counts its decisions.
     pub(crate) fn preceding_at(&self, si: ClientSlot, sj: ClientSlot, dt: f64) -> f64 {
-        self.pair_preceding(si, sj, dt, |_| self.difference_at(si, sj).tail(dt))
+        self.pair_preceding(si, sj, dt, |_| self.difference_at(si, sj).grid.tail(dt))
     }
 
     /// The per-pair body over one arrival's matrix column: for each pending
@@ -496,7 +516,8 @@ impl DistributionRegistry {
                     table = None;
                     self.difference_at(slot, arrival);
                 }
-                difference_cell(table.get_or_insert_with(read), key).expect("built above").tail(dt)
+                let cell = difference_cell(table.get_or_insert_with(read), key);
+                cell.expect("built above").grid.tail(dt)
             }));
         }
         self.record_queries(out.len() as u64);
@@ -539,16 +560,8 @@ impl DistributionRegistry {
             p_safe > 0.5 && p_safe < 1.0,
             "p_safe must be in (0.5, 1.0), got {p_safe}"
         );
-        // A sequencer asks with one `p_safe` for its whole life; any other
-        // value is answered uncached.
         let entry = &self.entries[slot.idx()];
-        let margin = || entry.distribution.quantile(1.0 - p_safe);
-        let &(bits, cached) = entry.safe_margin.get_or_init(|| (p_safe.to_bits(), margin()));
-        if bits == p_safe.to_bits() {
-            cached
-        } else {
-            margin()
-        }
+        cached_for(&entry.safe_margin, p_safe, || entry.distribution.quantile(1.0 - p_safe))
     }
 
     /// Total number of pairwise queries served so far: every
@@ -574,9 +587,9 @@ impl DistributionRegistry {
     /// on the two clients' distributions and the threshold, so the online
     /// sequencer keeps one `(client, largest timestamp)` entry per client of
     /// the last emitted batch and calls this once per entry on each submit
-    /// that its Gaussian bound does not clear; it caches no margin (a
-    /// Gaussian pair costs one square root, a numeric pair one quantile of
-    /// the cached difference grid). The caller
+    /// that its Gaussian bound does not clear. A Gaussian pair costs one
+    /// square root; a numeric pair's quantile is cached beside its
+    /// difference grid (`cached_for`) and dropped with it. The caller
     /// supplies `z_low = Φ⁻¹(1 − threshold)` (the shell computes it once per
     /// configuration).
     pub(crate) fn violation_margin_at(
@@ -600,7 +613,10 @@ impl DistributionRegistry {
             }
             // p(d) = tail_Δ(d) >= 1 − θ ⇔ cdf_Δ(d) <= θ ⇔ d <= Q_Δ(θ),
             // where Δ = δ_i − δ_j.
-            _ => self.difference_at(si, sj).quantile(threshold),
+            _ => {
+                let diff = self.difference_at(si, sj);
+                cached_for(&diff.violation_margin, threshold, || diff.grid.quantile(threshold))
+            }
         }
     }
 }
@@ -917,6 +933,40 @@ mod tests {
             reg.safe_margin(ClientId(7), p_safe),
             Err(CoreError::UnknownClient(ClientId(7)))
         );
+    }
+
+    /// A numeric pair's violation margin is cached beside its difference
+    /// grid for the first threshold asked, bit-equal to the grid's quantile;
+    /// another threshold is answered uncached, and a re-registration drops
+    /// the margin with the grid.
+    #[test]
+    fn violation_margin_matches_grid_quantile_and_invalidates() {
+        let mut reg = DistributionRegistry::new();
+        reg.register(ClientId(0), OffsetDistribution::laplace(0.5, 2.0));
+        reg.register(ClientId(1), OffsetDistribution::gaussian(-0.5, 1.5));
+        let (s0, s1) = (reg.slot_of(ClientId(0)).unwrap(), reg.slot_of(ClientId(1)).unwrap());
+        let quantile = |reg: &DistributionRegistry, threshold: f64| {
+            reg.difference_at(s0, s1).grid.quantile(threshold)
+        };
+        let cached = |reg: &DistributionRegistry| {
+            reg.difference_at(s0, s1).violation_margin.get().copied()
+        };
+        let threshold = 0.8;
+        let margin = reg.violation_margin(ClientId(0), ClientId(1), threshold).unwrap();
+        assert_eq!(margin.to_bits(), quantile(&reg, threshold).to_bits());
+        assert_eq!(cached(&reg), Some((threshold.to_bits(), margin)));
+        // Another threshold is answered by the grid and leaves the cell alone.
+        let other = reg.violation_margin(ClientId(0), ClientId(1), 0.9).unwrap();
+        assert_eq!(other.to_bits(), quantile(&reg, 0.9).to_bits());
+        assert_ne!(other.to_bits(), margin.to_bits());
+        assert_eq!(cached(&reg), Some((threshold.to_bits(), margin)));
+        assert_eq!(reg.violation_margin(ClientId(0), ClientId(1), threshold).unwrap(), margin);
+        // A re-registration drops the grid and its margin.
+        reg.register(ClientId(0), OffsetDistribution::laplace(-1.5, 2.0));
+        assert_eq!(cached_differences(&reg), 0);
+        let after = reg.violation_margin(ClientId(0), ClientId(1), threshold).unwrap();
+        assert_eq!(after.to_bits(), quantile(&reg, threshold).to_bits());
+        assert_ne!(after.to_bits(), margin.to_bits());
     }
 
     #[test]

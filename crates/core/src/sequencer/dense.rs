@@ -8,9 +8,8 @@
 //! [`take_candidate`](DenseEngine::take_candidate) (the candidate's
 //! messages out, then one [`Removal`] remap followed by the matrix and the
 //! tournament alike) and a wholesale re-derivation
-//! [`load`](DenseEngine::load). Each of them drops the cached candidate.
-//! Its streaming surface is the sparse engine's (`sequencer::sparse`),
-//! method for method, which is what lets the
+//! [`load`](DenseEngine::load). Its streaming surface is the sparse
+//! engine's (`sequencer::sparse`), method for method, which is what lets the
 //! [`OnlineSequencer`](super::online) shell pick an engine in one place; the
 //! offline [`TommySequencer`](super::offline::TommySequencer) loads each
 //! window into the same engine and reads [`fair_order`](DenseEngine::fair_order)
@@ -31,8 +30,8 @@
 //!   (`mean_at`, and the cached `safe_margin_at` in place of a quantile
 //!   inversion per batch member).
 //! * The tournament, its linear order and the order's §3.4 batch
-//!   boundaries ([`IncrementalTournament`], which stores the order once):
-//!   an arrival orients its n new edges, one scan over the maintained
+//!   boundaries ([`IncrementalTournament`], which stores the order once
+//!   and reads its edges off the matrix): one scan over the maintained
 //!   condensation blocks places it, and only the two adjacencies at its
 //!   insertion point are evaluated; an emission drops the batch's rows in
 //!   place and evaluates one seam per removed run, so a candidate
@@ -47,13 +46,16 @@
 //! * The candidate batch (that lowest-rank batch closed under the Appendix C
 //!   rule, a worklist: outsiders are compared only against members added
 //!   since they were last checked, O(n × batch) reads over reused scratch)
-//!   is cached and recomputed only when the pending set changes, so a
-//!   heartbeat or tick over an unchanged set performs **zero** probability
-//!   queries.
+//!   is cached, so a heartbeat or tick over an unchanged set performs
+//!   **zero** probability queries. An arrival that leaves the first batch
+//!   as it was grows it in place: no old pair's cells changed, so the
+//!   closure is the old one plus what the worklist reaches from the arrival
+//!   if it is inseparable from a member. Any other arrival, an emission or
+//!   a load drops it.
 //!
 //! A late high-uncertainty message still merges into the open batch exactly
-//! as in the Appendix C worked example: its arrival invalidates the cache and
-//! the next recomputation sees the full pending set.
+//! as in the Appendix C worked example: inseparable from a member, it joins
+//! the cached candidate and pulls in every message inseparable from it.
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::config::SequencerConfig;
@@ -63,13 +65,19 @@ use crate::registry::{ClientSlot, DistributionRegistry};
 use crate::sequencer::offline::SequencingOutcome;
 use crate::tournament::IncrementalTournament;
 
-/// The cached lowest-rank candidate batch of the current pending set; its
-/// members are `DenseEngine::members`.
+/// The emission price of the cached candidate batch, whose members are
+/// `DenseEngine::members`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     safe_after: f64,
     /// Largest timestamp in the batch: the watermark horizon.
     horizon: f64,
+}
+
+/// The Appendix C rule: neither order of `a` and `b` is confident at
+/// `threshold`.
+fn inseparable(matrix: &PrecedenceMatrix, a: usize, b: usize, threshold: f64) -> bool {
+    matrix.prob(a, b).max(matrix.prob(b, a)) <= threshold
 }
 
 /// Dense precedence engine over an arbitrary census (see the module docs).
@@ -85,15 +93,16 @@ pub(crate) struct DenseEngine {
     /// The tournament over `matrix`, its maintained linear order and that
     /// order's batch boundaries.
     tournament: IncrementalTournament,
-    /// Cached candidate batch; `None` means the pending set changed since the
-    /// last computation (or is empty).
+    /// The tournament's first batch the cached closure (`members`,
+    /// `outside`) was built from; empty when there is none.
+    closed_from: Vec<usize>,
+    /// The cached closure's price; `None` until it is priced again.
     candidate: Option<Candidate>,
-    /// Matrix indices of the candidate's members, ascending (valid while
-    /// `candidate` is `Some`). Indices, not cloned messages: the candidate is
-    /// recomputed on every pending-set change but *emitted* once, so the
-    /// message clone is deferred to emission time.
+    /// Matrix indices of the candidate's members, ascending. Indices, not
+    /// cloned messages: the candidate changes with the pending set but is
+    /// *emitted* once, so the message clone is deferred to emission time.
     members: Vec<usize>,
-    /// The closure's other working set: the messages still outside it.
+    /// The closure's other working set: the messages outside it.
     outside: Vec<usize>,
     /// The index remap of the emission being committed (reused buffers).
     removal: Removal,
@@ -110,6 +119,7 @@ impl DenseEngine {
             config,
             matrix: PrecedenceMatrix::empty(),
             tournament,
+            closed_from: Vec::new(),
             candidate: None,
             members: Vec::new(),
             outside: Vec::new(),
@@ -142,9 +152,10 @@ impl DenseEngine {
         &self.tournament
     }
 
-    /// Drop the cached candidate (pending-set-external invalidation, e.g.
-    /// a client (re-)registration).
+    /// Drop the cached candidate: on an emission, a load, an arrival that
+    /// changed the first batch, or a client (re-)registration.
     pub(crate) fn invalidate_candidate(&mut self) {
+        self.closed_from.clear();
         self.candidate = None;
     }
 
@@ -201,12 +212,25 @@ impl DenseEngine {
     }
 
     /// Place the message the matrix just gained (its last index): the
-    /// tournament orients its edges and slots it into the maintained order
-    /// and its batches (a singleton insertion, or an SCC-scoped local repair
-    /// when it closes a cycle).
+    /// tournament slots it into the maintained order and its batches (a
+    /// singleton insertion, or an SCC-scoped local repair when it closes a
+    /// cycle), then the cached candidate grows by it or is dropped.
     fn place_last(&mut self) {
         self.tournament.insert_last(&self.matrix);
-        self.candidate = None;
+        if self.tournament.first_batch() != self.closed_from {
+            return self.invalidate_candidate();
+        }
+        // The first batch stands: the arrival joins iff inseparable from a
+        // member, and the worklist closes from it alone (every outsider was
+        // found separable from every old member, over unchanged cells).
+        let (arrival, threshold) = (self.matrix.len() - 1, self.config.threshold);
+        if self.members.iter().any(|&b| inseparable(&self.matrix, b, arrival, threshold)) {
+            self.members.push(arrival);
+            self.close_from(self.members.len() - 1);
+            self.candidate = None;
+        } else {
+            self.outside.push(arrival);
+        }
     }
 
     /// Ensure the candidate cache holds the lowest-rank batch of the current
@@ -221,11 +245,13 @@ impl DenseEngine {
         &mut self,
         registry: &DistributionRegistry,
     ) -> Option<(usize, f64, f64)> {
-        if self.candidate.is_none() {
+        if self.closed_from.is_empty() {
             if self.matrix.is_empty() {
                 return None;
             }
             self.close_candidate();
+        }
+        if self.candidate.is_none() {
             // T_b = max_k (T_k − Q_k(1 − p_safe)), as `batch_emission_time`.
             let p_safe = self.config.p_safe;
             let (mut safe_after, mut horizon) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
@@ -245,30 +271,35 @@ impl DenseEngine {
     /// Appendix C rule (the batch absorbs every pending message that cannot
     /// be confidently separated from some member, transitively), sorted
     /// ascending.
-    ///
-    /// The worklist form is identical to re-scanning every round: a message
-    /// already checked against a batch member never needs re-checking, so
-    /// each round compares the remaining outsiders only against the members
-    /// added last round (`batch[frontier..]`).
     fn close_candidate(&mut self) {
+        self.closed_from.clear();
+        self.closed_from.extend_from_slice(self.tournament.first_batch());
+        self.members.clone_from(&self.closed_from);
+        let members = &self.members;
+        self.outside.clear();
+        self.outside.extend((0..self.matrix.len()).filter(|i| !members.contains(i)));
+        self.close_from(0);
+    }
+
+    /// The Appendix C worklist: close `members` against `outside`, starting
+    /// from the members at `frontier..`, and sort them ascending. It is
+    /// identical to re-scanning every round: a message already checked
+    /// against a member never needs re-checking, so each round compares the
+    /// remaining outsiders only against the members added last round
+    /// (`batch[frontier..]`).
+    fn close_from(&mut self, mut frontier: usize) {
         let (batch, outside, matrix) = (&mut self.members, &mut self.outside, &self.matrix);
-        batch.clear();
-        batch.extend_from_slice(self.tournament.first_batch());
-        outside.clear();
-        outside.extend((0..matrix.len()).filter(|i| !batch.contains(i)));
         let threshold = self.config.threshold;
-        let mut frontier = 0;
         while frontier < batch.len() && !outside.is_empty() {
             let round_end = batch.len();
             outside.retain(|&cand| {
-                let inseparable = batch[frontier..round_end].iter().any(|&b| {
-                    let p = matrix.prob(b, cand).max(matrix.prob(cand, b));
-                    p <= threshold
-                });
-                if inseparable {
+                let joins = batch[frontier..round_end]
+                    .iter()
+                    .any(|&b| inseparable(matrix, b, cand, threshold));
+                if joins {
                     batch.push(cand);
                 }
-                !inseparable
+                !joins
             });
             frontier = round_end;
         }
@@ -285,7 +316,7 @@ impl DenseEngine {
         taken: &mut Vec<(ClientSlot, f64)>,
     ) -> Option<(Vec<Message>, f64)> {
         self.candidate_meta(registry)?;
-        let candidate = self.candidate.take().expect("just ensured");
+        let candidate = self.candidate.expect("just ensured");
         let members = self.members.iter().map(|&i| self.matrix.message(i));
         let messages: Vec<Message> = members.cloned().collect();
         taken.clear();
@@ -302,15 +333,15 @@ impl DenseEngine {
         self.removal.set(self.matrix.len(), &self.members);
         self.matrix.remove_indices(&self.removal);
         self.tournament.remove_indices(&self.removal, &self.matrix);
-        self.candidate = None;
+        self.invalidate_candidate();
     }
 
-    /// Track `matrix` wholesale: every tournament edge is re-derived, and the
-    /// order and its batches are recomputed one-shot.
+    /// Track `matrix` wholesale: the tournament's order and its batches are
+    /// recomputed one-shot.
     pub(crate) fn load(&mut self, matrix: PrecedenceMatrix) {
         self.matrix = matrix;
         self.tournament.rebuild(&self.matrix);
-        self.candidate = None;
+        self.invalidate_candidate();
     }
 
     /// Re-derive the pending state from scratch over `messages` in arrival
@@ -336,7 +367,7 @@ impl DenseEngine {
         if !self.matrix.is_empty() {
             self.load(PrecedenceMatrix::empty());
         }
-        self.candidate = None;
+        self.invalidate_candidate();
     }
 
     /// The fair partial order over the tracked messages (§3.4).
@@ -414,6 +445,7 @@ mod tests {
             "boundary set diverged"
         );
         // The candidate batch equals the closure over the reference's batch 0.
+        engine.invalidate_candidate();
         engine.close_candidate();
         assert!(!engine.members.is_empty());
         for id in &reference.batches()[0].messages {
@@ -422,12 +454,41 @@ mod tests {
         }
     }
 
+    /// If the arrival just placed kept the cached candidate, it must be what
+    /// a fresh closure builds: the same members and, priced over `registry`,
+    /// the same `safe_after` and `horizon` bits. Returns whether the cache
+    /// was kept, and whether the arrival joined it.
+    fn assert_kept_candidate_is_fresh(
+        engine: &mut DenseEngine,
+        registry: Option<&DistributionRegistry>,
+    ) -> (bool, bool) {
+        if engine.closed_from.is_empty() {
+            return (false, false);
+        }
+        let kept = engine.members.clone();
+        let price = registry.map(|reg| engine.candidate_meta(reg).expect("closed"));
+        engine.invalidate_candidate();
+        engine.close_candidate();
+        assert_eq!(engine.members, kept, "the kept candidate's members diverged");
+        if let (Some(reg), Some((_, safe_after, horizon))) = (registry, price) {
+            let (_, fresh_safe, fresh_horizon) = engine.candidate_meta(reg).expect("closed");
+            assert_eq!(safe_after.to_bits(), fresh_safe.to_bits(), "safe_after diverged");
+            assert_eq!(horizon.to_bits(), fresh_horizon.to_bits(), "horizon diverged");
+        }
+        (true, kept.contains(&(engine.len() - 1)))
+    }
+
     /// Mirror of the tournament's randomized insert/remove property test,
     /// extended to the candidate batch: Gaussian + Laplace clients
-    /// (always transitive ⇒ zero rebuilds), random thresholds per seed.
+    /// (always transitive ⇒ zero rebuilds), random thresholds per seed. The
+    /// candidate is priced before every arrival, and one the arrival kept
+    /// must equal a fresh one. Seeds 10.. stamp within ±10, not ±100, so
+    /// that arrivals after the first boundary link to it and grow it.
     #[test]
     fn random_insert_remove_sequences_match_one_shot() {
-        for seed in 0..10u64 {
+        let (mut kept, mut grown) = (0, 0);
+        for seed in 0..20u64 {
+            let spread = if seed < 10 { 100.0 } else { 10.0 };
             let mut rng = StdRng::seed_from_u64(seed);
             let mut reg = DistributionRegistry::new();
             for c in 0..4u32 {
@@ -450,16 +511,19 @@ mod tests {
                     let m = Message::new(
                         MessageId(next_id),
                         ClientId(rng.random_range(0u32..4)),
-                        rng.random_range(-100.0..100.0f64),
+                        rng.random_range(-spread..spread),
                     );
                     next_id += 1;
                     let slot = reg.slot_of(m.client).unwrap();
                     engine.insert(m, slot, &reg);
+                    let (was_kept, grew) = assert_kept_candidate_is_fresh(&mut engine, Some(&reg));
+                    (kept, grown) = (kept + usize::from(was_kept), grown + usize::from(grew));
                 }
                 if engine.len() == 0 {
                     assert!(engine.tournament.is_empty());
                 } else {
                     assert_engine_matches_one_shot(&mut engine);
+                    engine.candidate_meta(&reg);
                 }
             }
             assert_eq!(
@@ -473,16 +537,20 @@ mod tests {
                 "seed {seed}: transitive workload must never rebuild the boundaries"
             );
         }
+        assert!(grown > 0 && kept > grown, "kept {kept}, grown {grown}");
     }
 
     /// Same property over explicit random probability matrices, which —
     /// unlike Gaussian offsets — produce intransitive triples, exercising
     /// the repaired spans and re-solved splits after which the tournament
-    /// derives every batch bit again.
+    /// derives every batch bit again. A candidate closure an arrival kept
+    /// must equal a fresh one (explicit probabilities have no registry to
+    /// price it over).
     #[test]
     #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
     fn random_probability_matrices_match_one_shot_including_cycles() {
         const POOL: usize = 20;
+        let (mut kept, mut grown) = (0, 0);
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(5_000 + seed);
             let mut pairwise = vec![vec![0.5; POOL]; POOL];
@@ -521,6 +589,8 @@ mod tests {
                     pending.push(next);
                     next += 1;
                     engine.insert_matrix(matrix_over(&pending));
+                    let (was_kept, grew) = assert_kept_candidate_is_fresh(&mut engine, None);
+                    (kept, grown) = (kept + usize::from(was_kept), grown + usize::from(grew));
                 } else {
                     continue;
                 }
@@ -533,6 +603,54 @@ mod tests {
             }
             assert!(saw_cycle, "seed {seed}: random relation never cycled");
         }
+        assert!(grown > 0 && kept > grown, "kept {kept}, grown {grown}");
+    }
+
+    /// An arrival keeps the cached candidate only while the first batch it
+    /// was closed from stands (threshold 0.75, zero-mean Gaussian clients,
+    /// so the order is by timestamp). A new head drops it, and so does an
+    /// arrival inside the first batch. An arrival after the first boundary
+    /// that is inseparable from a member grows it, by itself and by every
+    /// message inseparable from it. An unlinked arrival leaves it, price
+    /// included, untouched.
+    #[test]
+    fn arrivals_grow_or_drop_the_cached_candidate() {
+        let mut reg = DistributionRegistry::new();
+        for (client, sigma) in [1.0, 1.0, 100.0].into_iter().enumerate() {
+            reg.register(ClientId(client as u32), OffsetDistribution::gaussian(0.0, sigma));
+        }
+        let arrive = |engine: &mut DenseEngine, id: u64, client: u32, timestamp: f64| {
+            let slot = reg.slot_of(ClientId(client)).unwrap();
+            engine.insert(Message::new(MessageId(id), ClientId(client), timestamp), slot, &reg);
+            !engine.closed_from.is_empty()
+        };
+        let ids = |engine: &DenseEngine| -> Vec<u64> {
+            engine.members.iter().map(|&i| engine.matrix.message(i).id.0).collect()
+        };
+        let mut engine = DenseEngine::new(SequencerConfig::default(), 0);
+        arrive(&mut engine, 0, 0, 0.0);
+        arrive(&mut engine, 1, 1, 10.0);
+        engine.candidate_meta(&reg);
+        assert_eq!(ids(&engine), [0]);
+        assert!(!arrive(&mut engine, 2, 0, -10.0), "a new head");
+        engine.candidate_meta(&reg);
+        assert_eq!(ids(&engine), [2]);
+        // p(2 ≺ 3) ≈ 0.56: message 3 joins the first batch.
+        assert!(!arrive(&mut engine, 3, 1, -9.8), "inside the first batch");
+        engine.candidate_meta(&reg);
+        assert_eq!(ids(&engine), [2, 3]);
+        // σ = 100 at 5.0: after message 0's boundary, p ≈ 0.56 against 2 and
+        // ≈ 0.52 against 0 and 1, which join through it.
+        assert!(arrive(&mut engine, 4, 2, 5.0), "linked after the first boundary");
+        assert!(engine.candidate.is_none(), "a grown candidate is priced again");
+        assert_eq!(ids(&engine), [0, 1, 2, 3, 4]);
+        let price = engine.candidate_meta(&reg);
+        assert!(arrive(&mut engine, 5, 0, 1000.0), "unlinked");
+        assert_eq!(ids(&engine), [0, 1, 2, 3, 4]);
+        assert_eq!(engine.outside, [5]);
+        assert!(engine.candidate.is_some(), "the price is kept");
+        assert_eq!(engine.candidate_meta(&reg), price);
+        assert_eq!(assert_kept_candidate_is_fresh(&mut engine, Some(&reg)), (true, false));
     }
 
     /// `load` + `outcome` is the offline pipeline: diagnostics and order

@@ -81,7 +81,9 @@
 //!   `T_j − μ_j + |z_low|·σ_j` cannot violate. Any other arrival scans
 //!   per-client-pair margins (`DistributionRegistry::violation_margin_at`)
 //!   instead of one probability query per emitted message, one entry per
-//!   distinct client of that batch, not one per message.
+//!   distinct client of that batch, not one per message. A Gaussian pair's
+//!   margin is a square root; a numeric pair's is cached beside its
+//!   difference grid, so neither inverts a quantile per submit.
 
 use crate::batching::FairOrderCounters;
 use crate::config::{FastPathMode, SequencerConfig};
@@ -381,8 +383,8 @@ impl OnlineSequencer {
     /// assumption of §3.5).
     ///
     /// Re-registering a client invalidates every cached quantity derived
-    /// from its old distribution: the safe-emission margin, the candidate
-    /// batch, and — since pairwise probabilities involving the client may
+    /// from its old distribution: the safe-emission margin, the violation
+    /// margins of its numeric pairs, the candidate batch, and — since pairwise probabilities involving the client may
     /// have changed — the pending precedence state is re-derived.
     ///
     /// Registration is also the only point where the engine mode can flip

@@ -14,10 +14,11 @@
 //! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]
 //!   as adjacency lists, ordered through Tarjan's SCCs: the one-shot
 //!   reference the maintained state is tested against.
-//! * [`IncrementalTournament`] — maintained edge-by-edge alongside an
-//!   incrementally updated matrix ([`PrecedenceMatrix::insert`] /
-//!   [`PrecedenceMatrix::remove_indices`]), with the linear order repaired in
-//!   place: a new arrival is slotted into the maintained condensation (one
+//! * [`IncrementalTournament`] — maintained alongside an incrementally
+//!   updated matrix ([`PrecedenceMatrix::insert`] /
+//!   [`PrecedenceMatrix::remove_indices`]), whose cells are its only edge
+//!   store (an edge is read off two of them by `from_matrix`'s rule), with
+//!   the linear order repaired in place: a new arrival is slotted into the maintained condensation (one
 //!   scan over its per-SCC blocks), and an intransitivity cycle — never
 //!   produced by Gaussian offsets (Appendix A) — re-solves only the one
 //!   component the arrival strongly connects (the incremental FAS engine),
@@ -26,7 +27,7 @@
 //!   beside it, one bit per position, so the order is stored once. This is
 //!   what makes the online arrival path O(n) instead of O(n²); the dense
 //!   engine runs an offline window through it too, loaded whole, and
-//!   condenses that window off its edge grid by out-degree (Landau's
+//!   condenses that window off the matrix by out-degree (Landau's
 //!   criterion) instead of building adjacency lists.
 
 use crate::batching::{FairOrder, FairOrderCounters};
@@ -37,6 +38,19 @@ use crate::message::MessageId;
 use crate::precedence::{PrecedenceMatrix, Removal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Whether the kept edge between `i` and `j` points `i -> j`, read off the
+/// matrix by [`Tournament::from_matrix`]'s rule: the larger probability
+/// wins, a tie goes to the smaller index.
+#[inline]
+fn beats(matrix: &PrecedenceMatrix, i: usize, j: usize) -> bool {
+    let (forward, backward) = (matrix.prob(i, j), matrix.prob(j, i));
+    if i < j {
+        forward >= backward
+    } else {
+        forward > backward
+    }
+}
 
 /// A tournament over the messages of a [`PrecedenceMatrix`].
 #[derive(Debug, Clone)]
@@ -140,10 +154,10 @@ impl Tournament {
 /// [`FairOrder::from_linear_order`] on every change — O(n²) comparisons per
 /// arrival — this structure:
 ///
-/// * orients only the `n` new edges when a message is inserted
+/// * reads only the `n` new edges when a message is inserted
 ///   ([`insert_last`](Self::insert_last)), locating the arrival's place in
 ///   the maintained order with one O(n) scan over the condensation blocks;
-/// * drops rows/columns in place when a batch is emitted
+/// * restricts its order in place when a batch is emitted
 ///   ([`remove_indices`](Self::remove_indices)) — untouched components keep
 ///   their cached order (the induced sub-tournament of each surviving SCC is
 ///   unchanged), so only partially-removed cyclic components are re-solved;
@@ -169,8 +183,9 @@ impl Tournament {
 ///   repaired span, a re-solved split, a recompute) derives every bit again,
 ///   counted as one [`FairOrderCounters::full_rebuilds`].
 ///
-/// The maintained state is always valid, and its edges are element-wise
-/// what `Tournament::from_matrix(matrix)` would build over the same matrix.
+/// The maintained state is always valid. It stores no edge: each one is
+/// read off the matrix cells of its pair when needed, element-wise what
+/// `Tournament::from_matrix(matrix)` would build over the same matrix.
 /// Under the greedy breaker [`order`](Self::order) is exactly
 /// [`Tournament::linear_order`] (both paths order each SCC's
 /// canonically-sorted member set with the same deterministic heuristic, so
@@ -179,13 +194,7 @@ impl Tournament {
 /// it (property-tested below and in `sequencer::dense`).
 #[derive(Debug, Clone)]
 pub struct IncrementalTournament {
-    n: usize,
-    /// Row stride of `forward` (grown geometrically, like the matrix).
-    stride: usize,
-    /// `forward[i * stride + j]` is `true` iff the kept edge points `i -> j`
-    /// (valid for `i != j`, both `< n`).
-    forward: Vec<bool>,
-    /// The maintained linear order.
+    /// The maintained linear order: one position per tracked message.
     order: Vec<usize>,
     /// `starts[p]`: position `p` of `order` begins a batch, i.e. `p == 0` or
     /// `p(order[p − 1] → order[p]) > threshold`.
@@ -225,9 +234,6 @@ impl IncrementalTournament {
             "threshold must be in [0.5, 1.0), got {threshold}"
         );
         IncrementalTournament {
-            n: 0,
-            stride: 0,
-            forward: Vec::new(),
             order: Vec::new(),
             starts: Vec::new(),
             threshold,
@@ -252,18 +258,19 @@ impl IncrementalTournament {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n
+        self.order.len()
     }
 
     /// Whether the tournament has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.order.is_empty()
     }
 
     /// Total pairwise probability comparisons performed so far (edge
-    /// orientations decided). The online arrival path's O(n) guarantee is
-    /// asserted against this counter: one arrival into a pending set of size
-    /// `n` decides exactly `n` orientations.
+    /// orientations read: `n` per arrival, one per pair per rebuild). The
+    /// online arrival path's O(n) guarantee is asserted against this
+    /// counter: one arrival into a pending set of size `n` reads exactly
+    /// `n` orientations.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
@@ -296,15 +303,6 @@ impl IncrementalTournament {
         self.transitive
     }
 
-    fn grow_to(&mut self, cap: usize) {
-        crate::grid::grow_square(&mut self.forward, &mut self.stride, self.n, cap, false);
-    }
-
-    fn set_edge(&mut self, i: usize, j: usize, towards_j: bool) {
-        self.forward[i * self.stride + j] = towards_j;
-        self.forward[j * self.stride + i] = !towards_j;
-    }
-
     /// Whether a batch boundary separates `a` from its successor `b` in the
     /// order: one adjacent-pair evaluation.
     fn separates(&mut self, matrix: &PrecedenceMatrix, a: usize, b: usize) -> bool {
@@ -315,10 +313,10 @@ impl IncrementalTournament {
     /// Incorporate the message that `matrix` just gained via
     /// [`PrecedenceMatrix::insert`] (it is the matrix's last index).
     ///
-    /// Orients the `n` new edges with the same rule as
-    /// [`Tournament::from_matrix`] (ties towards the smaller index), then
-    /// scans the maintained condensation blocks once to locate the span the
-    /// arrival touches:
+    /// Scans the maintained condensation blocks once, reading each of the
+    /// `n` new edges off the arrival's matrix cells by the rule of
+    /// [`Tournament::from_matrix`] (ties towards the smaller index), to
+    /// locate the span the arrival touches:
     ///
     /// * If the arrival slots cleanly *between* two blocks (its predecessors
     ///   are a prefix of the block sequence), it becomes a new singleton
@@ -338,41 +336,32 @@ impl IncrementalTournament {
     /// Panics if `matrix.len() != self.len() + 1` — the tournament must be
     /// updated in lockstep with the matrix.
     pub fn insert_last(&mut self, matrix: &PrecedenceMatrix) {
-        let k = self.n;
+        let k = self.order.len();
         assert_eq!(
             matrix.len(),
             k + 1,
             "insert_last must follow PrecedenceMatrix::insert"
         );
-        self.grow_to(k + 1);
-        self.n = k + 1;
-        for j in 0..k {
-            // Pair (j, k) with j < k: j -> k iff prob(j, k) >= prob(k, j),
-            // exactly the from_matrix orientation rule.
-            let towards_new = matrix.prob(j, k) >= matrix.prob(k, j);
-            self.set_edge(j, k, towards_new);
-        }
         self.comparisons += k as u64;
-        // One scan over the blocks: `first` is the first block containing a
-        // member the arrival beats (everything before it beats the arrival),
-        // `last` the last block containing a member that beats the arrival
-        // (everything after it loses to the arrival).
+        // One scan over the blocks, one edge per member: `first` is the
+        // first block containing a member the arrival beats (everything
+        // before it beats the arrival), `last` the last block containing a
+        // member that beats the arrival (everything after it loses to the
+        // arrival).
         let mut first_block = self.blocks.len();
-        let mut first_pos = self.order.len();
+        let mut first_pos = k;
         let mut last_block = None;
         let mut last_end = 0usize;
         let mut pos = 0usize;
         for (b, &len) in self.blocks.iter().enumerate() {
-            let members = &self.order[pos..pos + len];
-            if first_block == self.blocks.len()
-                && members.iter().any(|&m| self.forward[k * self.stride + m])
-            {
-                first_block = b;
-                first_pos = pos;
-            }
-            if members.iter().any(|&m| self.forward[m * self.stride + k]) {
-                last_block = Some(b);
-                last_end = pos + len;
+            for &m in &self.order[pos..pos + len] {
+                if !beats(matrix, k, m) {
+                    last_block = Some(b);
+                    last_end = pos + len;
+                } else if first_block == self.blocks.len() {
+                    first_block = b;
+                    first_pos = pos;
+                }
             }
             pos += len;
         }
@@ -425,7 +414,7 @@ impl IncrementalTournament {
         last_end: usize,
         matrix: &PrecedenceMatrix,
     ) {
-        let k = self.n - 1;
+        let k = matrix.len() - 1;
         let mut members: Vec<usize> = self.order[first_pos..last_end].to_vec();
         members.push(k);
         members.sort_unstable();
@@ -443,12 +432,12 @@ impl IncrementalTournament {
         self.derive_starts(matrix);
     }
 
-    /// Drop the nodes `removal` removes, compacting the survivors exactly
+    /// Drop the nodes `removal` removes, renumbering the survivors exactly
     /// like [`PrecedenceMatrix::remove_indices`] does under the same remap
     /// (the relative order of survivors is preserved, so edge orientations
     /// carry over unchanged). `matrix` is the *post-removal* matrix, read
     /// for the batch seams and for a partially-removed cyclic component's
-    /// re-solve.
+    /// condensation and re-solve.
     ///
     /// Removal can only *split* SCCs, never merge them, and each surviving
     /// component stays in its condensation slot — so untouched blocks keep
@@ -459,19 +448,18 @@ impl IncrementalTournament {
     /// each cyclic sub-component repaired in place, after which every batch
     /// bit is derived again.
     pub fn remove_indices(&mut self, removal: &Removal, matrix: &PrecedenceMatrix) {
-        assert_eq!(removal.len(), self.n, "remap of another index space");
-        if removal.kept().len() == self.n {
+        assert_eq!(removal.len(), self.order.len(), "remap of another index space");
+        let n = removal.kept().len();
+        if n == self.order.len() {
             return;
         }
-        crate::grid::compact_square(&mut self.forward, self.stride, removal.kept());
-        self.n = removal.kept().len();
-        debug_assert_eq!(matrix.len(), self.n, "matrix must already be compacted");
+        debug_assert_eq!(matrix.len(), n, "matrix must already be compacted");
         if self.transitive || self.splits_no_component(removal) {
             return self.restrict(removal, matrix);
         }
         let old_order = std::mem::take(&mut self.order);
         let old_blocks = std::mem::take(&mut self.blocks);
-        let mut new_order = Vec::with_capacity(self.n);
+        let mut new_order = Vec::with_capacity(n);
         let mut new_blocks = Vec::with_capacity(old_blocks.len());
         let mut pos = 0usize;
         for &len in &old_blocks {
@@ -493,7 +481,7 @@ impl IncrementalTournament {
             // split into several SCCs. Re-derive the sub-condensation and
             // repair each cyclic sub-component locally.
             let first_new = new_blocks.len();
-            self.condense(&mut new_order[start..], &mut new_blocks);
+            condense(matrix, &mut new_order[start..], &mut new_blocks);
             let mut at = start;
             for &component_len in &new_blocks[first_new..] {
                 let component = &mut new_order[at..at + component_len];
@@ -561,40 +549,6 @@ impl IncrementalTournament {
         self.transitive = self.cyclic_blocks == 0;
     }
 
-    /// Sort `members` (current node indices) into the condensation order of
-    /// the sub-tournament they induce, each multi-member component
-    /// ascending, and push each component's length onto `blocks`.
-    ///
-    /// Landau's criterion, read off the edge grid: members sorted by
-    /// out-degree within the set, highest first, end a component after
-    /// position `t` of `k` exactly when the first `t` out-degrees sum to
-    /// `t(t−1)/2 + t(k−t)` — the first `t` members beat all `k − t` others.
-    /// A member of an earlier component has a strictly higher out-degree
-    /// than one of a later component, so the components are runs of the
-    /// sorted order. SCCs and their condensation order are unique, so this
-    /// is [`Tournament::components_in_order`] without the adjacency lists.
-    fn condense(&self, members: &mut [usize], blocks: &mut Vec<usize>) {
-        let k = members.len();
-        let mut by_wins: Vec<(usize, usize)> = members
-            .iter()
-            .map(|&a| {
-                let row = &self.forward[a * self.stride..];
-                (members.iter().filter(|&&b| b != a && row[b]).count(), a)
-            })
-            .collect();
-        by_wins.sort_unstable_by(|x, y| y.cmp(x));
-        let (mut start, mut wins) = (0usize, 0usize);
-        for (t, &(out_degree, member)) in (1..).zip(&by_wins) {
-            members[t - 1] = member;
-            wins += out_degree;
-            if wins == t * (t - 1) / 2 + t * (k - t) {
-                members[start..t].sort_unstable();
-                blocks.push(t - start);
-                start = t;
-            }
-        }
-    }
-
     /// Derive every batch bit of the maintained order again: one evaluation
     /// per adjacency, counted as one wholesale rebuild.
     fn derive_starts(&mut self, matrix: &PrecedenceMatrix) {
@@ -617,32 +571,20 @@ impl IncrementalTournament {
         }
     }
 
-    /// Re-derive every edge from `matrix` (used when a client
-    /// re-registration changes pairwise probabilities wholesale), then
-    /// recompute the linear order and its batches: the condensation off the
-    /// edge grid, the cycle breaker per cyclic component, every batch bit.
-    /// A non-empty matrix counts one [`full_rebuilds`](Self::full_rebuilds).
+    /// Track `matrix` wholesale (used when a client re-registration changes
+    /// pairwise probabilities): recompute the linear order and its batches,
+    /// the condensation off the matrix, the cycle breaker per cyclic
+    /// component, every batch bit. A non-empty matrix counts one
+    /// [`full_rebuilds`](Self::full_rebuilds).
     pub fn rebuild(&mut self, matrix: &PrecedenceMatrix) {
         let n = matrix.len();
-        // Grow before adopting the new dimension: grow_square relocates the
-        // live `self.n × self.n` prefix, which must still describe the *old*
-        // state (rebuilding a small tournament into a larger matrix would
-        // otherwise copy out of bounds).
-        self.grow_to(n);
-        self.n = n;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let towards_j = matrix.prob(i, j) >= matrix.prob(j, i);
-                self.set_edge(i, j, towards_j);
-            }
-        }
         self.comparisons += (n * n.saturating_sub(1) / 2) as u64;
         let mut order = std::mem::take(&mut self.order);
         let mut blocks = std::mem::take(&mut self.blocks);
         order.clear();
         blocks.clear();
         order.extend(0..n);
-        self.condense(&mut order, &mut blocks);
+        condense(matrix, &mut order, &mut blocks);
         let mut pos = 0usize;
         for &len in &blocks {
             let component = &mut order[pos..pos + len];
@@ -707,6 +649,37 @@ impl IncrementalTournament {
     }
 }
 
+/// Sort `members` (current node indices) into the condensation order of
+/// the sub-tournament they induce, each multi-member component
+/// ascending, and push each component's length onto `blocks`.
+///
+/// Landau's criterion, read off the matrix: members sorted by
+/// out-degree within the set, highest first, end a component after
+/// position `t` of `k` exactly when the first `t` out-degrees sum to
+/// `t(t−1)/2 + t(k−t)` — the first `t` members beat all `k − t` others.
+/// A member of an earlier component has a strictly higher out-degree
+/// than one of a later component, so the components are runs of the
+/// sorted order. SCCs and their condensation order are unique, so this
+/// is [`Tournament::components_in_order`] without the adjacency lists.
+fn condense(matrix: &PrecedenceMatrix, members: &mut [usize], blocks: &mut Vec<usize>) {
+    let k = members.len();
+    let mut by_wins: Vec<(usize, usize)> = members
+        .iter()
+        .map(|&a| (members.iter().filter(|&&b| b != a && beats(matrix, a, b)).count(), a))
+        .collect();
+    by_wins.sort_unstable_by(|x, y| y.cmp(x));
+    let (mut start, mut wins) = (0usize, 0usize);
+    for (t, &(out_degree, member)) in (1..).zip(&by_wins) {
+        members[t - 1] = member;
+        wins += out_degree;
+        if wins == t * (t - 1) / 2 + t * (k - t) {
+            members[start..t].sort_unstable();
+            blocks.push(t - start);
+            start = t;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,9 +694,10 @@ mod tests {
     }
 
     impl IncrementalTournament {
-        fn has_edge(&self, i: usize, j: usize) -> bool {
-            debug_assert!(i != j && i < self.n && j < self.n);
-            self.forward[i * self.stride + j]
+        /// The maintained tournament's edge, read off the matrix it tracks.
+        fn has_edge(&self, matrix: &PrecedenceMatrix, i: usize, j: usize) -> bool {
+            debug_assert!(i != j && i < self.len() && j < self.len());
+            beats(matrix, i, j)
         }
     }
 
@@ -845,6 +819,25 @@ mod tests {
         assert_eq!(edge_count, 3); // C(3,2) edges
     }
 
+    /// On exact ties the maintained tournament keeps `from_matrix`'s rule
+    /// (the edge points from the smaller index), whether built by appends
+    /// or loaded whole.
+    #[test]
+    fn ties_orient_towards_the_smaller_index_in_both_tournaments() {
+        let tied = matrix_from(vec![vec![0.5; 4]; 4]);
+        let mut appended = IncrementalTournament::new(0.75);
+        for k in 1..=4 {
+            appended.insert_last(&prefix(&tied, k));
+        }
+        let mut loaded = IncrementalTournament::new(0.75);
+        loaded.rebuild(&tied);
+        for inc in [&appended, &loaded] {
+            assert_tournaments_identical(inc, &tied);
+            assert!(inc.has_edge(&tied, 0, 3) && !inc.has_edge(&tied, 3, 0));
+            assert_eq!(inc.order(), &[0, 1, 2, 3]);
+        }
+    }
+
     #[test]
     fn single_message_tournament() {
         let m = matrix_from(vec![vec![0.5]]);
@@ -870,7 +863,7 @@ mod tests {
                     continue;
                 }
                 assert_eq!(
-                    inc.has_edge(i, j),
+                    inc.has_edge(matrix, i, j),
                     scratch.has_edge(i, j),
                     "edge ({i},{j}) diverged"
                 );
