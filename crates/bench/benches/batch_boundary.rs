@@ -10,13 +10,14 @@
 //!   that undoes it (one seam evaluation) — the steady-state per-arrival
 //!   cost of the maintained order and its batches.
 //! * `from_scratch/n` — what each arrival's batching used to cost instead:
-//!   `FairOrder::from_linear_order` over the full maintained order (`n − 1`
-//!   adjacent-pair probes plus the rank-index hashing of every message).
+//!   the one-shot walk `tommy_contract::reference::fair_order` over the
+//!   full maintained order (`n − 1` adjacent-pair probes plus the
+//!   rank-index hashing of every message).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tommy_bench::{stream_message, stream_registry};
-use tommy_core::batching::FairOrder;
+use tommy_contract::reference;
 use tommy_core::precedence::{PrecedenceMatrix, Removal};
 use tommy_core::tournament::IncrementalTournament;
 
@@ -59,7 +60,7 @@ fn batch_boundary(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("from_scratch", n), &n, |b, _| {
-            b.iter(|| FairOrder::from_linear_order(&matrix_pending, &order, THRESHOLD))
+            b.iter(|| reference::fair_order(&matrix_pending, &order, THRESHOLD))
         });
     }
     group.finish();

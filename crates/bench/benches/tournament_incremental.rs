@@ -2,16 +2,18 @@
 //!
 //! One online *arrival* at pending-set size `n` must pay O(n): orient the
 //! `n` new edges and slot the arrival into the maintained order, read back
-//! with `order()`. The one-shot reference instead rebuilds
-//! `Tournament::from_matrix` + `linear_order` — O(n²) comparisons — per
-//! arrival. This bench times exactly that pair of strategies on the same
-//! matrix state.
+//! with `order()`. The one-shot reference instead solves the whole
+//! tournament again (`tommy_contract::reference::linear_order`: adjacency
+//! lists, Tarjan's components, the greedy heuristic per component) — O(n²)
+//! comparisons — per arrival. This bench times exactly that pair of
+//! strategies on the same matrix state.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::time::Duration;
 use tommy_bench::{stream_message, stream_registry};
+use tommy_contract::reference;
 use tommy_core::precedence::PrecedenceMatrix;
-use tommy_core::tournament::{IncrementalTournament, Tournament};
+use tommy_core::tournament::IncrementalTournament;
 
 fn arrival_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("tournament_incremental");
@@ -44,10 +46,7 @@ fn arrival_bench(c: &mut Criterion) {
             )
         });
         group.bench_with_input(BenchmarkId::new("scratch_rebuild", n), &n, |b, _| {
-            b.iter(|| {
-                let t = Tournament::from_matrix(&matrix);
-                std::hint::black_box(t.linear_order(&matrix))
-            })
+            b.iter(|| std::hint::black_box(reference::linear_order(&matrix)))
         });
     }
     group.finish();

@@ -16,6 +16,10 @@
 //! * [`properties`] — the contracts themselves, each one function: the
 //!   trace invariants, boundary consistency, bit-identity, the sharded
 //!   release, bounded duplicate tracking, liveness, offline identity.
+//! * [`reference`](mod@reference) — the one-shot §3.4 references: a
+//!   tournament's linear order through adjacency lists and Tarjan's
+//!   components, the batches of a linear order, and the probability mass an
+//!   order discards.
 //! * [`testkit`] — the scaffolding the integration suites share: census
 //!   builders, honest-stream drivers and the small-model spec.
 
@@ -25,4 +29,5 @@
 pub mod checker;
 pub mod oracle;
 pub mod properties;
+pub mod reference;
 pub mod testkit;

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use crate::reference;
 use tommy_core::batching::FairOrder;
 use tommy_core::config::{FastPathMode, SequencerConfig};
 use tommy_core::error::CoreError;
@@ -17,7 +18,6 @@ use tommy_core::precedence::PrecedenceMatrix;
 use tommy_core::registry::DistributionRegistry;
 use tommy_core::sequencer::online::{EmittedBatch, OnlineStats};
 use tommy_core::sequencer::TommySequencer;
-use tommy_core::tournament::Tournament;
 use tommy_metrics::rank_agreement_score;
 use tommy_stats::distribution::OffsetDistribution;
 
@@ -276,9 +276,9 @@ pub fn boundary_consistent(
 }
 
 /// The pending order a dense engine must hold over `pending` (in arrival
-/// order), solved from scratch by the one-shot references: a
-/// [`PrecedenceMatrix::compute`] under `registry` → [`Tournament::from_matrix`]
-/// → its linear order → [`FairOrder::from_linear_order`] at `threshold`, as
+/// order), solved from scratch by the one-shot references
+/// ([`reference::linear_order`], batched by [`reference::fair_order`]) over
+/// a [`PrecedenceMatrix::compute`] under `registry`, as
 /// `(message id, starts_batch)` pairs.
 ///
 /// # Errors
@@ -291,22 +291,23 @@ pub fn scratch_pending_order(
     threshold: f64,
 ) -> Result<Vec<(MessageId, bool)>, CoreError> {
     let matrix = PrecedenceMatrix::compute(pending, registry)?;
-    let linear = Tournament::from_matrix(&matrix).linear_order(&matrix);
-    let order = FairOrder::from_linear_order(&matrix, &linear, threshold);
+    let order = scratch_fair_order(&matrix, threshold);
     let batches = order.batches().iter().map(|batch| &batch.messages);
     Ok(batches.flat_map(|ids| ids.iter().enumerate().map(|(i, &id)| (id, i == 0))).collect())
 }
 
+/// `matrix`'s fair order at `threshold`, solved by the one-shot references
+/// instead of an engine's maintained state.
+fn scratch_fair_order(matrix: &PrecedenceMatrix, threshold: f64) -> FairOrder {
+    reference::fair_order(matrix, &reference::linear_order(matrix), threshold)
+}
+
 /// The candidate batch of a non-empty `matrix`, solved from scratch by the
-/// one-shot references instead of an engine's maintained state:
-/// [`Tournament::from_matrix`] → its linear order →
-/// [`FairOrder::from_linear_order`] → the first batch, closed under the
-/// Appendix C rule (a message joins while some member cannot be confidently
-/// separated from it, re-scanning until nothing joins). Ascending matrix
-/// indices.
+/// same references: the first batch, closed under the Appendix C rule (a
+/// message joins while some member cannot be confidently separated from
+/// it, re-scanning until nothing joins). Ascending matrix indices.
 pub fn scratch_candidate(matrix: &PrecedenceMatrix, config: &SequencerConfig) -> Vec<usize> {
-    let linear = Tournament::from_matrix(matrix).linear_order(matrix);
-    let order = FairOrder::from_linear_order(matrix, &linear, config.threshold);
+    let order = scratch_fair_order(matrix, config.threshold);
     let first = &order.batches().first().expect("a non-empty matrix").messages;
     let mut batch: Vec<usize> = first.iter().filter_map(|id| matrix.index_of(*id)).collect();
     let inseparable = |a, b| matrix.prob(a, b).max(matrix.prob(b, a)) <= config.threshold;

@@ -1,16 +1,12 @@
 //! The static fair-order types: [`Batch`] and [`FairOrder`].
 //!
-//! [`FairOrder::from_linear_order`] is the one-shot §3.4 constructor — walk
-//! the linear order, split wherever the adjacent-pair probability exceeds the
-//! threshold. Only reference tests call it: both engines keep the same
-//! boundary bits beside the order they maintain
-//! ([`crate::tournament::IncrementalTournament`], or the sparse engine's
-//! `starts_batch` bits) and materialize a `FairOrder` from them through
-//! [`FairOrder::from_groups`], or, on the offline sparse path,
+//! Both engines keep their batch boundaries as bits beside the order they
+//! maintain ([`crate::tournament::IncrementalTournament`], or the sparse
+//! engine's `starts_batch` bits) and materialize a `FairOrder` from them
+//! through [`FairOrder::from_groups`], or, on the offline sparse path,
 //! through `from_parts` with the window's id map as the rank index.
 
 use crate::message::MessageId;
-use crate::precedence::PrecedenceMatrix;
 use std::collections::HashMap;
 
 /// One batch of messages sharing a rank.
@@ -44,32 +40,6 @@ pub struct FairOrder {
 }
 
 impl FairOrder {
-    /// Build a fair order by walking a linear order and inserting batch
-    /// boundaries wherever the adjacent-pair probability exceeds `threshold`.
-    ///
-    /// `order` contains indices into `matrix`.
-    pub fn from_linear_order(matrix: &PrecedenceMatrix, order: &[usize], threshold: f64) -> Self {
-        assert!(
-            (0.5..1.0).contains(&threshold) || threshold == 0.5,
-            "threshold must be in [0.5, 1.0), got {threshold}"
-        );
-        let mut groups: Vec<Vec<MessageId>> = Vec::new();
-        let mut current: Vec<MessageId> = Vec::new();
-        for (pos, &idx) in order.iter().enumerate() {
-            if pos > 0 {
-                let prev = order[pos - 1];
-                if matrix.prob(prev, idx) > threshold {
-                    groups.push(std::mem::take(&mut current));
-                }
-            }
-            current.push(matrix.message(idx).id);
-        }
-        if !current.is_empty() {
-            groups.push(current);
-        }
-        FairOrder::from_groups(groups)
-    }
-
     /// Build a fair order from explicit groups of message ids (each group is
     /// one batch, in the given order): the rank index is built here, then
     /// the order is assembled by the one constructor path, `from_parts`.
@@ -205,7 +175,6 @@ impl FairOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{ClientId, Message};
 
     impl FairOrder {
         /// Mean batch size (0 if empty).
@@ -214,77 +183,6 @@ mod tests {
                 return 0.0;
             }
             self.num_messages() as f64 / self.num_batches() as f64
-        }
-    }
-
-    fn mk_msgs(n: usize) -> Vec<Message> {
-        (0..n)
-            .map(|i| Message::new(MessageId(i as u64), ClientId(i as u32), 0.0))
-            .collect()
-    }
-
-    fn appendix_b_matrix() -> PrecedenceMatrix {
-        PrecedenceMatrix::from_probabilities(
-            &mk_msgs(4),
-            &[
-                vec![0.5, 0.85, 0.65, 0.92],
-                vec![0.15, 0.5, 0.72, 0.68],
-                vec![0.35, 0.28, 0.5, 0.80],
-                vec![0.08, 0.32, 0.20, 0.5],
-            ],
-        )
-    }
-
-    #[test]
-    fn appendix_b_batching_at_075() {
-        // Paper: {A} ≺ {B, C} ≺ {D} at threshold 0.75.
-        let m = appendix_b_matrix();
-        let order = vec![0, 1, 2, 3];
-        let fo = FairOrder::from_linear_order(&m, &order, 0.75);
-        assert_eq!(fo.num_batches(), 3);
-        assert_eq!(fo.batches()[0].messages, vec![MessageId(0)]);
-        assert_eq!(fo.batches()[1].messages, vec![MessageId(1), MessageId(2)]);
-        assert_eq!(fo.batches()[2].messages, vec![MessageId(3)]);
-        assert_eq!(fo.rank_of(MessageId(0)), Some(0));
-        assert_eq!(fo.rank_of(MessageId(2)), Some(1));
-        assert_eq!(fo.rank_of(MessageId(3)), Some(2));
-    }
-
-    #[test]
-    fn higher_threshold_gives_fewer_batches() {
-        let m = appendix_b_matrix();
-        let order = vec![0, 1, 2, 3];
-        let strict = FairOrder::from_linear_order(&m, &order, 0.9);
-        let loose = FairOrder::from_linear_order(&m, &order, 0.6);
-        assert!(strict.num_batches() <= loose.num_batches());
-        // At 0.9 only the 0.92 edge? No adjacent edge exceeds 0.9
-        // (0.85, 0.72, 0.80), so everything is one batch.
-        assert_eq!(strict.num_batches(), 1);
-        // At 0.6 every adjacent edge exceeds the threshold: total order.
-        assert_eq!(loose.num_batches(), 4);
-    }
-
-    #[test]
-    fn batching_preserves_all_messages_exactly_once() {
-        let m = appendix_b_matrix();
-        let order = vec![0, 1, 2, 3];
-        for threshold in [0.55, 0.7, 0.75, 0.85, 0.95] {
-            let fo = FairOrder::from_linear_order(&m, &order, threshold);
-            assert_eq!(fo.num_messages(), 4);
-            let mut flat = fo.flatten();
-            flat.sort();
-            assert_eq!(
-                flat,
-                vec![MessageId(0), MessageId(1), MessageId(2), MessageId(3)]
-            );
-            // Ranks within bounds and non-decreasing along the linear order.
-            let ranks: Vec<usize> = order
-                .iter()
-                .map(|&i| fo.rank_of(m.message(i).id).unwrap())
-                .collect();
-            for w in ranks.windows(2) {
-                assert!(w[1] >= w[0]);
-            }
         }
     }
 

@@ -18,8 +18,8 @@
 //! sparse engine's on its list nodes (`sequencer::sparse`); both count their
 //! work in [`FairOrderCounters`]. This module holds what they share: those
 //! counters, and in [`fair_order`] the static output types [`Batch`] and
-//! [`FairOrder`] (one-shot construction via [`FairOrder::from_linear_order`],
-//! the reference both engines' bits are pinned equal to by property tests).
+//! [`FairOrder`]. Property tests pin both engines' bits to a one-shot walk
+//! of the order, `tommy_contract::reference::fair_order`.
 
 pub mod fair_order;
 

@@ -176,22 +176,6 @@ pub fn stochastic_order(
     order
 }
 
-/// Count how much pairwise probability mass an ordering discards: the sum of
-/// `p(b, a)` over pairs ordered `a` before `b` where `p(b, a) > 0.5` (i.e.
-/// edges of the tournament pointing backwards in the ordering).
-pub fn backward_weight(order: &[usize], prob: &dyn Fn(usize, usize) -> f64) -> f64 {
-    let mut total = 0.0;
-    for (i, &a) in order.iter().enumerate() {
-        for &b in order.iter().skip(i + 1) {
-            let p_back = prob(b, a);
-            if p_back > 0.5 {
-                total += p_back;
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,8 +225,6 @@ mod tests {
         let prob = prob_from(&pairs);
         let order = greedy_order(&[0, 1, 2], &prob);
         assert_eq!(order, vec![0, 1, 2]);
-        let bw = backward_weight(&order, &prob);
-        assert!((bw - 0.55).abs() < 1e-9);
     }
 
     #[test]
@@ -288,14 +270,6 @@ mod tests {
             }
         }
         assert!(zero_first > 450, "zero first {zero_first}/{runs}");
-    }
-
-    #[test]
-    fn backward_weight_zero_for_consistent_order() {
-        let pairs = [((0, 1), 0.9), ((1, 2), 0.8), ((0, 2), 0.7)];
-        let prob = prob_from(&pairs);
-        assert_eq!(backward_weight(&[0, 1, 2], &prob), 0.0);
-        assert!(backward_weight(&[2, 1, 0], &prob) > 0.0);
     }
 
     /// The pre-early-exit greedy loop, kept verbatim as the regression

@@ -30,12 +30,13 @@
 //! * [`relation`] — the preceding probability and the
 //!   [`LikelyHappenedBefore`] relation.
 //! * [`precedence`] — the pairwise probability matrix for a set of messages.
-//! * [`tournament`] — the directed tournament induced by the matrix:
-//!   transitivity checks, and the incremental FAS engine that maintains the
-//!   linear order across arrivals as per-SCC condensation blocks (a cyclic
-//!   arrival re-solves only the component it touches).
-//! * [`graph`] — topological sort, Tarjan SCC, feedback-arc-set heuristics
-//!   (the greedy pass, counter-instrumented, and the stochastic draw).
+//! * [`tournament`] — the directed tournament induced by the matrix: the
+//!   incremental FAS engine that maintains the linear order across arrivals
+//!   as per-SCC condensation blocks (a cyclic arrival re-solves only the
+//!   component it touches).
+//! * [`graph`] — the feedback-arc-set heuristics that order a cyclic
+//!   component (the greedy pass, counter-instrumented, and the stochastic
+//!   draw).
 //! * [`batching`] — threshold batching of a linear order into ranked
 //!   batches: the static [`FairOrder`] types and the counters of the
 //!   incremental boundary maintenance both engines perform beside the
@@ -101,7 +102,7 @@ pub use sequencer::offline::TommySequencer;
 pub use sequencer::online::{CandidateStatus, OnlineSequencer, OnlineStats};
 pub use sequencer::SequencingOutcome;
 pub use session::{RecoveryPolicy, SequenceValidator, SessionCounters};
-pub use tournament::{IncrementalTournament, Tournament};
+pub use tournament::IncrementalTournament;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

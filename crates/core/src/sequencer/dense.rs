@@ -39,10 +39,10 @@
 //!   bits. Intransitivity cycles — never produced by Gaussian offsets
 //!   (Appendix A) — are absorbed by the incremental FAS engine, which
 //!   re-solves only the one SCC the arrival strongly connects: zero
-//!   `Tournament::from_matrix` rebuilds. Under stochastic cycle breaking
-//!   that re-solve draws from a generator the tournament owns, seeded when
-//!   the engine is built; the maintained order is valid after every change,
-//!   so no read recomputes anything.
+//!   wholesale recomputes. Under stochastic cycle breaking that re-solve
+//!   draws from a generator the tournament owns, seeded when the engine is
+//!   built; the maintained order is valid after every change, so no read
+//!   recomputes anything.
 //! * The candidate batch (that lowest-rank batch closed under the Appendix C
 //!   rule, a worklist: outsiders are compared only against members added
 //!   since they were last checked, O(n × batch) reads over reused scratch)
@@ -391,7 +391,6 @@ impl DenseEngine {
 mod tests {
     use super::*;
     use crate::message::ClientId;
-    use crate::tournament::Tournament;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tommy_stats::distribution::OffsetDistribution;
@@ -430,27 +429,22 @@ mod tests {
         indices
     }
 
-    /// The maintained engine must be bit-identical to the one-shot pipeline:
-    /// same linear order, and a fair order equal in batches, ranks, and
-    /// boundary set to `FairOrder::from_linear_order` over it.
-    fn assert_engine_matches_one_shot(engine: &mut DenseEngine) {
-        let (config, matrix) = (engine.config, engine.matrix.clone());
-        let scratch_order = Tournament::from_matrix(&matrix).linear_order(&matrix);
-        let reference = FairOrder::from_linear_order(&matrix, &scratch_order, config.threshold);
-        assert_eq!(engine.fair_order(), reference, "fair order diverged");
-        assert_eq!(engine.tournament.order(), scratch_order, "linear order diverged");
-        assert_eq!(
-            engine.tournament.boundary_positions(),
-            reference.boundary_positions(),
-            "boundary set diverged"
-        );
-        // The candidate batch equals the closure over the reference's batch 0.
+    /// The maintained engine must be bit-identical to a tournament rebuilt
+    /// over its matrix (which the integration tests pin to the one-shot
+    /// reference): the same linear order, and the same fair order in
+    /// batches, ranks and boundaries.
+    fn assert_engine_matches_rebuild(engine: &mut DenseEngine) {
+        let matrix = engine.matrix.clone();
+        let mut fresh = IncrementalTournament::new(engine.config.threshold);
+        fresh.rebuild(&matrix);
+        assert_eq!(engine.fair_order(), fresh.to_fair_order(&matrix), "fair order diverged");
+        assert_eq!(engine.tournament.order(), fresh.order(), "linear order diverged");
+        // The candidate batch equals the closure over the fresh batch 0.
         engine.invalidate_candidate();
         engine.close_candidate();
         assert!(!engine.members.is_empty());
-        for id in &reference.batches()[0].messages {
-            let slot = matrix.index_of(*id).unwrap();
-            assert!(engine.members.contains(&slot), "candidate lost a batch-0 member");
+        for slot in fresh.first_batch() {
+            assert!(engine.members.contains(slot), "candidate lost a batch-0 member");
         }
     }
 
@@ -478,12 +472,13 @@ mod tests {
         (true, kept.contains(&(engine.len() - 1)))
     }
 
-    /// Mirror of the tournament's randomized insert/remove property test,
-    /// extended to the candidate batch: Gaussian + Laplace clients
-    /// (always transitive ⇒ zero rebuilds), random thresholds per seed. The
-    /// candidate is priced before every arrival, and one the arrival kept
-    /// must equal a fresh one. Seeds 10.. stamp within ±10, not ±100, so
-    /// that arrivals after the first boundary link to it and grow it.
+    /// Mirror of `tests/fas_incremental.rs`' randomized insert/remove
+    /// property test, extended to the candidate batch: Gaussian + Laplace
+    /// clients (always transitive ⇒ zero rebuilds), random thresholds per
+    /// seed. The candidate is priced before every arrival, and one the
+    /// arrival kept must equal a fresh one. Seeds 10.. stamp within ±10, not
+    /// ±100, so that arrivals after the first boundary link to it and grow
+    /// it.
     #[test]
     fn random_insert_remove_sequences_match_one_shot() {
         let (mut kept, mut grown) = (0, 0);
@@ -522,7 +517,7 @@ mod tests {
                 if engine.len() == 0 {
                     assert!(engine.tournament.is_empty());
                 } else {
-                    assert_engine_matches_one_shot(&mut engine);
+                    assert_engine_matches_rebuild(&mut engine);
                     engine.candidate_meta(&reg);
                 }
             }
@@ -597,7 +592,7 @@ mod tests {
                 if pending.is_empty() {
                     assert!(engine.tournament.is_empty());
                 } else {
-                    assert_engine_matches_one_shot(&mut engine);
+                    assert_engine_matches_rebuild(&mut engine);
                     saw_cycle |= !engine.tournament.is_transitive();
                 }
             }
@@ -653,8 +648,8 @@ mod tests {
         assert_eq!(assert_kept_candidate_is_fresh(&mut engine, Some(&reg)), (true, false));
     }
 
-    /// `load` + `outcome` is the offline pipeline: diagnostics and order
-    /// must match the historical `Tournament::from_matrix` path exactly.
+    /// `load` + `outcome` is the offline pipeline: its diagnostics and order
+    /// over Appendix B and a 3-cycle.
     #[test]
     fn loaded_outcome_matches_one_shot_pipeline() {
         let matrix = PrecedenceMatrix::from_probabilities(
@@ -674,7 +669,7 @@ mod tests {
         assert_eq!(outcome.order.num_batches(), 3);
         assert_eq!(outcome.order.batches()[1].messages, vec![MessageId(1), MessageId(2)]);
 
-        // A cyclic matrix reports its component count like the one-shot path.
+        // A 3-cycle is one cyclic component.
         let cyclic = PrecedenceMatrix::from_probabilities(
             &msgs(3),
             &[

@@ -9,39 +9,35 @@
 //! unique Hamiltonian path; otherwise it contains cycles which are broken by
 //! the heuristics in [`crate::graph::fas`].
 //!
-//! Two representations are provided:
-//!
-//! * [`Tournament`] — built in one shot from a full [`PrecedenceMatrix`]
-//!   as adjacency lists, ordered through Tarjan's SCCs: the one-shot
-//!   reference the maintained state is tested against.
-//! * [`IncrementalTournament`] — maintained alongside an incrementally
-//!   updated matrix ([`PrecedenceMatrix::insert`] /
-//!   [`PrecedenceMatrix::remove_indices`]), whose cells are its only edge
-//!   store (an edge is read off two of them by `from_matrix`'s rule), with
-//!   the linear order repaired in place: a new arrival is slotted into the maintained condensation (one
-//!   scan over its per-SCC blocks), and an intransitivity cycle — never
-//!   produced by Gaussian offsets (Appendix A) — re-solves only the one
-//!   component the arrival strongly connects (the incremental FAS engine),
-//!   with the cycle breaker chosen when the tournament is built: greedy, or
-//!   seeded stochastic draws. The order's §3.4 batch boundaries are kept
-//!   beside it, one bit per position, so the order is stored once. This is
-//!   what makes the online arrival path O(n) instead of O(n²); the dense
-//!   engine runs an offline window through it too, loaded whole, and
-//!   condenses that window off the matrix by out-degree (Landau's
-//!   criterion) instead of building adjacency lists.
+//! [`IncrementalTournament`] maintains it alongside an incrementally
+//! updated matrix ([`PrecedenceMatrix::insert`] /
+//! [`PrecedenceMatrix::remove_indices`]), whose cells are its only edge
+//! store (an edge is read off two of them: the larger probability wins, a
+//! tie goes to the smaller index), with the linear order repaired in place:
+//! a new arrival is slotted into the maintained condensation (one scan over
+//! its per-SCC blocks), and an intransitivity cycle — never produced by
+//! Gaussian offsets (Appendix A) — re-solves only the one component the
+//! arrival strongly connects (the incremental FAS engine), with the cycle
+//! breaker chosen when the tournament is built: greedy, or seeded
+//! stochastic draws. The order's §3.4 batch boundaries are kept beside it,
+//! one bit per position, so the order is stored once. This is what makes
+//! the online arrival path O(n) instead of O(n²); the dense engine runs an
+//! offline window through it too, loaded whole, and condenses that window
+//! off the matrix by out-degree (Landau's criterion) instead of building
+//! adjacency lists. The one-shot reference it is tested against — adjacency
+//! lists ordered through Tarjan's components, then one walk of the order
+//! for its batches — is test-rig code (`tommy_contract::reference`).
 
 use crate::batching::{FairOrder, FairOrderCounters};
 use crate::graph::fas::{greedy_order, stochastic_order};
-use crate::graph::tarjan::strongly_connected_components;
-use crate::graph::toposort::{topological_sort, TopoResult};
 use crate::message::MessageId;
 use crate::precedence::{PrecedenceMatrix, Removal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Whether the kept edge between `i` and `j` points `i -> j`, read off the
-/// matrix by [`Tournament::from_matrix`]'s rule: the larger probability
-/// wins, a tie goes to the smaller index.
+/// matrix: the larger probability wins, a tie goes to the smaller index
+/// (so for `i < j` the edge is `i -> j` exactly when `p(i, j) ≥ p(j, i)`).
 #[inline]
 fn beats(matrix: &PrecedenceMatrix, i: usize, j: usize) -> bool {
     let (forward, backward) = (matrix.prob(i, j), matrix.prob(j, i));
@@ -52,107 +48,12 @@ fn beats(matrix: &PrecedenceMatrix, i: usize, j: usize) -> bool {
     }
 }
 
-/// A tournament over the messages of a [`PrecedenceMatrix`].
-#[derive(Debug, Clone)]
-pub struct Tournament {
-    n: usize,
-    /// `adj[i]` lists the indices j such that the kept edge is `i -> j`.
-    adj: Vec<Vec<usize>>,
-}
-
-impl Tournament {
-    /// Build the tournament from a precedence matrix: for each pair keep the
-    /// direction with the larger probability (ties, `p = 0.5` exactly, are
-    /// broken towards the smaller index so the result is still a tournament).
-    pub fn from_matrix(matrix: &PrecedenceMatrix) -> Self {
-        let n = matrix.len();
-        let mut adj = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if matrix.prob(i, j) >= matrix.prob(j, i) {
-                    adj[i].push(j);
-                } else {
-                    adj[j].push(i);
-                }
-            }
-        }
-        Tournament { n, adj }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the tournament has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Whether the tournament is transitive (equivalently: acyclic).
-    ///
-    /// Uses the score-sequence characterization: a tournament on `n` nodes is
-    /// transitive iff its out-degrees are exactly `{0, 1, …, n−1}`.
-    pub fn is_transitive(&self) -> bool {
-        let mut degrees: Vec<usize> = self.adj.iter().map(|a| a.len()).collect();
-        degrees.sort_unstable();
-        degrees.iter().enumerate().all(|(i, &d)| d == i)
-    }
-
-    /// Whether the tournament contains at least one cycle.
-    pub fn has_cycle(&self) -> bool {
-        !self.is_transitive()
-    }
-
-    /// The unique topological order if the tournament is transitive.
-    pub fn hamiltonian_path(&self) -> Option<Vec<usize>> {
-        match topological_sort(&self.adj) {
-            TopoResult::Unique(order) => Some(order),
-            TopoResult::Multiple(order) if self.n <= 1 => Some(order),
-            _ => None,
-        }
-    }
-
-    /// The strongly connected components, in topological order of the
-    /// condensation (earliest component first).
-    pub fn components_in_order(&self) -> Vec<Vec<usize>> {
-        let mut comps = strongly_connected_components(&self.adj);
-        // Tarjan returns reverse topological order.
-        comps.reverse();
-        comps
-    }
-
-    /// Extract a complete linear order of all messages (§3.4): the
-    /// condensation's components, earliest first, each ordered by the greedy
-    /// feedback-arc-set heuristic (a transitive tournament is its
-    /// Hamiltonian path).
-    ///
-    /// Each component's members are canonicalized ascending before the
-    /// heuristic runs, so a component's order is a pure function of its
-    /// member *set* and the pairwise probabilities — the property that lets
-    /// the incremental engine ([`IncrementalTournament`]) cache per-component
-    /// orders across arrivals and stay bit-identical to this one-shot path.
-    pub fn linear_order(&self, matrix: &PrecedenceMatrix) -> Vec<usize> {
-        if let Some(path) = self.hamiltonian_path() {
-            return path;
-        }
-        let prob = |a: usize, b: usize| matrix.prob(a, b);
-        let mut order = Vec::with_capacity(self.n);
-        for mut component in self.components_in_order() {
-            component.sort_unstable();
-            order.extend(greedy_order(&component, &prob));
-        }
-        order
-    }
-}
-
 /// A tournament, its linear order and that order's §3.4 batch boundaries,
 /// maintained *incrementally* alongside an incrementally updated
 /// [`PrecedenceMatrix`].
 ///
-/// Instead of rebuilding [`Tournament::from_matrix`] + `linear_order` +
-/// [`FairOrder::from_linear_order`] on every change — O(n²) comparisons per
-/// arrival — this structure:
+/// Instead of recomputing the tournament, its linear order and its batches
+/// on every change — O(n²) comparisons per arrival — this structure:
 ///
 /// * reads only the `n` new edges when a message is inserted
 ///   ([`insert_last`](Self::insert_last)), locating the arrival's place in
@@ -184,14 +85,15 @@ impl Tournament {
 ///   counted as one [`FairOrderCounters::full_rebuilds`].
 ///
 /// The maintained state is always valid. It stores no edge: each one is
-/// read off the matrix cells of its pair when needed, element-wise what
-/// `Tournament::from_matrix(matrix)` would build over the same matrix.
-/// Under the greedy breaker [`order`](Self::order) is exactly
-/// [`Tournament::linear_order`] (both paths order each SCC's
-/// canonically-sorted member set with the same deterministic heuristic, so
-/// cached per-component orders and recomputed ones are bit-identical), and
-/// under either breaker the batches are `FairOrder::from_linear_order` over
-/// it (property-tested below and in `sequencer::dense`).
+/// read off the matrix cells of its pair when needed. Under the greedy
+/// breaker [`order`](Self::order) is exactly what a [`rebuild`](Self::rebuild)
+/// over the same matrix computes, and the one-shot reference's linear
+/// order (every path orders each SCC's canonically-sorted member set with
+/// the same deterministic heuristic, so cached per-component orders and
+/// recomputed ones are bit-identical); under either breaker the batch bits
+/// are the ones a walk of the maintained order derives (property-tested
+/// below, in `sequencer::dense` and against `tommy_contract::reference` in
+/// the workspace's integration tests).
 #[derive(Debug, Clone)]
 pub struct IncrementalTournament {
     /// The maintained linear order: one position per tracked message.
@@ -222,8 +124,7 @@ pub struct IncrementalTournament {
 
 impl IncrementalTournament {
     /// An empty tournament, ready to track an empty matrix and to batch its
-    /// order at `threshold` (the domain of
-    /// [`FairOrder::from_linear_order`]), breaking cycles greedily.
+    /// order at `threshold`, breaking cycles greedily.
     ///
     /// # Panics
     ///
@@ -314,9 +215,8 @@ impl IncrementalTournament {
     /// [`PrecedenceMatrix::insert`] (it is the matrix's last index).
     ///
     /// Scans the maintained condensation blocks once, reading each of the
-    /// `n` new edges off the arrival's matrix cells by the rule of
-    /// [`Tournament::from_matrix`] (ties towards the smaller index), to
-    /// locate the span the arrival touches:
+    /// `n` new edges off the arrival's matrix cells (ties towards the
+    /// smaller index), to locate the span the arrival touches:
     ///
     /// * If the arrival slots cleanly *between* two blocks (its predecessors
     ///   are a prefix of the block sequence), it becomes a new singleton
@@ -660,7 +560,8 @@ impl IncrementalTournament {
 /// A member of an earlier component has a strictly higher out-degree
 /// than one of a later component, so the components are runs of the
 /// sorted order. SCCs and their condensation order are unique, so this
-/// is [`Tournament::components_in_order`] without the adjacency lists.
+/// is what Tarjan's algorithm over adjacency lists finds (the one-shot
+/// reference's route), without the lists.
 fn condense(matrix: &PrecedenceMatrix, members: &mut [usize], blocks: &mut Vec<usize>) {
     let k = members.len();
     let mut by_wins: Vec<(usize, usize)> = members
@@ -684,22 +585,8 @@ fn condense(matrix: &PrecedenceMatrix, members: &mut [usize], blocks: &mut Vec<u
 mod tests {
     use super::*;
     use crate::message::{ClientId, Message, MessageId};
-
-    /// Whether the kept edge between `i` and `j` points `i -> j`, in both
-    /// tournaments.
-    impl Tournament {
-        fn has_edge(&self, i: usize, j: usize) -> bool {
-            self.adj[i].contains(&j)
-        }
-    }
-
-    impl IncrementalTournament {
-        /// The maintained tournament's edge, read off the matrix it tracks.
-        fn has_edge(&self, matrix: &PrecedenceMatrix, i: usize, j: usize) -> bool {
-            debug_assert!(i != j && i < self.len() && j < self.len());
-            beats(matrix, i, j)
-        }
-    }
+    use crate::registry::DistributionRegistry;
+    use tommy_stats::distribution::OffsetDistribution;
 
     fn msgs(n: usize) -> Vec<Message> {
         (0..n)
@@ -730,52 +617,79 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn appendix_b_tournament_is_transitive() {
-        let t = Tournament::from_matrix(&appendix_b_matrix());
-        assert!(t.is_transitive());
-        assert!(!t.has_cycle());
-        assert!(t.has_edge(0, 1));
-        assert!(t.has_edge(1, 2));
-        assert!(t.has_edge(2, 3));
-        assert!(t.has_edge(0, 3));
+    /// A greedy tournament at threshold 0.75 loaded whole from `matrix`.
+    fn rebuilt(matrix: &PrecedenceMatrix) -> IncrementalTournament {
+        let mut inc = IncrementalTournament::new(0.75);
+        inc.rebuild(matrix);
+        inc
+    }
+
+    /// The maintained batch bits equal the ones derived wholesale from the
+    /// maintained order.
+    fn assert_bits_derived(inc: &IncrementalTournament, matrix: &PrecedenceMatrix) {
+        let mut derived = inc.clone();
+        derived.derive_starts(matrix);
+        assert_eq!(inc.starts, derived.starts, "batches diverged");
+    }
+
+    /// The tournament over the first `k` messages of `full`, one prefix
+    /// matrix per arrival.
+    fn prefix(full: &PrecedenceMatrix, k: usize) -> PrecedenceMatrix {
+        let probs: Vec<Vec<f64>> =
+            (0..k).map(|i| (0..k).map(|j| full.prob(i, j)).collect()).collect();
+        PrecedenceMatrix::from_probabilities(&full.messages()[..k], &probs)
     }
 
     #[test]
+    fn appendix_b_tournament_is_transitive() {
+        let m = appendix_b_matrix();
+        assert!(rebuilt(&m).is_transitive());
+        for (i, j) in [(0, 1), (1, 2), (2, 3), (0, 3)] {
+            assert!(beats(&m, i, j) && !beats(&m, j, i), "edge {i} -> {j}");
+        }
+    }
+
+    /// The transitive tournament's condensation is its Hamiltonian path:
+    /// one singleton block per message, in path order.
+    #[test]
     fn appendix_b_hamiltonian_path_is_abcd() {
-        let t = Tournament::from_matrix(&appendix_b_matrix());
-        assert_eq!(t.hamiltonian_path(), Some(vec![0, 1, 2, 3]));
+        let inc = rebuilt(&appendix_b_matrix());
+        assert_eq!(inc.order(), &[0, 1, 2, 3]);
+        assert_eq!(inc.blocks, [1, 1, 1, 1]);
     }
 
     #[test]
     fn cyclic_tournament_detected() {
-        let t = Tournament::from_matrix(&cyclic_matrix());
-        assert!(t.has_cycle());
-        assert!(!t.is_transitive());
-        assert_eq!(t.hamiltonian_path(), None);
+        let inc = rebuilt(&cyclic_matrix());
+        assert!(!inc.is_transitive());
+        assert_eq!(inc.cyclic_component_count(), 1);
     }
 
     #[test]
     fn components_isolate_the_cycle() {
-        let t = Tournament::from_matrix(&cyclic_matrix());
-        let comps = t.components_in_order();
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0], vec![0, 1, 2]); // the cycle comes first
-        assert_eq!(comps[1], vec![3]); // the universally-last message
+        let inc = rebuilt(&cyclic_matrix());
+        // The cycle comes first, then the universally-last message.
+        assert_eq!(inc.blocks, [3, 1]);
+        let mut cycle = inc.order()[..3].to_vec();
+        cycle.sort_unstable();
+        assert_eq!(cycle, [0, 1, 2]);
+        assert_eq!(inc.order()[3], 3);
     }
 
     #[test]
     fn linear_order_on_transitive_matrix_is_the_unique_path() {
-        let t = Tournament::from_matrix(&appendix_b_matrix());
-        let order = t.linear_order(&appendix_b_matrix());
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        let full = appendix_b_matrix();
+        let mut appended = IncrementalTournament::new(0.75);
+        for k in 1..=4 {
+            appended.insert_last(&prefix(&full, k));
+        }
+        assert_eq!(appended.order(), rebuilt(&full).order());
+        assert_eq!(appended.order(), &[0, 1, 2, 3]);
     }
 
     #[test]
     fn linear_order_on_cycle_is_complete_and_ends_with_loser() {
-        let m = cyclic_matrix();
-        let t = Tournament::from_matrix(&m);
-        let order = t.linear_order(&m);
+        let order = rebuilt(&cyclic_matrix()).order().to_vec();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
@@ -806,22 +720,16 @@ mod tests {
     #[test]
     fn ties_still_produce_a_tournament() {
         // All probabilities exactly 0.5: every pair still gets exactly one edge.
-        let m = matrix_from(vec![
-            vec![0.5, 0.5, 0.5],
-            vec![0.5, 0.5, 0.5],
-            vec![0.5, 0.5, 0.5],
-        ]);
-        let t = Tournament::from_matrix(&m);
-        let mut edge_count = 0;
+        let m = matrix_from(vec![vec![0.5; 3]; 3]);
         for i in 0..3 {
-            edge_count += t.adj[i].len();
+            for j in (i + 1)..3 {
+                assert_ne!(beats(&m, i, j), beats(&m, j, i), "pair ({i},{j})");
+            }
         }
-        assert_eq!(edge_count, 3); // C(3,2) edges
     }
 
-    /// On exact ties the maintained tournament keeps `from_matrix`'s rule
-    /// (the edge points from the smaller index), whether built by appends
-    /// or loaded whole.
+    /// On exact ties the edge points from the smaller index, so the order
+    /// is the index order, whether built by appends or loaded whole.
     #[test]
     fn ties_orient_towards_the_smaller_index_in_both_tournaments() {
         let tied = matrix_from(vec![vec![0.5; 4]; 4]);
@@ -829,214 +737,25 @@ mod tests {
         for k in 1..=4 {
             appended.insert_last(&prefix(&tied, k));
         }
-        let mut loaded = IncrementalTournament::new(0.75);
-        loaded.rebuild(&tied);
-        for inc in [&appended, &loaded] {
-            assert_tournaments_identical(inc, &tied);
-            assert!(inc.has_edge(&tied, 0, 3) && !inc.has_edge(&tied, 3, 0));
+        for inc in [&appended, &rebuilt(&tied)] {
             assert_eq!(inc.order(), &[0, 1, 2, 3]);
+            assert_eq!(inc.starts, [true, false, false, false]);
         }
+        assert!(beats(&tied, 0, 3) && !beats(&tied, 3, 0));
     }
 
     #[test]
     fn single_message_tournament() {
-        let m = matrix_from(vec![vec![0.5]]);
-        let t = Tournament::from_matrix(&m);
-        assert_eq!(t.len(), 1);
-        assert!(t.is_transitive());
-        assert_eq!(t.hamiltonian_path(), Some(vec![0]));
-    }
-
-    // ---- IncrementalTournament ----
-
-    use crate::registry::DistributionRegistry;
-    use tommy_stats::distribution::OffsetDistribution;
-
-    /// The incremental state must equal the one-shot pipeline: element-wise
-    /// edges, the identical linear order and its batches.
-    fn assert_tournaments_identical(inc: &IncrementalTournament, matrix: &PrecedenceMatrix) {
-        let scratch = Tournament::from_matrix(matrix);
-        assert_eq!(inc.len(), scratch.len());
-        for i in 0..matrix.len() {
-            for j in 0..matrix.len() {
-                if i == j {
-                    continue;
-                }
-                assert_eq!(
-                    inc.has_edge(matrix, i, j),
-                    scratch.has_edge(i, j),
-                    "edge ({i},{j}) diverged"
-                );
-            }
-        }
-        assert_eq!(inc.order(), scratch.linear_order(matrix), "linear order diverged");
-        assert_batches_match_one_shot(inc, matrix);
-    }
-
-    /// The maintained batches equal the one-shot constructor over the
-    /// maintained order: batches, boundary positions and the first batch.
-    fn assert_batches_match_one_shot(inc: &IncrementalTournament, matrix: &PrecedenceMatrix) {
-        let reference = FairOrder::from_linear_order(matrix, inc.order(), inc.threshold);
-        assert_eq!(inc.to_fair_order(matrix), reference, "batches diverged");
-        assert_eq!(inc.boundary_positions(), reference.boundary_positions());
-        let first: Vec<MessageId> =
-            inc.first_batch().iter().map(|&s| matrix.message(s).id).collect();
-        assert_eq!(first, reference.batches()[0].messages);
-    }
-
-    /// The tournament over the first `k` messages of `full`, one prefix
-    /// matrix per arrival.
-    fn prefix(full: &PrecedenceMatrix, k: usize) -> PrecedenceMatrix {
-        let probs: Vec<Vec<f64>> =
-            (0..k).map(|i| (0..k).map(|j| full.prob(i, j)).collect()).collect();
-        PrecedenceMatrix::from_probabilities(&full.messages()[..k], &probs)
-    }
-
-    /// Appendix B appended message by message reproduces the paper's
-    /// {A} ≺ {B, C} ≺ {D} at threshold 0.75, each append evaluating the one
-    /// adjacency it gains.
-    #[test]
-    fn appendix_b_built_by_appends_matches_one_shot() {
-        let full = appendix_b_matrix();
-        let mut inc = IncrementalTournament::new(0.75);
-        for k in 1..=4 {
-            let matrix = prefix(&full, k);
-            inc.insert_last(&matrix);
-            assert_batches_match_one_shot(&inc, &matrix);
-        }
-        assert_eq!(inc.to_fair_order(&full).num_batches(), 3);
-        assert_eq!(inc.first_batch(), &[0]);
-        let counters = inc.fair_order_counters();
-        assert_eq!(counters.boundary_evals, 3);
-        assert_eq!(counters.full_rebuilds, 0);
-    }
-
-    /// Removing B from Appendix B's order makes A and C adjacent: one seam
-    /// evaluation (p(A→C) = 0.65 ≤ 0.75 joins them), every other bit kept.
-    #[test]
-    fn removal_keeps_surviving_bits_and_reevaluates_seams() {
-        let full = appendix_b_matrix();
-        let mut inc = IncrementalTournament::new(0.75);
-        for k in 1..=4 {
-            inc.insert_last(&prefix(&full, k));
-        }
-        let mut matrix = full.clone();
-        let removal = Removal::of(4, &[1]);
-        matrix.remove_indices(&removal);
-        let before = inc.fair_order_counters().boundary_evals;
-        inc.remove_indices(&removal, &matrix);
-        assert_eq!(inc.fair_order_counters().boundary_evals, before + 1, "one seam");
-        assert_batches_match_one_shot(&inc, &matrix);
-        assert_eq!(inc.to_fair_order(&matrix).num_batches(), 2);
-        assert_eq!(inc.first_batch(), &[0, 1]);
-    }
-
-    /// An arrival landing between two messages counts the boundaries it
-    /// adds as splits and those it removes as merges.
-    #[test]
-    fn split_and_merge_counters_track_local_edits() {
-        // Two inseparable messages (p = 0.6 ≤ 0.75): one batch. A third
-        // lands *between* them (0 beats it, it beats 1) and separates both
-        // sides: one old (absent) boundary replaced by two — 2 splits.
-        let mut inc = IncrementalTournament::new(0.75);
-        inc.insert_last(&matrix_from(vec![vec![0.5]]));
-        inc.insert_last(&matrix_from(vec![vec![0.5, 0.6], vec![0.4, 0.5]]));
-        assert_eq!(inc.fair_order_counters().batch_splits, 0);
-        let split = matrix_from(vec![
-            vec![0.5, 0.6, 0.9],
-            vec![0.4, 0.5, 0.05],
-            vec![0.1, 0.95, 0.5],
-        ]);
-        inc.insert_last(&split);
-        assert_eq!(inc.order(), &[0, 2, 1]);
-        assert_eq!(inc.to_fair_order(&split).num_batches(), 3);
-        let counters = inc.fair_order_counters();
-        assert_eq!((counters.batch_splits, counters.batch_merges), (2, 0));
-        assert_batches_match_one_shot(&inc, &split);
-
-        // Two separated messages (p = 0.9): two batches. A third bridges
-        // them at p = 0.6 on both sides — 1 merge.
-        let mut inc = IncrementalTournament::new(0.75);
-        inc.insert_last(&matrix_from(vec![vec![0.5]]));
-        inc.insert_last(&matrix_from(vec![vec![0.5, 0.9], vec![0.1, 0.5]]));
-        assert_eq!(inc.fair_order_counters().batch_splits, 1);
-        let bridged = matrix_from(vec![
-            vec![0.5, 0.9, 0.6],
-            vec![0.1, 0.5, 0.4],
-            vec![0.4, 0.6, 0.5],
-        ]);
-        inc.insert_last(&bridged);
-        assert_eq!(inc.order(), &[0, 2, 1]);
-        assert_eq!(inc.to_fair_order(&bridged).num_batches(), 1);
-        let counters = inc.fair_order_counters();
-        assert_eq!((counters.batch_splits, counters.batch_merges), (1, 1));
-    }
-
-    /// A wholesale rebuild recomputes the order before it returns and derives
-    /// each of its bits once, counted as one rebuild.
-    #[test]
-    fn rebuild_derives_every_bit_once() {
-        let matrix = appendix_b_matrix();
-        let mut inc = IncrementalTournament::new(0.75);
-        for _ in 0..2 {
-            inc.rebuild(&matrix);
-            assert_batches_match_one_shot(&inc, &matrix);
-        }
-        let counters = inc.fair_order_counters();
-        assert_eq!((counters.boundary_evals, counters.full_rebuilds), (6, 2));
-        assert_eq!(inc.full_rebuilds(), 2);
+        let inc = rebuilt(&matrix_from(vec![vec![0.5]]));
+        assert_eq!(inc.len(), 1);
+        assert!(inc.is_transitive());
+        assert_eq!(inc.order(), &[0]);
     }
 
     #[test]
     #[should_panic(expected = "threshold must be in")]
     fn out_of_range_threshold_rejected() {
         IncrementalTournament::new(1.0);
-    }
-
-    #[test]
-    fn incremental_insert_builds_appendix_b_path() {
-        let full = appendix_b_matrix();
-        let reference = full.messages().to_vec();
-        let pairwise: Vec<Vec<f64>> = (0..4)
-            .map(|i| (0..4).map(|j| full.prob(i, j)).collect())
-            .collect();
-        let mut inc = IncrementalTournament::new(0.75);
-        for k in 1..=4usize {
-            let prefix: Vec<Vec<f64>> = (0..k)
-                .map(|i| (0..k).map(|j| pairwise[i][j]).collect())
-                .collect();
-            let matrix = PrecedenceMatrix::from_probabilities(&reference[..k], &prefix);
-            inc.insert_last(&matrix);
-            assert_tournaments_identical(&inc, &matrix);
-        }
-        assert!(inc.is_transitive());
-        assert_eq!(inc.full_rebuilds(), 0, "transitive stream must never rebuild");
-        assert_eq!(inc.comparisons(), 6); // 0 + 1 + 2 + 3 new edges
-    }
-
-    #[test]
-    fn incremental_cycle_repairs_locally_without_rebuilds() {
-        let full = cyclic_matrix();
-        let reference = full.messages().to_vec();
-        let pairwise: Vec<Vec<f64>> = (0..4)
-            .map(|i| (0..4).map(|j| full.prob(i, j)).collect())
-            .collect();
-        let mut inc = IncrementalTournament::new(0.75);
-        for k in 1..=4usize {
-            let prefix: Vec<Vec<f64>> = (0..k)
-                .map(|i| (0..k).map(|j| pairwise[i][j]).collect())
-                .collect();
-            let matrix = PrecedenceMatrix::from_probabilities(&reference[..k], &prefix);
-            inc.insert_last(&matrix);
-            assert_tournaments_identical(&inc, &matrix);
-        }
-        assert!(!inc.is_transitive());
-        assert_eq!(inc.cyclic_component_count(), 1);
-        // The 0-1-2 cycle closes at the third insert — one SCC-scoped local
-        // repair; the fourth insert (a universal loser) slots in cleanly
-        // after the cyclic block. No full rebuild anywhere.
-        assert_eq!(inc.full_rebuilds(), 0);
-        assert_eq!(inc.local_repairs(), 1);
     }
 
     /// Under stochastic breaking a cyclic arrival is still repaired
@@ -1059,7 +778,7 @@ mod tests {
             let matrix = prefix(&full, k);
             for inc in &mut twins {
                 inc.insert_last(&matrix);
-                assert_batches_match_one_shot(inc, &matrix);
+                assert_bits_derived(inc, &matrix);
             }
             assert_eq!(twins[0].order(), twins[1].order(), "{k} arrivals");
             if k == 3 {
@@ -1072,174 +791,11 @@ mod tests {
         matrix.remove_indices(&removal);
         for inc in &mut twins {
             inc.remove_indices(&removal, &matrix);
-            assert_batches_match_one_shot(inc, &matrix);
+            assert_bits_derived(inc, &matrix);
         }
         assert_eq!(twins[0].order(), twins[1].order(), "after the removal");
         assert_eq!((twins[0].local_repairs(), twins[0].full_rebuilds()), (3, 0));
         assert_eq!(twins[0].cyclic_component_count(), 1);
-    }
-
-    #[test]
-    fn incremental_removal_from_transitive_state_is_free() {
-        let reg = {
-            let mut reg = DistributionRegistry::new();
-            for c in 0..4u32 {
-                reg.register(ClientId(c), OffsetDistribution::gaussian(0.0, 5.0));
-            }
-            reg
-        };
-        let mut matrix = PrecedenceMatrix::empty();
-        let mut inc = IncrementalTournament::new(0.75);
-        for i in 0..8u64 {
-            matrix
-                .insert(
-                    Message::new(MessageId(i), ClientId((i % 4) as u32), i as f64 * 3.0),
-                    &reg,
-                )
-                .unwrap();
-            inc.insert_last(&matrix);
-        }
-        // Remove an interior batch.
-        let removed_ids = [MessageId(2), MessageId(3), MessageId(5)];
-        let removed_indices: Vec<usize> = removed_ids
-            .iter()
-            .map(|id| matrix.index_of(*id).unwrap())
-            .collect();
-        let removal = Removal::of(matrix.len(), &removed_indices);
-        matrix.remove_indices(&removal);
-        inc.remove_indices(&removal, &matrix);
-        assert_tournaments_identical(&inc, &matrix);
-        assert_eq!(inc.full_rebuilds(), 0);
-    }
-
-    /// Seeded randomized property test — after *any* insert/remove sequence
-    /// the incremental tournament equals `Tournament::from_matrix` on the
-    /// same matrix (element-wise edges + identical `linear_order`),
-    /// mirroring the `PrecedenceMatrix` equality test. Gaussian + Laplace clients exercise both the
-    /// closed-form and numeric probability paths.
-    #[test]
-    fn random_insert_remove_sequences_match_from_matrix() {
-        use rand::Rng;
-
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut reg = DistributionRegistry::new();
-            for c in 0..4u32 {
-                let dist = if c % 2 == 0 {
-                    OffsetDistribution::gaussian(0.0, 1.0 + c as f64)
-                } else {
-                    OffsetDistribution::laplace(0.0, 1.0 + c as f64)
-                };
-                reg.register(ClientId(c), dist);
-            }
-            let mut matrix = PrecedenceMatrix::empty();
-            let mut inc = IncrementalTournament::new(0.75);
-            let mut next_id = 0u64;
-            for _ in 0..30 {
-                let remove = !matrix.is_empty() && rng.random_range(0u32..4) == 0;
-                if remove {
-                    let count = rng.random_range(1usize..=matrix.len());
-                    let mut indices: Vec<usize> = (0..matrix.len()).collect();
-                    for _ in 0..(matrix.len() - count) {
-                        let k = rng.random_range(0usize..indices.len());
-                        indices.remove(k);
-                    }
-                    let removal = Removal::of(matrix.len(), &indices);
-                    matrix.remove_indices(&removal);
-                    inc.remove_indices(&removal, &matrix);
-                } else {
-                    let m = Message::new(
-                        MessageId(next_id),
-                        ClientId(rng.random_range(0u32..4)),
-                        rng.random_range(-100.0..100.0f64),
-                    );
-                    next_id += 1;
-                    matrix.insert(m, &reg).unwrap();
-                    inc.insert_last(&matrix);
-                }
-                if matrix.is_empty() {
-                    assert!(inc.is_empty());
-                } else {
-                    assert_tournaments_identical(&inc, &matrix);
-                }
-            }
-        }
-    }
-
-    /// Same property over *explicit* random probability matrices, which —
-    /// unlike Gaussian offsets — produce intransitive triples, exercising
-    /// the local repairs and removal from a cyclic state.
-    #[test]
-    #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
-    fn random_probability_matrices_match_from_matrix_including_cycles() {
-        use rand::Rng;
-
-        const POOL: usize = 24;
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(1_000 + seed);
-            // A fixed random probability relation over a pool of messages.
-            let mut pairwise = vec![vec![0.5; POOL]; POOL];
-            for i in 0..POOL {
-                for j in (i + 1)..POOL {
-                    let p = rng.random_range(0.05..0.95f64);
-                    pairwise[i][j] = p;
-                    pairwise[j][i] = 1.0 - p;
-                }
-            }
-            let pool_msgs = msgs(POOL);
-
-            let rebuild_matrix = |pending: &[usize]| -> PrecedenceMatrix {
-                let messages: Vec<Message> =
-                    pending.iter().map(|&g| pool_msgs[g].clone()).collect();
-                let probs: Vec<Vec<f64>> = pending
-                    .iter()
-                    .map(|&gi| pending.iter().map(|&gj| pairwise[gi][gj]).collect())
-                    .collect();
-                PrecedenceMatrix::from_probabilities(&messages, &probs)
-            };
-
-            let mut pending: Vec<usize> = Vec::new();
-            let mut inc = IncrementalTournament::new(0.75);
-            let mut next = 0usize;
-            let mut saw_cycle = false;
-            for _ in 0..40 {
-                let remove = !pending.is_empty() && rng.random_range(0u32..3) == 0;
-                if remove {
-                    let count = rng.random_range(1usize..=pending.len());
-                    let mut positions: Vec<usize> = (0..pending.len()).collect();
-                    for _ in 0..(pending.len() - count) {
-                        let k = rng.random_range(0usize..positions.len());
-                        positions.remove(k);
-                    }
-                    let removal = Removal::of(pending.len(), &positions);
-                    for &p in positions.iter().rev() {
-                        pending.remove(p);
-                    }
-                    if pending.is_empty() {
-                        inc.remove_indices(&removal, &PrecedenceMatrix::empty());
-                    } else {
-                        inc.remove_indices(&removal, &rebuild_matrix(&pending));
-                    }
-                } else if next < POOL {
-                    pending.push(next);
-                    next += 1;
-                    inc.insert_last(&rebuild_matrix(&pending));
-                } else {
-                    continue;
-                }
-                if pending.is_empty() {
-                    assert!(inc.is_empty());
-                } else {
-                    let matrix = rebuild_matrix(&pending);
-                    assert_tournaments_identical(&inc, &matrix);
-                    saw_cycle |= !inc.is_transitive();
-                }
-            }
-            assert!(saw_cycle, "seed {seed}: random relation never cycled");
-            // Cycle events are repaired locally, never recomputed wholesale.
-            assert_eq!(inc.full_rebuilds(), 0, "seed {seed}");
-            assert!(inc.local_repairs() > 0, "seed {seed}");
-        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::prelude::*;
+use tommy_contract::reference;
 
 const CASES: u64 = 64;
 
@@ -183,7 +184,7 @@ fn batch_boundaries_are_monotone_in_threshold() {
         for (tournament, &threshold) in tournaments.iter().zip(&THRESHOLDS) {
             // One-shot and incremental agree on the order and its boundaries.
             assert_eq!(tournament.order(), order, "seed {seed}: orders diverged");
-            let one_shot = FairOrder::from_linear_order(&matrix, &order, threshold);
+            let one_shot = reference::fair_order(&matrix, &order, threshold);
             let one_shot_bounds = one_shot.boundary_positions();
             assert_eq!(
                 tournament.boundary_positions(),
