@@ -758,6 +758,45 @@ mod tests {
         IncrementalTournament::new(1.0);
     }
 
+    /// Appendix B appended message by message keeps the order and batches
+    /// of the same prefix loaded whole, ending at the paper's
+    /// {A} ≺ {B, C} ≺ {D} at threshold 0.75; each append evaluates the one
+    /// adjacency it gains.
+    #[test]
+    fn appendix_b_built_by_appends_matches_one_shot() {
+        let full = appendix_b_matrix();
+        let mut inc = IncrementalTournament::new(0.75);
+        for k in 1..=4 {
+            let matrix = prefix(&full, k);
+            inc.insert_last(&matrix);
+            let whole = rebuilt(&matrix);
+            assert_eq!(inc.order(), whole.order(), "{k} arrivals");
+            assert_eq!(inc.starts, whole.starts, "{k} arrivals");
+            assert_bits_derived(&inc, &matrix);
+        }
+        assert_eq!(inc.to_fair_order(&full).num_batches(), 3);
+        assert_eq!(inc.first_batch(), &[0]);
+        let counters = inc.fair_order_counters();
+        assert_eq!(counters.boundary_evals, 3);
+        assert_eq!(counters.full_rebuilds, 0);
+    }
+
+    /// Each Appendix B prefix appended is the path A ≺ B ≺ … of its
+    /// messages, decided by one comparison per new edge and no rebuild.
+    #[test]
+    fn incremental_insert_builds_appendix_b_path() {
+        let full = appendix_b_matrix();
+        let mut inc = IncrementalTournament::new(0.75);
+        for k in 1..=4usize {
+            inc.insert_last(&prefix(&full, k));
+            assert_eq!(inc.order(), (0..k).collect::<Vec<_>>());
+            assert_eq!(inc.blocks, vec![1; k]);
+        }
+        assert!(inc.is_transitive());
+        assert_eq!(inc.full_rebuilds(), 0, "transitive stream must never rebuild");
+        assert_eq!(inc.comparisons(), 6); // 0 + 1 + 2 + 3 new edges
+    }
+
     /// Under stochastic breaking a cyclic arrival is still repaired
     /// locally, and the draws are a function of the seed: two tournaments
     /// seeded alike keep identical orders through one insert/remove
@@ -796,6 +835,84 @@ mod tests {
         assert_eq!(twins[0].order(), twins[1].order(), "after the removal");
         assert_eq!((twins[0].local_repairs(), twins[0].full_rebuilds()), (3, 0));
         assert_eq!(twins[0].cyclic_component_count(), 1);
+    }
+
+    /// Over explicit random probability relations, which — unlike Gaussian
+    /// offsets — produce intransitive triples, through random insert/remove
+    /// sequences: every state keeps the order and batches of the same
+    /// matrix loaded whole, its bits a walk of its order. Cycle events are
+    /// repaired locally, never recomputed wholesale.
+    #[test]
+    #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
+    fn random_probability_matrices_match_from_matrix_including_cycles() {
+        use rand::Rng;
+
+        const POOL: usize = 24;
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(1_000 + seed);
+            // A fixed random probability relation over a pool of messages.
+            let mut pairwise = vec![vec![0.5; POOL]; POOL];
+            for i in 0..POOL {
+                for j in (i + 1)..POOL {
+                    let p = rng.random_range(0.05..0.95f64);
+                    pairwise[i][j] = p;
+                    pairwise[j][i] = 1.0 - p;
+                }
+            }
+            let pool_msgs = msgs(POOL);
+            let matrix_over = |pending: &[usize]| -> PrecedenceMatrix {
+                if pending.is_empty() {
+                    return PrecedenceMatrix::empty();
+                }
+                let messages: Vec<Message> =
+                    pending.iter().map(|&g| pool_msgs[g].clone()).collect();
+                let probs: Vec<Vec<f64>> = pending
+                    .iter()
+                    .map(|&gi| pending.iter().map(|&gj| pairwise[gi][gj]).collect())
+                    .collect();
+                PrecedenceMatrix::from_probabilities(&messages, &probs)
+            };
+
+            let mut pending: Vec<usize> = Vec::new();
+            let mut inc = IncrementalTournament::new(0.75);
+            let mut next = 0usize;
+            let mut saw_cycle = false;
+            for _ in 0..40 {
+                let remove = !pending.is_empty() && rng.random_range(0u32..3) == 0;
+                if remove {
+                    let count = rng.random_range(1usize..=pending.len());
+                    let mut positions: Vec<usize> = (0..pending.len()).collect();
+                    for _ in 0..(pending.len() - count) {
+                        let k = rng.random_range(0usize..positions.len());
+                        positions.remove(k);
+                    }
+                    let removal = Removal::of(pending.len(), &positions);
+                    for &p in positions.iter().rev() {
+                        pending.remove(p);
+                    }
+                    inc.remove_indices(&removal, &matrix_over(&pending));
+                } else if next < POOL {
+                    pending.push(next);
+                    next += 1;
+                    inc.insert_last(&matrix_over(&pending));
+                } else {
+                    continue;
+                }
+                if pending.is_empty() {
+                    assert!(inc.is_empty());
+                    continue;
+                }
+                let matrix = matrix_over(&pending);
+                let whole = rebuilt(&matrix);
+                assert_eq!(inc.order(), whole.order(), "seed {seed}: linear order diverged");
+                assert_eq!(inc.starts, whole.starts, "seed {seed}: batches diverged");
+                assert_bits_derived(&inc, &matrix);
+                saw_cycle |= !inc.is_transitive();
+            }
+            assert!(saw_cycle, "seed {seed}: random relation never cycled");
+            assert_eq!(inc.full_rebuilds(), 0, "seed {seed}");
+            assert!(inc.local_repairs() > 0, "seed {seed}");
+        }
     }
 
     #[test]

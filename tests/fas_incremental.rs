@@ -103,9 +103,6 @@ fn appendix_b_built_by_appends_matches_one_shot() {
     let counters = inc.fair_order_counters();
     assert_eq!(counters.boundary_evals, 3);
     assert_eq!(counters.full_rebuilds, 0);
-    assert!(inc.is_transitive());
-    assert_eq!(inc.full_rebuilds(), 0, "transitive stream must never rebuild");
-    assert_eq!(inc.comparisons(), 6); // 0 + 1 + 2 + 3 new edges
 }
 
 /// Removing B from Appendix B's order makes A and C adjacent: one seam
@@ -342,8 +339,8 @@ fn random_insert_remove_sequences_match_from_matrix() {
 #[test]
 #[allow(clippy::needless_range_loop)] // symmetric (i, j) matrix fill
 fn incremental_fas_matches_exhaustive_feedback_arc_cost() {
-    const POOL: usize = 24;
-    for seed in 0..22u64 {
+    const POOL: usize = 22;
+    for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(9_000 + seed);
         let mut pairwise = vec![vec![0.5; POOL]; POOL];
         for i in 0..POOL {
