@@ -18,8 +18,8 @@
 //!   release, bounded duplicate tracking, liveness, offline identity.
 //! * [`reference`](mod@reference) — the one-shot §3.4 references: a
 //!   tournament's linear order through adjacency lists and Tarjan's
-//!   components, the batches of a linear order, and the probability mass an
-//!   order discards.
+//!   components, the batches of a linear order, the probability mass an
+//!   order discards, and the per-member safe emission times of §3.5.
 //! * [`testkit`] — the scaffolding the integration suites share: census
 //!   builders, honest-stream drivers and the small-model spec.
 

@@ -80,7 +80,6 @@ pub mod config;
 pub mod defense;
 pub mod error;
 pub mod graph;
-pub(crate) mod grid;
 pub mod message;
 pub mod precedence;
 pub mod registry;

@@ -5,33 +5,54 @@
 //! representation of those probabilities for one set of messages, built from
 //! the per-client distributions in a [`DistributionRegistry`].
 //!
+//! ## One float per pair
+//!
+//! The two directions of a pair are one number, `p(m_j ≺ m_i) =
+//! 1 − p(m_i ≺ m_j)` (§3.2), so the matrix stores `p(m_i ≺ m_j)` once for
+//! each `i < j`, packed column by column: column `j` holds the pairs of
+//! `m_j` with every earlier message and starts at `j(j − 1)/2`.
+//! [`prob`](PrecedenceMatrix::prob) is the one read path: the stored float
+//! above the diagonal, `1.0 −` it below, `0.5` on it. The layout is known
+//! to this module alone.
+//!
 //! ## One build
 //!
 //! Every probability the matrix stores comes from the arrival column of
 //! [`insert`](PrecedenceMatrix::insert): each message's registry slot is
 //! kept beside it, and the arrival's column is one flat loop
-//! `column[j] = p(m_j ≺ new)` at `dt = t_j − t_new` into a reused buffer,
-//! each probability an indexed read through the registry's per-pair body.
-//! The one-shot [`compute`](PrecedenceMatrix::compute) is a loop of those
-//! inserts into a grid sized exactly `n × n`, so each cell `i < j` is
-//! evaluated in the `(m_i, m_j)` orientation by either build, and the
-//! stored floats are bit-identical to the per-call
+//! `p(m_j ≺ new)` at `dt = t_j − t_new`, appended in place, each
+//! probability an indexed read through the registry's per-pair body. The
+//! one-shot [`compute`](PrecedenceMatrix::compute) is a loop of those
+//! inserts into a store reserved at exactly `n(n − 1)/2` cells, so each cell
+//! `i < j` is evaluated in the `(m_i, m_j)` orientation by either build, and
+//! the stored floats are bit-identical to the per-call
 //! [`preceding_probability`](DistributionRegistry::preceding_probability)
 //! (same formulas, same clamping). Both builds run the registry's admission
 //! rule first (finite timestamps, registered clients, fresh ids), after
 //! which no cell can fail: no kernel returns NaN.
+//!
+//! A removal compacts the survivors' columns forward in place. The
+//! [`IncrementalTournament`](crate::tournament::IncrementalTournament) reads
+//! its edges off [`prob`](PrecedenceMatrix::prob) and follows a removal
+//! through the same [`Removal`] remap, renumbering its order.
 
 use crate::error::CoreError;
-pub use crate::grid::Removal;
 use crate::message::{Message, MessageId};
 use crate::registry::{ClientSlot, DistributionRegistry};
+use std::cmp::Ordering;
 use std::collections::HashSet;
+
+/// Where column `j` of the packed store starts: the `j(j − 1)/2` pairs among
+/// the messages before it.
+fn column_start(j: usize) -> usize {
+    j * j.saturating_sub(1) / 2
+}
 
 /// Dense matrix of preceding probabilities for a fixed set of messages.
 ///
 /// `prob(i, j)` is `P(message i truly precedes message j)`; by construction
-/// `prob(i, j) + prob(j, i) = 1` (up to numeric noise, which is symmetrized
-/// away at build time) and `prob(i, i) = 0.5`.
+/// `prob(i, j) + prob(j, i) = 1` (one float is stored per pair) and
+/// `prob(i, i) = 0.5`.
 #[derive(Debug, Clone)]
 pub struct PrecedenceMatrix {
     messages: Vec<Message>,
@@ -40,13 +61,8 @@ pub struct PrecedenceMatrix {
     /// it). Empty for a matrix of explicit probabilities, which has no
     /// registry behind it and takes no arrivals.
     slots: Vec<ClientSlot>,
+    /// `p(m_i ≺ m_j)` for each `i < j`, column `j` at `column_start(j)`.
     probs: Vec<f64>,
-    /// Row stride of `probs`. At least `messages.len()`; kept larger than the
-    /// live dimension (geometric growth) so incremental inserts amortize to
-    /// O(n) instead of re-laying-out the whole O(n²) buffer per arrival.
-    stride: usize,
-    /// The arrival column's buffer, reused across inserts.
-    column: Vec<f64>,
 }
 
 impl PrecedenceMatrix {
@@ -61,15 +77,7 @@ impl PrecedenceMatrix {
             messages: Vec::new(),
             slots: Vec::new(),
             probs: Vec::new(),
-            stride: 0,
-            column: Vec::new(),
         }
-    }
-
-    /// Grow the backing buffer so it can hold at least `cap` rows/columns,
-    /// doubling the stride so growth cost amortizes to O(n) per insert.
-    fn grow_to(&mut self, cap: usize) {
-        crate::grid::grow_square(&mut self.probs, &mut self.stride, self.messages.len(), cap, 0.5);
     }
 
     /// Insert one message, growing the matrix by one row and one column.
@@ -79,9 +87,9 @@ impl PrecedenceMatrix {
     /// as [`compute`](Self::compute) would with the new message appended) —
     /// O(n) probability queries instead of the O(n²) a from-scratch rebuild
     /// costs, with one client hash for the arrival and none per pending
-    /// message. The dense storage keeps spare capacity (geometric stride
-    /// growth), so the per-insert copy cost is amortized O(n) too: an arrival
-    /// has no O(n²) component at all.
+    /// message. The column is appended to the packed store, whose geometric
+    /// growth amortizes the copy to O(n) too: an arrival has no O(n²)
+    /// component at all.
     ///
     /// Returns the new message's index.
     ///
@@ -121,23 +129,11 @@ impl PrecedenceMatrix {
     ) -> usize {
         let n = self.messages.len();
         assert_eq!(self.slots.len(), n, "a matrix of explicit probabilities takes no arrivals");
-        // `column[j] = P(m_j precedes new)`.
-        let mut column = std::mem::take(&mut self.column);
-        column.clear();
+        // Column `n`: `P(m_j precedes new)` for each earlier `m_j`.
         let pending = self.messages.iter().zip(&self.slots).map(|(m, &s)| (s, m.timestamp));
-        registry.preceding_column(pending, slot, message.timestamp, &mut column);
-
-        self.grow_to(n + 1);
-        let s = self.stride;
-        for (j, &p) in column.iter().enumerate() {
-            self.probs[j * s + n] = p;
-            self.probs[n * s + j] = 1.0 - p;
-        }
-        // The new diagonal cell may hold a stale value from a removed row.
-        self.probs[n * s + n] = 0.5;
+        registry.preceding_column(pending, slot, message.timestamp, &mut self.probs);
         self.slots.push(slot);
         self.messages.push(message);
-        self.column = column;
         n
     }
 
@@ -153,17 +149,29 @@ impl PrecedenceMatrix {
     /// over the surviving messages.
     pub fn remove_indices(&mut self, removal: &Removal) {
         assert_eq!(removal.len(), self.messages.len(), "remap of another index space");
-        crate::grid::compact_square(&mut self.probs, self.stride, removal.kept());
+        // One forward pass over the kept columns. A cell's destination
+        // offset is at most its source offset, and every source still to be
+        // read lies beyond both, so the pass compacts in place.
+        let kept = removal.kept();
+        let mut to = 0;
+        for (b, &j) in kept.iter().enumerate() {
+            let from = column_start(j);
+            for &i in &kept[..b] {
+                self.probs[to] = self.probs[from + i];
+                to += 1;
+            }
+        }
+        self.probs.truncate(to);
         removal.retain(&mut self.messages);
         removal.retain(&mut self.slots);
     }
 
     /// Compute the full matrix for `messages` using the distributions in
     /// `registry`: one [`insert`](Self::insert) per message, in slice order,
-    /// into a grid reserved at exactly `n × n`. Every pair `(i, j)` with
-    /// `i < j` is evaluated in that orientation, so the stored floats (and
-    /// the registry query count) are exactly the ones a per-call build
-    /// produces.
+    /// into a store reserved at exactly `n(n − 1)/2` cells. Every pair
+    /// `(i, j)` with `i < j` is evaluated in that orientation, so the stored
+    /// floats (and the registry query count) are exactly the ones a per-call
+    /// build produces.
     ///
     /// # Errors
     ///
@@ -189,13 +197,11 @@ impl PrecedenceMatrix {
         registry: &DistributionRegistry,
     ) -> Self {
         let n = messages.len();
-        // Sized to the window, so no insert grows the stride.
+        // Sized to the window, so no insert grows the store.
         let mut matrix = PrecedenceMatrix {
             messages: Vec::with_capacity(n),
             slots: Vec::with_capacity(n),
-            probs: vec![0.5; n * n],
-            stride: n,
-            column: Vec::with_capacity(n),
+            probs: Vec::with_capacity(column_start(n)),
         };
         for (message, &slot) in messages.iter().zip(slots) {
             matrix.insert_admitted(message.clone(), slot, registry);
@@ -207,12 +213,14 @@ impl PrecedenceMatrix {
     /// tests and by the Appendix B worked example, where the paper gives the
     /// matrix directly instead of deriving it from distributions.
     ///
-    /// `pairwise[i][j]` must hold `P(i precedes j)` for `i != j`.
+    /// `pairwise[i][j]` must hold `P(i precedes j)` for `i != j`; the matrix
+    /// stores the cells above the diagonal.
     ///
     /// # Panics
     ///
-    /// Panics if dimensions are inconsistent or probabilities are outside
-    /// `[0, 1]`.
+    /// Panics if dimensions are inconsistent, probabilities are outside
+    /// `[0, 1]`, or a pair's two directions do not sum to 1 (within
+    /// `1e-12`).
     pub fn from_probabilities(messages: &[Message], pairwise: &[Vec<f64>]) -> Self {
         let n = messages.len();
         assert!(n > 0, "need at least one message");
@@ -221,25 +229,22 @@ impl PrecedenceMatrix {
         for m in messages {
             assert!(ids.insert(m.id), "duplicate message id {}", m.id);
         }
-        let mut probs = vec![0.5; n * n];
-        for i in 0..n {
-            assert_eq!(pairwise[i].len(), n, "matrix column count mismatch");
-            for j in 0..n {
-                if i == j {
-                    continue;
+        for row in pairwise {
+            assert_eq!(row.len(), n, "matrix column count mismatch");
+        }
+        let mut probs = Vec::with_capacity(column_start(n));
+        for (j, row_j) in pairwise.iter().enumerate() {
+            for (i, row_i) in pairwise[..j].iter().enumerate() {
+                let (p, q) = (row_i[j], row_j[i]);
+                for x in [p, q] {
+                    assert!((0.0..=1.0).contains(&x), "probability {x} out of range");
                 }
-                let p = pairwise[i][j];
-                assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-                probs[i * n + j] = p;
+                let sum = p + q;
+                assert!((sum - 1.0).abs() <= 1e-12, "p({i}, {j}) + p({j}, {i}) = {sum}, not 1");
+                probs.push(p);
             }
         }
-        PrecedenceMatrix {
-            messages: messages.to_vec(),
-            slots: Vec::new(),
-            probs,
-            stride: n,
-            column: Vec::new(),
-        }
+        PrecedenceMatrix { messages: messages.to_vec(), slots: Vec::new(), probs }
     }
 
     /// Number of messages.
@@ -247,8 +252,9 @@ impl PrecedenceMatrix {
         self.messages.len()
     }
 
-    /// Bytes currently reserved for the dense probability grid
-    /// (`capacity × 8`). This is the O(n²) term the sparse fast path
+    /// Bytes currently reserved for the packed probabilities
+    /// (`capacity × 8`: one float per pair, so 0 for a matrix that has
+    /// never held a pair). This is the O(n²) term the sparse fast path
     /// avoids; the online sequencer samples it into
     /// `OnlineStats::peak_matrix_bytes` after every mutation.
     pub fn prob_bytes(&self) -> usize {
@@ -281,10 +287,15 @@ impl PrecedenceMatrix {
         self.messages.iter().position(|m| m.id == id)
     }
 
-    /// `P(message at index i precedes message at index j)`.
+    /// `P(message at index i precedes message at index j)`: the stored
+    /// float for `i < j`, its complement for `i > j`, `0.5` for `i == j`.
     pub fn prob(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.messages.len() && j < self.messages.len());
-        self.probs[i * self.stride + j]
+        match i.cmp(&j) {
+            Ordering::Less => self.probs[column_start(j) + i],
+            Ordering::Greater => 1.0 - self.probs[column_start(i) + j],
+            Ordering::Equal => 0.5,
+        }
     }
 
     /// The fraction of unordered pairs whose higher-direction probability
@@ -308,6 +319,67 @@ impl PrecedenceMatrix {
             }
         }
         confident as f64 / total as f64
+    }
+}
+
+/// The index remap of one removal from a dense `0..n` index space: which
+/// pre-removal indices survive and where each lands. The matrix compacts
+/// its columns and the tournament (with its order's batch bits) renumbers in lockstep,
+/// so an emission computes this once (the engine keeps one value and
+/// recomputes it in place) and hands it to both.
+#[derive(Debug, Clone, Default)]
+pub struct Removal {
+    /// Surviving pre-removal indices, ascending.
+    kept: Vec<usize>,
+    /// Pre-removal index → post-removal index (`None`: removed).
+    new_index: Vec<Option<usize>>,
+}
+
+impl Removal {
+    /// The remap of dropping `removed` (any order, repeats allowed) from
+    /// `0..n`. Panics if an index is out of range.
+    pub fn of(n: usize, removed: &[usize]) -> Self {
+        let mut removal = Removal::default();
+        removal.set(n, removed);
+        removal
+    }
+
+    /// [`of`](Self::of), recomputed in place.
+    pub(crate) fn set(&mut self, n: usize, removed: &[usize]) {
+        self.new_index.clear();
+        self.new_index.resize(n, Some(0));
+        for &i in removed {
+            assert!(i < n, "removed index {i} out of range for {n} entries");
+            self.new_index[i] = None;
+        }
+        self.kept.clear();
+        for (i, slot) in self.new_index.iter_mut().enumerate() {
+            if slot.is_some() {
+                *slot = Some(self.kept.len());
+                self.kept.push(i);
+            }
+        }
+    }
+
+    /// Surviving pre-removal indices, ascending.
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Size of the pre-removal index space.
+    pub(crate) fn len(&self) -> usize {
+        self.new_index.len()
+    }
+
+    /// Where pre-removal index `i` lands (`None`: removed).
+    pub(crate) fn new_index(&self, i: usize) -> Option<usize> {
+        self.new_index[i]
+    }
+
+    /// Drop the removed entries of a per-index side table, in place.
+    pub(crate) fn retain<T>(&self, entries: &mut Vec<T>) {
+        let mut survives = self.new_index.iter();
+        entries.retain(|_| survives.next().is_some_and(Option::is_some));
     }
 }
 
@@ -438,6 +510,19 @@ mod tests {
         // The failed inserts left the matrix untouched.
         assert_eq!(inc.len(), 1);
         assert_eq!(inc.index_of(MessageId(0)), Some(0));
+    }
+
+    #[test]
+    fn removal_maps_survivors_in_order() {
+        let mut removal = Removal::of(5, &[3, 1, 3]);
+        assert_eq!(removal.kept(), &[0, 2, 4]);
+        assert_eq!(removal.new_index(1), None);
+        assert_eq!(removal.new_index(4), Some(2));
+        let mut side = vec!['a', 'b', 'c', 'd', 'e'];
+        removal.retain(&mut side);
+        assert_eq!(side, vec!['a', 'c', 'e']);
+        removal.set(2, &[]);
+        assert_eq!(removal.kept(), &[0, 1]);
     }
 
     #[test]
@@ -575,21 +660,21 @@ mod tests {
         }
     }
 
-    /// A one-shot matrix reserves exactly `n × n` cells: its column inserts
-    /// must not inherit the incremental path's power-of-two stride (at
-    /// n = 3000 that is 4096², 134 MB instead of 72 MB, sampled into
-    /// `peak_matrix_bytes` on every dense re-derivation). The first arrival
-    /// after it grows the stride as any insert does.
+    /// A one-shot matrix reserves exactly `n(n − 1)/2` cells, one per pair
+    /// (at n = 3000 that is 36 MB, sampled into `peak_matrix_bytes` on every
+    /// dense re-derivation). The first arrival after it grows the store as
+    /// any insert does.
     #[test]
-    fn compute_reserves_exactly_n_by_n_cells() {
+    fn compute_reserves_exactly_one_cell_per_pair() {
         let reg = registry(2.0, 3);
         for n in [1usize, 2, 3, 5, 17, 100] {
             let msgs: Vec<Message> =
                 (0..n).map(|i| msg(i as u64, (i % 3) as u32, i as f64)).collect();
             let mut m = PrecedenceMatrix::compute(&msgs, &reg).unwrap();
-            assert_eq!(m.prob_bytes(), n * n * 8, "n = {n}");
+            let cells = n * (n - 1) / 2;
+            assert_eq!(m.prob_bytes(), cells * 8, "n = {n}");
             m.insert(msg(n as u64, 0, n as f64), &reg).unwrap();
-            assert!(m.prob_bytes() > n * n * 8, "n = {n}: the arrival grows it");
+            assert!(m.prob_bytes() > cells * 8, "n = {n}: the arrival grows it");
         }
     }
 
@@ -624,7 +709,9 @@ mod tests {
         let m = PrecedenceMatrix::from_probabilities(&msgs, &pairwise);
         assert_eq!(m.prob(0, 1), 0.85);
         assert_eq!(m.prob(2, 3), 0.80);
-        assert_eq!(m.prob(3, 0), 0.08);
+        // The lower cell is read as the upper one's complement.
+        assert_eq!(m.prob(3, 0), 1.0 - 0.92);
+        assert_eq!(m.prob(3, 3), 0.5);
     }
 
     #[test]
@@ -632,6 +719,16 @@ mod tests {
     fn from_probabilities_rejects_bad_values() {
         let msgs = vec![msg(0, 0, 0.0), msg(1, 1, 0.0)];
         let pairwise = vec![vec![0.5, 1.5], vec![-0.5, 0.5]];
+        PrecedenceMatrix::from_probabilities(&msgs, &pairwise);
+    }
+
+    /// The matrix stores one float per pair, so the two directions given
+    /// must be one number.
+    #[test]
+    #[should_panic(expected = "not 1")]
+    fn from_probabilities_rejects_a_non_complementary_pair() {
+        let msgs = vec![msg(0, 0, 0.0), msg(1, 1, 0.0)];
+        let pairwise = vec![vec![0.5, 0.7], vec![0.4, 0.5]];
         PrecedenceMatrix::from_probabilities(&msgs, &pairwise);
     }
 }

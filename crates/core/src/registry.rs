@@ -495,10 +495,10 @@ impl DistributionRegistry {
     /// The per-pair body over one arrival's matrix column: for each pending
     /// `(slot, timestamp)`, push `p(pending ≺ arrival)` at
     /// `dt = timestamp − t_arrival` onto `out`, as indexed reads, and count
-    /// them. The difference table's read lock is taken at the column's
-    /// first pair without a closed form and held across the column,
-    /// released only to build a grid on its first use: no `Arc` refcount
-    /// per pending message.
+    /// the cells pushed (not what `out` held before). The difference
+    /// table's read lock is taken at the column's first pair without a
+    /// closed form and held across the column, released only to build a
+    /// grid on its first use: no `Arc` refcount per pending message.
     pub(crate) fn preceding_column(
         &self,
         pending: impl Iterator<Item = (ClientSlot, f64)>,
@@ -506,6 +506,7 @@ impl DistributionRegistry {
         t_arrival: f64,
         out: &mut Vec<f64>,
     ) {
+        let start = out.len();
         let mut table = None;
         for (slot, timestamp) in pending {
             let dt = timestamp - t_arrival;
@@ -520,7 +521,7 @@ impl DistributionRegistry {
                 cell.expect("built above").grid.tail(dt)
             }));
         }
-        self.record_queries(out.len() as u64);
+        self.record_queries((out.len() - start) as u64);
     }
 
     /// Account `n` pairwise queries answered outside
@@ -548,8 +549,8 @@ impl DistributionRegistry {
     ///
     /// # Panics
     ///
-    /// Panics unless `0.5 < p_safe < 1.0`, matching
-    /// [`safe_emission_time`](crate::sequencer::emission::safe_emission_time).
+    /// Panics unless `0.5 < p_safe < 1.0`, matching the test rig's
+    /// per-member reference, `tommy_contract::reference::safe_emission_time`.
     pub fn safe_margin(&self, client: ClientId, p_safe: f64) -> Result<f64, CoreError> {
         Ok(self.safe_margin_at(self.slot_of(client)?, p_safe))
     }
@@ -895,7 +896,7 @@ mod tests {
     }
 
     /// The scalar form counts nothing (the sparse engine counts its
-    /// decisions); the column form counts each element, in bulk.
+    /// decisions); the column form counts each element it appends, in bulk.
     #[test]
     fn pair_kernel_resolution_counts_no_queries() {
         let mut reg = DistributionRegistry::new();
@@ -911,6 +912,8 @@ mod tests {
         assert_eq!((column.len(), reg.query_count()), (4, 4));
         reg.record_queries(4);
         assert_eq!(reg.query_count(), 8);
+        reg.preceding_column(pending.into_iter(), s0, 5.0, &mut column);
+        assert_eq!((column.len(), reg.query_count()), (8, 12), "only the appended cells count");
     }
 
     #[test]

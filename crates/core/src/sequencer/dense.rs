@@ -252,7 +252,7 @@ impl DenseEngine {
             self.close_candidate();
         }
         if self.candidate.is_none() {
-            // T_b = max_k (T_k − Q_k(1 − p_safe)), as `batch_emission_time`.
+            // T_b = max_k (T_k − Q_k(1 − p_safe)), §3.5's safe emission time.
             let p_safe = self.config.p_safe;
             let (mut safe_after, mut horizon) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
             for &i in &self.members {

@@ -17,7 +17,6 @@
 //! * [`stream`] — [`StreamEngine`], the driving surface `online` and
 //!   `sharded` share, so one driver (the sim runner, the differential
 //!   oracle, the model checker's replay in `tommy_contract`) serves both.
-//! * [`emission`] — safe-emission time computation (`T^F_i`, `T_b`).
 //! * `watermark` (private) — per-client completeness tracking via messages
 //!   and heartbeats over ordered channels, indexed by registry slot.
 //! * `dense` (private) — the dense engine: the pairwise matrix and the §3.4
@@ -35,7 +34,6 @@
 //!   `ARCHITECTURE.md`, "Sparse fast path").
 
 mod dense;
-pub mod emission;
 pub mod offline;
 pub mod online;
 pub mod sharded;
@@ -43,7 +41,6 @@ mod sparse;
 pub mod stream;
 mod watermark;
 
-pub use emission::{batch_emission_time, safe_emission_time};
 pub use offline::{SequencingOutcome, TommySequencer};
 pub use online::{CandidateStatus, EmittedBatch, OnlineSequencer, OnlineStats};
 pub use sharded::ShardedSequencer;

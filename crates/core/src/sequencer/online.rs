@@ -200,7 +200,7 @@ pub struct OnlineStats {
     pub lazy_evals: u64,
     /// Arrivals handled by the sparse fast path, each of which skipped the
     /// O(n) dense [`PrecedenceMatrix`](crate::precedence::PrecedenceMatrix)
-    /// column fill (and its share of the O(n²) probability grid). Zero on
+    /// column fill (and its share of the O(n²) probability matrix). Zero on
     /// forced-dense runs.
     pub dense_columns_avoided: u64,
     /// Census-driven engine flips (sparse → dense or back), each triggered
@@ -208,8 +208,10 @@ pub struct OnlineStats {
     /// changed whether *every* registered client is closed-form. Zero on
     /// forced-dense runs.
     pub mode_switches: u64,
-    /// Largest number of bytes the dense probability grid ever had reserved
-    /// (O(n²) in the dense pending set; stays 0 on a pure fast-path run).
+    /// Largest number of bytes the dense matrix ever had reserved (one
+    /// float per pair: O(n²) in the dense pending set). It stays 0 on a
+    /// pure fast-path run, and on a dense run until two messages pend at
+    /// once.
     pub peak_matrix_bytes: usize,
     /// Largest number of bytes the sparse engine's node arena ever had
     /// reserved (O(n) in the fast-path pending set).
@@ -1609,7 +1611,7 @@ mod tests {
 
     /// An all-Gaussian stream under the default `Auto` mode never fills a
     /// dense matrix column: every arrival is counted as avoided, the dense
-    /// grid stays at zero bytes, and the lazy evaluations show up on stats.
+    /// matrix stays at zero bytes, and the lazy evaluations show up on stats.
     #[test]
     fn sparse_mode_avoids_dense_columns() {
         let mut seq = sequencer(&[(0, 2.0), (1, 2.0)]);
@@ -1626,7 +1628,7 @@ mod tests {
         let stats = seq.stats();
         assert_eq!(stats.messages_emitted, 20);
         assert_eq!(stats.dense_columns_avoided, 20);
-        assert_eq!(stats.peak_matrix_bytes, 0, "no dense grid on the fast path");
+        assert_eq!(stats.peak_matrix_bytes, 0, "no dense matrix on the fast path");
         assert!(stats.peak_index_bytes > 0);
         assert!(stats.lazy_evals > 0);
         assert_eq!(stats.mode_switches, 0);
@@ -1644,9 +1646,12 @@ mod tests {
         for i in 0..10u64 {
             let ts = 10.0 * (i + 1) as f64;
             seq.submit(msg(i, (i % 2) as u32, ts), ts).unwrap();
-            seq.heartbeat(ClientId(0), ts + 5.0, ts + 5.0).unwrap();
-            seq.heartbeat(ClientId(1), ts + 5.0, ts + 5.0).unwrap();
-            seq.tick(ts + 9.9);
+            // Messages pend in pairs: the matrix stores one float per pair.
+            if i % 2 == 1 {
+                seq.heartbeat(ClientId(0), ts + 5.0, ts + 5.0).unwrap();
+                seq.heartbeat(ClientId(1), ts + 5.0, ts + 5.0).unwrap();
+                seq.tick(ts + 9.9);
+            }
         }
         seq.flush();
         let stats = seq.stats();

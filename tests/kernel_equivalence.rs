@@ -26,9 +26,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tommy::core::precedence::{PrecedenceMatrix, Removal};
 use tommy::core::CoreError;
-use tommy::core::sequencer::emission::{batch_emission_time, safe_emission_time};
 use tommy::prelude::*;
 use tommy_contract::properties::scratch_candidate;
+use tommy_contract::reference::{batch_emission_time, safe_emission_time};
 
 const CLIENTS: u32 = 5;
 
