@@ -14,7 +14,9 @@
 //! * Each engine pays for what changed: a `submit` into a warm pending set
 //!   that emits nothing, and the `heartbeat` that releases one batch from
 //!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
-//!   one Laplace client) and on the sparse one (all-Gaussian, `Auto`).
+//!   one Laplace client) and on the sparse one (all-Gaussian, `Auto`). With
+//!   the defense on, the sparse submit still allocates nothing, on the
+//!   submits where a KS check or a collusion check comes due as well.
 //! * An offline window pays for its output: a 3,000-message closed-form
 //!   window through `TommySequencer::sequence` allocates a pinned count, and
 //!   a mixed-census window on the dense engine another.
@@ -26,10 +28,11 @@ use std::cell::Cell;
 use tommy_bench::prefilled_sequencer;
 use tommy_core::batching::FairOrder;
 use tommy_core::config::{FastPathMode, SequencerConfig};
+use tommy_core::defense::DefenseConfig;
 use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::offline::TommySequencer;
 use tommy_core::sequencer::online::OnlineSequencer;
-use tommy_stats::distribution::OffsetDistribution;
+use tommy_stats::distribution::{Distribution, OffsetDistribution};
 use tommy_wire::frame::encode_frame;
 use tommy_wire::{FrameDecoder, RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
 
@@ -126,14 +129,16 @@ fn in_order_frame_allocates_its_box_and_its_vec() {
 /// Clients 0 and 1 alternate messages 10 apart — each its own batch at
 /// σ = 1 — and client 2 only heartbeats, `LAG` messages behind: a submit
 /// finds `LAG` pending and emits nothing, the heartbeat that follows releases
-/// exactly the oldest one. Every measured submit must allocate `submit_pin`
-/// times and every measured heartbeat `heartbeat_pin` times.
+/// exactly the oldest one. Message `k` is stamped `offset(k)` from its
+/// arrival. Every measured submit must allocate `submit_pin` times and every
+/// measured heartbeat `heartbeat_pin` times. Returns the sequencer.
 fn assert_pinned_allocations(
     config: SequencerConfig,
     census: [OffsetDistribution; 3],
+    offset: impl Fn(u64) -> f64,
     submit_pin: u64,
     heartbeat_pin: u64,
-) {
+) -> OnlineSequencer {
     const LAG: u64 = 12;
     const WARM_UP: u64 = 400;
     const MEASURED: u64 = 100;
@@ -144,7 +149,7 @@ fn assert_pinned_allocations(
     let (mut submit_allocations, mut heartbeat_allocations) = (Vec::new(), Vec::new());
     for k in 0..WARM_UP + MEASURED {
         let now = 10.0 * k as f64;
-        let message = Message::new(MessageId(k), ClientId((k % 2) as u32), now);
+        let message = Message::new(MessageId(k), ClientId((k % 2) as u32), now + offset(k));
         let before = ALLOCATIONS.with(Cell::get);
         let emitted = sequencer.submit(message, now).expect("valid submission");
         let after_submit = ALLOCATIONS.with(Cell::get);
@@ -168,6 +173,7 @@ fn assert_pinned_allocations(
     }
     assert_eq!(submit_allocations, vec![submit_pin; MEASURED as usize], "submit");
     assert_eq!(heartbeat_allocations, vec![heartbeat_pin; MEASURED as usize], "heartbeat");
+    sequencer
 }
 
 /// Client 1 is Laplace, so half of every column is numeric. The engine
@@ -182,7 +188,7 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
         OffsetDistribution::gaussian(0.0, 1.0),
     ];
     let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
-    assert_pinned_allocations(config, census, 0, 4);
+    assert_pinned_allocations(config, census, |_| 0.0, 0, 4);
 }
 
 /// The all-Gaussian twin on the sparse engine: a submit walks in from the
@@ -191,7 +197,26 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
 #[test]
 fn sparse_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
     let census = std::array::from_fn(|_| OffsetDistribution::gaussian(0.0, 1.0));
-    assert_pinned_allocations(SequencerConfig::default(), census, 0, 5);
+    assert_pinned_allocations(SequencerConfig::default(), census, |_| 0.0, 0, 5);
+}
+
+/// The sparse twin with the defense on. Each message is stamped with an
+/// offset drawn from its client's σ = 0.25 claim, so every trust window
+/// validates and no pair co-moves: across the 500 submits each client's
+/// window is KS-checked 30 times and each client runs 31 collusion checks,
+/// about six of each in the measured hundred, and a submit allocates
+/// nothing on those too.
+#[test]
+fn defended_sparse_submit_allocates_nothing_when_checks_come_due() {
+    let claim = OffsetDistribution::gaussian(0.0, 0.25);
+    let mut rng = StdRng::seed_from_u64(0xDEF);
+    let offsets: Vec<f64> = (0..500).map(|_| claim.sample(&mut rng)).collect();
+    let config = SequencerConfig::default().with_defense(DefenseConfig::enabled());
+    let census = std::array::from_fn(|_| claim.clone());
+    let sequencer = assert_pinned_allocations(config, census, |k| offsets[k as usize], 0, 5);
+    let stats = sequencer.stats();
+    assert_eq!((stats.quarantines, stats.reestimations), (0, 0));
+    assert_eq!(stats.collusion_checks, 62);
 }
 
 /// Sequences `window` once to warm the engine's reused buffers, then again

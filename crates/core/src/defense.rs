@@ -43,10 +43,11 @@
 //! once and makes one call per event — `arrival` for a message, `heard` for
 //! a heartbeat — and gets back the re-registrations the verdicts ask for,
 //! which it applies before the violation check and the engine insert.
-//! Registration never touches the observer, so a quarantine stays sticky
-//! through the fallback re-registration it causes and through any later
-//! one. With the defense off an arrival costs one `max` and one
-//! delay-estimator update.
+//! Registration touches the observer only to re-evaluate the trust window's
+//! cached CDF values against the new claim (`reclaim`), never a verdict, so
+//! a quarantine stays sticky through the fallback re-registration it causes
+//! and through any later one. With the defense off an arrival costs one
+//! `max` and one delay-estimator update.
 //!
 //! The degradation counters (`quarantines`, `reestimations`,
 //! `margin_fallbacks`, `collusion_checks`, `collusion_quarantines`) surface
@@ -54,7 +55,7 @@
 //! `ARCHITECTURE.md`, "Threat model & degradation", for the full
 //! attack-families × defenses matrix.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::message::{ClientId, Message};
 use crate::registry::{ClientSlot, DistributionRegistry};
@@ -290,7 +291,14 @@ enum TrustEvent {
 /// Per-client residual window and verdict state.
 #[derive(Debug, Clone, Default)]
 struct TrustState {
+    /// The window in arrival order: the moments, the learner and the
+    /// fallback read it.
     residuals: VecDeque<f64>,
+    /// The same window sorted ascending (ties in arrival order, as a stable
+    /// sort of `residuals` leaves them), each residual beside the claimed
+    /// distribution's CDF at it: what the KS check scans. The CDF values
+    /// follow the claim through `reclaim`.
+    sorted: Vec<(f64, f64)>,
     level: TrustLevel,
     /// Whether the claim has ever passed a full check — the discriminator
     /// between "misreported from the start" and "honest then drifted".
@@ -311,10 +319,10 @@ impl TrustState {
         if self.level == TrustLevel::Quarantined {
             // Still record: the fallback re-registration wants fresh
             // empirical moments, and post-mortems want the evidence.
-            self.push(residual, cfg);
+            self.push(residual, claimed, cfg);
             return TrustEvent::Ok;
         }
-        self.push(residual, cfg);
+        self.push(residual, claimed, cfg);
         self.since_check += 1;
         if self.residuals.len() < cfg.min_samples || self.since_check < cfg.check_interval {
             return TrustEvent::Ok;
@@ -343,6 +351,7 @@ impl TrustState {
     /// to validate from scratch.
     fn acknowledge_reestimate(&mut self) {
         self.residuals.clear();
+        self.sorted.clear();
         self.validated = false;
         self.since_check = 0;
     }
@@ -382,22 +391,43 @@ impl TrustState {
         var.sqrt()
     }
 
-    fn push(&mut self, residual: f64, cfg: &DefenseConfig) {
+    /// Append `residual` (evicting the oldest once the window is full) and
+    /// file it in `sorted` with its CDF under `claimed`: one binary search
+    /// out, one in, one CDF evaluation.
+    fn push(&mut self, residual: f64, claimed: &OffsetDistribution, cfg: &DefenseConfig) {
         if self.residuals.len() == cfg.window {
-            self.residuals.pop_front();
+            let old = self.residuals.pop_front().expect("a full window");
+            // The oldest of the residuals equal to `old` is the first with
+            // its bits (`-0.0 == 0.0` but both may be retained).
+            let from = self.sorted.partition_point(|&(r, _)| r < old);
+            let at = from
+                + self.sorted[from..]
+                    .iter()
+                    .position(|&(r, _)| r.to_bits() == old.to_bits())
+                    .expect("every retained residual is in the sorted window");
+            self.sorted.remove(at);
         }
         self.residuals.push_back(residual);
+        let at = self.sorted.partition_point(|&(r, _)| r <= residual);
+        self.sorted.insert(at, (residual, claimed.cdf(residual)));
     }
 
-    /// One-sample KS statistic of the window against `claimed`, plus the
-    /// mean z-score `|mean_emp − mean_claimed| / (σ_claimed / √n)`.
+    /// The client's claim became `claimed`: re-evaluate the cached CDF
+    /// values against it.
+    fn reclaim(&mut self, claimed: &OffsetDistribution) {
+        for (r, f) in &mut self.sorted {
+            *f = claimed.cdf(*r);
+        }
+    }
+
+    /// One-sample KS statistic of the window against `claimed` (whose CDF
+    /// values `sorted` caches), plus the mean z-score
+    /// `|mean_emp − mean_claimed| / (σ_claimed / √n)`. Equal residuals carry
+    /// equal CDF values, so D does not depend on the order of ties.
     fn discrepancy(&self, claimed: &OffsetDistribution) -> (f64, f64) {
-        let mut sorted: Vec<f64> = self.residuals.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
-        let n = sorted.len();
+        let n = self.sorted.len();
         let mut d: f64 = 0.0;
-        for (i, &x) in sorted.iter().enumerate() {
-            let f = claimed.cdf(x);
+        for (i, &(_, f)) in self.sorted.iter().enumerate() {
             let above = (i + 1) as f64 / n as f64 - f;
             let below = f - i as f64 / n as f64;
             d = d.max(above.max(below));
@@ -530,13 +560,19 @@ struct CollusionTracker {
     /// Indexed by client slot; `None` until the client's first residual and
     /// again once it is removed.
     windows: Vec<Option<ClientWindow>>,
-    /// Keyed by the ordered slot pair (smaller slot first).
-    pairs: BTreeMap<(ClientSlot, ClientSlot), PairStats>,
+    /// One entry per pair of slots below `windows.len()`, packed at
+    /// `pair_key` (grown with `windows`). A default entry (no samples) is
+    /// an absent pair: `collusion_min_pairs ≥ 4` skips it.
+    pairs: Vec<PairStats>,
 }
 
-/// The key of the pair of `a` and `b`.
-fn pair_key(a: ClientSlot, b: ClientSlot) -> (ClientSlot, ClientSlot) {
-    (a.min(b), a.max(b))
+/// Where the pair of the distinct slots `a` and `b` sits in
+/// `CollusionTracker::pairs`: `hi(hi − 1)/2 + lo`, the packed triangle
+/// `PrecedenceMatrix` stores its pairs in.
+fn pair_key(a: ClientSlot, b: ClientSlot) -> usize {
+    debug_assert_ne!(a, b, "a slot does not pair with itself");
+    let (lo, hi) = (a.idx().min(b.idx()), a.idx().max(b.idx()));
+    hi * (hi - 1) / 2 + lo
 }
 
 impl CollusionTracker {
@@ -547,7 +583,9 @@ impl CollusionTracker {
     fn observe(&mut self, slot: ClientSlot, residual: f64, cfg: &DefenseConfig) -> CollusionReport {
         assert!(residual.is_finite(), "residuals must be finite");
         if self.windows.len() <= slot.idx() {
-            self.windows.resize(slot.idx() + 1, None);
+            let n = slot.idx() + 1;
+            self.windows.resize(n, None);
+            self.pairs.resize_with(n * (n - 1) / 2, PairStats::default);
         }
         let entry = self.windows[slot.idx()].get_or_insert_with(ClientWindow::default);
         let k = entry.total;
@@ -563,10 +601,7 @@ impl CollusionTracker {
             let d = ClientSlot(d as u32);
             let partner = window.as_ref().filter(|_| d != slot);
             if let Some(y) = partner.and_then(|w| w.value_at(k)) {
-                self.pairs
-                    .entry(pair_key(slot, d))
-                    .or_default()
-                    .push(residual, y, cfg.window);
+                self.pairs[pair_key(slot, d)].push(residual, y, cfg.window);
             }
         }
         if !due {
@@ -576,11 +611,11 @@ impl CollusionTracker {
             checked: true,
             ..CollusionReport::default()
         };
-        for d in 0..self.windows.len() {
-            let d = ClientSlot(d as u32);
-            let Some(pair) = self.pairs.get_mut(&pair_key(slot, d)) else {
+        for d in (0..self.windows.len()).map(|d| ClientSlot(d as u32)) {
+            if d == slot {
                 continue;
-            };
+            }
+            let pair = &mut self.pairs[pair_key(slot, d)];
             if pair.samples.len() < cfg.collusion_min_pairs {
                 continue;
             }
@@ -614,7 +649,7 @@ impl CollusionTracker {
     /// along with every pair it participates in.
     fn remove(&mut self, slot: ClientSlot) {
         self.windows[slot.idx()] = None;
-        self.pairs.retain(|&(a, b), _| a != slot && b != slot);
+        self.reset_pairs(slot);
     }
 
     /// Reset the window of the client in `slot` after a drift re-estimation
@@ -625,7 +660,17 @@ impl CollusionTracker {
             entry.window.clear();
             entry.since_check = 0;
         }
-        self.pairs.retain(|&(a, b), _| a != slot && b != slot);
+        self.reset_pairs(slot);
+    }
+
+    /// Return every pair of the client in `slot` to the default (absent)
+    /// entry.
+    fn reset_pairs(&mut self, slot: ClientSlot) {
+        for d in (0..self.windows.len()).map(|d| ClientSlot(d as u32)) {
+            if d != slot {
+                self.pairs[pair_key(slot, d)] = PairStats::default();
+            }
+        }
     }
 }
 
@@ -668,6 +713,12 @@ impl ArrivalObserver {
             delay: DelayEstimator::default(),
             last_heard: f64::NEG_INFINITY,
         });
+    }
+
+    /// The client in `slot` was (re-)registered with `claimed`: its trust
+    /// window's cached CDF values follow the new claim.
+    pub(crate) fn reclaim(&mut self, slot: ClientSlot, claimed: &OffsetDistribution) {
+        self.slots[slot.idx()].trust.reclaim(claimed);
     }
 
     /// The client in `slot` was heard from (message or heartbeat) at `now`.
@@ -860,6 +911,139 @@ mod tests {
         fn new() -> Self {
             CollusionTracker::default()
         }
+    }
+
+    /// The sort-every-check KS statistic and z-score this module computed
+    /// before the window was kept sorted: the reference `discrepancy` must
+    /// agree with bit for bit.
+    fn reference_discrepancy(
+        window: impl Iterator<Item = f64>,
+        claimed: &OffsetDistribution,
+    ) -> (f64, f64) {
+        let residuals: Vec<f64> = window.collect();
+        let mut sorted = residuals.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+        let n = sorted.len();
+        let mut d: f64 = 0.0;
+        for (i, &x) in sorted.iter().enumerate() {
+            let f = claimed.cdf(x);
+            let above = (i + 1) as f64 / n as f64 - f;
+            let below = f - i as f64 / n as f64;
+            d = d.max(above.max(below));
+        }
+        let mean = residuals.iter().sum::<f64>() / n as f64;
+        let se = claimed.std_dev().max(1e-12) / (n as f64).sqrt();
+        (d, (mean - claimed.mean()).abs() / se)
+    }
+
+    /// `TrustState::observe` as it ran before the window was kept sorted:
+    /// its own window, the reference statistic at every check.
+    #[derive(Default)]
+    struct ReferenceTrust {
+        window: VecDeque<f64>,
+        quarantined: bool,
+        validated: bool,
+        since_check: usize,
+    }
+
+    impl ReferenceTrust {
+        fn observe(
+            &mut self,
+            residual: f64,
+            claimed: &OffsetDistribution,
+            cfg: &DefenseConfig,
+        ) -> (TrustEvent, Option<(f64, f64)>) {
+            if self.window.len() == cfg.window {
+                self.window.pop_front();
+            }
+            self.window.push_back(residual);
+            if self.quarantined {
+                return (TrustEvent::Ok, None);
+            }
+            self.since_check += 1;
+            if self.window.len() < cfg.min_samples || self.since_check < cfg.check_interval {
+                return (TrustEvent::Ok, None);
+            }
+            self.since_check = 0;
+            let (ks, z) = reference_discrepancy(self.window.iter().copied(), claimed);
+            let ks_limit = cfg.ks_threshold.max(1.63 / (self.window.len() as f64).sqrt());
+            let event = if ks <= ks_limit && z <= cfg.drift_zscore {
+                self.validated = true;
+                TrustEvent::Ok
+            } else if self.validated {
+                TrustEvent::DriftSuspected
+            } else {
+                self.quarantined = true;
+                TrustEvent::Quarantined
+            };
+            (event, Some((ks, z)))
+        }
+    }
+
+    /// 12,000 seeded residuals through a `TrustState` and the reference,
+    /// claim changes applied to both as the observer applies them: an
+    /// honest phase (a third of it snapped to a grid, so the window holds
+    /// ties and both zeros), a clock step that suspects drift and
+    /// re-learns the claim, residuals far tighter than the re-learned claim
+    /// (quarantined on the first check), then the fallback. Every verdict
+    /// and, after every residual, `(D, z)` agree bit for bit.
+    #[test]
+    fn sorted_window_matches_the_sort_every_check_reference_bitwise() {
+        let cfg = DefenseConfig::enabled();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut state = TrustState::new();
+        let mut reference = ReferenceTrust::default();
+        let mut claimed = OffsetDistribution::gaussian(0.0, 2.0);
+        let (mut drifts, mut quarantines, mut checks) = (0, 0, 0);
+        for k in 0..12_000u32 {
+            let residual = match (drifts, quarantines) {
+                (0, _) if k < 4_000 => {
+                    let x = claimed.sample(&mut rng);
+                    if k % 3 == 0 {
+                        (x * 4.0).round() / 4.0
+                    } else {
+                        x
+                    }
+                }
+                (0, _) => OffsetDistribution::gaussian(10.0, 2.0).sample(&mut rng),
+                (_, 0) => OffsetDistribution::gaussian(10.0, 0.2).sample(&mut rng),
+                _ => claimed.sample(&mut rng),
+            };
+            let event = state.observe(residual, &claimed, &cfg);
+            let (expected, statistic) = reference.observe(residual, &claimed, &cfg);
+            assert_eq!(event, expected, "verdict at residual {k}");
+            checks += statistic.is_some() as u32;
+            let (d, z) = state.discrepancy(&claimed);
+            let (rd, rz) = reference_discrepancy(reference.window.iter().copied(), &claimed);
+            assert_eq!(
+                (d.to_bits(), z.to_bits()),
+                (rd.to_bits(), rz.to_bits()),
+                "residual {k}"
+            );
+            if let Some((sd, sz)) = statistic {
+                assert_eq!((sd.to_bits(), sz.to_bits()), (d.to_bits(), z.to_bits()));
+            }
+            match event {
+                TrustEvent::Ok => continue,
+                TrustEvent::DriftSuspected => {
+                    drifts += 1;
+                    claimed = OffsetDistribution::gaussian(
+                        state.empirical_mean(),
+                        state.empirical_std_dev(),
+                    );
+                    state.acknowledge_reestimate();
+                    reference = ReferenceTrust::default();
+                }
+                TrustEvent::Quarantined => {
+                    quarantines += 1;
+                    claimed = state.fallback(&claimed);
+                }
+            }
+            state.reclaim(&claimed);
+        }
+        assert_eq!((drifts, quarantines), (1, 1));
+        assert_eq!(state.level(), TrustLevel::Quarantined);
+        assert!(checks > 400, "{checks} checks");
     }
 
     fn feed(
@@ -1143,6 +1327,37 @@ mod tests {
         panic!("the co-moving pair was never confirmed");
     }
 
+    /// Slot 0 co-moves with slot 1, then is removed and starts afresh: from
+    /// then on every report matches a tracker that never saw slot 0's old
+    /// residuals, which is what a default pair entry must amount to.
+    #[test]
+    fn removal_scores_fresh_pairs_like_a_tracker_without_the_old_ones() {
+        let cfg = collusion_cfg().with_check_interval(2).with_collusion_min_pairs(4);
+        let (a, b, c) = (ClientSlot(0), ClientSlot(1), ClientSlot(2));
+        let mut rng = StdRng::seed_from_u64(37);
+        let noise = OffsetDistribution::gaussian(0.0, 1.0);
+        let mut seen = CollusionTracker::new();
+        let mut fresh = CollusionTracker::new();
+        for _ in 0..5 {
+            let s = noise.sample(&mut rng);
+            seen.observe(a, s, &cfg);
+            for slot in [b, c] {
+                let residual = s + 0.1 * noise.sample(&mut rng);
+                seen.observe(slot, residual, &cfg);
+                fresh.observe(slot, residual, &cfg);
+            }
+        }
+        seen.remove(a);
+        for round in 0..40 {
+            let s = noise.sample(&mut rng);
+            for slot in [a, b, c] {
+                let residual = s + noise.sample(&mut rng);
+                let report = seen.observe(slot, residual, &cfg);
+                assert_eq!(report, fresh.observe(slot, residual, &cfg), "round {round}");
+            }
+        }
+    }
+
     #[test]
     fn degenerate_constant_residuals_score_zero() {
         let cfg = collusion_cfg().with_check_interval(1).with_collusion_min_pairs(4);
@@ -1155,6 +1370,52 @@ mod tests {
         assert!(last.checked);
         assert_eq!(last.peak_score, 0.0);
         assert!(last.flagged.is_empty());
+    }
+
+    /// A validated client is re-registered by σ = 2 → 20 in the middle of a
+    /// full window, and the residuals that follow sit at its median: against
+    /// the new claim the window fails the next check (a drift
+    /// re-estimation), against CDF values cached under the old one it would
+    /// pass.
+    #[test]
+    fn reregistration_mid_window_refreshes_the_cached_cdf() {
+        use crate::config::SequencerConfig;
+        use crate::message::MessageId;
+        use crate::sequencer::online::OnlineSequencer;
+        let cfg = DefenseConfig::enabled();
+        let mut seq = OnlineSequencer::new(SequencerConfig::default().with_defense(cfg));
+        let client = ClientId(0);
+        let (before, after) = (
+            OffsetDistribution::gaussian(0.0, 2.0),
+            OffsetDistribution::gaussian(0.0, 20.0),
+        );
+        seq.register_client(client, before.clone());
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut window = VecDeque::new();
+        let mut submit = |seq: &mut OnlineSequencer, k: u64, offset: f64| {
+            let arrival = 100.0 * (k + 1) as f64;
+            let message = Message::new(MessageId(k), client, arrival + offset);
+            if window.len() == cfg.window {
+                window.pop_front();
+            }
+            window.push_back(message.timestamp - arrival);
+            seq.submit(message, arrival).unwrap();
+        };
+        // 100 residuals: twelve checks pass; the last one came at 96.
+        for k in 0..100 {
+            submit(&mut seq, k, before.sample(&mut rng));
+        }
+        assert_eq!(seq.stats().reestimations, 0);
+        seq.register_client(client, after.clone());
+        for k in 100..104 {
+            submit(&mut seq, k, 0.01 * (k as f64 - 101.0));
+        }
+        let (d, z) = reference_discrepancy(window.iter().copied(), &after);
+        assert!(d > cfg.ks_threshold && z <= cfg.drift_zscore, "reference: D {d}, z {z}");
+        let (stale, _) = reference_discrepancy(window.iter().copied(), &before);
+        assert!(stale <= cfg.ks_threshold, "the old claim would pass: D {stale}");
+        assert_eq!(seq.stats().reestimations, 1);
+        assert_eq!(seq.trust_level(client), Some(TrustLevel::Trusted));
     }
 
     /// Quarantine client 0 of a defended sequencer through `submit`: 16

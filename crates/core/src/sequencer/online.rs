@@ -386,7 +386,8 @@ impl OnlineSequencer {
     ///
     /// Re-registering a client invalidates every cached quantity derived
     /// from its old distribution: the safe-emission margin, the violation
-    /// margins of its numeric pairs, the candidate batch, and — since pairwise probabilities involving the client may
+    /// margins of its numeric pairs, the candidate batch, the defense's
+    /// cached CDF values of its trust window, and — since pairwise probabilities involving the client may
     /// have changed — the pending precedence state is re-derived.
     ///
     /// Registration is also the only point where the engine mode can flip
@@ -403,6 +404,7 @@ impl OnlineSequencer {
         let slot = self.registry.slot_of(client).expect("just registered");
         self.watermarks.cover(self.registry.len());
         self.observer.cover(self.registry.len());
+        self.observer.reclaim(slot, self.registry.distribution_at(slot));
         // The margins the scan reads are live, so the bound must follow
         // a re-registered client of the last batch.
         self.refresh_violation_bound();

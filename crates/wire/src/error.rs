@@ -66,10 +66,14 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(WireError::FrameTooLarge { declared: 10 }.to_string().contains("10"));
-        assert!(WireError::Truncated { context: "timestamp" }
+        assert!(WireError::FrameTooLarge { declared: 10 }
             .to_string()
-            .contains("timestamp"));
+            .contains("10"));
+        assert!(WireError::Truncated {
+            context: "timestamp"
+        }
+        .to_string()
+        .contains("timestamp"));
         assert!(WireError::UnknownKind(0xab).to_string().contains("0xab"));
         assert!(WireError::ChecksumMismatch {
             expected: 1,

@@ -86,7 +86,9 @@ impl FrameDecoder {
         }
         if body_len < 5 {
             // A frame must at least carry a kind byte and a checksum.
-            return Err(WireError::Truncated { context: "frame body" });
+            return Err(WireError::Truncated {
+                context: "frame body",
+            });
         }
         if self.buffer.len() < 4 + body_len {
             return Ok(None);

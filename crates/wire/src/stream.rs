@@ -175,7 +175,9 @@ impl StreamReceiver {
             .entry((sender, stream_id))
             .or_insert_with(|| SequenceValidator::new(self.policy));
         let mut released = Vec::new();
-        validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| released.extend(payload));
+        validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| {
+            released.extend(payload)
+        });
         // Only a blocked stream has anything for `poll` to do, and only this
         // frame can have moved its deadline earlier.
         if validator.blocked() {
@@ -197,7 +199,11 @@ impl StreamReceiver {
         }
         self.next_action_at = f64::INFINITY;
         for (&(sender, stream_id), validator) in &mut self.streams {
-            let request = |sequence| RetransmitRequest { sender, stream_id, sequence };
+            let request = |sequence| RetransmitRequest {
+                sender,
+                stream_id,
+                sequence,
+            };
             validator.poll(
                 now,
                 |payload| out.released.extend(payload),
@@ -229,7 +235,9 @@ mod tests {
 
     /// Whether stream `(sender, stream_id)` has released its fin frame.
     fn stream_complete(rx: &StreamReceiver, sender: ClientId, stream_id: u64) -> bool {
-        rx.streams.get(&(sender, stream_id)).is_some_and(|v| v.complete())
+        rx.streams
+            .get(&(sender, stream_id))
+            .is_some_and(|v| v.complete())
     }
 
     fn submit(id: u64, client: u32, ts: f64) -> WireMessage {
@@ -426,9 +434,15 @@ mod tests {
         rx.receive(frames[1].clone(), 2.0);
         assert!(!stream_complete(&rx, ClientId(1), 0));
         rx.receive(frames[2].clone(), 3.0);
-        assert!(stream_complete(&rx, ClientId(1), 0), "cursor passed the real fin");
+        assert!(
+            stream_complete(&rx, ClientId(1), 0),
+            "cursor passed the real fin"
+        );
         rx.receive(bare_fin(20), 4.0);
-        assert!(stream_complete(&rx, ClientId(1), 0), "a later fin un-completed it");
+        assert!(
+            stream_complete(&rx, ClientId(1), 0),
+            "a later fin un-completed it"
+        );
     }
 
     #[test]
@@ -496,7 +510,9 @@ mod tests {
                 .entry((sender, stream_id))
                 .or_insert_with(|| SequenceValidator::new(self.0.policy));
             let mut released = Vec::new();
-            validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| released.extend(payload));
+            validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| {
+                released.extend(payload)
+            });
             released
         }
 
