@@ -187,7 +187,7 @@ fn dense_submit_and_emitting_heartbeat_allocate_a_pinned_count() {
         OffsetDistribution::laplace(0.0, 1.0),
         OffsetDistribution::gaussian(0.0, 1.0),
     ];
-    let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+    let config = SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::default() };
     assert_pinned_allocations(config, census, |_| 0.0, 0, 4);
 }
 

@@ -25,12 +25,6 @@ impl ClockModel {
         ClockModel::from_distribution(OffsetDistribution::gaussian(mean, std_dev))
     }
 
-    /// A perfectly synchronized clock (zero offset); useful as a
-    /// control in experiments and for the idealized WFO setting of Figure 2.
-    pub fn perfect() -> Self {
-        ClockModel::gaussian(0.0, 0.0)
-    }
-
     /// The stochastic offset distribution.
     pub fn distribution(&self) -> &OffsetDistribution {
         &self.distribution
@@ -39,11 +33,6 @@ impl ClockModel {
     /// Sample the instantaneous clock offset.
     pub fn sample_offset(&self, rng: &mut dyn RngCore) -> f64 {
         self.distribution.sample(rng)
-    }
-
-    /// Standard deviation of the stochastic offset component.
-    pub fn offset_std_dev(&self) -> f64 {
-        self.distribution.std_dev()
     }
 }
 
@@ -55,7 +44,7 @@ mod tests {
 
     #[test]
     fn perfect_clock_has_zero_offset() {
-        let m = ClockModel::perfect();
+        let m = ClockModel::gaussian(0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..3 {
             assert_eq!(m.sample_offset(&mut rng), 0.0);
@@ -77,6 +66,6 @@ mod tests {
     #[test]
     fn offset_std_dev_exposed() {
         let m = ClockModel::gaussian(0.0, 7.5);
-        assert!((m.offset_std_dev() - 7.5).abs() < 1e-12);
+        assert!((m.distribution().std_dev() - 7.5).abs() < 1e-12);
     }
 }

@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn probe_schedule_counts() {
-        let clock = ClockModel::perfect();
+        let clock = ClockModel::gaussian(0.0, 0.0);
         let path = PathModel::symmetric(1.0, 0.5);
         let mut session = SyncSession::new(clock, path, 10.0, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
@@ -187,6 +187,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "probe interval must be positive")]
     fn zero_interval_rejected() {
-        SyncSession::new(ClockModel::perfect(), PathModel::symmetric(1.0, 0.0), 0.0, 0.0);
+        SyncSession::new(ClockModel::gaussian(0.0, 0.0), PathModel::symmetric(1.0, 0.0), 0.0, 0.0);
     }
 }

@@ -10,8 +10,8 @@
 //! link delay so those experiments are reproducible without threading an
 //! RNG through scenario construction.
 
-use crate::fault::mix64;
-use crate::NodeId;
+use tommy_netsim::fault::mix64;
+use tommy_netsim::NodeId;
 
 /// The deterministic one-way delay of `node`'s link: `base` plus a
 /// node-keyed offset uniform in `[0, spread)`. `spread = 0` collapses to

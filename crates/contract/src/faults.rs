@@ -17,8 +17,8 @@
 //! produce bit-identical [`DeliveryTrace`]s and batch sequences (the
 //! fault-determinism contract the integration tests pin down).
 
-use crate::runner::{scenario_claimed_offsets, scenario_schedule, sequencer_config};
-use crate::scenario::ScenarioConfig;
+use crate::delay::link_delay;
+use crate::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use tommy_core::batching::FairOrder;
@@ -27,8 +27,9 @@ use tommy_core::message::{ClientId, Message, MessageId};
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::register_all;
 use tommy_metrics::ras::{rank_agreement_score, RasScore};
-use tommy_netsim::trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 use tommy_netsim::{FaultAction, FaultInjector, FaultPlan, NodeId, SimTime};
+use tommy_sim::runner::{scenario_claimed_offsets, scenario_schedule, sequencer_config};
+use tommy_sim::ScenarioConfig;
 use tommy_wire::frame::{encode_frame, FrameDecoder};
 use tommy_wire::{RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
 use tommy_workload::schedule::{StreamEvent, DELIVERY_DELAY};
@@ -116,8 +117,8 @@ impl Ord for Event {
 /// The mutable state of one fault run (network, session layer, sequencer).
 struct FaultRun {
     injector: FaultInjector,
-    /// Heterogeneous link-delay spread ([`ScenarioConfig::link_delay_spread`]);
-    /// `0.0` keeps every link at the homogeneous [`NETWORK_DELAY`].
+    /// Heterogeneous link-delay spread (see [`run_fault_stream`]); `0.0`
+    /// keeps every link at the homogeneous [`NETWORK_DELAY`].
     link_spread: f64,
     senders: BTreeMap<ClientId, SequencedSender>,
     heap: BinaryHeap<Reverse<Event>>,
@@ -140,9 +141,9 @@ struct FaultRun {
 
 impl FaultRun {
     /// The one-way delay of `from`'s link: the nominal constant plus the
-    /// deterministic node-keyed spread ([`tommy_netsim::link_delay`]).
+    /// deterministic node-keyed spread ([`link_delay`]).
     fn link_delay(&self, from: ClientId) -> f64 {
-        tommy_netsim::link_delay(NETWORK_DELAY, self.link_spread, NodeId(from.0))
+        link_delay(NETWORK_DELAY, self.link_spread, NodeId(from.0))
     }
 
     /// Enqueue a delivery event.
@@ -323,12 +324,17 @@ impl FaultRun {
 
 /// Run a scenario's stream through the faulty delivery path.
 ///
-/// `plans` compose with [`ScenarioConfig::fault`] (if set) into one
-/// [`FaultInjector`]; pass an empty slice and leave the config fault unset
-/// for a fault-free control run (bit-identical to any zero-intensity plan).
+/// `plans` compose into one [`FaultInjector`]; pass an empty slice for a
+/// fault-free control run (bit-identical to any zero-intensity plan).
+/// `link_delay_spread` gives each client a one-way delay of
+/// [`NETWORK_DELAY`] plus a deterministic node-keyed offset uniform in
+/// `[0, spread)` ([`link_delay`]): `0.0` is the homogeneous constant-delay
+/// network, and a non-zero spread models links the sequencer does not know
+/// a priori — the setting `ExpectedDelay::Online` exists for.
 pub fn run_fault_stream(
     config: &ScenarioConfig,
     plans: &[FaultPlan],
+    link_delay_spread: f64,
     policy: RecoveryPolicy,
     p_safe: f64,
 ) -> FaultStreamResult {
@@ -337,8 +343,7 @@ pub fn run_fault_stream(
     let span_lo = schedule.messages.first().map_or(0.0, true_time);
     let span_hi = schedule.messages.last().map_or(0.0, true_time);
 
-    let all_plans: Vec<FaultPlan> = config.fault.iter().copied().chain(plans.iter().copied()).collect();
-    let injector = FaultInjector::new(&all_plans, span_lo, span_hi);
+    let injector = FaultInjector::new(plans, span_lo, span_hi);
 
     // The defended profile learns the expected delay online — essential
     // here, where `link_delay_spread` gives every client a distinct one-way
@@ -354,7 +359,7 @@ pub fn run_fault_stream(
 
     let mut run = FaultRun {
         injector,
-        link_spread: config.link_delay_spread,
+        link_spread: link_delay_spread,
         senders: client_ids
             .iter()
             .map(|&c| (c, SequencedSender::new(c, 0)))
@@ -490,7 +495,7 @@ mod tests {
 
     #[test]
     fn fault_free_run_delivers_and_emits_everything() {
-        let result = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        let result = run_fault_stream(&small(), &[], 0.0, RecoveryPolicy::Halt, 0.99);
         assert_eq!(result.generated, 60);
         assert_eq!(result.submitted, 60, "no faults ⇒ nothing lost");
         assert_eq!(result.stats.messages_emitted, 60);
@@ -504,7 +509,7 @@ mod tests {
     #[test]
     fn loss_with_retransmit_loses_nothing() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.2);
-        let result = run_fault_stream(&small(), &[plan], RETRANSMIT, 0.99);
+        let result = run_fault_stream(&small(), &[plan], 0.0, RETRANSMIT, 0.99);
         assert!(result.frames_dropped > 0, "20% loss must drop frames");
         assert!(result.stats.gaps_detected > 0);
         assert!(result.stats.retransmit_requests > 0);
@@ -517,7 +522,7 @@ mod tests {
     #[test]
     fn duplication_never_emits_twice() {
         let plan = FaultPlan::new(FaultFamily::Duplication, 0.4).with_scale(3.0);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        let result = run_fault_stream(&small(), &[plan], 0.0, RecoveryPolicy::Halt, 0.99);
         assert!(result.frames_duplicated > 0);
         assert!(result.stats.dupes_dropped > 0);
         let emitted: Vec<MessageId> = result.batches.iter().flatten().copied().collect();
@@ -531,7 +536,7 @@ mod tests {
     #[test]
     fn halt_under_loss_stays_live_through_eviction() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.2);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        let result = run_fault_stream(&small(), &[plan], 0.0, RecoveryPolicy::Halt, 0.99);
         // Halt never skips, so wedged streams stall their clients — the
         // liveness detector must evict them and the run must still emit
         // every message that got through.
@@ -542,10 +547,11 @@ mod tests {
 
     #[test]
     fn crash_with_retransmit_recovers_after_restart() {
-        let plan = FaultPlan::new(FaultFamily::Crash, 0.4)
-            .with_onset_fraction(0.2)
-            .with_targets(1);
-        let result = run_fault_stream(&small(), &[plan], RETRANSMIT, 0.99);
+        let plan = FaultPlan {
+            targets: 1,
+            ..FaultPlan::new(FaultFamily::Crash, 0.4).with_onset_fraction(0.2)
+        };
+        let result = run_fault_stream(&small(), &[plan], 0.0, RETRANSMIT, 0.99);
         assert!(result.frames_dropped > 0, "the outage must eat frames");
         assert_eq!(result.submitted, result.generated, "history replay heals the outage");
         assert_eq!(result.stats.messages_emitted, result.generated);
@@ -556,7 +562,7 @@ mod tests {
         let plan = FaultPlan::new(FaultFamily::Partition, 0.4)
             .with_onset_fraction(0.3)
             .with_scale(2.0);
-        let result = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+        let result = run_fault_stream(&small(), &[plan], 0.0, RecoveryPolicy::Halt, 0.99);
         assert_eq!(result.frames_dropped, 0);
         assert_eq!(result.submitted, result.generated);
         assert_eq!(result.stats.messages_emitted, result.generated);
@@ -567,8 +573,8 @@ mod tests {
     fn runs_are_bit_identical_per_seed() {
         let plan = FaultPlan::new(FaultFamily::Loss, 0.15).with_seed(5);
         let reorder = FaultPlan::new(FaultFamily::Reorder, 0.8).with_scale(4.0);
-        let a = run_fault_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
-        let b = run_fault_stream(&small(), &[plan, reorder], RETRANSMIT, 0.99);
+        let a = run_fault_stream(&small(), &[plan, reorder], 0.0, RETRANSMIT, 0.99);
+        let b = run_fault_stream(&small(), &[plan, reorder], 0.0, RETRANSMIT, 0.99);
         assert_eq!(a.trace, b.trace, "delivery traces must match bit for bit");
         assert_eq!(a.batches, b.batches, "batch sequences must match");
         assert_eq!(a.stats, b.stats);
@@ -576,10 +582,10 @@ mod tests {
 
     #[test]
     fn zero_intensity_plans_match_the_fault_free_control() {
-        let control = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        let control = run_fault_stream(&small(), &[], 0.0, RecoveryPolicy::Halt, 0.99);
         for family in FaultFamily::ALL {
             let plan = FaultPlan::new(family, 0.0);
-            let faulted = run_fault_stream(&small(), &[plan], RecoveryPolicy::Halt, 0.99);
+            let faulted = run_fault_stream(&small(), &[plan], 0.0, RecoveryPolicy::Halt, 0.99);
             assert_eq!(control.trace, faulted.trace, "{family:?}");
             assert_eq!(control.batches, faulted.batches, "{family:?}");
         }
@@ -590,12 +596,11 @@ mod tests {
     /// homogeneous control).
     #[test]
     fn heterogeneous_links_are_deterministic_and_distinct() {
-        let cfg = small().with_link_delay_spread(3.0);
-        let a = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
-        let b = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
+        let a = run_fault_stream(&small(), &[], 3.0, RecoveryPolicy::Halt, 0.99);
+        let b = run_fault_stream(&small(), &[], 3.0, RecoveryPolicy::Halt, 0.99);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.batches, b.batches);
-        let control = run_fault_stream(&small(), &[], RecoveryPolicy::Halt, 0.99);
+        let control = run_fault_stream(&small(), &[], 0.0, RecoveryPolicy::Halt, 0.99);
         assert_ne!(a.trace, control.trace, "spread must perturb arrivals");
         assert_eq!(a.submitted, a.generated, "delays lose nothing");
         assert_eq!(a.stats.messages_emitted, a.generated);
@@ -610,9 +615,8 @@ mod tests {
             .with_clock_std_dev(2.0)
             .with_gap(4.0)
             .with_seed(11)
-            .with_defended(true)
-            .with_link_delay_spread(6.0);
-        let result = run_fault_stream(&cfg, &[], RecoveryPolicy::Halt, 0.99);
+            .with_defended(true);
+        let result = run_fault_stream(&cfg, &[], 6.0, RecoveryPolicy::Halt, 0.99);
         assert_eq!(result.submitted, result.generated);
         assert_eq!(result.stats.quarantines, 0, "{:?}", result.stats);
         assert_eq!(result.stats.collusion_quarantines, 0);
@@ -621,12 +625,12 @@ mod tests {
     }
 
     #[test]
-    fn config_fault_composes_with_extra_plans() {
-        let cfg = small().with_fault(FaultPlan::new(FaultFamily::Loss, 0.1));
-        let extra = FaultPlan::new(FaultFamily::Duplication, 0.2);
-        let result = run_fault_stream(&cfg, &[extra], RETRANSMIT, 0.99);
-        assert!(result.frames_dropped > 0, "config-attached loss applies");
-        assert!(result.frames_duplicated > 0, "extra duplication applies");
+    fn loss_and_duplication_plans_compose() {
+        let loss = FaultPlan::new(FaultFamily::Loss, 0.1);
+        let duplication = FaultPlan::new(FaultFamily::Duplication, 0.2);
+        let result = run_fault_stream(&small(), &[loss, duplication], 0.0, RETRANSMIT, 0.99);
+        assert!(result.frames_dropped > 0, "the loss plan applies");
+        assert!(result.frames_duplicated > 0, "the duplication plan applies");
         assert_eq!(result.submitted, result.generated);
     }
 }

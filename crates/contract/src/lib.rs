@@ -22,12 +22,20 @@
 //!   order discards, and the per-member safe emission times of §3.5.
 //! * [`testkit`] — the scaffolding the integration suites share: census
 //!   builders, honest-stream drivers and the small-model spec.
+//! * [`faults`] — the fault-injected streaming runner: a scenario driven
+//!   through the full wire path (sequenced stream frames, framing and CRC,
+//!   gap/duplicate/reorder recovery) over a deterministic lossy network,
+//!   with a liveness-enabled sequencer evicting wedged clients; with it the
+//!   [`trace`] it records and the per-link delays of [`delay`](mod@delay).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;
+pub mod delay;
+pub mod faults;
 pub mod oracle;
 pub mod properties;
 pub mod reference;
 pub mod testkit;
+pub mod trace;

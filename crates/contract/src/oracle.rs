@@ -490,7 +490,7 @@ fn roster(config: SequencerConfig) -> Vec<Member> {
     let sharded = |k, rotate| Engine::Sharded(ShardedSequencer::new(config.with_shards(k)), rotate);
     let engines = [
         ("auto", single(config)),
-        ("dense", single(config.with_fast_path(FastPathMode::ForceDense))),
+        ("dense", single(SequencerConfig { fast_path: FastPathMode::ForceDense, ..config })),
         ("k1", sharded(1, false)),
         ("k2", sharded(2, false)),
         ("k4", sharded(4, false)),

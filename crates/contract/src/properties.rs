@@ -444,7 +444,7 @@ pub fn offline_identical(
     windows: &[Vec<Message>],
 ) -> Result<(), InvariantViolation> {
     let [mut auto, mut dense] = [FastPathMode::Auto, FastPathMode::ForceDense].map(|mode| {
-        let mut twin = TommySequencer::new(config.with_fast_path(mode));
+        let mut twin = TommySequencer::new(SequencerConfig { fast_path: mode, ..config });
         for (client, distribution) in census {
             twin.register_client(*client, distribution.clone());
         }

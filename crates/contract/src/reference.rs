@@ -117,10 +117,10 @@ pub fn safe_emission_time(dist: &OffsetDistribution, timestamp: f64, p_safe: f64
 /// The safe emission time for a whole batch: `T_b = max_k T^F_k`.
 ///
 /// Per member this is `T_k − Q_{δ_k}(1 − p_safe)`; the quantile depends
-/// only on the member's *client* (and `p_safe`), so the sweep costs one
-/// look-up of the registry's cached per-client margin
-/// ([`DistributionRegistry::safe_margin`]) and a subtraction per member. The
-/// result is bit-identical to folding [`safe_emission_time`] over the batch.
+/// only on the member's *client* (and `p_safe`): the sweep looks up the
+/// member's registered distribution and subtracts its quantile, the value
+/// the online sequencer caches per client. The result is bit-identical to
+/// folding [`safe_emission_time`] over the batch.
 ///
 /// # Panics
 ///
@@ -133,8 +133,9 @@ pub fn batch_emission_time(
 ) -> f64 {
     assert!(!batch.is_empty(), "cannot compute emission time of an empty batch");
     let time_safe = batch.iter().map(|m| {
-        let margin = registry.safe_margin(m.client, p_safe);
-        m.timestamp - margin.unwrap_or_else(|_| panic!("no distribution for {}", m.client))
+        let distribution = registry.get(m.client);
+        let distribution = distribution.unwrap_or_else(|| panic!("no distribution for {}", m.client));
+        m.timestamp - distribution.quantile(1.0 - p_safe)
     });
     time_safe.fold(f64::NEG_INFINITY, f64::max)
 }
@@ -339,7 +340,7 @@ mod tests {
         for threshold in [0.55, 0.7, 0.75, 0.85, 0.95] {
             let fo = fair_order(&m, &order, threshold);
             assert_eq!(fo.num_messages(), 4);
-            let mut flat = fo.flatten();
+            let mut flat: Vec<MessageId> = fo.batches().iter().flat_map(|b| b.messages.iter().copied()).collect();
             flat.sort();
             assert_eq!(flat, [0, 1, 2, 3].map(MessageId));
             // Ranks non-decreasing along the linear order.

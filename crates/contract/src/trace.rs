@@ -8,8 +8,7 @@
 //! unauditable (and fault-injection determinism untestable). Every drop is
 //! recorded with its link, so per-link loss can be audited after a run.
 
-use crate::time::SimTime;
-use crate::NodeId;
+use tommy_netsim::{NodeId, SimTime};
 
 /// One delivered message.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -141,20 +141,6 @@ impl FairOrder {
         positions
     }
 
-    /// The size of the largest batch (0 if empty).
-    pub fn max_batch_size(&self) -> usize {
-        self.batches.iter().map(|b| b.len()).max().unwrap_or(0)
-    }
-
-    /// All message ids flattened in batch-rank order (within a batch the
-    /// internal order is preserved but meaningless).
-    pub fn flatten(&self) -> Vec<MessageId> {
-        self.batches
-            .iter()
-            .flat_map(|b| b.messages.iter().copied())
-            .collect()
-    }
-
     /// Append a batch at the end (used by the online sequencer as batches are
     /// emitted incrementally).
     ///
@@ -169,6 +155,14 @@ impl FairOrder {
             assert!(previous.is_none(), "message {id} appears in two batches");
         }
         self.batches.push(Batch { rank, messages });
+    }
+}
+
+#[cfg(test)]
+impl FairOrder {
+    /// The size of the largest batch (0 if empty).
+    pub(crate) fn max_batch_size(&self) -> usize {
+        self.batches.iter().map(|b| b.len()).max().unwrap_or(0)
     }
 }
 

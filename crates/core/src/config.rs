@@ -240,12 +240,6 @@ impl SequencerConfig {
         self
     }
 
-    /// Enable or disable stochastic cycle breaking.
-    pub fn with_stochastic_cycle_breaking(mut self, enabled: bool) -> Self {
-        self.stochastic_cycle_breaking = enabled;
-        self
-    }
-
     /// Enable or disable unbounded emission-history retention (see
     /// [`SequencerConfig::retain_history`]).
     pub fn with_retain_history(mut self, enabled: bool) -> Self {
@@ -264,13 +258,6 @@ impl SequencerConfig {
     /// [`SequencerConfig::liveness`]).
     pub fn with_liveness(mut self, liveness: LivenessConfig) -> Self {
         self.liveness = liveness;
-        self
-    }
-
-    /// Select the online precedence engine (see
-    /// [`SequencerConfig::fast_path`] and [`FastPathMode`]).
-    pub fn with_fast_path(mut self, mode: FastPathMode) -> Self {
-        self.fast_path = mode;
         self
     }
 
@@ -299,7 +286,7 @@ mod tests {
 
     #[test]
     fn fast_path_builder() {
-        let c = SequencerConfig::new().with_fast_path(FastPathMode::ForceDense);
+        let c = SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::new() };
         assert_eq!(c.fast_path, FastPathMode::ForceDense);
         assert_eq!(FastPathMode::default(), FastPathMode::Auto);
     }
@@ -349,12 +336,10 @@ mod tests {
         let c = SequencerConfig::new()
             .with_threshold(0.9)
             .with_p_safe(0.99)
-            .with_grid_points(256)
-            .with_stochastic_cycle_breaking(true);
+            .with_grid_points(256);
         assert_eq!(c.threshold, 0.9);
         assert_eq!(c.p_safe, 0.99);
         assert_eq!(c.grid_points, 256);
-        assert!(c.stochastic_cycle_breaking);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl Message {
             true_time: Some(true_time),
         }
     }
-
-    /// The realized clock offset of this message (`timestamp − true_time`),
-    /// if the ground truth is known.
-    pub fn realized_offset(&self) -> Option<f64> {
-        self.true_time.map(|t| self.timestamp - t)
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +83,6 @@ mod tests {
     fn message_without_ground_truth() {
         let m = Message::new(MessageId(1), ClientId(2), 10.5);
         assert_eq!(m.true_time, None);
-        assert_eq!(m.realized_offset(), None);
-    }
-
-    #[test]
-    fn realized_offset_is_timestamp_minus_truth() {
-        let m = Message::with_true_time(MessageId(1), ClientId(2), 105.0, 100.0);
-        assert_eq!(m.realized_offset(), Some(5.0));
     }
 
     #[test]

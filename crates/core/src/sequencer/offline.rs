@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn stochastic_cycle_breaking_still_sequences_everything() {
-        let config = SequencerConfig::default().with_stochastic_cycle_breaking(true);
+        let config = SequencerConfig { stochastic_cycle_breaking: true, ..SequencerConfig::default() };
         let mut seq = TommySequencer::with_seed(config, 7);
         // A cyclic matrix (rock–paper–scissors).
         let msgs: Vec<Message> = (0..3).map(|i| msg(i, i as u32, 0.0)).collect();

@@ -940,7 +940,7 @@ mod tests {
 
     fn dense_sequencer(clients: &[(u32, f64)]) -> OnlineSequencer {
         let mut seq = OnlineSequencer::new(
-            SequencerConfig::default().with_fast_path(FastPathMode::ForceDense),
+            SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::default() },
         );
         for &(c, sigma) in clients {
             seq.register_client(ClientId(c), OffsetDistribution::gaussian(0.0, sigma));
@@ -1267,7 +1267,7 @@ mod tests {
             (batches, seq.stats())
         };
         let (auto, auto_stats) = run(SequencerConfig::default());
-        let dense = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        let dense = SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::default() };
         let (forced, forced_stats) = run(dense);
         assert_eq!(auto_stats.dense_columns_avoided, 7, "Auto rides the sparse engine");
         assert_eq!(forced_stats.dense_columns_avoided, 0);
@@ -1282,7 +1282,7 @@ mod tests {
     /// corrected retry is accepted, not refused as a duplicate.
     #[test]
     fn rejected_engine_insert_leaves_no_id_behind() {
-        let config = SequencerConfig::default().with_fast_path(FastPathMode::ForceDense);
+        let config = SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::default() };
         assert_refused_insert_is_untracked_and_retry_accepted(config);
     }
 

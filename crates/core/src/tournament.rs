@@ -167,15 +167,6 @@ impl IncrementalTournament {
         self.order.is_empty()
     }
 
-    /// Total pairwise probability comparisons performed so far (edge
-    /// orientations read: `n` per arrival, one per pair per rebuild). The
-    /// online arrival path's O(n) guarantee is asserted against this
-    /// counter: one arrival into a pending set of size `n` reads exactly
-    /// `n` orientations.
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
     /// Number of full order recomputations performed: one per
     /// [`rebuild`](Self::rebuild) of a non-empty matrix. Inserts and
     /// removals never recompute wholesale, cyclic or not: cycle events are
@@ -578,6 +569,18 @@ fn condense(matrix: &PrecedenceMatrix, members: &mut [usize], blocks: &mut Vec<u
             blocks.push(t - start);
             start = t;
         }
+    }
+}
+
+#[cfg(test)]
+impl IncrementalTournament {
+    /// Total pairwise probability comparisons performed so far (edge
+    /// orientations read: `n` per arrival, one per pair per rebuild). The
+    /// online arrival path's O(n) guarantee is asserted against this
+    /// counter: one arrival into a pending set of size `n` reads exactly
+    /// `n` orientations.
+    pub(crate) fn comparisons(&self) -> u64 {
+        self.comparisons
     }
 }
 

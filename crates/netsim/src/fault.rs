@@ -154,12 +154,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the number of targeted senders (`0` = all).
-    pub fn with_targets(mut self, targets: u32) -> Self {
-        self.targets = targets;
-        self
-    }
-
     /// Set the delay scale.
     ///
     /// # Panics
@@ -279,7 +273,7 @@ impl FaultPlan {
 }
 
 /// The SplitMix64 finalizer: a well-mixed 64-bit hash step.
-pub(crate) fn mix64(x: u64) -> u64 {
+pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -445,9 +439,10 @@ mod tests {
 
     #[test]
     fn crash_silences_targets_inside_the_window_only() {
-        let plan = FaultPlan::new(FaultFamily::Crash, 0.5)
-            .with_onset_fraction(0.2)
-            .with_targets(1);
+        let plan = FaultPlan {
+            targets: 1,
+            ..FaultPlan::new(FaultFamily::Crash, 0.5).with_onset_fraction(0.2)
+        };
         let w = plan.window(0.0, 1000.0);
         assert!(plan.crashed(w, 0, 300.0));
         assert!(!plan.crashed(w, 0, 100.0), "before the crash");

@@ -15,31 +15,24 @@
 //!   ("UDP-like") channels, the distinction §3.5 relies on for watermarks;
 //! * [`topology`] — multi-region layouts with per-region-pair latency, the
 //!   multi-data-center setting that motivates Tommy in §2;
-//! * [`trace`] — delivery traces (including drops) for post-hoc analysis;
 //! * [`fault`] — seeded, deterministic fault plans (loss, duplication,
 //!   reordering, transient partitions, client crash/restart) for the
-//!   fault-tolerance experiments;
-//! * [`delay`] — deterministic heterogeneous per-link delays for the
-//!   online delay-estimation experiments.
+//!   fault-tolerance experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod delay;
 pub mod fault;
 pub mod link;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use channel::{ChannelKind, DeliveryChannel};
-pub use delay::link_delay;
 pub use fault::{FaultAction, FaultFamily, FaultInjector, FaultPlan, FaultWindow};
 pub use link::LinkModel;
 pub use time::SimTime;
 pub use topology::{Region, RegionTopology};
-pub use trace::{DeliveryRecord, DeliveryTrace, DropRecord};
 
 /// Identifier of a simulated node (client or sequencer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

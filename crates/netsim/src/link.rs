@@ -58,17 +58,6 @@ impl LinkModel {
         }
     }
 
-    /// Set the probability that a message is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1)`.
-    pub fn with_loss(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "loss probability must be in [0,1), got {p}");
-        self.loss_probability = p;
-        self
-    }
-
     /// Sample a one-way delay.
     pub fn sample_delay(&self, rng: &mut dyn RngCore) -> f64 {
         self.delay.sample(rng).max(self.min_delay).max(0.0)
@@ -89,6 +78,20 @@ impl LinkModel {
     /// Mean one-way delay of the model.
     pub fn mean_delay(&self) -> f64 {
         self.delay.mean().max(self.min_delay)
+    }
+}
+
+#[cfg(test)]
+impl LinkModel {
+    /// Set the probability that a message is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1)`.
+    pub(crate) fn with_loss(mut self, p: f64) -> Self {
+        assert!((0.0..1.0).contains(&p), "loss probability must be in [0,1), got {p}");
+        self.loss_probability = p;
+        self
     }
 }
 

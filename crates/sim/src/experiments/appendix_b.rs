@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn linear_order_is_abcd() {
         let result = run(0.75);
-        let flat: Vec<u64> = result.order.flatten().iter().map(|m| m.0).collect();
+        let flat: Vec<u64> = result.order.batches().iter().flat_map(|b| &b.messages).map(|m| m.0).collect();
         assert_eq!(flat, vec![0, 1, 2, 3]);
     }
 }

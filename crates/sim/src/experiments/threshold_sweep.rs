@@ -111,7 +111,7 @@ mod tests {
     /// scenarios run instead of panicking on unregistered clients.
     #[test]
     fn cyclic_scenarios_sweep_without_panicking() {
-        let rows = run(&base().with_cyclic_fraction(0.3), &[0.6, 0.9]);
+        let rows = run(&ScenarioConfig { cyclic_fraction: 0.3, ..base() }, &[0.6, 0.9]);
         assert_eq!(rows.len(), 2);
         for row in rows {
             assert!(row.batches >= 1);

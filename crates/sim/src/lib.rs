@@ -22,22 +22,19 @@
 //!
 //! [`runner::run_stream`] is the one streaming driver: it replays a
 //! scenario's delivery schedule (`tommy_workload::schedule::Schedule`) into
-//! any online engine the caller builds and scores what comes out.
-//! [`faults`] adds the fault-injected streaming runner: the same scenarios
-//! driven through the full wire path (sequenced stream frames, framing and
-//! CRC, gap/duplicate/reorder recovery) over a deterministic lossy network,
-//! with a liveness-enabled sequencer evicting wedged clients.
+//! any online engine the caller builds and scores what comes out. The
+//! fault-injected runner, which drives the same scenarios through the full
+//! wire path over a deterministic lossy network, is test rig and lives in
+//! `tommy_contract::faults`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod faults;
 pub mod output;
 pub mod runner;
 pub mod scenario;
 
-pub use faults::{run_fault_stream, FaultStreamResult, FAULT_STALENESS_DEADLINE};
 pub use runner::{
     run_offline_comparison, run_stream, sequencer_config, ComparisonResult, StreamRun,
 };

@@ -499,7 +499,7 @@ mod tests {
         assert!(gaussian.peak_index_bytes > 0, "{gaussian:?}");
         assert_eq!(gaussian.mode_switches, 0, "{gaussian:?}");
 
-        let cyclic = online(&small(2.0, 1.0).with_cyclic_fraction(0.3), 0.99).1.stats();
+        let cyclic = online(&ScenarioConfig { cyclic_fraction: 0.3, ..small(2.0, 1.0) }, 0.99).1.stats();
         assert_eq!(cyclic.lazy_evals, 0, "{cyclic:?}");
         assert_eq!(cyclic.dense_columns_avoided, 0, "{cyclic:?}");
         assert!(cyclic.peak_matrix_bytes > 0, "{cyclic:?}");
@@ -528,7 +528,7 @@ mod tests {
     /// repairs — never a full rebuild — while still emitting every message.
     #[test]
     fn cyclic_scenario_repairs_locally_without_full_rebuilds() {
-        let cfg = small(2.0, 1.0).with_cyclic_fraction(0.3);
+        let cfg = ScenarioConfig { cyclic_fraction: 0.3, ..small(2.0, 1.0) };
         let passes_before = exhaustive_passes();
         let (_, engine) = online(&cfg, 0.99);
         assert_eq!(engine.stats().messages_emitted, cfg.messages);
@@ -549,7 +549,7 @@ mod tests {
     /// reported as intransitive.
     #[test]
     fn cyclic_offline_comparison_reports_intransitivity() {
-        let cfg = small(5.0, 1.0).with_cyclic_fraction(0.4);
+        let cfg = ScenarioConfig { cyclic_fraction: 0.4, ..small(5.0, 1.0) };
         let result = run_offline_comparison(&cfg);
         assert!(!result.transitive, "bursts must make the tournament cyclic");
         // The all-Gaussian control stays transitive on the same seed.

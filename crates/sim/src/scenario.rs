@@ -1,6 +1,5 @@
 //! Scenario configuration shared by the experiments.
 
-use tommy_netsim::FaultPlan;
 use tommy_workload::AttackPlan;
 
 /// Configuration of one offline-comparison scenario (the §4 evaluation
@@ -38,20 +37,6 @@ pub struct ScenarioConfig {
     /// (`tommy_core::defense`): residual cross-checks, quarantine onto
     /// conservative fallback margins, and drift-triggered re-estimation.
     pub defended: bool,
-    /// Delivery-fault plan applied by the fault-injected streaming runner
-    /// (`crate::faults::run_fault_stream`) — `None` (the default) is the
-    /// reliable-network setting. Composes with any extra plans passed to the
-    /// runner; fault decisions are pure hashes, so seeded scenarios stay
-    /// reproducible under injected faults.
-    pub fault: Option<FaultPlan>,
-    /// Spread of the per-client link delays simulated by the fault runner:
-    /// each client's one-way delay is the base delay plus a deterministic
-    /// node-keyed offset uniform in `[0, spread)`
-    /// (`tommy_netsim::link_delay`). `0.0` (the default) is the homogeneous
-    /// constant-delay setting, bit-identical to previous behavior; a
-    /// non-zero spread models links the sequencer does not know a priori —
-    /// the setting `ExpectedDelay::Online` exists for.
-    pub link_delay_spread: f64,
 }
 
 impl Default for ScenarioConfig {
@@ -66,8 +51,6 @@ impl Default for ScenarioConfig {
             cyclic_fraction: 0.0,
             adversarial: None,
             defended: false,
-            fault: None,
-            link_delay_spread: 0.0,
         }
     }
 }
@@ -108,17 +91,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Builder: set the Condorcet-burst share of the stream (see
-    /// [`ScenarioConfig::cyclic_fraction`]).
-    pub fn with_cyclic_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "cyclic fraction must be in [0, 1], got {fraction}"
-        );
-        self.cyclic_fraction = fraction;
-        self
-    }
-
     /// Builder: apply an adversarial attack plan to the scenario (see
     /// [`ScenarioConfig::adversarial`]).
     pub fn with_adversarial(mut self, plan: AttackPlan) -> Self {
@@ -130,23 +102,6 @@ impl ScenarioConfig {
     /// [`ScenarioConfig::defended`]).
     pub fn with_defended(mut self, defended: bool) -> Self {
         self.defended = defended;
-        self
-    }
-
-    /// Builder: attach a delivery-fault plan (see [`ScenarioConfig::fault`]).
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Builder: set the heterogeneous link-delay spread (see
-    /// [`ScenarioConfig::link_delay_spread`]).
-    pub fn with_link_delay_spread(mut self, spread: f64) -> Self {
-        assert!(
-            spread >= 0.0 && spread.is_finite(),
-            "link delay spread must be non-negative"
-        );
-        self.link_delay_spread = spread;
         self
     }
 }
@@ -169,15 +124,13 @@ mod tests {
             .with_gap(0.5)
             .with_size(50, 100)
             .with_threshold(0.9)
-            .with_seed(7)
-            .with_cyclic_fraction(0.25);
+            .with_seed(7);
         assert_eq!(cfg.clock_std_dev, 80.0);
         assert_eq!(cfg.inter_message_gap, 0.5);
         assert_eq!(cfg.clients, 50);
         assert_eq!(cfg.messages, 100);
         assert_eq!(cfg.threshold, 0.9);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.cyclic_fraction, 0.25);
     }
 
     #[test]
@@ -193,33 +146,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_knob_defaults_off_and_chains() {
-        use tommy_netsim::FaultFamily;
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.fault, None);
-        let plan = FaultPlan::new(FaultFamily::Loss, 0.2).with_seed(9);
-        let cfg = cfg.with_fault(plan);
-        assert_eq!(cfg.fault, Some(plan));
-    }
-
-    #[test]
-    fn link_delay_spread_defaults_homogeneous_and_chains() {
-        let cfg = ScenarioConfig::default();
-        assert_eq!(cfg.link_delay_spread, 0.0);
-        let cfg = cfg.with_link_delay_spread(2.5);
-        assert_eq!(cfg.link_delay_spread, 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "spread")]
-    fn negative_link_delay_spread_rejected() {
-        ScenarioConfig::default().with_link_delay_spread(-1.0);
-    }
-
-    #[test]
-    #[should_panic]
+    #[should_panic(expected = "cyclic fraction must be in [0, 1]")]
     fn invalid_cyclic_fraction_rejected() {
-        ScenarioConfig::default().with_cyclic_fraction(1.5);
+        let config = ScenarioConfig {
+            cyclic_fraction: 1.5,
+            ..ScenarioConfig::default()
+        };
+        crate::runner::scenario_workload(&config);
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Scale by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -125,6 +119,14 @@ impl From<f64> for Complex {
     #[inline]
     fn from(re: f64) -> Self {
         Complex::from_real(re)
+    }
+}
+
+#[cfg(test)]
+impl Complex {
+    /// Squared magnitude.
+    pub(crate) fn norm_sqr(self) -> f64 {
+        self.re * self.re + self.im * self.im
     }
 }
 

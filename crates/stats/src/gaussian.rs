@@ -45,15 +45,6 @@ impl Gaussian {
         Gaussian::new(mean, std_dev.min(Self::MAX_STD_DEV))
     }
 
-    /// Create a Gaussian from mean and variance.
-    pub fn from_variance(mean: f64, variance: f64) -> Self {
-        assert!(
-            variance.is_finite() && variance >= 0.0,
-            "variance must be finite and non-negative, got {variance}"
-        );
-        Gaussian::new(mean, variance.sqrt())
-    }
-
     /// The mean.
     #[inline]
     pub fn mean(&self) -> f64 {
@@ -104,12 +95,6 @@ impl Gaussian {
             return self.mean;
         }
         self.mean + self.std_dev * sample_std_normal(rng)
-    }
-
-    /// The distribution of the difference `other − self` of two independent
-    /// Gaussians (used for `Δθ = θ_j − θ_i`).
-    pub fn difference(&self, other: &Gaussian) -> Gaussian {
-        Gaussian::from_variance(other.mean - self.mean, self.variance() + other.variance())
     }
 
     /// Closed-form preceding probability of the paper, §3.2:
@@ -166,6 +151,15 @@ pub fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+#[cfg(test)]
+impl Gaussian {
+    /// The distribution of the difference `other − self` of two independent
+    /// Gaussians (used for `Δθ = θ_j − θ_i`).
+    pub(crate) fn difference(&self, other: &Gaussian) -> Gaussian {
+        Gaussian::new(other.mean - self.mean, (self.variance() + other.variance()).sqrt())
+    }
 }
 
 #[cfg(test)]

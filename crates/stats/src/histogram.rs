@@ -102,12 +102,6 @@ impl Histogram {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
-    /// Total number of recorded samples.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Raw bin counts.
     #[inline]
     pub fn counts(&self) -> &[u64] {
@@ -186,7 +180,7 @@ mod tests {
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.total, 3);
     }
 
     #[test]
@@ -212,7 +206,7 @@ mod tests {
     fn from_samples_covers_all_points() {
         let samples = [1.0, 2.0, 3.0, 4.0, 100.0];
         let h = Histogram::from_samples(&samples, 20);
-        assert_eq!(h.total(), 5);
+        assert_eq!(h.total, 5);
         assert!(h.lo() < 1.0);
         assert!(h.hi() > 100.0);
     }
@@ -221,7 +215,7 @@ mod tests {
     fn from_identical_samples_widens_range() {
         let h = Histogram::from_samples(&[3.0, 3.0, 3.0], 5);
         assert!(h.hi() > h.lo());
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.total, 3);
     }
 
     #[test]
@@ -241,7 +235,7 @@ mod tests {
         b.record(0.1);
         b.record(0.9);
         a.merge(&b);
-        assert_eq!(a.total(), 3);
+        assert_eq!(a.total, 3);
         assert_eq!(a.counts()[0], 2);
         assert_eq!(a.counts()[3], 1);
     }

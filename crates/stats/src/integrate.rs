@@ -12,7 +12,8 @@ pub fn trapezoid_uniform(values: &[f64], step: f64) -> f64 {
 
 /// Composite Simpson's rule for a function `f` over `[a, b]` with `n`
 /// intervals (`n` is rounded up to the next even number).
-pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
     assert!(n > 0, "need at least one interval");
     assert!(b >= a, "invalid interval [{a}, {b}]");
     let n = if n.is_multiple_of(2) { n } else { n + 1 };

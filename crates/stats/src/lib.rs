@@ -28,7 +28,7 @@
 //!   normalization, CDF/tail evaluation and difference distributions.
 //! * [`histogram`] — fixed-bin histograms for empirical distribution learning.
 //! * [`kde`] — Gaussian kernel density estimation.
-//! * [`integrate`] — trapezoid and Simpson quadrature.
+//! * [`integrate`] — trapezoid quadrature.
 //! * [`quantile`] — sample quantiles and monotone bisection (used to find safe
 //!   emission times `T^F_i`).
 //! * [`moments`] — streaming moment accumulation (Welford).
@@ -56,11 +56,6 @@ pub use gaussian::Gaussian;
 pub use histogram::Histogram;
 pub use kde::KernelDensity;
 pub use moments::Moments;
-
-/// Numerical tolerance used in debug assertions and tests throughout the
-/// workspace when comparing probabilities computed along different paths
-/// (closed form vs numeric convolution).
-pub const PROBABILITY_TOLERANCE: f64 = 1e-3;
 
 /// Clamp a floating point value into the closed interval `[0, 1]`.
 ///

@@ -191,3 +191,79 @@ fn stream_recovers_after_mid_stream_corruption() {
     decoder.feed(&encode_frame(&msgs[2]));
     assert_eq!(decoder.next_message().unwrap(), Some(msgs[2].clone()));
 }
+
+/// The wire format, pinned byte for byte: one `Submit`, one `Heartbeat` and
+/// one `Stream`-wrapped `Submit`. A frame is the body length (u32 LE), then
+/// the body: the kind byte, the payload (integers and `f64`s little-endian)
+/// and the CRC-32 of kind + payload (u32 LE). Every byte below was computed
+/// outside this crate, with Python's `struct.pack` and `zlib.crc32` (e.g.
+/// `zlib.crc32(bytes([0x01]) + struct.pack('<QId', 0x0102030405060708,
+/// 0x0A0B0C0D, 1234.5)) == 0xA29B022C`), so encoder and decoder, which
+/// share `crc32`, cannot drift together unseen.
+#[test]
+fn golden_frames_pin_the_wire_format() {
+    #[rustfmt::skip]
+    let golden: [(WireMessage, &[u8]); 3] = [
+        (
+            WireMessage::Submit {
+                id: MessageId(0x0102_0304_0506_0708),
+                client: ClientId(0x0A0B_0C0D),
+                timestamp: 1234.5,
+            },
+            &[
+                0x19, 0x00, 0x00, 0x00,                         // body length 25
+                0x01,                                           // kind: Submit
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // id
+                0x0d, 0x0c, 0x0b, 0x0a,                         // client
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x4a, 0x93, 0x40, // timestamp 1234.5
+                0x2c, 0x02, 0x9b, 0xa2,                         // CRC 0xA29B022C
+            ],
+        ),
+        (
+            WireMessage::Heartbeat {
+                client: ClientId(7),
+                timestamp: -0.25,
+            },
+            &[
+                0x11, 0x00, 0x00, 0x00,                         // body length 17
+                0x02,                                           // kind: Heartbeat
+                0x07, 0x00, 0x00, 0x00,                         // client
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0xbf, // timestamp -0.25
+                0x44, 0x71, 0x56, 0xc1,                         // CRC 0xC1567144
+            ],
+        ),
+        (
+            WireMessage::Stream {
+                sender: ClientId(3),
+                stream_id: 1,
+                sequence: 42,
+                fin: true,
+                inner: Some(Box::new(WireMessage::Submit {
+                    id: MessageId(9),
+                    client: ClientId(3),
+                    timestamp: 100.125,
+                })),
+            },
+            &[
+                0x2f, 0x00, 0x00, 0x00,                         // body length 47
+                0x0a,                                           // kind: Stream
+                0x03, 0x00, 0x00, 0x00,                         // sender
+                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stream id
+                0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sequence 42
+                0x03,                                           // flags: fin | inner
+                0x01,                                           // inner kind: Submit
+                0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // inner id
+                0x03, 0x00, 0x00, 0x00,                         // inner client
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x59, 0x40, // timestamp 100.125
+                0xb7, 0xca, 0x48, 0x0d,                         // CRC 0x0D48CAB7
+            ],
+        ),
+    ];
+    for (message, bytes) in golden {
+        assert_eq!(&encode_frame(&message)[..], bytes, "{message:?}");
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(bytes);
+        assert_eq!(decoder.next_message().unwrap(), Some(message));
+        assert_eq!(decoder.buffered(), 0);
+    }
+}

@@ -34,7 +34,8 @@ pub fn sort_by_true_time(events: &mut [GenerationEvent]) {
 /// The smallest gap between consecutive events (by true time); `None` when
 /// fewer than two events are present. This is the "inter-messages gap" axis
 /// of Figure 5.
-pub fn min_inter_event_gap(events: &[GenerationEvent]) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn min_inter_event_gap(events: &[GenerationEvent]) -> Option<f64> {
     if events.len() < 2 {
         return None;
     }
@@ -51,7 +52,8 @@ pub fn min_inter_event_gap(events: &[GenerationEvent]) -> Option<f64> {
 
 /// The mean gap between consecutive events (by true time); `None` when fewer
 /// than two events are present.
-pub fn mean_inter_event_gap(events: &[GenerationEvent]) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn mean_inter_event_gap(events: &[GenerationEvent]) -> Option<f64> {
     if events.len() < 2 {
         return None;
     }

@@ -112,7 +112,7 @@ mod tests {
         let models = pop.build(10, &mut rng);
         assert_eq!(models.len(), 10);
         for model in models.values() {
-            assert_eq!(model.offset_std_dev(), 25.0);
+            assert_eq!(model.distribution().std_dev(), 25.0);
             assert_eq!(model.distribution().mean(), 0.0);
         }
     }
@@ -126,7 +126,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(2);
         let models = pop.build(100, &mut rng);
-        let sds: Vec<f64> = models.values().map(|m| m.offset_std_dev()).collect();
+        let sds: Vec<f64> = models.values().map(|m| m.distribution().std_dev()).collect();
         let min = sds.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = sds.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(min >= 1.0 && max <= 50.0);
@@ -141,9 +141,9 @@ mod tests {
         ]);
         let mut rng = StdRng::seed_from_u64(3);
         let models = pop.build(4, &mut rng);
-        assert_eq!(models[&ClientId(0)].offset_std_dev(), 1.0);
-        assert_eq!(models[&ClientId(1)].offset_std_dev(), 100.0);
-        assert_eq!(models[&ClientId(2)].offset_std_dev(), 1.0);
-        assert_eq!(models[&ClientId(3)].offset_std_dev(), 100.0);
+        assert_eq!(models[&ClientId(0)].distribution().std_dev(), 1.0);
+        assert_eq!(models[&ClientId(1)].distribution().std_dev(), 100.0);
+        assert_eq!(models[&ClientId(2)].distribution().std_dev(), 1.0);
+        assert_eq!(models[&ClientId(3)].distribution().std_dev(), 100.0);
     }
 }

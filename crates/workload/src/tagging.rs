@@ -133,7 +133,7 @@ mod tests {
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
         let msgs = tag_messages(&events, &clocks, 0, &mut rng);
-        let offsets: Vec<f64> = msgs.iter().map(|m| m.realized_offset().unwrap()).collect();
+        let offsets: Vec<f64> = msgs.iter().map(|m| m.timestamp - m.true_time.unwrap()).collect();
         let mean: f64 = offsets.iter().sum::<f64>() / offsets.len() as f64;
         let var: f64 = offsets.iter().map(|o| (o - mean).powi(2)).sum::<f64>() / offsets.len() as f64;
         assert!(mean.abs() < 1.5, "mean = {mean}");

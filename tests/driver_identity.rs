@@ -13,10 +13,11 @@
 //! store one float per pair: `peak_matrix_bytes` is the one field that moved
 //! (512 → 256).
 
+use tommy_contract::faults::run_fault_stream;
 use tommy_core::sequencer::online::{OnlineSequencer, OnlineStats};
 use tommy_core::sequencer::sharded::ShardedSequencer;
 use tommy_netsim::{FaultFamily, FaultPlan};
-use tommy_sim::{run_fault_stream, run_stream, sequencer_config, ScenarioConfig};
+use tommy_sim::{run_stream, sequencer_config, ScenarioConfig};
 use tommy_wire::RecoveryPolicy;
 use tommy_workload::{AttackFamily, AttackPlan};
 
@@ -51,7 +52,7 @@ fn online(config: &ScenarioConfig) -> Pin {
 fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
     assert_eq!(online(&small(3.0, 5.0)), (3098, 45, 0xf400_dd37_3287_a795), "gaussian");
     assert_eq!(
-        online(&small(2.0, 1.0).with_cyclic_fraction(0.3)),
+        online(&ScenarioConfig { cyclic_fraction: 0.3, ..small(2.0, 1.0) }),
         (3036, 24, 0x844b_f64e_d32e_2499),
         "cyclic"
     );
@@ -89,7 +90,7 @@ fn new_driver_reproduces_the_parent_drivers_bit_for_bit() {
         max_retries: 4,
         base_backoff: 5.0,
     };
-    let result = run_fault_stream(&faulty, &plans, retransmit, 0.99);
+    let result = run_fault_stream(&faulty, &plans, 0.0, retransmit, 0.99);
     assert_eq!(
         pin(result.ras.score(), result.batches.len(), result.stats),
         (7023, 65, 0x97ab_6596_3ae3_675c),

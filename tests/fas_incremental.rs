@@ -431,7 +431,7 @@ fn fnv(text: &str) -> u64 {
 /// cycle breaking: its draws carry over from window to window.
 fn stochastic_offline_orders(seed: u64) -> Vec<FairOrder> {
     let (workload, stream) = condorcet_stream();
-    let config = SequencerConfig::default().with_stochastic_cycle_breaking(true);
+    let config = SequencerConfig { stochastic_cycle_breaking: true, ..SequencerConfig::default() };
     let mut sequencer = TommySequencer::with_seed(config, seed);
     for (client, claim) in workload.offsets() {
         sequencer.register_client(client, claim);
@@ -455,10 +455,11 @@ fn stochastic_offline_orders_are_a_function_of_the_seed() {
 /// closed: its trace, and the engine after the close.
 fn online_run(stochastic_cycle_breaking: bool) -> (RunTrace, OnlineSequencer) {
     let (workload, stream) = condorcet_stream();
-    let config = SequencerConfig::default()
-        .with_p_safe(0.99)
-        .with_fast_path(FastPathMode::ForceDense)
-        .with_stochastic_cycle_breaking(stochastic_cycle_breaking);
+    let config = SequencerConfig {
+        fast_path: FastPathMode::ForceDense,
+        stochastic_cycle_breaking,
+        ..SequencerConfig::default().with_p_safe(0.99)
+    };
     let mut engine = OnlineSequencer::new(config);
     let offsets = workload.offsets();
     for (client, claim) in &offsets {

@@ -19,10 +19,10 @@
 //!    stream still fully sequenced.
 
 use tommy_contract::checker::FaultSpec;
+use tommy_contract::faults::run_fault_stream;
 use tommy_contract::testkit::model_spec as spec;
 use tommy_core::{ClientId, MessageId};
 use tommy_netsim::{FaultFamily, FaultPlan};
-use tommy_sim::faults::run_fault_stream;
 use tommy_sim::ScenarioConfig;
 use tommy_wire::RecoveryPolicy;
 
@@ -104,8 +104,8 @@ fn fault_injection_is_deterministic_end_to_end() {
         FaultPlan::new(FaultFamily::Loss, 0.15).with_seed(7),
         FaultPlan::new(FaultFamily::Reorder, 0.8).with_scale(4.0),
     ];
-    let a = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
-    let b = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
+    let a = run_fault_stream(&stream_config(), &plans, 0.0, RETRANSMIT, 0.99);
+    let b = run_fault_stream(&stream_config(), &plans, 0.0, RETRANSMIT, 0.99);
     assert_eq!(a.trace, b.trace, "delivery traces must be bit-identical");
     assert_eq!(a.batches, b.batches, "batch sequences must be bit-identical");
     assert_eq!(a.stats, b.stats);
@@ -115,11 +115,11 @@ fn fault_injection_is_deterministic_end_to_end() {
 /// from the fault-free control.
 #[test]
 fn zero_intensity_equals_fault_free_for_every_family() {
-    let control = run_fault_stream(&stream_config(), &[], RecoveryPolicy::Halt, 0.99);
+    let control = run_fault_stream(&stream_config(), &[], 0.0, RecoveryPolicy::Halt, 0.99);
     assert_eq!(control.frames_dropped, 0);
     for family in FaultFamily::ALL {
         let plan = FaultPlan::new(family, 0.0);
-        let faulted = run_fault_stream(&stream_config(), &[plan], RecoveryPolicy::Halt, 0.99);
+        let faulted = run_fault_stream(&stream_config(), &[plan], 0.0, RecoveryPolicy::Halt, 0.99);
         assert_eq!(control.trace, faulted.trace, "{family:?}");
         assert_eq!(control.batches, faulted.batches, "{family:?}");
         assert_eq!(control.stats, faulted.stats, "{family:?}");
@@ -136,7 +136,7 @@ fn twenty_percent_loss_with_reorder_loses_and_duplicates_nothing() {
         FaultPlan::new(FaultFamily::Loss, 0.2),
         FaultPlan::new(FaultFamily::Reorder, 1.0).with_scale(4.0),
     ];
-    let result = run_fault_stream(&stream_config(), &plans, RETRANSMIT, 0.99);
+    let result = run_fault_stream(&stream_config(), &plans, 0.0, RETRANSMIT, 0.99);
     assert!(result.frames_dropped > 0, "the plan must actually drop frames");
     assert!(result.stats.gaps_detected > 0);
     assert!(result.stats.retransmit_requests > 0);

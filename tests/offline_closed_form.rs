@@ -33,7 +33,7 @@ fn twins(
 ) -> (TommySequencer, TommySequencer) {
     let config = SequencerConfig::default().with_threshold(threshold);
     let mut auto = TommySequencer::new(config);
-    let mut dense = TommySequencer::new(config.with_fast_path(FastPathMode::ForceDense));
+    let mut dense = TommySequencer::new(SequencerConfig { fast_path: FastPathMode::ForceDense, ..config });
     for (client, distribution) in census {
         auto.register_client(*client, distribution.clone());
         dense.register_client(*client, distribution.clone());

@@ -24,7 +24,7 @@ fn wide_regime_maintains_the_candidate_and_matches_dense() {
     let census: Vec<_> = (0..CLIENTS).map(|c| (ClientId(c), dist.clone())).collect();
     let mut auto = OnlineSequencer::new(SequencerConfig::default());
     let mut dense =
-        OnlineSequencer::new(SequencerConfig::default().with_fast_path(FastPathMode::ForceDense));
+        OnlineSequencer::new(SequencerConfig { fast_path: FastPathMode::ForceDense, ..SequencerConfig::default() });
     register_all(&mut auto, &census);
     register_all(&mut dense, &census);
 
