@@ -35,6 +35,13 @@ hasher is safe only for keys no client chooses: the registry's client table
 is filled by registration alone, while ids arrive from clients and keep
 SipHash.
 
+Single-threaded core: the shipped part of crates/*/src (not the test rig),
+src/ and examples/ names no `Arc`, `Rc`, `Mutex`, `RwLock`, `Atomic*`,
+`OnceLock`, `parking_lot` or `bytes::` outside comments, `use` lines
+included. Nothing that ships starts a thread, so nothing needs a lock, an
+atomic or a shared refcount, and a cache behind `&self` is a `Cell`,
+`RefCell` or `OnceCell`.
+
 Infallible engines: the non-test part of the dense and sparse engines
 (INFALLIBLE) must not name `CoreError` outside comments. Admission refuses
 every input an engine could fail on, so an error path that comes back into
@@ -73,8 +80,6 @@ ALLOW = {
         "the only read of what ExpectedDelay::Online learned over the fleet",
     ("crates/core/src/session.rs", "complete"):
         "the only read of the fin marker: a closed stream told from one wedged on a hole",
-    ("crates/clock/src/sync.rs", "run_until"):
-        "the periodic schedule SyncSession::new's interval and start time configure",
 }
 
 DECL = re.compile(r"^( *)pub (?:const |unsafe )*(?:fn|struct|enum|trait|const|type) (\w+)", re.M)
@@ -156,6 +161,11 @@ for path in sorted(glob.glob("crates/**/*.rs", recursive=True)):
         if (path, m.group(1)) not in HASHERS:
             line = text.count("\n", 0, m.start()) + 1
             hashers.append(f"{path}:{line}: map built with a hasher ({m.group(1) or 'unnamed'})")
+SHARED = re.compile(r"\b(?:Arc|Rc|Mutex|RwLock|Atomic\w*|OnceLock|parking_lot)\b|\bbytes::")
+PRODUCT = ("crates/", "src/", "examples/")  # not perfbench/src: the benchmark's own harness
+shared = [f"{path}:{text.count(chr(10), 0, m.start()) + 1}: names {m.group()}"
+          for path, t in sorted(shipped.items()) if path.startswith(PRODUCT)
+          for text in [COMMENT.sub("", t)] for m in SHARED.finditer(text)]
 INFALLIBLE = ("crates/core/src/sequencer/dense.rs", "crates/core/src/sequencer/sparse.rs")
 fallible = [f"{path}: names CoreError" for path in INFALLIBLE
             if re.search(r"\bCoreError\b", COMMENT.sub("", shipped[path]))]
@@ -163,4 +173,5 @@ print("\n".join(dead) or "reachability census: every pub item has a shipped call
 print("\n".join(stale) or "allowlist: every ALLOW line names an item with no shipped caller")
 print("\n".join(hashers) or "hasher policy: only the allowlisted map has a fixed hasher")
 print("\n".join(fallible) or "infallible engines: neither engine names CoreError")
-sys.exit(1 if dead or stale or hashers or fallible else 0)
+print("\n".join(shared) or "single-threaded core: no lock, atomic, shared refcount or bytes buffer ships")
+sys.exit(1 if dead or stale or hashers or fallible or shared else 0)

@@ -31,7 +31,7 @@ fn learning_bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(1);
                 let clock = ClockModel::gaussian(2.0, 10.0);
-                let mut session = SyncSession::new(clock, PathModel::symmetric(2.0, 0.5), 1.0, 0.0);
+                let mut session = SyncSession::new(clock, PathModel::symmetric(2.0, 0.5));
                 let mut learner = DistributionLearner::new(LearnedModel::GaussianFit);
                 for k in 0..n {
                     session.run_probe(k as f64, &mut rng);

@@ -10,7 +10,8 @@
 //! * The receive pipeline costs what a frame carries: an in-order wrapped
 //!   heartbeat through `feed` + `next_message` + `receive` allocates the
 //!   `Box` of its inner message and the one returned `Vec`, and a `poll`
-//!   with nothing due allocates nothing.
+//!   with nothing due allocates nothing. Encoding that frame allocates the
+//!   one buffer `encode_frame` returns.
 //! * Each engine pays for what changed: a `submit` into a warm pending set
 //!   that emits nothing, and the `heartbeat` that releases one batch from
 //!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
@@ -123,6 +124,30 @@ fn in_order_frame_allocates_its_box_and_its_vec() {
         2 * MEASURED as u64,
         "an in-order frame allocates the Box of its inner message and the returned Vec, \
          and an idle poll nothing"
+    );
+}
+
+#[test]
+fn encoded_frame_allocates_only_its_buffer() {
+    const MEASURED: usize = 100;
+    let client = ClientId(3);
+    let mut sender = SequencedSender::new(client, 0);
+    let wrapped: Vec<_> = (0..MEASURED)
+        .map(|i| {
+            sender.wrap(WireMessage::Heartbeat {
+                client,
+                timestamp: i as f64,
+            })
+        })
+        .collect();
+    let before = ALLOCATIONS.with(Cell::get);
+    for message in &wrapped {
+        std::hint::black_box(encode_frame(message));
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(
+        allocations, MEASURED as u64,
+        "a stream-wrapped heartbeat is encoded into the one buffer returned"
     );
 }
 

@@ -256,9 +256,11 @@ mod tests {
         let truth = Gaussian::new(30.0, 6.0);
         let clock = ClockModel::from_distribution(OffsetDistribution::Gaussian(truth));
         let path = PathModel::symmetric(10.0, 0.5);
-        let mut session = SyncSession::new(clock, path, 1.0, 0.0);
+        let mut session = SyncSession::new(clock, path);
         let mut rng = StdRng::seed_from_u64(5);
-        session.run_until(4_000.0, &mut rng);
+        for t in 0..=4_000 {
+            session.run_probe(t as f64, &mut rng);
+        }
 
         let mut learner = DistributionLearner::new(LearnedModel::GaussianFit);
         for s in session.samples() {

@@ -1,11 +1,11 @@
 //! Simulated clock-synchronization sessions.
 //!
 //! §5 of the paper: "Any clock synchronization protocol gives each client
-//! enough information to estimate its offsets distribution." We simulate a
-//! periodic NTP-style probe exchange between a client (with a ground-truth
-//! [`ClockModel`]) and the sequencer over an asymmetric, jittery path
-//! ([`PathModel`]); the resulting [`OffsetSample`]s feed the client-side
-//! learner in [`crate::learning`].
+//! enough information to estimate its offsets distribution." We simulate
+//! NTP-style probe exchanges, at the times the caller picks, between a
+//! client (with a ground-truth [`ClockModel`]) and the sequencer over an
+//! asymmetric, jittery path ([`PathModel`]); the resulting [`OffsetSample`]s
+//! feed the client-side learner in [`crate::learning`].
 
 use crate::offset::ClockModel;
 use crate::probe::{OffsetSample, ProbeExchange};
@@ -51,21 +51,16 @@ impl PathModel {
 pub struct SyncSession {
     clock: ClockModel,
     path: PathModel,
-    probe_interval: f64,
-    next_probe_at: f64,
     samples: Vec<OffsetSample>,
 }
 
 impl SyncSession {
-    /// Create a session that sends one probe every `probe_interval` time
-    /// units of true time, starting at `start_time`.
-    pub fn new(clock: ClockModel, path: PathModel, probe_interval: f64, start_time: f64) -> Self {
-        assert!(probe_interval > 0.0, "probe interval must be positive");
+    /// A session for a client with `clock` over `path`; each probe runs at
+    /// the true time handed to [`run_probe`](Self::run_probe).
+    pub fn new(clock: ClockModel, path: PathModel) -> Self {
         SyncSession {
             clock,
             path,
-            probe_interval,
-            next_probe_at: start_time,
             samples: Vec::new(),
         }
     }
@@ -95,19 +90,6 @@ impl SyncSession {
         exchange
     }
 
-    /// Run the periodic probe schedule up to (and including) true time
-    /// `until`, returning the number of probes executed.
-    pub fn run_until(&mut self, until: f64, rng: &mut dyn RngCore) -> usize {
-        let mut count = 0;
-        while self.next_probe_at <= until {
-            let at = self.next_probe_at;
-            self.run_probe(at, rng);
-            self.next_probe_at += self.probe_interval;
-            count += 1;
-        }
-        count
-    }
-
     /// All offset samples collected so far.
     pub fn samples(&self) -> &[OffsetSample] {
         &self.samples
@@ -129,9 +111,11 @@ mod tests {
     fn symmetric_path_low_jitter_recovers_offset_distribution() {
         let clock = ClockModel::gaussian(25.0, 4.0);
         let path = PathModel::symmetric(5.0, 0.0);
-        let mut session = SyncSession::new(clock, path, 1.0, 0.0);
+        let mut session = SyncSession::new(clock, path);
         let mut rng = StdRng::seed_from_u64(42);
-        session.run_until(5_000.0, &mut rng);
+        for t in 0..=5_000 {
+            session.run_probe(t as f64, &mut rng);
+        }
         let est = session.offset_estimates();
         let n = est.len() as f64;
         let mean = est.iter().sum::<f64>() / n;
@@ -149,44 +133,28 @@ mod tests {
             forward: OffsetDistribution::uniform(14.9, 15.1),
             reverse: OffsetDistribution::uniform(4.9, 5.1),
         };
-        let mut session = SyncSession::new(clock, path, 1.0, 0.0);
+        let mut session = SyncSession::new(clock, path);
         let mut rng = StdRng::seed_from_u64(9);
-        session.run_until(1_000.0, &mut rng);
+        for t in 0..=1_000 {
+            session.run_probe(t as f64, &mut rng);
+        }
         let est = session.offset_estimates();
         let mean = est.iter().sum::<f64>() / est.len() as f64;
         assert!((mean.abs() - 5.0).abs() < 0.2, "mean = {mean}");
     }
 
     #[test]
-    fn probe_schedule_counts() {
-        let clock = ClockModel::gaussian(0.0, 0.0);
-        let path = PathModel::symmetric(1.0, 0.5);
-        let mut session = SyncSession::new(clock, path, 10.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let count = session.run_until(99.0, &mut rng);
-        assert_eq!(count, 10); // probes at t = 0, 10, ..., 90
-        assert_eq!(session.samples().len(), 10);
-        assert_eq!(session.next_probe_at, 100.0);
-        // Running again up to the same point does nothing.
-        assert_eq!(session.run_until(99.0, &mut rng), 0);
-    }
-
-    #[test]
     fn rtt_reflects_both_directions_and_jitter_is_nonnegative() {
         let clock = ClockModel::gaussian(3.0, 1.0);
         let path = PathModel::symmetric(2.0, 1.0);
-        let mut session = SyncSession::new(clock, path, 1.0, 0.0);
+        let mut session = SyncSession::new(clock, path);
         let mut rng = StdRng::seed_from_u64(5);
-        session.run_until(500.0, &mut rng);
+        for t in 0..=500 {
+            session.run_probe(t as f64, &mut rng);
+        }
         for s in session.samples() {
             assert!(s.rtt >= 4.0 - 1e-9, "rtt = {}", s.rtt);
             assert!(s.completed_at >= 4.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "probe interval must be positive")]
-    fn zero_interval_rejected() {
-        SyncSession::new(ClockModel::gaussian(0.0, 0.0), PathModel::symmetric(1.0, 0.0), 0.0, 0.0);
     }
 }

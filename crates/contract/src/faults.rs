@@ -186,7 +186,7 @@ impl FaultRun {
         sent_at: f64,
         faulted: bool,
     ) {
-        let bytes = encode_frame(frame).to_vec();
+        let bytes = encode_frame(frame);
         let action = if faulted {
             self.frames_sent += 1;
             self.injector.action(from.0, sequence, sent_at)

@@ -46,11 +46,12 @@
 //! forms. The dense engine's arrival column (`preceding_column`) is handed
 //! the `ClientSlot` stored beside every pending message, so each
 //! probability is an indexed read of the client table and, for a
-//! non-Gaussian pair, of the class-pair difference table under one lock
-//! acquisition per column: no hash, lock or `Arc` refcount per pending
-//! message. A one-shot matrix is a loop of those columns. The sparse
-//! engine's exact evaluation (`preceding_at`) is the scalar form. The
-//! column counts its evaluations in bulk
+//! non-Gaussian pair, of the class-pair difference table under one borrow
+//! per column (the sequencer is single-threaded by design, so the caches
+//! are `RefCell`s and `OnceCell`s, and the query count a `Cell`): no hash
+//! per pending message. A one-shot matrix is a loop of those columns. The
+//! sparse engine's exact evaluation (`preceding_at`) is the scalar form.
+//! The column counts its evaluations in bulk
 //! ([`record_queries`](DistributionRegistry::record_queries)): one count per
 //! pairwise probability evaluated, as on the per-call path. The sparse
 //! engine counts one per pairwise decision, most of which it settles from
@@ -59,12 +60,10 @@
 use crate::config::{FastPathMode, SequencerConfig};
 use crate::error::CoreError;
 use crate::message::{ClientId, Message, MessageId};
-use parking_lot::RwLock;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use tommy_stats::clamp_probability;
 use tommy_stats::convolution::difference_distribution;
 use tommy_stats::discretized::DiscretizedPdf;
@@ -120,11 +119,11 @@ struct ClientEntry {
     mean: f64,
     /// The first safe-emission margin asked for: `(p_safe bits,
     /// Q_δ(1 − p_safe))`, the client-level constant of `T^F = T − Q(1 − p_safe)`.
-    safe_margin: OnceLock<(u64, f64)>,
+    safe_margin: OnceCell<(u64, f64)>,
     /// This distribution's index in the numeric caches, resolved on first
     /// numeric use (see [`DistributionRegistry::class_at`]); an all-Gaussian
     /// census never resolves one.
-    class: OnceLock<u32>,
+    class: OnceCell<u32>,
 }
 
 /// The same-client rule: one client's offset cancels, so the comparison is
@@ -146,19 +145,19 @@ struct Difference {
     /// The discretized PDF of `δ_i − δ_j`.
     grid: DiscretizedPdf,
     /// The first violation margin asked for: `(threshold bits, Q_Δ(θ))`.
-    violation_margin: OnceLock<(u64, f64)>,
+    violation_margin: OnceCell<(u64, f64)>,
 }
 
 /// Difference distributions by ordered class pair: `table[class_i][class_j]`.
-type DifferenceTable = Vec<Vec<Option<Arc<Difference>>>>;
+type DifferenceTable = Vec<Vec<Option<Difference>>>;
 
-fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Arc<Difference>> {
+fn difference_cell(table: &DifferenceTable, key: (u32, u32)) -> Option<&Difference> {
     table.get(key.0 as usize)?.get(key.1 as usize)?.as_ref()
 }
 
 /// `cell`'s value for the first `key` asked (a `p_safe`, a threshold: one
 /// per sequencer life); any other key is answered by `compute`, uncached.
-fn cached_for(cell: &OnceLock<(u64, f64)>, key: f64, compute: impl Fn() -> f64) -> f64 {
+fn cached_for(cell: &OnceCell<(u64, f64)>, key: f64, compute: impl Fn() -> f64) -> f64 {
     let &(bits, cached) = cell.get_or_init(|| (key.to_bits(), compute()));
     if bits == key.to_bits() { cached } else { compute() }
 }
@@ -183,8 +182,8 @@ pub struct DistributionRegistry {
     /// grow to the pairs asked for). Clients that registered equal
     /// distributions share both, so memory and build time follow the
     /// distinct claims in numeric use, not the number of client pairs.
-    discretized: RwLock<Vec<Option<Arc<DiscretizedPdf>>>>,
-    differences: RwLock<DifferenceTable>,
+    discretized: RefCell<Vec<Option<DiscretizedPdf>>>,
+    differences: RefCell<DifferenceTable>,
     /// Number of pairwise queries served so far — one per
     /// [`preceding_probability`](Self::preceding_probability) call, plus
     /// every element of a matrix column and every pairwise
@@ -194,7 +193,7 @@ pub struct DistributionRegistry {
     /// argument or by evaluating the polynomial. The online sequencer's
     /// O(1)-tick and O(n)-arrival guarantees are asserted against this
     /// counter.
-    queries: AtomicU64,
+    queries: Cell<u64>,
 }
 
 impl Default for DistributionRegistry {
@@ -219,9 +218,9 @@ impl DistributionRegistry {
             non_closed_form: 0,
             min_gaussian_sigma: f64::INFINITY,
             grid_points,
-            discretized: RwLock::new(Vec::new()),
-            differences: RwLock::new(Vec::new()),
-            queries: AtomicU64::new(0),
+            discretized: RefCell::default(),
+            differences: RefCell::default(),
+            queries: Cell::new(0),
         }
     }
 
@@ -240,8 +239,8 @@ impl DistributionRegistry {
             client,
             mean: distribution.mean(),
             distribution,
-            safe_margin: OnceLock::new(),
-            class: OnceLock::new(),
+            safe_margin: OnceCell::new(),
+            class: OnceCell::new(),
         };
         match self.slots.entry(client) {
             Entry::Vacant(slot) => {
@@ -361,45 +360,55 @@ impl DistributionRegistry {
             });
             shared.unwrap_or_else(|| {
                 let grid = DiscretizedPdf::from_distribution(&entry.distribution, self.grid_points);
-                let mut table = self.discretized.write();
+                let mut table = self.discretized.borrow_mut();
                 let free = table.iter().position(Option::is_none).unwrap_or_else(|| {
                     table.push(None);
                     table.len() - 1
                 });
-                table[free] = Some(Arc::new(grid));
+                table[free] = Some(grid);
                 free as u32
             })
         })
     }
 
-    /// The cached distribution of `δ_i − δ_j` for a pair of clients (built on
-    /// demand).
-    fn difference_at(&self, si: ClientSlot, sj: ClientSlot) -> Arc<Difference> {
-        let key = (self.class_at(si), self.class_at(sj));
-        if let Some(diff) = difference_cell(&self.differences.read(), key) {
-            return Arc::clone(diff);
+    /// Build the distribution of `δ_i − δ_j` for the class pair `key` into
+    /// the difference table, unless it is there already.
+    fn build_difference(&self, key: (u32, u32)) {
+        if difference_cell(&self.differences.borrow(), key).is_some() {
+            return;
         }
+        let grids = self.discretized.borrow();
         let grid = |class: u32| {
-            let held = self.discretized.read()[class as usize].clone();
-            held.expect("a class some client holds has a grid")
+            grids[class as usize].as_ref().expect("a class some client holds has a grid")
         };
         // difference_distribution(a, b) returns the PDF of (b − a); we want
         // δ_i − δ_j, so pass (f_j, f_i).
-        let (f_i, f_j) = (grid(key.0), grid(key.1));
-        let diff = Arc::new(Difference {
-            grid: difference_distribution(&f_j, &f_i),
-            violation_margin: OnceLock::new(),
-        });
+        let diff = Difference {
+            grid: difference_distribution(grid(key.1), grid(key.0)),
+            violation_margin: OnceCell::new(),
+        };
         let (a, b) = (key.0 as usize, key.1 as usize);
-        let mut table = self.differences.write();
+        let mut table = self.differences.borrow_mut();
         if table.len() <= a {
             table.resize_with(a + 1, Vec::new);
         }
         if table[a].len() <= b {
-            table[a].resize(b + 1, None);
+            table[a].resize_with(b + 1, || None);
         }
-        table[a][b] = Some(Arc::clone(&diff));
-        diff
+        table[a][b] = Some(diff);
+    }
+
+    /// `f` applied to the cached distribution of `δ_i − δ_j` for a pair of
+    /// clients, built first if missing; the table is borrowed while `f` runs.
+    fn with_difference<R>(
+        &self,
+        si: ClientSlot,
+        sj: ClientSlot,
+        f: impl FnOnce(&Difference) -> R,
+    ) -> R {
+        let key = (self.class_at(si), self.class_at(sj));
+        self.build_difference(key);
+        f(difference_cell(&self.differences.borrow(), key).expect("built above"))
     }
 
     /// The admission rule for one message, at every entry point that takes
@@ -453,12 +462,12 @@ impl DistributionRegistry {
     /// [`CoreError::InvalidTimestamp`] for a non-finite timestamp,
     /// [`CoreError::UnknownClient`] for an unregistered client.
     pub fn preceding_probability(&self, i: &Message, j: &Message) -> Result<f64, CoreError> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.record_queries(1);
         let (si, sj) = (self.admit(i)?, self.admit(j)?);
         let p = match (self.gaussian_at(si), self.gaussian_at(sj)) {
             _ if si == sj => same_client(i.timestamp - j.timestamp),
             (Some(gi), Some(gj)) => gi.preceding_probability(i.timestamp, gj, j.timestamp),
-            _ => self.difference_at(si, sj).grid.tail(i.timestamp - j.timestamp),
+            _ => self.with_difference(si, sj, |d| d.grid.tail(i.timestamp - j.timestamp)),
         };
         Ok(clamp_probability(p))
     }
@@ -489,16 +498,16 @@ impl DistributionRegistry {
     /// The per-pair body for one pair: the sparse engine's exact
     /// evaluation. Counts nothing; the caller counts its decisions.
     pub(crate) fn preceding_at(&self, si: ClientSlot, sj: ClientSlot, dt: f64) -> f64 {
-        self.pair_preceding(si, sj, dt, |_| self.difference_at(si, sj).grid.tail(dt))
+        self.pair_preceding(si, sj, dt, |_| self.with_difference(si, sj, |d| d.grid.tail(dt)))
     }
 
     /// The per-pair body over one arrival's matrix column: for each pending
     /// `(slot, timestamp)`, push `p(pending ≺ arrival)` at
     /// `dt = timestamp − t_arrival` onto `out`, as indexed reads, and count
     /// the cells pushed (not what `out` held before). The difference
-    /// table's read lock is taken at the column's first pair without a
-    /// closed form and held across the column, released only to build a
-    /// grid on its first use: no `Arc` refcount per pending message.
+    /// table is borrowed at the column's first pair without a closed form
+    /// and held across the column, released only to build a grid on its
+    /// first use.
     pub(crate) fn preceding_column(
         &self,
         pending: impl Iterator<Item = (ClientSlot, f64)>,
@@ -511,13 +520,13 @@ impl DistributionRegistry {
         for (slot, timestamp) in pending {
             let dt = timestamp - t_arrival;
             out.push(self.pair_preceding(slot, arrival, dt, |key| {
-                let read = || self.differences.read();
-                if difference_cell(table.get_or_insert_with(read), key).is_none() {
-                    // Building the grid takes the write lock.
+                let borrow = || self.differences.borrow();
+                if difference_cell(table.get_or_insert_with(borrow), key).is_none() {
+                    // Building the grid borrows the table mutably.
                     table = None;
-                    self.difference_at(slot, arrival);
+                    self.build_difference(key);
                 }
-                let cell = difference_cell(table.get_or_insert_with(read), key);
+                let cell = difference_cell(table.get_or_insert_with(borrow), key);
                 cell.expect("built above").grid.tail(dt)
             }));
         }
@@ -526,14 +535,14 @@ impl DistributionRegistry {
 
     /// Account `n` pairwise queries answered outside
     /// [`preceding_probability`](Self::preceding_probability): matrix
-    /// column fills call this once per column (one atomic add) instead of
+    /// column fills call this once per column (one add) instead of
     /// once per element, and the sparse engine once per pairwise decision,
     /// whether the pair's kernel argument settled it or the polynomial was
     /// evaluated. The counter's meaning — total pairs asked about — stays
     /// identical to the per-call path at a fraction of its bookkeeping
     /// cost.
     pub fn record_queries(&self, n: u64) {
-        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.queries.set(self.queries.get() + n);
     }
 
     /// The cached safe-emission margin `Q_{δ}(1 − p_safe)` for a client's
@@ -564,7 +573,7 @@ impl DistributionRegistry {
     /// — e.g. a pure clock tick of the online sequencer — perform zero
     /// probability queries.
     pub fn query_count(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.queries.get()
     }
 
     /// The largest timestamp difference `d = T_i − T_j` at which a message
@@ -605,10 +614,9 @@ impl DistributionRegistry {
             }
             // p(d) = tail_Δ(d) >= 1 − θ ⇔ cdf_Δ(d) <= θ ⇔ d <= Q_Δ(θ),
             // where Δ = δ_i − δ_j.
-            _ => {
-                let diff = self.difference_at(si, sj);
+            _ => self.with_difference(si, sj, |diff| {
                 cached_for(&diff.violation_margin, threshold, || diff.grid.quantile(threshold))
-            }
+            }),
         }
     }
 }
@@ -625,7 +633,7 @@ mod tests {
     }
 
     fn cached_differences(reg: &DistributionRegistry) -> usize {
-        reg.differences.read().iter().flatten().flatten().count()
+        reg.differences.borrow().iter().flatten().flatten().count()
     }
 
     impl DistributionRegistry {
@@ -842,7 +850,7 @@ mod tests {
     /// The pair kernel's scalar and column forms are bit-identical to the
     /// per-call reference over closed-form, numeric and same-client pairs.
     /// The column interleaves clients into a fresh registry, so its
-    /// difference grids are built mid-column, under the lock it releases.
+    /// difference grids are built mid-column, under the borrow it releases.
     #[test]
     fn pair_kernel_is_bit_identical_to_per_call_path() {
         let mut reg = DistributionRegistry::new();
@@ -937,10 +945,10 @@ mod tests {
         reg.register(ClientId(1), OffsetDistribution::gaussian(-0.5, 1.5));
         let (s0, s1) = (reg.slot_of(ClientId(0)).unwrap(), reg.slot_of(ClientId(1)).unwrap());
         let quantile = |reg: &DistributionRegistry, threshold: f64| {
-            reg.difference_at(s0, s1).grid.quantile(threshold)
+            reg.with_difference(s0, s1, |d| d.grid.quantile(threshold))
         };
         let cached = |reg: &DistributionRegistry| {
-            reg.difference_at(s0, s1).violation_margin.get().copied()
+            reg.with_difference(s0, s1, |d| d.violation_margin.get().copied())
         };
         let threshold = 0.8;
         let margin = reg.violation_margin(ClientId(0), ClientId(1), threshold).unwrap();

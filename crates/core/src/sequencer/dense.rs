@@ -25,10 +25,10 @@
 //!   arrival column is one flat loop over the pending messages: the matrix
 //!   keeps each one's registry slot beside it, so a probability is an
 //!   indexed read of the client table (and, for a non-Gaussian pair, of the
-//!   class-pair difference table) plus its arithmetic — no hash, lock or
-//!   `Arc` refcount per pending message. The same slots price the candidate
-//!   (`mean_at`, and the cached `safe_margin_at` in place of a quantile
-//!   inversion per batch member).
+//!   class-pair difference table, borrowed once per column) plus its
+//!   arithmetic — no hash per pending message. The same slots price the
+//!   candidate (`mean_at`, and the cached `safe_margin_at` in place of a
+//!   quantile inversion per batch member).
 //! * The tournament, its linear order and the order's §3.4 batch
 //!   boundaries ([`IncrementalTournament`], which stores the order once
 //!   and reads its edges off the matrix): one scan over the maintained

@@ -51,13 +51,12 @@ impl DeliveryChannel {
         self.kind
     }
 
-    /// Send a message at `sent_at`; returns its delivery time, or `None` if
-    /// it was dropped (unordered channels only).
+    /// Send a message at `sent_at`; returns its delivery time.
     ///
     /// # Panics
     ///
     /// Panics if sends go backwards in time.
-    pub fn send(&mut self, sent_at: SimTime, rng: &mut dyn RngCore) -> Option<SimTime> {
+    pub fn send(&mut self, sent_at: SimTime, rng: &mut dyn RngCore) -> SimTime {
         if let Some(last) = self.last_send {
             assert!(
                 sent_at >= last,
@@ -69,27 +68,13 @@ impl DeliveryChannel {
         match self.kind {
             ChannelKind::Unordered => self.link.deliver(sent_at, rng),
             ChannelKind::Ordered => {
-                // A reliable ordered transport retries until delivery; a drop
-                // simply costs an extra round of delay.
-                let mut delivery = loop {
-                    match self.link.deliver(sent_at, rng) {
-                        Some(t) => break t,
-                        None => {
-                            // Model a retransmission timeout of one mean RTT.
-                            let rto = self.link.mean_delay().max(1e-9) * 2.0;
-                            match self.link.deliver(sent_at + rto, rng) {
-                                Some(t) => break t,
-                                None => continue,
-                            }
-                        }
-                    }
-                };
+                let mut delivery = self.link.deliver(sent_at, rng);
                 // Head-of-line blocking: delivery order equals send order.
                 if let Some(last) = self.last_delivery {
                     delivery = delivery.max(last);
                 }
                 self.last_delivery = Some(delivery);
-                Some(delivery)
+                delivery
             }
         }
     }
@@ -108,7 +93,7 @@ mod tests {
         let mut last = SimTime::ZERO;
         for i in 0..2_000 {
             let sent = SimTime::new(i as f64 * 0.01);
-            let delivered = ch.send(sent, &mut rng).unwrap();
+            let delivered = ch.send(sent, &mut rng);
             assert!(delivered >= last, "FIFO violated");
             last = delivered;
         }
@@ -118,46 +103,11 @@ mod tests {
     fn unordered_channel_reorders_under_jitter() {
         let mut ch = DeliveryChannel::new(LinkModel::jittered(1.0, 10.0), ChannelKind::Unordered);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut deliveries = Vec::new();
-        for i in 0..2_000 {
-            let sent = SimTime::new(i as f64 * 0.01);
-            if let Some(d) = ch.send(sent, &mut rng) {
-                deliveries.push(d);
-            }
-        }
+        let deliveries: Vec<SimTime> = (0..2_000)
+            .map(|i| ch.send(SimTime::new(i as f64 * 0.01), &mut rng))
+            .collect();
         let inversions = deliveries.windows(2).filter(|w| w[1] < w[0]).count();
         assert!(inversions > 100, "expected reordering, got {inversions} inversions");
-    }
-
-    #[test]
-    fn ordered_channel_never_drops() {
-        let mut ch = DeliveryChannel::ordered(LinkModel::constant(1.0).with_loss(0.5));
-        let mut rng = StdRng::seed_from_u64(3);
-        for i in 0..500 {
-            assert!(ch.send(SimTime::new(i as f64), &mut rng).is_some());
-        }
-    }
-
-    #[test]
-    fn unordered_channel_counts_drops() {
-        let mut ch = DeliveryChannel::new(LinkModel::constant(1.0).with_loss(0.5), ChannelKind::Unordered);
-        let mut rng = StdRng::seed_from_u64(4);
-        let dropped = (0..2_000)
-            .filter(|&i| ch.send(SimTime::new(i as f64), &mut rng).is_none())
-            .count();
-        assert!(dropped > 800);
-        assert!(2_000 - dropped > 800);
-    }
-
-    #[test]
-    fn retransmission_adds_delay_on_lossy_ordered_channel() {
-        let lossless = DeliveryChannel::ordered(LinkModel::constant(1.0));
-        let mut lossy = DeliveryChannel::ordered(LinkModel::constant(1.0).with_loss(0.9));
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut base = lossless;
-        let d0 = base.send(SimTime::ZERO, &mut rng).unwrap();
-        let d1 = lossy.send(SimTime::ZERO, &mut rng).unwrap();
-        assert!(d1 >= d0);
     }
 
     #[test]

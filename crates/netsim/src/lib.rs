@@ -9,8 +9,8 @@
 //! substrate for those simulations:
 //!
 //! * [`time`] — a totally ordered simulated-time type;
-//! * [`link`] — point-to-point links with configurable base delay, jitter
-//!   (any [`tommy_stats`] distribution), and loss;
+//! * [`link`] — point-to-point links with configurable base delay and
+//!   jitter (any [`tommy_stats`] distribution);
 //! * [`channel`] — FIFO ("TCP-like") ordered channels versus unordered
 //!   ("UDP-like") channels, the distinction §3.5 relies on for watermarks;
 //! * [`topology`] — multi-region layouts with per-region-pair latency, the

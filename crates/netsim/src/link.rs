@@ -1,7 +1,7 @@
 //! Point-to-point link models.
 //!
-//! A [`LinkModel`] turns a send time into a delivery time (or a drop) by
-//! sampling a one-way delay distribution. Jittery links naturally reorder
+//! A [`LinkModel`] turns a send time into a delivery time by sampling a
+//! one-way delay distribution. Jittery links naturally reorder
 //! messages — the phenomenon that breaks the equivalence between FIFO
 //! arrival order and generation order (§1 of the paper) and motivates fair
 //! sequencing in the first place.
@@ -10,11 +10,11 @@ use crate::time::SimTime;
 use rand::RngCore;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 
-/// A one-way link with stochastic delay and optional loss.
+/// A one-way link with stochastic delay. It loses nothing: loss is what a
+/// [`FaultInjector`](crate::fault::FaultInjector) plan adds.
 #[derive(Debug, Clone)]
 pub struct LinkModel {
     delay: OffsetDistribution,
-    loss_probability: f64,
     min_delay: f64,
 }
 
@@ -22,11 +22,7 @@ impl LinkModel {
     /// A link whose delay follows `delay` (samples are clamped below at
     /// `min_delay_floor`, and negative samples are clamped to zero).
     pub fn new(delay: OffsetDistribution) -> Self {
-        LinkModel {
-            delay,
-            loss_probability: 0.0,
-            min_delay: 0.0,
-        }
+        LinkModel { delay, min_delay: 0.0 }
     }
 
     /// A deterministic link with constant delay — the "equal length wires" of
@@ -37,7 +33,6 @@ impl LinkModel {
         let eps = (delay.abs() * 1e-12).max(1e-12);
         LinkModel {
             delay: OffsetDistribution::uniform(delay, delay + eps),
-            loss_probability: 0.0,
             min_delay: delay,
         }
     }
@@ -53,7 +48,6 @@ impl LinkModel {
         }
         LinkModel {
             delay: OffsetDistribution::shifted_exponential(base_delay, 1.0 / jitter_mean),
-            loss_probability: 0.0,
             min_delay: base_delay,
         }
     }
@@ -63,35 +57,14 @@ impl LinkModel {
         self.delay.sample(rng).max(self.min_delay).max(0.0)
     }
 
-    /// Compute the delivery time for a message sent at `sent_at`, or `None`
-    /// if the message is dropped.
-    pub fn deliver(&self, sent_at: SimTime, rng: &mut dyn RngCore) -> Option<SimTime> {
-        if self.loss_probability > 0.0 {
-            let u: f64 = rand::Rng::random(&mut *rng);
-            if u < self.loss_probability {
-                return None;
-            }
-        }
-        Some(sent_at + self.sample_delay(rng))
+    /// Compute the delivery time for a message sent at `sent_at`.
+    pub fn deliver(&self, sent_at: SimTime, rng: &mut dyn RngCore) -> SimTime {
+        sent_at + self.sample_delay(rng)
     }
 
     /// Mean one-way delay of the model.
     pub fn mean_delay(&self) -> f64 {
         self.delay.mean().max(self.min_delay)
-    }
-}
-
-#[cfg(test)]
-impl LinkModel {
-    /// Set the probability that a message is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1)`.
-    pub(crate) fn with_loss(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "loss probability must be in [0,1), got {p}");
-        self.loss_probability = p;
-        self
     }
 }
 
@@ -122,18 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_probability_drops_about_the_right_fraction() {
-        let link = LinkModel::constant(1.0).with_loss(0.3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 20_000;
-        let delivered = (0..n)
-            .filter(|_| link.deliver(SimTime::ZERO, &mut rng).is_some())
-            .count();
-        let rate = delivered as f64 / n as f64;
-        assert!((rate - 0.7).abs() < 0.02, "delivery rate = {rate}");
-    }
-
-    #[test]
     fn jitter_reorders_messages() {
         // Two messages sent 0.1 apart over a high-jitter link should be
         // reordered a substantial fraction of the time.
@@ -142,8 +103,8 @@ mod tests {
         let mut reordered = 0;
         let trials = 5_000;
         for _ in 0..trials {
-            let a = link.deliver(SimTime::new(0.0), &mut rng).unwrap();
-            let b = link.deliver(SimTime::new(0.1), &mut rng).unwrap();
+            let a = link.deliver(SimTime::new(0.0), &mut rng);
+            let b = link.deliver(SimTime::new(0.1), &mut rng);
             if b < a {
                 reordered += 1;
             }
@@ -157,11 +118,5 @@ mod tests {
         let link = LinkModel::jittered(3.0, 0.0);
         let mut rng = StdRng::seed_from_u64(6);
         assert!((link.sample_delay(&mut rng) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn invalid_loss_rejected() {
-        LinkModel::constant(1.0).with_loss(1.0);
     }
 }

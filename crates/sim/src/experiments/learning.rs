@@ -75,7 +75,7 @@ fn run_one(
     for client in ids.clone() {
         let clock = &clocks[&client];
         let path = PathModel::symmetric(2.0, 0.5);
-        let mut session = SyncSession::new(clock.clone(), path, 1.0, 0.0);
+        let mut session = SyncSession::new(clock.clone(), path);
         let mut learner = DistributionLearner::new(LearnedModel::GaussianFit);
         for k in 0..probes {
             session.run_probe(k as f64, &mut rng);

@@ -28,12 +28,9 @@ use crate::quantile::bisect_increasing;
 use rand::Rng;
 use rand::RngCore;
 
-/// A univariate continuous probability distribution.
-///
-/// The trait is object safe so heterogeneous per-client distributions can be
-/// stored behind `Box<dyn Distribution>` where needed; [`OffsetDistribution`]
-/// is the enum most of the workspace uses instead to stay `Clone`.
-pub trait Distribution: std::fmt::Debug + Send + Sync {
+/// A univariate continuous probability distribution, implemented by
+/// [`Gaussian`] and [`OffsetDistribution`].
+pub trait Distribution: std::fmt::Debug {
     /// Probability density at `x`.
     fn pdf(&self, x: f64) -> f64;
 

@@ -16,7 +16,6 @@
 use crate::checksum::crc32;
 use crate::error::WireError;
 use crate::messages::WireMessage;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum accepted frame body length (kind + payload + crc). Large enough
 /// for a 64k-sample distribution share, small enough to bound memory per
@@ -24,25 +23,28 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Encode a message into a complete frame ready to write to a socket.
-pub fn encode_frame(message: &WireMessage) -> Bytes {
+pub fn encode_frame(message: &WireMessage) -> Vec<u8> {
     // One buffer: the length is reserved up front and patched once the body
     // behind it is known. 64 bytes hold every fixed-size kind, stream-wrapped
     // or not, without a regrow.
-    let mut frame = BytesMut::with_capacity(64);
-    frame.put_u32_le(0);
-    frame.put_u8(message.kind());
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[0; 4]);
+    frame.push(message.kind());
     message.encode_payload(&mut frame);
     let crc = crc32(&frame[4..]);
-    frame.put_u32_le(crc);
+    frame.extend_from_slice(&crc.to_le_bytes());
     let body_len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&body_len.to_le_bytes());
-    frame.freeze()
+    frame
 }
 
 /// An incremental frame decoder for a byte stream.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buffer: BytesMut,
+    /// Bytes fed so far; those before `head` are consumed.
+    buffer: Vec<u8>,
+    /// The read cursor: the start of the first frame not yet decoded.
+    head: usize,
 }
 
 impl FrameDecoder {
@@ -53,7 +55,7 @@ impl FrameDecoder {
 
     /// Number of buffered (not yet consumed) bytes.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.head
     }
 
     /// Append raw bytes received from the transport.
@@ -71,16 +73,17 @@ impl FrameDecoder {
     /// boundary (e.g. after a reconnect, or a sender-side resend).
     pub fn resync(&mut self) {
         self.buffer.clear();
+        self.head = 0;
     }
 
     /// Try to decode the next complete message. Returns `Ok(None)` when more
     /// bytes are needed.
     pub fn next_message(&mut self) -> Result<Option<WireMessage>, WireError> {
-        if self.buffer.len() < 4 {
+        let unread = &self.buffer[self.head..];
+        let Some(&length) = unread.first_chunk() else {
             return Ok(None);
-        }
-        let mut peek = &self.buffer[..];
-        let body_len = peek.get_u32_le() as usize;
+        };
+        let body_len = u32::from_le_bytes(length) as usize;
         if body_len > MAX_FRAME_LEN {
             return Err(WireError::FrameTooLarge { declared: body_len });
         }
@@ -90,13 +93,13 @@ impl FrameDecoder {
                 context: "frame body",
             });
         }
-        if self.buffer.len() < 4 + body_len {
+        if unread.len() < 4 + body_len {
             return Ok(None);
         }
 
         // We have a complete frame: parse it where it lies, then consume it
         // whole, whatever the outcome.
-        let (covered, crc) = self.buffer[4..4 + body_len].split_at(body_len - 4);
+        let (covered, crc) = unread[4..4 + body_len].split_at(body_len - 4);
         let expected = u32::from_le_bytes(crc.try_into().expect("split 4 bytes from the end"));
         let actual = crc32(covered);
         let decoded = if actual == expected {
@@ -104,7 +107,8 @@ impl FrameDecoder {
         } else {
             Err(WireError::ChecksumMismatch { expected, actual })
         };
-        self.buffer.advance(4 + body_len);
+        self.head += 4 + body_len;
+        self.compact_if_large();
         decoded
     }
 
@@ -115,6 +119,16 @@ impl FrameDecoder {
             out.push(msg);
         }
         Ok(out)
+    }
+
+    /// Drop the consumed bytes once they are over 4 KiB and most of the
+    /// buffer, so each byte is moved at most once on average: amortised O(1).
+    /// Only consuming a frame can make that true, so only it calls this.
+    fn compact_if_large(&mut self) {
+        if self.head > 4096 && self.head * 2 > self.buffer.len() {
+            self.buffer.drain(..self.head);
+            self.head = 0;
+        }
     }
 }
 
@@ -145,17 +159,16 @@ mod tests {
 
     /// The encoder before it wrote one buffer (fill, checksum, copy behind a
     /// length), kept as the byte-for-byte reference.
-    fn encode_frame_two_buffers(message: &WireMessage) -> Bytes {
-        let mut covered = BytesMut::new();
-        covered.put_u8(message.kind());
+    fn encode_frame_two_buffers(message: &WireMessage) -> Vec<u8> {
+        let mut covered = vec![message.kind()];
         message.encode_payload(&mut covered);
         let crc = crc32(&covered);
         let body_len = covered.len() + 4;
-        let mut frame = BytesMut::with_capacity(4 + body_len);
-        frame.put_u32_le(body_len as u32);
+        let mut frame = Vec::with_capacity(4 + body_len);
+        frame.extend_from_slice(&(body_len as u32).to_le_bytes());
         frame.extend_from_slice(&covered);
-        frame.put_u32_le(crc);
-        frame.freeze()
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
     }
 
     #[test]
@@ -242,11 +255,49 @@ mod tests {
         assert_eq!(decoded, msgs);
     }
 
+    /// More than 4 KiB of frames fed in chunks that cut across frame
+    /// boundaries: the decoder moves its unread bytes to the front while a
+    /// partial frame straddles the read cursor, and every frame still
+    /// decodes, in order.
+    #[test]
+    fn compaction_keeps_a_straddling_partial_frame() {
+        let msgs: Vec<WireMessage> = (0..600u64)
+            .map(|i| WireMessage::Submit {
+                id: MessageId(i),
+                client: ClientId(i as u32 % 7),
+                timestamp: i as f64 * 0.5,
+            })
+            .collect();
+        let frame_len = encode_frame(&msgs[0]).len();
+        let stream: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+        assert!(stream.len() > 4 * 4096);
+        let mut decoder = FrameDecoder::new();
+        let (mut decoded, mut straddled) = (Vec::new(), 0);
+        for chunk in stream.chunks(37) {
+            decoder.feed(chunk);
+            loop {
+                let head = decoder.head;
+                let Some(msg) = decoder.next_message().unwrap() else {
+                    break;
+                };
+                decoded.push(msg);
+                if decoder.head < head && !decoder.buffered().is_multiple_of(frame_len) {
+                    straddled += 1;
+                }
+            }
+        }
+        assert_eq!(decoded, msgs);
+        assert_eq!(decoder.buffered(), 0);
+        assert!(
+            straddled >= 3,
+            "{straddled} compactions held a partial frame"
+        );
+    }
+
     #[test]
     fn corrupted_payload_is_detected() {
         let msg = WireMessage::Ack { id: MessageId(1) };
-        let frame = encode_frame(&msg);
-        let mut corrupted = frame.to_vec();
+        let mut corrupted = encode_frame(&msg);
         // Flip a bit inside the payload (after length + kind).
         corrupted[6] ^= 0x01;
         let mut decoder = FrameDecoder::new();
@@ -258,9 +309,7 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let mut decoder = FrameDecoder::new();
-        let mut bogus = BytesMut::new();
-        bogus.put_u32_le((MAX_FRAME_LEN + 1) as u32);
-        decoder.feed(&bogus);
+        decoder.feed(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         let err = decoder.next_message().unwrap_err();
         assert!(matches!(err, WireError::FrameTooLarge { .. }));
     }
@@ -268,9 +317,7 @@ mod tests {
     #[test]
     fn resync_recovers_a_wedged_decoder() {
         let mut decoder = FrameDecoder::new();
-        let mut bogus = BytesMut::new();
-        bogus.put_u32_le((MAX_FRAME_LEN + 1) as u32);
-        decoder.feed(&bogus);
+        decoder.feed(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         assert!(decoder.next_message().is_err());
         // The poisoned length stays buffered: the decoder keeps failing.
         assert!(decoder.next_message().is_err());
@@ -284,11 +331,7 @@ mod tests {
     #[test]
     fn undersized_frame_rejected() {
         let mut decoder = FrameDecoder::new();
-        let mut bogus = BytesMut::new();
-        bogus.put_u32_le(2);
-        bogus.put_u8(0x01);
-        bogus.put_u8(0x00);
-        decoder.feed(&bogus);
+        decoder.feed(&[2, 0, 0, 0, 0x01, 0x00]);
         let err = decoder.next_message().unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
     }

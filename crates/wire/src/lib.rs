@@ -8,11 +8,10 @@
 //! The protocol is deliberately simple: every frame is
 //! `[u32 length][u8 kind][payload]`, with fixed-width little-endian numeric
 //! fields and a trailing CRC-32 over the kind byte and payload. Framing and
-//! codecs are
-//! hand-rolled over [`bytes`] rather than pulling in a serialization
-//! framework, both to keep the dependency surface small and because the
-//! formats are simple enough that an explicit layout is the better
-//! documentation.
+//! codecs are hand-rolled over plain `Vec<u8>` and `&[u8]` rather than
+//! pulling in a serialization framework or a buffer crate, both to keep the
+//! dependency surface small and because the formats are simple enough that
+//! an explicit layout is the better documentation.
 //!
 //! On top of the codecs, [`stream`] adds fault-tolerant delivery: messages
 //! wrapped in sequence-numbered [`WireMessage::Stream`] frames by a

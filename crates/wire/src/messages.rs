@@ -6,7 +6,6 @@
 //! element count.
 
 use crate::error::WireError;
-use bytes::{Buf, BufMut, BytesMut};
 use tommy_clock::shared::SharedDistribution;
 use tommy_core::message::{ClientId, Message, MessageId};
 
@@ -22,6 +21,43 @@ mod kind {
     pub const PROBE: u8 = 0x08;
     pub const PROBE_REPLY: u8 = 0x09;
     pub const STREAM: u8 = 0x0A;
+}
+
+/// A read cursor over the unread bytes of a payload. A `need` check bounds
+/// the reads after it: a read past the end is a bug, not bad input.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    /// `Ok` when at least `n` bytes are left to read.
+    fn need(&self, n: usize, context: &'static str) -> Result<(), WireError> {
+        if self.0.len() < n {
+            Err(WireError::Truncated { context })
+        } else {
+            Ok(())
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (field, rest) = self.0.split_first_chunk().expect("bounded by need");
+        self.0 = rest;
+        *field
+    }
+
+    fn u8(&mut self) -> u8 {
+        u8::from_le_bytes(self.take())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_le_bytes(self.take())
+    }
 }
 
 /// A message exchanged between a client and the sequencer.
@@ -129,64 +165,64 @@ impl WireMessage {
     }
 
     /// Encode just the payload (no frame header, no checksum).
-    pub fn encode_payload(&self, buf: &mut BytesMut) {
+    pub fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
             WireMessage::Submit {
                 id,
                 client,
                 timestamp,
             } => {
-                buf.put_u64_le(id.0);
-                buf.put_u32_le(client.0);
-                buf.put_f64_le(*timestamp);
+                buf.extend_from_slice(&id.0.to_le_bytes());
+                buf.extend_from_slice(&client.0.to_le_bytes());
+                buf.extend_from_slice(&timestamp.to_le_bytes());
             }
             WireMessage::Heartbeat { client, timestamp } => {
-                buf.put_u32_le(client.0);
-                buf.put_f64_le(*timestamp);
+                buf.extend_from_slice(&client.0.to_le_bytes());
+                buf.extend_from_slice(&timestamp.to_le_bytes());
             }
             WireMessage::ShareDistribution {
                 client,
                 distribution,
             } => {
-                buf.put_u32_le(client.0);
+                buf.extend_from_slice(&client.0.to_le_bytes());
                 match distribution {
                     SharedDistribution::Gaussian { mean, std_dev } => {
-                        buf.put_f64_le(*mean);
-                        buf.put_f64_le(*std_dev);
+                        buf.extend_from_slice(&mean.to_le_bytes());
+                        buf.extend_from_slice(&std_dev.to_le_bytes());
                     }
                     SharedDistribution::Histogram { lo, hi, counts } => {
-                        buf.put_f64_le(*lo);
-                        buf.put_f64_le(*hi);
-                        buf.put_u32_le(counts.len() as u32);
+                        buf.extend_from_slice(&lo.to_le_bytes());
+                        buf.extend_from_slice(&hi.to_le_bytes());
+                        buf.extend_from_slice(&(counts.len() as u32).to_le_bytes());
                         for &c in counts {
-                            buf.put_u64_le(c);
+                            buf.extend_from_slice(&c.to_le_bytes());
                         }
                     }
                     SharedDistribution::Samples(samples) => {
-                        buf.put_u32_le(samples.len() as u32);
+                        buf.extend_from_slice(&(samples.len() as u32).to_le_bytes());
                         for &s in samples {
-                            buf.put_f64_le(s);
+                            buf.extend_from_slice(&s.to_le_bytes());
                         }
                     }
                 }
             }
             WireMessage::BatchEmit { rank, message_ids } => {
-                buf.put_u64_le(*rank);
-                buf.put_u32_le(message_ids.len() as u32);
+                buf.extend_from_slice(&rank.to_le_bytes());
+                buf.extend_from_slice(&(message_ids.len() as u32).to_le_bytes());
                 for id in message_ids {
-                    buf.put_u64_le(id.0);
+                    buf.extend_from_slice(&id.0.to_le_bytes());
                 }
             }
-            WireMessage::Ack { id } => buf.put_u64_le(id.0),
+            WireMessage::Ack { id } => buf.extend_from_slice(&id.0.to_le_bytes()),
             WireMessage::Probe { seq, t0 } => {
-                buf.put_u64_le(*seq);
-                buf.put_f64_le(*t0);
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.extend_from_slice(&t0.to_le_bytes());
             }
             WireMessage::ProbeReply { seq, t0, t1, t2 } => {
-                buf.put_u64_le(*seq);
-                buf.put_f64_le(*t0);
-                buf.put_f64_le(*t1);
-                buf.put_f64_le(*t2);
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.extend_from_slice(&t0.to_le_bytes());
+                buf.extend_from_slice(&t1.to_le_bytes());
+                buf.extend_from_slice(&t2.to_le_bytes());
             }
             WireMessage::Stream {
                 sender,
@@ -195,9 +231,9 @@ impl WireMessage {
                 fin,
                 inner,
             } => {
-                buf.put_u32_le(sender.0);
-                buf.put_u64_le(*stream_id);
-                buf.put_u64_le(*sequence);
+                buf.extend_from_slice(&sender.0.to_le_bytes());
+                buf.extend_from_slice(&stream_id.to_le_bytes());
+                buf.extend_from_slice(&sequence.to_le_bytes());
                 let mut flags = 0u8;
                 if *fin {
                     flags |= 0x01;
@@ -205,13 +241,13 @@ impl WireMessage {
                 if inner.is_some() {
                     flags |= 0x02;
                 }
-                buf.put_u8(flags);
+                buf.push(flags);
                 if let Some(inner) = inner {
                     assert!(
                         !matches!(**inner, WireMessage::Stream { .. }),
                         "stream frames must not nest"
                     );
-                    buf.put_u8(inner.kind());
+                    buf.push(inner.kind());
                     inner.encode_payload(buf);
                 }
             }
@@ -220,14 +256,7 @@ impl WireMessage {
 
     /// Decode a payload of the given kind. The payload must be exactly the
     /// message: bytes left over after the last field are an error.
-    pub fn decode_payload(kind_byte: u8, mut payload: &[u8]) -> Result<Self, WireError> {
-        fn need(buf: &[u8], n: usize, context: &'static str) -> Result<(), WireError> {
-            if buf.remaining() < n {
-                Err(WireError::Truncated { context })
-            } else {
-                Ok(())
-            }
-        }
+    pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<Self, WireError> {
         fn finite(value: f64, field: &'static str) -> Result<f64, WireError> {
             if value.is_finite() {
                 Ok(value)
@@ -236,13 +265,13 @@ impl WireMessage {
             }
         }
 
-        let buf = &mut payload;
+        let buf = &mut Reader(payload);
         let msg = match kind_byte {
             kind::SUBMIT => {
-                need(buf, 20, "submit")?;
-                let id = MessageId(buf.get_u64_le());
-                let client = ClientId(buf.get_u32_le());
-                let timestamp = finite(buf.get_f64_le(), "timestamp")?;
+                buf.need(20, "submit")?;
+                let id = MessageId(buf.u64());
+                let client = ClientId(buf.u32());
+                let timestamp = finite(buf.f64(), "timestamp")?;
                 WireMessage::Submit {
                     id,
                     client,
@@ -250,16 +279,16 @@ impl WireMessage {
                 }
             }
             kind::HEARTBEAT => {
-                need(buf, 12, "heartbeat")?;
-                let client = ClientId(buf.get_u32_le());
-                let timestamp = finite(buf.get_f64_le(), "timestamp")?;
+                buf.need(12, "heartbeat")?;
+                let client = ClientId(buf.u32());
+                let timestamp = finite(buf.f64(), "timestamp")?;
                 WireMessage::Heartbeat { client, timestamp }
             }
             kind::SHARE_GAUSSIAN => {
-                need(buf, 20, "gaussian share")?;
-                let client = ClientId(buf.get_u32_le());
-                let mean = finite(buf.get_f64_le(), "mean")?;
-                let std_dev = finite(buf.get_f64_le(), "std_dev")?;
+                buf.need(20, "gaussian share")?;
+                let client = ClientId(buf.u32());
+                let mean = finite(buf.f64(), "mean")?;
+                let std_dev = finite(buf.f64(), "std_dev")?;
                 if std_dev < 0.0 {
                     return Err(WireError::InvalidField { field: "std_dev" });
                 }
@@ -269,28 +298,28 @@ impl WireMessage {
                 }
             }
             kind::SHARE_HISTOGRAM => {
-                need(buf, 24, "histogram share header")?;
-                let client = ClientId(buf.get_u32_le());
-                let lo = finite(buf.get_f64_le(), "lo")?;
-                let hi = finite(buf.get_f64_le(), "hi")?;
+                buf.need(24, "histogram share header")?;
+                let client = ClientId(buf.u32());
+                let lo = finite(buf.f64(), "lo")?;
+                let hi = finite(buf.f64(), "hi")?;
                 if hi <= lo {
                     return Err(WireError::InvalidField { field: "hi" });
                 }
-                let n = buf.get_u32_le() as usize;
-                need(buf, n * 8, "histogram counts")?;
-                let counts = (0..n).map(|_| buf.get_u64_le()).collect();
+                let n = buf.u32() as usize;
+                buf.need(n * 8, "histogram counts")?;
+                let counts = (0..n).map(|_| buf.u64()).collect();
                 WireMessage::ShareDistribution {
                     client,
                     distribution: SharedDistribution::Histogram { lo, hi, counts },
                 }
             }
             kind::SHARE_SAMPLES => {
-                need(buf, 8, "sample share header")?;
-                let client = ClientId(buf.get_u32_le());
-                let n = buf.get_u32_le() as usize;
-                need(buf, n * 8, "samples")?;
+                buf.need(8, "sample share header")?;
+                let client = ClientId(buf.u32());
+                let n = buf.u32() as usize;
+                buf.need(n * 8, "samples")?;
                 let samples = (0..n)
-                    .map(|_| finite(buf.get_f64_le(), "sample"))
+                    .map(|_| finite(buf.f64(), "sample"))
                     .collect::<Result<Vec<_>, _>>()?;
                 WireMessage::ShareDistribution {
                     client,
@@ -298,52 +327,52 @@ impl WireMessage {
                 }
             }
             kind::BATCH_EMIT => {
-                need(buf, 12, "batch header")?;
-                let rank = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                need(buf, n * 8, "batch members")?;
-                let message_ids = (0..n).map(|_| MessageId(buf.get_u64_le())).collect();
+                buf.need(12, "batch header")?;
+                let rank = buf.u64();
+                let n = buf.u32() as usize;
+                buf.need(n * 8, "batch members")?;
+                let message_ids = (0..n).map(|_| MessageId(buf.u64())).collect();
                 WireMessage::BatchEmit { rank, message_ids }
             }
             kind::ACK => {
-                need(buf, 8, "ack")?;
+                buf.need(8, "ack")?;
                 WireMessage::Ack {
-                    id: MessageId(buf.get_u64_le()),
+                    id: MessageId(buf.u64()),
                 }
             }
             kind::PROBE => {
-                need(buf, 16, "probe")?;
-                let seq = buf.get_u64_le();
-                let t0 = finite(buf.get_f64_le(), "t0")?;
+                buf.need(16, "probe")?;
+                let seq = buf.u64();
+                let t0 = finite(buf.f64(), "t0")?;
                 WireMessage::Probe { seq, t0 }
             }
             kind::PROBE_REPLY => {
-                need(buf, 32, "probe reply")?;
-                let seq = buf.get_u64_le();
-                let t0 = finite(buf.get_f64_le(), "t0")?;
-                let t1 = finite(buf.get_f64_le(), "t1")?;
-                let t2 = finite(buf.get_f64_le(), "t2")?;
+                buf.need(32, "probe reply")?;
+                let seq = buf.u64();
+                let t0 = finite(buf.f64(), "t0")?;
+                let t1 = finite(buf.f64(), "t1")?;
+                let t2 = finite(buf.f64(), "t2")?;
                 WireMessage::ProbeReply { seq, t0, t1, t2 }
             }
             kind::STREAM => {
-                need(buf, 21, "stream header")?;
-                let sender = ClientId(buf.get_u32_le());
-                let stream_id = buf.get_u64_le();
-                let sequence = buf.get_u64_le();
-                let flags = buf.get_u8();
+                buf.need(21, "stream header")?;
+                let sender = ClientId(buf.u32());
+                let stream_id = buf.u64();
+                let sequence = buf.u64();
+                let flags = buf.u8();
                 if flags & !0x03 != 0 {
                     return Err(WireError::InvalidField { field: "flags" });
                 }
                 let fin = flags & 0x01 != 0;
                 let inner = if flags & 0x02 != 0 {
-                    need(buf, 1, "stream inner kind")?;
-                    let inner_kind = buf.get_u8();
+                    buf.need(1, "stream inner kind")?;
+                    let inner_kind = buf.u8();
                     if inner_kind == kind::STREAM {
                         return Err(WireError::InvalidField { field: "inner" });
                     }
                     // The inner message owns the rest of the payload, and
                     // answers for any bytes it leaves over.
-                    let rest = std::mem::take(buf);
+                    let rest = std::mem::take(&mut buf.0);
                     Some(Box::new(WireMessage::decode_payload(inner_kind, rest)?))
                 } else {
                     None
@@ -358,10 +387,10 @@ impl WireMessage {
             }
             other => return Err(WireError::UnknownKind(other)),
         };
-        if buf.has_remaining() {
+        if !buf.0.is_empty() {
             return Err(WireError::TrailingBytes {
                 kind: kind_byte,
-                extra: buf.remaining(),
+                extra: buf.0.len(),
             });
         }
         Ok(msg)
@@ -373,7 +402,7 @@ pub(crate) mod tests {
     use super::*;
 
     fn roundtrip(msg: &WireMessage) -> WireMessage {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         msg.encode_payload(&mut buf);
         WireMessage::decode_payload(msg.kind(), &buf).expect("roundtrip decode")
     }
@@ -476,7 +505,7 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_payloads_error() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WireMessage::Ack { id: MessageId(1) }.encode_payload(&mut buf);
         let err = WireMessage::decode_payload(0x07, &buf[..4]).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
@@ -487,9 +516,9 @@ pub(crate) mod tests {
     #[test]
     fn trailing_bytes_rejected_for_every_kind() {
         for msg in all_variants() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             msg.encode_payload(&mut buf);
-            buf.put_u8(0);
+            buf.push(0);
             let innermost = match &msg {
                 WireMessage::Stream {
                     inner: Some(inner), ..
@@ -515,31 +544,31 @@ pub(crate) mod tests {
 
     #[test]
     fn non_finite_timestamp_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1);
-        buf.put_u32_le(2);
-        buf.put_f64_le(f64::NAN);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1_u64.to_le_bytes());
+        buf.extend_from_slice(&2_u32.to_le_bytes());
+        buf.extend_from_slice(&f64::NAN.to_le_bytes());
         let err = WireMessage::decode_payload(0x01, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "timestamp" });
     }
 
     #[test]
     fn negative_std_dev_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
-        buf.put_f64_le(0.0);
-        buf.put_f64_le(-1.0);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1_u32.to_le_bytes());
+        buf.extend_from_slice(&0.0_f64.to_le_bytes());
+        buf.extend_from_slice(&(-1.0_f64).to_le_bytes());
         let err = WireMessage::decode_payload(0x03, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "std_dev" });
     }
 
     #[test]
     fn invalid_histogram_bounds_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
-        buf.put_f64_le(5.0);
-        buf.put_f64_le(5.0);
-        buf.put_u32_le(0);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1_u32.to_le_bytes());
+        buf.extend_from_slice(&5.0_f64.to_le_bytes());
+        buf.extend_from_slice(&5.0_f64.to_le_bytes());
+        buf.extend_from_slice(&0_u32.to_le_bytes());
         let err = WireMessage::decode_payload(0x04, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "hi" });
     }
@@ -547,23 +576,23 @@ pub(crate) mod tests {
     #[test]
     fn nested_stream_frames_rejected_on_decode() {
         // Hand-craft a stream frame whose inner kind byte is itself STREAM.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1); // sender
-        buf.put_u64_le(0); // stream_id
-        buf.put_u64_le(0); // sequence
-        buf.put_u8(0x02); // flags: has_inner
-        buf.put_u8(0x0A); // inner kind: STREAM — illegal
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1_u32.to_le_bytes()); // sender
+        buf.extend_from_slice(&0_u64.to_le_bytes()); // stream_id
+        buf.extend_from_slice(&0_u64.to_le_bytes()); // sequence
+        buf.push(0x02); // flags: has_inner
+        buf.push(0x0A); // inner kind: STREAM — illegal
         let err = WireMessage::decode_payload(0x0A, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "inner" });
     }
 
     #[test]
     fn unknown_stream_flags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        buf.put_u8(0x80); // reserved flag bit set
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1_u32.to_le_bytes());
+        buf.extend_from_slice(&0_u64.to_le_bytes());
+        buf.extend_from_slice(&0_u64.to_le_bytes());
+        buf.push(0x80); // reserved flag bit set
         let err = WireMessage::decode_payload(0x0A, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "flags" });
     }
@@ -585,17 +614,17 @@ pub(crate) mod tests {
             fin: false,
             inner: Some(Box::new(inner)),
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         outer.encode_payload(&mut buf);
     }
 
     #[test]
     fn truncated_vector_payload_rejected() {
         // Batch that claims 100 members but carries only 1.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(0);
-        buf.put_u32_le(100);
-        buf.put_u64_le(1);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&0_u64.to_le_bytes());
+        buf.extend_from_slice(&100_u32.to_le_bytes());
+        buf.extend_from_slice(&1_u64.to_le_bytes());
         let err = WireMessage::decode_payload(0x06, &buf).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
     }

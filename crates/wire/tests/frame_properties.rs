@@ -5,7 +5,6 @@
 //! caught by the CRC (or the payload validators), and a [`FrameDecoder::
 //! resync`] must always return it to a working state.
 
-use bytes::{BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use tommy_clock::shared::SharedDistribution;
@@ -144,10 +143,8 @@ fn oversized_frames_reject_and_resync_recovers() {
     for _ in 0..50 {
         let mut decoder = FrameDecoder::new();
         let declared = MAX_FRAME_LEN + 1 + rng.random_range(0usize..1_000_000);
-        let mut bogus = BytesMut::new();
-        bogus.put_u32_le(declared as u32);
-        bogus.put_u8(0xFF);
-        decoder.feed(&bogus);
+        decoder.feed(&(declared as u32).to_le_bytes());
+        decoder.feed(&[0xFF]);
         assert!(matches!(
             decoder.next_message(),
             Err(WireError::FrameTooLarge { .. })
