@@ -8,10 +8,10 @@
 //!   cached candidate's `safe_after` and the watermark frontier with the
 //!   clock and returns an empty batch vector: zero allocations.
 //! * The receive pipeline costs what a frame carries: an in-order wrapped
-//!   heartbeat through `feed` + `next_message` + `receive` allocates the
-//!   `Box` of its inner message and the one returned `Vec`, and a `poll`
-//!   with nothing due allocates nothing. Encoding that frame allocates the
-//!   one buffer `encode_frame` returns.
+//!   heartbeat through `feed` + `next_message` + `receive` allocates
+//!   nothing, and neither does a `poll` with nothing due. A frame that heals
+//!   a one-frame gap costs a pinned count per recovery cycle. Encoding a
+//!   frame allocates the one buffer `encode_frame` returns.
 //! * Each engine pays for what changed: a `submit` into a warm pending set
 //!   that emits nothing, and the `heartbeat` that releases one batch from
 //!   it, each allocate a pinned count, on the dense engine (`ForceDense`,
@@ -35,7 +35,9 @@ use tommy_core::sequencer::offline::TommySequencer;
 use tommy_core::sequencer::online::OnlineSequencer;
 use tommy_stats::distribution::{Distribution, OffsetDistribution};
 use tommy_wire::frame::encode_frame;
-use tommy_wire::{FrameDecoder, RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
+use tommy_wire::{
+    FrameDecoder, RecoveryPolicy, Released, SequencedSender, StreamReceiver, WireMessage,
+};
 
 struct CountingAllocator;
 
@@ -82,13 +84,11 @@ fn cached_tick_is_allocation_free() {
     );
 }
 
-#[test]
-fn in_order_frame_allocates_its_box_and_its_vec() {
-    const WARM_UP: usize = 1000;
-    const MEASURED: usize = 100;
+/// `count` stream-wrapped heartbeats from client 3, encoded.
+fn heartbeat_frames(count: usize) -> (SequencedSender, Vec<Vec<u8>>) {
     let client = ClientId(3);
     let mut sender = SequencedSender::new(client, 0);
-    let frames: Vec<_> = (0..WARM_UP + MEASURED)
+    let frames = (0..count)
         .map(|i| {
             encode_frame(&sender.wrap(WireMessage::Heartbeat {
                 client,
@@ -96,35 +96,114 @@ fn in_order_frame_allocates_its_box_and_its_vec() {
             }))
         })
         .collect();
-    let mut decoder = FrameDecoder::new();
-    let mut receiver = StreamReceiver::new(RecoveryPolicy::RequestRetransmit {
+    (sender, frames)
+}
+
+/// Allocations `body` makes on this thread.
+fn allocations_of(body: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    body();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+fn retransmitting_receiver() -> StreamReceiver {
+    StreamReceiver::new(RecoveryPolicy::RequestRetransmit {
         max_retries: 4,
         base_backoff: 2.0,
-    });
+    })
+}
+
+/// Decode one whole frame from `bytes` and hand it to `receiver` at `now`.
+fn deliver(
+    decoder: &mut FrameDecoder,
+    receiver: &mut StreamReceiver,
+    bytes: &[u8],
+    now: f64,
+) -> Released {
+    decoder.feed(bytes);
+    let frame = decoder
+        .next_message()
+        .expect("valid frame")
+        .expect("whole frame");
+    receiver.receive(frame, now)
+}
+
+#[test]
+fn in_order_frame_allocates_nothing() {
+    const WARM_UP: usize = 1000;
+    const MEASURED: usize = 100;
+    let (_, frames) = heartbeat_frames(WARM_UP + MEASURED);
+    let mut decoder = FrameDecoder::new();
+    let mut receiver = retransmitting_receiver();
     let mut pump = |range: std::ops::Range<usize>| {
         for i in range {
             let now = i as f64;
-            decoder.feed(&frames[i]);
-            let frame = decoder
-                .next_message()
-                .expect("valid frame")
-                .expect("whole frame");
-            assert_eq!(receiver.receive(frame, now).len(), 1);
+            let released = deliver(&mut decoder, &mut receiver, &frames[i], now);
+            assert_eq!(released.len(), 1);
             let poll = receiver.poll(now);
             assert!(poll.released.is_empty() && poll.retransmits.is_empty());
         }
     };
-    // The decoder's buffer reaches its steady capacity (this allocates).
+    // The decoder's buffer and the stream map reach their steady size (this
+    // allocates).
     pump(0..WARM_UP);
-    let before = ALLOCATIONS.with(Cell::get);
-    pump(WARM_UP..WARM_UP + MEASURED);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let allocations = allocations_of(|| pump(WARM_UP..WARM_UP + MEASURED));
     assert_eq!(
-        allocations,
-        2 * MEASURED as u64,
-        "an in-order frame allocates the Box of its inner message and the returned Vec, \
-         and an idle poll nothing"
+        allocations, 0,
+        "an in-order frame is decoded inline and released inline, and an idle poll \
+         allocates nothing"
     );
+}
+
+/// One lost frame, recovered: the frame after it arrives first and opens a
+/// one-frame gap, the `poll` at that time asks for the lost one, and the
+/// retransmitted frame heals the gap and releases both. Every cycle
+/// allocates twice: the `Vec` of the poll's one retransmit request, and the
+/// spill buffer of the healing frame's second released message. The first
+/// cycle also allocates the stream window's buffer and the blocked set's
+/// node.
+#[test]
+fn healing_a_one_frame_gap_allocates_the_request_and_the_spill() {
+    const WARM_UP: usize = 1000;
+    const CYCLES: usize = 100;
+    let (_, frames) = heartbeat_frames(WARM_UP + 2 * CYCLES);
+    let mut decoder = FrameDecoder::new();
+    let mut receiver = retransmitting_receiver();
+    // The decoder's buffer reaches its steady capacity (this allocates).
+    for (i, bytes) in frames[..WARM_UP].iter().enumerate() {
+        let released = deliver(&mut decoder, &mut receiver, bytes, i as f64);
+        assert_eq!(released.len(), 1);
+    }
+    // Frame `lost` is retransmitted after frame `lost + 1` arrives.
+    let mut cycle = |k: usize| {
+        let lost = WARM_UP + 2 * k;
+        let now = (lost + 1) as f64;
+        let mut counts = [0; 3];
+        counts[0] = allocations_of(|| {
+            let early = deliver(&mut decoder, &mut receiver, &frames[lost + 1], now);
+            assert!(early.is_empty());
+        });
+        counts[1] = allocations_of(|| {
+            let poll = receiver.poll(now);
+            assert_eq!(poll.retransmits.len(), 1);
+            assert_eq!(poll.retransmits[0].sequence, lost as u64);
+        });
+        counts[2] = allocations_of(|| {
+            let healed = deliver(&mut decoder, &mut receiver, &frames[lost], now + 0.5);
+            assert_eq!(healed.len(), 2);
+        });
+        counts
+    };
+    // The first gap also sizes the stream's window and gives the
+    // receiver's blocked set its node; both are kept for later gaps.
+    assert_eq!(cycle(0), [2, 1, 1], "the first cycle");
+    for k in 1..CYCLES {
+        assert_eq!(
+            cycle(k),
+            [0, 1, 1],
+            "cycle {k}: [frame that opens the gap, poll, frame that heals it]"
+        );
+    }
 }
 
 #[test]

@@ -31,7 +31,7 @@ use tommy_netsim::{FaultAction, FaultInjector, FaultPlan, NodeId, SimTime};
 use tommy_sim::runner::{scenario_claimed_offsets, scenario_schedule, sequencer_config};
 use tommy_sim::ScenarioConfig;
 use tommy_wire::frame::{encode_frame, FrameDecoder};
-use tommy_wire::{RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
+use tommy_wire::{Frame, RecoveryPolicy, SequencedSender, StreamReceiver, WireMessage};
 use tommy_workload::schedule::{StreamEvent, DELIVERY_DELAY};
 
 /// Nominal one-way delivery delay of the simulated network (the fault-free
@@ -182,7 +182,7 @@ impl FaultRun {
         &mut self,
         from: ClientId,
         sequence: u64,
-        frame: &WireMessage,
+        frame: &Frame,
         sent_at: f64,
         faulted: bool,
     ) {
@@ -303,7 +303,7 @@ impl FaultRun {
             self.clock = self.clock.max(event.at);
             let now = self.clock;
             self.decoder.feed(&event.bytes);
-            while let Some(message) = self.decoder.next_message().expect("well-formed frame") {
+            while let Some(frame) = self.decoder.next_message().expect("well-formed frame") {
                 self.frames_delivered += 1;
                 self.trace.record(DeliveryRecord {
                     from: NodeId(event.from.0),
@@ -312,7 +312,7 @@ impl FaultRun {
                     sent_at: SimTime::new(event.sent_at),
                     delivered_at: SimTime::new(now),
                 });
-                for released in self.rx.receive(message, now) {
+                for released in self.rx.receive(frame, now) {
                     self.apply(released, now);
                 }
             }

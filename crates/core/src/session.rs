@@ -31,10 +31,10 @@
 //! lives instead of being re-derived by each host.
 //!
 //! The validator is payload-generic so the same state machine backs both the
-//! wire layer (`tommy-wire`'s `StreamReceiver`, payload = a decoded frame)
-//! and the exhaustive model checker (`tommy_contract::checker`, payload = a
-//! message index), letting the checker verify exactly the code that runs in
-//! production.
+//! wire layer (`tommy-wire`'s `StreamReceiver`, payload = a stream frame's
+//! inner message) and the exhaustive model checker (`tommy_contract::checker`,
+//! payload = a message index), letting the checker verify exactly the code
+//! that runs in production.
 //!
 //! Invariant, shared by every policy: payloads are **released in strict
 //! sequence order with no duplicates**. The policies differ only in what

@@ -1,54 +1,33 @@
-//! Ordered and unordered delivery channels.
+//! Ordered delivery channels.
 //!
 //! §3.5 of the paper relies on clients communicating with the sequencer
 //! "through an ordered delivery channel (e.g., TCP connection)": per-client
 //! FIFO order is what makes the watermark/heartbeat completeness rule sound.
-//! [`DeliveryChannel`] models both an ordered channel (later sends never
-//! arrive before earlier sends from the same sender) and an unordered channel
-//! (each message is delayed independently, so reordering is possible).
+//! [`DeliveryChannel`] models such a channel: later sends never arrive
+//! before earlier sends from the same sender. Reordering, loss and
+//! duplication are the fault injector's ([`crate::fault`]).
 
 use crate::link::LinkModel;
 use crate::time::SimTime;
 use rand::RngCore;
 
-/// Whether a channel preserves per-sender FIFO order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelKind {
-    /// TCP-like: per-sender delivery order matches send order.
-    Ordered,
-    /// UDP-like: each message is delayed independently.
-    Unordered,
-}
-
-/// A unidirectional channel from one sender to one receiver built on top of a
-/// [`LinkModel`].
+/// A unidirectional, per-sender FIFO (TCP-like) channel from one sender to
+/// one receiver built on top of a [`LinkModel`].
 #[derive(Debug, Clone)]
 pub struct DeliveryChannel {
     link: LinkModel,
-    kind: ChannelKind,
     last_delivery: Option<SimTime>,
     last_send: Option<SimTime>,
 }
 
 impl DeliveryChannel {
-    /// Create a channel of the given kind over the given link.
-    pub fn new(link: LinkModel, kind: ChannelKind) -> Self {
+    /// An ordered (TCP-like) channel over `link`.
+    pub fn ordered(link: LinkModel) -> Self {
         DeliveryChannel {
             link,
-            kind,
             last_delivery: None,
             last_send: None,
         }
-    }
-
-    /// An ordered (TCP-like) channel.
-    pub fn ordered(link: LinkModel) -> Self {
-        DeliveryChannel::new(link, ChannelKind::Ordered)
-    }
-
-    /// The channel kind.
-    pub fn kind(&self) -> ChannelKind {
-        self.kind
     }
 
     /// Send a message at `sent_at`; returns its delivery time.
@@ -65,18 +44,13 @@ impl DeliveryChannel {
         }
         self.last_send = Some(sent_at);
 
-        match self.kind {
-            ChannelKind::Unordered => self.link.deliver(sent_at, rng),
-            ChannelKind::Ordered => {
-                let mut delivery = self.link.deliver(sent_at, rng);
-                // Head-of-line blocking: delivery order equals send order.
-                if let Some(last) = self.last_delivery {
-                    delivery = delivery.max(last);
-                }
-                self.last_delivery = Some(delivery);
-                delivery
-            }
+        let mut delivery = self.link.deliver(sent_at, rng);
+        // Head-of-line blocking: delivery order equals send order.
+        if let Some(last) = self.last_delivery {
+            delivery = delivery.max(last);
         }
+        self.last_delivery = Some(delivery);
+        delivery
     }
 }
 
@@ -97,17 +71,6 @@ mod tests {
             assert!(delivered >= last, "FIFO violated");
             last = delivered;
         }
-    }
-
-    #[test]
-    fn unordered_channel_reorders_under_jitter() {
-        let mut ch = DeliveryChannel::new(LinkModel::jittered(1.0, 10.0), ChannelKind::Unordered);
-        let mut rng = StdRng::seed_from_u64(2);
-        let deliveries: Vec<SimTime> = (0..2_000)
-            .map(|i| ch.send(SimTime::new(i as f64 * 0.01), &mut rng))
-            .collect();
-        let inversions = deliveries.windows(2).filter(|w| w[1] < w[0]).count();
-        assert!(inversions > 100, "expected reordering, got {inversions} inversions");
     }
 
     #[test]

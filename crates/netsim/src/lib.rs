@@ -11,8 +11,8 @@
 //! * [`time`] — a totally ordered simulated-time type;
 //! * [`link`] — point-to-point links with configurable base delay and
 //!   jitter (any [`tommy_stats`] distribution);
-//! * [`channel`] — FIFO ("TCP-like") ordered channels versus unordered
-//!   ("UDP-like") channels, the distinction §3.5 relies on for watermarks;
+//! * [`channel`] — FIFO ("TCP-like") ordered channels, the per-client order
+//!   §3.5 relies on for watermarks;
 //! * [`topology`] — multi-region layouts with per-region-pair latency, the
 //!   multi-data-center setting that motivates Tommy in §2;
 //! * [`fault`] — seeded, deterministic fault plans (loss, duplication,
@@ -28,7 +28,7 @@ pub mod link;
 pub mod time;
 pub mod topology;
 
-pub use channel::{ChannelKind, DeliveryChannel};
+pub use channel::DeliveryChannel;
 pub use fault::{FaultAction, FaultFamily, FaultInjector, FaultPlan, FaultWindow};
 pub use link::LinkModel;
 pub use time::SimTime;

@@ -10,32 +10,32 @@
 //! checksum covers the kind byte as well as the payload — a bit flip in the
 //! kind byte would otherwise silently re-type a frame whose payload happens
 //! to parse under both kinds. The decoder is incremental: feed it arbitrary
-//! byte chunks from a TCP stream and pull complete messages out as they
+//! byte chunks from a TCP stream and pull complete [`Frame`]s out as they
 //! become available.
 
 use crate::checksum::crc32;
 use crate::error::WireError;
-use crate::messages::WireMessage;
+use crate::messages::Frame;
 
 /// Maximum accepted frame body length (kind + payload + crc). Large enough
 /// for a 64k-sample distribution share, small enough to bound memory per
 /// connection.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Encode a message into a complete frame ready to write to a socket.
-pub fn encode_frame(message: &WireMessage) -> Vec<u8> {
+/// Encode a frame into the bytes ready to write to a socket.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // One buffer: the length is reserved up front and patched once the body
     // behind it is known. 64 bytes hold every fixed-size kind, stream-wrapped
     // or not, without a regrow.
-    let mut frame = Vec::with_capacity(64);
-    frame.extend_from_slice(&[0; 4]);
-    frame.push(message.kind());
-    message.encode_payload(&mut frame);
-    let crc = crc32(&frame[4..]);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    let body_len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&body_len.to_le_bytes());
-    frame
+    let mut bytes = Vec::with_capacity(64);
+    bytes.extend_from_slice(&[0; 4]);
+    bytes.push(frame.kind());
+    frame.encode_payload(&mut bytes);
+    let crc = crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    let body_len = (bytes.len() - 4) as u32;
+    bytes[..4].copy_from_slice(&body_len.to_le_bytes());
+    bytes
 }
 
 /// An incremental frame decoder for a byte stream.
@@ -76,9 +76,9 @@ impl FrameDecoder {
         self.head = 0;
     }
 
-    /// Try to decode the next complete message. Returns `Ok(None)` when more
+    /// Try to decode the next complete frame. Returns `Ok(None)` when more
     /// bytes are needed.
-    pub fn next_message(&mut self) -> Result<Option<WireMessage>, WireError> {
+    pub fn next_message(&mut self) -> Result<Option<Frame>, WireError> {
         let unread = &self.buffer[self.head..];
         let Some(&length) = unread.first_chunk() else {
             return Ok(None);
@@ -103,7 +103,7 @@ impl FrameDecoder {
         let expected = u32::from_le_bytes(crc.try_into().expect("split 4 bytes from the end"));
         let actual = crc32(covered);
         let decoded = if actual == expected {
-            WireMessage::decode_payload(covered[0], &covered[1..]).map(Some)
+            Frame::decode_payload(covered[0], &covered[1..]).map(Some)
         } else {
             Err(WireError::ChecksumMismatch { expected, actual })
         };
@@ -112,11 +112,11 @@ impl FrameDecoder {
         decoded
     }
 
-    /// Decode every complete message currently buffered.
-    pub fn drain(&mut self) -> Result<Vec<WireMessage>, WireError> {
+    /// Decode every complete frame currently buffered.
+    pub fn drain(&mut self) -> Result<Vec<Frame>, WireError> {
         let mut out = Vec::new();
-        while let Some(msg) = self.next_message()? {
-            out.push(msg);
+        while let Some(frame) = self.next_message()? {
+            out.push(frame);
         }
         Ok(out)
     }
@@ -135,12 +135,13 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::WireMessage;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
     use tommy_core::message::{ClientId, MessageId};
 
-    fn sample_messages() -> Vec<WireMessage> {
-        vec![
+    fn sample_frames() -> Vec<Frame> {
+        [
             WireMessage::Submit {
                 id: MessageId(1),
                 client: ClientId(2),
@@ -155,13 +156,16 @@ mod tests {
                 message_ids: vec![MessageId(1)],
             },
         ]
+        .into_iter()
+        .map(Frame::Message)
+        .collect()
     }
 
     /// The encoder before it wrote one buffer (fill, checksum, copy behind a
     /// length), kept as the byte-for-byte reference.
-    fn encode_frame_two_buffers(message: &WireMessage) -> Vec<u8> {
-        let mut covered = vec![message.kind()];
-        message.encode_payload(&mut covered);
+    fn encode_frame_two_buffers(frame: &Frame) -> Vec<u8> {
+        let mut covered = vec![frame.kind()];
+        frame.encode_payload(&mut covered);
         let crc = crc32(&covered);
         let body_len = covered.len() + 4;
         let mut frame = Vec::with_capacity(4 + body_len);
@@ -188,24 +192,24 @@ mod tests {
                     timestamp: rng.random_range(-1.0e6..1.0e6),
                 }),
             };
-            WireMessage::Stream {
+            Frame::Stream {
                 sender: client,
                 stream_id: rng.next_u64(),
                 sequence: rng.next_u64(),
                 fin: rng.random_bool(0.2),
-                inner: inner.map(Box::new),
+                inner,
             }
         });
         // The histogram share among the variants outgrows the encoder's
         // initial capacity.
-        for msg in crate::messages::tests::all_variants()
+        for frame in crate::messages::tests::all_variants()
             .into_iter()
             .chain(seeded)
         {
             assert_eq!(
-                encode_frame(&msg),
-                encode_frame_two_buffers(&msg),
-                "{msg:?}"
+                encode_frame(&frame),
+                encode_frame_two_buffers(&frame),
+                "{frame:?}"
             );
         }
     }
@@ -213,46 +217,46 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut decoder = FrameDecoder::new();
-        for msg in sample_messages() {
-            decoder.feed(&encode_frame(&msg));
+        for frame in sample_frames() {
+            decoder.feed(&encode_frame(&frame));
             let decoded = decoder.next_message().unwrap().unwrap();
-            assert_eq!(decoded, msg);
+            assert_eq!(decoded, frame);
         }
         assert_eq!(decoder.buffered(), 0);
     }
 
     #[test]
     fn decoder_handles_partial_feeds() {
-        let msg = WireMessage::Submit {
+        let frame = Frame::Message(WireMessage::Submit {
             id: MessageId(9),
             client: ClientId(1),
             timestamp: -2.5,
-        };
-        let frame = encode_frame(&msg);
+        });
+        let bytes = encode_frame(&frame);
         let mut decoder = FrameDecoder::new();
-        // Feed one byte at a time; the message appears only at the end.
-        for (i, byte) in frame.iter().enumerate() {
+        // Feed one byte at a time; the frame appears only at the end.
+        for (i, byte) in bytes.iter().enumerate() {
             decoder.feed(&[*byte]);
             let result = decoder.next_message().unwrap();
-            if i + 1 < frame.len() {
+            if i + 1 < bytes.len() {
                 assert!(result.is_none());
             } else {
-                assert_eq!(result.unwrap(), msg);
+                assert_eq!(result.unwrap(), frame);
             }
         }
     }
 
     #[test]
     fn decoder_handles_coalesced_frames() {
-        let msgs = sample_messages();
+        let frames = sample_frames();
         let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend_from_slice(&encode_frame(m));
+        for frame in &frames {
+            stream.extend_from_slice(&encode_frame(frame));
         }
         let mut decoder = FrameDecoder::new();
         decoder.feed(&stream);
         let decoded = decoder.drain().unwrap();
-        assert_eq!(decoded, msgs);
+        assert_eq!(decoded, frames);
     }
 
     /// More than 4 KiB of frames fed in chunks that cut across frame
@@ -261,15 +265,17 @@ mod tests {
     /// decodes, in order.
     #[test]
     fn compaction_keeps_a_straddling_partial_frame() {
-        let msgs: Vec<WireMessage> = (0..600u64)
-            .map(|i| WireMessage::Submit {
-                id: MessageId(i),
-                client: ClientId(i as u32 % 7),
-                timestamp: i as f64 * 0.5,
+        let frames: Vec<Frame> = (0..600u64)
+            .map(|i| {
+                Frame::Message(WireMessage::Submit {
+                    id: MessageId(i),
+                    client: ClientId(i as u32 % 7),
+                    timestamp: i as f64 * 0.5,
+                })
             })
             .collect();
-        let frame_len = encode_frame(&msgs[0]).len();
-        let stream: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+        let frame_len = encode_frame(&frames[0]).len();
+        let stream: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
         assert!(stream.len() > 4 * 4096);
         let mut decoder = FrameDecoder::new();
         let (mut decoded, mut straddled) = (Vec::new(), 0);
@@ -277,16 +283,16 @@ mod tests {
             decoder.feed(chunk);
             loop {
                 let head = decoder.head;
-                let Some(msg) = decoder.next_message().unwrap() else {
+                let Some(frame) = decoder.next_message().unwrap() else {
                     break;
                 };
-                decoded.push(msg);
+                decoded.push(frame);
                 if decoder.head < head && !decoder.buffered().is_multiple_of(frame_len) {
                     straddled += 1;
                 }
             }
         }
-        assert_eq!(decoded, msgs);
+        assert_eq!(decoded, frames);
         assert_eq!(decoder.buffered(), 0);
         assert!(
             straddled >= 3,
@@ -296,8 +302,8 @@ mod tests {
 
     #[test]
     fn corrupted_payload_is_detected() {
-        let msg = WireMessage::Ack { id: MessageId(1) };
-        let mut corrupted = encode_frame(&msg);
+        let frame = Frame::Message(WireMessage::Ack { id: MessageId(1) });
+        let mut corrupted = encode_frame(&frame);
         // Flip a bit inside the payload (after length + kind).
         corrupted[6] ^= 0x01;
         let mut decoder = FrameDecoder::new();
@@ -323,9 +329,9 @@ mod tests {
         assert!(decoder.next_message().is_err());
         decoder.resync();
         assert_eq!(decoder.buffered(), 0);
-        let msg = WireMessage::Ack { id: MessageId(3) };
-        decoder.feed(&encode_frame(&msg));
-        assert_eq!(decoder.next_message().unwrap().unwrap(), msg);
+        let frame = Frame::Message(WireMessage::Ack { id: MessageId(3) });
+        decoder.feed(&encode_frame(&frame));
+        assert_eq!(decoder.next_message().unwrap().unwrap(), frame);
     }
 
     #[test]
@@ -338,14 +344,14 @@ mod tests {
 
     #[test]
     fn large_distribution_share_roundtrips() {
-        let msg = WireMessage::ShareDistribution {
+        let frame = Frame::Message(WireMessage::ShareDistribution {
             client: ClientId(3),
             distribution: tommy_clock::shared::SharedDistribution::Samples(
                 (0..10_000).map(|i| i as f64 * 0.001).collect(),
             ),
-        };
+        });
         let mut decoder = FrameDecoder::new();
-        decoder.feed(&encode_frame(&msg));
-        assert_eq!(decoder.next_message().unwrap().unwrap(), msg);
+        decoder.feed(&encode_frame(&frame));
+        assert_eq!(decoder.next_message().unwrap().unwrap(), frame);
     }
 }

@@ -13,13 +13,16 @@
 //! dependency surface small and because the formats are simple enough that
 //! an explicit layout is the better documentation.
 //!
-//! On top of the codecs, [`stream`] adds fault-tolerant delivery: messages
-//! wrapped in sequence-numbered [`WireMessage::Stream`] frames by a
-//! [`SequencedSender`] are reassembled in strict send order by a
-//! [`StreamReceiver`], which detects gaps, drops duplicates, buffers
-//! reordering, and recovers per the configured
+//! A frame carries a [`Frame`]: a bare [`WireMessage`], or one held by value
+//! behind a sequenced session header ([`Frame::Stream`]), so a stream frame
+//! cannot nest another and decoding one allocates nothing. On top of the
+//! codecs, [`stream`] adds fault-tolerant delivery: messages wrapped in
+//! sequence-numbered stream frames by a [`SequencedSender`] are reassembled
+//! in strict send order by a [`StreamReceiver`], which detects gaps, drops
+//! duplicates, buffers reordering, and recovers per the configured
 //! [`RecoveryPolicy`] (halt, skip after a timeout, or request bounded
-//! retransmits with exponential backoff).
+//! retransmits with exponential backoff). An in-order frame goes from bytes
+//! to released message without touching the heap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +35,7 @@ pub mod stream;
 
 pub use error::WireError;
 pub use frame::{FrameDecoder, MAX_FRAME_LEN};
-pub use messages::WireMessage;
-pub use stream::{RetransmitRequest, SequencedSender, StreamPoll, StreamReceiver};
+pub use messages::{Frame, WireMessage};
+pub use stream::{Released, RetransmitRequest, SequencedSender, StreamPoll, StreamReceiver};
 // Session-layer building blocks re-exported from tommy-core for convenience.
 pub use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};

@@ -58,6 +58,18 @@ impl Reader<'_> {
     fn f64(&mut self) -> f64 {
         f64::from_le_bytes(self.take())
     }
+
+    /// `Ok` when every byte was read: a payload is exactly one message.
+    fn finish(&self, kind: u8) -> Result<(), WireError> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::TrailingBytes {
+                kind,
+                extra: self.0.len(),
+            })
+        }
+    }
 }
 
 /// A message exchanged between a client and the sequencer.
@@ -116,24 +128,6 @@ pub enum WireMessage {
         /// Sequencer transmit timestamp (sequencer clock).
         t2: f64,
     },
-    /// A sequenced session frame: any other message wrapped with a
-    /// per-`(sender, stream)` monotone sequence number, so the receiver can
-    /// detect gaps, duplicates and reordering (and request retransmits).
-    /// Stream frames must not nest.
-    Stream {
-        /// The client that owns the stream.
-        sender: ClientId,
-        /// Stream identifier within the sender (a sender may run several
-        /// independent sequenced streams).
-        stream_id: u64,
-        /// Dense per-stream sequence number, starting at 0.
-        sequence: u64,
-        /// Whether this is the final frame of the stream.
-        fin: bool,
-        /// The wrapped message. `None` for a bare control frame (e.g. a
-        /// standalone fin).
-        inner: Option<Box<WireMessage>>,
-    },
 }
 
 impl WireMessage {
@@ -160,7 +154,6 @@ impl WireMessage {
             WireMessage::Ack { .. } => kind::ACK,
             WireMessage::Probe { .. } => kind::PROBE,
             WireMessage::ProbeReply { .. } => kind::PROBE_REPLY,
-            WireMessage::Stream { .. } => kind::STREAM,
         }
     }
 
@@ -223,33 +216,6 @@ impl WireMessage {
                 buf.extend_from_slice(&t0.to_le_bytes());
                 buf.extend_from_slice(&t1.to_le_bytes());
                 buf.extend_from_slice(&t2.to_le_bytes());
-            }
-            WireMessage::Stream {
-                sender,
-                stream_id,
-                sequence,
-                fin,
-                inner,
-            } => {
-                buf.extend_from_slice(&sender.0.to_le_bytes());
-                buf.extend_from_slice(&stream_id.to_le_bytes());
-                buf.extend_from_slice(&sequence.to_le_bytes());
-                let mut flags = 0u8;
-                if *fin {
-                    flags |= 0x01;
-                }
-                if inner.is_some() {
-                    flags |= 0x02;
-                }
-                buf.push(flags);
-                if let Some(inner) = inner {
-                    assert!(
-                        !matches!(**inner, WireMessage::Stream { .. }),
-                        "stream frames must not nest"
-                    );
-                    buf.push(inner.kind());
-                    inner.encode_payload(buf);
-                }
             }
         }
     }
@@ -354,46 +320,111 @@ impl WireMessage {
                 let t2 = finite(buf.f64(), "t2")?;
                 WireMessage::ProbeReply { seq, t0, t1, t2 }
             }
-            kind::STREAM => {
-                buf.need(21, "stream header")?;
-                let sender = ClientId(buf.u32());
-                let stream_id = buf.u64();
-                let sequence = buf.u64();
-                let flags = buf.u8();
-                if flags & !0x03 != 0 {
-                    return Err(WireError::InvalidField { field: "flags" });
-                }
-                let fin = flags & 0x01 != 0;
-                let inner = if flags & 0x02 != 0 {
-                    buf.need(1, "stream inner kind")?;
-                    let inner_kind = buf.u8();
-                    if inner_kind == kind::STREAM {
-                        return Err(WireError::InvalidField { field: "inner" });
-                    }
-                    // The inner message owns the rest of the payload, and
-                    // answers for any bytes it leaves over.
-                    let rest = std::mem::take(&mut buf.0);
-                    Some(Box::new(WireMessage::decode_payload(inner_kind, rest)?))
-                } else {
-                    None
-                };
-                WireMessage::Stream {
-                    sender,
-                    stream_id,
-                    sequence,
-                    fin,
-                    inner,
-                }
-            }
+            // A stream header is a frame's, never a message's.
             other => return Err(WireError::UnknownKind(other)),
         };
-        if !buf.0.is_empty() {
-            return Err(WireError::TrailingBytes {
-                kind: kind_byte,
-                extra: buf.0.len(),
-            });
-        }
+        buf.finish(kind_byte)?;
         Ok(msg)
+    }
+}
+
+/// What one frame carries: a bare message, or a message (or nothing, for a
+/// bare fin) behind a sequenced session header. The header holds its
+/// message by value, so a stream frame cannot nest another.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame {
+    /// A message sent outside any stream.
+    Message(WireMessage),
+    /// A sequenced session frame: a message wrapped with a
+    /// per-`(sender, stream)` monotone sequence number, so the receiver can
+    /// detect gaps, duplicates and reordering (and request retransmits).
+    Stream {
+        /// The client that owns the stream.
+        sender: ClientId,
+        /// Stream identifier within the sender (a sender may run several
+        /// independent sequenced streams).
+        stream_id: u64,
+        /// Dense per-stream sequence number, starting at 0.
+        sequence: u64,
+        /// Whether this is the final frame of the stream.
+        fin: bool,
+        /// The wrapped message. `None` for a bare control frame (e.g. a
+        /// standalone fin).
+        inner: Option<WireMessage>,
+    },
+}
+
+impl Frame {
+    /// The kind byte of this frame.
+    pub fn kind(&self) -> u8 {
+        match self {
+            Frame::Message(message) => message.kind(),
+            Frame::Stream { .. } => kind::STREAM,
+        }
+    }
+
+    /// Encode just the payload (no frame header, no checksum). A stream
+    /// frame's payload is its header (sender, stream id, sequence, flags:
+    /// `0x01` fin, `0x02` inner present), then the inner message's kind byte
+    /// and payload.
+    pub fn encode_payload(&self, buf: &mut Vec<u8>) {
+        match self {
+            Frame::Message(message) => message.encode_payload(buf),
+            Frame::Stream {
+                sender,
+                stream_id,
+                sequence,
+                fin,
+                inner,
+            } => {
+                buf.extend_from_slice(&sender.0.to_le_bytes());
+                buf.extend_from_slice(&stream_id.to_le_bytes());
+                buf.extend_from_slice(&sequence.to_le_bytes());
+                buf.push(u8::from(*fin) | if inner.is_some() { 0x02 } else { 0 });
+                if let Some(inner) = inner {
+                    buf.push(inner.kind());
+                    inner.encode_payload(buf);
+                }
+            }
+        }
+    }
+
+    /// Decode a payload of the given kind. The payload must be exactly the
+    /// frame: bytes left over after the last field are an error, reported
+    /// under the inner message's kind when there is one.
+    pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<Self, WireError> {
+        if kind_byte != kind::STREAM {
+            return WireMessage::decode_payload(kind_byte, payload).map(Frame::Message);
+        }
+        let buf = &mut Reader(payload);
+        buf.need(21, "stream header")?;
+        let sender = ClientId(buf.u32());
+        let stream_id = buf.u64();
+        let sequence = buf.u64();
+        let flags = buf.u8();
+        if flags & !0x03 != 0 {
+            return Err(WireError::InvalidField { field: "flags" });
+        }
+        let inner = if flags & 0x02 != 0 {
+            buf.need(1, "stream inner kind")?;
+            let inner_kind = buf.u8();
+            if inner_kind == kind::STREAM {
+                return Err(WireError::InvalidField { field: "inner" });
+            }
+            // The inner message owns the rest of the payload, and answers
+            // for any bytes it leaves over.
+            Some(WireMessage::decode_payload(inner_kind, buf.0)?)
+        } else {
+            buf.finish(kind::STREAM)?;
+            None
+        };
+        Ok(Frame::Stream {
+            sender,
+            stream_id,
+            sequence,
+            fin: flags & 0x01 != 0,
+            inner,
+        })
     }
 }
 
@@ -401,14 +432,16 @@ impl WireMessage {
 pub(crate) mod tests {
     use super::*;
 
-    fn roundtrip(msg: &WireMessage) -> WireMessage {
+    fn roundtrip(frame: &Frame) -> Frame {
         let mut buf = Vec::new();
-        msg.encode_payload(&mut buf);
-        WireMessage::decode_payload(msg.kind(), &buf).expect("roundtrip decode")
+        frame.encode_payload(&mut buf);
+        Frame::decode_payload(frame.kind(), &buf).expect("roundtrip decode")
     }
 
-    pub(crate) fn all_variants() -> Vec<WireMessage> {
-        vec![
+    /// Every message kind as a bare frame, then a stream-wrapped submit and a
+    /// bare fin.
+    pub(crate) fn all_variants() -> Vec<Frame> {
+        let messages = [
             WireMessage::Submit {
                 id: MessageId(42),
                 client: ClientId(7),
@@ -449,31 +482,38 @@ pub(crate) mod tests {
                 t1: 100.25,
                 t2: 100.5,
             },
-            WireMessage::Stream {
+        ];
+        let streamed = [
+            Frame::Stream {
                 sender: ClientId(6),
                 stream_id: 2,
                 sequence: 17,
                 fin: false,
-                inner: Some(Box::new(WireMessage::Submit {
+                inner: Some(WireMessage::Submit {
                     id: MessageId(8),
                     client: ClientId(6),
                     timestamp: 0.125,
-                })),
+                }),
             },
-            WireMessage::Stream {
+            Frame::Stream {
                 sender: ClientId(6),
                 stream_id: 2,
                 sequence: 18,
                 fin: true,
                 inner: None,
             },
-        ]
+        ];
+        messages
+            .into_iter()
+            .map(Frame::Message)
+            .chain(streamed)
+            .collect()
     }
 
     #[test]
     fn every_variant_roundtrips() {
-        for msg in all_variants() {
-            assert_eq!(roundtrip(&msg), msg);
+        for frame in all_variants() {
+            assert_eq!(roundtrip(&frame), frame);
         }
     }
 
@@ -481,8 +521,7 @@ pub(crate) mod tests {
     fn kinds_are_distinct() {
         // Two of the sample variants are both Stream frames; every other
         // sample has its own kind byte.
-        let kinds: std::collections::HashSet<u8> =
-            all_variants().iter().map(|m| m.kind()).collect();
+        let kinds: std::collections::HashSet<u8> = all_variants().iter().map(Frame::kind).collect();
         assert_eq!(kinds.len(), all_variants().len() - 1);
     }
 
@@ -515,31 +554,34 @@ pub(crate) mod tests {
     /// frame's inner message included (which reports its own kind).
     #[test]
     fn trailing_bytes_rejected_for_every_kind() {
-        for msg in all_variants() {
+        for frame in all_variants() {
             let mut buf = Vec::new();
-            msg.encode_payload(&mut buf);
+            frame.encode_payload(&mut buf);
             buf.push(0);
-            let innermost = match &msg {
-                WireMessage::Stream {
+            let innermost = match &frame {
+                Frame::Stream {
                     inner: Some(inner), ..
                 } => inner.kind(),
                 other => other.kind(),
             };
             assert_eq!(
-                WireMessage::decode_payload(msg.kind(), &buf),
+                Frame::decode_payload(frame.kind(), &buf),
                 Err(WireError::TrailingBytes {
                     kind: innermost,
                     extra: 1
                 }),
-                "{msg:?}"
+                "{frame:?}"
             );
         }
     }
 
     #[test]
     fn unknown_kind_errors() {
-        let err = WireMessage::decode_payload(0xEE, &[]).unwrap_err();
+        let err = Frame::decode_payload(0xEE, &[]).unwrap_err();
         assert_eq!(err, WireError::UnknownKind(0xEE));
+        // A stream header is only ever a frame's, never a message's.
+        let err = WireMessage::decode_payload(0x0A, &[]).unwrap_err();
+        assert_eq!(err, WireError::UnknownKind(0x0A));
     }
 
     #[test]
@@ -582,7 +624,7 @@ pub(crate) mod tests {
         buf.extend_from_slice(&0_u64.to_le_bytes()); // sequence
         buf.push(0x02); // flags: has_inner
         buf.push(0x0A); // inner kind: STREAM — illegal
-        let err = WireMessage::decode_payload(0x0A, &buf).unwrap_err();
+        let err = Frame::decode_payload(0x0A, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "inner" });
     }
 
@@ -593,29 +635,8 @@ pub(crate) mod tests {
         buf.extend_from_slice(&0_u64.to_le_bytes());
         buf.extend_from_slice(&0_u64.to_le_bytes());
         buf.push(0x80); // reserved flag bit set
-        let err = WireMessage::decode_payload(0x0A, &buf).unwrap_err();
+        let err = Frame::decode_payload(0x0A, &buf).unwrap_err();
         assert_eq!(err, WireError::InvalidField { field: "flags" });
-    }
-
-    #[test]
-    #[should_panic(expected = "must not nest")]
-    fn nested_stream_frames_rejected_on_encode() {
-        let inner = WireMessage::Stream {
-            sender: ClientId(1),
-            stream_id: 0,
-            sequence: 0,
-            fin: false,
-            inner: None,
-        };
-        let outer = WireMessage::Stream {
-            sender: ClientId(1),
-            stream_id: 0,
-            sequence: 1,
-            fin: false,
-            inner: Some(Box::new(inner)),
-        };
-        let mut buf = Vec::new();
-        outer.encode_payload(&mut buf);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The watermark argument of §3.5 assumes an *ordered, reliable* channel per
 //! client. This module supplies that guarantee at the session layer instead
 //! of assuming it from the transport: a [`SequencedSender`] wraps every
-//! outgoing message in a [`WireMessage::Stream`] frame carrying a dense
+//! outgoing message in a [`Frame::Stream`] carrying a dense
 //! per-`(sender, stream)` sequence number, and a [`StreamReceiver`] keeps one
 //! [`SequenceValidator`] — one reassembly window, its cursor and its fin
 //! marker — per stream to detect gaps, drop duplicates, hold reordered
@@ -12,27 +12,30 @@
 //! in send order, so downstream consumers (the watermark tracker above all)
 //! keep their monotonicity assumptions even over a lossy, reordering network.
 //!
-//! The receiver itself owns two things only: the map from `(sender, stream)`
-//! to window, and the deadline gate that lets [`StreamReceiver::poll`] skip
-//! the walk over that map while no window has anything due. Everything about
-//! one stream, its fin included, is the validator's.
+//! The receiver itself owns three things only: the map from `(sender,
+//! stream)` to window, the set of streams whose window is non-empty (the
+//! only ones [`StreamReceiver::poll`] can act on), and the deadline gate
+//! that lets `poll` skip even those while none has anything due. Everything
+//! about one stream, its fin included, is the validator's. A frame's
+//! release comes back as [`Released`], which holds one message inline and
+//! needs the heap only when a healed gap releases more than one.
 //!
 //! The sender retains every wrapped frame so retransmit requests can be
 //! answered from history; [`SequencedSender::frame`] looks one up by
 //! sequence number.
 
-use crate::messages::WireMessage;
-use std::collections::BTreeMap;
+use crate::messages::{Frame, WireMessage};
+use std::collections::{BTreeMap, BTreeSet};
 use tommy_core::message::ClientId;
 use tommy_core::session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 
 /// Wraps outgoing messages of one stream in sequence-numbered
-/// [`WireMessage::Stream`] frames and retains them for retransmission.
+/// [`Frame::Stream`]s and retains them for retransmission.
 #[derive(Debug, Clone)]
 pub struct SequencedSender {
     sender: ClientId,
     stream_id: u64,
-    history: Vec<WireMessage>,
+    history: Vec<Frame>,
     /// Whether the fin frame has been sent.
     finished: bool,
 }
@@ -57,14 +60,9 @@ impl SequencedSender {
     ///
     /// # Panics
     ///
-    /// Panics if `inner` is itself a stream frame (streams must not nest) or
-    /// if the stream is already finished.
-    pub fn wrap(&mut self, inner: WireMessage) -> WireMessage {
-        assert!(
-            !matches!(inner, WireMessage::Stream { .. }),
-            "stream frames must not nest"
-        );
-        self.push(false, Some(Box::new(inner)))
+    /// Panics if the stream is already finished.
+    pub fn wrap(&mut self, inner: WireMessage) -> Frame {
+        self.push(false, Some(inner))
     }
 
     /// Close the stream with a bare fin frame.
@@ -72,15 +70,15 @@ impl SequencedSender {
     /// # Panics
     ///
     /// Panics if the stream is already finished.
-    pub fn fin(&mut self) -> WireMessage {
+    pub fn fin(&mut self) -> Frame {
         self.push(true, None)
     }
 
     /// Number, retain and return the stream's next frame.
-    fn push(&mut self, fin: bool, inner: Option<Box<WireMessage>>) -> WireMessage {
+    fn push(&mut self, fin: bool, inner: Option<WireMessage>) -> Frame {
         assert!(!self.finished, "stream is finished");
         self.finished = fin;
-        let frame = WireMessage::Stream {
+        let frame = Frame::Stream {
             sender: self.sender,
             stream_id: self.stream_id,
             sequence: self.next_sequence(),
@@ -93,7 +91,7 @@ impl SequencedSender {
 
     /// The previously sent frame with this sequence number (for answering a
     /// [`RetransmitRequest`]), if one exists.
-    pub fn frame(&self, sequence: u64) -> Option<&WireMessage> {
+    pub fn frame(&self, sequence: u64) -> Option<&Frame> {
         self.history.get(usize::try_from(sequence).ok()?)
     }
 }
@@ -118,14 +116,61 @@ pub struct StreamPoll {
     pub retransmits: Vec<RetransmitRequest>,
 }
 
-/// Demultiplexes [`WireMessage::Stream`] frames into per-stream
-/// [`SequenceValidator`]s and releases inner messages strictly in send
-/// order. Non-stream messages pass through untouched.
+/// The messages one [`StreamReceiver::receive`] call released, in send
+/// order. An in-order frame releases one, held inline; only a frame that
+/// heals a gap releases more, and only then does the rest go to the heap.
+#[derive(Debug, Default)]
+pub struct Released {
+    /// The first message released; `None` only when nothing was.
+    first: Option<WireMessage>,
+    /// Every message after the first.
+    rest: Vec<WireMessage>,
+}
+
+impl Released {
+    /// How many messages were released.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Whether nothing was released.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn push(&mut self, message: WireMessage) {
+        if self.first.is_none() {
+            self.first = Some(message);
+        } else {
+            self.rest.push(message);
+        }
+    }
+}
+
+impl IntoIterator for Released {
+    type Item = WireMessage;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<WireMessage>, std::vec::IntoIter<WireMessage>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+/// Demultiplexes [`Frame::Stream`]s into per-stream [`SequenceValidator`]s
+/// and releases inner messages strictly in send order. A bare
+/// [`Frame::Message`] passes through untouched.
 #[derive(Debug)]
 pub struct StreamReceiver {
     policy: RecoveryPolicy,
-    /// A bare fin frame carries no inner message, hence the `Option`.
+    /// Keyed by `(sender, stream_id)`, both read off the wire: an ordered
+    /// map stays O(log n) per frame whatever keys a forger picks. A bare fin
+    /// frame carries no inner message, hence the `Option`.
     streams: BTreeMap<(ClientId, u64), SequenceValidator<Option<WireMessage>>>,
+    /// The keys of the streams whose validator is
+    /// [`blocked`](SequenceValidator::blocked), the only ones whose `poll`
+    /// can act or whose deadline is finite. Same order as `streams`.
+    blocked: BTreeSet<(ClientId, u64)>,
     /// A lower bound on the earliest `now` at which any stream's policy can
     /// act: [`poll`](Self::poll) below it returns without touching a stream.
     /// Invariant: `next_action_at <=` the minimum of every validator's
@@ -141,6 +186,7 @@ impl StreamReceiver {
         StreamReceiver {
             policy,
             streams: BTreeMap::new(),
+            blocked: BTreeSet::new(),
             next_action_at: f64::INFINITY,
         }
     }
@@ -154,41 +200,54 @@ impl StreamReceiver {
         total
     }
 
-    /// Ingest one message at receiver time `now`.
+    /// Ingest one frame at receiver time `now`.
     ///
-    /// Stream frames go through their stream's validator; the returned
+    /// A stream frame goes through its stream's validator; the returned
     /// messages are the inner payloads released (in send order) by this
-    /// frame. Any other message passes straight through.
-    pub fn receive(&mut self, message: WireMessage, now: f64) -> Vec<WireMessage> {
-        let WireMessage::Stream {
-            sender,
-            stream_id,
-            sequence,
-            fin,
-            inner,
-        } = message
-        else {
-            return vec![message];
+    /// frame. A bare message passes straight through.
+    pub fn receive(&mut self, frame: Frame, now: f64) -> Released {
+        let mut released = Released::default();
+        let (key, sequence, fin, inner) = match frame {
+            Frame::Message(message) => {
+                released.push(message);
+                return released;
+            }
+            Frame::Stream {
+                sender,
+                stream_id,
+                sequence,
+                fin,
+                inner,
+            } => ((sender, stream_id), sequence, fin, inner),
         };
         let validator = self
             .streams
-            .entry((sender, stream_id))
+            .entry(key)
             .or_insert_with(|| SequenceValidator::new(self.policy));
-        let mut released = Vec::new();
-        validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| {
-            released.extend(payload)
+        let was_blocked = validator.blocked();
+        validator.accept(sequence, inner, fin, now, |payload| {
+            if let Some(message) = payload {
+                released.push(message);
+            }
         });
         // Only a blocked stream has anything for `poll` to do, and only this
         // frame can have moved its deadline earlier.
         if validator.blocked() {
             self.next_action_at = self.next_action_at.min(validator.next_action_at());
+            if !was_blocked {
+                self.blocked.insert(key);
+            }
+        } else if was_blocked {
+            self.blocked.remove(&key);
         }
         released
     }
 
-    /// Run every stream's recovery policy at time `now`: collect messages
-    /// released by timeout/give-up skips and retransmit requests that have
-    /// come due, in `(sender, stream_id, sequence)` order.
+    /// Run every blocked stream's recovery policy at time `now`: collect
+    /// messages released by timeout/give-up skips and retransmit requests
+    /// that have come due, in `(sender, stream_id, sequence)` order. A
+    /// stream with nothing held or missing has nothing to do, so the walk
+    /// skips it and returns what a walk over every stream would.
     ///
     /// Costs one comparison while no stream has anything due; `now` need not
     /// be monotone across calls.
@@ -198,7 +257,11 @@ impl StreamReceiver {
             return out;
         }
         self.next_action_at = f64::INFINITY;
-        for (&(sender, stream_id), validator) in &mut self.streams {
+        self.blocked.retain(|&(sender, stream_id)| {
+            let validator = self
+                .streams
+                .get_mut(&(sender, stream_id))
+                .expect("a blocked stream has a validator");
             let request = |sequence| RetransmitRequest {
                 sender,
                 stream_id,
@@ -210,7 +273,8 @@ impl StreamReceiver {
                 |sequence| out.retransmits.push(request(sequence)),
             );
             self.next_action_at = self.next_action_at.min(validator.next_action_at());
-        }
+            validator.blocked()
+        });
         out
     }
 }
@@ -339,12 +403,12 @@ mod tests {
                 max_retries: 3,
                 base_backoff: 5.0,
             });
-            let forged = WireMessage::Stream {
+            let forged = Frame::Stream {
                 sender: ClientId(1),
                 stream_id: 0,
                 sequence: hostile,
                 fin: false,
-                inner: Some(Box::new(submit(99, 1, 0.0))),
+                inner: Some(submit(99, 1, 0.0)),
             };
             assert!(rx.receive(forged, 0.0).is_empty());
             assert_eq!(blocked_streams(&rx), 0);
@@ -367,7 +431,7 @@ mod tests {
         for hostile in [1u64 << 40, u64::MAX] {
             let mut tx = SequencedSender::new(ClientId(1), 0);
             let mut rx = StreamReceiver::new(RecoveryPolicy::Halt);
-            let forged = WireMessage::Stream {
+            let forged = Frame::Stream {
                 sender: ClientId(1),
                 stream_id: 0,
                 sequence: hostile,
@@ -390,8 +454,8 @@ mod tests {
         }
     }
 
-    fn bare_fin(sequence: u64) -> WireMessage {
-        WireMessage::Stream {
+    fn bare_fin(sequence: u64) -> Frame {
+        Frame::Stream {
             sender: ClientId(1),
             stream_id: 0,
             sequence,
@@ -469,7 +533,11 @@ mod tests {
             client: ClientId(4),
             timestamp: 9.0,
         };
-        assert_eq!(rx.receive(hb.clone(), 0.0), vec![hb]);
+        let released: Vec<_> = rx
+            .receive(Frame::Message(hb.clone()), 0.0)
+            .into_iter()
+            .collect();
+        assert_eq!(released, vec![hb]);
         assert_eq!(open_streams(&rx), 0);
     }
 
@@ -487,22 +555,23 @@ mod tests {
         assert_eq!(rx.counters().gaps_detected, 1);
     }
 
-    /// The receiver without the deadline gate, over the same state:
-    /// `receive` never looks at the bound, `poll` walks every stream on every
-    /// call. Kept as the reference the differential test compares against.
+    /// The receiver without the deadline gate or the blocked set, over the
+    /// same state: `receive` never looks at either, `poll` walks every stream
+    /// on every call. Kept as the reference the differential test compares
+    /// against.
     struct UngatedReceiver(StreamReceiver);
 
     impl UngatedReceiver {
-        fn receive(&mut self, message: WireMessage, now: f64) -> Vec<WireMessage> {
-            let WireMessage::Stream {
-                sender,
-                stream_id,
-                sequence,
-                fin,
-                inner,
-            } = message
-            else {
-                return vec![message];
+        fn receive(&mut self, frame: Frame, now: f64) -> Vec<WireMessage> {
+            let (sender, stream_id, sequence, fin, inner) = match frame {
+                Frame::Message(message) => return vec![message],
+                Frame::Stream {
+                    sender,
+                    stream_id,
+                    sequence,
+                    fin,
+                    inner,
+                } => (sender, stream_id, sequence, fin, inner),
             };
             let validator = self
                 .0
@@ -510,7 +579,7 @@ mod tests {
                 .entry((sender, stream_id))
                 .or_insert_with(|| SequenceValidator::new(self.0.policy));
             let mut released = Vec::new();
-            validator.accept(sequence, inner.map(|b| *b), fin, now, |payload| {
+            validator.accept(sequence, inner, fin, now, |payload| {
                 released.extend(payload)
             });
             released
@@ -543,9 +612,10 @@ mod tests {
     }
 
     impl Lockstep {
-        fn receive(&mut self, frame: &WireMessage, now: f64) {
+        fn receive(&mut self, frame: &Frame, now: f64) {
+            let gated = self.gated.receive(frame.clone(), now);
             assert_eq!(
-                self.gated.receive(frame.clone(), now),
+                gated.into_iter().collect::<Vec<_>>(),
                 self.ungated.receive(frame.clone(), now),
                 "receive at {now}"
             );
@@ -564,6 +634,14 @@ mod tests {
             let reference = &self.ungated.0;
             assert_eq!(self.gated.counters(), reference.counters(), "at {now}");
             assert_eq!(blocked_streams(&self.gated), blocked_streams(reference));
+            let blocked: BTreeSet<_> = self
+                .gated
+                .streams
+                .iter()
+                .filter(|(_, validator)| validator.blocked())
+                .map(|(&key, _)| key)
+                .collect();
+            assert_eq!(self.gated.blocked, blocked, "blocked set at {now}");
             for &(sender, stream_id) in &self.streams {
                 assert_eq!(
                     stream_complete(&self.gated, sender, stream_id),
@@ -588,7 +666,7 @@ mod tests {
             .map(|&(client, stream)| SequencedSender::new(client, stream))
             .collect();
         // (arrival time, frame), kept sorted by time, latest first.
-        let mut deliveries: Vec<(f64, WireMessage)> = Vec::new();
+        let mut deliveries: Vec<(f64, Frame)> = Vec::new();
         for (index, tx) in senders.iter_mut().enumerate() {
             let (client, stream_id) = streams[index];
             for i in 0..40u64 {
@@ -606,7 +684,7 @@ mod tests {
                     deliveries.push((sent + rng.random_range(0.0..8.0), frame));
                 }
                 if rng.random_bool(0.03) {
-                    let forged = WireMessage::Stream {
+                    let forged = Frame::Stream {
                         sender: client,
                         stream_id,
                         sequence: i + (1 << 20),

@@ -10,11 +10,11 @@ use rand::{Rng, RngCore, SeedableRng};
 use tommy_clock::shared::SharedDistribution;
 use tommy_core::message::{ClientId, MessageId};
 use tommy_wire::frame::{encode_frame, FrameDecoder, MAX_FRAME_LEN};
-use tommy_wire::{WireError, WireMessage};
+use tommy_wire::{Frame, WireError, WireMessage};
 
-fn sample_messages(rng: &mut StdRng) -> Vec<WireMessage> {
+fn sample_frames(rng: &mut StdRng) -> Vec<Frame> {
     let ts = |rng: &mut StdRng| rng.random_range(-1.0e6..1.0e6);
-    vec![
+    let messages = [
         WireMessage::Submit {
             id: MessageId(rng.next_u64()),
             client: ClientId(rng.next_u32()),
@@ -43,18 +43,23 @@ fn sample_messages(rng: &mut StdRng) -> Vec<WireMessage> {
             seq: rng.next_u64(),
             t0: ts(rng),
         },
-        WireMessage::Stream {
-            sender: ClientId(rng.next_u32()),
-            stream_id: rng.next_u64(),
-            sequence: rng.next_u64(),
-            fin: rng.random_bool(0.2),
-            inner: Some(Box::new(WireMessage::Submit {
-                id: MessageId(rng.next_u64()),
-                client: ClientId(rng.next_u32()),
-                timestamp: ts(rng),
-            })),
-        },
-    ]
+    ];
+    let streamed = Frame::Stream {
+        sender: ClientId(rng.next_u32()),
+        stream_id: rng.next_u64(),
+        sequence: rng.next_u64(),
+        fin: rng.random_bool(0.2),
+        inner: Some(WireMessage::Submit {
+            id: MessageId(rng.next_u64()),
+            client: ClientId(rng.next_u32()),
+            timestamp: ts(rng),
+        }),
+    };
+    messages
+        .into_iter()
+        .map(Frame::Message)
+        .chain([streamed])
+        .collect()
 }
 
 /// Feed arbitrary junk: the decoder must return (Ok or Err), never panic.
@@ -84,8 +89,8 @@ fn random_bytes_never_panic_the_decoder() {
 #[test]
 fn truncated_frames_wait_for_the_remainder() {
     let mut rng = StdRng::seed_from_u64(1);
-    for msg in sample_messages(&mut rng) {
-        let frame = encode_frame(&msg);
+    for sent in sample_frames(&mut rng) {
+        let frame = encode_frame(&sent);
         for cut in 0..frame.len() {
             let mut decoder = FrameDecoder::new();
             decoder.feed(&frame[..cut]);
@@ -96,7 +101,7 @@ fn truncated_frames_wait_for_the_remainder() {
             }
             // The remainder completes the frame exactly.
             decoder.feed(&frame[cut..]);
-            assert_eq!(decoder.next_message().unwrap().as_ref(), Some(&msg));
+            assert_eq!(decoder.next_message().unwrap().as_ref(), Some(&sent));
             assert_eq!(decoder.buffered(), 0);
         }
     }
@@ -109,11 +114,11 @@ fn truncated_frames_wait_for_the_remainder() {
 #[test]
 fn single_bit_flips_never_yield_a_corrupted_message() {
     let mut rng = StdRng::seed_from_u64(2);
-    for msg in sample_messages(&mut rng) {
-        let frame = encode_frame(&msg);
+    for sent in sample_frames(&mut rng) {
+        let frame = encode_frame(&sent);
         for byte in 0..frame.len() {
             for bit in 0..8u8 {
-                let mut corrupted = frame.to_vec();
+                let mut corrupted = frame.clone();
                 corrupted[byte] ^= 1 << bit;
                 let mut decoder = FrameDecoder::new();
                 decoder.feed(&corrupted);
@@ -126,9 +131,9 @@ fn single_bit_flips_never_yield_a_corrupted_message() {
                     // …but a "successful" decode must be byte-flip-invisible
                     // only if the flip landed in a part of the length prefix
                     // that still frames the same bytes — impossible here, so
-                    // any Ok(Some) must equal the original message.
+                    // any Ok(Some) must equal the original frame.
                     Ok(Some(got)) => {
-                        assert_eq!(got, msg, "bit flip at {byte}:{bit} silently accepted")
+                        assert_eq!(got, sent, "bit flip at {byte}:{bit} silently accepted")
                     }
                 }
             }
@@ -153,9 +158,9 @@ fn oversized_frames_reject_and_resync_recovers() {
         assert!(decoder.next_message().is_err());
         // After a resync, the decoder round-trips normally again.
         decoder.resync();
-        for msg in sample_messages(&mut rng) {
-            decoder.feed(&encode_frame(&msg));
-            assert_eq!(decoder.next_message().unwrap(), Some(msg));
+        for frame in sample_frames(&mut rng) {
+            decoder.feed(&encode_frame(&frame));
+            assert_eq!(decoder.next_message().unwrap(), Some(frame));
         }
         assert_eq!(decoder.buffered(), 0);
     }
@@ -166,16 +171,16 @@ fn oversized_frames_reject_and_resync_recovers() {
 #[test]
 fn stream_recovers_after_mid_stream_corruption() {
     let mut rng = StdRng::seed_from_u64(4);
-    let msgs = sample_messages(&mut rng);
+    let frames = sample_frames(&mut rng);
     let mut decoder = FrameDecoder::new();
 
     // First message arrives intact.
-    decoder.feed(&encode_frame(&msgs[0]));
-    assert_eq!(decoder.next_message().unwrap(), Some(msgs[0].clone()));
+    decoder.feed(&encode_frame(&frames[0]));
+    assert_eq!(decoder.next_message().unwrap(), Some(frames[0].clone()));
 
     // Second arrives with a corrupted payload byte: checksum rejects it but
     // the decoder stays frame-aligned (the corrupt frame is consumed).
-    let mut corrupted = encode_frame(&msgs[1]).to_vec();
+    let mut corrupted = encode_frame(&frames[1]);
     let last_payload = corrupted.len() - 5;
     corrupted[last_payload] ^= 0x10;
     decoder.feed(&corrupted);
@@ -185,14 +190,14 @@ fn stream_recovers_after_mid_stream_corruption() {
     ));
 
     // Third decodes cleanly without an explicit resync.
-    decoder.feed(&encode_frame(&msgs[2]));
-    assert_eq!(decoder.next_message().unwrap(), Some(msgs[2].clone()));
+    decoder.feed(&encode_frame(&frames[2]));
+    assert_eq!(decoder.next_message().unwrap(), Some(frames[2].clone()));
 }
 
-/// The wire format, pinned byte for byte: one `Submit`, one `Heartbeat` and
-/// one `Stream`-wrapped `Submit`. A frame is the body length (u32 LE), then
-/// the body: the kind byte, the payload (integers and `f64`s little-endian)
-/// and the CRC-32 of kind + payload (u32 LE). Every byte below was computed
+/// The wire format, pinned byte for byte: one `Submit`, one `Heartbeat`, one
+/// stream-wrapped `Submit` and one bare fin. A frame is the body length (u32
+/// LE), then the body: the kind byte, the payload (integers and `f64`s
+/// little-endian) and the CRC-32 of kind + payload (u32 LE). Every byte below was computed
 /// outside this crate, with Python's `struct.pack` and `zlib.crc32` (e.g.
 /// `zlib.crc32(bytes([0x01]) + struct.pack('<QId', 0x0102030405060708,
 /// 0x0A0B0C0D, 1234.5)) == 0xA29B022C`), so encoder and decoder, which
@@ -200,13 +205,13 @@ fn stream_recovers_after_mid_stream_corruption() {
 #[test]
 fn golden_frames_pin_the_wire_format() {
     #[rustfmt::skip]
-    let golden: [(WireMessage, &[u8]); 3] = [
+    let golden: [(Frame, &[u8]); 4] = [
         (
-            WireMessage::Submit {
+            Frame::Message(WireMessage::Submit {
                 id: MessageId(0x0102_0304_0506_0708),
                 client: ClientId(0x0A0B_0C0D),
                 timestamp: 1234.5,
-            },
+            }),
             &[
                 0x19, 0x00, 0x00, 0x00,                         // body length 25
                 0x01,                                           // kind: Submit
@@ -217,10 +222,10 @@ fn golden_frames_pin_the_wire_format() {
             ],
         ),
         (
-            WireMessage::Heartbeat {
+            Frame::Message(WireMessage::Heartbeat {
                 client: ClientId(7),
                 timestamp: -0.25,
-            },
+            }),
             &[
                 0x11, 0x00, 0x00, 0x00,                         // body length 17
                 0x02,                                           // kind: Heartbeat
@@ -230,16 +235,16 @@ fn golden_frames_pin_the_wire_format() {
             ],
         ),
         (
-            WireMessage::Stream {
+            Frame::Stream {
                 sender: ClientId(3),
                 stream_id: 1,
                 sequence: 42,
                 fin: true,
-                inner: Some(Box::new(WireMessage::Submit {
+                inner: Some(WireMessage::Submit {
                     id: MessageId(9),
                     client: ClientId(3),
                     timestamp: 100.125,
-                })),
+                }),
             },
             &[
                 0x2f, 0x00, 0x00, 0x00,                         // body length 47
@@ -255,12 +260,30 @@ fn golden_frames_pin_the_wire_format() {
                 0xb7, 0xca, 0x48, 0x0d,                         // CRC 0x0D48CAB7
             ],
         ),
+        (
+            Frame::Stream {
+                sender: ClientId(3),
+                stream_id: 1,
+                sequence: 43,
+                fin: true,
+                inner: None,
+            },
+            &[
+                0x1a, 0x00, 0x00, 0x00,                         // body length 26
+                0x0a,                                           // kind: Stream
+                0x03, 0x00, 0x00, 0x00,                         // sender
+                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stream id
+                0x2b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sequence 43
+                0x01,                                           // flags: fin
+                0x28, 0x3b, 0x21, 0xb4,                         // CRC 0xB4213B28
+            ],
+        ),
     ];
-    for (message, bytes) in golden {
-        assert_eq!(&encode_frame(&message)[..], bytes, "{message:?}");
+    for (frame, bytes) in golden {
+        assert_eq!(&encode_frame(&frame)[..], bytes, "{frame:?}");
         let mut decoder = FrameDecoder::new();
         decoder.feed(bytes);
-        assert_eq!(decoder.next_message().unwrap(), Some(message));
+        assert_eq!(decoder.next_message().unwrap(), Some(frame));
         assert_eq!(decoder.buffered(), 0);
     }
 }
