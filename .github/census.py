@@ -2,16 +2,15 @@
 """Reachability census: nothing ships that nothing runs.
 
 Shipped code is the non-test part (the lines before the first `#[cfg(test)]`)
-of every file under crates/*/src except the test rig, crates/contract/, and of
-every file under src/, examples/ and perfbench/src. Tests, benches and the test
-rig run shipped code but do not keep it shipped: an item only they call
-belongs in the test rig or in a test module.
+of every file under crates/*/src except the test rig, crates/contract/, and
+the bench harness, crates/bench/, and of every file under src/, examples/ and
+perfbench/src. Tests, benches, the bench harness and the test rig run shipped
+code but do not keep it shipped: an item only they call belongs in the test
+rig, the bench harness or a test module.
 
 Every `pub fn|struct|enum|trait|const|type` declared in the shipped part of a
 file under crates/*/src must be named somewhere else in shipped code: in
-another file, or again in its own. `tommy-bench`'s src/ is shipped code, so
-it calls (it drives the adversarial sweep its benches print), but no item it
-declares is checked: those exist for its own benches. A file whose top-level `pub` items are all
+another file, or again in its own. A file whose top-level `pub` items are all
 unnamed elsewhere is reported as a caller-less module. `use` statements are
 not callers (a re-export keeps nothing alive) and neither is anything after
 `//` on a line: prose and doc examples mention a name without running it.
@@ -35,7 +34,7 @@ hasher is safe only for keys no client chooses: the registry's client table
 is filled by registration alone, while ids arrive from clients and keep
 SipHash.
 
-Single-threaded core: the shipped part of crates/*/src (not the test rig),
+Single-threaded core: the shipped part of crates/*/src,
 src/ and examples/ names no `Arc`, `Rc`, `Mutex`, `RwLock`, `Atomic*`,
 `OnceLock`, `parking_lot` or `bytes::` outside comments, `use` lines
 included. Nothing that ships starts a thread, so nothing needs a lock, an
@@ -86,8 +85,7 @@ DECL = re.compile(r"^( *)pub (?:const |unsafe )*(?:fn|struct|enum|trait|const|ty
 USE = re.compile(r"\b(?:pub )?use [^;]*;")
 COMMENT = re.compile(r"//.*")
 SHIPPED = ("crates/*/src/**/*.rs", "src/**/*.rs", "examples/*.rs", "perfbench/src/**/*.rs")
-RIG = "crates/contract/"
-BENCH = "crates/bench/"
+RIG = ("crates/contract/", "crates/bench/")  # the test rig and the bench harness
 
 FN_DECL = re.compile(r"^( *)pub (?:const |unsafe )*fn (\w+)", re.M)
 SITE = re.compile(r"\b(\w+)\s*(?:\(|::<)|::(\w+)\b")
@@ -103,7 +101,7 @@ named_in = {p: words(t) for p, t in shipped.items()}
 called_in = {p: sites(t) for p, t in shipped.items()}
 free_in = {p: sites(t, FREE_SITE) for p, t in shipped.items()}
 found, declared = [], set()
-for path in sorted(p for p in shipped if p.startswith("crates/") and not p.startswith(BENCH)):
+for path in sorted(p for p in shipped if p.startswith("crates/")):
     own, own_sites, own_free = named_in[path], called_in[path], free_in[path]
     elsewhere = lambda name: any(name in w for p, w in named_in.items() if p != path)
     called = lambda name, top: (own_free if top else own_sites)[name] or any(

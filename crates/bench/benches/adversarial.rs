@@ -1,13 +1,11 @@
-//! Adversarial-robustness smoke bench: streams one attacked scenario per
-//! family through the online sequencer, defended and undefended, and prints
-//! the RAS/counter row for each — so `cargo bench` both times the defense
-//! path and sanity-checks that it engages (quarantines or re-estimations
-//! fire under attack, never on the honest control). `tommy-bench`'s unit
-//! tests pin the detection table of the full sweep.
+//! Adversarial-robustness bench: times one attacked stream per family
+//! (intensity 0.6) through the online sequencer, defended and undefended —
+//! the cost of the defense path. The sweep's rows are printed by the
+//! `tommy-sim` binary `adversarial`, and pinned by its unit tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use tommy_bench::run_adversarial_stream;
+use tommy_sim::experiments::adversarial::run_adversarial_stream;
 use tommy_workload::AttackFamily;
 
 fn adversarial(c: &mut Criterion) {
@@ -20,18 +18,6 @@ fn adversarial(c: &mut Criterion) {
     let intensity = 0.6;
     for family in AttackFamily::ALL {
         for defended in [false, true] {
-            // Print the sweep row once, outside the timing loop.
-            let (run, stats) = run_adversarial_stream(family, intensity, defended);
-            println!(
-                "adversarial: family={:<10} defended={defended:<5} ras={:.4} violations={} \
-                 quarantines={} reestimations={} margin_fallbacks={}",
-                family.name(),
-                run.ras.normalized(),
-                stats.fairness_violations,
-                stats.quarantines,
-                stats.reestimations,
-                stats.margin_fallbacks
-            );
             let id = BenchmarkId::new(
                 family.name(),
                 if defended { "defended" } else { "undefended" },

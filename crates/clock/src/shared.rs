@@ -13,7 +13,6 @@ use tommy_stats::gaussian::Gaussian;
 /// A compact, serializable description of a client's learned clock-offset
 /// distribution.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SharedDistribution {
     /// Gaussian summary: just mean and standard deviation.
     Gaussian {

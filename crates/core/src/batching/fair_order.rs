@@ -83,7 +83,7 @@ impl FairOrder {
     }
 
     /// Build a fair *total* order: every message is its own batch, in the
-    /// given order. Used by the FIFO / WFO baselines.
+    /// given order. Used by the FIFO / WFO baselines (`tommy_sim::baselines`).
     pub fn from_total_order(ids: &[MessageId]) -> Self {
         FairOrder::from_groups(ids.iter().map(|&id| vec![id]).collect())
     }

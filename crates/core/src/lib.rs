@@ -49,8 +49,6 @@
 //!   (one key-sorted list + lazy pairwise decisions, settled by comparing
 //!   kernel arguments and evaluated only near the threshold; see
 //!   `ARCHITECTURE.md`, "Sparse fast path").
-//! * [`baselines`] — FIFO, WaitsForOne and TrueTime-style sequencers used in
-//!   the paper's evaluation (§2, §4).
 //! * [`tiebreak`] — randomized tie-breaking to extend the fair partial order
 //!   to a fair total order (§5 "Extension to Fair Total Order").
 //! * [`defense`] — untrusted-distribution hardening (§5 "Byzantine
@@ -65,6 +63,10 @@
 //!   [`RecoveryPolicy`] (halt, skip-after-timeout, or bounded retransmit
 //!   requests with exponential backoff).
 //!
+//! The baselines the paper compares against (FIFO, WaitsForOne, TrueTime)
+//! are not here: they exist only to be scored beside Tommy, and live with
+//! that evaluation in `tommy-sim`'s `baselines` module.
+//!
 //! The repository-level `ARCHITECTURE.md` documents how these pieces
 //! compose into the full arrival → emission pipeline (matrix column
 //! fill → incremental tournament → incremental batch boundaries → candidate
@@ -74,7 +76,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod batching;
 pub mod config;
 pub mod defense;
@@ -102,17 +103,3 @@ pub use sequencer::online::{CandidateStatus, OnlineSequencer, OnlineStats};
 pub use sequencer::SequencingOutcome;
 pub use session::{RecoveryPolicy, SequenceValidator, SessionCounters};
 pub use tournament::IncrementalTournament;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::baselines::{FifoSequencer, TrueTimeSequencer, WfoSequencer};
-    pub use crate::batching::{Batch, FairOrder};
-    pub use crate::config::{FastPathMode, SequencerConfig};
-    pub use crate::message::{ClientId, Message, MessageId};
-    pub use crate::registry::DistributionRegistry;
-    pub use crate::sequencer::offline::TommySequencer;
-    pub use crate::sequencer::online::OnlineSequencer;
-    pub use crate::sequencer::sharded::ShardedSequencer;
-    pub use tommy_stats::distribution::OffsetDistribution;
-    pub use tommy_stats::gaussian::Gaussian;
-}

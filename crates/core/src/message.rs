@@ -9,7 +9,6 @@
 
 /// Identifier of a client (a participant submitting messages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientId(pub u32);
 
 impl std::fmt::Display for ClientId {
@@ -20,7 +19,6 @@ impl std::fmt::Display for ClientId {
 
 /// Identifier of a message, unique within one experiment / sequencer run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MessageId(pub u64);
 
 impl std::fmt::Display for MessageId {
@@ -31,7 +29,6 @@ impl std::fmt::Display for MessageId {
 
 /// A timestamped message as seen by the sequencer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Message {
     /// Unique message identifier.
     pub id: MessageId,

@@ -294,7 +294,8 @@ macro_rules! engine {
 /// and every registered client has been heard from past the batch horizon:
 ///
 /// ```
-/// use tommy_core::prelude::*;
+/// use tommy_core::{ClientId, Message, MessageId, OnlineSequencer, SequencerConfig};
+/// use tommy_stats::distribution::OffsetDistribution;
 ///
 /// let mut sequencer = OnlineSequencer::new(SequencerConfig::default());
 /// sequencer.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));

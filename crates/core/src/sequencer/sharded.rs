@@ -226,7 +226,9 @@ impl Shard {
 /// # Example
 ///
 /// ```
-/// use tommy_core::prelude::*;
+/// use tommy_core::sequencer::sharded::ShardedSequencer;
+/// use tommy_core::{ClientId, Message, MessageId, SequencerConfig};
+/// use tommy_stats::distribution::OffsetDistribution;
 ///
 /// let mut seq = ShardedSequencer::new(SequencerConfig::default().with_shards(2));
 /// seq.register_client(ClientId(0), OffsetDistribution::gaussian(0.0, 1.0));

@@ -7,8 +7,8 @@
 //! their generation order (the engineered equal-length-wire setting of
 //! Figure 4).
 
-use crate::batching::FairOrder;
-use crate::message::Message;
+use tommy_core::batching::FairOrder;
+use tommy_core::message::Message;
 
 /// A FIFO sequencer: ranks messages purely by arrival time.
 #[derive(Debug, Default)]
@@ -28,16 +28,6 @@ impl FifoSequencer {
         self.arrivals.push((message, arrival_time));
     }
 
-    /// Number of messages received.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Whether no messages have been received.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
     /// Produce the total order: one batch per message, in arrival order
     /// (ties broken by message id for determinism).
     pub fn sequence(&self) -> FairOrder {
@@ -54,7 +44,18 @@ impl FifoSequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{ClientId, MessageId};
+    use crate::baselines::MaxBatchSize;
+    use tommy_core::message::{ClientId, MessageId};
+
+    impl FifoSequencer {
+        fn len(&self) -> usize {
+            self.arrivals.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.arrivals.is_empty()
+        }
+    }
 
     fn msg(id: u64, ts: f64) -> Message {
         Message::new(MessageId(id), ClientId(id as u32), ts)

@@ -1,4 +1,6 @@
-//! Baseline sequencers the paper compares against (or builds on).
+//! Baseline sequencers the paper compares against (or builds on). They
+//! exist only to be scored beside Tommy, so they live with the evaluation
+//! rather than in `tommy-core`.
 //!
 //! * [`fifo`] — the classic arrival-order sequencer ("assign ranks … based on
 //!   the order in which it is observed by a server", §1).
@@ -16,3 +18,16 @@ pub mod wfo;
 pub use fifo::FifoSequencer;
 pub use truetime::TrueTimeSequencer;
 pub use wfo::WfoSequencer;
+
+#[cfg(test)]
+/// The size of an order's largest batch, read by the baselines' tests.
+trait MaxBatchSize {
+    fn max_batch_size(&self) -> usize;
+}
+
+#[cfg(test)]
+impl MaxBatchSize for tommy_core::batching::FairOrder {
+    fn max_batch_size(&self) -> usize {
+        self.batches().iter().map(|b| b.len()).max().unwrap_or(0)
+    }
+}

@@ -7,10 +7,10 @@
 //! goes negative — but it also leaves far more pairs unordered than Tommy
 //! when clock errors grow.
 
-use crate::batching::FairOrder;
-use crate::error::CoreError;
-use crate::message::Message;
-use crate::registry::DistributionRegistry;
+use tommy_core::batching::FairOrder;
+use tommy_core::error::CoreError;
+use tommy_core::message::{Message, MessageId};
+use tommy_core::registry::DistributionRegistry;
 use tommy_stats::distribution::Distribution;
 
 /// Interval half-width in standard deviations: `±3σ`, the paper's choice.
@@ -24,11 +24,11 @@ pub struct TrueTimeSequencer<'a> {
 
 /// A message's uncertainty interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UncertaintyInterval {
+struct UncertaintyInterval {
     /// Interval lower bound.
-    pub lo: f64,
+    lo: f64,
     /// Interval upper bound.
-    pub hi: f64,
+    hi: f64,
 }
 
 impl<'a> TrueTimeSequencer<'a> {
@@ -43,7 +43,7 @@ impl<'a> TrueTimeSequencer<'a> {
     ///
     /// Returns [`CoreError::UnknownClient`] if the message's client has no
     /// registered distribution.
-    pub fn interval(&self, message: &Message) -> Result<UncertaintyInterval, CoreError> {
+    fn interval(&self, message: &Message) -> Result<UncertaintyInterval, CoreError> {
         let dist = self
             .registry
             .get(message.client)
@@ -77,7 +77,7 @@ impl<'a> TrueTimeSequencer<'a> {
         });
 
         let mut groups = Vec::new();
-        let mut current: Vec<crate::message::MessageId> = Vec::new();
+        let mut current: Vec<MessageId> = Vec::new();
         let mut current_hi = f64::NEG_INFINITY;
         for (m, iv) in with_intervals {
             if current.is_empty() || iv.lo <= current_hi {
@@ -99,7 +99,7 @@ impl<'a> TrueTimeSequencer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{ClientId, MessageId};
+    use tommy_core::message::{ClientId, MessageId};
     use tommy_stats::distribution::OffsetDistribution;
 
     fn registry(sigma: f64, clients: u32) -> DistributionRegistry {

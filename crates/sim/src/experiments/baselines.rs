@@ -7,9 +7,9 @@
 //! sequencers, with message *arrival* order produced by the network
 //! simulator.
 
+use crate::baselines::{FifoSequencer, TrueTimeSequencer, WfoSequencer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tommy_core::baselines::{FifoSequencer, TrueTimeSequencer, WfoSequencer};
 use tommy_core::config::SequencerConfig;
 use tommy_core::message::ClientId;
 use tommy_core::registry::DistributionRegistry;

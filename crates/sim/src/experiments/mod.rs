@@ -3,6 +3,7 @@
 //! See `DESIGN.md` §2 for the experiment index mapping each module to the
 //! paper's figures and to the DESIGN ablations.
 
+pub mod adversarial;
 pub mod appendix_b;
 pub mod appendix_c;
 pub mod baselines;

@@ -15,14 +15,23 @@
 //! * **Ablations A1–A6** of DESIGN.md — threshold sweep, `p_safe` sweep,
 //!   non-Gaussian offsets, baseline spectrum, scalability and
 //!   distribution-learning experiments.
+//! * **§5 "Handling Byzantine clients"** — the adversarial sweep: every
+//!   attack family at two intensities plus the honest control, defense off
+//!   and on ([`experiments::adversarial`]).
 //!
 //! Every experiment is exposed both as a library function returning typed
-//! rows (so integration tests and criterion benches can call it) and as a
-//! binary under `src/bin/` that prints the rows as a table/CSV.
+//! rows (so integration tests and criterion benches can call it) and as one
+//! of the nine binaries under `src/bin/` (`appendix_b`, `appendix_c`,
+//! `fig5`, `threshold_sweep`, `psafe_sweep`, `nongaussian`, `baselines`,
+//! `learning`, `adversarial`), each printing its rows or worked example.
+//!
+//! [`baselines`] holds the sequencers the paper compares Tommy against
+//! (FIFO, WaitsForOne, TrueTime): they exist only to be scored here.
 //!
 //! [`runner::run_stream`] is the one streaming driver: it replays a
 //! scenario's delivery schedule (`tommy_workload::schedule::Schedule`) into
-//! any online engine the caller builds and scores what comes out. The
+//! any online engine the caller builds and scores what comes out; the
+//! adversarial sweep is its shipped caller. The
 //! fault-injected runner, which drives the same scenarios through the full
 //! wire path over a deterministic lossy network, is test rig and lives in
 //! `tommy_contract::faults`.
@@ -30,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod output;
 pub mod runner;

@@ -9,10 +9,10 @@
 //! to any online engine: generate → resolve the delivery schedule
 //! (`tommy_workload::schedule::Schedule`) → drive → score.
 
+use crate::baselines::{TrueTimeSequencer, WfoSequencer};
 use crate::scenario::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tommy_core::baselines::{TrueTimeSequencer, WfoSequencer};
 use tommy_core::batching::FairOrder;
 use tommy_core::config::SequencerConfig;
 use tommy_core::defense::{DefenseConfig, ExpectedDelay};

@@ -6,7 +6,6 @@ use rand::Rng;
 
 /// A Gaussian distribution `N(mean, std_dev²)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gaussian {
     mean: f64,
     std_dev: f64,

@@ -11,7 +11,6 @@
 /// probability mass is silently dropped (important for long-tailed clock
 /// error distributions).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,

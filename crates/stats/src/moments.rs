@@ -7,7 +7,6 @@
 
 /// Single-pass accumulator for the first two central moments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Moments {
     n: u64,
     mean: f64,

@@ -59,7 +59,6 @@ pub use tommy_workload as workload;
 
 /// The most commonly used items across the workspace.
 pub mod prelude {
-    pub use tommy_core::baselines::{FifoSequencer, TrueTimeSequencer, WfoSequencer};
     pub use tommy_core::batching::{Batch, FairOrder};
     pub use tommy_core::config::SequencerConfig;
     pub use tommy_core::message::{ClientId, Message, MessageId};
@@ -67,6 +66,7 @@ pub mod prelude {
     pub use tommy_core::sequencer::offline::TommySequencer;
     pub use tommy_core::sequencer::online::OnlineSequencer;
     pub use tommy_metrics::ras::{rank_agreement_score, RasScore};
+    pub use tommy_sim::baselines::{FifoSequencer, TrueTimeSequencer, WfoSequencer};
     pub use tommy_stats::distribution::{Distribution, OffsetDistribution};
     pub use tommy_stats::gaussian::Gaussian;
 }
